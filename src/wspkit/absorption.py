@@ -13,7 +13,7 @@ WL; the solvers' work scales with the product of these bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import (
     ADA,
@@ -59,6 +59,23 @@ def _uniform(k: int, n: int, mask: int) -> AuthorisationFunction:
     return AuthorisationFunction(n, (mask,) * k)
 
 
+def _alternatives(c: WL | ADA, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The alternatives of a WL or ADA constraint, each as the (step, mask)
+    pairs of the steps it restricts; every other step is left unrestricted.
+
+    WL: one alternative per team, in declaration order, pinning the scope to
+    that team.  ADA: the trigger case (s1 to a trigger user, s2 to a required
+    one) first, then the non-trigger case (s1 to a non-trigger user).
+    """
+    if isinstance(c, WL):
+        return tuple(tuple((s, tmask) for s in c.scope)
+                     for tmask in map(mask_of, c.teams))
+    trig = mask_of(c.trigger)
+    full = (1 << n) - 1
+    return (((c.s1, trig), (c.s2, mask_of(c.required))),
+            ((c.s1, full & ~trig),))
+
+
 def family_for_constraint(c: Constraint, p: Pattern, k: int, n: int) -> PAuthorisationFamily:
     """The constraint's own authorisation family at pattern p.
 
@@ -79,25 +96,14 @@ def family_for_constraint(c: Constraint, p: Pattern, k: int, n: int) -> PAuthori
             for s in c.scope:
                 masks[s] = xmask
         return PAuthorisationFamily((_masks_function(n, masks),))
-    if isinstance(c, WL):
+    if isinstance(c, (WL, ADA)):
         members = []
-        for team in c.teams:
-            tmask = mask_of(team)
+        for alt in _alternatives(c, n):
             masks = [full] * k
-            for s in c.scope:
-                masks[s] = tmask
+            for s, mask in alt:
+                masks[s] = mask
             members.append(_masks_function(n, masks))
         return PAuthorisationFamily(tuple(members))
-    if isinstance(c, ADA):
-        trig = mask_of(c.trigger)
-        req = mask_of(c.required)
-        first = [full] * k
-        first[c.s1] = trig
-        first[c.s2] = req
-        second = [full] * k
-        second[c.s1] = full & ~trig
-        return PAuthorisationFamily(
-            (_masks_function(n, first), _masks_function(n, second)))
     raise InvariantError(f"unknown constraint type: {type(c).__name__}")
 
 
@@ -214,25 +220,40 @@ def absorb(inst: Instance, max_family_size: int = 4096) -> AbsorbedInstance:
     that pattern authorises it.  WL and ADA families are pattern-independent,
     so their product with the base authorisations is built once; the product
     size is capped by `max_family_size`.
+
+    The product is the fold of `intersect_families` over each constraint's
+    `family_for_constraint`, member for member and in the same order, but it
+    is built on plain tuples of step masks: each alternative narrows only the
+    steps it restricts, and only those steps can empty and prune a member.
     """
-    k, n = inst.k, inst.n
+    n = inst.n
     residual = inst.ui_constraints()
     suals = tuple(c for c in inst.nonui_constraints() if isinstance(c, SUAL))
 
-    functions: tuple[AuthorisationFunction, ...] = (inst.auth,)
-    if any(m == 0 for m in inst.auth.step_masks):
-        functions = ()
-    trivial = Pattern(tuple(range(k)))  # WL/ADA families ignore the pattern
+    rows: list[tuple[int, ...]] = []
+    if all(inst.auth.step_masks):
+        rows.append(inst.auth.step_masks)
     for c in inst.nonui_constraints():
         if isinstance(c, SUAL):
             continue
-        fam = family_for_constraint(c, trivial, k, n)
-        if len(functions) * fam.size > max_family_size:
+        alts = _alternatives(c, n)
+        if len(rows) * len(alts) > max_family_size:
             raise CapacityError(
                 f"authorisation family would exceed max_family_size={max_family_size}; "
                 f"raise the limit to absorb this many WL/ADA alternatives")
-        functions = intersect_families(
-            PAuthorisationFamily(functions), fam).functions
+        product = []
+        for row in rows:
+            for alt in alts:
+                for s, mask in alt:
+                    if not row[s] & mask:
+                        break
+                else:
+                    narrowed = list(row)
+                    for s, mask in alt:
+                        narrowed[s] &= mask
+                    product.append(tuple(narrowed))
+        rows = product
+    functions = tuple(AuthorisationFunction(n, row) for row in rows)
     return AbsorbedInstance(inst, residual, functions, suals)
 
 
@@ -256,7 +277,6 @@ class BranchingReport:
     bound: int
     scope_bound: int
     user_bound: int
-    max_family_size_observed: Optional[int] = None
 
 
 def branching_bound(c: Constraint, k: int, n: int) -> BranchingReport:

@@ -84,8 +84,9 @@ class AuthorisationFunction:
         _require(len(self.step_masks) >= 1, "authorisation: needs at least one step")
         full = (1 << self.n) - 1
         for s, m in enumerate(self.step_masks):
-            _require(0 <= m <= full,
-                     f"authorisation: step {s} names a user outside [0, {self.n})")
+            if not 0 <= m <= full:
+                raise InvariantError(
+                    f"authorisation: step {s} names a user outside [0, {self.n})")
 
     @classmethod
     def from_lists(cls, lists: Sequence[Iterable[int]], n: int) -> "AuthorisationFunction":

@@ -9,6 +9,7 @@ instance semantics before the result leaves this module.
 from __future__ import annotations
 
 import itertools
+import operator
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -155,9 +156,11 @@ def compile_search_problem(absorbed: AbsorbedInstance) -> Optional[SearchProblem
     order = tuple(sorted(range(k), key=lambda s: (degree[s], s)))
     pos = {s: d for d, s in enumerate(order)}
 
-    combo_masks = tuple(
-        tuple(fn.step_masks[order[d]] for d in range(k))
-        for fn in absorbed.static_functions)
+    if k == 1:
+        combo_masks = tuple((fn.step_masks[0],) for fn in absorbed.static_functions)
+    else:
+        visit = operator.itemgetter(*order)
+        combo_masks = tuple(visit(fn.step_masks) for fn in absorbed.static_functions)
 
     sod_prev: list[list[int]] = [[] for _ in range(k)]
     bod_prev: list[list[int]] = [[] for _ in range(k)]
@@ -202,8 +205,8 @@ def _run_kernel(prob: SearchProblem, budget: Budget, t0: float, backend: str,
 
 
 def _branch_payload(args):
-    inst, prefix, budget, backend, t0 = args
-    absorbed = absorb(inst)
+    inst, prefix, budget, backend, t0, max_family_size = args
+    absorbed = absorb(inst, max_family_size=max_family_size)
     prob = compile_search_problem(absorbed)
     if prob is None:
         return (_kernel.UNSAT, None, 0, 0, 0)
@@ -251,7 +254,8 @@ def solve_backtracking(
     plan_found = None
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = {
-            pool.submit(_branch_payload, (inst, prefix, budget, backend, t0))
+            pool.submit(_branch_payload,
+                        (inst, prefix, budget, backend, t0, max_family_size))
             for prefix in prefixes
         }
         pending = set(futures)

@@ -46,6 +46,15 @@ def po_instance() -> Instance:
     return purchase_order_instance()
 
 
+def disjoint_wl_instance() -> Instance:
+    """Ten steps over twelve users, all authorised everywhere, and five WL
+    constraints on disjoint step pairs with six 2-user teams each: nothing
+    prunes, so the WL product has exactly 6**5 = 7776 members."""
+    teams = tuple(frozenset({2 * t, 2 * t + 1}) for t in range(6))
+    cs = tuple(WL((2 * i, 2 * i + 1), teams) for i in range(5))
+    return Instance(10, 12, AuthorisationFunction.total(10, 12), cs)
+
+
 # --- independent oracles -----------------------------------------------------
 
 

@@ -1,10 +1,11 @@
 """Constraint absorption into per-pattern authorisation families."""
 
 import itertools
+import random
 
 import pytest
 
-from conftest import CONSTRAINT_KINDS, random_instance
+from conftest import CONSTRAINT_KINDS, disjoint_wl_instance, random_instance
 from wspkit.core import (
     ADA,
     AtMost,
@@ -151,6 +152,66 @@ def test_absorb_capacity_cap():
     with pytest.raises(CapacityError):
         absorb(inst, max_family_size=8)
     assert absorb(inst, max_family_size=4096) is not None
+
+
+def test_absorb_capacity_cap_is_exact_at_the_product():
+    inst = disjoint_wl_instance()
+    with pytest.raises(CapacityError, match="max_family_size=7775"):
+        absorb(inst, max_family_size=6 ** 5 - 1)
+    assert len(absorb(inst, max_family_size=6 ** 5).static_functions) == 6 ** 5
+
+
+def _reference_product(inst):
+    """The WL/ADA product as a fold of the public family operations."""
+    k, n = inst.k, inst.n
+    live = all(m != 0 for m in inst.auth.step_masks)
+    fam = PAuthorisationFamily((inst.auth,) if live else ())
+    trivial = Pattern(tuple(range(k)))
+    for c in inst.nonui_constraints():
+        if not isinstance(c, SUAL):
+            fam = intersect_families(fam, family_for_constraint(c, trivial, k, n))
+    return fam.functions
+
+
+def _wl_ada_instance(seed):
+    rng = random.Random(f"wl-ada-product-{seed}")
+    k = rng.randint(2, 8)
+    n = rng.choice((7, 65, 130))
+    lists = [[u for u in range(n) if rng.random() < 0.6] or [rng.randrange(n)]
+             for _ in range(k)]
+    cs = []
+    for _ in range(rng.randint(1, 5)):
+        if rng.random() < 0.5:
+            scope = rng.sample(range(k), rng.randint(2, min(k, 3)))
+            users = rng.sample(range(n), rng.randint(3, n))
+            cut = sorted(rng.sample(range(1, len(users)), rng.randint(1, 2)))
+            bounds = [0, *cut, len(users)]
+            teams = tuple(frozenset(users[a:b]) for a, b in zip(bounds, bounds[1:]))
+            cs.append(WL(tuple(scope), teams))
+        else:
+            s1, s2 = rng.sample(range(k), 2)
+            cs.append(ADA(s1, s2,
+                          frozenset(rng.sample(range(n), rng.randint(1, n - 1))),
+                          frozenset(rng.sample(range(n), rng.randint(1, 3)))))
+    return Instance(k, n, AuthorisationFunction.from_lists(lists, n), tuple(cs))
+
+
+def test_absorb_product_matches_the_family_fold():
+    """The raw-mask product equals the fold of `intersect_families` over
+    `family_for_constraint`, member for member and in order, with pruning
+    and with masks of one, two and three machine words."""
+    pruned, widths = 0, set()
+    for seed in range(120):
+        inst = _wl_ada_instance(seed)
+        got = absorb(inst).static_functions
+        want = _reference_product(inst)
+        assert got == want, seed
+        unpruned = 1
+        for c in inst.constraints:
+            unpruned *= len(c.teams) if isinstance(c, WL) else 2
+        pruned += len(got) < unpruned
+        widths.add(inst.n)
+    assert pruned > 10 and widths == {7, 65, 130}
 
 
 def test_absorbed_family_applies_sual_per_pattern():

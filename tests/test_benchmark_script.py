@@ -6,10 +6,13 @@ compiles the committed, Cython-generated `_speed.c` into a temporary copy of
 the package (no Cython required, only a C compiler and the Python headers)
 and runs the script against that copy.  Nothing is built inside the
 repository, so the backend seen by the rest of the session is unchanged.
-Because the test builds from that C file, a second test checks that it was
-generated from the current `_speed.pyx`.
+Because the test builds from that C file, two more tests check that it was
+generated from the current `_speed.pyx`: one compares the `.pyx` lines the
+C file quotes, the other the `.pyx` against the SHA-256 committed beside the
+C file, which also covers the lines Cython does not quote.
 """
 
+import hashlib
 import os
 import re
 import shlex
@@ -28,6 +31,7 @@ SCRIPT = REPO_ROOT / "benchmarks" / "kernel_benchmark.py"
 PACKAGE = REPO_ROOT / "src" / "wspkit"
 SPEED_PYX = PACKAGE / "_kernel" / "_speed.pyx"
 SPEED_C = PACKAGE / "_kernel" / "_speed.c"
+SPEED_PYX_SHA256 = PACKAGE / "_kernel" / "_speed.pyx.sha256"
 
 # The test only checks the table and the counter parity, not the speed, so
 # the kernel is compiled without optimisation to keep the build short.
@@ -128,3 +132,12 @@ def test_speed_c_is_generated_from_current_pyx():
         "_speed.c is stale: regenerate it from _speed.pyx with "
         "`python setup.py build_ext --inplace`; "
         f"first mismatches (line, in C, in pyx): {stale[:3]}")
+
+
+def test_speed_pyx_matches_the_hash_committed_with_speed_c():
+    recorded = SPEED_PYX_SHA256.read_text(encoding="ascii").split()[0]
+    actual = hashlib.sha256(SPEED_PYX.read_bytes()).hexdigest()
+    assert actual == recorded, (
+        "_speed.pyx changed since _speed.c was generated: regenerate it with "
+        "`python setup.py build_ext --inplace`, then refresh the hash with "
+        "`sha256sum _speed.pyx > _speed.pyx.sha256` in src/wspkit/_kernel")

@@ -151,6 +151,16 @@ def test_instance_validation_errors():
         Instance(2, 3, auth, ())  # n mismatch
 
 
+def test_authorisation_mask_range_errors_name_the_step():
+    with pytest.raises(InvariantError,
+                       match=r"^authorisation: step 1 names a user outside \[0, 3\)$"):
+        AuthorisationFunction(3, (0b111, -1))
+    with pytest.raises(InvariantError,
+                       match=r"^authorisation: step 2 names a user outside \[0, 3\)$"):
+        AuthorisationFunction(3, (0b001, 0b010, 1 << 3))
+    assert AuthorisationFunction(3, (0, 0b111)).step_masks == (0, 0b111)
+
+
 def test_authorisation_function_helpers():
     a = AuthorisationFunction.from_lists([[2, 0], [1]], 3)
     assert a.users(0) == (0, 2)

@@ -5,6 +5,7 @@ import pytest
 from conftest import (
     CONSTRAINT_KINDS,
     PO_VALID_COUNT,
+    disjoint_wl_instance,
     random_instance,
     valid_plans_longhand,
 )
@@ -208,6 +209,16 @@ def test_parallel_split_agrees(jobs, po_instance):
     unsat = Instance(5, 3, AuthorisationFunction.total(5, 3),
                      (AtLeast(4, (0, 1, 2, 3)),))
     assert solve_backtracking(unsat, jobs=jobs).verdict is Verdict.UNSAT
+
+
+def test_parallel_respects_max_family_size():
+    """The workers absorb under the caller's cap, not the default 4096."""
+    inst = disjoint_wl_instance()  # m = 7776
+    with pytest.raises(CapacityError):
+        solve_backtracking(inst, jobs=2)
+    res = solve_backtracking(inst, jobs=2, max_family_size=8192)
+    assert res.verdict is Verdict.SAT
+    assert is_valid(res.plan, inst)
 
 
 def test_parallel_small_k_falls_back_to_serial():
