@@ -2,8 +2,9 @@
 
 Draws calibrated instances, solves each with both backends, and prints
 per-instance wall times plus a lower-median summary per size.  The two
-backends execute the same algorithm step for step, so the script asserts
-that verdicts and search counters agree exactly before reporting times.
+backends search the same tree and return the same verdicts and search
+counters, so the script asserts that they agree exactly before reporting
+times.
 
 The script needs the compiled backend (`wspkit._kernel._speed`) and exits 1
 without it, since there is then nothing to compare.  Run it from the
@@ -15,8 +16,8 @@ repository root with `PYTHONPATH=src` over an in-place build, or after
 
 Its test, `tests/test_benchmark_script.py`, does not need Cython: when the
 package under test lacks the compiled backend and a C compiler is present,
-it builds the kernel from the committed `_speed.c` in a temporary copy of
-the package and runs the script against that.
+it runs the script against the temporary copy of the package in which
+`tests/conftest.py` built the kernel from the committed `_speed.c`.
 """
 
 import argparse

@@ -1,14 +1,22 @@
 """Pure-Python search backend.
 
-Reference implementation of the kernel contract; the compiled backend mirrors
-this algorithm word for word, so the two can be cross-checked node count for
-node count.  User sets are Python integers used as bitmasks.
+Implements the kernel contract with Python integers as user bitmasks.  It
+returns the same status, plan and counters as the compiled backend on every
+call, which the parity tests check, but it shares the work that the compiled
+backend repeats per authorisation alternative ("combo"):
 
-State is kept in depth-indexed arrays: entering depth d copies the parent
-slice and mutates the copy, so backtracking needs no undo log.  Per
-authorisation alternative ("combo") the kernel maintains a matching of
-blocks to users; a combo whose matching can no longer saturate the blocks is
-dead for the entire subtree because masks only shrink along a branch.
+- Combos with equal masks at depths 0..d-1 carry identical search state at
+  depth d, because that state is built from those masks alone.  Each such
+  prefix class is named by its least member, and a node repairs one matching
+  per alive class rather than one per combo.  A class whose matching can no
+  longer saturate the blocks is dead for its whole subtree, because masks
+  only shrink along a branch.
+- SoD, BoD, at-most and at-least constraints rule blocks out whatever the
+  users, so a node computes its admissible blocks once, as a bitmask, and
+  tries only those.
+
+State is depth-indexed: entering depth d+1 builds new rows from depth d's and
+never mutates a row another depth can see, so backtracking needs no undo log.
 """
 
 from __future__ import annotations
@@ -19,6 +27,40 @@ from typing import Optional, Sequence
 UNSAT, SAT, BUDGET = 0, 1, 2
 
 _TIME_CHECK_EVERY = 2048
+
+
+def _prefix_classes(combo_masks, k: int) -> list[dict[int, list[tuple[int, int]]]]:
+    """The prefix-class tree over the combos, in visit order.
+
+    A class at depth d holds the combos with equal masks at depths 0..d-1 and
+    is named by its least member; depth 0 has the one class 0.
+    `tree[d][name]` lists the class's children as (least member, mask at
+    depth d), in order of their least members' first appearance.
+    """
+    tree = []
+    classes = [list(range(len(combo_masks)))]
+    for d in range(k):
+        level = {}
+        split_classes = []
+        for members in classes:
+            first = members[0]
+            if len(members) == 1:
+                level[first] = [(first, combo_masks[first][d])]
+                split_classes.append(members)
+                continue
+            split: dict[int, list[int]] = {}
+            for c in members:
+                mask = combo_masks[c][d]
+                group = split.get(mask)
+                if group is None:
+                    split[mask] = [c]
+                else:
+                    group.append(c)
+            level[first] = [(group[0], mask) for mask, group in split.items()]
+            split_classes.extend(split.values())
+        classes = split_classes
+        tree.append(level)
+    return tree
 
 
 def run_search(
@@ -37,29 +79,36 @@ def run_search(
     """
     k = prob.k
     m = len(prob.combo_masks)
-    combo_masks = prob.combo_masks
+    if k == 0 or m == 0:
+        return (UNSAT, None, 0, 0, 0)
+
     sod_prev = prob.sod_prev
     bod_prev = prob.bod_prev
     counts = prob.counts
     count_at = prob.count_at
     suals = prob.suals
     sual_at = prob.sual_at
-    nC = len(counts)
-    nS = len(suals)
+    # per depth: (count index, at_most, r, scope depths after this one)
+    count_checks = [
+        [(ci, counts[ci].at_most, counts[ci].r,
+          len(counts[ci].depths) - counts[ci].depths.index(d) - 1)
+         for ci in count_at[d]]
+        for d in range(k)]
 
-    # depth-indexed state; row d+1 is rebuilt from row d on every descent
-    bmask = [[[0] * k for _ in range(m)] for _ in range(k + 1)]
-    match = [[[-1] * k for _ in range(m)] for _ in range(k + 1)]
-    alive = [[True] * m for _ in range(k + 1)]
-    ccover = [[0] * nC for _ in range(k + 1)]
-    scover = [[0] * nS for _ in range(k + 1)]
-    sassigned = [[0] * nS for _ in range(k + 1)]
+    tree = _prefix_classes(prob.combo_masks, k)
+    # alive[d]: the alive classes at depth d as (name, block masks, matching
+    # of blocks to users); the lists are shared between depths, never mutated
+    alive: list[list[tuple[int, list[int], list[int]]]] = \
+        [[(0, [], [])]] + [[] for _ in range(k)]
+    ccover = [[0] * len(counts)] + [[] for _ in range(k)]
+    scover = [[0] * len(suals)] + [[] for _ in range(k)]
+    sassigned = [[0] * len(suals)] + [[] for _ in range(k)]
     assign = [0] * k
 
     stats = {"patterns": 0, "nodes": 0, "matchings": 0}
     result: list[Optional[list[int]]] = [None]
 
-    def augment(rows: list[int], mrow: list[int], nb: int, b: int, seen: list[int]) -> bool:
+    def augment(rows: list[int], mrow: list[int], b: int, seen: list[int]) -> bool:
         # Kuhn augmenting path from block b, users tried in ascending order.
         avail = rows[b] & ~seen[0]
         while avail:
@@ -67,43 +116,63 @@ def run_search(
             u = lsb.bit_length() - 1
             avail ^= lsb
             seen[0] |= lsb
-            owner = -1
-            for bb in range(nb):
-                if mrow[bb] == u:
-                    owner = bb
-                    break
-            if owner < 0 or augment(rows, mrow, nb, owner, seen):
+            if u not in mrow or augment(rows, mrow, mrow.index(u), seen):
                 mrow[b] = u
                 return True
         return False
 
-    def apply_choice(d: int, nb: int, b: int) -> int:
-        """Assign depth d's step to block b; build depth d+1 state.
+    def restrict(rows: list[int], mrow: list[int], restricted: list[int],
+                 srow: list[int]) -> bool:
+        # Narrow the blocks covering each restricted SUAL scope to its
+        # super-users, repairing the matching; False when it cannot saturate.
+        for si in restricted:
+            xmask = suals[si].xmask
+            cov = srow[si]
+            while cov:
+                lsb = cov & -cov
+                bb = lsb.bit_length() - 1
+                cov ^= lsb
+                newm = rows[bb] & xmask
+                if newm != rows[bb]:
+                    if newm == 0:
+                        return False
+                    rows[bb] = newm
+                    if not (newm >> mrow[bb]) & 1:
+                        mrow[bb] = -1
+                        if not augment(rows, mrow, bb, [0]):
+                            return False
+        return True
 
-        Returns the new block count, or -1 when the choice is rejected.
-        Rejections before the node counter are structural (user-independent
-        constraints); rejections after it mean every authorisation
-        alternative lost its saturating matching.
-        """
-        for e in sod_prev[d]:
-            if assign[e] == b:
-                return -1
+    def allowed(d: int, nb: int) -> int:
+        """The blocks 0..nb, as a bitmask, that depth d's step may join
+        under the user-independent constraints."""
+        blocks = (2 << nb) - 1
         for e in bod_prev[d]:
-            if assign[e] != b:
-                return -1
-        bbit = 1 << b
-        for ci in count_at[d]:
-            spec = counts[ci]
-            cov = ccover[d][ci] | bbit
+            blocks &= 1 << assign[e]
+        for e in sod_prev[d]:
+            blocks &= ~(1 << assign[e])
+        crow = ccover[d]
+        for ci, at_most, r, remaining in count_checks[d]:
+            cov = crow[ci]
             distinct = cov.bit_count()
-            if spec.at_most:
-                if distinct > spec.r:
-                    return -1
-            else:
-                remaining = len(spec.depths) - spec.depths.index(d) - 1
-                if distinct + remaining < spec.r:
-                    return -1
+            if at_most:
+                if distinct > r:
+                    return 0
+                if distinct == r:
+                    blocks &= cov
+            elif distinct + 1 + remaining < r:
+                return 0
+            elif distinct + remaining < r:
+                blocks &= ~cov
+        return blocks
 
+    def apply_choice(d: int, nb: int, b: int) -> int:
+        """Assign depth d's step to the admissible block b; build depth d+1
+        state.
+
+        Returns the new block count, -1 when every alive class lost its
+        saturating matching, or -2 when a budget stops the search.
+        """
         stats["nodes"] += 1
         if max_nodes is not None and stats["nodes"] > max_nodes:
             return -2
@@ -112,89 +181,73 @@ def run_search(
                 return -2
 
         assign[d] = b
-        nb2 = nb + 1 if b == nb else nb
+        opened = b == nb
+        nb2 = nb + 1 if opened else nb
         d1 = d + 1
+        bbit = 1 << b
 
-        crow, crow1 = ccover[d], ccover[d1]
-        for ci in range(nC):
-            crow1[ci] = crow[ci]
-        for ci in count_at[d]:
-            crow1[ci] |= bbit
+        crow = ccover[d]
+        if count_at[d]:
+            crow = crow.copy()
+            for ci in count_at[d]:
+                crow[ci] |= bbit
+        ccover[d1] = crow
 
-        srow, srow1 = scover[d], scover[d1]
-        arow, arow1 = sassigned[d], sassigned[d1]
-        for si in range(nS):
-            srow1[si] = srow[si]
-            arow1[si] = arow[si]
+        srow, arow = scover[d], sassigned[d]
         restricted = []
-        for si in sual_at[d]:
-            cov = srow[si] | bbit
-            srow1[si] = cov
-            arow1[si] = arow[si] + 1
-            spec = suals[si]
-            if arow1[si] == len(spec.depths) and cov.bit_count() <= spec.h:
-                restricted.append(si)
+        if sual_at[d]:
+            srow, arow = srow.copy(), arow.copy()
+            for si in sual_at[d]:
+                srow[si] |= bbit
+                arow[si] += 1
+                spec = suals[si]
+                if arow[si] == len(spec.depths) and srow[si].bit_count() <= spec.h:
+                    restricted.append(si)
+        scover[d1], sassigned[d1] = srow, arow
 
-        par_alive, ch_alive = alive[d], alive[d1]
-        any_alive = False
-        for c in range(m):
-            if not par_alive[c]:
-                ch_alive[c] = False
-                continue
-            rows_p = bmask[d][c]
-            rows = bmask[d1][c]
-            rows[0:nb] = rows_p[0:nb]
-            mrow_p = match[d][c]
-            mrow = match[d1][c]
-            mrow[0:nb] = mrow_p[0:nb]
-            ok = True
-            step_mask = combo_masks[c][d]
-            if b == nb:
-                rows[nb] = step_mask
-                mrow[nb] = -1
-                ok = augment(rows, mrow, nb2, nb, [0])
-            else:
-                newm = rows[b] & step_mask
-                rows[b] = newm
-                if newm == 0:
-                    ok = False
-                elif mrow[b] >= 0 and not (newm >> mrow[b]) & 1:
-                    mrow[b] = -1
-                    ok = augment(rows, mrow, nb2, b, [0])
-            if ok:
-                for si in restricted:
-                    xmask = suals[si].xmask
-                    cov = srow1[si]
-                    while cov:
-                        lsb = cov & -cov
-                        bb = lsb.bit_length() - 1
-                        cov ^= lsb
-                        newm = rows[bb] & xmask
-                        if newm != rows[bb]:
-                            rows[bb] = newm
-                            if newm == 0:
-                                ok = False
-                                break
-                            if mrow[bb] >= 0 and not (newm >> mrow[bb]) & 1:
-                                mrow[bb] = -1
-                                if not augment(rows, mrow, nb2, bb, [0]):
-                                    ok = False
-                                    break
-                    if not ok:
-                        break
-            ch_alive[c] = ok
-            any_alive = any_alive or ok
-        if not any_alive:
+        level = tree[d]
+        kids = []
+        for name, rows_p, mrow_p in alive[d]:
+            for child, step_mask in level[name]:
+                if opened:
+                    if step_mask == 0:
+                        continue
+                    rows = rows_p + [step_mask]
+                    u = (step_mask & -step_mask).bit_length() - 1
+                    if u not in mrow_p:
+                        # augment's first step: the lowest user is free
+                        mrow = mrow_p + [u]
+                    else:
+                        mrow = mrow_p + [-1]
+                        if not augment(rows, mrow, nb, [0]):
+                            continue
+                else:
+                    # lists are copied only where this child changes them
+                    rows, mrow = rows_p, mrow_p
+                    newm = rows_p[b] & step_mask
+                    if newm != rows_p[b]:
+                        if newm == 0:
+                            continue
+                        rows = rows_p.copy()
+                        rows[b] = newm
+                        if not (newm >> mrow_p[b]) & 1:
+                            mrow = mrow_p.copy()
+                            mrow[b] = -1
+                            if not augment(rows, mrow, b, [0]):
+                                continue
+                if restricted:
+                    rows, mrow = rows.copy(), mrow.copy()
+                    if not restrict(rows, mrow, restricted, srow):
+                        continue
+                kids.append((child, rows, mrow))
+        if not kids:
             return -1
+        alive[d1] = kids
         return nb2
 
     def extract_plan(d: int) -> list[int]:
-        mrow = None
-        for c in range(m):
-            if alive[d][c]:
-                mrow = match[d][c]
-                break
-        assert mrow is not None
+        # the least alive class holds the least alive combo
+        mrow = min(alive[d])[2]
         stats["matchings"] += 1
         plan = [0] * k
         for e in range(k):
@@ -202,8 +255,11 @@ def run_search(
         return plan
 
     def search(d: int, nb: int) -> int:
-        for b in range(nb + 1):
-            nb2 = apply_choice(d, nb, b)
+        blocks = allowed(d, nb)
+        while blocks:
+            lsb = blocks & -blocks
+            blocks ^= lsb
+            nb2 = apply_choice(d, nb, lsb.bit_length() - 1)
             if nb2 == -2:
                 return BUDGET
             if nb2 < 0:
@@ -219,16 +275,13 @@ def run_search(
                 return got
         return UNSAT
 
-    if k == 0 or m == 0:
-        return (UNSAT, None, 0, 0, 0)
-
-    # replay a fixed prefix (parallel mode); a rejected prefix is just an
-    # exhausted branch
+    # replay a fixed prefix (parallel mode); a rejected or non-canonical
+    # choice is just an exhausted branch
     d, nb = 0, 0
     status = None
     for b in prefix:
-        if b > nb:
-            status = UNSAT  # not a canonical choice; empty branch
+        if not (allowed(d, nb) >> b) & 1:
+            status = UNSAT
             break
         nb2 = apply_choice(d, nb, b)
         if nb2 == -2:

@@ -12,6 +12,7 @@ WL; the solvers' work scales with the product of these bounds.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -166,20 +167,26 @@ class AbsorbedInstance:
     """An instance rewritten as: residual user-independent constraints plus a
     per-pattern authorisation family.
 
-    `static_functions` is the pattern-independent part (base authorisations
-    intersected with the WL/ADA families); SUAL constraints are folded in per
-    pattern by `family_for` since their effect depends on how many blocks
-    cover the scope.
+    `static_rows` is the pattern-independent part (base authorisations
+    intersected with the WL/ADA families), one tuple of step masks per
+    member; `static_functions` is the same family as authorisation functions.
+    SUAL constraints are folded in per pattern by `family_for` since their
+    effect depends on how many blocks cover the scope.
     """
 
     instance: Instance
     residual: tuple[Constraint, ...]
-    static_functions: tuple[AuthorisationFunction, ...]
+    static_rows: tuple[tuple[int, ...], ...]
     suals: tuple[SUAL, ...]
 
     def __post_init__(self) -> None:
         self._memo: dict[tuple[int, ...], PAuthorisationFamily] = {}
         self._sual_masks = tuple(mask_of(c.supers) for c in self.suals)
+
+    @functools.cached_property
+    def static_functions(self) -> tuple[AuthorisationFunction, ...]:
+        n = self.instance.n
+        return tuple(AuthorisationFunction(n, row) for row in self.static_rows)
 
     @property
     def family(self) -> AuthorisationFamily:
@@ -253,8 +260,7 @@ def absorb(inst: Instance, max_family_size: int = 4096) -> AbsorbedInstance:
                         narrowed[s] &= mask
                     product.append(tuple(narrowed))
         rows = product
-    functions = tuple(AuthorisationFunction(n, row) for row in rows)
-    return AbsorbedInstance(inst, residual, functions, suals)
+    return AbsorbedInstance(inst, residual, tuple(rows), suals)
 
 
 def plan_authorised_cda(plan: Sequence[int], family: AuthorisationFamily) -> bool:

@@ -74,15 +74,6 @@ def pattern_of(plan: Sequence[int]) -> Pattern:
     return Pattern(tuple(rgs))
 
 
-def extend(prefix: Pattern, choice: int) -> Pattern:
-    """Extend a pattern by one step joining block `choice` (or opening a new
-    block when choice == prefix.block_count)."""
-    nb = prefix.block_count
-    _require(0 <= choice <= nb,
-             f"extend: choice {choice} outside [0, {nb}]")
-    return Pattern(prefix.rgs + (choice,))
-
-
 def bell(k: int) -> int:
     """Number of set partitions of k elements, via the Bell triangle.
 

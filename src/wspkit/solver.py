@@ -146,7 +146,7 @@ def compile_search_problem(absorbed: AbsorbedInstance) -> Optional[SearchProblem
     if k > _kernel.KERNEL_MAX_STEPS:
         raise CapacityError(
             f"search kernel handles at most {_kernel.KERNEL_MAX_STEPS} steps, got {k}")
-    if not absorbed.static_functions:
+    if not absorbed.static_rows:
         return None
 
     degree = [0] * k
@@ -157,10 +157,9 @@ def compile_search_problem(absorbed: AbsorbedInstance) -> Optional[SearchProblem
     pos = {s: d for d, s in enumerate(order)}
 
     if k == 1:
-        combo_masks = tuple((fn.step_masks[0],) for fn in absorbed.static_functions)
+        combo_masks = tuple((row[0],) for row in absorbed.static_rows)
     else:
-        visit = operator.itemgetter(*order)
-        combo_masks = tuple(visit(fn.step_masks) for fn in absorbed.static_functions)
+        combo_masks = tuple(map(operator.itemgetter(*order), absorbed.static_rows))
 
     sod_prev: list[list[int]] = [[] for _ in range(k)]
     bod_prev: list[list[int]] = [[] for _ in range(k)]

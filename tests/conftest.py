@@ -1,19 +1,38 @@
-"""Shared fixtures and independent oracles.
+"""Shared fixtures, independent oracles and the session's compiled kernel.
 
 The oracles here deliberately take different routes than the package code
 they check: Bell numbers come from a Stirling-number sum instead of the
 triangle, maximum matchings from exhaustive recursion instead of
 Hopcroft-Karp, and valid-plan sets from longhand semantics over the full
 plan space where affordable.
+
+When the package under test has no compiled kernel, this module builds the
+committed, Cython-generated `_speed.c` once per session into a temporary
+copy of the package (no Cython required, only a C compiler and the Python
+headers) and registers it as `wspkit._kernel._speed`.  The default backend
+stays the one selected at import, so the rest of the suite still runs on it,
+while the parity tests can compare it with the compiled one.  Nothing is
+built inside the repository.
 """
 
 from __future__ import annotations
 
+import atexit
+import importlib.util
 import itertools
 import random
+import shlex
+import shutil
+import subprocess
+import sys
+import sysconfig
+import tempfile
+from pathlib import Path
+from typing import Optional
 
 import pytest
 
+import wspkit._kernel
 from wspkit.core import (
     ADA,
     AtLeast,
@@ -25,6 +44,80 @@ from wspkit.core import (
     SoD,
     WL,
 )
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "wspkit"
+
+# The tests check results and counters, not speed, so the kernel is compiled
+# without optimisation to keep the build short.
+BUILD_SCRIPT = """
+from setuptools import Extension, setup
+setup(name="wspkit-kernel", ext_modules=[Extension(
+    "wspkit._kernel._speed", ["wspkit/_kernel/_speed.c"],
+    extra_compile_args=["-O0"])])
+"""
+
+
+def missing_build_tool() -> Optional[str]:
+    """Name what building `_speed.c` needs and this interpreter lacks, or
+    return None when a C compiler and `Python.h` are both present."""
+    cc = shlex.split(sysconfig.get_config_var("CC") or "")
+    if not cc:
+        return "no C compiler configured (sysconfig CC is unset)"
+    if shutil.which(cc[0]) is None:
+        return f"C compiler {cc[0]!r} not found"
+    header = Path(sysconfig.get_paths()["include"]) / "Python.h"
+    if not header.is_file():
+        return f"{header} not found"
+    return None
+
+
+def build_compiled_copy(dest: Path) -> Path:
+    """Copy the package to `dest` and compile `_speed.c` in place there;
+    return the directory to put on PYTHONPATH.  Raises RuntimeError with the
+    compiler's output when the build fails."""
+    src = dest / "src"
+    shutil.copytree(PACKAGE, src / "wspkit",
+                    ignore=shutil.ignore_patterns("__pycache__", "*.so"))
+    res = subprocess.run(
+        [sys.executable, "-c", BUILD_SCRIPT, "build_ext", "--inplace",
+         "--build-temp", str(dest / "build")],
+        cwd=src, capture_output=True, text=True, timeout=300)
+    if res.returncode != 0:
+        raise RuntimeError(f"building _speed.c failed:\n{res.stderr}")
+    return src
+
+
+def _register_compiled_copy() -> Path:
+    """Build the kernel in a temporary copy and register it as
+    `wspkit._kernel._speed` without changing the selected backend."""
+    dest = Path(tempfile.mkdtemp(prefix="wspkit-kernel-"))
+    atexit.register(shutil.rmtree, dest, True)
+    src = build_compiled_copy(dest)
+    name = "wspkit._kernel._speed"
+    (path,) = (src / "wspkit" / "_kernel").glob("_speed*.so")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    wspkit._kernel._speed = module
+    return src
+
+
+# COMPILED_SRC: the package copy holding the session's compiled kernel, for
+# subprocesses' PYTHONPATH (None when the package under test has its own or
+# none was built).  COMPILED_MISSING: the build tool whose absence leaves the
+# session without a compiled kernel.  COMPILED_BUILD_ERROR: why a build with
+# the tools present failed; the tests that need the kernel fail with it.
+COMPILED_SRC: Optional[Path] = None
+COMPILED_MISSING: Optional[str] = None
+COMPILED_BUILD_ERROR: Optional[str] = None
+if "compiled" not in wspkit._kernel.available_backends():
+    COMPILED_MISSING = missing_build_tool()
+    if COMPILED_MISSING is None:
+        try:
+            COMPILED_SRC = _register_compiled_copy()
+        except RuntimeError as exc:
+            COMPILED_BUILD_ERROR = str(exc)
 
 
 def purchase_order_instance() -> Instance:

@@ -2,11 +2,9 @@
 
 The script compares the compiled and pure kernel backends, so it needs the
 compiled one.  When the package under test was not built with it, the test
-compiles the committed, Cython-generated `_speed.c` into a temporary copy of
-the package (no Cython required, only a C compiler and the Python headers)
-and runs the script against that copy.  Nothing is built inside the
-repository, so the backend seen by the rest of the session is unchanged.
-Because the test builds from that C file, two more tests check that it was
+runs the script against the copy of the package in which `conftest.py`
+compiled the committed, Cython-generated `_speed.c` for this session.
+Because the tests build from that C file, two more tests check that it was
 generated from the current `_speed.pyx`: one compares the `.pyx` lines the
 C file quotes, the other the `.pyx` against the SHA-256 committed beside the
 C file, which also covers the lines Cython does not quote.
@@ -15,72 +13,28 @@ C file, which also covers the lines Cython does not quote.
 import hashlib
 import os
 import re
-import shlex
-import shutil
 import subprocess
 import sys
-import sysconfig
 from pathlib import Path
 
 import pytest
 
-from wspkit._kernel import available_backends
+from conftest import COMPILED_BUILD_ERROR, COMPILED_MISSING, COMPILED_SRC, PACKAGE
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = REPO_ROOT / "benchmarks" / "kernel_benchmark.py"
-PACKAGE = REPO_ROOT / "src" / "wspkit"
 SPEED_PYX = PACKAGE / "_kernel" / "_speed.pyx"
 SPEED_C = PACKAGE / "_kernel" / "_speed.c"
 SPEED_PYX_SHA256 = PACKAGE / "_kernel" / "_speed.pyx.sha256"
 
-# The test only checks the table and the counter parity, not the speed, so
-# the kernel is compiled without optimisation to keep the build short.
-BUILD_SCRIPT = """
-from setuptools import Extension, setup
-setup(name="wspkit-kernel", ext_modules=[Extension(
-    "wspkit._kernel._speed", ["wspkit/_kernel/_speed.c"],
-    extra_compile_args=["-O0"])])
-"""
 
-
-def missing_build_tool():
-    """Name what building `_speed.c` needs and this interpreter lacks, or
-    return None when a C compiler and `Python.h` are both present."""
-    cc = shlex.split(sysconfig.get_config_var("CC") or "")
-    if not cc:
-        return "no C compiler configured (sysconfig CC is unset)"
-    if shutil.which(cc[0]) is None:
-        return f"C compiler {cc[0]!r} not found"
-    header = Path(sysconfig.get_paths()["include"]) / "Python.h"
-    if not header.is_file():
-        return f"{header} not found"
-    return None
-
-
-HAVE_COMPILED = "compiled" in available_backends()
-MISSING = None if HAVE_COMPILED else missing_build_tool()
-
-
-def build_compiled_copy(dest: Path) -> Path:
-    """Copy the package to `dest` and compile `_speed.c` in place there;
-    return the directory to put on PYTHONPATH."""
-    src = dest / "src"
-    shutil.copytree(PACKAGE, src / "wspkit",
-                    ignore=shutil.ignore_patterns("__pycache__", "*.so"))
-    res = subprocess.run(
-        [sys.executable, "-c", BUILD_SCRIPT, "build_ext", "--inplace",
-         "--build-temp", str(dest / "build")],
-        cwd=src, capture_output=True, text=True, timeout=300)
-    assert res.returncode == 0, f"building _speed.c failed:\n{res.stderr}"
-    return src
-
-
-@pytest.mark.skipif(MISSING is not None,
-                    reason=f"cannot build the compiled kernel: {MISSING}")
+@pytest.mark.skipif(COMPILED_MISSING is not None,
+                    reason=f"cannot build the compiled kernel: {COMPILED_MISSING}")
 def test_kernel_benchmark_compares_both_backends(tmp_path):
+    assert COMPILED_BUILD_ERROR is None, COMPILED_BUILD_ERROR
     env = dict(os.environ, WSPKIT_CACHE_DIR=str(tmp_path))
-    if not HAVE_COMPILED:
-        env["PYTHONPATH"] = str(build_compiled_copy(tmp_path / "pkg"))
+    if COMPILED_SRC is not None:
+        env["PYTHONPATH"] = str(COMPILED_SRC)
     res = subprocess.run(
         [sys.executable, str(SCRIPT), "--k-list", "5,6", "--n-mult", "2",
          "--seeds", "2", "--band-lo", "0.25", "--band-hi", "0.75"],

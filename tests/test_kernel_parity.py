@@ -1,22 +1,41 @@
 """The compiled and pure kernels must agree call for call.
 
-The compiled backend is a transliteration of the pure one, so parity is
-asserted on the full result tuple: status, plan, and all three counters.
-Any divergence, even in node counts, means the two implementations stopped
-being the same algorithm.
+The two backends return the same status, plan and counters on every call,
+although the pure one shares state between the authorisation alternatives
+of a prefix class and skips blocks the user-independent constraints rule
+out, while the compiled one repairs every alternative and checks every
+block.  Parity is asserted on the full result tuple: status, plan, and all
+three counters.  Any divergence, even in node counts, means the two stopped
+searching the same tree.
+
+`conftest.py` builds the compiled kernel for the session when the package
+has none, so these tests are skipped only when no C compiler or Python
+headers are available.
 """
+
+import random
 
 import pytest
 
-from conftest import CONSTRAINT_KINDS, random_instance, valid_plans_longhand
+from conftest import (
+    COMPILED_MISSING,
+    CONSTRAINT_KINDS,
+    random_instance,
+    valid_plans_longhand,
+)
 from wspkit import _kernel
-from wspkit._kernel import SearchProblem, available_backends, backend_run_search
+from wspkit._kernel import (
+    CountSpec,
+    SearchProblem,
+    SualSpec,
+    available_backends,
+    backend_run_search,
+)
 from wspkit.absorption import absorb
 from wspkit.patterns import enumerate_patterns
 from wspkit.solver import Verdict, solve_backtracking
 
-HAVE_COMPILED = "compiled" in available_backends()
-needs_compiled = pytest.mark.skipif(not HAVE_COMPILED,
+needs_compiled = pytest.mark.skipif(COMPILED_MISSING is not None,
                                     reason="compiled kernel not built")
 
 ALL_MIXES = CONSTRAINT_KINDS + ("mixed",)
@@ -137,6 +156,139 @@ def test_backends_return_the_same_plan(po_instance):
             a.stats.matchings_computed) == \
            (b.stats.patterns_visited, b.stats.nodes_expanded,
             b.stats.matchings_computed)
+
+
+# --- hand-built problems: shapes of prefix classes that absorb rarely yields --
+
+
+def hand_problem(combos, n, sod=(), bod=(), counts=(), suals=()):
+    """A SearchProblem in visit order; `sod`/`bod` are (earlier depth, later
+    depth) pairs."""
+    k = len(combos[0])
+    sod_prev = [[] for _ in range(k)]
+    bod_prev = [[] for _ in range(k)]
+    for prev, pairs in ((sod_prev, sod), (bod_prev, bod)):
+        for d1, d2 in pairs:
+            prev[d2].append(d1)
+    return SearchProblem(
+        k=k, n=n, order=tuple(range(k)), combo_masks=tuple(combos),
+        sod_prev=tuple(map(tuple, sod_prev)),
+        bod_prev=tuple(map(tuple, bod_prev)),
+        counts=tuple(counts), suals=tuple(suals))
+
+
+def assert_parity_under_every_budget(prob):
+    """Parity unlimited, then at every node cap up to the full count, so a
+    budget stop lands at each node of the search."""
+    pure, comp = run_both(prob)
+    assert pure == comp
+    for cap in range(pure[3] + 1):
+        capped, comp = run_both(prob, max_nodes=cap)
+        assert capped == comp, cap
+    return pure
+
+
+@needs_compiled
+def test_identical_combos_parity():
+    combo = (0b0011, 0b0110, 0b1100, 0b0011)
+    prob = hand_problem([combo, combo, combo], 4, sod=[(0, 1), (1, 2), (0, 3)])
+    status, plan, *_ = assert_parity_under_every_budget(prob)
+    assert status == _kernel.SAT
+
+
+@needs_compiled
+def test_combos_split_at_the_last_depth_parity():
+    # SoD(0, 2) forces a new block at depth 2; combo 0 can only give it user
+    # 0, which block 0 holds, so it dies and combo 1's matching is the plan
+    prob = hand_problem([(0b001, 0b010, 0b001), (0b001, 0b010, 0b100)], 3,
+                        sod=[(0, 2), (1, 2)])
+    status, plan, *_ = assert_parity_under_every_budget(prob)
+    assert (status, plan) == (_kernel.SAT, [0, 1, 2])
+    # combos 0 and 2 share a class until depth 1, where combo 0 dies; the
+    # plan is the least alive combo's (1), not that of the class met first
+    prob = hand_problem([(0b0001, 0b0001), (0b0010, 0b1000), (0b0001, 0b0100)],
+                        4, sod=[(0, 1)])
+    status, plan, *_ = assert_parity_under_every_budget(prob)
+    assert (status, plan) == (_kernel.SAT, [1, 3])
+
+
+@needs_compiled
+def test_empty_step_mask_parity():
+    # a zero mask where a block opens: at depth 0, and at depth 1 where
+    # SoD(0, 1) forces a new block
+    combos = [(0, 0b11, 0b11), (0b11, 0, 0b11), (0b11, 0b10, 0b01)]
+    prob = hand_problem(combos, 2, sod=[(0, 1)])
+    status, plan, *_ = assert_parity_under_every_budget(prob)
+    assert (status, plan) == (_kernel.SAT, [0, 1, 0])
+    assert run_both(hand_problem(combos[:2], 2, sod=[(0, 1)])) == \
+        ((_kernel.UNSAT, None, 0, 2, 0),) * 2
+
+
+@needs_compiled
+def test_sual_restriction_in_a_shared_class_parity():
+    # Depths 0 and 1 in one block restrict it to users {2, 3}; BoD(0, 2)
+    # then kills that branch for both combos, and the search must backtrack
+    # to the unrestricted block of depth 0 that the class shares.
+    combos = [(0b1111, 0b1111, 0b0001), (0b1111, 0b1111, 0b0010)]
+    sual = SualSpec(depths=(0, 1), h=1, xmask=0b1100)
+    prob = hand_problem(combos, 4, bod=[(0, 2)], suals=[sual])
+    status, plan, *_ = assert_parity_under_every_budget(prob)
+    assert (status, plan) == (_kernel.SAT, [0, 1, 0])
+
+
+@needs_compiled
+def test_prefix_rejected_by_user_independent_constraints_parity():
+    combos = [(0b111, 0b111, 0b111, 0b111), (0b011, 0b110, 0b111, 0b101)]
+    atleast = CountSpec(at_most=False, r=3, depths=(0, 1, 2))
+    atmost = CountSpec(at_most=True, r=2, depths=(1, 2, 3))
+    prob = hand_problem(combos, 3, sod=[(0, 1)], bod=[(0, 3)],
+                        counts=[atleast, atmost])
+    assert_parity_under_every_budget(prob)
+    for prefix in [(0,), (0, 0), (0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2),
+                   (0, 1, 2, 1), (0, 1, 2, 0), (0, 1, 3)]:
+        pure, comp = run_both(prob, prefix=prefix)
+        assert pure == comp, prefix
+    # SoD(0, 1) and at-least-3 reject the last choice before it is counted
+    for prefix in [(0, 0), (0, 1, 0), (0, 1, 1)]:
+        assert run_both(prob, prefix=prefix)[0] == \
+            (_kernel.UNSAT, None, 0, len(prefix) - 1, 0)
+
+
+def random_hand_problem(seed):
+    """A random SearchProblem whose combos share prefixes often: each mask
+    comes from a small pool per depth, and some combos are copies."""
+    rng = random.Random(f"hand-{seed}")
+    k, n = rng.randint(2, 6), rng.randint(2, 6)
+    full = (1 << n) - 1
+    pools = [[rng.randint(0, full) if rng.random() < 0.1 else rng.randint(1, full)
+              for _ in range(rng.randint(1, 3))] for _ in range(k)]
+    combos = [tuple(rng.choice(pool) for pool in pools)
+              for _ in range(rng.randint(1, 8))]
+    combos += rng.sample(combos, rng.randint(0, len(combos)))
+    pairs = [tuple(sorted(rng.sample(range(k), 2))) for _ in range(rng.randint(0, 3))]
+    cut = rng.randint(0, len(pairs))
+    counts = [CountSpec(rng.random() < 0.5, rng.randint(1, k),
+                        tuple(sorted(rng.sample(range(k), rng.randint(2, k)))))
+              for _ in range(rng.randint(0, 2))]
+    suals = [SualSpec(tuple(sorted(rng.sample(range(k), rng.randint(2, k)))),
+                      rng.randint(1, k - 1), rng.randint(1, full))
+             for _ in range(rng.randint(0, 2))]
+    return hand_problem(combos, n, sod=pairs[:cut], bod=pairs[cut:],
+                        counts=counts, suals=suals)
+
+
+@needs_compiled
+@pytest.mark.parametrize("seed", range(40))
+def test_random_hand_built_problem_parity(seed):
+    prob = random_hand_problem(seed)
+    assert_parity_under_every_budget(prob)
+    for cap in (0, 1, 2):
+        pure, comp = run_both(prob, max_patterns=cap)
+        assert pure == comp, cap
+    if prob.k >= 3:
+        for head in enumerate_patterns(2):
+            pure, comp = run_both(prob, prefix=head.rgs)
+            assert pure == comp, head.rgs
 
 
 def test_backend_selection_errors():

@@ -12,7 +12,6 @@ from wspkit.patterns import (
     Pattern,
     bell,
     enumerate_patterns,
-    extend,
     pattern_eligible,
     pattern_of,
     pattern_satisfies,
@@ -53,14 +52,6 @@ def test_text_round_trip():
         Pattern.from_text("0,x")
     with pytest.raises(InvariantError):
         Pattern.from_text("0,2")
-
-
-def test_extend():
-    p = Pattern((0, 1))
-    assert extend(p, 0).rgs == (0, 1, 0)
-    assert extend(p, 2).rgs == (0, 1, 2)
-    with pytest.raises(InvariantError):
-        extend(p, 3)
 
 
 @pytest.mark.parametrize("k", range(0, 16))
