@@ -1,15 +1,16 @@
 """Search kernel: depth-first pattern construction with incremental matching.
 
-The kernel walks restricted-growth prefixes (each step joins an existing
-block or opens a new one), prunes user-independent constraints structurally,
-and keeps an incrementally-repaired block/user matching per authorisation
-alternative.  Two interchangeable backends implement the same contract and
-return the same status, plan and counters on every call: the compiled
-extension (_speed, built from Cython), which repairs one matching per
-alternative, and the pure-Python one (_pure), which repairs one per prefix
-class of alternatives that agree on every mask visited so far.  Selection
-happens at import; set WSPKIT_KERNEL=pure or WSPKIT_KERNEL=compiled to force
-one.
+The kernel builds restricted-growth strings one step at a time (each step
+joins an existing block or opens a new one), prunes user-independent
+constraints structurally, and keeps an incrementally-repaired block/user
+matching per authorisation alternative.  The search is serial: one call
+walks the whole tree from the root.  Two interchangeable backends implement
+the same contract and return the same status, plan and counters on every
+call: the compiled extension (_speed, built from Cython), which repairs one
+matching per alternative, and the pure-Python one (_pure), which repairs one
+per class of alternatives that agree on every mask visited so far.
+Selection happens at import; set WSPKIT_KERNEL=pure or WSPKIT_KERNEL=compiled
+to force one.
 """
 
 from __future__ import annotations

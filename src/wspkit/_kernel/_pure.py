@@ -22,7 +22,7 @@ never mutates a row another depth can see, so backtracking needs no undo log.
 from __future__ import annotations
 
 import time
-from typing import Optional, Sequence
+from typing import Optional
 
 UNSAT, SAT, BUDGET = 0, 1, 2
 
@@ -68,14 +68,12 @@ def run_search(
     max_nodes: Optional[int] = None,
     max_patterns: Optional[int] = None,
     deadline: Optional[float] = None,
-    prefix: Sequence[int] = (),
 ):
     """Run the depth-first pattern search.
 
     Returns (status, plan | None, patterns, nodes, matchings) where `plan`
     maps original step ids to users.  `deadline` is an absolute
-    time.perf_counter() value; `prefix` fixes the block choices of the first
-    len(prefix) depths, which is how parallel mode splits the tree.
+    time.perf_counter() value.
     """
     k = prob.k
     m = len(prob.combo_masks)
@@ -275,29 +273,6 @@ def run_search(
                 return got
         return UNSAT
 
-    # replay a fixed prefix (parallel mode); a rejected or non-canonical
-    # choice is just an exhausted branch
-    d, nb = 0, 0
-    status = None
-    for b in prefix:
-        if not (allowed(d, nb) >> b) & 1:
-            status = UNSAT
-            break
-        nb2 = apply_choice(d, nb, b)
-        if nb2 == -2:
-            status = BUDGET
-            break
-        if nb2 < 0:
-            status = UNSAT
-            break
-        d, nb = d + 1, nb2
-        if d == k:
-            stats["patterns"] += 1
-            result[0] = extract_plan(d)
-            status = SAT
-            break
-
-    if status is None:
-        status = search(d, nb)
+    status = search(0, 0)
     plan = result[0] if status == SAT else None
     return (status, plan, stats["patterns"], stats["nodes"], stats["matchings"])

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .core import (
     ADA,
@@ -77,6 +77,12 @@ def _alternatives(c: WL | ADA, n: int) -> tuple[tuple[tuple[int, int], ...], ...
             ((c.s1, full & ~trig),))
 
 
+def sual_restricts(c: SUAL, p: Pattern) -> bool:
+    """Does the SUAL constraint restrict its scope to super-users at pattern
+    p, that is, do its scope steps fall in at most h blocks?"""
+    return len({p.rgs[s] for s in c.scope}) <= c.h
+
+
 def family_for_constraint(c: Constraint, p: Pattern, k: int, n: int) -> PAuthorisationFamily:
     """The constraint's own authorisation family at pattern p.
 
@@ -90,9 +96,8 @@ def family_for_constraint(c: Constraint, p: Pattern, k: int, n: int) -> PAuthori
         mask = full if pattern_satisfies(p, c) else 0
         return PAuthorisationFamily((_uniform(k, n, mask),))
     if isinstance(c, SUAL):
-        covered = len({p.rgs[s] for s in c.scope})
         masks = [full] * k
-        if covered <= c.h:
+        if sual_restricts(c, p):
             xmask = mask_of(c.supers)
             for s in c.scope:
                 masks[s] = xmask
@@ -131,37 +136,6 @@ def intersect_families(
     return PAuthorisationFamily(tuple(out))
 
 
-class AuthorisationFamily:
-    """Pattern -> family map, lazily computed and memoised by RGS.
-
-    The memo is only mutated by interning fully-built values into a dict, so
-    concurrent readers under the GIL see either a hit or a miss, never a
-    partial value; parallel solvers each build their own copy per process.
-    """
-
-    def __init__(self, k: int, n: int,
-                 build: Callable[[Pattern], PAuthorisationFamily]) -> None:
-        self.k = k
-        self.n = n
-        self._build = build
-        self._memo: dict[tuple[int, ...], PAuthorisationFamily] = {}
-
-    @classmethod
-    def constant(cls, k: int, n: int,
-                 functions: Iterable[AuthorisationFunction]) -> "AuthorisationFamily":
-        fam = PAuthorisationFamily(tuple(functions))
-        return cls(k, n, lambda p: fam)
-
-    def family_for(self, p: Pattern) -> PAuthorisationFamily:
-        if p.k != self.k:
-            raise InvariantError(f"pattern has {p.k} steps, family expects {self.k}")
-        got = self._memo.get(p.rgs)
-        if got is None:
-            got = self._build(p)
-            self._memo[p.rgs] = got
-        return got
-
-
 @dataclass
 class AbsorbedInstance:
     """An instance rewritten as: residual user-independent constraints plus a
@@ -188,30 +162,30 @@ class AbsorbedInstance:
         n = self.instance.n
         return tuple(AuthorisationFunction(n, row) for row in self.static_rows)
 
-    @property
-    def family(self) -> AuthorisationFamily:
-        return AuthorisationFamily(self.instance.k, self.instance.n, self.family_for)
-
     def family_for(self, p: Pattern) -> PAuthorisationFamily:
+        """The family at pattern p, memoised by RGS: the static rows narrowed
+        by every SUAL that restricts at p, keeping the rows that stay
+        non-empty on every step."""
         if p.k != self.instance.k:
             raise InvariantError(
                 f"pattern has {p.k} steps, instance has {self.instance.k}")
         got = self._memo.get(p.rgs)
         if got is not None:
             return got
-        functions = self.static_functions
-        for c, xmask in zip(self.suals, self._sual_masks):
-            covered = len({p.rgs[s] for s in c.scope})
-            if covered > c.h:
-                continue
+        narrowing = [(c.scope, xmask) for c, xmask in zip(self.suals, self._sual_masks)
+                     if sual_restricts(c, p)]
+        if not narrowing:
+            functions = self.static_functions
+        else:
+            n = self.instance.n
             kept = []
-            for fn in functions:
-                masks = list(fn.step_masks)
-                for s in c.scope:
-                    masks[s] &= xmask
-                if any(m == 0 for m in masks):
-                    continue
-                kept.append(AuthorisationFunction(fn.n, tuple(masks)))
+            for row in self.static_rows:
+                masks = list(row)
+                for scope, xmask in narrowing:
+                    for s in scope:
+                        masks[s] &= xmask
+                if all(masks):
+                    kept.append(AuthorisationFunction(n, tuple(masks)))
             functions = tuple(kept)
         fam = PAuthorisationFamily(functions)
         self._memo[p.rgs] = fam
@@ -263,10 +237,10 @@ def absorb(inst: Instance, max_family_size: int = 4096) -> AbsorbedInstance:
     return AbsorbedInstance(inst, residual, tuple(rows), suals)
 
 
-def plan_authorised_cda(plan: Sequence[int], family: AuthorisationFamily) -> bool:
-    """Is the plan authorised by the family evaluated at the plan's own
-    pattern?"""
-    return family.family_for(pattern_of(plan)).authorises(plan)
+def plan_authorised_cda(plan: Sequence[int], absorbed: AbsorbedInstance) -> bool:
+    """Is the plan authorised by the absorbed instance's family at the plan's
+    own pattern?"""
+    return absorbed.family_for(pattern_of(plan)).authorises(plan)
 
 
 @dataclass(frozen=True)

@@ -268,8 +268,7 @@ def cmd_solve(args) -> int:
     inst = load_instance(args.instance)
     budget = _budget_from(args)
     if args.algorithm == "backtrack":
-        res: SolveResult = solve_backtracking(
-            inst, budget, jobs=args.jobs, backend=args.kernel)
+        res: SolveResult = solve_backtracking(inst, budget, backend=args.kernel)
     elif args.algorithm == "pattern-enum":
         res = solve_pattern_enum(inst, budget)
     else:
@@ -402,9 +401,9 @@ BENCH_ALGORITHMS = ("backtrack", "pattern-enum", "bruteforce")
 
 
 def _bench_solve(algorithm: str, inst: Instance, budget: Optional[Budget],
-                 jobs: int, kernel: str) -> SolveResult:
+                 kernel: str) -> SolveResult:
     if algorithm == "backtrack":
-        return solve_backtracking(inst, budget, jobs=jobs, backend=kernel)
+        return solve_backtracking(inst, budget, backend=kernel)
     if algorithm == "pattern-enum":
         return solve_pattern_enum(inst, budget)
     return solve_bruteforce(inst)
@@ -462,8 +461,7 @@ def cmd_bench(args) -> int:
             sub_seed = derive_seed(args.seed, i)
             inst, _ = generate_with_meta(replace(spec, seed=sub_seed))
             for algorithm in algorithms:
-                res = _bench_solve(algorithm, inst, budget, args.jobs,
-                                   args.kernel)
+                res = _bench_solve(algorithm, inst, budget, args.kernel)
                 millis = res.stats.wall_time * 1000.0
                 rows.append([k, n, label, sub_seed, algorithm,
                              res.verdict.value, f"{millis:.3f}",
@@ -515,6 +513,8 @@ def _add_band_flags(parser) -> None:
     parser.add_argument("--band-hi", type=float, default=0.6)
     parser.add_argument("--no-cache", action="store_true",
                         help="ignore and do not write the calibration cache")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="worker processes for calibration sampling")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -538,7 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "explicit counts")
     p.add_argument("--family-count", type=int, default=None,
                    help="override the family's calibrated own-kind count")
-    p.add_argument("--jobs", type=int, default=1)
     _add_band_flags(p)
     p.set_defaults(func=cmd_generate)
 
@@ -550,7 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-millis", type=float, default=None)
     p.add_argument("--max-patterns", type=int, default=None)
     p.add_argument("--max-nodes", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--kernel", choices=("auto", "compiled", "pure"),
                    default="auto")
     p.add_argument("--plan-out", default=None,
@@ -583,7 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--family", default="wsp")
-    p.add_argument("--jobs", type=int, default=1)
     _add_band_flags(p)
     p.set_defaults(func=cmd_calibrate)
 
@@ -602,7 +599,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated: backtrack, pattern-enum, bruteforce")
     p.add_argument("--max-millis", type=float, default=None,
                    help="per-instance budget")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--kernel", choices=("auto", "compiled", "pure"),
                    default="auto")
     p.add_argument("--out", default=None, help="CSV path (default stdout)")

@@ -89,24 +89,15 @@ def bell(k: int) -> int:
     return row[0]
 
 
-def enumerate_patterns(k: int, prefix: Sequence[int] = ()) -> Iterator[Pattern]:
+def enumerate_patterns(k: int) -> Iterator[Pattern]:
     """All patterns over k steps in lexicographic RGS order.
 
-    k == 0 gives an empty stream.  A non-empty `prefix` restricts the stream
-    to patterns extending that RGS prefix, which lets pattern ranges be split
-    deterministically across workers.
+    k == 0 gives an empty stream.
     """
     _require(k >= 0, "enumerate_patterns: k must be >= 0")
     if k == 0:
         return
-    base = list(prefix)
-    if base:
-        Pattern(tuple(base))  # canonical-form check
-        _require(len(base) <= k, "enumerate_patterns: prefix longer than k")
-    else:
-        base = [0]
-    rgs = base + [0] * (k - len(base))
-    top = max(base)
+    rgs = [0] * k
 
     def rec(i: int, top: int) -> Iterator[Pattern]:
         if i == k:
@@ -116,7 +107,7 @@ def enumerate_patterns(k: int, prefix: Sequence[int] = ()) -> Iterator[Pattern]:
             rgs[i] = b
             yield from rec(i + 1, top if b <= top else b)
 
-    yield from rec(len(base), top)
+    yield from rec(1, 0)
 
 
 def pattern_satisfies(p: Pattern, c: Constraint) -> bool:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import operator
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from enum import Enum
 from math import prod
@@ -191,40 +190,18 @@ def compile_search_problem(absorbed: AbsorbedInstance) -> Optional[SearchProblem
     )
 
 
-def _run_kernel(prob: SearchProblem, budget: Budget, t0: float, backend: str,
-                prefix: Sequence[int] = ()):
-    run = _kernel.backend_run_search(backend)
-    return run(
-        prob,
-        max_nodes=budget.max_nodes,
-        max_patterns=budget.max_patterns,
-        deadline=budget.deadline(t0),
-        prefix=tuple(prefix),
-    )
-
-
-def _branch_payload(args):
-    inst, prefix, budget, backend, t0, max_family_size = args
-    absorbed = absorb(inst, max_family_size=max_family_size)
-    prob = compile_search_problem(absorbed)
-    if prob is None:
-        return (_kernel.UNSAT, None, 0, 0, 0)
-    return _run_kernel(prob, budget, t0, backend, prefix)
-
-
 def solve_backtracking(
     inst: Instance,
     budget: Optional[Budget] = None,
-    jobs: int = 1,
     backend: str = "auto",
     max_family_size: int = 4096,
 ) -> SolveResult:
     """Depth-first search over pattern prefixes with structural pruning and
     one incrementally-maintained matching per authorisation alternative.
 
-    jobs > 1 partitions the top of the tree across worker processes; the
-    verdict stays deterministic but which satisfying plan comes back first
-    does not.  `backend` selects the kernel ("auto", "compiled", "pure").
+    The search is serial and deterministic: the same instance and node or
+    pattern budget give the same verdict, plan and counters on every run.
+    `backend` selects the kernel ("auto", "compiled", "pure").
     """
     t0 = time.perf_counter()
     budget = budget or Budget()
@@ -235,48 +212,20 @@ def solve_backtracking(
         stats.wall_time = time.perf_counter() - t0
         return SolveResult(Verdict.UNSAT, None, stats)
 
-    if jobs <= 1 or inst.k < 3:
-        status, plan, patterns, nodes, matchings = _run_kernel(prob, budget, t0, backend)
-        stats.patterns_visited = patterns
-        stats.nodes_expanded = nodes
-        stats.matchings_computed = matchings
-        stats.wall_time = time.perf_counter() - t0
-        if status == _kernel.SAT:
-            return SolveResult(Verdict.SAT, _guard(plan, inst), stats)
-        if status == _kernel.BUDGET:
-            return SolveResult(Verdict.BUDGET, None, stats)
-        return SolveResult(Verdict.UNSAT, None, stats)
-
-    split = min(inst.k - 1, 4)
-    prefixes = [p.rgs for p in enumerate_patterns(split)]
-    overall = _kernel.UNSAT
-    plan_found = None
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = {
-            pool.submit(_branch_payload,
-                        (inst, prefix, budget, backend, t0, max_family_size))
-            for prefix in prefixes
-        }
-        pending = set(futures)
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in done:
-                status, plan, patterns, nodes, matchings = fut.result()
-                stats.patterns_visited += patterns
-                stats.nodes_expanded += nodes
-                stats.matchings_computed += matchings
-                if status == _kernel.SAT and plan_found is None:
-                    plan_found = plan
-                elif status == _kernel.BUDGET and overall == _kernel.UNSAT:
-                    overall = _kernel.BUDGET
-            if plan_found is not None:
-                for fut in pending:
-                    fut.cancel()
-                break
+    run = _kernel.backend_run_search(backend)
+    status, plan, patterns, nodes, matchings = run(
+        prob,
+        max_nodes=budget.max_nodes,
+        max_patterns=budget.max_patterns,
+        deadline=budget.deadline(t0),
+    )
+    stats.patterns_visited = patterns
+    stats.nodes_expanded = nodes
+    stats.matchings_computed = matchings
     stats.wall_time = time.perf_counter() - t0
-    if plan_found is not None:
-        return SolveResult(Verdict.SAT, _guard(plan_found, inst), stats)
-    if overall == _kernel.BUDGET:
+    if status == _kernel.SAT:
+        return SolveResult(Verdict.SAT, _guard(plan, inst), stats)
+    if status == _kernel.BUDGET:
         return SolveResult(Verdict.BUDGET, None, stats)
     return SolveResult(Verdict.UNSAT, None, stats)
 

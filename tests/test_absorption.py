@@ -21,7 +21,6 @@ from wspkit.core import (
 )
 from wspkit.absorption import (
     AbsorbedInstance,
-    AuthorisationFamily,
     PAuthorisationFamily,
     absorb,
     branching_bound,
@@ -29,6 +28,7 @@ from wspkit.absorption import (
     generic_scope_family,
     intersect_families,
     plan_authorised_cda,
+    sual_restricts,
 )
 from wspkit.patterns import Pattern, pattern_eligible, pattern_of
 
@@ -97,25 +97,13 @@ def test_intersect_dimension_mismatch():
 
 
 def test_family_map_memoises():
-    calls = []
-
-    def build(p):
-        calls.append(p.rgs)
-        return PAuthorisationFamily((AuthorisationFunction.total(2, 2),))
-
-    fam = AuthorisationFamily(2, 2, build)
+    absorbed = absorb(Instance(2, 2, AuthorisationFunction.total(2, 2), ()))
     p = Pattern((0, 1))
-    first = fam.family_for(p)
-    second = fam.family_for(p)
-    assert first is second
-    assert calls == [(0, 1)]
+    first = absorbed.family_for(p)
+    assert absorbed.family_for(Pattern((0, 1))) is first
+    assert first.size == 1
     with pytest.raises(InvariantError):
-        fam.family_for(Pattern((0,)))
-
-
-def test_constant_family():
-    fam = AuthorisationFamily.constant(2, 2, [AuthorisationFunction.total(2, 2)])
-    assert fam.family_for(Pattern((0, 0))).size == 1
+        absorbed.family_for(Pattern((0,)))
 
 
 def test_absorb_shapes():
@@ -214,6 +202,33 @@ def test_absorb_product_matches_the_family_fold():
     assert pruned > 10 and widths == {7, 65, 130}
 
 
+def test_family_for_matches_the_fold_with_sual():
+    """`family_for` at a pattern equals the fold of `intersect_families` over
+    every non-UI constraint's `family_for_constraint` there, SUAL included,
+    member for member and in order."""
+    restricted = 0
+    for seed in range(40):
+        base = _wl_ada_instance(seed)
+        k, n = base.k, base.n
+        rng = random.Random(f"sual-fold-{seed}")
+        scopes = [rng.sample(range(k), rng.randint(2, k))
+                  for _ in range(rng.randint(1, 2))]
+        suals = tuple(
+            SUAL(tuple(scope), rng.randint(1, len(scope) - 1),
+                 frozenset(rng.sample(range(n), rng.randint(1, n - 1))))
+            for scope in scopes)
+        inst = Instance(k, n, base.auth, base.constraints + suals)
+        absorbed = absorb(inst)
+        for _ in range(8):
+            p = pattern_of(tuple(rng.randrange(3) for _ in range(k)))
+            fam = PAuthorisationFamily((inst.auth,))
+            for c in inst.nonui_constraints():
+                fam = intersect_families(fam, family_for_constraint(c, p, k, n))
+            assert absorbed.family_for(p).functions == fam.functions, (seed, p)
+            restricted += any(sual_restricts(c, p) for c in suals)
+    assert restricted > 50
+
+
 def test_absorbed_family_applies_sual_per_pattern():
     inst = Instance(
         3, 4,
@@ -249,10 +264,10 @@ def test_plan_authorised_cda_wrapper():
         AuthorisationFunction.total(2, 3),
         (ADA(0, 1, frozenset({0}), frozenset({1})),),
     )
-    fam = absorb(inst).family
-    assert plan_authorised_cda((0, 1), fam)
-    assert not plan_authorised_cda((0, 2), fam)
-    assert plan_authorised_cda((2, 2), fam)
+    absorbed = absorb(inst)
+    assert plan_authorised_cda((0, 1), absorbed)
+    assert not plan_authorised_cda((0, 2), absorbed)
+    assert plan_authorised_cda((2, 2), absorbed)
 
 
 def test_branching_bounds_per_kind():

@@ -165,6 +165,12 @@ def test_solve_kernel_flag_is_accepted(po_file, capsys):
     capsys.readouterr()
 
 
+def test_solve_has_no_jobs_flag(po_file, capsys):
+    """The backtracker is serial, so solve takes no worker count."""
+    assert main(["solve", str(po_file), "--jobs", "2"]) == EXIT_ERROR
+    assert "--jobs" in capsys.readouterr().err
+
+
 # --- verify exit codes --------------------------------------------------------------
 
 
@@ -615,6 +621,23 @@ def test_bench_budget_column_reports_budget_verdicts(tmp_path, cache_env,
     rows = list(csv.reader(out.read_text().splitlines()))
     verdicts = {r[5] for r in rows[1:] if r[3] != "median"}
     assert verdicts <= {"sat", "unsat", "budget"}
+
+
+def test_bench_jobs_leaves_the_solves_alone(tmp_path, cache_env, capsys):
+    """--jobs sizes the calibration pool only: with the calibration cached,
+    every column but the timing matches a --jobs 1 run."""
+    assert main(["calibrate", "--k", "5", "--n", "8"] + BAND) == EXIT_OK
+    tables = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"bench-{jobs}.csv"
+        assert main(["bench", "--k-list", "5", "--n-list", "8", "--seeds",
+                     "3", "--algorithms", "backtrack", "--jobs", jobs,
+                     "--out", str(out)] + BAND) == EXIT_OK
+        rows = list(csv.reader(out.read_text().splitlines()))
+        tables.append([row[:6] + row[7:] for row in rows])
+    capsys.readouterr()
+    assert len(tables[0]) == 1 + 3 + 1  # header, seeds, median
+    assert tables[0] == tables[1]
 
 
 @pytest.mark.parametrize("extra", [

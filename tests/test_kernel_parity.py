@@ -32,7 +32,6 @@ from wspkit._kernel import (
     backend_run_search,
 )
 from wspkit.absorption import absorb
-from wspkit.patterns import enumerate_patterns
 from wspkit.solver import Verdict, solve_backtracking
 
 needs_compiled = pytest.mark.skipif(COMPILED_MISSING is not None,
@@ -87,40 +86,6 @@ def test_pattern_budget_parity(seed):
     for cap in (0, 1, 2):
         pure, comp = run_both(prob, max_patterns=cap)
         assert pure == comp, (seed, cap)
-
-
-@needs_compiled
-@pytest.mark.parametrize("kind", ("mixed", "sual", "wl"))
-@pytest.mark.parametrize("seed", range(4))
-def test_prefix_replay_parity(kind, seed):
-    inst = random_instance(kind, seed, k_max=5, n_max=7)
-    prob = compile_problem(inst)
-    if prob is None or prob.k < 3:
-        return
-    for head in enumerate_patterns(2):
-        pure, comp = run_both(prob, prefix=head.rgs)
-        assert pure == comp, (kind, seed, head.rgs)
-    # non-canonical prefixes resolve to an empty branch, identically
-    pure, comp = run_both(prob, prefix=(0, 2))
-    assert pure == comp
-
-
-@needs_compiled
-def test_prefix_split_covers_whole_tree():
-    """Splitting by prefixes at depth 2 reaches the same verdict as the
-    unsplit run (SAT if any branch is SAT, else UNSAT)."""
-    for seed in range(8):
-        inst = random_instance("mixed", seed, k_max=5, n_max=7)
-        prob = compile_problem(inst)
-        if prob is None or prob.k < 3:
-            continue
-        whole = backend_run_search("pure")(prob)
-        branch_statuses = set()
-        for head in enumerate_patterns(2):
-            got = backend_run_search("compiled")(prob, prefix=head.rgs)
-            branch_statuses.add(got[0])
-        split_verdict = _kernel.SAT if _kernel.SAT in branch_statuses else _kernel.UNSAT
-        assert split_verdict == whole[0], seed
 
 
 @needs_compiled
@@ -244,14 +209,6 @@ def test_prefix_rejected_by_user_independent_constraints_parity():
     prob = hand_problem(combos, 3, sod=[(0, 1)], bod=[(0, 3)],
                         counts=[atleast, atmost])
     assert_parity_under_every_budget(prob)
-    for prefix in [(0,), (0, 0), (0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2),
-                   (0, 1, 2, 1), (0, 1, 2, 0), (0, 1, 3)]:
-        pure, comp = run_both(prob, prefix=prefix)
-        assert pure == comp, prefix
-    # SoD(0, 1) and at-least-3 reject the last choice before it is counted
-    for prefix in [(0, 0), (0, 1, 0), (0, 1, 1)]:
-        assert run_both(prob, prefix=prefix)[0] == \
-            (_kernel.UNSAT, None, 0, len(prefix) - 1, 0)
 
 
 def random_hand_problem(seed):
@@ -285,10 +242,6 @@ def test_random_hand_built_problem_parity(seed):
     for cap in (0, 1, 2):
         pure, comp = run_both(prob, max_patterns=cap)
         assert pure == comp, cap
-    if prob.k >= 3:
-        for head in enumerate_patterns(2):
-            pure, comp = run_both(prob, prefix=head.rgs)
-            assert pure == comp, head.rgs
 
 
 def test_backend_selection_errors():

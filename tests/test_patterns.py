@@ -86,22 +86,6 @@ def test_enumeration_is_lexicographic_and_duplicate_free():
     assert len(seen) == len(set(seen))
 
 
-def test_enumeration_prefix_split_is_a_partition():
-    k = 6
-    whole = [p.rgs for p in enumerate_patterns(k)]
-    split: list[tuple[int, ...]] = []
-    for head in enumerate_patterns(3):
-        split.extend(p.rgs for p in enumerate_patterns(k, prefix=head.rgs))
-    assert split == whole
-
-
-def test_enumeration_prefix_validation():
-    with pytest.raises(InvariantError):
-        list(enumerate_patterns(3, prefix=(0, 2)))
-    with pytest.raises(InvariantError):
-        list(enumerate_patterns(2, prefix=(0, 0, 0)))
-
-
 def test_pattern_level_checks():
     p = Pattern((0, 1, 0))
     assert pattern_satisfies(p, SoD(0, 1))

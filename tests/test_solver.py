@@ -3,6 +3,7 @@
 import pytest
 
 from conftest import (
+    COMPILED_MISSING,
     CONSTRAINT_KINDS,
     PO_VALID_COUNT,
     disjoint_wl_instance,
@@ -19,6 +20,7 @@ from wspkit.core import (
     WspError,
     is_valid,
 )
+from wspkit.generator import GenSpec, generate
 from wspkit.patterns import bell
 from wspkit.solver import (
     Budget,
@@ -201,30 +203,33 @@ def test_guard_rejects_bad_plan(po_instance):
         _guard((0, 0, 0, 0, 0, 0), po_instance)
 
 
-@pytest.mark.parametrize("jobs", [2, 3])
-def test_parallel_split_agrees(jobs, po_instance):
-    res = solve_backtracking(po_instance, jobs=jobs)
-    assert res.verdict is Verdict.SAT
-    assert is_valid(res.plan, po_instance)
-    unsat = Instance(5, 3, AuthorisationFunction.total(5, 3),
-                     (AtLeast(4, (0, 1, 2, 3)),))
-    assert solve_backtracking(unsat, jobs=jobs).verdict is Verdict.UNSAT
-
-
-def test_parallel_respects_max_family_size():
-    """The workers absorb under the caller's cap, not the default 4096."""
+def test_backtracking_respects_max_family_size():
+    """Absorption runs under the caller's cap, not the default 4096."""
     inst = disjoint_wl_instance()  # m = 7776
     with pytest.raises(CapacityError):
-        solve_backtracking(inst, jobs=2)
-    res = solve_backtracking(inst, jobs=2, max_family_size=8192)
+        solve_backtracking(inst)
+    res = solve_backtracking(inst, max_family_size=8192)
     assert res.verdict is Verdict.SAT
     assert is_valid(res.plan, inst)
 
 
-def test_parallel_small_k_falls_back_to_serial():
-    inst = Instance(2, 2, AuthorisationFunction.total(2, 2), (SoD(0, 1),))
-    res = solve_backtracking(inst, jobs=4)
-    assert res.verdict is Verdict.SAT
+@pytest.mark.parametrize("backend", [
+    "pure",
+    pytest.param("compiled", marks=pytest.mark.skipif(
+        COMPILED_MISSING is not None, reason="compiled kernel not built")),
+])
+def test_node_budget_is_a_global_cap(backend):
+    """A node budget caps the whole search: a k=12 phase-transition draw
+    that needs over a thousand nodes stops one node past the cap."""
+    inst = generate(GenSpec(k=12, n=120, seed=0, am3=12, sod=26))
+    full = solve_backtracking(inst, backend=backend)
+    assert full.verdict is Verdict.UNSAT
+    cap = 100
+    assert full.stats.nodes_expanded > 10 * cap
+    res = solve_backtracking(inst, Budget(max_nodes=cap), backend=backend)
+    assert res.verdict is Verdict.BUDGET
+    assert res.plan is None
+    assert res.stats.nodes_expanded <= cap + 1
 
 
 def test_solve_result_shapes():
