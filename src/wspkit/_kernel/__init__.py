@@ -9,13 +9,12 @@ the same contract and return the same status, plan and counters on every
 call: the compiled extension (_speed, built from Cython), which repairs one
 matching per alternative, and the pure-Python one (_pure), which repairs one
 per class of alternatives that agree on every mask visited so far.
-Selection happens at import; set WSPKIT_KERNEL=pure or WSPKIT_KERNEL=compiled
-to force one.
+Selection happens at import: the compiled backend when it is importable,
+the pure one otherwise.  `backend_run_search` fetches either by name.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 UNSAT, SAT, BUDGET = 0, 1, 2
@@ -76,20 +75,12 @@ def _memberships(k: int, scopes) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(x) for x in at)
 
 
-_requested = os.environ.get("WSPKIT_KERNEL", "auto")
-
-if _requested == "pure":
+try:
+    from . import _speed as _impl  # type: ignore[attr-defined]
+    BACKEND = "compiled"
+except ImportError:
     from . import _pure as _impl
     BACKEND = "pure"
-else:
-    try:
-        from . import _speed as _impl  # type: ignore[attr-defined]
-        BACKEND = "compiled"
-    except ImportError:
-        if _requested == "compiled":
-            raise
-        from . import _pure as _impl
-        BACKEND = "pure"
 
 run_search = _impl.run_search
 

@@ -7,7 +7,10 @@ by pairwise intersection, so an instance reduces to (a) user-independent
 constraints, checked against the pattern alone, and (b) one authorisation
 family per pattern.  The family size per constraint is its branching bound:
 1 for user-independent constraints and SUAL, 2 for ADA, d (team count) for
-WL; the solvers' work scales with the product of these bounds.
+WL; the solvers' work scales with the product of these bounds.  A family is
+a plain tuple of `AuthorisationFunction`s.  `alternatives` describes what a
+WL or ADA constraint contributes; the encoders read it too, so they encode
+exactly the alternatives the solvers branch on.
 """
 
 from __future__ import annotations
@@ -18,16 +21,12 @@ from typing import Callable, Sequence
 
 from .core import (
     ADA,
-    AtLeast,
-    AtMost,
     AuthorisationFunction,
-    BoD,
     CapacityError,
     Constraint,
     Instance,
     InvariantError,
     SUAL,
-    SoD,
     WL,
     _users_named,
     is_authorised,
@@ -37,32 +36,12 @@ from .core import (
 from .patterns import Pattern, pattern_of, pattern_satisfies
 
 
-@dataclass(frozen=True)
-class PAuthorisationFamily:
-    """Disjunctive alternatives at one pattern: a plan is authorised by the
-    family when at least one member function authorises it."""
-
-    functions: tuple[AuthorisationFunction, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.functions)
-
-    def authorises(self, plan: Sequence[int]) -> bool:
-        return any(is_authorised(plan, fn) for fn in self.functions)
-
-
-def _masks_function(n: int, masks: Sequence[int]) -> AuthorisationFunction:
-    return AuthorisationFunction(n, tuple(masks))
-
-
-def _uniform(k: int, n: int, mask: int) -> AuthorisationFunction:
-    return AuthorisationFunction(n, (mask,) * k)
-
-
-def _alternatives(c: WL | ADA, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The alternatives of a WL or ADA constraint, each as the (step, mask)
-    pairs of the steps it restricts; every other step is left unrestricted.
+def alternatives(c: WL | ADA, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The one description of a WL or ADA constraint's authorisation
+    alternatives: absorption builds its families from it, the encoders their
+    selectors, and `branching_bound` counts it.  Each alternative is the
+    (step, mask) pairs of the steps it restricts; every other step is left
+    unrestricted.
 
     WL: one alternative per team, in declaration order, pinning the scope to
     that team.  ADA: the trigger case (s1 to a trigger user, s2 to a required
@@ -83,7 +62,9 @@ def sual_restricts(c: SUAL, p: Pattern) -> bool:
     return len({p.rgs[s] for s in c.scope}) <= c.h
 
 
-def family_for_constraint(c: Constraint, p: Pattern, k: int, n: int) -> PAuthorisationFamily:
+def family_for_constraint(
+    c: Constraint, p: Pattern, k: int, n: int,
+) -> tuple[AuthorisationFunction, ...]:
     """The constraint's own authorisation family at pattern p.
 
     Member order is fixed (teams in declaration order, the trigger case of
@@ -94,30 +75,28 @@ def family_for_constraint(c: Constraint, p: Pattern, k: int, n: int) -> PAuthori
         # One member: unrestricted when the pattern already satisfies the
         # constraint, otherwise a function authorising nothing.
         mask = full if pattern_satisfies(p, c) else 0
-        return PAuthorisationFamily((_uniform(k, n, mask),))
+        return (AuthorisationFunction(n, (mask,) * k),)
     if isinstance(c, SUAL):
+        xmask = mask_of(c.supers)
+        alts = (tuple((s, xmask) for s in c.scope) if sual_restricts(c, p) else (),)
+    elif isinstance(c, (WL, ADA)):
+        alts = alternatives(c, n)
+    else:
+        raise InvariantError(f"unknown constraint type: {type(c).__name__}")
+    members = []
+    for alt in alts:
         masks = [full] * k
-        if sual_restricts(c, p):
-            xmask = mask_of(c.supers)
-            for s in c.scope:
-                masks[s] = xmask
-        return PAuthorisationFamily((_masks_function(n, masks),))
-    if isinstance(c, (WL, ADA)):
-        members = []
-        for alt in _alternatives(c, n):
-            masks = [full] * k
-            for s, mask in alt:
-                masks[s] = mask
-            members.append(_masks_function(n, masks))
-        return PAuthorisationFamily(tuple(members))
-    raise InvariantError(f"unknown constraint type: {type(c).__name__}")
+        for s, mask in alt:
+            masks[s] = mask
+        members.append(AuthorisationFunction(n, tuple(masks)))
+    return tuple(members)
 
 
 def intersect_families(
-    f1: PAuthorisationFamily,
-    f2: PAuthorisationFamily,
+    f1: Sequence[AuthorisationFunction],
+    f2: Sequence[AuthorisationFunction],
     prune: bool = True,
-) -> PAuthorisationFamily:
+) -> tuple[AuthorisationFunction, ...]:
     """Pairwise step-wise intersection of two families.
 
     With prune=True (the default), members left with an empty set on some
@@ -125,15 +104,15 @@ def intersect_families(
     it never loses a plan.
     """
     out = []
-    for a in f1.functions:
-        for b in f2.functions:
+    for a in f1:
+        for b in f2:
             if a.n != b.n or a.k != b.k:
                 raise InvariantError("intersect: families over different step/user ranges")
             masks = tuple(ma & mb for ma, mb in zip(a.step_masks, b.step_masks))
             if prune and any(m == 0 for m in masks):
                 continue
             out.append(AuthorisationFunction(a.n, masks))
-    return PAuthorisationFamily(tuple(out))
+    return tuple(out)
 
 
 @dataclass
@@ -154,7 +133,6 @@ class AbsorbedInstance:
     suals: tuple[SUAL, ...]
 
     def __post_init__(self) -> None:
-        self._memo: dict[tuple[int, ...], PAuthorisationFamily] = {}
         self._sual_masks = tuple(mask_of(c.supers) for c in self.suals)
 
     @functools.cached_property
@@ -162,34 +140,27 @@ class AbsorbedInstance:
         n = self.instance.n
         return tuple(AuthorisationFunction(n, row) for row in self.static_rows)
 
-    def family_for(self, p: Pattern) -> PAuthorisationFamily:
-        """The family at pattern p, memoised by RGS: the static rows narrowed
-        by every SUAL that restricts at p, keeping the rows that stay
-        non-empty on every step."""
+    def family_for(self, p: Pattern) -> tuple[AuthorisationFunction, ...]:
+        """The family at pattern p: the static rows narrowed by every SUAL
+        that restricts at p, keeping the rows that stay non-empty on every
+        step."""
         if p.k != self.instance.k:
             raise InvariantError(
                 f"pattern has {p.k} steps, instance has {self.instance.k}")
-        got = self._memo.get(p.rgs)
-        if got is not None:
-            return got
         narrowing = [(c.scope, xmask) for c, xmask in zip(self.suals, self._sual_masks)
                      if sual_restricts(c, p)]
         if not narrowing:
-            functions = self.static_functions
-        else:
-            n = self.instance.n
-            kept = []
-            for row in self.static_rows:
-                masks = list(row)
-                for scope, xmask in narrowing:
-                    for s in scope:
-                        masks[s] &= xmask
-                if all(masks):
-                    kept.append(AuthorisationFunction(n, tuple(masks)))
-            functions = tuple(kept)
-        fam = PAuthorisationFamily(functions)
-        self._memo[p.rgs] = fam
-        return fam
+            return self.static_functions
+        n = self.instance.n
+        kept = []
+        for row in self.static_rows:
+            masks = list(row)
+            for scope, xmask in narrowing:
+                for s in scope:
+                    masks[s] &= xmask
+            if all(masks):
+                kept.append(AuthorisationFunction(n, tuple(masks)))
+        return tuple(kept)
 
 
 def absorb(inst: Instance, max_family_size: int = 4096) -> AbsorbedInstance:
@@ -217,7 +188,7 @@ def absorb(inst: Instance, max_family_size: int = 4096) -> AbsorbedInstance:
     for c in inst.nonui_constraints():
         if isinstance(c, SUAL):
             continue
-        alts = _alternatives(c, n)
+        alts = alternatives(c, n)
         if len(rows) * len(alts) > max_family_size:
             raise CapacityError(
                 f"authorisation family would exceed max_family_size={max_family_size}; "
@@ -240,7 +211,8 @@ def absorb(inst: Instance, max_family_size: int = 4096) -> AbsorbedInstance:
 def plan_authorised_cda(plan: Sequence[int], absorbed: AbsorbedInstance) -> bool:
     """Is the plan authorised by the absorbed instance's family at the plan's
     own pattern?"""
-    return absorbed.family_for(pattern_of(plan)).authorises(plan)
+    return any(is_authorised(plan, fn)
+               for fn in absorbed.family_for(pattern_of(plan)))
 
 
 @dataclass(frozen=True)
@@ -263,10 +235,8 @@ def branching_bound(c: Constraint, k: int, n: int) -> BranchingReport:
     kind = type(c).__name__.lower()
     if is_ui(c) or isinstance(c, SUAL):
         bound = 1
-    elif isinstance(c, ADA):
-        bound = 2
-    elif isinstance(c, WL):
-        bound = len(c.teams)
+    elif isinstance(c, (WL, ADA)):
+        bound = len(alternatives(c, n))
     else:
         raise InvariantError(f"unknown constraint type: {type(c).__name__}")
     scope_t = len(set(c.steps))
@@ -285,7 +255,7 @@ def generic_scope_family(
     k: int,
     n: int,
     max_assignments: int = 65536,
-) -> PAuthorisationFamily:
+) -> tuple[AuthorisationFunction, ...]:
     """Fallback absorber for an arbitrary constraint over a step scope.
 
     Enumerates all user assignments to the scope, keeps the satisfying ones,
@@ -317,4 +287,4 @@ def generic_scope_family(
         for s, u in zip(steps, sigma):
             masks[s] = 1 << u
         members.append(AuthorisationFunction(n, tuple(masks)))
-    return PAuthorisationFamily(tuple(members))
+    return tuple(members)

@@ -4,8 +4,9 @@ Subcommands: generate, solve, verify, encode, inspect, calibrate, bench.
 
 File formats are JSON (instances, plans; schema-validated), OPB/DIMACS with a
 variable-map sidecar (encoded models), and RFC-4180 CSV (bench results).  All
-output files are byte-stable across runs: fixed field order, LF line endings,
-ASCII.  Timing goes to stderr so stdout stays deterministic too.
+output is byte-stable across runs (fixed field order, LF line endings,
+ASCII) except the wall-clock `millis` column of the bench CSV; solve keeps
+its timing on stderr so its stdout stays deterministic too.
 
 Exit codes: solve uses the SAT-competition convention of 10 (satisfiable),
 20 (unsatisfiable) and 30 (budget exhausted); verify exits 0 for a valid
@@ -264,18 +265,33 @@ def _budget_from(args) -> Optional[Budget]:
                   max_nodes=args.max_nodes)
 
 
+def _check_budget(algorithm: str, budget: Optional[Budget]) -> None:
+    """Reject a budget the algorithm cannot honour instead of ignoring it."""
+    if budget is None or algorithm == "backtrack":
+        return
+    if algorithm == "bruteforce":
+        raise CliError("bruteforce runs to completion; budgets apply to "
+                       "backtrack and pattern-enum")
+    if budget.max_nodes is not None:
+        raise CliError("pattern-enum expands no nodes, so --max-nodes cannot "
+                       "bound it; use --max-patterns or --max-millis")
+
+
+def _solve(algorithm: str, inst: Instance, budget: Optional[Budget],
+           kernel: str) -> SolveResult:
+    """Run one solver by its command-line name; `solve` and `bench` share
+    this dispatch, so a budget means the same in both."""
+    _check_budget(algorithm, budget)
+    if algorithm == "backtrack":
+        return solve_backtracking(inst, budget, backend=kernel)
+    if algorithm == "pattern-enum":
+        return solve_pattern_enum(inst, budget)
+    return solve_bruteforce(inst)
+
+
 def cmd_solve(args) -> int:
     inst = load_instance(args.instance)
-    budget = _budget_from(args)
-    if args.algorithm == "backtrack":
-        res: SolveResult = solve_backtracking(inst, budget, backend=args.kernel)
-    elif args.algorithm == "pattern-enum":
-        res = solve_pattern_enum(inst, budget)
-    else:
-        if budget is not None:
-            raise CliError("bruteforce runs to completion; budgets apply to "
-                           "backtrack and pattern-enum")
-        res = solve_bruteforce(inst)
+    res = _solve(args.algorithm, inst, _budget_from(args), args.kernel)
     print(f"verdict {res.verdict.value.upper()}")
     if res.plan is not None:
         print("plan " + " ".join(str(u) for u in res.plan))
@@ -400,15 +416,6 @@ def cmd_calibrate(args) -> int:
 BENCH_ALGORITHMS = ("backtrack", "pattern-enum", "bruteforce")
 
 
-def _bench_solve(algorithm: str, inst: Instance, budget: Optional[Budget],
-                 kernel: str) -> SolveResult:
-    if algorithm == "backtrack":
-        return solve_backtracking(inst, budget, backend=kernel)
-    if algorithm == "pattern-enum":
-        return solve_pattern_enum(inst, budget)
-    return solve_bruteforce(inst)
-
-
 def _lower_median(values):
     ordered = sorted(values)
     return ordered[(len(ordered) - 1) // 2]
@@ -444,12 +451,13 @@ def cmd_bench(args) -> int:
     kind = _family_kind(args.family)
     label = _family_label(kind)
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
+    budget = Budget(max_millis=args.max_millis) \
+        if args.max_millis is not None else None
     for algorithm in algorithms:
         if algorithm not in BENCH_ALGORITHMS:
             raise CliError(f"unknown algorithm {algorithm!r}")
+        _check_budget(algorithm, budget)
     sizes = _bench_sizes(args)
-    budget = Budget(max_millis=args.max_millis) \
-        if args.max_millis is not None else None
 
     rows = []
     groups: dict[tuple, list] = {}
@@ -461,7 +469,7 @@ def cmd_bench(args) -> int:
             sub_seed = derive_seed(args.seed, i)
             inst, _ = generate_with_meta(replace(spec, seed=sub_seed))
             for algorithm in algorithms:
-                res = _bench_solve(algorithm, inst, budget, args.kernel)
+                res = _solve(algorithm, inst, budget, args.kernel)
                 millis = res.stats.wall_time * 1000.0
                 rows.append([k, n, label, sub_seed, algorithm,
                              res.verdict.value, f"{millis:.3f}",

@@ -14,14 +14,14 @@ Three representations are produced:
   relational rows (equality, disequality, pair/partition scenarios,
   conditional domain exclusions).
 
-Constraints that restrict user identities (the absorbable kinds) enter all
-three through the same two-level selector scheme used by the solvers'
-authorisation families: group selectors g_i pick a partition class of the
-scope when the family differs between classes, and alternative selectors a_j
-pick one authorisation function inside a class.  Both selector kinds reduce
-to "selector implies this step avoids these users" rows plus a cardinality
-row over the selectors; kinds whose family has a single class omit the g
-level entirely.
+Constraints that restrict user identities (SUAL, WL, ADA) enter all three
+through selectors.  SUAL gets two group selectors: g1 picks the partitions
+that cover its scope with at most h blocks and confines the scope to the
+super users there, g2 picks the rest.  WL and ADA get one selector per
+alternative, walked from `absorption.alternatives`, so the encoders encode
+exactly the alternatives the solvers branch on.  Every selector reduces to
+"selector implies this step avoids these users" rows plus a pick-one row
+over its group.
 
 Emission targets are OPB (linear pseudo-Boolean, one row per line), DIMACS
 CNF (cardinality rows compiled with sequential counters), and a JSON
@@ -42,15 +42,15 @@ from .core import (
     AtLeast,
     AtMost,
     BoD,
-    Constraint,
     Instance,
     InvariantError,
     SUAL,
     SoD,
     WL,
     bits_of,
-    is_ui,
+    mask_of,
 )
+from .absorption import alternatives
 from .patterns import Pattern, enumerate_patterns, pattern_of
 
 # when an at-most constraint would need more forbidden subsets than this,
@@ -257,15 +257,14 @@ def _rep_vars(b: _Builder, ci: int, scope: Sequence[int]) -> list[int]:
     return reps
 
 
-def _exclusions(b: _Builder, sel: int, s: int, allowed: frozenset[int]) -> None:
-    """selector -> step s avoids every authorised user outside `allowed`.
+def _exclusions(b: _Builder, sel: int, s: int, allowed_mask: int) -> None:
+    """selector -> step s avoids every authorised user outside `allowed_mask`.
 
     Emitted as guarded rows (not plain clauses) so the selector's meaning
     stays attached to it; they lower to the same two-literal clauses.
     """
-    for u in b.inst.auth.users(s):
-        if u not in allowed:
-            b.add(Row("<=", 0, (b.index[f"x{s}_{u}"],), guard=sel))
+    for u in bits_of(b.inst.auth.mask(s) & ~allowed_mask):
+        b.add(Row("<=", 0, (b.index[f"x{s}_{u}"],), guard=sel))
 
 
 def _sual_groups(b: _Builder, ci: int, c: SUAL, count_lits: list[int]) -> None:
@@ -278,28 +277,28 @@ def _sual_groups(b: _Builder, ci: int, c: SUAL, count_lits: list[int]) -> None:
     b.add(clause(g1, g2))
     b.add(Row("<=", c.h, tuple(count_lits), guard=g1))
     b.add(Row(">=", c.h + 1, tuple(count_lits), guard=g2))
+    xmask = mask_of(c.supers)
     for s in c.scope:
-        _exclusions(b, g1, s, c.supers)
+        _exclusions(b, g1, s, xmask)
 
 
-def _wl_selectors(b: _Builder, ci: int, c: WL) -> None:
-    sels = [b.var(f"c{ci}_a{j}") for j in range(len(c.teams))]
+def _named_alternatives(ci: int, c: WL | ADA, n: int) -> list[tuple[str, tuple]]:
+    """The constraint's alternatives, each with its selector name c{ci}_a{j}:
+    WL numbers its teams from 0, ADA its two cases from 1."""
+    first = 0 if isinstance(c, WL) else 1
+    return [(f"c{ci}_a{first + j}", alt) for j, alt in enumerate(alternatives(c, n))]
+
+
+def _selectors(b: _Builder, ci: int, c: WL | ADA) -> None:
+    """One selector per alternative, at least one of them true, each forcing
+    its steps into the masks of its alternative."""
+    named = _named_alternatives(ci, c, b.inst.n)
+    sels = [b.var(name) for name, _ in named]
     b.selector_groups.append(tuple(sels))
     b.add(clause(*sels))
-    for sel, team in zip(sels, c.teams):
-        for s in c.scope:
-            _exclusions(b, sel, s, team)
-
-
-def _ada_selectors(b: _Builder, ci: int, c: ADA) -> None:
-    a1 = b.var(f"c{ci}_a1")
-    a2 = b.var(f"c{ci}_a2")
-    b.selector_groups.append((a1, a2))
-    b.add(clause(a1, a2))
-    _exclusions(b, a1, c.s1, c.trigger)
-    _exclusions(b, a1, c.s2, c.required)
-    # the complement alternative: s1 avoids the trigger set entirely
-    _exclusions(b, a2, c.s1, frozenset(b.inst.auth.users(c.s1)) - c.trigger)
+    for sel, (_, alt) in zip(sels, named):
+        for s, mask in alt:
+            _exclusions(b, sel, s, mask)
 
 
 def encode_udpb(inst: Instance) -> BooleanModel:
@@ -334,10 +333,8 @@ def encode_udpb(inst: Instance) -> BooleanModel:
             zs = _usage_vars(b, ci, c.scope)
             if zs:
                 _sual_groups(b, ci, c, zs)
-        elif isinstance(c, WL):
-            _wl_selectors(b, ci, c)
-        elif isinstance(c, ADA):
-            _ada_selectors(b, ci, c)
+        elif isinstance(c, (WL, ADA)):
+            _selectors(b, ci, c)
         else:
             raise InvariantError(
                 f"no encoding for constraint type {type(c).__name__}")
@@ -402,10 +399,8 @@ def encode_pbpb(inst: Instance, include_transitivity: bool = True) -> BooleanMod
         elif isinstance(c, SUAL):
             reps = _rep_vars(b, ci, c.scope)
             _sual_groups(b, ci, c, reps)
-        elif isinstance(c, WL):
-            _wl_selectors(b, ci, c)
-        elif isinstance(c, ADA):
-            _ada_selectors(b, ci, c)
+        elif isinstance(c, (WL, ADA)):
+            _selectors(b, ci, c)
         else:
             raise InvariantError(
                 f"no encoding for constraint type {type(c).__name__}")
@@ -591,6 +586,12 @@ def encode_cs(inst: Instance) -> CSModel:
         variables.append(CsVar(name, (0, 1)))
         return name
 
+    def exclude(sel: str, s: int, allowed_mask: int) -> None:
+        banned = bits_of(inst.auth.mask(s) & ~allowed_mask)
+        if banned:
+            rows.append(_cs_row("cond_exclude", selector=sel, step=s,
+                                users=banned))
+
     for ci, c in enumerate(inst.constraints):
         if isinstance(c, SoD):
             rows.append(_cs_row("ne", steps=(c.s1, c.s2)))
@@ -614,36 +615,16 @@ def encode_cs(inst: Instance) -> CSModel:
             rows.append(_cs_row(
                 "cond_scope_pattern_in", selector=g2, scope=c.scope,
                 allowed=_partitions_with(len(c.scope), lambda bc: bc > c.h)))
+            xmask = mask_of(c.supers)
             for s in c.scope:
-                banned = tuple(u for u in inst.auth.users(s) if u not in c.supers)
-                if banned:
-                    rows.append(_cs_row("cond_exclude", selector=g1, step=s,
-                                        users=banned))
-        elif isinstance(c, WL):
-            sels = [selector(f"c{ci}_a{j}") for j in range(len(c.teams))]
-            rows.append(_cs_row("select_at_least_one", selectors=tuple(sels)))
-            for sel, team in zip(sels, c.teams):
-                for s in c.scope:
-                    banned = tuple(u for u in inst.auth.users(s) if u not in team)
-                    if banned:
-                        rows.append(_cs_row("cond_exclude", selector=sel,
-                                            step=s, users=banned))
-        elif isinstance(c, ADA):
-            a1 = selector(f"c{ci}_a1")
-            a2 = selector(f"c{ci}_a2")
-            rows.append(_cs_row("select_at_least_one", selectors=(a1, a2)))
-            banned = tuple(u for u in inst.auth.users(c.s1) if u not in c.trigger)
-            if banned:
-                rows.append(_cs_row("cond_exclude", selector=a1, step=c.s1,
-                                    users=banned))
-            banned = tuple(v for v in inst.auth.users(c.s2) if v not in c.required)
-            if banned:
-                rows.append(_cs_row("cond_exclude", selector=a1, step=c.s2,
-                                    users=banned))
-            banned = tuple(u for u in inst.auth.users(c.s1) if u in c.trigger)
-            if banned:
-                rows.append(_cs_row("cond_exclude", selector=a2, step=c.s1,
-                                    users=banned))
+                exclude(g1, s, xmask)
+        elif isinstance(c, (WL, ADA)):
+            named = _named_alternatives(ci, c, inst.n)
+            sels = tuple(selector(name) for name, _ in named)
+            rows.append(_cs_row("select_at_least_one", selectors=sels))
+            for sel, (_, alt) in zip(sels, named):
+                for s, mask in alt:
+                    exclude(sel, s, mask)
         else:
             raise InvariantError(
                 f"no encoding for constraint type {type(c).__name__}")

@@ -25,6 +25,7 @@ from .core import (
     BoD,
     CapacityError,
     Instance,
+    InvariantError,
     SoD,
     WspError,
     bits_of,
@@ -73,7 +74,8 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class Budget:
-    """Resource limits; None means unlimited."""
+    """Resource limits; None means unlimited.  `max_nodes` bounds the
+    backtracker only: pattern enumeration expands no nodes and rejects it."""
 
     max_millis: Optional[float] = None
     max_patterns: Optional[int] = None
@@ -104,9 +106,14 @@ def solve_pattern_enum(inst: Instance, budget: Optional[Budget] = None) -> Solve
     """Iterate all patterns in lexicographic RGS order; for each, check the
     residual user-independent constraints against the pattern, then try one
     saturating matching per member of the absorbed family.  UNSAT only after
-    every pattern is exhausted."""
+    every pattern is exhausted.  It expands no search nodes, so a budget
+    with `max_nodes` is rejected rather than ignored."""
     t0 = time.perf_counter()
     budget = budget or Budget()
+    if budget.max_nodes is not None:
+        raise InvariantError(
+            "pattern enumeration expands no nodes, so max_nodes cannot bound it; "
+            "bound it with max_patterns or max_millis")
     deadline = budget.deadline(t0)
     stats = SolveStats()
     absorbed = absorb(inst)
@@ -121,7 +128,7 @@ def solve_pattern_enum(inst: Instance, budget: Optional[Budget] = None) -> Solve
         stats.patterns_visited += 1
         if not all(pattern_satisfies(p, c) for c in residual):
             continue
-        for fn in absorbed.family_for(p).functions:
+        for fn in absorbed.family_for(p):
             stats.matchings_computed += 1
             plan = authorised_plan_for(p, fn)
             if plan is not None:

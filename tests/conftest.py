@@ -71,10 +71,13 @@ def missing_build_tool() -> Optional[str]:
     return None
 
 
-def build_compiled_copy(dest: Path) -> Path:
-    """Copy the package to `dest` and compile `_speed.c` in place there;
-    return the directory to put on PYTHONPATH.  Raises RuntimeError with the
-    compiler's output when the build fails."""
+def _register_compiled_copy() -> None:
+    """Copy the package to a temporary directory, compile `_speed.c` in place
+    there and register it as `wspkit._kernel._speed` without changing the
+    selected backend.  Raises RuntimeError with the compiler's output when
+    the build fails."""
+    dest = Path(tempfile.mkdtemp(prefix="wspkit-kernel-"))
+    atexit.register(shutil.rmtree, dest, True)
     src = dest / "src"
     shutil.copytree(PACKAGE, src / "wspkit",
                     ignore=shutil.ignore_patterns("__pycache__", "*.so"))
@@ -84,15 +87,6 @@ def build_compiled_copy(dest: Path) -> Path:
         cwd=src, capture_output=True, text=True, timeout=300)
     if res.returncode != 0:
         raise RuntimeError(f"building _speed.c failed:\n{res.stderr}")
-    return src
-
-
-def _register_compiled_copy() -> Path:
-    """Build the kernel in a temporary copy and register it as
-    `wspkit._kernel._speed` without changing the selected backend."""
-    dest = Path(tempfile.mkdtemp(prefix="wspkit-kernel-"))
-    atexit.register(shutil.rmtree, dest, True)
-    src = build_compiled_copy(dest)
     name = "wspkit._kernel._speed"
     (path,) = (src / "wspkit" / "_kernel").glob("_speed*.so")
     spec = importlib.util.spec_from_file_location(name, path)
@@ -100,22 +94,18 @@ def _register_compiled_copy() -> Path:
     spec.loader.exec_module(module)
     sys.modules[name] = module
     wspkit._kernel._speed = module
-    return src
 
 
-# COMPILED_SRC: the package copy holding the session's compiled kernel, for
-# subprocesses' PYTHONPATH (None when the package under test has its own or
-# none was built).  COMPILED_MISSING: the build tool whose absence leaves the
-# session without a compiled kernel.  COMPILED_BUILD_ERROR: why a build with
-# the tools present failed; the tests that need the kernel fail with it.
-COMPILED_SRC: Optional[Path] = None
+# COMPILED_MISSING: the build tool whose absence leaves the session without
+# a compiled kernel.  COMPILED_BUILD_ERROR: why a build with the tools
+# present failed; the tests that need the kernel fail with it.
 COMPILED_MISSING: Optional[str] = None
 COMPILED_BUILD_ERROR: Optional[str] = None
 if "compiled" not in wspkit._kernel.available_backends():
     COMPILED_MISSING = missing_build_tool()
     if COMPILED_MISSING is None:
         try:
-            COMPILED_SRC = _register_compiled_copy()
+            _register_compiled_copy()
         except RuntimeError as exc:
             COMPILED_BUILD_ERROR = str(exc)
 

@@ -16,12 +16,10 @@ from wspkit.core import (
     SUAL,
     SoD,
     WL,
+    is_authorised,
     is_valid,
-    mask_of,
 )
 from wspkit.absorption import (
-    AbsorbedInstance,
-    PAuthorisationFamily,
     absorb,
     branching_bound,
     family_for_constraint,
@@ -35,17 +33,22 @@ from wspkit.patterns import Pattern, pattern_eligible, pattern_of
 FULL4 = (1 << 4) - 1
 
 
+def authorises(family, plan):
+    """Does some member of the family authorise the plan?"""
+    return any(is_authorised(plan, fn) for fn in family)
+
+
 def test_ui_family_is_total_or_empty():
     c = SoD(0, 1)
     same = Pattern((0, 0, 1))
     diff = Pattern((0, 1, 1))
     f_bad = family_for_constraint(c, same, 3, 4)
     f_ok = family_for_constraint(c, diff, 3, 4)
-    assert f_bad.size == f_ok.size == 1
-    assert f_bad.functions[0].step_masks == (0, 0, 0)
-    assert f_ok.functions[0].step_masks == (FULL4,) * 3
-    assert not f_bad.authorises((0, 1, 2))
-    assert f_ok.authorises((0, 1, 2))
+    assert len(f_bad) == len(f_ok) == 1
+    assert f_bad[0].step_masks == (0, 0, 0)
+    assert f_ok[0].step_masks == (FULL4,) * 3
+    assert not authorises(f_bad, (0, 1, 2))
+    assert authorises(f_ok, (0, 1, 2))
 
 
 def test_sual_family_restricts_only_when_few_blocks_cover_scope():
@@ -54,54 +57,51 @@ def test_sual_family_restricts_only_when_few_blocks_cover_scope():
     many = Pattern((0, 1, 2, 0))   # 3 blocks > h: no restriction
     fam_few = family_for_constraint(c, few, 4, 4)
     fam_many = family_for_constraint(c, many, 4, 4)
-    assert fam_few.size == fam_many.size == 1
-    assert fam_few.functions[0].step_masks == (0b11, 0b11, 0b11, FULL4)
-    assert fam_many.functions[0].step_masks == (FULL4,) * 4
+    assert len(fam_few) == len(fam_many) == 1
+    assert fam_few[0].step_masks == (0b11, 0b11, 0b11, FULL4)
+    assert fam_many[0].step_masks == (FULL4,) * 4
 
 
 def test_wl_family_one_member_per_team_in_declaration_order():
     c = WL((0, 2), (frozenset({1, 2}), frozenset({0})))
     fam = family_for_constraint(c, Pattern((0, 1, 2)), 3, 4)
-    assert fam.size == 2
-    assert fam.functions[0].step_masks == (0b110, FULL4, 0b110)
-    assert fam.functions[1].step_masks == (0b001, FULL4, 0b001)
+    assert len(fam) == 2
+    assert fam[0].step_masks == (0b110, FULL4, 0b110)
+    assert fam[1].step_masks == (0b001, FULL4, 0b001)
 
 
 def test_ada_family_trigger_case_first():
     c = ADA(0, 1, frozenset({0, 1}), frozenset({2}))
     fam = family_for_constraint(c, Pattern((0, 1)), 2, 4)
-    assert fam.size == 2
-    assert fam.functions[0].step_masks == (0b0011, 0b0100)
-    assert fam.functions[1].step_masks == (FULL4 & ~0b0011, FULL4)
+    assert len(fam) == 2
+    assert fam[0].step_masks == (0b0011, 0b0100)
+    assert fam[1].step_masks == (FULL4 & ~0b0011, FULL4)
 
 
 def test_intersect_prunes_dead_members():
-    a = PAuthorisationFamily((AuthorisationFunction(2, (0b01, 0b11)),))
-    b = PAuthorisationFamily((
+    a = (AuthorisationFunction(2, (0b01, 0b11)),)
+    b = (
         AuthorisationFunction(2, (0b10, 0b11)),   # meets a in 0 on step 0
         AuthorisationFunction(2, (0b11, 0b01)),
-    ))
+    )
     pruned = intersect_families(a, b)
-    assert pruned.size == 1
-    assert pruned.functions[0].step_masks == (0b01, 0b01)
+    assert len(pruned) == 1
+    assert pruned[0].step_masks == (0b01, 0b01)
     kept = intersect_families(a, b, prune=False)
-    assert kept.size == 2
-    assert kept.functions[0].step_masks == (0, 0b11)
+    assert len(kept) == 2
+    assert kept[0].step_masks == (0, 0b11)
 
 
 def test_intersect_dimension_mismatch():
-    a = PAuthorisationFamily((AuthorisationFunction(2, (0b01,)),))
-    b = PAuthorisationFamily((AuthorisationFunction(3, (0b01,)),))
+    a = (AuthorisationFunction(2, (0b01,)),)
+    b = (AuthorisationFunction(3, (0b01,)),)
     with pytest.raises(InvariantError):
         intersect_families(a, b)
 
 
-def test_family_map_memoises():
+def test_family_for_rejects_a_pattern_of_the_wrong_length():
     absorbed = absorb(Instance(2, 2, AuthorisationFunction.total(2, 2), ()))
-    p = Pattern((0, 1))
-    first = absorbed.family_for(p)
-    assert absorbed.family_for(Pattern((0, 1))) is first
-    assert first.size == 1
+    assert len(absorbed.family_for(Pattern((0, 1)))) == 1
     with pytest.raises(InvariantError):
         absorbed.family_for(Pattern((0,)))
 
@@ -130,7 +130,7 @@ def test_absorb_empty_authorisation_step_kills_family():
     )
     absorbed = absorb(inst)
     assert absorbed.static_functions == ()
-    assert absorbed.family_for(Pattern((0, 1))).size == 0
+    assert len(absorbed.family_for(Pattern((0, 1)))) == 0
 
 
 def test_absorb_capacity_cap():
@@ -153,12 +153,12 @@ def _reference_product(inst):
     """The WL/ADA product as a fold of the public family operations."""
     k, n = inst.k, inst.n
     live = all(m != 0 for m in inst.auth.step_masks)
-    fam = PAuthorisationFamily((inst.auth,) if live else ())
+    fam = (inst.auth,) if live else ()
     trivial = Pattern(tuple(range(k)))
     for c in inst.nonui_constraints():
         if not isinstance(c, SUAL):
             fam = intersect_families(fam, family_for_constraint(c, trivial, k, n))
-    return fam.functions
+    return fam
 
 
 def _wl_ada_instance(seed):
@@ -221,10 +221,10 @@ def test_family_for_matches_the_fold_with_sual():
         absorbed = absorb(inst)
         for _ in range(8):
             p = pattern_of(tuple(rng.randrange(3) for _ in range(k)))
-            fam = PAuthorisationFamily((inst.auth,))
+            fam = (inst.auth,)
             for c in inst.nonui_constraints():
                 fam = intersect_families(fam, family_for_constraint(c, p, k, n))
-            assert absorbed.family_for(p).functions == fam.functions, (seed, p)
+            assert absorbed.family_for(p) == fam, (seed, p)
             restricted += any(sual_restricts(c, p) for c in suals)
     assert restricted > 50
 
@@ -237,11 +237,9 @@ def test_absorbed_family_applies_sual_per_pattern():
     )
     absorbed = absorb(inst)
     merged = absorbed.family_for(Pattern((0, 0, 0)))
-    assert merged.functions[0].step_masks == (0b1000,) * 3
+    assert merged[0].step_masks == (0b1000,) * 3
     spread = absorbed.family_for(Pattern((0, 1, 2)))
-    assert spread.functions[0].step_masks == (FULL4,) * 3
-    # memoised per rgs
-    assert absorbed.family_for(Pattern((0, 0, 0))) is merged
+    assert spread[0].step_masks == (FULL4,) * 3
 
 
 @pytest.mark.parametrize("kind", CONSTRAINT_KINDS + ("mixed",))
@@ -254,7 +252,7 @@ def test_absorption_is_plan_equivalent(kind, seed):
     for plan in itertools.product(range(inst.n), repeat=inst.k):
         p = pattern_of(plan)
         via_cda = (pattern_eligible(p, absorbed.residual)
-                   and absorbed.family_for(p).authorises(plan))
+                   and authorises(absorbed.family_for(p), plan))
         assert via_cda == is_valid(plan, inst), (plan, inst)
 
 
@@ -292,7 +290,7 @@ def test_generic_absorber_matches_dedicated_semantics():
         k, n)
     ded = family_for_constraint(wl, Pattern((0, 1, 2)), k, n)
     for plan in itertools.product(range(n), repeat=k):
-        assert gen.authorises(plan) == ded.authorises(plan)
+        assert authorises(gen, plan) == authorises(ded, plan)
     ada = ADA(1, 2, frozenset({0}), frozenset({1, 2}))
     gen = generic_scope_family(
         (1, 2),
@@ -300,7 +298,7 @@ def test_generic_absorber_matches_dedicated_semantics():
         k, n)
     ded = family_for_constraint(ada, Pattern((0, 1, 2)), k, n)
     for plan in itertools.product(range(n), repeat=k):
-        assert gen.authorises(plan) == ded.authorises(plan)
+        assert authorises(gen, plan) == authorises(ded, plan)
 
 
 def test_generic_absorber_capacity():
@@ -315,7 +313,7 @@ def test_generic_absorber_member_count_is_satisfying_assignments():
     c = AtMost(1, (0, 1))
     fam = generic_scope_family(
         c.scope, lambda sigma: len(set(sigma)) <= 1, 2, 4)
-    assert fam.size == 4  # the four constant assignments
-    for fn in fam.functions:
+    assert len(fam) == 4  # the four constant assignments
+    for fn in fam:
         assert fn.step_masks[0] == fn.step_masks[1]
         assert bin(fn.step_masks[0]).count("1") == 1

@@ -171,8 +171,8 @@ def test_criterion_03_absorption_equivalence(capsys):
                     limit = {"sual": 1, "ada": 2}.get(
                         kind, len(c.teams) if isinstance(c, WL) else None)
                     for p in patterns:
-                        size = family_for_constraint(
-                            c, p, inst.k, inst.n).size
+                        size = len(family_for_constraint(
+                            c, p, inst.k, inst.n))
                         if limit is not None and size > limit:
                             failures.append(
                                 f"{kind}/{seed}: family size {size} at "
@@ -182,7 +182,8 @@ def test_criterion_03_absorption_equivalence(capsys):
                 for plan in authorised_product(inst):
                     p = pattern_of(plan)
                     rewritten = (pattern_eligible(p, absorbed.residual)
-                                 and absorbed.family_for(p).authorises(plan))
+                                 and any(is_authorised(plan, fn)
+                                         for fn in absorbed.family_for(p)))
                     if rewritten != verify(plan, inst):
                         mismatch += 1
                 if mismatch:

@@ -1,28 +1,31 @@
-"""The kernel benchmark script runs end to end and reports a speedup table.
+"""The benchmark's backend parity check, and the provenance of `_speed.c`.
 
-The script compares the compiled and pure kernel backends, so it needs the
-compiled one.  When the package under test was not built with it, the test
-runs the script against the copy of the package in which `conftest.py`
-compiled the committed, Cython-generated `_speed.c` for this session.
-Because the tests build from that C file, two more tests check that it was
+`perfbench/run.py` compares every solve of a pass against each other
+importable kernel backend.  The first test drives that path in process
+against the compiled kernel that `conftest.py` provides.  Because the tests
+build from the committed `_speed.c`, two more tests check that it was
 generated from the current `_speed.pyx`: one compares the `.pyx` lines the
 C file quotes, the other the `.pyx` against the SHA-256 committed beside the
 C file, which also covers the lines Cython does not quote.
 """
 
+import dataclasses
 import hashlib
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from conftest import COMPILED_BUILD_ERROR, COMPILED_MISSING, COMPILED_SRC, PACKAGE
+import wspkit.absorption
+import wspkit.core
+import wspkit.encode
+import wspkit.generator
+import wspkit.solver
+import wspkit._kernel
+from conftest import COMPILED_BUILD_ERROR, COMPILED_MISSING, PACKAGE
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-SCRIPT = REPO_ROOT / "benchmarks" / "kernel_benchmark.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SPEED_PYX = PACKAGE / "_kernel" / "_speed.pyx"
 SPEED_C = PACKAGE / "_kernel" / "_speed.c"
 SPEED_PYX_SHA256 = PACKAGE / "_kernel" / "_speed.pyx.sha256"
@@ -30,23 +33,32 @@ SPEED_PYX_SHA256 = PACKAGE / "_kernel" / "_speed.pyx.sha256"
 
 @pytest.mark.skipif(COMPILED_MISSING is not None,
                     reason=f"cannot build the compiled kernel: {COMPILED_MISSING}")
-def test_kernel_benchmark_compares_both_backends(tmp_path):
+def test_benchmark_parity_check_compares_both_backends(tmp_path, monkeypatch):
     assert COMPILED_BUILD_ERROR is None, COMPILED_BUILD_ERROR
-    env = dict(os.environ, WSPKIT_CACHE_DIR=str(tmp_path))
-    if COMPILED_SRC is not None:
-        env["PYTHONPATH"] = str(COMPILED_SRC)
-    res = subprocess.run(
-        [sys.executable, str(SCRIPT), "--k-list", "5,6", "--n-mult", "2",
-         "--seeds", "2", "--band-lo", "0.25", "--band-hi", "0.75"],
-        capture_output=True, text=True, env=env, timeout=120)
-    assert res.returncode == 0, res.stderr
-    lines = res.stdout.splitlines()
-    assert "pure_ms" in lines[0] and "compiled_ms" in lines[0]
-    medians = [line for line in lines if "median" in line]
-    assert len(medians) == 2  # one summary row per size
-    data = [line for line in lines[1:] if "median" not in line]
-    assert len(data) == 4  # sizes x seeds
-    assert all(line.rstrip().endswith("x") for line in data)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import run
+    import speed
+    import workloads
+
+    lib = SimpleNamespace(
+        core=wspkit.core, kernel=wspkit._kernel, absorption=wspkit.absorption,
+        solver=wspkit.solver, generator=wspkit.generator, encode=wspkit.encode)
+    wl = dataclasses.replace(workloads.WORKLOADS["search"], instances=60)
+    state = wl.setup(lib, 7, tmp_path, None, lambda: None)
+    untraced = wl.run_pass(lib, state, None, speed.RawClock())
+    assert untraced.errors == []
+    (other,) = {"pure", "compiled"} - {wspkit._kernel.BACKEND}
+
+    errors = []
+    status = run.check_parity(lib, wl, state, untraced, errors)
+    assert status == f"checked: {wspkit._kernel.BACKEND} against {other}"
+    assert errors == []
+
+    rec = untraced.solves[0]
+    patterns, nodes, matchings = rec.counters
+    rec.counters = (patterns, nodes + 1, matchings)
+    run.check_parity(lib, wl, state, untraced, errors)
+    assert len(errors) == 1 and errors[0].startswith("parity: solve 0 ")
 
 
 MARKER = re.compile(r'^\s*/\* "wspkit/_kernel/_speed\.pyx":(\d+)$')

@@ -142,6 +142,14 @@ def test_bruteforce_rejects_budget_flags(po_file, capsys):
     assert "bruteforce" in capsys.readouterr().err
 
 
+def test_pattern_enum_rejects_a_node_budget(po_file, capsys):
+    code = main(["solve", str(po_file), "--algorithm", "pattern-enum",
+                 "--max-nodes", "1"])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "--max-nodes" in err and "--max-patterns" in err
+
+
 def test_solve_plan_out_writes_a_verifiable_plan(po_file, tmp_path, capsys):
     plan_path = tmp_path / "plan.json"
     assert main(["solve", str(po_file), "--plan-out",
@@ -621,6 +629,17 @@ def test_bench_budget_column_reports_budget_verdicts(tmp_path, cache_env,
     rows = list(csv.reader(out.read_text().splitlines()))
     verdicts = {r[5] for r in rows[1:] if r[3] != "median"}
     assert verdicts <= {"sat", "unsat", "budget"}
+
+
+def test_bench_bruteforce_rejects_a_budget(tmp_path, cache_env, capsys):
+    """bench applies the same budget rules as solve, before it calibrates."""
+    out = tmp_path / "bench.csv"
+    code = main(["bench", "--k-list", "5", "--n-mult", "2", "--seeds", "1",
+                 "--algorithms", "backtrack,bruteforce", "--max-millis", "5",
+                 "--out", str(out)] + BAND)
+    assert code == EXIT_ERROR
+    assert "bruteforce" in capsys.readouterr().err
+    assert not out.exists() and not cache_env.exists()
 
 
 def test_bench_jobs_leaves_the_solves_alone(tmp_path, cache_env, capsys):

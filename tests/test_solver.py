@@ -1,5 +1,7 @@
 """Solver verdicts, counters, budgets, and cross-solver agreement."""
 
+import tracemalloc
+
 import pytest
 
 from conftest import (
@@ -16,7 +18,10 @@ from wspkit.core import (
     BoD,
     CapacityError,
     Instance,
+    InvariantError,
+    SUAL,
     SoD,
+    WL,
     WspError,
     is_valid,
 )
@@ -87,6 +92,33 @@ def test_pattern_enum_exhausts_before_unsat():
     res = solve_pattern_enum(inst)
     assert res.verdict is Verdict.UNSAT
     assert res.stats.patterns_visited == bell(4)
+
+
+def test_pattern_enum_holds_no_state_per_pattern():
+    """A full UNSAT enumeration of Bell(9) = 21,147 patterns (the two WLs
+    leave no family member) keeps nothing per pattern once it is visited."""
+    inst = Instance(9, 8, AuthorisationFunction.total(9, 8), (
+        SUAL((0, 1, 2, 3, 4), 1, frozenset({7})),
+        WL((0, 1), (frozenset({0}), frozenset({1}))),
+        WL((1, 2), (frozenset({2}), frozenset({3})))))
+    tracemalloc.start()
+    try:
+        res = solve_pattern_enum(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.verdict is Verdict.UNSAT
+    assert res.stats.patterns_visited == bell(9) == 21_147
+    assert peak < 1_000_000
+
+
+def test_pattern_enum_rejects_a_node_budget(po_instance):
+    """Pattern enumeration expands no nodes, so a node budget is an error
+    rather than silently ignored."""
+    with pytest.raises(InvariantError, match="max_nodes.*max_patterns"):
+        solve_pattern_enum(po_instance, Budget(max_nodes=1))
+    with pytest.raises(InvariantError, match="max_nodes"):
+        solve_pattern_enum(po_instance, Budget(max_millis=60_000, max_nodes=10**9))
 
 
 def test_backtracker_counters_on_unsat():
