@@ -2,13 +2,16 @@
 
 The kernel builds restricted-growth strings one step at a time (each step
 joins an existing block or opens a new one), prunes user-independent
-constraints structurally, and keeps an incrementally-repaired block/user
-matching per authorisation alternative.  The search is serial: one call
-walks the whole tree from the root.  Two interchangeable backends implement
-the same contract and return the same status, plan and counters on every
-call: the compiled extension (_speed, built from Cython), which repairs one
-matching per alternative, and the pure-Python one (_pure), which repairs one
-per class of alternatives that agree on every mask visited so far.
+constraints structurally, and keeps incrementally-repaired block/user
+matchings for the authorisation alternatives.  The search is serial: one
+call walks the whole tree from the root.  Two interchangeable backends
+implement the same contract and return the same status, plan and counters on
+every call: the compiled extension (_speed, built from Cython), which repairs
+one matching per alternative, and the pure-Python one (_pure), which repairs
+one per class of alternatives that agree on every mask visited so far.  The
+pure backend sorts the alternatives once by their masks, so each class is a
+range of that order, and splits a class only when the search first reaches
+it.
 Selection happens at import: the compiled backend when it is importable,
 the pure one otherwise.  `backend_run_search` fetches either by name.
 """

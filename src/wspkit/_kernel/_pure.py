@@ -6,11 +6,17 @@ call, which the parity tests check, but it shares the work that the compiled
 backend repeats per authorisation alternative ("combo"):
 
 - Combos with equal masks at depths 0..d-1 carry identical search state at
-  depth d, because that state is built from those masks alone.  Each such
-  prefix class is named by its least member, and a node repairs one matching
-  per alive class rather than one per combo.  A class whose matching can no
-  longer saturate the blocks is dead for its whole subtree, because masks
-  only shrink along a branch.
+  depth d, because that state is built from those masks alone.  The combos
+  are sorted once by their mask tuples, which makes each such prefix class a
+  contiguous range [lo, hi) of the sorted order.  A class is split into its
+  children at depth d, the runs of equal masks in column d, only when the
+  search first expands it there, and the split is kept for later visits.  A
+  node repairs one matching per alive class rather than one per combo.  A
+  class whose matching can no longer saturate the blocks is dead for its
+  whole subtree, because masks only shrink along a branch.
+- The sort is stable, so a full-depth class lists its identical combos in
+  index order, and the least alive combo, whose matching gives the plan, is
+  the first entry of one of them.
 - SoD, BoD, at-most and at-least constraints rule blocks out whatever the
   users, so a node computes its admissible blocks once, as a bitmask, and
   tries only those.
@@ -22,45 +28,13 @@ never mutates a row another depth can see, so backtracking needs no undo log.
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
+from operator import itemgetter
 from typing import Optional
 
 UNSAT, SAT, BUDGET = 0, 1, 2
 
 _TIME_CHECK_EVERY = 2048
-
-
-def _prefix_classes(combo_masks, k: int) -> list[dict[int, list[tuple[int, int]]]]:
-    """The prefix-class tree over the combos, in visit order.
-
-    A class at depth d holds the combos with equal masks at depths 0..d-1 and
-    is named by its least member; depth 0 has the one class 0.
-    `tree[d][name]` lists the class's children as (least member, mask at
-    depth d), in order of their least members' first appearance.
-    """
-    tree = []
-    classes = [list(range(len(combo_masks)))]
-    for d in range(k):
-        level = {}
-        split_classes = []
-        for members in classes:
-            first = members[0]
-            if len(members) == 1:
-                level[first] = [(first, combo_masks[first][d])]
-                split_classes.append(members)
-                continue
-            split: dict[int, list[int]] = {}
-            for c in members:
-                mask = combo_masks[c][d]
-                group = split.get(mask)
-                if group is None:
-                    split[mask] = [c]
-                else:
-                    group.append(c)
-            level[first] = [(group[0], mask) for mask, group in split.items()]
-            split_classes.extend(split.values())
-        classes = split_classes
-        tree.append(level)
-    return tree
 
 
 def run_search(
@@ -93,11 +67,19 @@ def run_search(
          for ci in count_at[d]]
         for d in range(k)]
 
-    tree = _prefix_classes(prob.combo_masks, k)
-    # alive[d]: the alive classes at depth d as (name, block masks, matching
-    # of blocks to users); the lists are shared between depths, never mutated
-    alive: list[list[tuple[int, list[int], list[int]]]] = \
-        [[(0, [], [])]] + [[] for _ in range(k)]
+    combo_masks = prob.combo_masks
+    # the combos stably sorted by mask tuple; a class is a range [lo, hi)
+    perm = sorted(range(m), key=combo_masks.__getitem__)
+    sorted_masks = [combo_masks[c] for c in perm]
+    # splits[d][lo]: the children of the depth-d class starting at lo, as
+    # (lo, hi, mask at depth d), split when the class is first expanded
+    splits: list[list[Optional[list[tuple[int, int, int]]]]] = \
+        [[None] * m for _ in range(k)]
+    # alive[d]: the alive classes at depth d as (lo, hi, block masks,
+    # matching of blocks to users); the lists are shared between depths,
+    # never mutated
+    alive: list[list[tuple[int, int, list[int], list[int]]]] = \
+        [[(0, m, [], [])]] + [[] for _ in range(k)]
     ccover = [[0] * len(counts)] + [[] for _ in range(k)]
     scover = [[0] * len(suals)] + [[] for _ in range(k)]
     sassigned = [[0] * len(suals)] + [[] for _ in range(k)]
@@ -140,6 +122,24 @@ def run_search(
                         if not augment(rows, mrow, bb, [0]):
                             return False
         return True
+
+    def split(d: int, lo: int, hi: int) -> list[tuple[int, int, int]]:
+        # The children of the class [lo, hi) at depth d: the runs of equal
+        # masks in column d, which is sorted there because the members
+        # agree on depths 0..d-1.
+        kids = []
+        start = lo
+        while start < hi:
+            mask = sorted_masks[start][d]
+            if sorted_masks[hi - 1][d] == mask:
+                end = hi  # the rest of the range is one run
+            else:
+                end = bisect_right(sorted_masks, mask, start, hi,
+                                   key=itemgetter(d))
+            kids.append((start, end, mask))
+            start = end
+        splits[d][lo] = kids
+        return kids
 
     def allowed(d: int, nb: int) -> int:
         """The blocks 0..nb, as a bitmask, that depth d's step may join
@@ -203,11 +203,11 @@ def run_search(
                     restricted.append(si)
         scover[d1], sassigned[d1] = srow, arow
 
-        level = tree[d]
+        level = splits[d]
         kids = []
-        for name, rows_p, mrow_p in alive[d]:
-            for child, step_mask in level[name]:
-                if opened:
+        if opened:
+            for lo, hi, rows_p, mrow_p in alive[d]:
+                for clo, chi, step_mask in level[lo] or split(d, lo, hi):
                     if step_mask == 0:
                         continue
                     rows = rows_p + [step_mask]
@@ -219,13 +219,21 @@ def run_search(
                         mrow = mrow_p + [-1]
                         if not augment(rows, mrow, nb, [0]):
                             continue
-                else:
+                    if restricted:
+                        rows, mrow = rows.copy(), mrow.copy()
+                        if not restrict(rows, mrow, restricted, srow):
+                            continue
+                    kids.append((clo, chi, rows, mrow))
+        else:
+            for lo, hi, rows_p, mrow_p in alive[d]:
+                row = rows_p[b]
+                for clo, chi, step_mask in level[lo] or split(d, lo, hi):
+                    newm = row & step_mask
+                    if newm == 0:
+                        continue
                     # lists are copied only where this child changes them
                     rows, mrow = rows_p, mrow_p
-                    newm = rows_p[b] & step_mask
-                    if newm != rows_p[b]:
-                        if newm == 0:
-                            continue
+                    if newm != row:
                         rows = rows_p.copy()
                         rows[b] = newm
                         if not (newm >> mrow_p[b]) & 1:
@@ -233,19 +241,19 @@ def run_search(
                             mrow[b] = -1
                             if not augment(rows, mrow, b, [0]):
                                 continue
-                if restricted:
-                    rows, mrow = rows.copy(), mrow.copy()
-                    if not restrict(rows, mrow, restricted, srow):
-                        continue
-                kids.append((child, rows, mrow))
+                    if restricted:
+                        rows, mrow = rows.copy(), mrow.copy()
+                        if not restrict(rows, mrow, restricted, srow):
+                            continue
+                    kids.append((clo, chi, rows, mrow))
         if not kids:
             return -1
         alive[d1] = kids
         return nb2
 
     def extract_plan(d: int) -> list[int]:
-        # the least alive class holds the least alive combo
-        mrow = min(alive[d])[2]
+        # a full-depth class's first entry is its least combo
+        mrow = min(alive[d], key=lambda entry: perm[entry[0]])[3]
         stats["matchings"] += 1
         plan = [0] * k
         for e in range(k):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .core import (
     ADA,
@@ -248,43 +248,3 @@ def branching_bound(c: Constraint, k: int, n: int) -> BranchingReport:
         user_bound=(k + 1) ** users_t,
     )
 
-
-def generic_scope_family(
-    scope: Sequence[int],
-    predicate: Callable[[tuple[int, ...]], bool],
-    k: int,
-    n: int,
-    max_assignments: int = 65536,
-) -> tuple[AuthorisationFunction, ...]:
-    """Fallback absorber for an arbitrary constraint over a step scope.
-
-    Enumerates all user assignments to the scope, keeps the satisfying ones,
-    and emits one family member per survivor (the member pins each scope step
-    to that assignment's user and leaves other steps unrestricted).  Works
-    for any predicate but costs n^|scope| assignments, so it refuses scopes
-    whose enumeration exceeds `max_assignments`.
-    """
-    steps = tuple(scope)
-    if len(set(steps)) != len(steps):
-        raise InvariantError("generic absorber: scope has repeated steps")
-    total = n ** len(steps)
-    if total > max_assignments:
-        raise CapacityError(
-            f"generic absorber would enumerate n^|scope| = {total} assignments, "
-            f"above max_assignments={max_assignments}")
-    full = (1 << n) - 1
-    members = []
-    for idx in range(total):
-        assignment = []
-        rest = idx
-        for _ in steps:
-            assignment.append(rest % n)
-            rest //= n
-        sigma = tuple(assignment)
-        if not predicate(sigma):
-            continue
-        masks = [full] * k
-        for s, u in zip(steps, sigma):
-            masks[s] = 1 << u
-        members.append(AuthorisationFunction(n, tuple(masks)))
-    return tuple(members)

@@ -204,7 +204,9 @@ def solve_backtracking(
     max_family_size: int = 4096,
 ) -> SolveResult:
     """Depth-first search over pattern prefixes with structural pruning and
-    one incrementally-maintained matching per authorisation alternative.
+    incrementally-maintained block/user matchings: the compiled kernel keeps
+    one per authorisation alternative, the pure one one per class of
+    alternatives that agree on the masks visited so far.
 
     The search is serial and deterministic: the same instance and node or
     pattern budget give the same verdict, plan and counters on every run.

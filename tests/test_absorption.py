@@ -8,7 +8,6 @@ import pytest
 from conftest import CONSTRAINT_KINDS, disjoint_wl_instance, random_instance
 from wspkit.core import (
     ADA,
-    AtMost,
     AuthorisationFunction,
     CapacityError,
     Instance,
@@ -23,7 +22,6 @@ from wspkit.absorption import (
     absorb,
     branching_bound,
     family_for_constraint,
-    generic_scope_family,
     intersect_families,
     plan_authorised_cda,
     sual_restricts,
@@ -279,41 +277,3 @@ def test_branching_bounds_per_kind():
     assert rep.scope_bound == n ** 2
     assert rep.user_bound == (k + 1) ** 3
     assert rep.bound <= min(rep.scope_bound, rep.user_bound)
-
-
-def test_generic_absorber_matches_dedicated_semantics():
-    k, n = 3, 3
-    wl = WL((0, 2), (frozenset({0, 1}), frozenset({2})))
-    gen = generic_scope_family(
-        wl.scope,
-        lambda sigma: any(set(sigma) <= team for team in wl.teams),
-        k, n)
-    ded = family_for_constraint(wl, Pattern((0, 1, 2)), k, n)
-    for plan in itertools.product(range(n), repeat=k):
-        assert authorises(gen, plan) == authorises(ded, plan)
-    ada = ADA(1, 2, frozenset({0}), frozenset({1, 2}))
-    gen = generic_scope_family(
-        (1, 2),
-        lambda sigma: sigma[1] in ada.required if sigma[0] in ada.trigger else True,
-        k, n)
-    ded = family_for_constraint(ada, Pattern((0, 1, 2)), k, n)
-    for plan in itertools.product(range(n), repeat=k):
-        assert authorises(gen, plan) == authorises(ded, plan)
-
-
-def test_generic_absorber_capacity():
-    with pytest.raises(CapacityError):
-        generic_scope_family((0, 1, 2), lambda sigma: True, 3, 50,
-                             max_assignments=1000)
-    with pytest.raises(InvariantError):
-        generic_scope_family((0, 0), lambda sigma: True, 2, 2)
-
-
-def test_generic_absorber_member_count_is_satisfying_assignments():
-    c = AtMost(1, (0, 1))
-    fam = generic_scope_family(
-        c.scope, lambda sigma: len(set(sigma)) <= 1, 2, 4)
-    assert len(fam) == 4  # the four constant assignments
-    for fn in fam:
-        assert fn.step_masks[0] == fn.step_masks[1]
-        assert bin(fn.step_masks[0]).count("1") == 1

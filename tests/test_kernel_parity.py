@@ -32,12 +32,21 @@ from wspkit._kernel import (
     backend_run_search,
 )
 from wspkit.absorption import absorb
+from wspkit.generator import GenSpec, derive_seed, generate
 from wspkit.solver import Verdict, solve_backtracking
 
 needs_compiled = pytest.mark.skipif(COMPILED_MISSING is not None,
                                     reason="compiled kernel not built")
 
 ALL_MIXES = CONSTRAINT_KINDS + ("mixed",)
+
+# The generator shapes of the benchmark's `alternatives` and `export`
+# workloads: up to hundreds of WL/ADA alternatives per draw, and n > 64, so
+# every user mask spans two machine words.
+BENCH_SHAPES = {
+    "alternatives": dict(k=8, n=80, am3=8, sod=10, ada=8, wl=2),
+    "export": dict(k=10, n=80, am3=10, sod=7, sual=1, wl=2, ada=2),
+}
 
 
 def compile_problem(inst):
@@ -123,6 +132,25 @@ def test_backends_return_the_same_plan(po_instance):
             b.stats.matchings_computed)
 
 
+def assert_draw_parity(spec):
+    """Parity on one generated draw, unlimited and under a node budget that
+    stops the search halfway through its tree."""
+    prob = compile_problem(generate(spec))
+    if prob is None:
+        return
+    pure, comp = run_both(prob)
+    assert pure == comp, spec
+    capped, comp = run_both(prob, max_nodes=pure[3] // 2)
+    assert capped == comp, spec
+
+
+@needs_compiled
+@pytest.mark.parametrize("shape", sorted(BENCH_SHAPES))
+@pytest.mark.parametrize("seed", range(10))
+def test_benchmark_shaped_draw_parity(shape, seed):
+    assert_draw_parity(GenSpec(seed=derive_seed(seed), **BENCH_SHAPES[shape]))
+
+
 # --- hand-built problems: shapes of prefix classes that absorb rarely yields --
 
 
@@ -175,6 +203,34 @@ def test_combos_split_at_the_last_depth_parity():
                         4, sod=[(0, 1)])
     status, plan, *_ = assert_parity_under_every_budget(prob)
     assert (status, plan) == (_kernel.SAT, [1, 3])
+
+
+@needs_compiled
+def test_plan_is_the_least_alive_combo_not_the_least_masks_parity():
+    # combo 1 has the smaller masks, so it sorts first; the plan is still
+    # combo 0's
+    prob = hand_problem([(0b10,), (0b01,)], 2)
+    status, plan, *_ = assert_parity_under_every_budget(prob)
+    assert (status, plan) == (_kernel.SAT, [1])
+    # sorted order 1, 2, 0: combos 2 and 0 share a class until depth 1,
+    # where combo 2 sorts first, yet all three survive and combo 0 names
+    # the plan
+    prob = hand_problem([(0b100, 0b011), (0b001, 0b110), (0b100, 0b010)], 3,
+                        sod=[(0, 1)])
+    status, plan, *_ = assert_parity_under_every_budget(prob)
+    assert (status, plan) == (_kernel.SAT, [2, 0])
+
+
+@needs_compiled
+def test_class_split_reused_at_a_second_node_parity():
+    # Combos 0 and 1 share a class at depth 1, which is split there first
+    # when step 1 joins step 0's block: only combo 1 survives, and SoD(0, 2)
+    # then kills it.  The same split serves the next node, where step 1
+    # opens a block and both survive; the plan is combo 0's, the least.
+    prob = hand_problem([(0b011, 0b100, 0b110), (0b011, 0b001, 0b001)], 3,
+                        sod=[(0, 2)])
+    status, plan, _, nodes, _ = assert_parity_under_every_budget(prob)
+    assert (status, plan, nodes) == (_kernel.SAT, [0, 2, 2], 5)
 
 
 @needs_compiled
@@ -234,14 +290,34 @@ def random_hand_problem(seed):
                         counts=counts, suals=suals)
 
 
-@needs_compiled
-@pytest.mark.parametrize("seed", range(40))
-def test_random_hand_built_problem_parity(seed):
+def assert_random_hand_problem_parity(seed):
     prob = random_hand_problem(seed)
     assert_parity_under_every_budget(prob)
     for cap in (0, 1, 2):
         pure, comp = run_both(prob, max_patterns=cap)
-        assert pure == comp, cap
+        assert pure == comp, (seed, cap)
+
+
+@needs_compiled
+@pytest.mark.parametrize("seed", range(40))
+def test_random_hand_built_problem_parity(seed):
+    assert_random_hand_problem_parity(seed)
+
+
+@pytest.mark.sweep
+@needs_compiled
+def test_random_hand_built_problem_sweep():
+    for seed in range(10_000):
+        assert_random_hand_problem_parity(seed)
+
+
+@pytest.mark.sweep
+@needs_compiled
+def test_alternatives_workload_sweep():
+    # the 600 draws of perfbench's `alternatives` workload at --seed 81
+    for i in range(600):
+        assert_draw_parity(GenSpec(seed=derive_seed(81, 2, i),
+                                   **BENCH_SHAPES["alternatives"]))
 
 
 def test_backend_selection_errors():
