@@ -16,7 +16,13 @@ size.  Constraint shapes are fixed:
 
 `calibrate_pt` locates the constraint count at which roughly half the drawn
 instances are satisfiable: the hardest regime, where instances sit on the
-boundary between satisfiable and unsatisfiable.  `make_family` builds the two
+boundary between satisfiable and unsatisfiable.  A calibration draws each
+sample once: the authorisation and every constraint kind are drawn in the
+order above, so the instance at any count of the varied kind is a prefix of
+one list of that kind's constraints plus the kinds drawn after it, and equals
+what `generate` gives for that count.  While one call runs, each sample
+keeps the constraints of the largest count probed, at most the cap
+k(k-1)/2 on top of the base count.  `make_family` builds the two
 standard benchmark families around that point:
 
   family "sod":           k am3 + e sod             (e calibrated)
@@ -30,15 +36,16 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import (
     ADA,
     AtMost,
     AuthorisationFunction,
+    Constraint,
     Instance,
     InvariantError,
     SoD,
@@ -97,10 +104,17 @@ class SplitMix64:
         """Uniform integer in [0, bound), by rejection on the high bits."""
         if bound <= 0:
             raise InvariantError(f"below: bound must be positive, got {bound}")
-        bits = max(1, (bound - 1).bit_length())
+        shift = 64 - max(1, (bound - 1).bit_length())
+        state = self.state
         while True:
-            value = self.next64() >> (64 - bits)
+            # next64 with the _mix64 finaliser inlined: this is the
+            # generator's innermost loop
+            state = (state + GOLDEN) & MASK64
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+            value = (z ^ (z >> 31)) >> shift
             if value < bound:
+                self.state = state
                 return value
 
     def subset(self, m: int, size: int) -> list[int]:
@@ -108,9 +122,10 @@ class SplitMix64:
         partial Fisher-Yates shuffle."""
         if size > m:
             raise InvariantError(f"subset: cannot draw {size} of {m}")
+        below = self.below
         pool = list(range(m))
         for i in range(size):
-            j = i + self.below(m - i)
+            j = i + below(m - i)
             pool[i], pool[j] = pool[j], pool[i]
         return pool[:size]
 
@@ -187,58 +202,82 @@ def _check_shape_preconditions(spec: GenSpec) -> None:
             f"got n={spec.n}")
 
 
-def _draw_instance(spec: GenSpec, rng: SplitMix64) -> Optional[Instance]:
-    """One draw; None when some step ends up with no authorised user."""
-    k, n = spec.k, spec.n
+def _draw_authorisation(k: int, n: int,
+                        seed: int) -> tuple[AuthorisationFunction, int, int]:
+    """The authorisation drawn under `seed`, the RNG state after it, and the
+    number of attempts it took.  An attempt that leaves some step with no
+    authorised user is retried under the next sub-seed."""
     top = max(1, k // 2)
-    step_users: list[list[int]] = [[] for _ in range(k)]
-    for u in range(n):
-        size = 1 + rng.below(top)
-        for s in rng.subset(k, size):
-            step_users[s].append(u)
-    if any(not users for users in step_users):
-        return None
-    auth = AuthorisationFunction.from_lists(step_users, n)
+    for attempt in range(MAX_DRAW_ATTEMPTS):
+        rng = SplitMix64(derive_seed(seed, attempt))
+        below, subset = rng.below, rng.subset
+        step_users: list[list[int]] = [[] for _ in range(k)]
+        for u in range(n):
+            for s in subset(k, 1 + below(top)):
+                step_users[s].append(u)
+        if all(step_users):
+            auth = AuthorisationFunction.from_lists(step_users, n)
+            return auth, rng.state, attempt + 1
+    raise WspError(
+        f"generate: no draw authorised every step after {MAX_DRAW_ATTEMPTS} "
+        f"attempts (k={k}, n={n})")
 
-    constraints = []
-    for _ in range(spec.sod):
-        a, b = rng.subset(k, 2)
-        constraints.append(SoD(min(a, b), max(a, b)))
-    for _ in range(spec.am3):
-        constraints.append(AtMost(3, tuple(rng.subset(k, 5))))
-    for _ in range(spec.sual):
-        scope = tuple(rng.subset(k, 5))
-        constraints.append(SUAL(scope, 3, frozenset(rng.subset(n, 5))))
-    team = spec.n // 4
-    for _ in range(spec.wl):
-        scope = tuple(rng.subset(k, 2))
-        sample = rng.subset(n, 2 * team)
-        constraints.append(WL(scope, (frozenset(sample[:team]),
-                                      frozenset(sample[team:]))))
-    half = spec.n // 2
-    for _ in range(spec.ada):
-        s1, s2 = rng.subset(k, 2)
-        constraints.append(ADA(s1, s2, frozenset(rng.subset(n, half)),
-                               frozenset(rng.subset(n, half))))
-    return Instance(k, n, auth, tuple(constraints))
+
+def _draw_sod(rng: SplitMix64, k: int, n: int) -> Constraint:
+    a, b = rng.subset(k, 2)
+    return SoD(min(a, b), max(a, b))
+
+
+def _draw_am3(rng: SplitMix64, k: int, n: int) -> Constraint:
+    return AtMost(3, tuple(rng.subset(k, 5)))
+
+
+def _draw_sual(rng: SplitMix64, k: int, n: int) -> Constraint:
+    scope = tuple(rng.subset(k, 5))
+    return SUAL(scope, 3, frozenset(rng.subset(n, 5)))
+
+
+def _draw_wl(rng: SplitMix64, k: int, n: int) -> Constraint:
+    team = n // 4
+    scope = tuple(rng.subset(k, 2))
+    sample = rng.subset(n, 2 * team)
+    return WL(scope, (frozenset(sample[:team]), frozenset(sample[team:])))
+
+
+def _draw_ada(rng: SplitMix64, k: int, n: int) -> Constraint:
+    half = n // 2
+    s1, s2 = rng.subset(k, 2)
+    return ADA(s1, s2, frozenset(rng.subset(n, half)),
+               frozenset(rng.subset(n, half)))
+
+
+# one constraint of each kind; kinds are drawn in FAMILY_KINDS order, each
+# continuing the stream the authorisation left off
+_DRAWERS = {"sod": _draw_sod, "am3": _draw_am3, "sual": _draw_sual,
+            "wl": _draw_wl, "ada": _draw_ada}
+
+
+def _draw_kinds(rng: SplitMix64, spec: GenSpec,
+                kinds: Sequence[str]) -> list[Constraint]:
+    """The constraints of `kinds`, in order, as many of each as `spec`
+    asks for."""
+    k, n = spec.k, spec.n
+    return [_DRAWERS[kind](rng, k, n)
+            for kind in kinds for _ in range(getattr(spec, kind))]
 
 
 def generate_with_meta(spec: GenSpec) -> tuple[Instance, dict]:
     """Draw the instance a GenSpec determines, plus draw metadata (the
     number of attempts it took to authorise every step)."""
     _check_shape_preconditions(spec)
-    for attempt in range(MAX_DRAW_ATTEMPTS):
-        rng = SplitMix64(derive_seed(spec.seed, attempt))
-        inst = _draw_instance(spec, rng)
-        if inst is not None:
-            return inst, {
-                "seed": spec.seed,
-                "attempts": attempt + 1,
-                "version": GENERATOR_VERSION,
-            }
-    raise WspError(
-        f"generate: no draw authorised every step after {MAX_DRAW_ATTEMPTS} "
-        f"attempts (k={spec.k}, n={spec.n})")
+    auth, state, attempts = _draw_authorisation(spec.k, spec.n, spec.seed)
+    constraints = _draw_kinds(SplitMix64(state), spec, FAMILY_KINDS)
+    inst = Instance(spec.k, spec.n, auth, tuple(constraints))
+    return inst, {
+        "seed": spec.seed,
+        "attempts": attempts,
+        "version": GENERATOR_VERSION,
+    }
 
 
 def generate(spec: GenSpec) -> Instance:
@@ -249,26 +288,57 @@ def generate(spec: GenSpec) -> Instance:
 # --- satisfiability-rate calibration ----------------------------------------------
 
 
-def _spec_is_sat(spec: GenSpec) -> bool:
+def _is_sat(inst: Instance) -> bool:
+    # solve_backtracking is looked up on every call, so a wrapper installed
+    # on wspkit.solver sees each calibration solve
     from .solver import Verdict, solve_backtracking
 
-    return solve_backtracking(generate(spec)).verdict is Verdict.SAT
+    return solve_backtracking(inst).verdict is Verdict.SAT
 
 
-def _measure_rate(base: GenSpec, vary: str, count: int, samples: int,
-                  jobs: int) -> float:
-    """SAT rate over `samples` seeded draws with `count` extra `vary`
-    constraints.  Sample seeds depend only on (base.seed, index), so rates at
-    different counts share their random draws."""
-    spec = replace(base, **{vary: getattr(base, vary) + count})
-    specs = [replace(spec, seed=derive_seed(base.seed, i))
-             for i in range(samples)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            hits = sum(pool.map(_spec_is_sat, specs, chunksize=4))
-    else:
-        hits = sum(_spec_is_sat(s) for s in specs)
-    return hits / samples
+class _Sample:
+    """One calibration sample, `generate(replace(base, seed=derive_seed(
+    base.seed, index)))` with a varying count of the `vary` kind, drawn once
+    for every count.
+
+    It keeps the authorisation, the constraints of the kinds drawn before
+    `vary`, and the `vary` constraints drawn so far with the RNG state after
+    each, so the instance at a count is a prefix of that list plus the kinds
+    drawn after `vary`, redrawn from the state where the prefix ends.
+    Nothing is drawn until the first instance is asked for.
+    """
+
+    def __init__(self, base: GenSpec, vary: str, index: int) -> None:
+        cut = FAMILY_KINDS.index(vary)
+        self.base = base
+        self.vary = vary
+        self.seed = derive_seed(base.seed, index)
+        self.kinds_before = FAMILY_KINDS[:cut]
+        self.kinds_after = FAMILY_KINDS[cut + 1:]
+        self.auth: Optional[AuthorisationFunction] = None
+        self.before: list[Constraint] = []
+        self.varied: list[Constraint] = []
+        self.states: list[int] = []   # states[i]: after varied[:i]
+
+    def instance(self, count: int) -> Instance:
+        """The instance with `count` `vary` constraints on top of the base's;
+        the spec at that count must already have passed its shape checks."""
+        base, vary = self.base, self.vary
+        if self.auth is None:
+            self.auth, state, _ = _draw_authorisation(base.k, base.n,
+                                                      self.seed)
+            rng = SplitMix64(state)
+            self.before = _draw_kinds(rng, base, self.kinds_before)
+            self.states.append(rng.state)
+        total = getattr(base, vary) + count
+        rng = SplitMix64(self.states[-1])
+        while len(self.varied) < total:
+            self.varied.append(_DRAWERS[vary](rng, base.k, base.n))
+            self.states.append(rng.state)
+        after = _draw_kinds(SplitMix64(self.states[total]), base,
+                            self.kinds_after)
+        return Instance(base.k, base.n, self.auth,
+                        (*self.before, *self.varied[:total], *after))
 
 
 def calibrate_pt(k: int, n: int, base: GenSpec, samples: int = 40,
@@ -282,6 +352,13 @@ def calibrate_pt(k: int, n: int, base: GenSpec, samples: int = 40,
     sampling noise can dent it.  The returned count's rate is always
     re-checked against the band, so a noisy bisection fails loudly rather
     than returning an out-of-band count.
+
+    Sample i is `generate(replace(base, seed=derive_seed(base.seed, i)))`
+    at each probed count, drawn once per call: its authorisation and the
+    constraints of the varied kind are shared by every count, so each
+    sample keeps the constraints of the largest count probed (up to the cap
+    k(k-1)/2) until the call returns.  With `jobs > 1` one process pool
+    serves the whole call and its workers receive instances.
     """
     lo, hi = band
     if samples < 20:
@@ -300,12 +377,34 @@ def calibrate_pt(k: int, n: int, base: GenSpec, samples: int = 40,
         raise InvariantError(
             "calibrate: base spec already fixes the sod count")
 
-    cap = k * (k - 1) // 2
+    if jobs > 1:
+        # imported here: the pool machinery costs every `import wspkit`
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return _bisect(base, vary, samples, band,
+                           partial(pool.map, _is_sat, chunksize=4))
+    return _bisect(base, vary, samples, band, partial(map, _is_sat))
+
+
+def _bisect(base: GenSpec, vary: str, samples: int,
+            band: tuple[float, float],
+            is_sat: Callable[[Iterable[Instance]], Iterable[bool]]
+            ) -> PTCalibration:
+    """The bisection of `calibrate_pt`; `is_sat` maps instances to their
+    verdicts, serially or on a process pool."""
+    lo, hi = band
+    draws = [_Sample(base, vary, i) for i in range(samples)]
     rates: dict[int, float] = {}
 
     def rate(count: int) -> float:
         if count not in rates:
-            rates[count] = _measure_rate(base, vary, count, samples, jobs)
+            # the spec at this count, checked before any sample is drawn
+            # for it, so a bad count raises before its first solve
+            _check_shape_preconditions(
+                replace(base, **{vary: getattr(base, vary) + count}))
+            hits = sum(is_sat(d.instance(count) for d in draws))
+            rates[count] = hits / samples
         return rates[count]
 
     if rate(0) < lo:
@@ -314,6 +413,7 @@ def calibrate_pt(k: int, n: int, base: GenSpec, samples: int = 40,
             f"below the band [{lo}, {hi}]")
     if rate(0) <= hi:
         return PTCalibration(0, rate(0), samples)
+    cap = base.k * (base.k - 1) // 2
     if rate(cap) > hi:
         raise CalibrationError(
             f"calibrate: rate stays above the band [{lo}, {hi}]: "

@@ -6,12 +6,18 @@ distribution checks compare against the analytic values of the documented
 sampling scheme.
 """
 
+import hashlib
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
 
 import pytest
 
+from wspkit import cli
 from wspkit.core import ADA, AtMost, InvariantError, SoD, SUAL, WL, WspError
 from wspkit.generator import (
     CalibrationError,
@@ -29,7 +35,7 @@ from wspkit.generator import (
     make_family,
     save_calibration,
 )
-from wspkit.generator import _measure_rate, _round_three_quarters
+from wspkit.generator import _Sample, _round_three_quarters
 from wspkit.solver import Verdict, solve_backtracking
 
 BAND = (0.25, 0.75)  # wide band so tiny test sizes calibrate reliably
@@ -187,11 +193,101 @@ def test_authorisation_size_distribution():
         assert abs(len(inst.auth.users(s)) - n * p) <= 3 * sigma
 
 
+# --- golden draws -----------------------------------------------------------------
+
+# SHA-256 of the JSON document of `generate(spec)` and the attempts it took,
+# pinned so that any change to the draw code that alters a single bit of an
+# instance fails here.  The specs cover every kind alone and mixed, n in
+# {7, 80, 120}, the benchmark shapes, and draws that need retries.
+GOLDEN_DRAWS = [
+    (GenSpec(k=1, n=7, seed=3), 1,
+     "ef79a9f72a07d14460e9c82fafd4aee49ed335abced84bd841b0c3155d3ca06c"),
+    (GenSpec(k=2, n=7, sod=1, seed=1), 1,
+     "c156b5633319e8b8aa8cbe55f21abad2c373bf3d6957c6c5c016d3abe848e460"),
+    (GenSpec(k=5, n=7, sod=3, seed=0), 1,
+     "f95c05fa572f89fb1b8eae6344ee508bf376849e5abfc57a5f4e591bcee6062d"),
+    (GenSpec(k=5, n=7, am3=2, seed=1), 1,
+     "0538860f03712fc139eee9f09a78a2031638326868022dd7211f1e272f041384"),
+    (GenSpec(k=5, n=7, sual=2, seed=2), 1,
+     "23848dc491d6580d1526e70639daf8861aac53fc28bb2aebbc167c339f289e17"),
+    (GenSpec(k=5, n=7, wl=2, seed=3), 3,
+     "7dd92a647dd7b693107c96f8bbffa72944c8382c5b934bac86c91c2262d97cdf"),
+    (GenSpec(k=5, n=7, ada=2, seed=4), 1,
+     "62db9267ac97df7d4aa4e4d07933fa5339feb07b80e349fa03ede6a5ef161b65"),
+    (GenSpec(k=6, n=7, sod=2, am3=1, sual=1, wl=1, ada=1, seed=5), 1,
+     "2834eb4caa90cba32e2ba7e216662cec884506f58e4ab8e871471ab9d320899c"),
+    (GenSpec(k=7, n=7, sod=4, am3=7, seed=6), 1,
+     "48f19dbb1b6f649b79973c0ec13feaa60996983bf702a8170ca6c140a324036e"),
+    (GenSpec(k=8, n=80, sod=5, seed=7), 1,
+     "9f4bd6dc3cd42c03dd2332eca34683dc365c8dc8f328c5c0ad56d3ecc99cc65f"),
+    (GenSpec(k=8, n=80, am3=3, seed=8), 1,
+     "8f302e5dc4df8b9b0b28fec099a04df0b1bdb8d92e233aae82426fc248a372f8"),
+    (GenSpec(k=8, n=80, sual=3, seed=9), 1,
+     "06f028528f6495180f46225a44ca669d2571fc9480b242f93aec6f78628aeddb"),
+    (GenSpec(k=8, n=80, wl=3, seed=10), 1,
+     "07849e29f91c1ba4d53659a6d4b1ff99c43164674b790f8bbcc50173235b7b15"),
+    (GenSpec(k=8, n=80, ada=3, seed=11), 1,
+     "1b461b00e3ec5f3ebc80ca09e6e439d6ef455ceca02f127b1aeb5ca03fd092ce"),
+    (GenSpec(k=8, n=80, sod=10, am3=8, wl=2, ada=8, seed=12), 1,
+     "5430bcc4af3eebdbd784c2cc3ee6531273bc14a56a0e32eacc308a0635c76ed5"),
+    (GenSpec(k=10, n=80, sod=7, am3=10, sual=1, wl=2, ada=2, seed=13), 1,
+     "eb247575a8fcc15d44834867447029a3492411ea414e293e1b8f4fb7d6b53d25"),
+    (GenSpec(k=10, n=80, sod=7, am3=10, sual=1, wl=2, ada=2,
+             seed=0x243F6A8885A308D3), 1,
+     "ae8fb42c5f8e82e9977b658b59961dd9d022f1f934b319251642f1fd607af75a"),
+    (GenSpec(k=12, n=120, sod=26, am3=12, seed=14), 1,
+     "49997caa271c097ca8f88478fae2adf3d0f29c97c0217d31ffab24d04098f43b"),
+    (GenSpec(k=12, n=120, sod=19, am3=12, wl=3, seed=15), 1,
+     "444921a703b2cbee617fcf58e69088f7ade2ee1ade0d969d50267b852d91eac1"),
+    (GenSpec(k=12, n=120, sod=66, am3=12, seed=16), 1,
+     "2e9871b987c515bb6a679b03b1e6555694be5c3d61da2a659d80ac679a82fa21"),
+    (GenSpec(k=12, n=120, sod=19, am3=12, wl=66, seed=17), 1,
+     "643f58a87f995204a8e2081e9530fe28d39932cec8d7e0af3a44bec148ed28bf"),
+    (GenSpec(k=12, n=120, sod=19, am3=12, ada=20, seed=18), 1,
+     "57c7f5f132fa5602daa9bb38faedca4ae683ab1f29643c0ed929391a4ce4a0da"),
+    (GenSpec(k=12, n=120, sod=19, am3=12, sual=10, seed=19), 1,
+     "2aab3ceeadac07c41927e1d768db076e2984f3187d6268d0a1b71f24a3d246cb"),
+    (GenSpec(k=12, n=120, am3=30, seed=20), 1,
+     "cb74621f2033d5ac373bfc64634bdb98830db2e73f4b86a65af78ec50019f97f"),
+    (GenSpec(k=12, n=120, sod=1, am3=1, sual=1, wl=1, ada=1, seed=21), 1,
+     "f4a98f740dc8ed469d5b4005330e0584c7e3337e295f959af66f055b23544ac0"),
+    (GenSpec(k=16, n=120, sod=35, am3=16, seed=22), 1,
+     "090f96a7715214858d096563c398126d6461641b34e5b2240041d2d3216a9f8e"),
+    (GenSpec(k=5, n=3, seed=0), 11,
+     "08ca1e8add41f5d800ffa65764aca6ed22adeae1850251688978c9ad76938b88"),
+    (GenSpec(k=5, n=3, sod=2, seed=1), 3,
+     "db9b9361a660c3d890a0858b9d7ba0158c889a91b23e0ad7721a45117374e3f3"),
+    (GenSpec(k=6, n=4, sod=2, wl=1, ada=1, seed=2), 18,
+     "bd3ace5ab045161d76342e564c45b0a8fb531cfebf9abe974498ca74e2c3f8df"),
+    (GenSpec(k=9, n=5, am3=2, sual=1, seed=3), 8,
+     "5d38bb6b6823abed5a32010192a7ab524b8afae4a84b64ee6b4af1cbc5547de0"),
+]
+
+
+@pytest.mark.parametrize("spec, attempts, digest", GOLDEN_DRAWS)
+def test_draws_match_golden_digests(spec, attempts, digest):
+    inst, meta = generate_with_meta(spec)
+    text = cli.dump_json(cli.instance_to_doc(inst))
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+    assert meta["attempts"] == attempts
+
+
 # --- calibration -------------------------------------------------------------------
 
 
 def base_spec(k=5, n=8):
     return GenSpec(k=k, n=n, am3=k, seed=derive_seed(k, n))
+
+
+def sat_rate(base, vary, count, samples):
+    """The SAT rate calibration measures at `count`, from its definition:
+    `samples` draws with seeds derived from (base.seed, index)."""
+    spec = replace(base, **{vary: getattr(base, vary) + count})
+    hits = sum(
+        solve_backtracking(generate(replace(spec, seed=derive_seed(
+            base.seed, i)))).verdict is Verdict.SAT
+        for i in range(samples))
+    return hits / samples
 
 
 def test_calibrate_argument_validation():
@@ -219,7 +315,7 @@ def test_calibrate_finds_the_transition():
     cal = calibrate_pt(5, 8, base_spec(), samples=40, band=BAND)
     assert cal == PTCalibration(e_value=2, sat_rate=0.7, samples=40)
     # measured fresh, the calibrated family really straddles the transition
-    rate = _measure_rate(base_spec(), "sod", cal.e_value, 40, 1)
+    rate = sat_rate(base_spec(), "sod", cal.e_value, 40)
     assert BAND[0] <= rate <= BAND[1]
 
 
@@ -231,7 +327,7 @@ def test_calibrate_returns_zero_when_unconstrained_rate_is_in_band():
 
 def test_calibrate_rate_is_monotone_under_common_seeds():
     base = base_spec()
-    rates = [_measure_rate(base, "sod", e, 40, 1) for e in (0, 2, 6, 10)]
+    rates = [sat_rate(base, "sod", e, 40) for e in (0, 2, 6, 10)]
     assert rates == sorted(rates, reverse=True)
 
 
@@ -256,8 +352,51 @@ def test_calibrate_error_rate_cliff():
 
 def test_parallel_rate_estimate_matches_serial():
     base = base_spec()
-    assert _measure_rate(base, "sod", 2, 20, 2) == \
-        _measure_rate(base, "sod", 2, 20, 1)
+    assert calibrate_pt(5, 8, base, samples=20, band=BAND, jobs=2) == \
+        calibrate_pt(5, 8, base, samples=20, band=BAND, jobs=1)
+
+
+# per varied kind: a base spec with constraints drawn before and after it
+EQUIVALENCE_BASES = {
+    "sod": GenSpec(k=6, n=12, am3=2, sual=1, wl=1, ada=1, seed=5),
+    "am3": GenSpec(k=6, n=12, sod=2, am3=1, sual=1, wl=1, ada=1, seed=6),
+    "sual": GenSpec(k=6, n=12, sod=2, am3=1, wl=1, ada=1, seed=7),
+    "wl": GenSpec(k=6, n=12, sod=2, am3=1, sual=1, ada=1, seed=8),
+    "ada": GenSpec(k=6, n=12, sod=2, am3=1, sual=1, wl=1, seed=9),
+}
+
+
+@pytest.mark.parametrize("vary", sorted(EQUIVALENCE_BASES))
+def test_calibration_sample_equals_generate_at_every_count(vary):
+    base = EQUIVALENCE_BASES[vary]
+    for index in (0, 1, 7):
+        sample = _Sample(base, vary, index)
+        for count in (5, 0, 2, 9, 1, 9, 12):
+            spec = replace(base, seed=derive_seed(base.seed, index),
+                           **{vary: getattr(base, vary) + count})
+            assert sample.instance(count) == generate(spec)
+
+
+def test_calibration_solves_the_instances_generate_gives(monkeypatch):
+    # every solve goes through wspkit.solver.solve_backtracking, one per
+    # sample and probed count, in bisection order and sample order
+    import wspkit.solver
+
+    seen = []
+    original = wspkit.solver.solve_backtracking
+
+    def recording(inst, *args, **kwargs):
+        seen.append(inst)
+        return original(inst, *args, **kwargs)
+
+    monkeypatch.setattr(wspkit.solver, "solve_backtracking", recording)
+    base = base_spec()
+    cal = calibrate_pt(5, 8, base, samples=20, band=BAND)
+    probes = (0, 10, 5, 2, 1)   # seed-pinned bisection order
+    assert cal.e_value in probes
+    assert seen == [generate(replace(base, sod=count,
+                                     seed=derive_seed(base.seed, i)))
+                    for count in probes for i in range(20)]
 
 
 # --- calibration cache ---------------------------------------------------------------
@@ -337,6 +476,31 @@ def test_mixed_family_spec(cache_env):
 def test_wl_family_at_wider_n(cache_env):
     spec = family_spec("wl", 5, 16, samples=40, band=BAND)
     assert spec.wl >= 1 and spec.am3 == 5
+
+
+def test_parallel_family_matches_serial(tmp_path, monkeypatch):
+    # same counts and byte-identical cache files with one or two processes
+    specs, files = [], []
+    for jobs in (1, 2):
+        cache = tmp_path / f"jobs{jobs}"
+        monkeypatch.setenv("WSPKIT_CACHE_DIR", str(cache))
+        specs.append(family_spec("wl", 5, 16, samples=20, band=BAND,
+                                 jobs=jobs))
+        files.append({p.name: p.read_bytes() for p in cache.iterdir()})
+    assert specs[0] == specs[1]
+    assert sorted(files[0]) == ["pt-k5-n16-sod.json", "pt-k5-n16-wl.json"]
+    assert files[0] == files[1]
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # the pool is imported only when a calibration asks for jobs > 1
+    code = ("import sys, wspkit, wspkit.cli; "
+            "print('concurrent.futures' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                             sys.path)}).stdout
+    assert out.strip() == "False"
 
 
 def test_family_stream_is_reproducible(cache_env):
