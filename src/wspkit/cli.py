@@ -267,7 +267,13 @@ def _budget_from(args) -> Optional[Budget]:
 
 def _check_budget(algorithm: str, budget: Optional[Budget]) -> None:
     """Reject a budget the algorithm cannot honour instead of ignoring it."""
-    if budget is None or algorithm == "backtrack":
+    if budget is None:
+        return
+    if algorithm == "backtrack":
+        if budget.max_patterns is not None:
+            raise CliError("backtrack stops at its first full pattern, so "
+                           "--max-patterns cannot bound it; use --max-nodes "
+                           "or --max-millis")
         return
     if algorithm == "bruteforce":
         raise CliError("bruteforce runs to completion; budgets apply to "

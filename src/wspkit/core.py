@@ -347,13 +347,17 @@ class Instance:
                  f"instance: authorisation covers {self.auth.k} steps, expected {self.k}")
         _require(self.auth.n == self.n,
                  f"instance: authorisation is over {self.auth.n} users, expected {self.n}")
+        # the messages are formatted only on failure: calibration builds
+        # thousands of instances, each checking every step and user named
         for c in self.constraints:
             for s in c.steps:
-                _require(0 <= s < self.k,
-                         f"{type(c).__name__}: step {s} outside [0, {self.k})")
+                if not 0 <= s < self.k:
+                    raise InvariantError(
+                        f"{type(c).__name__}: step {s} outside [0, {self.k})")
             for u in _users_named(c):
-                _require(0 <= u < self.n,
-                         f"{type(c).__name__}: user {u} outside [0, {self.n})")
+                if not 0 <= u < self.n:
+                    raise InvariantError(
+                        f"{type(c).__name__}: user {u} outside [0, {self.n})")
 
     def ui_constraints(self) -> tuple[Constraint, ...]:
         return tuple(c for c in self.constraints if is_ui(c))

@@ -763,17 +763,14 @@ def lower_to_clauses(model: BooleanModel) -> tuple[int, list[tuple[int, ...]]]:
     return counter[0], clauses
 
 
-def emit_dimacs(model: BooleanModel, sink: IO[str],
-                varmap_sink: Optional[IO[str]] = None) -> None:
+def emit_dimacs(model: BooleanModel, sink: IO[str]) -> None:
     """CNF text; cardinality rows are compiled with sequential counters.
-    When `varmap_sink` is given, the model's variable names are written to it
-    so assignments remain decodable."""
+    `emit_varmap` writes the variable names that keep assignments
+    decodable."""
     nvars, clauses = lower_to_clauses(model)
     sink.write(f"p cnf {nvars} {len(clauses)}\n")
     for cl in clauses:
         sink.write(" ".join(str(lit) for lit in cl) + " 0\n")
-    if varmap_sink is not None:
-        emit_varmap(model, varmap_sink)
 
 
 def emit_cs_json(model: CSModel, sink: IO[str]) -> None:

@@ -173,6 +173,9 @@ class PTCalibration:
     samples: int
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.e_value, int) and self.e_value >= 0):
+            raise InvariantError(
+                f"calibration: e_value must be an int >= 0, got {self.e_value!r}")
         if not 0.0 <= self.sat_rate <= 1.0:
             raise InvariantError(
                 f"calibration: sat_rate must be in [0, 1], got {self.sat_rate}")
@@ -471,8 +474,8 @@ def save_calibration(k: int, n: int, family: str, cal: PTCalibration,
 def load_calibration(k: int, n: int, family: str, samples: int,
                      band: tuple[float, float],
                      master_seed: int) -> Optional[PTCalibration]:
-    """The cached calibration, or None when absent or computed under
-    different settings."""
+    """The cached calibration, or None when absent, malformed or computed
+    under different settings."""
     path = calibration_path(k, n, family)
     if not path.exists():
         return None
@@ -480,11 +483,16 @@ def load_calibration(k: int, n: int, family: str, samples: int,
         doc = json.loads(path.read_text(encoding="ascii"))
     except (OSError, ValueError):
         return None
+    if not isinstance(doc, dict):
+        return None
     expected = {"k": k, "n": n, "family": family, "samples": samples,
                 "band": list(band), "master_seed": master_seed}
     if any(doc.get(key) != value for key, value in expected.items()):
         return None
-    return PTCalibration(doc["e_value"], doc["sat_rate"], doc["samples"])
+    try:
+        return PTCalibration(doc["e_value"], doc["sat_rate"], doc["samples"])
+    except (KeyError, TypeError, InvariantError):
+        return None
 
 
 # --- benchmark families ---------------------------------------------------------------

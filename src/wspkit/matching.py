@@ -1,125 +1,48 @@
-"""Bipartite matching between pattern blocks and users.
+"""Authorised plans for a pattern, by block-user matching.
 
-For a pattern p and authorisation function A, block b is adjacent to user u
-iff u is authorised for every step in b.  The pattern admits an authorised
-plan iff a matching saturates all blocks; the plan is read directly off the
-matching (each step takes its block's matched user).
+For a pattern p and authorisation function A, block b may take user u iff u
+is authorised for every step in b.  The pattern admits an authorised plan
+iff a matching gives every block its own user; each step then takes its
+block's user.  The check is one augmenting path per block over user
+bitmasks, the way both search kernels make it.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
 from typing import Optional
 
 from .core import AuthorisationFunction, _require
 from .patterns import Pattern
 
-_INF = -1  # sentinel distance for Hopcroft-Karp layers
-
-
-@dataclass(frozen=True)
-class BlockUserGraph:
-    """Bipartite graph with one bitmask of adjacent users per block."""
-
-    n: int
-    block_masks: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        _require(self.n >= 1, "graph: n must be >= 1")
-        _require(len(self.block_masks) >= 1, "graph: needs at least one block")
-
-    @property
-    def block_count(self) -> int:
-        return len(self.block_masks)
-
-
-@dataclass(frozen=True)
-class Matching:
-    """A matching given as block -> user for the matched blocks only."""
-
-    block_to_user: tuple[int, ...]  # -1 where unmatched
-
-    @property
-    def size(self) -> int:
-        return sum(1 for u in self.block_to_user if u >= 0)
-
-    def user_of(self, b: int) -> Optional[int]:
-        u = self.block_to_user[b]
-        return None if u < 0 else u
-
-
-def build_graph(p: Pattern, auth: AuthorisationFunction) -> BlockUserGraph:
-    """Intersect authorised sets over each block's steps."""
-    _require(p.k == auth.k, f"pattern has {p.k} steps, authorisation {auth.k}")
-    full = (1 << auth.n) - 1
-    masks = [full] * p.block_count
-    for s, b in enumerate(p.rgs):
-        masks[b] &= auth.mask(s)
-    return BlockUserGraph(auth.n, tuple(masks))
-
-
-def _iter_bits(mask: int):
-    while mask:
-        lsb = mask & -mask
-        yield lsb.bit_length() - 1
-        mask ^= lsb
-
-
-def max_matching(g: BlockUserGraph) -> Matching:
-    """Hopcroft-Karp maximum matching.
-
-    Deterministic: blocks are scanned in ascending label order and users in
-    ascending index order, so equal-size matchings always come out the same.
-    """
-    nb = g.block_count
-    match_b = [-1] * nb          # block -> user
-    match_u: dict[int, int] = {}  # user -> block
-    dist = [0] * nb
-
-    def bfs() -> bool:
-        q: deque[int] = deque()
-        for b in range(nb):
-            if match_b[b] == -1:
-                dist[b] = 0
-                q.append(b)
-            else:
-                dist[b] = _INF
-        found_free = False
-        while q:
-            b = q.popleft()
-            for u in _iter_bits(g.block_masks[b]):
-                owner = match_u.get(u, -1)
-                if owner == -1:
-                    found_free = True
-                elif dist[owner] == _INF:
-                    dist[owner] = dist[b] + 1
-                    q.append(owner)
-        return found_free
-
-    def dfs(b: int) -> bool:
-        for u in _iter_bits(g.block_masks[b]):
-            owner = match_u.get(u, -1)
-            if owner == -1 or (dist[owner] == dist[b] + 1 and dfs(owner)):
-                match_b[b] = u
-                match_u[u] = b
-                return True
-        dist[b] = _INF
-        return False
-
-    while bfs():
-        for b in range(nb):
-            if match_b[b] == -1:
-                dfs(b)
-
-    return Matching(tuple(match_b))
-
 
 def authorised_plan_for(p: Pattern, auth: AuthorisationFunction) -> Optional[tuple[int, ...]]:
     """An authorised plan realising pattern p, or None when no matching
-    saturates all blocks."""
-    g = build_graph(p, auth)
-    m = max_matching(g)
-    if m.size < p.block_count:
-        return None
-    return tuple(m.block_to_user[b] for b in p.rgs)
+    saturates all blocks.
+
+    Deterministic: blocks are matched in ascending label order, each trying
+    users in ascending index order, so the same inputs give the same plan.
+    """
+    _require(p.k == auth.k, f"pattern has {p.k} steps, authorisation {auth.k}")
+    masks = [(1 << auth.n) - 1] * p.block_count
+    for s, b in enumerate(p.rgs):
+        masks[b] &= auth.mask(s)
+    owner: dict[int, int] = {}  # user -> block
+    user_of = [-1] * len(masks)  # block -> user
+
+    def augment(b: int, seen: list[int]) -> bool:
+        avail = masks[b] & ~seen[0]
+        while avail:
+            lsb = avail & -avail
+            avail ^= lsb
+            seen[0] |= lsb
+            u = lsb.bit_length() - 1
+            if u not in owner or augment(owner[u], seen):
+                owner[u] = b
+                user_of[b] = u
+                return True
+        return False
+
+    for b in range(len(masks)):
+        if not augment(b, [0]):
+            return None
+    return tuple(user_of[b] for b in p.rgs)

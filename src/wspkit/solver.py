@@ -47,12 +47,12 @@ class Verdict(Enum):
 class SolveStats:
     """Work counters.
 
-    patterns_visited: complete patterns examined (pattern enumeration counts
-    every pattern it iterates; the backtracker counts patterns whose full
-    construction survived pruning).  matchings_computed: complete
-    block-saturation checks (one per family member tried by pattern
-    enumeration; one per certified full-depth matching in the backtracker,
-    whose incremental repairs are accounted under nodes_expanded).
+    patterns_visited: complete patterns examined.  matchings_computed:
+    complete block-saturation checks.  Pattern enumeration counts every
+    pattern it iterates and one check per family member it tries.  The
+    backtracker stops at the first full pattern that survives pruning, so
+    both counters are 1 on SAT and 0 otherwise; its incremental matching
+    repairs are accounted under nodes_expanded.
     """
 
     patterns_visited: int = 0
@@ -75,7 +75,9 @@ class SolveResult:
 @dataclass(frozen=True)
 class Budget:
     """Resource limits; None means unlimited.  `max_nodes` bounds the
-    backtracker only: pattern enumeration expands no nodes and rejects it."""
+    backtracker only: pattern enumeration expands no nodes and rejects it.
+    `max_patterns` bounds pattern enumeration only: the backtracker stops at
+    its first full pattern and rejects it."""
 
     max_millis: Optional[float] = None
     max_patterns: Optional[int] = None
@@ -208,12 +210,18 @@ def solve_backtracking(
     one per authorisation alternative, the pure one one per class of
     alternatives that agree on the masks visited so far.
 
-    The search is serial and deterministic: the same instance and node or
-    pattern budget give the same verdict, plan and counters on every run.
+    The search is serial and deterministic: the same instance and node
+    budget give the same verdict, plan and counters on every run.  It stops
+    at the first full pattern that survives pruning, so a budget with
+    `max_patterns` would bound no work and is rejected.
     `backend` selects the kernel ("auto", "compiled", "pure").
     """
     t0 = time.perf_counter()
     budget = budget or Budget()
+    if budget.max_patterns is not None:
+        raise InvariantError(
+            "the backtracker stops at its first full pattern, so max_patterns "
+            "cannot bound it; bound it with max_nodes or max_millis")
     stats = SolveStats()
     absorbed = absorb(inst, max_family_size=max_family_size)
     prob = compile_search_problem(absorbed)
@@ -225,7 +233,6 @@ def solve_backtracking(
     status, plan, patterns, nodes, matchings = run(
         prob,
         max_nodes=budget.max_nodes,
-        max_patterns=budget.max_patterns,
         deadline=budget.deadline(t0),
     )
     stats.patterns_visited = patterns

@@ -3,7 +3,7 @@
 The oracles here deliberately take different routes than the package code
 they check: Bell numbers come from a Stirling-number sum instead of the
 triangle, maximum matchings from exhaustive recursion instead of
-Hopcroft-Karp, and valid-plan sets from longhand semantics over the full
+augmenting paths, and valid-plan sets from longhand semantics over the full
 plan space where affordable.
 
 When the package under test has no compiled kernel, this module builds the

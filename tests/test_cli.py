@@ -150,6 +150,13 @@ def test_pattern_enum_rejects_a_node_budget(po_file, capsys):
     assert "--max-nodes" in err and "--max-patterns" in err
 
 
+def test_backtrack_rejects_a_pattern_budget(po_file, capsys):
+    code = main(["solve", str(po_file), "--max-patterns", "1"])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "--max-patterns" in err and "--max-nodes" in err
+
+
 def test_solve_plan_out_writes_a_verifiable_plan(po_file, tmp_path, capsys):
     plan_path = tmp_path / "plan.json"
     assert main(["solve", str(po_file), "--plan-out",

@@ -685,9 +685,12 @@ def test_varmap_for_cs_model():
 
 
 def test_dimacs_writes_varmap_sidecar():
+    # the DIMACS file numbers variables only; its sidecar names them
     model = encode_udpb(make(1, 1, [[0]]))
     buf, side = io.StringIO(), io.StringIO()
-    emit_dimacs(model, buf, varmap_sink=side)
+    emit_dimacs(model, buf)
+    emit_varmap(model, side)
+    assert buf.getvalue().startswith("p cnf 1 ")
     assert side.getvalue() == "x0_0 1\n"
 
 

@@ -429,6 +429,30 @@ def test_cache_misses(cache_env):
     assert load_calibration(9, 80, "sod", 40, BAND, 1) is None
 
 
+def test_malformed_cache_is_a_miss(cache_env):
+    path = save_calibration(8, 80, "sod", PTCalibration(4, 0.5, 40), BAND, 1)
+    good = json.loads(path.read_text())
+    broken = [[1, 2], "text", None,
+              {key: v for key, v in good.items() if key != "e_value"},
+              {key: v for key, v in good.items() if key != "sat_rate"},
+              {key: v for key, v in good.items() if key != "samples"},
+              {**good, "sat_rate": 1.5},
+              {**good, "sat_rate": "high"},
+              {**good, "e_value": "4"},
+              {**good, "e_value": -1}]
+    for doc in broken:
+        path.write_text(json.dumps(doc))
+        assert load_calibration(8, 80, "sod", 40, BAND, 1) is None, doc
+
+
+def test_malformed_cache_triggers_a_fresh_calibration(cache_env):
+    calibration_path(5, 8, "sod").write_text("[1, 2]")
+    band = (0.01, 0.99)
+    spec = family_spec("sod", 5, 8, samples=20, band=band)
+    cached = load_calibration(5, 8, "sod", 20, band, derive_seed(5, 8))
+    assert cached is not None and cached.e_value == spec.sod
+
+
 def test_family_consults_the_cache(cache_env):
     # a planted cache entry is believed outright: no solving happens
     planted = PTCalibration(7, 0.5, 40)

@@ -1,4 +1,4 @@
-"""Block/user graph construction and maximum matching."""
+"""Authorised plans for a pattern by block-user matching."""
 
 import random
 
@@ -6,50 +6,32 @@ import pytest
 
 from conftest import PO_PATTERN_RGS, matching_oracle, purchase_order_instance
 from wspkit.core import AuthorisationFunction, InvariantError, is_authorised, mask_of
-from wspkit.matching import (
-    BlockUserGraph,
-    Matching,
-    authorised_plan_for,
-    build_graph,
-    max_matching,
-)
+from wspkit.matching import authorised_plan_for
 from wspkit.patterns import Pattern, enumerate_patterns, pattern_of
 
 
 def test_purchase_order_graph():
     inst = purchase_order_instance()
-    g = build_graph(Pattern(PO_PATTERN_RGS), inst.auth)
+    plan = authorised_plan_for(Pattern(PO_PATTERN_RGS), inst.auth)
     # block 0 holds steps 0 and 2: authorised sets {0,1} and {0,2} meet in {0}
-    assert g.block_masks[0] == mask_of([0])
-    assert g.block_masks[1] == mask_of([1, 2])
-    assert g.block_masks[4] == mask_of([4, 5, 6])
+    assert plan[0] == plan[2] == 0
+    assert plan[1] in (1, 2)
+    assert plan[5] in (4, 5, 6)
 
 
 def test_purchase_order_matching_saturates():
     inst = purchase_order_instance()
     p = Pattern(PO_PATTERN_RGS)
-    m = max_matching(build_graph(p, inst.auth))
-    assert m.size == p.block_count == 5
     plan = authorised_plan_for(p, inst.auth)
     assert plan is not None
+    assert len(set(plan)) == p.block_count == 5
     assert is_authorised(plan, inst.auth)
     assert pattern_of(plan).rgs == PO_PATTERN_RGS
 
 
-def test_matching_accessors():
-    m = Matching((2, -1, 0))
-    assert m.size == 2
-    assert m.user_of(0) == 2
-    assert m.user_of(1) is None
-
-
 def test_graph_validation():
-    with pytest.raises(InvariantError):
-        BlockUserGraph(0, (0b1,))
-    with pytest.raises(InvariantError):
-        BlockUserGraph(2, ())
-    with pytest.raises(InvariantError):
-        build_graph(Pattern((0, 1)), AuthorisationFunction.total(3, 2))
+    with pytest.raises(InvariantError, match="pattern has 2 steps, authorisation 3"):
+        authorised_plan_for(Pattern((0, 1)), AuthorisationFunction.total(3, 2))
 
 
 def test_unsaturatable_pattern_gives_none():
@@ -62,32 +44,34 @@ def test_unsaturatable_pattern_gives_none():
 
 def test_empty_block_adjacency():
     auth = AuthorisationFunction.from_lists([[0, 1], []], 2)
-    g = build_graph(Pattern((0, 1)), auth)
-    assert g.block_masks[1] == 0
+    # block 1 holds only step 1, which nobody may perform
     assert authorised_plan_for(Pattern((0, 1)), auth) is None
+    assert authorised_plan_for(Pattern((0, 0)), auth) is None
 
 
 def test_matching_is_deterministic():
     auth = AuthorisationFunction.from_lists([[0, 1, 2], [0, 1, 2], [0, 1, 2]], 3)
-    runs = {max_matching(build_graph(Pattern((0, 1, 2)), auth)).block_to_user
-            for _ in range(5)}
-    assert runs == {(0, 1, 2)}
+    runs = {authorised_plan_for(Pattern((0, 1, 2)), auth) for _ in range(5)}
+    assert len(runs) == 1
+    (plan,) = runs
+    assert sorted(plan) == [0, 1, 2]
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_matching_size_matches_exhaustive_oracle(seed):
+    """On random block masks (one step per block), a plan comes back iff the
+    exhaustive maximum matching covers every block, and the plan is a
+    matching along the graph's edges."""
     rng = random.Random(f"matching-{seed}")
     nb = rng.randint(1, 5)
     n = rng.randint(1, 7)
     masks = tuple(rng.getrandbits(n) for _ in range(nb))
-    g = BlockUserGraph(n, masks)
-    m = max_matching(g)
-    assert m.size == matching_oracle(masks, n)
-    # the reported matching really is a matching along graph edges
-    used = [u for u in m.block_to_user if u >= 0]
-    assert len(used) == len(set(used))
-    for b, u in enumerate(m.block_to_user):
-        if u >= 0:
+    plan = authorised_plan_for(Pattern(tuple(range(nb))),
+                               AuthorisationFunction(n, masks))
+    assert (plan is not None) == (matching_oracle(masks, n) == nb)
+    if plan is not None:
+        assert len(set(plan)) == nb
+        for b, u in enumerate(plan):
             assert (masks[b] >> u) & 1
 
 
@@ -102,8 +86,11 @@ def test_authorised_plan_for_is_sound_and_complete(seed):
         n, tuple(rng.getrandbits(n) for _ in range(k)))
     for p in enumerate_patterns(k):
         got = authorised_plan_for(p, auth)
-        g = build_graph(p, auth)
-        expect = matching_oracle(g.block_masks, n) == p.block_count
+        # each block's users: those authorised for every step in it
+        masks = [mask_of(u for u in range(n)
+                         if all(auth.allows(s, u) for s in block))
+                 for block in p.blocks()]
+        expect = matching_oracle(masks, n) == p.block_count
         if expect:
             assert got is not None
             assert is_authorised(got, auth)

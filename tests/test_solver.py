@@ -1,5 +1,6 @@
 """Solver verdicts, counters, budgets, and cross-solver agreement."""
 
+import random
 import tracemalloc
 
 import pytest
@@ -8,6 +9,7 @@ from conftest import (
     COMPILED_MISSING,
     CONSTRAINT_KINDS,
     PO_VALID_COUNT,
+    _random_constraint,
     disjoint_wl_instance,
     random_instance,
     valid_plans_longhand,
@@ -41,6 +43,7 @@ from wspkit.solver import (
     verify,
 )
 from wspkit.absorption import absorb
+from wspkit._kernel import available_backends
 
 SOLVERS = (solve_bruteforce, solve_pattern_enum, solve_backtracking)
 
@@ -121,6 +124,16 @@ def test_pattern_enum_rejects_a_node_budget(po_instance):
         solve_pattern_enum(po_instance, Budget(max_millis=60_000, max_nodes=10**9))
 
 
+def test_backtracker_rejects_a_pattern_budget(po_instance):
+    """The backtracker stops at its first full pattern, so a pattern budget
+    bounds no work and is an error rather than silently ignored."""
+    with pytest.raises(InvariantError, match="max_patterns.*max_nodes"):
+        solve_backtracking(po_instance, Budget(max_patterns=0))
+    with pytest.raises(InvariantError, match="max_patterns"):
+        solve_backtracking(po_instance, Budget(max_millis=60_000,
+                                               max_patterns=10**9))
+
+
 def test_backtracker_counters_on_unsat():
     # complete patterns and certified matchings both stay at zero on UNSAT
     inst = Instance(4, 2, AuthorisationFunction.total(4, 2),
@@ -195,6 +208,37 @@ def test_solvers_agree_with_ground_truth(kind, seed):
             assert res.plan in truth
         else:
             assert res.verdict is Verdict.UNSAT, (kind, seed, solve.__name__)
+
+
+def wide_instance(kind: str, n: int, seed: int) -> Instance:
+    """A k=5..7 draw over n users with constraints of one kind.  The steps
+    share a pool of k users that always holds user n-1, so every draw
+    reaches the last word of the user masks and blocks compete for users."""
+    rng = random.Random(f"wide-{kind}-{n}-{seed}")
+    k = rng.randint(5, 7)
+    pool = [n - 1] + rng.sample(range(n - 1), k - 1)
+    auth = AuthorisationFunction.from_lists(
+        [rng.sample(pool, rng.randint(1, k - 1)) for _ in range(k)], n)
+    constraints = tuple(_random_constraint(rng, kind, k, n)
+                        for _ in range(rng.randint(1, k)))
+    return Instance(k, n, auth, constraints)
+
+
+@pytest.mark.parametrize("n", (65, 130))
+@pytest.mark.parametrize("kind", CONSTRAINT_KINDS)
+def test_solvers_agree_past_one_machine_word(kind, n):
+    """Backtracking on every available backend gives pattern enumeration's
+    verdict when user masks span two or more 64-bit words."""
+    for seed in range(10):
+        inst = wide_instance(kind, n, seed)
+        expect = solve_pattern_enum(inst)
+        if expect.sat:
+            assert verify(expect.plan, inst)
+        for backend in available_backends():
+            res = solve_backtracking(inst, backend=backend)
+            assert res.verdict is expect.verdict, (kind, n, seed, backend)
+            if res.sat:
+                assert verify(res.plan, inst)
 
 
 @pytest.mark.parametrize("solve", SOLVERS)
