@@ -7,9 +7,12 @@ from-scratch OPB text parser.  Model-level equivalence sweeps at larger
 scale live in the acceptance suite.
 """
 
+import hashlib
 import io
 import itertools
 import json
+
+from math import comb
 
 import pytest
 
@@ -27,6 +30,7 @@ from wspkit.core import (
     WL,
     is_valid,
 )
+from wspkit.generator import GenSpec, derive_seed, generate
 from wspkit.encode import (
     SUBSET_ENUM_LIMIT,
     BooleanModel,
@@ -736,3 +740,126 @@ def test_cs_emission_is_deterministic():
     emit_cs_json(encode_cs(inst), second)
     assert first.getvalue() == second.getvalue()
     assert first.getvalue().isascii()
+
+
+# --- pinned output bytes ----------------------------------------------------------
+
+# Draws shaped like perfbench's `export` workload (its seed 81 and salt 4),
+# then hand-built cases for branches the generator never draws.  Each entry
+# is the first 16 hex digits of the SHA-256 of one model's text in one
+# format; for the draws, the texts of all 30 are hashed in draw order.
+EXPORT_SHAPE = dict(k=10, n=80, am3=10, sod=7, sual=1, wl=2, ada=2)
+
+PINNED_DIGESTS = {
+    "export_draws": {
+        "cs.json": "318d7a845b1af33c",
+        "cs.varmap": "f8d797e27334a15e",
+        "pbpb.dimacs": "6e17c30a86fd6b11",
+        "pbpb.opb": "e4199de97105ab33",
+        "pbpb.varmap": "158ea71d2a086510",
+        "udpb.dimacs": "7c2849cf0c815d08",
+        "udpb.opb": "9d11dad37a439b9e",
+        "udpb.varmap": "51bf33f0f64a775f",
+    },
+    "bod_atleast": {
+        "cs.json": "ad95ce6c49bb0c0a",
+        "cs.varmap": "a6616519112a0824",
+        "pbpb.dimacs": "5e9bc340d8ead938",
+        "pbpb.opb": "d2b2f054bc174075",
+        "pbpb.varmap": "b2114cd2d3a63cf1",
+        "udpb.dimacs": "73c4c643d6246ebd",
+        "udpb.opb": "46e921b64ab34a75",
+        "udpb.varmap": "d59eccd49d8e513e",
+    },
+    "falsum": {
+        "cs.json": "e509fc3994322955",
+        "cs.varmap": "22b951c35405eb15",
+        "pbpb.dimacs": "2f3ea12f425840de",
+        "pbpb.opb": "871697b52722657e",
+        "pbpb.varmap": "af84e3104771f1d4",
+        "udpb.dimacs": "63f4d8f65410d537",
+        "udpb.opb": "dba1b23b3c1692e9",
+        "udpb.varmap": "0dad522e1c7d220f",
+    },
+    "atmost_reps": {
+        "cs.json": "cd77d01b08392206",
+        "cs.varmap": "34b2aa9603b5ce38",
+        "pbpb.dimacs": "c7afea8b8c457ef4",
+        "pbpb.opb": "ee202fcfb25f6b2d",
+        "pbpb.varmap": "959d1c9e7a0aee0f",
+        "udpb.dimacs": "3194310f35deef48",
+        "udpb.opb": "170a8cc65eb6513e",
+        "udpb.varmap": "428a5f352a8d782a",
+    },
+    "guarded_eq": {
+        "udpb.dimacs": "3d49df827a6d3efb",
+        "udpb.opb": "d9347fb64b917a42",
+        "udpb.varmap": "249b5ac7953a3f6a",
+    },
+}
+
+
+def pinned_cases():
+    draws = [generate(GenSpec(seed=derive_seed(81, 4, i), **EXPORT_SHAPE))
+             for i in range(30)]
+    yield "export_draws", draws
+    # BoD over shared, left-only and right-only users, and an AtLeast
+    yield "bod_atleast", [make(4, 5, [[0, 1, 2], [1, 2, 3], [0, 4], [2, 3, 4]],
+                               BoD(0, 1), AtLeast(2, (1, 2, 3)), SoD(2, 3))]
+    # step 0 has no authorised user: the falsum pair
+    yield "falsum", [make(3, 3, [[], [0, 1], [1, 2]],
+                          AtLeast(1, (0, 1)), SoD(1, 2))]
+    # comb(8, 4) = 70 forbidden subsets: representative variables
+    assert comb(8, 4) > SUBSET_ENUM_LIMIT
+    yield "atmost_reps", [Instance(8, 5, full_auth(8, 5),
+                                   (AtMost(3, tuple(range(8))),))]
+
+
+def guarded_equality_model() -> BooleanModel:
+    """A UDPB model plus guarded `=` rows, which no encoder writes, under
+    positive and negative guards."""
+    base = encode_udpb(make(2, 2, [[0, 1], [0, 1]], SoD(0, 1)))
+    extra = (Row("=", 1, (1, -2, 3), guard=4), Row("=", 2, (1, 2, 3), guard=-4),
+             Row("=", 0, (-1,), guard=2))
+    return BooleanModel(
+        kind="udpb", instance=base.instance, names=base.names,
+        index=base.index, rows=base.rows + extra, derived=(),
+        selector_groups=())
+
+
+def emitted_texts(inst):
+    """(key, text) for every format of every model of one instance."""
+    models = [("udpb", encode_udpb(inst)), ("pbpb", encode_pbpb(inst))]
+    for name, model in models:
+        yield from boolean_texts(name, model)
+    cs = encode_cs(inst)
+    for fmt, emitter in (("json", emit_cs_json), ("varmap", emit_varmap)):
+        buf = io.StringIO()
+        emitter(cs, buf)
+        yield f"cs.{fmt}", buf.getvalue()
+
+
+def boolean_texts(name, model):
+    for fmt, emitter in (("opb", emit_opb), ("dimacs", emit_dimacs),
+                         ("varmap", emit_varmap)):
+        buf = io.StringIO()
+        emitter(model, buf)
+        yield f"{name}.{fmt}", buf.getvalue()
+
+
+def digests(texts) -> dict[str, str]:
+    hashers = {}
+    for key, text in texts:
+        hashers.setdefault(key, hashlib.sha256()).update(text.encode("ascii"))
+    return {key: h.hexdigest()[:16] for key, h in hashers.items()}
+
+
+def pinned_digests() -> dict[str, dict[str, str]]:
+    got = {case: digests(t for inst in insts for t in emitted_texts(inst))
+           for case, insts in pinned_cases()}
+    got["guarded_eq"] = digests(boolean_texts("udpb", guarded_equality_model()))
+    return got
+
+
+def test_emitted_bytes_are_pinned():
+    assert pinned_digests() == PINNED_DIGESTS
