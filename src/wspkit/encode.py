@@ -35,6 +35,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from math import comb
+from operator import attrgetter
 from typing import IO, Iterator, Mapping, Optional, Sequence
 
 from .core import (
@@ -61,26 +62,45 @@ SUBSET_ENUM_LIMIT = 64
 # --- pseudo-Boolean models ---------------------------------------------------
 
 
-@dataclass(frozen=True)
+_OPS = frozenset((">=", "<=", "="))
+
+
 class Row:
     """One linear row over literals: sum of true literals `op` bound.
 
     `lits` are signed 1-based variable indices (negative = negated).  A row
     with a `guard` literal is enforced only when the guard is true; guarded
     rows lower to coefficient form in OPB and to guard-weakened clauses in
-    DIMACS.
+    DIMACS.  Rows compare and hash by value; treat them as immutable.
     """
 
-    op: str  # ">=", "<=", "="
-    bound: int
-    lits: tuple[int, ...]
-    guard: Optional[int] = None
+    __slots__ = ("op", "bound", "lits", "guard")
 
-    def __post_init__(self) -> None:
-        if self.op not in (">=", "<=", "="):
-            raise InvariantError(f"row: unknown op {self.op!r}")
-        if not self.lits:
+    def __init__(self, op: str, bound: int, lits: tuple[int, ...],
+                 guard: Optional[int] = None) -> None:
+        if op not in _OPS:
+            raise InvariantError(f"row: unknown op {op!r}")
+        if not lits:
             raise InvariantError("row: no literals")
+        self.op = op  # ">=", "<=", "="
+        self.bound = bound
+        self.lits = lits
+        self.guard = guard
+
+    def _key(self) -> tuple:
+        return (self.op, self.bound, self.lits, self.guard)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"Row(op={self.op!r}, bound={self.bound!r}, "
+                f"lits={self.lits!r}, guard={self.guard!r})")
 
     def holds(self, values: Sequence[bool]) -> bool:
         """Evaluate against values indexed by variable (entry 0 unused)."""
@@ -99,7 +119,7 @@ def _lit_true(lit: int, values: Sequence[bool]) -> bool:
 
 
 def clause(*lits: int) -> Row:
-    return Row(">=", 1, tuple(lits))
+    return Row(">=", 1, lits)
 
 
 @dataclass(frozen=True)
@@ -158,6 +178,10 @@ class BooleanModel:
     def validate(self) -> None:
         """Internal consistency: every referenced variable is in the table."""
         v = self.var_count
+        seen = set(itertools.chain.from_iterable(map(attrgetter("lits"), self.rows)))
+        seen.update([row.guard for row in self.rows if row.guard])
+        if not seen or (-v <= min(seen) and max(seen) <= v and 0 not in seen):
+            return
         for row in self.rows:
             for lit in row.lits + ((row.guard,) if row.guard else ()):
                 if not 1 <= abs(lit) <= v:
@@ -173,6 +197,8 @@ class _Builder:
         self.rows: list[Row] = []
         self.derived: list[DerivedVar] = []
         self.selector_groups: list[tuple[int, ...]] = []
+        # x[s][u]: index of x{s}_{u}, 0 when u is not authorised for s
+        self.x: list[list[int]] = []
 
     def var(self, name: str) -> int:
         got = self.index.get(name)
@@ -205,48 +231,54 @@ def _add_base(b: _Builder) -> None:
     authorised user gets an unsatisfiable falsum pair instead of an empty
     row."""
     inst = b.inst
-    for s in range(inst.k):
-        for u in inst.auth.users(s):
-            b.var(f"x{s}_{u}")
-    needs_falsum = any(inst.auth.mask(s) == 0 for s in range(inst.k))
-    if needs_falsum:
+    steps = [inst.auth.users(s) for s in range(inst.k)]
+    for s, users in enumerate(steps):
+        xs = [0] * inst.n
+        for u in users:
+            xs[u] = b.var(f"x{s}_{u}")
+        b.x.append(xs)
+    if not all(steps):
         f = b.var("falsum")
         b.add(clause(f))
         b.add(clause(-f))
-    for s in range(inst.k):
-        users = inst.auth.users(s)
+    for xs, users in zip(b.x, steps):
         if users:
-            b.add(Row("=", 1, tuple(b.var(f"x{s}_{u}") for u in users)))
+            b.add(Row("=", 1, tuple([xs[u] for u in users])))
 
 
 def _usage_vars(b: _Builder, ci: int, scope: Sequence[int]) -> list[int]:
     """z-variables: one per user authorised somewhere in the scope, tied to
     the scope's x-variables in both directions."""
-    inst = b.inst
+    auth = b.inst.auth
     support = 0
     for s in scope:
-        support |= inst.auth.mask(s)
+        support |= auth.mask(s)
+    table = [b.x[s] for s in scope]
+    scope = tuple(scope)
+    add = b.rows.append
     zs = []
     for u in bits_of(support):
         z = b.var(f"c{ci}_z{u}")
-        b.derived.append(DerivedVar(z, "z", tuple(scope), u))
-        xs = [b.index[f"x{s}_{u}"] for s in scope if inst.auth.allows(s, u)]
+        b.derived.append(DerivedVar(z, "z", scope, u))
+        xs = [xs_[u] for xs_ in table if xs_[u]]
         for x in xs:
-            b.add(clause(-x, z))
-        b.add(clause(-z, *xs))
+            add(clause(-x, z))
+        add(clause(-z, *xs))
         zs.append(z)
     return zs
 
 
-def _rep_vars(b: _Builder, ci: int, scope: Sequence[int]) -> list[int]:
-    """Representative variables over M: rep_s is true iff no earlier scope
-    step shares s's user, so their sum counts distinct users on the scope."""
+def _rep_vars(b: _Builder, ci: int, scope: Sequence[int],
+              same: list[list[int]]) -> list[int]:
+    """Representative variables over M (`same[s][t]` is M{s}_{t}): rep_s is
+    true iff no earlier scope step shares s's user, so their sum counts
+    distinct users on the scope."""
     steps = sorted(scope)
     reps = []
     for i, s in enumerate(steps):
         rep = b.var(f"c{ci}_rep{s}")
         b.derived.append(DerivedVar(rep, "rep", tuple(steps), s))
-        earlier = [b.index[f"M{t}_{s}"] for t in steps[:i]]
+        earlier = [same[t][s] for t in steps[:i]]
         if not earlier:
             b.add(clause(rep))
         else:
@@ -263,8 +295,9 @@ def _exclusions(b: _Builder, sel: int, s: int, allowed_mask: int) -> None:
     Emitted as guarded rows (not plain clauses) so the selector's meaning
     stays attached to it; they lower to the same two-literal clauses.
     """
+    xs = b.x[s]
     for u in bits_of(b.inst.auth.mask(s) & ~allowed_mask):
-        b.add(Row("<=", 0, (b.index[f"x{s}_{u}"],), guard=sel))
+        b.add(Row("<=", 0, (xs[u],), guard=sel))
 
 
 def _sual_groups(b: _Builder, ci: int, c: SUAL, count_lits: list[int]) -> None:
@@ -306,20 +339,21 @@ def encode_udpb(inst: Instance) -> BooleanModel:
     b = _Builder("udpb", inst)
     _add_base(b)
     auth = inst.auth
+    x = b.x
     for ci, c in enumerate(inst.constraints):
         if isinstance(c, SoD):
-            both = auth.mask(c.s1) & auth.mask(c.s2)
-            for u in bits_of(both):
-                b.add(clause(-b.index[f"x{c.s1}_{u}"], -b.index[f"x{c.s2}_{u}"]))
+            x1, x2 = x[c.s1], x[c.s2]
+            for u in bits_of(auth.mask(c.s1) & auth.mask(c.s2)):
+                b.add(clause(-x1[u], -x2[u]))
         elif isinstance(c, BoD):
             m1, m2 = auth.mask(c.s1), auth.mask(c.s2)
+            x1, x2 = x[c.s1], x[c.s2]
             for u in bits_of(m1 & m2):
-                b.add(Row("=", 1, (b.index[f"x{c.s1}_{u}"],
-                                   -b.index[f"x{c.s2}_{u}"])))
+                b.add(Row("=", 1, (x1[u], -x2[u])))
             for u in bits_of(m1 & ~m2):
-                b.add(clause(-b.index[f"x{c.s1}_{u}"]))
+                b.add(clause(-x1[u]))
             for u in bits_of(m2 & ~m1):
-                b.add(clause(-b.index[f"x{c.s2}_{u}"]))
+                b.add(clause(-x2[u]))
         elif isinstance(c, (AtMost, AtLeast)):
             zs = _usage_vars(b, ci, c.scope)
             if zs:
@@ -361,24 +395,26 @@ def encode_pbpb(inst: Instance, include_transitivity: bool = True) -> BooleanMod
     for s1 in range(k):
         for s2 in range(s1 + 1, k):
             b.add(Row("=", 1, (m[s1][s2], -m[s2][s1])))
+    add = b.rows.append
     if include_transitivity:
         for s1, s2, s3 in itertools.permutations(range(k), 3):
-            b.add(clause(-m[s1][s2], -m[s2][s3], m[s1][s3]))
-            b.add(clause(m[s1][s2], -m[s2][s3], -m[s1][s3]))
+            add(clause(-m[s1][s2], -m[s2][s3], m[s1][s3]))
+            add(clause(m[s1][s2], -m[s2][s3], -m[s1][s3]))
+    x = b.x
     for s1 in range(k):
         for s2 in range(s1 + 1, k):
             mm = m[s1][s2]
             a1, a2 = auth.mask(s1), auth.mask(s2)
+            xs1, xs2 = x[s1], x[s2]
             for u in bits_of(a1 & a2):
-                x1 = b.index[f"x{s1}_{u}"]
-                x2 = b.index[f"x{s2}_{u}"]
-                b.add(clause(-mm, -x1, x2))
-                b.add(clause(-mm, -x2, x1))
-                b.add(clause(mm, -x1, -x2))
+                x1, x2 = xs1[u], xs2[u]
+                add(clause(-mm, -x1, x2))
+                add(clause(-mm, -x2, x1))
+                add(clause(mm, -x1, -x2))
             for u in bits_of(a1 & ~a2):
-                b.add(clause(-mm, -b.index[f"x{s1}_{u}"]))
+                add(clause(-mm, -xs1[u]))
             for u in bits_of(a2 & ~a1):
-                b.add(clause(-mm, -b.index[f"x{s2}_{u}"]))
+                add(clause(-mm, -xs2[u]))
 
     for ci, c in enumerate(inst.constraints):
         if isinstance(c, SoD):
@@ -391,13 +427,13 @@ def encode_pbpb(inst: Instance, include_transitivity: bool = True) -> BooleanMod
                     b.add(clause(*(m[s1][s2]
                                    for s1, s2 in itertools.combinations(sub, 2))))
             else:
-                reps = _rep_vars(b, ci, c.scope)
+                reps = _rep_vars(b, ci, c.scope, m)
                 b.add(Row("<=", c.r, tuple(reps)))
         elif isinstance(c, AtLeast):
-            reps = _rep_vars(b, ci, c.scope)
+            reps = _rep_vars(b, ci, c.scope, m)
             b.add(Row(">=", c.r, tuple(reps)))
         elif isinstance(c, SUAL):
-            reps = _rep_vars(b, ci, c.scope)
+            reps = _rep_vars(b, ci, c.scope, m)
             _sual_groups(b, ci, c, reps)
         elif isinstance(c, (WL, ADA)):
             _selectors(b, ci, c)
@@ -683,13 +719,33 @@ def _format_opb_row(terms: list[tuple[int, int]], op: str, rhs: int) -> str:
 
 def emit_opb(model: BooleanModel, sink: IO[str]) -> None:
     """Linear pseudo-Boolean text: standard counts header, one row per
-    line."""
-    lowered = []
+    line.
+
+    Unguarded rows have unit coefficients, so they are formatted straight
+    from their literals: `term[lit]` is a literal's text ("+1 xv" for v,
+    "-1 xv" for -v), and `flipped[lit]` that of its negation, which a `<=`
+    row uses once turned into `>=`.  Guarded rows go through `opb_terms`.
+    """
+    v = model.var_count
+    term = {}
+    for i in range(1, v + 1):
+        term[i] = f"+1 x{i}"
+        term[-i] = f"-1 x{i}"
+    flipped = {-lit: text for lit, text in term.items()}
+    negative = (0).__gt__
+    lines = []
     for row in model.rows:
-        lowered.extend(opb_terms(row))
-    sink.write(f"* #variable= {model.var_count} #constraint= {len(lowered)}\n")
-    for terms, op, rhs in lowered:
-        sink.write(_format_opb_row(terms, op, rhs) + "\n")
+        lits = row.lits
+        if row.guard is not None:
+            lines.extend(_format_opb_row(*lowered) + "\n"
+                         for lowered in opb_terms(row))
+            continue
+        rhs = row.bound - sum(map(negative, lits))
+        if row.op == "<=":
+            lines.append(f"{' '.join(map(flipped.__getitem__, lits))} >= {-rhs} ;\n")
+        else:
+            lines.append(f"{' '.join(map(term.__getitem__, lits))} {row.op} {rhs} ;\n")
+    sink.write(f"* #variable= {v} #constraint= {len(lines)}\n" + "".join(lines))
 
 
 def emit_varmap(model, sink: IO[str]) -> None:
@@ -740,6 +796,9 @@ def lower_to_clauses(model: BooleanModel) -> tuple[int, list[tuple[int, ...]]]:
 
     clauses: list[tuple[int, ...]] = []
     for row in model.rows:
+        if row.guard is None and row.bound == 1 and row.op == ">=":
+            clauses.append(row.lits)  # a clause already
+            continue
         extra = (-row.guard,) if row.guard is not None else ()
         ops = [(row.op, row.bound)] if row.op != "=" else [
             (">=", row.bound), ("<=", row.bound)]
@@ -768,9 +827,10 @@ def emit_dimacs(model: BooleanModel, sink: IO[str]) -> None:
     `emit_varmap` writes the variable names that keep assignments
     decodable."""
     nvars, clauses = lower_to_clauses(model)
-    sink.write(f"p cnf {nvars} {len(clauses)}\n")
-    for cl in clauses:
-        sink.write(" ".join(str(lit) for lit in cl) + " 0\n")
+    text = {lit: str(lit) for lit in range(-nvars, nvars + 1) if lit}
+    body = " 0\n".join([" ".join(map(text.__getitem__, cl)) for cl in clauses])
+    sink.write(f"p cnf {nvars} {len(clauses)}\n"
+               + (body + " 0\n" if clauses else ""))
 
 
 def emit_cs_json(model: CSModel, sink: IO[str]) -> None:
