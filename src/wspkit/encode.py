@@ -481,10 +481,14 @@ def induced_assignment(plan: Sequence[int], model: BooleanModel) -> dict[str, in
     values = [False] * (model.var_count + 1)
     for name, val in assignment.items():
         values[model.index[name]] = bool(val)
+    guarded: dict[int, list[Row]] = {}
+    for row in model.rows:
+        if row.guard is not None:
+            guarded.setdefault(row.guard, []).append(row)
     for group in model.selector_groups:
         for sel in group:
             values[sel] = True
-            ok = all(row.holds(values) for row in model.rows if row.guard == sel)
+            ok = all(row.holds(values) for row in guarded.get(sel, ()))
             values[sel] = False
             if ok:
                 assignment[model.names[sel]] = 1

@@ -1,8 +1,12 @@
-"""The benchmark's backend parity check, and the provenance of `_speed.c`.
+"""The benchmark's backend parity check, its export checks, and the
+provenance of `_speed.c`.
 
 `perfbench/run.py` compares every solve of a pass against each other
 importable kernel backend.  The first test drives that path in process
-against the compiled kernel that `conftest.py` provides.  Because the tests
+against the compiled kernel that `conftest.py` provides.  The second runs
+one untraced pass of the `export` workload, whose checks cover the OPB
+header, the DIMACS problem line, the CS JSON variable count, and each SAT
+plan's assignment on all three models.  Because the tests
 build from the committed `_speed.c`, two more tests check that it was
 generated from the current `_speed.pyx`: one compares the `.pyx` lines the
 C file quotes, the other the `.pyx` against the SHA-256 committed beside the
@@ -31,6 +35,11 @@ SPEED_C = PACKAGE / "_kernel" / "_speed.c"
 SPEED_PYX_SHA256 = PACKAGE / "_kernel" / "_speed.pyx.sha256"
 
 
+LIB = SimpleNamespace(
+    core=wspkit.core, kernel=wspkit._kernel, absorption=wspkit.absorption,
+    solver=wspkit.solver, generator=wspkit.generator, encode=wspkit.encode)
+
+
 @pytest.mark.skipif(COMPILED_MISSING is not None,
                     reason=f"cannot build the compiled kernel: {COMPILED_MISSING}")
 def test_benchmark_parity_check_compares_both_backends(tmp_path, monkeypatch):
@@ -40,25 +49,35 @@ def test_benchmark_parity_check_compares_both_backends(tmp_path, monkeypatch):
     import speed
     import workloads
 
-    lib = SimpleNamespace(
-        core=wspkit.core, kernel=wspkit._kernel, absorption=wspkit.absorption,
-        solver=wspkit.solver, generator=wspkit.generator, encode=wspkit.encode)
     wl = dataclasses.replace(workloads.WORKLOADS["search"], instances=60)
-    state = wl.setup(lib, 7, tmp_path, None, lambda: None)
-    untraced = wl.run_pass(lib, state, None, speed.RawClock())
+    state = wl.setup(LIB, 7, tmp_path, None, lambda: None)
+    untraced = wl.run_pass(LIB, state, None, speed.RawClock())
     assert untraced.errors == []
     (other,) = {"pure", "compiled"} - {wspkit._kernel.BACKEND}
 
     errors = []
-    status = run.check_parity(lib, wl, state, untraced, errors)
+    status = run.check_parity(LIB, wl, state, untraced, errors)
     assert status == f"checked: {wspkit._kernel.BACKEND} against {other}"
     assert errors == []
 
     rec = untraced.solves[0]
     patterns, nodes, matchings = rec.counters
     rec.counters = (patterns, nodes + 1, matchings)
-    run.check_parity(lib, wl, state, untraced, errors)
+    run.check_parity(LIB, wl, state, untraced, errors)
     assert len(errors) == 1 and errors[0].startswith("parity: solve 0 ")
+
+
+def test_benchmark_export_checks_pass(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import speed
+    import workloads
+
+    wl = dataclasses.replace(workloads.WORKLOADS["export"], instances=36)
+    state = wl.setup(LIB, 81, tmp_path, None, lambda: None)
+    out = wl.run_pass(LIB, state, None, speed.RawClock())
+    assert out.errors == []
+    assert (len(out.tasks), out.task_failed) == (36 // wl.export_every, 0)
+    assert any(rec.verdict == "S" for rec in out.solves[::wl.export_every])
 
 
 MARKER = re.compile(r'^\s*/\* "wspkit/_kernel/_speed\.pyx":(\d+)$')
