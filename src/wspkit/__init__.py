@@ -30,7 +30,6 @@ from .solver import (
     Budget,
     SolveResult,
     Verdict,
-    count_valid_plans,
     solve_backtracking,
     solve_bruteforce,
     solve_pattern_enum,
@@ -60,7 +59,6 @@ __all__ = [
     "WspError",
     "__version__",
     "bell",
-    "count_valid_plans",
     "enumerate_patterns",
     "is_authorised",
     "is_eligible",

@@ -29,11 +29,10 @@ from .core import (
     SUAL,
     WL,
     _users_named,
-    is_authorised,
     is_ui,
     mask_of,
 )
-from .patterns import Pattern, pattern_of, pattern_satisfies
+from .patterns import Pattern, pattern_satisfies
 
 
 def alternatives(c: WL | ADA, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -206,13 +205,6 @@ def absorb(inst: Instance, max_family_size: int = 4096) -> AbsorbedInstance:
                     product.append(tuple(narrowed))
         rows = product
     return AbsorbedInstance(inst, residual, tuple(rows), suals)
-
-
-def plan_authorised_cda(plan: Sequence[int], absorbed: AbsorbedInstance) -> bool:
-    """Is the plan authorised by the absorbed instance's family at the plan's
-    own pattern?"""
-    return any(is_authorised(plan, fn)
-               for fn in absorbed.family_for(pattern_of(plan)))
 
 
 @dataclass(frozen=True)

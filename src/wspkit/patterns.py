@@ -127,8 +127,3 @@ def pattern_satisfies(p: Pattern, c: Constraint) -> bool:
         return len({p.rgs[s] for s in c.scope}) >= c.r
     raise InvariantError(
         f"{type(c).__name__} is not user-independent; it has no pattern-level check")
-
-
-def pattern_eligible(p: Pattern, constraints: Sequence[Constraint]) -> bool:
-    """All user-independent constraints satisfied at the pattern level."""
-    return all(pattern_satisfies(p, c) for c in constraints)

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from math import prod
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import _kernel
 from ._kernel import CountSpec, SearchProblem, SualSpec
@@ -262,17 +262,6 @@ def _check_cap(inst: Instance, cap: int) -> list[tuple[int, ...]]:
             f"the full plan space is n^k = {inst.n ** inst.k}")
     return lists
 
-def iter_valid_plans(inst: Instance, cap: int = 10_000_000) -> Iterator[tuple[int, ...]]:
-    """All valid plans in lexicographic order.  Enumeration runs over the
-    authorised product (plans outside it are invalid by definition), capped
-    at `cap` candidates."""
-    lists = _check_cap(inst, cap)
-    constraints = inst.constraints
-    for plan in itertools.product(*lists):
-        if all(is_eligible(plan, c) for c in constraints):
-            yield plan
-
-
 def solve_bruteforce(inst: Instance, cap: int = 10_000_000) -> SolveResult:
     """Exhaustive scan in lexicographic plan order; the ground-truth oracle
     for the other solvers at small sizes."""
@@ -287,11 +276,3 @@ def solve_bruteforce(inst: Instance, cap: int = 10_000_000) -> SolveResult:
             return SolveResult(Verdict.SAT, _guard(plan, inst), stats)
     stats.wall_time = time.perf_counter() - t0
     return SolveResult(Verdict.UNSAT, None, stats)
-
-
-def valid_plans(inst: Instance, cap: int = 10_000_000) -> list[tuple[int, ...]]:
-    return list(iter_valid_plans(inst, cap))
-
-
-def count_valid_plans(inst: Instance, cap: int = 10_000_000) -> int:
-    return sum(1 for _ in iter_valid_plans(inst, cap))

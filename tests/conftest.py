@@ -33,6 +33,7 @@ from typing import Optional
 import pytest
 
 import wspkit._kernel
+from wspkit.absorption import AbsorbedInstance
 from wspkit.core import (
     ADA,
     AtLeast,
@@ -43,7 +44,11 @@ from wspkit.core import (
     SUAL,
     SoD,
     WL,
+    is_authorised,
+    is_eligible,
 )
+from wspkit.patterns import Pattern, pattern_of, pattern_satisfies
+from wspkit.solver import _check_cap
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "wspkit"
 
@@ -263,3 +268,29 @@ def random_instance(kind: str, seed: int, k_max: int = 5, n_max: int = 8) -> Ins
         kinds = [kind] * count
     constraints = tuple(_random_constraint(rng, kd, k, n) for kd in kinds)
     return Instance(k, n, auth, constraints)
+
+
+# --- plan-level helpers the library does not need ------------------------------
+
+
+def valid_plans(inst: Instance, cap: int = 10_000_000) -> list[tuple[int, ...]]:
+    """All valid plans in lexicographic order, scanning the authorised
+    product under `solve_bruteforce`'s cap (CapacityError above it)."""
+    return [plan for plan in itertools.product(*_check_cap(inst, cap))
+            if all(is_eligible(plan, c) for c in inst.constraints)]
+
+
+def count_valid_plans(inst: Instance, cap: int = 10_000_000) -> int:
+    return len(valid_plans(inst, cap))
+
+
+def pattern_eligible(p: Pattern, constraints) -> bool:
+    """All user-independent constraints satisfied at the pattern level."""
+    return all(pattern_satisfies(p, c) for c in constraints)
+
+
+def plan_authorised_cda(plan, absorbed: AbsorbedInstance) -> bool:
+    """Is the plan authorised by the absorbed instance's family at the plan's
+    own pattern?"""
+    return any(is_authorised(plan, fn)
+               for fn in absorbed.family_for(pattern_of(plan)))

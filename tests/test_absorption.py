@@ -5,7 +5,13 @@ import random
 
 import pytest
 
-from conftest import CONSTRAINT_KINDS, disjoint_wl_instance, random_instance
+from conftest import (
+    CONSTRAINT_KINDS,
+    disjoint_wl_instance,
+    pattern_eligible,
+    plan_authorised_cda,
+    random_instance,
+)
 from wspkit.core import (
     ADA,
     AuthorisationFunction,
@@ -23,10 +29,9 @@ from wspkit.absorption import (
     branching_bound,
     family_for_constraint,
     intersect_families,
-    plan_authorised_cda,
     sual_restricts,
 )
-from wspkit.patterns import Pattern, pattern_eligible, pattern_of
+from wspkit.patterns import Pattern, pattern_of
 
 FULL4 = (1 << 4) - 1
 

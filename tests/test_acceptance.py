@@ -18,6 +18,7 @@ from conftest import (
     CONSTRAINT_KINDS,
     PO_PLAN,
     bell_oracle,
+    pattern_eligible,
     purchase_order_instance,
     random_instance,
     valid_plans_longhand,
@@ -49,7 +50,6 @@ from wspkit.generator import (
 from wspkit.patterns import (
     bell,
     enumerate_patterns,
-    pattern_eligible,
     pattern_of,
 )
 from wspkit.solver import (

@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PO_PATTERN_RGS, PO_PLAN, bell_oracle
+from conftest import PO_PATTERN_RGS, PO_PLAN, bell_oracle, pattern_eligible
 from wspkit.core import AtLeast, AtMost, BoD, InvariantError, SUAL, SoD, is_eligible
 from wspkit.patterns import (
     Pattern,
     bell,
     enumerate_patterns,
-    pattern_eligible,
     pattern_of,
     pattern_satisfies,
 )

@@ -10,8 +10,10 @@ from conftest import (
     CONSTRAINT_KINDS,
     PO_VALID_COUNT,
     _random_constraint,
+    count_valid_plans,
     disjoint_wl_instance,
     random_instance,
+    valid_plans,
     valid_plans_longhand,
 )
 from wspkit.core import (
@@ -35,11 +37,9 @@ from wspkit.solver import (
     SolveStats,
     Verdict,
     compile_search_problem,
-    count_valid_plans,
     solve_backtracking,
     solve_bruteforce,
     solve_pattern_enum,
-    valid_plans,
     verify,
 )
 from wspkit.absorption import absorb
