@@ -107,6 +107,14 @@ def test_row_validation():
         Row(">=", 1, ())
 
 
+def test_rows_compare_hash_and_print_by_value():
+    row = Row("<=", 0, (3,), guard=-2)
+    assert row == Row("<=", 0, (3,), guard=-2)
+    assert row != Row("<=", 0, (3,)) and row != ("<=", 0, (3,), -2)
+    assert len({row, Row("<=", 0, (3,), guard=-2), clause(3)}) == 2
+    assert repr(row) == "Row(op='<=', bound=0, lits=(3,), guard=-2)"
+
+
 def test_clause_is_at_least_one():
     row = clause(1, -2)
     assert row.op == ">=" and row.bound == 1 and row.lits == (1, -2)
@@ -115,11 +123,13 @@ def test_clause_is_at_least_one():
 def test_model_validate_rejects_unknown_variable():
     inst = make(1, 1, [[0]])
     model = encode_udpb(inst)
-    broken = BooleanModel(
-        kind="udpb", instance=inst, names=model.names, index=model.index,
-        rows=model.rows + (clause(99),), derived=(), selector_groups=())
-    with pytest.raises(InvariantError):
-        broken.validate()
+    for extra, bad in ((clause(99), 99), (clause(-99), -99),
+                       (Row(">=", 1, (1,), guard=-7), -7)):
+        broken = BooleanModel(
+            kind="udpb", instance=inst, names=model.names, index=model.index,
+            rows=model.rows + (extra,), derived=(), selector_groups=())
+        with pytest.raises(InvariantError, match=f"unknown variable {bad}$"):
+            broken.validate()
 
 
 def test_satisfied_by_rejects_unknown_name():
