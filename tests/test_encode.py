@@ -728,6 +728,47 @@ def test_cs_json_serialises_every_row_kind():
         json.loads(buf.getvalue())
 
 
+def assert_emitters_match_row_by_row_lowering(model):
+    """emit_opb formats unguarded rows from per-literal strings and
+    emit_dimacs joins all clauses at once; both must equal the text of
+    `opb_terms` and `lower_to_clauses`, formatted one row at a time."""
+    lowered = [t for row in model.rows for t in opb_terms(row)]
+    want = f"* #variable= {model.var_count} #constraint= {len(lowered)}\n"
+    for terms, op, rhs in lowered:
+        want += " ".join(f"{c:+d} x{v}" for c, v in terms)
+        want += f" {'>=' if op == '>=' else '='} {rhs} ;\n"
+    buf = io.StringIO()
+    emit_opb(model, buf)
+    assert buf.getvalue() == want
+
+    nvars, clauses = lower_to_clauses(model)
+    want = f"p cnf {nvars} {len(clauses)}\n" + "".join(
+        " ".join(str(lit) for lit in cl) + " 0\n" for cl in clauses)
+    buf = io.StringIO()
+    emit_dimacs(model, buf)
+    assert buf.getvalue() == want
+
+
+@pytest.mark.parametrize("kind", CONSTRAINT_KINDS + ("mixed",))
+@pytest.mark.parametrize("encoder", BOOLEAN_ENCODERS)
+def test_emitters_match_the_row_by_row_lowering(kind, encoder):
+    for seed in range(4):
+        assert_emitters_match_row_by_row_lowering(
+            encoder(random_instance(kind, seed)))
+
+
+def test_emitters_match_the_row_by_row_lowering_on_negated_literals():
+    # the encoders write no unguarded row with a negated literal under
+    # "<=", "=" or a bound above 1
+    base = encode_udpb(make(2, 2, [[0, 1], [0, 1]]))
+    extra = (Row("<=", 1, (1, -2, 3)), Row("=", 1, (-1, 2)),
+             Row(">=", 2, (-1, -2, 4)), Row("<=", 0, (-3,), guard=-4))
+    assert_emitters_match_row_by_row_lowering(BooleanModel(
+        kind="udpb", instance=base.instance, names=base.names,
+        index=base.index, rows=base.rows + extra, derived=(),
+        selector_groups=()))
+
+
 @pytest.mark.parametrize("emitter, encoder", [
     (emit_opb, encode_udpb),
     (emit_opb, encode_pbpb),
