@@ -260,7 +260,7 @@ def _usage_vars(b: _Builder, ci: int, scope: Sequence[int]) -> list[int]:
     for u in bits_of(support):
         z = b.var(f"c{ci}_z{u}")
         b.derived.append(DerivedVar(z, "z", scope, u))
-        xs = [xs_[u] for xs_ in table if xs_[u]]
+        xs = [step_x[u] for step_x in table if step_x[u]]
         for x in xs:
             add(clause(-x, z))
         add(clause(-z, *xs))
