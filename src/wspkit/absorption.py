@@ -30,7 +30,6 @@ from .core import (
     WL,
     _users_named,
     is_ui,
-    mask_of,
 )
 from .patterns import Pattern, pattern_satisfies
 
@@ -47,12 +46,10 @@ def alternatives(c: WL | ADA, n: int) -> tuple[tuple[tuple[int, int], ...], ...]
     one) first, then the non-trigger case (s1 to a non-trigger user).
     """
     if isinstance(c, WL):
-        return tuple(tuple((s, tmask) for s in c.scope)
-                     for tmask in map(mask_of, c.teams))
-    trig = mask_of(c.trigger)
+        return tuple(tuple((s, team) for s in c.scope) for team in c.teams)
     full = (1 << n) - 1
-    return (((c.s1, trig), (c.s2, mask_of(c.required))),
-            ((c.s1, full & ~trig),))
+    return (((c.s1, c.trigger), (c.s2, c.required)),
+            ((c.s1, full & ~c.trigger),))
 
 
 def sual_restricts(c: SUAL, p: Pattern) -> bool:
@@ -76,8 +73,7 @@ def family_for_constraint(
         mask = full if pattern_satisfies(p, c) else 0
         return (AuthorisationFunction(n, (mask,) * k),)
     if isinstance(c, SUAL):
-        xmask = mask_of(c.supers)
-        alts = (tuple((s, xmask) for s in c.scope) if sual_restricts(c, p) else (),)
+        alts = (tuple((s, c.supers) for s in c.scope) if sual_restricts(c, p) else (),)
     elif isinstance(c, (WL, ADA)):
         alts = alternatives(c, n)
     else:
@@ -131,9 +127,6 @@ class AbsorbedInstance:
     static_rows: tuple[tuple[int, ...], ...]
     suals: tuple[SUAL, ...]
 
-    def __post_init__(self) -> None:
-        self._sual_masks = tuple(mask_of(c.supers) for c in self.suals)
-
     @functools.cached_property
     def static_functions(self) -> tuple[AuthorisationFunction, ...]:
         n = self.instance.n
@@ -146,8 +139,7 @@ class AbsorbedInstance:
         if p.k != self.instance.k:
             raise InvariantError(
                 f"pattern has {p.k} steps, instance has {self.instance.k}")
-        narrowing = [(c.scope, xmask) for c, xmask in zip(self.suals, self._sual_masks)
-                     if sual_restricts(c, p)]
+        narrowing = [(c.scope, c.supers) for c in self.suals if sual_restricts(c, p)]
         if not narrowing:
             return self.static_functions
         n = self.instance.n
@@ -232,7 +224,7 @@ def branching_bound(c: Constraint, k: int, n: int) -> BranchingReport:
     else:
         raise InvariantError(f"unknown constraint type: {type(c).__name__}")
     scope_t = len(set(c.steps))
-    users_t = len(_users_named(c))
+    users_t = _users_named(c).bit_count()
     return BranchingReport(
         kind=kind,
         bound=bound,

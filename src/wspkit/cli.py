@@ -40,6 +40,7 @@ from .core import (
     SUAL,
     WL,
     WspError,
+    bits_of,
     violated_constraints,
 )
 from .encode import (
@@ -94,13 +95,14 @@ def constraint_to_doc(c: Constraint) -> dict:
                 "scope": list(c.scope)}
     if isinstance(c, SUAL):
         return {"kind": "sual", "scope": list(c.scope), "h": c.h,
-                "supers": sorted(c.supers)}
+                "supers": list(bits_of(c.supers))}
     if isinstance(c, WL):
         return {"kind": "wl", "scope": list(c.scope),
-                "teams": [sorted(team) for team in c.teams]}
+                "teams": [list(bits_of(team)) for team in c.teams]}
     if isinstance(c, ADA):
         return {"kind": "ada", "s1": c.s1, "s2": c.s2,
-                "trigger": sorted(c.trigger), "required": sorted(c.required)}
+                "trigger": list(bits_of(c.trigger)),
+                "required": list(bits_of(c.required))}
     raise CliError(f"no file form for constraint type {type(c).__name__}")
 
 
@@ -115,13 +117,11 @@ def constraint_from_doc(doc: dict) -> Constraint:
     if kind == "atleast":
         return AtLeast(doc["r"], tuple(doc["scope"]))
     if kind == "sual":
-        return SUAL(tuple(doc["scope"]), doc["h"], frozenset(doc["supers"]))
+        return SUAL(tuple(doc["scope"]), doc["h"], doc["supers"])
     if kind == "wl":
-        return WL(tuple(doc["scope"]),
-                  tuple(frozenset(team) for team in doc["teams"]))
+        return WL(tuple(doc["scope"]), tuple(doc["teams"]))
     if kind == "ada":
-        return ADA(doc["s1"], doc["s2"], frozenset(doc["trigger"]),
-                   frozenset(doc["required"]))
+        return ADA(doc["s1"], doc["s2"], doc["trigger"], doc["required"])
     raise CliError(f"unknown constraint kind {kind!r}")
 
 

@@ -6,9 +6,11 @@ constraints.  A plan assigns one user to every step; it is valid when it is
 authorised (every step performed by a permitted user) and eligible (no
 constraint violated).
 
-Steps and users are dense 0-based integer indices throughout.  User sets are
-kept as frozensets at the constraint level and as integer bitmasks inside
-authorisation functions.
+Steps and users are dense 0-based integer indices throughout.  Every user
+set is an n-bit integer mask, bit u standing for user u: the authorisation
+functions' step sets and the constraints' super-user, team, trigger and
+required sets alike.  Constraints accept any iterable of user ids there and
+pack it with `mask_of`; a mask passes through unchanged.
 """
 
 from __future__ import annotations
@@ -61,11 +63,16 @@ def _steps_tuple(scope: Iterable[int], what: str) -> tuple[int, ...]:
     return steps
 
 
-def _user_set(users: Iterable[int], what: str) -> frozenset[int]:
-    us = frozenset(users)
+def _user_set(users: Union[int, Iterable[int]], what: str) -> int:
+    """A user set as a mask: an int is taken as the mask itself, any other
+    iterable of user indices is packed with `mask_of`."""
+    if isinstance(users, int):
+        _require(users >= 0, f"{what}: a user mask must be non-negative")
+        return users
+    us = tuple(users)
     _require(all(isinstance(u, int) and u >= 0 for u in us),
              f"{what}: user indices must be non-negative integers")
-    return us
+    return mask_of(us)
 
 
 @dataclass(frozen=True)
@@ -197,7 +204,7 @@ class SUAL:
 
     scope: tuple[int, ...]
     h: int
-    supers: frozenset[int]
+    supers: int  # user mask
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "scope", _steps_tuple(self.scope, "sual"))
@@ -205,7 +212,7 @@ class SUAL:
         _require(len(self.scope) >= 2, "sual: scope must have at least 2 steps")
         _require(1 <= self.h < len(self.scope),
                  f"sual: h must lie in [1, {len(self.scope) - 1}]")
-        _require(len(self.supers) >= 1, "sual: super-user set must be non-empty")
+        _require(self.supers != 0, "sual: super-user set must be non-empty")
 
     @property
     def steps(self) -> tuple[int, ...]:
@@ -217,7 +224,7 @@ class WL:
     """Wang-Li: all scope steps performed by members of a single team."""
 
     scope: tuple[int, ...]
-    teams: tuple[frozenset[int], ...]
+    teams: tuple[int, ...]  # one user mask per team
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "scope", _steps_tuple(self.scope, "wl"))
@@ -225,10 +232,10 @@ class WL:
             self, "teams", tuple(_user_set(t, "wl") for t in self.teams))
         _require(len(self.scope) >= 2, "wl: scope must have at least 2 steps")
         _require(len(self.teams) >= 1, "wl: needs at least one team")
-        _require(all(len(t) >= 1 for t in self.teams), "wl: teams must be non-empty")
-        seen: set[int] = set()
+        _require(all(self.teams), "wl: teams must be non-empty")
+        seen = 0
         for t in self.teams:
-            _require(seen.isdisjoint(t), "wl: teams must be pairwise disjoint")
+            _require(not seen & t, "wl: teams must be pairwise disjoint")
             seen |= t
 
     @property
@@ -243,15 +250,15 @@ class ADA:
 
     s1: int
     s2: int
-    trigger: frozenset[int]
-    required: frozenset[int]
+    trigger: int  # user mask
+    required: int  # user mask
 
     def __post_init__(self) -> None:
         _require(self.s1 != self.s2, "ada: steps must differ")
         object.__setattr__(self, "trigger", _user_set(self.trigger, "ada"))
         object.__setattr__(self, "required", _user_set(self.required, "ada"))
-        _require(len(self.trigger) >= 1, "ada: trigger set must be non-empty")
-        _require(len(self.required) >= 1, "ada: required set must be non-empty")
+        _require(self.trigger != 0, "ada: trigger set must be non-empty")
+        _require(self.required != 0, "ada: required set must be non-empty")
 
     @property
     def steps(self) -> tuple[int, ...]:
@@ -269,17 +276,18 @@ def is_ui(c: Constraint) -> bool:
     return isinstance(c, UI_KINDS)
 
 
-def _users_named(c: Constraint) -> frozenset[int]:
+def _users_named(c: Constraint) -> int:
+    """The mask of every user the constraint names."""
     if isinstance(c, SUAL):
         return c.supers
     if isinstance(c, WL):
-        out: frozenset[int] = frozenset()
+        out = 0
         for t in c.teams:
             out |= t
         return out
     if isinstance(c, ADA):
         return c.trigger | c.required
-    return frozenset()
+    return 0
 
 
 # --- plan-level semantics -------------------------------------------------
@@ -293,6 +301,21 @@ def _at(plan: Sequence[int], s: int) -> int:
     return plan[s]
 
 
+def _user_bit(plan: Sequence[int], s: int) -> int:
+    """The one-bit mask of the user the plan gives step s."""
+    u = _at(plan, s)
+    if not (isinstance(u, int) and u >= 0):
+        raise InvariantError(f"plan: step {s} assigned invalid user {u!r}")
+    return 1 << u
+
+
+def _users_on(plan: Sequence[int], scope: Iterable[int]) -> int:
+    used = 0
+    for s in scope:
+        used |= _user_bit(plan, s)
+    return used
+
+
 def is_eligible(plan: Sequence[int], c: Constraint) -> bool:
     """Does the plan satisfy the single constraint c?"""
     if isinstance(c, SoD):
@@ -304,14 +327,14 @@ def is_eligible(plan: Sequence[int], c: Constraint) -> bool:
     if isinstance(c, AtLeast):
         return len({_at(plan, s) for s in c.scope}) >= c.r
     if isinstance(c, SUAL):
-        used = {_at(plan, s) for s in c.scope}
-        return len(used) > c.h or used <= c.supers
+        used = _users_on(plan, c.scope)
+        return used.bit_count() > c.h or not used & ~c.supers
     if isinstance(c, WL):
-        used = {_at(plan, s) for s in c.scope}
-        return any(used <= team for team in c.teams)
+        used = _users_on(plan, c.scope)
+        return any(not used & ~team for team in c.teams)
     if isinstance(c, ADA):
-        if _at(plan, c.s1) in c.trigger:
-            return _at(plan, c.s2) in c.required
+        if _user_bit(plan, c.s1) & c.trigger:
+            return _user_bit(plan, c.s2) & c.required != 0
         return True
     raise InvariantError(f"unknown constraint type: {type(c).__name__}")
 
@@ -354,10 +377,11 @@ class Instance:
                 if not 0 <= s < self.k:
                     raise InvariantError(
                         f"{type(c).__name__}: step {s} outside [0, {self.k})")
-            for u in _users_named(c):
-                if not 0 <= u < self.n:
-                    raise InvariantError(
-                        f"{type(c).__name__}: user {u} outside [0, {self.n})")
+            named = _users_named(c)
+            if named >> self.n:
+                raise InvariantError(
+                    f"{type(c).__name__}: user {named.bit_length() - 1} "
+                    f"outside [0, {self.n})")
 
     def ui_constraints(self) -> tuple[Constraint, ...]:
         return tuple(c for c in self.constraints if is_ui(c))

@@ -49,7 +49,6 @@ from .core import (
     SoD,
     WL,
     bits_of,
-    mask_of,
 )
 from .absorption import alternatives
 from .patterns import Pattern, enumerate_patterns, pattern_of
@@ -65,13 +64,37 @@ SUBSET_ENUM_LIMIT = 64
 _OPS = frozenset((">=", "<=", "="))
 
 
-class Row:
+class _Record:
+    """A small record that compares, hashes and prints by its slots, in
+    order, as a frozen dataclass does, but builds as fast as a plain class:
+    the encoders make one per row and per derived variable.  Treat records
+    as immutable; nothing stops an assignment to a slot."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Row(_Record):
     """One linear row over literals: sum of true literals `op` bound.
 
     `lits` are signed 1-based variable indices (negative = negated).  A row
     with a `guard` literal is enforced only when the guard is true; guarded
     rows lower to coefficient form in OPB and to guard-weakened clauses in
-    DIMACS.  Rows compare and hash by value; treat them as immutable.
+    DIMACS.
     """
 
     __slots__ = ("op", "bound", "lits", "guard")
@@ -86,21 +109,6 @@ class Row:
         self.bound = bound
         self.lits = lits
         self.guard = guard
-
-    def _key(self) -> tuple:
-        return (self.op, self.bound, self.lits, self.guard)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (f"Row(op={self.op!r}, bound={self.bound!r}, "
-                f"lits={self.lits!r}, guard={self.guard!r})")
 
     def holds(self, values: Sequence[bool]) -> bool:
         """Evaluate against values indexed by variable (entry 0 unused)."""
@@ -122,17 +130,20 @@ def clause(*lits: int) -> Row:
     return Row(">=", 1, lits)
 
 
-@dataclass(frozen=True)
-class DerivedVar:
+class DerivedVar(_Record):
     """A variable whose value is a function of the x-variables: usage
     indicators ("z": user `u` performs some scope step) and block
     representatives ("rep": step `s` is the first of its block within the
     scope)."""
 
-    index: int
-    kind: str  # "z" | "rep"
-    scope: tuple[int, ...]
-    arg: int  # user for "z", step for "rep"
+    __slots__ = ("index", "kind", "scope", "arg")
+
+    def __init__(self, index: int, kind: str, scope: tuple[int, ...],
+                 arg: int) -> None:
+        self.index = index
+        self.kind = kind  # "z" | "rep"
+        self.scope = scope
+        self.arg = arg  # user for "z", step for "rep"
 
 
 @dataclass
@@ -310,9 +321,8 @@ def _sual_groups(b: _Builder, ci: int, c: SUAL, count_lits: list[int]) -> None:
     b.add(clause(g1, g2))
     b.add(Row("<=", c.h, tuple(count_lits), guard=g1))
     b.add(Row(">=", c.h + 1, tuple(count_lits), guard=g2))
-    xmask = mask_of(c.supers)
     for s in c.scope:
-        _exclusions(b, g1, s, xmask)
+        _exclusions(b, g1, s, c.supers)
 
 
 def _named_alternatives(ci: int, c: WL | ADA, n: int) -> list[tuple[str, tuple]]:
@@ -655,9 +665,8 @@ def encode_cs(inst: Instance) -> CSModel:
             rows.append(_cs_row(
                 "cond_scope_pattern_in", selector=g2, scope=c.scope,
                 allowed=_partitions_with(len(c.scope), lambda bc: bc > c.h)))
-            xmask = mask_of(c.supers)
             for s in c.scope:
-                exclude(g1, s, xmask)
+                exclude(g1, s, c.supers)
         elif isinstance(c, (WL, ADA)):
             named = _named_alternatives(ci, c, inst.n)
             sels = tuple(selector(name) for name, _ in named)
@@ -728,7 +737,10 @@ def emit_opb(model: BooleanModel, sink: IO[str]) -> None:
     Unguarded rows have unit coefficients, so they are formatted straight
     from their literals: `term[lit]` is a literal's text ("+1 xv" for v,
     "-1 xv" for -v), and `flipped[lit]` that of its negation, which a `<=`
-    row uses once turned into `>=`.  Guarded rows go through `opb_terms`.
+    row uses once turned into `>=`.  The selector exclusion "g implies not
+    x" (`_exclusions`, most guarded rows) has the fixed form that
+    `opb_terms` gives it, `-1 xx -1 xg >= -1`; every other guarded row goes
+    through `opb_terms`.
     """
     v = model.var_count
     term = {}
@@ -740,9 +752,14 @@ def emit_opb(model: BooleanModel, sink: IO[str]) -> None:
     lines = []
     for row in model.rows:
         lits = row.lits
-        if row.guard is not None:
-            lines.extend(_format_opb_row(*lowered) + "\n"
-                         for lowered in opb_terms(row))
+        guard = row.guard
+        if guard is not None:
+            if (guard > 0 and row.bound == 0 and row.op == "<=" and len(lits) == 1
+                    and lits[0] > 0):
+                lines.append(f"{flipped[lits[0]]} {flipped[guard]} >= -1 ;\n")
+            else:
+                lines.extend(_format_opb_row(*lowered) + "\n"
+                             for lowered in opb_terms(row))
             continue
         rhs = row.bound - sum(map(negative, lits))
         if row.op == "<=":

@@ -52,6 +52,7 @@ from .core import (
     SUAL,
     WL,
     WspError,
+    mask_of,
 )
 
 MASK64 = (1 << 64) - 1
@@ -237,21 +238,20 @@ def _draw_am3(rng: SplitMix64, k: int, n: int) -> Constraint:
 
 def _draw_sual(rng: SplitMix64, k: int, n: int) -> Constraint:
     scope = tuple(rng.subset(k, 5))
-    return SUAL(scope, 3, frozenset(rng.subset(n, 5)))
+    return SUAL(scope, 3, mask_of(rng.subset(n, 5)))
 
 
 def _draw_wl(rng: SplitMix64, k: int, n: int) -> Constraint:
     team = n // 4
     scope = tuple(rng.subset(k, 2))
     sample = rng.subset(n, 2 * team)
-    return WL(scope, (frozenset(sample[:team]), frozenset(sample[team:])))
+    return WL(scope, (mask_of(sample[:team]), mask_of(sample[team:])))
 
 
 def _draw_ada(rng: SplitMix64, k: int, n: int) -> Constraint:
     half = n // 2
     s1, s2 = rng.subset(k, 2)
-    return ADA(s1, s2, frozenset(rng.subset(n, half)),
-               frozenset(rng.subset(n, half)))
+    return ADA(s1, s2, mask_of(rng.subset(n, half)), mask_of(rng.subset(n, half)))
 
 
 # one constraint of each kind; kinds are drawn in FAMILY_KINDS order, each

@@ -31,7 +31,6 @@ from .core import (
     bits_of,
     is_eligible,
     is_valid,
-    mask_of,
 )
 from .matching import authorised_plan_for
 from .patterns import enumerate_patterns, pattern_satisfies
@@ -184,7 +183,7 @@ def compile_search_problem(absorbed: AbsorbedInstance) -> Optional[SearchProblem
         elif isinstance(c, AtLeast):
             counts.append(CountSpec(False, c.r, tuple(sorted(pos[s] for s in c.scope))))
     suals = tuple(
-        SualSpec(tuple(sorted(pos[s] for s in c.scope)), c.h, mask_of(c.supers))
+        SualSpec(tuple(sorted(pos[s] for s in c.scope)), c.h, c.supers)
         for c in absorbed.suals)
 
     return SearchProblem(

@@ -44,6 +44,7 @@ from wspkit.core import (
     SUAL,
     SoD,
     WL,
+    bits_of,
     is_authorised,
     is_eligible,
 )
@@ -176,7 +177,7 @@ def matching_oracle(block_masks, n) -> int:
 
 def valid_plans_longhand(inst: Instance) -> set[tuple[int, ...]]:
     """Every valid plan, by scanning the full n^k space with the plan-level
-    definitions written out."""
+    definitions written out over sets, not over the constraints' masks."""
     out = set()
     for plan in itertools.product(range(inst.n), repeat=inst.k):
         if not all(inst.auth.allows(s, plan[s]) for s in range(inst.k)):
@@ -193,12 +194,13 @@ def valid_plans_longhand(inst: Instance) -> set[tuple[int, ...]]:
                 ok = len({plan[s] for s in c.scope}) >= c.r
             elif isinstance(c, SUAL):
                 used = {plan[s] for s in c.scope}
-                ok = len(used) > c.h or used <= c.supers
+                ok = len(used) > c.h or used <= set(bits_of(c.supers))
             elif isinstance(c, WL):
                 used = {plan[s] for s in c.scope}
-                ok = any(used <= team for team in c.teams)
+                ok = any(used <= set(bits_of(team)) for team in c.teams)
             elif isinstance(c, ADA):
-                ok = plan[c.s1] not in c.trigger or plan[c.s2] in c.required
+                ok = (plan[c.s1] not in bits_of(c.trigger)
+                      or plan[c.s2] in bits_of(c.required))
             if not ok:
                 break
         if ok:

@@ -6,7 +6,9 @@ importable kernel backend.  The first test drives that path in process
 against the compiled kernel that `conftest.py` provides.  The second runs
 one untraced pass of the `export` workload, whose checks cover the OPB
 header, the DIMACS problem line, the CS JSON variable count, and each SAT
-plan's assignment on all three models.  Because the tests
+plan's assignment on all three models.  The third runs one untraced pass of
+`alternatives`, whose WL and ADA draws drive absorption's product and whose
+checks verify every SAT plan.  Because the tests
 build from the committed `_speed.c`, two more tests check that it was
 generated from the current `_speed.pyx`: one compares the `.pyx` lines the
 C file quotes, the other the `.pyx` against the SHA-256 committed beside the
@@ -78,6 +80,19 @@ def test_benchmark_export_checks_pass(tmp_path, monkeypatch):
     assert out.errors == []
     assert (len(out.tasks), out.task_failed) == (36 // wl.export_every, 0)
     assert any(rec.verdict == "S" for rec in out.solves[::wl.export_every])
+
+
+def test_benchmark_alternatives_checks_pass(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import speed
+    import workloads
+
+    wl = dataclasses.replace(workloads.WORKLOADS["alternatives"], instances=36)
+    state = wl.setup(LIB, 81, tmp_path, None, lambda: None)
+    out = wl.run_pass(LIB, state, None, speed.RawClock())
+    assert out.errors == []
+    assert len(out.solves) == 36
+    assert {"S", "U"} <= {rec.verdict for rec in out.solves}
 
 
 MARKER = re.compile(r'^\s*/\* "wspkit/_kernel/_speed\.pyx":(\d+)$')

@@ -1,5 +1,7 @@
 """Plan-level semantics and structural validation."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from wspkit.core import (
     is_eligible,
     is_ui,
     is_valid,
+    mask_of,
     violated_constraints,
 )
 
@@ -194,3 +197,74 @@ def test_instance_constraint_partition():
     inst = purchase_order_instance()
     assert len(inst.ui_constraints()) == 5
     assert inst.nonui_constraints() == ()
+
+
+# --- user sets as masks --------------------------------------------------------
+#
+# Each entry builds a constraint whose one varied user set is `users`, given
+# as a list, a set or a mask, and names the field that holds it; the other
+# user set of an ADA is {0}.
+
+USER_SET_FIELDS = {
+    "sual": (lambda users: SUAL((0, 1, 2), 1, users), "supers"),
+    "wl": (lambda users: WL((0, 1), (users,)), "teams"),
+    "ada-trigger": (lambda users: ADA(0, 1, users, {0}), "trigger"),
+    "ada-required": (lambda users: ADA(0, 1, {0}, users), "required"),
+}
+
+
+def _user_set(c, field):
+    """The mask the field holds; a WL's one team."""
+    value = getattr(c, field)
+    return value[0] if field == "teams" else value
+
+
+@pytest.mark.parametrize("kind", USER_SET_FIELDS)
+@pytest.mark.parametrize("n", [4, 130])
+def test_named_user_must_lie_below_n(kind, n):
+    make, _ = USER_SET_FIELDS[kind]
+    auth = AuthorisationFunction.total(3, n)
+    Instance(3, n, auth, (make([0, n - 1]),))
+    name = type(make([0])).__name__
+    for users, named in (([0, n], n), (1 | 1 << n, n), ([n + 2, 1], n + 2)):
+        with pytest.raises(InvariantError,
+                           match=rf"^{name}: user {named} outside \[0, {n}\)$"):
+            Instance(3, n, auth, (make(users),))
+
+
+@pytest.mark.parametrize("kind", USER_SET_FIELDS)
+@pytest.mark.parametrize("users", [[-1], [0, -1], [1.0], ["a"], [None], [], set(), 0, -1],
+                         ids=["neg", "neg-tail", "float", "str", "none", "empty-list",
+                              "empty-set", "empty-mask", "neg-mask"])
+def test_bad_user_ids_and_empty_sets_are_rejected(kind, users):
+    make, _ = USER_SET_FIELDS[kind]
+    with pytest.raises(InvariantError):
+        make(users)
+
+
+def test_overlapping_wl_teams_are_rejected():
+    for teams in (({0, 1}, {1, 2}), (0b011, 0b110), ([0, 1], 0b110), ({3}, {0}, [1, 3])):
+        with pytest.raises(InvariantError, match="pairwise disjoint"):
+            WL((0, 1), teams)
+    assert WL((0, 1), ({0, 1}, 0b100, [3])).teams == (0b0011, 0b0100, 0b1000)
+
+
+@pytest.mark.parametrize("kind", USER_SET_FIELDS)
+def test_user_set_forms_compare_hash_and_replace_alike(kind):
+    make, field = USER_SET_FIELDS[kind]
+    forms = ([5, 0, 3, 3], {0, 3, 5}, frozenset({0, 3, 5}), (u for u in (0, 3, 5)),
+             mask_of([0, 3, 5]))
+    built = [make(users) for users in forms]
+    assert all(c == built[0] and hash(c) == hash(built[0]) for c in built)
+    assert _user_set(built[0], field) == 0b101001
+    assert make([0, 3]) != built[0]
+    for c in built:
+        assert dataclasses.replace(c) == built[0]
+        value = [0, 3, 5] if field != "teams" else ([5, 3, 0],)
+        assert dataclasses.replace(c, **{field: value}) == built[0]
+
+
+def test_eligibility_rejects_a_user_that_is_no_mask_bit():
+    for c in (SUAL((0, 1), 1, {0}), WL((0, 1), ({0},)), ADA(0, 1, {0}, {1})):
+        with pytest.raises(InvariantError, match="invalid user -1"):
+            is_eligible((-1, 0), c)

@@ -18,7 +18,7 @@ from dataclasses import replace
 import pytest
 
 from wspkit import cli
-from wspkit.core import ADA, AtMost, InvariantError, SoD, SUAL, WL, WspError
+from wspkit.core import ADA, AtMost, InvariantError, SoD, SUAL, WL, WspError, bits_of
 from wspkit.generator import (
     CalibrationError,
     GenSpec,
@@ -154,13 +154,16 @@ def test_constraint_shapes_by_kind():
     assert isinstance(sod, SoD) and sod.s1 < sod.s2
     assert isinstance(am3, AtMost)
     assert isinstance(sual, SUAL) and sual.h == 3
-    assert len(sual.scope) == 5 and len(sual.supers) == 5
+    supers = set(bits_of(sual.supers))
+    assert len(sual.scope) == 5 and len(supers) == 5
+    teams = [set(bits_of(team)) for team in wl.teams]
     assert isinstance(wl, WL) and len(wl.scope) == 2
-    assert [len(team) for team in wl.teams] == [3, 3]  # n//4 each
-    assert not (wl.teams[0] & wl.teams[1])
+    assert [len(team) for team in teams] == [3, 3]  # n//4 each
+    assert not (teams[0] & teams[1])
     assert isinstance(ada, ADA)
-    assert len(ada.trigger) == 6 and len(ada.required) == 6  # n//2 each
-    assert ada.trigger <= set(range(12)) and ada.required <= set(range(12))
+    trigger, required = set(bits_of(ada.trigger)), set(bits_of(ada.required))
+    assert len(trigger) == 6 and len(required) == 6  # n//2 each
+    assert trigger <= set(range(12)) and required <= set(range(12))
 
 
 def test_every_step_ends_up_authorised():
