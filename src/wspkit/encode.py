@@ -737,10 +737,10 @@ def emit_opb(model: BooleanModel, sink: IO[str]) -> None:
     Unguarded rows have unit coefficients, so they are formatted straight
     from their literals: `term[lit]` is a literal's text ("+1 xv" for v,
     "-1 xv" for -v), and `flipped[lit]` that of its negation, which a `<=`
-    row uses once turned into `>=`.  The selector exclusion "g implies not
-    x" (`_exclusions`, most guarded rows) has the fixed form that
-    `opb_terms` gives it, `-1 xx -1 xg >= -1`; every other guarded row goes
-    through `opb_terms`.
+    row uses once turned into `>=`.  The selector exclusion "guard g implies
+    not x_v" (`_exclusions`, most guarded rows) is written in the fixed form
+    that `opb_terms` gives it, `-1 xv -1 xg >= -1`; every other guarded row
+    goes through `opb_terms`.
     """
     v = model.var_count
     term = {}
