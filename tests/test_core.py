@@ -213,12 +213,6 @@ USER_SET_FIELDS = {
 }
 
 
-def _user_set(c, field):
-    """The mask the field holds; a WL's one team."""
-    value = getattr(c, field)
-    return value[0] if field == "teams" else value
-
-
 @pytest.mark.parametrize("kind", USER_SET_FIELDS)
 @pytest.mark.parametrize("n", [4, 130])
 def test_named_user_must_lie_below_n(kind, n):
@@ -256,11 +250,12 @@ def test_user_set_forms_compare_hash_and_replace_alike(kind):
              mask_of([0, 3, 5]))
     built = [make(users) for users in forms]
     assert all(c == built[0] and hash(c) == hash(built[0]) for c in built)
-    assert _user_set(built[0], field) == 0b101001
+    teams = field == "teams"
+    assert getattr(built[0], field) == ((0b101001,) if teams else 0b101001)
     assert make([0, 3]) != built[0]
     for c in built:
         assert dataclasses.replace(c) == built[0]
-        value = [0, 3, 5] if field != "teams" else ([5, 3, 0],)
+        value = ([5, 3, 0],) if teams else [5, 3, 0]
         assert dataclasses.replace(c, **{field: value}) == built[0]
 
 
