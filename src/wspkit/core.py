@@ -16,6 +16,7 @@ pack it with `mask_of`; a mask passes through unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Sequence, Union
 
 
@@ -37,22 +38,47 @@ def _require(cond: bool, msg: str) -> None:
         raise InvariantError(msg)
 
 
+# Up to these sizes the shift-and-or loops beat the linear scans; past them
+# each step of a loop copies the whole mask, which is quadratic at large n.
+_MASK_OF_LOOP_MAX = 64   # users packed
+_BITS_OF_LOOP_MAX = 12   # bits set
+_TO_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
+_TO_FLAG = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def mask_of(users: Iterable[int]) -> int:
-    """Pack an iterable of user indices into a bitmask."""
-    m = 0
+    """Pack an iterable of user indices into a bitmask, in time linear in
+    the largest index."""
+    try:
+        few = len(users) <= _MASK_OF_LOOP_MAX
+    except TypeError:  # an iterator: read it once
+        users = list(users)
+        few = len(users) <= _MASK_OF_LOOP_MAX
+    if few:
+        m = 0
+        for u in users:
+            m |= 1 << u
+        return m
+    if min(users) < 0:
+        raise ValueError("negative shift count")  # as `1 << u` raises
+    flags = bytearray(max(users) + 1)  # flags[u] = 1 for each user u
     for u in users:
-        m |= 1 << u
-    return m
+        flags[u] = 1
+    return int(flags.translate(_TO_DIGIT)[::-1], 2)
 
 
 def bits_of(mask: int) -> tuple[int, ...]:
-    """Unpack a bitmask into an ascending tuple of indices."""
-    out = []
-    while mask:
-        lsb = mask & -mask
-        out.append(lsb.bit_length() - 1)
-        mask ^= lsb
-    return tuple(out)
+    """Unpack a bitmask into an ascending tuple of indices, in time linear
+    in its length."""
+    if mask.bit_count() <= _BITS_OF_LOOP_MAX:
+        out = []
+        while mask:
+            lsb = mask & -mask
+            out.append(lsb.bit_length() - 1)
+            mask ^= lsb
+        return tuple(out)
+    flags = bin(mask)[:1:-1].encode("ascii").translate(_TO_FLAG)
+    return tuple(compress(range(len(flags)), flags))
 
 
 def _steps_tuple(scope: Iterable[int], what: str) -> tuple[int, ...]:
@@ -75,7 +101,7 @@ def _user_set(users: Union[int, Iterable[int]], what: str) -> int:
     return mask_of(us)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuthorisationFunction:
     """Per-step authorised user sets, stored as n-bit masks.
 
@@ -129,7 +155,7 @@ class AuthorisationFunction:
 # appear, so they are not expressible over the step partition alone.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SoD:
     """Separation of duty: the two steps get different users."""
 
@@ -144,7 +170,7 @@ class SoD:
         return (self.s1, self.s2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoD:
     """Binding of duty: the two steps get the same user."""
 
@@ -159,7 +185,7 @@ class BoD:
         return (self.s1, self.s2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AtMost:
     """At most r distinct users over the scope."""
 
@@ -178,7 +204,7 @@ class AtMost:
         return self.scope
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AtLeast:
     """At least r distinct users over the scope."""
 
@@ -197,7 +223,7 @@ class AtLeast:
         return self.scope
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SUAL:
     """Super-user-at-least: if at most h distinct users perform the scope,
     all of them must come from the super-user set."""
@@ -219,7 +245,7 @@ class SUAL:
         return self.scope
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WL:
     """Wang-Li: all scope steps performed by members of a single team."""
 
@@ -243,7 +269,7 @@ class WL:
         return self.scope
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ADA:
     """Assignment-dependent authorisation: if s1 is performed by a trigger
     user, s2 must be performed by a user from the required set."""
@@ -352,7 +378,7 @@ def is_authorised(plan: Sequence[int], auth: AuthorisationFunction) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instance:
     """A workflow satisfiability instance (steps, users, authorisations,
     constraints)."""

@@ -2,10 +2,14 @@
 
 Instances are drawn by a fixed, self-contained PRNG (SplitMix64 streams,
 rejection-sampled bounded integers, partial Fisher-Yates subsets) so the same
-spec and seed give byte-identical instances on any platform.  Authorisation
-lists are drawn per user: each user receives a uniformly random number of
-steps between 1 and floor(k/2) (at least 1), then a uniform subset of that
-size.  Constraint shapes are fixed:
+spec and seed give byte-identical instances on any platform.  The stream is
+computed in batches, many outputs at a time in the 128-bit lanes of one
+Python int; its outputs are those of the textbook one-at-a-time SplitMix64,
+bit for bit, so every draw is unchanged by it.
+
+Authorisation lists are drawn per user: each user receives a uniformly
+random number of steps between 1 and floor(k/2) (at least 1), then a
+uniform subset of that size.  Constraint shapes are fixed:
 
   sod   two distinct steps
   am3   at most 3 users over a scope of 5 steps
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -91,31 +96,99 @@ def derive_seed(*parts: int) -> int:
     return z
 
 
+# outputs per batch: a stream's batches run through these sizes in order,
+# then stay at the last, so a short stream computes few outputs it never reads
+_BATCH_SIZES = (4, 8, 16, 32, 64, 128, 256, 512)
+# the low word of every lane, in the order a native 'Q' view lists them
+_LOW_WORDS = slice(None, None, 2) if sys.byteorder == "little" else \
+    slice(None, None, -2)
+
+
+class _Lanes:
+    """The lane constants of one batch size."""
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self.ones = _packed([1] * size)               # 1 in every lane
+        self.steps = GOLDEN * _packed(range(1, size + 1))  # i+1 in lane i
+        self.low = self.ones * MASK64
+
+
+def _packed(values: Iterable[int]) -> int:
+    """One int whose 128-bit lane i holds the i-th of `values`."""
+    return int.from_bytes(b"".join(v.to_bytes(16, "little") for v in values),
+                          "little")
+
+
+_LANES = {size: _Lanes(size) for size in _BATCH_SIZES}
+
+
+def _batch(state: int, lanes: _Lanes) -> list[int]:
+    """The next `lanes.size` outputs of a stream at `state`, all at once.
+
+    Output i is _mix64(state + (i+1)*GOLDEN mod 2**64) and depends on no
+    other output, so lane i of one Python int of 128-bit lanes computes it
+    alongside every other lane.  Each lane holds a 64-bit value in its low
+    half: a 64x64-bit product fills the lane without carrying into the
+    next, and masking with `lanes.low` after every shift keeps the bits
+    that a right shift pulls down from the next lane out of the products.
+    """
+    low = lanes.low
+    z = (state * lanes.ones + lanes.steps) & low
+    z = (((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9) & low
+    z = (((z ^ (z >> 27)) & low) * 0x94D049BB133111EB) & low
+    z ^= z >> 31  # the high halves take bits of the next lane; none are read
+    words = memoryview(z.to_bytes(16 * lanes.size, sys.byteorder)).cast("Q")
+    return words[_LOW_WORDS].tolist()
+
+
 class SplitMix64:
-    """The standard SplitMix64 stream."""
+    """The standard SplitMix64 stream, computed a batch of outputs at a
+    time."""
 
     def __init__(self, seed: int) -> None:
-        self.state = seed & MASK64
+        self._base = seed & MASK64  # the state before _buf[0]
+        self._buf: list[int] = []
+        self._pos = 0               # outputs of _buf read so far
+        self._lanes = _LANES[_BATCH_SIZES[0]]
+
+    @property
+    def state(self) -> int:
+        """The state after the last output read: a stream seeded with it
+        continues this one."""
+        return (self._base + self._pos * GOLDEN) & MASK64
+
+    def _refill(self) -> list[int]:
+        """Compute the batch after the current one, which must be read to
+        its end, and return it."""
+        lanes = self._lanes
+        self._base = (self._base + len(self._buf) * GOLDEN) & MASK64
+        self._buf = _batch(self._base, lanes)
+        self._pos = 0
+        self._lanes = _LANES.get(2 * lanes.size, lanes)
+        return self._buf
 
     def next64(self) -> int:
-        self.state = (self.state + GOLDEN) & MASK64
-        return _mix64(self.state)
+        if self._pos == len(self._buf):
+            self._refill()
+        self._pos += 1
+        return self._buf[self._pos - 1]
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound), by rejection on the high bits."""
         if bound <= 0:
             raise InvariantError(f"below: bound must be positive, got {bound}")
-        shift = 64 - max(1, (bound - 1).bit_length())
-        state = self.state
+        shift = 64 - ((bound - 1).bit_length() or 1)
+        buf, pos = self._buf, self._pos
         while True:
-            # next64 with the _mix64 finaliser inlined: this is the
-            # generator's innermost loop
-            state = (state + GOLDEN) & MASK64
-            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-            value = (z ^ (z >> 31)) >> shift
+            try:
+                value = buf[pos] >> shift
+            except IndexError:
+                buf, pos = self._refill(), 0
+                continue
+            pos += 1
             if value < bound:
-                self.state = state
+                self._pos = pos
                 return value
 
     def subset(self, m: int, size: int) -> list[int]:
@@ -123,11 +196,24 @@ class SplitMix64:
         partial Fisher-Yates shuffle."""
         if size > m:
             raise InvariantError(f"subset: cannot draw {size} of {m}")
-        below = self.below
+        buf, pos = self._buf, self._pos
         pool = list(range(m))
         for i in range(size):
-            j = i + below(m - i)
+            # below(m - i), inlined: this is the generator's innermost loop
+            bound = m - i
+            shift = 64 - ((bound - 1).bit_length() or 1)
+            while True:
+                try:
+                    value = buf[pos] >> shift
+                except IndexError:
+                    buf, pos = self._refill(), 0
+                    continue
+                pos += 1
+                if value < bound:
+                    break
+            j = i + value
             pool[i], pool[j] = pool[j], pool[i]
+        self._pos = pos
         return pool[:size]
 
 

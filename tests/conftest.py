@@ -3,8 +3,10 @@
 The oracles here deliberately take different routes than the package code
 they check: Bell numbers come from a Stirling-number sum instead of the
 triangle, maximum matchings from exhaustive recursion instead of
-augmenting paths, and valid-plan sets from longhand semantics over the full
-plan space where affordable.
+augmenting paths, valid-plan sets from longhand semantics over the full
+plan space where affordable, user masks from shift-and-or loops instead of
+linear scans, and the SplitMix64 stream one output at a time instead of in
+lane batches.
 
 When the package under test has no compiled kernel, this module builds the
 committed, Cython-generated `_speed.c` once per session into a temporary
@@ -206,6 +208,58 @@ def valid_plans_longhand(inst: Instance) -> set[tuple[int, ...]]:
         if ok:
             out.add(plan)
     return out
+
+
+def mask_of_loop(users) -> int:
+    """`core.mask_of` by its definition: one shift-and-or per user."""
+    m = 0
+    for u in users:
+        m |= 1 << u
+    return m
+
+
+def bits_of_loop(mask: int) -> tuple[int, ...]:
+    """`core.bits_of` by its definition: peel off the lowest set bit."""
+    out = []
+    while mask:
+        lsb = mask & -mask
+        out.append(lsb.bit_length() - 1)
+        mask ^= lsb
+    return tuple(out)
+
+
+class ScalarSplitMix64:
+    """`generator.SplitMix64` one output at a time, as the textbook stream
+    defines it: add GOLDEN to the state, then mix the state."""
+
+    MASK64 = (1 << 64) - 1
+    GOLDEN = 0x9E3779B97F4A7C15
+
+    def __init__(self, seed: int) -> None:
+        self.state = seed & self.MASK64
+
+    def next64(self) -> int:
+        self.state = z = (self.state + self.GOLDEN) & self.MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self.MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self.MASK64
+        return z ^ (z >> 31)
+
+    def below(self, bound: int) -> int:
+        """Uniform integer in [0, bound), by rejection on the high bits."""
+        shift = 64 - max(1, (bound - 1).bit_length())
+        while True:
+            value = self.next64() >> shift
+            if value < bound:
+                return value
+
+    def subset(self, m: int, size: int) -> list[int]:
+        """`size` distinct integers from range(m), in draw order, via a
+        partial Fisher-Yates shuffle."""
+        pool = list(range(m))
+        for i in range(size):
+            j = i + self.below(m - i)
+            pool[i], pool[j] = pool[j], pool[i]
+        return pool[:size]
 
 
 # --- random instance sampler -------------------------------------------------

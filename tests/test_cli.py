@@ -38,6 +38,7 @@ from wspkit.generator import (
     GenSpec,
     PTCalibration,
     derive_seed,
+    generate,
     generate_with_meta,
     save_calibration,
 )
@@ -385,6 +386,19 @@ def test_generate_bad_shape_parameters_exit_one(tmp_path, capsys):
                  "--out-dir", str(tmp_path)])
     assert code == EXIT_ERROR
     assert "k >= 5" in capsys.readouterr().err
+
+
+@pytest.mark.sweep
+def test_generate_round_trips_at_n_100k(tmp_path, capsys):
+    # the top of the n sweep: every user mask is packed and unpacked
+    # through the JSON document at 100 000 users
+    code = main(["generate", "--k", "16", "--n", "100000", "--am3", "16",
+                 "--sod", "35", "--sual", "1", "--wl", "1", "--ada", "1",
+                 "--seed", "5", "--out-dir", str(tmp_path)])
+    (path,) = tmp_path.iterdir()
+    assert code == EXIT_OK and capsys.readouterr().out.strip() == str(path)
+    assert load_instance(path) == generate(GenSpec(
+        k=16, n=100_000, am3=16, sod=35, sual=1, wl=1, ada=1, seed=5))
 
 
 # --- encode -------------------------------------------------------------------------------

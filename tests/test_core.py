@@ -1,12 +1,14 @@
 """Plan-level semantics and structural validation."""
 
 import dataclasses
+import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PO_PLAN, purchase_order_instance
+from conftest import PO_PLAN, bits_of_loop, mask_of_loop, purchase_order_instance
 from wspkit.core import (
     ADA,
     AtLeast,
@@ -18,6 +20,7 @@ from wspkit.core import (
     SUAL,
     SoD,
     WL,
+    bits_of,
     is_authorised,
     is_eligible,
     is_ui,
@@ -25,6 +28,7 @@ from wspkit.core import (
     mask_of,
     violated_constraints,
 )
+from wspkit.core import _BITS_OF_LOOP_MAX, _MASK_OF_LOOP_MAX
 
 
 def test_purchase_order_plan_is_valid(po_instance):
@@ -263,3 +267,81 @@ def test_eligibility_rejects_a_user_that_is_no_mask_bit():
     for c in (SUAL((0, 1), 1, {0}), WL((0, 1), ({0},)), ADA(0, 1, {0}, {1})):
         with pytest.raises(InvariantError, match="invalid user -1"):
             is_eligible((-1, 0), c)
+
+
+# --- masks --------------------------------------------------------------------
+
+
+def user_sets(n):
+    """User sets over range(n): empty, one bit at either end, and random
+    sets on both sides of the sizes where mask_of and bits_of leave their
+    loops for linear scans."""
+    pick = random.Random(n)
+    yield []
+    yield [0]
+    yield [n - 1]
+    for size in (2, _BITS_OF_LOOP_MAX, _BITS_OF_LOOP_MAX + 1,
+                 _MASK_OF_LOOP_MAX, _MASK_OF_LOOP_MAX + 1, n // 4, n // 2, n):
+        if size <= n:
+            yield pick.sample(range(n), size)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 100_000])
+def test_mask_of_and_bits_of_match_their_loop_definitions(n):
+    for users in user_sets(n):
+        mask = mask_of_loop(users)
+        assert mask_of(users) == mask
+        assert mask_of(tuple(users)) == mask
+        assert mask_of(iter(users)) == mask
+        assert mask_of(users + users[:70]) == mask   # repeats pack once
+        assert bits_of(mask) == bits_of_loop(mask) == tuple(sorted(users))
+
+
+def test_mask_of_rejects_negative_users_at_every_size():
+    for users in ([-1], [3, -1], list(range(80)) + [-1]):
+        with pytest.raises(ValueError):
+            mask_of(users)
+
+
+# --- value classes ------------------------------------------------------------
+
+
+def every_kind_instance():
+    auth = AuthorisationFunction.from_lists(
+        [[0, 1, 2], [1, 2, 3], [0, 3], [2, 3, 4], [0, 4]], 70)
+    constraints = (SoD(0, 1), BoD(1, 2), AtMost(2, (0, 1, 2)),
+                   AtLeast(2, (2, 3, 4)), SUAL((0, 1, 4), 1, {0, 4, 69}),
+                   WL((1, 3), ({1, 3}, [2, 4, 68])), ADA(0, 2, {0, 1}, {3}))
+    return Instance(5, 70, auth, constraints)
+
+
+def test_value_classes_pickle_round_trip():
+    # calibration with jobs > 1 sends instances to worker processes
+    inst = every_kind_instance()
+    for obj in (inst, inst.auth, *inst.constraints):
+        assert not hasattr(obj, "__dict__")
+        back = pickle.loads(pickle.dumps(obj))
+        assert back == obj and hash(back) == hash(obj)
+        assert type(back) is type(obj)
+
+
+def test_value_classes_replace_and_stay_frozen():
+    inst = every_kind_instance()
+    sod, bod, atmost, atleast, sual, wl, ada = inst.constraints
+    assert dataclasses.replace(inst) == inst
+    fewer = dataclasses.replace(inst, constraints=[sod, ada])
+    assert fewer.constraints == (sod, ada)
+    assert dataclasses.replace(sod, s2=3) == SoD(0, 3)
+    assert dataclasses.replace(bod, s1=0) == BoD(0, 2)
+    assert dataclasses.replace(atmost, scope=[2, 0, 1]).scope == (0, 1, 2)
+    assert dataclasses.replace(atleast, r=3).r == 3
+    assert dataclasses.replace(sual, supers=[1]).supers == 0b10
+    assert dataclasses.replace(wl, teams=([0],)).teams == (1,)
+    assert dataclasses.replace(ada, required={2}).required == 0b100
+    assert dataclasses.replace(inst.auth, step_masks=(1,) * 5).k == 5
+    with pytest.raises(InvariantError):
+        dataclasses.replace(sod, s2=0)
+    for obj in (inst, inst.auth, *inst.constraints):
+        field = dataclasses.fields(obj)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, field, 1)

@@ -11,12 +11,14 @@ import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
 
 import pytest
 
+from conftest import ScalarSplitMix64
 from wspkit import cli
 from wspkit.core import ADA, AtMost, InvariantError, SoD, SUAL, WL, WspError, bits_of
 from wspkit.generator import (
@@ -93,6 +95,49 @@ def test_subsets_are_valid_and_uniform():
     assert len(counts) == 12
     sigma = math.sqrt(draws * (1 / 12) * (11 / 12))
     assert all(abs(c - draws / 12) <= 3 * sigma for c in counts.values())
+
+
+STREAM_BOUNDS = (1, 2, 6, 12, 80, 1 << 63)
+
+
+def stream_calls(seed: int):
+    """A seeded mix of next64, below and subset calls, as (name, args)."""
+    pick = random.Random(seed)
+    for _ in range(300):
+        roll = pick.random()
+        if roll < 0.2:
+            yield "next64", ()
+        elif roll < 0.6:
+            yield "below", (pick.choice(STREAM_BOUNDS),)
+        else:
+            m = pick.choice((1, 2, 5, 12, 80, 130))
+            size = m if roll > 0.97 else pick.randint(0, min(m, 6))
+            yield "subset", (m, size)
+
+
+@pytest.mark.parametrize("seed", [0, 1, (1 << 64) - 1] + list(range(2, 49)))
+def test_stream_matches_the_scalar_oracle(seed):
+    # outputs and the state after every call, whether it ends mid-batch or
+    # on a batch's last output
+    rng, oracle = SplitMix64(seed), ScalarSplitMix64(seed)
+    assert rng.state == oracle.state
+    for name, args in stream_calls(seed):
+        assert getattr(rng, name)(*args) == getattr(oracle, name)(*args)
+        assert rng.state == oracle.state
+
+
+def test_stream_resumes_from_a_state_read_at_any_point():
+    # the states after 0..1100 outputs fall at every position of the
+    # batches of 4, 8, ..., 512 outputs and into the first batch that
+    # stays at 512
+    rng = SplitMix64(81)
+    for read in range(1100):
+        resumed, oracle = SplitMix64(rng.state), ScalarSplitMix64(rng.state)
+        assert [resumed.next64() for _ in range(5)] == \
+            [oracle.next64() for _ in range(5)]
+        assert resumed.subset(12, 4) == oracle.subset(12, 4)
+        assert resumed.state == oracle.state
+        rng.next64()
 
 
 def test_subseed_derivation():
@@ -201,7 +246,8 @@ def test_authorisation_size_distribution():
 # SHA-256 of the JSON document of `generate(spec)` and the attempts it took,
 # pinned so that any change to the draw code that alters a single bit of an
 # instance fails here.  The specs cover every kind alone and mixed, n in
-# {7, 80, 120}, the benchmark shapes, and draws that need retries.
+# {7, 80, 120, 2000, 10 000}, the benchmark shapes, and draws that need
+# retries.
 GOLDEN_DRAWS = [
     (GenSpec(k=1, n=7, seed=3), 1,
      "ef79a9f72a07d14460e9c82fafd4aee49ed335abced84bd841b0c3155d3ca06c"),
@@ -264,6 +310,10 @@ GOLDEN_DRAWS = [
      "bd3ace5ab045161d76342e564c45b0a8fb531cfebf9abe974498ca74e2c3f8df"),
     (GenSpec(k=9, n=5, am3=2, sual=1, seed=3), 8,
      "5d38bb6b6823abed5a32010192a7ab524b8afae4a84b64ee6b4af1cbc5547de0"),
+    (GenSpec(k=16, n=2000, sod=35, am3=16, sual=2, wl=2, ada=2, seed=23), 1,
+     "491a2c987487da3829f0c28aafff0679da243f1e65936b0b535548cf9b8d6539"),
+    (GenSpec(k=16, n=10_000, sod=35, am3=16, sual=1, wl=1, ada=1, seed=24), 1,
+     "2a1064d0f3eae41467d7aaae39a08315c7d51a144e71b1d302860668a5f0bf10"),
 ]
 
 
