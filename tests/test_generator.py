@@ -131,7 +131,7 @@ def test_stream_resumes_from_a_state_read_at_any_point():
     # batches of 4, 8, ..., 512 outputs and into the first batch that
     # stays at 512
     rng = SplitMix64(81)
-    for read in range(1100):
+    for _ in range(1100):
         resumed, oracle = SplitMix64(rng.state), ScalarSplitMix64(rng.state)
         assert [resumed.next64() for _ in range(5)] == \
             [oracle.next64() for _ in range(5)]
