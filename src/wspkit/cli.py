@@ -36,6 +36,7 @@ from .core import (
     BoD,
     Constraint,
     Instance,
+    InvariantError,
     SoD,
     SUAL,
     WL,
@@ -137,7 +138,34 @@ def instance_to_doc(inst: Instance, meta: Optional[dict] = None) -> dict:
     return doc
 
 
+_USER_KEYS = {"sual": ("supers",), "ada": ("trigger", "required")}
+
+
+def _user_lists(c: dict) -> list:
+    """The user-id lists of a constraint document."""
+    if c["kind"] == "wl":
+        return c["teams"]
+    return [c[key] for key in _USER_KEYS.get(c["kind"], ())]
+
+
+def _check_users_below_n(doc: dict) -> None:
+    """Reject a user id of n or more, with the message the built instance
+    would give, before any list is packed: a mask takes memory in
+    proportion to its largest id, which the schema does not bound."""
+    n = doc["n"]
+    for s, users in enumerate(doc["auth"]):
+        if users and max(users) >= n:
+            raise InvariantError(
+                f"authorisation: step {s} names a user outside [0, {n})")
+    for c in doc["constraints"]:
+        top = max((max(us) for us in _user_lists(c) if us), default=-1)
+        if top >= n:
+            raise InvariantError(
+                f"{c['kind'].upper()}: user {top} outside [0, {n})")
+
+
 def instance_from_doc(doc: dict) -> Instance:
+    _check_users_below_n(doc)
     auth = AuthorisationFunction.from_lists(doc["auth"], doc["n"])
     constraints = tuple(constraint_from_doc(c) for c in doc["constraints"])
     return Instance(doc["k"], doc["n"], auth, constraints)

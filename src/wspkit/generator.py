@@ -96,22 +96,13 @@ def derive_seed(*parts: int) -> int:
     return z
 
 
-# outputs per batch: a stream's batches run through these sizes in order,
-# then stay at the last, so a short stream computes few outputs it never reads
-_BATCH_SIZES = (4, 8, 16, 32, 64, 128, 256, 512)
+# outputs per batch: large enough that the long authorisation streams pay
+# little per-batch overhead, small enough that the short streams `_Sample`
+# opens per constraint count waste little
+_BATCH = 256
 # the low word of every lane, in the order a native 'Q' view lists them
 _LOW_WORDS = slice(None, None, 2) if sys.byteorder == "little" else \
     slice(None, None, -2)
-
-
-class _Lanes:
-    """The lane constants of one batch size."""
-
-    def __init__(self, size: int) -> None:
-        self.size = size
-        self.ones = _packed([1] * size)               # 1 in every lane
-        self.steps = GOLDEN * _packed(range(1, size + 1))  # i+1 in lane i
-        self.low = self.ones * MASK64
 
 
 def _packed(values: Iterable[int]) -> int:
@@ -120,25 +111,26 @@ def _packed(values: Iterable[int]) -> int:
                           "little")
 
 
-_LANES = {size: _Lanes(size) for size in _BATCH_SIZES}
+_ONES = _packed([1] * _BATCH)                      # 1 in every lane
+_STEPS = GOLDEN * _packed(range(1, _BATCH + 1))    # (i+1)*GOLDEN in lane i
+_LOW = _ONES * MASK64                              # the low half of every lane
 
 
-def _batch(state: int, lanes: _Lanes) -> list[int]:
-    """The next `lanes.size` outputs of a stream at `state`, all at once.
+def _batch(state: int) -> list[int]:
+    """The next `_BATCH` outputs of a stream at `state`, all at once.
 
     Output i is _mix64(state + (i+1)*GOLDEN mod 2**64) and depends on no
     other output, so lane i of one Python int of 128-bit lanes computes it
     alongside every other lane.  Each lane holds a 64-bit value in its low
     half: a 64x64-bit product fills the lane without carrying into the
-    next, and masking with `lanes.low` after every shift keeps the bits
-    that a right shift pulls down from the next lane out of the products.
+    next, and masking with `_LOW` after every shift keeps the bits that a
+    right shift pulls down from the next lane out of the products.
     """
-    low = lanes.low
-    z = (state * lanes.ones + lanes.steps) & low
-    z = (((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9) & low
-    z = (((z ^ (z >> 27)) & low) * 0x94D049BB133111EB) & low
+    z = (state * _ONES + _STEPS) & _LOW
+    z = (((z ^ (z >> 30)) & _LOW) * 0xBF58476D1CE4E5B9) & _LOW
+    z = (((z ^ (z >> 27)) & _LOW) * 0x94D049BB133111EB) & _LOW
     z ^= z >> 31  # the high halves take bits of the next lane; none are read
-    words = memoryview(z.to_bytes(16 * lanes.size, sys.byteorder)).cast("Q")
+    words = memoryview(z.to_bytes(16 * _BATCH, sys.byteorder)).cast("Q")
     return words[_LOW_WORDS].tolist()
 
 
@@ -150,7 +142,6 @@ class SplitMix64:
         self._base = seed & MASK64  # the state before _buf[0]
         self._buf: list[int] = []
         self._pos = 0               # outputs of _buf read so far
-        self._lanes = _LANES[_BATCH_SIZES[0]]
 
     @property
     def state(self) -> int:
@@ -161,11 +152,9 @@ class SplitMix64:
     def _refill(self) -> list[int]:
         """Compute the batch after the current one, which must be read to
         its end, and return it."""
-        lanes = self._lanes
         self._base = (self._base + len(self._buf) * GOLDEN) & MASK64
-        self._buf = _batch(self._base, lanes)
+        self._buf = _batch(self._base)
         self._pos = 0
-        self._lanes = _LANES.get(2 * lanes.size, lanes)
         return self._buf
 
     def next64(self) -> int:

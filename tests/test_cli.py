@@ -274,6 +274,45 @@ def test_extra_top_level_field_is_rejected(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("where", ["auth", "sual", "wl", "ada"])
+def test_far_user_id_is_rejected_before_packing(where, tmp_path, monkeypatch,
+                                                capsys):
+    # a list of more than 64 ids with one far above n: packing it would
+    # take memory in proportion to that id, so loading must refuse the
+    # file before any list reaches mask_of
+    import wspkit.core
+
+    n, far = 100, 10**12
+    ids = list(range(64)) + [far]
+    doc = {"k": 2, "n": n, "auth": [[0], [1]], "constraints": []}
+    if where == "auth":
+        doc["auth"][1] = ids
+        message = f"authorisation: step 1 names a user outside [0, {n})"
+    else:
+        doc["constraints"] = [
+            {"kind": "sual", "scope": [0, 1], "h": 1, "supers": ids}
+            if where == "sual" else
+            {"kind": "wl", "scope": [0, 1], "teams": [[99], ids]}
+            if where == "wl" else
+            {"kind": "ada", "s1": 0, "s2": 1, "trigger": [0],
+             "required": ids}]
+        message = f"{where.upper()}: user {far} outside [0, {n})"
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(doc))
+    packed = []
+    real_mask_of = wspkit.core.mask_of
+
+    def recording_mask_of(users):
+        users = list(users)
+        packed.append(users)
+        return real_mask_of(u for u in users if u < n)  # never the far id
+
+    monkeypatch.setattr(wspkit.core, "mask_of", recording_mask_of)
+    assert main(["solve", str(path)]) == EXIT_ERROR
+    assert message in capsys.readouterr().err
+    assert all(u < n for users in packed for u in users)
+
+
 # --- usage errors ------------------------------------------------------------------------
 
 

@@ -128,8 +128,7 @@ def test_stream_matches_the_scalar_oracle(seed):
 
 def test_stream_resumes_from_a_state_read_at_any_point():
     # the states after 0..1100 outputs fall at every position of the
-    # batches of 4, 8, ..., 512 outputs and into the first batch that
-    # stays at 512
+    # first four batches and into the fifth
     rng = SplitMix64(81)
     for _ in range(1100):
         resumed, oracle = SplitMix64(rng.state), ScalarSplitMix64(rng.state)
