@@ -11,7 +11,9 @@ one matching per alternative, and the pure-Python one (_pure), which repairs
 one per class of alternatives that agree on every mask visited so far.  The
 pure backend sorts the alternatives once by their masks, so each class is a
 range of that order, and splits a class only when the search first reaches
-it.
+it.  It repairs a matching with `matching.augment`, the same Kuhn step that
+`matching.authorised_plan_for` uses, and walks the tree as a loop over an
+explicit stack, so its search state is freed when `run_search` returns.
 Selection happens at import: the compiled backend when it is importable,
 the pure one otherwise.  `backend_run_search` fetches either by name.
 """

@@ -23,6 +23,12 @@ backend repeats per authorisation alternative ("combo"):
 
 State is depth-indexed: entering depth d+1 builds new rows from depth d's and
 never mutates a row another depth can see, so backtracking needs no undo log.
+The depth-first walk is a loop over an explicit stack of (depth, block
+count, blocks left to try) in `run_search`'s own frame, and the matching
+repair is `matching.augment`, a module-level function.  No nested function
+reaches itself, so no reference cycle holds the search state: it is freed
+by reference counting when `run_search` returns, not by the cyclic
+collector.
 """
 
 from __future__ import annotations
@@ -31,6 +37,8 @@ import time
 from bisect import bisect_right
 from operator import itemgetter
 from typing import Optional
+
+from ..matching import augment
 
 UNSAT, SAT, BUDGET = 0, 1, 2
 
@@ -86,20 +94,6 @@ def run_search(
     assign = [0] * k
 
     stats = {"patterns": 0, "nodes": 0, "matchings": 0}
-    result: list[Optional[list[int]]] = [None]
-
-    def augment(rows: list[int], mrow: list[int], b: int, seen: list[int]) -> bool:
-        # Kuhn augmenting path from block b, users tried in ascending order.
-        avail = rows[b] & ~seen[0]
-        while avail:
-            lsb = avail & -avail
-            u = lsb.bit_length() - 1
-            avail ^= lsb
-            seen[0] |= lsb
-            if u not in mrow or augment(rows, mrow, mrow.index(u), seen):
-                mrow[b] = u
-                return True
-        return False
 
     def restrict(rows: list[int], mrow: list[int], restricted: list[int],
                  srow: list[int]) -> bool:
@@ -260,27 +254,35 @@ def run_search(
             plan[prob.order[e]] = mrow[assign[e]]
         return plan
 
-    def search(d: int, nb: int) -> int:
-        blocks = allowed(d, nb)
-        while blocks:
-            lsb = blocks & -blocks
-            blocks ^= lsb
-            nb2 = apply_choice(d, nb, lsb.bit_length() - 1)
-            if nb2 == -2:
-                return BUDGET
-            if nb2 < 0:
-                continue
-            if d + 1 == k:
-                stats["patterns"] += 1
-                if max_patterns is not None and stats["patterns"] > max_patterns:
-                    return BUDGET
-                result[0] = extract_plan(d + 1)
-                return SAT
-            got = search(d + 1, nb2)
-            if got != UNSAT:
-                return got
-        return UNSAT
-
-    status = search(0, 0)
-    plan = result[0] if status == SAT else None
+    # The explicit stack: depth d's frame is its block count nbs[d] and the
+    # admissible blocks left[d] it has still to try, lowest first.  A
+    # recursive nested function would hold this frame's state in a cycle.
+    nbs = [0] * k
+    left = [0] * k
+    left[0] = allowed(0, 0)
+    d = 0
+    status, plan = UNSAT, None
+    while d >= 0:
+        blocks = left[d]
+        if not blocks:
+            d -= 1
+            continue
+        lsb = blocks & -blocks
+        left[d] = blocks ^ lsb
+        nb2 = apply_choice(d, nbs[d], lsb.bit_length() - 1)
+        if nb2 == -2:
+            status = BUDGET
+            break
+        if nb2 < 0:
+            continue
+        if d + 1 == k:
+            stats["patterns"] += 1
+            if max_patterns is not None and stats["patterns"] > max_patterns:
+                status = BUDGET
+            else:
+                status, plan = SAT, extract_plan(k)
+            break
+        d += 1
+        nbs[d] = nb2
+        left[d] = allowed(d, nb2)
     return (status, plan, stats["patterns"], stats["nodes"], stats["matchings"])

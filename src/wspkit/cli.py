@@ -148,42 +148,104 @@ def _user_lists(c: dict) -> list:
     return [c[key] for key in _USER_KEYS.get(c["kind"], ())]
 
 
-def _check_users_below_n(doc: dict) -> None:
-    """Reject a user id of n or more, with the message the built instance
-    would give, before any list is packed: a mask takes memory in
-    proportion to its largest id, which the schema does not bound."""
+_MISMATCH = "does not match the {} schema"
+
+
+def _top_user(users: list) -> int:
+    """The largest id in a list of user ids, or -1 for an empty list, after
+    checking every id as the schema would: an int, not a bool or 1.0, and
+    not negative.  The schema itself sees only the first id of each list."""
+    if not users:
+        return -1
+    if set(map(type, users)) != {int}:
+        bad = next(u for u in users if type(u) is not int)
+        raise CliError(f"{_MISMATCH.format('instance')}: "
+                       f"{bad!r} is not of type 'integer'")
+    low = min(users)
+    if low < 0:
+        raise CliError(f"{_MISMATCH.format('instance')}: "
+                       f"{low} is less than the minimum of 0")
+    return max(users)
+
+
+def _check_user_ids(doc: dict) -> None:
+    """Check every user id in one pass before any list is packed or
+    compared.  An id of n or more gets the message the built instance would
+    give: a mask takes memory in proportion to its largest id, which the
+    schema does not bound."""
     n = doc["n"]
     for s, users in enumerate(doc["auth"]):
-        if users and max(users) >= n:
+        if _top_user(users) >= n:
             raise InvariantError(
                 f"authorisation: step {s} names a user outside [0, {n})")
     for c in doc["constraints"]:
-        top = max((max(us) for us in _user_lists(c) if us), default=-1)
+        top = max(map(_top_user, _user_lists(c)), default=-1)
         if top >= n:
             raise InvariantError(
                 f"{c['kind'].upper()}: user {top} outside [0, {n})")
 
 
 def instance_from_doc(doc: dict) -> Instance:
-    _check_users_below_n(doc)
+    """The instance a document describes, once its shape has passed the
+    instance schema (`load_instance` checks it)."""
+    _check_user_ids(doc)
     auth = AuthorisationFunction.from_lists(doc["auth"], doc["n"])
     constraints = tuple(constraint_from_doc(c) for c in doc["constraints"])
     return Instance(doc["k"], doc["n"], auth, constraints)
 
 
+def _is_int(checker, value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# JSON integers only: draft 2020-12's `integer` also admits 1.0, which no
+# list index, user mask or comparison with a user accepts.
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", _is_int))
+
+
 @lru_cache(maxsize=None)
-def _schema(name: str) -> dict:
+def _validator(name: str):
     text = resources.files("wspkit.schemas").joinpath(name).read_text("ascii")
-    return json.loads(text)
+    return _Validator(json.loads(text))
 
 
 def _validated(doc, schema_name: str, path) -> dict:
     try:
-        jsonschema.validate(doc, _schema(schema_name))
+        _validator(schema_name).validate(doc)
     except jsonschema.exceptions.ValidationError as exc:
-        raise CliError(f"{path}: does not match the {schema_name.split('.')[0]} "
-                       f"schema: {exc.message}") from exc
+        raise CliError(f"{path}: {_MISMATCH.format(schema_name.split('.')[0])}"
+                       f": {exc.message}") from exc
     return doc
+
+
+def _head(value):
+    return value[:1] if isinstance(value, list) else value
+
+
+def _shape(doc):
+    """A copy of an instance document in which every user-id list keeps
+    only its first id, so that the schema checks the document's shape in
+    time independent of n; `_check_user_ids` checks the other ids."""
+    if not isinstance(doc, dict):
+        return doc
+    shape = dict(doc)
+    if isinstance(doc.get("auth"), list):
+        shape["auth"] = [_head(users) for users in doc["auth"]]
+    if isinstance(doc.get("constraints"), list):
+        shape["constraints"] = cons = []
+        for c in doc["constraints"]:
+            if isinstance(c, dict):
+                c = dict(c)
+                for key in ("supers", "trigger", "required"):
+                    if key in c:
+                        c[key] = _head(c[key])
+                if isinstance(c.get("teams"), list):
+                    c["teams"] = [_head(team) for team in c["teams"]]
+            cons.append(c)
+    return shape
 
 
 def _read_json(path) -> dict:
@@ -198,7 +260,8 @@ def _read_json(path) -> dict:
 
 
 def load_instance(path) -> Instance:
-    doc = _validated(_read_json(path), "instance.schema.json", path)
+    doc = _read_json(path)
+    _validated(_shape(doc), "instance.schema.json", path)
     try:
         return instance_from_doc(doc)
     except WspError as exc:

@@ -92,22 +92,27 @@ def bell(k: int) -> int:
 def enumerate_patterns(k: int) -> Iterator[Pattern]:
     """All patterns over k steps in lexicographic RGS order.
 
-    k == 0 gives an empty stream.
+    k == 0 gives an empty stream.  Each pattern comes from the one before by
+    the restricted-growth successor: raise the last entry that is not yet
+    one above the maximum before it, and zero every entry after it.
     """
     _require(k >= 0, "enumerate_patterns: k must be >= 0")
     if k == 0:
         return
     rgs = [0] * k
-
-    def rec(i: int, top: int) -> Iterator[Pattern]:
-        if i == k:
-            yield Pattern(tuple(rgs))
+    top = [0] * k  # top[i]: the largest of rgs[0..i]
+    while True:
+        yield Pattern(tuple(rgs))
+        i = k - 1
+        while i > 0 and rgs[i] > top[i - 1]:
+            i -= 1
+        if i == 0:
             return
-        for b in range(top + 2):
-            rgs[i] = b
-            yield from rec(i + 1, top if b <= top else b)
-
-    yield from rec(1, 0)
+        rgs[i] += 1
+        top[i] = max(top[i - 1], rgs[i])
+        for j in range(i + 1, k):
+            rgs[j] = 0
+            top[j] = top[i]
 
 
 def pattern_satisfies(p: Pattern, c: Constraint) -> bool:

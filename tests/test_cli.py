@@ -313,6 +313,76 @@ def test_far_user_id_is_rejected_before_packing(where, tmp_path, monkeypatch,
     assert all(u < n for users in packed for u in users)
 
 
+def assert_schema_mismatch(argv, which, capsys):
+    assert main(argv) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert f"does not match the {which} schema" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
+@pytest.mark.parametrize("at", [0, 2])
+def test_float_user_id_in_an_auth_list_is_a_schema_error(at, tmp_path,
+                                                         capsys):
+    # JSON's 1.0 is no integer, wherever the list holds it
+    users = [0, 1, 2]
+    users[at] = 1.0
+    doc = {"k": 2, "n": 4, "auth": [[0], users], "constraints": []}
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps(doc))
+    assert_schema_mismatch(["solve", str(path)], "instance", capsys)
+
+
+def test_float_step_index_is_a_schema_error(tmp_path, capsys):
+    doc = {"k": 2, "n": 2, "auth": [[0], [1]],
+           "constraints": [{"kind": "sod", "s1": 1.0, "s2": 0}]}
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps(doc))
+    assert_schema_mismatch(["solve", str(path)], "instance", capsys)
+
+
+def test_float_user_in_a_plan_is_a_schema_error(po_file, tmp_path, capsys):
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps({"assignment": [0, 1, 0, 3, 2, 4.0]}))
+    assert_schema_mismatch(["verify", str(po_file), str(plan_path)], "plan",
+                           capsys)
+
+
+@pytest.mark.parametrize("where", ["auth", "sual", "wl", "ada"])
+@pytest.mark.parametrize("bad", [1.0, -1, "7", True])
+def test_bad_id_at_the_end_of_a_long_list_is_a_schema_error(where, bad,
+                                                            tmp_path, capsys):
+    n = 100_000
+    ids = list(range(n - 1)) + [bad]
+    doc = {"k": 2, "n": n, "auth": [[0], [1]], "constraints": []}
+    if where == "auth":
+        doc["auth"][1] = ids
+    else:
+        doc["constraints"] = [
+            {"kind": "sual", "scope": [0, 1], "h": 1, "supers": ids}
+            if where == "sual" else
+            {"kind": "wl", "scope": [0, 1], "teams": [[0], ids]}
+            if where == "wl" else
+            {"kind": "ada", "s1": 0, "s2": 1, "trigger": ids,
+             "required": [0]}]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert_schema_mismatch(["solve", str(path)], "instance", capsys)
+
+
+def test_long_user_lists_load_whole(tmp_path):
+    # every id of a 100,000-long list survives the shape-only schema check
+    n = 100_000
+    ids = list(range(0, n, 3))
+    doc = {"k": 2, "n": n, "auth": [ids, [n - 1]],
+           "constraints": [{"kind": "wl", "scope": [0, 1],
+                            "teams": [ids, [n - 2]]}]}
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    inst = load_instance(path)
+    assert inst.auth.users(0) == tuple(ids)
+    assert instance_to_doc(inst) == doc
+
+
 # --- usage errors ------------------------------------------------------------------------
 
 

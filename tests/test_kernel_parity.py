@@ -25,6 +25,7 @@ from conftest import (
 )
 from wspkit import _kernel
 from wspkit._kernel import (
+    KERNEL_MAX_STEPS,
     CountSpec,
     SearchProblem,
     SualSpec,
@@ -32,6 +33,7 @@ from wspkit._kernel import (
     backend_run_search,
 )
 from wspkit.absorption import absorb
+from wspkit.core import AuthorisationFunction, CapacityError, Instance, is_valid
 from wspkit.generator import GenSpec, derive_seed, generate
 from wspkit.solver import Verdict, solve_backtracking
 
@@ -318,6 +320,39 @@ def test_alternatives_workload_sweep():
     for i in range(600):
         assert_draw_parity(GenSpec(seed=derive_seed(81, 2, i),
                                    **BENCH_SHAPES["alternatives"]))
+
+
+# --- at the kernel's step limit ---------------------------------------------
+
+# k = KERNEL_MAX_STEPS draws with WL/ADA alternatives and a SUAL restriction:
+# the first finds a plan after 928 nodes, so its plan comes off a stack
+# KERNEL_MAX_STEPS deep; the second is still searching at the budget.
+STEP_LIMIT_DRAWS = {
+    "sat": (_kernel.SAT, dict(n=640, sod=100, sual=1, wl=1, ada=4)),
+    "budget": (_kernel.BUDGET, dict(n=640, am3=8, sod=60, sual=1, wl=1,
+                                    ada=4)),
+}
+
+
+@needs_compiled
+@pytest.mark.parametrize("name", sorted(STEP_LIMIT_DRAWS))
+def test_step_limit_draw_parity(name):
+    status, shape = STEP_LIMIT_DRAWS[name]
+    inst = generate(GenSpec(k=KERNEL_MAX_STEPS, seed=derive_seed(64, 0),
+                            **shape))
+    prob = compile_problem(inst)
+    pure, comp = run_both(prob, max_nodes=5000)
+    assert pure == comp
+    assert pure[0] == status
+    if status == _kernel.SAT:
+        assert is_valid(pure[1], inst)
+
+
+def test_one_step_past_the_limit_names_it():
+    k = KERNEL_MAX_STEPS + 1
+    inst = Instance(k, 2, AuthorisationFunction.total(k, 2), ())
+    with pytest.raises(CapacityError, match="at most 64 steps, got 65"):
+        solve_backtracking(inst)
 
 
 def test_backend_selection_errors():
