@@ -33,9 +33,19 @@ from wspkit._kernel import (
     backend_run_search,
 )
 from wspkit.absorption import absorb
-from wspkit.core import AuthorisationFunction, CapacityError, Instance, is_valid
+from wspkit.core import (
+    AtLeast,
+    AtMost,
+    AuthorisationFunction,
+    BoD,
+    CapacityError,
+    Instance,
+    SoD,
+    bits_of,
+    is_valid,
+)
 from wspkit.generator import GenSpec, derive_seed, generate
-from wspkit.solver import Verdict, solve_backtracking
+from wspkit.solver import Verdict, solve_backtracking, solve_bruteforce
 
 needs_compiled = pytest.mark.skipif(COMPILED_MISSING is not None,
                                     reason="compiled kernel not built")
@@ -269,6 +279,126 @@ def test_prefix_rejected_by_user_independent_constraints_parity():
     assert_parity_under_every_budget(prob)
 
 
+def as_instance(prob):
+    """The one-combo, identity-order hand problem `prob` as an Instance,
+    for `solve_bruteforce` to give the ground truth."""
+    (combo,) = prob.combo_masks
+    auth = AuthorisationFunction.from_lists([bits_of(mask) for mask in combo],
+                                            prob.n)
+    constraints = []
+    for kind, prev in ((SoD, prob.sod_prev), (BoD, prob.bod_prev)):
+        constraints += [kind(e, d) for d in range(prob.k) for e in prev[d]]
+    constraints += [(AtMost if c.at_most else AtLeast)(c.r, c.depths)
+                    for c in prob.counts]
+    return Instance(prob.k, prob.n, auth, tuple(constraints))
+
+
+def assert_matches_ground_truth(prob):
+    """Parity under every budget, and the verdict and plan of
+    `solve_bruteforce` on the same problem as an Instance; returns the
+    result tuple."""
+    result = assert_parity_under_every_budget(prob)
+    inst = as_instance(prob)
+    truth = solve_bruteforce(inst)
+    if truth.verdict is Verdict.SAT:
+        assert result[0] == _kernel.SAT
+        assert is_valid(result[1], inst)
+    else:
+        assert result[0] == _kernel.UNSAT
+    return result
+
+
+def count_bound_problem(at_most, position):
+    """k=5, n=4, every user authorised, and a count bound r=3 whose scope
+    position `position` is the node under test.
+
+    At-most: the scope is every depth, and SoD pairs put depths 0..2 in three
+    blocks.  The tested depth, when it is 3 or 4, also has an SoD with each
+    of them, so only the at-most bound stops it from opening a fourth block.
+    At-least: the scope is every depth, and BoD pairs put depths 0..position
+    in block 0, so that position sees one covered block and has
+    4 - position scope depths after it."""
+    r, k = 3, 5
+    sod, bod = [], []
+    if at_most:
+        sod = [(0, 1), (0, 2), (1, 2)]
+        if position >= r:
+            sod += [(e, position) for e in range(r)]
+    else:
+        bod = [(0, d) for d in range(1, position + 1)]
+    count = CountSpec(at_most=at_most, r=r, depths=tuple(range(k)))
+    return hand_problem([(0b1111,) * k], 4, sod=sod, bod=bod, counts=[count])
+
+
+# position -> verdict.  At-most r=3 can bite from scope position r on, so
+# position 2 (r-1) is never checked and the search finds a plan, while at
+# positions 3 and 4 the bound leaves the tested depth no block.  At-least
+# r=3 can bite while fewer than r-1 scope depths remain after a position:
+# at position 3 (remaining+1 = 2 = r-1) it forbids block 0, which BoD
+# demands; at positions 2 and 1 (remaining+1 = r, r+1) it is never checked.
+COUNT_BOUND_CASES = {
+    (True, 2): _kernel.SAT,
+    (True, 3): _kernel.UNSAT,
+    (True, 4): _kernel.UNSAT,
+    (False, 1): _kernel.SAT,
+    (False, 2): _kernel.SAT,
+    (False, 3): _kernel.UNSAT,
+}
+
+
+@needs_compiled
+@pytest.mark.parametrize("at_most, position", sorted(COUNT_BOUND_CASES))
+def test_count_bound_at_its_first_and_last_biting_position_parity(
+        at_most, position):
+    status, *_ = assert_matches_ground_truth(
+        count_bound_problem(at_most, position))
+    assert status == COUNT_BOUND_CASES[at_most, position]
+
+
+# --- a node whose next depth has no admissible block ---------------------------
+
+# SoD(0, 2) and at most one user over depths 1 and 2: once depth 1 joins
+# block 0, depth 2 may join no open block and open no new one.  The node
+# that places depth 1 in block 0 is counted and has no children; the search
+# then puts depths 1 and 2 in block 1.
+NO_NEXT_BLOCK = dict(sod=[(0, 2)],
+                     counts=[CountSpec(at_most=True, r=1, depths=(1, 2))])
+
+
+@needs_compiled
+def test_no_admissible_next_block_with_a_live_matching_parity():
+    # both users may take every step, so block 0 keeps its matching; in
+    # the plan, block 1 takes user 0 and moves block 0 to user 1
+    prob = hand_problem([(0b11, 0b11, 0b11)], 2, **NO_NEXT_BLOCK)
+    assert assert_matches_ground_truth(prob) == \
+        (_kernel.SAT, [1, 0, 0], 1, 4, 1)
+
+
+@needs_compiled
+def test_no_admissible_next_block_with_a_dead_matching_parity():
+    # steps 0 and 1 share no user, so block 0's matching dies at the same
+    # node; the counters do not change
+    prob = hand_problem([(0b01, 0b10, 0b11)], 2, **NO_NEXT_BLOCK)
+    assert assert_matches_ground_truth(prob) == \
+        (_kernel.SAT, [0, 1, 1], 1, 4, 1)
+
+
+@needs_compiled
+def test_node_budget_ending_on_a_node_without_admissible_next_block_parity():
+    prob = hand_problem([(0b11, 0b11, 0b11)], 2, **NO_NEXT_BLOCK)
+    # the second node is the one without children; the node that breaks
+    # the budget is counted
+    assert run_both(prob, max_nodes=1) == \
+        ((_kernel.BUDGET, None, 0, 2, 0),) * 2
+    # SoD to both open blocks as well: the search ends on that node, so a
+    # budget that stops there is BUDGET and one more node gives UNSAT
+    prob = hand_problem([(0b11, 0b11, 0b11)], 2, sod=[(0, 1), (0, 2), (1, 2)],
+                        counts=[CountSpec(at_most=True, r=2, depths=(0, 1, 2))])
+    assert assert_matches_ground_truth(prob) == (_kernel.UNSAT, None, 0, 2, 0)
+    assert run_both(prob, max_nodes=1) == \
+        ((_kernel.BUDGET, None, 0, 2, 0),) * 2
+
+
 def random_hand_problem(seed):
     """A random SearchProblem whose combos share prefixes often: each mask
     comes from a small pool per depth, and some combos are copies."""
@@ -320,6 +450,34 @@ def test_alternatives_workload_sweep():
     for i in range(600):
         assert_draw_parity(GenSpec(seed=derive_seed(81, 2, i),
                                    **BENCH_SHAPES["alternatives"]))
+
+
+# --- node totals, pinned for the pure backend ----------------------------------
+
+# name -> (salt, draws, GenSpec shape, total nodes, SAT draws).  Draw i is
+# GenSpec(seed=derive_seed(81, salt, i), **shape): the first draws of the
+# benchmark's `search`, `alternatives` and `export` workloads at --seed 81,
+# and the k=16 phase-transition row of ROADMAP.md.  No draw is budgeted.
+# The totals hold only while the tree the kernel searches stays the same, so
+# they catch drift without a compiled kernel to compare against; a change
+# to the visit order or to pruning changes them on purpose.
+NODE_TOTALS = {
+    "search": (1, 300, dict(k=12, n=120, am3=12, sod=26), 236_275, 201),
+    "alternatives": (2, 300, BENCH_SHAPES["alternatives"], 19_887, 140),
+    "export": (4, 300, BENCH_SHAPES["export"], 165_189, 165),
+    "k16": (7, 20, dict(k=16, n=160, am3=16, sod=35), 455_985, 13),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NODE_TOTALS))
+def test_pure_kernel_node_totals(name):
+    salt, draws, shape, nodes, sat = NODE_TOTALS[name]
+    run = backend_run_search("pure")
+    results = [run(compile_problem(generate(
+        GenSpec(seed=derive_seed(81, salt, i), **shape))))
+        for i in range(draws)]
+    assert sum(r[3] for r in results) == nodes
+    assert [r[0] for r in results].count(_kernel.SAT) == sat
 
 
 # --- at the kernel's step limit ---------------------------------------------
