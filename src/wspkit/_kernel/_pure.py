@@ -29,8 +29,8 @@ cheapest first:
    blocks that each count scope and each SUAL scope covers.
 2. When d+1 < k, the admissible blocks of depth d+1.  When there are none,
    the node has no children whatever its matchings say, so it returns
-   before it touches a class.  On the benchmark's `search` draws a third of
-   the nodes end here.
+   before it touches a class.  On the benchmark's `search` draws over a
+   third of the nodes end here.
 3. The matching repair of each alive class, into depth d+1's lists.  When a
    class survives, the mask of step 2 becomes the blocks that depth d+1 has
    left to try.

@@ -457,7 +457,8 @@ def test_alternatives_workload_sweep():
 # name -> (salt, draws, GenSpec shape, total nodes, SAT draws).  Draw i is
 # GenSpec(seed=derive_seed(81, salt, i), **shape): the first draws of the
 # benchmark's `search`, `alternatives` and `export` workloads at --seed 81,
-# and the k=16 phase-transition row of ROADMAP.md.  No draw is budgeted.
+# and 20 draws at k=16 whose counts sit at the phase transition.  No draw
+# is budgeted.
 # The totals hold only while the tree the kernel searches stays the same, so
 # they catch drift without a compiled kernel to compare against; a change
 # to the visit order or to pruning changes them on purpose.
