@@ -1,23 +1,24 @@
 """Folding constraints into context-dependent authorisations.
 
 Each constraint maps, at a fixed pattern p, to a small disjunctive family of
-authorisation functions: a plan with pattern p satisfies the constraint iff
-some family member authorises it.  Families of different constraints combine
-by pairwise intersection, so an instance reduces to (a) user-independent
-constraints, checked against the pattern alone, and (b) one authorisation
-family per pattern.  The family size per constraint is its branching bound:
-1 for user-independent constraints and SUAL, 2 for ADA, d (team count) for
-WL; the solvers' work scales with the product of these bounds.  A family is
-a plain tuple of `AuthorisationFunction`s.  `alternatives` describes what a
-WL or ADA constraint contributes; the encoders read it too, so they encode
-exactly the alternatives the solvers branch on.
+authorisations: a plan with pattern p satisfies the constraint iff some
+family member authorises it.  Families of different constraints combine by
+pairwise step-wise intersection, so an instance reduces to (a)
+user-independent constraints, checked against the pattern alone, and (b)
+one authorisation family per pattern.  The family size per constraint is
+its branching bound: 1 for user-independent constraints and SUAL, 2 for
+ADA, d (team count) for WL; the solvers' work scales with the product of
+these bounds.  A family member is a row: a tuple of k step masks, the form
+that pattern enumeration, the matching and both search kernels read.
+`alternatives` describes what a WL or ADA constraint contributes; the
+encoders read it too, so they encode exactly the alternatives the solvers
+branch on.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence
 
 from .core import (
     ADA,
@@ -31,7 +32,7 @@ from .core import (
     _users_named,
     is_ui,
 )
-from .patterns import Pattern, pattern_satisfies
+from .patterns import Pattern
 
 
 def alternatives(c: WL | ADA, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -58,58 +59,6 @@ def sual_restricts(c: SUAL, p: Pattern) -> bool:
     return len({p.rgs[s] for s in c.scope}) <= c.h
 
 
-def family_for_constraint(
-    c: Constraint, p: Pattern, k: int, n: int,
-) -> tuple[AuthorisationFunction, ...]:
-    """The constraint's own authorisation family at pattern p.
-
-    Member order is fixed (teams in declaration order, the trigger case of
-    ADA first) so downstream intersections stay deterministic.
-    """
-    full = (1 << n) - 1
-    if is_ui(c):
-        # One member: unrestricted when the pattern already satisfies the
-        # constraint, otherwise a function authorising nothing.
-        mask = full if pattern_satisfies(p, c) else 0
-        return (AuthorisationFunction(n, (mask,) * k),)
-    if isinstance(c, SUAL):
-        alts = (tuple((s, c.supers) for s in c.scope) if sual_restricts(c, p) else (),)
-    elif isinstance(c, (WL, ADA)):
-        alts = alternatives(c, n)
-    else:
-        raise InvariantError(f"unknown constraint type: {type(c).__name__}")
-    members = []
-    for alt in alts:
-        masks = [full] * k
-        for s, mask in alt:
-            masks[s] = mask
-        members.append(AuthorisationFunction(n, tuple(masks)))
-    return tuple(members)
-
-
-def intersect_families(
-    f1: Sequence[AuthorisationFunction],
-    f2: Sequence[AuthorisationFunction],
-    prune: bool = True,
-) -> tuple[AuthorisationFunction, ...]:
-    """Pairwise step-wise intersection of two families.
-
-    With prune=True (the default), members left with an empty set on some
-    step are dropped: such a function authorises no plan at all, so removing
-    it never loses a plan.
-    """
-    out = []
-    for a in f1:
-        for b in f2:
-            if a.n != b.n or a.k != b.k:
-                raise InvariantError("intersect: families over different step/user ranges")
-            masks = tuple(ma & mb for ma, mb in zip(a.step_masks, b.step_masks))
-            if prune and any(m == 0 for m in masks):
-                continue
-            out.append(AuthorisationFunction(a.n, masks))
-    return tuple(out)
-
-
 @dataclass
 class AbsorbedInstance:
     """An instance rewritten as: residual user-independent constraints plus a
@@ -117,9 +66,8 @@ class AbsorbedInstance:
 
     `static_rows` is the pattern-independent part (base authorisations
     intersected with the WL/ADA families), one tuple of step masks per
-    member; `static_functions` is the same family as authorisation functions.
-    SUAL constraints are folded in per pattern by `family_for` since their
-    effect depends on how many blocks cover the scope.
+    member.  SUAL constraints are folded in per pattern by `family_for`
+    since their effect depends on how many blocks cover the scope.
     """
 
     instance: Instance
@@ -129,10 +77,14 @@ class AbsorbedInstance:
 
     @functools.cached_property
     def static_functions(self) -> tuple[AuthorisationFunction, ...]:
+        """`static_rows` as authorisation functions.  Its last reader is
+        perfbench's traced `_layer_path`, which counts members with it; it
+        goes when ROADMAP.md's benchmark item (item 1) points that count at
+        `static_rows`."""
         n = self.instance.n
         return tuple(AuthorisationFunction(n, row) for row in self.static_rows)
 
-    def family_for(self, p: Pattern) -> tuple[AuthorisationFunction, ...]:
+    def family_for(self, p: Pattern) -> tuple[tuple[int, ...], ...]:
         """The family at pattern p: the static rows narrowed by every SUAL
         that restricts at p, keeping the rows that stay non-empty on every
         step."""
@@ -141,8 +93,7 @@ class AbsorbedInstance:
                 f"pattern has {p.k} steps, instance has {self.instance.k}")
         narrowing = [(c.scope, c.supers) for c in self.suals if sual_restricts(c, p)]
         if not narrowing:
-            return self.static_functions
-        n = self.instance.n
+            return self.static_rows
         kept = []
         for row in self.static_rows:
             masks = list(row)
@@ -150,7 +101,7 @@ class AbsorbedInstance:
                 for s in scope:
                     masks[s] &= xmask
             if all(masks):
-                kept.append(AuthorisationFunction(n, tuple(masks)))
+                kept.append(tuple(masks))
         return tuple(kept)
 
 
@@ -164,10 +115,11 @@ def absorb(inst: Instance, max_family_size: int = 4096) -> AbsorbedInstance:
     so their product with the base authorisations is built once; the product
     size is capped by `max_family_size`.
 
-    The product is the fold of `intersect_families` over each constraint's
-    `family_for_constraint`, member for member and in the same order, but it
-    is built on plain tuples of step masks: each alternative narrows only the
-    steps it restricts, and only those steps can empty and prune a member.
+    Each alternative narrows only the steps it restricts, and only those
+    steps can empty and prune a row, so a row is dropped as soon as one of
+    them meets the alternative in no user.  Each constraint multiplies the
+    rows so far by its alternatives, row by row, with WL teams in
+    declaration order and ADA's trigger case first, so the order is fixed.
     """
     n = inst.n
     residual = inst.ui_constraints()

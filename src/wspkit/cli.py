@@ -42,6 +42,7 @@ from .core import (
     WL,
     WspError,
     bits_of,
+    json_text,
     violated_constraints,
 )
 from .encode import (
@@ -274,7 +275,7 @@ def load_plan(path) -> tuple[int, ...]:
 
 
 def dump_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    return json_text(doc) + "\n"
 
 
 def save_instance(path, inst: Instance, meta: Optional[dict] = None) -> None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Sequence, Union
 
 
@@ -442,3 +443,67 @@ def violated_constraints(plan: Sequence[int], inst: Instance) -> list[Constraint
     """All constraints the plan breaks (authorisation violations excluded)."""
     p = check_plan(plan, inst)
     return [c for c in inst.constraints if not is_eligible(p, c)]
+
+
+# --- indented JSON text ----------------------------------------------------
+
+_NONFINITE_TEXT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def json_text(doc, sort_keys: bool = False) -> str:
+    """`doc` as `json.dumps(doc, indent=2, sort_keys=sort_keys)` writes it.
+
+    The standard library's indenting encoder is a set of nested functions
+    that call one another through their closure cells, a reference cycle
+    that every call leaves to the cyclic collector; this writer is a
+    module-level recursion and frees everything it builds on return.
+    """
+    out: list[str] = []
+    _json_chunks(doc, out, "\n", sort_keys)
+    return "".join(out)
+
+
+def _json_chunks(value, out: list[str], newline: str, sort_keys: bool) -> None:
+    """Append the JSON text of `value` to `out`.  `newline` is the line
+    break and indentation of the value's own depth."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        text = float.__repr__(value)
+        out.append(_NONFINITE_TEXT.get(text, text))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()) if sort_keys else value.items():
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _json_chunks(item, out, inner, sort_keys)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if all(type(item) is int for item in value):  # user lists, in one join
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, value))
+                       + newline + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _json_chunks(item, out, inner, sort_keys)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

@@ -32,7 +32,6 @@ line endings, ASCII.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from math import comb
 from operator import attrgetter
@@ -49,6 +48,7 @@ from .core import (
     SoD,
     WL,
     bits_of,
+    json_text,
 )
 from .absorption import alternatives
 from .patterns import Pattern, enumerate_patterns, pattern_of
@@ -861,15 +861,7 @@ def emit_cs_json(model: CSModel, sink: IO[str]) -> None:
         "vars": [{"name": v.name, "domain": list(v.domain)}
                  for v in model.variables],
         "constraints": [
-            {"kind": row.kind, **{key: _jsonable(val) for key, val in row.args}}
-            for row in model.rows
+            {"kind": row.kind, **dict(row.args)} for row in model.rows
         ],
     }
-    json.dump(doc, sink, indent=2, ensure_ascii=True)
-    sink.write("\n")
-
-
-def _jsonable(val):
-    if isinstance(val, tuple):
-        return [_jsonable(v) for v in val]
-    return val
+    sink.write(json_text(doc) + "\n")

@@ -57,6 +57,7 @@ from .core import (
     SUAL,
     WL,
     WspError,
+    json_text,
     mask_of,
 )
 
@@ -541,7 +542,7 @@ def save_calibration(k: int, n: int, family: str, cal: PTCalibration,
         "band": list(band),
         "master_seed": master_seed,
     }
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
+    path.write_text(json_text(doc, sort_keys=True) + "\n",
                     encoding="ascii")
     return path
 

@@ -1,18 +1,18 @@
 """Authorised plans for a pattern, by block-user matching.
 
-For a pattern p and authorisation function A, block b may take user u iff u
-is authorised for every step in b.  The pattern admits an authorised plan
-iff a matching gives every block its own user; each step then takes its
-block's user.  The check is one augmenting path per block over user
-bitmasks.  `augment` is the one Kuhn step the library has: both this module
+For a pattern p and a family member, a row of step masks, block b may take
+user u iff u is in the mask of every step in b.  The pattern admits an
+authorised plan iff a matching gives every block its own user; each step
+then takes its block's user.  The check is one augmenting path per block
+over user bitmasks.  `augment` is the one Kuhn step the library has: both this module
 and the pure search kernel call it.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
-from .core import AuthorisationFunction, _require
+from .core import _require
 from .patterns import Pattern
 
 
@@ -38,17 +38,18 @@ def augment(rows: list[int], mrow: list[int], b: int, seen: list[int]) -> bool:
     return False
 
 
-def authorised_plan_for(p: Pattern, auth: AuthorisationFunction) -> Optional[tuple[int, ...]]:
-    """An authorised plan realising pattern p, or None when no matching
+def authorised_plan_for(p: Pattern, row: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """An authorised plan realising pattern p under the family member `row`
+    (step s may take the users in row[s]), or None when no matching
     saturates all blocks.
 
     Deterministic: blocks are matched in ascending label order, each trying
     users in ascending index order, so the same inputs give the same plan.
     """
-    _require(p.k == auth.k, f"pattern has {p.k} steps, authorisation {auth.k}")
-    masks = [(1 << auth.n) - 1] * p.block_count
+    _require(p.k == len(row), f"pattern has {p.k} steps, authorisation {len(row)}")
+    masks = [-1] * p.block_count  # -1 has every bit set, and no block is empty
     for s, b in enumerate(p.rgs):
-        masks[b] &= auth.mask(s)
+        masks[b] &= row[s]
     user_of = [-1] * len(masks)  # block -> user
     for b in range(len(masks)):
         if not augment(masks, user_of, b, [0]):

@@ -94,7 +94,9 @@ def enumerate_patterns(k: int) -> Iterator[Pattern]:
 
     k == 0 gives an empty stream.  Each pattern comes from the one before by
     the restricted-growth successor: raise the last entry that is not yet
-    one above the maximum before it, and zero every entry after it.
+    one above the maximum before it, and zero every entry after it.  The
+    successor keeps restricted growth by construction, so the patterns are
+    built without `Pattern.__post_init__`'s check.
     """
     _require(k >= 0, "enumerate_patterns: k must be >= 0")
     if k == 0:
@@ -102,7 +104,9 @@ def enumerate_patterns(k: int) -> Iterator[Pattern]:
     rgs = [0] * k
     top = [0] * k  # top[i]: the largest of rgs[0..i]
     while True:
-        yield Pattern(tuple(rgs))
+        p = object.__new__(Pattern)
+        object.__setattr__(p, "rgs", tuple(rgs))
+        yield p
         i = k - 1
         while i > 0 and rgs[i] > top[i - 1]:
             i -= 1

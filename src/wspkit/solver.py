@@ -129,9 +129,9 @@ def solve_pattern_enum(inst: Instance, budget: Optional[Budget] = None) -> Solve
         stats.patterns_visited += 1
         if not all(pattern_satisfies(p, c) for c in residual):
             continue
-        for fn in absorbed.family_for(p):
+        for row in absorbed.family_for(p):
             stats.matchings_computed += 1
-            plan = authorised_plan_for(p, fn)
+            plan = authorised_plan_for(p, row)
             if plan is not None:
                 stats.wall_time = time.perf_counter() - t0
                 return SolveResult(Verdict.SAT, _guard(plan, inst), stats)

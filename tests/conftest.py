@@ -35,6 +35,7 @@ from typing import Optional
 import pytest
 
 import wspkit._kernel
+from absorption_oracle import functions
 from wspkit.absorption import AbsorbedInstance
 from wspkit.core import (
     ADA,
@@ -348,5 +349,6 @@ def pattern_eligible(p: Pattern, constraints) -> bool:
 def plan_authorised_cda(plan, absorbed: AbsorbedInstance) -> bool:
     """Is the plan authorised by the absorbed instance's family at the plan's
     own pattern?"""
+    family = absorbed.family_for(pattern_of(plan))
     return any(is_authorised(plan, fn)
-               for fn in absorbed.family_for(pattern_of(plan)))
+               for fn in functions(family, absorbed.instance.n))

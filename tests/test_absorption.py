@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from absorption_oracle import family_for_constraint, functions, intersect_families
 from conftest import (
     CONSTRAINT_KINDS,
     disjoint_wl_instance,
@@ -24,13 +25,7 @@ from wspkit.core import (
     is_authorised,
     is_valid,
 )
-from wspkit.absorption import (
-    absorb,
-    branching_bound,
-    family_for_constraint,
-    intersect_families,
-    sual_restricts,
-)
+from wspkit.absorption import absorb, branching_bound, sual_restricts
 from wspkit.patterns import Pattern, pattern_of
 
 FULL4 = (1 << 4) - 1
@@ -122,7 +117,7 @@ def test_absorb_shapes():
     assert absorbed.residual == (SoD(0, 1),)
     assert len(absorbed.suals) == 1
     # base(1) x WL(2) x ADA(2), minus members pruned to an empty step set
-    assert 1 <= len(absorbed.static_functions) <= 4
+    assert 1 <= len(absorbed.static_rows) <= 4
 
 
 def test_absorb_empty_authorisation_step_kills_family():
@@ -132,7 +127,7 @@ def test_absorb_empty_authorisation_step_kills_family():
         (WL((0, 1), (frozenset({0}),)),),
     )
     absorbed = absorb(inst)
-    assert absorbed.static_functions == ()
+    assert absorbed.static_rows == ()
     assert len(absorbed.family_for(Pattern((0, 1)))) == 0
 
 
@@ -149,7 +144,7 @@ def test_absorb_capacity_cap_is_exact_at_the_product():
     inst = disjoint_wl_instance()
     with pytest.raises(CapacityError, match="max_family_size=7775"):
         absorb(inst, max_family_size=6 ** 5 - 1)
-    assert len(absorb(inst, max_family_size=6 ** 5).static_functions) == 6 ** 5
+    assert len(absorb(inst, max_family_size=6 ** 5).static_rows) == 6 ** 5
 
 
 def _reference_product(inst):
@@ -188,13 +183,13 @@ def _wl_ada_instance(seed):
 
 
 def test_absorb_product_matches_the_family_fold():
-    """The raw-mask product equals the fold of `intersect_families` over
+    """The static rows equal the fold of `intersect_families` over
     `family_for_constraint`, member for member and in order, with pruning
     and with masks of one, two and three machine words."""
     pruned, widths = 0, set()
     for seed in range(120):
         inst = _wl_ada_instance(seed)
-        got = absorb(inst).static_functions
+        got = functions(absorb(inst).static_rows, inst.n)
         want = _reference_product(inst)
         assert got == want, seed
         unpruned = 1
@@ -227,7 +222,7 @@ def test_family_for_matches_the_fold_with_sual():
             fam = (inst.auth,)
             for c in inst.nonui_constraints():
                 fam = intersect_families(fam, family_for_constraint(c, p, k, n))
-            assert absorbed.family_for(p) == fam, (seed, p)
+            assert functions(absorbed.family_for(p), n) == fam, (seed, p)
             restricted += any(sual_restricts(c, p) for c in suals)
     assert restricted > 50
 
@@ -240,9 +235,9 @@ def test_absorbed_family_applies_sual_per_pattern():
     )
     absorbed = absorb(inst)
     merged = absorbed.family_for(Pattern((0, 0, 0)))
-    assert merged[0].step_masks == (0b1000,) * 3
+    assert merged[0] == (0b1000,) * 3
     spread = absorbed.family_for(Pattern((0, 1, 2)))
-    assert spread[0].step_masks == (FULL4,) * 3
+    assert spread[0] == (FULL4,) * 3
 
 
 @pytest.mark.parametrize("kind", CONSTRAINT_KINDS + ("mixed",))
@@ -255,7 +250,7 @@ def test_absorption_is_plan_equivalent(kind, seed):
     for plan in itertools.product(range(inst.n), repeat=inst.k):
         p = pattern_of(plan)
         via_cda = (pattern_eligible(p, absorbed.residual)
-                   and authorises(absorbed.family_for(p), plan))
+                   and authorises(functions(absorbed.family_for(p), inst.n), plan))
         assert via_cda == is_valid(plan, inst), (plan, inst)
 
 

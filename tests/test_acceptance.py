@@ -14,6 +14,7 @@ from dataclasses import replace
 
 import pytest
 
+from absorption_oracle import family_for_constraint, functions
 from conftest import (
     CONSTRAINT_KINDS,
     PO_PLAN,
@@ -23,7 +24,7 @@ from conftest import (
     random_instance,
     valid_plans_longhand,
 )
-from wspkit.absorption import absorb, branching_bound, family_for_constraint
+from wspkit.absorption import absorb, branching_bound
 from wspkit.cli import main, save_instance
 from wspkit.core import (
     ADA,
@@ -183,7 +184,8 @@ def test_criterion_03_absorption_equivalence(capsys):
                     p = pattern_of(plan)
                     rewritten = (pattern_eligible(p, absorbed.residual)
                                  and any(is_authorised(plan, fn)
-                                         for fn in absorbed.family_for(p)))
+                                         for fn in functions(
+                                             absorbed.family_for(p), inst.n)))
                     if rewritten != verify(plan, inst):
                         mismatch += 1
                 if mismatch:
@@ -220,7 +222,7 @@ def test_criterion_04_sharpness_fixtures(capsys):
         for d in (2, 3, 4):
             inst = wl_sharpness_instance(d)
             absorbed = absorb(inst)
-            members = absorbed.static_functions
+            members = functions(absorbed.static_rows, inst.n)
             if len(members) != d:
                 failures.append(f"wl d={d}: family size {len(members)}")
                 continue
@@ -242,7 +244,7 @@ def test_criterion_04_sharpness_fixtures(capsys):
 
         inst = ada_sharpness_instance()
         absorbed = absorb(inst)
-        members = absorbed.static_functions
+        members = functions(absorbed.static_rows, inst.n)
         if len(members) != 2:
             failures.append(f"ada: family size {len(members)}")
         else:

@@ -1,6 +1,7 @@
 """Plan-level semantics and structural validation."""
 
 import dataclasses
+import json
 import pickle
 import random
 
@@ -25,6 +26,7 @@ from wspkit.core import (
     is_eligible,
     is_ui,
     is_valid,
+    json_text,
     mask_of,
     violated_constraints,
 )
@@ -345,3 +347,33 @@ def test_value_classes_replace_and_stay_frozen():
         field = dataclasses.fields(obj)[0].name
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(obj, field, 1)
+
+
+def _json_document(rng: random.Random, depth: int = 0):
+    if depth >= 4 or rng.random() < 0.45:
+        return rng.choice((
+            None, True, False, 0, -7, 2 ** 64, -(3 ** 50), 0.0, -0.0, 1.5,
+            1e16, -2.5e-8, 1 / 3, "", "plain", 'quote " and \\ slash',
+            "tab\t newline\n nul\x00 bell\x07", "caf\u00e9 \u2028 \U0001f600"))
+    width = rng.randint(0, 4)
+    if rng.random() < 0.5:
+        items = [_json_document(rng, depth + 1) for _ in range(width)]
+        if rng.random() < 0.3:
+            items = [rng.randint(-9, 2 ** 70) for _ in range(width)]
+        return tuple(items) if rng.random() < 0.2 else items
+    keys = ("k", "n", "b", "a", "\u00e9", "x\"y", "", "zz")
+    return {rng.choice(keys) + str(rng.randint(0, 3)): _json_document(rng, depth + 1)
+            for _ in range(width)}
+
+
+@pytest.mark.parametrize("sort_keys", [False, True])
+def test_json_text_matches_json_dumps(sort_keys):
+    """`json_text` writes what `json.dumps(doc, indent=2)` writes, on random
+    nested documents of every value kind, and on the fixed ones below."""
+    rng = random.Random(f"json-text-{sort_keys}")
+    docs = [_json_document(rng) for _ in range(1500)]
+    docs += [{}, [], {"a": {}, "b": [], "c": [[]], "d": [{}]}, [[1, 2], [3]],
+             {"z": 1, "a": [True, None, -0.0, 1e16, 2 ** 100]}, "solo", 5]
+    for doc in docs:
+        assert json_text(doc, sort_keys=sort_keys) == json.dumps(
+            doc, indent=2, sort_keys=sort_keys), doc

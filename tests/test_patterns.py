@@ -85,6 +85,22 @@ def test_enumeration_is_lexicographic_and_duplicate_free():
     assert len(seen) == len(set(seen))
 
 
+@pytest.mark.parametrize("k", range(9))
+def test_enumerated_patterns_equal_validated_ones(k):
+    """Enumeration builds its patterns without `Pattern`'s validation; each
+    equals, and hashes as, the pattern built through it."""
+    seen = []
+    for p in enumerate_patterns(k):
+        checked = Pattern(p.rgs)
+        assert type(p.rgs) is tuple
+        assert p == checked and hash(p) == hash(checked)
+        seen.append(p.rgs)
+    assert seen == sorted(seen) and len(seen) == (bell(k) if k else 0)
+    for bad in ((0, 2), (1,)):
+        with pytest.raises(InvariantError):
+            Pattern(bad)
+
+
 def test_pattern_level_checks():
     p = Pattern((0, 1, 0))
     assert pattern_satisfies(p, SoD(0, 1))

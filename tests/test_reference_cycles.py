@@ -8,11 +8,6 @@ process holds: a nested function that calls itself through its closure
 cell is such a cycle, and it keeps the whole of its caller's search state.
 Each call runs once before it is measured, so that imports and caches
 filled on a first call do not count.
-
-`emit_cs_json` and the calibration-cache write are left out: both write
-through the standard library's indenting JSON encoder, which builds a
-closure cycle on every call (33 objects per `emit_cs_json` under Python
-3.11, whatever the model).
 """
 
 import gc
@@ -22,8 +17,23 @@ import pytest
 
 from conftest import COMPILED_MISSING, purchase_order_instance, random_instance
 from wspkit.absorption import absorb
-from wspkit.encode import emit_dimacs, emit_opb, encode_cs, encode_pbpb, encode_udpb
-from wspkit.generator import GenSpec, derive_seed, family_spec, generate
+from wspkit.cli import dump_json, instance_to_doc
+from wspkit.encode import (
+    emit_cs_json,
+    emit_dimacs,
+    emit_opb,
+    encode_cs,
+    encode_pbpb,
+    encode_udpb,
+)
+from wspkit.generator import (
+    GenSpec,
+    PTCalibration,
+    derive_seed,
+    family_spec,
+    generate,
+    save_calibration,
+)
 from wspkit.matching import authorised_plan_for
 from wspkit.patterns import Pattern, enumerate_patterns
 from wspkit.solver import (
@@ -78,7 +88,7 @@ def test_matching_leaves_no_garbage():
     inst = purchase_order_instance()
     for rgs in ((0, 1, 0, 2, 3, 4), (0, 1, 2, 3, 4, 5), (0, 0, 0, 0, 0, 0)):
         assert garbage_left_by(authorised_plan_for, Pattern(rgs),
-                               inst.auth) == 0
+                               inst.auth.step_masks) == 0
 
 
 @pytest.mark.parametrize("consume", [list, next], ids=["run-out", "abandoned"])
@@ -104,3 +114,19 @@ def test_encoders_and_emitters_leave_no_garbage():
         for model in (encode_udpb(inst), encode_pbpb(inst)):
             for emit in (emit_opb, emit_dimacs):
                 assert garbage_left_by(emit, model, io.StringIO()) == 0
+
+
+def test_json_writers_leave_no_garbage(tmp_path, monkeypatch):
+    monkeypatch.setenv("WSPKIT_CACHE_DIR", str(tmp_path))
+    models = [encode_cs(inst) for inst in DRAWS[:2] + SMALL[:3]]
+    docs = [instance_to_doc(inst) for inst in DRAWS[:2] + SMALL[:3]]
+
+    def write_all():
+        for model in models:
+            emit_cs_json(model, io.StringIO())
+        for doc in docs:
+            dump_json(doc)
+        save_calibration(6, 30, "wl", PTCalibration(3, 0.5, 20), (0.4, 0.6), 7)
+
+    assert garbage_left_by(write_all) == 0
+    assert len(list(tmp_path.iterdir())) == 1

@@ -1,5 +1,6 @@
 """Solver verdicts, counters, budgets, and cross-solver agreement."""
 
+import hashlib
 import random
 import tracemalloc
 
@@ -115,6 +116,27 @@ def test_pattern_enum_holds_no_state_per_pattern():
     assert peak < 1_000_000
 
 
+# Pattern enumeration's verdict, plan, patterns visited and matchings
+# computed on each draw of a fixed corpus, hashed in draw order: 480 small
+# draws of every constraint kind and mixed, then 40 generator draws at k=8
+# with every constraint kind.
+PATTERN_ENUM_DIGEST = "3ffa7eb62291c8f7"
+
+
+def test_pattern_enum_records_are_pinned():
+    corpus = [random_instance(kind, seed, k_max=6, n_max=9)
+              for kind in CONSTRAINT_KINDS + ("mixed",) for seed in range(60)]
+    corpus += [generate(GenSpec(k=8, n=70, am3=8, sod=6, sual=1, wl=1, ada=2,
+                                seed=seed)) for seed in range(40)]
+    h = hashlib.sha256()
+    for inst in corpus:
+        res = solve_pattern_enum(inst)
+        h.update(f"{res.verdict.value} {res.plan} {res.stats.patterns_visited} "
+                 f"{res.stats.matchings_computed}\n".encode())
+    assert len(corpus) == 520
+    assert h.hexdigest()[:16] == PATTERN_ENUM_DIGEST
+
+
 def test_pattern_enum_rejects_a_node_budget(po_instance):
     """Pattern enumeration expands no nodes, so a node budget is an error
     rather than silently ignored."""
@@ -154,7 +176,7 @@ def test_backtracker_counters_on_sat(po_instance):
 
 def test_counter_bounds_against_family_product(po_instance):
     absorbed = absorb(po_instance)
-    members = max(1, len(absorbed.static_functions))
+    members = max(1, len(absorbed.static_rows))
     res = solve_pattern_enum(po_instance)
     assert res.stats.patterns_visited <= bell(po_instance.k)
     assert res.stats.matchings_computed <= bell(po_instance.k) * members
