@@ -9,7 +9,12 @@ bit for bit, so every draw is unchanged by it.
 
 Authorisation lists are drawn per user: each user receives a uniformly
 random number of steps between 1 and floor(k/2) (at least 1), then a
-uniform subset of that size.  Constraint shapes are fixed:
+uniform subset of that size.  Every user's draws are made in one pass over
+the batched stream, with the rejection draw and the partial shuffle inlined
+and each pick appended to its step's list as it is drawn; the rejection
+shift is carried from one draw to the next and changes only when the
+shuffle's falling bound reaches a power of two.  The draws are those of
+`below` and `subset`, output for output.  Constraint shapes are fixed:
 
   sod   two distinct steps
   am3   at most 3 users over a scope of 5 steps
@@ -135,6 +140,23 @@ def _batch(state: int) -> list[int]:
     return words[_LOW_WORDS].tolist()
 
 
+# the largest bound a draw accepts: below(2**64) is a whole output
+_BOUND_MAX = 1 << 64
+
+
+def _shift_and_floor(bound: int) -> tuple[int, int]:
+    """The right shift of a draw below `bound`, and the bound at which a
+    partial shuffle, whose bound falls by one per draw, must shift once more.
+
+    The shift keeps bit_length(bound - 1) high bits, at least one, so it
+    changes only when the falling bound reaches a power of two; that floor
+    halves each time it is reached.  Bounds 2 and 1 both shift by 63, so a
+    floor of 1 is never acted on.
+    """
+    width = (bound - 1).bit_length() or 1
+    return 64 - width, 1 << (width - 1)
+
+
 class SplitMix64:
     """The standard SplitMix64 stream, computed a batch of outputs at a
     time."""
@@ -166,8 +188,9 @@ class SplitMix64:
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound), by rejection on the high bits."""
-        if bound <= 0:
-            raise InvariantError(f"below: bound must be positive, got {bound}")
+        if not 0 < bound <= _BOUND_MAX:
+            raise InvariantError(
+                f"below: bound must be in [1, 2**64], got {bound}")
         shift = 64 - ((bound - 1).bit_length() or 1)
         buf, pos = self._buf, self._pos
         while True:
@@ -184,14 +207,17 @@ class SplitMix64:
     def subset(self, m: int, size: int) -> list[int]:
         """`size` distinct integers from range(m), in draw order, via a
         partial Fisher-Yates shuffle."""
-        if size > m:
-            raise InvariantError(f"subset: cannot draw {size} of {m}")
+        if not 0 <= size <= m:
+            raise InvariantError(
+                f"subset: size must be in [0, m], cannot draw {size} of {m}")
         buf, pos = self._buf, self._pos
         pool = list(range(m))
+        shift, floor = _shift_and_floor(m)
         for i in range(size):
-            # below(m - i), inlined: this is the generator's innermost loop
+            # below(m - i), inlined, with the shift carried from the last draw
             bound = m - i
-            shift = 64 - ((bound - 1).bit_length() or 1)
+            if bound == floor > 1:
+                shift, floor = shift + 1, floor >> 1
             while True:
                 try:
                     value = buf[pos] >> shift
@@ -282,19 +308,65 @@ def _check_shape_preconditions(spec: GenSpec) -> None:
             f"got n={spec.n}")
 
 
+def _draw_step_users(rng: SplitMix64, k: int, n: int) -> list[list[int]]:
+    """Each step's users, in ascending order, where user u's steps are
+    `rng.subset(k, 1 + rng.below(max(1, k // 2)))`, drawn in turn for
+    u = 0..n-1.
+
+    Both draws are inlined into one loop over the batch, as `subset`
+    inlines `below`: the two starting shifts and the shuffle's first floor
+    depend only on k, each user's pool is a copy of one template, and each
+    pick appends u to its step's list as it is drawn.  The pool holds the
+    steps' `list.append` methods in place of the step indices, so a pick is
+    the call itself.
+    """
+    top = max(1, k // 2)
+    size_shift = _shift_and_floor(top)[0]
+    first_shift, first_floor = _shift_and_floor(k)
+    step_users: list[list[int]] = [[] for _ in range(k)]
+    template = [users.append for users in step_users]
+    buf, pos = rng._buf, rng._pos
+    for u in range(n):
+        while True:  # below(top)
+            try:
+                size = buf[pos] >> size_shift
+            except IndexError:
+                buf, pos = rng._refill(), 0
+                continue
+            pos += 1
+            if size < top:
+                break
+        pool = template[:]
+        shift, floor = first_shift, first_floor
+        for i in range(size + 1):  # subset(k, size + 1)
+            bound = k - i
+            if bound == floor > 1:
+                shift, floor = shift + 1, floor >> 1
+            while True:
+                try:
+                    value = buf[pos] >> shift
+                except IndexError:
+                    buf, pos = rng._refill(), 0
+                    continue
+                pos += 1
+                if value < bound:
+                    break
+            # position i is never read again, so only j takes its entry
+            j = i + value
+            pool[j], pick = pool[i], pool[j]
+            pick(u)
+    rng._pos = pos
+    return step_users
+
+
 def _draw_authorisation(k: int, n: int,
                         seed: int) -> tuple[AuthorisationFunction, int, int]:
     """The authorisation drawn under `seed`, the RNG state after it, and the
     number of attempts it took.  An attempt that leaves some step with no
     authorised user is retried under the next sub-seed."""
-    top = max(1, k // 2)
     for attempt in range(MAX_DRAW_ATTEMPTS):
         rng = SplitMix64(derive_seed(seed, attempt))
-        below, subset = rng.below, rng.subset
-        step_users: list[list[int]] = [[] for _ in range(k)]
-        for u in range(n):
-            for s in subset(k, 1 + below(top)):
-                step_users[s].append(u)
+        step_users = _draw_step_users(rng, k, n)
         if all(step_users):
             auth = AuthorisationFunction.from_lists(step_users, n)
             return auth, rng.state, attempt + 1
@@ -304,7 +376,12 @@ def _draw_authorisation(k: int, n: int,
 
 
 def _draw_sod(rng: SplitMix64, k: int, n: int) -> Constraint:
-    a, b = rng.subset(k, 2)
+    # subset(k, 2) without the pool: the second pick is position b, which
+    # holds step 0 when the first pick swapped it there
+    a = rng.below(k)
+    b = 1 + rng.below(k - 1)
+    if b == a:
+        b = 0
     return SoD(min(a, b), max(a, b))
 
 

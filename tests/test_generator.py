@@ -37,7 +37,13 @@ from wspkit.generator import (
     make_family,
     save_calibration,
 )
-from wspkit.generator import _Sample, _round_three_quarters
+from wspkit.generator import (
+    _Sample,
+    _draw_authorisation,
+    _draw_sod,
+    _draw_step_users,
+    _round_three_quarters,
+)
 from wspkit.solver import Verdict, solve_backtracking
 
 BAND = (0.25, 0.75)  # wide band so tiny test sizes calibrate reliably
@@ -137,6 +143,106 @@ def test_stream_resumes_from_a_state_read_at_any_point():
         assert resumed.subset(12, 4) == oracle.subset(12, 4)
         assert resumed.state == oracle.state
         rng.next64()
+
+
+def test_draw_limits_are_named():
+    # a refused draw reads nothing from the stream
+    rng = SplitMix64(3)
+    for m, size in ((5, -1), (0, -1), (3, 4), (0, 1)):
+        with pytest.raises(InvariantError, match=r"size must be in \[0, m\]"):
+            rng.subset(m, size)
+    for bound in (0, -1, (1 << 64) + 1, 1 << 65):
+        with pytest.raises(InvariantError,
+                           match=r"bound must be in \[1, 2\*\*64\]"):
+            rng.below(bound)
+    assert rng.state == 3
+    oracle = ScalarSplitMix64(3)
+    assert rng.below(1 << 64) == oracle.next64()
+    assert rng.subset(5, 0) == [] and rng.subset(0, 0) == []
+    assert rng.state == oracle.state
+
+
+# --- the sampling core against its textbook definition --------------------------
+#
+# `ScalarSplitMix64` reads one output at a time and draws `below` and
+# `subset` as their definitions read.  The package reads the batched stream,
+# carries the rejection shift from one draw to the next, and inlines both
+# draws in `_draw_step_users` and `_draw_sod`.  The shift changes where a
+# bound crosses a power of two, so the bounds sit on either side of each;
+# streams advanced to positions 250..255 of their first batch make a refill
+# land in the middle of a draw.
+
+EDGE_BOUNDS = sorted({b for j in range(1, 8)
+                      for b in (2 ** j - 1, 2 ** j, 2 ** j + 1)})
+REFILL_OFFSETS = range(250, 256)
+
+
+def advanced(offset: int):
+    """A batched stream and its oracle, both `offset` outputs in."""
+    rng, oracle = SplitMix64(offset), ScalarSplitMix64(offset)
+    for _ in range(offset):
+        assert rng.next64() == oracle.next64()
+    return rng, oracle
+
+
+def step_users_longhand(oracle, k: int, n: int) -> list[list[int]]:
+    step_users = [[] for _ in range(k)]
+    for u in range(n):
+        for s in oracle.subset(k, 1 + oracle.below(max(1, k // 2))):
+            step_users[s].append(u)
+    return step_users
+
+
+@pytest.mark.parametrize("offset", REFILL_OFFSETS)
+def test_below_matches_its_definition_across_a_refill(offset):
+    bounds = [b for j in range(1, 65) for b in (2 ** j - 1, 2 ** j, 2 ** j + 1)
+              if b <= 1 << 64]
+    rng, oracle = advanced(offset)
+    for bound in bounds:
+        assert [rng.below(bound) for _ in range(3)] == \
+            [oracle.below(bound) for _ in range(3)]
+        assert rng.state == oracle.state
+
+
+@pytest.mark.parametrize("offset", REFILL_OFFSETS)
+def test_subset_matches_its_definition_across_a_refill(offset):
+    rng, oracle = advanced(offset)
+    for m in EDGE_BOUNDS:
+        for size in sorted({0, 1, min(2, m), m // 2, m - 1, m}):
+            assert rng.subset(m, size) == oracle.subset(m, size)
+            assert rng.state == oracle.state
+
+
+@pytest.mark.parametrize("offset", REFILL_OFFSETS)
+def test_sod_pair_is_a_two_subset_across_a_refill(offset):
+    rng, oracle = advanced(offset)
+    for k in EDGE_BOUNDS[1:]:
+        for _ in range(4):
+            a, b = oracle.subset(k, 2)
+            assert _draw_sod(rng, k, 1) == SoD(min(a, b), max(a, b))
+            assert rng.state == oracle.state
+
+
+@pytest.mark.parametrize("offset", REFILL_OFFSETS)
+def test_step_users_match_their_definition_across_a_refill(offset):
+    for k in EDGE_BOUNDS:
+        rng, oracle = advanced(offset)
+        assert _draw_step_users(rng, k, 9) == step_users_longhand(oracle, k, 9)
+        assert rng.state == oracle.state
+
+
+@pytest.mark.parametrize("k, n, seed", [(k, 30, k) for k in EDGE_BOUNDS]
+                         + [(5, 3, 0), (6, 4, 2), (9, 5, 3)])
+def test_authorisation_matches_its_definition(k, n, seed):
+    # retried draws included: the last three take 11, 18 and 8 attempts
+    for attempt in itertools.count():
+        oracle = ScalarSplitMix64(derive_seed(seed, attempt))
+        step_users = step_users_longhand(oracle, k, n)
+        if all(step_users):
+            break
+    auth, state, attempts = _draw_authorisation(k, n, seed)
+    assert auth.to_lists() == step_users
+    assert (state, attempts) == (oracle.state, attempt + 1)
 
 
 def test_subseed_derivation():
