@@ -13,7 +13,8 @@ uniform subset of that size.  Every user's draws are made in one pass over
 the batched stream, with the rejection draw and the partial shuffle inlined
 and each pick appended to its step's list as it is drawn; the rejection
 shift is carried from one draw to the next and changes only when the
-shuffle's falling bound reaches a power of two.  The draws are those of
+shuffle's falling bound reaches a power of two.  Every two-step pair is
+drawn as below(k), 1 + below(k - 1), with no pool.  The draws are those of
 `below` and `subset`, output for output.  Constraint shapes are fixed:
 
   sod   two distinct steps
@@ -375,13 +376,16 @@ def _draw_authorisation(k: int, n: int,
         f"attempts (k={k}, n={n})")
 
 
-def _draw_sod(rng: SplitMix64, k: int, n: int) -> Constraint:
-    # subset(k, 2) without the pool: the second pick is position b, which
-    # holds step 0 when the first pick swapped it there
+def _pair(rng: SplitMix64, k: int) -> tuple[int, int]:
+    """`rng.subset(k, 2)` without the pool: the second pick is position b,
+    which holds step 0 when the first pick swapped it there."""
     a = rng.below(k)
     b = 1 + rng.below(k - 1)
-    if b == a:
-        b = 0
+    return a, (0 if b == a else b)
+
+
+def _draw_sod(rng: SplitMix64, k: int, n: int) -> Constraint:
+    a, b = _pair(rng, k)
     return SoD(min(a, b), max(a, b))
 
 
@@ -396,14 +400,14 @@ def _draw_sual(rng: SplitMix64, k: int, n: int) -> Constraint:
 
 def _draw_wl(rng: SplitMix64, k: int, n: int) -> Constraint:
     team = n // 4
-    scope = tuple(rng.subset(k, 2))
+    scope = _pair(rng, k)
     sample = rng.subset(n, 2 * team)
     return WL(scope, (mask_of(sample[:team]), mask_of(sample[team:])))
 
 
 def _draw_ada(rng: SplitMix64, k: int, n: int) -> Constraint:
     half = n // 2
-    s1, s2 = rng.subset(k, 2)
+    s1, s2 = _pair(rng, k)
     return ADA(s1, s2, mask_of(rng.subset(n, half)), mask_of(rng.subset(n, half)))
 
 

@@ -42,6 +42,7 @@ from wspkit.generator import (
     _draw_authorisation,
     _draw_sod,
     _draw_step_users,
+    _pair,
     _round_three_quarters,
 )
 from wspkit.solver import Verdict, solve_backtracking
@@ -166,9 +167,10 @@ def test_draw_limits_are_named():
 #
 # `ScalarSplitMix64` reads one output at a time and draws `below` and
 # `subset` as their definitions read.  The package reads the batched stream,
-# carries the rejection shift from one draw to the next, and inlines both
-# draws in `_draw_step_users` and `_draw_sod`.  The shift changes where a
-# bound crosses a power of two, so the bounds sit on either side of each;
+# carries the rejection shift from one draw to the next, inlines both draws
+# in `_draw_step_users`, and draws two-step pairs without a pool in `_pair`.
+# The shift changes where a bound crosses a power of two, so the bounds sit
+# on either side of each;
 # streams advanced to positions 250..255 of their first batch make a refill
 # land in the middle of a draw.
 
@@ -218,6 +220,8 @@ def test_sod_pair_is_a_two_subset_across_a_refill(offset):
     rng, oracle = advanced(offset)
     for k in EDGE_BOUNDS[1:]:
         for _ in range(4):
+            assert _pair(rng, k) == tuple(oracle.subset(k, 2))
+            assert rng.state == oracle.state
             a, b = oracle.subset(k, 2)
             assert _draw_sod(rng, k, 1) == SoD(min(a, b), max(a, b))
             assert rng.state == oracle.state
