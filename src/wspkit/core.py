@@ -85,6 +85,13 @@ def bits_of(mask: int) -> tuple[int, ...]:
     return tuple(compress(range(len(flags)), flags))
 
 
+def _check_pair(s1: int, s2: int, what: str) -> None:
+    """The two steps of a pair constraint: distinct non-negative ints."""
+    _require(s1 != s2, f"{what}: steps must differ")
+    _require(isinstance(s1, int) and s1 >= 0 and isinstance(s2, int)
+             and s2 >= 0, f"{what}: step indices must be non-negative integers")
+
+
 def _steps_tuple(scope: Iterable[int], what: str) -> tuple[int, ...]:
     steps = tuple(sorted(scope))
     _require(len(steps) == len(set(steps)), f"{what}: scope has repeated steps")
@@ -167,7 +174,7 @@ class SoD:
     s2: int
 
     def __post_init__(self) -> None:
-        _require(self.s1 != self.s2, "sod: steps must differ")
+        _check_pair(self.s1, self.s2, "sod")
 
     @property
     def steps(self) -> tuple[int, ...]:
@@ -182,7 +189,7 @@ class BoD:
     s2: int
 
     def __post_init__(self) -> None:
-        _require(self.s1 != self.s2, "bod: steps must differ")
+        _check_pair(self.s1, self.s2, "bod")
 
     @property
     def steps(self) -> tuple[int, ...]:
@@ -284,7 +291,7 @@ class ADA:
     required: int  # user mask
 
     def __post_init__(self) -> None:
-        _require(self.s1 != self.s2, "ada: steps must differ")
+        _check_pair(self.s1, self.s2, "ada")
         object.__setattr__(self, "trigger", _user_set(self.trigger, "ada"))
         object.__setattr__(self, "required", _user_set(self.required, "ada"))
         _require(self.trigger != 0, "ada: trigger set must be non-empty")

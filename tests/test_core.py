@@ -4,6 +4,7 @@ import dataclasses
 import json
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -146,6 +147,56 @@ def test_constraint_validation_errors():
         ADA(0, 0, frozenset({0}), frozenset({1}))
     with pytest.raises(InvariantError):
         ADA(0, 1, frozenset(), frozenset({1}))
+
+
+# every message the constructors format on failure, word for word
+CONSTRUCTOR_ERRORS = [
+    (lambda: SoD(1, 1), "sod: steps must differ"),
+    (lambda: SoD(1.0, 2), "sod: step indices must be non-negative integers"),
+    (lambda: SoD(-1, 2), "sod: step indices must be non-negative integers"),
+    (lambda: SoD(0, "1"), "sod: step indices must be non-negative integers"),
+    (lambda: BoD(2, 2), "bod: steps must differ"),
+    (lambda: BoD(0, 2.0), "bod: step indices must be non-negative integers"),
+    (lambda: BoD(0, -2), "bod: step indices must be non-negative integers"),
+    (lambda: ADA(0, 0, {0}, {1}), "ada: steps must differ"),
+    (lambda: ADA(1.0, 2, {0}, {1}),
+     "ada: step indices must be non-negative integers"),
+    (lambda: ADA(-1, 2, {0}, {1}),
+     "ada: step indices must be non-negative integers"),
+    (lambda: ADA(0, 1, -1, {1}), "ada: a user mask must be non-negative"),
+    (lambda: ADA(0, 1, {0}, [1.0]),
+     "ada: user indices must be non-negative integers"),
+    (lambda: AtMost(1, (0, 0, 1)), "atmost: scope has repeated steps"),
+    (lambda: AtMost(1, (0, -1)),
+     "atmost: step indices must be non-negative integers"),
+    (lambda: AtMost(3, (0, 1)), "atmost: r must lie in [1, 2]"),
+    (lambda: AtMost(0, (0, 1, 2)), "atmost: r must lie in [1, 3]"),
+    (lambda: AtLeast(1, (2, 2)), "atleast: scope has repeated steps"),
+    (lambda: AtLeast(1, (0, 1.5)),
+     "atleast: step indices must be non-negative integers"),
+    (lambda: AtLeast(4, (0, 1, 2)), "atleast: r must lie in [1, 3]"),
+    (lambda: SUAL((0, 1, 1), 1, {0}), "sual: scope has repeated steps"),
+    (lambda: SUAL((0, -1), 1, {0}),
+     "sual: step indices must be non-negative integers"),
+    (lambda: SUAL((0, 1), 2, {0}), "sual: h must lie in [1, 1]"),
+    (lambda: SUAL((0, 1, 2), 0, {0}), "sual: h must lie in [1, 2]"),
+    (lambda: SUAL((0, 1), 1, -3), "sual: a user mask must be non-negative"),
+    (lambda: SUAL((0, 1), 1, ["a"]),
+     "sual: user indices must be non-negative integers"),
+    (lambda: WL((3, 3), ({0},)), "wl: scope has repeated steps"),
+    (lambda: WL((0, 1.0), ({0},)),
+     "wl: step indices must be non-negative integers"),
+    (lambda: WL((0, 1), (-1,)), "wl: a user mask must be non-negative"),
+    (lambda: WL((0, 1), ([-1],)),
+     "wl: user indices must be non-negative integers"),
+]
+
+
+@pytest.mark.parametrize("make, message", CONSTRUCTOR_ERRORS,
+                         ids=[m for _, m in CONSTRUCTOR_ERRORS])
+def test_constructor_errors_keep_their_messages(make, message):
+    with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 def test_instance_validation_errors():

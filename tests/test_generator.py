@@ -44,6 +44,11 @@ from wspkit.generator import (
     _draw_step_users,
     _pair,
     _round_three_quarters,
+    _AM3_SHARED_K,
+    _SHARED_MAX,
+    _shared_am3,
+    _shared_sod,
+    _SOD_SHARED_K,
 )
 from wspkit.solver import Verdict, solve_backtracking
 
@@ -271,6 +276,16 @@ def test_spec_validation():
     assert GenSpec(k=5, n=4, wl=1).counts()["wl"] == 1
 
 
+@pytest.mark.parametrize("field, value", [
+    ("k", 12.0), ("n", 120.0), ("sod", 2.0), ("am3", True), ("sual", False),
+    ("wl", "1"), ("ada", None), ("seed", 1.5), ("seed", True)])
+def test_spec_fields_must_be_ints(field, value):
+    # the CLI schema's integer rule: no float, no bool, nothing else
+    with pytest.raises(InvariantError,
+                       match=rf"^spec: {field} must be an int, got {value!r}$"):
+        GenSpec(**{"k": 12, "n": 120, field: value})
+
+
 @pytest.mark.parametrize("spec_kwargs, named", [
     (dict(k=4, n=9, am3=1), "k >= 5"),
     (dict(k=4, n=9, sual=1), "k >= 5"),
@@ -299,6 +314,44 @@ def test_am3_shape():
     for c in inst.constraints:
         assert isinstance(c, AtMost) and c.r == 3 and len(c.scope) == 5
         assert len(set(c.scope)) == 5
+
+
+def test_draws_share_one_object_per_sod_pair_and_am3_scope():
+    draws = [generate(GenSpec(k=12, n=120, am3=12, sod=26,
+                              seed=derive_seed(5, i))) for i in range(200)]
+    held = [c for inst in draws for c in inst.constraints]
+    sods = {id(c): c for c in held if isinstance(c, SoD)}
+    am3s = {id(c): c for c in held if isinstance(c, AtMost)}
+    # C(12, 2) pairs and C(12, 5) scopes exist, against 5200 and 2400 held
+    assert len(sods) <= 66 and len(am3s) <= 792
+    for c in sods.values():
+        assert c == SoD(c.s1, c.s2)
+    for c in am3s.values():
+        assert c == AtMost(3, c.scope)
+
+
+def test_shared_values_stay_within_their_bound():
+    # a kind is shared up to the largest k whose values all fit, and the
+    # values of a smaller k are among them: the caches never evict
+    assert math.comb(_SOD_SHARED_K, 2) <= _SHARED_MAX < math.comb(
+        _SOD_SHARED_K + 1, 2)
+    assert math.comb(_AM3_SHARED_K, 5) <= _SHARED_MAX < math.comb(
+        _AM3_SHARED_K + 1, 5)
+    for k in (5, 8, 11, 12):
+        generate(GenSpec(k=k, n=k, am3=2000, sod=2000, seed=k))
+    for shared, most in ((_shared_sod, math.comb(_SOD_SHARED_K, 2)),
+                         (_shared_am3, math.comb(_AM3_SHARED_K, 5))):
+        info = shared.cache_info()
+        assert info.maxsize == _SHARED_MAX
+        assert info.currsize <= most
+    # past those k, draws build their values unshared
+    am3, sod = _shared_am3.cache_info(), _shared_sod.cache_info()
+    for i in range(40):
+        inst = generate(GenSpec(k=40, n=40, am3=40, seed=i))
+        assert inst.constraints[0] == AtMost(3, inst.constraints[0].scope)
+        generate(GenSpec(k=_SOD_SHARED_K + 1, n=40, sod=40, seed=i))
+    assert _shared_am3.cache_info() == am3
+    assert _shared_sod.cache_info() == sod
 
 
 def test_constraint_shapes_by_kind():
@@ -601,7 +654,8 @@ def test_malformed_cache_is_a_miss(cache_env):
               {**good, "sat_rate": 1.5},
               {**good, "sat_rate": "high"},
               {**good, "e_value": "4"},
-              {**good, "e_value": -1}]
+              {**good, "e_value": -1},
+              {**good, "e_value": True}]
     for doc in broken:
         path.write_text(json.dumps(doc))
         assert load_calibration(8, 80, "sod", 40, BAND, 1) is None, doc

@@ -118,9 +118,11 @@ def test_absorb_and_compile_leave_no_garbage():
 
 
 def test_generation_leaves_no_garbage():
-    # the benchmark shapes, and a spec whose draw is retried ten times
+    # the benchmark shapes, a spec whose draw is retried ten times, and one
+    # past the k at which am3 values are shared
     specs = [GenSpec(seed=derive_seed(7, 3), **shape) for shape in SHAPES]
     specs.append(GenSpec(k=5, n=3, seed=0))
+    specs.append(GenSpec(k=40, n=40, am3=40, sod=40, seed=0))
     assert garbage_left_by(partial(generate_with_meta, spec)
                            for spec in specs) == 0
 
