@@ -82,7 +82,10 @@ def bits_of(mask: int) -> tuple[int, ...]:
             mask ^= lsb
         return tuple(out)
     flags = bin(mask)[:1:-1].encode("ascii").translate(_TO_FLAG)
-    return tuple(compress(range(len(flags)), flags))
+    # through a list: a tuple grown from an iterator is resized into its
+    # final length, so a freed one of up to 20 items adds to that length's
+    # free list, which only a full collection empties
+    return tuple([*compress(range(len(flags)), flags)])
 
 
 def _check_pair(s1: int, s2: int, what: str) -> None:

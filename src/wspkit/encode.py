@@ -23,6 +23,14 @@ exactly the alternatives the solvers branch on.  Every selector reduces to
 "selector implies this step avoids these users" rows plus a pick-one row
 over its group.
 
+A Boolean model keeps its rows as one flat table, not one object per row:
+`lits` holds every row's literals, each row ended by 0 as in DIMACS, and
+`heads` one entry per row, None for a plain clause and the shared tuple
+(op, bound, guard) for any other row (see `BooleanModel`).  The encoders
+append to the table directly, and the emitters read it row by row and
+write each text with one join.  `Row` stays the value type for single rows
+and hand-built models.
+
 Emission targets are OPB (linear pseudo-Boolean, one row per line), DIMACS
 CNF (cardinality rows compiled with sequential counters), and a JSON
 document for CS.  All outputs are deterministic: fixed variable order, LF
@@ -32,10 +40,11 @@ line endings, ASCII.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import comb
-from operator import attrgetter
-from typing import IO, Iterator, Mapping, Optional, Sequence
+from operator import neg
+from typing import IO, Iterable, Iterator, Mapping, Optional
 
 from .core import (
     ADA,
@@ -62,13 +71,14 @@ SUBSET_ENUM_LIMIT = 64
 
 
 _OPS = frozenset((">=", "<=", "="))
+# the head of a plain clause, which the row table stores as None
+_CLAUSE = (">=", 1, None)
 
 
 class _Record:
     """A small record that compares, hashes and prints by its slots, in
-    order, as a frozen dataclass does, but builds as fast as a plain class:
-    the encoders make one per row and per derived variable.  Treat records
-    as immutable; nothing stops an assignment to a slot."""
+    order, as a frozen dataclass does, but builds as fast as a plain class.
+    Treat records as immutable; nothing stops an assignment to a slot."""
 
     __slots__ = ()
 
@@ -94,7 +104,9 @@ class Row(_Record):
     `lits` are signed 1-based variable indices (negative = negated).  A row
     with a `guard` literal is enforced only when the guard is true; guarded
     rows lower to coefficient form in OPB and to guard-weakened clauses in
-    DIMACS.
+    DIMACS.  Models store their rows as a table (see `BooleanModel`); a
+    `Row` is the value a model's `rows` view yields and its constructor
+    packs.
     """
 
     __slots__ = ("op", "bound", "lits", "guard")
@@ -146,18 +158,108 @@ class DerivedVar(_Record):
         self.arg = arg  # user for "z", step for "rep"
 
 
-@dataclass
+def _spans(lits: list[int], heads: Iterable) -> Iterator[tuple]:
+    """(head, start, end) for each row of a literal table, whose literals
+    are lits[start:end]."""
+    index = lits.index
+    start = 0
+    for head in heads:
+        end = index(0, start)
+        yield head, start, end
+        start = end + 1
+
+
+class _RowView(Sequence):
+    """A model's rows as `Row` values, built from its table as they are
+    read: `len` builds none, indexing builds them all."""
+
+    __slots__ = ("_lits", "_heads")
+
+    def __init__(self, lits: list[int], heads: list) -> None:
+        self._lits = lits
+        self._heads = heads
+
+    def __len__(self) -> int:
+        return len(self._heads)
+
+    def __iter__(self) -> Iterator[Row]:
+        lits = self._lits
+        for head, start, end in _spans(lits, self._heads):
+            op, bound, guard = head or _CLAUSE
+            yield Row(op, bound, tuple(lits[start:end]), guard)
+
+    def __getitem__(self, i):
+        return tuple(self)[i]
+
+    def __add__(self, other: tuple) -> tuple:
+        return tuple(self) + other
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (tuple, _RowView)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    __hash__ = None
+
+
 class BooleanModel:
     """A pseudo-Boolean formulation plus enough structure to translate plans
-    to assignments and back."""
+    to assignments and back.
 
-    kind: str  # "udpb" | "pbpb"
-    instance: Instance
-    names: tuple[str, ...]  # 1-based: names[0] is a placeholder
-    index: dict[str, int]
-    rows: tuple[Row, ...]
-    derived: tuple[DerivedVar, ...]
-    selector_groups: tuple[tuple[int, ...], ...]
+    The rows are one table rather than one object each.  `lits` holds every
+    row's literals, each row ended by 0 (DIMACS's own layout; 0 is never a
+    variable).  `heads` has one entry per row: None for a plain clause
+    (`>= 1`, unguarded), otherwise the row's `(op, bound, guard)`, one tuple
+    shared by all rows with that head.  Derived variables are kept per
+    constraint as `(kind, scope, first, args)`: variable `first + j` has
+    kind `kind` over `scope` with argument `args[j]`.  `rows` and `derived`
+    present these as read-only sequences of `Row` and `DerivedVar` values.
+
+    The constructor takes `rows` and `derived` as iterables of those values
+    and packs them into the same tables, so hand-built and encoded models
+    share one representation; the encoders hand over the tables they built
+    through `_from_table`.  Treat the tables as immutable.
+    """
+
+    __slots__ = ("kind", "instance", "names", "index", "lits", "heads",
+                 "_derived", "selector_groups")
+
+    def __init__(self, kind: str, instance: Instance, names: tuple[str, ...],
+                 index: dict[str, int], rows: Iterable[Row],
+                 derived: Iterable[DerivedVar],
+                 selector_groups: tuple[tuple[int, ...], ...]) -> None:
+        table = _Builder(kind, instance)
+        for row in rows:
+            # 0 ends a row in the table, so it cannot stand for a literal
+            if 0 in row.lits or row.guard == 0:
+                raise InvariantError("row references unknown variable 0")
+            table.row(row.lits, row.op, row.bound, row.guard)
+        self.kind = kind  # "udpb" | "pbpb"
+        self.instance = instance
+        self.names = names  # 1-based: names[0] is a placeholder
+        self.index = index
+        self.lits = table.lits
+        self.heads = table.heads
+        self._derived = tuple([(dv.kind, dv.scope, dv.index, (dv.arg,))
+                               for dv in derived])
+        self.selector_groups = selector_groups
+
+    @classmethod
+    def _from_table(cls, kind, instance, names, index, lits, heads, derived,
+                    selector_groups) -> "BooleanModel":
+        model = cls(kind, instance, names, index, (), (), selector_groups)
+        model.lits, model.heads, model._derived = lits, heads, derived
+        return model
+
+    @property
+    def rows(self) -> _RowView:
+        return _RowView(self.lits, self.heads)
+
+    @property
+    def derived(self) -> tuple[DerivedVar, ...]:
+        return tuple([DerivedVar(first + j, kind, scope, arg)
+                      for kind, scope, first, args in self._derived
+                      for j, arg in enumerate(args)])
 
     @property
     def var_count(self) -> int:
@@ -178,63 +280,88 @@ class BooleanModel:
             values[idx] = bool(val)
         return values
 
-    def satisfied_by(self, assignment: Mapping[str, int]) -> bool:
+    def _holding(self, assignment: Mapping[str, int]) -> Iterator[bool]:
+        """Whether each row holds under `assignment`, in row order."""
+        self.validate()
         values = self._values(assignment)
-        return all(row.holds(values) for row in self.rows)
+        # truth[lit] for either sign: entry -v, counted from the end, is not v
+        truth = values + [not value for value in values[:0:-1]]
+        lits = self.lits
+        for head, start, end in _spans(lits, self.heads):
+            total = sum(map(truth.__getitem__, lits[start:end]))
+            if head is None:
+                yield total >= 1
+                continue
+            op, bound, guard = head
+            if guard is not None and not truth[guard]:
+                yield True
+            elif op == ">=":
+                yield total >= bound
+            elif op == "<=":
+                yield total <= bound
+            else:
+                yield total == bound
+
+    def satisfied_by(self, assignment: Mapping[str, int]) -> bool:
+        return all(self._holding(assignment))
 
     def violated_rows(self, assignment: Mapping[str, int]) -> list[Row]:
-        values = self._values(assignment)
-        return [row for row in self.rows if not row.holds(values)]
+        return [row for row, holds in zip(self.rows, self._holding(assignment))
+                if not holds]
 
     def validate(self) -> None:
-        """Internal consistency: every referenced variable is in the table."""
+        """Internal consistency: every referenced variable is in the table.
+        The readers that index per-literal lists by literal, where an
+        unknown one would read another's entry, call it first."""
         v = self.var_count
-        seen = set(itertools.chain.from_iterable(map(attrgetter("lits"), self.rows)))
-        seen.update([row.guard for row in self.rows if row.guard])
-        if not seen or (-v <= min(seen) and max(seen) <= v and 0 not in seen):
-            return
-        for row in self.rows:
-            for lit in row.lits + ((row.guard,) if row.guard else ()):
-                if not 1 <= abs(lit) <= v:
-                    raise InvariantError(f"row references unknown variable {lit}")
+        lits = self.lits
+        bad = [lit for lit in (min(lits, default=0), max(lits, default=0))
+               if abs(lit) > v]
+        bad += [head[2] for head in dict.fromkeys(self.heads)
+                if head is not None and head[2] is not None
+                and not 1 <= abs(head[2]) <= v]
+        if bad:
+            raise InvariantError(f"row references unknown variable {bad[0]}")
 
 
 class _Builder:
+    """A model under construction.  The encoders append rows to the table
+    straight away: literals then 0 to `lits`, and to `heads` None for a
+    plain clause or the shared tuple that `head` returns."""
+
     def __init__(self, kind: str, inst: Instance) -> None:
         self.kind = kind
         self.inst = inst
         self.names: list[str] = ["<0>"]
-        self.index: dict[str, int] = {}
-        self.rows: list[Row] = []
-        self.derived: list[DerivedVar] = []
+        self.lits: list[int] = []
+        self.heads: list = []
+        self._shared: dict = {}
+        self.derived: list[tuple] = []  # (kind, scope, first, args) groups
         self.selector_groups: list[tuple[int, ...]] = []
         # x[s][u]: index of x{s}_{u}, 0 when u is not authorised for s
         self.x: list[list[int]] = []
 
-    def var(self, name: str) -> int:
-        got = self.index.get(name)
-        if got is not None:
-            return got
-        idx = len(self.names)
-        self.names.append(name)
-        self.index[name] = idx
-        return idx
+    def new_vars(self, names: list[str]) -> range:
+        """Number fresh variables with these (distinct, unused) names."""
+        first = len(self.names)
+        self.names += names
+        return range(first, len(self.names))
 
-    def add(self, row: Row) -> None:
-        self.rows.append(row)
+    def head(self, op: str, bound: int, guard: Optional[int] = None):
+        key = (op, bound, guard)
+        return None if key == _CLAUSE else self._shared.setdefault(key, key)
+
+    def row(self, lits: Sequence[int], op: str = ">=", bound: int = 1,
+            guard: Optional[int] = None) -> None:
+        self.lits += lits
+        self.lits.append(0)
+        self.heads.append(self.head(op, bound, guard))
 
     def build(self) -> BooleanModel:
-        model = BooleanModel(
-            kind=self.kind,
-            instance=self.inst,
-            names=tuple(self.names),
-            index=dict(self.index),
-            rows=tuple(self.rows),
-            derived=tuple(self.derived),
-            selector_groups=tuple(self.selector_groups),
-        )
-        model.validate()
-        return model
+        names = tuple(self.names)
+        return BooleanModel._from_table(
+            self.kind, self.inst, names, dict(zip(names[1:], range(1, len(names)))),
+            self.lits, self.heads, tuple(self.derived), tuple(self.selector_groups))
 
 
 def _add_base(b: _Builder) -> None:
@@ -245,19 +372,19 @@ def _add_base(b: _Builder) -> None:
     steps = [inst.auth.users(s) for s in range(inst.k)]
     for s, users in enumerate(steps):
         xs = [0] * inst.n
-        for u in users:
-            xs[u] = b.var(f"x{s}_{u}")
+        for u, i in zip(users, b.new_vars([f"x{s}_{u}" for u in users])):
+            xs[u] = i
         b.x.append(xs)
     if not all(steps):
-        f = b.var("falsum")
-        b.add(clause(f))
-        b.add(clause(-f))
+        f, = b.new_vars(["falsum"])
+        b.row((f,))
+        b.row((-f,))
     for xs, users in zip(b.x, steps):
         if users:
-            b.add(Row("=", 1, tuple([xs[u] for u in users])))
+            b.row([xs[u] for u in users], "=", 1)
 
 
-def _usage_vars(b: _Builder, ci: int, scope: Sequence[int]) -> list[int]:
+def _usage_vars(b: _Builder, ci: int, scope: Sequence[int]) -> range:
     """z-variables: one per user authorised somewhere in the scope, tied to
     the scope's x-variables in both directions."""
     auth = b.inst.auth
@@ -265,38 +392,36 @@ def _usage_vars(b: _Builder, ci: int, scope: Sequence[int]) -> list[int]:
     for s in scope:
         support |= auth.mask(s)
     table = [b.x[s] for s in scope]
-    scope = tuple(scope)
-    add = b.rows.append
-    zs = []
-    for u in bits_of(support):
-        z = b.var(f"c{ci}_z{u}")
-        b.derived.append(DerivedVar(z, "z", scope, u))
+    users = bits_of(support)
+    zs = b.new_vars([f"c{ci}_z{u}" for u in users])
+    b.derived.append(("z", tuple(scope), zs.start, users))
+    lits = b.lits
+    rows = len(users)
+    for z, u in zip(zs, users):
         xs = [step_x[u] for step_x in table if step_x[u]]
         for x in xs:
-            add(clause(-x, z))
-        add(clause(-z, *xs))
-        zs.append(z)
+            lits += (-x, z, 0)
+        lits.append(-z)
+        lits += xs
+        lits.append(0)
+        rows += len(xs)
+    b.heads += [None] * rows
     return zs
 
 
 def _rep_vars(b: _Builder, ci: int, scope: Sequence[int],
-              same: list[list[int]]) -> list[int]:
+              same: list[list[int]]) -> range:
     """Representative variables over M (`same[s][t]` is M{s}_{t}): rep_s is
     true iff no earlier scope step shares s's user, so their sum counts
     distinct users on the scope."""
-    steps = sorted(scope)
-    reps = []
-    for i, s in enumerate(steps):
-        rep = b.var(f"c{ci}_rep{s}")
-        b.derived.append(DerivedVar(rep, "rep", tuple(steps), s))
+    steps = tuple(sorted(scope))
+    reps = b.new_vars([f"c{ci}_rep{s}" for s in steps])
+    b.derived.append(("rep", steps, reps.start, steps))
+    for i, (rep, s) in enumerate(zip(reps, steps)):
         earlier = [same[t][s] for t in steps[:i]]
-        if not earlier:
-            b.add(clause(rep))
-        else:
-            for m in earlier:
-                b.add(clause(-rep, -m))
-            b.add(clause(rep, *earlier))
-        reps.append(rep)
+        for m in earlier:
+            b.row((-rep, -m))
+        b.row((rep, *earlier))
     return reps
 
 
@@ -307,20 +432,21 @@ def _exclusions(b: _Builder, sel: int, s: int, allowed_mask: int) -> None:
     stays attached to it; they lower to the same two-literal clauses.
     """
     xs = b.x[s]
-    for u in bits_of(b.inst.auth.mask(s) & ~allowed_mask):
-        b.add(Row("<=", 0, (xs[u],), guard=sel))
+    banned = bits_of(b.inst.auth.mask(s) & ~allowed_mask)
+    for u in banned:
+        b.lits += (xs[u], 0)
+    b.heads += [b.head("<=", 0, sel)] * len(banned)
 
 
-def _sual_groups(b: _Builder, ci: int, c: SUAL, count_lits: list[int]) -> None:
+def _sual_groups(b: _Builder, ci: int, c: SUAL, count_lits: Sequence[int]) -> None:
     """Two group selectors: g1 takes the scope-on-few-blocks class and
     restricts scope steps to the super users; g2 takes the complement class.
     `count_lits` must sum to the number of distinct users on the scope."""
-    g1 = b.var(f"c{ci}_g1")
-    g2 = b.var(f"c{ci}_g2")
+    g1, g2 = b.new_vars([f"c{ci}_g1", f"c{ci}_g2"])
     b.selector_groups.append((g1, g2))
-    b.add(clause(g1, g2))
-    b.add(Row("<=", c.h, tuple(count_lits), guard=g1))
-    b.add(Row(">=", c.h + 1, tuple(count_lits), guard=g2))
+    b.row((g1, g2))
+    b.row(count_lits, "<=", c.h, g1)
+    b.row(count_lits, ">=", c.h + 1, g2)
     for s in c.scope:
         _exclusions(b, g1, s, c.supers)
 
@@ -336,9 +462,9 @@ def _selectors(b: _Builder, ci: int, c: WL | ADA) -> None:
     """One selector per alternative, at least one of them true, each forcing
     its steps into the masks of its alternative."""
     named = _named_alternatives(ci, c, b.inst.n)
-    sels = [b.var(name) for name, _ in named]
+    sels = b.new_vars([name for name, _ in named])
     b.selector_groups.append(tuple(sels))
-    b.add(clause(*sels))
+    b.row(sels)
     for sel, (_, alt) in zip(sels, named):
         for s, mask in alt:
             _exclusions(b, sel, s, mask)
@@ -350,25 +476,27 @@ def encode_udpb(inst: Instance) -> BooleanModel:
     _add_base(b)
     auth = inst.auth
     x = b.x
+    lits = b.lits
     for ci, c in enumerate(inst.constraints):
         if isinstance(c, SoD):
             x1, x2 = x[c.s1], x[c.s2]
-            for u in bits_of(auth.mask(c.s1) & auth.mask(c.s2)):
-                b.add(clause(-x1[u], -x2[u]))
+            shared = bits_of(auth.mask(c.s1) & auth.mask(c.s2))
+            for u in shared:
+                lits += (-x1[u], -x2[u], 0)
+            b.heads += [None] * len(shared)
         elif isinstance(c, BoD):
             m1, m2 = auth.mask(c.s1), auth.mask(c.s2)
             x1, x2 = x[c.s1], x[c.s2]
             for u in bits_of(m1 & m2):
-                b.add(Row("=", 1, (x1[u], -x2[u])))
+                b.row((x1[u], -x2[u]), "=", 1)
             for u in bits_of(m1 & ~m2):
-                b.add(clause(-x1[u]))
+                b.row((-x1[u],))
             for u in bits_of(m2 & ~m1):
-                b.add(clause(-x2[u]))
+                b.row((-x2[u],))
         elif isinstance(c, (AtMost, AtLeast)):
             zs = _usage_vars(b, ci, c.scope)
             if zs:
-                op = "<=" if isinstance(c, AtMost) else ">="
-                b.add(Row(op, c.r, tuple(zs)))
+                b.row(zs, "<=" if isinstance(c, AtMost) else ">=", c.r)
             elif isinstance(c, AtLeast):
                 # no user can reach the scope; the base rows are already
                 # unsatisfiable, so the bound needs no row of its own
@@ -398,53 +526,54 @@ def encode_pbpb(inst: Instance, include_transitivity: bool = True) -> BooleanMod
     _add_base(b)
     auth = inst.auth
     k = inst.k
-    m = [[b.var(f"M{s1}_{s2}") for s2 in range(k)] for s1 in range(k)]
+    first = b.new_vars([f"M{s1}_{s2}" for s1 in range(k) for s2 in range(k)]).start
+    m = [range(first + s1 * k, first + s1 * k + k) for s1 in range(k)]
 
     for s in range(k):
-        b.add(Row("=", 1, (m[s][s],)))
+        b.row((m[s][s],), "=", 1)
     for s1 in range(k):
         for s2 in range(s1 + 1, k):
-            b.add(Row("=", 1, (m[s1][s2], -m[s2][s1])))
-    add = b.rows.append
+            b.row((m[s1][s2], -m[s2][s1]), "=", 1)
+    lits = b.lits
+    rows = 0
     if include_transitivity:
         for s1, s2, s3 in itertools.permutations(range(k), 3):
-            add(clause(-m[s1][s2], -m[s2][s3], m[s1][s3]))
-            add(clause(m[s1][s2], -m[s2][s3], -m[s1][s3]))
+            m12, m23, m13 = m[s1][s2], m[s2][s3], m[s1][s3]
+            lits += (-m12, -m23, m13, 0, m12, -m23, -m13, 0)
+        rows += 2 * k * (k - 1) * (k - 2)
     x = b.x
     for s1 in range(k):
         for s2 in range(s1 + 1, k):
             mm = m[s1][s2]
             a1, a2 = auth.mask(s1), auth.mask(s2)
             xs1, xs2 = x[s1], x[s2]
-            for u in bits_of(a1 & a2):
+            shared = bits_of(a1 & a2)
+            for u in shared:
                 x1, x2 = xs1[u], xs2[u]
-                add(clause(-mm, -x1, x2))
-                add(clause(-mm, -x2, x1))
-                add(clause(mm, -x1, -x2))
-            for u in bits_of(a1 & ~a2):
-                add(clause(-mm, -xs1[u]))
-            for u in bits_of(a2 & ~a1):
-                add(clause(-mm, -xs2[u]))
+                lits += (-mm, -x1, x2, 0, -mm, -x2, x1, 0, mm, -x1, -x2, 0)
+            only1, only2 = bits_of(a1 & ~a2), bits_of(a2 & ~a1)
+            for u in only1:
+                lits += (-mm, -xs1[u], 0)
+            for u in only2:
+                lits += (-mm, -xs2[u], 0)
+            rows += 3 * len(shared) + len(only1) + len(only2)
+    b.heads += [None] * rows
 
     for ci, c in enumerate(inst.constraints):
         if isinstance(c, SoD):
-            b.add(Row("=", 0, (m[c.s1][c.s2],)))
+            b.row((m[c.s1][c.s2],), "=", 0)
         elif isinstance(c, BoD):
-            b.add(Row("=", 1, (m[c.s1][c.s2],)))
+            b.row((m[c.s1][c.s2],), "=", 1)
         elif isinstance(c, AtMost):
             if comb(len(c.scope), c.r + 1) <= SUBSET_ENUM_LIMIT:
                 for sub in itertools.combinations(c.scope, c.r + 1):
-                    b.add(clause(*(m[s1][s2]
-                                   for s1, s2 in itertools.combinations(sub, 2))))
+                    b.row([m[s1][s2] for s1, s2 in itertools.combinations(sub, 2)])
             else:
-                reps = _rep_vars(b, ci, c.scope, m)
-                b.add(Row("<=", c.r, tuple(reps)))
+                b.row(_rep_vars(b, ci, c.scope, m), "<=", c.r)
         elif isinstance(c, AtLeast):
-            reps = _rep_vars(b, ci, c.scope, m)
-            b.add(Row(">=", c.r, tuple(reps)))
+            b.row(_rep_vars(b, ci, c.scope, m), ">=", c.r)
         elif isinstance(c, SUAL):
-            reps = _rep_vars(b, ci, c.scope, m)
-            _sual_groups(b, ci, c, reps)
+            _sual_groups(b, ci, c, _rep_vars(b, ci, c.scope, m))
         elif isinstance(c, (WL, ADA)):
             _selectors(b, ci, c)
         else:
@@ -492,9 +621,12 @@ def induced_assignment(plan: Sequence[int], model: BooleanModel) -> dict[str, in
     for name, val in assignment.items():
         values[model.index[name]] = bool(val)
     guarded: dict[int, list[Row]] = {}
-    for row in model.rows:
-        if row.guard is not None:
-            guarded.setdefault(row.guard, []).append(row)
+    lits = model.lits
+    for head, start, end in _spans(lits, model.heads):
+        if head is not None and head[2] is not None:
+            op, bound, guard = head
+            guarded.setdefault(guard, []).append(
+                Row(op, bound, tuple(lits[start:end]), guard))
     for group in model.selector_groups:
         for sel in group:
             values[sel] = True
@@ -730,53 +862,66 @@ def _format_opb_row(terms: list[tuple[int, int]], op: str, rhs: int) -> str:
     return " ".join(parts) + f" {sym} {rhs} ;"
 
 
+def _texts_by_literal(n: int, zero: str, positive: str, negative: str) -> list[str]:
+    """The text of every literal in -n..n, indexed by the literal itself:
+    entry v is `positive` formatted with v, and entry -v (counted from the
+    end) is `negative` formatted with v."""
+    return [zero, *map(positive.format, range(1, n + 1)),
+            *map(negative.format, range(n, 0, -1))]
+
+
 def emit_opb(model: BooleanModel, sink: IO[str]) -> None:
     """Linear pseudo-Boolean text: standard counts header, one row per
     line.
 
-    Unguarded rows have unit coefficients, so they are formatted straight
-    from their literals: `term[lit]` is a literal's text ("+1 xv" for v,
-    "-1 xv" for -v), and `flipped[lit]` that of its negation, which a `<=`
-    row uses once turned into `>=`.  The selector exclusion "guard g implies
-    not x_v" (`_exclusions`, most guarded rows) is written in the fixed form
-    that `opb_terms` gives it, `-1 xv -1 xg >= -1`; every other guarded row
-    goes through `opb_terms`.
+    The text is the model's literal table with each literal replaced by its
+    term ("+1 xv " for v, "-1 xv " for -v) and each row's closing 0 by the
+    rest of its line, joined in one call.  Unguarded rows have unit
+    coefficients, so their terms are their literals'; a `<=` row, turned
+    into `>=`, takes its literals' negations instead.  The selector
+    exclusion "guard g implies not x_v" (`_exclusions`, most guarded rows)
+    is written in the fixed form that `opb_terms` gives it,
+    `-1 xv -1 xg >= -1`; every other guarded row goes through `opb_terms`.
     """
+    model.validate()
     v = model.var_count
-    term = {}
-    for i in range(1, v + 1):
-        term[i] = f"+1 x{i}"
-        term[-i] = f"-1 x{i}"
-    flipped = {-lit: text for lit, text in term.items()}
-    negative = (0).__gt__
-    lines = []
-    for row in model.rows:
-        lits = row.lits
-        guard = row.guard
-        if guard is not None:
-            if (guard > 0 and row.bound == 0 and row.op == "<=" and len(lits) == 1
-                    and lits[0] > 0):
-                lines.append(f"{flipped[lits[0]]} {flipped[guard]} >= -1 ;\n")
-            else:
-                lines.extend(_format_opb_row(*lowered) + "\n"
-                             for lowered in opb_terms(row))
+    lits = model.lits
+    term = _texts_by_literal(v, "", "+1 x{} ", "-1 x{} ")
+    parts = list(map(term.__getitem__, lits))
+    # negatives[i]: how many of lits[:i] are negated
+    negatives = list(itertools.accumulate(map((0).__gt__, lits), initial=0))
+    lines = len(model.heads)
+    for head, start, end in _spans(lits, model.heads):
+        if head is None:
+            parts[end] = f">= {1 - negatives[end] + negatives[start]} ;\n"
             continue
-        rhs = row.bound - sum(map(negative, lits))
-        if row.op == "<=":
-            lines.append(f"{' '.join(map(flipped.__getitem__, lits))} >= {-rhs} ;\n")
+        op, bound, guard = head
+        if guard is None:
+            rhs = bound - negatives[end] + negatives[start]
+            if op == "<=":
+                parts[start:end] = map(term.__getitem__, map(neg, lits[start:end]))
+                parts[end] = f">= {-rhs} ;\n"
+            else:
+                parts[end] = f"{op} {rhs} ;\n"
+        elif (guard > 0 and bound == 0 and op == "<=" and end == start + 1
+                and lits[start] > 0):
+            parts[start] = term[-lits[start]]
+            parts[end] = f"{term[-guard]}>= -1 ;\n"
         else:
-            lines.append(f"{' '.join(map(term.__getitem__, lits))} {row.op} {rhs} ;\n")
-    sink.write(f"* #variable= {v} #constraint= {len(lines)}\n" + "".join(lines))
+            lowered = opb_terms(Row(op, bound, tuple(lits[start:end]), guard))
+            parts[start:end] = [""] * (end - start)
+            parts[end] = "".join(_format_opb_row(*t) + "\n" for t in lowered)
+            lines += len(lowered) - 1
+    sink.write(f"* #variable= {v} #constraint= {lines}\n" + "".join(parts))
 
 
 def emit_varmap(model, sink: IO[str]) -> None:
     """Sidecar name-to-index map, one `name index` line per variable."""
     if isinstance(model, CSModel):
-        for i, v in enumerate(model.variables, start=1):
-            sink.write(f"{v.name} {i}\n")
-        return
-    for idx in range(1, model.var_count + 1):
-        sink.write(f"{model.names[idx]} {idx}\n")
+        names = [v.name for v in model.variables]
+    else:
+        names = model.names[1:]
+    sink.write("".join(f"{name} {i}\n" for i, name in enumerate(names, start=1)))
 
 
 def _sequential_counter(lits: Sequence[int], bound: int, fresh, extra: tuple[int, ...]):
@@ -806,52 +951,76 @@ def _sequential_counter(lits: Sequence[int], bound: int, fresh, extra: tuple[int
     return out
 
 
-def lower_to_clauses(model: BooleanModel) -> tuple[int, list[tuple[int, ...]]]:
-    """Compile every row to CNF clauses; returns (total variable count
-    including the counter registers, clauses)."""
+def _lower(model: BooleanModel) -> tuple[int, list[int], list[int]]:
+    """Compile every row to CNF, laid out as the model's own table: each
+    clause's literals, then 0.  Returns the total variable count including
+    the counter registers, the array, and the positions of the zeros that
+    end an empty clause."""
+    model.validate()
     counter = [model.var_count]
 
     def fresh() -> int:
         counter[0] += 1
         return counter[0]
 
-    clauses: list[tuple[int, ...]] = []
-    for row in model.rows:
-        if row.guard is None and row.bound == 1 and row.op == ">=":
-            clauses.append(row.lits)  # a clause already
-            continue
-        extra = (-row.guard,) if row.guard is not None else ()
-        ops = [(row.op, row.bound)] if row.op != "=" else [
-            (">=", row.bound), ("<=", row.bound)]
+    lits = model.lits
+    flat: list[int] = []
+    empty: list[int] = []
+    done = 0  # lits[:done] are lowered
+    for head, start, end in _spans(lits, model.heads):
+        if head is None:
+            continue  # a plain clause is a clause already
+        flat += lits[done:start]
+        done = end + 1
+        op, bound, guard = head
+        row = lits[start:end]
+        extra = (-guard,) if guard is not None else ()
+        ops = [(op, bound)] if op != "=" else [(">=", bound), ("<=", bound)]
+        clauses = []
         for op, bound in ops:
             if op == ">=":
                 if bound <= 0:
                     continue
                 if bound == 1:
-                    clauses.append(tuple(row.lits) + extra)
+                    clauses.append(tuple(row) + extra)
                     continue
-                # at least b of lits == at most L-b of their negations
-                neg = [-lit for lit in row.lits]
-                if len(row.lits) - bound < 0:
+                if len(row) - bound < 0:
                     clauses.append(extra)  # unsatisfiable unless the guard is off
                     continue
+                # at least b of lits == at most L-b of their negations
                 clauses.extend(_sequential_counter(
-                    neg, len(row.lits) - bound, fresh, extra))
+                    [-lit for lit in row], len(row) - bound, fresh, extra))
             else:
-                clauses.extend(_sequential_counter(
-                    list(row.lits), bound, fresh, extra))
-    return counter[0], clauses
+                clauses.extend(_sequential_counter(row, bound, fresh, extra))
+        for cl in clauses:
+            if not cl:
+                empty.append(len(flat))
+            flat += cl
+            flat.append(0)
+    flat += lits[done:]
+    return counter[0], flat, empty
+
+
+def lower_to_clauses(model: BooleanModel) -> tuple[int, list[tuple[int, ...]]]:
+    """Compile every row to CNF clauses; returns (total variable count
+    including the counter registers, clauses).  The clauses are the array
+    that `emit_dimacs` writes, split at its zeros."""
+    nvars, flat, _ = _lower(model)
+    return nvars, [tuple(flat[start:end]) for _, start, end
+                   in _spans(flat, itertools.repeat(None, flat.count(0)))]
 
 
 def emit_dimacs(model: BooleanModel, sink: IO[str]) -> None:
     """CNF text; cardinality rows are compiled with sequential counters.
-    `emit_varmap` writes the variable names that keep assignments
-    decodable."""
-    nvars, clauses = lower_to_clauses(model)
-    text = {lit: str(lit) for lit in range(-nvars, nvars + 1) if lit}
-    body = " 0\n".join([" ".join(map(text.__getitem__, cl)) for cl in clauses])
-    sink.write(f"p cnf {nvars} {len(clauses)}\n"
-               + (body + " 0\n" if clauses else ""))
+    The lowered array is written with each literal's text ("v " or "-v ")
+    and "0\\n" for each zero, joined in one call.  `emit_varmap` writes the
+    variable names that keep assignments decodable."""
+    nvars, flat, empty = _lower(model)
+    words = _texts_by_literal(nvars, "0\n", "{} ", "-{} ")
+    parts = list(map(words.__getitem__, flat))
+    for at in empty:
+        parts[at] = " 0\n"  # the empty clause's line is " 0"
+    sink.write(f"p cnf {nvars} {flat.count(0)}\n" + "".join(parts))
 
 
 def emit_cs_json(model: CSModel, sink: IO[str]) -> None:

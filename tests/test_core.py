@@ -1,10 +1,12 @@
 """Plan-level semantics and structural validation."""
 
 import dataclasses
+import gc
 import json
 import pickle
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -354,6 +356,24 @@ def test_mask_of_rejects_negative_users_at_every_size():
     for users in ([-1], [3, -1], list(range(80)) + [-1]):
         with pytest.raises(ValueError):
             mask_of(users)
+
+
+def test_bits_of_leaves_no_tuples_on_the_free_lists():
+    # a tuple grown from an iterator is resized into its final length, and
+    # once freed a tuple of up to 20 items waits on that length's free list
+    # until a full collection: a call that left one behind would add 500
+    # blocks here
+    mask = (1 << (_BITS_OF_LOOP_MAX + 3)) - 1
+    bits_of(mask)
+    gc.disable()
+    try:
+        before = sys.getallocatedblocks()
+        for _ in range(500):
+            bits_of(mask)
+        grown = sys.getallocatedblocks() - before
+    finally:
+        gc.enable()
+    assert grown < 50
 
 
 # --- value classes ------------------------------------------------------------

@@ -7,10 +7,12 @@ from-scratch OPB text parser.  Model-level equivalence sweeps at larger
 scale live in the acceptance suite.
 """
 
+import gc
 import hashlib
 import io
 import itertools
 import json
+import types
 
 from math import comb
 
@@ -130,6 +132,18 @@ def test_model_validate_rejects_unknown_variable():
             rows=model.rows + (extra,), derived=(), selector_groups=())
         with pytest.raises(InvariantError, match=f"unknown variable {bad}$"):
             broken.validate()
+
+
+def test_packing_rejects_literal_and_guard_zero():
+    # 0 ends a row in the model's literal table, so a row holding it would
+    # silently split or shift the rows after it
+    inst = make(1, 1, [[0]])
+    model = encode_udpb(inst)
+    for extra in (clause(1, 0), Row(">=", 1, (1,), guard=0)):
+        with pytest.raises(InvariantError, match="unknown variable 0$"):
+            BooleanModel(
+                kind="udpb", instance=inst, names=model.names, index=model.index,
+                rows=model.rows + (extra,), derived=(), selector_groups=())
 
 
 def test_satisfied_by_rejects_unknown_name():
@@ -769,6 +783,22 @@ def test_emitters_match_the_row_by_row_lowering_on_negated_literals():
         selector_groups=()))
 
 
+def test_unreachable_bound_writes_an_empty_clause_line():
+    # at least 3 of 2 literals lowers to the empty clause, written " 0" on a
+    # line of its own between its neighbours' lines
+    base = encode_udpb(make(2, 2, [[0, 1], [0, 1]]))
+    model = BooleanModel(
+        kind="udpb", instance=base.instance, names=base.names,
+        index=base.index,
+        rows=base.rows + (clause(1, 2), Row(">=", 3, (1, 2)), clause(-3)),
+        derived=(), selector_groups=())
+    assert lower_to_clauses(model)[1][-3:] == [(1, 2), (), (-3,)]
+    buf = io.StringIO()
+    emit_dimacs(model, buf)
+    assert buf.getvalue().endswith("\n1 2 0\n 0\n-3 0\n")
+    assert_emitters_match_row_by_row_lowering(model)
+
+
 @pytest.mark.parametrize("emitter, encoder", [
     (emit_opb, encode_udpb),
     (emit_opb, encode_pbpb),
@@ -914,3 +944,46 @@ def pinned_digests() -> dict[str, dict[str, str]]:
 
 def test_emitted_bytes_are_pinned():
     assert pinned_digests() == PINNED_DIGESTS
+
+
+def export_draws(count: int):
+    return [generate(GenSpec(seed=derive_seed(81, 4, i), **EXPORT_SHAPE))
+            for i in range(count)]
+
+
+@pytest.mark.parametrize("encoder", BOOLEAN_ENCODERS)
+def test_models_rebuilt_from_their_rows_emit_the_same_bytes(encoder):
+    insts = export_draws(3) + [random_instance(kind, 1, k_max=4, n_max=5)
+                               for kind in CONSTRAINT_KINDS]
+    for inst in insts:
+        model = encoder(inst)
+        rebuilt = BooleanModel(
+            kind=model.kind, instance=inst, names=model.names,
+            index=model.index, rows=model.rows, derived=model.derived,
+            selector_groups=model.selector_groups)
+        assert len(rebuilt.rows) == len(model.rows)
+        assert rebuilt.rows == model.rows and rebuilt.derived == model.derived
+        assert dict(boolean_texts("m", rebuilt)) == dict(boolean_texts("m", model))
+
+
+def gc_tracked_objects(root) -> int:
+    """GC-tracked objects reachable from `root`, not counting classes and
+    modules."""
+    seen, todo, tracked = {id(root)}, [root], 0
+    while todo:
+        obj = todo.pop()
+        tracked += gc.is_tracked(obj)
+        for ref in gc.get_referents(obj):
+            if id(ref) not in seen and not isinstance(ref, (type, types.ModuleType)):
+                seen.add(id(ref))
+                todo.append(ref)
+    return tracked
+
+
+@pytest.mark.parametrize("encoder", BOOLEAN_ENCODERS)
+def test_models_hold_few_gc_tracked_objects(encoder):
+    # every object the collector tracks is walked by each full collection;
+    # a model holds its rows in one table, not one object per row
+    for inst in export_draws(3):
+        model = encoder(inst)
+        assert gc_tracked_objects(model) < len(model.rows) / 10
