@@ -47,7 +47,9 @@ def alternatives(c: WL | ADA, n: int) -> tuple[tuple[tuple[int, int], ...], ...]
     one) first, then the non-trigger case (s1 to a non-trigger user).
     """
     if isinstance(c, WL):
-        return tuple(tuple((s, team) for s in c.scope) for team in c.teams)
+        # from lists: a tuple grown from an iterator and resized never came
+        # off a free list, yet joins one when freed, until a full collection
+        return tuple([tuple([(s, team) for s in c.scope]) for team in c.teams])
     full = (1 << n) - 1
     return (((c.s1, c.trigger), (c.s2, c.required)),
             ((c.s1, full & ~c.trigger),))

@@ -74,18 +74,25 @@ def mask_of(users: Iterable[int]) -> int:
 def bits_of(mask: int) -> tuple[int, ...]:
     """Unpack a bitmask into an ascending tuple of indices, in time linear
     in its length."""
+    # through a list: a tuple grown from an iterator is resized into its
+    # final length, so a freed one of up to 20 items adds to that length's
+    # free list, which only a full collection empties
+    return tuple(bits_list(mask))
+
+
+def bits_list(mask: int) -> list[int]:
+    """`bits_of` as a new list, for callers that only read the indices.
+    CPython 3.11 never takes a 20-item tuple off its free list, so each
+    freed one stays allocated until a full collection."""
     if mask.bit_count() <= _BITS_OF_LOOP_MAX:
         out = []
         while mask:
             lsb = mask & -mask
             out.append(lsb.bit_length() - 1)
             mask ^= lsb
-        return tuple(out)
+        return out
     flags = bin(mask)[:1:-1].encode("ascii").translate(_TO_FLAG)
-    # through a list: a tuple grown from an iterator is resized into its
-    # final length, so a freed one of up to 20 items adds to that length's
-    # free list, which only a full collection empties
-    return tuple([*compress(range(len(flags)), flags)])
+    return [*compress(range(len(flags)), flags)]
 
 
 def _check_pair(s1: int, s2: int, what: str) -> None:

@@ -20,6 +20,7 @@ built inside the repository.
 from __future__ import annotations
 
 import atexit
+import gc
 import importlib.util
 import itertools
 import random
@@ -30,7 +31,7 @@ import sys
 import sysconfig
 import tempfile
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import pytest
 
@@ -209,6 +210,26 @@ def valid_plans_longhand(inst: Instance) -> set[tuple[int, ...]]:
         if ok:
             out.add(plan)
     return out
+
+
+def allocated_blocks_left_by(call: Callable[[], object], times: int) -> int:
+    """How many more memory blocks are allocated after `times` calls of
+    `call` than before them, with the collector off.  A full collection
+    first empties the interpreter's free lists, and `times` calls before
+    the count refill those the calls draw on, so what counts is what the
+    calls keep: a freed tuple that waits on a free list no allocation takes
+    it from counts once per call."""
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(times):
+            call()
+        before = sys.getallocatedblocks()
+        for _ in range(times):
+            call()
+        return sys.getallocatedblocks() - before
+    finally:
+        gc.enable()
 
 
 def mask_of_loop(users) -> int:

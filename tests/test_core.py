@@ -1,18 +1,22 @@
 """Plan-level semantics and structural validation."""
 
 import dataclasses
-import gc
 import json
 import pickle
 import random
 import re
-import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PO_PLAN, bits_of_loop, mask_of_loop, purchase_order_instance
+from conftest import (
+    PO_PLAN,
+    allocated_blocks_left_by,
+    bits_of_loop,
+    mask_of_loop,
+    purchase_order_instance,
+)
 from wspkit.core import (
     ADA,
     AtLeast,
@@ -24,6 +28,7 @@ from wspkit.core import (
     SUAL,
     SoD,
     WL,
+    bits_list,
     bits_of,
     is_authorised,
     is_eligible,
@@ -350,6 +355,7 @@ def test_mask_of_and_bits_of_match_their_loop_definitions(n):
         assert mask_of(iter(users)) == mask
         assert mask_of(users + users[:70]) == mask   # repeats pack once
         assert bits_of(mask) == bits_of_loop(mask) == tuple(sorted(users))
+        assert bits_list(mask) == sorted(users)
 
 
 def test_mask_of_rejects_negative_users_at_every_size():
@@ -364,16 +370,7 @@ def test_bits_of_leaves_no_tuples_on_the_free_lists():
     # until a full collection: a call that left one behind would add 500
     # blocks here
     mask = (1 << (_BITS_OF_LOOP_MAX + 3)) - 1
-    bits_of(mask)
-    gc.disable()
-    try:
-        before = sys.getallocatedblocks()
-        for _ in range(500):
-            bits_of(mask)
-        grown = sys.getallocatedblocks() - before
-    finally:
-        gc.enable()
-    assert grown < 50
+    assert allocated_blocks_left_by(lambda: bits_of(mask), 500) < 50
 
 
 # --- value classes ------------------------------------------------------------

@@ -18,7 +18,12 @@ from math import comb
 
 import pytest
 
-from conftest import CONSTRAINT_KINDS, random_instance, valid_plans_longhand
+from conftest import (
+    CONSTRAINT_KINDS,
+    allocated_blocks_left_by,
+    random_instance,
+    valid_plans_longhand,
+)
 from wspkit.core import (
     ADA,
     AtLeast,
@@ -144,6 +149,25 @@ def test_packing_rejects_literal_and_guard_zero():
             BooleanModel(
                 kind="udpb", instance=inst, names=model.names, index=model.index,
                 rows=model.rows + (extra,), derived=(), selector_groups=())
+
+
+@pytest.mark.parametrize("row, message", [
+    (Row(">=", 2.0, (1, 2)), "bound must be an int, got 2.0"),
+    (Row("<=", True, (1, 2)), "bound must be an int, got True"),
+    (Row(">=", 1, (1, 2.0)), "literal must be an int, got 2.0"),
+    (Row(">=", 1, (False, 1)), "literal must be an int, got False"),
+    (Row(">=", 1, (1,), guard=2.0), "guard must be an int, got 2.0"),
+    (Row(">=", 1, (1,), guard=True), "guard must be an int, got True"),
+], ids=["bound-float", "bound-bool", "literal-float", "literal-bool",
+        "guard-float", "guard-bool"])
+def test_packing_rejects_non_int_bounds_literals_and_guards(row, message):
+    # the integer rule of GenSpec and the CLI schema: `>= 2.0 ;` is not OPB
+    inst = make(2, 1, [[0], [0]])
+    model = encode_udpb(inst)
+    with pytest.raises(InvariantError, match=f"^row: {message}$"):
+        BooleanModel(
+            kind="udpb", instance=inst, names=model.names, index=model.index,
+            rows=model.rows + (row,), derived=(), selector_groups=())
 
 
 def test_satisfied_by_rejects_unknown_name():
@@ -691,6 +715,33 @@ def test_cnf_guarded_rows_respect_the_guard():
     assert plans == {(0, 0), (1, 1)}
 
 
+@pytest.mark.parametrize("op", [">=", "<=", "="])
+def test_cnf_lowering_of_one_row_matches_its_semantics(op):
+    # every bound from below 0 to above the row's length, unguarded and
+    # under either guard sign: the CNF, projected onto the model's own
+    # variables, accepts exactly the assignments the row accepts
+    checked = 0
+    for length in (1, 2, 3):
+        names = tuple(f"v{i}" for i in range(length + 2))
+        index = {name: i for i, name in enumerate(names) if i}
+        for signs in ((1,) * length, (1, -1, 1)[:length]):
+            lits = tuple(sign * (i + 1) for i, sign in enumerate(signs))
+            for bound, guard in itertools.product(
+                    range(-2, length + 2), (None, length + 1, -length - 1)):
+                model = BooleanModel(
+                    kind="udpb", instance=make(1, 1, [[0]]), names=names,
+                    index=index, rows=(Row(op, bound, lits, guard),),
+                    derived=(), selector_groups=())
+                nvars, clauses = lower_to_clauses(model)
+                for bits in itertools.product([False, True], repeat=length + 1):
+                    fixed = dict(enumerate(bits, start=1))
+                    want = model.satisfied_by(dict(zip(names[1:], bits)))
+                    assert cnf_satisfiable(nvars, clauses, fixed) == want, (
+                        op, bound, lits, guard, bits)
+                checked += 1
+    assert checked == 2 * 3 * (5 + 6 + 7)
+
+
 # --- sidecars and determinism ----------------------------------------------------
 
 
@@ -781,6 +832,24 @@ def test_emitters_match_the_row_by_row_lowering_on_negated_literals():
         kind="udpb", instance=base.instance, names=base.names,
         index=base.index, rows=base.rows + extra, derived=(),
         selector_groups=()))
+
+
+def test_plain_clauses_with_many_negated_literals():
+    # each plain clause's right-hand side is 1 minus its negated literals;
+    # 0 to 12 of them, past the few whose line ends the writer keeps ready
+    base = encode_udpb(make(4, 3, [[0, 1, 2]] * 4))
+    assert base.var_count == 12
+    extra = tuple(clause(*range(-1, -j - 1, -1), *range(j + 1, 13))
+                  for j in range(13))
+    model = BooleanModel(
+        kind="udpb", instance=base.instance, names=base.names,
+        index=base.index, rows=base.rows + extra, derived=(),
+        selector_groups=())
+    assert_emitters_match_row_by_row_lowering(model)
+    buf = io.StringIO()
+    emit_opb(model, buf)
+    assert buf.getvalue().endswith(
+        "".join(f"-1 x{v} " for v in range(1, 13)) + ">= -11 ;\n")
 
 
 def test_unreachable_bound_writes_an_empty_clause_line():
@@ -987,3 +1056,30 @@ def test_models_hold_few_gc_tracked_objects(encoder):
     for inst in export_draws(3):
         model = encoder(inst)
         assert gc_tracked_objects(model) < len(model.rows) / 10
+
+
+@pytest.mark.parametrize("encoder", [
+    # UDPB's SUAL row over 826 usage variables lowers to 1.36M clauses: 8 s
+    pytest.param(encode_udpb, marks=pytest.mark.sweep), encode_pbpb])
+def test_emitters_match_the_row_by_row_lowering_at_n_1000(encoder):
+    # an `export`-shaped draw at n=1000: thousands of selector exclusions
+    # (`<= 0` under a guard), which the CNF lowering writes without the
+    # sequential counter
+    inst = generate(GenSpec(seed=derive_seed(81, 4, 0),
+                            **dict(EXPORT_SHAPE, n=1000)))
+    model = encoder(inst)
+    exclusions = sum(1 for head in model.heads
+                     if head and head[:2] == ("<=", 0) and head[2] is not None)
+    assert exclusions > 1000
+    assert_emitters_match_row_by_row_lowering(model)
+
+
+@pytest.mark.parametrize("encoder", BOOLEAN_ENCODERS)
+def test_builds_leave_no_tuples_on_the_free_lists(encoder):
+    # CPython 3.11 never hands out a freed 20-item tuple again, and a tuple
+    # grown from an iterator and resized is freed onto a free list it was
+    # not taken from, so builds that made such tuples would leave blocks
+    # allocated, up to 2,000 per length.  This draw's step 8 has 20 users.
+    inst = export_draws(1)[0]
+    assert inst.auth.mask(8).bit_count() == 20
+    assert allocated_blocks_left_by(lambda: encoder(inst), 80) < 50
