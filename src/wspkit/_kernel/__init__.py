@@ -65,15 +65,14 @@ class SearchProblem:
     sod_prev: tuple[tuple[int, ...], ...]
     bod_prev: tuple[tuple[int, ...], ...]
     counts: tuple[CountSpec, ...] = ()
-    count_at: tuple[tuple[int, ...], ...] = field(default=None)  # type: ignore[assignment]
     suals: tuple[SualSpec, ...] = ()
-    sual_at: tuple[tuple[int, ...], ...] = field(default=None)  # type: ignore[assignment]
+    # derived: the counting constraints / SUALs whose scope holds each depth
+    count_at: tuple[tuple[int, ...], ...] = field(init=False)
+    sual_at: tuple[tuple[int, ...], ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.count_at is None:
-            object.__setattr__(self, "count_at", _memberships(self.k, [c.depths for c in self.counts]))
-        if self.sual_at is None:
-            object.__setattr__(self, "sual_at", _memberships(self.k, [s.depths for s in self.suals]))
+        object.__setattr__(self, "count_at", _memberships(self.k, [c.depths for c in self.counts]))
+        object.__setattr__(self, "sual_at", _memberships(self.k, [s.depths for s in self.suals]))
 
 
 def _memberships(k: int, scopes) -> tuple[tuple[int, ...], ...]:

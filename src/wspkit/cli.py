@@ -428,6 +428,8 @@ def cmd_encode(args) -> int:
     if (args.repr == "cs") != (args.format == "json"):
         raise CliError("the cs representation pairs with --format json only; "
                        "udpb and pbpb pair with opb or dimacs")
+    if args.no_transitivity and args.repr != "pbpb":
+        raise CliError("--no-transitivity applies to --repr pbpb only")
     inst = load_instance(args.instance)
     out = Path(args.out)
     if args.repr == "cs":

@@ -24,8 +24,11 @@ exactly the alternatives the solvers branch on.  Every selector reduces to
 over its group.
 
 A Boolean model keeps its rows as one flat literal table, not one object
-per row (see `BooleanModel`).  The encoders append to it directly, and the
-emitters walk it row by row and write each text with one join.
+per row (see `BooleanModel`); that table is its only form.  The encoders
+append to it directly, the emitters walk it row by row and write each text
+with one join, and one evaluator, `_holds`, reads a row of it for
+`satisfied_by` and for `induced_assignment`'s choice of selectors.  `Row`
+values are made only when a model's `rows` is iterated.
 
 Emission targets are OPB (linear pseudo-Boolean, one row per line), DIMACS
 CNF (cardinality rows compiled with sequential counters), and a JSON
@@ -36,6 +39,7 @@ line endings, ASCII.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
 from math import comb
@@ -47,6 +51,7 @@ from .core import (
     AtLeast,
     AtMost,
     BoD,
+    CapacityError,
     Instance,
     InvariantError,
     SUAL,
@@ -57,102 +62,30 @@ from .core import (
     json_text,
 )
 from .absorption import alternatives
-from .patterns import Pattern, enumerate_patterns, pattern_of
+from .patterns import bell, enumerate_patterns, pattern_of
 
 # when an at-most constraint would need more forbidden subsets than this,
 # switch to representative counting instead of subset enumeration
 SUBSET_ENUM_LIMIT = 64
+# `encode_cs` writes the (r+1)-subsets of an at-most scope and the
+# partitions of an at-least or SUAL scope; above this many it refuses
+CS_ENUM_LIMIT = 10**6
 
 
 # --- pseudo-Boolean models ---------------------------------------------------
 
 
-_OPS = frozenset((">=", "<=", "="))
 # the head of a plain clause, which the row table stores as None
 _CLAUSE = (">=", 1, None)
 
+Row = namedtuple("Row", "op bound lits guard", defaults=(None,))
+Row.__doc__ = """One linear row over literals: sum of true literals `op` bound.
 
-class _Record:
-    """A small record that compares, hashes and prints by its slots, in
-    order, as a frozen dataclass does, but builds as fast as a plain class.
-    Treat records as immutable; nothing stops an assignment to a slot."""
-
-    __slots__ = ()
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-
-class Row(_Record):
-    """One linear row over literals: sum of true literals `op` bound.
-
-    `lits` are signed 1-based variable indices (negative = negated).  A row
-    with a `guard` literal is enforced only when the guard is true; guarded
-    rows lower to coefficient form in OPB and to guard-weakened clauses in
-    DIMACS.  Models store their rows as a table (see `BooleanModel`); a
-    `Row` is the value a model's `rows` view yields and its constructor
-    packs.
-    """
-
-    __slots__ = ("op", "bound", "lits", "guard")
-
-    def __init__(self, op: str, bound: int, lits: tuple[int, ...],
-                 guard: Optional[int] = None) -> None:
-        if op not in _OPS:
-            raise InvariantError(f"row: unknown op {op!r}")
-        if not lits:
-            raise InvariantError("row: no literals")
-        self.op = op  # ">=", "<=", "="
-        self.bound = bound
-        self.lits = lits
-        self.guard = guard
-
-    def holds(self, values: Sequence[bool]) -> bool:
-        """Evaluate against values indexed by variable (entry 0 unused)."""
-        if self.guard is not None and not _lit_true(self.guard, values):
-            return True
-        total = sum(1 for lit in self.lits if _lit_true(lit, values))
-        if self.op == ">=":
-            return total >= self.bound
-        if self.op == "<=":
-            return total <= self.bound
-        return total == self.bound
-
-
-def _lit_true(lit: int, values: Sequence[bool]) -> bool:
-    return bool(values[lit]) if lit > 0 else not values[-lit]
-
-
-def clause(*lits: int) -> Row:
-    return Row(">=", 1, lits)
-
-
-class DerivedVar(_Record):
-    """A variable whose value is a function of the x-variables: usage
-    indicators ("z": user `u` performs some scope step) and block
-    representatives ("rep": step `s` is the first of its block within the
-    scope)."""
-
-    __slots__ = ("index", "kind", "scope", "arg")
-
-    def __init__(self, index: int, kind: str, scope: tuple[int, ...],
-                 arg: int) -> None:
-        self.index = index
-        self.kind = kind  # "z" | "rep"
-        self.scope = scope
-        self.arg = arg  # user for "z", step for "rep"
+`op` is ">=", "<=" or "="; `lits` are signed 1-based variable indices
+(negative = negated).  A row with a `guard` literal is enforced only when
+the guard is true; guarded rows lower to coefficient form in OPB and to
+guard-weakened clauses in DIMACS.  Models keep their rows as a table (see
+`BooleanModel`); a `Row` is the value its `rows` yields."""
 
 
 def _spans(lits: list[int], heads: Iterable) -> Iterator[tuple]:
@@ -166,9 +99,21 @@ def _spans(lits: list[int], heads: Iterable) -> Iterator[tuple]:
         start = end + 1
 
 
-class _RowView(Sequence):
-    """A model's rows as `Row` values, built from its table as they are
-    read: `len` builds none, indexing builds them all."""
+def _holds(truth: list[bool], head, lits: Sequence[int]) -> bool:
+    """Whether one row of a table, its head and its literals, holds;
+    `truth[lit]` is literal lit's value (see `BooleanModel._truth`)."""
+    op, bound, guard = head or _CLAUSE
+    if guard is not None and not truth[guard]:
+        return True
+    total = sum(map(truth.__getitem__, lits))
+    if op == ">=":
+        return total >= bound
+    return total <= bound if op == "<=" else total == bound
+
+
+class _RowView:
+    """A model's rows as `Row` values, made from its table as they are
+    iterated: `len` makes none."""
 
     __slots__ = ("_lits", "_heads")
 
@@ -185,20 +130,8 @@ class _RowView(Sequence):
             op, bound, guard = head or _CLAUSE
             yield Row(op, bound, tuple(lits[start:end]), guard)
 
-    def __getitem__(self, i):
-        return tuple(self)[i]
 
-    def __add__(self, other: tuple) -> tuple:
-        return tuple(self) + other
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (tuple, _RowView)):
-            return NotImplemented
-        return tuple(self) == tuple(other)
-
-    __hash__ = None
-
-
+@dataclass(eq=False, repr=False, slots=True)
 class BooleanModel:
     """A pseudo-Boolean formulation plus enough structure to translate plans
     to assignments and back.
@@ -207,62 +140,30 @@ class BooleanModel:
     row's literals, each row ended by 0 (DIMACS's own layout; 0 is never a
     variable).  `heads` has one entry per row: None for a plain clause
     (`>= 1`, unguarded), otherwise the row's `(op, bound, guard)`, one tuple
-    shared by all rows with that head.  Derived variables are kept per
-    constraint as `(kind, scope, first, args)`: variable `first + j` has
-    kind `kind` over `scope` with argument `args[j]`.  `rows` and `derived`
-    present these as read-only sequences of `Row` and `DerivedVar` values.
+    shared by all rows with that head.  `derived` holds the derived
+    variables per constraint as `(kind, scope, first, args)` groups:
+    variable `first + j` is a usage indicator (kind "z": user `args[j]`
+    performs some scope step) or a block representative (kind "rep": step
+    `args[j]` is the first of its block within the scope).  `rows` reads
+    the table as `Row` values.
 
-    The constructor takes `rows` and `derived` as iterables of those values
-    and packs them into the same tables, so hand-built and encoded models
-    share one representation; the encoders hand over the tables they built
-    through `_from_table`.  Treat the tables as immutable.
+    `_Builder` builds the tables and hands them to the constructor as they
+    are; treat them as immutable.  Nothing checks them on the way in:
+    `validate` runs first in every reader that indexes a per-literal list.
     """
 
-    __slots__ = ("kind", "instance", "names", "index", "lits", "heads",
-                 "_derived", "selector_groups")
-
-    def __init__(self, kind: str, instance: Instance, names: tuple[str, ...],
-                 index: dict[str, int], rows: Iterable[Row],
-                 derived: Iterable[DerivedVar],
-                 selector_groups: tuple[tuple[int, ...], ...]) -> None:
-        table = _Builder(kind, instance)
-        for row in rows:
-            # the integer rule of `GenSpec` and the CLI schema
-            guard = 1 if row.guard is None else row.guard
-            for what, value in (("bound", row.bound), ("guard", guard),
-                                *zip(itertools.repeat("literal"), row.lits)):
-                if not isinstance(value, int) or isinstance(value, bool):
-                    raise InvariantError(f"row: {what} must be an int, got {value!r}")
-            # 0 ends a row in the table, so it cannot stand for a literal
-            if 0 in row.lits or row.guard == 0:
-                raise InvariantError("row references unknown variable 0")
-            table.row(row.lits, row.op, row.bound, row.guard)
-        self.kind = kind  # "udpb" | "pbpb"
-        self.instance = instance
-        self.names = names  # 1-based: names[0] is a placeholder
-        self.index = index
-        self.lits = table.lits
-        self.heads = table.heads
-        self._derived = tuple([(dv.kind, dv.scope, dv.index, (dv.arg,))
-                               for dv in derived])
-        self.selector_groups = selector_groups
-
-    @classmethod
-    def _from_table(cls, kind, instance, names, index, lits, heads, derived,
-                    selector_groups) -> "BooleanModel":
-        model = cls(kind, instance, names, index, (), (), selector_groups)
-        model.lits, model.heads, model._derived = lits, heads, derived
-        return model
+    kind: str  # "udpb" | "pbpb"
+    instance: Instance
+    names: tuple[str, ...]  # 1-based: names[0] is a placeholder
+    index: dict[str, int]
+    lits: list[int]
+    heads: list
+    derived: tuple[tuple, ...]
+    selector_groups: tuple[tuple[int, ...], ...]
 
     @property
     def rows(self) -> _RowView:
         return _RowView(self.lits, self.heads)
-
-    @property
-    def derived(self) -> tuple[DerivedVar, ...]:
-        return tuple([DerivedVar(first + j, kind, scope, arg)
-                      for kind, scope, first, args in self._derived
-                      for j, arg in enumerate(args)])
 
     @property
     def var_count(self) -> int:
@@ -274,40 +175,23 @@ class BooleanModel:
     def x_index(self, s: int, u: int) -> Optional[int]:
         return self.index.get(self.x_name(s, u))
 
-    def _values(self, assignment: Mapping[str, int]) -> list[bool]:
+    def _truth(self, assignment: Mapping[str, int]) -> list[bool]:
+        """Each literal's value under `assignment`, indexed by the literal:
+        entry v is v's value, entry -v (counted from the end) its negation."""
         values = [False] * (self.var_count + 1)
         for name, val in assignment.items():
             idx = self.index.get(name)
             if idx is None:
                 raise InvariantError(f"assignment names unknown variable {name!r}")
             values[idx] = bool(val)
-        return values
-
-    def _holding(self, assignment: Mapping[str, int]) -> Iterator[bool]:
-        """Whether each row holds under `assignment`, in row order."""
-        self.validate()
-        values = self._values(assignment)
-        # truth[lit] for either sign: entry -v, counted from the end, is not v
-        truth = values + [not value for value in values[:0:-1]]
-        lits = self.lits
-        for head, start, end in _spans(lits, self.heads):
-            total = sum(map(truth.__getitem__, lits[start:end]))
-            op, bound, guard = head or _CLAUSE
-            if guard is not None and not truth[guard]:
-                yield True
-            elif op == ">=":
-                yield total >= bound
-            elif op == "<=":
-                yield total <= bound
-            else:
-                yield total == bound
+        return values + [not value for value in values[:0:-1]]
 
     def satisfied_by(self, assignment: Mapping[str, int]) -> bool:
-        return all(self._holding(assignment))
-
-    def violated_rows(self, assignment: Mapping[str, int]) -> list[Row]:
-        return [row for row, holds in zip(self.rows, self._holding(assignment))
-                if not holds]
+        self.validate()
+        truth = self._truth(assignment)
+        lits = self.lits
+        return all(_holds(truth, head, lits[start:end])
+                   for head, start, end in _spans(lits, self.heads))
 
     def validate(self) -> None:
         """Internal consistency: every referenced variable is in the table.
@@ -359,7 +243,7 @@ class _Builder:
 
     def build(self) -> BooleanModel:
         names = tuple(self.names)
-        return BooleanModel._from_table(
+        return BooleanModel(
             self.kind, self.inst, names, dict(zip(names[1:], range(1, len(names)))),
             self.lits, self.heads, tuple(self.derived), tuple(self.selector_groups))
 
@@ -607,33 +491,27 @@ def induced_assignment(plan: Sequence[int], model: BooleanModel) -> dict[str, in
         for s1 in range(inst.k):
             for s2 in range(inst.k):
                 assignment[f"M{s1}_{s2}"] = int(plan[s1] == plan[s2])
-    for dv in model.derived:
-        if dv.kind == "z":
-            assignment[model.names[dv.index]] = int(
-                any(plan[s] == dv.arg for s in dv.scope))
-        else:
-            earlier = {plan[t] for t in dv.scope if t < dv.arg}
-            assignment[model.names[dv.index]] = int(plan[dv.arg] not in earlier)
+    for kind, scope, first, args in model.derived:
+        for var, arg in enumerate(args, first):
+            if kind == "z":
+                value = any(plan[s] == arg for s in scope)
+            else:
+                value = plan[arg] not in {plan[t] for t in scope if t < arg}
+            assignment[model.names[var]] = int(value)
 
-    values = [False] * (model.var_count + 1)
-    for name, val in assignment.items():
-        values[model.index[name]] = bool(val)
-    guarded: dict[int, list[Row]] = {}
+    truth = model._truth(assignment)
+    guarded: dict[int, list[tuple]] = {}
     lits = model.lits
     for head, start, end in _spans(lits, model.heads):
         if head is not None and head[2] is not None:
-            op, bound, guard = head
-            guarded.setdefault(guard, []).append(
-                Row(op, bound, tuple(lits[start:end]), guard))
+            guarded.setdefault(head[2], []).append((head, lits[start:end]))
     for group in model.selector_groups:
         for sel in group:
-            values[sel] = True
-            ok = all(row.holds(values) for row in guarded.get(sel, ()))
-            values[sel] = False
-            if ok:
+            truth[sel], truth[-sel] = True, False
+            if all(_holds(truth, head, row) for head, row in guarded.get(sel, ())):
                 assignment[model.names[sel]] = 1
-                values[sel] = True
                 break
+            truth[sel], truth[-sel] = False, True
     return assignment
 
 
@@ -767,6 +645,15 @@ def encode_cs(inst: Instance) -> CSModel:
                                 users=banned))
 
     for ci, c in enumerate(inst.constraints):
+        if isinstance(c, (AtMost, AtLeast, SUAL)):
+            size = len(c.scope)
+            count, what = ((comb(size, c.r + 1), f"{c.r + 1}-step subsets")
+                           if isinstance(c, AtMost) else (bell(size), "partitions"))
+            if count > CS_ENUM_LIMIT:
+                raise CapacityError(
+                    f"CS encoding of constraint {ci} ({type(c).__name__}) would enumerate "
+                    f"{count} {what} of its {size}-step scope, above "
+                    f"CS_ENUM_LIMIT={CS_ENUM_LIMIT}")
         if isinstance(c, SoD):
             rows.append(_cs_row("ne", steps=(c.s1, c.s2)))
         elif isinstance(c, BoD):

@@ -27,6 +27,7 @@ from wspkit.cli import (
 )
 from wspkit.core import (
     ADA,
+    AtLeast,
     AuthorisationFunction,
     Instance,
     SoD,
@@ -592,6 +593,35 @@ def test_encode_rejects_incompatible_repr_format(po_file, tmp_path,
                  format_name, "--out", str(tmp_path / "m")])
     assert code == EXIT_ERROR
     assert "cs" in capsys.readouterr().err
+
+
+def test_encode_cs_names_its_enumeration_limit(tmp_path, capsys):
+    # an at-least scope of 12 steps has Bell(12) = 4,213,597 partitions
+    path = tmp_path / "wide.json"
+    save_instance(path, Instance(12, 12, AuthorisationFunction.from_lists(
+        [list(range(12))] * 12, 12), (AtLeast(3, tuple(range(12))),)))
+    out = tmp_path / "m.json"
+    code = main(["encode", str(path), "--repr", "cs", "--format", "json",
+                 "--out", str(out)])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        "error: CS encoding of constraint 0 (AtLeast) would enumerate 4213597 "
+        "partitions of its 12-step scope, above CS_ENUM_LIMIT=1000000\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("repr_name,format_name", [
+    ("udpb", "opb"), ("udpb", "dimacs"), ("cs", "json"),
+])
+def test_encode_rejects_no_transitivity_outside_pbpb(po_file, tmp_path,
+                                                     repr_name, format_name,
+                                                     capsys):
+    out = tmp_path / "m"
+    code = main(["encode", str(po_file), "--repr", repr_name, "--format",
+                 format_name, "--no-transitivity", "--out", str(out)])
+    assert code == EXIT_ERROR
+    assert "--no-transitivity applies to --repr pbpb only" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("repr_name,format_name", [

@@ -30,6 +30,7 @@ from wspkit.core import (
     AtMost,
     AuthorisationFunction,
     BoD,
+    CapacityError,
     Instance,
     InvariantError,
     SoD,
@@ -38,13 +39,15 @@ from wspkit.core import (
     is_valid,
 )
 from wspkit.generator import GenSpec, derive_seed, generate
+from wspkit.patterns import bell
 from wspkit.encode import (
+    CS_ENUM_LIMIT,
     SUBSET_ENUM_LIMIT,
     BooleanModel,
     CSModel,
     Row,
+    _Builder,
     _sequential_counter,
-    clause,
     decode,
     emit_cs_json,
     emit_dimacs,
@@ -74,100 +77,68 @@ def authorised_plans(inst: Instance):
     return itertools.product(*(inst.auth.users(s) for s in range(inst.k)))
 
 
+def model_with(*rows, base=None, nvars=0) -> BooleanModel:
+    """`base`'s variables and rows, or else `nvars` variables v1.. and no
+    rows, plus `rows`, each added through `_Builder.row` as the encoders
+    add theirs."""
+    if base is None:
+        b = _Builder("udpb", make(1, 1, [[0]]))
+    else:
+        b = _Builder(base.kind, base.instance)
+        b.names, b.lits, b.heads = list(base.names), list(base.lits), list(base.heads)
+    b.new_vars([f"v{i}" for i in range(1, nvars + 1)])
+    for row in rows:
+        b.row(row.lits, row.op, row.bound, row.guard)
+    return b.build()
+
+
+def holds(row: Row, *values: int) -> bool:
+    """Whether `row`, alone in a model over v1.., holds under `values`."""
+    model = model_with(row, nvars=len(values))
+    return model.satisfied_by(dict(zip(model.names[1:], values)))
+
+
 # --- row primitives -----------------------------------------------------------
 
 
 def test_row_holds_ops():
-    vals = [False, True, True, False]  # v1=1 v2=1 v3=0
-    assert Row(">=", 2, (1, 2, 3)).holds(vals)
-    assert not Row(">=", 3, (1, 2, 3)).holds(vals)
-    assert Row("<=", 2, (1, 2, 3)).holds(vals)
-    assert not Row("<=", 1, (1, 2, 3)).holds(vals)
-    assert Row("=", 2, (1, 2, 3)).holds(vals)
-    assert not Row("=", 1, (1, 2, 3)).holds(vals)
+    vals = (1, 1, 0)  # v1=1 v2=1 v3=0
+    assert holds(Row(">=", 2, (1, 2, 3)), *vals)
+    assert not holds(Row(">=", 3, (1, 2, 3)), *vals)
+    assert holds(Row("<=", 2, (1, 2, 3)), *vals)
+    assert not holds(Row("<=", 1, (1, 2, 3)), *vals)
+    assert holds(Row("=", 2, (1, 2, 3)), *vals)
+    assert not holds(Row("=", 1, (1, 2, 3)), *vals)
 
 
 def test_row_negated_literals():
-    vals = [False, True, False]
-    assert Row(">=", 2, (1, -2)).holds(vals)  # v1 true, not-v2 true
-    assert not Row(">=", 1, (-1, 2)).holds(vals)
+    vals = (1, 0)
+    assert holds(Row(">=", 2, (1, -2)), *vals)  # v1 true, not-v2 true
+    assert not holds(Row(">=", 1, (-1, 2)), *vals)
 
 
 def test_row_guard_off_means_satisfied():
-    vals = [False, False, False]
     row = Row(">=", 1, (1,), guard=2)
-    assert row.holds(vals)  # guard false, row inactive
-    vals[2] = True
-    assert not row.holds(vals)
+    assert holds(row, 0, 0)  # guard false, row inactive
+    assert not holds(row, 0, 1)
 
 
 def test_row_negative_guard():
     row = Row(">=", 1, (1,), guard=-2)
-    assert row.holds([False, False, True])   # guard not-v2 is false
-    assert not row.holds([False, False, False])
-
-
-def test_row_validation():
-    with pytest.raises(InvariantError):
-        Row("==", 1, (1,))
-    with pytest.raises(InvariantError):
-        Row(">=", 1, ())
-
-
-def test_rows_compare_hash_and_print_by_value():
-    row = Row("<=", 0, (3,), guard=-2)
-    assert row == Row("<=", 0, (3,), guard=-2)
-    assert row != Row("<=", 0, (3,)) and row != ("<=", 0, (3,), -2)
-    assert len({row, Row("<=", 0, (3,), guard=-2), clause(3)}) == 2
-    assert repr(row) == "Row(op='<=', bound=0, lits=(3,), guard=-2)"
-
-
-def test_clause_is_at_least_one():
-    row = clause(1, -2)
-    assert row.op == ">=" and row.bound == 1 and row.lits == (1, -2)
+    assert holds(row, 0, 1)   # guard not-v2 is false
+    assert not holds(row, 0, 0)
 
 
 def test_model_validate_rejects_unknown_variable():
-    inst = make(1, 1, [[0]])
-    model = encode_udpb(inst)
-    for extra, bad in ((clause(99), 99), (clause(-99), -99),
-                       (Row(">=", 1, (1,), guard=-7), -7)):
-        broken = BooleanModel(
-            kind="udpb", instance=inst, names=model.names, index=model.index,
-            rows=model.rows + (extra,), derived=(), selector_groups=())
+    # 0 is never a variable (it ends a row in the literal table), so a guard
+    # of 0 is rejected like any unknown variable
+    model = encode_udpb(make(1, 1, [[0]]))
+    for extra, bad in ((Row(">=", 1, (99,)), 99), (Row(">=", 1, (-99,)), -99),
+                       (Row(">=", 1, (1,), guard=-7), -7),
+                       (Row(">=", 1, (1,), guard=0), 0)):
+        broken = model_with(extra, base=model)
         with pytest.raises(InvariantError, match=f"unknown variable {bad}$"):
             broken.validate()
-
-
-def test_packing_rejects_literal_and_guard_zero():
-    # 0 ends a row in the model's literal table, so a row holding it would
-    # silently split or shift the rows after it
-    inst = make(1, 1, [[0]])
-    model = encode_udpb(inst)
-    for extra in (clause(1, 0), Row(">=", 1, (1,), guard=0)):
-        with pytest.raises(InvariantError, match="unknown variable 0$"):
-            BooleanModel(
-                kind="udpb", instance=inst, names=model.names, index=model.index,
-                rows=model.rows + (extra,), derived=(), selector_groups=())
-
-
-@pytest.mark.parametrize("row, message", [
-    (Row(">=", 2.0, (1, 2)), "bound must be an int, got 2.0"),
-    (Row("<=", True, (1, 2)), "bound must be an int, got True"),
-    (Row(">=", 1, (1, 2.0)), "literal must be an int, got 2.0"),
-    (Row(">=", 1, (False, 1)), "literal must be an int, got False"),
-    (Row(">=", 1, (1,), guard=2.0), "guard must be an int, got 2.0"),
-    (Row(">=", 1, (1,), guard=True), "guard must be an int, got True"),
-], ids=["bound-float", "bound-bool", "literal-float", "literal-bool",
-        "guard-float", "guard-bool"])
-def test_packing_rejects_non_int_bounds_literals_and_guards(row, message):
-    # the integer rule of GenSpec and the CLI schema: `>= 2.0 ;` is not OPB
-    inst = make(2, 1, [[0], [0]])
-    model = encode_udpb(inst)
-    with pytest.raises(InvariantError, match=f"^row: {message}$"):
-        BooleanModel(
-            kind="udpb", instance=inst, names=model.names, index=model.index,
-            rows=model.rows + (row,), derived=(), selector_groups=())
 
 
 def test_satisfied_by_rejects_unknown_name():
@@ -365,7 +336,8 @@ def test_structural_rows_force_equality_semantics():
 def test_usage_variables_follow_their_definition():
     inst = Instance(3, 3, full_auth(3, 3), (AtMost(2, (0, 1, 2)),))
     model = encode_udpb(inst)
-    zs = {dv.arg: model.names[dv.index] for dv in model.derived}
+    zs = {u: model.names[first + j] for _, _, first, args in model.derived
+          for j, u in enumerate(args)}
     assert set(zs) == {0, 1, 2}
     for plan in authorised_plans(inst):
         a = induced_assignment(plan, model)
@@ -376,7 +348,8 @@ def test_usage_variables_follow_their_definition():
 def test_representative_variables_follow_their_definition():
     inst = Instance(3, 3, full_auth(3, 3), (AtLeast(2, (0, 1, 2)),))
     model = encode_pbpb(inst)
-    reps = {dv.arg: model.names[dv.index] for dv in model.derived}
+    reps = {s: model.names[first + j] for _, _, first, args in model.derived
+            for j, s in enumerate(args)}
     assert set(reps) == {0, 1, 2}
     for plan in authorised_plans(inst):
         a = induced_assignment(plan, model)
@@ -432,7 +405,7 @@ def test_invalid_plan_violates_some_row(po_instance):
     bad = (1, 1, 0, 3, 2, 4)  # authorised everywhere, but breaks separation
     assert not is_valid(bad, po_instance)
     a = induced_assignment(bad, model)
-    assert model.violated_rows(a)
+    assert not model.satisfied_by(a)
 
 
 # --- plan-set equivalence ------------------------------------------------------
@@ -472,6 +445,38 @@ def test_cs_unknown_row_kind_rejected():
     from wspkit.encode import CsRow
     with pytest.raises(InvariantError):
         model.row_holds(CsRow("xor", ()), {"y0": 0})
+
+
+@pytest.mark.parametrize("constraint, count, what", [
+    (AtLeast(2, tuple(range(12))), bell(12), "partitions"),
+    (SUAL(tuple(range(12)), 2, frozenset({0})), bell(12), "partitions"),
+    (AtMost(9, tuple(range(30))), comb(30, 10), "10-step subsets"),
+])
+def test_cs_encoding_refuses_scopes_past_its_enumeration_limit(constraint, count,
+                                                              what):
+    # refused before any pattern or subset is walked: Bell(12) = 4,213,597
+    # partitions would take minutes, and the cost grows ~5x per step
+    k = len(constraint.scope)
+    inst = Instance(k, 12, full_auth(k, 12), (SoD(0, 1), constraint))
+    name = type(constraint).__name__
+    with pytest.raises(CapacityError, match=(
+            rf"^CS encoding of constraint 1 \({name}\) would enumerate {count} "
+            rf"{what} of its {k}-step scope, above CS_ENUM_LIMIT=1000000$")):
+        encode_cs(inst)
+
+
+def test_cs_enumeration_limit_is_inclusive(monkeypatch):
+    import wspkit.encode as enc
+    assert bell(11) <= CS_ENUM_LIMIT < bell(12)
+    monkeypatch.setattr(enc, "CS_ENUM_LIMIT", bell(4))
+    scope = AtLeast(2, (0, 1, 2, 3))
+    assert encode_cs(Instance(5, 3, full_auth(5, 3), (scope,))).rows
+    with pytest.raises(CapacityError, match="would enumerate 52 partitions"):
+        encode_cs(Instance(5, 3, full_auth(5, 3), (AtLeast(2, (0, 1, 2, 3, 4)),)))
+    monkeypatch.setattr(enc, "CS_ENUM_LIMIT", comb(5, 3))
+    assert encode_cs(Instance(5, 3, full_auth(5, 3), (AtMost(2, tuple(range(5))),))).rows
+    with pytest.raises(CapacityError, match="would enumerate 20 3-step subsets"):
+        encode_cs(Instance(6, 3, full_auth(6, 3), (AtMost(2, tuple(range(6))),)))
 
 
 # --- optional transitivity rows ------------------------------------------------
@@ -515,7 +520,7 @@ def test_at_most_representative_path_is_equivalent(monkeypatch):
         truth = valid_plans_longhand(inst)
         model = encode_pbpb(inst)
         if any(isinstance(c, AtMost) for c in inst.constraints):
-            assert any(dv.kind == "rep" for dv in model.derived)
+            assert any(kind == "rep" for kind, *_ in model.derived)
         for plan in authorised_plans(inst):
             a = induced_assignment(plan, model)
             assert model.satisfied_by(a) == (plan in truth)
@@ -583,7 +588,7 @@ def test_opb_lowering_matches_row_semantics(row):
                   if op == ">=" else
                   sum(c for c, v in terms if values[v]) == rhs
                   for terms, op, rhs in lowered)
-        assert got == row.holds(values), (row, bits)
+        assert got == holds(row, *bits), (row, bits)
 
 
 @pytest.mark.parametrize("kind", CONSTRAINT_KINDS)
@@ -722,20 +727,15 @@ def test_cnf_lowering_of_one_row_matches_its_semantics(op):
     # variables, accepts exactly the assignments the row accepts
     checked = 0
     for length in (1, 2, 3):
-        names = tuple(f"v{i}" for i in range(length + 2))
-        index = {name: i for i, name in enumerate(names) if i}
         for signs in ((1,) * length, (1, -1, 1)[:length]):
             lits = tuple(sign * (i + 1) for i, sign in enumerate(signs))
             for bound, guard in itertools.product(
                     range(-2, length + 2), (None, length + 1, -length - 1)):
-                model = BooleanModel(
-                    kind="udpb", instance=make(1, 1, [[0]]), names=names,
-                    index=index, rows=(Row(op, bound, lits, guard),),
-                    derived=(), selector_groups=())
+                model = model_with(Row(op, bound, lits, guard), nvars=length + 1)
                 nvars, clauses = lower_to_clauses(model)
                 for bits in itertools.product([False, True], repeat=length + 1):
                     fixed = dict(enumerate(bits, start=1))
-                    want = model.satisfied_by(dict(zip(names[1:], bits)))
+                    want = model.satisfied_by(dict(zip(model.names[1:], bits)))
                     assert cnf_satisfiable(nvars, clauses, fixed) == want, (
                         op, bound, lits, guard, bits)
                 checked += 1
@@ -828,10 +828,7 @@ def test_emitters_match_the_row_by_row_lowering_on_negated_literals():
     base = encode_udpb(make(2, 2, [[0, 1], [0, 1]]))
     extra = (Row("<=", 1, (1, -2, 3)), Row("=", 1, (-1, 2)),
              Row(">=", 2, (-1, -2, 4)), Row("<=", 0, (-3,), guard=-4))
-    assert_emitters_match_row_by_row_lowering(BooleanModel(
-        kind="udpb", instance=base.instance, names=base.names,
-        index=base.index, rows=base.rows + extra, derived=(),
-        selector_groups=()))
+    assert_emitters_match_row_by_row_lowering(model_with(*extra, base=base))
 
 
 def test_plain_clauses_with_many_negated_literals():
@@ -839,12 +836,9 @@ def test_plain_clauses_with_many_negated_literals():
     # 0 to 12 of them, past the few whose line ends the writer keeps ready
     base = encode_udpb(make(4, 3, [[0, 1, 2]] * 4))
     assert base.var_count == 12
-    extra = tuple(clause(*range(-1, -j - 1, -1), *range(j + 1, 13))
+    extra = tuple(Row(">=", 1, (*range(-1, -j - 1, -1), *range(j + 1, 13)))
                   for j in range(13))
-    model = BooleanModel(
-        kind="udpb", instance=base.instance, names=base.names,
-        index=base.index, rows=base.rows + extra, derived=(),
-        selector_groups=())
+    model = model_with(*extra, base=base)
     assert_emitters_match_row_by_row_lowering(model)
     buf = io.StringIO()
     emit_opb(model, buf)
@@ -856,11 +850,8 @@ def test_unreachable_bound_writes_an_empty_clause_line():
     # at least 3 of 2 literals lowers to the empty clause, written " 0" on a
     # line of its own between its neighbours' lines
     base = encode_udpb(make(2, 2, [[0, 1], [0, 1]]))
-    model = BooleanModel(
-        kind="udpb", instance=base.instance, names=base.names,
-        index=base.index,
-        rows=base.rows + (clause(1, 2), Row(">=", 3, (1, 2)), clause(-3)),
-        derived=(), selector_groups=())
+    model = model_with(Row(">=", 1, (1, 2)), Row(">=", 3, (1, 2)),
+                       Row(">=", 1, (-3,)), base=base)
     assert lower_to_clauses(model)[1][-3:] == [(1, 2), (), (-3,)]
     buf = io.StringIO()
     emit_dimacs(model, buf)
@@ -971,10 +962,7 @@ def guarded_equality_model() -> BooleanModel:
     base = encode_udpb(make(2, 2, [[0, 1], [0, 1]], SoD(0, 1)))
     extra = (Row("=", 1, (1, -2, 3), guard=4), Row("=", 2, (1, 2, 3), guard=-4),
              Row("=", 0, (-1,), guard=2))
-    return BooleanModel(
-        kind="udpb", instance=base.instance, names=base.names,
-        index=base.index, rows=base.rows + extra, derived=(),
-        selector_groups=())
+    return model_with(*extra, base=base)
 
 
 def emitted_texts(inst):
@@ -1018,21 +1006,6 @@ def test_emitted_bytes_are_pinned():
 def export_draws(count: int):
     return [generate(GenSpec(seed=derive_seed(81, 4, i), **EXPORT_SHAPE))
             for i in range(count)]
-
-
-@pytest.mark.parametrize("encoder", BOOLEAN_ENCODERS)
-def test_models_rebuilt_from_their_rows_emit_the_same_bytes(encoder):
-    insts = export_draws(3) + [random_instance(kind, 1, k_max=4, n_max=5)
-                               for kind in CONSTRAINT_KINDS]
-    for inst in insts:
-        model = encoder(inst)
-        rebuilt = BooleanModel(
-            kind=model.kind, instance=inst, names=model.names,
-            index=model.index, rows=model.rows, derived=model.derived,
-            selector_groups=model.selector_groups)
-        assert len(rebuilt.rows) == len(model.rows)
-        assert rebuilt.rows == model.rows and rebuilt.derived == model.derived
-        assert dict(boolean_texts("m", rebuilt)) == dict(boolean_texts("m", model))
 
 
 def gc_tracked_objects(root) -> int:
