@@ -561,9 +561,14 @@ def _scope_rgs(values: Sequence[int]) -> tuple[int, ...]:
     return pattern_of(tuple(values)).rgs
 
 
-def _partitions_with(scope_len: int, want) -> tuple[tuple[int, ...], ...]:
-    return tuple(p.rgs for p in enumerate_patterns(scope_len)
-                 if want(p.block_count))
+def _partitions_split(scope_len: int, h: int):
+    """The restricted-growth strings of a scope's partitions in one walk,
+    split into those with at most h blocks and those with more."""
+    low: list[tuple[int, ...]] = []
+    high: list[tuple[int, ...]] = []
+    for p in enumerate_patterns(scope_len):
+        (low if p.block_count <= h else high).append(p.rgs)
+    return tuple(low), tuple(high)
 
 
 @dataclass
@@ -665,17 +670,16 @@ def encode_cs(inst: Instance) -> CSModel:
             rows.append(_cs_row(
                 "scope_pattern_in",
                 scope=c.scope,
-                allowed=_partitions_with(len(c.scope), lambda bc: bc >= c.r)))
+                allowed=_partitions_split(len(c.scope), c.r - 1)[1]))
         elif isinstance(c, SUAL):
             g1 = selector(f"c{ci}_g1")
             g2 = selector(f"c{ci}_g2")
             rows.append(_cs_row("select_at_least_one", selectors=(g1, g2)))
-            rows.append(_cs_row(
-                "cond_scope_pattern_in", selector=g1, scope=c.scope,
-                allowed=_partitions_with(len(c.scope), lambda bc: bc <= c.h)))
-            rows.append(_cs_row(
-                "cond_scope_pattern_in", selector=g2, scope=c.scope,
-                allowed=_partitions_with(len(c.scope), lambda bc: bc > c.h)))
+            within, beyond = _partitions_split(len(c.scope), c.h)
+            rows.append(_cs_row("cond_scope_pattern_in", selector=g1,
+                                scope=c.scope, allowed=within))
+            rows.append(_cs_row("cond_scope_pattern_in", selector=g2,
+                                scope=c.scope, allowed=beyond))
             for s in c.scope:
                 exclude(g1, s, c.supers)
         elif isinstance(c, (WL, ADA)):

@@ -13,6 +13,7 @@ has none, so these tests are skipped only when no C compiler or Python
 headers are available.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -269,6 +270,35 @@ def test_sual_restriction_in_a_shared_class_parity():
     assert (status, plan) == (_kernel.SAT, [0, 1, 0])
 
 
+def pure_result_with_parity(prob):
+    """The pure kernel's result on `prob`, and parity under every budget
+    as well when the compiled kernel is built."""
+    if COMPILED_MISSING is None:
+        return assert_parity_under_every_budget(prob)
+    return backend_run_search("pure")(prob)
+
+
+# SUAL over depths 1 and 3 of five, users {0..3} everywhere, super-user 3:
+# the scope ends at depth 3, which is neither the last depth nor next to
+# depth 1.  With BoD(1, 3) both share one block, which the SUAL narrows to
+# user 3 after depth 3 is placed; with SoD(1, 3) they cover two blocks,
+# more than h = 1, and nothing is narrowed.
+SUAL_GAP = SualSpec(depths=(1, 3), h=1, xmask=0b1000)
+SUAL_GAP_CASES = {
+    "restricts": (dict(sod=[(0, 1), (3, 4)], bod=[(1, 3)]),
+                  (_kernel.SAT, [1, 3, 1, 3, 1], 1, 5, 1)),
+    "apart": (dict(sod=[(0, 1), (1, 3), (3, 4)]),
+              (_kernel.SAT, [1, 0, 1, 1, 0], 1, 5, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUAL_GAP_CASES))
+def test_sual_ending_at_a_middle_depth(name):
+    pairs, expected = SUAL_GAP_CASES[name]
+    prob = hand_problem([(0b1111,) * 5], 4, suals=[SUAL_GAP], **pairs)
+    assert pure_result_with_parity(prob) == expected
+
+
 @needs_compiled
 def test_prefix_rejected_by_user_independent_constraints_parity():
     combos = [(0b111, 0b111, 0b111, 0b111), (0b011, 0b110, 0b111, 0b101)]
@@ -481,7 +511,57 @@ def test_pure_kernel_node_totals(name):
     assert [r[0] for r in results].count(_kernel.SAT) == sat
 
 
+# name -> SHA-256 of "i plan" lines over the SAT draws of NODE_TOTALS[name],
+# so a changed plan shows without a compiled kernel to compare against.
+PLAN_DIGESTS = {
+    "alternatives": "a251fa7dd1ace0c1d9ea5b543b02453d5d1253ab13d0bc1c48e0accb1e0cef2e",
+    "export": "b9e57663af21dc75cf094df39c0bf6dfdbc06174b795d399d0e59662ee8eb2e6",
+    "k16": "7ecf49f9663fdd11c5513083afce2bf678a0b9395e6264d2b3d98e951dffd159",
+    "search": "a0b99ab56f6ff4ad7124436d1e34335bd79bbaca39c3734a1172edfd6627d2c2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(NODE_TOTALS))
+def test_pure_kernel_plan_digests(name):
+    salt, draws, shape, _, _ = NODE_TOTALS[name]
+    run = backend_run_search("pure")
+    digest = hashlib.sha256()
+    for i in range(draws):
+        status, plan, *_ = run(compile_problem(generate(
+            GenSpec(seed=derive_seed(81, salt, i), **shape))))
+        if status == _kernel.SAT:
+            digest.update(f"{i} {plan}\n".encode())
+    assert digest.hexdigest() == PLAN_DIGESTS[name]
+
+
 # --- at the kernel's step limit ---------------------------------------------
+
+# k = KERNEL_MAX_STEPS, every user authorised everywhere and an SoD between
+# every pair of depths, so depth d opens block d and the last depth uses
+# the top block.  name -> (n, count bounds over every depth, result).  With
+# 64 users the plan gives block b user 63 - b; with 63 the last block finds
+# no user.  At most 63 users leaves the last depth no block, so the node
+# that places depth 62 ends the search; at least 64 holds on the only path.
+TOP_BLOCK = list(range(KERNEL_MAX_STEPS - 1, -1, -1))
+EVERY_DEPTH = tuple(range(KERNEL_MAX_STEPS))
+TOP_FIELD_CASES = {
+    "n64": (64, (), (_kernel.SAT, TOP_BLOCK, 1, 64, 1)),
+    "n63": (63, (), (_kernel.UNSAT, None, 0, 64, 0)),
+    "at_most_63": (64, (CountSpec(True, 63, EVERY_DEPTH),),
+                   (_kernel.UNSAT, None, 0, 63, 0)),
+    "at_least_64": (64, (CountSpec(False, 64, EVERY_DEPTH),),
+                    (_kernel.SAT, TOP_BLOCK, 1, 64, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOP_FIELD_CASES))
+def test_every_depth_apart_at_the_step_limit(name):
+    n, counts, expected = TOP_FIELD_CASES[name]
+    pairs = [(e, f) for f in EVERY_DEPTH for e in range(f)]
+    prob = hand_problem([((1 << n) - 1,) * KERNEL_MAX_STEPS], n, sod=pairs,
+                        counts=counts)
+    assert pure_result_with_parity(prob) == expected
+
 
 # k = KERNEL_MAX_STEPS draws with WL/ADA alternatives and a SUAL restriction:
 # the first finds a plan after 928 nodes, so its plan comes off a stack
