@@ -1,7 +1,6 @@
 """Build script.  The compiled search kernel is optional: if Cython (or a C
 compiler) is unavailable the package installs anyway and falls back to the
-pure-Python kernel at import time.  Set WSPKIT_NO_EXT=1 to skip the extension
-build explicitly.
+pure-Python kernel at import time.
 """
 
 import os
@@ -9,7 +8,7 @@ import os
 from setuptools import setup
 
 ext_modules = []
-if os.environ.get("WSPKIT_NO_EXT") != "1" and os.path.exists("src/wspkit/_kernel/_speed.pyx"):
+if os.path.exists("src/wspkit/_kernel/_speed.pyx"):
     try:
         from Cython.Build import cythonize
 

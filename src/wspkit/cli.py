@@ -19,27 +19,21 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_args
 
 import jsonschema
 
+from . import _kernel
 from .absorption import branching_bound
 from .core import (
-    ADA,
-    AtLeast,
-    AtMost,
     AuthorisationFunction,
-    BoD,
     Constraint,
     Instance,
     InvariantError,
-    SoD,
-    SUAL,
-    WL,
     WspError,
     bits_of,
     json_text,
@@ -57,15 +51,17 @@ from .encode import (
 from .generator import (
     FAMILY_KINDS,
     GenSpec,
-    derive_seed,
+    family_draw,
     family_spec,
     generate_with_meta,
 )
 from .patterns import bell
 from .solver import (
+    SOLVER_LIMITS,
     Budget,
     SolveResult,
     Verdict,
+    check_budget,
     solve_backtracking,
     solve_bruteforce,
     solve_pattern_enum,
@@ -89,49 +85,47 @@ class CliError(WspError):
 # --- instance and plan files -----------------------------------------------------
 
 
+# The file form of every constraint in the catalogue: its kind is the
+# lower-cased class name, and its keys are the class's fields in
+# declaration order.
+_KINDS = {cls.__name__.lower(): cls for cls in get_args(Constraint)}
+
+# The fields that hold user sets: a mask in a constraint, a list of user ids
+# in its document.  WL's `teams` holds one such set per team.
+_USER_FIELDS = ("supers", "trigger", "required", "teams")
+
+
+def _users_doc(value):
+    """A user mask as its list of ids; a tuple of masks as a list of them."""
+    if isinstance(value, int):
+        return list(bits_of(value))
+    return [list(bits_of(mask)) for mask in value]
+
+
 def constraint_to_doc(c: Constraint) -> dict:
-    if isinstance(c, (SoD, BoD)):
-        return {"kind": type(c).__name__.lower(), "s1": c.s1, "s2": c.s2}
-    if isinstance(c, (AtMost, AtLeast)):
-        return {"kind": type(c).__name__.lower(), "r": c.r,
-                "scope": list(c.scope)}
-    if isinstance(c, SUAL):
-        return {"kind": "sual", "scope": list(c.scope), "h": c.h,
-                "supers": list(bits_of(c.supers))}
-    if isinstance(c, WL):
-        return {"kind": "wl", "scope": list(c.scope),
-                "teams": [list(bits_of(team)) for team in c.teams]}
-    if isinstance(c, ADA):
-        return {"kind": "ada", "s1": c.s1, "s2": c.s2,
-                "trigger": list(bits_of(c.trigger)),
-                "required": list(bits_of(c.required))}
-    raise CliError(f"no file form for constraint type {type(c).__name__}")
+    doc = {"kind": type(c).__name__.lower()}
+    for f in fields(c):
+        value = getattr(c, f.name)
+        if f.name in _USER_FIELDS:
+            value = _users_doc(value)
+        elif isinstance(value, tuple):  # a scope
+            value = list(value)
+        doc[f.name] = value
+    return doc
 
 
 def constraint_from_doc(doc: dict) -> Constraint:
-    kind = doc["kind"]
-    if kind == "sod":
-        return SoD(doc["s1"], doc["s2"])
-    if kind == "bod":
-        return BoD(doc["s1"], doc["s2"])
-    if kind == "atmost":
-        return AtMost(doc["r"], tuple(doc["scope"]))
-    if kind == "atleast":
-        return AtLeast(doc["r"], tuple(doc["scope"]))
-    if kind == "sual":
-        return SUAL(tuple(doc["scope"]), doc["h"], doc["supers"])
-    if kind == "wl":
-        return WL(tuple(doc["scope"]), tuple(doc["teams"]))
-    if kind == "ada":
-        return ADA(doc["s1"], doc["s2"], doc["trigger"], doc["required"])
-    raise CliError(f"unknown constraint kind {kind!r}")
+    cls = _KINDS.get(doc["kind"])
+    if cls is None:
+        raise CliError(f"unknown constraint kind {doc['kind']!r}")
+    return cls(*(doc[f.name] for f in fields(cls)))
 
 
 def instance_to_doc(inst: Instance, meta: Optional[dict] = None) -> dict:
     doc = {
         "k": inst.k,
         "n": inst.n,
-        "auth": [list(inst.auth.users(s)) for s in range(inst.k)],
+        "auth": inst.auth.to_lists(),
         "constraints": [constraint_to_doc(c) for c in inst.constraints],
     }
     if meta is not None:
@@ -139,14 +133,13 @@ def instance_to_doc(inst: Instance, meta: Optional[dict] = None) -> dict:
     return doc
 
 
-_USER_KEYS = {"sual": ("supers",), "ada": ("trigger", "required")}
-
-
 def _user_lists(c: dict) -> list:
     """The user-id lists of a constraint document."""
-    if c["kind"] == "wl":
-        return c["teams"]
-    return [c[key] for key in _USER_KEYS.get(c["kind"], ())]
+    lists = []
+    for key in _USER_FIELDS:
+        if key in c:
+            lists += c[key] if key == "teams" else [c[key]]
+    return lists
 
 
 _MISMATCH = "does not match the {} schema"
@@ -240,11 +233,11 @@ def _shape(doc):
         for c in doc["constraints"]:
             if isinstance(c, dict):
                 c = dict(c)
-                for key in ("supers", "trigger", "required"):
-                    if key in c:
+                for key in _USER_FIELDS:
+                    if key == "teams" and isinstance(c.get(key), list):
+                        c[key] = [_head(team) for team in c[key]]
+                    elif key in c:
                         c[key] = _head(c[key])
-                if isinstance(c.get("teams"), list):
-                    c["teams"] = [_head(team) for team in c["teams"]]
             cons.append(c)
     return shape
 
@@ -307,31 +300,33 @@ def _family_label(kind: str) -> str:
     return "wsp" if kind == "sod" else f"wsp_{kind}"
 
 
+def _family_spec(args, kind: str, k: int, n: int, **kwargs) -> GenSpec:
+    """A family's calibrated spec under the calibration flags."""
+    return family_spec(kind, k, n, samples=args.samples,
+                       band=(args.band_lo, args.band_hi),
+                       use_cache=not args.no_cache, jobs=args.jobs, **kwargs)
+
+
 def cmd_generate(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    band = (args.band_lo, args.band_hi)
+    counts = {kind: getattr(args, kind) for kind in FAMILY_KINDS}
     if args.family is not None:
-        if any((args.sod, args.am3, args.sual, args.wl, args.ada)):
+        if any(counts.values()):
             raise CliError("--family picks the constraint counts; "
                            "drop the per-kind count flags")
         kind = _family_kind(args.family)
         label = _family_label(kind)
-        spec = family_spec(kind, args.k, args.n,
-                           count_override=args.family_count,
-                           samples=args.samples, band=band,
-                           use_cache=not args.no_cache, jobs=args.jobs)
+        spec = _family_spec(args, kind, args.k, args.n,
+                            count_override=args.family_count)
         for i in range(args.count):
-            sub_seed = derive_seed(args.seed, i)
-            inst, meta = generate_with_meta(replace(spec, seed=sub_seed))
+            inst, meta = family_draw(spec, args.seed, i)
             meta.update(family=label, master_seed=args.seed, index=i)
             path = out_dir / f"{label}-k{args.k}-n{args.n}-s{args.seed}-{i:03d}.json"
             save_instance(path, inst, meta)
             print(path)
         return EXIT_OK
 
-    counts = {"sod": args.sod, "am3": args.am3, "sual": args.sual,
-              "wl": args.wl, "ada": args.ada}
     for i in range(args.count):
         seed = args.seed + i
         spec = GenSpec(k=args.k, n=args.n, seed=seed, **counts)
@@ -349,33 +344,14 @@ def cmd_generate(args) -> int:
 # --- solve and verify -----------------------------------------------------------------
 
 
-def _budget_from(args) -> Optional[Budget]:
-    if args.max_millis is None and args.max_patterns is None \
-            and args.max_nodes is None:
-        return None
-    return Budget(max_millis=args.max_millis, max_patterns=args.max_patterns,
-                  max_nodes=args.max_nodes)
+def _check_budget(algorithm: str, budget: Budget) -> None:
+    """Reject a budget the algorithm cannot honour instead of ignoring it,
+    naming the flags."""
+    check_budget(algorithm, budget,
+                 name=lambda field: "--" + field.replace("_", "-"))
 
 
-def _check_budget(algorithm: str, budget: Optional[Budget]) -> None:
-    """Reject a budget the algorithm cannot honour instead of ignoring it."""
-    if budget is None:
-        return
-    if algorithm == "backtrack":
-        if budget.max_patterns is not None:
-            raise CliError("backtrack stops at its first full pattern, so "
-                           "--max-patterns cannot bound it; use --max-nodes "
-                           "or --max-millis")
-        return
-    if algorithm == "bruteforce":
-        raise CliError("bruteforce runs to completion; budgets apply to "
-                       "backtrack and pattern-enum")
-    if budget.max_nodes is not None:
-        raise CliError("pattern-enum expands no nodes, so --max-nodes cannot "
-                       "bound it; use --max-patterns or --max-millis")
-
-
-def _solve(algorithm: str, inst: Instance, budget: Optional[Budget],
+def _solve(algorithm: str, inst: Instance, budget: Budget,
            kernel: str) -> SolveResult:
     """Run one solver by its command-line name; `solve` and `bench` share
     this dispatch, so a budget means the same in both."""
@@ -388,8 +364,10 @@ def _solve(algorithm: str, inst: Instance, budget: Optional[Budget],
 
 
 def cmd_solve(args) -> int:
-    inst = load_instance(args.instance)
-    res = _solve(args.algorithm, inst, _budget_from(args), args.kernel)
+    budget = Budget(max_millis=args.max_millis, max_patterns=args.max_patterns,
+                    max_nodes=args.max_nodes)
+    res = _solve(args.algorithm, load_instance(args.instance), budget,
+                 args.kernel)
     print(f"verdict {res.verdict.value.upper()}")
     if res.plan is not None:
         print("plan " + " ".join(str(u) for u in res.plan))
@@ -499,9 +477,7 @@ def cmd_inspect(args) -> int:
 
 def cmd_calibrate(args) -> int:
     kind = _family_kind(args.family)
-    spec = family_spec(kind, args.k, args.n, samples=args.samples,
-                       band=(args.band_lo, args.band_hi),
-                       use_cache=not args.no_cache, jobs=args.jobs)
+    spec = _family_spec(args, kind, args.k, args.n)
     print(f"family {_family_label(kind)}")
     print(f"k {args.k}")
     print(f"n {args.n}")
@@ -511,9 +487,6 @@ def cmd_calibrate(args) -> int:
 
 
 # --- bench -----------------------------------------------------------------------------------
-
-
-BENCH_ALGORITHMS = ("backtrack", "pattern-enum", "bruteforce")
 
 
 def _lower_median(values):
@@ -551,10 +524,9 @@ def cmd_bench(args) -> int:
     kind = _family_kind(args.family)
     label = _family_label(kind)
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
-    budget = Budget(max_millis=args.max_millis) \
-        if args.max_millis is not None else None
+    budget = Budget(max_millis=args.max_millis)
     for algorithm in algorithms:
-        if algorithm not in BENCH_ALGORITHMS:
+        if algorithm not in SOLVER_LIMITS:
             raise CliError(f"unknown algorithm {algorithm!r}")
         _check_budget(algorithm, budget)
     sizes = _bench_sizes(args)
@@ -562,16 +534,13 @@ def cmd_bench(args) -> int:
     rows = []
     groups: dict[tuple, list] = {}
     for k, n in sizes:
-        spec = family_spec(kind, k, n, samples=args.samples,
-                           band=(args.band_lo, args.band_hi),
-                           use_cache=not args.no_cache, jobs=args.jobs)
+        spec = _family_spec(args, kind, k, n)
         for i in range(args.seeds):
-            sub_seed = derive_seed(args.seed, i)
-            inst, _ = generate_with_meta(replace(spec, seed=sub_seed))
+            inst, meta = family_draw(spec, args.seed, i)
             for algorithm in algorithms:
                 res = _solve(algorithm, inst, budget, args.kernel)
                 millis = res.stats.wall_time * 1000.0
-                rows.append([k, n, label, sub_seed, algorithm,
+                rows.append([k, n, label, meta["seed"], algorithm,
                              res.verdict.value, f"{millis:.3f}",
                              res.stats.patterns_visited,
                              res.stats.nodes_expanded])
@@ -626,6 +595,7 @@ def _add_band_flags(parser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    kernels = ("auto", *_kernel.available_backends())
     parser = _Parser(prog="wspkit",
                      description="Workflow satisfiability toolkit")
     sub = parser.add_subparsers(dest="command", required=True,
@@ -651,14 +621,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve an instance file")
     p.add_argument("instance")
-    p.add_argument("--algorithm",
-                   choices=("backtrack", "pattern-enum", "bruteforce"),
+    p.add_argument("--algorithm", choices=tuple(SOLVER_LIMITS),
                    default="backtrack")
     p.add_argument("--max-millis", type=float, default=None)
     p.add_argument("--max-patterns", type=int, default=None)
     p.add_argument("--max-nodes", type=int, default=None)
-    p.add_argument("--kernel", choices=("auto", "compiled", "pure"),
-                   default="auto")
+    p.add_argument("--kernel", choices=kernels, default="auto")
     p.add_argument("--plan-out", default=None,
                    help="write the satisfying plan to this JSON file")
     p.set_defaults(func=cmd_solve)
@@ -704,11 +672,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="instances per size")
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--algorithms", default="backtrack",
-                   help="comma-separated: backtrack, pattern-enum, bruteforce")
+                   help="comma-separated: " + ", ".join(SOLVER_LIMITS))
     p.add_argument("--max-millis", type=float, default=None,
                    help="per-instance budget")
-    p.add_argument("--kernel", choices=("auto", "compiled", "pure"),
-                   default="auto")
+    p.add_argument("--kernel", choices=kernels, default="auto")
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
     _add_band_flags(p)
     p.set_defaults(func=cmd_bench)

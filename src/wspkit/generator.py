@@ -249,6 +249,11 @@ class SplitMix64:
 
 # --- specs ----------------------------------------------------------------------
 
+# the fewest steps and users each kind's draws need, by the shapes in the
+# module docstring; keyed in FAMILY_KINDS order
+_SHAPES = {"sod": (2, 1), "am3": (5, 1), "sual": (5, 5), "wl": (2, 4),
+           "ada": (2, 2)}
+
 
 @dataclass(frozen=True)
 class GenSpec:
@@ -275,13 +280,14 @@ class GenSpec:
             raise InvariantError(f"spec: k must be at least 1, got {self.k}")
         if self.n < 1:
             raise InvariantError(f"spec: n must be at least 1, got {self.n}")
-        for field in FAMILY_KINDS:
-            if getattr(self, field) < 0:
+        for kind, (steps, users) in _SHAPES.items():
+            count = getattr(self, kind)
+            if count < 0:
+                raise InvariantError(f"spec: {kind} count must be non-negative")
+            if count and (self.k < steps or self.n < users):
                 raise InvariantError(
-                    f"spec: {field} count must be non-negative")
-        if self.wl > 0 and self.n < 4:
-            raise InvariantError(
-                f"spec: wl teams of size n//4 need n >= 4, got n={self.n}")
+                    f"spec: {kind} draws need k >= {steps} and n >= {users}, "
+                    f"got k={self.k}, n={self.n}")
 
     def counts(self) -> dict[str, int]:
         return {field: getattr(self, field) for field in FAMILY_KINDS}
@@ -307,27 +313,6 @@ class PTCalibration:
 
 
 # --- instance drawing ------------------------------------------------------------
-
-
-def _check_shape_preconditions(spec: GenSpec) -> None:
-    if spec.am3 > 0 and spec.k < 5:
-        raise InvariantError(
-            f"generate: am3 scopes have 5 steps, need k >= 5, got k={spec.k}")
-    if spec.sual > 0 and spec.k < 5:
-        raise InvariantError(
-            f"generate: sual scopes have 5 steps, need k >= 5, got k={spec.k}")
-    if spec.sual > 0 and spec.n < 5:
-        raise InvariantError(
-            f"generate: sual super sets have 5 users, need n >= 5, "
-            f"got n={spec.n}")
-    for field in ("sod", "wl", "ada"):
-        if getattr(spec, field) > 0 and spec.k < 2:
-            raise InvariantError(
-                f"generate: {field} needs two distinct steps, got k={spec.k}")
-    if spec.ada > 0 and spec.n < 2:
-        raise InvariantError(
-            f"generate: ada user sets have n//2 users, need n >= 2, "
-            f"got n={spec.n}")
 
 
 def _draw_step_users(rng: SplitMix64, k: int, n: int) -> list[list[int]]:
@@ -473,7 +458,6 @@ def _draw_kinds(rng: SplitMix64, spec: GenSpec,
 def generate_with_meta(spec: GenSpec) -> tuple[Instance, dict]:
     """Draw the instance a GenSpec determines, plus draw metadata (the
     number of attempts it took to authorise every step)."""
-    _check_shape_preconditions(spec)
     auth, state, attempts = _draw_authorisation(spec.k, spec.n, spec.seed)
     constraints = _draw_kinds(SplitMix64(state), spec, FAMILY_KINDS)
     inst = Instance(spec.k, spec.n, auth, tuple(constraints))
@@ -489,6 +473,15 @@ def generate(spec: GenSpec) -> Instance:
     return generate_with_meta(spec)[0]
 
 
+def family_draw(spec: GenSpec, master_seed: int,
+                index: int) -> tuple[Instance, dict]:
+    """Draw `index` of the family of `spec` under `master_seed`: `spec`
+    drawn under the sub-seed `derive_seed(master_seed, index)`, with its
+    metadata."""
+    return generate_with_meta(
+        replace(spec, seed=derive_seed(master_seed, index)))
+
+
 # --- satisfiability-rate calibration ----------------------------------------------
 
 
@@ -501,9 +494,8 @@ def _is_sat(inst: Instance) -> bool:
 
 
 class _Sample:
-    """One calibration sample, `generate(replace(base, seed=derive_seed(
-    base.seed, index)))` with a varying count of the `vary` kind, drawn once
-    for every count.
+    """One calibration sample, `family_draw(base, base.seed, index)` with a
+    varying count of the `vary` kind, drawn once for every count.
 
     It keeps the authorisation, the constraints of the kinds drawn before
     `vary`, and the `vary` constraints drawn so far with the RNG state after
@@ -526,7 +518,7 @@ class _Sample:
 
     def instance(self, count: int) -> Instance:
         """The instance with `count` `vary` constraints on top of the base's;
-        the spec at that count must already have passed its shape checks."""
+        the spec at that count must be a valid `GenSpec`."""
         base, vary = self.base, self.vary
         if self.auth is None:
             self.auth, state, _ = _draw_authorisation(base.k, base.n,
@@ -603,10 +595,9 @@ def _bisect(base: GenSpec, vary: str, samples: int,
 
     def rate(count: int) -> float:
         if count not in rates:
-            # the spec at this count, checked before any sample is drawn
-            # for it, so a bad count raises before its first solve
-            _check_shape_preconditions(
-                replace(base, **{vary: getattr(base, vary) + count}))
+            # the spec at this count checks its shape before any sample is
+            # drawn for it, so a bad count raises before its first solve
+            replace(base, **{vary: getattr(base, vary) + count})
             hits = sum(is_sat(d.instance(count) for d in draws))
             rates[count] = hits / samples
         return rates[count]
@@ -653,20 +644,21 @@ def calibration_path(k: int, n: int, family: str) -> Path:
     return cache_dir() / f"pt-k{k}-n{n}-{family}.json"
 
 
+def _cache_key(k: int, n: int, family: str, samples: int,
+               band: tuple[float, float], master_seed: int) -> dict:
+    """The settings a cached calibration was computed under; a cache file
+    holds them next to its result, and a load under other settings
+    misses."""
+    return {"k": k, "n": n, "family": family, "samples": samples,
+            "band": list(band), "master_seed": master_seed}
+
+
 def save_calibration(k: int, n: int, family: str, cal: PTCalibration,
                      band: tuple[float, float], master_seed: int) -> Path:
     path = calibration_path(k, n, family)
     path.parent.mkdir(parents=True, exist_ok=True)
-    doc = {
-        "k": k,
-        "n": n,
-        "family": family,
-        "e_value": cal.e_value,
-        "sat_rate": cal.sat_rate,
-        "samples": cal.samples,
-        "band": list(band),
-        "master_seed": master_seed,
-    }
+    doc = _cache_key(k, n, family, cal.samples, band, master_seed)
+    doc.update(e_value=cal.e_value, sat_rate=cal.sat_rate)
     path.write_text(json_text(doc, sort_keys=True) + "\n",
                     encoding="ascii")
     return path
@@ -686,8 +678,7 @@ def load_calibration(k: int, n: int, family: str, samples: int,
         return None
     if not isinstance(doc, dict):
         return None
-    expected = {"k": k, "n": n, "family": family, "samples": samples,
-                "band": list(band), "master_seed": master_seed}
+    expected = _cache_key(k, n, family, samples, band, master_seed)
     if any(doc.get(key) != value for key, value in expected.items()):
         return None
     try:
@@ -704,16 +695,19 @@ def _round_three_quarters(e: int) -> int:
     return (3 * e + 1) // 4
 
 
-def _calibrated(k: int, n: int, family: str, base: GenSpec, vary: str,
-                samples: int, band: tuple[float, float], use_cache: bool,
+def _calibrated(base: GenSpec, kind: str, samples: int,
+                band: tuple[float, float], use_cache: bool,
                 jobs: int) -> PTCalibration:
+    """The calibrated count of `kind` on top of `base`, from the cache
+    when it holds one."""
+    k, n = base.k, base.n
     if use_cache:
-        cached = load_calibration(k, n, family, samples, band, base.seed)
+        cached = load_calibration(k, n, kind, samples, band, base.seed)
         if cached is not None:
             return cached
-    cal = calibrate_pt(k, n, base, samples, band, vary=vary, jobs=jobs)
+    cal = calibrate_pt(k, n, base, samples, band, vary=kind, jobs=jobs)
     if use_cache:
-        save_calibration(k, n, family, cal, band, base.seed)
+        save_calibration(k, n, kind, cal, band, base.seed)
     return cal
 
 
@@ -734,31 +728,21 @@ def family_spec(kind: str, k: int, n: int, *,
     if kind not in FAMILY_KINDS:
         raise InvariantError(f"family: unknown constraint kind {kind!r}")
     base = GenSpec(k=k, n=n, am3=k, seed=derive_seed(k, n))
-    if kind == "sod":
-        if count_override is not None:
-            return replace(base, sod=count_override, seed=0)
-        cal = _calibrated(k, n, "sod", base, "sod", samples, band,
-                          use_cache, jobs)
-        return replace(base, sod=cal.e_value, seed=0)
-
-    cal = _calibrated(k, n, "sod", base, "sod", samples, band,
-                      use_cache, jobs)
-    fixed = replace(base, sod=_round_three_quarters(cal.e_value))
-    if count_override is not None:
-        extra = count_override
-    else:
-        own = _calibrated(k, n, kind, fixed, kind, samples, band,
-                          use_cache, jobs)
-        extra = own.e_value
-    return replace(fixed, seed=0,
-                   **{kind: getattr(fixed, kind) + extra})
+    if kind != "sod":
+        sod = _calibrated(base, "sod", samples, band, use_cache, jobs)
+        base = replace(base, sod=_round_three_quarters(sod.e_value))
+    extra = count_override
+    if extra is None:
+        extra = _calibrated(base, kind, samples, band, use_cache,
+                            jobs).e_value
+    return replace(base, seed=0, **{kind: getattr(base, kind) + extra})
 
 
 def family_stream(spec: GenSpec, master_seed: int) -> Iterator[Instance]:
     """Unbounded stream of draws from one GenSpec, one sub-seed per index."""
     index = 0
     while True:
-        yield generate(replace(spec, seed=derive_seed(master_seed, index)))
+        yield family_draw(spec, master_seed, index)[0]
         index += 1
 
 

@@ -13,8 +13,8 @@ import operator
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from math import prod
-from typing import Optional, Sequence
+from math import inf, prod
+from typing import Callable, Optional, Sequence
 
 from . import _kernel
 from ._kernel import CountSpec, SearchProblem, SualSpec
@@ -73,19 +73,56 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class Budget:
-    """Resource limits; None means unlimited.  `max_nodes` bounds the
-    backtracker only: pattern enumeration expands no nodes and rejects it.
-    `max_patterns` bounds pattern enumeration only: the backtracker stops at
-    its first full pattern and rejects it."""
+    """Resource limits; None means unlimited.  Which solver honours which
+    limit is `SOLVER_LIMITS`."""
 
     max_millis: Optional[float] = None
     max_patterns: Optional[int] = None
     max_nodes: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        # a NaN deadline is never passed, so it would leave a solve
+        # unbounded; a negative count would report BUDGET before any work
+        for name, types in (("max_millis", (int, float)),
+                            ("max_patterns", int), ("max_nodes", int)):
+            value = getattr(self, name)
+            if value is not None and (
+                    isinstance(value, bool) or not isinstance(value, types)
+                    or not 0 <= value < inf):
+                kind = "an int" if types is int else "a finite number"
+                raise InvariantError(
+                    f"budget: {name} must be {kind} >= 0, got {value!r}")
+
     def deadline(self, t0: float) -> Optional[float]:
         if self.max_millis is None:
             return None
         return t0 + self.max_millis / 1000.0
+
+
+# Each solver by its command-line name: the budget fields it honours, and
+# why it refuses every other field rather than ignoring it.
+SOLVER_LIMITS = {
+    "backtrack": (("max_nodes", "max_millis"),
+                  "the backtracker stops at its first full pattern"),
+    "pattern-enum": (("max_patterns", "max_millis"),
+                     "pattern enumeration expands no nodes"),
+    "bruteforce": ((), "bruteforce runs to completion"),
+}
+
+
+def check_budget(algorithm: str, budget: Optional[Budget],
+                 name: Callable[[str], str] = str) -> None:
+    """Raise InvariantError when `budget` sets a field that `algorithm`
+    cannot honour.  `name` words a field for the message."""
+    if budget is None:
+        return
+    honoured, reason = SOLVER_LIMITS[algorithm]
+    for limit, value in vars(budget).items():
+        if value is not None and limit not in honoured:
+            advice = " or ".join(map(name, honoured))
+            raise InvariantError(
+                f"{reason}, so {name(limit)} cannot bound it"
+                + (f"; bound it with {advice}" if honoured else ""))
 
 
 def verify(plan: Sequence[int], inst: Instance) -> bool:
@@ -110,20 +147,16 @@ def solve_pattern_enum(inst: Instance, budget: Optional[Budget] = None) -> Solve
     every pattern is exhausted.  It expands no search nodes, so a budget
     with `max_nodes` is rejected rather than ignored."""
     t0 = time.perf_counter()
+    check_budget("pattern-enum", budget)
     budget = budget or Budget()
-    if budget.max_nodes is not None:
-        raise InvariantError(
-            "pattern enumeration expands no nodes, so max_nodes cannot bound it; "
-            "bound it with max_patterns or max_millis")
     deadline = budget.deadline(t0)
     stats = SolveStats()
     absorbed = absorb(inst)
     residual = absorbed.residual
     for p in enumerate_patterns(inst.k):
-        if budget.max_patterns is not None and stats.patterns_visited >= budget.max_patterns:
-            stats.wall_time = time.perf_counter() - t0
-            return SolveResult(Verdict.BUDGET, None, stats)
-        if deadline is not None and time.perf_counter() > deadline:
+        if (budget.max_patterns is not None
+                and stats.patterns_visited >= budget.max_patterns) or (
+                deadline is not None and time.perf_counter() > deadline):
             stats.wall_time = time.perf_counter() - t0
             return SolveResult(Verdict.BUDGET, None, stats)
         stats.patterns_visited += 1
@@ -216,11 +249,8 @@ def solve_backtracking(
     `backend` selects the kernel ("auto", "compiled", "pure").
     """
     t0 = time.perf_counter()
+    check_budget("backtrack", budget)
     budget = budget or Budget()
-    if budget.max_patterns is not None:
-        raise InvariantError(
-            "the backtracker stops at its first full pattern, so max_patterns "
-            "cannot bound it; bound it with max_nodes or max_millis")
     stats = SolveStats()
     absorbed = absorb(inst, max_family_size=max_family_size)
     prob = compile_search_problem(absorbed)

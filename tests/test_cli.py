@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from conftest import purchase_order_instance
+from wspkit import _kernel
 from wspkit.cli import (
     EXIT_BUDGET,
     EXIT_ERROR,
@@ -159,6 +160,18 @@ def test_backtrack_rejects_a_pattern_budget(po_file, capsys):
     assert "--max-patterns" in err and "--max-nodes" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--max-millis", "nan"),
+                                         ("--max-nodes", "-1")])
+def test_solve_rejects_a_budget_that_bounds_nothing(po_file, flag, value,
+                                                    capsys):
+    # NaN would run unbounded and -1 would report BUDGET before any work
+    code = main(["solve", str(po_file), flag, value])
+    assert code == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag[2:].replace("-", "_") in captured.err
+
+
 def test_solve_plan_out_writes_a_verifiable_plan(po_file, tmp_path, capsys):
     plan_path = tmp_path / "plan.json"
     assert main(["solve", str(po_file), "--plan-out",
@@ -180,6 +193,14 @@ def test_solve_kernel_flag_is_accepted(po_file, capsys):
         assert main(["solve", str(po_file), "--kernel",
                      kernel]) == EXIT_SAT
     capsys.readouterr()
+
+
+def test_solve_offers_only_the_built_kernels(po_file, monkeypatch, capsys):
+    # without the extension, --kernel compiled is a usage error, not an
+    # ImportError out of the solve
+    monkeypatch.setattr(_kernel, "available_backends", lambda: ("pure",))
+    assert main(["solve", str(po_file), "--kernel", "compiled"]) == EXIT_ERROR
+    assert "invalid choice: 'compiled'" in capsys.readouterr().err
 
 
 def test_solve_has_no_jobs_flag(po_file, capsys):

@@ -15,6 +15,7 @@ headers are available.
 
 import hashlib
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -500,14 +501,25 @@ NODE_TOTALS = {
 }
 
 
+@lru_cache(maxsize=None)
+def pure_results(name):
+    """(status, plan, nodes) of the pure kernel on each NODE_TOTALS[name]
+    draw, solved once for both tests below."""
+    salt, draws, shape, _, _ = NODE_TOTALS[name]
+    run = backend_run_search("pure")
+    results = []
+    for i in range(draws):
+        status, plan, _, nodes, _ = run(compile_problem(generate(
+            GenSpec(seed=derive_seed(81, salt, i), **shape))))
+        results.append((status, plan, nodes))
+    return results
+
+
 @pytest.mark.parametrize("name", sorted(NODE_TOTALS))
 def test_pure_kernel_node_totals(name):
-    salt, draws, shape, nodes, sat = NODE_TOTALS[name]
-    run = backend_run_search("pure")
-    results = [run(compile_problem(generate(
-        GenSpec(seed=derive_seed(81, salt, i), **shape))))
-        for i in range(draws)]
-    assert sum(r[3] for r in results) == nodes
+    _, _, _, nodes, sat = NODE_TOTALS[name]
+    results = pure_results(name)
+    assert sum(r[2] for r in results) == nodes
     assert [r[0] for r in results].count(_kernel.SAT) == sat
 
 
@@ -523,12 +535,8 @@ PLAN_DIGESTS = {
 
 @pytest.mark.parametrize("name", sorted(NODE_TOTALS))
 def test_pure_kernel_plan_digests(name):
-    salt, draws, shape, _, _ = NODE_TOTALS[name]
-    run = backend_run_search("pure")
     digest = hashlib.sha256()
-    for i in range(draws):
-        status, plan, *_ = run(compile_problem(generate(
-            GenSpec(seed=derive_seed(81, salt, i), **shape))))
+    for i, (status, plan, _) in enumerate(pure_results(name)):
         if status == _kernel.SAT:
             digest.update(f"{i} {plan}\n".encode())
     assert digest.hexdigest() == PLAN_DIGESTS[name]

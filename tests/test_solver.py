@@ -218,6 +218,24 @@ def test_budget_deadline_helper():
     assert Budget(max_millis=1500).deadline(2.0) == pytest.approx(3.5)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("max_millis", float("nan")), ("max_millis", float("inf")),
+    ("max_millis", -1.0), ("max_millis", True), ("max_millis", "5"),
+    ("max_nodes", -1), ("max_nodes", True), ("max_nodes", 1.0),
+    ("max_patterns", -1), ("max_patterns", False), ("max_patterns", 2.5)])
+def test_budget_checks_its_own_values(field, value):
+    # a NaN deadline is never passed and a negative count reports BUDGET
+    # at once, so both are refused where the budget is made
+    with pytest.raises(InvariantError, match=f"^budget: {field} must be"):
+        Budget(**{field: value})
+
+
+def test_a_zero_budget_is_valid(po_instance):
+    assert Budget(max_millis=0, max_nodes=0, max_patterns=0).max_nodes == 0
+    res = solve_backtracking(po_instance, Budget(max_nodes=0))
+    assert res.verdict is Verdict.BUDGET
+
+
 @pytest.mark.parametrize("kind", CONSTRAINT_KINDS + ("mixed",))
 @pytest.mark.parametrize("seed", range(8))
 def test_solvers_agree_with_ground_truth(kind, seed):
