@@ -6,22 +6,10 @@ constraints structurally, and keeps incrementally-repaired block/user
 matchings for the authorisation alternatives.  The search is serial: one
 call walks the whole tree from the root.  Two interchangeable backends
 implement the same contract and return the same status, plan and counters on
-every call: the compiled extension (_speed, built from Cython), which repairs
-one matching per alternative, and the pure-Python one (_pure), which repairs
-one per class of alternatives that agree on every mask visited so far.  The
-pure backend sorts the alternatives once by their masks, so each class is a
-range of that order, and splits a class only when the search first reaches
-it.  A pure depth keeps its user-independent state in two packed ints:
-the blocks that SoD and BoD forbid each later depth, and the blocks each
-count and SUAL scope covers.  A pure node updates them with a few int
-operations and works out the next step's admissible blocks before it
-repairs any matching, so a node whose next step has nowhere to go is
-counted without touching a class.  The pure backend repairs a matching
-with `matching.augment`, the same Kuhn step that
-`matching.authorised_plan_for` uses, and walks the tree as one loop over an
-explicit stack with the node's work inlined, which also counts the nodes
-and checks the budgets, so its search state is freed when `run_search`
-returns.
+every call, which the parity tests check: the compiled extension (_speed,
+built from Cython), which repairs one matching per alternative, and the
+pure-Python one (_pure), whose docstring describes how it shares that work
+across alternatives and packs its per-depth state.
 Selection happens at import: the compiled backend when it is importable,
 the pure one otherwise.  `backend_run_search` fetches either by name.
 """

@@ -23,13 +23,15 @@ from dataclasses import fields
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Optional, Sequence, get_args
+from statistics import median_low
+from typing import Optional, Sequence
 
 import jsonschema
 
 from . import _kernel
 from .absorption import branching_bound
 from .core import (
+    CATALOGUE,
     AuthorisationFunction,
     Constraint,
     Instance,
@@ -88,7 +90,7 @@ class CliError(WspError):
 # The file form of every constraint in the catalogue: its kind is the
 # lower-cased class name, and its keys are the class's fields in
 # declaration order.
-_KINDS = {cls.__name__.lower(): cls for cls in get_args(Constraint)}
+_KINDS = {cls.__name__.lower(): cls for cls in CATALOGUE}
 
 # The fields that hold user sets: a mask in a constraint, a list of user ids
 # in its document.  WL's `teams` holds one such set per team.
@@ -489,11 +491,6 @@ def cmd_calibrate(args) -> int:
 # --- bench -----------------------------------------------------------------------------------
 
 
-def _lower_median(values):
-    ordered = sorted(values)
-    return ordered[(len(ordered) - 1) // 2]
-
-
 def _parse_int_list(text: str, flag: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part.strip()]
@@ -552,9 +549,9 @@ def cmd_bench(args) -> int:
     for (k, n, algorithm), samples in groups.items():
         summaries.append([
             k, n, label, "median", algorithm, "",
-            f"{_lower_median([s[0] for s in samples]):.3f}",
-            _lower_median([s[1] for s in samples]),
-            _lower_median([s[2] for s in samples]),
+            f"{median_low([s[0] for s in samples]):.3f}",
+            median_low([s[1] for s in samples]),
+            median_low([s[2] for s in samples]),
         ])
 
     sink = open(args.out, "w", encoding="ascii", newline="") \

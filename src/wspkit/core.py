@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union, get_args
 
 
 class WspError(Exception):
@@ -177,71 +177,66 @@ class AuthorisationFunction:
 
 
 @dataclass(frozen=True, slots=True)
-class SoD:
+class _Pair:
+    """The pair shape, shared by SoD and BoD: two distinct steps."""
+
+    s1: int
+    s2: int
+
+    def __post_init__(self) -> None:
+        _check_pair(self.s1, self.s2, type(self).__name__.lower())
+
+    @property
+    def steps(self) -> tuple[int, ...]:
+        return (self.s1, self.s2)
+
+
+class SoD(_Pair):
     """Separation of duty: the two steps get different users."""
 
-    s1: int
-    s2: int
-
-    def __post_init__(self) -> None:
-        _check_pair(self.s1, self.s2, "sod")
-
-    @property
-    def steps(self) -> tuple[int, ...]:
-        return (self.s1, self.s2)
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class BoD:
+class BoD(_Pair):
     """Binding of duty: the two steps get the same user."""
 
-    s1: int
-    s2: int
-
-    def __post_init__(self) -> None:
-        _check_pair(self.s1, self.s2, "bod")
-
-    @property
-    def steps(self) -> tuple[int, ...]:
-        return (self.s1, self.s2)
+    __slots__ = ()
 
 
 @dataclass(frozen=True, slots=True)
-class AtMost:
+class _Count:
+    """The count shape, shared by AtMost and AtLeast: a bound r on the
+    number of distinct users over a scope of at least 2 steps.  Each kind's
+    class sets `at_most`, which tells the two bounds apart."""
+
+    r: int
+    scope: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        what = type(self).__name__.lower()
+        object.__setattr__(self, "scope", _steps_tuple(self.scope, what))
+        _require(len(self.scope) >= 2,
+                 f"{what}: scope must have at least 2 steps (|T| = 1 is vacuous)")
+        _require(1 <= self.r <= len(self.scope),
+                 f"{what}: r must lie in [1, {len(self.scope)}]")
+
+    @property
+    def steps(self) -> tuple[int, ...]:
+        return self.scope
+
+
+class AtMost(_Count):
     """At most r distinct users over the scope."""
 
-    r: int
-    scope: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "scope", _steps_tuple(self.scope, "atmost"))
-        _require(len(self.scope) >= 2,
-                 "atmost: scope must have at least 2 steps (|T| = 1 is vacuous)")
-        _require(1 <= self.r <= len(self.scope),
-                 f"atmost: r must lie in [1, {len(self.scope)}]")
-
-    @property
-    def steps(self) -> tuple[int, ...]:
-        return self.scope
+    __slots__ = ()
+    at_most = True
 
 
-@dataclass(frozen=True, slots=True)
-class AtLeast:
+class AtLeast(_Count):
     """At least r distinct users over the scope."""
 
-    r: int
-    scope: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "scope", _steps_tuple(self.scope, "atleast"))
-        _require(len(self.scope) >= 2,
-                 "atleast: scope must have at least 2 steps (|T| = 1 is vacuous)")
-        _require(1 <= self.r <= len(self.scope),
-                 f"atleast: r must lie in [1, {len(self.scope)}]")
-
-    @property
-    def steps(self) -> tuple[int, ...]:
-        return self.scope
+    __slots__ = ()
+    at_most = False
 
 
 @dataclass(frozen=True, slots=True)
@@ -314,6 +309,8 @@ class ADA:
 
 Constraint = Union[SoD, BoD, AtMost, AtLeast, SUAL, WL, ADA]
 
+CATALOGUE = get_args(Constraint)  # the seven constraint classes, in order
+
 UI_KINDS = (SoD, BoD, AtMost, AtLeast)
 
 
@@ -369,10 +366,9 @@ def is_eligible(plan: Sequence[int], c: Constraint) -> bool:
         return _at(plan, c.s1) != _at(plan, c.s2)
     if isinstance(c, BoD):
         return _at(plan, c.s1) == _at(plan, c.s2)
-    if isinstance(c, AtMost):
-        return len({_at(plan, s) for s in c.scope}) <= c.r
-    if isinstance(c, AtLeast):
-        return len({_at(plan, s) for s in c.scope}) >= c.r
+    if isinstance(c, _Count):
+        used = len({_at(plan, s) for s in c.scope})
+        return used <= c.r if c.at_most else used >= c.r
     if isinstance(c, SUAL):
         used = _users_on(plan, c.scope)
         return used.bit_count() > c.h or not used & ~c.supers
@@ -420,6 +416,10 @@ class Instance:
         # the messages are formatted only on failure: calibration builds
         # thousands of instances, each checking every step and user named
         for c in self.constraints:
+            if not isinstance(c, CATALOGUE):
+                raise InvariantError(
+                    f"instance: {type(c).__name__} is not a constraint of the "
+                    f"catalogue ({', '.join(t.__name__ for t in CATALOGUE)})")
             for s in c.steps:
                 if not 0 <= s < self.k:
                     raise InvariantError(

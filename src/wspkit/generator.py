@@ -32,10 +32,7 @@ k = 12 for scopes (792); the values of a smaller k are among those, so the
 caches never evict.  Past that k each value is built unshared, since hits
 grow rare (6.5% of am3 draws at k = 20 through a cache of this bound) and a
 miss costs more than an unshared value.  Draws are equal value for value to
-unshared ones and consume the stream the same way.  A held k=12
-`search`-shaped draw owns 3 objects that the cyclic collector tracks
-instead of 41, so holding many draws no longer makes each collection walk
-their constraints.
+unshared ones and consume the stream the same way.
 
 `calibrate_pt` locates the constraint count at which roughly half the drawn
 instances are satisfiable: the hardest regime, where instances sit on the
@@ -537,11 +534,12 @@ class _Sample:
                         (*self.before, *self.varied[:total], *after))
 
 
-def calibrate_pt(k: int, n: int, base: GenSpec, samples: int = 40,
+def calibrate_pt(base: GenSpec, samples: int = 40,
                  band: tuple[float, float] = (0.4, 0.6), *,
                  vary: str = "sod", jobs: int = 1) -> PTCalibration:
     """Find the smallest `vary`-constraint count whose measured SAT rate
-    falls inside `band`, by integer bisection over [0, k(k-1)/2].
+    falls inside `band`, by integer bisection over [0, k(k-1)/2], at the
+    base spec's k steps and n users.
 
     Assumes the rate is monotone non-increasing in the count, which holds in
     expectation (every added constraint can only remove plans) though
@@ -565,10 +563,9 @@ def calibrate_pt(k: int, n: int, base: GenSpec, samples: int = 40,
                              f"got [{lo}, {hi}]")
     if vary not in FAMILY_KINDS:
         raise InvariantError(f"calibrate: unknown constraint kind {vary!r}")
-    if (k, n) != (base.k, base.n):
+    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
         raise InvariantError(
-            f"calibrate: base spec is for k={base.k}, n={base.n}, "
-            f"asked for k={k}, n={n}")
+            f"calibrate: jobs must be an int >= 1, got {jobs!r}")
     if vary == "sod" and base.sod != 0:
         raise InvariantError(
             "calibrate: base spec already fixes the sod count")
@@ -705,7 +702,7 @@ def _calibrated(base: GenSpec, kind: str, samples: int,
         cached = load_calibration(k, n, kind, samples, band, base.seed)
         if cached is not None:
             return cached
-    cal = calibrate_pt(k, n, base, samples, band, vary=kind, jobs=jobs)
+    cal = calibrate_pt(base, samples, band, vary=kind, jobs=jobs)
     if use_cache:
         save_calibration(k, n, kind, cal, band, base.seed)
     return cal

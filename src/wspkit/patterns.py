@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .core import AtLeast, AtMost, BoD, Constraint, InvariantError, SoD, _require
+from .core import Constraint, InvariantError, _require, is_eligible, is_ui
 
 
 @dataclass(frozen=True)
@@ -124,15 +124,10 @@ def pattern_satisfies(p: Pattern, c: Constraint) -> bool:
 
     Every plan with pattern p satisfies c iff p does; that is what makes
     these constraints checkable before any users are chosen.  Raises for
-    constraint kinds whose satisfaction depends on user identities.
+    constraint kinds whose satisfaction depends on user identities.  The
+    RGS is itself a plan with pattern p, so the check is the plan-level one.
     """
-    if isinstance(c, SoD):
-        return p.rgs[c.s1] != p.rgs[c.s2]
-    if isinstance(c, BoD):
-        return p.rgs[c.s1] == p.rgs[c.s2]
-    if isinstance(c, AtMost):
-        return len({p.rgs[s] for s in c.scope}) <= c.r
-    if isinstance(c, AtLeast):
-        return len({p.rgs[s] for s in c.scope}) >= c.r
-    raise InvariantError(
-        f"{type(c).__name__} is not user-independent; it has no pattern-level check")
+    if not is_ui(c):
+        raise InvariantError(
+            f"{type(c).__name__} is not user-independent; it has no pattern-level check")
+    return is_eligible(p.rgs, c)

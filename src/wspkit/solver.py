@@ -20,8 +20,6 @@ from . import _kernel
 from ._kernel import CountSpec, SearchProblem, SualSpec
 from .absorption import AbsorbedInstance, absorb
 from .core import (
-    AtLeast,
-    AtMost,
     BoD,
     CapacityError,
     Instance,
@@ -137,6 +135,15 @@ def _guard(plan: Sequence[int], inst: Instance) -> tuple[int, ...]:
     return plan
 
 
+def _finish(inst: Instance, t0: float, stats: SolveStats, verdict: Verdict,
+            plan: Optional[Sequence[int]] = None) -> SolveResult:
+    """Every solver's exit: time the solve from `t0`, check the plan
+    against `inst` and build the result."""
+    stats.wall_time = time.perf_counter() - t0
+    return SolveResult(verdict, None if plan is None else _guard(plan, inst),
+                       stats)
+
+
 # --- pattern enumeration ---------------------------------------------------
 
 
@@ -157,8 +164,7 @@ def solve_pattern_enum(inst: Instance, budget: Optional[Budget] = None) -> Solve
         if (budget.max_patterns is not None
                 and stats.patterns_visited >= budget.max_patterns) or (
                 deadline is not None and time.perf_counter() > deadline):
-            stats.wall_time = time.perf_counter() - t0
-            return SolveResult(Verdict.BUDGET, None, stats)
+            return _finish(inst, t0, stats, Verdict.BUDGET)
         stats.patterns_visited += 1
         if not all(pattern_satisfies(p, c) for c in residual):
             continue
@@ -166,10 +172,8 @@ def solve_pattern_enum(inst: Instance, budget: Optional[Budget] = None) -> Solve
             stats.matchings_computed += 1
             plan = authorised_plan_for(p, row)
             if plan is not None:
-                stats.wall_time = time.perf_counter() - t0
-                return SolveResult(Verdict.SAT, _guard(plan, inst), stats)
-    stats.wall_time = time.perf_counter() - t0
-    return SolveResult(Verdict.UNSAT, None, stats)
+                return _finish(inst, t0, stats, Verdict.SAT, plan)
+    return _finish(inst, t0, stats, Verdict.UNSAT)
 
 
 # --- backtracking over pattern prefixes -------------------------------------
@@ -205,16 +209,12 @@ def compile_search_problem(absorbed: AbsorbedInstance) -> Optional[SearchProblem
     bod_prev: list[list[int]] = [[] for _ in range(k)]
     counts: list[CountSpec] = []
     for c in absorbed.residual:
-        if isinstance(c, SoD):
+        if isinstance(c, (SoD, BoD)):
             d1, d2 = sorted((pos[c.s1], pos[c.s2]))
-            sod_prev[d2].append(d1)
-        elif isinstance(c, BoD):
-            d1, d2 = sorted((pos[c.s1], pos[c.s2]))
-            bod_prev[d2].append(d1)
-        elif isinstance(c, AtMost):
-            counts.append(CountSpec(True, c.r, tuple(sorted(pos[s] for s in c.scope))))
-        elif isinstance(c, AtLeast):
-            counts.append(CountSpec(False, c.r, tuple(sorted(pos[s] for s in c.scope))))
+            (sod_prev if isinstance(c, SoD) else bod_prev)[d2].append(d1)
+        else:  # AtMost or AtLeast
+            counts.append(CountSpec(c.at_most, c.r,
+                                    tuple(sorted(pos[s] for s in c.scope))))
     suals = tuple(
         SualSpec(tuple(sorted(pos[s] for s in c.scope)), c.h, c.supers)
         for c in absorbed.suals)
@@ -229,6 +229,11 @@ def compile_search_problem(absorbed: AbsorbedInstance) -> Optional[SearchProblem
         counts=tuple(counts),
         suals=suals,
     )
+
+
+# The kernel's status codes as verdicts, one for each.
+_KERNEL_VERDICT = {_kernel.SAT: Verdict.SAT, _kernel.UNSAT: Verdict.UNSAT,
+                   _kernel.BUDGET: Verdict.BUDGET}
 
 
 def solve_backtracking(
@@ -255,8 +260,7 @@ def solve_backtracking(
     absorbed = absorb(inst, max_family_size=max_family_size)
     prob = compile_search_problem(absorbed)
     if prob is None:
-        stats.wall_time = time.perf_counter() - t0
-        return SolveResult(Verdict.UNSAT, None, stats)
+        return _finish(inst, t0, stats, Verdict.UNSAT)
 
     run = _kernel.backend_run_search(backend)
     status, plan, patterns, nodes, matchings = run(
@@ -267,12 +271,8 @@ def solve_backtracking(
     stats.patterns_visited = patterns
     stats.nodes_expanded = nodes
     stats.matchings_computed = matchings
-    stats.wall_time = time.perf_counter() - t0
-    if status == _kernel.SAT:
-        return SolveResult(Verdict.SAT, _guard(plan, inst), stats)
-    if status == _kernel.BUDGET:
-        return SolveResult(Verdict.BUDGET, None, stats)
-    return SolveResult(Verdict.UNSAT, None, stats)
+    # the kernels return a plan on SAT only
+    return _finish(inst, t0, stats, _KERNEL_VERDICT[status], plan)
 
 
 # --- exhaustive ground truth -------------------------------------------------
@@ -301,7 +301,5 @@ def solve_bruteforce(inst: Instance, cap: int = 10_000_000) -> SolveResult:
     for plan in itertools.product(*lists):
         stats.nodes_expanded += 1
         if all(is_eligible(plan, c) for c in constraints):
-            stats.wall_time = time.perf_counter() - t0
-            return SolveResult(Verdict.SAT, _guard(plan, inst), stats)
-    stats.wall_time = time.perf_counter() - t0
-    return SolveResult(Verdict.UNSAT, None, stats)
+            return _finish(inst, t0, stats, Verdict.SAT, plan)
+    return _finish(inst, t0, stats, Verdict.UNSAT)

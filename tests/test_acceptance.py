@@ -417,7 +417,7 @@ def test_criterion_09_calibration_rate(capsys):
         t0 = time.perf_counter()
         master = derive_seed(8, 80)
         base = GenSpec(k=8, n=80, am3=8, seed=master)
-        cal = calibrate_pt(8, 80, base, samples=40, band=(0.4, 0.6))
+        cal = calibrate_pt(base, samples=40, band=(0.4, 0.6))
         sat = 0
         for i in range(200):
             spec = replace(base, sod=base.sod + cal.e_value,

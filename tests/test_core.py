@@ -218,6 +218,24 @@ def test_instance_validation_errors():
         Instance(2, 3, auth, ())  # n mismatch
 
 
+class _DuckSoD:
+    """Looks like a SoD to code that reads only `steps`, `s1` and `s2`."""
+
+    steps = (0, 1)
+    s1, s2 = 0, 1
+
+
+@pytest.mark.parametrize("stranger", [object(), (0, 1), _DuckSoD()],
+                         ids=["object", "tuple", "duck"])
+def test_instance_refuses_constraints_outside_the_catalogue(stranger):
+    auth = AuthorisationFunction.total(2, 2)
+    name = type(stranger).__name__
+    with pytest.raises(InvariantError, match=(
+            rf"^instance: {name} is not a constraint of the catalogue "
+            r"\(SoD, BoD, AtMost, AtLeast, SUAL, WL, ADA\)$")):
+        Instance(2, 2, auth, (SoD(0, 1), stranger))
+
+
 def test_authorisation_mask_range_errors_name_the_step():
     with pytest.raises(InvariantError,
                        match=r"^authorisation: step 1 names a user outside \[0, 3\)$"):
@@ -415,6 +433,25 @@ def test_value_classes_replace_and_stay_frozen():
         field = dataclasses.fields(obj)[0].name
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(obj, field, 1)
+
+
+def test_shared_shape_bodies_keep_each_kind_apart():
+    # SoD and BoD share the pair body, AtMost and AtLeast the count body
+    scope = (0, 1, 2)
+    assert SoD(0, 1) != BoD(0, 1)
+    assert AtMost(2, scope) != AtLeast(2, scope)
+    assert SoD(0, 1) == SoD(0, 1) and AtLeast(2, scope) == AtLeast(2, scope)
+    assert repr(SoD(0, 1)) == "SoD(s1=0, s2=1)"
+    assert repr(BoD(0, 1)) == "BoD(s1=0, s2=1)"
+    assert repr(AtMost(2, scope)) == "AtMost(r=2, scope=(0, 1, 2))"
+    assert repr(AtLeast(2, scope)) == "AtLeast(r=2, scope=(0, 1, 2))"
+    # the instance file form writes each kind's fields in this order
+    order = {cls: [f.name for f in dataclasses.fields(cls)]
+             for cls in (SoD, BoD, AtMost, AtLeast, SUAL, WL, ADA)}
+    assert order == {SoD: ["s1", "s2"], BoD: ["s1", "s2"],
+                     AtMost: ["r", "scope"], AtLeast: ["r", "scope"],
+                     SUAL: ["scope", "h", "supers"], WL: ["scope", "teams"],
+                     ADA: ["s1", "s2", "trigger", "required"]}
 
 
 def _json_document(rng: random.Random, depth: int = 0):

@@ -12,6 +12,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -508,16 +509,28 @@ def sat_rate(base, vary, count, samples):
 def test_calibrate_argument_validation():
     base = base_spec()
     with pytest.raises(InvariantError, match="20 samples"):
-        calibrate_pt(5, 8, base, samples=10, band=BAND)
+        calibrate_pt(base, samples=10, band=BAND)
     with pytest.raises(InvariantError, match="band"):
-        calibrate_pt(5, 8, base, samples=20, band=(0.6, 0.4))
+        calibrate_pt(base, samples=20, band=(0.6, 0.4))
     with pytest.raises(InvariantError, match="kind"):
-        calibrate_pt(5, 8, base, samples=20, band=BAND, vary="bod")
-    with pytest.raises(InvariantError, match="base spec"):
-        calibrate_pt(6, 8, base, samples=20, band=BAND)
+        calibrate_pt(base, samples=20, band=BAND, vary="bod")
     with pytest.raises(InvariantError, match="sod count"):
-        calibrate_pt(5, 8, GenSpec(k=5, n=8, am3=5, sod=2), samples=20,
+        calibrate_pt(GenSpec(k=5, n=8, am3=5, sod=2), samples=20,
                      band=BAND)
+
+
+@pytest.mark.parametrize("jobs", [0, -3, True, False, 1.0, "2", None])
+def test_calibrate_refuses_jobs_that_are_not_a_positive_int(jobs, monkeypatch):
+    # refused before any draw is solved
+    import wspkit.solver
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("calibration solved a draw")
+
+    monkeypatch.setattr(wspkit.solver, "solve_backtracking", no_solve)
+    with pytest.raises(InvariantError, match=r"calibrate: jobs must be an "
+                       rf"int >= 1, got {re.escape(repr(jobs))}$"):
+        calibrate_pt(base_spec(), samples=20, band=BAND, jobs=jobs)
 
 
 def test_calibration_rate_bounds():
@@ -527,7 +540,7 @@ def test_calibration_rate_bounds():
 
 
 def test_calibrate_finds_the_transition():
-    cal = calibrate_pt(5, 8, base_spec(), samples=40, band=BAND)
+    cal = calibrate_pt(base_spec(), samples=40, band=BAND)
     assert cal == PTCalibration(e_value=2, sat_rate=0.7, samples=40)
     # measured fresh, the calibrated family really straddles the transition
     rate = sat_rate(base_spec(), "sod", cal.e_value, 40)
@@ -535,7 +548,7 @@ def test_calibrate_finds_the_transition():
 
 
 def test_calibrate_returns_zero_when_unconstrained_rate_is_in_band():
-    cal = calibrate_pt(5, 8, base_spec(), samples=40, band=(0.25, 0.9))
+    cal = calibrate_pt(base_spec(), samples=40, band=(0.25, 0.9))
     assert cal.e_value == 0
     assert cal.sat_rate == 0.875
 
@@ -549,26 +562,26 @@ def test_calibrate_rate_is_monotone_under_common_seeds():
 def test_calibrate_error_below_band_at_zero():
     base = GenSpec(k=5, n=8, am3=5, wl=3, seed=derive_seed(5, 8))
     with pytest.raises(CalibrationError, match="below the band"):
-        calibrate_pt(5, 8, base, samples=40, band=BAND)
+        calibrate_pt(base, samples=40, band=BAND)
 
 
 def test_calibrate_error_rate_stays_high():
     # extra am3 constraints never push this size down into the band
     with pytest.raises(CalibrationError, match="stays above"):
-        calibrate_pt(5, 8, base_spec(), samples=40, band=BAND, vary="am3")
+        calibrate_pt(base_spec(), samples=40, band=BAND, vary="am3")
 
 
 def test_calibrate_error_rate_cliff():
     # at this size a single wl constraint overshoots the band entirely
     fixed = GenSpec(k=5, n=8, am3=5, sod=1, seed=derive_seed(5, 8))
     with pytest.raises(CalibrationError, match="jumps"):
-        calibrate_pt(5, 8, fixed, samples=40, band=BAND, vary="wl")
+        calibrate_pt(fixed, samples=40, band=BAND, vary="wl")
 
 
 def test_parallel_rate_estimate_matches_serial():
     base = base_spec()
-    assert calibrate_pt(5, 8, base, samples=20, band=BAND, jobs=2) == \
-        calibrate_pt(5, 8, base, samples=20, band=BAND, jobs=1)
+    assert calibrate_pt(base, samples=20, band=BAND, jobs=2) == \
+        calibrate_pt(base, samples=20, band=BAND, jobs=1)
 
 
 # per varied kind: a base spec with constraints drawn before and after it
@@ -606,7 +619,7 @@ def test_calibration_solves_the_instances_generate_gives(monkeypatch):
 
     monkeypatch.setattr(wspkit.solver, "solve_backtracking", recording)
     base = base_spec()
-    cal = calibrate_pt(5, 8, base, samples=20, band=BAND)
+    cal = calibrate_pt(base, samples=20, band=BAND)
     probes = (0, 10, 5, 2, 1)   # seed-pinned bisection order
     assert cal.e_value in probes
     assert seen == [generate(replace(base, sod=count,
