@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+# every backend's status codes: _pure imports them, and _speed.pyx, whose
+# source its checksum pins, repeats them
 UNSAT, SAT, BUDGET = 0, 1, 2
 
 KERNEL_MAX_STEPS = 64  # block labels and cover sets live in single machine words

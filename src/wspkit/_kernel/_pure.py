@@ -68,8 +68,7 @@ from operator import itemgetter
 from typing import Optional
 
 from ..matching import augment
-
-UNSAT, SAT, BUDGET = 0, 1, 2
+from . import BUDGET, SAT, UNSAT
 
 _TIME_CHECK_EVERY = 2048
 _NEVER = 1 << 62  # a node count no search reaches

@@ -339,15 +339,9 @@ def _users_named(c: Constraint) -> int:
 Plan = tuple  # tuple[int, ...], one user per step
 
 
-def _at(plan: Sequence[int], s: int) -> int:
-    if not 0 <= s < len(plan):
-        raise InvariantError(f"plan: step {s} outside the plan's {len(plan)} steps")
-    return plan[s]
-
-
 def _user_bit(plan: Sequence[int], s: int) -> int:
     """The one-bit mask of the user the plan gives step s."""
-    u = _at(plan, s)
+    u = plan[s]
     if not (isinstance(u, int) and u >= 0):
         raise InvariantError(f"plan: step {s} assigned invalid user {u!r}")
     return 1 << u
@@ -362,23 +356,30 @@ def _users_on(plan: Sequence[int], scope: Iterable[int]) -> int:
 
 def is_eligible(plan: Sequence[int], c: Constraint) -> bool:
     """Does the plan satisfy the single constraint c?"""
-    if isinstance(c, SoD):
-        return _at(plan, c.s1) != _at(plan, c.s2)
-    if isinstance(c, BoD):
-        return _at(plan, c.s1) == _at(plan, c.s2)
-    if isinstance(c, _Count):
-        used = len({_at(plan, s) for s in c.scope})
-        return used <= c.r if c.at_most else used >= c.r
-    if isinstance(c, SUAL):
-        used = _users_on(plan, c.scope)
-        return used.bit_count() > c.h or not used & ~c.supers
-    if isinstance(c, WL):
-        used = _users_on(plan, c.scope)
-        return any(not used & ~team for team in c.teams)
-    if isinstance(c, ADA):
-        if _user_bit(plan, c.s1) & c.trigger:
-            return _user_bit(plan, c.s2) & c.required != 0
-        return True
+    try:
+        if isinstance(c, SoD):
+            return plan[c.s1] != plan[c.s2]
+        if isinstance(c, BoD):
+            return plan[c.s1] == plan[c.s2]
+        if isinstance(c, _Count):
+            used = len({plan[s] for s in c.scope})
+            return used <= c.r if c.at_most else used >= c.r
+        if isinstance(c, SUAL):
+            used = _users_on(plan, c.scope)
+            return used.bit_count() > c.h or not used & ~c.supers
+        if isinstance(c, WL):
+            used = _users_on(plan, c.scope)
+            return any(not used & ~team for team in c.teams)
+        if isinstance(c, ADA):
+            if _user_bit(plan, c.s1) & c.trigger:
+                return _user_bit(plan, c.s2) & c.required != 0
+            return True
+    except IndexError:
+        # steps are non-negative, so only a step past the plan fails a read,
+        # and the reads run in `c.steps` order
+        s = next(s for s in c.steps if s >= len(plan))
+        raise InvariantError(
+            f"plan: step {s} outside the plan's {len(plan)} steps") from None
     raise InvariantError(f"unknown constraint type: {type(c).__name__}")
 
 

@@ -574,12 +574,6 @@ class CSModel:
     variables: tuple[CsVar, ...]
     rows: tuple[CsRow, ...]
 
-    def domain_of(self, name: str) -> tuple[int, ...]:
-        for v in self.variables:
-            if v.name == name:
-                return v.domain
-        raise KeyError(name)
-
     def row_holds(self, row: CsRow, a: Mapping[str, int]) -> bool:
         kind = row.kind
         if kind == "eq":

@@ -42,8 +42,9 @@ order above, so the instance at any count of the varied kind is a prefix of
 one list of that kind's constraints plus the kinds drawn after it, and equals
 what `generate` gives for that count.  While one call runs, each sample
 keeps the constraints of the largest count probed, at most the cap
-k(k-1)/2 on top of the base count.  `make_family` builds the two
-standard benchmark families around that point:
+k(k-1)/2 on top of the base count.  `family_spec` gives the counts of the
+two standard benchmark families around that point, and `family_draw` draws
+their members:
 
   family "sod":           k am3 + e sod             (e calibrated)
   family c in {am3, sual, wl, ada}:
@@ -60,7 +61,7 @@ import sys
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache, partial
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .core import (
     ADA,
@@ -86,8 +87,6 @@ GENERATOR_VERSION = 1
 # authorised user; pathological specs (far more steps than the users can
 # cover) would retry forever without a cap
 MAX_DRAW_ATTEMPTS = 1000
-
-FAMILY_KINDS = ("sod", "am3", "sual", "wl", "ada")
 
 
 class CalibrationError(WspError):
@@ -246,12 +245,6 @@ class SplitMix64:
 
 # --- specs ----------------------------------------------------------------------
 
-# the fewest steps and users each kind's draws need, by the shapes in the
-# module docstring; keyed in FAMILY_KINDS order
-_SHAPES = {"sod": (2, 1), "am3": (5, 1), "sual": (5, 5), "wl": (2, 4),
-           "ada": (2, 2)}
-
-
 @dataclass(frozen=True)
 class GenSpec:
     """What to draw: problem size, constraint counts, and the master seed."""
@@ -277,7 +270,7 @@ class GenSpec:
             raise InvariantError(f"spec: k must be at least 1, got {self.k}")
         if self.n < 1:
             raise InvariantError(f"spec: n must be at least 1, got {self.n}")
-        for kind, (steps, users) in _SHAPES.items():
+        for kind, (_, steps, users) in _KINDS.items():
             count = getattr(self, kind)
             if count < 0:
                 raise InvariantError(f"spec: {kind} count must be non-negative")
@@ -437,10 +430,23 @@ def _draw_ada(rng: SplitMix64, k: int, n: int) -> Constraint:
     return ADA(s1, s2, mask_of(rng.subset(n, half)), mask_of(rng.subset(n, half)))
 
 
-# one constraint of each kind; kinds are drawn in FAMILY_KINDS order, each
-# continuing the stream the authorisation left off
-_DRAWERS = {"sod": _draw_sod, "am3": _draw_am3, "sual": _draw_sual,
-            "wl": _draw_wl, "ada": _draw_ada}
+class _Kind(NamedTuple):
+    """A constraint kind: its drawer, which draws one constraint, and the
+    fewest steps and users its draws need, by the shapes in the module
+    docstring."""
+
+    draw: Callable[[SplitMix64, int, int], Constraint]
+    steps: int
+    users: int
+
+
+# the kinds in draw order, each continuing the stream the kinds before it
+# (or the authorisation) left off; `GenSpec` has one count field per kind
+_KINDS = {"sod": _Kind(_draw_sod, 2, 1), "am3": _Kind(_draw_am3, 5, 1),
+          "sual": _Kind(_draw_sual, 5, 5), "wl": _Kind(_draw_wl, 2, 4),
+          "ada": _Kind(_draw_ada, 2, 2)}
+
+FAMILY_KINDS = tuple(_KINDS)
 
 
 def _draw_kinds(rng: SplitMix64, spec: GenSpec,
@@ -448,8 +454,11 @@ def _draw_kinds(rng: SplitMix64, spec: GenSpec,
     """The constraints of `kinds`, in order, as many of each as `spec`
     asks for."""
     k, n = spec.k, spec.n
-    return [_DRAWERS[kind](rng, k, n)
-            for kind in kinds for _ in range(getattr(spec, kind))]
+    out: list[Constraint] = []
+    for kind in kinds:
+        draw = _KINDS[kind].draw
+        out += [draw(rng, k, n) for _ in range(getattr(spec, kind))]
+    return out
 
 
 def generate_with_meta(spec: GenSpec) -> tuple[Instance, dict]:
@@ -505,6 +514,7 @@ class _Sample:
         cut = FAMILY_KINDS.index(vary)
         self.base = base
         self.vary = vary
+        self.draw = _KINDS[vary].draw
         self.seed = derive_seed(base.seed, index)
         self.kinds_before = FAMILY_KINDS[:cut]
         self.kinds_after = FAMILY_KINDS[cut + 1:]
@@ -526,12 +536,34 @@ class _Sample:
         total = getattr(base, vary) + count
         rng = SplitMix64(self.states[-1])
         while len(self.varied) < total:
-            self.varied.append(_DRAWERS[vary](rng, base.k, base.n))
+            self.varied.append(self.draw(rng, base.k, base.n))
             self.states.append(rng.state)
         after = _draw_kinds(SplitMix64(self.states[total]), base,
                             self.kinds_after)
         return Instance(base.k, base.n, self.auth,
                         (*self.before, *self.varied[:total], *after))
+
+
+def _check_calibration(base: GenSpec, samples: int,
+                       band: tuple[float, float], vary: str,
+                       jobs: int) -> None:
+    """`calibrate_pt`'s argument checks, which also run before a cached
+    calibration is read, so a cache hit refuses what a miss refuses."""
+    lo, hi = band
+    if samples < 20:
+        raise InvariantError(
+            f"calibrate: need at least 20 samples, got {samples}")
+    if not 0.0 < lo < hi < 1.0:
+        raise InvariantError(f"calibrate: band must satisfy 0 < lo < hi < 1, "
+                             f"got [{lo}, {hi}]")
+    if vary not in FAMILY_KINDS:
+        raise InvariantError(f"calibrate: unknown constraint kind {vary!r}")
+    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+        raise InvariantError(
+            f"calibrate: jobs must be an int >= 1, got {jobs!r}")
+    if vary == "sod" and base.sod != 0:
+        raise InvariantError(
+            "calibrate: base spec already fixes the sod count")
 
 
 def calibrate_pt(base: GenSpec, samples: int = 40,
@@ -554,22 +586,7 @@ def calibrate_pt(base: GenSpec, samples: int = 40,
     k(k-1)/2) until the call returns.  With `jobs > 1` one process pool
     serves the whole call and its workers receive instances.
     """
-    lo, hi = band
-    if samples < 20:
-        raise InvariantError(
-            f"calibrate: need at least 20 samples, got {samples}")
-    if not 0.0 < lo < hi < 1.0:
-        raise InvariantError(f"calibrate: band must satisfy 0 < lo < hi < 1, "
-                             f"got [{lo}, {hi}]")
-    if vary not in FAMILY_KINDS:
-        raise InvariantError(f"calibrate: unknown constraint kind {vary!r}")
-    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
-        raise InvariantError(
-            f"calibrate: jobs must be an int >= 1, got {jobs!r}")
-    if vary == "sod" and base.sod != 0:
-        raise InvariantError(
-            "calibrate: base spec already fixes the sod count")
-
+    _check_calibration(base, samples, band, vary, jobs)
     if jobs > 1:
         # imported here: the pool machinery costs every `import wspkit`
         from concurrent.futures import ProcessPoolExecutor
@@ -697,6 +714,7 @@ def _calibrated(base: GenSpec, kind: str, samples: int,
                 jobs: int) -> PTCalibration:
     """The calibrated count of `kind` on top of `base`, from the cache
     when it holds one."""
+    _check_calibration(base, samples, band, kind, jobs)
     k, n = base.k, base.n
     if use_cache:
         cached = load_calibration(k, n, kind, samples, band, base.seed)
@@ -734,21 +752,3 @@ def family_spec(kind: str, k: int, n: int, *,
                             jobs).e_value
     return replace(base, seed=0, **{kind: getattr(base, kind) + extra})
 
-
-def family_stream(spec: GenSpec, master_seed: int) -> Iterator[Instance]:
-    """Unbounded stream of draws from one GenSpec, one sub-seed per index."""
-    index = 0
-    while True:
-        yield family_draw(spec, master_seed, index)[0]
-        index += 1
-
-
-def make_family(kind: str, k: int, n: int, seed: int, *,
-                count_override: Optional[int] = None, samples: int = 40,
-                band: tuple[float, float] = (0.4, 0.6),
-                use_cache: bool = True, jobs: int = 1) -> Iterator[Instance]:
-    """Stream instances of a calibrated benchmark family."""
-    spec = family_spec(kind, k, n, count_override=count_override,
-                       samples=samples, band=band, use_cache=use_cache,
-                       jobs=jobs)
-    return family_stream(spec, seed)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .core import _require
+from .core import InvariantError
 from .patterns import Pattern
 
 
@@ -46,7 +46,9 @@ def authorised_plan_for(p: Pattern, row: Sequence[int]) -> Optional[tuple[int, .
     Deterministic: blocks are matched in ascending label order, each trying
     users in ascending index order, so the same inputs give the same plan.
     """
-    _require(p.k == len(row), f"pattern has {p.k} steps, authorisation {len(row)}")
+    if p.k != len(row):
+        raise InvariantError(
+            f"pattern has {p.k} steps, authorisation {len(row)}")
     masks = [-1] * p.block_count  # -1 has every bit set, and no block is empty
     for s, b in enumerate(p.rgs):
         masks[b] &= row[s]

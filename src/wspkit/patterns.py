@@ -40,27 +40,6 @@ class Pattern:
     def block_count(self) -> int:
         return max(self.rgs) + 1
 
-    def blocks(self) -> tuple[tuple[int, ...], ...]:
-        """Blocks as step tuples, indexed by block label."""
-        out: list[list[int]] = [[] for _ in range(self.block_count)]
-        for s, b in enumerate(self.rgs):
-            out[b].append(s)
-        return tuple(tuple(block) for block in out)
-
-    def block_of(self, s: int) -> int:
-        return self.rgs[s]
-
-    def to_text(self) -> str:
-        return ",".join(str(b) for b in self.rgs)
-
-    @classmethod
-    def from_text(cls, text: str) -> "Pattern":
-        try:
-            rgs = tuple(int(part) for part in text.split(","))
-        except ValueError as e:
-            raise InvariantError(f"pattern text {text!r} is not comma-separated integers") from e
-        return cls(rgs)
-
 
 def pattern_of(plan: Sequence[int]) -> Pattern:
     """The pattern a plan induces: steps sharing a user share a block."""

@@ -26,7 +26,6 @@ from .core import (
     InvariantError,
     SoD,
     WspError,
-    bits_of,
     is_eligible,
     is_valid,
 )
@@ -278,12 +277,8 @@ def solve_backtracking(
 # --- exhaustive ground truth -------------------------------------------------
 
 
-def _auth_lists(inst: Instance) -> list[tuple[int, ...]]:
-    return [bits_of(inst.auth.mask(s)) for s in range(inst.k)]
-
-
 def _check_cap(inst: Instance, cap: int) -> list[tuple[int, ...]]:
-    lists = _auth_lists(inst)
+    lists = [inst.auth.users(s) for s in range(inst.k)]
     work = prod(len(us) for us in lists)
     if work > cap:
         raise CapacityError(

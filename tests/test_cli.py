@@ -739,6 +739,14 @@ def test_calibrate_reuses_the_cache(cache_env, capsys):
     assert (cache_env / "pt-k5-n8-sod.json").read_bytes() == cached
 
 
+def test_calibrate_checks_jobs_before_it_reads_the_cache(cache_env, capsys):
+    assert main(["calibrate", "--k", "5", "--n", "8"] + BAND) == EXIT_OK
+    capsys.readouterr()
+    assert main(["calibrate", "--k", "5", "--n", "8", "--jobs", "0"]
+                + BAND) == EXIT_ERROR
+    assert "jobs must be an int >= 1, got 0" in capsys.readouterr().err
+
+
 def test_calibrate_reports_an_unreachable_band(cache_env, capsys):
     code = main(["calibrate", "--k", "5", "--n", "8", "--family",
                  "wsp_am3"] + BAND)

@@ -23,6 +23,7 @@ from wspkit.core import (
     AtMost,
     AuthorisationFunction,
     BoD,
+    CATALOGUE,
     Instance,
     InvariantError,
     SUAL,
@@ -341,10 +342,24 @@ def test_user_set_forms_compare_hash_and_replace_alike(kind):
         assert dataclasses.replace(c, **{field: value}) == built[0]
 
 
-def test_eligibility_rejects_a_user_that_is_no_mask_bit():
-    for c in (SUAL((0, 1), 1, {0}), WL((0, 1), ({0},)), ADA(0, 1, {0}, {1})):
+# one constraint of each catalogue class on steps 0 and 2; the plan (0, 0)
+# has no step 2, and user 0 is the trigger, so ADA reads step 2 as well
+ON_STEPS_0_AND_2 = {
+    SoD: SoD(0, 2), BoD: BoD(0, 2), AtMost: AtMost(1, (0, 2)),
+    AtLeast: AtLeast(2, (0, 2)), SUAL: SUAL((0, 2), 1, {0}),
+    WL: WL((0, 2), ({0},)), ADA: ADA(0, 2, {0}, {1}),
+}
+
+
+@pytest.mark.parametrize("kind", CATALOGUE, ids=lambda kind: kind.__name__)
+def test_eligibility_rejects_a_plan_it_cannot_read(kind):
+    c = ON_STEPS_0_AND_2[kind]
+    with pytest.raises(InvariantError,
+                       match=r"^plan: step 2 outside the plan's 2 steps$"):
+        is_eligible((0, 0), c)
+    if not is_ui(c):  # a user that is no mask bit
         with pytest.raises(InvariantError, match="invalid user -1"):
-            is_eligible((-1, 0), c)
+            is_eligible((-1, 0, 0), c)
 
 
 # --- masks --------------------------------------------------------------------

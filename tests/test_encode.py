@@ -222,7 +222,7 @@ def test_step_with_no_authorised_user():
     for bits in itertools.product([0, 1], repeat=model.var_count):
         assert not model.satisfied_by(dict(zip(names, bits)))
     cs = encode_cs(inst)
-    assert cs.domain_of("y0") == ()
+    assert cs.variables[0].name == "y0" and cs.variables[0].domain == ()
     assert cs.plan_solutions() == []
 
 
@@ -256,11 +256,8 @@ def test_exactly_one_row_per_step():
 def test_cs_variables_and_domains():
     inst = make(2, 3, [[0, 2], [1]], SoD(0, 1))
     model = encode_cs(inst)
-    assert [v.name for v in model.variables] == ["y0", "y1"]
-    assert model.domain_of("y0") == (0, 2)
-    assert model.domain_of("y1") == (1,)
-    with pytest.raises(KeyError):
-        model.domain_of("y9")
+    assert [(v.name, v.domain) for v in model.variables] == [
+        ("y0", (0, 2)), ("y1", (1,))]
 
 
 def test_cs_row_vocabulary_is_closed():

@@ -15,7 +15,7 @@ import random
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -23,6 +23,7 @@ from conftest import ScalarSplitMix64
 from wspkit import cli
 from wspkit.core import ADA, AtMost, InvariantError, SoD, SUAL, WL, WspError, bits_of
 from wspkit.generator import (
+    FAMILY_KINDS,
     CalibrationError,
     GenSpec,
     PTCalibration,
@@ -30,15 +31,15 @@ from wspkit.generator import (
     calibrate_pt,
     calibration_path,
     derive_seed,
+    family_draw,
     family_spec,
-    family_stream,
     generate,
     generate_with_meta,
     load_calibration,
-    make_family,
     save_calibration,
 )
 from wspkit.generator import (
+    _KINDS,
     _Sample,
     _draw_authorisation,
     _draw_sod,
@@ -275,6 +276,22 @@ def test_spec_validation():
     with pytest.raises(InvariantError, match="n >= 4"):
         GenSpec(k=5, n=3, wl=1)
     assert GenSpec(k=5, n=4, wl=1).counts()["wl"] == 1
+    # one count field per kind of the kind table, in its order
+    assert tuple(f.name for f in fields(GenSpec)
+                 if f.name not in ("k", "n", "seed")) == FAMILY_KINDS
+    shapes = {kind: (shape.steps, shape.users)
+              for kind, shape in _KINDS.items()}
+    assert shapes == {"sod": (2, 1), "am3": (5, 1), "sual": (5, 5),
+                      "wl": (2, 4), "ada": (2, 2)}
+    for kind, (steps, users) in shapes.items():
+        need = rf"^spec: {kind} draws need k >= {steps} and n >= {users}, "
+        GenSpec(k=steps, n=users, **{kind: 1})
+        with pytest.raises(InvariantError, match=need + rf"got k={steps - 1}"):
+            GenSpec(k=steps - 1, n=users, **{kind: 1})
+        if users > 1:
+            with pytest.raises(InvariantError,
+                               match=need + rf"got k={steps}, n={users - 1}$"):
+                GenSpec(k=steps, n=users - 1, **{kind: 1})
 
 
 @pytest.mark.parametrize("field, value", [
@@ -533,6 +550,16 @@ def test_calibrate_refuses_jobs_that_are_not_a_positive_int(jobs, monkeypatch):
         calibrate_pt(base_spec(), samples=20, band=BAND, jobs=jobs)
 
 
+def test_family_spec_checks_jobs_before_it_reads_the_cache(cache_env):
+    # a warm cache for the sod family at k=5, n=8: a hit solves nothing
+    save_calibration(5, 8, "sod", PTCalibration(2, 0.5, 20), BAND,
+                     master_seed=derive_seed(5, 8))
+    assert family_spec("sod", 5, 8, samples=20, band=BAND).sod == 2
+    with pytest.raises(InvariantError,
+                       match=r"^calibrate: jobs must be an int >= 1, got 0$"):
+        family_spec("sod", 5, 8, samples=20, band=BAND, jobs=0)
+
+
 def test_calibration_rate_bounds():
     with pytest.raises(InvariantError):
         PTCalibration(3, 1.2, 40)
@@ -756,11 +783,16 @@ def test_import_leaves_the_process_pool_unloaded():
     assert out.strip() == "False"
 
 
+def family_members(spec, master_seed, count):
+    """The first `count` members of the family of `spec`."""
+    return [family_draw(spec, master_seed, i)[0] for i in range(count)]
+
+
 def test_family_stream_is_reproducible(cache_env):
-    first = list(itertools.islice(
-        make_family("sod", 5, 8, seed=99, samples=40, band=BAND), 4))
-    second = list(itertools.islice(
-        make_family("sod", 5, 8, seed=99, samples=40, band=BAND), 4))
+    first = family_members(
+        family_spec("sod", 5, 8, samples=40, band=BAND), 99, 4)
+    second = family_members(
+        family_spec("sod", 5, 8, samples=40, band=BAND), 99, 4)
     assert first == second
     assert len({inst.auth for inst in first}) > 1  # indices get fresh seeds
     for inst in first:
@@ -770,7 +802,6 @@ def test_family_stream_is_reproducible(cache_env):
 
 def test_family_stream_rate_sits_near_the_transition(cache_env):
     spec = family_spec("sod", 5, 8, samples=40, band=BAND)
-    stream = family_stream(spec, master_seed=2024)
     hits = sum(solve_backtracking(inst).verdict is Verdict.SAT
-               for inst in itertools.islice(stream, 40))
+               for inst in family_members(spec, 2024, 40))
     assert 0.15 <= hits / 40 <= 0.85

@@ -86,9 +86,11 @@ def test_authorised_plan_for_is_sound_and_complete(seed):
     for p in enumerate_patterns(k):
         got = authorised_plan_for(p, auth.step_masks)
         # each block's users: those authorised for every step in it
+        blocks = [[s for s in range(k) if p.rgs[s] == b]
+                  for b in range(p.block_count)]
         masks = [mask_of(u for u in range(n)
                          if all(auth.allows(s, u) for s in block))
-                 for block in p.blocks()]
+                 for block in blocks]
         expect = matching_oracle(masks, n) == p.block_count
         if expect:
             assert got is not None

@@ -40,17 +40,6 @@ def test_blocks_and_accessors():
     p = Pattern((0, 1, 0, 2, 1))
     assert p.k == 5
     assert p.block_count == 3
-    assert p.blocks() == ((0, 2), (1, 4), (3,))
-    assert p.block_of(3) == 2
-
-
-def test_text_round_trip():
-    p = Pattern((0, 1, 1, 2))
-    assert Pattern.from_text(p.to_text()) == p
-    with pytest.raises(InvariantError):
-        Pattern.from_text("0,x")
-    with pytest.raises(InvariantError):
-        Pattern.from_text("0,2")
 
 
 @pytest.mark.parametrize("k", range(0, 16))
