@@ -16,7 +16,8 @@ the pure one otherwise.  `backend_run_search` fetches either by name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 # every backend's status codes: _pure imports them, and _speed.pyx, whose
 # source its checksum pins, repeats them
@@ -49,7 +50,8 @@ class SearchProblem:
     """A compiled instance, fully reindexed into visit-depth space.
 
     combo_masks[c][d] is the user bitmask that authorisation alternative c
-    allows for the step visited at depth d.
+    allows for the step visited at depth d.  `count_at` and `sual_at` are
+    built on first read; only the compiled kernel reads them.
     """
 
     k: int
@@ -60,13 +62,16 @@ class SearchProblem:
     bod_prev: tuple[tuple[int, ...], ...]
     counts: tuple[CountSpec, ...] = ()
     suals: tuple[SualSpec, ...] = ()
-    # derived: the counting constraints / SUALs whose scope holds each depth
-    count_at: tuple[tuple[int, ...], ...] = field(init=False)
-    sual_at: tuple[tuple[int, ...], ...] = field(init=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "count_at", _memberships(self.k, [c.depths for c in self.counts]))
-        object.__setattr__(self, "sual_at", _memberships(self.k, [s.depths for s in self.suals]))
+    @functools.cached_property
+    def count_at(self) -> tuple[tuple[int, ...], ...]:
+        """The counting constraints whose scope holds each depth."""
+        return _memberships(self.k, [c.depths for c in self.counts])
+
+    @functools.cached_property
+    def sual_at(self) -> tuple[tuple[int, ...], ...]:
+        """The SUALs whose scope holds each depth."""
+        return _memberships(self.k, [s.depths for s in self.suals])
 
 
 def _memberships(k: int, scopes) -> tuple[tuple[int, ...], ...]:

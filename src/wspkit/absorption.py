@@ -117,21 +117,26 @@ def absorb(inst: Instance, max_family_size: int = 4096) -> AbsorbedInstance:
     so their product with the base authorisations is built once; the product
     size is capped by `max_family_size`.
 
-    Each alternative narrows only the steps it restricts, and only those
-    steps can empty and prune a row, so a row is dropped as soon as one of
-    them meets the alternative in no user.  Each constraint multiplies the
-    rows so far by its alternatives, row by row, with WL teams in
-    declaration order and ADA's trigger case first, so the order is fixed.
+    One walk over the constraints, in declaration order, sorts each into
+    the residual, the SUALs or the WL/ADA product.  Each alternative
+    narrows only the steps it restricts, and only those steps can empty
+    and prune a row, so a row is dropped at the first of them that meets
+    the alternative in no user.  Each constraint multiplies the rows so far
+    by its alternatives, row by row, with WL teams in declaration order and
+    ADA's trigger case first, so the order is fixed.
     """
     n = inst.n
-    residual = inst.ui_constraints()
-    suals = tuple(c for c in inst.nonui_constraints() if isinstance(c, SUAL))
-
+    residual: list[Constraint] = []
+    suals: list[SUAL] = []
     rows: list[tuple[int, ...]] = []
     if all(inst.auth.step_masks):
         rows.append(inst.auth.step_masks)
-    for c in inst.nonui_constraints():
+    for c in inst.constraints:
+        if is_ui(c):
+            residual.append(c)
+            continue
         if isinstance(c, SUAL):
+            suals.append(c)
             continue
         alts = alternatives(c, n)
         if len(rows) * len(alts) > max_family_size:
@@ -141,16 +146,15 @@ def absorb(inst: Instance, max_family_size: int = 4096) -> AbsorbedInstance:
         product = []
         for row in rows:
             for alt in alts:
+                narrowed = list(row)
                 for s, mask in alt:
-                    if not row[s] & mask:
+                    narrowed[s] = kept = narrowed[s] & mask
+                    if not kept:
                         break
                 else:
-                    narrowed = list(row)
-                    for s, mask in alt:
-                        narrowed[s] &= mask
                     product.append(tuple(narrowed))
         rows = product
-    return AbsorbedInstance(inst, residual, tuple(rows), suals)
+    return AbsorbedInstance(inst, tuple(residual), tuple(rows), tuple(suals))
 
 
 @dataclass(frozen=True)

@@ -604,22 +604,6 @@ class CSModel:
     def satisfied_by(self, assignment: Mapping[str, int]) -> bool:
         return all(self.row_holds(row, assignment) for row in self.rows)
 
-    def iter_solutions(self) -> Iterator[dict[str, int]]:
-        """Every satisfying assignment (selectors included), in lexicographic
-        variable-domain order.  Exhaustive; meant for small instances."""
-        names = [v.name for v in self.variables]
-        domains = [v.domain for v in self.variables]
-        for combo in itertools.product(*domains):
-            a = dict(zip(names, combo))
-            if self.satisfied_by(a):
-                yield a
-
-    def plan_solutions(self) -> list[tuple[int, ...]]:
-        """Distinct plans among the solutions, in lexicographic order."""
-        k = self.instance.k
-        return sorted({tuple(a[f"y{s}"] for s in range(k))
-                       for a in self.iter_solutions()})
-
 
 def encode_cs(inst: Instance) -> CSModel:
     """Finite-domain formulation.  A step with no authorised users yields an
@@ -867,15 +851,6 @@ def _lower(model: BooleanModel) -> tuple[int, list[int], list[int]]:
             flat.append(0)
     flat += lits[done:]
     return next(registers) - 1, flat, empty
-
-
-def lower_to_clauses(model: BooleanModel) -> tuple[int, list[tuple[int, ...]]]:
-    """Compile every row to CNF clauses; returns (total variable count
-    including the counter registers, clauses).  The clauses are the array
-    that `emit_dimacs` writes, split at its zeros."""
-    nvars, flat, _ = _lower(model)
-    return nvars, [tuple(flat[start:end]) for _, start, end
-                   in _spans(flat, itertools.repeat(None, flat.count(0)))]
 
 
 def emit_dimacs(model: BooleanModel, sink: IO[str]) -> None:

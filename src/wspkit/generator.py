@@ -190,12 +190,6 @@ class SplitMix64:
         self._pos = 0
         return self._buf
 
-    def next64(self) -> int:
-        if self._pos == len(self._buf):
-            self._refill()
-        self._pos += 1
-        return self._buf[self._pos - 1]
-
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound), by rejection on the high bits."""
         if not 0 < bound <= _BOUND_MAX:

@@ -30,7 +30,7 @@ from .core import (
     is_valid,
 )
 from .matching import authorised_plan_for
-from .patterns import enumerate_patterns, pattern_satisfies
+from .patterns import enumerate_patterns
 
 
 class Verdict(Enum):
@@ -165,7 +165,8 @@ def solve_pattern_enum(inst: Instance, budget: Optional[Budget] = None) -> Solve
                 deadline is not None and time.perf_counter() > deadline):
             return _finish(inst, t0, stats, Verdict.BUDGET)
         stats.patterns_visited += 1
-        if not all(pattern_satisfies(p, c) for c in residual):
+        # the residual is UI, so the RGS, a plan with pattern p, checks it
+        if not all(map(is_eligible, itertools.repeat(p.rgs), residual)):
             continue
         for row in absorbed.family_for(p):
             stats.matchings_computed += 1
@@ -192,12 +193,15 @@ def compile_search_problem(absorbed: AbsorbedInstance) -> Optional[SearchProblem
     if not absorbed.static_rows:
         return None
 
+    # every kind's steps are distinct, so each counts once
     degree = [0] * k
     for c in inst.constraints:
-        for s in set(c.steps):
+        for s in c.steps:
             degree[s] += 1
-    order = tuple(sorted(range(k), key=lambda s: (degree[s], s)))
-    pos = {s: d for d, s in enumerate(order)}
+    order = tuple(sorted(range(k), key=degree.__getitem__))  # stable: ties by index
+    pos = [0] * k
+    for d, s in enumerate(order):
+        pos[s] = d
 
     if k == 1:
         combo_masks = tuple((row[0],) for row in absorbed.static_rows)
@@ -209,13 +213,15 @@ def compile_search_problem(absorbed: AbsorbedInstance) -> Optional[SearchProblem
     counts: list[CountSpec] = []
     for c in absorbed.residual:
         if isinstance(c, (SoD, BoD)):
-            d1, d2 = sorted((pos[c.s1], pos[c.s2]))
+            d1, d2 = pos[c.s1], pos[c.s2]
+            if d1 > d2:
+                d1, d2 = d2, d1
             (sod_prev if isinstance(c, SoD) else bod_prev)[d2].append(d1)
         else:  # AtMost or AtLeast
             counts.append(CountSpec(c.at_most, c.r,
-                                    tuple(sorted(pos[s] for s in c.scope))))
+                                    tuple(sorted(map(pos.__getitem__, c.scope)))))
     suals = tuple(
-        SualSpec(tuple(sorted(pos[s] for s in c.scope)), c.h, c.supers)
+        SualSpec(tuple(sorted(map(pos.__getitem__, c.scope))), c.h, c.supers)
         for c in absorbed.suals)
 
     return SearchProblem(

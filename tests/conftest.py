@@ -284,6 +284,12 @@ class ScalarSplitMix64:
         return pool[:size]
 
 
+def next64(rng) -> int:
+    """The next raw output of a `generator.SplitMix64` stream: `below` over
+    the whole 64-bit range takes it unshifted and never rejects it."""
+    return rng.below(1 << 64)
+
+
 # --- random instance sampler -------------------------------------------------
 
 CONSTRAINT_KINDS = ("sod", "bod", "atmost", "atleast", "sual", "wl", "ada")

@@ -8,6 +8,7 @@ import pytest
 from absorption_oracle import family_for_constraint, functions, intersect_families
 from conftest import (
     CONSTRAINT_KINDS,
+    _random_constraint,
     disjoint_wl_instance,
     pattern_eligible,
     plan_authorised_cda,
@@ -23,6 +24,7 @@ from wspkit.core import (
     SoD,
     WL,
     is_authorised,
+    is_ui,
     is_valid,
 )
 from wspkit.absorption import absorb, branching_bound, sual_restricts
@@ -198,6 +200,29 @@ def test_absorb_product_matches_the_family_fold():
         pruned += len(got) < unpruned
         widths.add(inst.n)
     assert pruned > 10 and widths == {7, 65, 130}
+
+
+def test_absorb_keeps_declaration_order_across_kinds():
+    """With UI, SUAL, WL and ADA constraints interleaved, the residual is
+    the UI constraints and `suals` the SUALs, each in declaration order, and
+    the static rows are still the fold over the WL/ADA constraints."""
+    interleaved = 0
+    for seed in range(60):
+        base = _wl_ada_instance(seed)
+        k, n = base.k, base.n
+        rng = random.Random(f"interleave-{seed}")
+        cs = list(base.constraints)
+        for kind in rng.choices(("sod", "bod", "atmost", "atleast", "sual"),
+                                k=rng.randint(2, 6)):
+            cs.insert(rng.randint(0, len(cs)), _random_constraint(rng, kind, k, n))
+        inst = Instance(k, n, base.auth, tuple(cs))
+        absorbed = absorb(inst)
+        assert absorbed.residual == inst.ui_constraints(), seed
+        assert absorbed.suals == tuple(c for c in cs if isinstance(c, SUAL)), seed
+        assert functions(absorbed.static_rows, n) == _reference_product(inst), seed
+        runs = 1 + sum(is_ui(a) != is_ui(b) for a, b in zip(cs, cs[1:]))
+        interleaved += runs >= 3 and len(absorbed.suals) >= 1
+    assert interleaved > 20
 
 
 def test_family_for_matches_the_fold_with_sual():

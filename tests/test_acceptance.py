@@ -24,6 +24,7 @@ from conftest import (
     random_instance,
     valid_plans_longhand,
 )
+from encode_oracle import plan_solutions
 from wspkit.absorption import absorb, branching_bound
 from wspkit.cli import main, save_instance
 from wspkit.core import (
@@ -289,7 +290,7 @@ def test_criterion_05_encoder_equivalence(capsys):
                 udpb = encode_udpb(inst)
                 pbpb = encode_pbpb(inst)
                 cs = encode_cs(inst)
-                if cs.plan_solutions() != sorted(truth):
+                if plan_solutions(cs) != sorted(truth):
                     failures.append(f"{kind}/{seed}: cs solutions differ")
                 for plan in authorised_product(inst):
                     valid = plan in truth

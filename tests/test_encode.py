@@ -24,6 +24,7 @@ from conftest import (
     random_instance,
     valid_plans_longhand,
 )
+from encode_oracle import iter_solutions, lower_to_clauses, plan_solutions
 from wspkit.core import (
     ADA,
     AtLeast,
@@ -57,7 +58,6 @@ from wspkit.encode import (
     encode_pbpb,
     encode_udpb,
     induced_assignment,
-    lower_to_clauses,
     opb_terms,
 )
 
@@ -210,7 +210,7 @@ def test_cs_team_constraint_fixed_solution_set():
     inst = Instance(2, 3, full_auth(2, 3),
                     (WL((0, 1), (frozenset({0}), frozenset({1, 2}))),))
     model = encode_cs(inst)
-    assert model.plan_solutions() == [
+    assert plan_solutions(model) == [
         (0, 0), (1, 1), (1, 2), (2, 1), (2, 2)]
 
 
@@ -223,7 +223,7 @@ def test_step_with_no_authorised_user():
         assert not model.satisfied_by(dict(zip(names, bits)))
     cs = encode_cs(inst)
     assert cs.variables[0].name == "y0" and cs.variables[0].domain == ()
-    assert cs.plan_solutions() == []
+    assert plan_solutions(cs) == []
 
 
 # --- variable inventory --------------------------------------------------------
@@ -427,13 +427,13 @@ def test_cs_model_solves_to_exactly_the_valid_plans(kind):
         inst = random_instance(kind, seed, k_max=3, n_max=3)
         truth = valid_plans_longhand(inst)
         model = encode_cs(inst)
-        assert set(model.plan_solutions()) == truth, (kind, seed)
+        assert set(plan_solutions(model)) == truth, (kind, seed)
 
 
 def test_cs_solutions_satisfy_the_model():
     inst = random_instance("mixed", 3, k_max=3, n_max=3)
     model = encode_cs(inst)
-    for a in model.iter_solutions():
+    for a in iter_solutions(model):
         assert model.satisfied_by(a)
 
 

@@ -19,7 +19,7 @@ from dataclasses import fields, replace
 
 import pytest
 
-from conftest import ScalarSplitMix64
+from conftest import ScalarSplitMix64, next64
 from wspkit import cli
 from wspkit.core import ADA, AtMost, InvariantError, SoD, SUAL, WL, WspError, bits_of
 from wspkit.generator import (
@@ -62,14 +62,14 @@ BAND = (0.25, 0.75)  # wide band so tiny test sizes calibrate reliably
 
 def test_stream_matches_published_vectors():
     rng = SplitMix64(0)
-    assert [rng.next64() for _ in range(3)] == [
+    assert [next64(rng) for _ in range(3)] == [
         0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
 
 
 def test_stream_is_seed_deterministic():
     a = SplitMix64(987654321)
     b = SplitMix64(987654321)
-    assert [a.next64() for _ in range(10)] == [b.next64() for _ in range(10)]
+    assert [next64(a) for _ in range(10)] == [next64(b) for _ in range(10)]
 
 
 def test_bounded_draws_stay_in_range():
@@ -115,12 +115,13 @@ STREAM_BOUNDS = (1, 2, 6, 12, 80, 1 << 63)
 
 
 def stream_calls(seed: int):
-    """A seeded mix of next64, below and subset calls, as (name, args)."""
+    """A seeded mix of raw reads, below and subset calls, as (name, args);
+    a raw read is `below(2**64)`."""
     pick = random.Random(seed)
     for _ in range(300):
         roll = pick.random()
         if roll < 0.2:
-            yield "next64", ()
+            yield "below", (1 << 64,)
         elif roll < 0.6:
             yield "below", (pick.choice(STREAM_BOUNDS),)
         else:
@@ -146,11 +147,11 @@ def test_stream_resumes_from_a_state_read_at_any_point():
     rng = SplitMix64(81)
     for _ in range(1100):
         resumed, oracle = SplitMix64(rng.state), ScalarSplitMix64(rng.state)
-        assert [resumed.next64() for _ in range(5)] == \
+        assert [next64(resumed) for _ in range(5)] == \
             [oracle.next64() for _ in range(5)]
         assert resumed.subset(12, 4) == oracle.subset(12, 4)
         assert resumed.state == oracle.state
-        rng.next64()
+        next64(rng)
 
 
 def test_draw_limits_are_named():
@@ -190,7 +191,7 @@ def advanced(offset: int):
     """A batched stream and its oracle, both `offset` outputs in."""
     rng, oracle = SplitMix64(offset), ScalarSplitMix64(offset)
     for _ in range(offset):
-        assert rng.next64() == oracle.next64()
+        assert next64(rng) == oracle.next64()
     return rng, oracle
 
 

@@ -111,7 +111,10 @@ def test_pattern_enumeration_leaves_no_garbage(consume):
 
 def test_absorb_and_compile_leave_no_garbage():
     def absorb_and_compile(inst):
-        return compile_search_problem(absorb(inst))
+        prob = compile_search_problem(absorb(inst))
+        if prob is not None:  # the memberships are built on first read
+            prob.count_at, prob.sual_at
+        return prob
 
     assert garbage_left_by(partial(absorb_and_compile, inst)
                            for inst in DRAWS + SMALL) == 0

@@ -30,7 +30,7 @@ from wspkit.core import (
     WspError,
     is_valid,
 )
-from wspkit.generator import GenSpec, generate
+from wspkit.generator import GenSpec, derive_seed, generate
 from wspkit.patterns import bell
 from wspkit.solver import (
     Budget,
@@ -311,6 +311,39 @@ def test_compile_returns_none_for_dead_family():
     inst = Instance(2, 2, AuthorisationFunction.from_lists([[0], []], 2), ())
     assert compile_search_problem(absorb(inst)) is None
     assert solve_backtracking(inst).verdict is Verdict.UNSAT
+
+
+# sha256 prefix of every field compile_search_problem returns, over 20
+# export-shaped draws (SoD, at-most, SUAL, WL, ADA) and 40 small draws each
+# of BoD, at-least and a mix of every kind.
+COMPILE_DIGEST = "5d0423a3277e27ab"
+
+
+def test_compiled_problems_are_pinned():
+    """Compile's order, product, pair lists, count and SUAL specs and the
+    per-depth memberships are pinned.  The memberships, which only the
+    compiled kernel reads, are built on first read and equal the depths of
+    `counts` and `suals`."""
+    corpus = [generate(GenSpec(seed=derive_seed(81, 4, i), k=10, n=80, am3=10,
+                               sod=7, sual=1, wl=2, ada=2)) for i in range(20)]
+    corpus += [random_instance(kind, seed) for kind in ("bod", "atleast", "mixed")
+               for seed in range(40)]
+    kinds = {type(c).__name__ for inst in corpus for c in inst.constraints}
+    assert kinds == {"SoD", "BoD", "AtMost", "AtLeast", "SUAL", "WL", "ADA"}
+    h = hashlib.sha256()
+    for inst in corpus:
+        prob = compile_search_problem(absorb(inst))
+        if prob is None:
+            h.update(b"None\n")
+            continue
+        assert not {"count_at", "sual_at"} & set(vars(prob))
+        for name in ("order", "combo_masks", "sod_prev", "bod_prev", "counts",
+                     "suals", "count_at", "sual_at"):
+            h.update(f"{name}={getattr(prob, name)!r}\n".encode())
+        for at, specs in ((prob.count_at, prob.counts), (prob.sual_at, prob.suals)):
+            assert at == tuple(tuple(i for i, spec in enumerate(specs)
+                                     if d in spec.depths) for d in range(prob.k))
+    assert h.hexdigest()[:16] == COMPILE_DIGEST
 
 
 def test_guard_rejects_bad_plan(po_instance):
