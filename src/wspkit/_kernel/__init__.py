@@ -4,23 +4,24 @@ The kernel builds restricted-growth strings one step at a time (each step
 joins an existing block or opens a new one), prunes user-independent
 constraints structurally, and keeps incrementally-repaired block/user
 matchings for the authorisation alternatives.  The search is serial: one
-call walks the whole tree from the root.  Two interchangeable backends
-implement the same contract and return the same status, plan and counters on
-every call, which the parity tests check: the compiled extension (_speed,
-built from Cython), which repairs one matching per alternative, and the
-pure-Python one (_pure), whose docstring describes how it shares that work
-across alternatives and packs its per-depth state.
-Selection happens at import: the compiled backend when it is importable,
-the pure one otherwise.  `backend_run_search` fetches either by name.
+call walks the whole tree from the root.  Two backends run one algorithm
+and return the same status, plan and counters on every call, which the
+parity tests check: the pure-Python one (_pure), whose docstring describes
+the algorithm, and the compiled extension (_speed), a hand-written C
+transliteration of it that reads the problem from the flat buffers `pack`
+makes.  setup.py does not build the extension; the tests build it for the
+parity suite.  Selection happens at import: the compiled backend when it
+is importable, the pure one otherwise.  `backend_run_search` fetches
+either by name.
 """
 
 from __future__ import annotations
 
-import functools
+import sys
+from array import array
 from dataclasses import dataclass
 
-# every backend's status codes: _pure imports them, and _speed.pyx, whose
-# source its checksum pins, repeats them
+# every backend's status codes: _pure imports them, and _speed.c repeats them
 UNSAT, SAT, BUDGET = 0, 1, 2
 
 KERNEL_MAX_STEPS = 64  # block labels and cover sets live in single machine words
@@ -50,8 +51,7 @@ class SearchProblem:
     """A compiled instance, fully reindexed into visit-depth space.
 
     combo_masks[c][d] is the user bitmask that authorisation alternative c
-    allows for the step visited at depth d.  `count_at` and `sual_at` are
-    built on first read; only the compiled kernel reads them.
+    allows for the step visited at depth d.
     """
 
     k: int
@@ -63,23 +63,37 @@ class SearchProblem:
     counts: tuple[CountSpec, ...] = ()
     suals: tuple[SualSpec, ...] = ()
 
-    @functools.cached_property
-    def count_at(self) -> tuple[tuple[int, ...], ...]:
-        """The counting constraints whose scope holds each depth."""
-        return _memberships(self.k, [c.depths for c in self.counts])
 
-    @functools.cached_property
-    def sual_at(self) -> tuple[tuple[int, ...], ...]:
-        """The SUALs whose scope holds each depth."""
-        return _memberships(self.k, [s.depths for s in self.suals])
+def pack(prob: SearchProblem) -> tuple[array, array]:
+    """`prob` as the two flat buffers the compiled kernel reads.
 
-
-def _memberships(k: int, scopes) -> tuple[tuple[int, ...], ...]:
-    at: list[list[int]] = [[] for _ in range(k)]
-    for i, depths in enumerate(scopes):
-        for d in depths:
-            at[d].append(i)
-    return tuple(tuple(x) for x in at)
+    `ints` is k, W (64-bit words per user mask), m, the count of counts and
+    of SUALs, then `order`, then the combos' indices stably sorted by mask
+    tuple, as `_pure.run_search` sorts them, then each depth's `sod_prev`
+    and each depth's `bod_prev` as a length and its entries, then each count
+    as (at most?, r, scope size, depths...) and each SUAL as (h, scope size,
+    depths...).  `words` is the sorted combos' masks, depth by depth, then
+    the SUALs' super-users, W words each, lowest users first.
+    """
+    k, combo_masks = prob.k, prob.combo_masks
+    width = max(1, -(-prob.n // 64))
+    perm = sorted(range(len(combo_masks)), key=combo_masks.__getitem__)
+    ints = array("i", (k, width, len(combo_masks), len(prob.counts),
+                       len(prob.suals), *prob.order, *perm))
+    for prev in (*prob.sod_prev, *prob.bod_prev):
+        ints.append(len(prev))
+        ints.extend(prev)
+    for c in prob.counts:
+        ints.extend((c.at_most, c.r, len(c.depths), *c.depths))
+    for s in prob.suals:
+        ints.extend((s.h, len(s.depths), *s.depths))
+    size = 8 * width
+    words = array("Q", b"".join(
+        [mask.to_bytes(size, "little") for c in perm for mask in combo_masks[c]]
+        + [s.xmask.to_bytes(size, "little") for s in prob.suals]))
+    if sys.byteorder == "big":
+        words.byteswap()
+    return ints, words
 
 
 try:

@@ -1,9 +1,11 @@
 """Pure-Python search backend.
 
-Implements the kernel contract with Python integers as user bitmasks.  It
-returns the same status, plan and counters as the compiled backend on every
-call, which the parity tests check, but it shares the work that the compiled
-backend repeats per authorisation alternative ("combo"):
+Implements the kernel contract with Python integers as user bitmasks.  The
+compiled backend, `_speed.c`, transliterates this module's `run_search`
+step for step, so the two return the same status, plan and counters on
+every call, which the parity tests check; a change to the search here is
+made there too.  The search shares work between the authorisation
+alternatives ("combos"):
 
 - Combos with equal masks at depths 0..d-1 carry identical search state at
   depth d, because that state is built from those masks alone.  The combos

@@ -1,18696 +1,732 @@
-/* Generated by Cython 3.2.8 */
+/* Compiled search backend.
 
-/* BEGIN: Cython Metadata
-{
-    "distutils": {
-        "depends": [],
-        "name": "wspkit._kernel._speed",
-        "sources": [
-            "src/wspkit/_kernel/_speed.pyx"
-        ]
-    },
-    "module_name": "wspkit._kernel._speed"
-}
-END: Cython Metadata */
+A transliteration of `_pure.run_search`, statement for statement: the same
+prefix classes, admissible-block masks, matching repairs, node counts and
+budget checks, so both backends search the same tree and return the same
+5-tuple on every call, which the parity tests check.  `_pure.py`'s
+docstring describes the algorithm, and the names here follow it.  Only the
+containers differ:
 
-#ifndef PY_SSIZE_T_CLEAN
+- A user mask is W 64-bit words, lowest users first, and the matching
+  search is the same Kuhn step as `matching.augment`.
+- `fwd[d]` is a row of k words indexed by depth: fwd[d][f], for f >= d, is
+  the block set that SoD and BoD with the depths before d forbid depth f.
+  `cover[d]` is a row of one word per count and SUAL scope.  A depth's
+  rows are built from its parent's and never written while a deeper depth
+  can read them, as the pure backend's ints are.
+- Depth d's alive classes live in one growable array per depth, each
+  class with d block masks and a matching of d users.
+- The classes' splits are kept as run ends: run_end[d][lo] is the end of
+  the run of equal depth-d masks that starts at sorted combo lo, or 0
+  while its class has not been split at depth d.
+
+`wspkit._kernel.pack` lays the SearchProblem out in two flat buffers,
+sorted combos included, and this file reads them through the buffer
+protocol.  Every allocation goes through PyMem, so tracemalloc sees it.
+*/
+
 #define PY_SSIZE_T_CLEAN
-#endif /* PY_SSIZE_T_CLEAN */
-/* InitLimitedAPI */
-#if defined(Py_LIMITED_API)
-  #if !defined(CYTHON_LIMITED_API)
-  #define CYTHON_LIMITED_API 1
-  #endif
-#elif defined(CYTHON_LIMITED_API)
-  #ifdef _MSC_VER
-  #pragma message ("Limited API usage is enabled with 'CYTHON_LIMITED_API' but 'Py_LIMITED_API' does not define a Python target version. Consider setting 'Py_LIMITED_API' instead.")
-  #else
-  #warning Limited API usage is enabled with 'CYTHON_LIMITED_API' but 'Py_LIMITED_API' does not define a Python target version. Consider setting 'Py_LIMITED_API' instead.
-  #endif
-#endif
-
-#include "Python.h"
-#ifndef Py_PYTHON_H
-    #error Python headers needed to compile C extensions, please install development version of Python.
-#elif PY_VERSION_HEX < 0x03080000
-    #error Cython requires Python 3.8+.
-#else
-#define __PYX_ABI_VERSION "3_2_8"
-#define CYTHON_HEX_VERSION 0x030208F0
-#define CYTHON_FUTURE_DIVISION 1
-/* CModulePreamble */
-#include <stddef.h>
-#ifndef offsetof
-  #define offsetof(type, member) ( (size_t) & ((type*)0) -> member )
-#endif
-#if !defined(_WIN32) && !defined(WIN32) && !defined(MS_WINDOWS)
-  #ifndef __stdcall
-    #define __stdcall
-  #endif
-  #ifndef __cdecl
-    #define __cdecl
-  #endif
-  #ifndef __fastcall
-    #define __fastcall
-  #endif
-#endif
-#ifndef DL_IMPORT
-  #define DL_IMPORT(t) t
-#endif
-#ifndef DL_EXPORT
-  #define DL_EXPORT(t) t
-#endif
-#define __PYX_COMMA ,
-#ifndef PY_LONG_LONG
-  #define PY_LONG_LONG LONG_LONG
-#endif
-#ifndef Py_HUGE_VAL
-  #define Py_HUGE_VAL HUGE_VAL
-#endif
-#define __PYX_LIMITED_VERSION_HEX PY_VERSION_HEX
-#if defined(GRAALVM_PYTHON)
-  /* For very preliminary testing purposes. Most variables are set the same as PyPy.
-     The existence of this section does not imply that anything works or is even tested */
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 1
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 0
-  #undef CYTHON_USE_TYPE_SPECS
-  #define CYTHON_USE_TYPE_SPECS 0
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_WRITER
-  #define CYTHON_USE_UNICODE_WRITER 0
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #undef CYTHON_AVOID_BORROWED_REFS
-  #define CYTHON_AVOID_BORROWED_REFS 1
-  #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #undef CYTHON_ASSUME_SAFE_SIZE
-  #define CYTHON_ASSUME_SAFE_SIZE 0
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL 0
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #undef CYTHON_PEP489_MULTI_PHASE_INIT
-  #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #undef CYTHON_USE_MODULE_STATE
-  #define CYTHON_USE_MODULE_STATE 0
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #undef CYTHON_USE_TP_FINALIZE
-  #define CYTHON_USE_TP_FINALIZE 0
-  #undef CYTHON_USE_AM_SEND
-  #define CYTHON_USE_AM_SEND 0
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 1
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 0
-  #endif
-  #undef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 0
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#elif defined(PYPY_VERSION)
-  #define CYTHON_COMPILING_IN_PYPY 1
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 1
-  #ifndef CYTHON_USE_TYPE_SPECS
-    #define CYTHON_USE_TYPE_SPECS 0
-  #endif
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_WRITER
-  #define CYTHON_USE_UNICODE_WRITER 0
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #undef CYTHON_AVOID_BORROWED_REFS
-  #define CYTHON_AVOID_BORROWED_REFS 1
-  #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 1
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #ifndef CYTHON_ASSUME_SAFE_SIZE
-    #define CYTHON_ASSUME_SAFE_SIZE 1
-  #endif
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL 0
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #if PY_VERSION_HEX < 0x03090000
-    #undef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 0
-  #elif !defined(CYTHON_PEP489_MULTI_PHASE_INIT)
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #undef CYTHON_USE_MODULE_STATE
-  #define CYTHON_USE_MODULE_STATE 0
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE (PYPY_VERSION_NUM >= 0x07030C00)
-  #endif
-  #undef CYTHON_USE_AM_SEND
-  #define CYTHON_USE_AM_SEND 0
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 0
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC (PYPY_VERSION_NUM >= 0x07031100)
-  #endif
-  #undef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 0
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#elif defined(CYTHON_LIMITED_API)
-  #ifdef Py_LIMITED_API
-    #undef __PYX_LIMITED_VERSION_HEX
-    #define __PYX_LIMITED_VERSION_HEX Py_LIMITED_API
-  #endif
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 1
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 0
-  #undef CYTHON_USE_TYPE_SPECS
-  #define CYTHON_USE_TYPE_SPECS 1
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #ifndef CYTHON_USE_UNICODE_WRITER
-    #define CYTHON_USE_UNICODE_WRITER 0
-  #endif
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #ifndef CYTHON_AVOID_BORROWED_REFS
-    #define CYTHON_AVOID_BORROWED_REFS 0
-  #endif
-  #ifndef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #endif
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #undef CYTHON_ASSUME_SAFE_SIZE
-  #define CYTHON_ASSUME_SAFE_SIZE 0
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL (__PYX_LIMITED_VERSION_HEX >= 0x030C0000)
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #ifndef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #ifndef CYTHON_USE_MODULE_STATE
-    #define CYTHON_USE_MODULE_STATE 0
-  #endif
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE 0
-  #endif
-  #ifndef CYTHON_USE_AM_SEND
-    #define CYTHON_USE_AM_SEND (__PYX_LIMITED_VERSION_HEX >= 0x030A0000)
-  #endif
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 0
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 0
-  #endif
-  #ifndef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 1
-  #endif
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#else
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 1
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #ifdef Py_GIL_DISABLED
-    #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 1
-  #else
-    #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #endif
-  #if PY_VERSION_HEX < 0x030A0000
-    #undef CYTHON_USE_TYPE_SLOTS
-    #define CYTHON_USE_TYPE_SLOTS 1
-  #elif !defined(CYTHON_USE_TYPE_SLOTS)
-    #define CYTHON_USE_TYPE_SLOTS 1
-  #endif
-  #ifndef CYTHON_USE_TYPE_SPECS
-    #define CYTHON_USE_TYPE_SPECS 0
-  #endif
-  #ifndef CYTHON_USE_PYTYPE_LOOKUP
-    #define CYTHON_USE_PYTYPE_LOOKUP 1
-  #endif
-  #ifndef CYTHON_USE_PYLONG_INTERNALS
-    #define CYTHON_USE_PYLONG_INTERNALS 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_USE_PYLIST_INTERNALS
-    #define CYTHON_USE_PYLIST_INTERNALS 0
-  #elif !defined(CYTHON_USE_PYLIST_INTERNALS)
-    #define CYTHON_USE_PYLIST_INTERNALS 1
-  #endif
-  #ifndef CYTHON_USE_UNICODE_INTERNALS
-    #define CYTHON_USE_UNICODE_INTERNALS 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING || PY_VERSION_HEX >= 0x030B00A2
-    #undef CYTHON_USE_UNICODE_WRITER
-    #define CYTHON_USE_UNICODE_WRITER 0
-  #elif !defined(CYTHON_USE_UNICODE_WRITER)
-    #define CYTHON_USE_UNICODE_WRITER 1
-  #endif
-  #ifndef CYTHON_AVOID_BORROWED_REFS
-    #define CYTHON_AVOID_BORROWED_REFS 0
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 1
-  #elif !defined(CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS)
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #endif
-  #ifndef CYTHON_ASSUME_SAFE_MACROS
-    #define CYTHON_ASSUME_SAFE_MACROS 1
-  #endif
-  #ifndef CYTHON_ASSUME_SAFE_SIZE
-    #define CYTHON_ASSUME_SAFE_SIZE 1
-  #endif
-  #ifndef CYTHON_UNPACK_METHODS
-    #define CYTHON_UNPACK_METHODS 1
-  #endif
-  #ifndef CYTHON_FAST_THREAD_STATE
-    #define CYTHON_FAST_THREAD_STATE 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_FAST_GIL
-    #define CYTHON_FAST_GIL 0
-  #elif !defined(CYTHON_FAST_GIL)
-    #define CYTHON_FAST_GIL (PY_VERSION_HEX < 0x030C00A6)
-  #endif
-  #ifndef CYTHON_METH_FASTCALL
-    #define CYTHON_METH_FASTCALL 1
-  #endif
-  #ifndef CYTHON_FAST_PYCALL
-    #define CYTHON_FAST_PYCALL 1
-  #endif
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #ifndef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #ifndef CYTHON_USE_MODULE_STATE
-    #define CYTHON_USE_MODULE_STATE 0
-  #endif
-  #ifndef CYTHON_USE_SYS_MONITORING
-    #define CYTHON_USE_SYS_MONITORING (PY_VERSION_HEX >= 0x030d00B1)
-  #endif
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE 1
-  #endif
-  #ifndef CYTHON_USE_AM_SEND
-    #define CYTHON_USE_AM_SEND 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_USE_DICT_VERSIONS
-    #define CYTHON_USE_DICT_VERSIONS 0
-  #elif !defined(CYTHON_USE_DICT_VERSIONS)
-    #define CYTHON_USE_DICT_VERSIONS  (PY_VERSION_HEX < 0x030C00A5 && !CYTHON_USE_MODULE_STATE)
-  #endif
-  #ifndef CYTHON_USE_EXC_INFO_STACK
-    #define CYTHON_USE_EXC_INFO_STACK 1
-  #endif
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 1
-  #endif
-  #ifndef CYTHON_USE_FREELISTS
-    #define CYTHON_USE_FREELISTS (!CYTHON_COMPILING_IN_CPYTHON_FREETHREADING)
-  #endif
-  #if defined(CYTHON_IMMORTAL_CONSTANTS) && PY_VERSION_HEX < 0x030C0000
-    #undef CYTHON_IMMORTAL_CONSTANTS
-    #define CYTHON_IMMORTAL_CONSTANTS 0  // definitely won't work
-  #elif !defined(CYTHON_IMMORTAL_CONSTANTS)
-    #define CYTHON_IMMORTAL_CONSTANTS (PY_VERSION_HEX >= 0x030C0000 && !CYTHON_USE_MODULE_STATE && CYTHON_COMPILING_IN_CPYTHON_FREETHREADING)
-  #endif
-#endif
-#ifndef CYTHON_COMPRESS_STRINGS
-  #define CYTHON_COMPRESS_STRINGS 1
-#endif
-#ifndef CYTHON_FAST_PYCCALL
-#define CYTHON_FAST_PYCCALL  CYTHON_FAST_PYCALL
-#endif
-#ifndef CYTHON_VECTORCALL
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define CYTHON_VECTORCALL  (__PYX_LIMITED_VERSION_HEX >= 0x030C0000)
-#else
-#define CYTHON_VECTORCALL  (CYTHON_FAST_PYCCALL)
-#endif
-#endif
-#if CYTHON_USE_PYLONG_INTERNALS
-  #undef SHIFT
-  #undef BASE
-  #undef MASK
-  #ifdef SIZEOF_VOID_P
-    enum { __pyx_check_sizeof_voidp = 1 / (int)(SIZEOF_VOID_P == sizeof(void*)) };
-  #endif
-#endif
-#ifndef __has_attribute
-  #define __has_attribute(x) 0
-#endif
-#ifndef __has_cpp_attribute
-  #define __has_cpp_attribute(x) 0
-#endif
-#ifndef CYTHON_RESTRICT
-  #if defined(__GNUC__)
-    #define CYTHON_RESTRICT __restrict__
-  #elif defined(_MSC_VER) && _MSC_VER >= 1400
-    #define CYTHON_RESTRICT __restrict
-  #elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define CYTHON_RESTRICT restrict
-  #else
-    #define CYTHON_RESTRICT
-  #endif
-#endif
-#ifndef CYTHON_UNUSED
-  #if defined(__cplusplus)
-    /* for clang __has_cpp_attribute(maybe_unused) is true even before C++17
-     * but leads to warnings with -pedantic, since it is a C++17 feature */
-    #if ((defined(_MSVC_LANG) && _MSVC_LANG >= 201703L) || __cplusplus >= 201703L)
-      #if __has_cpp_attribute(maybe_unused)
-        #define CYTHON_UNUSED [[maybe_unused]]
-      #endif
-    #endif
-  #endif
-#endif
-#ifndef CYTHON_UNUSED
-# if defined(__GNUC__)
-#   if !(defined(__cplusplus)) || (__GNUC__ > 3 || (__GNUC__ == 3 && __GNUC_MINOR__ >= 4))
-#     define CYTHON_UNUSED __attribute__ ((__unused__))
-#   else
-#     define CYTHON_UNUSED
-#   endif
-# elif defined(__ICC) || (defined(__INTEL_COMPILER) && !defined(_MSC_VER))
-#   define CYTHON_UNUSED __attribute__ ((__unused__))
-# else
-#   define CYTHON_UNUSED
-# endif
-#endif
-#ifndef CYTHON_UNUSED_VAR
-#  if defined(__cplusplus)
-     template<class T> void CYTHON_UNUSED_VAR( const T& ) { }
-#  else
-#    define CYTHON_UNUSED_VAR(x) (void)(x)
-#  endif
-#endif
-#ifndef CYTHON_MAYBE_UNUSED_VAR
-  #define CYTHON_MAYBE_UNUSED_VAR(x) CYTHON_UNUSED_VAR(x)
-#endif
-#ifndef CYTHON_NCP_UNUSED
-# if CYTHON_COMPILING_IN_CPYTHON && !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#  define CYTHON_NCP_UNUSED
-# else
-#  define CYTHON_NCP_UNUSED CYTHON_UNUSED
-# endif
-#endif
-#ifndef CYTHON_USE_CPP_STD_MOVE
-  #if defined(__cplusplus) && (\
-    __cplusplus >= 201103L || (defined(_MSC_VER) && _MSC_VER >= 1600))
-    #define CYTHON_USE_CPP_STD_MOVE 1
-  #else
-    #define CYTHON_USE_CPP_STD_MOVE 0
-  #endif
-#endif
-#define __Pyx_void_to_None(void_result) ((void)(void_result), Py_INCREF(Py_None), Py_None)
+#include <Python.h>
 #include <stdint.h>
-typedef uintptr_t  __pyx_uintptr_t;
-#ifndef CYTHON_FALLTHROUGH
-  #if defined(__cplusplus)
-    /* for clang __has_cpp_attribute(fallthrough) is true even before C++17
-     * but leads to warnings with -pedantic, since it is a C++17 feature */
-    #if ((defined(_MSVC_LANG) && _MSVC_LANG >= 201703L) || __cplusplus >= 201703L)
-      #if __has_cpp_attribute(fallthrough)
-        #define CYTHON_FALLTHROUGH [[fallthrough]]
-      #endif
-    #endif
-    #ifndef CYTHON_FALLTHROUGH
-      #if __has_cpp_attribute(clang::fallthrough)
-        #define CYTHON_FALLTHROUGH [[clang::fallthrough]]
-      #elif __has_cpp_attribute(gnu::fallthrough)
-        #define CYTHON_FALLTHROUGH [[gnu::fallthrough]]
-      #endif
-    #endif
-  #endif
-  #ifndef CYTHON_FALLTHROUGH
-    #if __has_attribute(fallthrough)
-      #define CYTHON_FALLTHROUGH __attribute__((fallthrough))
-    #else
-      #define CYTHON_FALLTHROUGH
-    #endif
-  #endif
-  #if defined(__clang__) && defined(__apple_build_version__)
-    #if __apple_build_version__ < 7000000
-      #undef  CYTHON_FALLTHROUGH
-      #define CYTHON_FALLTHROUGH
-    #endif
-  #endif
-#endif
-#ifndef Py_UNREACHABLE
-  #define Py_UNREACHABLE()  assert(0); abort()
-#endif
-#ifdef __cplusplus
-  template <typename T>
-  struct __PYX_IS_UNSIGNED_IMPL {static const bool value = T(0) < T(-1);};
-  #define __PYX_IS_UNSIGNED(type) (__PYX_IS_UNSIGNED_IMPL<type>::value)
-#else
-  #define __PYX_IS_UNSIGNED(type) (((type)-1) > 0)
-#endif
-#if CYTHON_COMPILING_IN_PYPY == 1
-  #define __PYX_NEED_TP_PRINT_SLOT  (PY_VERSION_HEX < 0x030A0000)
-#else
-  #define __PYX_NEED_TP_PRINT_SLOT  (PY_VERSION_HEX < 0x03090000)
-#endif
-#define __PYX_REINTERPRET_FUNCION(func_pointer, other_pointer) ((func_pointer)(void(*)(void))(other_pointer))
-
-/* CInitCode */
-#ifndef CYTHON_INLINE
-  #if defined(__clang__)
-    #define CYTHON_INLINE __inline__ __attribute__ ((__unused__))
-  #elif defined(__GNUC__)
-    #define CYTHON_INLINE __inline__
-  #elif defined(_MSC_VER)
-    #define CYTHON_INLINE __inline
-  #elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define CYTHON_INLINE inline
-  #else
-    #define CYTHON_INLINE
-  #endif
-#endif
-
-/* PythonCompatibility */
-#define __PYX_BUILD_PY_SSIZE_T "n"
-#define CYTHON_FORMAT_SSIZE_T "z"
-#define __Pyx_BUILTIN_MODULE_NAME "builtins"
-#define __Pyx_DefaultClassType PyType_Type
-#if CYTHON_COMPILING_IN_LIMITED_API
-    #ifndef CO_OPTIMIZED
-    static int CO_OPTIMIZED;
-    #endif
-    #ifndef CO_NEWLOCALS
-    static int CO_NEWLOCALS;
-    #endif
-    #ifndef CO_VARARGS
-    static int CO_VARARGS;
-    #endif
-    #ifndef CO_VARKEYWORDS
-    static int CO_VARKEYWORDS;
-    #endif
-    #ifndef CO_ASYNC_GENERATOR
-    static int CO_ASYNC_GENERATOR;
-    #endif
-    #ifndef CO_GENERATOR
-    static int CO_GENERATOR;
-    #endif
-    #ifndef CO_COROUTINE
-    static int CO_COROUTINE;
-    #endif
-#else
-    #ifndef CO_COROUTINE
-      #define CO_COROUTINE 0x80
-    #endif
-    #ifndef CO_ASYNC_GENERATOR
-      #define CO_ASYNC_GENERATOR 0x200
-    #endif
-#endif
-static int __Pyx_init_co_variables(void);
-#if PY_VERSION_HEX >= 0x030900A4 || defined(Py_IS_TYPE)
-  #define __Pyx_IS_TYPE(ob, type) Py_IS_TYPE(ob, type)
-#else
-  #define __Pyx_IS_TYPE(ob, type) (((const PyObject*)ob)->ob_type == (type))
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_Is)
-  #define __Pyx_Py_Is(x, y)  Py_Is(x, y)
-#else
-  #define __Pyx_Py_Is(x, y) ((x) == (y))
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsNone)
-  #define __Pyx_Py_IsNone(ob) Py_IsNone(ob)
-#else
-  #define __Pyx_Py_IsNone(ob) __Pyx_Py_Is((ob), Py_None)
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsTrue)
-  #define __Pyx_Py_IsTrue(ob) Py_IsTrue(ob)
-#else
-  #define __Pyx_Py_IsTrue(ob) __Pyx_Py_Is((ob), Py_True)
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsFalse)
-  #define __Pyx_Py_IsFalse(ob) Py_IsFalse(ob)
-#else
-  #define __Pyx_Py_IsFalse(ob) __Pyx_Py_Is((ob), Py_False)
-#endif
-#define __Pyx_NoneAsNull(obj)  (__Pyx_Py_IsNone(obj) ? NULL : (obj))
-#if PY_VERSION_HEX >= 0x030900F0 && !CYTHON_COMPILING_IN_PYPY
-  #define __Pyx_PyObject_GC_IsFinalized(o) PyObject_GC_IsFinalized(o)
-#else
-  #define __Pyx_PyObject_GC_IsFinalized(o) _PyGC_FINALIZED(o)
-#endif
-#ifndef Py_TPFLAGS_CHECKTYPES
-  #define Py_TPFLAGS_CHECKTYPES 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_INDEX
-  #define Py_TPFLAGS_HAVE_INDEX 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_NEWBUFFER
-  #define Py_TPFLAGS_HAVE_NEWBUFFER 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_FINALIZE
-  #define Py_TPFLAGS_HAVE_FINALIZE 0
-#endif
-#ifndef Py_TPFLAGS_SEQUENCE
-  #define Py_TPFLAGS_SEQUENCE 0
-#endif
-#ifndef Py_TPFLAGS_MAPPING
-  #define Py_TPFLAGS_MAPPING 0
-#endif
-#ifndef Py_TPFLAGS_IMMUTABLETYPE
-  #define Py_TPFLAGS_IMMUTABLETYPE (1UL << 8)
-#endif
-#ifndef Py_TPFLAGS_DISALLOW_INSTANTIATION
-  #define Py_TPFLAGS_DISALLOW_INSTANTIATION (1UL << 7)
-#endif
-#ifndef METH_STACKLESS
-  #define METH_STACKLESS 0
-#endif
-#ifndef METH_FASTCALL
-  #ifndef METH_FASTCALL
-     #define METH_FASTCALL 0x80
-  #endif
-  typedef PyObject *(*__Pyx_PyCFunctionFast) (PyObject *self, PyObject *const *args, Py_ssize_t nargs);
-  typedef PyObject *(*__Pyx_PyCFunctionFastWithKeywords) (PyObject *self, PyObject *const *args,
-                                                          Py_ssize_t nargs, PyObject *kwnames);
-#else
-  #if PY_VERSION_HEX >= 0x030d00A4
-  #  define __Pyx_PyCFunctionFast PyCFunctionFast
-  #  define __Pyx_PyCFunctionFastWithKeywords PyCFunctionFastWithKeywords
-  #else
-  #  define __Pyx_PyCFunctionFast _PyCFunctionFast
-  #  define __Pyx_PyCFunctionFastWithKeywords _PyCFunctionFastWithKeywords
-  #endif
-#endif
-#if CYTHON_METH_FASTCALL
-  #define __Pyx_METH_FASTCALL METH_FASTCALL
-  #define __Pyx_PyCFunction_FastCall __Pyx_PyCFunctionFast
-  #define __Pyx_PyCFunction_FastCallWithKeywords __Pyx_PyCFunctionFastWithKeywords
-#else
-  #define __Pyx_METH_FASTCALL METH_VARARGS
-  #define __Pyx_PyCFunction_FastCall PyCFunction
-  #define __Pyx_PyCFunction_FastCallWithKeywords PyCFunctionWithKeywords
-#endif
-#if CYTHON_VECTORCALL
-  #define __pyx_vectorcallfunc vectorcallfunc
-  #define __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET  PY_VECTORCALL_ARGUMENTS_OFFSET
-  #define __Pyx_PyVectorcall_NARGS(n)  PyVectorcall_NARGS((size_t)(n))
-#else
-  #define __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET  0
-  #define __Pyx_PyVectorcall_NARGS(n)  ((Py_ssize_t)(n))
-#endif
-#if PY_VERSION_HEX >= 0x030900B1
-#define __Pyx_PyCFunction_CheckExact(func)  PyCFunction_CheckExact(func)
-#else
-#define __Pyx_PyCFunction_CheckExact(func)  PyCFunction_Check(func)
-#endif
-#define __Pyx_CyOrPyCFunction_Check(func)  PyCFunction_Check(func)
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_CyOrPyCFunction_GET_FUNCTION(func)  (((PyCFunctionObject*)(func))->m_ml->ml_meth)
-#elif !CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyOrPyCFunction_GET_FUNCTION(func)  PyCFunction_GET_FUNCTION(func)
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_CyOrPyCFunction_GET_FLAGS(func)  (((PyCFunctionObject*)(func))->m_ml->ml_flags)
-static CYTHON_INLINE PyObject* __Pyx_CyOrPyCFunction_GET_SELF(PyObject *func) {
-    return (__Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_STATIC) ? NULL : ((PyCFunctionObject*)func)->m_self;
-}
-#endif
-static CYTHON_INLINE int __Pyx__IsSameCFunction(PyObject *func, void (*cfunc)(void)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    return PyCFunction_Check(func) && PyCFunction_GetFunction(func) == (PyCFunction) cfunc;
-#else
-    return PyCFunction_Check(func) && PyCFunction_GET_FUNCTION(func) == (PyCFunction) cfunc;
-#endif
-}
-#define __Pyx_IsSameCFunction(func, cfunc)   __Pyx__IsSameCFunction(func, cfunc)
-#if PY_VERSION_HEX < 0x03090000 || (CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000)
-  #define __Pyx_PyType_FromModuleAndSpec(m, s, b)  ((void)m, PyType_FromSpecWithBases(s, b))
-  typedef PyObject *(*__Pyx_PyCMethod)(PyObject *, PyTypeObject *, PyObject *const *, size_t, PyObject *);
-#else
-  #define __Pyx_PyType_FromModuleAndSpec(m, s, b)  PyType_FromModuleAndSpec(m, s, b)
-  #define __Pyx_PyCMethod  PyCMethod
-#endif
-#ifndef METH_METHOD
-  #define METH_METHOD 0x200
-#endif
-#if CYTHON_COMPILING_IN_PYPY && !defined(PyObject_Malloc)
-  #define PyObject_Malloc(s)   PyMem_Malloc(s)
-  #define PyObject_Free(p)     PyMem_Free(p)
-  #define PyObject_Realloc(p)  PyMem_Realloc(p)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno)
-#elif CYTHON_COMPILING_IN_GRAAL && defined(GRAALPY_VERSION_NUM) && GRAALPY_VERSION_NUM > 0x19000000
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno) GraalPyFrame_SetLineNumber((frame), (lineno))
-#elif CYTHON_COMPILING_IN_GRAAL
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno) _PyFrame_SetLineNumber((frame), (lineno))
-#else
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno)  (frame)->f_lineno = (lineno)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyThreadState_Current PyThreadState_Get()
-#elif !CYTHON_FAST_THREAD_STATE
-  #define __Pyx_PyThreadState_Current PyThreadState_GET()
-#elif PY_VERSION_HEX >= 0x030d00A1
-  #define __Pyx_PyThreadState_Current PyThreadState_GetUnchecked()
-#else
-  #define __Pyx_PyThreadState_Current _PyThreadState_UncheckedGet()
-#endif
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_INLINE void *__Pyx__PyModule_GetState(PyObject *op)
-{
-    void *result;
-    result = PyModule_GetState(op);
-    if (!result)
-        Py_FatalError("Couldn't find the module state");
-    return result;
-}
-#define __Pyx_PyModule_GetState(o) (__pyx_mstatetype *)__Pyx__PyModule_GetState(o)
-#else
-#define __Pyx_PyModule_GetState(op) ((void)op,__pyx_mstate_global)
-#endif
-#define __Pyx_PyObject_GetSlot(obj, name, func_ctype)  __Pyx_PyType_GetSlot(Py_TYPE((PyObject *) obj), name, func_ctype)
-#define __Pyx_PyObject_TryGetSlot(obj, name, func_ctype) __Pyx_PyType_TryGetSlot(Py_TYPE(obj), name, func_ctype)
-#define __Pyx_PyObject_GetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_GetSubSlot(Py_TYPE(obj), sub, name, func_ctype)
-#define __Pyx_PyObject_TryGetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_TryGetSubSlot(Py_TYPE(obj), sub, name, func_ctype)
-#if CYTHON_USE_TYPE_SLOTS
-  #define __Pyx_PyType_GetSlot(type, name, func_ctype)  ((type)->name)
-  #define __Pyx_PyType_TryGetSlot(type, name, func_ctype) __Pyx_PyType_GetSlot(type, name, func_ctype)
-  #define __Pyx_PyType_GetSubSlot(type, sub, name, func_ctype) (((type)->sub) ? ((type)->sub->name) : NULL)
-  #define __Pyx_PyType_TryGetSubSlot(type, sub, name, func_ctype) __Pyx_PyType_GetSubSlot(type, sub, name, func_ctype)
-#else
-  #define __Pyx_PyType_GetSlot(type, name, func_ctype)  ((func_ctype) PyType_GetSlot((type), Py_##name))
-  #define __Pyx_PyType_TryGetSlot(type, name, func_ctype)\
-    ((__PYX_LIMITED_VERSION_HEX >= 0x030A0000 ||\
-     (PyType_GetFlags(type) & Py_TPFLAGS_HEAPTYPE) || __Pyx_get_runtime_version() >= 0x030A0000) ?\
-     __Pyx_PyType_GetSlot(type, name, func_ctype) : NULL)
-  #define __Pyx_PyType_GetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_GetSlot(obj, name, func_ctype)
-  #define __Pyx_PyType_TryGetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_TryGetSlot(obj, name, func_ctype)
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON || defined(_PyDict_NewPresized)
-#define __Pyx_PyDict_NewPresized(n)  ((n <= 8) ? PyDict_New() : _PyDict_NewPresized(n))
-#else
-#define __Pyx_PyDict_NewPresized(n)  PyDict_New()
-#endif
-#define __Pyx_PyNumber_Divide(x,y)         PyNumber_TrueDivide(x,y)
-#define __Pyx_PyNumber_InPlaceDivide(x,y)  PyNumber_InPlaceTrueDivide(x,y)
-#if CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_UNICODE_INTERNALS
-#define __Pyx_PyDict_GetItemStrWithError(dict, name)  _PyDict_GetItem_KnownHash(dict, name, ((PyASCIIObject *) name)->hash)
-static CYTHON_INLINE PyObject * __Pyx_PyDict_GetItemStr(PyObject *dict, PyObject *name) {
-    PyObject *res = __Pyx_PyDict_GetItemStrWithError(dict, name);
-    if (res == NULL) PyErr_Clear();
-    return res;
-}
-#elif !CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM >= 0x07020000
-#define __Pyx_PyDict_GetItemStrWithError  PyDict_GetItemWithError
-#define __Pyx_PyDict_GetItemStr           PyDict_GetItem
-#else
-static CYTHON_INLINE PyObject * __Pyx_PyDict_GetItemStrWithError(PyObject *dict, PyObject *name) {
-#if CYTHON_COMPILING_IN_PYPY
-    return PyDict_GetItem(dict, name);
-#else
-    PyDictEntry *ep;
-    PyDictObject *mp = (PyDictObject*) dict;
-    long hash = ((PyStringObject *) name)->ob_shash;
-    assert(hash != -1);
-    ep = (mp->ma_lookup)(mp, name, hash);
-    if (ep == NULL) {
-        return NULL;
-    }
-    return ep->me_value;
-#endif
-}
-#define __Pyx_PyDict_GetItemStr           PyDict_GetItem
-#endif
-#if CYTHON_USE_TYPE_SLOTS
-  #define __Pyx_PyType_GetFlags(tp)   (((PyTypeObject *)tp)->tp_flags)
-  #define __Pyx_PyType_HasFeature(type, feature)  ((__Pyx_PyType_GetFlags(type) & (feature)) != 0)
-#else
-  #define __Pyx_PyType_GetFlags(tp)   (PyType_GetFlags((PyTypeObject *)tp))
-  #define __Pyx_PyType_HasFeature(type, feature)  PyType_HasFeature(type, feature)
-#endif
-#define __Pyx_PyObject_GetIterNextFunc(iterator)  __Pyx_PyObject_GetSlot(iterator, tp_iternext, iternextfunc)
-#if CYTHON_USE_TYPE_SPECS
-#define __Pyx_PyHeapTypeObject_GC_Del(obj)  {\
-    PyTypeObject *type = Py_TYPE((PyObject*)obj);\
-    assert(__Pyx_PyType_HasFeature(type, Py_TPFLAGS_HEAPTYPE));\
-    PyObject_GC_Del(obj);\
-    Py_DECREF(type);\
-}
-#else
-#define __Pyx_PyHeapTypeObject_GC_Del(obj)  PyObject_GC_Del(obj)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyUnicode_READY(op)       (0)
-  #define __Pyx_PyUnicode_READ_CHAR(u, i) PyUnicode_ReadChar(u, i)
-  #define __Pyx_PyUnicode_MAX_CHAR_VALUE(u)   ((void)u, 1114111U)
-  #define __Pyx_PyUnicode_KIND(u)         ((void)u, (0))
-  #define __Pyx_PyUnicode_DATA(u)         ((void*)u)
-  #define __Pyx_PyUnicode_READ(k, d, i)   ((void)k, PyUnicode_ReadChar((PyObject*)(d), i))
-  #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != PyUnicode_GetLength(u))
-#else
-  #if PY_VERSION_HEX >= 0x030C0000
-    #define __Pyx_PyUnicode_READY(op)       (0)
-  #else
-    #define __Pyx_PyUnicode_READY(op)       (likely(PyUnicode_IS_READY(op)) ?\
-                                                0 : _PyUnicode_Ready((PyObject *)(op)))
-  #endif
-  #define __Pyx_PyUnicode_READ_CHAR(u, i) PyUnicode_READ_CHAR(u, i)
-  #define __Pyx_PyUnicode_MAX_CHAR_VALUE(u)   PyUnicode_MAX_CHAR_VALUE(u)
-  #define __Pyx_PyUnicode_KIND(u)         ((int)PyUnicode_KIND(u))
-  #define __Pyx_PyUnicode_DATA(u)         PyUnicode_DATA(u)
-  #define __Pyx_PyUnicode_READ(k, d, i)   PyUnicode_READ(k, d, i)
-  #define __Pyx_PyUnicode_WRITE(k, d, i, ch)  PyUnicode_WRITE(k, d, i, (Py_UCS4) ch)
-  #if PY_VERSION_HEX >= 0x030C0000
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != PyUnicode_GET_LENGTH(u))
-  #else
-    #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x03090000
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != (likely(PyUnicode_IS_READY(u)) ? PyUnicode_GET_LENGTH(u) : ((PyCompactUnicodeObject *)(u))->wstr_length))
-    #else
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != (likely(PyUnicode_IS_READY(u)) ? PyUnicode_GET_LENGTH(u) : PyUnicode_GET_SIZE(u)))
-    #endif
-  #endif
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-  #define __Pyx_PyUnicode_Concat(a, b)      PyNumber_Add(a, b)
-  #define __Pyx_PyUnicode_ConcatSafe(a, b)  PyNumber_Add(a, b)
-#else
-  #define __Pyx_PyUnicode_Concat(a, b)      PyUnicode_Concat(a, b)
-  #define __Pyx_PyUnicode_ConcatSafe(a, b)  ((unlikely((a) == Py_None) || unlikely((b) == Py_None)) ?\
-      PyNumber_Add(a, b) : __Pyx_PyUnicode_Concat(a, b))
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-  #if !defined(PyUnicode_DecodeUnicodeEscape)
-    #define PyUnicode_DecodeUnicodeEscape(s, size, errors)  PyUnicode_Decode(s, size, "unicode_escape", errors)
-  #endif
-  #if !defined(PyUnicode_Contains)
-    #define PyUnicode_Contains(u, s)  PySequence_Contains(u, s)
-  #endif
-  #if !defined(PyByteArray_Check)
-    #define PyByteArray_Check(obj)  PyObject_TypeCheck(obj, &PyByteArray_Type)
-  #endif
-  #if !defined(PyObject_Format)
-    #define PyObject_Format(obj, fmt)  PyObject_CallMethod(obj, "__format__", "O", fmt)
-  #endif
-#endif
-#define __Pyx_PyUnicode_FormatSafe(a, b)  ((unlikely((a) == Py_None || (PyUnicode_Check(b) && !PyUnicode_CheckExact(b)))) ? PyNumber_Remainder(a, b) : PyUnicode_Format(a, b))
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  #define __Pyx_PySequence_ListKeepNew(obj)\
-    (likely(PyList_CheckExact(obj) && PyUnstable_Object_IsUniquelyReferenced(obj)) ? __Pyx_NewRef(obj) : PySequence_List(obj))
-#elif CYTHON_COMPILING_IN_CPYTHON
-  #define __Pyx_PySequence_ListKeepNew(obj)\
-    (likely(PyList_CheckExact(obj) && Py_REFCNT(obj) == 1) ? __Pyx_NewRef(obj) : PySequence_List(obj))
-#else
-  #define __Pyx_PySequence_ListKeepNew(obj)  PySequence_List(obj)
-#endif
-#ifndef PySet_CheckExact
-  #define PySet_CheckExact(obj)        __Pyx_IS_TYPE(obj, &PySet_Type)
-#endif
-#if PY_VERSION_HEX >= 0x030900A4
-  #define __Pyx_SET_REFCNT(obj, refcnt) Py_SET_REFCNT(obj, refcnt)
-  #define __Pyx_SET_SIZE(obj, size) Py_SET_SIZE(obj, size)
-#else
-  #define __Pyx_SET_REFCNT(obj, refcnt) Py_REFCNT(obj) = (refcnt)
-  #define __Pyx_SET_SIZE(obj, size) Py_SIZE(obj) = (size)
-#endif
-enum __Pyx_ReferenceSharing {
-  __Pyx_ReferenceSharing_DefinitelyUnique, // We created it so we know it's unshared - no need to check
-  __Pyx_ReferenceSharing_OwnStrongReference,
-  __Pyx_ReferenceSharing_FunctionArgument,
-  __Pyx_ReferenceSharing_SharedReference, // Never trust it to be unshared because it's a global or similar
-};
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && PY_VERSION_HEX >= 0x030E0000
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing)\
-    (sharing == __Pyx_ReferenceSharing_DefinitelyUnique ? 1 :\
-      (sharing == __Pyx_ReferenceSharing_FunctionArgument ? PyUnstable_Object_IsUniqueReferencedTemporary(o) :\
-      (sharing == __Pyx_ReferenceSharing_OwnStrongReference ? PyUnstable_Object_IsUniquelyReferenced(o) : 0)))
-#elif (CYTHON_COMPILING_IN_CPYTHON && !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING) || CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing) (((void)sharing), Py_REFCNT(o) == 1)
-#else
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing) (((void)o), ((void)sharing), 0)
-#endif
-#if CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    #define __Pyx_PyList_GetItemRef(o, i) PyList_GetItemRef(o, i)
-  #elif CYTHON_COMPILING_IN_LIMITED_API || !CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_PyList_GetItemRef(o, i) (likely((i) >= 0) ? PySequence_GetItem(o, i) : (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL))
-  #else
-    #define __Pyx_PyList_GetItemRef(o, i) PySequence_ITEM(o, i)
-  #endif
-#elif CYTHON_COMPILING_IN_LIMITED_API || !CYTHON_ASSUME_SAFE_MACROS
-  #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    #define __Pyx_PyList_GetItemRef(o, i) PyList_GetItemRef(o, i)
-  #else
-    #define __Pyx_PyList_GetItemRef(o, i) __Pyx_XNewRef(PyList_GetItem(o, i))
-  #endif
-#else
-  #define __Pyx_PyList_GetItemRef(o, i) __Pyx_NewRef(PyList_GET_ITEM(o, i))
-#endif
-#if CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS && !CYTHON_COMPILING_IN_LIMITED_API && CYTHON_ASSUME_SAFE_MACROS
-  #define __Pyx_PyList_GetItemRefFast(o, i, unsafe_shared) (__Pyx_IS_UNIQUELY_REFERENCED(o, unsafe_shared) ?\
-    __Pyx_NewRef(PyList_GET_ITEM(o, i)) : __Pyx_PyList_GetItemRef(o, i))
-#else
-  #define __Pyx_PyList_GetItemRefFast(o, i, unsafe_shared) __Pyx_PyList_GetItemRef(o, i)
-#endif
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_PyDict_GetItemRef(dict, key, result) PyDict_GetItemRef(dict, key, result)
-#elif CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-static CYTHON_INLINE int __Pyx_PyDict_GetItemRef(PyObject *dict, PyObject *key, PyObject **result) {
-  *result = PyObject_GetItem(dict, key);
-  if (*result == NULL) {
-    if (PyErr_ExceptionMatches(PyExc_KeyError)) {
-      PyErr_Clear();
-      return 0;
-    }
-    return -1;
-  }
-  return 1;
-}
-#else
-static CYTHON_INLINE int __Pyx_PyDict_GetItemRef(PyObject *dict, PyObject *key, PyObject **result) {
-  *result = PyDict_GetItemWithError(dict, key);
-  if (*result == NULL) {
-    return PyErr_Occurred() ? -1 : 0;
-  }
-  Py_INCREF(*result);
-  return 1;
-}
-#endif
-#if defined(CYTHON_DEBUG_VISIT_CONST) && CYTHON_DEBUG_VISIT_CONST
-  #define __Pyx_VISIT_CONST(obj)  Py_VISIT(obj)
-#else
-  #define __Pyx_VISIT_CONST(obj)
-#endif
-#if CYTHON_ASSUME_SAFE_MACROS
-  #define __Pyx_PySequence_ITEM(o, i) PySequence_ITEM(o, i)
-  #define __Pyx_PySequence_SIZE(seq)  Py_SIZE(seq)
-  #define __Pyx_PyTuple_SET_ITEM(o, i, v) (PyTuple_SET_ITEM(o, i, v), (0))
-  #define __Pyx_PyTuple_GET_ITEM(o, i) PyTuple_GET_ITEM(o, i)
-  #define __Pyx_PyList_SET_ITEM(o, i, v) (PyList_SET_ITEM(o, i, v), (0))
-  #define __Pyx_PyList_GET_ITEM(o, i) PyList_GET_ITEM(o, i)
-#else
-  #define __Pyx_PySequence_ITEM(o, i) PySequence_GetItem(o, i)
-  #define __Pyx_PySequence_SIZE(seq)  PySequence_Size(seq)
-  #define __Pyx_PyTuple_SET_ITEM(o, i, v) PyTuple_SetItem(o, i, v)
-  #define __Pyx_PyTuple_GET_ITEM(o, i) PyTuple_GetItem(o, i)
-  #define __Pyx_PyList_SET_ITEM(o, i, v) PyList_SetItem(o, i, v)
-  #define __Pyx_PyList_GET_ITEM(o, i) PyList_GetItem(o, i)
-#endif
-#if CYTHON_ASSUME_SAFE_SIZE
-  #define __Pyx_PyTuple_GET_SIZE(o) PyTuple_GET_SIZE(o)
-  #define __Pyx_PyList_GET_SIZE(o) PyList_GET_SIZE(o)
-  #define __Pyx_PySet_GET_SIZE(o) PySet_GET_SIZE(o)
-  #define __Pyx_PyBytes_GET_SIZE(o) PyBytes_GET_SIZE(o)
-  #define __Pyx_PyByteArray_GET_SIZE(o) PyByteArray_GET_SIZE(o)
-  #define __Pyx_PyUnicode_GET_LENGTH(o) PyUnicode_GET_LENGTH(o)
-#else
-  #define __Pyx_PyTuple_GET_SIZE(o) PyTuple_Size(o)
-  #define __Pyx_PyList_GET_SIZE(o) PyList_Size(o)
-  #define __Pyx_PySet_GET_SIZE(o) PySet_Size(o)
-  #define __Pyx_PyBytes_GET_SIZE(o) PyBytes_Size(o)
-  #define __Pyx_PyByteArray_GET_SIZE(o) PyByteArray_Size(o)
-  #define __Pyx_PyUnicode_GET_LENGTH(o) PyUnicode_GetLength(o)
-#endif
-#if CYTHON_COMPILING_IN_PYPY && !defined(PyUnicode_InternFromString)
-  #define PyUnicode_InternFromString(s) PyUnicode_FromString(s)
-#endif
-#define __Pyx_PyLong_FromHash_t PyLong_FromSsize_t
-#define __Pyx_PyLong_AsHash_t   __Pyx_PyIndex_AsSsize_t
-#if __PYX_LIMITED_VERSION_HEX >= 0x030A0000
-    #define __Pyx_PySendResult PySendResult
-#else
-    typedef enum {
-        PYGEN_RETURN = 0,
-        PYGEN_ERROR = -1,
-        PYGEN_NEXT = 1,
-    } __Pyx_PySendResult;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX < 0x030A00A3
-  typedef __Pyx_PySendResult (*__Pyx_pyiter_sendfunc)(PyObject *iter, PyObject *value, PyObject **result);
-#else
-  #define __Pyx_pyiter_sendfunc sendfunc
-#endif
-#if !CYTHON_USE_AM_SEND
-#define __PYX_HAS_PY_AM_SEND 0
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030A0000
-#define __PYX_HAS_PY_AM_SEND 1
-#else
-#define __PYX_HAS_PY_AM_SEND 2  // our own backported implementation
-#endif
-#if __PYX_HAS_PY_AM_SEND < 2
-    #define __Pyx_PyAsyncMethodsStruct PyAsyncMethods
-#else
-    typedef struct {
-        unaryfunc am_await;
-        unaryfunc am_aiter;
-        unaryfunc am_anext;
-        __Pyx_pyiter_sendfunc am_send;
-    } __Pyx_PyAsyncMethodsStruct;
-    #define __Pyx_SlotTpAsAsync(s) ((PyAsyncMethods*)(s))
-#endif
-#if CYTHON_USE_AM_SEND && PY_VERSION_HEX < 0x030A00F0
-    #define __Pyx_TPFLAGS_HAVE_AM_SEND (1UL << 21)
-#else
-    #define __Pyx_TPFLAGS_HAVE_AM_SEND (0)
-#endif
-#if PY_VERSION_HEX >= 0x03090000
-#define __Pyx_PyInterpreterState_Get() PyInterpreterState_Get()
-#else
-#define __Pyx_PyInterpreterState_Get() PyThreadState_Get()->interp
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030A0000
-#ifdef __cplusplus
-extern "C"
-#endif
-PyAPI_FUNC(void *) PyMem_Calloc(size_t nelem, size_t elsize);
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-static int __Pyx_init_co_variable(PyObject *inspect, const char* name, int *write_to) {
-    int value;
-    PyObject *py_value = PyObject_GetAttrString(inspect, name);
-    if (!py_value) return 0;
-    value = (int) PyLong_AsLong(py_value);
-    Py_DECREF(py_value);
-    *write_to = value;
-    return value != -1 || !PyErr_Occurred();
-}
-static int __Pyx_init_co_variables(void) {
-    PyObject *inspect;
-    int result;
-    inspect = PyImport_ImportModule("inspect");
-    result =
-#if !defined(CO_OPTIMIZED)
-        __Pyx_init_co_variable(inspect, "CO_OPTIMIZED", &CO_OPTIMIZED) &&
-#endif
-#if !defined(CO_NEWLOCALS)
-        __Pyx_init_co_variable(inspect, "CO_NEWLOCALS", &CO_NEWLOCALS) &&
-#endif
-#if !defined(CO_VARARGS)
-        __Pyx_init_co_variable(inspect, "CO_VARARGS", &CO_VARARGS) &&
-#endif
-#if !defined(CO_VARKEYWORDS)
-        __Pyx_init_co_variable(inspect, "CO_VARKEYWORDS", &CO_VARKEYWORDS) &&
-#endif
-#if !defined(CO_ASYNC_GENERATOR)
-        __Pyx_init_co_variable(inspect, "CO_ASYNC_GENERATOR", &CO_ASYNC_GENERATOR) &&
-#endif
-#if !defined(CO_GENERATOR)
-        __Pyx_init_co_variable(inspect, "CO_GENERATOR", &CO_GENERATOR) &&
-#endif
-#if !defined(CO_COROUTINE)
-        __Pyx_init_co_variable(inspect, "CO_COROUTINE", &CO_COROUTINE) &&
-#endif
-        1;
-    Py_DECREF(inspect);
-    return result ? 0 : -1;
-}
-#else
-static int __Pyx_init_co_variables(void) {
-    return 0;  // It's a limited API-only feature
-}
-#endif
-
-/* MathInitCode */
-#if defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)
-  #ifndef _USE_MATH_DEFINES
-    #define _USE_MATH_DEFINES
-  #endif
-#endif
-#include <math.h>
-#if defined(__CYGWIN__) && defined(_LDBL_EQ_DBL)
-#define __Pyx_truncl trunc
-#else
-#define __Pyx_truncl truncl
-#endif
-
-#ifndef CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#define CYTHON_CLINE_IN_TRACEBACK_RUNTIME 0
-#endif
-#ifndef CYTHON_CLINE_IN_TRACEBACK
-#define CYTHON_CLINE_IN_TRACEBACK CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#endif
-#if CYTHON_CLINE_IN_TRACEBACK
-#define __PYX_MARK_ERR_POS(f_index, lineno)  { __pyx_filename = __pyx_f[f_index]; (void) __pyx_filename; __pyx_lineno = lineno; (void) __pyx_lineno; __pyx_clineno = __LINE__; (void) __pyx_clineno; }
-#else
-#define __PYX_MARK_ERR_POS(f_index, lineno)  { __pyx_filename = __pyx_f[f_index]; (void) __pyx_filename; __pyx_lineno = lineno; (void) __pyx_lineno; (void) __pyx_clineno; }
-#endif
-#define __PYX_ERR(f_index, lineno, Ln_error) \
-    { __PYX_MARK_ERR_POS(f_index, lineno) goto Ln_error; }
-
-#ifdef CYTHON_EXTERN_C
-    #undef __PYX_EXTERN_C
-    #define __PYX_EXTERN_C CYTHON_EXTERN_C
-#elif defined(__PYX_EXTERN_C)
-    #ifdef _MSC_VER
-    #pragma message ("Please do not define the '__PYX_EXTERN_C' macro externally. Use 'CYTHON_EXTERN_C' instead.")
-    #else
-    #warning Please do not define the '__PYX_EXTERN_C' macro externally. Use 'CYTHON_EXTERN_C' instead.
-    #endif
-#else
-  #ifdef __cplusplus
-    #define __PYX_EXTERN_C extern "C"
-  #else
-    #define __PYX_EXTERN_C extern
-  #endif
-#endif
-
-#define __PYX_HAVE__wspkit___kernel___speed
-#define __PYX_HAVE_API__wspkit___kernel___speed
-/* Early includes */
-#include <string.h>
-#include <stdint.h>
-#ifdef _OPENMP
-#include <omp.h>
-#endif /* _OPENMP */
-
-#if defined(PYREX_WITHOUT_ASSERTIONS) && !defined(CYTHON_WITHOUT_ASSERTIONS)
-#define CYTHON_WITHOUT_ASSERTIONS
-#endif
-
-#ifdef CYTHON_FREETHREADING_COMPATIBLE
-#if CYTHON_FREETHREADING_COMPATIBLE
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_NOT_USED
-#else
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_USED
-#endif
-#else
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_USED
-#endif
-#define __PYX_DEFAULT_STRING_ENCODING_IS_ASCII 0
-#define __PYX_DEFAULT_STRING_ENCODING_IS_UTF8 0
-#define __PYX_DEFAULT_STRING_ENCODING ""
-#define __Pyx_PyObject_FromString __Pyx_PyBytes_FromString
-#define __Pyx_PyObject_FromStringAndSize __Pyx_PyBytes_FromStringAndSize
-#define __Pyx_uchar_cast(c) ((unsigned char)c)
-#define __Pyx_long_cast(x) ((long)x)
-#define __Pyx_fits_Py_ssize_t(v, type, is_signed)  (\
-    (sizeof(type) < sizeof(Py_ssize_t))  ||\
-    (sizeof(type) > sizeof(Py_ssize_t) &&\
-          likely(v < (type)PY_SSIZE_T_MAX ||\
-                 v == (type)PY_SSIZE_T_MAX)  &&\
-          (!is_signed || likely(v > (type)PY_SSIZE_T_MIN ||\
-                                v == (type)PY_SSIZE_T_MIN)))  ||\
-    (sizeof(type) == sizeof(Py_ssize_t) &&\
-          (is_signed || likely(v < (type)PY_SSIZE_T_MAX ||\
-                               v == (type)PY_SSIZE_T_MAX)))  )
-static CYTHON_INLINE int __Pyx_is_valid_index(Py_ssize_t i, Py_ssize_t limit) {
-    return (size_t) i < (size_t) limit;
-}
-#if defined (__cplusplus) && __cplusplus >= 201103L
-    #include <cstdlib>
-    #define __Pyx_sst_abs(value) std::abs(value)
-#elif SIZEOF_INT >= SIZEOF_SIZE_T
-    #define __Pyx_sst_abs(value) abs(value)
-#elif SIZEOF_LONG >= SIZEOF_SIZE_T
-    #define __Pyx_sst_abs(value) labs(value)
-#elif defined (_MSC_VER)
-    #define __Pyx_sst_abs(value) ((Py_ssize_t)_abs64(value))
-#elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define __Pyx_sst_abs(value) llabs(value)
-#elif defined (__GNUC__)
-    #define __Pyx_sst_abs(value) __builtin_llabs(value)
-#else
-    #define __Pyx_sst_abs(value) ((value<0) ? -value : value)
-#endif
-static CYTHON_INLINE Py_ssize_t __Pyx_ssize_strlen(const char *s);
-static CYTHON_INLINE const char* __Pyx_PyObject_AsString(PyObject*);
-static CYTHON_INLINE const char* __Pyx_PyObject_AsStringAndSize(PyObject*, Py_ssize_t* length);
-static CYTHON_INLINE PyObject* __Pyx_PyByteArray_FromString(const char*);
-#define __Pyx_PyByteArray_FromStringAndSize(s, l) PyByteArray_FromStringAndSize((const char*)s, l)
-#define __Pyx_PyBytes_FromString        PyBytes_FromString
-#define __Pyx_PyBytes_FromStringAndSize PyBytes_FromStringAndSize
-static CYTHON_INLINE PyObject* __Pyx_PyUnicode_FromString(const char*);
-#if CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_PyBytes_AsWritableString(s)     ((char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsWritableSString(s)    ((signed char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsWritableUString(s)    ((unsigned char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsString(s)     ((const char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsSString(s)    ((const signed char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsUString(s)    ((const unsigned char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyByteArray_AsString(s) PyByteArray_AS_STRING(s)
-#else
-    #define __Pyx_PyBytes_AsWritableString(s)     ((char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsWritableSString(s)    ((signed char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsWritableUString(s)    ((unsigned char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsString(s)     ((const char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsSString(s)    ((const signed char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsUString(s)    ((const unsigned char*) PyBytes_AsString(s))
-    #define __Pyx_PyByteArray_AsString(s) PyByteArray_AsString(s)
-#endif
-#define __Pyx_PyObject_AsWritableString(s)    ((char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsWritableSString(s)    ((signed char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsWritableUString(s)    ((unsigned char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsSString(s)    ((const signed char*) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsUString(s)    ((const unsigned char*) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_FromCString(s)  __Pyx_PyObject_FromString((const char*)s)
-#define __Pyx_PyBytes_FromCString(s)   __Pyx_PyBytes_FromString((const char*)s)
-#define __Pyx_PyByteArray_FromCString(s)   __Pyx_PyByteArray_FromString((const char*)s)
-#define __Pyx_PyUnicode_FromCString(s) __Pyx_PyUnicode_FromString((const char*)s)
-#define __Pyx_PyUnicode_FromOrdinal(o)       PyUnicode_FromOrdinal((int)o)
-#define __Pyx_PyUnicode_AsUnicode            PyUnicode_AsUnicode
-static CYTHON_INLINE PyObject *__Pyx_NewRef(PyObject *obj) {
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030a0000 || defined(Py_NewRef)
-    return Py_NewRef(obj);
-#else
-    Py_INCREF(obj);
-    return obj;
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_XNewRef(PyObject *obj) {
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030a0000 || defined(Py_XNewRef)
-    return Py_XNewRef(obj);
-#else
-    Py_XINCREF(obj);
-    return obj;
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_Owned_Py_None(int b);
-static CYTHON_INLINE PyObject * __Pyx_PyBool_FromLong(long b);
-static CYTHON_INLINE int __Pyx_PyObject_IsTrue(PyObject*);
-static CYTHON_INLINE int __Pyx_PyObject_IsTrueAndDecref(PyObject*);
-static CYTHON_INLINE PyObject* __Pyx_PyNumber_Long(PyObject* x);
-#define __Pyx_PySequence_Tuple(obj)\
-    (likely(PyTuple_CheckExact(obj)) ? __Pyx_NewRef(obj) : PySequence_Tuple(obj))
-static CYTHON_INLINE Py_ssize_t __Pyx_PyIndex_AsSsize_t(PyObject*);
-static CYTHON_INLINE PyObject * __Pyx_PyLong_FromSize_t(size_t);
-static CYTHON_INLINE Py_hash_t __Pyx_PyIndex_AsHash_t(PyObject*);
-#if CYTHON_ASSUME_SAFE_MACROS
-#define __Pyx_PyFloat_AsDouble(x) (PyFloat_CheckExact(x) ? PyFloat_AS_DOUBLE(x) : PyFloat_AsDouble(x))
-#define __Pyx_PyFloat_AS_DOUBLE(x) PyFloat_AS_DOUBLE(x)
-#else
-#define __Pyx_PyFloat_AsDouble(x) PyFloat_AsDouble(x)
-#define __Pyx_PyFloat_AS_DOUBLE(x) PyFloat_AsDouble(x)
-#endif
-#define __Pyx_PyFloat_AsFloat(x) ((float) __Pyx_PyFloat_AsDouble(x))
-#define __Pyx_PyNumber_Int(x) (PyLong_CheckExact(x) ? __Pyx_NewRef(x) : PyNumber_Long(x))
-#if CYTHON_USE_PYLONG_INTERNALS
-  #if PY_VERSION_HEX >= 0x030C00A7
-  #ifndef _PyLong_SIGN_MASK
-    #define _PyLong_SIGN_MASK 3
-  #endif
-  #ifndef _PyLong_NON_SIZE_BITS
-    #define _PyLong_NON_SIZE_BITS 3
-  #endif
-  #define __Pyx_PyLong_Sign(x)  (((PyLongObject*)x)->long_value.lv_tag & _PyLong_SIGN_MASK)
-  #define __Pyx_PyLong_IsNeg(x)  ((__Pyx_PyLong_Sign(x) & 2) != 0)
-  #define __Pyx_PyLong_IsNonNeg(x)  (!__Pyx_PyLong_IsNeg(x))
-  #define __Pyx_PyLong_IsZero(x)  (__Pyx_PyLong_Sign(x) & 1)
-  #define __Pyx_PyLong_IsPos(x)  (__Pyx_PyLong_Sign(x) == 0)
-  #define __Pyx_PyLong_CompactValueUnsigned(x)  (__Pyx_PyLong_Digits(x)[0])
-  #define __Pyx_PyLong_DigitCount(x)  ((Py_ssize_t) (((PyLongObject*)x)->long_value.lv_tag >> _PyLong_NON_SIZE_BITS))
-  #define __Pyx_PyLong_SignedDigitCount(x)\
-        ((1 - (Py_ssize_t) __Pyx_PyLong_Sign(x)) * __Pyx_PyLong_DigitCount(x))
-  #if defined(PyUnstable_Long_IsCompact) && defined(PyUnstable_Long_CompactValue)
-    #define __Pyx_PyLong_IsCompact(x)     PyUnstable_Long_IsCompact((PyLongObject*) x)
-    #define __Pyx_PyLong_CompactValue(x)  PyUnstable_Long_CompactValue((PyLongObject*) x)
-  #else
-    #define __Pyx_PyLong_IsCompact(x)     (((PyLongObject*)x)->long_value.lv_tag < (2 << _PyLong_NON_SIZE_BITS))
-    #define __Pyx_PyLong_CompactValue(x)  ((1 - (Py_ssize_t) __Pyx_PyLong_Sign(x)) * (Py_ssize_t) __Pyx_PyLong_Digits(x)[0])
-  #endif
-  typedef Py_ssize_t  __Pyx_compact_pylong;
-  typedef size_t  __Pyx_compact_upylong;
-  #else
-  #define __Pyx_PyLong_IsNeg(x)  (Py_SIZE(x) < 0)
-  #define __Pyx_PyLong_IsNonNeg(x)  (Py_SIZE(x) >= 0)
-  #define __Pyx_PyLong_IsZero(x)  (Py_SIZE(x) == 0)
-  #define __Pyx_PyLong_IsPos(x)  (Py_SIZE(x) > 0)
-  #define __Pyx_PyLong_CompactValueUnsigned(x)  ((Py_SIZE(x) == 0) ? 0 : __Pyx_PyLong_Digits(x)[0])
-  #define __Pyx_PyLong_DigitCount(x)  __Pyx_sst_abs(Py_SIZE(x))
-  #define __Pyx_PyLong_SignedDigitCount(x)  Py_SIZE(x)
-  #define __Pyx_PyLong_IsCompact(x)  (Py_SIZE(x) == 0 || Py_SIZE(x) == 1 || Py_SIZE(x) == -1)
-  #define __Pyx_PyLong_CompactValue(x)\
-        ((Py_SIZE(x) == 0) ? (sdigit) 0 : ((Py_SIZE(x) < 0) ? -(sdigit)__Pyx_PyLong_Digits(x)[0] : (sdigit)__Pyx_PyLong_Digits(x)[0]))
-  typedef sdigit  __Pyx_compact_pylong;
-  typedef digit  __Pyx_compact_upylong;
-  #endif
-  #if PY_VERSION_HEX >= 0x030C00A5
-  #define __Pyx_PyLong_Digits(x)  (((PyLongObject*)x)->long_value.ob_digit)
-  #else
-  #define __Pyx_PyLong_Digits(x)  (((PyLongObject*)x)->ob_digit)
-  #endif
-#endif
-#if __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_DecodeUTF8(c_str, size, NULL)
-#elif __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_DecodeASCII(c_str, size, NULL)
-#else
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_Decode(c_str, size, __PYX_DEFAULT_STRING_ENCODING, NULL)
-#endif
-
-
-/* Test for GCC > 2.95 */
-#if defined(__GNUC__)     && (__GNUC__ > 2 || (__GNUC__ == 2 && (__GNUC_MINOR__ > 95)))
-  #define likely(x)   __builtin_expect(!!(x), 1)
-  #define unlikely(x) __builtin_expect(!!(x), 0)
-#else /* !__GNUC__ or GCC < 2.95 */
-  #define likely(x)   (x)
-  #define unlikely(x) (x)
-#endif /* __GNUC__ */
-/* PretendToInitialize */
-#ifdef __cplusplus
-#if __cplusplus > 201103L
-#include <type_traits>
-#endif
-template <typename T>
-static void __Pyx_pretend_to_initialize(T* ptr) {
-#if __cplusplus > 201103L
-    if ((std::is_trivially_default_constructible<T>::value))
-#endif
-        *ptr = T();
-    (void)ptr;
-}
-#else
-static CYTHON_INLINE void __Pyx_pretend_to_initialize(void* ptr) { (void)ptr; }
-#endif
-
-
-#if !CYTHON_USE_MODULE_STATE
-static PyObject *__pyx_m = NULL;
-#endif
-static int __pyx_lineno;
-static int __pyx_clineno = 0;
-static const char * const __pyx_cfilenm = __FILE__;
-static const char *__pyx_filename;
-
-/* #### Code section: filename_table ### */
-
-static const char* const __pyx_f[] = {
-  "src/wspkit/_kernel/_speed.pyx",
-  "<stringsource>",
-};
-/* #### Code section: utility_code_proto_before_types ### */
-/* Atomics.proto (used by UnpackUnboundCMethod) */
-#include <pythread.h>
-#ifndef CYTHON_ATOMICS
-    #define CYTHON_ATOMICS 1
-#endif
-#define __PYX_CYTHON_ATOMICS_ENABLED() CYTHON_ATOMICS
-#define __PYX_GET_CYTHON_COMPILING_IN_CPYTHON_FREETHREADING() CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __pyx_atomic_int_type int
-#define __pyx_nonatomic_int_type int
-#if CYTHON_ATOMICS && (defined(__STDC_VERSION__) &&\
-                        (__STDC_VERSION__ >= 201112L) &&\
-                        !defined(__STDC_NO_ATOMICS__))
-    #include <stdatomic.h>
-#elif CYTHON_ATOMICS && (defined(__cplusplus) && (\
-                    (__cplusplus >= 201103L) ||\
-                    (defined(_MSC_VER) && _MSC_VER >= 1700)))
-    #include <atomic>
-#endif
-#if CYTHON_ATOMICS && (defined(__STDC_VERSION__) &&\
-                        (__STDC_VERSION__ >= 201112L) &&\
-                        !defined(__STDC_NO_ATOMICS__) &&\
-                       ATOMIC_INT_LOCK_FREE == 2)
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type atomic_int
-    #define __pyx_atomic_ptr_type atomic_uintptr_t
-    #define __pyx_nonatomic_ptr_type uintptr_t
-    #define __pyx_atomic_incr_relaxed(value) atomic_fetch_add_explicit(value, 1, memory_order_relaxed)
-    #define __pyx_atomic_incr_acq_rel(value) atomic_fetch_add_explicit(value, 1, memory_order_acq_rel)
-    #define __pyx_atomic_decr_acq_rel(value) atomic_fetch_sub_explicit(value, 1, memory_order_acq_rel)
-    #define __pyx_atomic_sub(value, arg) atomic_fetch_sub(value, arg)
-    #define __pyx_atomic_int_cmp_exchange(value, expected, desired) atomic_compare_exchange_strong(value, expected, desired)
-    #define __pyx_atomic_load(value) atomic_load(value)
-    #define __pyx_atomic_store(value, new_value) atomic_store(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) atomic_load_explicit(value, memory_order_relaxed)
-    #define __pyx_atomic_pointer_load_acquire(value) atomic_load_explicit(value, memory_order_acquire)
-    #define __pyx_atomic_pointer_exchange(value, new_value) atomic_exchange(value, (__pyx_nonatomic_ptr_type)new_value)
-    #define __pyx_atomic_pointer_cmp_exchange(value, expected, desired) atomic_compare_exchange_strong(value, expected, desired)
-    #if defined(__PYX_DEBUG_ATOMICS) && defined(_MSC_VER)
-        #pragma message ("Using standard C atomics")
-    #elif defined(__PYX_DEBUG_ATOMICS)
-        #warning "Using standard C atomics"
-    #endif
-#elif CYTHON_ATOMICS && (defined(__cplusplus) && (\
-                    (__cplusplus >= 201103L) ||\
-\
-                    (defined(_MSC_VER) && _MSC_VER >= 1700)) &&\
-                    ATOMIC_INT_LOCK_FREE == 2)
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type std::atomic_int
-    #define __pyx_atomic_ptr_type std::atomic_uintptr_t
-    #define __pyx_nonatomic_ptr_type uintptr_t
-    #define __pyx_atomic_incr_relaxed(value) std::atomic_fetch_add_explicit(value, 1, std::memory_order_relaxed)
-    #define __pyx_atomic_incr_acq_rel(value) std::atomic_fetch_add_explicit(value, 1, std::memory_order_acq_rel)
-    #define __pyx_atomic_decr_acq_rel(value) std::atomic_fetch_sub_explicit(value, 1, std::memory_order_acq_rel)
-    #define __pyx_atomic_sub(value, arg) std::atomic_fetch_sub(value, arg)
-    #define __pyx_atomic_int_cmp_exchange(value, expected, desired) std::atomic_compare_exchange_strong(value, expected, desired)
-    #define __pyx_atomic_load(value) std::atomic_load(value)
-    #define __pyx_atomic_store(value, new_value) std::atomic_store(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) std::atomic_load_explicit(value, std::memory_order_relaxed)
-    #define __pyx_atomic_pointer_load_acquire(value) std::atomic_load_explicit(value, std::memory_order_acquire)
-    #define __pyx_atomic_pointer_exchange(value, new_value) std::atomic_exchange(value, (__pyx_nonatomic_ptr_type)new_value)
-    #define __pyx_atomic_pointer_cmp_exchange(value, expected, desired) std::atomic_compare_exchange_strong(value, expected, desired)
-    #if defined(__PYX_DEBUG_ATOMICS) && defined(_MSC_VER)
-        #pragma message ("Using standard C++ atomics")
-    #elif defined(__PYX_DEBUG_ATOMICS)
-        #warning "Using standard C++ atomics"
-    #endif
-#elif CYTHON_ATOMICS && (__GNUC__ >= 5 || (__GNUC__ == 4 &&\
-                    (__GNUC_MINOR__ > 1 ||\
-                    (__GNUC_MINOR__ == 1 && __GNUC_PATCHLEVEL__ >= 2))))
-    #define __pyx_atomic_ptr_type void*
-    #define __pyx_nonatomic_ptr_type void*
-    #define __pyx_atomic_incr_relaxed(value) __sync_fetch_and_add(value, 1)
-    #define __pyx_atomic_incr_acq_rel(value) __sync_fetch_and_add(value, 1)
-    #define __pyx_atomic_decr_acq_rel(value) __sync_fetch_and_sub(value, 1)
-    #define __pyx_atomic_sub(value, arg) __sync_fetch_and_sub(value, arg)
-    static CYTHON_INLINE int __pyx_atomic_int_cmp_exchange(__pyx_atomic_int_type* value, __pyx_nonatomic_int_type* expected, __pyx_nonatomic_int_type desired) {
-        __pyx_nonatomic_int_type old = __sync_val_compare_and_swap(value, *expected, desired);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #define __pyx_atomic_load(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_store(value, new_value) __sync_lock_test_and_set(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_pointer_load_acquire(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_pointer_exchange(value, new_value) __sync_lock_test_and_set(value, (__pyx_atomic_ptr_type)new_value)
-    static CYTHON_INLINE int __pyx_atomic_pointer_cmp_exchange(__pyx_atomic_ptr_type* value, __pyx_nonatomic_ptr_type* expected, __pyx_nonatomic_ptr_type desired) {
-        __pyx_nonatomic_ptr_type old = __sync_val_compare_and_swap(value, *expected, desired);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #ifdef __PYX_DEBUG_ATOMICS
-        #warning "Using GNU atomics"
-    #endif
-#elif CYTHON_ATOMICS && defined(_MSC_VER)
-    #include <intrin.h>
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type long
-    #define __pyx_atomic_ptr_type void*
-    #undef __pyx_nonatomic_int_type
-    #define __pyx_nonatomic_int_type long
-    #define __pyx_nonatomic_ptr_type void*
-    #pragma intrinsic (_InterlockedExchangeAdd, _InterlockedExchange, _InterlockedCompareExchange, _InterlockedCompareExchangePointer, _InterlockedExchangePointer)
-    #define __pyx_atomic_incr_relaxed(value) _InterlockedExchangeAdd(value, 1)
-    #define __pyx_atomic_incr_acq_rel(value) _InterlockedExchangeAdd(value, 1)
-    #define __pyx_atomic_decr_acq_rel(value) _InterlockedExchangeAdd(value, -1)
-    #define __pyx_atomic_sub(value, arg) _InterlockedExchangeAdd(value, -arg)
-    static CYTHON_INLINE int __pyx_atomic_int_cmp_exchange(__pyx_atomic_int_type* value, __pyx_nonatomic_int_type* expected, __pyx_nonatomic_int_type desired) {
-        __pyx_nonatomic_int_type old = _InterlockedCompareExchange(value, desired, *expected);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #define __pyx_atomic_load(value) _InterlockedExchangeAdd(value, 0)
-    #define __pyx_atomic_store(value, new_value) _InterlockedExchange(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) *(void * volatile *)value
-    #define __pyx_atomic_pointer_load_acquire(value) _InterlockedCompareExchangePointer(value, 0, 0)
-    #define __pyx_atomic_pointer_exchange(value, new_value) _InterlockedExchangePointer(value, (__pyx_atomic_ptr_type)new_value)
-    static CYTHON_INLINE int __pyx_atomic_pointer_cmp_exchange(__pyx_atomic_ptr_type* value, __pyx_nonatomic_ptr_type* expected, __pyx_nonatomic_ptr_type desired) {
-        __pyx_atomic_ptr_type old = _InterlockedCompareExchangePointer(value, desired, *expected);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #ifdef __PYX_DEBUG_ATOMICS
-        #pragma message ("Using MSVC atomics")
-    #endif
-#else
-    #undef CYTHON_ATOMICS
-    #define CYTHON_ATOMICS 0
-    #ifdef __PYX_DEBUG_ATOMICS
-        #warning "Not using atomics"
-    #endif
-#endif
-
-/* CriticalSectionsDefinition.proto (used by CriticalSections) */
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyCriticalSection void*
-#define __Pyx_PyCriticalSection2 void*
-#define __Pyx_PyCriticalSection_End(cs)
-#define __Pyx_PyCriticalSection2_End(cs)
-#else
-#define __Pyx_PyCriticalSection PyCriticalSection
-#define __Pyx_PyCriticalSection2 PyCriticalSection2
-#define __Pyx_PyCriticalSection_End PyCriticalSection_End
-#define __Pyx_PyCriticalSection2_End PyCriticalSection2_End
-#endif
-
-/* CriticalSections.proto (used by ParseKeywordsImpl) */
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyCriticalSection_Begin(cs, arg) (void)(cs)
-#define __Pyx_PyCriticalSection2_Begin(cs, arg1, arg2) (void)(cs)
-#else
-#define __Pyx_PyCriticalSection_Begin PyCriticalSection_Begin
-#define __Pyx_PyCriticalSection2_Begin PyCriticalSection2_Begin
-#endif
-#if PY_VERSION_HEX < 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_BEGIN_CRITICAL_SECTION(o) {
-#define __Pyx_END_CRITICAL_SECTION() }
-#else
-#define __Pyx_BEGIN_CRITICAL_SECTION Py_BEGIN_CRITICAL_SECTION
-#define __Pyx_END_CRITICAL_SECTION Py_END_CRITICAL_SECTION
-#endif
-
-/* IncludeStructmemberH.proto (used by FixUpExtensionType) */
-#include <structmember.h>
-
-/* #### Code section: numeric_typedefs ### */
-/* #### Code section: complex_type_declarations ### */
-/* #### Code section: type_declarations ### */
-
-/*--- Type declarations ---*/
-struct __pyx_obj_6wspkit_7_kernel_6_speed__Engine;
-struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr;
-struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr;
-struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr;
-struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr;
-
-/* "wspkit/_kernel/_speed.pyx":48
- * 
- * 
- * cdef class _Engine:             # <<<<<<<<<<<<<<
- *     cdef int k, n, W, m, nC, nS
- *     cdef int* order
-*/
-struct __pyx_obj_6wspkit_7_kernel_6_speed__Engine {
-  PyObject_HEAD
-  struct __pyx_vtabstruct_6wspkit_7_kernel_6_speed__Engine *__pyx_vtab;
-  int k;
-  int n;
-  int W;
-  int m;
-  int nC;
-  int nS;
-  int *order;
-  uint64_t *combo;
-  int *sod_off;
-  int *sod_dat;
-  int *bod_off;
-  int *bod_dat;
-  char *cnt_atmost;
-  int *cnt_r;
-  int *cnt_rem;
-  char *cnt_member;
-  int *cat_off;
-  int *cat_dat;
-  int *su_h;
-  int *su_len;
-  uint64_t *su_x;
-  int *sat_off;
-  int *sat_dat;
-  uint64_t *bmask;
-  int *match;
-  char *alive;
-  uint64_t *ccover;
-  uint64_t *scover;
-  int *sassign;
-  int *assign;
-  uint64_t *seen;
-  int *restricted;
-  int *plan_out;
-  int64_t nodes;
-  int64_t patterns;
-  int64_t matchings;
-  int64_t max_nodes;
-  int64_t max_patterns;
-  double deadline;
-  int out_of_time;
-};
-
-
-/* "wspkit/_kernel/_speed.pyx":133
- *         self.sod_off = _alloc_int(k + 1)
- *         self.bod_off = _alloc_int(k + 1)
- *         total = sum(len(x) for x in prob.sod_prev)             # <<<<<<<<<<<<<<
- *         self.sod_dat = _alloc_int(max(1, total))
- *         i = 0
-*/
-struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr {
-  PyObject_HEAD
-  PyObject *__pyx_genexpr_arg_0;
-  PyObject *__pyx_v_x;
-  PyObject *__pyx_t_0;
-  Py_ssize_t __pyx_t_1;
-  PyObject *(*__pyx_t_2)(PyObject *);
-};
-
-
-/* "wspkit/_kernel/_speed.pyx":141
- *                 self.sod_dat[i] = e; i += 1
- *         self.sod_off[k] = i
- *         total = sum(len(x) for x in prob.bod_prev)             # <<<<<<<<<<<<<<
- *         self.bod_dat = _alloc_int(max(1, total))
- *         i = 0
-*/
-struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr {
-  PyObject_HEAD
-  PyObject *__pyx_genexpr_arg_0;
-  PyObject *__pyx_v_x;
-  PyObject *__pyx_t_0;
-  Py_ssize_t __pyx_t_1;
-  PyObject *(*__pyx_t_2)(PyObject *);
-};
-
-
-/* "wspkit/_kernel/_speed.pyx":165
- *                 self.cnt_rem[ci * k + d] = len(depths) - j - 1
- *         self.cat_off = _alloc_int(k + 1)
- *         total = sum(len(x) for x in prob.count_at)             # <<<<<<<<<<<<<<
- *         self.cat_dat = _alloc_int(max(1, total))
- *         i = 0
-*/
-struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr {
-  PyObject_HEAD
-  PyObject *__pyx_genexpr_arg_0;
-  PyObject *__pyx_v_x;
-  PyObject *__pyx_t_0;
-  Py_ssize_t __pyx_t_1;
-  PyObject *(*__pyx_t_2)(PyObject *);
-};
-
-
-/* "wspkit/_kernel/_speed.pyx":183
- *             _pack_mask(spec.xmask, self.su_x + si * W, W)
- *         self.sat_off = _alloc_int(k + 1)
- *         total = sum(len(x) for x in prob.sual_at)             # <<<<<<<<<<<<<<
- *         self.sat_dat = _alloc_int(max(1, total))
- *         i = 0
-*/
-struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr {
-  PyObject_HEAD
-  PyObject *__pyx_genexpr_arg_0;
-  PyObject *__pyx_v_x;
-  PyObject *__pyx_t_0;
-  Py_ssize_t __pyx_t_1;
-  PyObject *(*__pyx_t_2)(PyObject *);
-};
-
-
-
-/* "wspkit/_kernel/_speed.pyx":48
- * 
- * 
- * cdef class _Engine:             # <<<<<<<<<<<<<<
- *     cdef int k, n, W, m, nC, nS
- *     cdef int* order
-*/
-
-struct __pyx_vtabstruct_6wspkit_7_kernel_6_speed__Engine {
-  void (*_load)(struct __pyx_obj_6wspkit_7_kernel_6_speed__Engine *, PyObject *);
-  int (*_augment)(struct __pyx_obj_6wspkit_7_kernel_6_speed__Engine *, uint64_t *, int *, int, int);
-  int (*_apply_choice)(struct __pyx_obj_6wspkit_7_kernel_6_speed__Engine *, int, int, int);
-  void (*_extract_plan)(struct __pyx_obj_6wspkit_7_kernel_6_speed__Engine *, int);
-  int (*_search)(struct __pyx_obj_6wspkit_7_kernel_6_speed__Engine *, int, int);
-};
-static struct __pyx_vtabstruct_6wspkit_7_kernel_6_speed__Engine *__pyx_vtabptr_6wspkit_7_kernel_6_speed__Engine;
-/* #### Code section: utility_code_proto ### */
-
-/* --- Runtime support code (head) --- */
-/* Refnanny.proto */
-#ifndef CYTHON_REFNANNY
-  #define CYTHON_REFNANNY 0
-#endif
-#if CYTHON_REFNANNY
-  typedef struct {
-    void (*INCREF)(void*, PyObject*, Py_ssize_t);
-    void (*DECREF)(void*, PyObject*, Py_ssize_t);
-    void (*GOTREF)(void*, PyObject*, Py_ssize_t);
-    void (*GIVEREF)(void*, PyObject*, Py_ssize_t);
-    void* (*SetupContext)(const char*, Py_ssize_t, const char*);
-    void (*FinishContext)(void**);
-  } __Pyx_RefNannyAPIStruct;
-  static __Pyx_RefNannyAPIStruct *__Pyx_RefNanny = NULL;
-  static __Pyx_RefNannyAPIStruct *__Pyx_RefNannyImportAPI(const char *modname);
-  #define __Pyx_RefNannyDeclarations void *__pyx_refnanny = NULL;
-  #define __Pyx_RefNannySetupContext(name, acquire_gil)\
-          if (acquire_gil) {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __pyx_refnanny = __Pyx_RefNanny->SetupContext((name), (__LINE__), (__FILE__));\
-              PyGILState_Release(__pyx_gilstate_save);\
-          } else {\
-              __pyx_refnanny = __Pyx_RefNanny->SetupContext((name), (__LINE__), (__FILE__));\
-          }
-  #define __Pyx_RefNannyFinishContextNogil() {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __Pyx_RefNannyFinishContext();\
-              PyGILState_Release(__pyx_gilstate_save);\
-          }
-  #define __Pyx_RefNannyFinishContextNogil() {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __Pyx_RefNannyFinishContext();\
-              PyGILState_Release(__pyx_gilstate_save);\
-          }
-  #define __Pyx_RefNannyFinishContext()\
-          __Pyx_RefNanny->FinishContext(&__pyx_refnanny)
-  #define __Pyx_INCREF(r)  __Pyx_RefNanny->INCREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_DECREF(r)  __Pyx_RefNanny->DECREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_GOTREF(r)  __Pyx_RefNanny->GOTREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_GIVEREF(r) __Pyx_RefNanny->GIVEREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_XINCREF(r)  do { if((r) == NULL); else {__Pyx_INCREF(r); }} while(0)
-  #define __Pyx_XDECREF(r)  do { if((r) == NULL); else {__Pyx_DECREF(r); }} while(0)
-  #define __Pyx_XGOTREF(r)  do { if((r) == NULL); else {__Pyx_GOTREF(r); }} while(0)
-  #define __Pyx_XGIVEREF(r) do { if((r) == NULL); else {__Pyx_GIVEREF(r);}} while(0)
-#else
-  #define __Pyx_RefNannyDeclarations
-  #define __Pyx_RefNannySetupContext(name, acquire_gil)
-  #define __Pyx_RefNannyFinishContextNogil()
-  #define __Pyx_RefNannyFinishContext()
-  #define __Pyx_INCREF(r) Py_INCREF(r)
-  #define __Pyx_DECREF(r) Py_DECREF(r)
-  #define __Pyx_GOTREF(r)
-  #define __Pyx_GIVEREF(r)
-  #define __Pyx_XINCREF(r) Py_XINCREF(r)
-  #define __Pyx_XDECREF(r) Py_XDECREF(r)
-  #define __Pyx_XGOTREF(r)
-  #define __Pyx_XGIVEREF(r)
-#endif
-#define __Pyx_Py_XDECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; Py_XDECREF(tmp);\
-    } while (0)
-#define __Pyx_XDECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; __Pyx_XDECREF(tmp);\
-    } while (0)
-#define __Pyx_DECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; __Pyx_DECREF(tmp);\
-    } while (0)
-#define __Pyx_CLEAR(r)    do { PyObject* tmp = ((PyObject*)(r)); r = NULL; __Pyx_DECREF(tmp);} while(0)
-#define __Pyx_XCLEAR(r)   do { if((r) != NULL) {PyObject* tmp = ((PyObject*)(r)); r = NULL; __Pyx_DECREF(tmp);}} while(0)
-
-/* PyErrExceptionMatches.proto (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyErr_ExceptionMatches(err) __Pyx_PyErr_ExceptionMatchesInState(__pyx_tstate, err)
-static CYTHON_INLINE int __Pyx_PyErr_ExceptionMatchesInState(PyThreadState* tstate, PyObject* err);
-#else
-#define __Pyx_PyErr_ExceptionMatches(err)  PyErr_ExceptionMatches(err)
-#endif
-
-/* PyThreadStateGet.proto (used by PyErrFetchRestore) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyThreadState_declare  PyThreadState *__pyx_tstate;
-#define __Pyx_PyThreadState_assign  __pyx_tstate = __Pyx_PyThreadState_Current;
-#if PY_VERSION_HEX >= 0x030C00A6
-#define __Pyx_PyErr_Occurred()  (__pyx_tstate->current_exception != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  (__pyx_tstate->current_exception ? (PyObject*) Py_TYPE(__pyx_tstate->current_exception) : (PyObject*) NULL)
-#else
-#define __Pyx_PyErr_Occurred()  (__pyx_tstate->curexc_type != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  (__pyx_tstate->curexc_type)
-#endif
-#else
-#define __Pyx_PyThreadState_declare
-#define __Pyx_PyThreadState_assign
-#define __Pyx_PyErr_Occurred()  (PyErr_Occurred() != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  PyErr_Occurred()
-#endif
-
-/* PyErrFetchRestore.proto (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyErr_Clear() __Pyx_ErrRestore(NULL, NULL, NULL)
-#define __Pyx_ErrRestoreWithState(type, value, tb)  __Pyx_ErrRestoreInState(PyThreadState_GET(), type, value, tb)
-#define __Pyx_ErrFetchWithState(type, value, tb)    __Pyx_ErrFetchInState(PyThreadState_GET(), type, value, tb)
-#define __Pyx_ErrRestore(type, value, tb)  __Pyx_ErrRestoreInState(__pyx_tstate, type, value, tb)
-#define __Pyx_ErrFetch(type, value, tb)    __Pyx_ErrFetchInState(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx_ErrRestoreInState(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb);
-static CYTHON_INLINE void __Pyx_ErrFetchInState(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A6
-#define __Pyx_PyErr_SetNone(exc) (Py_INCREF(exc), __Pyx_ErrRestore((exc), NULL, NULL))
-#else
-#define __Pyx_PyErr_SetNone(exc) PyErr_SetNone(exc)
-#endif
-#else
-#define __Pyx_PyErr_Clear() PyErr_Clear()
-#define __Pyx_PyErr_SetNone(exc) PyErr_SetNone(exc)
-#define __Pyx_ErrRestoreWithState(type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetchWithState(type, value, tb)  PyErr_Fetch(type, value, tb)
-#define __Pyx_ErrRestoreInState(tstate, type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetchInState(tstate, type, value, tb)  PyErr_Fetch(type, value, tb)
-#define __Pyx_ErrRestore(type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetch(type, value, tb)  PyErr_Fetch(type, value, tb)
-#endif
-
-/* PyObjectGetAttrStr.proto (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStr(PyObject* obj, PyObject* attr_name);
-#else
-#define __Pyx_PyObject_GetAttrStr(o,n) PyObject_GetAttr(o,n)
-#endif
-
-/* PyObjectGetAttrStrNoError.proto (used by GetBuiltinName) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStrNoError(PyObject* obj, PyObject* attr_name);
-
-/* GetBuiltinName.proto */
-static PyObject *__Pyx_GetBuiltinName(PyObject *name);
-
-/* TupleAndListFromArray.proto (used by fastcall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyList_FromArray(PyObject *const *src, Py_ssize_t n);
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON || CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject* __Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n);
-#endif
-
-/* IncludeStringH.proto (used by BytesEquals) */
 #include <string.h>
 
-/* BytesEquals.proto (used by UnicodeEquals) */
-static CYTHON_INLINE int __Pyx_PyBytes_Equals(PyObject* s1, PyObject* s2, int equals);
+typedef uint64_t u64;
 
-/* UnicodeEquals.proto (used by fastcall) */
-static CYTHON_INLINE int __Pyx_PyUnicode_Equals(PyObject* s1, PyObject* s2, int equals);
+/* the status codes of wspkit._kernel */
+enum { UNSAT = 0, SAT = 1, BUDGET = 2 };
 
-/* fastcall.proto */
-#if CYTHON_AVOID_BORROWED_REFS
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_PySequence_ITEM(args, i)
-#elif CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_NewRef(__Pyx_PyTuple_GET_ITEM(args, i))
-#else
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_XNewRef(PyTuple_GetItem(args, i))
-#endif
-#define __Pyx_NumKwargs_VARARGS(kwds) PyDict_Size(kwds)
-#define __Pyx_KwValues_VARARGS(args, nargs) NULL
-#define __Pyx_GetKwValue_VARARGS(kw, kwvalues, s) __Pyx_PyDict_GetItemStrWithError(kw, s)
-#define __Pyx_KwargsAsDict_VARARGS(kw, kwvalues) PyDict_Copy(kw)
-#if CYTHON_METH_FASTCALL
-    #define __Pyx_ArgRef_FASTCALL(args, i) __Pyx_NewRef(args[i])
-    #define __Pyx_NumKwargs_FASTCALL(kwds) __Pyx_PyTuple_GET_SIZE(kwds)
-    #define __Pyx_KwValues_FASTCALL(args, nargs) ((args) + (nargs))
-    static CYTHON_INLINE PyObject * __Pyx_GetKwValue_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues, PyObject *s);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-    CYTHON_UNUSED static PyObject *__Pyx_KwargsAsDict_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues);
-  #else
-    #define __Pyx_KwargsAsDict_FASTCALL(kw, kwvalues) _PyStack_AsDict(kwvalues, kw)
-  #endif
-#else
-    #define __Pyx_ArgRef_FASTCALL __Pyx_ArgRef_VARARGS
-    #define __Pyx_NumKwargs_FASTCALL __Pyx_NumKwargs_VARARGS
-    #define __Pyx_KwValues_FASTCALL __Pyx_KwValues_VARARGS
-    #define __Pyx_GetKwValue_FASTCALL __Pyx_GetKwValue_VARARGS
-    #define __Pyx_KwargsAsDict_FASTCALL __Pyx_KwargsAsDict_VARARGS
-#endif
-#define __Pyx_ArgsSlice_VARARGS(args, start, stop) PyTuple_GetSlice(args, start, stop)
-#if CYTHON_METH_FASTCALL || (CYTHON_COMPILING_IN_CPYTHON && CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS)
-#define __Pyx_ArgsSlice_FASTCALL(args, start, stop) __Pyx_PyTuple_FromArray(args + start, stop - start)
-#else
-#define __Pyx_ArgsSlice_FASTCALL(args, start, stop) PyTuple_GetSlice(args, start, stop)
-#endif
+#define MAX_STEPS 64
+#define TIME_CHECK_EVERY 2048
+#define NEVER ((int64_t)1 << 62) /* a node count no search reaches */
 
-/* RaiseArgTupleInvalid.proto */
-static void __Pyx_RaiseArgtupleInvalid(const char* func_name, int exact,
-    Py_ssize_t num_min, Py_ssize_t num_max, Py_ssize_t num_found);
-
-/* py_dict_items.proto (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Items(PyObject* d);
-
-/* CallCFunction.proto (used by CallUnboundCMethod0) */
-#define __Pyx_CallCFunction(cfunc, self, args)\
-    ((PyCFunction)(void(*)(void))(cfunc)->func)(self, args)
-#define __Pyx_CallCFunctionWithKeywords(cfunc, self, args, kwargs)\
-    ((PyCFunctionWithKeywords)(void(*)(void))(cfunc)->func)(self, args, kwargs)
-#define __Pyx_CallCFunctionFast(cfunc, self, args, nargs)\
-    ((__Pyx_PyCFunctionFast)(void(*)(void))(PyCFunction)(cfunc)->func)(self, args, nargs)
-#define __Pyx_CallCFunctionFastWithKeywords(cfunc, self, args, nargs, kwnames)\
-    ((__Pyx_PyCFunctionFastWithKeywords)(void(*)(void))(PyCFunction)(cfunc)->func)(self, args, nargs, kwnames)
-
-/* PyObjectCall.proto (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call(PyObject *func, PyObject *arg, PyObject *kw);
-#else
-#define __Pyx_PyObject_Call(func, arg, kw) PyObject_Call(func, arg, kw)
-#endif
-
-/* PyObjectCallMethO.proto (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallMethO(PyObject *func, PyObject *arg);
-#endif
-
-/* PyObjectFastCall.proto (used by PyObjectCallOneArg) */
-#define __Pyx_PyObject_FastCall(func, args, nargs)  __Pyx_PyObject_FastCallDict(func, args, (size_t)(nargs), NULL)
-static CYTHON_INLINE PyObject* __Pyx_PyObject_FastCallDict(PyObject *func, PyObject * const*args, size_t nargs, PyObject *kwargs);
-
-/* PyObjectCallOneArg.proto (used by CallUnboundCMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallOneArg(PyObject *func, PyObject *arg);
-
-/* UnpackUnboundCMethod.proto (used by CallUnboundCMethod0) */
+/* The alive classes of one depth, and their matchings. */
 typedef struct {
-    PyObject *type;
-    PyObject **method_name;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && CYTHON_ATOMICS
-    __pyx_atomic_int_type initialized;
-#endif
-    PyCFunction func;
-    PyObject *method;
-    int flag;
-} __Pyx_CachedCFunction;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-static CYTHON_INLINE int __Pyx_CachedCFunction_GetAndSetInitializing(__Pyx_CachedCFunction *cfunc) {
-#if !CYTHON_ATOMICS
-    return 1;
-#else
-    __pyx_nonatomic_int_type expected = 0;
-    if (__pyx_atomic_int_cmp_exchange(&cfunc->initialized, &expected, 1)) {
-        return 0;
-    }
-    return expected;
-#endif
-}
-static CYTHON_INLINE void __Pyx_CachedCFunction_SetFinishedInitializing(__Pyx_CachedCFunction *cfunc) {
-#if CYTHON_ATOMICS
-    __pyx_atomic_store(&cfunc->initialized, 2);
-#endif
-}
-#else
-#define __Pyx_CachedCFunction_GetAndSetInitializing(cfunc) 2
-#define __Pyx_CachedCFunction_SetFinishedInitializing(cfunc)
-#endif
-
-/* CallUnboundCMethod0.proto */
-CYTHON_UNUSED
-static PyObject* __Pyx__CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self);
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self);
-#else
-#define __Pyx_CallUnboundCMethod0(cfunc, self)  __Pyx__CallUnboundCMethod0(cfunc, self)
-#endif
-
-/* py_dict_values.proto (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Values(PyObject* d);
-
-/* OwnedDictNext.proto (used by RejectKeywords) */
-#if CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, PyObject **ppos, PyObject **pkey, PyObject **pvalue);
-#else
-CYTHON_INLINE
-static int __Pyx_PyDict_NextRef(PyObject *p, Py_ssize_t *ppos, PyObject **pkey, PyObject **pvalue);
-#endif
-
-/* RejectKeywords.export */
-static void __Pyx_RejectKeywords(const char* function_name, PyObject *kwds);
-
-/* RaiseUnboundLocalError.proto */
-static void __Pyx_RaiseUnboundLocalError(const char *varname);
-
-/* GetException.proto (used by pep479) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_GetException(type, value, tb)  __Pyx__GetException(__pyx_tstate, type, value, tb)
-static int __Pyx__GetException(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#else
-static int __Pyx_GetException(PyObject **type, PyObject **value, PyObject **tb);
-#endif
-
-/* pep479.proto */
-static void __Pyx_Generator_Replace_StopIteration(int in_async_gen);
-
-/* GetItemInt.proto */
-#define __Pyx_GetItemInt(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_Fast(o, (Py_ssize_t)i, is_list, wraparound, boundscheck, unsafe_shared) :\
-    (is_list ? (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL) :\
-               __Pyx_GetItemInt_Generic(o, to_py_func(i))))
-#define __Pyx_GetItemInt_List(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_List_Fast(o, (Py_ssize_t)i, wraparound, boundscheck, unsafe_shared) :\
-    (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL))
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_List_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared);
-#define __Pyx_GetItemInt_Tuple(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_Tuple_Fast(o, (Py_ssize_t)i, wraparound, boundscheck, unsafe_shared) :\
-    (PyErr_SetString(PyExc_IndexError, "tuple index out of range"), (PyObject*)NULL))
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Tuple_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared);
-static PyObject *__Pyx_GetItemInt_Generic(PyObject *o, PyObject* j);
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Fast(PyObject *o, Py_ssize_t i,
-                                                     int is_list, int wraparound, int boundscheck, int unsafe_shared);
-
-/* PyDictVersioning.proto (used by GetModuleGlobalName) */
-#if CYTHON_USE_DICT_VERSIONS && CYTHON_USE_TYPE_SLOTS
-#define __PYX_DICT_VERSION_INIT  ((PY_UINT64_T) -1)
-#define __PYX_GET_DICT_VERSION(dict)  (((PyDictObject*)(dict))->ma_version_tag)
-#define __PYX_UPDATE_DICT_CACHE(dict, value, cache_var, version_var)\
-    (version_var) = __PYX_GET_DICT_VERSION(dict);\
-    (cache_var) = (value);
-#define __PYX_PY_DICT_LOOKUP_IF_MODIFIED(VAR, DICT, LOOKUP) {\
-    static PY_UINT64_T __pyx_dict_version = 0;\
-    static PyObject *__pyx_dict_cached_value = NULL;\
-    if (likely(__PYX_GET_DICT_VERSION(DICT) == __pyx_dict_version)) {\
-        (VAR) = __Pyx_XNewRef(__pyx_dict_cached_value);\
-    } else {\
-        (VAR) = __pyx_dict_cached_value = (LOOKUP);\
-        __pyx_dict_version = __PYX_GET_DICT_VERSION(DICT);\
-    }\
-}
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_tp_dict_version(PyObject *obj);
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_object_dict_version(PyObject *obj);
-static CYTHON_INLINE int __Pyx_object_dict_version_matches(PyObject* obj, PY_UINT64_T tp_dict_version, PY_UINT64_T obj_dict_version);
-#else
-#define __PYX_GET_DICT_VERSION(dict)  (0)
-#define __PYX_UPDATE_DICT_CACHE(dict, value, cache_var, version_var)
-#define __PYX_PY_DICT_LOOKUP_IF_MODIFIED(VAR, DICT, LOOKUP)  (VAR) = (LOOKUP);
-#endif
-
-/* GetModuleGlobalName.proto */
-#if CYTHON_USE_DICT_VERSIONS
-#define __Pyx_GetModuleGlobalName(var, name)  do {\
-    static PY_UINT64_T __pyx_dict_version = 0;\
-    static PyObject *__pyx_dict_cached_value = NULL;\
-    (var) = (likely(__pyx_dict_version == __PYX_GET_DICT_VERSION(__pyx_mstate_global->__pyx_d))) ?\
-        (likely(__pyx_dict_cached_value) ? __Pyx_NewRef(__pyx_dict_cached_value) : __Pyx_GetBuiltinName(name)) :\
-        __Pyx__GetModuleGlobalName(name, &__pyx_dict_version, &__pyx_dict_cached_value);\
-} while(0)
-#define __Pyx_GetModuleGlobalNameUncached(var, name)  do {\
-    PY_UINT64_T __pyx_dict_version;\
-    PyObject *__pyx_dict_cached_value;\
-    (var) = __Pyx__GetModuleGlobalName(name, &__pyx_dict_version, &__pyx_dict_cached_value);\
-} while(0)
-static PyObject *__Pyx__GetModuleGlobalName(PyObject *name, PY_UINT64_T *dict_version, PyObject **dict_cached_value);
-#else
-#define __Pyx_GetModuleGlobalName(var, name)  (var) = __Pyx__GetModuleGlobalName(name)
-#define __Pyx_GetModuleGlobalNameUncached(var, name)  (var) = __Pyx__GetModuleGlobalName(name)
-static CYTHON_INLINE PyObject *__Pyx__GetModuleGlobalName(PyObject *name);
-#endif
-
-/* PyTypeError_Check.proto */
-#define __Pyx_PyExc_TypeError_Check(obj)  __Pyx_TypeCheck(obj, PyExc_TypeError)
-
-/* RaiseException.export */
-static void __Pyx_Raise(PyObject *type, PyObject *value, PyObject *tb, PyObject *cause);
-
-/* RaiseDoubleKeywords.proto (used by ParseKeywordsImpl) */
-static void __Pyx_RaiseDoubleKeywordsError(const char* func_name, PyObject* kw_name);
-
-/* ParseKeywordsImpl.export */
-static int __Pyx_ParseKeywordsTuple(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-static int __Pyx_ParseKeywordDictToDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    const char* function_name
-);
-static int __Pyx_ParseKeywordDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-
-/* CallUnboundCMethod2.proto */
-CYTHON_UNUSED
-static PyObject* __Pyx__CallUnboundCMethod2(__Pyx_CachedCFunction* cfunc, PyObject* self, PyObject* arg1, PyObject* arg2);
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject *__Pyx_CallUnboundCMethod2(__Pyx_CachedCFunction *cfunc, PyObject *self, PyObject *arg1, PyObject *arg2);
-#else
-#define __Pyx_CallUnboundCMethod2(cfunc, self, arg1, arg2)  __Pyx__CallUnboundCMethod2(cfunc, self, arg1, arg2)
-#endif
-
-/* ParseKeywords.proto */
-static CYTHON_INLINE int __Pyx_ParseKeywords(
-    PyObject *kwds, PyObject *const *kwvalues, PyObject ** const argnames[],
-    PyObject *kwds2, PyObject *values[],
-    Py_ssize_t num_pos_args, Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-
-/* ListCompAppend.proto */
-#if CYTHON_USE_PYLIST_INTERNALS && CYTHON_ASSUME_SAFE_MACROS
-static CYTHON_INLINE int __Pyx_ListComp_Append(PyObject* list, PyObject* x) {
-    PyListObject* L = (PyListObject*) list;
-    Py_ssize_t len = Py_SIZE(list);
-    if (likely(L->allocated > len)) {
-        Py_INCREF(x);
-        #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000
-        L->ob_item[len] = x;
-        #else
-        PyList_SET_ITEM(list, len, x);
-        #endif
-        __Pyx_SET_SIZE(list, len + 1);
-        return 0;
-    }
-    return PyList_Append(list, x);
-}
-#else
-#define __Pyx_ListComp_Append(L,x) PyList_Append(L,x)
-#endif
-
-/* AllocateExtensionType.proto */
-static PyObject *__Pyx_AllocateExtensionType(PyTypeObject *t, int is_final);
-
-/* DeallocKeepAlive.proto */
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_DeallocKeepAliveBegin(o) do {\
-        _Py_atomic_store_uintptr_relaxed(&(o)->ob_tid, _Py_ThreadId());\
-        _Py_atomic_store_uint32_relaxed(&(o)->ob_ref_local, 1);\
-        _Py_atomic_store_ssize_relaxed(&(o)->ob_ref_shared, 0);\
-    } while (0)
-#define __Pyx_DeallocKeepAliveEnd(o)\
-        _Py_atomic_store_uint32_relaxed(&(o)->ob_ref_local, 0)
-#else
-#define __Pyx_DeallocKeepAliveBegin(o) __Pyx_SET_REFCNT(o, Py_REFCNT(o) + 1)
-#define __Pyx_DeallocKeepAliveEnd(o)   __Pyx_SET_REFCNT(o, Py_REFCNT(o) - 1)
-#endif
-
-/* CheckTypeForFreelists.proto */
-#if CYTHON_USE_FREELISTS
-#if CYTHON_USE_TYPE_SPECS
-#define __PYX_CHECK_FINAL_TYPE_FOR_FREELISTS(t, expected_tp, expected_size) ((int) ((t) == (expected_tp)))
-#define __PYX_CHECK_TYPE_FOR_FREELIST_FLAGS  Py_TPFLAGS_IS_ABSTRACT
-#else
-#define __PYX_CHECK_FINAL_TYPE_FOR_FREELISTS(t, expected_tp, expected_size) ((int) ((t)->tp_basicsize == (expected_size)))
-#define __PYX_CHECK_TYPE_FOR_FREELIST_FLAGS  (Py_TPFLAGS_IS_ABSTRACT | Py_TPFLAGS_HEAPTYPE)
-#endif
-#define __PYX_CHECK_TYPE_FOR_FREELISTS(t, expected_tp, expected_size)\
-    (__PYX_CHECK_FINAL_TYPE_FOR_FREELISTS((t), (expected_tp), (expected_size)) &\
-     (int) (!__Pyx_PyType_HasFeature((t), __PYX_CHECK_TYPE_FOR_FREELIST_FLAGS)))
-#endif
-
-/* CallTypeTraverse.proto */
-#if !CYTHON_USE_TYPE_SPECS || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x03090000)
-#define __Pyx_call_type_traverse(o, always_call, visit, arg) 0
-#else
-static int __Pyx_call_type_traverse(PyObject *o, int always_call, visitproc visit, void *arg);
-#endif
-
-/* LimitedApiGetTypeDict.proto (used by SetItemOnTypeDict) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_GetTypeDict(PyTypeObject *tp);
-#endif
-
-/* SetItemOnTypeDict.proto (used by FixUpExtensionType) */
-static int __Pyx__SetItemOnTypeDict(PyTypeObject *tp, PyObject *k, PyObject *v);
-#define __Pyx_SetItemOnTypeDict(tp, k, v) __Pyx__SetItemOnTypeDict((PyTypeObject*)tp, k, v)
-
-/* FixUpExtensionType.proto */
-static CYTHON_INLINE int __Pyx_fix_up_extension_type_from_spec(PyType_Spec *spec, PyTypeObject *type);
-
-/* PyObjectCallNoArg.proto (used by PyObjectCallMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallNoArg(PyObject *func);
-
-/* PyObjectGetMethod.proto (used by PyObjectCallMethod0) */
-#if !(CYTHON_VECTORCALL && (__PYX_LIMITED_VERSION_HEX >= 0x030C0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x03090000)))
-static int __Pyx_PyObject_GetMethod(PyObject *obj, PyObject *name, PyObject **method);
-#endif
-
-/* PyObjectCallMethod0.proto (used by PyType_Ready) */
-static PyObject* __Pyx_PyObject_CallMethod0(PyObject* obj, PyObject* method_name);
-
-/* ValidateBasesTuple.proto (used by PyType_Ready) */
-#if CYTHON_COMPILING_IN_CPYTHON || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_USE_TYPE_SPECS
-static int __Pyx_validate_bases_tuple(const char *type_name, Py_ssize_t dictoffset, PyObject *bases);
-#endif
-
-/* PyType_Ready.proto */
-CYTHON_UNUSED static int __Pyx_PyType_Ready(PyTypeObject *t);
-
-/* SetVTable.proto */
-static int __Pyx_SetVtable(PyTypeObject* typeptr , void* vtable);
-
-/* GetVTable.proto (used by MergeVTables) */
-static void* __Pyx_GetVtable(PyTypeObject *type);
-
-/* MergeVTables.proto */
-static int __Pyx_MergeVtables(PyTypeObject *type);
-
-/* DelItemOnTypeDict.proto (used by SetupReduce) */
-static int __Pyx__DelItemOnTypeDict(PyTypeObject *tp, PyObject *k);
-#define __Pyx_DelItemOnTypeDict(tp, k) __Pyx__DelItemOnTypeDict((PyTypeObject*)tp, k)
-
-/* SetupReduce.proto */
-static int __Pyx_setup_reduce(PyObject* type_obj);
-
-/* HasAttr.proto (used by ImportImpl) */
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_HasAttr(o, n)  PyObject_HasAttrWithError(o, n)
-#else
-static CYTHON_INLINE int __Pyx_HasAttr(PyObject *, PyObject *);
-#endif
-
-/* ImportImpl.export */
-static PyObject *__Pyx__Import(PyObject *name, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject *qualname, PyObject *moddict, int level);
-
-/* Import.proto */
-static CYTHON_INLINE PyObject *__Pyx_Import(PyObject *name, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject *qualname, int level);
-
-/* dict_setdefault.proto (used by FetchCommonType) */
-static CYTHON_INLINE PyObject *__Pyx_PyDict_SetDefault(PyObject *d, PyObject *key, PyObject *default_value);
-
-/* AddModuleRef.proto (used by FetchSharedCythonModule) */
-#if ((CYTHON_COMPILING_IN_CPYTHON_FREETHREADING ) ||\
-     __PYX_LIMITED_VERSION_HEX < 0x030d0000)
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name);
-#else
-  #define __Pyx_PyImport_AddModuleRef(name) PyImport_AddModuleRef(name)
-#endif
-
-/* FetchSharedCythonModule.proto (used by FetchCommonType) */
-static PyObject *__Pyx_FetchSharedCythonABIModule(void);
-
-/* FetchCommonType.proto (used by CommonTypesMetaclass) */
-static PyTypeObject* __Pyx_FetchCommonTypeFromSpec(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases);
-
-/* CommonTypesMetaclass.proto (used by CythonFunctionShared) */
-static int __pyx_CommonTypesMetaclass_init(PyObject *module);
-#define __Pyx_CommonTypesMetaclass_USED
-
-/* PyMethodNew.proto (used by CythonFunctionShared) */
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ);
-
-/* PyVectorcallFastCallDict.proto (used by CythonFunctionShared) */
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static CYTHON_INLINE PyObject *__Pyx_PyVectorcall_FastCallDict(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw);
-#endif
-
-/* CythonFunctionShared.proto (used by CythonFunction) */
-#define __Pyx_CyFunction_USED
-#define __Pyx_CYFUNCTION_STATICMETHOD  0x01
-#define __Pyx_CYFUNCTION_CLASSMETHOD   0x02
-#define __Pyx_CYFUNCTION_CCLASS        0x04
-#define __Pyx_CYFUNCTION_COROUTINE     0x08
-#define __Pyx_CyFunction_GetClosure(f)\
-    (((__pyx_CyFunctionObject *) (f))->func_closure)
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_CyFunction_GetClassObj(f)\
-      (((__pyx_CyFunctionObject *) (f))->func_classobj)
-#else
-  #define __Pyx_CyFunction_GetClassObj(f)\
-      ((PyObject*) ((PyCMethodObject *) (f))->mm_class)
-#endif
-#define __Pyx_CyFunction_SetClassObj(f, classobj)\
-    __Pyx__CyFunction_SetClassObj((__pyx_CyFunctionObject *) (f), (classobj))
-#define __Pyx_CyFunction_Defaults(type, f)\
-    ((type *)(((__pyx_CyFunctionObject *) (f))->defaults))
-#define __Pyx_CyFunction_SetDefaultsGetter(f, g)\
-    ((__pyx_CyFunctionObject *) (f))->defaults_getter = (g)
-typedef struct {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject_HEAD
-    PyObject *func;
-#elif PY_VERSION_HEX < 0x030900B1
-    PyCFunctionObject func;
-#else
-    PyCMethodObject func;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API && CYTHON_METH_FASTCALL
-    __pyx_vectorcallfunc func_vectorcall;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_weakreflist;
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_dict;
-#endif
-    PyObject *func_name;
-    PyObject *func_qualname;
-    PyObject *func_doc;
-    PyObject *func_globals;
-    PyObject *func_code;
-    PyObject *func_closure;
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_classobj;
-#endif
-    PyObject *defaults;
-    int flags;
-    PyObject *defaults_tuple;
-    PyObject *defaults_kwdict;
-    PyObject *(*defaults_getter)(PyObject *);
-    PyObject *func_annotations;
-    PyObject *func_is_coroutine;
-} __pyx_CyFunctionObject;
-#undef __Pyx_CyOrPyCFunction_Check
-#define __Pyx_CyFunction_Check(obj)  __Pyx_TypeCheck(obj, __pyx_mstate_global->__pyx_CyFunctionType)
-#define __Pyx_CyOrPyCFunction_Check(obj)  __Pyx_TypeCheck2(obj, __pyx_mstate_global->__pyx_CyFunctionType, &PyCFunction_Type)
-#define __Pyx_CyFunction_CheckExact(obj)  __Pyx_IS_TYPE(obj, __pyx_mstate_global->__pyx_CyFunctionType)
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void));
-#undef __Pyx_IsSameCFunction
-#define __Pyx_IsSameCFunction(func, cfunc)   __Pyx__IsSameCyOrCFunction(func, cfunc)
-static PyObject *__Pyx_CyFunction_Init(__pyx_CyFunctionObject* op, PyMethodDef *ml,
-                                      int flags, PyObject* qualname,
-                                      PyObject *closure,
-                                      PyObject *module, PyObject *globals,
-                                      PyObject* code);
-static CYTHON_INLINE void __Pyx__CyFunction_SetClassObj(__pyx_CyFunctionObject* f, PyObject* classobj);
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_InitDefaults(PyObject *func,
-                                                         PyTypeObject *defaults_type);
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsTuple(PyObject *m,
-                                                            PyObject *tuple);
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsKwDict(PyObject *m,
-                                                             PyObject *dict);
-static CYTHON_INLINE void __Pyx_CyFunction_SetAnnotationsDict(PyObject *m,
-                                                              PyObject *dict);
-static int __pyx_CyFunction_init(PyObject *module);
-#if CYTHON_METH_FASTCALL
-static PyObject * __Pyx_CyFunction_Vectorcall_NOARGS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_O(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyFunction_func_vectorcall(f) (((__pyx_CyFunctionObject*)f)->func_vectorcall)
-#else
-#define __Pyx_CyFunction_func_vectorcall(f) (((PyCFunctionObject*)f)->vectorcall)
-#endif
-#endif
-
-/* CythonFunction.proto */
-static PyObject *__Pyx_CyFunction_New(PyMethodDef *ml,
-                                      int flags, PyObject* qualname,
-                                      PyObject *closure,
-                                      PyObject *module, PyObject *globals,
-                                      PyObject* code);
-
-/* CLineInTraceback.proto (used by AddTraceback) */
-#if CYTHON_CLINE_IN_TRACEBACK && CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-static int __Pyx_CLineForTraceback(PyThreadState *tstate, int c_line);
-#else
-#define __Pyx_CLineForTraceback(tstate, c_line)  (((CYTHON_CLINE_IN_TRACEBACK)) ? c_line : 0)
-#endif
-
-/* CodeObjectCache.proto (used by AddTraceback) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-typedef PyObject __Pyx_CachedCodeObjectType;
-#else
-typedef PyCodeObject __Pyx_CachedCodeObjectType;
-#endif
-typedef struct {
-    __Pyx_CachedCodeObjectType* code_object;
-    int code_line;
-} __Pyx_CodeObjectCacheEntry;
-struct __Pyx_CodeObjectCache {
-    int count;
-    int max_count;
-    __Pyx_CodeObjectCacheEntry* entries;
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_int_type accessor_count;
-  #endif
-};
-static int __pyx_bisect_code_objects(__Pyx_CodeObjectCacheEntry* entries, int count, int code_line);
-static __Pyx_CachedCodeObjectType *__pyx_find_code_object(int code_line);
-static void __pyx_insert_code_object(int code_line, __Pyx_CachedCodeObjectType* code_object);
-
-/* AddTraceback.proto */
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename);
-
-/* GCCDiagnostics.proto */
-#if !defined(__INTEL_COMPILER) && defined(__GNUC__) && (__GNUC__ > 4 || (__GNUC__ == 4 && __GNUC_MINOR__ >= 6))
-#define __Pyx_HAS_GCC_DIAGNOSTIC
-#endif
-
-/* PyObjectVectorCallKwBuilder.proto (used by CIntToPy) */
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-#if CYTHON_VECTORCALL
-#if PY_VERSION_HEX >= 0x03090000
-#define __Pyx_Object_Vectorcall_CallFromBuilder PyObject_Vectorcall
-#else
-#define __Pyx_Object_Vectorcall_CallFromBuilder _PyObject_Vectorcall
-#endif
-#define __Pyx_MakeVectorcallBuilderKwds(n) PyTuple_New(n)
-static int __Pyx_VectorcallBuilder_AddArg(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-static int __Pyx_VectorcallBuilder_AddArgStr(const char *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-#else
-#define __Pyx_Object_Vectorcall_CallFromBuilder __Pyx_PyObject_FastCallDict
-#define __Pyx_MakeVectorcallBuilderKwds(n) __Pyx_PyDict_NewPresized(n)
-#define __Pyx_VectorcallBuilder_AddArg(key, value, builder, args, n) PyDict_SetItem(builder, key, value)
-#define __Pyx_VectorcallBuilder_AddArgStr(key, value, builder, args, n) PyDict_SetItemString(builder, key, value)
-#endif
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_int(int value);
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE int __Pyx_PyLong_As_int(PyObject *);
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE uint64_t __Pyx_PyLong_As_uint64_t(PyObject *);
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_long(long value);
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE size_t __Pyx_PyLong_As_size_t(PyObject *);
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE int64_t __Pyx_PyLong_As_int64_t(PyObject *);
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_int64_t(int64_t value);
-
-/* FormatTypeName.proto */
-#if CYTHON_COMPILING_IN_LIMITED_API
-typedef PyObject *__Pyx_TypeName;
-#define __Pyx_FMT_TYPENAME "%U"
-#define __Pyx_DECREF_TypeName(obj) Py_XDECREF(obj)
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_PyType_GetFullyQualifiedName PyType_GetFullyQualifiedName
-#else
-static __Pyx_TypeName __Pyx_PyType_GetFullyQualifiedName(PyTypeObject* tp);
-#endif
-#else  // !LIMITED_API
-typedef const char *__Pyx_TypeName;
-#define __Pyx_FMT_TYPENAME "%.200s"
-#define __Pyx_PyType_GetFullyQualifiedName(tp) ((tp)->tp_name)
-#define __Pyx_DECREF_TypeName(obj)
-#endif
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE long __Pyx_PyLong_As_long(PyObject *);
-
-/* FastTypeChecks.proto */
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_TypeCheck(obj, type) __Pyx_IsSubtype(Py_TYPE(obj), (PyTypeObject *)type)
-#define __Pyx_TypeCheck2(obj, type1, type2) __Pyx_IsAnySubtype2(Py_TYPE(obj), (PyTypeObject *)type1, (PyTypeObject *)type2)
-static CYTHON_INLINE int __Pyx_IsSubtype(PyTypeObject *a, PyTypeObject *b);
-static CYTHON_INLINE int __Pyx_IsAnySubtype2(PyTypeObject *cls, PyTypeObject *a, PyTypeObject *b);
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches(PyObject *err, PyObject *type);
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *type1, PyObject *type2);
-#else
-#define __Pyx_TypeCheck(obj, type) PyObject_TypeCheck(obj, (PyTypeObject *)type)
-#define __Pyx_TypeCheck2(obj, type1, type2) (PyObject_TypeCheck(obj, (PyTypeObject *)type1) || PyObject_TypeCheck(obj, (PyTypeObject *)type2))
-#define __Pyx_PyErr_GivenExceptionMatches(err, type) PyErr_GivenExceptionMatches(err, type)
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *type1, PyObject *type2) {
-    return PyErr_GivenExceptionMatches(err, type1) || PyErr_GivenExceptionMatches(err, type2);
-}
-#endif
-#define __Pyx_PyErr_ExceptionMatches2(err1, err2)  __Pyx_PyErr_GivenExceptionMatches2(__Pyx_PyErr_CurrentExceptionType(), err1, err2)
-#define __Pyx_PyException_Check(obj) __Pyx_TypeCheck(obj, PyExc_Exception)
-#ifdef PyExceptionInstance_Check
-  #define __Pyx_PyBaseException_Check(obj) PyExceptionInstance_Check(obj)
-#else
-  #define __Pyx_PyBaseException_Check(obj) __Pyx_TypeCheck(obj, PyExc_BaseException)
-#endif
-
-/* GetRuntimeVersion.proto */
-#if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-static unsigned long __Pyx_cached_runtime_version = 0;
-static void __Pyx_init_runtime_version(void);
-#else
-#define __Pyx_init_runtime_version()
-#endif
-static unsigned long __Pyx_get_runtime_version(void);
-
-/* GetTopmostException.proto (used by SaveResetException) */
-#if CYTHON_USE_EXC_INFO_STACK && CYTHON_FAST_THREAD_STATE
-static _PyErr_StackItem * __Pyx_PyErr_GetTopmostException(PyThreadState *tstate);
-#endif
-
-/* SaveResetException.proto (used by CoroutineBase) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_ExceptionSave(type, value, tb)  __Pyx__ExceptionSave(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx__ExceptionSave(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#define __Pyx_ExceptionReset(type, value, tb)  __Pyx__ExceptionReset(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx__ExceptionReset(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb);
-#else
-#define __Pyx_ExceptionSave(type, value, tb)   PyErr_GetExcInfo(type, value, tb)
-#define __Pyx_ExceptionReset(type, value, tb)  PyErr_SetExcInfo(type, value, tb)
-#endif
-
-/* SwapException.proto (used by CoroutineBase) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_ExceptionSwap(type, value, tb)  __Pyx__ExceptionSwap(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx__ExceptionSwap(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#else
-static CYTHON_INLINE void __Pyx_ExceptionSwap(PyObject **type, PyObject **value, PyObject **tb);
-#endif
-
-/* IterNextPlain.proto (used by CoroutineBase) */
-static CYTHON_INLINE PyObject *__Pyx_PyIter_Next_Plain(PyObject *iterator);
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject *__Pyx_GetBuiltinNext_LimitedAPI(void);
-#endif
-
-/* PyObjectCall2Args.proto (used by PyObjectCallMethod1) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call2Args(PyObject* function, PyObject* arg1, PyObject* arg2);
-
-/* PyObjectCallMethod1.proto (used by CoroutineBase) */
-static PyObject* __Pyx_PyObject_CallMethod1(PyObject* obj, PyObject* method_name, PyObject* arg);
-
-/* ReturnWithStopIteration.proto (used by CoroutineBase) */
-static CYTHON_INLINE void __Pyx_ReturnWithStopIteration(PyObject* value, int async, int iternext);
-
-/* CoroutineBase.proto (used by Generator) */
-struct __pyx_CoroutineObject;
-typedef PyObject *(*__pyx_coroutine_body_t)(struct __pyx_CoroutineObject *, PyThreadState *, PyObject *);
-#if CYTHON_USE_EXC_INFO_STACK
-#define __Pyx_ExcInfoStruct  _PyErr_StackItem
-#else
-typedef struct {
-    PyObject *exc_type;
-    PyObject *exc_value;
-    PyObject *exc_traceback;
-} __Pyx_ExcInfoStruct;
-#endif
-typedef struct __pyx_CoroutineObject {
-    PyObject_HEAD
-    __pyx_coroutine_body_t body;
-    PyObject *closure;
-    __Pyx_ExcInfoStruct gi_exc_state;
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *gi_weakreflist;
-#endif
-    PyObject *classobj;
-    PyObject *yieldfrom;
-    __Pyx_pyiter_sendfunc yieldfrom_am_send;
-    PyObject *gi_name;
-    PyObject *gi_qualname;
-    PyObject *gi_modulename;
-    PyObject *gi_code;
-    PyObject *gi_frame;
-#if CYTHON_USE_SYS_MONITORING && (CYTHON_PROFILE || CYTHON_TRACE)
-    PyMonitoringState __pyx_pymonitoring_state[__Pyx_MonitoringEventTypes_CyGen_count];
-    uint64_t __pyx_pymonitoring_version;
-#endif
-    int resume_label;
-    char is_running;
-} __pyx_CoroutineObject;
-static __pyx_CoroutineObject *__Pyx__Coroutine_New(
-    PyTypeObject *type, __pyx_coroutine_body_t body, PyObject *code, PyObject *closure,
-    PyObject *name, PyObject *qualname, PyObject *module_name);
-static __pyx_CoroutineObject *__Pyx__Coroutine_NewInit(
-            __pyx_CoroutineObject *gen, __pyx_coroutine_body_t body, PyObject *code, PyObject *closure,
-            PyObject *name, PyObject *qualname, PyObject *module_name);
-static CYTHON_INLINE void __Pyx_Coroutine_ExceptionClear(__Pyx_ExcInfoStruct *self);
-static int __Pyx_Coroutine_clear(PyObject *self);
-static __Pyx_PySendResult __Pyx_Coroutine_AmSend(PyObject *self, PyObject *value, PyObject **retval);
-static PyObject *__Pyx_Coroutine_Send(PyObject *self, PyObject *value);
-static __Pyx_PySendResult __Pyx_Coroutine_Close(PyObject *self, PyObject **retval);
-static PyObject *__Pyx_Coroutine_Throw(PyObject *gen, PyObject *args);
-#if CYTHON_USE_EXC_INFO_STACK
-#define __Pyx_Coroutine_SwapException(self)
-#define __Pyx_Coroutine_ResetAndClearException(self)  __Pyx_Coroutine_ExceptionClear(&(self)->gi_exc_state)
-#else
-#define __Pyx_Coroutine_SwapException(self) {\
-    __Pyx_ExceptionSwap(&(self)->gi_exc_state.exc_type, &(self)->gi_exc_state.exc_value, &(self)->gi_exc_state.exc_traceback);\
-    __Pyx_Coroutine_ResetFrameBackpointer(&(self)->gi_exc_state);\
-    }
-#define __Pyx_Coroutine_ResetAndClearException(self) {\
-    __Pyx_ExceptionReset((self)->gi_exc_state.exc_type, (self)->gi_exc_state.exc_value, (self)->gi_exc_state.exc_traceback);\
-    (self)->gi_exc_state.exc_type = (self)->gi_exc_state.exc_value = (self)->gi_exc_state.exc_traceback = NULL;\
-    }
-#endif
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyGen_FetchStopIterationValue(pvalue)\
-    __Pyx_PyGen__FetchStopIterationValue(__pyx_tstate, pvalue)
-#else
-#define __Pyx_PyGen_FetchStopIterationValue(pvalue)\
-    __Pyx_PyGen__FetchStopIterationValue(__Pyx_PyThreadState_Current, pvalue)
-#endif
-static int __Pyx_PyGen__FetchStopIterationValue(PyThreadState *tstate, PyObject **pvalue);
-static CYTHON_INLINE void __Pyx_Coroutine_ResetFrameBackpointer(__Pyx_ExcInfoStruct *exc_state);
-static char __Pyx_Coroutine_test_and_set_is_running(__pyx_CoroutineObject *gen);
-static void __Pyx_Coroutine_unset_is_running(__pyx_CoroutineObject *gen);
-static char __Pyx_Coroutine_get_is_running(__pyx_CoroutineObject *gen);
-static PyObject *__Pyx_Coroutine_get_is_running_getter(PyObject *gen, void *closure);
-#if __PYX_HAS_PY_AM_SEND == 2
-static void __Pyx_SetBackportTypeAmSend(PyTypeObject *type, __Pyx_PyAsyncMethodsStruct *static_amsend_methods, __Pyx_pyiter_sendfunc am_send);
-#endif
-static PyObject *__Pyx_Coroutine_fail_reduce_ex(PyObject *self, PyObject *arg);
-
-/* Generator.proto */
-#define __Pyx_Generator_USED
-#define __Pyx_Generator_CheckExact(obj) __Pyx_IS_TYPE(obj, __pyx_mstate_global->__pyx_GeneratorType)
-#define __Pyx_Generator_New(body, code, closure, name, qualname, module_name)\
-    __Pyx__Coroutine_New(__pyx_mstate_global->__pyx_GeneratorType, body, code, closure, name, qualname, module_name)
-static PyObject *__Pyx_Generator_Next(PyObject *self);
-static int __pyx_Generator_init(PyObject *module);
-static CYTHON_INLINE PyObject *__Pyx_Generator_GetInlinedResult(PyObject *self);
-
-/* CheckBinaryVersion.proto */
-static int __Pyx_check_binary_version(unsigned long ct_version, unsigned long rt_version, int allow_newer);
-
-/* DecompressString.proto */
-static PyObject *__Pyx_DecompressString(const char *s, Py_ssize_t length, int algo);
-
-/* MultiPhaseInitModuleState.proto */
-#if CYTHON_PEP489_MULTI_PHASE_INIT && CYTHON_USE_MODULE_STATE
-static PyObject *__Pyx_State_FindModule(void*);
-static int __Pyx_State_AddModule(PyObject* module, void*);
-static int __Pyx_State_RemoveModule(void*);
-#elif CYTHON_USE_MODULE_STATE
-#define __Pyx_State_FindModule PyState_FindModule
-#define __Pyx_State_AddModule PyState_AddModule
-#define __Pyx_State_RemoveModule PyState_RemoveModule
-#endif
-
-/* #### Code section: module_declarations ### */
-/* CythonABIVersion.proto */
-#if CYTHON_COMPILING_IN_LIMITED_API
-    #if CYTHON_METH_FASTCALL
-        #define __PYX_FASTCALL_ABI_SUFFIX  "_fastcall"
-    #else
-        #define __PYX_FASTCALL_ABI_SUFFIX
-    #endif
-    #define __PYX_LIMITED_ABI_SUFFIX "limited" __PYX_FASTCALL_ABI_SUFFIX __PYX_AM_SEND_ABI_SUFFIX
-#else
-    #define __PYX_LIMITED_ABI_SUFFIX
-#endif
-#if __PYX_HAS_PY_AM_SEND == 1
-    #define __PYX_AM_SEND_ABI_SUFFIX
-#elif __PYX_HAS_PY_AM_SEND == 2
-    #define __PYX_AM_SEND_ABI_SUFFIX "amsendbackport"
-#else
-    #define __PYX_AM_SEND_ABI_SUFFIX "noamsend"
-#endif
-#ifndef __PYX_MONITORING_ABI_SUFFIX
-    #define __PYX_MONITORING_ABI_SUFFIX
-#endif
-#if CYTHON_USE_TP_FINALIZE
-    #define __PYX_TP_FINALIZE_ABI_SUFFIX
-#else
-    #define __PYX_TP_FINALIZE_ABI_SUFFIX "nofinalize"
-#endif
-#if CYTHON_USE_FREELISTS || !defined(__Pyx_AsyncGen_USED)
-    #define __PYX_FREELISTS_ABI_SUFFIX
-#else
-    #define __PYX_FREELISTS_ABI_SUFFIX "nofreelists"
-#endif
-#define CYTHON_ABI  __PYX_ABI_VERSION __PYX_LIMITED_ABI_SUFFIX __PYX_MONITORING_ABI_SUFFIX __PYX_TP_FINALIZE_ABI_SUFFIX __PYX_FREELISTS_ABI_SUFFIX __PYX_AM_SEND_ABI_SUFFIX
-#define __PYX_ABI_MODULE_NAME "_cython_" CYTHON_ABI
-#define __PYX_TYPE_MODULE_PREFIX __PYX_ABI_MODULE_NAME "."
-
-static void __pyx_f_6wspkit_7_kernel_6_speed_7_Engine__load(struct __pyx_obj_6wspkit_7_kernel_6_speed__Engine *__pyx_v_self, PyObject *__pyx_v_prob); /* proto*/
-static int __pyx_f_6wspkit_7_kernel_6_speed_7_Engine__augment(struct __pyx_obj_6wspkit_7_kernel_6_speed__Engine *__pyx_v_self, uint64_t *__pyx_v_rows, int *__pyx_v_mrow, int __pyx_v_nb, int __pyx_v_b); /* proto*/
-static int __pyx_f_6wspkit_7_kernel_6_speed_7_Engine__apply_choice(struct __pyx_obj_6wspkit_7_kernel_6_speed__Engine *__pyx_v_self, int __pyx_v_d, int __pyx_v_nb, int __pyx_v_b); /* proto*/
-static void __pyx_f_6wspkit_7_kernel_6_speed_7_Engine__extract_plan(struct __pyx_obj_6wspkit_7_kernel_6_speed__Engine *__pyx_v_self, int __pyx_v_d); /* proto*/
-static int __pyx_f_6wspkit_7_kernel_6_speed_7_Engine__search(struct __pyx_obj_6wspkit_7_kernel_6_speed__Engine *__pyx_v_self, int __pyx_v_d, int __pyx_v_nb); /* proto*/
-
-/* Module declarations from "cpython.mem" */
-
-/* Module declarations from "libc.string" */
-
-/* Module declarations from "libc.stdint" */
-
-/* Module declarations from "wspkit._kernel._speed" */
-static int __pyx_v_6wspkit_7_kernel_6_speed_TIME_CHECK_EVERY;
-static uint64_t *__pyx_f_6wspkit_7_kernel_6_speed__alloc_u64(size_t); /*proto*/
-static int *__pyx_f_6wspkit_7_kernel_6_speed__alloc_int(size_t); /*proto*/
-static void __pyx_f_6wspkit_7_kernel_6_speed__pack_mask(PyObject *, uint64_t *, int); /*proto*/
-/* #### Code section: typeinfo ### */
-/* #### Code section: before_global_var ### */
-#define __Pyx_MODULE_NAME "wspkit._kernel._speed"
-extern int __pyx_module_is_main_wspkit___kernel___speed;
-int __pyx_module_is_main_wspkit___kernel___speed = 0;
-
-/* Implementation of "wspkit._kernel._speed" */
-/* #### Code section: global_var ### */
-static PyObject *__pyx_builtin_sum;
-/* #### Code section: string_decls ### */
-static const char __pyx_k_Compiled_search_backend_Same_alg[] = "Compiled search backend.\n\nSame algorithm as _pure.py, word for word: depth-indexed copy-on-descend\nstate, one incrementally repaired matching per authorisation alternative,\nascending-order augmenting paths.  User sets are arrays of 64-bit words.\nThe two backends must stay in lockstep on node/pattern counters; change them\ntogether or the parity tests will say so.\n";
-/* #### Code section: decls ### */
-static int __pyx_pf_6wspkit_7_kernel_6_speed_7_Engine___cinit__(struct __pyx_obj_6wspkit_7_kernel_6_speed__Engine *__pyx_v_self); /* proto */
-static void __pyx_pf_6wspkit_7_kernel_6_speed_7_Engine_2__dealloc__(struct __pyx_obj_6wspkit_7_kernel_6_speed__Engine *__pyx_v_self); /* proto */
-static PyObject *__pyx_pf_6wspkit_7_kernel_6_speed_7_Engine_5_load_genexpr(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_genexpr_arg_0); /* proto */
-static PyObject *__pyx_pf_6wspkit_7_kernel_6_speed_7_Engine_5_load_3genexpr(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_genexpr_arg_0); /* proto */
-static PyObject *__pyx_pf_6wspkit_7_kernel_6_speed_7_Engine_5_load_6genexpr(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_genexpr_arg_0); /* proto */
-static PyObject *__pyx_pf_6wspkit_7_kernel_6_speed_7_Engine_5_load_9genexpr(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_genexpr_arg_0); /* proto */
-static PyObject *__pyx_pf_6wspkit_7_kernel_6_speed_7_Engine_4__reduce_cython__(CYTHON_UNUSED struct __pyx_obj_6wspkit_7_kernel_6_speed__Engine *__pyx_v_self); /* proto */
-static PyObject *__pyx_pf_6wspkit_7_kernel_6_speed_7_Engine_6__setstate_cython__(CYTHON_UNUSED struct __pyx_obj_6wspkit_7_kernel_6_speed__Engine *__pyx_v_self, CYTHON_UNUSED PyObject *__pyx_v___pyx_state); /* proto */
-static PyObject *__pyx_pf_6wspkit_7_kernel_6_speed_run_search(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_prob, PyObject *__pyx_v_max_nodes, PyObject *__pyx_v_max_patterns, PyObject *__pyx_v_deadline, PyObject *__pyx_v_prefix); /* proto */
-static PyObject *__pyx_tp_new_6wspkit_7_kernel_6_speed__Engine(PyTypeObject *t, PyObject *a, PyObject *k); /*proto*/
-static PyObject *__pyx_tp_new_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr(PyTypeObject *t, PyObject *a, PyObject *k); /*proto*/
-static PyObject *__pyx_tp_new_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr(PyTypeObject *t, PyObject *a, PyObject *k); /*proto*/
-static PyObject *__pyx_tp_new_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr(PyTypeObject *t, PyObject *a, PyObject *k); /*proto*/
-static PyObject *__pyx_tp_new_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr(PyTypeObject *t, PyObject *a, PyObject *k); /*proto*/
-/* #### Code section: late_includes ### */
-/* #### Code section: module_state ### */
-/* SmallCodeConfig */
-#ifndef CYTHON_SMALL_CODE
-#if defined(__clang__)
-    #define CYTHON_SMALL_CODE
-#elif defined(__GNUC__) && (__GNUC__ > 4 || (__GNUC__ == 4 && __GNUC_MINOR__ >= 3))
-    #define CYTHON_SMALL_CODE __attribute__((cold))
-#else
-    #define CYTHON_SMALL_CODE
-#endif
-#endif
+    Py_ssize_t count, cap;
+    int *lo, *hi;  /* the class: sorted combos [lo, hi) */
+    u64 *rows;     /* per class: the user mask of each block, W words each */
+    int *mrow;     /* per class: the user matched to each block */
+} Level;
 
 typedef struct {
-  PyObject *__pyx_d;
-  PyObject *__pyx_b;
-  PyObject *__pyx_cython_runtime;
-  PyObject *__pyx_empty_tuple;
-  PyObject *__pyx_empty_bytes;
-  PyObject *__pyx_empty_unicode;
-  PyObject *__pyx_type_6wspkit_7_kernel_6_speed__Engine;
-  PyObject *__pyx_type_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr;
-  PyObject *__pyx_type_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr;
-  PyObject *__pyx_type_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr;
-  PyObject *__pyx_type_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr;
-  PyTypeObject *__pyx_ptype_6wspkit_7_kernel_6_speed__Engine;
-  PyTypeObject *__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr;
-  PyTypeObject *__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr;
-  PyTypeObject *__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr;
-  PyTypeObject *__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_items;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_pop;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_values;
-  PyObject *__pyx_tuple[2];
-  PyObject *__pyx_codeobj_tab[7];
-  PyObject *__pyx_string_tab[84];
-  PyObject *__pyx_number_tab[5];
-/* #### Code section: module_state_contents ### */
-
-#if CYTHON_USE_FREELISTS
-struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr *__pyx_freelist_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr[8];
-int __pyx_freecount_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr;
-#endif
-
-#if CYTHON_USE_FREELISTS
-struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr *__pyx_freelist_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr[8];
-int __pyx_freecount_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr;
-#endif
-
-#if CYTHON_USE_FREELISTS
-struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr *__pyx_freelist_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr[8];
-int __pyx_freecount_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr;
-#endif
-
-#if CYTHON_USE_FREELISTS
-struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr *__pyx_freelist_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr[8];
-int __pyx_freecount_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr;
-#endif
-/* CommonTypesMetaclass.module_state_decls */
-PyTypeObject *__pyx_CommonTypesMetaclassType;
-
-/* CachedMethodType.module_state_decls */
-#if CYTHON_COMPILING_IN_LIMITED_API
-PyObject *__Pyx_CachedMethodType;
-#endif
-
-/* CythonFunctionShared.module_state_decls */
-PyTypeObject *__pyx_CyFunctionType;
-
-/* CodeObjectCache.module_state_decls */
-struct __Pyx_CodeObjectCache __pyx_code_cache;
-
-/* IterNextPlain.module_state_decls */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-PyObject *__Pyx_GetBuiltinNext_LimitedAPI_cache;
-#endif
-
-/* Generator.module_state_decls */
-PyTypeObject *__pyx_GeneratorType;
-
-/* #### Code section: module_state_end ### */
-} __pyx_mstatetype;
-
-#if CYTHON_USE_MODULE_STATE
-#ifdef __cplusplus
-namespace {
-extern struct PyModuleDef __pyx_moduledef;
-} /* anonymous namespace */
-#else
-static struct PyModuleDef __pyx_moduledef;
-#endif
-
-#define __pyx_mstate_global (__Pyx_PyModule_GetState(__Pyx_State_FindModule(&__pyx_moduledef)))
-
-#define __pyx_m (__Pyx_State_FindModule(&__pyx_moduledef))
-#else
-static __pyx_mstatetype __pyx_mstate_global_static =
-#ifdef __cplusplus
-    {};
-#else
-    {0};
-#endif
-static __pyx_mstatetype * const __pyx_mstate_global = &__pyx_mstate_global_static;
-#endif
-/* #### Code section: constant_name_defines ### */
-#define __pyx_kp_u_ __pyx_string_tab[0]
-#define __pyx_kp_u_disable __pyx_string_tab[1]
-#define __pyx_kp_u_enable __pyx_string_tab[2]
-#define __pyx_kp_u_gc __pyx_string_tab[3]
-#define __pyx_kp_u_isenabled __pyx_string_tab[4]
-#define __pyx_kp_u_no_default___reduce___due_to_non __pyx_string_tab[5]
-#define __pyx_kp_u_src_wspkit__kernel__speed_pyx __pyx_string_tab[6]
-#define __pyx_kp_u_stringsource __pyx_string_tab[7]
-#define __pyx_n_u_BUDGET __pyx_string_tab[8]
-#define __pyx_n_u_Engine __pyx_string_tab[9]
-#define __pyx_n_u_Engine___reduce_cython __pyx_string_tab[10]
-#define __pyx_n_u_Engine___setstate_cython __pyx_string_tab[11]
-#define __pyx_n_u_Engine__load_locals_genexpr __pyx_string_tab[12]
-#define __pyx_n_u_Pyx_PyDict_NextRef __pyx_string_tab[13]
-#define __pyx_n_u_SAT __pyx_string_tab[14]
-#define __pyx_n_u_UNSAT __pyx_string_tab[15]
-#define __pyx_n_u_annotate __pyx_string_tab[16]
-#define __pyx_n_u_asyncio_coroutines __pyx_string_tab[17]
-#define __pyx_n_u_at_most __pyx_string_tab[18]
-#define __pyx_n_u_b __pyx_string_tab[19]
-#define __pyx_n_u_bod_prev __pyx_string_tab[20]
-#define __pyx_n_u_cline_in_traceback __pyx_string_tab[21]
-#define __pyx_n_u_close __pyx_string_tab[22]
-#define __pyx_n_u_combo_masks __pyx_string_tab[23]
-#define __pyx_n_u_count_at __pyx_string_tab[24]
-#define __pyx_n_u_counts __pyx_string_tab[25]
-#define __pyx_n_u_d __pyx_string_tab[26]
-#define __pyx_n_u_deadline __pyx_string_tab[27]
-#define __pyx_n_u_depths __pyx_string_tab[28]
-#define __pyx_n_u_eng __pyx_string_tab[29]
-#define __pyx_n_u_func __pyx_string_tab[30]
-#define __pyx_n_u_genexpr __pyx_string_tab[31]
-#define __pyx_n_u_getstate __pyx_string_tab[32]
-#define __pyx_n_u_h __pyx_string_tab[33]
-#define __pyx_n_u_i __pyx_string_tab[34]
-#define __pyx_n_u_is_coroutine __pyx_string_tab[35]
-#define __pyx_n_u_items __pyx_string_tab[36]
-#define __pyx_n_u_k __pyx_string_tab[37]
-#define __pyx_n_u_m __pyx_string_tab[38]
-#define __pyx_n_u_main __pyx_string_tab[39]
-#define __pyx_n_u_max_nodes __pyx_string_tab[40]
-#define __pyx_n_u_max_patterns __pyx_string_tab[41]
-#define __pyx_n_u_module __pyx_string_tab[42]
-#define __pyx_n_u_n __pyx_string_tab[43]
-#define __pyx_n_u_name __pyx_string_tab[44]
-#define __pyx_n_u_nb __pyx_string_tab[45]
-#define __pyx_n_u_nb2 __pyx_string_tab[46]
-#define __pyx_n_u_next __pyx_string_tab[47]
-#define __pyx_n_u_order __pyx_string_tab[48]
-#define __pyx_n_u_perf_counter __pyx_string_tab[49]
-#define __pyx_n_u_plan __pyx_string_tab[50]
-#define __pyx_n_u_pop __pyx_string_tab[51]
-#define __pyx_n_u_prefix __pyx_string_tab[52]
-#define __pyx_n_u_prob __pyx_string_tab[53]
-#define __pyx_n_u_pyx_state __pyx_string_tab[54]
-#define __pyx_n_u_pyx_vtable __pyx_string_tab[55]
-#define __pyx_n_u_qualname __pyx_string_tab[56]
-#define __pyx_n_u_r __pyx_string_tab[57]
-#define __pyx_n_u_reduce __pyx_string_tab[58]
-#define __pyx_n_u_reduce_cython __pyx_string_tab[59]
-#define __pyx_n_u_reduce_ex __pyx_string_tab[60]
-#define __pyx_n_u_run_search __pyx_string_tab[61]
-#define __pyx_n_u_self __pyx_string_tab[62]
-#define __pyx_n_u_send __pyx_string_tab[63]
-#define __pyx_n_u_set_name __pyx_string_tab[64]
-#define __pyx_n_u_setdefault __pyx_string_tab[65]
-#define __pyx_n_u_setstate __pyx_string_tab[66]
-#define __pyx_n_u_setstate_cython __pyx_string_tab[67]
-#define __pyx_n_u_sod_prev __pyx_string_tab[68]
-#define __pyx_n_u_status __pyx_string_tab[69]
-#define __pyx_n_u_sual_at __pyx_string_tab[70]
-#define __pyx_n_u_suals __pyx_string_tab[71]
-#define __pyx_n_u_sum __pyx_string_tab[72]
-#define __pyx_n_u_test __pyx_string_tab[73]
-#define __pyx_n_u_throw __pyx_string_tab[74]
-#define __pyx_n_u_time __pyx_string_tab[75]
-#define __pyx_n_u_value __pyx_string_tab[76]
-#define __pyx_n_u_values __pyx_string_tab[77]
-#define __pyx_n_u_wspkit__kernel__speed __pyx_string_tab[78]
-#define __pyx_n_u_x __pyx_string_tab[79]
-#define __pyx_n_u_xmask __pyx_string_tab[80]
-#define __pyx_kp_b_iso88591_8_q_Q_AT_r_Bc_3a_6_Cq_wa_vQa_y __pyx_string_tab[81]
-#define __pyx_kp_b_iso88591_Q __pyx_string_tab[82]
-#define __pyx_kp_b_iso88591_q __pyx_string_tab[83]
-#define __pyx_int_0 __pyx_number_tab[0]
-#define __pyx_int_1 __pyx_number_tab[1]
-#define __pyx_int_2 __pyx_number_tab[2]
-#define __pyx_int_64 __pyx_number_tab[3]
-#define __pyx_int_0xffffffffffffffff __pyx_number_tab[4]
-/* #### Code section: module_state_clear ### */
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __pyx_m_clear(PyObject *m) {
-  __pyx_mstatetype *clear_module_state = __Pyx_PyModule_GetState(m);
-  if (!clear_module_state) return 0;
-  Py_CLEAR(clear_module_state->__pyx_d);
-  Py_CLEAR(clear_module_state->__pyx_b);
-  Py_CLEAR(clear_module_state->__pyx_cython_runtime);
-  Py_CLEAR(clear_module_state->__pyx_empty_tuple);
-  Py_CLEAR(clear_module_state->__pyx_empty_bytes);
-  Py_CLEAR(clear_module_state->__pyx_empty_unicode);
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  __Pyx_State_RemoveModule(NULL);
-  #endif
-  Py_CLEAR(clear_module_state->__pyx_ptype_6wspkit_7_kernel_6_speed__Engine);
-  Py_CLEAR(clear_module_state->__pyx_type_6wspkit_7_kernel_6_speed__Engine);
-  Py_CLEAR(clear_module_state->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr);
-  Py_CLEAR(clear_module_state->__pyx_type_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr);
-  Py_CLEAR(clear_module_state->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr);
-  Py_CLEAR(clear_module_state->__pyx_type_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr);
-  Py_CLEAR(clear_module_state->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr);
-  Py_CLEAR(clear_module_state->__pyx_type_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr);
-  Py_CLEAR(clear_module_state->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr);
-  Py_CLEAR(clear_module_state->__pyx_type_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr);
-  for (int i=0; i<2; ++i) { Py_CLEAR(clear_module_state->__pyx_tuple[i]); }
-  for (int i=0; i<7; ++i) { Py_CLEAR(clear_module_state->__pyx_codeobj_tab[i]); }
-  for (int i=0; i<84; ++i) { Py_CLEAR(clear_module_state->__pyx_string_tab[i]); }
-  for (int i=0; i<5; ++i) { Py_CLEAR(clear_module_state->__pyx_number_tab[i]); }
-/* #### Code section: module_state_clear_contents ### */
-/* CommonTypesMetaclass.module_state_clear */
-Py_CLEAR(clear_module_state->__pyx_CommonTypesMetaclassType);
-
-/* CythonFunctionShared.module_state_clear */
-Py_CLEAR(clear_module_state->__pyx_CyFunctionType);
-
-/* Generator.module_state_clear */
-Py_CLEAR(clear_module_state->__pyx_GeneratorType);
-
-/* #### Code section: module_state_clear_end ### */
-return 0;
-}
-#endif
-/* #### Code section: module_state_traverse ### */
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __pyx_m_traverse(PyObject *m, visitproc visit, void *arg) {
-  __pyx_mstatetype *traverse_module_state = __Pyx_PyModule_GetState(m);
-  if (!traverse_module_state) return 0;
-  Py_VISIT(traverse_module_state->__pyx_d);
-  Py_VISIT(traverse_module_state->__pyx_b);
-  Py_VISIT(traverse_module_state->__pyx_cython_runtime);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_tuple);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_bytes);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_unicode);
-  Py_VISIT(traverse_module_state->__pyx_ptype_6wspkit_7_kernel_6_speed__Engine);
-  Py_VISIT(traverse_module_state->__pyx_type_6wspkit_7_kernel_6_speed__Engine);
-  Py_VISIT(traverse_module_state->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr);
-  Py_VISIT(traverse_module_state->__pyx_type_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr);
-  Py_VISIT(traverse_module_state->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr);
-  Py_VISIT(traverse_module_state->__pyx_type_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr);
-  Py_VISIT(traverse_module_state->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr);
-  Py_VISIT(traverse_module_state->__pyx_type_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr);
-  Py_VISIT(traverse_module_state->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr);
-  Py_VISIT(traverse_module_state->__pyx_type_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr);
-  for (int i=0; i<2; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_tuple[i]); }
-  for (int i=0; i<7; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_codeobj_tab[i]); }
-  for (int i=0; i<84; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_string_tab[i]); }
-  for (int i=0; i<5; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_number_tab[i]); }
-/* #### Code section: module_state_traverse_contents ### */
-/* CommonTypesMetaclass.module_state_traverse */
-Py_VISIT(traverse_module_state->__pyx_CommonTypesMetaclassType);
-
-/* CythonFunctionShared.module_state_traverse */
-Py_VISIT(traverse_module_state->__pyx_CyFunctionType);
-
-/* Generator.module_state_traverse */
-Py_VISIT(traverse_module_state->__pyx_GeneratorType);
-
-/* #### Code section: module_state_traverse_end ### */
-return 0;
-}
-#endif
-/* #### Code section: module_code ### */
-
-/* "wspkit/_kernel/_speed.pyx":26
- * cdef int TIME_CHECK_EVERY = 2048
- * 
- * cdef uint64_t* _alloc_u64(size_t count) except NULL:             # <<<<<<<<<<<<<<
- *     cdef uint64_t* p = <uint64_t*> PyMem_Malloc(count * sizeof(uint64_t))
- *     if p == NULL:
-*/
-
-static uint64_t *__pyx_f_6wspkit_7_kernel_6_speed__alloc_u64(size_t __pyx_v_count) {
-  uint64_t *__pyx_v_p;
-  uint64_t *__pyx_r;
-  int __pyx_t_1;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "wspkit/_kernel/_speed.pyx":27
- * 
- * cdef uint64_t* _alloc_u64(size_t count) except NULL:
- *     cdef uint64_t* p = <uint64_t*> PyMem_Malloc(count * sizeof(uint64_t))             # <<<<<<<<<<<<<<
- *     if p == NULL:
- *         raise MemoryError()
-*/
-  __pyx_v_p = ((uint64_t *)PyMem_Malloc((__pyx_v_count * (sizeof(uint64_t)))));
-
-  /* "wspkit/_kernel/_speed.pyx":28
- * cdef uint64_t* _alloc_u64(size_t count) except NULL:
- *     cdef uint64_t* p = <uint64_t*> PyMem_Malloc(count * sizeof(uint64_t))
- *     if p == NULL:             # <<<<<<<<<<<<<<
- *         raise MemoryError()
- *     memset(p, 0, count * sizeof(uint64_t))
-*/
-  __pyx_t_1 = (__pyx_v_p == NULL);
-  if (unlikely(__pyx_t_1)) {
-
-    /* "wspkit/_kernel/_speed.pyx":29
- *     cdef uint64_t* p = <uint64_t*> PyMem_Malloc(count * sizeof(uint64_t))
- *     if p == NULL:
- *         raise MemoryError()             # <<<<<<<<<<<<<<
- *     memset(p, 0, count * sizeof(uint64_t))
- *     return p
-*/
-    PyErr_NoMemory(); __PYX_ERR(0, 29, __pyx_L1_error)
-
-    /* "wspkit/_kernel/_speed.pyx":28
- * cdef uint64_t* _alloc_u64(size_t count) except NULL:
- *     cdef uint64_t* p = <uint64_t*> PyMem_Malloc(count * sizeof(uint64_t))
- *     if p == NULL:             # <<<<<<<<<<<<<<
- *         raise MemoryError()
- *     memset(p, 0, count * sizeof(uint64_t))
-*/
-  }
-
-  /* "wspkit/_kernel/_speed.pyx":30
- *     if p == NULL:
- *         raise MemoryError()
- *     memset(p, 0, count * sizeof(uint64_t))             # <<<<<<<<<<<<<<
- *     return p
- * 
-*/
-  (void)(memset(__pyx_v_p, 0, (__pyx_v_count * (sizeof(uint64_t)))));
-
-  /* "wspkit/_kernel/_speed.pyx":31
- *         raise MemoryError()
- *     memset(p, 0, count * sizeof(uint64_t))
- *     return p             # <<<<<<<<<<<<<<
- * 
- * cdef int* _alloc_int(size_t count) except NULL:
-*/
-  __pyx_r = __pyx_v_p;
-  goto __pyx_L0;
-
-  /* "wspkit/_kernel/_speed.pyx":26
- * cdef int TIME_CHECK_EVERY = 2048
- * 
- * cdef uint64_t* _alloc_u64(size_t count) except NULL:             # <<<<<<<<<<<<<<
- *     cdef uint64_t* p = <uint64_t*> PyMem_Malloc(count * sizeof(uint64_t))
- *     if p == NULL:
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("wspkit._kernel._speed._alloc_u64", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "wspkit/_kernel/_speed.pyx":33
- *     return p
- * 
- * cdef int* _alloc_int(size_t count) except NULL:             # <<<<<<<<<<<<<<
- *     cdef int* p = <int*> PyMem_Malloc(count * sizeof(int))
- *     if p == NULL:
-*/
-
-static int *__pyx_f_6wspkit_7_kernel_6_speed__alloc_int(size_t __pyx_v_count) {
-  int *__pyx_v_p;
-  int *__pyx_r;
-  int __pyx_t_1;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "wspkit/_kernel/_speed.pyx":34
- * 
- * cdef int* _alloc_int(size_t count) except NULL:
- *     cdef int* p = <int*> PyMem_Malloc(count * sizeof(int))             # <<<<<<<<<<<<<<
- *     if p == NULL:
- *         raise MemoryError()
-*/
-  __pyx_v_p = ((int *)PyMem_Malloc((__pyx_v_count * (sizeof(int)))));
-
-  /* "wspkit/_kernel/_speed.pyx":35
- * cdef int* _alloc_int(size_t count) except NULL:
- *     cdef int* p = <int*> PyMem_Malloc(count * sizeof(int))
- *     if p == NULL:             # <<<<<<<<<<<<<<
- *         raise MemoryError()
- *     memset(p, 0, count * sizeof(int))
-*/
-  __pyx_t_1 = (__pyx_v_p == NULL);
-  if (unlikely(__pyx_t_1)) {
-
-    /* "wspkit/_kernel/_speed.pyx":36
- *     cdef int* p = <int*> PyMem_Malloc(count * sizeof(int))
- *     if p == NULL:
- *         raise MemoryError()             # <<<<<<<<<<<<<<
- *     memset(p, 0, count * sizeof(int))
- *     return p
-*/
-    PyErr_NoMemory(); __PYX_ERR(0, 36, __pyx_L1_error)
-
-    /* "wspkit/_kernel/_speed.pyx":35
- * cdef int* _alloc_int(size_t count) except NULL:
- *     cdef int* p = <int*> PyMem_Malloc(count * sizeof(int))
- *     if p == NULL:             # <<<<<<<<<<<<<<
- *         raise MemoryError()
- *     memset(p, 0, count * sizeof(int))
-*/
-  }
-
-  /* "wspkit/_kernel/_speed.pyx":37
- *     if p == NULL:
- *         raise MemoryError()
- *     memset(p, 0, count * sizeof(int))             # <<<<<<<<<<<<<<
- *     return p
- * 
-*/
-  (void)(memset(__pyx_v_p, 0, (__pyx_v_count * (sizeof(int)))));
-
-  /* "wspkit/_kernel/_speed.pyx":38
- *         raise MemoryError()
- *     memset(p, 0, count * sizeof(int))
- *     return p             # <<<<<<<<<<<<<<
- * 
- * cdef void _pack_mask(object pymask, uint64_t* out, int W):
-*/
-  __pyx_r = __pyx_v_p;
-  goto __pyx_L0;
-
-  /* "wspkit/_kernel/_speed.pyx":33
- *     return p
- * 
- * cdef int* _alloc_int(size_t count) except NULL:             # <<<<<<<<<<<<<<
- *     cdef int* p = <int*> PyMem_Malloc(count * sizeof(int))
- *     if p == NULL:
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("wspkit._kernel._speed._alloc_int", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "wspkit/_kernel/_speed.pyx":40
- *     return p
- * 
- * cdef void _pack_mask(object pymask, uint64_t* out, int W):             # <<<<<<<<<<<<<<
- *     cdef int w
- *     cdef object m = pymask
-*/
-
-static void __pyx_f_6wspkit_7_kernel_6_speed__pack_mask(PyObject *__pyx_v_pymask, uint64_t *__pyx_v_out, int __pyx_v_W) {
-  int __pyx_v_w;
-  PyObject *__pyx_v_m = 0;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  PyObject *__pyx_t_4 = NULL;
-  uint64_t __pyx_t_5;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("_pack_mask", 0);
-
-  /* "wspkit/_kernel/_speed.pyx":42
- * cdef void _pack_mask(object pymask, uint64_t* out, int W):
- *     cdef int w
- *     cdef object m = pymask             # <<<<<<<<<<<<<<
- *     for w in range(W):
- *         out[w] = <uint64_t> (m & 0xFFFFFFFFFFFFFFFF)
-*/
-  __Pyx_INCREF(__pyx_v_pymask);
-  __pyx_v_m = __pyx_v_pymask;
-
-  /* "wspkit/_kernel/_speed.pyx":43
- *     cdef int w
- *     cdef object m = pymask
- *     for w in range(W):             # <<<<<<<<<<<<<<
- *         out[w] = <uint64_t> (m & 0xFFFFFFFFFFFFFFFF)
- *         m >>= 64
-*/
-  __pyx_t_1 = __pyx_v_W;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_w = __pyx_t_3;
-
-    /* "wspkit/_kernel/_speed.pyx":44
- *     cdef object m = pymask
- *     for w in range(W):
- *         out[w] = <uint64_t> (m & 0xFFFFFFFFFFFFFFFF)             # <<<<<<<<<<<<<<
- *         m >>= 64
- * 
-*/
-    __pyx_t_4 = PyNumber_And(__pyx_v_m, __pyx_mstate_global->__pyx_int_0xffffffffffffffff); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 44, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __pyx_t_5 = __Pyx_PyLong_As_uint64_t(__pyx_t_4); if (unlikely((__pyx_t_5 == ((uint64_t)-1)) && PyErr_Occurred())) __PYX_ERR(0, 44, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    (__pyx_v_out[__pyx_v_w]) = ((uint64_t)__pyx_t_5);
-
-    /* "wspkit/_kernel/_speed.pyx":45
- *     for w in range(W):
- *         out[w] = <uint64_t> (m & 0xFFFFFFFFFFFFFFFF)
- *         m >>= 64             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-    __pyx_t_4 = PyNumber_InPlaceRshift(__pyx_v_m, __pyx_mstate_global->__pyx_int_64); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 45, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __Pyx_DECREF_SET(__pyx_v_m, __pyx_t_4);
-    __pyx_t_4 = 0;
-  }
-
-  /* "wspkit/_kernel/_speed.pyx":40
- *     return p
- * 
- * cdef void _pack_mask(object pymask, uint64_t* out, int W):             # <<<<<<<<<<<<<<
- *     cdef int w
- *     cdef object m = pymask
-*/
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_AddTraceback("wspkit._kernel._speed._pack_mask", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_m);
-  __Pyx_RefNannyFinishContext();
-}
-
-/* "wspkit/_kernel/_speed.pyx":84
- *     cdef int out_of_time
- * 
- *     def __cinit__(self):             # <<<<<<<<<<<<<<
- *         self.order = NULL; self.combo = NULL
- *         self.sod_off = NULL; self.sod_dat = NULL
-*/
-
-/* Python wrapper */
-static int __pyx_pw_6wspkit_7_kernel_6_speed_7_Engine_1__cinit__(PyObject *__pyx_v_self, PyObject *__pyx_args, PyObject *__pyx_kwds); /*proto*/
-static int __pyx_pw_6wspkit_7_kernel_6_speed_7_Engine_1__cinit__(PyObject *__pyx_v_self, PyObject *__pyx_args, PyObject *__pyx_kwds) {
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  int __pyx_r;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__cinit__ (wrapper)", 0);
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return -1;
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_VARARGS(__pyx_args, __pyx_nargs);
-  if (unlikely(__pyx_nargs > 0)) { __Pyx_RaiseArgtupleInvalid("__cinit__", 1, 0, 0, __pyx_nargs); return -1; }
-  const Py_ssize_t __pyx_kwds_len = unlikely(__pyx_kwds) ? __Pyx_NumKwargs_VARARGS(__pyx_kwds) : 0;
-  if (unlikely(__pyx_kwds_len < 0)) return -1;
-  if (unlikely(__pyx_kwds_len > 0)) {__Pyx_RejectKeywords("__cinit__", __pyx_kwds); return -1;}
-  __pyx_r = __pyx_pf_6wspkit_7_kernel_6_speed_7_Engine___cinit__(((struct __pyx_obj_6wspkit_7_kernel_6_speed__Engine *)__pyx_v_self));
-
-  /* function exit code */
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static int __pyx_pf_6wspkit_7_kernel_6_speed_7_Engine___cinit__(struct __pyx_obj_6wspkit_7_kernel_6_speed__Engine *__pyx_v_self) {
-  int __pyx_r;
-
-  /* "wspkit/_kernel/_speed.pyx":85
- * 
- *     def __cinit__(self):
- *         self.order = NULL; self.combo = NULL             # <<<<<<<<<<<<<<
- *         self.sod_off = NULL; self.sod_dat = NULL
- *         self.bod_off = NULL; self.bod_dat = NULL
-*/
-  __pyx_v_self->order = NULL;
-  __pyx_v_self->combo = NULL;
-
-  /* "wspkit/_kernel/_speed.pyx":86
- *     def __cinit__(self):
- *         self.order = NULL; self.combo = NULL
- *         self.sod_off = NULL; self.sod_dat = NULL             # <<<<<<<<<<<<<<
- *         self.bod_off = NULL; self.bod_dat = NULL
- *         self.cnt_atmost = NULL; self.cnt_r = NULL
-*/
-  __pyx_v_self->sod_off = NULL;
-  __pyx_v_self->sod_dat = NULL;
-
-  /* "wspkit/_kernel/_speed.pyx":87
- *         self.order = NULL; self.combo = NULL
- *         self.sod_off = NULL; self.sod_dat = NULL
- *         self.bod_off = NULL; self.bod_dat = NULL             # <<<<<<<<<<<<<<
- *         self.cnt_atmost = NULL; self.cnt_r = NULL
- *         self.cnt_rem = NULL; self.cnt_member = NULL
-*/
-  __pyx_v_self->bod_off = NULL;
-  __pyx_v_self->bod_dat = NULL;
-
-  /* "wspkit/_kernel/_speed.pyx":88
- *         self.sod_off = NULL; self.sod_dat = NULL
- *         self.bod_off = NULL; self.bod_dat = NULL
- *         self.cnt_atmost = NULL; self.cnt_r = NULL             # <<<<<<<<<<<<<<
- *         self.cnt_rem = NULL; self.cnt_member = NULL
- *         self.cat_off = NULL; self.cat_dat = NULL
-*/
-  __pyx_v_self->cnt_atmost = NULL;
-  __pyx_v_self->cnt_r = NULL;
-
-  /* "wspkit/_kernel/_speed.pyx":89
- *         self.bod_off = NULL; self.bod_dat = NULL
- *         self.cnt_atmost = NULL; self.cnt_r = NULL
- *         self.cnt_rem = NULL; self.cnt_member = NULL             # <<<<<<<<<<<<<<
- *         self.cat_off = NULL; self.cat_dat = NULL
- *         self.su_h = NULL; self.su_len = NULL; self.su_x = NULL
-*/
-  __pyx_v_self->cnt_rem = NULL;
-  __pyx_v_self->cnt_member = NULL;
-
-  /* "wspkit/_kernel/_speed.pyx":90
- *         self.cnt_atmost = NULL; self.cnt_r = NULL
- *         self.cnt_rem = NULL; self.cnt_member = NULL
- *         self.cat_off = NULL; self.cat_dat = NULL             # <<<<<<<<<<<<<<
- *         self.su_h = NULL; self.su_len = NULL; self.su_x = NULL
- *         self.sat_off = NULL; self.sat_dat = NULL
-*/
-  __pyx_v_self->cat_off = NULL;
-  __pyx_v_self->cat_dat = NULL;
-
-  /* "wspkit/_kernel/_speed.pyx":91
- *         self.cnt_rem = NULL; self.cnt_member = NULL
- *         self.cat_off = NULL; self.cat_dat = NULL
- *         self.su_h = NULL; self.su_len = NULL; self.su_x = NULL             # <<<<<<<<<<<<<<
- *         self.sat_off = NULL; self.sat_dat = NULL
- *         self.bmask = NULL; self.match = NULL; self.alive = NULL
-*/
-  __pyx_v_self->su_h = NULL;
-  __pyx_v_self->su_len = NULL;
-  __pyx_v_self->su_x = NULL;
-
-  /* "wspkit/_kernel/_speed.pyx":92
- *         self.cat_off = NULL; self.cat_dat = NULL
- *         self.su_h = NULL; self.su_len = NULL; self.su_x = NULL
- *         self.sat_off = NULL; self.sat_dat = NULL             # <<<<<<<<<<<<<<
- *         self.bmask = NULL; self.match = NULL; self.alive = NULL
- *         self.ccover = NULL; self.scover = NULL; self.sassign = NULL
-*/
-  __pyx_v_self->sat_off = NULL;
-  __pyx_v_self->sat_dat = NULL;
-
-  /* "wspkit/_kernel/_speed.pyx":93
- *         self.su_h = NULL; self.su_len = NULL; self.su_x = NULL
- *         self.sat_off = NULL; self.sat_dat = NULL
- *         self.bmask = NULL; self.match = NULL; self.alive = NULL             # <<<<<<<<<<<<<<
- *         self.ccover = NULL; self.scover = NULL; self.sassign = NULL
- *         self.assign = NULL; self.seen = NULL; self.restricted = NULL
-*/
-  __pyx_v_self->bmask = NULL;
-  __pyx_v_self->match = NULL;
-  __pyx_v_self->alive = NULL;
-
-  /* "wspkit/_kernel/_speed.pyx":94
- *         self.sat_off = NULL; self.sat_dat = NULL
- *         self.bmask = NULL; self.match = NULL; self.alive = NULL
- *         self.ccover = NULL; self.scover = NULL; self.sassign = NULL             # <<<<<<<<<<<<<<
- *         self.assign = NULL; self.seen = NULL; self.restricted = NULL
- *         self.plan_out = NULL
-*/
-  __pyx_v_self->ccover = NULL;
-  __pyx_v_self->scover = NULL;
-  __pyx_v_self->sassign = NULL;
-
-  /* "wspkit/_kernel/_speed.pyx":95
- *         self.bmask = NULL; self.match = NULL; self.alive = NULL
- *         self.ccover = NULL; self.scover = NULL; self.sassign = NULL
- *         self.assign = NULL; self.seen = NULL; self.restricted = NULL             # <<<<<<<<<<<<<<
- *         self.plan_out = NULL
- * 
-*/
-  __pyx_v_self->assign = NULL;
-  __pyx_v_self->seen = NULL;
-  __pyx_v_self->restricted = NULL;
-
-  /* "wspkit/_kernel/_speed.pyx":96
- *         self.ccover = NULL; self.scover = NULL; self.sassign = NULL
- *         self.assign = NULL; self.seen = NULL; self.restricted = NULL
- *         self.plan_out = NULL             # <<<<<<<<<<<<<<
- * 
- *     def __dealloc__(self):
-*/
-  __pyx_v_self->plan_out = NULL;
-
-  /* "wspkit/_kernel/_speed.pyx":84
- *     cdef int out_of_time
- * 
- *     def __cinit__(self):             # <<<<<<<<<<<<<<
- *         self.order = NULL; self.combo = NULL
- *         self.sod_off = NULL; self.sod_dat = NULL
-*/
-
-  /* function exit code */
-  __pyx_r = 0;
-  return __pyx_r;
-}
-
-/* "wspkit/_kernel/_speed.pyx":98
- *         self.plan_out = NULL
- * 
- *     def __dealloc__(self):             # <<<<<<<<<<<<<<
- *         PyMem_Free(self.order); PyMem_Free(self.combo)
- *         PyMem_Free(self.sod_off); PyMem_Free(self.sod_dat)
-*/
-
-/* Python wrapper */
-static void __pyx_pw_6wspkit_7_kernel_6_speed_7_Engine_3__dealloc__(PyObject *__pyx_v_self); /*proto*/
-static void __pyx_pw_6wspkit_7_kernel_6_speed_7_Engine_3__dealloc__(PyObject *__pyx_v_self) {
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__dealloc__ (wrapper)", 0);
-  __pyx_kwvalues = __Pyx_KwValues_VARARGS(__pyx_args, __pyx_nargs);
-  __pyx_pf_6wspkit_7_kernel_6_speed_7_Engine_2__dealloc__(((struct __pyx_obj_6wspkit_7_kernel_6_speed__Engine *)__pyx_v_self));
-
-  /* function exit code */
-  __Pyx_RefNannyFinishContext();
-}
-
-static void __pyx_pf_6wspkit_7_kernel_6_speed_7_Engine_2__dealloc__(struct __pyx_obj_6wspkit_7_kernel_6_speed__Engine *__pyx_v_self) {
-
-  /* "wspkit/_kernel/_speed.pyx":99
- * 
- *     def __dealloc__(self):
- *         PyMem_Free(self.order); PyMem_Free(self.combo)             # <<<<<<<<<<<<<<
- *         PyMem_Free(self.sod_off); PyMem_Free(self.sod_dat)
- *         PyMem_Free(self.bod_off); PyMem_Free(self.bod_dat)
-*/
-  PyMem_Free(__pyx_v_self->order);
-  PyMem_Free(__pyx_v_self->combo);
-
-  /* "wspkit/_kernel/_speed.pyx":100
- *     def __dealloc__(self):
- *         PyMem_Free(self.order); PyMem_Free(self.combo)
- *         PyMem_Free(self.sod_off); PyMem_Free(self.sod_dat)             # <<<<<<<<<<<<<<
- *         PyMem_Free(self.bod_off); PyMem_Free(self.bod_dat)
- *         PyMem_Free(self.cnt_atmost); PyMem_Free(self.cnt_r)
-*/
-  PyMem_Free(__pyx_v_self->sod_off);
-  PyMem_Free(__pyx_v_self->sod_dat);
-
-  /* "wspkit/_kernel/_speed.pyx":101
- *         PyMem_Free(self.order); PyMem_Free(self.combo)
- *         PyMem_Free(self.sod_off); PyMem_Free(self.sod_dat)
- *         PyMem_Free(self.bod_off); PyMem_Free(self.bod_dat)             # <<<<<<<<<<<<<<
- *         PyMem_Free(self.cnt_atmost); PyMem_Free(self.cnt_r)
- *         PyMem_Free(self.cnt_rem); PyMem_Free(self.cnt_member)
-*/
-  PyMem_Free(__pyx_v_self->bod_off);
-  PyMem_Free(__pyx_v_self->bod_dat);
-
-  /* "wspkit/_kernel/_speed.pyx":102
- *         PyMem_Free(self.sod_off); PyMem_Free(self.sod_dat)
- *         PyMem_Free(self.bod_off); PyMem_Free(self.bod_dat)
- *         PyMem_Free(self.cnt_atmost); PyMem_Free(self.cnt_r)             # <<<<<<<<<<<<<<
- *         PyMem_Free(self.cnt_rem); PyMem_Free(self.cnt_member)
- *         PyMem_Free(self.cat_off); PyMem_Free(self.cat_dat)
-*/
-  PyMem_Free(__pyx_v_self->cnt_atmost);
-  PyMem_Free(__pyx_v_self->cnt_r);
-
-  /* "wspkit/_kernel/_speed.pyx":103
- *         PyMem_Free(self.bod_off); PyMem_Free(self.bod_dat)
- *         PyMem_Free(self.cnt_atmost); PyMem_Free(self.cnt_r)
- *         PyMem_Free(self.cnt_rem); PyMem_Free(self.cnt_member)             # <<<<<<<<<<<<<<
- *         PyMem_Free(self.cat_off); PyMem_Free(self.cat_dat)
- *         PyMem_Free(self.su_h); PyMem_Free(self.su_len); PyMem_Free(self.su_x)
-*/
-  PyMem_Free(__pyx_v_self->cnt_rem);
-  PyMem_Free(__pyx_v_self->cnt_member);
-
-  /* "wspkit/_kernel/_speed.pyx":104
- *         PyMem_Free(self.cnt_atmost); PyMem_Free(self.cnt_r)
- *         PyMem_Free(self.cnt_rem); PyMem_Free(self.cnt_member)
- *         PyMem_Free(self.cat_off); PyMem_Free(self.cat_dat)             # <<<<<<<<<<<<<<
- *         PyMem_Free(self.su_h); PyMem_Free(self.su_len); PyMem_Free(self.su_x)
- *         PyMem_Free(self.sat_off); PyMem_Free(self.sat_dat)
-*/
-  PyMem_Free(__pyx_v_self->cat_off);
-  PyMem_Free(__pyx_v_self->cat_dat);
-
-  /* "wspkit/_kernel/_speed.pyx":105
- *         PyMem_Free(self.cnt_rem); PyMem_Free(self.cnt_member)
- *         PyMem_Free(self.cat_off); PyMem_Free(self.cat_dat)
- *         PyMem_Free(self.su_h); PyMem_Free(self.su_len); PyMem_Free(self.su_x)             # <<<<<<<<<<<<<<
- *         PyMem_Free(self.sat_off); PyMem_Free(self.sat_dat)
- *         PyMem_Free(self.bmask); PyMem_Free(self.match); PyMem_Free(self.alive)
-*/
-  PyMem_Free(__pyx_v_self->su_h);
-  PyMem_Free(__pyx_v_self->su_len);
-  PyMem_Free(__pyx_v_self->su_x);
-
-  /* "wspkit/_kernel/_speed.pyx":106
- *         PyMem_Free(self.cat_off); PyMem_Free(self.cat_dat)
- *         PyMem_Free(self.su_h); PyMem_Free(self.su_len); PyMem_Free(self.su_x)
- *         PyMem_Free(self.sat_off); PyMem_Free(self.sat_dat)             # <<<<<<<<<<<<<<
- *         PyMem_Free(self.bmask); PyMem_Free(self.match); PyMem_Free(self.alive)
- *         PyMem_Free(self.ccover); PyMem_Free(self.scover); PyMem_Free(self.sassign)
-*/
-  PyMem_Free(__pyx_v_self->sat_off);
-  PyMem_Free(__pyx_v_self->sat_dat);
-
-  /* "wspkit/_kernel/_speed.pyx":107
- *         PyMem_Free(self.su_h); PyMem_Free(self.su_len); PyMem_Free(self.su_x)
- *         PyMem_Free(self.sat_off); PyMem_Free(self.sat_dat)
- *         PyMem_Free(self.bmask); PyMem_Free(self.match); PyMem_Free(self.alive)             # <<<<<<<<<<<<<<
- *         PyMem_Free(self.ccover); PyMem_Free(self.scover); PyMem_Free(self.sassign)
- *         PyMem_Free(self.assign); PyMem_Free(self.seen); PyMem_Free(self.restricted)
-*/
-  PyMem_Free(__pyx_v_self->bmask);
-  PyMem_Free(__pyx_v_self->match);
-  PyMem_Free(__pyx_v_self->alive);
-
-  /* "wspkit/_kernel/_speed.pyx":108
- *         PyMem_Free(self.sat_off); PyMem_Free(self.sat_dat)
- *         PyMem_Free(self.bmask); PyMem_Free(self.match); PyMem_Free(self.alive)
- *         PyMem_Free(self.ccover); PyMem_Free(self.scover); PyMem_Free(self.sassign)             # <<<<<<<<<<<<<<
- *         PyMem_Free(self.assign); PyMem_Free(self.seen); PyMem_Free(self.restricted)
- *         PyMem_Free(self.plan_out)
-*/
-  PyMem_Free(__pyx_v_self->ccover);
-  PyMem_Free(__pyx_v_self->scover);
-  PyMem_Free(__pyx_v_self->sassign);
-
-  /* "wspkit/_kernel/_speed.pyx":109
- *         PyMem_Free(self.bmask); PyMem_Free(self.match); PyMem_Free(self.alive)
- *         PyMem_Free(self.ccover); PyMem_Free(self.scover); PyMem_Free(self.sassign)
- *         PyMem_Free(self.assign); PyMem_Free(self.seen); PyMem_Free(self.restricted)             # <<<<<<<<<<<<<<
- *         PyMem_Free(self.plan_out)
- * 
-*/
-  PyMem_Free(__pyx_v_self->assign);
-  PyMem_Free(__pyx_v_self->seen);
-  PyMem_Free(__pyx_v_self->restricted);
-
-  /* "wspkit/_kernel/_speed.pyx":110
- *         PyMem_Free(self.ccover); PyMem_Free(self.scover); PyMem_Free(self.sassign)
- *         PyMem_Free(self.assign); PyMem_Free(self.seen); PyMem_Free(self.restricted)
- *         PyMem_Free(self.plan_out)             # <<<<<<<<<<<<<<
- * 
- *     cdef void _load(self, prob):
-*/
-  PyMem_Free(__pyx_v_self->plan_out);
-
-  /* "wspkit/_kernel/_speed.pyx":98
- *         self.plan_out = NULL
- * 
- *     def __dealloc__(self):             # <<<<<<<<<<<<<<
- *         PyMem_Free(self.order); PyMem_Free(self.combo)
- *         PyMem_Free(self.sod_off); PyMem_Free(self.sod_dat)
-*/
-
-  /* function exit code */
-}
-static PyObject *__pyx_gb_6wspkit_7_kernel_6_speed_7_Engine_5_load_2generator(__pyx_CoroutineObject *__pyx_generator, CYTHON_UNUSED PyThreadState *__pyx_tstate, PyObject *__pyx_sent_value); /* proto */
-
-/* "wspkit/_kernel/_speed.pyx":133
- *         self.sod_off = _alloc_int(k + 1)
- *         self.bod_off = _alloc_int(k + 1)
- *         total = sum(len(x) for x in prob.sod_prev)             # <<<<<<<<<<<<<<
- *         self.sod_dat = _alloc_int(max(1, total))
- *         i = 0
-*/
-
-static PyObject *__pyx_pf_6wspkit_7_kernel_6_speed_7_Engine_5_load_genexpr(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_genexpr_arg_0) {
-  struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr *__pyx_cur_scope;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("genexpr", 0);
-  __pyx_cur_scope = (struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr *)__pyx_tp_new_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr(__pyx_mstate_global->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr, __pyx_mstate_global->__pyx_empty_tuple, NULL);
-  if (unlikely(!__pyx_cur_scope)) {
-    __pyx_cur_scope = ((struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr *)Py_None);
-    __Pyx_INCREF(Py_None);
-    __PYX_ERR(0, 133, __pyx_L1_error)
-  } else {
-    __Pyx_GOTREF((PyObject *)__pyx_cur_scope);
-  }
-  __pyx_cur_scope->__pyx_genexpr_arg_0 = __pyx_genexpr_arg_0;
-  __Pyx_INCREF(__pyx_cur_scope->__pyx_genexpr_arg_0);
-  __Pyx_GIVEREF(__pyx_cur_scope->__pyx_genexpr_arg_0);
-  {
-    __pyx_CoroutineObject *gen = __Pyx_Generator_New((__pyx_coroutine_body_t) __pyx_gb_6wspkit_7_kernel_6_speed_7_Engine_5_load_2generator, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[0]), (PyObject *) __pyx_cur_scope, __pyx_mstate_global->__pyx_n_u_genexpr, __pyx_mstate_global->__pyx_n_u_Engine__load_locals_genexpr, __pyx_mstate_global->__pyx_n_u_wspkit__kernel__speed); if (unlikely(!gen)) __PYX_ERR(0, 133, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_cur_scope);
-    __Pyx_RefNannyFinishContext();
-    return (PyObject *) gen;
-  }
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("wspkit._kernel._speed._Engine._load.genexpr", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __Pyx_DECREF((PyObject *)__pyx_cur_scope);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_gb_6wspkit_7_kernel_6_speed_7_Engine_5_load_2generator(__pyx_CoroutineObject *__pyx_generator, CYTHON_UNUSED PyThreadState *__pyx_tstate, PyObject *__pyx_sent_value) /* generator body */
+    int k, W, m, ncounts, nsuals, nscopes;
+    u64 field;           /* one block set: blocks 0..k-1 */
+    const int *order;    /* visit depth -> step */
+    const int *perm;     /* sorted position -> combo index */
+    const u64 *masks;    /* masks[(i * k + d) * W]: sorted combo i, depth d */
+    const u64 *xmasks;   /* xmasks[si * W]: SUAL si's super-users */
+    u64 sod[MAX_STEPS];  /* the later SoD neighbours of each depth */
+    u64 bod[MAX_STEPS];  /* the later BoD neighbours of each depth */
+    /* spread[d * nscopes + j], j < spread_n[d]: the scopes holding depth d */
+    int *spread, *spread_n;
+    /* checks[(d * ncounts + j) * 3], j < check_n[d]: (count, r, at most?)
+       of each count bound that can rule a block out at depth d */
+    int *checks, *check_n;
+    /* sual_end[(d * nsuals + j) * 2], j < sual_end_n[d]: (SUAL, h) of
+       each SUAL whose scope ends at depth d */
+    int *sual_end, *sual_end_n;
+    int *run_end;        /* run_end[d * m + lo], see the file comment */
+    u64 *fwd, *cover;    /* fwd[d * k + f], cover[d * nscopes + j] */
+    int nbs[MAX_STEPS + 1], assign[MAX_STEPS];
+    u64 left[MAX_STEPS + 1];
+    Level levels[MAX_STEPS + 1];
+    u64 *seen;           /* the users an augmenting-path search has visited */
+    int *restricted;     /* the SUALs that restrict at the current node */
+    u64 *restricted_cov; /* and the blocks that cover their scopes */
+} Search;
+
+static PyObject *pack_fn;     /* wspkit._kernel.pack */
+static PyObject *time_module; /* for time.perf_counter */
+
+static void *
+alloc(size_t count, size_t size)
 {
-  struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr *__pyx_cur_scope = ((struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr *)__pyx_generator->closure);
-  PyObject *__pyx_r = NULL;
-  PyObject *__pyx_t_1 = NULL;
-  Py_ssize_t __pyx_t_2;
-  PyObject *(*__pyx_t_3)(PyObject *);
-  PyObject *__pyx_t_4 = NULL;
-  Py_ssize_t __pyx_t_5;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("genexpr", 0);
-  switch (__pyx_generator->resume_label) {
-    case 0: goto __pyx_L3_first_run;
-    case 1: goto __pyx_L6_resume_from_yield;
-    default: /* CPython raises the right error here */
-    __Pyx_RefNannyFinishContext();
-    return NULL;
-  }
-  __pyx_L3_first_run:;
-  if (unlikely(__pyx_sent_value != Py_None)) {
-    if (unlikely(__pyx_sent_value)) PyErr_SetString(PyExc_TypeError, "can't send non-None value to a just-started generator");
-    __PYX_ERR(0, 133, __pyx_L1_error)
-  }
-  if (unlikely(!__pyx_cur_scope->__pyx_genexpr_arg_0)) { __Pyx_RaiseUnboundLocalError(".0"); __PYX_ERR(0, 133, __pyx_L1_error) }
-  if (likely(PyList_CheckExact(__pyx_cur_scope->__pyx_genexpr_arg_0)) || PyTuple_CheckExact(__pyx_cur_scope->__pyx_genexpr_arg_0)) {
-    __pyx_t_1 = __pyx_cur_scope->__pyx_genexpr_arg_0; __Pyx_INCREF(__pyx_t_1);
-    __pyx_t_2 = 0;
-    __pyx_t_3 = NULL;
-  } else {
-    __pyx_t_2 = -1; __pyx_t_1 = PyObject_GetIter(__pyx_cur_scope->__pyx_genexpr_arg_0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 133, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __pyx_t_3 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_1); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 133, __pyx_L1_error)
-  }
-  for (;;) {
-    if (likely(!__pyx_t_3)) {
-      if (likely(PyList_CheckExact(__pyx_t_1))) {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_1);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 133, __pyx_L1_error)
-          #endif
-          if (__pyx_t_2 >= __pyx_temp) break;
-        }
-        __pyx_t_4 = __Pyx_PyList_GetItemRefFast(__pyx_t_1, __pyx_t_2, __Pyx_ReferenceSharing_OwnStrongReference);
-        ++__pyx_t_2;
-      } else {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyTuple_GET_SIZE(__pyx_t_1);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 133, __pyx_L1_error)
-          #endif
-          if (__pyx_t_2 >= __pyx_temp) break;
-        }
-        #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-        __pyx_t_4 = __Pyx_NewRef(PyTuple_GET_ITEM(__pyx_t_1, __pyx_t_2));
-        #else
-        __pyx_t_4 = __Pyx_PySequence_ITEM(__pyx_t_1, __pyx_t_2);
-        #endif
-        ++__pyx_t_2;
-      }
-      if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 133, __pyx_L1_error)
-    } else {
-      __pyx_t_4 = __pyx_t_3(__pyx_t_1);
-      if (unlikely(!__pyx_t_4)) {
-        PyObject* exc_type = PyErr_Occurred();
-        if (exc_type) {
-          if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration))) __PYX_ERR(0, 133, __pyx_L1_error)
-          PyErr_Clear();
-        }
-        break;
-      }
-    }
-    __Pyx_GOTREF(__pyx_t_4);
-    __Pyx_XGOTREF(__pyx_cur_scope->__pyx_v_x);
-    __Pyx_XDECREF_SET(__pyx_cur_scope->__pyx_v_x, __pyx_t_4);
-    __Pyx_GIVEREF(__pyx_t_4);
-    __pyx_t_4 = 0;
-    __pyx_t_5 = PyObject_Length(__pyx_cur_scope->__pyx_v_x); if (unlikely(__pyx_t_5 == ((Py_ssize_t)-1))) __PYX_ERR(0, 133, __pyx_L1_error)
-    __pyx_t_4 = PyLong_FromSsize_t(__pyx_t_5); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 133, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __pyx_r = __pyx_t_4;
-    __pyx_t_4 = 0;
-    __Pyx_XGIVEREF(__pyx_t_1);
-    __pyx_cur_scope->__pyx_t_0 = __pyx_t_1;
-    __pyx_cur_scope->__pyx_t_1 = __pyx_t_2;
-    __pyx_cur_scope->__pyx_t_2 = __pyx_t_3;
-    __Pyx_XGIVEREF(__pyx_r);
-    __Pyx_RefNannyFinishContext();
-    __Pyx_Coroutine_ResetAndClearException(__pyx_generator);
-    /* return from generator, yielding value */
-    __pyx_generator->resume_label = 1;
-    return __pyx_r;
-    __pyx_L6_resume_from_yield:;
-    __pyx_t_1 = __pyx_cur_scope->__pyx_t_0;
-    __pyx_cur_scope->__pyx_t_0 = 0;
-    __Pyx_XGOTREF(__pyx_t_1);
-    __pyx_t_2 = __pyx_cur_scope->__pyx_t_1;
-    __pyx_t_3 = __pyx_cur_scope->__pyx_t_2;
-    if (unlikely(!__pyx_sent_value)) __PYX_ERR(0, 133, __pyx_L1_error)
-  }
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  CYTHON_MAYBE_UNUSED_VAR(__pyx_cur_scope);
-
-  /* function exit code */
-  __pyx_r = Py_None; __Pyx_INCREF(Py_None);
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_4);
-  if (__Pyx_PyErr_Occurred()) {
-    __Pyx_Generator_Replace_StopIteration(0);
-    __Pyx_AddTraceback("genexpr", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  }
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  #if !CYTHON_USE_EXC_INFO_STACK
-  __Pyx_Coroutine_ResetAndClearException(__pyx_generator);
-  #endif
-  __pyx_generator->resume_label = -1;
-  __Pyx_Coroutine_clear((PyObject*)__pyx_generator);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-static PyObject *__pyx_gb_6wspkit_7_kernel_6_speed_7_Engine_5_load_5generator1(__pyx_CoroutineObject *__pyx_generator, CYTHON_UNUSED PyThreadState *__pyx_tstate, PyObject *__pyx_sent_value); /* proto */
-
-/* "wspkit/_kernel/_speed.pyx":141
- *                 self.sod_dat[i] = e; i += 1
- *         self.sod_off[k] = i
- *         total = sum(len(x) for x in prob.bod_prev)             # <<<<<<<<<<<<<<
- *         self.bod_dat = _alloc_int(max(1, total))
- *         i = 0
-*/
-
-static PyObject *__pyx_pf_6wspkit_7_kernel_6_speed_7_Engine_5_load_3genexpr(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_genexpr_arg_0) {
-  struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr *__pyx_cur_scope;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("genexpr", 0);
-  __pyx_cur_scope = (struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr *)__pyx_tp_new_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr(__pyx_mstate_global->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr, __pyx_mstate_global->__pyx_empty_tuple, NULL);
-  if (unlikely(!__pyx_cur_scope)) {
-    __pyx_cur_scope = ((struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr *)Py_None);
-    __Pyx_INCREF(Py_None);
-    __PYX_ERR(0, 141, __pyx_L1_error)
-  } else {
-    __Pyx_GOTREF((PyObject *)__pyx_cur_scope);
-  }
-  __pyx_cur_scope->__pyx_genexpr_arg_0 = __pyx_genexpr_arg_0;
-  __Pyx_INCREF(__pyx_cur_scope->__pyx_genexpr_arg_0);
-  __Pyx_GIVEREF(__pyx_cur_scope->__pyx_genexpr_arg_0);
-  {
-    __pyx_CoroutineObject *gen = __Pyx_Generator_New((__pyx_coroutine_body_t) __pyx_gb_6wspkit_7_kernel_6_speed_7_Engine_5_load_5generator1, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[1]), (PyObject *) __pyx_cur_scope, __pyx_mstate_global->__pyx_n_u_genexpr, __pyx_mstate_global->__pyx_n_u_Engine__load_locals_genexpr, __pyx_mstate_global->__pyx_n_u_wspkit__kernel__speed); if (unlikely(!gen)) __PYX_ERR(0, 141, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_cur_scope);
-    __Pyx_RefNannyFinishContext();
-    return (PyObject *) gen;
-  }
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("wspkit._kernel._speed._Engine._load.genexpr", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __Pyx_DECREF((PyObject *)__pyx_cur_scope);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_gb_6wspkit_7_kernel_6_speed_7_Engine_5_load_5generator1(__pyx_CoroutineObject *__pyx_generator, CYTHON_UNUSED PyThreadState *__pyx_tstate, PyObject *__pyx_sent_value) /* generator body */
-{
-  struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr *__pyx_cur_scope = ((struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr *)__pyx_generator->closure);
-  PyObject *__pyx_r = NULL;
-  PyObject *__pyx_t_1 = NULL;
-  Py_ssize_t __pyx_t_2;
-  PyObject *(*__pyx_t_3)(PyObject *);
-  PyObject *__pyx_t_4 = NULL;
-  Py_ssize_t __pyx_t_5;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("genexpr", 0);
-  switch (__pyx_generator->resume_label) {
-    case 0: goto __pyx_L3_first_run;
-    case 1: goto __pyx_L6_resume_from_yield;
-    default: /* CPython raises the right error here */
-    __Pyx_RefNannyFinishContext();
-    return NULL;
-  }
-  __pyx_L3_first_run:;
-  if (unlikely(__pyx_sent_value != Py_None)) {
-    if (unlikely(__pyx_sent_value)) PyErr_SetString(PyExc_TypeError, "can't send non-None value to a just-started generator");
-    __PYX_ERR(0, 141, __pyx_L1_error)
-  }
-  if (unlikely(!__pyx_cur_scope->__pyx_genexpr_arg_0)) { __Pyx_RaiseUnboundLocalError(".0"); __PYX_ERR(0, 141, __pyx_L1_error) }
-  if (likely(PyList_CheckExact(__pyx_cur_scope->__pyx_genexpr_arg_0)) || PyTuple_CheckExact(__pyx_cur_scope->__pyx_genexpr_arg_0)) {
-    __pyx_t_1 = __pyx_cur_scope->__pyx_genexpr_arg_0; __Pyx_INCREF(__pyx_t_1);
-    __pyx_t_2 = 0;
-    __pyx_t_3 = NULL;
-  } else {
-    __pyx_t_2 = -1; __pyx_t_1 = PyObject_GetIter(__pyx_cur_scope->__pyx_genexpr_arg_0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 141, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __pyx_t_3 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_1); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 141, __pyx_L1_error)
-  }
-  for (;;) {
-    if (likely(!__pyx_t_3)) {
-      if (likely(PyList_CheckExact(__pyx_t_1))) {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_1);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 141, __pyx_L1_error)
-          #endif
-          if (__pyx_t_2 >= __pyx_temp) break;
-        }
-        __pyx_t_4 = __Pyx_PyList_GetItemRefFast(__pyx_t_1, __pyx_t_2, __Pyx_ReferenceSharing_OwnStrongReference);
-        ++__pyx_t_2;
-      } else {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyTuple_GET_SIZE(__pyx_t_1);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 141, __pyx_L1_error)
-          #endif
-          if (__pyx_t_2 >= __pyx_temp) break;
-        }
-        #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-        __pyx_t_4 = __Pyx_NewRef(PyTuple_GET_ITEM(__pyx_t_1, __pyx_t_2));
-        #else
-        __pyx_t_4 = __Pyx_PySequence_ITEM(__pyx_t_1, __pyx_t_2);
-        #endif
-        ++__pyx_t_2;
-      }
-      if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 141, __pyx_L1_error)
-    } else {
-      __pyx_t_4 = __pyx_t_3(__pyx_t_1);
-      if (unlikely(!__pyx_t_4)) {
-        PyObject* exc_type = PyErr_Occurred();
-        if (exc_type) {
-          if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration))) __PYX_ERR(0, 141, __pyx_L1_error)
-          PyErr_Clear();
-        }
-        break;
-      }
-    }
-    __Pyx_GOTREF(__pyx_t_4);
-    __Pyx_XGOTREF(__pyx_cur_scope->__pyx_v_x);
-    __Pyx_XDECREF_SET(__pyx_cur_scope->__pyx_v_x, __pyx_t_4);
-    __Pyx_GIVEREF(__pyx_t_4);
-    __pyx_t_4 = 0;
-    __pyx_t_5 = PyObject_Length(__pyx_cur_scope->__pyx_v_x); if (unlikely(__pyx_t_5 == ((Py_ssize_t)-1))) __PYX_ERR(0, 141, __pyx_L1_error)
-    __pyx_t_4 = PyLong_FromSsize_t(__pyx_t_5); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 141, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __pyx_r = __pyx_t_4;
-    __pyx_t_4 = 0;
-    __Pyx_XGIVEREF(__pyx_t_1);
-    __pyx_cur_scope->__pyx_t_0 = __pyx_t_1;
-    __pyx_cur_scope->__pyx_t_1 = __pyx_t_2;
-    __pyx_cur_scope->__pyx_t_2 = __pyx_t_3;
-    __Pyx_XGIVEREF(__pyx_r);
-    __Pyx_RefNannyFinishContext();
-    __Pyx_Coroutine_ResetAndClearException(__pyx_generator);
-    /* return from generator, yielding value */
-    __pyx_generator->resume_label = 1;
-    return __pyx_r;
-    __pyx_L6_resume_from_yield:;
-    __pyx_t_1 = __pyx_cur_scope->__pyx_t_0;
-    __pyx_cur_scope->__pyx_t_0 = 0;
-    __Pyx_XGOTREF(__pyx_t_1);
-    __pyx_t_2 = __pyx_cur_scope->__pyx_t_1;
-    __pyx_t_3 = __pyx_cur_scope->__pyx_t_2;
-    if (unlikely(!__pyx_sent_value)) __PYX_ERR(0, 141, __pyx_L1_error)
-  }
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  CYTHON_MAYBE_UNUSED_VAR(__pyx_cur_scope);
-
-  /* function exit code */
-  __pyx_r = Py_None; __Pyx_INCREF(Py_None);
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_4);
-  if (__Pyx_PyErr_Occurred()) {
-    __Pyx_Generator_Replace_StopIteration(0);
-    __Pyx_AddTraceback("genexpr", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  }
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  #if !CYTHON_USE_EXC_INFO_STACK
-  __Pyx_Coroutine_ResetAndClearException(__pyx_generator);
-  #endif
-  __pyx_generator->resume_label = -1;
-  __Pyx_Coroutine_clear((PyObject*)__pyx_generator);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-static PyObject *__pyx_gb_6wspkit_7_kernel_6_speed_7_Engine_5_load_8generator2(__pyx_CoroutineObject *__pyx_generator, CYTHON_UNUSED PyThreadState *__pyx_tstate, PyObject *__pyx_sent_value); /* proto */
-
-/* "wspkit/_kernel/_speed.pyx":165
- *                 self.cnt_rem[ci * k + d] = len(depths) - j - 1
- *         self.cat_off = _alloc_int(k + 1)
- *         total = sum(len(x) for x in prob.count_at)             # <<<<<<<<<<<<<<
- *         self.cat_dat = _alloc_int(max(1, total))
- *         i = 0
-*/
-
-static PyObject *__pyx_pf_6wspkit_7_kernel_6_speed_7_Engine_5_load_6genexpr(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_genexpr_arg_0) {
-  struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr *__pyx_cur_scope;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("genexpr", 0);
-  __pyx_cur_scope = (struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr *)__pyx_tp_new_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr(__pyx_mstate_global->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr, __pyx_mstate_global->__pyx_empty_tuple, NULL);
-  if (unlikely(!__pyx_cur_scope)) {
-    __pyx_cur_scope = ((struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr *)Py_None);
-    __Pyx_INCREF(Py_None);
-    __PYX_ERR(0, 165, __pyx_L1_error)
-  } else {
-    __Pyx_GOTREF((PyObject *)__pyx_cur_scope);
-  }
-  __pyx_cur_scope->__pyx_genexpr_arg_0 = __pyx_genexpr_arg_0;
-  __Pyx_INCREF(__pyx_cur_scope->__pyx_genexpr_arg_0);
-  __Pyx_GIVEREF(__pyx_cur_scope->__pyx_genexpr_arg_0);
-  {
-    __pyx_CoroutineObject *gen = __Pyx_Generator_New((__pyx_coroutine_body_t) __pyx_gb_6wspkit_7_kernel_6_speed_7_Engine_5_load_8generator2, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[2]), (PyObject *) __pyx_cur_scope, __pyx_mstate_global->__pyx_n_u_genexpr, __pyx_mstate_global->__pyx_n_u_Engine__load_locals_genexpr, __pyx_mstate_global->__pyx_n_u_wspkit__kernel__speed); if (unlikely(!gen)) __PYX_ERR(0, 165, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_cur_scope);
-    __Pyx_RefNannyFinishContext();
-    return (PyObject *) gen;
-  }
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("wspkit._kernel._speed._Engine._load.genexpr", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __Pyx_DECREF((PyObject *)__pyx_cur_scope);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_gb_6wspkit_7_kernel_6_speed_7_Engine_5_load_8generator2(__pyx_CoroutineObject *__pyx_generator, CYTHON_UNUSED PyThreadState *__pyx_tstate, PyObject *__pyx_sent_value) /* generator body */
-{
-  struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr *__pyx_cur_scope = ((struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr *)__pyx_generator->closure);
-  PyObject *__pyx_r = NULL;
-  PyObject *__pyx_t_1 = NULL;
-  Py_ssize_t __pyx_t_2;
-  PyObject *(*__pyx_t_3)(PyObject *);
-  PyObject *__pyx_t_4 = NULL;
-  Py_ssize_t __pyx_t_5;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("genexpr", 0);
-  switch (__pyx_generator->resume_label) {
-    case 0: goto __pyx_L3_first_run;
-    case 1: goto __pyx_L6_resume_from_yield;
-    default: /* CPython raises the right error here */
-    __Pyx_RefNannyFinishContext();
-    return NULL;
-  }
-  __pyx_L3_first_run:;
-  if (unlikely(__pyx_sent_value != Py_None)) {
-    if (unlikely(__pyx_sent_value)) PyErr_SetString(PyExc_TypeError, "can't send non-None value to a just-started generator");
-    __PYX_ERR(0, 165, __pyx_L1_error)
-  }
-  if (unlikely(!__pyx_cur_scope->__pyx_genexpr_arg_0)) { __Pyx_RaiseUnboundLocalError(".0"); __PYX_ERR(0, 165, __pyx_L1_error) }
-  if (likely(PyList_CheckExact(__pyx_cur_scope->__pyx_genexpr_arg_0)) || PyTuple_CheckExact(__pyx_cur_scope->__pyx_genexpr_arg_0)) {
-    __pyx_t_1 = __pyx_cur_scope->__pyx_genexpr_arg_0; __Pyx_INCREF(__pyx_t_1);
-    __pyx_t_2 = 0;
-    __pyx_t_3 = NULL;
-  } else {
-    __pyx_t_2 = -1; __pyx_t_1 = PyObject_GetIter(__pyx_cur_scope->__pyx_genexpr_arg_0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 165, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __pyx_t_3 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_1); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 165, __pyx_L1_error)
-  }
-  for (;;) {
-    if (likely(!__pyx_t_3)) {
-      if (likely(PyList_CheckExact(__pyx_t_1))) {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_1);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 165, __pyx_L1_error)
-          #endif
-          if (__pyx_t_2 >= __pyx_temp) break;
-        }
-        __pyx_t_4 = __Pyx_PyList_GetItemRefFast(__pyx_t_1, __pyx_t_2, __Pyx_ReferenceSharing_OwnStrongReference);
-        ++__pyx_t_2;
-      } else {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyTuple_GET_SIZE(__pyx_t_1);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 165, __pyx_L1_error)
-          #endif
-          if (__pyx_t_2 >= __pyx_temp) break;
-        }
-        #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-        __pyx_t_4 = __Pyx_NewRef(PyTuple_GET_ITEM(__pyx_t_1, __pyx_t_2));
-        #else
-        __pyx_t_4 = __Pyx_PySequence_ITEM(__pyx_t_1, __pyx_t_2);
-        #endif
-        ++__pyx_t_2;
-      }
-      if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 165, __pyx_L1_error)
-    } else {
-      __pyx_t_4 = __pyx_t_3(__pyx_t_1);
-      if (unlikely(!__pyx_t_4)) {
-        PyObject* exc_type = PyErr_Occurred();
-        if (exc_type) {
-          if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration))) __PYX_ERR(0, 165, __pyx_L1_error)
-          PyErr_Clear();
-        }
-        break;
-      }
-    }
-    __Pyx_GOTREF(__pyx_t_4);
-    __Pyx_XGOTREF(__pyx_cur_scope->__pyx_v_x);
-    __Pyx_XDECREF_SET(__pyx_cur_scope->__pyx_v_x, __pyx_t_4);
-    __Pyx_GIVEREF(__pyx_t_4);
-    __pyx_t_4 = 0;
-    __pyx_t_5 = PyObject_Length(__pyx_cur_scope->__pyx_v_x); if (unlikely(__pyx_t_5 == ((Py_ssize_t)-1))) __PYX_ERR(0, 165, __pyx_L1_error)
-    __pyx_t_4 = PyLong_FromSsize_t(__pyx_t_5); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 165, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __pyx_r = __pyx_t_4;
-    __pyx_t_4 = 0;
-    __Pyx_XGIVEREF(__pyx_t_1);
-    __pyx_cur_scope->__pyx_t_0 = __pyx_t_1;
-    __pyx_cur_scope->__pyx_t_1 = __pyx_t_2;
-    __pyx_cur_scope->__pyx_t_2 = __pyx_t_3;
-    __Pyx_XGIVEREF(__pyx_r);
-    __Pyx_RefNannyFinishContext();
-    __Pyx_Coroutine_ResetAndClearException(__pyx_generator);
-    /* return from generator, yielding value */
-    __pyx_generator->resume_label = 1;
-    return __pyx_r;
-    __pyx_L6_resume_from_yield:;
-    __pyx_t_1 = __pyx_cur_scope->__pyx_t_0;
-    __pyx_cur_scope->__pyx_t_0 = 0;
-    __Pyx_XGOTREF(__pyx_t_1);
-    __pyx_t_2 = __pyx_cur_scope->__pyx_t_1;
-    __pyx_t_3 = __pyx_cur_scope->__pyx_t_2;
-    if (unlikely(!__pyx_sent_value)) __PYX_ERR(0, 165, __pyx_L1_error)
-  }
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  CYTHON_MAYBE_UNUSED_VAR(__pyx_cur_scope);
-
-  /* function exit code */
-  __pyx_r = Py_None; __Pyx_INCREF(Py_None);
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_4);
-  if (__Pyx_PyErr_Occurred()) {
-    __Pyx_Generator_Replace_StopIteration(0);
-    __Pyx_AddTraceback("genexpr", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  }
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  #if !CYTHON_USE_EXC_INFO_STACK
-  __Pyx_Coroutine_ResetAndClearException(__pyx_generator);
-  #endif
-  __pyx_generator->resume_label = -1;
-  __Pyx_Coroutine_clear((PyObject*)__pyx_generator);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-static PyObject *__pyx_gb_6wspkit_7_kernel_6_speed_7_Engine_5_load_11generator3(__pyx_CoroutineObject *__pyx_generator, CYTHON_UNUSED PyThreadState *__pyx_tstate, PyObject *__pyx_sent_value); /* proto */
-
-/* "wspkit/_kernel/_speed.pyx":183
- *             _pack_mask(spec.xmask, self.su_x + si * W, W)
- *         self.sat_off = _alloc_int(k + 1)
- *         total = sum(len(x) for x in prob.sual_at)             # <<<<<<<<<<<<<<
- *         self.sat_dat = _alloc_int(max(1, total))
- *         i = 0
-*/
-
-static PyObject *__pyx_pf_6wspkit_7_kernel_6_speed_7_Engine_5_load_9genexpr(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_genexpr_arg_0) {
-  struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr *__pyx_cur_scope;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("genexpr", 0);
-  __pyx_cur_scope = (struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr *)__pyx_tp_new_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr(__pyx_mstate_global->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr, __pyx_mstate_global->__pyx_empty_tuple, NULL);
-  if (unlikely(!__pyx_cur_scope)) {
-    __pyx_cur_scope = ((struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr *)Py_None);
-    __Pyx_INCREF(Py_None);
-    __PYX_ERR(0, 183, __pyx_L1_error)
-  } else {
-    __Pyx_GOTREF((PyObject *)__pyx_cur_scope);
-  }
-  __pyx_cur_scope->__pyx_genexpr_arg_0 = __pyx_genexpr_arg_0;
-  __Pyx_INCREF(__pyx_cur_scope->__pyx_genexpr_arg_0);
-  __Pyx_GIVEREF(__pyx_cur_scope->__pyx_genexpr_arg_0);
-  {
-    __pyx_CoroutineObject *gen = __Pyx_Generator_New((__pyx_coroutine_body_t) __pyx_gb_6wspkit_7_kernel_6_speed_7_Engine_5_load_11generator3, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[3]), (PyObject *) __pyx_cur_scope, __pyx_mstate_global->__pyx_n_u_genexpr, __pyx_mstate_global->__pyx_n_u_Engine__load_locals_genexpr, __pyx_mstate_global->__pyx_n_u_wspkit__kernel__speed); if (unlikely(!gen)) __PYX_ERR(0, 183, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_cur_scope);
-    __Pyx_RefNannyFinishContext();
-    return (PyObject *) gen;
-  }
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("wspkit._kernel._speed._Engine._load.genexpr", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __Pyx_DECREF((PyObject *)__pyx_cur_scope);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_gb_6wspkit_7_kernel_6_speed_7_Engine_5_load_11generator3(__pyx_CoroutineObject *__pyx_generator, CYTHON_UNUSED PyThreadState *__pyx_tstate, PyObject *__pyx_sent_value) /* generator body */
-{
-  struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr *__pyx_cur_scope = ((struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr *)__pyx_generator->closure);
-  PyObject *__pyx_r = NULL;
-  PyObject *__pyx_t_1 = NULL;
-  Py_ssize_t __pyx_t_2;
-  PyObject *(*__pyx_t_3)(PyObject *);
-  PyObject *__pyx_t_4 = NULL;
-  Py_ssize_t __pyx_t_5;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("genexpr", 0);
-  switch (__pyx_generator->resume_label) {
-    case 0: goto __pyx_L3_first_run;
-    case 1: goto __pyx_L6_resume_from_yield;
-    default: /* CPython raises the right error here */
-    __Pyx_RefNannyFinishContext();
-    return NULL;
-  }
-  __pyx_L3_first_run:;
-  if (unlikely(__pyx_sent_value != Py_None)) {
-    if (unlikely(__pyx_sent_value)) PyErr_SetString(PyExc_TypeError, "can't send non-None value to a just-started generator");
-    __PYX_ERR(0, 183, __pyx_L1_error)
-  }
-  if (unlikely(!__pyx_cur_scope->__pyx_genexpr_arg_0)) { __Pyx_RaiseUnboundLocalError(".0"); __PYX_ERR(0, 183, __pyx_L1_error) }
-  if (likely(PyList_CheckExact(__pyx_cur_scope->__pyx_genexpr_arg_0)) || PyTuple_CheckExact(__pyx_cur_scope->__pyx_genexpr_arg_0)) {
-    __pyx_t_1 = __pyx_cur_scope->__pyx_genexpr_arg_0; __Pyx_INCREF(__pyx_t_1);
-    __pyx_t_2 = 0;
-    __pyx_t_3 = NULL;
-  } else {
-    __pyx_t_2 = -1; __pyx_t_1 = PyObject_GetIter(__pyx_cur_scope->__pyx_genexpr_arg_0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 183, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __pyx_t_3 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_1); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 183, __pyx_L1_error)
-  }
-  for (;;) {
-    if (likely(!__pyx_t_3)) {
-      if (likely(PyList_CheckExact(__pyx_t_1))) {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_1);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 183, __pyx_L1_error)
-          #endif
-          if (__pyx_t_2 >= __pyx_temp) break;
-        }
-        __pyx_t_4 = __Pyx_PyList_GetItemRefFast(__pyx_t_1, __pyx_t_2, __Pyx_ReferenceSharing_OwnStrongReference);
-        ++__pyx_t_2;
-      } else {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyTuple_GET_SIZE(__pyx_t_1);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 183, __pyx_L1_error)
-          #endif
-          if (__pyx_t_2 >= __pyx_temp) break;
-        }
-        #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-        __pyx_t_4 = __Pyx_NewRef(PyTuple_GET_ITEM(__pyx_t_1, __pyx_t_2));
-        #else
-        __pyx_t_4 = __Pyx_PySequence_ITEM(__pyx_t_1, __pyx_t_2);
-        #endif
-        ++__pyx_t_2;
-      }
-      if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 183, __pyx_L1_error)
-    } else {
-      __pyx_t_4 = __pyx_t_3(__pyx_t_1);
-      if (unlikely(!__pyx_t_4)) {
-        PyObject* exc_type = PyErr_Occurred();
-        if (exc_type) {
-          if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration))) __PYX_ERR(0, 183, __pyx_L1_error)
-          PyErr_Clear();
-        }
-        break;
-      }
-    }
-    __Pyx_GOTREF(__pyx_t_4);
-    __Pyx_XGOTREF(__pyx_cur_scope->__pyx_v_x);
-    __Pyx_XDECREF_SET(__pyx_cur_scope->__pyx_v_x, __pyx_t_4);
-    __Pyx_GIVEREF(__pyx_t_4);
-    __pyx_t_4 = 0;
-    __pyx_t_5 = PyObject_Length(__pyx_cur_scope->__pyx_v_x); if (unlikely(__pyx_t_5 == ((Py_ssize_t)-1))) __PYX_ERR(0, 183, __pyx_L1_error)
-    __pyx_t_4 = PyLong_FromSsize_t(__pyx_t_5); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 183, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __pyx_r = __pyx_t_4;
-    __pyx_t_4 = 0;
-    __Pyx_XGIVEREF(__pyx_t_1);
-    __pyx_cur_scope->__pyx_t_0 = __pyx_t_1;
-    __pyx_cur_scope->__pyx_t_1 = __pyx_t_2;
-    __pyx_cur_scope->__pyx_t_2 = __pyx_t_3;
-    __Pyx_XGIVEREF(__pyx_r);
-    __Pyx_RefNannyFinishContext();
-    __Pyx_Coroutine_ResetAndClearException(__pyx_generator);
-    /* return from generator, yielding value */
-    __pyx_generator->resume_label = 1;
-    return __pyx_r;
-    __pyx_L6_resume_from_yield:;
-    __pyx_t_1 = __pyx_cur_scope->__pyx_t_0;
-    __pyx_cur_scope->__pyx_t_0 = 0;
-    __Pyx_XGOTREF(__pyx_t_1);
-    __pyx_t_2 = __pyx_cur_scope->__pyx_t_1;
-    __pyx_t_3 = __pyx_cur_scope->__pyx_t_2;
-    if (unlikely(!__pyx_sent_value)) __PYX_ERR(0, 183, __pyx_L1_error)
-  }
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  CYTHON_MAYBE_UNUSED_VAR(__pyx_cur_scope);
-
-  /* function exit code */
-  __pyx_r = Py_None; __Pyx_INCREF(Py_None);
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_4);
-  if (__Pyx_PyErr_Occurred()) {
-    __Pyx_Generator_Replace_StopIteration(0);
-    __Pyx_AddTraceback("genexpr", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  }
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  #if !CYTHON_USE_EXC_INFO_STACK
-  __Pyx_Coroutine_ResetAndClearException(__pyx_generator);
-  #endif
-  __pyx_generator->resume_label = -1;
-  __Pyx_Coroutine_clear((PyObject*)__pyx_generator);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "wspkit/_kernel/_speed.pyx":112
- *         PyMem_Free(self.plan_out)
- * 
- *     cdef void _load(self, prob):             # <<<<<<<<<<<<<<
- *         cdef int k = prob.k
- *         cdef int n = prob.n
-*/
-
-static void __pyx_f_6wspkit_7_kernel_6_speed_7_Engine__load(struct __pyx_obj_6wspkit_7_kernel_6_speed__Engine *__pyx_v_self, PyObject *__pyx_v_prob) {
-  int __pyx_v_k;
-  int __pyx_v_n;
-  int __pyx_v_W;
-  int __pyx_v_m;
-  int __pyx_v_nC;
-  int __pyx_v_nS;
-  int __pyx_v_d;
-  int __pyx_v_c;
-  int __pyx_v_i;
-  int __pyx_v_j;
-  int __pyx_v_ci;
-  int __pyx_v_si;
-  PyObject *__pyx_v_total = NULL;
-  PyObject *__pyx_v_e = NULL;
-  PyObject *__pyx_v_spec = NULL;
-  PyObject *__pyx_v_depths = NULL;
-  PyObject *__pyx_gb_6wspkit_7_kernel_6_speed_7_Engine_5_load_2generator = 0;
-  PyObject *__pyx_gb_6wspkit_7_kernel_6_speed_7_Engine_5_load_5generator1 = 0;
-  PyObject *__pyx_gb_6wspkit_7_kernel_6_speed_7_Engine_5_load_8generator2 = 0;
-  PyObject *__pyx_gb_6wspkit_7_kernel_6_speed_7_Engine_5_load_11generator3 = 0;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  int __pyx_t_2;
-  Py_ssize_t __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_t_6;
-  int __pyx_t_7;
-  int __pyx_t_8;
-  int *__pyx_t_9;
-  PyObject *__pyx_t_10 = NULL;
-  uint64_t *__pyx_t_11;
-  PyObject *__pyx_t_12 = NULL;
-  PyObject *__pyx_t_13 = NULL;
-  size_t __pyx_t_14;
-  long __pyx_t_15;
-  int __pyx_t_16;
-  PyObject *(*__pyx_t_17)(PyObject *);
-  long __pyx_t_18;
-  char __pyx_t_19;
-  Py_ssize_t __pyx_t_20;
-  Py_ssize_t __pyx_t_21;
-  long __pyx_t_22;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("_load", 0);
-
-  /* "wspkit/_kernel/_speed.pyx":113
- * 
- *     cdef void _load(self, prob):
- *         cdef int k = prob.k             # <<<<<<<<<<<<<<
- *         cdef int n = prob.n
- *         cdef int W = (n + 63) // 64
-*/
-  __pyx_t_1 = __Pyx_PyObject_GetAttrStr(__pyx_v_prob, __pyx_mstate_global->__pyx_n_u_k); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 113, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_2 = __Pyx_PyLong_As_int(__pyx_t_1); if (unlikely((__pyx_t_2 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 113, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_v_k = __pyx_t_2;
-
-  /* "wspkit/_kernel/_speed.pyx":114
- *     cdef void _load(self, prob):
- *         cdef int k = prob.k
- *         cdef int n = prob.n             # <<<<<<<<<<<<<<
- *         cdef int W = (n + 63) // 64
- *         cdef int m = len(prob.combo_masks)
-*/
-  __pyx_t_1 = __Pyx_PyObject_GetAttrStr(__pyx_v_prob, __pyx_mstate_global->__pyx_n_u_n); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 114, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_2 = __Pyx_PyLong_As_int(__pyx_t_1); if (unlikely((__pyx_t_2 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 114, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_v_n = __pyx_t_2;
-
-  /* "wspkit/_kernel/_speed.pyx":115
- *         cdef int k = prob.k
- *         cdef int n = prob.n
- *         cdef int W = (n + 63) // 64             # <<<<<<<<<<<<<<
- *         cdef int m = len(prob.combo_masks)
- *         cdef int nC = len(prob.counts)
-*/
-  __pyx_v_W = ((__pyx_v_n + 63) / 64);
-
-  /* "wspkit/_kernel/_speed.pyx":116
- *         cdef int n = prob.n
- *         cdef int W = (n + 63) // 64
- *         cdef int m = len(prob.combo_masks)             # <<<<<<<<<<<<<<
- *         cdef int nC = len(prob.counts)
- *         cdef int nS = len(prob.suals)
-*/
-  __pyx_t_1 = __Pyx_PyObject_GetAttrStr(__pyx_v_prob, __pyx_mstate_global->__pyx_n_u_combo_masks); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 116, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_3 = PyObject_Length(__pyx_t_1); if (unlikely(__pyx_t_3 == ((Py_ssize_t)-1))) __PYX_ERR(0, 116, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_v_m = __pyx_t_3;
-
-  /* "wspkit/_kernel/_speed.pyx":117
- *         cdef int W = (n + 63) // 64
- *         cdef int m = len(prob.combo_masks)
- *         cdef int nC = len(prob.counts)             # <<<<<<<<<<<<<<
- *         cdef int nS = len(prob.suals)
- *         self.k, self.n, self.W, self.m, self.nC, self.nS = k, n, W, m, nC, nS
-*/
-  __pyx_t_1 = __Pyx_PyObject_GetAttrStr(__pyx_v_prob, __pyx_mstate_global->__pyx_n_u_counts); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 117, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_3 = PyObject_Length(__pyx_t_1); if (unlikely(__pyx_t_3 == ((Py_ssize_t)-1))) __PYX_ERR(0, 117, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_v_nC = __pyx_t_3;
-
-  /* "wspkit/_kernel/_speed.pyx":118
- *         cdef int m = len(prob.combo_masks)
- *         cdef int nC = len(prob.counts)
- *         cdef int nS = len(prob.suals)             # <<<<<<<<<<<<<<
- *         self.k, self.n, self.W, self.m, self.nC, self.nS = k, n, W, m, nC, nS
- * 
-*/
-  __pyx_t_1 = __Pyx_PyObject_GetAttrStr(__pyx_v_prob, __pyx_mstate_global->__pyx_n_u_suals); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 118, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_3 = PyObject_Length(__pyx_t_1); if (unlikely(__pyx_t_3 == ((Py_ssize_t)-1))) __PYX_ERR(0, 118, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_v_nS = __pyx_t_3;
-
-  /* "wspkit/_kernel/_speed.pyx":119
- *         cdef int nC = len(prob.counts)
- *         cdef int nS = len(prob.suals)
- *         self.k, self.n, self.W, self.m, self.nC, self.nS = k, n, W, m, nC, nS             # <<<<<<<<<<<<<<
- * 
- *         cdef int d, c, i, j, ci, si
-*/
-  __pyx_t_2 = __pyx_v_k;
-  __pyx_t_4 = __pyx_v_n;
-  __pyx_t_5 = __pyx_v_W;
-  __pyx_t_6 = __pyx_v_m;
-  __pyx_t_7 = __pyx_v_nC;
-  __pyx_t_8 = __pyx_v_nS;
-  __pyx_v_self->k = __pyx_t_2;
-  __pyx_v_self->n = __pyx_t_4;
-  __pyx_v_self->W = __pyx_t_5;
-  __pyx_v_self->m = __pyx_t_6;
-  __pyx_v_self->nC = __pyx_t_7;
-  __pyx_v_self->nS = __pyx_t_8;
-
-  /* "wspkit/_kernel/_speed.pyx":122
- * 
- *         cdef int d, c, i, j, ci, si
- *         self.order = _alloc_int(k)             # <<<<<<<<<<<<<<
- *         for d in range(k):
- *             self.order[d] = prob.order[d]
-*/
-  __pyx_t_9 = __pyx_f_6wspkit_7_kernel_6_speed__alloc_int(__pyx_v_k); if (unlikely(__pyx_t_9 == ((void *)NULL))) __PYX_ERR(0, 122, __pyx_L1_error)
-  __pyx_v_self->order = __pyx_t_9;
-
-  /* "wspkit/_kernel/_speed.pyx":123
- *         cdef int d, c, i, j, ci, si
- *         self.order = _alloc_int(k)
- *         for d in range(k):             # <<<<<<<<<<<<<<
- *             self.order[d] = prob.order[d]
- * 
-*/
-  __pyx_t_8 = __pyx_v_k;
-  __pyx_t_7 = __pyx_t_8;
-  for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_7; __pyx_t_6+=1) {
-    __pyx_v_d = __pyx_t_6;
-
-    /* "wspkit/_kernel/_speed.pyx":124
- *         self.order = _alloc_int(k)
- *         for d in range(k):
- *             self.order[d] = prob.order[d]             # <<<<<<<<<<<<<<
- * 
- *         self.combo = _alloc_u64(<size_t> m * k * W)
-*/
-    __pyx_t_1 = __Pyx_PyObject_GetAttrStr(__pyx_v_prob, __pyx_mstate_global->__pyx_n_u_order); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 124, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __pyx_t_10 = __Pyx_GetItemInt(__pyx_t_1, __pyx_v_d, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 124, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_10);
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-    __pyx_t_5 = __Pyx_PyLong_As_int(__pyx_t_10); if (unlikely((__pyx_t_5 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 124, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
-    (__pyx_v_self->order[__pyx_v_d]) = __pyx_t_5;
-  }
-
-  /* "wspkit/_kernel/_speed.pyx":126
- *             self.order[d] = prob.order[d]
- * 
- *         self.combo = _alloc_u64(<size_t> m * k * W)             # <<<<<<<<<<<<<<
- *         for c in range(m):
- *             for d in range(k):
-*/
-  __pyx_t_11 = __pyx_f_6wspkit_7_kernel_6_speed__alloc_u64(((((size_t)__pyx_v_m) * __pyx_v_k) * __pyx_v_W)); if (unlikely(__pyx_t_11 == ((void *)NULL))) __PYX_ERR(0, 126, __pyx_L1_error)
-  __pyx_v_self->combo = __pyx_t_11;
-
-  /* "wspkit/_kernel/_speed.pyx":127
- * 
- *         self.combo = _alloc_u64(<size_t> m * k * W)
- *         for c in range(m):             # <<<<<<<<<<<<<<
- *             for d in range(k):
- *                 _pack_mask(prob.combo_masks[c][d], self.combo + (c * k + d) * W, W)
-*/
-  __pyx_t_8 = __pyx_v_m;
-  __pyx_t_7 = __pyx_t_8;
-  for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_7; __pyx_t_6+=1) {
-    __pyx_v_c = __pyx_t_6;
-
-    /* "wspkit/_kernel/_speed.pyx":128
- *         self.combo = _alloc_u64(<size_t> m * k * W)
- *         for c in range(m):
- *             for d in range(k):             # <<<<<<<<<<<<<<
- *                 _pack_mask(prob.combo_masks[c][d], self.combo + (c * k + d) * W, W)
- * 
-*/
-    __pyx_t_5 = __pyx_v_k;
-    __pyx_t_4 = __pyx_t_5;
-    for (__pyx_t_2 = 0; __pyx_t_2 < __pyx_t_4; __pyx_t_2+=1) {
-      __pyx_v_d = __pyx_t_2;
-
-      /* "wspkit/_kernel/_speed.pyx":129
- *         for c in range(m):
- *             for d in range(k):
- *                 _pack_mask(prob.combo_masks[c][d], self.combo + (c * k + d) * W, W)             # <<<<<<<<<<<<<<
- * 
- *         self.sod_off = _alloc_int(k + 1)
-*/
-      __pyx_t_10 = __Pyx_PyObject_GetAttrStr(__pyx_v_prob, __pyx_mstate_global->__pyx_n_u_combo_masks); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 129, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_10);
-      __pyx_t_1 = __Pyx_GetItemInt(__pyx_t_10, __pyx_v_c, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 129, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_1);
-      __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
-      __pyx_t_10 = __Pyx_GetItemInt(__pyx_t_1, __pyx_v_d, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 129, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_10);
-      __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-      __pyx_f_6wspkit_7_kernel_6_speed__pack_mask(__pyx_t_10, (__pyx_v_self->combo + (((__pyx_v_c * __pyx_v_k) + __pyx_v_d) * __pyx_v_W)), __pyx_v_W); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 129, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
-    }
-  }
-
-  /* "wspkit/_kernel/_speed.pyx":131
- *                 _pack_mask(prob.combo_masks[c][d], self.combo + (c * k + d) * W, W)
- * 
- *         self.sod_off = _alloc_int(k + 1)             # <<<<<<<<<<<<<<
- *         self.bod_off = _alloc_int(k + 1)
- *         total = sum(len(x) for x in prob.sod_prev)
-*/
-  __pyx_t_9 = __pyx_f_6wspkit_7_kernel_6_speed__alloc_int((__pyx_v_k + 1)); if (unlikely(__pyx_t_9 == ((void *)NULL))) __PYX_ERR(0, 131, __pyx_L1_error)
-  __pyx_v_self->sod_off = __pyx_t_9;
-
-  /* "wspkit/_kernel/_speed.pyx":132
- * 
- *         self.sod_off = _alloc_int(k + 1)
- *         self.bod_off = _alloc_int(k + 1)             # <<<<<<<<<<<<<<
- *         total = sum(len(x) for x in prob.sod_prev)
- *         self.sod_dat = _alloc_int(max(1, total))
-*/
-  __pyx_t_9 = __pyx_f_6wspkit_7_kernel_6_speed__alloc_int((__pyx_v_k + 1)); if (unlikely(__pyx_t_9 == ((void *)NULL))) __PYX_ERR(0, 132, __pyx_L1_error)
-  __pyx_v_self->bod_off = __pyx_t_9;
-
-  /* "wspkit/_kernel/_speed.pyx":133
- *         self.sod_off = _alloc_int(k + 1)
- *         self.bod_off = _alloc_int(k + 1)
- *         total = sum(len(x) for x in prob.sod_prev)             # <<<<<<<<<<<<<<
- *         self.sod_dat = _alloc_int(max(1, total))
- *         i = 0
-*/
-  __pyx_t_1 = NULL;
-  __pyx_t_12 = __Pyx_PyObject_GetAttrStr(__pyx_v_prob, __pyx_mstate_global->__pyx_n_u_sod_prev); if (unlikely(!__pyx_t_12)) __PYX_ERR(0, 133, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_12);
-  __pyx_t_13 = __pyx_pf_6wspkit_7_kernel_6_speed_7_Engine_5_load_genexpr(NULL, __pyx_t_12); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 133, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_13);
-  __Pyx_DECREF(__pyx_t_12); __pyx_t_12 = 0;
-  __pyx_t_14 = 1;
-  {
-    PyObject *__pyx_callargs[2] = {__pyx_t_1, __pyx_t_13};
-    __pyx_t_10 = __Pyx_PyObject_FastCall((PyObject*)__pyx_builtin_sum, __pyx_callargs+__pyx_t_14, (2-__pyx_t_14) | (__pyx_t_14*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_1); __pyx_t_1 = 0;
-    __Pyx_DECREF(__pyx_t_13); __pyx_t_13 = 0;
-    if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 133, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_10);
-  }
-  __pyx_v_total = __pyx_t_10;
-  __pyx_t_10 = 0;
-
-  /* "wspkit/_kernel/_speed.pyx":134
- *         self.bod_off = _alloc_int(k + 1)
- *         total = sum(len(x) for x in prob.sod_prev)
- *         self.sod_dat = _alloc_int(max(1, total))             # <<<<<<<<<<<<<<
- *         i = 0
- *         for d in range(k):
-*/
-  __Pyx_INCREF(__pyx_v_total);
-  __pyx_t_10 = __pyx_v_total;
-  __pyx_t_15 = 1;
-  __pyx_t_1 = __Pyx_PyLong_From_long(__pyx_t_15); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 134, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_12 = PyObject_RichCompare(__pyx_t_10, __pyx_t_1, Py_GT); __Pyx_XGOTREF(__pyx_t_12); if (unlikely(!__pyx_t_12)) __PYX_ERR(0, 134, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_t_16 = __Pyx_PyObject_IsTrue(__pyx_t_12); if (unlikely((__pyx_t_16 < 0))) __PYX_ERR(0, 134, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_12); __pyx_t_12 = 0;
-  if (__pyx_t_16) {
-    __Pyx_INCREF(__pyx_t_10);
-    __pyx_t_13 = __pyx_t_10;
-  } else {
-    __pyx_t_12 = __Pyx_PyLong_From_long(__pyx_t_15); if (unlikely(!__pyx_t_12)) __PYX_ERR(0, 134, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_12);
-    __pyx_t_13 = __pyx_t_12;
-    __pyx_t_12 = 0;
-  }
-  __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
-  __pyx_t_14 = __Pyx_PyLong_As_size_t(__pyx_t_13); if (unlikely((__pyx_t_14 == (size_t)-1) && PyErr_Occurred())) __PYX_ERR(0, 134, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_13); __pyx_t_13 = 0;
-  __pyx_t_9 = __pyx_f_6wspkit_7_kernel_6_speed__alloc_int(__pyx_t_14); if (unlikely(__pyx_t_9 == ((void *)NULL))) __PYX_ERR(0, 134, __pyx_L1_error)
-  __pyx_v_self->sod_dat = __pyx_t_9;
-
-  /* "wspkit/_kernel/_speed.pyx":135
- *         total = sum(len(x) for x in prob.sod_prev)
- *         self.sod_dat = _alloc_int(max(1, total))
- *         i = 0             # <<<<<<<<<<<<<<
- *         for d in range(k):
- *             self.sod_off[d] = i
-*/
-  __pyx_v_i = 0;
-
-  /* "wspkit/_kernel/_speed.pyx":136
- *         self.sod_dat = _alloc_int(max(1, total))
- *         i = 0
- *         for d in range(k):             # <<<<<<<<<<<<<<
- *             self.sod_off[d] = i
- *             for e in prob.sod_prev[d]:
-*/
-  __pyx_t_8 = __pyx_v_k;
-  __pyx_t_7 = __pyx_t_8;
-  for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_7; __pyx_t_6+=1) {
-    __pyx_v_d = __pyx_t_6;
-
-    /* "wspkit/_kernel/_speed.pyx":137
- *         i = 0
- *         for d in range(k):
- *             self.sod_off[d] = i             # <<<<<<<<<<<<<<
- *             for e in prob.sod_prev[d]:
- *                 self.sod_dat[i] = e; i += 1
-*/
-    (__pyx_v_self->sod_off[__pyx_v_d]) = __pyx_v_i;
-
-    /* "wspkit/_kernel/_speed.pyx":138
- *         for d in range(k):
- *             self.sod_off[d] = i
- *             for e in prob.sod_prev[d]:             # <<<<<<<<<<<<<<
- *                 self.sod_dat[i] = e; i += 1
- *         self.sod_off[k] = i
-*/
-    __pyx_t_13 = __Pyx_PyObject_GetAttrStr(__pyx_v_prob, __pyx_mstate_global->__pyx_n_u_sod_prev); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 138, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_13);
-    __pyx_t_10 = __Pyx_GetItemInt(__pyx_t_13, __pyx_v_d, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 138, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_10);
-    __Pyx_DECREF(__pyx_t_13); __pyx_t_13 = 0;
-    if (likely(PyList_CheckExact(__pyx_t_10)) || PyTuple_CheckExact(__pyx_t_10)) {
-      __pyx_t_13 = __pyx_t_10; __Pyx_INCREF(__pyx_t_13);
-      __pyx_t_3 = 0;
-      __pyx_t_17 = NULL;
-    } else {
-      __pyx_t_3 = -1; __pyx_t_13 = PyObject_GetIter(__pyx_t_10); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 138, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_13);
-      __pyx_t_17 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_13); if (unlikely(!__pyx_t_17)) __PYX_ERR(0, 138, __pyx_L1_error)
-    }
-    __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
-    for (;;) {
-      if (likely(!__pyx_t_17)) {
-        if (likely(PyList_CheckExact(__pyx_t_13))) {
-          {
-            Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_13);
-            #if !CYTHON_ASSUME_SAFE_SIZE
-            if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 138, __pyx_L1_error)
-            #endif
-            if (__pyx_t_3 >= __pyx_temp) break;
-          }
-          __pyx_t_10 = __Pyx_PyList_GetItemRefFast(__pyx_t_13, __pyx_t_3, __Pyx_ReferenceSharing_OwnStrongReference);
-          ++__pyx_t_3;
-        } else {
-          {
-            Py_ssize_t __pyx_temp = __Pyx_PyTuple_GET_SIZE(__pyx_t_13);
-            #if !CYTHON_ASSUME_SAFE_SIZE
-            if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 138, __pyx_L1_error)
-            #endif
-            if (__pyx_t_3 >= __pyx_temp) break;
-          }
-          #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-          __pyx_t_10 = __Pyx_NewRef(PyTuple_GET_ITEM(__pyx_t_13, __pyx_t_3));
-          #else
-          __pyx_t_10 = __Pyx_PySequence_ITEM(__pyx_t_13, __pyx_t_3);
-          #endif
-          ++__pyx_t_3;
-        }
-        if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 138, __pyx_L1_error)
-      } else {
-        __pyx_t_10 = __pyx_t_17(__pyx_t_13);
-        if (unlikely(!__pyx_t_10)) {
-          PyObject* exc_type = PyErr_Occurred();
-          if (exc_type) {
-            if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration))) __PYX_ERR(0, 138, __pyx_L1_error)
-            PyErr_Clear();
-          }
-          break;
-        }
-      }
-      __Pyx_GOTREF(__pyx_t_10);
-      __Pyx_XDECREF_SET(__pyx_v_e, __pyx_t_10);
-      __pyx_t_10 = 0;
-
-      /* "wspkit/_kernel/_speed.pyx":139
- *             self.sod_off[d] = i
- *             for e in prob.sod_prev[d]:
- *                 self.sod_dat[i] = e; i += 1             # <<<<<<<<<<<<<<
- *         self.sod_off[k] = i
- *         total = sum(len(x) for x in prob.bod_prev)
-*/
-      __pyx_t_5 = __Pyx_PyLong_As_int(__pyx_v_e); if (unlikely((__pyx_t_5 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 139, __pyx_L1_error)
-      (__pyx_v_self->sod_dat[__pyx_v_i]) = __pyx_t_5;
-      __pyx_v_i = (__pyx_v_i + 1);
-
-      /* "wspkit/_kernel/_speed.pyx":138
- *         for d in range(k):
- *             self.sod_off[d] = i
- *             for e in prob.sod_prev[d]:             # <<<<<<<<<<<<<<
- *                 self.sod_dat[i] = e; i += 1
- *         self.sod_off[k] = i
-*/
-    }
-    __Pyx_DECREF(__pyx_t_13); __pyx_t_13 = 0;
-  }
-
-  /* "wspkit/_kernel/_speed.pyx":140
- *             for e in prob.sod_prev[d]:
- *                 self.sod_dat[i] = e; i += 1
- *         self.sod_off[k] = i             # <<<<<<<<<<<<<<
- *         total = sum(len(x) for x in prob.bod_prev)
- *         self.bod_dat = _alloc_int(max(1, total))
-*/
-  (__pyx_v_self->sod_off[__pyx_v_k]) = __pyx_v_i;
-
-  /* "wspkit/_kernel/_speed.pyx":141
- *                 self.sod_dat[i] = e; i += 1
- *         self.sod_off[k] = i
- *         total = sum(len(x) for x in prob.bod_prev)             # <<<<<<<<<<<<<<
- *         self.bod_dat = _alloc_int(max(1, total))
- *         i = 0
-*/
-  __pyx_t_10 = NULL;
-  __pyx_t_12 = __Pyx_PyObject_GetAttrStr(__pyx_v_prob, __pyx_mstate_global->__pyx_n_u_bod_prev); if (unlikely(!__pyx_t_12)) __PYX_ERR(0, 141, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_12);
-  __pyx_t_1 = __pyx_pf_6wspkit_7_kernel_6_speed_7_Engine_5_load_3genexpr(NULL, __pyx_t_12); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 141, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __Pyx_DECREF(__pyx_t_12); __pyx_t_12 = 0;
-  __pyx_t_14 = 1;
-  {
-    PyObject *__pyx_callargs[2] = {__pyx_t_10, __pyx_t_1};
-    __pyx_t_13 = __Pyx_PyObject_FastCall((PyObject*)__pyx_builtin_sum, __pyx_callargs+__pyx_t_14, (2-__pyx_t_14) | (__pyx_t_14*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_10); __pyx_t_10 = 0;
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-    if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 141, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_13);
-  }
-  __Pyx_DECREF_SET(__pyx_v_total, __pyx_t_13);
-  __pyx_t_13 = 0;
-
-  /* "wspkit/_kernel/_speed.pyx":142
- *         self.sod_off[k] = i
- *         total = sum(len(x) for x in prob.bod_prev)
- *         self.bod_dat = _alloc_int(max(1, total))             # <<<<<<<<<<<<<<
- *         i = 0
- *         for d in range(k):
-*/
-  __Pyx_INCREF(__pyx_v_total);
-  __pyx_t_13 = __pyx_v_total;
-  __pyx_t_15 = 1;
-  __pyx_t_10 = __Pyx_PyLong_From_long(__pyx_t_15); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 142, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_10);
-  __pyx_t_12 = PyObject_RichCompare(__pyx_t_13, __pyx_t_10, Py_GT); __Pyx_XGOTREF(__pyx_t_12); if (unlikely(!__pyx_t_12)) __PYX_ERR(0, 142, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
-  __pyx_t_16 = __Pyx_PyObject_IsTrue(__pyx_t_12); if (unlikely((__pyx_t_16 < 0))) __PYX_ERR(0, 142, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_12); __pyx_t_12 = 0;
-  if (__pyx_t_16) {
-    __Pyx_INCREF(__pyx_t_13);
-    __pyx_t_1 = __pyx_t_13;
-  } else {
-    __pyx_t_12 = __Pyx_PyLong_From_long(__pyx_t_15); if (unlikely(!__pyx_t_12)) __PYX_ERR(0, 142, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_12);
-    __pyx_t_1 = __pyx_t_12;
-    __pyx_t_12 = 0;
-  }
-  __Pyx_DECREF(__pyx_t_13); __pyx_t_13 = 0;
-  __pyx_t_14 = __Pyx_PyLong_As_size_t(__pyx_t_1); if (unlikely((__pyx_t_14 == (size_t)-1) && PyErr_Occurred())) __PYX_ERR(0, 142, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_t_9 = __pyx_f_6wspkit_7_kernel_6_speed__alloc_int(__pyx_t_14); if (unlikely(__pyx_t_9 == ((void *)NULL))) __PYX_ERR(0, 142, __pyx_L1_error)
-  __pyx_v_self->bod_dat = __pyx_t_9;
-
-  /* "wspkit/_kernel/_speed.pyx":143
- *         total = sum(len(x) for x in prob.bod_prev)
- *         self.bod_dat = _alloc_int(max(1, total))
- *         i = 0             # <<<<<<<<<<<<<<
- *         for d in range(k):
- *             self.bod_off[d] = i
-*/
-  __pyx_v_i = 0;
-
-  /* "wspkit/_kernel/_speed.pyx":144
- *         self.bod_dat = _alloc_int(max(1, total))
- *         i = 0
- *         for d in range(k):             # <<<<<<<<<<<<<<
- *             self.bod_off[d] = i
- *             for e in prob.bod_prev[d]:
-*/
-  __pyx_t_8 = __pyx_v_k;
-  __pyx_t_7 = __pyx_t_8;
-  for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_7; __pyx_t_6+=1) {
-    __pyx_v_d = __pyx_t_6;
-
-    /* "wspkit/_kernel/_speed.pyx":145
- *         i = 0
- *         for d in range(k):
- *             self.bod_off[d] = i             # <<<<<<<<<<<<<<
- *             for e in prob.bod_prev[d]:
- *                 self.bod_dat[i] = e; i += 1
-*/
-    (__pyx_v_self->bod_off[__pyx_v_d]) = __pyx_v_i;
-
-    /* "wspkit/_kernel/_speed.pyx":146
- *         for d in range(k):
- *             self.bod_off[d] = i
- *             for e in prob.bod_prev[d]:             # <<<<<<<<<<<<<<
- *                 self.bod_dat[i] = e; i += 1
- *         self.bod_off[k] = i
-*/
-    __pyx_t_1 = __Pyx_PyObject_GetAttrStr(__pyx_v_prob, __pyx_mstate_global->__pyx_n_u_bod_prev); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 146, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __pyx_t_13 = __Pyx_GetItemInt(__pyx_t_1, __pyx_v_d, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 146, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_13);
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-    if (likely(PyList_CheckExact(__pyx_t_13)) || PyTuple_CheckExact(__pyx_t_13)) {
-      __pyx_t_1 = __pyx_t_13; __Pyx_INCREF(__pyx_t_1);
-      __pyx_t_3 = 0;
-      __pyx_t_17 = NULL;
-    } else {
-      __pyx_t_3 = -1; __pyx_t_1 = PyObject_GetIter(__pyx_t_13); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 146, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_1);
-      __pyx_t_17 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_1); if (unlikely(!__pyx_t_17)) __PYX_ERR(0, 146, __pyx_L1_error)
-    }
-    __Pyx_DECREF(__pyx_t_13); __pyx_t_13 = 0;
-    for (;;) {
-      if (likely(!__pyx_t_17)) {
-        if (likely(PyList_CheckExact(__pyx_t_1))) {
-          {
-            Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_1);
-            #if !CYTHON_ASSUME_SAFE_SIZE
-            if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 146, __pyx_L1_error)
-            #endif
-            if (__pyx_t_3 >= __pyx_temp) break;
-          }
-          __pyx_t_13 = __Pyx_PyList_GetItemRefFast(__pyx_t_1, __pyx_t_3, __Pyx_ReferenceSharing_OwnStrongReference);
-          ++__pyx_t_3;
-        } else {
-          {
-            Py_ssize_t __pyx_temp = __Pyx_PyTuple_GET_SIZE(__pyx_t_1);
-            #if !CYTHON_ASSUME_SAFE_SIZE
-            if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 146, __pyx_L1_error)
-            #endif
-            if (__pyx_t_3 >= __pyx_temp) break;
-          }
-          #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-          __pyx_t_13 = __Pyx_NewRef(PyTuple_GET_ITEM(__pyx_t_1, __pyx_t_3));
-          #else
-          __pyx_t_13 = __Pyx_PySequence_ITEM(__pyx_t_1, __pyx_t_3);
-          #endif
-          ++__pyx_t_3;
-        }
-        if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 146, __pyx_L1_error)
-      } else {
-        __pyx_t_13 = __pyx_t_17(__pyx_t_1);
-        if (unlikely(!__pyx_t_13)) {
-          PyObject* exc_type = PyErr_Occurred();
-          if (exc_type) {
-            if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration))) __PYX_ERR(0, 146, __pyx_L1_error)
-            PyErr_Clear();
-          }
-          break;
-        }
-      }
-      __Pyx_GOTREF(__pyx_t_13);
-      __Pyx_XDECREF_SET(__pyx_v_e, __pyx_t_13);
-      __pyx_t_13 = 0;
-
-      /* "wspkit/_kernel/_speed.pyx":147
- *             self.bod_off[d] = i
- *             for e in prob.bod_prev[d]:
- *                 self.bod_dat[i] = e; i += 1             # <<<<<<<<<<<<<<
- *         self.bod_off[k] = i
- * 
-*/
-      __pyx_t_5 = __Pyx_PyLong_As_int(__pyx_v_e); if (unlikely((__pyx_t_5 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 147, __pyx_L1_error)
-      (__pyx_v_self->bod_dat[__pyx_v_i]) = __pyx_t_5;
-      __pyx_v_i = (__pyx_v_i + 1);
-
-      /* "wspkit/_kernel/_speed.pyx":146
- *         for d in range(k):
- *             self.bod_off[d] = i
- *             for e in prob.bod_prev[d]:             # <<<<<<<<<<<<<<
- *                 self.bod_dat[i] = e; i += 1
- *         self.bod_off[k] = i
-*/
-    }
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  }
-
-  /* "wspkit/_kernel/_speed.pyx":148
- *             for e in prob.bod_prev[d]:
- *                 self.bod_dat[i] = e; i += 1
- *         self.bod_off[k] = i             # <<<<<<<<<<<<<<
- * 
- *         self.cnt_atmost = <char*> PyMem_Malloc(max(1, nC))
-*/
-  (__pyx_v_self->bod_off[__pyx_v_k]) = __pyx_v_i;
-
-  /* "wspkit/_kernel/_speed.pyx":150
- *         self.bod_off[k] = i
- * 
- *         self.cnt_atmost = <char*> PyMem_Malloc(max(1, nC))             # <<<<<<<<<<<<<<
- *         self.cnt_r = _alloc_int(max(1, nC))
- *         self.cnt_rem = _alloc_int(max(1, nC * k))
-*/
-  __pyx_t_8 = __pyx_v_nC;
-  __pyx_t_15 = 1;
-  __pyx_t_16 = (__pyx_t_8 > __pyx_t_15);
-  if (__pyx_t_16) {
-    __pyx_t_18 = __pyx_t_8;
-  } else {
-    __pyx_t_18 = __pyx_t_15;
-  }
-  __pyx_v_self->cnt_atmost = ((char *)PyMem_Malloc(__pyx_t_18));
-
-  /* "wspkit/_kernel/_speed.pyx":151
- * 
- *         self.cnt_atmost = <char*> PyMem_Malloc(max(1, nC))
- *         self.cnt_r = _alloc_int(max(1, nC))             # <<<<<<<<<<<<<<
- *         self.cnt_rem = _alloc_int(max(1, nC * k))
- *         self.cnt_member = <char*> PyMem_Malloc(max(1, nC * k))
-*/
-  __pyx_t_8 = __pyx_v_nC;
-  __pyx_t_18 = 1;
-  __pyx_t_16 = (__pyx_t_8 > __pyx_t_18);
-  if (__pyx_t_16) {
-    __pyx_t_15 = __pyx_t_8;
-  } else {
-    __pyx_t_15 = __pyx_t_18;
-  }
-  __pyx_t_9 = __pyx_f_6wspkit_7_kernel_6_speed__alloc_int(__pyx_t_15); if (unlikely(__pyx_t_9 == ((void *)NULL))) __PYX_ERR(0, 151, __pyx_L1_error)
-  __pyx_v_self->cnt_r = __pyx_t_9;
-
-  /* "wspkit/_kernel/_speed.pyx":152
- *         self.cnt_atmost = <char*> PyMem_Malloc(max(1, nC))
- *         self.cnt_r = _alloc_int(max(1, nC))
- *         self.cnt_rem = _alloc_int(max(1, nC * k))             # <<<<<<<<<<<<<<
- *         self.cnt_member = <char*> PyMem_Malloc(max(1, nC * k))
- *         memset(self.cnt_member, 0, max(1, nC * k))
-*/
-  __pyx_t_8 = (__pyx_v_nC * __pyx_v_k);
-  __pyx_t_15 = 1;
-  __pyx_t_16 = (__pyx_t_8 > __pyx_t_15);
-  if (__pyx_t_16) {
-    __pyx_t_18 = __pyx_t_8;
-  } else {
-    __pyx_t_18 = __pyx_t_15;
-  }
-  __pyx_t_9 = __pyx_f_6wspkit_7_kernel_6_speed__alloc_int(__pyx_t_18); if (unlikely(__pyx_t_9 == ((void *)NULL))) __PYX_ERR(0, 152, __pyx_L1_error)
-  __pyx_v_self->cnt_rem = __pyx_t_9;
-
-  /* "wspkit/_kernel/_speed.pyx":153
- *         self.cnt_r = _alloc_int(max(1, nC))
- *         self.cnt_rem = _alloc_int(max(1, nC * k))
- *         self.cnt_member = <char*> PyMem_Malloc(max(1, nC * k))             # <<<<<<<<<<<<<<
- *         memset(self.cnt_member, 0, max(1, nC * k))
- *         for ci in range(nC):
-*/
-  __pyx_t_8 = (__pyx_v_nC * __pyx_v_k);
-  __pyx_t_18 = 1;
-  __pyx_t_16 = (__pyx_t_8 > __pyx_t_18);
-  if (__pyx_t_16) {
-    __pyx_t_15 = __pyx_t_8;
-  } else {
-    __pyx_t_15 = __pyx_t_18;
-  }
-  __pyx_v_self->cnt_member = ((char *)PyMem_Malloc(__pyx_t_15));
-
-  /* "wspkit/_kernel/_speed.pyx":154
- *         self.cnt_rem = _alloc_int(max(1, nC * k))
- *         self.cnt_member = <char*> PyMem_Malloc(max(1, nC * k))
- *         memset(self.cnt_member, 0, max(1, nC * k))             # <<<<<<<<<<<<<<
- *         for ci in range(nC):
- *             spec = prob.counts[ci]
-*/
-  __pyx_t_8 = (__pyx_v_nC * __pyx_v_k);
-  __pyx_t_15 = 1;
-  __pyx_t_16 = (__pyx_t_8 > __pyx_t_15);
-  if (__pyx_t_16) {
-    __pyx_t_18 = __pyx_t_8;
-  } else {
-    __pyx_t_18 = __pyx_t_15;
-  }
-  (void)(memset(__pyx_v_self->cnt_member, 0, __pyx_t_18));
-
-  /* "wspkit/_kernel/_speed.pyx":155
- *         self.cnt_member = <char*> PyMem_Malloc(max(1, nC * k))
- *         memset(self.cnt_member, 0, max(1, nC * k))
- *         for ci in range(nC):             # <<<<<<<<<<<<<<
- *             spec = prob.counts[ci]
- *             self.cnt_atmost[ci] = 1 if spec.at_most else 0
-*/
-  __pyx_t_8 = __pyx_v_nC;
-  __pyx_t_7 = __pyx_t_8;
-  for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_7; __pyx_t_6+=1) {
-    __pyx_v_ci = __pyx_t_6;
-
-    /* "wspkit/_kernel/_speed.pyx":156
- *         memset(self.cnt_member, 0, max(1, nC * k))
- *         for ci in range(nC):
- *             spec = prob.counts[ci]             # <<<<<<<<<<<<<<
- *             self.cnt_atmost[ci] = 1 if spec.at_most else 0
- *             self.cnt_r[ci] = spec.r
-*/
-    __pyx_t_1 = __Pyx_PyObject_GetAttrStr(__pyx_v_prob, __pyx_mstate_global->__pyx_n_u_counts); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 156, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __pyx_t_13 = __Pyx_GetItemInt(__pyx_t_1, __pyx_v_ci, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 156, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_13);
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-    __Pyx_XDECREF_SET(__pyx_v_spec, __pyx_t_13);
-    __pyx_t_13 = 0;
-
-    /* "wspkit/_kernel/_speed.pyx":157
- *         for ci in range(nC):
- *             spec = prob.counts[ci]
- *             self.cnt_atmost[ci] = 1 if spec.at_most else 0             # <<<<<<<<<<<<<<
- *             self.cnt_r[ci] = spec.r
- *             depths = spec.depths
-*/
-    __pyx_t_13 = __Pyx_PyObject_GetAttrStr(__pyx_v_spec, __pyx_mstate_global->__pyx_n_u_at_most); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 157, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_13);
-    __pyx_t_16 = __Pyx_PyObject_IsTrue(__pyx_t_13); if (unlikely((__pyx_t_16 < 0))) __PYX_ERR(0, 157, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_13); __pyx_t_13 = 0;
-    if (__pyx_t_16) {
-      __pyx_t_19 = 1;
-    } else {
-      __pyx_t_19 = 0;
-    }
-    (__pyx_v_self->cnt_atmost[__pyx_v_ci]) = __pyx_t_19;
-
-    /* "wspkit/_kernel/_speed.pyx":158
- *             spec = prob.counts[ci]
- *             self.cnt_atmost[ci] = 1 if spec.at_most else 0
- *             self.cnt_r[ci] = spec.r             # <<<<<<<<<<<<<<
- *             depths = spec.depths
- *             for j in range(len(depths)):
-*/
-    __pyx_t_13 = __Pyx_PyObject_GetAttrStr(__pyx_v_spec, __pyx_mstate_global->__pyx_n_u_r); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 158, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_13);
-    __pyx_t_5 = __Pyx_PyLong_As_int(__pyx_t_13); if (unlikely((__pyx_t_5 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 158, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_13); __pyx_t_13 = 0;
-    (__pyx_v_self->cnt_r[__pyx_v_ci]) = __pyx_t_5;
-
-    /* "wspkit/_kernel/_speed.pyx":159
- *             self.cnt_atmost[ci] = 1 if spec.at_most else 0
- *             self.cnt_r[ci] = spec.r
- *             depths = spec.depths             # <<<<<<<<<<<<<<
- *             for j in range(len(depths)):
- *                 d = depths[j]
-*/
-    __pyx_t_13 = __Pyx_PyObject_GetAttrStr(__pyx_v_spec, __pyx_mstate_global->__pyx_n_u_depths); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 159, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_13);
-    __Pyx_XDECREF_SET(__pyx_v_depths, __pyx_t_13);
-    __pyx_t_13 = 0;
-
-    /* "wspkit/_kernel/_speed.pyx":160
- *             self.cnt_r[ci] = spec.r
- *             depths = spec.depths
- *             for j in range(len(depths)):             # <<<<<<<<<<<<<<
- *                 d = depths[j]
- *                 self.cnt_member[ci * k + d] = 1
-*/
-    __pyx_t_3 = PyObject_Length(__pyx_v_depths); if (unlikely(__pyx_t_3 == ((Py_ssize_t)-1))) __PYX_ERR(0, 160, __pyx_L1_error)
-    __pyx_t_20 = __pyx_t_3;
-    for (__pyx_t_5 = 0; __pyx_t_5 < __pyx_t_20; __pyx_t_5+=1) {
-      __pyx_v_j = __pyx_t_5;
-
-      /* "wspkit/_kernel/_speed.pyx":161
- *             depths = spec.depths
- *             for j in range(len(depths)):
- *                 d = depths[j]             # <<<<<<<<<<<<<<
- *                 self.cnt_member[ci * k + d] = 1
- *                 self.cnt_rem[ci * k + d] = len(depths) - j - 1
-*/
-      __pyx_t_13 = __Pyx_GetItemInt(__pyx_v_depths, __pyx_v_j, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 161, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_13);
-      __pyx_t_4 = __Pyx_PyLong_As_int(__pyx_t_13); if (unlikely((__pyx_t_4 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 161, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_13); __pyx_t_13 = 0;
-      __pyx_v_d = __pyx_t_4;
-
-      /* "wspkit/_kernel/_speed.pyx":162
- *             for j in range(len(depths)):
- *                 d = depths[j]
- *                 self.cnt_member[ci * k + d] = 1             # <<<<<<<<<<<<<<
- *                 self.cnt_rem[ci * k + d] = len(depths) - j - 1
- *         self.cat_off = _alloc_int(k + 1)
-*/
-      (__pyx_v_self->cnt_member[((__pyx_v_ci * __pyx_v_k) + __pyx_v_d)]) = 1;
-
-      /* "wspkit/_kernel/_speed.pyx":163
- *                 d = depths[j]
- *                 self.cnt_member[ci * k + d] = 1
- *                 self.cnt_rem[ci * k + d] = len(depths) - j - 1             # <<<<<<<<<<<<<<
- *         self.cat_off = _alloc_int(k + 1)
- *         total = sum(len(x) for x in prob.count_at)
-*/
-      __pyx_t_21 = PyObject_Length(__pyx_v_depths); if (unlikely(__pyx_t_21 == ((Py_ssize_t)-1))) __PYX_ERR(0, 163, __pyx_L1_error)
-      (__pyx_v_self->cnt_rem[((__pyx_v_ci * __pyx_v_k) + __pyx_v_d)]) = ((__pyx_t_21 - __pyx_v_j) - 1);
-    }
-  }
-
-  /* "wspkit/_kernel/_speed.pyx":164
- *                 self.cnt_member[ci * k + d] = 1
- *                 self.cnt_rem[ci * k + d] = len(depths) - j - 1
- *         self.cat_off = _alloc_int(k + 1)             # <<<<<<<<<<<<<<
- *         total = sum(len(x) for x in prob.count_at)
- *         self.cat_dat = _alloc_int(max(1, total))
-*/
-  __pyx_t_9 = __pyx_f_6wspkit_7_kernel_6_speed__alloc_int((__pyx_v_k + 1)); if (unlikely(__pyx_t_9 == ((void *)NULL))) __PYX_ERR(0, 164, __pyx_L1_error)
-  __pyx_v_self->cat_off = __pyx_t_9;
-
-  /* "wspkit/_kernel/_speed.pyx":165
- *                 self.cnt_rem[ci * k + d] = len(depths) - j - 1
- *         self.cat_off = _alloc_int(k + 1)
- *         total = sum(len(x) for x in prob.count_at)             # <<<<<<<<<<<<<<
- *         self.cat_dat = _alloc_int(max(1, total))
- *         i = 0
-*/
-  __pyx_t_1 = NULL;
-  __pyx_t_12 = __Pyx_PyObject_GetAttrStr(__pyx_v_prob, __pyx_mstate_global->__pyx_n_u_count_at); if (unlikely(!__pyx_t_12)) __PYX_ERR(0, 165, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_12);
-  __pyx_t_10 = __pyx_pf_6wspkit_7_kernel_6_speed_7_Engine_5_load_6genexpr(NULL, __pyx_t_12); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 165, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_10);
-  __Pyx_DECREF(__pyx_t_12); __pyx_t_12 = 0;
-  __pyx_t_14 = 1;
-  {
-    PyObject *__pyx_callargs[2] = {__pyx_t_1, __pyx_t_10};
-    __pyx_t_13 = __Pyx_PyObject_FastCall((PyObject*)__pyx_builtin_sum, __pyx_callargs+__pyx_t_14, (2-__pyx_t_14) | (__pyx_t_14*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_1); __pyx_t_1 = 0;
-    __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
-    if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 165, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_13);
-  }
-  __Pyx_DECREF_SET(__pyx_v_total, __pyx_t_13);
-  __pyx_t_13 = 0;
-
-  /* "wspkit/_kernel/_speed.pyx":166
- *         self.cat_off = _alloc_int(k + 1)
- *         total = sum(len(x) for x in prob.count_at)
- *         self.cat_dat = _alloc_int(max(1, total))             # <<<<<<<<<<<<<<
- *         i = 0
- *         for d in range(k):
-*/
-  __Pyx_INCREF(__pyx_v_total);
-  __pyx_t_13 = __pyx_v_total;
-  __pyx_t_18 = 1;
-  __pyx_t_1 = __Pyx_PyLong_From_long(__pyx_t_18); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 166, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_12 = PyObject_RichCompare(__pyx_t_13, __pyx_t_1, Py_GT); __Pyx_XGOTREF(__pyx_t_12); if (unlikely(!__pyx_t_12)) __PYX_ERR(0, 166, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_t_16 = __Pyx_PyObject_IsTrue(__pyx_t_12); if (unlikely((__pyx_t_16 < 0))) __PYX_ERR(0, 166, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_12); __pyx_t_12 = 0;
-  if (__pyx_t_16) {
-    __Pyx_INCREF(__pyx_t_13);
-    __pyx_t_10 = __pyx_t_13;
-  } else {
-    __pyx_t_12 = __Pyx_PyLong_From_long(__pyx_t_18); if (unlikely(!__pyx_t_12)) __PYX_ERR(0, 166, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_12);
-    __pyx_t_10 = __pyx_t_12;
-    __pyx_t_12 = 0;
-  }
-  __Pyx_DECREF(__pyx_t_13); __pyx_t_13 = 0;
-  __pyx_t_14 = __Pyx_PyLong_As_size_t(__pyx_t_10); if (unlikely((__pyx_t_14 == (size_t)-1) && PyErr_Occurred())) __PYX_ERR(0, 166, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
-  __pyx_t_9 = __pyx_f_6wspkit_7_kernel_6_speed__alloc_int(__pyx_t_14); if (unlikely(__pyx_t_9 == ((void *)NULL))) __PYX_ERR(0, 166, __pyx_L1_error)
-  __pyx_v_self->cat_dat = __pyx_t_9;
-
-  /* "wspkit/_kernel/_speed.pyx":167
- *         total = sum(len(x) for x in prob.count_at)
- *         self.cat_dat = _alloc_int(max(1, total))
- *         i = 0             # <<<<<<<<<<<<<<
- *         for d in range(k):
- *             self.cat_off[d] = i
-*/
-  __pyx_v_i = 0;
-
-  /* "wspkit/_kernel/_speed.pyx":168
- *         self.cat_dat = _alloc_int(max(1, total))
- *         i = 0
- *         for d in range(k):             # <<<<<<<<<<<<<<
- *             self.cat_off[d] = i
- *             for ci in prob.count_at[d]:
-*/
-  __pyx_t_8 = __pyx_v_k;
-  __pyx_t_7 = __pyx_t_8;
-  for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_7; __pyx_t_6+=1) {
-    __pyx_v_d = __pyx_t_6;
-
-    /* "wspkit/_kernel/_speed.pyx":169
- *         i = 0
- *         for d in range(k):
- *             self.cat_off[d] = i             # <<<<<<<<<<<<<<
- *             for ci in prob.count_at[d]:
- *                 self.cat_dat[i] = ci; i += 1
-*/
-    (__pyx_v_self->cat_off[__pyx_v_d]) = __pyx_v_i;
-
-    /* "wspkit/_kernel/_speed.pyx":170
- *         for d in range(k):
- *             self.cat_off[d] = i
- *             for ci in prob.count_at[d]:             # <<<<<<<<<<<<<<
- *                 self.cat_dat[i] = ci; i += 1
- *         self.cat_off[k] = i
-*/
-    __pyx_t_10 = __Pyx_PyObject_GetAttrStr(__pyx_v_prob, __pyx_mstate_global->__pyx_n_u_count_at); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 170, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_10);
-    __pyx_t_13 = __Pyx_GetItemInt(__pyx_t_10, __pyx_v_d, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 170, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_13);
-    __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
-    if (likely(PyList_CheckExact(__pyx_t_13)) || PyTuple_CheckExact(__pyx_t_13)) {
-      __pyx_t_10 = __pyx_t_13; __Pyx_INCREF(__pyx_t_10);
-      __pyx_t_3 = 0;
-      __pyx_t_17 = NULL;
-    } else {
-      __pyx_t_3 = -1; __pyx_t_10 = PyObject_GetIter(__pyx_t_13); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 170, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_10);
-      __pyx_t_17 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_10); if (unlikely(!__pyx_t_17)) __PYX_ERR(0, 170, __pyx_L1_error)
-    }
-    __Pyx_DECREF(__pyx_t_13); __pyx_t_13 = 0;
-    for (;;) {
-      if (likely(!__pyx_t_17)) {
-        if (likely(PyList_CheckExact(__pyx_t_10))) {
-          {
-            Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_10);
-            #if !CYTHON_ASSUME_SAFE_SIZE
-            if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 170, __pyx_L1_error)
-            #endif
-            if (__pyx_t_3 >= __pyx_temp) break;
-          }
-          __pyx_t_13 = __Pyx_PyList_GetItemRefFast(__pyx_t_10, __pyx_t_3, __Pyx_ReferenceSharing_OwnStrongReference);
-          ++__pyx_t_3;
-        } else {
-          {
-            Py_ssize_t __pyx_temp = __Pyx_PyTuple_GET_SIZE(__pyx_t_10);
-            #if !CYTHON_ASSUME_SAFE_SIZE
-            if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 170, __pyx_L1_error)
-            #endif
-            if (__pyx_t_3 >= __pyx_temp) break;
-          }
-          #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-          __pyx_t_13 = __Pyx_NewRef(PyTuple_GET_ITEM(__pyx_t_10, __pyx_t_3));
-          #else
-          __pyx_t_13 = __Pyx_PySequence_ITEM(__pyx_t_10, __pyx_t_3);
-          #endif
-          ++__pyx_t_3;
-        }
-        if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 170, __pyx_L1_error)
-      } else {
-        __pyx_t_13 = __pyx_t_17(__pyx_t_10);
-        if (unlikely(!__pyx_t_13)) {
-          PyObject* exc_type = PyErr_Occurred();
-          if (exc_type) {
-            if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration))) __PYX_ERR(0, 170, __pyx_L1_error)
-            PyErr_Clear();
-          }
-          break;
-        }
-      }
-      __Pyx_GOTREF(__pyx_t_13);
-      __pyx_t_5 = __Pyx_PyLong_As_int(__pyx_t_13); if (unlikely((__pyx_t_5 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 170, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_13); __pyx_t_13 = 0;
-      __pyx_v_ci = __pyx_t_5;
-
-      /* "wspkit/_kernel/_speed.pyx":171
- *             self.cat_off[d] = i
- *             for ci in prob.count_at[d]:
- *                 self.cat_dat[i] = ci; i += 1             # <<<<<<<<<<<<<<
- *         self.cat_off[k] = i
- * 
-*/
-      (__pyx_v_self->cat_dat[__pyx_v_i]) = __pyx_v_ci;
-      __pyx_v_i = (__pyx_v_i + 1);
-
-      /* "wspkit/_kernel/_speed.pyx":170
- *         for d in range(k):
- *             self.cat_off[d] = i
- *             for ci in prob.count_at[d]:             # <<<<<<<<<<<<<<
- *                 self.cat_dat[i] = ci; i += 1
- *         self.cat_off[k] = i
-*/
-    }
-    __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
-  }
-
-  /* "wspkit/_kernel/_speed.pyx":172
- *             for ci in prob.count_at[d]:
- *                 self.cat_dat[i] = ci; i += 1
- *         self.cat_off[k] = i             # <<<<<<<<<<<<<<
- * 
- *         self.su_h = _alloc_int(max(1, nS))
-*/
-  (__pyx_v_self->cat_off[__pyx_v_k]) = __pyx_v_i;
-
-  /* "wspkit/_kernel/_speed.pyx":174
- *         self.cat_off[k] = i
- * 
- *         self.su_h = _alloc_int(max(1, nS))             # <<<<<<<<<<<<<<
- *         self.su_len = _alloc_int(max(1, nS))
- *         self.su_x = _alloc_u64(<size_t> max(1, nS * W))
-*/
-  __pyx_t_8 = __pyx_v_nS;
-  __pyx_t_18 = 1;
-  __pyx_t_16 = (__pyx_t_8 > __pyx_t_18);
-  if (__pyx_t_16) {
-    __pyx_t_15 = __pyx_t_8;
-  } else {
-    __pyx_t_15 = __pyx_t_18;
-  }
-  __pyx_t_9 = __pyx_f_6wspkit_7_kernel_6_speed__alloc_int(__pyx_t_15); if (unlikely(__pyx_t_9 == ((void *)NULL))) __PYX_ERR(0, 174, __pyx_L1_error)
-  __pyx_v_self->su_h = __pyx_t_9;
-
-  /* "wspkit/_kernel/_speed.pyx":175
- * 
- *         self.su_h = _alloc_int(max(1, nS))
- *         self.su_len = _alloc_int(max(1, nS))             # <<<<<<<<<<<<<<
- *         self.su_x = _alloc_u64(<size_t> max(1, nS * W))
- *         for si in range(nS):
-*/
-  __pyx_t_8 = __pyx_v_nS;
-  __pyx_t_15 = 1;
-  __pyx_t_16 = (__pyx_t_8 > __pyx_t_15);
-  if (__pyx_t_16) {
-    __pyx_t_18 = __pyx_t_8;
-  } else {
-    __pyx_t_18 = __pyx_t_15;
-  }
-  __pyx_t_9 = __pyx_f_6wspkit_7_kernel_6_speed__alloc_int(__pyx_t_18); if (unlikely(__pyx_t_9 == ((void *)NULL))) __PYX_ERR(0, 175, __pyx_L1_error)
-  __pyx_v_self->su_len = __pyx_t_9;
-
-  /* "wspkit/_kernel/_speed.pyx":176
- *         self.su_h = _alloc_int(max(1, nS))
- *         self.su_len = _alloc_int(max(1, nS))
- *         self.su_x = _alloc_u64(<size_t> max(1, nS * W))             # <<<<<<<<<<<<<<
- *         for si in range(nS):
- *             spec = prob.suals[si]
-*/
-  __pyx_t_8 = (__pyx_v_nS * __pyx_v_W);
-  __pyx_t_18 = 1;
-  __pyx_t_16 = (__pyx_t_8 > __pyx_t_18);
-  if (__pyx_t_16) {
-    __pyx_t_15 = __pyx_t_8;
-  } else {
-    __pyx_t_15 = __pyx_t_18;
-  }
-  __pyx_t_11 = __pyx_f_6wspkit_7_kernel_6_speed__alloc_u64(((size_t)__pyx_t_15)); if (unlikely(__pyx_t_11 == ((void *)NULL))) __PYX_ERR(0, 176, __pyx_L1_error)
-  __pyx_v_self->su_x = __pyx_t_11;
-
-  /* "wspkit/_kernel/_speed.pyx":177
- *         self.su_len = _alloc_int(max(1, nS))
- *         self.su_x = _alloc_u64(<size_t> max(1, nS * W))
- *         for si in range(nS):             # <<<<<<<<<<<<<<
- *             spec = prob.suals[si]
- *             self.su_h[si] = spec.h
-*/
-  __pyx_t_8 = __pyx_v_nS;
-  __pyx_t_7 = __pyx_t_8;
-  for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_7; __pyx_t_6+=1) {
-    __pyx_v_si = __pyx_t_6;
-
-    /* "wspkit/_kernel/_speed.pyx":178
- *         self.su_x = _alloc_u64(<size_t> max(1, nS * W))
- *         for si in range(nS):
- *             spec = prob.suals[si]             # <<<<<<<<<<<<<<
- *             self.su_h[si] = spec.h
- *             self.su_len[si] = len(spec.depths)
-*/
-    __pyx_t_10 = __Pyx_PyObject_GetAttrStr(__pyx_v_prob, __pyx_mstate_global->__pyx_n_u_suals); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 178, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_10);
-    __pyx_t_13 = __Pyx_GetItemInt(__pyx_t_10, __pyx_v_si, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 178, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_13);
-    __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
-    __Pyx_XDECREF_SET(__pyx_v_spec, __pyx_t_13);
-    __pyx_t_13 = 0;
-
-    /* "wspkit/_kernel/_speed.pyx":179
- *         for si in range(nS):
- *             spec = prob.suals[si]
- *             self.su_h[si] = spec.h             # <<<<<<<<<<<<<<
- *             self.su_len[si] = len(spec.depths)
- *             _pack_mask(spec.xmask, self.su_x + si * W, W)
-*/
-    __pyx_t_13 = __Pyx_PyObject_GetAttrStr(__pyx_v_spec, __pyx_mstate_global->__pyx_n_u_h); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 179, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_13);
-    __pyx_t_5 = __Pyx_PyLong_As_int(__pyx_t_13); if (unlikely((__pyx_t_5 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 179, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_13); __pyx_t_13 = 0;
-    (__pyx_v_self->su_h[__pyx_v_si]) = __pyx_t_5;
-
-    /* "wspkit/_kernel/_speed.pyx":180
- *             spec = prob.suals[si]
- *             self.su_h[si] = spec.h
- *             self.su_len[si] = len(spec.depths)             # <<<<<<<<<<<<<<
- *             _pack_mask(spec.xmask, self.su_x + si * W, W)
- *         self.sat_off = _alloc_int(k + 1)
-*/
-    __pyx_t_13 = __Pyx_PyObject_GetAttrStr(__pyx_v_spec, __pyx_mstate_global->__pyx_n_u_depths); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 180, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_13);
-    __pyx_t_3 = PyObject_Length(__pyx_t_13); if (unlikely(__pyx_t_3 == ((Py_ssize_t)-1))) __PYX_ERR(0, 180, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_13); __pyx_t_13 = 0;
-    (__pyx_v_self->su_len[__pyx_v_si]) = __pyx_t_3;
-
-    /* "wspkit/_kernel/_speed.pyx":181
- *             self.su_h[si] = spec.h
- *             self.su_len[si] = len(spec.depths)
- *             _pack_mask(spec.xmask, self.su_x + si * W, W)             # <<<<<<<<<<<<<<
- *         self.sat_off = _alloc_int(k + 1)
- *         total = sum(len(x) for x in prob.sual_at)
-*/
-    __pyx_t_13 = __Pyx_PyObject_GetAttrStr(__pyx_v_spec, __pyx_mstate_global->__pyx_n_u_xmask); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 181, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_13);
-    __pyx_f_6wspkit_7_kernel_6_speed__pack_mask(__pyx_t_13, (__pyx_v_self->su_x + (__pyx_v_si * __pyx_v_W)), __pyx_v_W); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 181, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_13); __pyx_t_13 = 0;
-  }
-
-  /* "wspkit/_kernel/_speed.pyx":182
- *             self.su_len[si] = len(spec.depths)
- *             _pack_mask(spec.xmask, self.su_x + si * W, W)
- *         self.sat_off = _alloc_int(k + 1)             # <<<<<<<<<<<<<<
- *         total = sum(len(x) for x in prob.sual_at)
- *         self.sat_dat = _alloc_int(max(1, total))
-*/
-  __pyx_t_9 = __pyx_f_6wspkit_7_kernel_6_speed__alloc_int((__pyx_v_k + 1)); if (unlikely(__pyx_t_9 == ((void *)NULL))) __PYX_ERR(0, 182, __pyx_L1_error)
-  __pyx_v_self->sat_off = __pyx_t_9;
-
-  /* "wspkit/_kernel/_speed.pyx":183
- *             _pack_mask(spec.xmask, self.su_x + si * W, W)
- *         self.sat_off = _alloc_int(k + 1)
- *         total = sum(len(x) for x in prob.sual_at)             # <<<<<<<<<<<<<<
- *         self.sat_dat = _alloc_int(max(1, total))
- *         i = 0
-*/
-  __pyx_t_10 = NULL;
-  __pyx_t_12 = __Pyx_PyObject_GetAttrStr(__pyx_v_prob, __pyx_mstate_global->__pyx_n_u_sual_at); if (unlikely(!__pyx_t_12)) __PYX_ERR(0, 183, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_12);
-  __pyx_t_1 = __pyx_pf_6wspkit_7_kernel_6_speed_7_Engine_5_load_9genexpr(NULL, __pyx_t_12); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 183, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __Pyx_DECREF(__pyx_t_12); __pyx_t_12 = 0;
-  __pyx_t_14 = 1;
-  {
-    PyObject *__pyx_callargs[2] = {__pyx_t_10, __pyx_t_1};
-    __pyx_t_13 = __Pyx_PyObject_FastCall((PyObject*)__pyx_builtin_sum, __pyx_callargs+__pyx_t_14, (2-__pyx_t_14) | (__pyx_t_14*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_10); __pyx_t_10 = 0;
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-    if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 183, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_13);
-  }
-  __Pyx_DECREF_SET(__pyx_v_total, __pyx_t_13);
-  __pyx_t_13 = 0;
-
-  /* "wspkit/_kernel/_speed.pyx":184
- *         self.sat_off = _alloc_int(k + 1)
- *         total = sum(len(x) for x in prob.sual_at)
- *         self.sat_dat = _alloc_int(max(1, total))             # <<<<<<<<<<<<<<
- *         i = 0
- *         for d in range(k):
-*/
-  __Pyx_INCREF(__pyx_v_total);
-  __pyx_t_13 = __pyx_v_total;
-  __pyx_t_15 = 1;
-  __pyx_t_10 = __Pyx_PyLong_From_long(__pyx_t_15); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 184, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_10);
-  __pyx_t_12 = PyObject_RichCompare(__pyx_t_13, __pyx_t_10, Py_GT); __Pyx_XGOTREF(__pyx_t_12); if (unlikely(!__pyx_t_12)) __PYX_ERR(0, 184, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
-  __pyx_t_16 = __Pyx_PyObject_IsTrue(__pyx_t_12); if (unlikely((__pyx_t_16 < 0))) __PYX_ERR(0, 184, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_12); __pyx_t_12 = 0;
-  if (__pyx_t_16) {
-    __Pyx_INCREF(__pyx_t_13);
-    __pyx_t_1 = __pyx_t_13;
-  } else {
-    __pyx_t_12 = __Pyx_PyLong_From_long(__pyx_t_15); if (unlikely(!__pyx_t_12)) __PYX_ERR(0, 184, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_12);
-    __pyx_t_1 = __pyx_t_12;
-    __pyx_t_12 = 0;
-  }
-  __Pyx_DECREF(__pyx_t_13); __pyx_t_13 = 0;
-  __pyx_t_14 = __Pyx_PyLong_As_size_t(__pyx_t_1); if (unlikely((__pyx_t_14 == (size_t)-1) && PyErr_Occurred())) __PYX_ERR(0, 184, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_t_9 = __pyx_f_6wspkit_7_kernel_6_speed__alloc_int(__pyx_t_14); if (unlikely(__pyx_t_9 == ((void *)NULL))) __PYX_ERR(0, 184, __pyx_L1_error)
-  __pyx_v_self->sat_dat = __pyx_t_9;
-
-  /* "wspkit/_kernel/_speed.pyx":185
- *         total = sum(len(x) for x in prob.sual_at)
- *         self.sat_dat = _alloc_int(max(1, total))
- *         i = 0             # <<<<<<<<<<<<<<
- *         for d in range(k):
- *             self.sat_off[d] = i
-*/
-  __pyx_v_i = 0;
-
-  /* "wspkit/_kernel/_speed.pyx":186
- *         self.sat_dat = _alloc_int(max(1, total))
- *         i = 0
- *         for d in range(k):             # <<<<<<<<<<<<<<
- *             self.sat_off[d] = i
- *             for si in prob.sual_at[d]:
-*/
-  __pyx_t_8 = __pyx_v_k;
-  __pyx_t_7 = __pyx_t_8;
-  for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_7; __pyx_t_6+=1) {
-    __pyx_v_d = __pyx_t_6;
-
-    /* "wspkit/_kernel/_speed.pyx":187
- *         i = 0
- *         for d in range(k):
- *             self.sat_off[d] = i             # <<<<<<<<<<<<<<
- *             for si in prob.sual_at[d]:
- *                 self.sat_dat[i] = si; i += 1
-*/
-    (__pyx_v_self->sat_off[__pyx_v_d]) = __pyx_v_i;
-
-    /* "wspkit/_kernel/_speed.pyx":188
- *         for d in range(k):
- *             self.sat_off[d] = i
- *             for si in prob.sual_at[d]:             # <<<<<<<<<<<<<<
- *                 self.sat_dat[i] = si; i += 1
- *         self.sat_off[k] = i
-*/
-    __pyx_t_1 = __Pyx_PyObject_GetAttrStr(__pyx_v_prob, __pyx_mstate_global->__pyx_n_u_sual_at); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 188, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __pyx_t_13 = __Pyx_GetItemInt(__pyx_t_1, __pyx_v_d, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 188, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_13);
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-    if (likely(PyList_CheckExact(__pyx_t_13)) || PyTuple_CheckExact(__pyx_t_13)) {
-      __pyx_t_1 = __pyx_t_13; __Pyx_INCREF(__pyx_t_1);
-      __pyx_t_3 = 0;
-      __pyx_t_17 = NULL;
-    } else {
-      __pyx_t_3 = -1; __pyx_t_1 = PyObject_GetIter(__pyx_t_13); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 188, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_1);
-      __pyx_t_17 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_1); if (unlikely(!__pyx_t_17)) __PYX_ERR(0, 188, __pyx_L1_error)
-    }
-    __Pyx_DECREF(__pyx_t_13); __pyx_t_13 = 0;
-    for (;;) {
-      if (likely(!__pyx_t_17)) {
-        if (likely(PyList_CheckExact(__pyx_t_1))) {
-          {
-            Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_1);
-            #if !CYTHON_ASSUME_SAFE_SIZE
-            if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 188, __pyx_L1_error)
-            #endif
-            if (__pyx_t_3 >= __pyx_temp) break;
-          }
-          __pyx_t_13 = __Pyx_PyList_GetItemRefFast(__pyx_t_1, __pyx_t_3, __Pyx_ReferenceSharing_OwnStrongReference);
-          ++__pyx_t_3;
-        } else {
-          {
-            Py_ssize_t __pyx_temp = __Pyx_PyTuple_GET_SIZE(__pyx_t_1);
-            #if !CYTHON_ASSUME_SAFE_SIZE
-            if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 188, __pyx_L1_error)
-            #endif
-            if (__pyx_t_3 >= __pyx_temp) break;
-          }
-          #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-          __pyx_t_13 = __Pyx_NewRef(PyTuple_GET_ITEM(__pyx_t_1, __pyx_t_3));
-          #else
-          __pyx_t_13 = __Pyx_PySequence_ITEM(__pyx_t_1, __pyx_t_3);
-          #endif
-          ++__pyx_t_3;
-        }
-        if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 188, __pyx_L1_error)
-      } else {
-        __pyx_t_13 = __pyx_t_17(__pyx_t_1);
-        if (unlikely(!__pyx_t_13)) {
-          PyObject* exc_type = PyErr_Occurred();
-          if (exc_type) {
-            if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration))) __PYX_ERR(0, 188, __pyx_L1_error)
-            PyErr_Clear();
-          }
-          break;
-        }
-      }
-      __Pyx_GOTREF(__pyx_t_13);
-      __pyx_t_5 = __Pyx_PyLong_As_int(__pyx_t_13); if (unlikely((__pyx_t_5 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 188, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_13); __pyx_t_13 = 0;
-      __pyx_v_si = __pyx_t_5;
-
-      /* "wspkit/_kernel/_speed.pyx":189
- *             self.sat_off[d] = i
- *             for si in prob.sual_at[d]:
- *                 self.sat_dat[i] = si; i += 1             # <<<<<<<<<<<<<<
- *         self.sat_off[k] = i
- * 
-*/
-      (__pyx_v_self->sat_dat[__pyx_v_i]) = __pyx_v_si;
-      __pyx_v_i = (__pyx_v_i + 1);
-
-      /* "wspkit/_kernel/_speed.pyx":188
- *         for d in range(k):
- *             self.sat_off[d] = i
- *             for si in prob.sual_at[d]:             # <<<<<<<<<<<<<<
- *                 self.sat_dat[i] = si; i += 1
- *         self.sat_off[k] = i
-*/
-    }
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  }
-
-  /* "wspkit/_kernel/_speed.pyx":190
- *             for si in prob.sual_at[d]:
- *                 self.sat_dat[i] = si; i += 1
- *         self.sat_off[k] = i             # <<<<<<<<<<<<<<
- * 
- *         self.bmask = _alloc_u64(<size_t> (k + 1) * m * k * W)
-*/
-  (__pyx_v_self->sat_off[__pyx_v_k]) = __pyx_v_i;
-
-  /* "wspkit/_kernel/_speed.pyx":192
- *         self.sat_off[k] = i
- * 
- *         self.bmask = _alloc_u64(<size_t> (k + 1) * m * k * W)             # <<<<<<<<<<<<<<
- *         self.match = _alloc_int((k + 1) * m * k)
- *         self.alive = <char*> PyMem_Malloc((k + 1) * m)
-*/
-  __pyx_t_11 = __pyx_f_6wspkit_7_kernel_6_speed__alloc_u64((((((size_t)(__pyx_v_k + 1)) * __pyx_v_m) * __pyx_v_k) * __pyx_v_W)); if (unlikely(__pyx_t_11 == ((void *)NULL))) __PYX_ERR(0, 192, __pyx_L1_error)
-  __pyx_v_self->bmask = __pyx_t_11;
-
-  /* "wspkit/_kernel/_speed.pyx":193
- * 
- *         self.bmask = _alloc_u64(<size_t> (k + 1) * m * k * W)
- *         self.match = _alloc_int((k + 1) * m * k)             # <<<<<<<<<<<<<<
- *         self.alive = <char*> PyMem_Malloc((k + 1) * m)
- *         memset(self.alive, 0, (k + 1) * m)
-*/
-  __pyx_t_9 = __pyx_f_6wspkit_7_kernel_6_speed__alloc_int((((__pyx_v_k + 1) * __pyx_v_m) * __pyx_v_k)); if (unlikely(__pyx_t_9 == ((void *)NULL))) __PYX_ERR(0, 193, __pyx_L1_error)
-  __pyx_v_self->match = __pyx_t_9;
-
-  /* "wspkit/_kernel/_speed.pyx":194
- *         self.bmask = _alloc_u64(<size_t> (k + 1) * m * k * W)
- *         self.match = _alloc_int((k + 1) * m * k)
- *         self.alive = <char*> PyMem_Malloc((k + 1) * m)             # <<<<<<<<<<<<<<
- *         memset(self.alive, 0, (k + 1) * m)
- *         for c in range(m):
-*/
-  __pyx_v_self->alive = ((char *)PyMem_Malloc(((__pyx_v_k + 1) * __pyx_v_m)));
-
-  /* "wspkit/_kernel/_speed.pyx":195
- *         self.match = _alloc_int((k + 1) * m * k)
- *         self.alive = <char*> PyMem_Malloc((k + 1) * m)
- *         memset(self.alive, 0, (k + 1) * m)             # <<<<<<<<<<<<<<
- *         for c in range(m):
- *             self.alive[c] = 1
-*/
-  (void)(memset(__pyx_v_self->alive, 0, ((__pyx_v_k + 1) * __pyx_v_m)));
-
-  /* "wspkit/_kernel/_speed.pyx":196
- *         self.alive = <char*> PyMem_Malloc((k + 1) * m)
- *         memset(self.alive, 0, (k + 1) * m)
- *         for c in range(m):             # <<<<<<<<<<<<<<
- *             self.alive[c] = 1
- *         self.ccover = _alloc_u64(<size_t> max(1, (k + 1) * nC))
-*/
-  __pyx_t_8 = __pyx_v_m;
-  __pyx_t_7 = __pyx_t_8;
-  for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_7; __pyx_t_6+=1) {
-    __pyx_v_c = __pyx_t_6;
-
-    /* "wspkit/_kernel/_speed.pyx":197
- *         memset(self.alive, 0, (k + 1) * m)
- *         for c in range(m):
- *             self.alive[c] = 1             # <<<<<<<<<<<<<<
- *         self.ccover = _alloc_u64(<size_t> max(1, (k + 1) * nC))
- *         self.scover = _alloc_u64(<size_t> max(1, (k + 1) * nS))
-*/
-    (__pyx_v_self->alive[__pyx_v_c]) = 1;
-  }
-
-  /* "wspkit/_kernel/_speed.pyx":198
- *         for c in range(m):
- *             self.alive[c] = 1
- *         self.ccover = _alloc_u64(<size_t> max(1, (k + 1) * nC))             # <<<<<<<<<<<<<<
- *         self.scover = _alloc_u64(<size_t> max(1, (k + 1) * nS))
- *         self.sassign = _alloc_int(max(1, (k + 1) * nS))
-*/
-  __pyx_t_15 = ((__pyx_v_k + 1) * __pyx_v_nC);
-  __pyx_t_18 = 1;
-  __pyx_t_16 = (__pyx_t_15 > __pyx_t_18);
-  if (__pyx_t_16) {
-    __pyx_t_22 = __pyx_t_15;
-  } else {
-    __pyx_t_22 = __pyx_t_18;
-  }
-  __pyx_t_11 = __pyx_f_6wspkit_7_kernel_6_speed__alloc_u64(((size_t)__pyx_t_22)); if (unlikely(__pyx_t_11 == ((void *)NULL))) __PYX_ERR(0, 198, __pyx_L1_error)
-  __pyx_v_self->ccover = __pyx_t_11;
-
-  /* "wspkit/_kernel/_speed.pyx":199
- *             self.alive[c] = 1
- *         self.ccover = _alloc_u64(<size_t> max(1, (k + 1) * nC))
- *         self.scover = _alloc_u64(<size_t> max(1, (k + 1) * nS))             # <<<<<<<<<<<<<<
- *         self.sassign = _alloc_int(max(1, (k + 1) * nS))
- *         self.assign = _alloc_int(k)
-*/
-  __pyx_t_22 = ((__pyx_v_k + 1) * __pyx_v_nS);
-  __pyx_t_15 = 1;
-  __pyx_t_16 = (__pyx_t_22 > __pyx_t_15);
-  if (__pyx_t_16) {
-    __pyx_t_18 = __pyx_t_22;
-  } else {
-    __pyx_t_18 = __pyx_t_15;
-  }
-  __pyx_t_11 = __pyx_f_6wspkit_7_kernel_6_speed__alloc_u64(((size_t)__pyx_t_18)); if (unlikely(__pyx_t_11 == ((void *)NULL))) __PYX_ERR(0, 199, __pyx_L1_error)
-  __pyx_v_self->scover = __pyx_t_11;
-
-  /* "wspkit/_kernel/_speed.pyx":200
- *         self.ccover = _alloc_u64(<size_t> max(1, (k + 1) * nC))
- *         self.scover = _alloc_u64(<size_t> max(1, (k + 1) * nS))
- *         self.sassign = _alloc_int(max(1, (k + 1) * nS))             # <<<<<<<<<<<<<<
- *         self.assign = _alloc_int(k)
- *         self.seen = _alloc_u64(W)
-*/
-  __pyx_t_18 = ((__pyx_v_k + 1) * __pyx_v_nS);
-  __pyx_t_22 = 1;
-  __pyx_t_16 = (__pyx_t_18 > __pyx_t_22);
-  if (__pyx_t_16) {
-    __pyx_t_15 = __pyx_t_18;
-  } else {
-    __pyx_t_15 = __pyx_t_22;
-  }
-  __pyx_t_9 = __pyx_f_6wspkit_7_kernel_6_speed__alloc_int(__pyx_t_15); if (unlikely(__pyx_t_9 == ((void *)NULL))) __PYX_ERR(0, 200, __pyx_L1_error)
-  __pyx_v_self->sassign = __pyx_t_9;
-
-  /* "wspkit/_kernel/_speed.pyx":201
- *         self.scover = _alloc_u64(<size_t> max(1, (k + 1) * nS))
- *         self.sassign = _alloc_int(max(1, (k + 1) * nS))
- *         self.assign = _alloc_int(k)             # <<<<<<<<<<<<<<
- *         self.seen = _alloc_u64(W)
- *         self.restricted = _alloc_int(max(1, nS))
-*/
-  __pyx_t_9 = __pyx_f_6wspkit_7_kernel_6_speed__alloc_int(__pyx_v_k); if (unlikely(__pyx_t_9 == ((void *)NULL))) __PYX_ERR(0, 201, __pyx_L1_error)
-  __pyx_v_self->assign = __pyx_t_9;
-
-  /* "wspkit/_kernel/_speed.pyx":202
- *         self.sassign = _alloc_int(max(1, (k + 1) * nS))
- *         self.assign = _alloc_int(k)
- *         self.seen = _alloc_u64(W)             # <<<<<<<<<<<<<<
- *         self.restricted = _alloc_int(max(1, nS))
- *         self.plan_out = _alloc_int(k)
-*/
-  __pyx_t_11 = __pyx_f_6wspkit_7_kernel_6_speed__alloc_u64(__pyx_v_W); if (unlikely(__pyx_t_11 == ((void *)NULL))) __PYX_ERR(0, 202, __pyx_L1_error)
-  __pyx_v_self->seen = __pyx_t_11;
-
-  /* "wspkit/_kernel/_speed.pyx":203
- *         self.assign = _alloc_int(k)
- *         self.seen = _alloc_u64(W)
- *         self.restricted = _alloc_int(max(1, nS))             # <<<<<<<<<<<<<<
- *         self.plan_out = _alloc_int(k)
- * 
-*/
-  __pyx_t_8 = __pyx_v_nS;
-  __pyx_t_15 = 1;
-  __pyx_t_16 = (__pyx_t_8 > __pyx_t_15);
-  if (__pyx_t_16) {
-    __pyx_t_18 = __pyx_t_8;
-  } else {
-    __pyx_t_18 = __pyx_t_15;
-  }
-  __pyx_t_9 = __pyx_f_6wspkit_7_kernel_6_speed__alloc_int(__pyx_t_18); if (unlikely(__pyx_t_9 == ((void *)NULL))) __PYX_ERR(0, 203, __pyx_L1_error)
-  __pyx_v_self->restricted = __pyx_t_9;
-
-  /* "wspkit/_kernel/_speed.pyx":204
- *         self.seen = _alloc_u64(W)
- *         self.restricted = _alloc_int(max(1, nS))
- *         self.plan_out = _alloc_int(k)             # <<<<<<<<<<<<<<
- * 
- *     cdef int _augment(self, uint64_t* rows, int* mrow, int nb, int b):
-*/
-  __pyx_t_9 = __pyx_f_6wspkit_7_kernel_6_speed__alloc_int(__pyx_v_k); if (unlikely(__pyx_t_9 == ((void *)NULL))) __PYX_ERR(0, 204, __pyx_L1_error)
-  __pyx_v_self->plan_out = __pyx_t_9;
-
-  /* "wspkit/_kernel/_speed.pyx":112
- *         PyMem_Free(self.plan_out)
- * 
- *     cdef void _load(self, prob):             # <<<<<<<<<<<<<<
- *         cdef int k = prob.k
- *         cdef int n = prob.n
-*/
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_10);
-  __Pyx_XDECREF(__pyx_t_12);
-  __Pyx_XDECREF(__pyx_t_13);
-  __Pyx_AddTraceback("wspkit._kernel._speed._Engine._load", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_total);
-  __Pyx_XDECREF(__pyx_v_e);
-  __Pyx_XDECREF(__pyx_v_spec);
-  __Pyx_XDECREF(__pyx_v_depths);
-  __Pyx_XDECREF(__pyx_gb_6wspkit_7_kernel_6_speed_7_Engine_5_load_2generator);
-  __Pyx_XDECREF(__pyx_gb_6wspkit_7_kernel_6_speed_7_Engine_5_load_5generator1);
-  __Pyx_XDECREF(__pyx_gb_6wspkit_7_kernel_6_speed_7_Engine_5_load_8generator2);
-  __Pyx_XDECREF(__pyx_gb_6wspkit_7_kernel_6_speed_7_Engine_5_load_11generator3);
-  __Pyx_RefNannyFinishContext();
-}
-
-/* "wspkit/_kernel/_speed.pyx":206
- *         self.plan_out = _alloc_int(k)
- * 
- *     cdef int _augment(self, uint64_t* rows, int* mrow, int nb, int b):             # <<<<<<<<<<<<<<
- *         # Kuhn augmenting path from block b over the shared `seen` scratch;
- *         # callers clear `seen` before the top-level call.
-*/
-
-static int __pyx_f_6wspkit_7_kernel_6_speed_7_Engine__augment(struct __pyx_obj_6wspkit_7_kernel_6_speed__Engine *__pyx_v_self, uint64_t *__pyx_v_rows, int *__pyx_v_mrow, int __pyx_v_nb, int __pyx_v_b) {
-  int __pyx_v_W;
-  int __pyx_v_w;
-  int __pyx_v_u;
-  int __pyx_v_bb;
-  int __pyx_v_owner;
-  uint64_t __pyx_v_word;
-  uint64_t __pyx_v_bit;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_t_6;
-  int __pyx_t_7;
-  int __pyx_t_8;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "wspkit/_kernel/_speed.pyx":209
- *         # Kuhn augmenting path from block b over the shared `seen` scratch;
- *         # callers clear `seen` before the top-level call.
- *         cdef int W = self.W             # <<<<<<<<<<<<<<
- *         cdef int w, u, bb, owner
- *         cdef uint64_t word, bit
-*/
-  __pyx_t_1 = __pyx_v_self->W;
-  __pyx_v_W = __pyx_t_1;
-
-  /* "wspkit/_kernel/_speed.pyx":212
- *         cdef int w, u, bb, owner
- *         cdef uint64_t word, bit
- *         for w in range(W):             # <<<<<<<<<<<<<<
- *             word = rows[b * W + w] & ~self.seen[w]
- *             while word != 0:
-*/
-  __pyx_t_1 = __pyx_v_W;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_w = __pyx_t_3;
-
-    /* "wspkit/_kernel/_speed.pyx":213
- *         cdef uint64_t word, bit
- *         for w in range(W):
- *             word = rows[b * W + w] & ~self.seen[w]             # <<<<<<<<<<<<<<
- *             while word != 0:
- *                 bit = word & (~word + 1)
-*/
-    __pyx_v_word = ((__pyx_v_rows[((__pyx_v_b * __pyx_v_W) + __pyx_v_w)]) & (~(__pyx_v_self->seen[__pyx_v_w])));
-
-    /* "wspkit/_kernel/_speed.pyx":214
- *         for w in range(W):
- *             word = rows[b * W + w] & ~self.seen[w]
- *             while word != 0:             # <<<<<<<<<<<<<<
- *                 bit = word & (~word + 1)
- *                 u = w * 64 + __builtin_ctzll(word)
-*/
-    while (1) {
-      __pyx_t_4 = (__pyx_v_word != 0);
-      if (!__pyx_t_4) break;
-
-      /* "wspkit/_kernel/_speed.pyx":215
- *             word = rows[b * W + w] & ~self.seen[w]
- *             while word != 0:
- *                 bit = word & (~word + 1)             # <<<<<<<<<<<<<<
- *                 u = w * 64 + __builtin_ctzll(word)
- *                 word ^= bit
-*/
-      __pyx_v_bit = (__pyx_v_word & ((~__pyx_v_word) + 1));
-
-      /* "wspkit/_kernel/_speed.pyx":216
- *             while word != 0:
- *                 bit = word & (~word + 1)
- *                 u = w * 64 + __builtin_ctzll(word)             # <<<<<<<<<<<<<<
- *                 word ^= bit
- *                 self.seen[w] |= bit
-*/
-      __pyx_v_u = ((__pyx_v_w * 64) + __builtin_ctzll(__pyx_v_word));
-
-      /* "wspkit/_kernel/_speed.pyx":217
- *                 bit = word & (~word + 1)
- *                 u = w * 64 + __builtin_ctzll(word)
- *                 word ^= bit             # <<<<<<<<<<<<<<
- *                 self.seen[w] |= bit
- *                 owner = -1
-*/
-      __pyx_v_word = (__pyx_v_word ^ __pyx_v_bit);
-
-      /* "wspkit/_kernel/_speed.pyx":218
- *                 u = w * 64 + __builtin_ctzll(word)
- *                 word ^= bit
- *                 self.seen[w] |= bit             # <<<<<<<<<<<<<<
- *                 owner = -1
- *                 for bb in range(nb):
-*/
-      __pyx_t_5 = __pyx_v_w;
-      (__pyx_v_self->seen[__pyx_t_5]) = ((__pyx_v_self->seen[__pyx_t_5]) | __pyx_v_bit);
-
-      /* "wspkit/_kernel/_speed.pyx":219
- *                 word ^= bit
- *                 self.seen[w] |= bit
- *                 owner = -1             # <<<<<<<<<<<<<<
- *                 for bb in range(nb):
- *                     if mrow[bb] == u:
-*/
-      __pyx_v_owner = -1;
-
-      /* "wspkit/_kernel/_speed.pyx":220
- *                 self.seen[w] |= bit
- *                 owner = -1
- *                 for bb in range(nb):             # <<<<<<<<<<<<<<
- *                     if mrow[bb] == u:
- *                         owner = bb
-*/
-      __pyx_t_5 = __pyx_v_nb;
-      __pyx_t_6 = __pyx_t_5;
-      for (__pyx_t_7 = 0; __pyx_t_7 < __pyx_t_6; __pyx_t_7+=1) {
-        __pyx_v_bb = __pyx_t_7;
-
-        /* "wspkit/_kernel/_speed.pyx":221
- *                 owner = -1
- *                 for bb in range(nb):
- *                     if mrow[bb] == u:             # <<<<<<<<<<<<<<
- *                         owner = bb
- *                         break
-*/
-        __pyx_t_4 = ((__pyx_v_mrow[__pyx_v_bb]) == __pyx_v_u);
-        if (__pyx_t_4) {
-
-          /* "wspkit/_kernel/_speed.pyx":222
- *                 for bb in range(nb):
- *                     if mrow[bb] == u:
- *                         owner = bb             # <<<<<<<<<<<<<<
- *                         break
- *                 if owner < 0 or self._augment(rows, mrow, nb, owner):
-*/
-          __pyx_v_owner = __pyx_v_bb;
-
-          /* "wspkit/_kernel/_speed.pyx":223
- *                     if mrow[bb] == u:
- *                         owner = bb
- *                         break             # <<<<<<<<<<<<<<
- *                 if owner < 0 or self._augment(rows, mrow, nb, owner):
- *                     mrow[b] = u
-*/
-          goto __pyx_L8_break;
-
-          /* "wspkit/_kernel/_speed.pyx":221
- *                 owner = -1
- *                 for bb in range(nb):
- *                     if mrow[bb] == u:             # <<<<<<<<<<<<<<
- *                         owner = bb
- *                         break
-*/
-        }
-      }
-      __pyx_L8_break:;
-
-      /* "wspkit/_kernel/_speed.pyx":224
- *                         owner = bb
- *                         break
- *                 if owner < 0 or self._augment(rows, mrow, nb, owner):             # <<<<<<<<<<<<<<
- *                     mrow[b] = u
- *                     return 1
-*/
-      __pyx_t_8 = (__pyx_v_owner < 0);
-      if (!__pyx_t_8) {
-      } else {
-        __pyx_t_4 = __pyx_t_8;
-        goto __pyx_L11_bool_binop_done;
-      }
-      __pyx_t_5 = ((struct __pyx_vtabstruct_6wspkit_7_kernel_6_speed__Engine *)__pyx_v_self->__pyx_vtab)->_augment(__pyx_v_self, __pyx_v_rows, __pyx_v_mrow, __pyx_v_nb, __pyx_v_owner); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 224, __pyx_L1_error)
-      __pyx_t_8 = (__pyx_t_5 != 0);
-      __pyx_t_4 = __pyx_t_8;
-      __pyx_L11_bool_binop_done:;
-      if (__pyx_t_4) {
-
-        /* "wspkit/_kernel/_speed.pyx":225
- *                         break
- *                 if owner < 0 or self._augment(rows, mrow, nb, owner):
- *                     mrow[b] = u             # <<<<<<<<<<<<<<
- *                     return 1
- *         return 0
-*/
-        (__pyx_v_mrow[__pyx_v_b]) = __pyx_v_u;
-
-        /* "wspkit/_kernel/_speed.pyx":226
- *                 if owner < 0 or self._augment(rows, mrow, nb, owner):
- *                     mrow[b] = u
- *                     return 1             # <<<<<<<<<<<<<<
- *         return 0
- * 
-*/
-        __pyx_r = 1;
-        goto __pyx_L0;
-
-        /* "wspkit/_kernel/_speed.pyx":224
- *                         owner = bb
- *                         break
- *                 if owner < 0 or self._augment(rows, mrow, nb, owner):             # <<<<<<<<<<<<<<
- *                     mrow[b] = u
- *                     return 1
-*/
-      }
-    }
-  }
-
-  /* "wspkit/_kernel/_speed.pyx":227
- *                     mrow[b] = u
- *                     return 1
- *         return 0             # <<<<<<<<<<<<<<
- * 
- *     cdef int _apply_choice(self, int d, int nb, int b):
-*/
-  __pyx_r = 0;
-  goto __pyx_L0;
-
-  /* "wspkit/_kernel/_speed.pyx":206
- *         self.plan_out = _alloc_int(k)
- * 
- *     cdef int _augment(self, uint64_t* rows, int* mrow, int nb, int b):             # <<<<<<<<<<<<<<
- *         # Kuhn augmenting path from block b over the shared `seen` scratch;
- *         # callers clear `seen` before the top-level call.
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("wspkit._kernel._speed._Engine._augment", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "wspkit/_kernel/_speed.pyx":229
- *         return 0
- * 
- *     cdef int _apply_choice(self, int d, int nb, int b):             # <<<<<<<<<<<<<<
- *         """Returns new block count, -1 on rejection, -2 on budget stop."""
- *         cdef int k = self.k
-*/
-
-static int __pyx_f_6wspkit_7_kernel_6_speed_7_Engine__apply_choice(struct __pyx_obj_6wspkit_7_kernel_6_speed__Engine *__pyx_v_self, int __pyx_v_d, int __pyx_v_nb, int __pyx_v_b) {
-  int __pyx_v_k;
-  int __pyx_v_W;
-  int __pyx_v_m;
-  int __pyx_v_nC;
-  int __pyx_v_nS;
-  int __pyx_v_i;
-  int __pyx_v_ci;
-  int __pyx_v_si;
-  int __pyx_v_c;
-  int __pyx_v_w;
-  int __pyx_v_bb;
-  int __pyx_v_nb2;
-  int __pyx_v_d1;
-  int __pyx_v_distinct;
-  int __pyx_v_n_restricted;
-  uint64_t __pyx_v_bbit;
-  uint64_t __pyx_v_cov;
-  char __pyx_v_ok;
-  char __pyx_v_any_alive;
-  uint64_t *__pyx_v_rows_p;
-  uint64_t *__pyx_v_rows;
-  int *__pyx_v_mrow_p;
-  int *__pyx_v_mrow;
-  uint64_t *__pyx_v_step_mask;
-  uint64_t *__pyx_v_xm;
-  uint64_t __pyx_v_newm_nonzero;
-  uint64_t __pyx_v_changed;
-  int __pyx_v_mu;
-  int __pyx_v_ri;
-  int __pyx_r;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  PyObject *__pyx_t_6 = NULL;
-  PyObject *__pyx_t_7 = NULL;
-  PyObject *__pyx_t_8 = NULL;
-  PyObject *__pyx_t_9 = NULL;
-  size_t __pyx_t_10;
-  long __pyx_t_11;
-  int __pyx_t_12;
-  int __pyx_t_13;
-  int __pyx_t_14;
-  int __pyx_t_15;
-  int __pyx_t_16;
-  int __pyx_t_17;
-  int __pyx_t_18;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("_apply_choice", 0);
-
-  /* "wspkit/_kernel/_speed.pyx":231
- *     cdef int _apply_choice(self, int d, int nb, int b):
- *         """Returns new block count, -1 on rejection, -2 on budget stop."""
- *         cdef int k = self.k             # <<<<<<<<<<<<<<
- *         cdef int W = self.W
- *         cdef int m = self.m
-*/
-  __pyx_t_1 = __pyx_v_self->k;
-  __pyx_v_k = __pyx_t_1;
-
-  /* "wspkit/_kernel/_speed.pyx":232
- *         """Returns new block count, -1 on rejection, -2 on budget stop."""
- *         cdef int k = self.k
- *         cdef int W = self.W             # <<<<<<<<<<<<<<
- *         cdef int m = self.m
- *         cdef int nC = self.nC
-*/
-  __pyx_t_1 = __pyx_v_self->W;
-  __pyx_v_W = __pyx_t_1;
-
-  /* "wspkit/_kernel/_speed.pyx":233
- *         cdef int k = self.k
- *         cdef int W = self.W
- *         cdef int m = self.m             # <<<<<<<<<<<<<<
- *         cdef int nC = self.nC
- *         cdef int nS = self.nS
-*/
-  __pyx_t_1 = __pyx_v_self->m;
-  __pyx_v_m = __pyx_t_1;
-
-  /* "wspkit/_kernel/_speed.pyx":234
- *         cdef int W = self.W
- *         cdef int m = self.m
- *         cdef int nC = self.nC             # <<<<<<<<<<<<<<
- *         cdef int nS = self.nS
- *         cdef int i, e, ci, si, c, w, bb, nb2, d1
-*/
-  __pyx_t_1 = __pyx_v_self->nC;
-  __pyx_v_nC = __pyx_t_1;
-
-  /* "wspkit/_kernel/_speed.pyx":235
- *         cdef int m = self.m
- *         cdef int nC = self.nC
- *         cdef int nS = self.nS             # <<<<<<<<<<<<<<
- *         cdef int i, e, ci, si, c, w, bb, nb2, d1
- *         cdef int distinct, n_restricted
-*/
-  __pyx_t_1 = __pyx_v_self->nS;
-  __pyx_v_nS = __pyx_t_1;
-
-  /* "wspkit/_kernel/_speed.pyx":238
- *         cdef int i, e, ci, si, c, w, bb, nb2, d1
- *         cdef int distinct, n_restricted
- *         cdef uint64_t bbit = (<uint64_t> 1) << b             # <<<<<<<<<<<<<<
- *         cdef uint64_t cov
- *         cdef char ok, any_alive
-*/
-  __pyx_v_bbit = (((uint64_t)1) << __pyx_v_b);
-
-  /* "wspkit/_kernel/_speed.pyx":242
- *         cdef char ok, any_alive
- * 
- *         for i in range(self.sod_off[d], self.sod_off[d + 1]):             # <<<<<<<<<<<<<<
- *             if self.assign[self.sod_dat[i]] == b:
- *                 return -1
-*/
-  __pyx_t_1 = (__pyx_v_self->sod_off[(__pyx_v_d + 1)]);
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = (__pyx_v_self->sod_off[__pyx_v_d]); __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_i = __pyx_t_3;
-
-    /* "wspkit/_kernel/_speed.pyx":243
- * 
- *         for i in range(self.sod_off[d], self.sod_off[d + 1]):
- *             if self.assign[self.sod_dat[i]] == b:             # <<<<<<<<<<<<<<
- *                 return -1
- *         for i in range(self.bod_off[d], self.bod_off[d + 1]):
-*/
-    __pyx_t_4 = ((__pyx_v_self->assign[(__pyx_v_self->sod_dat[__pyx_v_i])]) == __pyx_v_b);
-    if (__pyx_t_4) {
-
-      /* "wspkit/_kernel/_speed.pyx":244
- *         for i in range(self.sod_off[d], self.sod_off[d + 1]):
- *             if self.assign[self.sod_dat[i]] == b:
- *                 return -1             # <<<<<<<<<<<<<<
- *         for i in range(self.bod_off[d], self.bod_off[d + 1]):
- *             if self.assign[self.bod_dat[i]] != b:
-*/
-      __pyx_r = -1;
-      goto __pyx_L0;
-
-      /* "wspkit/_kernel/_speed.pyx":243
- * 
- *         for i in range(self.sod_off[d], self.sod_off[d + 1]):
- *             if self.assign[self.sod_dat[i]] == b:             # <<<<<<<<<<<<<<
- *                 return -1
- *         for i in range(self.bod_off[d], self.bod_off[d + 1]):
-*/
-    }
-  }
-
-  /* "wspkit/_kernel/_speed.pyx":245
- *             if self.assign[self.sod_dat[i]] == b:
- *                 return -1
- *         for i in range(self.bod_off[d], self.bod_off[d + 1]):             # <<<<<<<<<<<<<<
- *             if self.assign[self.bod_dat[i]] != b:
- *                 return -1
-*/
-  __pyx_t_1 = (__pyx_v_self->bod_off[(__pyx_v_d + 1)]);
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = (__pyx_v_self->bod_off[__pyx_v_d]); __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_i = __pyx_t_3;
-
-    /* "wspkit/_kernel/_speed.pyx":246
- *                 return -1
- *         for i in range(self.bod_off[d], self.bod_off[d + 1]):
- *             if self.assign[self.bod_dat[i]] != b:             # <<<<<<<<<<<<<<
- *                 return -1
- *         for i in range(self.cat_off[d], self.cat_off[d + 1]):
-*/
-    __pyx_t_4 = ((__pyx_v_self->assign[(__pyx_v_self->bod_dat[__pyx_v_i])]) != __pyx_v_b);
-    if (__pyx_t_4) {
-
-      /* "wspkit/_kernel/_speed.pyx":247
- *         for i in range(self.bod_off[d], self.bod_off[d + 1]):
- *             if self.assign[self.bod_dat[i]] != b:
- *                 return -1             # <<<<<<<<<<<<<<
- *         for i in range(self.cat_off[d], self.cat_off[d + 1]):
- *             ci = self.cat_dat[i]
-*/
-      __pyx_r = -1;
-      goto __pyx_L0;
-
-      /* "wspkit/_kernel/_speed.pyx":246
- *                 return -1
- *         for i in range(self.bod_off[d], self.bod_off[d + 1]):
- *             if self.assign[self.bod_dat[i]] != b:             # <<<<<<<<<<<<<<
- *                 return -1
- *         for i in range(self.cat_off[d], self.cat_off[d + 1]):
-*/
-    }
-  }
-
-  /* "wspkit/_kernel/_speed.pyx":248
- *             if self.assign[self.bod_dat[i]] != b:
- *                 return -1
- *         for i in range(self.cat_off[d], self.cat_off[d + 1]):             # <<<<<<<<<<<<<<
- *             ci = self.cat_dat[i]
- *             cov = self.ccover[d * nC + ci] | bbit
-*/
-  __pyx_t_1 = (__pyx_v_self->cat_off[(__pyx_v_d + 1)]);
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = (__pyx_v_self->cat_off[__pyx_v_d]); __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_i = __pyx_t_3;
-
-    /* "wspkit/_kernel/_speed.pyx":249
- *                 return -1
- *         for i in range(self.cat_off[d], self.cat_off[d + 1]):
- *             ci = self.cat_dat[i]             # <<<<<<<<<<<<<<
- *             cov = self.ccover[d * nC + ci] | bbit
- *             distinct = __builtin_popcountll(cov)
-*/
-    __pyx_v_ci = (__pyx_v_self->cat_dat[__pyx_v_i]);
-
-    /* "wspkit/_kernel/_speed.pyx":250
- *         for i in range(self.cat_off[d], self.cat_off[d + 1]):
- *             ci = self.cat_dat[i]
- *             cov = self.ccover[d * nC + ci] | bbit             # <<<<<<<<<<<<<<
- *             distinct = __builtin_popcountll(cov)
- *             if self.cnt_atmost[ci]:
-*/
-    __pyx_v_cov = ((__pyx_v_self->ccover[((__pyx_v_d * __pyx_v_nC) + __pyx_v_ci)]) | __pyx_v_bbit);
-
-    /* "wspkit/_kernel/_speed.pyx":251
- *             ci = self.cat_dat[i]
- *             cov = self.ccover[d * nC + ci] | bbit
- *             distinct = __builtin_popcountll(cov)             # <<<<<<<<<<<<<<
- *             if self.cnt_atmost[ci]:
- *                 if distinct > self.cnt_r[ci]:
-*/
-    __pyx_v_distinct = __builtin_popcountll(__pyx_v_cov);
-
-    /* "wspkit/_kernel/_speed.pyx":252
- *             cov = self.ccover[d * nC + ci] | bbit
- *             distinct = __builtin_popcountll(cov)
- *             if self.cnt_atmost[ci]:             # <<<<<<<<<<<<<<
- *                 if distinct > self.cnt_r[ci]:
- *                     return -1
-*/
-    __pyx_t_4 = ((__pyx_v_self->cnt_atmost[__pyx_v_ci]) != 0);
-    if (__pyx_t_4) {
-
-      /* "wspkit/_kernel/_speed.pyx":253
- *             distinct = __builtin_popcountll(cov)
- *             if self.cnt_atmost[ci]:
- *                 if distinct > self.cnt_r[ci]:             # <<<<<<<<<<<<<<
- *                     return -1
- *             else:
-*/
-      __pyx_t_4 = (__pyx_v_distinct > (__pyx_v_self->cnt_r[__pyx_v_ci]));
-      if (__pyx_t_4) {
-
-        /* "wspkit/_kernel/_speed.pyx":254
- *             if self.cnt_atmost[ci]:
- *                 if distinct > self.cnt_r[ci]:
- *                     return -1             # <<<<<<<<<<<<<<
- *             else:
- *                 if distinct + self.cnt_rem[ci * k + d] < self.cnt_r[ci]:
-*/
-        __pyx_r = -1;
-        goto __pyx_L0;
-
-        /* "wspkit/_kernel/_speed.pyx":253
- *             distinct = __builtin_popcountll(cov)
- *             if self.cnt_atmost[ci]:
- *                 if distinct > self.cnt_r[ci]:             # <<<<<<<<<<<<<<
- *                     return -1
- *             else:
-*/
-      }
-
-      /* "wspkit/_kernel/_speed.pyx":252
- *             cov = self.ccover[d * nC + ci] | bbit
- *             distinct = __builtin_popcountll(cov)
- *             if self.cnt_atmost[ci]:             # <<<<<<<<<<<<<<
- *                 if distinct > self.cnt_r[ci]:
- *                     return -1
-*/
-      goto __pyx_L11;
-    }
-
-    /* "wspkit/_kernel/_speed.pyx":256
- *                     return -1
- *             else:
- *                 if distinct + self.cnt_rem[ci * k + d] < self.cnt_r[ci]:             # <<<<<<<<<<<<<<
- *                     return -1
- * 
-*/
-    /*else*/ {
-      __pyx_t_4 = ((__pyx_v_distinct + (__pyx_v_self->cnt_rem[((__pyx_v_ci * __pyx_v_k) + __pyx_v_d)])) < (__pyx_v_self->cnt_r[__pyx_v_ci]));
-      if (__pyx_t_4) {
-
-        /* "wspkit/_kernel/_speed.pyx":257
- *             else:
- *                 if distinct + self.cnt_rem[ci * k + d] < self.cnt_r[ci]:
- *                     return -1             # <<<<<<<<<<<<<<
- * 
- *         self.nodes += 1
-*/
-        __pyx_r = -1;
-        goto __pyx_L0;
-
-        /* "wspkit/_kernel/_speed.pyx":256
- *                     return -1
- *             else:
- *                 if distinct + self.cnt_rem[ci * k + d] < self.cnt_r[ci]:             # <<<<<<<<<<<<<<
- *                     return -1
- * 
-*/
-      }
-    }
-    __pyx_L11:;
-  }
-
-  /* "wspkit/_kernel/_speed.pyx":259
- *                     return -1
- * 
- *         self.nodes += 1             # <<<<<<<<<<<<<<
- *         if self.max_nodes >= 0 and self.nodes > self.max_nodes:
- *             return -2
-*/
-  __pyx_v_self->nodes = (__pyx_v_self->nodes + 1);
-
-  /* "wspkit/_kernel/_speed.pyx":260
- * 
- *         self.nodes += 1
- *         if self.max_nodes >= 0 and self.nodes > self.max_nodes:             # <<<<<<<<<<<<<<
- *             return -2
- *         if self.deadline >= 0 and self.nodes % TIME_CHECK_EVERY == 0:
-*/
-  __pyx_t_5 = (__pyx_v_self->max_nodes >= 0);
-  if (__pyx_t_5) {
-  } else {
-    __pyx_t_4 = __pyx_t_5;
-    goto __pyx_L15_bool_binop_done;
-  }
-  __pyx_t_5 = (__pyx_v_self->nodes > __pyx_v_self->max_nodes);
-  __pyx_t_4 = __pyx_t_5;
-  __pyx_L15_bool_binop_done:;
-  if (__pyx_t_4) {
-
-    /* "wspkit/_kernel/_speed.pyx":261
- *         self.nodes += 1
- *         if self.max_nodes >= 0 and self.nodes > self.max_nodes:
- *             return -2             # <<<<<<<<<<<<<<
- *         if self.deadline >= 0 and self.nodes % TIME_CHECK_EVERY == 0:
- *             if time.perf_counter() > self.deadline:
-*/
-    __pyx_r = -2;
-    goto __pyx_L0;
-
-    /* "wspkit/_kernel/_speed.pyx":260
- * 
- *         self.nodes += 1
- *         if self.max_nodes >= 0 and self.nodes > self.max_nodes:             # <<<<<<<<<<<<<<
- *             return -2
- *         if self.deadline >= 0 and self.nodes % TIME_CHECK_EVERY == 0:
-*/
-  }
-
-  /* "wspkit/_kernel/_speed.pyx":262
- *         if self.max_nodes >= 0 and self.nodes > self.max_nodes:
- *             return -2
- *         if self.deadline >= 0 and self.nodes % TIME_CHECK_EVERY == 0:             # <<<<<<<<<<<<<<
- *             if time.perf_counter() > self.deadline:
- *                 self.out_of_time = 1
-*/
-  __pyx_t_5 = (__pyx_v_self->deadline >= 0.0);
-  if (__pyx_t_5) {
-  } else {
-    __pyx_t_4 = __pyx_t_5;
-    goto __pyx_L18_bool_binop_done;
-  }
-  __pyx_t_5 = ((__pyx_v_self->nodes % __pyx_v_6wspkit_7_kernel_6_speed_TIME_CHECK_EVERY) == 0);
-  __pyx_t_4 = __pyx_t_5;
-  __pyx_L18_bool_binop_done:;
-  if (__pyx_t_4) {
-
-    /* "wspkit/_kernel/_speed.pyx":263
- *             return -2
- *         if self.deadline >= 0 and self.nodes % TIME_CHECK_EVERY == 0:
- *             if time.perf_counter() > self.deadline:             # <<<<<<<<<<<<<<
- *                 self.out_of_time = 1
- *                 return -2
-*/
-    __pyx_t_7 = NULL;
-    __Pyx_GetModuleGlobalName(__pyx_t_8, __pyx_mstate_global->__pyx_n_u_time); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 263, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_8);
-    __pyx_t_9 = __Pyx_PyObject_GetAttrStr(__pyx_t_8, __pyx_mstate_global->__pyx_n_u_perf_counter); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 263, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_9);
-    __Pyx_DECREF(__pyx_t_8); __pyx_t_8 = 0;
-    __pyx_t_10 = 1;
-    #if CYTHON_UNPACK_METHODS
-    if (unlikely(PyMethod_Check(__pyx_t_9))) {
-      __pyx_t_7 = PyMethod_GET_SELF(__pyx_t_9);
-      assert(__pyx_t_7);
-      PyObject* __pyx__function = PyMethod_GET_FUNCTION(__pyx_t_9);
-      __Pyx_INCREF(__pyx_t_7);
-      __Pyx_INCREF(__pyx__function);
-      __Pyx_DECREF_SET(__pyx_t_9, __pyx__function);
-      __pyx_t_10 = 0;
-    }
-    #endif
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_7, NULL};
-      __pyx_t_6 = __Pyx_PyObject_FastCall((PyObject*)__pyx_t_9, __pyx_callargs+__pyx_t_10, (1-__pyx_t_10) | (__pyx_t_10*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_7); __pyx_t_7 = 0;
-      __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-      if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 263, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_6);
-    }
-    __pyx_t_9 = PyFloat_FromDouble(__pyx_v_self->deadline); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 263, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_9);
-    __pyx_t_7 = PyObject_RichCompare(__pyx_t_6, __pyx_t_9, Py_GT); __Pyx_XGOTREF(__pyx_t_7); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 263, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-    __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-    __pyx_t_4 = __Pyx_PyObject_IsTrue(__pyx_t_7); if (unlikely((__pyx_t_4 < 0))) __PYX_ERR(0, 263, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    if (__pyx_t_4) {
-
-      /* "wspkit/_kernel/_speed.pyx":264
- *         if self.deadline >= 0 and self.nodes % TIME_CHECK_EVERY == 0:
- *             if time.perf_counter() > self.deadline:
- *                 self.out_of_time = 1             # <<<<<<<<<<<<<<
- *                 return -2
- * 
-*/
-      __pyx_v_self->out_of_time = 1;
-
-      /* "wspkit/_kernel/_speed.pyx":265
- *             if time.perf_counter() > self.deadline:
- *                 self.out_of_time = 1
- *                 return -2             # <<<<<<<<<<<<<<
- * 
- *         self.assign[d] = b
-*/
-      __pyx_r = -2;
-      goto __pyx_L0;
-
-      /* "wspkit/_kernel/_speed.pyx":263
- *             return -2
- *         if self.deadline >= 0 and self.nodes % TIME_CHECK_EVERY == 0:
- *             if time.perf_counter() > self.deadline:             # <<<<<<<<<<<<<<
- *                 self.out_of_time = 1
- *                 return -2
-*/
-    }
-
-    /* "wspkit/_kernel/_speed.pyx":262
- *         if self.max_nodes >= 0 and self.nodes > self.max_nodes:
- *             return -2
- *         if self.deadline >= 0 and self.nodes % TIME_CHECK_EVERY == 0:             # <<<<<<<<<<<<<<
- *             if time.perf_counter() > self.deadline:
- *                 self.out_of_time = 1
-*/
-  }
-
-  /* "wspkit/_kernel/_speed.pyx":267
- *                 return -2
- * 
- *         self.assign[d] = b             # <<<<<<<<<<<<<<
- *         nb2 = nb + 1 if b == nb else nb
- *         d1 = d + 1
-*/
-  (__pyx_v_self->assign[__pyx_v_d]) = __pyx_v_b;
-
-  /* "wspkit/_kernel/_speed.pyx":268
- * 
- *         self.assign[d] = b
- *         nb2 = nb + 1 if b == nb else nb             # <<<<<<<<<<<<<<
- *         d1 = d + 1
- * 
-*/
-  __pyx_t_4 = (__pyx_v_b == __pyx_v_nb);
-  if (__pyx_t_4) {
-    __pyx_t_11 = (__pyx_v_nb + 1);
-  } else {
-    __pyx_t_11 = __pyx_v_nb;
-  }
-  __pyx_v_nb2 = __pyx_t_11;
-
-  /* "wspkit/_kernel/_speed.pyx":269
- *         self.assign[d] = b
- *         nb2 = nb + 1 if b == nb else nb
- *         d1 = d + 1             # <<<<<<<<<<<<<<
- * 
- *         for ci in range(nC):
-*/
-  __pyx_v_d1 = (__pyx_v_d + 1);
-
-  /* "wspkit/_kernel/_speed.pyx":271
- *         d1 = d + 1
- * 
- *         for ci in range(nC):             # <<<<<<<<<<<<<<
- *             self.ccover[d1 * nC + ci] = self.ccover[d * nC + ci]
- *         for i in range(self.cat_off[d], self.cat_off[d + 1]):
-*/
-  __pyx_t_1 = __pyx_v_nC;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_ci = __pyx_t_3;
-
-    /* "wspkit/_kernel/_speed.pyx":272
- * 
- *         for ci in range(nC):
- *             self.ccover[d1 * nC + ci] = self.ccover[d * nC + ci]             # <<<<<<<<<<<<<<
- *         for i in range(self.cat_off[d], self.cat_off[d + 1]):
- *             ci = self.cat_dat[i]
-*/
-    (__pyx_v_self->ccover[((__pyx_v_d1 * __pyx_v_nC) + __pyx_v_ci)]) = (__pyx_v_self->ccover[((__pyx_v_d * __pyx_v_nC) + __pyx_v_ci)]);
-  }
-
-  /* "wspkit/_kernel/_speed.pyx":273
- *         for ci in range(nC):
- *             self.ccover[d1 * nC + ci] = self.ccover[d * nC + ci]
- *         for i in range(self.cat_off[d], self.cat_off[d + 1]):             # <<<<<<<<<<<<<<
- *             ci = self.cat_dat[i]
- *             self.ccover[d1 * nC + ci] |= bbit
-*/
-  __pyx_t_1 = (__pyx_v_self->cat_off[(__pyx_v_d + 1)]);
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = (__pyx_v_self->cat_off[__pyx_v_d]); __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_i = __pyx_t_3;
-
-    /* "wspkit/_kernel/_speed.pyx":274
- *             self.ccover[d1 * nC + ci] = self.ccover[d * nC + ci]
- *         for i in range(self.cat_off[d], self.cat_off[d + 1]):
- *             ci = self.cat_dat[i]             # <<<<<<<<<<<<<<
- *             self.ccover[d1 * nC + ci] |= bbit
- * 
-*/
-    __pyx_v_ci = (__pyx_v_self->cat_dat[__pyx_v_i]);
-
-    /* "wspkit/_kernel/_speed.pyx":275
- *         for i in range(self.cat_off[d], self.cat_off[d + 1]):
- *             ci = self.cat_dat[i]
- *             self.ccover[d1 * nC + ci] |= bbit             # <<<<<<<<<<<<<<
- * 
- *         n_restricted = 0
-*/
-    __pyx_t_12 = ((__pyx_v_d1 * __pyx_v_nC) + __pyx_v_ci);
-    (__pyx_v_self->ccover[__pyx_t_12]) = ((__pyx_v_self->ccover[__pyx_t_12]) | __pyx_v_bbit);
-  }
-
-  /* "wspkit/_kernel/_speed.pyx":277
- *             self.ccover[d1 * nC + ci] |= bbit
- * 
- *         n_restricted = 0             # <<<<<<<<<<<<<<
- *         for si in range(nS):
- *             self.scover[d1 * nS + si] = self.scover[d * nS + si]
-*/
-  __pyx_v_n_restricted = 0;
-
-  /* "wspkit/_kernel/_speed.pyx":278
- * 
- *         n_restricted = 0
- *         for si in range(nS):             # <<<<<<<<<<<<<<
- *             self.scover[d1 * nS + si] = self.scover[d * nS + si]
- *             self.sassign[d1 * nS + si] = self.sassign[d * nS + si]
-*/
-  __pyx_t_1 = __pyx_v_nS;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_si = __pyx_t_3;
-
-    /* "wspkit/_kernel/_speed.pyx":279
- *         n_restricted = 0
- *         for si in range(nS):
- *             self.scover[d1 * nS + si] = self.scover[d * nS + si]             # <<<<<<<<<<<<<<
- *             self.sassign[d1 * nS + si] = self.sassign[d * nS + si]
- *         for i in range(self.sat_off[d], self.sat_off[d + 1]):
-*/
-    (__pyx_v_self->scover[((__pyx_v_d1 * __pyx_v_nS) + __pyx_v_si)]) = (__pyx_v_self->scover[((__pyx_v_d * __pyx_v_nS) + __pyx_v_si)]);
-
-    /* "wspkit/_kernel/_speed.pyx":280
- *         for si in range(nS):
- *             self.scover[d1 * nS + si] = self.scover[d * nS + si]
- *             self.sassign[d1 * nS + si] = self.sassign[d * nS + si]             # <<<<<<<<<<<<<<
- *         for i in range(self.sat_off[d], self.sat_off[d + 1]):
- *             si = self.sat_dat[i]
-*/
-    (__pyx_v_self->sassign[((__pyx_v_d1 * __pyx_v_nS) + __pyx_v_si)]) = (__pyx_v_self->sassign[((__pyx_v_d * __pyx_v_nS) + __pyx_v_si)]);
-  }
-
-  /* "wspkit/_kernel/_speed.pyx":281
- *             self.scover[d1 * nS + si] = self.scover[d * nS + si]
- *             self.sassign[d1 * nS + si] = self.sassign[d * nS + si]
- *         for i in range(self.sat_off[d], self.sat_off[d + 1]):             # <<<<<<<<<<<<<<
- *             si = self.sat_dat[i]
- *             cov = self.scover[d * nS + si] | bbit
-*/
-  __pyx_t_1 = (__pyx_v_self->sat_off[(__pyx_v_d + 1)]);
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = (__pyx_v_self->sat_off[__pyx_v_d]); __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_i = __pyx_t_3;
-
-    /* "wspkit/_kernel/_speed.pyx":282
- *             self.sassign[d1 * nS + si] = self.sassign[d * nS + si]
- *         for i in range(self.sat_off[d], self.sat_off[d + 1]):
- *             si = self.sat_dat[i]             # <<<<<<<<<<<<<<
- *             cov = self.scover[d * nS + si] | bbit
- *             self.scover[d1 * nS + si] = cov
-*/
-    __pyx_v_si = (__pyx_v_self->sat_dat[__pyx_v_i]);
-
-    /* "wspkit/_kernel/_speed.pyx":283
- *         for i in range(self.sat_off[d], self.sat_off[d + 1]):
- *             si = self.sat_dat[i]
- *             cov = self.scover[d * nS + si] | bbit             # <<<<<<<<<<<<<<
- *             self.scover[d1 * nS + si] = cov
- *             self.sassign[d1 * nS + si] = self.sassign[d * nS + si] + 1
-*/
-    __pyx_v_cov = ((__pyx_v_self->scover[((__pyx_v_d * __pyx_v_nS) + __pyx_v_si)]) | __pyx_v_bbit);
-
-    /* "wspkit/_kernel/_speed.pyx":284
- *             si = self.sat_dat[i]
- *             cov = self.scover[d * nS + si] | bbit
- *             self.scover[d1 * nS + si] = cov             # <<<<<<<<<<<<<<
- *             self.sassign[d1 * nS + si] = self.sassign[d * nS + si] + 1
- *             if self.sassign[d1 * nS + si] == self.su_len[si] and \
-*/
-    (__pyx_v_self->scover[((__pyx_v_d1 * __pyx_v_nS) + __pyx_v_si)]) = __pyx_v_cov;
-
-    /* "wspkit/_kernel/_speed.pyx":285
- *             cov = self.scover[d * nS + si] | bbit
- *             self.scover[d1 * nS + si] = cov
- *             self.sassign[d1 * nS + si] = self.sassign[d * nS + si] + 1             # <<<<<<<<<<<<<<
- *             if self.sassign[d1 * nS + si] == self.su_len[si] and \
- *                     __builtin_popcountll(cov) <= self.su_h[si]:
-*/
-    (__pyx_v_self->sassign[((__pyx_v_d1 * __pyx_v_nS) + __pyx_v_si)]) = ((__pyx_v_self->sassign[((__pyx_v_d * __pyx_v_nS) + __pyx_v_si)]) + 1);
-
-    /* "wspkit/_kernel/_speed.pyx":286
- *             self.scover[d1 * nS + si] = cov
- *             self.sassign[d1 * nS + si] = self.sassign[d * nS + si] + 1
- *             if self.sassign[d1 * nS + si] == self.su_len[si] and \             # <<<<<<<<<<<<<<
- *                     __builtin_popcountll(cov) <= self.su_h[si]:
- *                 self.restricted[n_restricted] = si
-*/
-    __pyx_t_5 = ((__pyx_v_self->sassign[((__pyx_v_d1 * __pyx_v_nS) + __pyx_v_si)]) == (__pyx_v_self->su_len[__pyx_v_si]));
-    if (__pyx_t_5) {
-    } else {
-      __pyx_t_4 = __pyx_t_5;
-      goto __pyx_L30_bool_binop_done;
-    }
-
-    /* "wspkit/_kernel/_speed.pyx":287
- *             self.sassign[d1 * nS + si] = self.sassign[d * nS + si] + 1
- *             if self.sassign[d1 * nS + si] == self.su_len[si] and \
- *                     __builtin_popcountll(cov) <= self.su_h[si]:             # <<<<<<<<<<<<<<
- *                 self.restricted[n_restricted] = si
- *                 n_restricted += 1
-*/
-    __pyx_t_5 = (__builtin_popcountll(__pyx_v_cov) <= (__pyx_v_self->su_h[__pyx_v_si]));
-    __pyx_t_4 = __pyx_t_5;
-    __pyx_L30_bool_binop_done:;
-
-    /* "wspkit/_kernel/_speed.pyx":286
- *             self.scover[d1 * nS + si] = cov
- *             self.sassign[d1 * nS + si] = self.sassign[d * nS + si] + 1
- *             if self.sassign[d1 * nS + si] == self.su_len[si] and \             # <<<<<<<<<<<<<<
- *                     __builtin_popcountll(cov) <= self.su_h[si]:
- *                 self.restricted[n_restricted] = si
-*/
-    if (__pyx_t_4) {
-
-      /* "wspkit/_kernel/_speed.pyx":288
- *             if self.sassign[d1 * nS + si] == self.su_len[si] and \
- *                     __builtin_popcountll(cov) <= self.su_h[si]:
- *                 self.restricted[n_restricted] = si             # <<<<<<<<<<<<<<
- *                 n_restricted += 1
- * 
-*/
-      (__pyx_v_self->restricted[__pyx_v_n_restricted]) = __pyx_v_si;
-
-      /* "wspkit/_kernel/_speed.pyx":289
- *                     __builtin_popcountll(cov) <= self.su_h[si]:
- *                 self.restricted[n_restricted] = si
- *                 n_restricted += 1             # <<<<<<<<<<<<<<
- * 
- *         cdef uint64_t* rows_p
-*/
-      __pyx_v_n_restricted = (__pyx_v_n_restricted + 1);
-
-      /* "wspkit/_kernel/_speed.pyx":286
- *             self.scover[d1 * nS + si] = cov
- *             self.sassign[d1 * nS + si] = self.sassign[d * nS + si] + 1
- *             if self.sassign[d1 * nS + si] == self.su_len[si] and \             # <<<<<<<<<<<<<<
- *                     __builtin_popcountll(cov) <= self.su_h[si]:
- *                 self.restricted[n_restricted] = si
-*/
-    }
-  }
-
-  /* "wspkit/_kernel/_speed.pyx":299
- *         cdef uint64_t newm_nonzero, changed
- *         cdef int mu, ri
- *         any_alive = 0             # <<<<<<<<<<<<<<
- *         for c in range(m):
- *             if not self.alive[d * m + c]:
-*/
-  __pyx_v_any_alive = 0;
-
-  /* "wspkit/_kernel/_speed.pyx":300
- *         cdef int mu, ri
- *         any_alive = 0
- *         for c in range(m):             # <<<<<<<<<<<<<<
- *             if not self.alive[d * m + c]:
- *                 self.alive[d1 * m + c] = 0
-*/
-  __pyx_t_1 = __pyx_v_m;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_c = __pyx_t_3;
-
-    /* "wspkit/_kernel/_speed.pyx":301
- *         any_alive = 0
- *         for c in range(m):
- *             if not self.alive[d * m + c]:             # <<<<<<<<<<<<<<
- *                 self.alive[d1 * m + c] = 0
- *                 continue
-*/
-    __pyx_t_4 = (!((__pyx_v_self->alive[((__pyx_v_d * __pyx_v_m) + __pyx_v_c)]) != 0));
-    if (__pyx_t_4) {
-
-      /* "wspkit/_kernel/_speed.pyx":302
- *         for c in range(m):
- *             if not self.alive[d * m + c]:
- *                 self.alive[d1 * m + c] = 0             # <<<<<<<<<<<<<<
- *                 continue
- *             rows_p = self.bmask + ((<size_t> d * m + c) * k) * W
-*/
-      (__pyx_v_self->alive[((__pyx_v_d1 * __pyx_v_m) + __pyx_v_c)]) = 0;
-
-      /* "wspkit/_kernel/_speed.pyx":303
- *             if not self.alive[d * m + c]:
- *                 self.alive[d1 * m + c] = 0
- *                 continue             # <<<<<<<<<<<<<<
- *             rows_p = self.bmask + ((<size_t> d * m + c) * k) * W
- *             rows = self.bmask + ((<size_t> d1 * m + c) * k) * W
-*/
-      goto __pyx_L32_continue;
-
-      /* "wspkit/_kernel/_speed.pyx":301
- *         any_alive = 0
- *         for c in range(m):
- *             if not self.alive[d * m + c]:             # <<<<<<<<<<<<<<
- *                 self.alive[d1 * m + c] = 0
- *                 continue
-*/
-    }
-
-    /* "wspkit/_kernel/_speed.pyx":304
- *                 self.alive[d1 * m + c] = 0
- *                 continue
- *             rows_p = self.bmask + ((<size_t> d * m + c) * k) * W             # <<<<<<<<<<<<<<
- *             rows = self.bmask + ((<size_t> d1 * m + c) * k) * W
- *             memcpy(rows, rows_p, <size_t> nb * W * sizeof(uint64_t))
-*/
-    __pyx_v_rows_p = (__pyx_v_self->bmask + ((((((size_t)__pyx_v_d) * __pyx_v_m) + __pyx_v_c) * __pyx_v_k) * __pyx_v_W));
-
-    /* "wspkit/_kernel/_speed.pyx":305
- *                 continue
- *             rows_p = self.bmask + ((<size_t> d * m + c) * k) * W
- *             rows = self.bmask + ((<size_t> d1 * m + c) * k) * W             # <<<<<<<<<<<<<<
- *             memcpy(rows, rows_p, <size_t> nb * W * sizeof(uint64_t))
- *             mrow_p = self.match + (d * m + c) * k
-*/
-    __pyx_v_rows = (__pyx_v_self->bmask + ((((((size_t)__pyx_v_d1) * __pyx_v_m) + __pyx_v_c) * __pyx_v_k) * __pyx_v_W));
-
-    /* "wspkit/_kernel/_speed.pyx":306
- *             rows_p = self.bmask + ((<size_t> d * m + c) * k) * W
- *             rows = self.bmask + ((<size_t> d1 * m + c) * k) * W
- *             memcpy(rows, rows_p, <size_t> nb * W * sizeof(uint64_t))             # <<<<<<<<<<<<<<
- *             mrow_p = self.match + (d * m + c) * k
- *             mrow = self.match + (d1 * m + c) * k
-*/
-    (void)(memcpy(__pyx_v_rows, __pyx_v_rows_p, ((((size_t)__pyx_v_nb) * __pyx_v_W) * (sizeof(uint64_t)))));
-
-    /* "wspkit/_kernel/_speed.pyx":307
- *             rows = self.bmask + ((<size_t> d1 * m + c) * k) * W
- *             memcpy(rows, rows_p, <size_t> nb * W * sizeof(uint64_t))
- *             mrow_p = self.match + (d * m + c) * k             # <<<<<<<<<<<<<<
- *             mrow = self.match + (d1 * m + c) * k
- *             memcpy(mrow, mrow_p, <size_t> nb * sizeof(int))
-*/
-    __pyx_v_mrow_p = (__pyx_v_self->match + (((__pyx_v_d * __pyx_v_m) + __pyx_v_c) * __pyx_v_k));
-
-    /* "wspkit/_kernel/_speed.pyx":308
- *             memcpy(rows, rows_p, <size_t> nb * W * sizeof(uint64_t))
- *             mrow_p = self.match + (d * m + c) * k
- *             mrow = self.match + (d1 * m + c) * k             # <<<<<<<<<<<<<<
- *             memcpy(mrow, mrow_p, <size_t> nb * sizeof(int))
- *             ok = 1
-*/
-    __pyx_v_mrow = (__pyx_v_self->match + (((__pyx_v_d1 * __pyx_v_m) + __pyx_v_c) * __pyx_v_k));
-
-    /* "wspkit/_kernel/_speed.pyx":309
- *             mrow_p = self.match + (d * m + c) * k
- *             mrow = self.match + (d1 * m + c) * k
- *             memcpy(mrow, mrow_p, <size_t> nb * sizeof(int))             # <<<<<<<<<<<<<<
- *             ok = 1
- *             step_mask = self.combo + ((<size_t> c * k + d)) * W
-*/
-    (void)(memcpy(__pyx_v_mrow, __pyx_v_mrow_p, (((size_t)__pyx_v_nb) * (sizeof(int)))));
-
-    /* "wspkit/_kernel/_speed.pyx":310
- *             mrow = self.match + (d1 * m + c) * k
- *             memcpy(mrow, mrow_p, <size_t> nb * sizeof(int))
- *             ok = 1             # <<<<<<<<<<<<<<
- *             step_mask = self.combo + ((<size_t> c * k + d)) * W
- *             if b == nb:
-*/
-    __pyx_v_ok = 1;
-
-    /* "wspkit/_kernel/_speed.pyx":311
- *             memcpy(mrow, mrow_p, <size_t> nb * sizeof(int))
- *             ok = 1
- *             step_mask = self.combo + ((<size_t> c * k + d)) * W             # <<<<<<<<<<<<<<
- *             if b == nb:
- *                 memcpy(rows + nb * W, step_mask, <size_t> W * sizeof(uint64_t))
-*/
-    __pyx_v_step_mask = (__pyx_v_self->combo + (((((size_t)__pyx_v_c) * __pyx_v_k) + __pyx_v_d) * __pyx_v_W));
-
-    /* "wspkit/_kernel/_speed.pyx":312
- *             ok = 1
- *             step_mask = self.combo + ((<size_t> c * k + d)) * W
- *             if b == nb:             # <<<<<<<<<<<<<<
- *                 memcpy(rows + nb * W, step_mask, <size_t> W * sizeof(uint64_t))
- *                 mrow[nb] = -1
-*/
-    __pyx_t_4 = (__pyx_v_b == __pyx_v_nb);
-    if (__pyx_t_4) {
-
-      /* "wspkit/_kernel/_speed.pyx":313
- *             step_mask = self.combo + ((<size_t> c * k + d)) * W
- *             if b == nb:
- *                 memcpy(rows + nb * W, step_mask, <size_t> W * sizeof(uint64_t))             # <<<<<<<<<<<<<<
- *                 mrow[nb] = -1
- *                 memset(self.seen, 0, <size_t> W * sizeof(uint64_t))
-*/
-      (void)(memcpy((__pyx_v_rows + (__pyx_v_nb * __pyx_v_W)), __pyx_v_step_mask, (((size_t)__pyx_v_W) * (sizeof(uint64_t)))));
-
-      /* "wspkit/_kernel/_speed.pyx":314
- *             if b == nb:
- *                 memcpy(rows + nb * W, step_mask, <size_t> W * sizeof(uint64_t))
- *                 mrow[nb] = -1             # <<<<<<<<<<<<<<
- *                 memset(self.seen, 0, <size_t> W * sizeof(uint64_t))
- *                 ok = <char> self._augment(rows, mrow, nb2, nb)
-*/
-      (__pyx_v_mrow[__pyx_v_nb]) = -1;
-
-      /* "wspkit/_kernel/_speed.pyx":315
- *                 memcpy(rows + nb * W, step_mask, <size_t> W * sizeof(uint64_t))
- *                 mrow[nb] = -1
- *                 memset(self.seen, 0, <size_t> W * sizeof(uint64_t))             # <<<<<<<<<<<<<<
- *                 ok = <char> self._augment(rows, mrow, nb2, nb)
- *             else:
-*/
-      (void)(memset(__pyx_v_self->seen, 0, (((size_t)__pyx_v_W) * (sizeof(uint64_t)))));
-
-      /* "wspkit/_kernel/_speed.pyx":316
- *                 mrow[nb] = -1
- *                 memset(self.seen, 0, <size_t> W * sizeof(uint64_t))
- *                 ok = <char> self._augment(rows, mrow, nb2, nb)             # <<<<<<<<<<<<<<
- *             else:
- *                 newm_nonzero = 0
-*/
-      __pyx_t_12 = ((struct __pyx_vtabstruct_6wspkit_7_kernel_6_speed__Engine *)__pyx_v_self->__pyx_vtab)->_augment(__pyx_v_self, __pyx_v_rows, __pyx_v_mrow, __pyx_v_nb2, __pyx_v_nb); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 316, __pyx_L1_error)
-      __pyx_v_ok = ((char)__pyx_t_12);
-
-      /* "wspkit/_kernel/_speed.pyx":312
- *             ok = 1
- *             step_mask = self.combo + ((<size_t> c * k + d)) * W
- *             if b == nb:             # <<<<<<<<<<<<<<
- *                 memcpy(rows + nb * W, step_mask, <size_t> W * sizeof(uint64_t))
- *                 mrow[nb] = -1
-*/
-      goto __pyx_L35;
-    }
-
-    /* "wspkit/_kernel/_speed.pyx":318
- *                 ok = <char> self._augment(rows, mrow, nb2, nb)
- *             else:
- *                 newm_nonzero = 0             # <<<<<<<<<<<<<<
- *                 changed = 0
- *                 for w in range(W):
-*/
-    /*else*/ {
-      __pyx_v_newm_nonzero = 0;
-
-      /* "wspkit/_kernel/_speed.pyx":319
- *             else:
- *                 newm_nonzero = 0
- *                 changed = 0             # <<<<<<<<<<<<<<
- *                 for w in range(W):
- *                     cov = rows[b * W + w] & step_mask[w]
-*/
-      __pyx_v_changed = 0;
-
-      /* "wspkit/_kernel/_speed.pyx":320
- *                 newm_nonzero = 0
- *                 changed = 0
- *                 for w in range(W):             # <<<<<<<<<<<<<<
- *                     cov = rows[b * W + w] & step_mask[w]
- *                     if cov != rows[b * W + w]:
-*/
-      __pyx_t_12 = __pyx_v_W;
-      __pyx_t_13 = __pyx_t_12;
-      for (__pyx_t_14 = 0; __pyx_t_14 < __pyx_t_13; __pyx_t_14+=1) {
-        __pyx_v_w = __pyx_t_14;
-
-        /* "wspkit/_kernel/_speed.pyx":321
- *                 changed = 0
- *                 for w in range(W):
- *                     cov = rows[b * W + w] & step_mask[w]             # <<<<<<<<<<<<<<
- *                     if cov != rows[b * W + w]:
- *                         changed = 1
-*/
-        __pyx_v_cov = ((__pyx_v_rows[((__pyx_v_b * __pyx_v_W) + __pyx_v_w)]) & (__pyx_v_step_mask[__pyx_v_w]));
-
-        /* "wspkit/_kernel/_speed.pyx":322
- *                 for w in range(W):
- *                     cov = rows[b * W + w] & step_mask[w]
- *                     if cov != rows[b * W + w]:             # <<<<<<<<<<<<<<
- *                         changed = 1
- *                     rows[b * W + w] = cov
-*/
-        __pyx_t_4 = (__pyx_v_cov != (__pyx_v_rows[((__pyx_v_b * __pyx_v_W) + __pyx_v_w)]));
-        if (__pyx_t_4) {
-
-          /* "wspkit/_kernel/_speed.pyx":323
- *                     cov = rows[b * W + w] & step_mask[w]
- *                     if cov != rows[b * W + w]:
- *                         changed = 1             # <<<<<<<<<<<<<<
- *                     rows[b * W + w] = cov
- *                     newm_nonzero |= cov
-*/
-          __pyx_v_changed = 1;
-
-          /* "wspkit/_kernel/_speed.pyx":322
- *                 for w in range(W):
- *                     cov = rows[b * W + w] & step_mask[w]
- *                     if cov != rows[b * W + w]:             # <<<<<<<<<<<<<<
- *                         changed = 1
- *                     rows[b * W + w] = cov
-*/
-        }
-
-        /* "wspkit/_kernel/_speed.pyx":324
- *                     if cov != rows[b * W + w]:
- *                         changed = 1
- *                     rows[b * W + w] = cov             # <<<<<<<<<<<<<<
- *                     newm_nonzero |= cov
- *                 if newm_nonzero == 0:
-*/
-        (__pyx_v_rows[((__pyx_v_b * __pyx_v_W) + __pyx_v_w)]) = __pyx_v_cov;
-
-        /* "wspkit/_kernel/_speed.pyx":325
- *                         changed = 1
- *                     rows[b * W + w] = cov
- *                     newm_nonzero |= cov             # <<<<<<<<<<<<<<
- *                 if newm_nonzero == 0:
- *                     ok = 0
-*/
-        __pyx_v_newm_nonzero = (__pyx_v_newm_nonzero | __pyx_v_cov);
-      }
-
-      /* "wspkit/_kernel/_speed.pyx":326
- *                     rows[b * W + w] = cov
- *                     newm_nonzero |= cov
- *                 if newm_nonzero == 0:             # <<<<<<<<<<<<<<
- *                     ok = 0
- *                 elif changed:
-*/
-      __pyx_t_4 = (__pyx_v_newm_nonzero == 0);
-      if (__pyx_t_4) {
-
-        /* "wspkit/_kernel/_speed.pyx":327
- *                     newm_nonzero |= cov
- *                 if newm_nonzero == 0:
- *                     ok = 0             # <<<<<<<<<<<<<<
- *                 elif changed:
- *                     mu = mrow[b]
-*/
-        __pyx_v_ok = 0;
-
-        /* "wspkit/_kernel/_speed.pyx":326
- *                     rows[b * W + w] = cov
- *                     newm_nonzero |= cov
- *                 if newm_nonzero == 0:             # <<<<<<<<<<<<<<
- *                     ok = 0
- *                 elif changed:
-*/
-        goto __pyx_L39;
-      }
-
-      /* "wspkit/_kernel/_speed.pyx":328
- *                 if newm_nonzero == 0:
- *                     ok = 0
- *                 elif changed:             # <<<<<<<<<<<<<<
- *                     mu = mrow[b]
- *                     if mu >= 0 and not (rows[b * W + (mu >> 6)] >> (mu & 63)) & 1:
-*/
-      __pyx_t_4 = (__pyx_v_changed != 0);
-      if (__pyx_t_4) {
-
-        /* "wspkit/_kernel/_speed.pyx":329
- *                     ok = 0
- *                 elif changed:
- *                     mu = mrow[b]             # <<<<<<<<<<<<<<
- *                     if mu >= 0 and not (rows[b * W + (mu >> 6)] >> (mu & 63)) & 1:
- *                         mrow[b] = -1
-*/
-        __pyx_v_mu = (__pyx_v_mrow[__pyx_v_b]);
-
-        /* "wspkit/_kernel/_speed.pyx":330
- *                 elif changed:
- *                     mu = mrow[b]
- *                     if mu >= 0 and not (rows[b * W + (mu >> 6)] >> (mu & 63)) & 1:             # <<<<<<<<<<<<<<
- *                         mrow[b] = -1
- *                         memset(self.seen, 0, <size_t> W * sizeof(uint64_t))
-*/
-        __pyx_t_5 = (__pyx_v_mu >= 0);
-        if (__pyx_t_5) {
-        } else {
-          __pyx_t_4 = __pyx_t_5;
-          goto __pyx_L41_bool_binop_done;
-        }
-        __pyx_t_5 = (!((((__pyx_v_rows[((__pyx_v_b * __pyx_v_W) + (__pyx_v_mu >> 6))]) >> (__pyx_v_mu & 63)) & 1) != 0));
-        __pyx_t_4 = __pyx_t_5;
-        __pyx_L41_bool_binop_done:;
-        if (__pyx_t_4) {
-
-          /* "wspkit/_kernel/_speed.pyx":331
- *                     mu = mrow[b]
- *                     if mu >= 0 and not (rows[b * W + (mu >> 6)] >> (mu & 63)) & 1:
- *                         mrow[b] = -1             # <<<<<<<<<<<<<<
- *                         memset(self.seen, 0, <size_t> W * sizeof(uint64_t))
- *                         ok = <char> self._augment(rows, mrow, nb2, b)
-*/
-          (__pyx_v_mrow[__pyx_v_b]) = -1;
-
-          /* "wspkit/_kernel/_speed.pyx":332
- *                     if mu >= 0 and not (rows[b * W + (mu >> 6)] >> (mu & 63)) & 1:
- *                         mrow[b] = -1
- *                         memset(self.seen, 0, <size_t> W * sizeof(uint64_t))             # <<<<<<<<<<<<<<
- *                         ok = <char> self._augment(rows, mrow, nb2, b)
- *             if ok:
-*/
-          (void)(memset(__pyx_v_self->seen, 0, (((size_t)__pyx_v_W) * (sizeof(uint64_t)))));
-
-          /* "wspkit/_kernel/_speed.pyx":333
- *                         mrow[b] = -1
- *                         memset(self.seen, 0, <size_t> W * sizeof(uint64_t))
- *                         ok = <char> self._augment(rows, mrow, nb2, b)             # <<<<<<<<<<<<<<
- *             if ok:
- *                 for ri in range(n_restricted):
-*/
-          __pyx_t_12 = ((struct __pyx_vtabstruct_6wspkit_7_kernel_6_speed__Engine *)__pyx_v_self->__pyx_vtab)->_augment(__pyx_v_self, __pyx_v_rows, __pyx_v_mrow, __pyx_v_nb2, __pyx_v_b); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 333, __pyx_L1_error)
-          __pyx_v_ok = ((char)__pyx_t_12);
-
-          /* "wspkit/_kernel/_speed.pyx":330
- *                 elif changed:
- *                     mu = mrow[b]
- *                     if mu >= 0 and not (rows[b * W + (mu >> 6)] >> (mu & 63)) & 1:             # <<<<<<<<<<<<<<
- *                         mrow[b] = -1
- *                         memset(self.seen, 0, <size_t> W * sizeof(uint64_t))
-*/
-        }
-
-        /* "wspkit/_kernel/_speed.pyx":328
- *                 if newm_nonzero == 0:
- *                     ok = 0
- *                 elif changed:             # <<<<<<<<<<<<<<
- *                     mu = mrow[b]
- *                     if mu >= 0 and not (rows[b * W + (mu >> 6)] >> (mu & 63)) & 1:
-*/
-      }
-      __pyx_L39:;
-    }
-    __pyx_L35:;
-
-    /* "wspkit/_kernel/_speed.pyx":334
- *                         memset(self.seen, 0, <size_t> W * sizeof(uint64_t))
- *                         ok = <char> self._augment(rows, mrow, nb2, b)
- *             if ok:             # <<<<<<<<<<<<<<
- *                 for ri in range(n_restricted):
- *                     si = self.restricted[ri]
-*/
-    __pyx_t_4 = (__pyx_v_ok != 0);
-    if (__pyx_t_4) {
-
-      /* "wspkit/_kernel/_speed.pyx":335
- *                         ok = <char> self._augment(rows, mrow, nb2, b)
- *             if ok:
- *                 for ri in range(n_restricted):             # <<<<<<<<<<<<<<
- *                     si = self.restricted[ri]
- *                     xm = self.su_x + si * W
-*/
-      __pyx_t_12 = __pyx_v_n_restricted;
-      __pyx_t_13 = __pyx_t_12;
-      for (__pyx_t_14 = 0; __pyx_t_14 < __pyx_t_13; __pyx_t_14+=1) {
-        __pyx_v_ri = __pyx_t_14;
-
-        /* "wspkit/_kernel/_speed.pyx":336
- *             if ok:
- *                 for ri in range(n_restricted):
- *                     si = self.restricted[ri]             # <<<<<<<<<<<<<<
- *                     xm = self.su_x + si * W
- *                     cov = self.scover[d1 * nS + si]
-*/
-        __pyx_v_si = (__pyx_v_self->restricted[__pyx_v_ri]);
-
-        /* "wspkit/_kernel/_speed.pyx":337
- *                 for ri in range(n_restricted):
- *                     si = self.restricted[ri]
- *                     xm = self.su_x + si * W             # <<<<<<<<<<<<<<
- *                     cov = self.scover[d1 * nS + si]
- *                     while cov != 0:
-*/
-        __pyx_v_xm = (__pyx_v_self->su_x + (__pyx_v_si * __pyx_v_W));
-
-        /* "wspkit/_kernel/_speed.pyx":338
- *                     si = self.restricted[ri]
- *                     xm = self.su_x + si * W
- *                     cov = self.scover[d1 * nS + si]             # <<<<<<<<<<<<<<
- *                     while cov != 0:
- *                         bb = __builtin_ctzll(cov)
-*/
-        __pyx_v_cov = (__pyx_v_self->scover[((__pyx_v_d1 * __pyx_v_nS) + __pyx_v_si)]);
-
-        /* "wspkit/_kernel/_speed.pyx":339
- *                     xm = self.su_x + si * W
- *                     cov = self.scover[d1 * nS + si]
- *                     while cov != 0:             # <<<<<<<<<<<<<<
- *                         bb = __builtin_ctzll(cov)
- *                         cov &= cov - 1
-*/
-        while (1) {
-          __pyx_t_4 = (__pyx_v_cov != 0);
-          if (!__pyx_t_4) break;
-
-          /* "wspkit/_kernel/_speed.pyx":340
- *                     cov = self.scover[d1 * nS + si]
- *                     while cov != 0:
- *                         bb = __builtin_ctzll(cov)             # <<<<<<<<<<<<<<
- *                         cov &= cov - 1
- *                         newm_nonzero = 0
-*/
-          __pyx_v_bb = __builtin_ctzll(__pyx_v_cov);
-
-          /* "wspkit/_kernel/_speed.pyx":341
- *                     while cov != 0:
- *                         bb = __builtin_ctzll(cov)
- *                         cov &= cov - 1             # <<<<<<<<<<<<<<
- *                         newm_nonzero = 0
- *                         changed = 0
-*/
-          __pyx_v_cov = (__pyx_v_cov & (__pyx_v_cov - 1));
-
-          /* "wspkit/_kernel/_speed.pyx":342
- *                         bb = __builtin_ctzll(cov)
- *                         cov &= cov - 1
- *                         newm_nonzero = 0             # <<<<<<<<<<<<<<
- *                         changed = 0
- *                         for w in range(W):
-*/
-          __pyx_v_newm_nonzero = 0;
-
-          /* "wspkit/_kernel/_speed.pyx":343
- *                         cov &= cov - 1
- *                         newm_nonzero = 0
- *                         changed = 0             # <<<<<<<<<<<<<<
- *                         for w in range(W):
- *                             if rows[bb * W + w] & ~xm[w]:
-*/
-          __pyx_v_changed = 0;
-
-          /* "wspkit/_kernel/_speed.pyx":344
- *                         newm_nonzero = 0
- *                         changed = 0
- *                         for w in range(W):             # <<<<<<<<<<<<<<
- *                             if rows[bb * W + w] & ~xm[w]:
- *                                 changed = 1
-*/
-          __pyx_t_15 = __pyx_v_W;
-          __pyx_t_16 = __pyx_t_15;
-          for (__pyx_t_17 = 0; __pyx_t_17 < __pyx_t_16; __pyx_t_17+=1) {
-            __pyx_v_w = __pyx_t_17;
-
-            /* "wspkit/_kernel/_speed.pyx":345
- *                         changed = 0
- *                         for w in range(W):
- *                             if rows[bb * W + w] & ~xm[w]:             # <<<<<<<<<<<<<<
- *                                 changed = 1
- *                             rows[bb * W + w] &= xm[w]
-*/
-            __pyx_t_4 = (((__pyx_v_rows[((__pyx_v_bb * __pyx_v_W) + __pyx_v_w)]) & (~(__pyx_v_xm[__pyx_v_w]))) != 0);
-            if (__pyx_t_4) {
-
-              /* "wspkit/_kernel/_speed.pyx":346
- *                         for w in range(W):
- *                             if rows[bb * W + w] & ~xm[w]:
- *                                 changed = 1             # <<<<<<<<<<<<<<
- *                             rows[bb * W + w] &= xm[w]
- *                             newm_nonzero |= rows[bb * W + w]
-*/
-              __pyx_v_changed = 1;
-
-              /* "wspkit/_kernel/_speed.pyx":345
- *                         changed = 0
- *                         for w in range(W):
- *                             if rows[bb * W + w] & ~xm[w]:             # <<<<<<<<<<<<<<
- *                                 changed = 1
- *                             rows[bb * W + w] &= xm[w]
-*/
-            }
-
-            /* "wspkit/_kernel/_speed.pyx":347
- *                             if rows[bb * W + w] & ~xm[w]:
- *                                 changed = 1
- *                             rows[bb * W + w] &= xm[w]             # <<<<<<<<<<<<<<
- *                             newm_nonzero |= rows[bb * W + w]
- *                         if not changed:
-*/
-            __pyx_t_18 = ((__pyx_v_bb * __pyx_v_W) + __pyx_v_w);
-            (__pyx_v_rows[__pyx_t_18]) = ((__pyx_v_rows[__pyx_t_18]) & (__pyx_v_xm[__pyx_v_w]));
-
-            /* "wspkit/_kernel/_speed.pyx":348
- *                                 changed = 1
- *                             rows[bb * W + w] &= xm[w]
- *                             newm_nonzero |= rows[bb * W + w]             # <<<<<<<<<<<<<<
- *                         if not changed:
- *                             continue
-*/
-            __pyx_v_newm_nonzero = (__pyx_v_newm_nonzero | (__pyx_v_rows[((__pyx_v_bb * __pyx_v_W) + __pyx_v_w)]));
-          }
-
-          /* "wspkit/_kernel/_speed.pyx":349
- *                             rows[bb * W + w] &= xm[w]
- *                             newm_nonzero |= rows[bb * W + w]
- *                         if not changed:             # <<<<<<<<<<<<<<
- *                             continue
- *                         if newm_nonzero == 0:
-*/
-          __pyx_t_4 = (!(__pyx_v_changed != 0));
-          if (__pyx_t_4) {
-
-            /* "wspkit/_kernel/_speed.pyx":350
- *                             newm_nonzero |= rows[bb * W + w]
- *                         if not changed:
- *                             continue             # <<<<<<<<<<<<<<
- *                         if newm_nonzero == 0:
- *                             ok = 0
-*/
-            goto __pyx_L46_continue;
-
-            /* "wspkit/_kernel/_speed.pyx":349
- *                             rows[bb * W + w] &= xm[w]
- *                             newm_nonzero |= rows[bb * W + w]
- *                         if not changed:             # <<<<<<<<<<<<<<
- *                             continue
- *                         if newm_nonzero == 0:
-*/
-          }
-
-          /* "wspkit/_kernel/_speed.pyx":351
- *                         if not changed:
- *                             continue
- *                         if newm_nonzero == 0:             # <<<<<<<<<<<<<<
- *                             ok = 0
- *                             break
-*/
-          __pyx_t_4 = (__pyx_v_newm_nonzero == 0);
-          if (__pyx_t_4) {
-
-            /* "wspkit/_kernel/_speed.pyx":352
- *                             continue
- *                         if newm_nonzero == 0:
- *                             ok = 0             # <<<<<<<<<<<<<<
- *                             break
- *                         mu = mrow[bb]
-*/
-            __pyx_v_ok = 0;
-
-            /* "wspkit/_kernel/_speed.pyx":353
- *                         if newm_nonzero == 0:
- *                             ok = 0
- *                             break             # <<<<<<<<<<<<<<
- *                         mu = mrow[bb]
- *                         if mu >= 0 and not (rows[bb * W + (mu >> 6)] >> (mu & 63)) & 1:
-*/
-            goto __pyx_L47_break;
-
-            /* "wspkit/_kernel/_speed.pyx":351
- *                         if not changed:
- *                             continue
- *                         if newm_nonzero == 0:             # <<<<<<<<<<<<<<
- *                             ok = 0
- *                             break
-*/
-          }
-
-          /* "wspkit/_kernel/_speed.pyx":354
- *                             ok = 0
- *                             break
- *                         mu = mrow[bb]             # <<<<<<<<<<<<<<
- *                         if mu >= 0 and not (rows[bb * W + (mu >> 6)] >> (mu & 63)) & 1:
- *                             mrow[bb] = -1
-*/
-          __pyx_v_mu = (__pyx_v_mrow[__pyx_v_bb]);
-
-          /* "wspkit/_kernel/_speed.pyx":355
- *                             break
- *                         mu = mrow[bb]
- *                         if mu >= 0 and not (rows[bb * W + (mu >> 6)] >> (mu & 63)) & 1:             # <<<<<<<<<<<<<<
- *                             mrow[bb] = -1
- *                             memset(self.seen, 0, <size_t> W * sizeof(uint64_t))
-*/
-          __pyx_t_5 = (__pyx_v_mu >= 0);
-          if (__pyx_t_5) {
-          } else {
-            __pyx_t_4 = __pyx_t_5;
-            goto __pyx_L54_bool_binop_done;
-          }
-          __pyx_t_5 = (!((((__pyx_v_rows[((__pyx_v_bb * __pyx_v_W) + (__pyx_v_mu >> 6))]) >> (__pyx_v_mu & 63)) & 1) != 0));
-          __pyx_t_4 = __pyx_t_5;
-          __pyx_L54_bool_binop_done:;
-          if (__pyx_t_4) {
-
-            /* "wspkit/_kernel/_speed.pyx":356
- *                         mu = mrow[bb]
- *                         if mu >= 0 and not (rows[bb * W + (mu >> 6)] >> (mu & 63)) & 1:
- *                             mrow[bb] = -1             # <<<<<<<<<<<<<<
- *                             memset(self.seen, 0, <size_t> W * sizeof(uint64_t))
- *                             if not self._augment(rows, mrow, nb2, bb):
-*/
-            (__pyx_v_mrow[__pyx_v_bb]) = -1;
-
-            /* "wspkit/_kernel/_speed.pyx":357
- *                         if mu >= 0 and not (rows[bb * W + (mu >> 6)] >> (mu & 63)) & 1:
- *                             mrow[bb] = -1
- *                             memset(self.seen, 0, <size_t> W * sizeof(uint64_t))             # <<<<<<<<<<<<<<
- *                             if not self._augment(rows, mrow, nb2, bb):
- *                                 ok = 0
-*/
-            (void)(memset(__pyx_v_self->seen, 0, (((size_t)__pyx_v_W) * (sizeof(uint64_t)))));
-
-            /* "wspkit/_kernel/_speed.pyx":358
- *                             mrow[bb] = -1
- *                             memset(self.seen, 0, <size_t> W * sizeof(uint64_t))
- *                             if not self._augment(rows, mrow, nb2, bb):             # <<<<<<<<<<<<<<
- *                                 ok = 0
- *                                 break
-*/
-            __pyx_t_15 = ((struct __pyx_vtabstruct_6wspkit_7_kernel_6_speed__Engine *)__pyx_v_self->__pyx_vtab)->_augment(__pyx_v_self, __pyx_v_rows, __pyx_v_mrow, __pyx_v_nb2, __pyx_v_bb); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 358, __pyx_L1_error)
-            __pyx_t_4 = (!(__pyx_t_15 != 0));
-            if (__pyx_t_4) {
-
-              /* "wspkit/_kernel/_speed.pyx":359
- *                             memset(self.seen, 0, <size_t> W * sizeof(uint64_t))
- *                             if not self._augment(rows, mrow, nb2, bb):
- *                                 ok = 0             # <<<<<<<<<<<<<<
- *                                 break
- *                     if not ok:
-*/
-              __pyx_v_ok = 0;
-
-              /* "wspkit/_kernel/_speed.pyx":360
- *                             if not self._augment(rows, mrow, nb2, bb):
- *                                 ok = 0
- *                                 break             # <<<<<<<<<<<<<<
- *                     if not ok:
- *                         break
-*/
-              goto __pyx_L47_break;
-
-              /* "wspkit/_kernel/_speed.pyx":358
- *                             mrow[bb] = -1
- *                             memset(self.seen, 0, <size_t> W * sizeof(uint64_t))
- *                             if not self._augment(rows, mrow, nb2, bb):             # <<<<<<<<<<<<<<
- *                                 ok = 0
- *                                 break
-*/
-            }
-
-            /* "wspkit/_kernel/_speed.pyx":355
- *                             break
- *                         mu = mrow[bb]
- *                         if mu >= 0 and not (rows[bb * W + (mu >> 6)] >> (mu & 63)) & 1:             # <<<<<<<<<<<<<<
- *                             mrow[bb] = -1
- *                             memset(self.seen, 0, <size_t> W * sizeof(uint64_t))
-*/
-          }
-          __pyx_L46_continue:;
-        }
-        __pyx_L47_break:;
-
-        /* "wspkit/_kernel/_speed.pyx":361
- *                                 ok = 0
- *                                 break
- *                     if not ok:             # <<<<<<<<<<<<<<
- *                         break
- *             self.alive[d1 * m + c] = ok
-*/
-        __pyx_t_4 = (!(__pyx_v_ok != 0));
-        if (__pyx_t_4) {
-
-          /* "wspkit/_kernel/_speed.pyx":362
- *                                 break
- *                     if not ok:
- *                         break             # <<<<<<<<<<<<<<
- *             self.alive[d1 * m + c] = ok
- *             if ok:
-*/
-          goto __pyx_L45_break;
-
-          /* "wspkit/_kernel/_speed.pyx":361
- *                                 ok = 0
- *                                 break
- *                     if not ok:             # <<<<<<<<<<<<<<
- *                         break
- *             self.alive[d1 * m + c] = ok
-*/
-        }
-      }
-      __pyx_L45_break:;
-
-      /* "wspkit/_kernel/_speed.pyx":334
- *                         memset(self.seen, 0, <size_t> W * sizeof(uint64_t))
- *                         ok = <char> self._augment(rows, mrow, nb2, b)
- *             if ok:             # <<<<<<<<<<<<<<
- *                 for ri in range(n_restricted):
- *                     si = self.restricted[ri]
-*/
-    }
-
-    /* "wspkit/_kernel/_speed.pyx":363
- *                     if not ok:
- *                         break
- *             self.alive[d1 * m + c] = ok             # <<<<<<<<<<<<<<
- *             if ok:
- *                 any_alive = 1
-*/
-    (__pyx_v_self->alive[((__pyx_v_d1 * __pyx_v_m) + __pyx_v_c)]) = __pyx_v_ok;
-
-    /* "wspkit/_kernel/_speed.pyx":364
- *                         break
- *             self.alive[d1 * m + c] = ok
- *             if ok:             # <<<<<<<<<<<<<<
- *                 any_alive = 1
- *         if not any_alive:
-*/
-    __pyx_t_4 = (__pyx_v_ok != 0);
-    if (__pyx_t_4) {
-
-      /* "wspkit/_kernel/_speed.pyx":365
- *             self.alive[d1 * m + c] = ok
- *             if ok:
- *                 any_alive = 1             # <<<<<<<<<<<<<<
- *         if not any_alive:
- *             return -1
-*/
-      __pyx_v_any_alive = 1;
-
-      /* "wspkit/_kernel/_speed.pyx":364
- *                         break
- *             self.alive[d1 * m + c] = ok
- *             if ok:             # <<<<<<<<<<<<<<
- *                 any_alive = 1
- *         if not any_alive:
-*/
-    }
-    __pyx_L32_continue:;
-  }
-
-  /* "wspkit/_kernel/_speed.pyx":366
- *             if ok:
- *                 any_alive = 1
- *         if not any_alive:             # <<<<<<<<<<<<<<
- *             return -1
- *         return nb2
-*/
-  __pyx_t_4 = (!(__pyx_v_any_alive != 0));
-  if (__pyx_t_4) {
-
-    /* "wspkit/_kernel/_speed.pyx":367
- *                 any_alive = 1
- *         if not any_alive:
- *             return -1             # <<<<<<<<<<<<<<
- *         return nb2
- * 
-*/
-    __pyx_r = -1;
-    goto __pyx_L0;
-
-    /* "wspkit/_kernel/_speed.pyx":366
- *             if ok:
- *                 any_alive = 1
- *         if not any_alive:             # <<<<<<<<<<<<<<
- *             return -1
- *         return nb2
-*/
-  }
-
-  /* "wspkit/_kernel/_speed.pyx":368
- *         if not any_alive:
- *             return -1
- *         return nb2             # <<<<<<<<<<<<<<
- * 
- *     cdef void _extract_plan(self, int d):
-*/
-  __pyx_r = __pyx_v_nb2;
-  goto __pyx_L0;
-
-  /* "wspkit/_kernel/_speed.pyx":229
- *         return 0
- * 
- *     cdef int _apply_choice(self, int d, int nb, int b):             # <<<<<<<<<<<<<<
- *         """Returns new block count, -1 on rejection, -2 on budget stop."""
- *         cdef int k = self.k
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_XDECREF(__pyx_t_8);
-  __Pyx_XDECREF(__pyx_t_9);
-  __Pyx_AddTraceback("wspkit._kernel._speed._Engine._apply_choice", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "wspkit/_kernel/_speed.pyx":370
- *         return nb2
- * 
- *     cdef void _extract_plan(self, int d):             # <<<<<<<<<<<<<<
- *         cdef int c, e
- *         cdef int* mrow = NULL
-*/
-
-static void __pyx_f_6wspkit_7_kernel_6_speed_7_Engine__extract_plan(struct __pyx_obj_6wspkit_7_kernel_6_speed__Engine *__pyx_v_self, int __pyx_v_d) {
-  int __pyx_v_c;
-  int __pyx_v_e;
-  int *__pyx_v_mrow;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-
-  /* "wspkit/_kernel/_speed.pyx":372
- *     cdef void _extract_plan(self, int d):
- *         cdef int c, e
- *         cdef int* mrow = NULL             # <<<<<<<<<<<<<<
- *         for c in range(self.m):
- *             if self.alive[d * self.m + c]:
-*/
-  __pyx_v_mrow = NULL;
-
-  /* "wspkit/_kernel/_speed.pyx":373
- *         cdef int c, e
- *         cdef int* mrow = NULL
- *         for c in range(self.m):             # <<<<<<<<<<<<<<
- *             if self.alive[d * self.m + c]:
- *                 mrow = self.match + (d * self.m + c) * self.k
-*/
-  __pyx_t_1 = __pyx_v_self->m;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_c = __pyx_t_3;
-
-    /* "wspkit/_kernel/_speed.pyx":374
- *         cdef int* mrow = NULL
- *         for c in range(self.m):
- *             if self.alive[d * self.m + c]:             # <<<<<<<<<<<<<<
- *                 mrow = self.match + (d * self.m + c) * self.k
- *                 break
-*/
-    __pyx_t_4 = ((__pyx_v_self->alive[((__pyx_v_d * __pyx_v_self->m) + __pyx_v_c)]) != 0);
-    if (__pyx_t_4) {
-
-      /* "wspkit/_kernel/_speed.pyx":375
- *         for c in range(self.m):
- *             if self.alive[d * self.m + c]:
- *                 mrow = self.match + (d * self.m + c) * self.k             # <<<<<<<<<<<<<<
- *                 break
- *         self.matchings += 1
-*/
-      __pyx_v_mrow = (__pyx_v_self->match + (((__pyx_v_d * __pyx_v_self->m) + __pyx_v_c) * __pyx_v_self->k));
-
-      /* "wspkit/_kernel/_speed.pyx":376
- *             if self.alive[d * self.m + c]:
- *                 mrow = self.match + (d * self.m + c) * self.k
- *                 break             # <<<<<<<<<<<<<<
- *         self.matchings += 1
- *         for e in range(self.k):
-*/
-      goto __pyx_L4_break;
-
-      /* "wspkit/_kernel/_speed.pyx":374
- *         cdef int* mrow = NULL
- *         for c in range(self.m):
- *             if self.alive[d * self.m + c]:             # <<<<<<<<<<<<<<
- *                 mrow = self.match + (d * self.m + c) * self.k
- *                 break
-*/
-    }
-  }
-  __pyx_L4_break:;
-
-  /* "wspkit/_kernel/_speed.pyx":377
- *                 mrow = self.match + (d * self.m + c) * self.k
- *                 break
- *         self.matchings += 1             # <<<<<<<<<<<<<<
- *         for e in range(self.k):
- *             self.plan_out[self.order[e]] = mrow[self.assign[e]]
-*/
-  __pyx_v_self->matchings = (__pyx_v_self->matchings + 1);
-
-  /* "wspkit/_kernel/_speed.pyx":378
- *                 break
- *         self.matchings += 1
- *         for e in range(self.k):             # <<<<<<<<<<<<<<
- *             self.plan_out[self.order[e]] = mrow[self.assign[e]]
- * 
-*/
-  __pyx_t_1 = __pyx_v_self->k;
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_e = __pyx_t_3;
-
-    /* "wspkit/_kernel/_speed.pyx":379
- *         self.matchings += 1
- *         for e in range(self.k):
- *             self.plan_out[self.order[e]] = mrow[self.assign[e]]             # <<<<<<<<<<<<<<
- * 
- *     cdef int _search(self, int d, int nb):
-*/
-    (__pyx_v_self->plan_out[(__pyx_v_self->order[__pyx_v_e])]) = (__pyx_v_mrow[(__pyx_v_self->assign[__pyx_v_e])]);
-  }
-
-  /* "wspkit/_kernel/_speed.pyx":370
- *         return nb2
- * 
- *     cdef void _extract_plan(self, int d):             # <<<<<<<<<<<<<<
- *         cdef int c, e
- *         cdef int* mrow = NULL
-*/
-
-  /* function exit code */
-}
-
-/* "wspkit/_kernel/_speed.pyx":381
- *             self.plan_out[self.order[e]] = mrow[self.assign[e]]
- * 
- *     cdef int _search(self, int d, int nb):             # <<<<<<<<<<<<<<
- *         cdef int b, nb2, got
- *         for b in range(nb + 1):
-*/
-
-static int __pyx_f_6wspkit_7_kernel_6_speed_7_Engine__search(struct __pyx_obj_6wspkit_7_kernel_6_speed__Engine *__pyx_v_self, int __pyx_v_d, int __pyx_v_nb) {
-  int __pyx_v_b;
-  int __pyx_v_nb2;
-  int __pyx_v_got;
-  int __pyx_r;
-  long __pyx_t_1;
-  long __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_t_6;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "wspkit/_kernel/_speed.pyx":383
- *     cdef int _search(self, int d, int nb):
- *         cdef int b, nb2, got
- *         for b in range(nb + 1):             # <<<<<<<<<<<<<<
- *             nb2 = self._apply_choice(d, nb, b)
- *             if nb2 == -2:
-*/
-  __pyx_t_1 = (__pyx_v_nb + 1);
-  __pyx_t_2 = __pyx_t_1;
-  for (__pyx_t_3 = 0; __pyx_t_3 < __pyx_t_2; __pyx_t_3+=1) {
-    __pyx_v_b = __pyx_t_3;
-
-    /* "wspkit/_kernel/_speed.pyx":384
- *         cdef int b, nb2, got
- *         for b in range(nb + 1):
- *             nb2 = self._apply_choice(d, nb, b)             # <<<<<<<<<<<<<<
- *             if nb2 == -2:
- *                 return 2
-*/
-    __pyx_t_4 = ((struct __pyx_vtabstruct_6wspkit_7_kernel_6_speed__Engine *)__pyx_v_self->__pyx_vtab)->_apply_choice(__pyx_v_self, __pyx_v_d, __pyx_v_nb, __pyx_v_b); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 384, __pyx_L1_error)
-    __pyx_v_nb2 = __pyx_t_4;
-
-    /* "wspkit/_kernel/_speed.pyx":385
- *         for b in range(nb + 1):
- *             nb2 = self._apply_choice(d, nb, b)
- *             if nb2 == -2:             # <<<<<<<<<<<<<<
- *                 return 2
- *             if nb2 < 0:
-*/
-    __pyx_t_5 = (__pyx_v_nb2 == -2L);
-    if (__pyx_t_5) {
-
-      /* "wspkit/_kernel/_speed.pyx":386
- *             nb2 = self._apply_choice(d, nb, b)
- *             if nb2 == -2:
- *                 return 2             # <<<<<<<<<<<<<<
- *             if nb2 < 0:
- *                 continue
-*/
-      __pyx_r = 2;
-      goto __pyx_L0;
-
-      /* "wspkit/_kernel/_speed.pyx":385
- *         for b in range(nb + 1):
- *             nb2 = self._apply_choice(d, nb, b)
- *             if nb2 == -2:             # <<<<<<<<<<<<<<
- *                 return 2
- *             if nb2 < 0:
-*/
-    }
-
-    /* "wspkit/_kernel/_speed.pyx":387
- *             if nb2 == -2:
- *                 return 2
- *             if nb2 < 0:             # <<<<<<<<<<<<<<
- *                 continue
- *             if d + 1 == self.k:
-*/
-    __pyx_t_5 = (__pyx_v_nb2 < 0);
-    if (__pyx_t_5) {
-
-      /* "wspkit/_kernel/_speed.pyx":388
- *                 return 2
- *             if nb2 < 0:
- *                 continue             # <<<<<<<<<<<<<<
- *             if d + 1 == self.k:
- *                 self.patterns += 1
-*/
-      goto __pyx_L3_continue;
-
-      /* "wspkit/_kernel/_speed.pyx":387
- *             if nb2 == -2:
- *                 return 2
- *             if nb2 < 0:             # <<<<<<<<<<<<<<
- *                 continue
- *             if d + 1 == self.k:
-*/
-    }
-
-    /* "wspkit/_kernel/_speed.pyx":389
- *             if nb2 < 0:
- *                 continue
- *             if d + 1 == self.k:             # <<<<<<<<<<<<<<
- *                 self.patterns += 1
- *                 if self.max_patterns >= 0 and self.patterns > self.max_patterns:
-*/
-    __pyx_t_5 = ((__pyx_v_d + 1) == __pyx_v_self->k);
-    if (__pyx_t_5) {
-
-      /* "wspkit/_kernel/_speed.pyx":390
- *                 continue
- *             if d + 1 == self.k:
- *                 self.patterns += 1             # <<<<<<<<<<<<<<
- *                 if self.max_patterns >= 0 and self.patterns > self.max_patterns:
- *                     return 2
-*/
-      __pyx_v_self->patterns = (__pyx_v_self->patterns + 1);
-
-      /* "wspkit/_kernel/_speed.pyx":391
- *             if d + 1 == self.k:
- *                 self.patterns += 1
- *                 if self.max_patterns >= 0 and self.patterns > self.max_patterns:             # <<<<<<<<<<<<<<
- *                     return 2
- *                 self._extract_plan(d + 1)
-*/
-      __pyx_t_6 = (__pyx_v_self->max_patterns >= 0);
-      if (__pyx_t_6) {
-      } else {
-        __pyx_t_5 = __pyx_t_6;
-        goto __pyx_L9_bool_binop_done;
-      }
-      __pyx_t_6 = (__pyx_v_self->patterns > __pyx_v_self->max_patterns);
-      __pyx_t_5 = __pyx_t_6;
-      __pyx_L9_bool_binop_done:;
-      if (__pyx_t_5) {
-
-        /* "wspkit/_kernel/_speed.pyx":392
- *                 self.patterns += 1
- *                 if self.max_patterns >= 0 and self.patterns > self.max_patterns:
- *                     return 2             # <<<<<<<<<<<<<<
- *                 self._extract_plan(d + 1)
- *                 return 1
-*/
-        __pyx_r = 2;
-        goto __pyx_L0;
-
-        /* "wspkit/_kernel/_speed.pyx":391
- *             if d + 1 == self.k:
- *                 self.patterns += 1
- *                 if self.max_patterns >= 0 and self.patterns > self.max_patterns:             # <<<<<<<<<<<<<<
- *                     return 2
- *                 self._extract_plan(d + 1)
-*/
-      }
-
-      /* "wspkit/_kernel/_speed.pyx":393
- *                 if self.max_patterns >= 0 and self.patterns > self.max_patterns:
- *                     return 2
- *                 self._extract_plan(d + 1)             # <<<<<<<<<<<<<<
- *                 return 1
- *             got = self._search(d + 1, nb2)
-*/
-      ((struct __pyx_vtabstruct_6wspkit_7_kernel_6_speed__Engine *)__pyx_v_self->__pyx_vtab)->_extract_plan(__pyx_v_self, (__pyx_v_d + 1)); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 393, __pyx_L1_error)
-
-      /* "wspkit/_kernel/_speed.pyx":394
- *                     return 2
- *                 self._extract_plan(d + 1)
- *                 return 1             # <<<<<<<<<<<<<<
- *             got = self._search(d + 1, nb2)
- *             if got != 0:
-*/
-      __pyx_r = 1;
-      goto __pyx_L0;
-
-      /* "wspkit/_kernel/_speed.pyx":389
- *             if nb2 < 0:
- *                 continue
- *             if d + 1 == self.k:             # <<<<<<<<<<<<<<
- *                 self.patterns += 1
- *                 if self.max_patterns >= 0 and self.patterns > self.max_patterns:
-*/
-    }
-
-    /* "wspkit/_kernel/_speed.pyx":395
- *                 self._extract_plan(d + 1)
- *                 return 1
- *             got = self._search(d + 1, nb2)             # <<<<<<<<<<<<<<
- *             if got != 0:
- *                 return got
-*/
-    __pyx_t_4 = ((struct __pyx_vtabstruct_6wspkit_7_kernel_6_speed__Engine *)__pyx_v_self->__pyx_vtab)->_search(__pyx_v_self, (__pyx_v_d + 1), __pyx_v_nb2); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 395, __pyx_L1_error)
-    __pyx_v_got = __pyx_t_4;
-
-    /* "wspkit/_kernel/_speed.pyx":396
- *                 return 1
- *             got = self._search(d + 1, nb2)
- *             if got != 0:             # <<<<<<<<<<<<<<
- *                 return got
- *         return 0
-*/
-    __pyx_t_5 = (__pyx_v_got != 0);
-    if (__pyx_t_5) {
-
-      /* "wspkit/_kernel/_speed.pyx":397
- *             got = self._search(d + 1, nb2)
- *             if got != 0:
- *                 return got             # <<<<<<<<<<<<<<
- *         return 0
- * 
-*/
-      __pyx_r = __pyx_v_got;
-      goto __pyx_L0;
-
-      /* "wspkit/_kernel/_speed.pyx":396
- *                 return 1
- *             got = self._search(d + 1, nb2)
- *             if got != 0:             # <<<<<<<<<<<<<<
- *                 return got
- *         return 0
-*/
-    }
-    __pyx_L3_continue:;
-  }
-
-  /* "wspkit/_kernel/_speed.pyx":398
- *             if got != 0:
- *                 return got
- *         return 0             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = 0;
-  goto __pyx_L0;
-
-  /* "wspkit/_kernel/_speed.pyx":381
- *             self.plan_out[self.order[e]] = mrow[self.assign[e]]
- * 
- *     cdef int _search(self, int d, int nb):             # <<<<<<<<<<<<<<
- *         cdef int b, nb2, got
- *         for b in range(nb + 1):
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("wspkit._kernel._speed._Engine._search", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = 0;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "(tree fragment)":1
- * def __reduce_cython__(self):             # <<<<<<<<<<<<<<
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
- * def __setstate_cython__(self, __pyx_state):
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_6wspkit_7_kernel_6_speed_7_Engine_5__reduce_cython__(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_6wspkit_7_kernel_6_speed_7_Engine_5__reduce_cython__ = {"__reduce_cython__", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_6wspkit_7_kernel_6_speed_7_Engine_5__reduce_cython__, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_6wspkit_7_kernel_6_speed_7_Engine_5__reduce_cython__(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__reduce_cython__ (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  if (unlikely(__pyx_nargs > 0)) { __Pyx_RaiseArgtupleInvalid("__reduce_cython__", 1, 0, 0, __pyx_nargs); return NULL; }
-  const Py_ssize_t __pyx_kwds_len = unlikely(__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-  if (unlikely(__pyx_kwds_len < 0)) return NULL;
-  if (unlikely(__pyx_kwds_len > 0)) {__Pyx_RejectKeywords("__reduce_cython__", __pyx_kwds); return NULL;}
-  __pyx_r = __pyx_pf_6wspkit_7_kernel_6_speed_7_Engine_4__reduce_cython__(((struct __pyx_obj_6wspkit_7_kernel_6_speed__Engine *)__pyx_v_self));
-
-  /* function exit code */
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_6wspkit_7_kernel_6_speed_7_Engine_4__reduce_cython__(CYTHON_UNUSED struct __pyx_obj_6wspkit_7_kernel_6_speed__Engine *__pyx_v_self) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__reduce_cython__", 0);
-
-  /* "(tree fragment)":2
- * def __reduce_cython__(self):
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"             # <<<<<<<<<<<<<<
- * def __setstate_cython__(self, __pyx_state):
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
-*/
-  __Pyx_Raise(((PyObject *)(((PyTypeObject*)PyExc_TypeError))), __pyx_mstate_global->__pyx_kp_u_no_default___reduce___due_to_non, 0, 0);
-  __PYX_ERR(1, 2, __pyx_L1_error)
-
-  /* "(tree fragment)":1
- * def __reduce_cython__(self):             # <<<<<<<<<<<<<<
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
- * def __setstate_cython__(self, __pyx_state):
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("wspkit._kernel._speed._Engine.__reduce_cython__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "(tree fragment)":3
- * def __reduce_cython__(self):
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
- * def __setstate_cython__(self, __pyx_state):             # <<<<<<<<<<<<<<
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_6wspkit_7_kernel_6_speed_7_Engine_7__setstate_cython__(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_6wspkit_7_kernel_6_speed_7_Engine_7__setstate_cython__ = {"__setstate_cython__", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_6wspkit_7_kernel_6_speed_7_Engine_7__setstate_cython__, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_6wspkit_7_kernel_6_speed_7_Engine_7__setstate_cython__(PyObject *__pyx_v_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  CYTHON_UNUSED PyObject *__pyx_v___pyx_state = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("__setstate_cython__ (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_pyx_state,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(1, 3, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(1, 3, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "__setstate_cython__", 0) < (0)) __PYX_ERR(1, 3, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("__setstate_cython__", 1, 1, 1, i); __PYX_ERR(1, 3, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(1, 3, __pyx_L3_error)
-    }
-    __pyx_v___pyx_state = values[0];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("__setstate_cython__", 1, 1, 1, __pyx_nargs); __PYX_ERR(1, 3, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("wspkit._kernel._speed._Engine.__setstate_cython__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_6wspkit_7_kernel_6_speed_7_Engine_6__setstate_cython__(((struct __pyx_obj_6wspkit_7_kernel_6_speed__Engine *)__pyx_v_self), __pyx_v___pyx_state);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_6wspkit_7_kernel_6_speed_7_Engine_6__setstate_cython__(CYTHON_UNUSED struct __pyx_obj_6wspkit_7_kernel_6_speed__Engine *__pyx_v_self, CYTHON_UNUSED PyObject *__pyx_v___pyx_state) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__setstate_cython__", 0);
-
-  /* "(tree fragment)":4
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
- * def __setstate_cython__(self, __pyx_state):
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"             # <<<<<<<<<<<<<<
-*/
-  __Pyx_Raise(((PyObject *)(((PyTypeObject*)PyExc_TypeError))), __pyx_mstate_global->__pyx_kp_u_no_default___reduce___due_to_non, 0, 0);
-  __PYX_ERR(1, 4, __pyx_L1_error)
-
-  /* "(tree fragment)":3
- * def __reduce_cython__(self):
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
- * def __setstate_cython__(self, __pyx_state):             # <<<<<<<<<<<<<<
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("wspkit._kernel._speed._Engine.__setstate_cython__", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "wspkit/_kernel/_speed.pyx":401
- * 
- * 
- * def run_search(prob, max_nodes=None, max_patterns=None, deadline=None, prefix=()):             # <<<<<<<<<<<<<<
- *     """Compiled twin of the pure backend's run_search; same contract."""
- *     cdef int k = prob.k
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_6wspkit_7_kernel_6_speed_1run_search(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_6wspkit_7_kernel_6_speed_run_search, "Compiled twin of the pure backend's run_search; same contract.");
-static PyMethodDef __pyx_mdef_6wspkit_7_kernel_6_speed_1run_search = {"run_search", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_6wspkit_7_kernel_6_speed_1run_search, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_6wspkit_7_kernel_6_speed_run_search};
-static PyObject *__pyx_pw_6wspkit_7_kernel_6_speed_1run_search(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_prob = 0;
-  PyObject *__pyx_v_max_nodes = 0;
-  PyObject *__pyx_v_max_patterns = 0;
-  PyObject *__pyx_v_deadline = 0;
-  PyObject *__pyx_v_prefix = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[5] = {0,0,0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("run_search (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_prob,&__pyx_mstate_global->__pyx_n_u_max_nodes,&__pyx_mstate_global->__pyx_n_u_max_patterns,&__pyx_mstate_global->__pyx_n_u_deadline,&__pyx_mstate_global->__pyx_n_u_prefix,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 401, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  5:
-        values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 401, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  4:
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 401, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 401, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 401, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 401, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "run_search", 0) < (0)) __PYX_ERR(0, 401, __pyx_L3_error)
-      if (!values[1]) values[1] = __Pyx_NewRef(((PyObject *)Py_None));
-      if (!values[2]) values[2] = __Pyx_NewRef(((PyObject *)Py_None));
-      if (!values[3]) values[3] = __Pyx_NewRef(((PyObject *)Py_None));
-      if (!values[4]) values[4] = __Pyx_NewRef(((PyObject *)((PyObject*)__pyx_mstate_global->__pyx_empty_tuple)));
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("run_search", 0, 1, 5, i); __PYX_ERR(0, 401, __pyx_L3_error) }
-      }
-    } else {
-      switch (__pyx_nargs) {
-        case  5:
-        values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 401, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  4:
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 401, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 401, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 401, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 401, __pyx_L3_error)
-        break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      if (!values[1]) values[1] = __Pyx_NewRef(((PyObject *)Py_None));
-      if (!values[2]) values[2] = __Pyx_NewRef(((PyObject *)Py_None));
-      if (!values[3]) values[3] = __Pyx_NewRef(((PyObject *)Py_None));
-      if (!values[4]) values[4] = __Pyx_NewRef(((PyObject *)((PyObject*)__pyx_mstate_global->__pyx_empty_tuple)));
-    }
-    __pyx_v_prob = values[0];
-    __pyx_v_max_nodes = values[1];
-    __pyx_v_max_patterns = values[2];
-    __pyx_v_deadline = values[3];
-    __pyx_v_prefix = values[4];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("run_search", 0, 1, 5, __pyx_nargs); __PYX_ERR(0, 401, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("wspkit._kernel._speed.run_search", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_6wspkit_7_kernel_6_speed_run_search(__pyx_self, __pyx_v_prob, __pyx_v_max_nodes, __pyx_v_max_patterns, __pyx_v_deadline, __pyx_v_prefix);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_6wspkit_7_kernel_6_speed_run_search(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_prob, PyObject *__pyx_v_max_nodes, PyObject *__pyx_v_max_patterns, PyObject *__pyx_v_deadline, PyObject *__pyx_v_prefix) {
-  int __pyx_v_k;
-  int __pyx_v_m;
-  struct __pyx_obj_6wspkit_7_kernel_6_speed__Engine *__pyx_v_eng = 0;
-  int __pyx_v_d;
-  int __pyx_v_nb;
-  int __pyx_v_nb2;
-  int __pyx_v_status;
-  PyObject *__pyx_v_b = NULL;
-  PyObject *__pyx_v_plan = NULL;
-  int __pyx_8genexpr4__pyx_v_i;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  int __pyx_t_2;
-  Py_ssize_t __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  PyObject *__pyx_t_6 = NULL;
-  size_t __pyx_t_7;
-  int64_t __pyx_t_8;
-  int64_t __pyx_t_9;
-  double __pyx_t_10;
-  double __pyx_t_11;
-  PyObject *(*__pyx_t_12)(PyObject *);
-  PyObject *__pyx_t_13 = NULL;
-  int __pyx_t_14;
-  int __pyx_t_15;
-  PyObject *__pyx_t_16 = NULL;
-  PyObject *__pyx_t_17 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("run_search", 0);
-
-  /* "wspkit/_kernel/_speed.pyx":403
- * def run_search(prob, max_nodes=None, max_patterns=None, deadline=None, prefix=()):
- *     """Compiled twin of the pure backend's run_search; same contract."""
- *     cdef int k = prob.k             # <<<<<<<<<<<<<<
- *     cdef int m = len(prob.combo_masks)
- *     if k == 0 or m == 0:
-*/
-  __pyx_t_1 = __Pyx_PyObject_GetAttrStr(__pyx_v_prob, __pyx_mstate_global->__pyx_n_u_k); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 403, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_2 = __Pyx_PyLong_As_int(__pyx_t_1); if (unlikely((__pyx_t_2 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 403, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_v_k = __pyx_t_2;
-
-  /* "wspkit/_kernel/_speed.pyx":404
- *     """Compiled twin of the pure backend's run_search; same contract."""
- *     cdef int k = prob.k
- *     cdef int m = len(prob.combo_masks)             # <<<<<<<<<<<<<<
- *     if k == 0 or m == 0:
- *         return (0, None, 0, 0, 0)
-*/
-  __pyx_t_1 = __Pyx_PyObject_GetAttrStr(__pyx_v_prob, __pyx_mstate_global->__pyx_n_u_combo_masks); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 404, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_3 = PyObject_Length(__pyx_t_1); if (unlikely(__pyx_t_3 == ((Py_ssize_t)-1))) __PYX_ERR(0, 404, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_v_m = __pyx_t_3;
-
-  /* "wspkit/_kernel/_speed.pyx":405
- *     cdef int k = prob.k
- *     cdef int m = len(prob.combo_masks)
- *     if k == 0 or m == 0:             # <<<<<<<<<<<<<<
- *         return (0, None, 0, 0, 0)
- * 
-*/
-  __pyx_t_5 = (__pyx_v_k == 0);
-  if (!__pyx_t_5) {
-  } else {
-    __pyx_t_4 = __pyx_t_5;
-    goto __pyx_L4_bool_binop_done;
-  }
-  __pyx_t_5 = (__pyx_v_m == 0);
-  __pyx_t_4 = __pyx_t_5;
-  __pyx_L4_bool_binop_done:;
-  if (__pyx_t_4) {
-
-    /* "wspkit/_kernel/_speed.pyx":406
- *     cdef int m = len(prob.combo_masks)
- *     if k == 0 or m == 0:
- *         return (0, None, 0, 0, 0)             # <<<<<<<<<<<<<<
- * 
- *     cdef _Engine eng = _Engine()
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __Pyx_INCREF(__pyx_mstate_global->__pyx_tuple[0]);
-    __pyx_r = __pyx_mstate_global->__pyx_tuple[0];
-    goto __pyx_L0;
-
-    /* "wspkit/_kernel/_speed.pyx":405
- *     cdef int k = prob.k
- *     cdef int m = len(prob.combo_masks)
- *     if k == 0 or m == 0:             # <<<<<<<<<<<<<<
- *         return (0, None, 0, 0, 0)
- * 
-*/
-  }
-
-  /* "wspkit/_kernel/_speed.pyx":408
- *         return (0, None, 0, 0, 0)
- * 
- *     cdef _Engine eng = _Engine()             # <<<<<<<<<<<<<<
- *     eng._load(prob)
- *     eng.nodes = 0
-*/
-  __pyx_t_6 = NULL;
-  __pyx_t_7 = 1;
-  {
-    PyObject *__pyx_callargs[2] = {__pyx_t_6, NULL};
-    __pyx_t_1 = __Pyx_PyObject_FastCall((PyObject*)__pyx_mstate_global->__pyx_ptype_6wspkit_7_kernel_6_speed__Engine, __pyx_callargs+__pyx_t_7, (1-__pyx_t_7) | (__pyx_t_7*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-    __Pyx_XDECREF(__pyx_t_6); __pyx_t_6 = 0;
-    if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 408, __pyx_L1_error)
-    __Pyx_GOTREF((PyObject *)__pyx_t_1);
-  }
-  __pyx_v_eng = ((struct __pyx_obj_6wspkit_7_kernel_6_speed__Engine *)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "wspkit/_kernel/_speed.pyx":409
- * 
- *     cdef _Engine eng = _Engine()
- *     eng._load(prob)             # <<<<<<<<<<<<<<
- *     eng.nodes = 0
- *     eng.patterns = 0
-*/
-  ((struct __pyx_vtabstruct_6wspkit_7_kernel_6_speed__Engine *)__pyx_v_eng->__pyx_vtab)->_load(__pyx_v_eng, __pyx_v_prob); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 409, __pyx_L1_error)
-
-  /* "wspkit/_kernel/_speed.pyx":410
- *     cdef _Engine eng = _Engine()
- *     eng._load(prob)
- *     eng.nodes = 0             # <<<<<<<<<<<<<<
- *     eng.patterns = 0
- *     eng.matchings = 0
-*/
-  __pyx_v_eng->nodes = 0;
-
-  /* "wspkit/_kernel/_speed.pyx":411
- *     eng._load(prob)
- *     eng.nodes = 0
- *     eng.patterns = 0             # <<<<<<<<<<<<<<
- *     eng.matchings = 0
- *     eng.max_nodes = -1 if max_nodes is None else max_nodes
-*/
-  __pyx_v_eng->patterns = 0;
-
-  /* "wspkit/_kernel/_speed.pyx":412
- *     eng.nodes = 0
- *     eng.patterns = 0
- *     eng.matchings = 0             # <<<<<<<<<<<<<<
- *     eng.max_nodes = -1 if max_nodes is None else max_nodes
- *     eng.max_patterns = -1 if max_patterns is None else max_patterns
-*/
-  __pyx_v_eng->matchings = 0;
-
-  /* "wspkit/_kernel/_speed.pyx":413
- *     eng.patterns = 0
- *     eng.matchings = 0
- *     eng.max_nodes = -1 if max_nodes is None else max_nodes             # <<<<<<<<<<<<<<
- *     eng.max_patterns = -1 if max_patterns is None else max_patterns
- *     eng.deadline = -1.0 if deadline is None else deadline
-*/
-  __pyx_t_4 = (__pyx_v_max_nodes == Py_None);
-  if (__pyx_t_4) {
-    __pyx_t_8 = -1L;
-  } else {
-    __pyx_t_9 = __Pyx_PyLong_As_int64_t(__pyx_v_max_nodes); if (unlikely((__pyx_t_9 == ((int64_t)-1)) && PyErr_Occurred())) __PYX_ERR(0, 413, __pyx_L1_error)
-    __pyx_t_8 = __pyx_t_9;
-  }
-  __pyx_v_eng->max_nodes = __pyx_t_8;
-
-  /* "wspkit/_kernel/_speed.pyx":414
- *     eng.matchings = 0
- *     eng.max_nodes = -1 if max_nodes is None else max_nodes
- *     eng.max_patterns = -1 if max_patterns is None else max_patterns             # <<<<<<<<<<<<<<
- *     eng.deadline = -1.0 if deadline is None else deadline
- *     eng.out_of_time = 0
-*/
-  __pyx_t_4 = (__pyx_v_max_patterns == Py_None);
-  if (__pyx_t_4) {
-    __pyx_t_8 = -1L;
-  } else {
-    __pyx_t_9 = __Pyx_PyLong_As_int64_t(__pyx_v_max_patterns); if (unlikely((__pyx_t_9 == ((int64_t)-1)) && PyErr_Occurred())) __PYX_ERR(0, 414, __pyx_L1_error)
-    __pyx_t_8 = __pyx_t_9;
-  }
-  __pyx_v_eng->max_patterns = __pyx_t_8;
-
-  /* "wspkit/_kernel/_speed.pyx":415
- *     eng.max_nodes = -1 if max_nodes is None else max_nodes
- *     eng.max_patterns = -1 if max_patterns is None else max_patterns
- *     eng.deadline = -1.0 if deadline is None else deadline             # <<<<<<<<<<<<<<
- *     eng.out_of_time = 0
- * 
-*/
-  __pyx_t_4 = (__pyx_v_deadline == Py_None);
-  if (__pyx_t_4) {
-    __pyx_t_10 = -1.0;
-  } else {
-    __pyx_t_11 = __Pyx_PyFloat_AsDouble(__pyx_v_deadline); if (unlikely((__pyx_t_11 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 415, __pyx_L1_error)
-    __pyx_t_10 = __pyx_t_11;
-  }
-  __pyx_v_eng->deadline = __pyx_t_10;
-
-  /* "wspkit/_kernel/_speed.pyx":416
- *     eng.max_patterns = -1 if max_patterns is None else max_patterns
- *     eng.deadline = -1.0 if deadline is None else deadline
- *     eng.out_of_time = 0             # <<<<<<<<<<<<<<
- * 
- *     cdef int d = 0
-*/
-  __pyx_v_eng->out_of_time = 0;
-
-  /* "wspkit/_kernel/_speed.pyx":418
- *     eng.out_of_time = 0
- * 
- *     cdef int d = 0             # <<<<<<<<<<<<<<
- *     cdef int nb = 0
- *     cdef int nb2
-*/
-  __pyx_v_d = 0;
-
-  /* "wspkit/_kernel/_speed.pyx":419
- * 
- *     cdef int d = 0
- *     cdef int nb = 0             # <<<<<<<<<<<<<<
- *     cdef int nb2
- *     cdef int status = -1
-*/
-  __pyx_v_nb = 0;
-
-  /* "wspkit/_kernel/_speed.pyx":421
- *     cdef int nb = 0
- *     cdef int nb2
- *     cdef int status = -1             # <<<<<<<<<<<<<<
- *     for b in prefix:
- *         if b > nb:
-*/
-  __pyx_v_status = -1;
-
-  /* "wspkit/_kernel/_speed.pyx":422
- *     cdef int nb2
- *     cdef int status = -1
- *     for b in prefix:             # <<<<<<<<<<<<<<
- *         if b > nb:
- *             status = 0
-*/
-  if (likely(PyList_CheckExact(__pyx_v_prefix)) || PyTuple_CheckExact(__pyx_v_prefix)) {
-    __pyx_t_1 = __pyx_v_prefix; __Pyx_INCREF(__pyx_t_1);
-    __pyx_t_3 = 0;
-    __pyx_t_12 = NULL;
-  } else {
-    __pyx_t_3 = -1; __pyx_t_1 = PyObject_GetIter(__pyx_v_prefix); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 422, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __pyx_t_12 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_1); if (unlikely(!__pyx_t_12)) __PYX_ERR(0, 422, __pyx_L1_error)
-  }
-  for (;;) {
-    if (likely(!__pyx_t_12)) {
-      if (likely(PyList_CheckExact(__pyx_t_1))) {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_1);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 422, __pyx_L1_error)
-          #endif
-          if (__pyx_t_3 >= __pyx_temp) break;
-        }
-        __pyx_t_6 = __Pyx_PyList_GetItemRefFast(__pyx_t_1, __pyx_t_3, __Pyx_ReferenceSharing_OwnStrongReference);
-        ++__pyx_t_3;
-      } else {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyTuple_GET_SIZE(__pyx_t_1);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 422, __pyx_L1_error)
-          #endif
-          if (__pyx_t_3 >= __pyx_temp) break;
-        }
-        #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-        __pyx_t_6 = __Pyx_NewRef(PyTuple_GET_ITEM(__pyx_t_1, __pyx_t_3));
-        #else
-        __pyx_t_6 = __Pyx_PySequence_ITEM(__pyx_t_1, __pyx_t_3);
-        #endif
-        ++__pyx_t_3;
-      }
-      if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 422, __pyx_L1_error)
-    } else {
-      __pyx_t_6 = __pyx_t_12(__pyx_t_1);
-      if (unlikely(!__pyx_t_6)) {
-        PyObject* exc_type = PyErr_Occurred();
-        if (exc_type) {
-          if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration))) __PYX_ERR(0, 422, __pyx_L1_error)
-          PyErr_Clear();
-        }
-        break;
-      }
-    }
-    __Pyx_GOTREF(__pyx_t_6);
-    __Pyx_XDECREF_SET(__pyx_v_b, __pyx_t_6);
-    __pyx_t_6 = 0;
-
-    /* "wspkit/_kernel/_speed.pyx":423
- *     cdef int status = -1
- *     for b in prefix:
- *         if b > nb:             # <<<<<<<<<<<<<<
- *             status = 0
- *             break
-*/
-    __pyx_t_6 = __Pyx_PyLong_From_int(__pyx_v_nb); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 423, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_6);
-    __pyx_t_13 = PyObject_RichCompare(__pyx_v_b, __pyx_t_6, Py_GT); __Pyx_XGOTREF(__pyx_t_13); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 423, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-    __pyx_t_4 = __Pyx_PyObject_IsTrue(__pyx_t_13); if (unlikely((__pyx_t_4 < 0))) __PYX_ERR(0, 423, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_13); __pyx_t_13 = 0;
-    if (__pyx_t_4) {
-
-      /* "wspkit/_kernel/_speed.pyx":424
- *     for b in prefix:
- *         if b > nb:
- *             status = 0             # <<<<<<<<<<<<<<
- *             break
- *         nb2 = eng._apply_choice(d, nb, b)
-*/
-      __pyx_v_status = 0;
-
-      /* "wspkit/_kernel/_speed.pyx":425
- *         if b > nb:
- *             status = 0
- *             break             # <<<<<<<<<<<<<<
- *         nb2 = eng._apply_choice(d, nb, b)
- *         if nb2 == -2:
-*/
-      goto __pyx_L7_break;
-
-      /* "wspkit/_kernel/_speed.pyx":423
- *     cdef int status = -1
- *     for b in prefix:
- *         if b > nb:             # <<<<<<<<<<<<<<
- *             status = 0
- *             break
-*/
-    }
-
-    /* "wspkit/_kernel/_speed.pyx":426
- *             status = 0
- *             break
- *         nb2 = eng._apply_choice(d, nb, b)             # <<<<<<<<<<<<<<
- *         if nb2 == -2:
- *             status = 2
-*/
-    __pyx_t_2 = __Pyx_PyLong_As_int(__pyx_v_b); if (unlikely((__pyx_t_2 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 426, __pyx_L1_error)
-    __pyx_t_14 = ((struct __pyx_vtabstruct_6wspkit_7_kernel_6_speed__Engine *)__pyx_v_eng->__pyx_vtab)->_apply_choice(__pyx_v_eng, __pyx_v_d, __pyx_v_nb, __pyx_t_2); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 426, __pyx_L1_error)
-    __pyx_v_nb2 = __pyx_t_14;
-
-    /* "wspkit/_kernel/_speed.pyx":427
- *             break
- *         nb2 = eng._apply_choice(d, nb, b)
- *         if nb2 == -2:             # <<<<<<<<<<<<<<
- *             status = 2
- *             break
-*/
-    __pyx_t_4 = (__pyx_v_nb2 == -2L);
-    if (__pyx_t_4) {
-
-      /* "wspkit/_kernel/_speed.pyx":428
- *         nb2 = eng._apply_choice(d, nb, b)
- *         if nb2 == -2:
- *             status = 2             # <<<<<<<<<<<<<<
- *             break
- *         if nb2 < 0:
-*/
-      __pyx_v_status = 2;
-
-      /* "wspkit/_kernel/_speed.pyx":429
- *         if nb2 == -2:
- *             status = 2
- *             break             # <<<<<<<<<<<<<<
- *         if nb2 < 0:
- *             status = 0
-*/
-      goto __pyx_L7_break;
-
-      /* "wspkit/_kernel/_speed.pyx":427
- *             break
- *         nb2 = eng._apply_choice(d, nb, b)
- *         if nb2 == -2:             # <<<<<<<<<<<<<<
- *             status = 2
- *             break
-*/
-    }
-
-    /* "wspkit/_kernel/_speed.pyx":430
- *             status = 2
- *             break
- *         if nb2 < 0:             # <<<<<<<<<<<<<<
- *             status = 0
- *             break
-*/
-    __pyx_t_4 = (__pyx_v_nb2 < 0);
-    if (__pyx_t_4) {
-
-      /* "wspkit/_kernel/_speed.pyx":431
- *             break
- *         if nb2 < 0:
- *             status = 0             # <<<<<<<<<<<<<<
- *             break
- *         d += 1
-*/
-      __pyx_v_status = 0;
-
-      /* "wspkit/_kernel/_speed.pyx":432
- *         if nb2 < 0:
- *             status = 0
- *             break             # <<<<<<<<<<<<<<
- *         d += 1
- *         nb = nb2
-*/
-      goto __pyx_L7_break;
-
-      /* "wspkit/_kernel/_speed.pyx":430
- *             status = 2
- *             break
- *         if nb2 < 0:             # <<<<<<<<<<<<<<
- *             status = 0
- *             break
-*/
-    }
-
-    /* "wspkit/_kernel/_speed.pyx":433
- *             status = 0
- *             break
- *         d += 1             # <<<<<<<<<<<<<<
- *         nb = nb2
- *         if d == k:
-*/
-    __pyx_v_d = (__pyx_v_d + 1);
-
-    /* "wspkit/_kernel/_speed.pyx":434
- *             break
- *         d += 1
- *         nb = nb2             # <<<<<<<<<<<<<<
- *         if d == k:
- *             eng.patterns += 1
-*/
-    __pyx_v_nb = __pyx_v_nb2;
-
-    /* "wspkit/_kernel/_speed.pyx":435
- *         d += 1
- *         nb = nb2
- *         if d == k:             # <<<<<<<<<<<<<<
- *             eng.patterns += 1
- *             eng._extract_plan(d)
-*/
-    __pyx_t_4 = (__pyx_v_d == __pyx_v_k);
-    if (__pyx_t_4) {
-
-      /* "wspkit/_kernel/_speed.pyx":436
- *         nb = nb2
- *         if d == k:
- *             eng.patterns += 1             # <<<<<<<<<<<<<<
- *             eng._extract_plan(d)
- *             status = 1
-*/
-      __pyx_v_eng->patterns = (__pyx_v_eng->patterns + 1);
-
-      /* "wspkit/_kernel/_speed.pyx":437
- *         if d == k:
- *             eng.patterns += 1
- *             eng._extract_plan(d)             # <<<<<<<<<<<<<<
- *             status = 1
- *             break
-*/
-      ((struct __pyx_vtabstruct_6wspkit_7_kernel_6_speed__Engine *)__pyx_v_eng->__pyx_vtab)->_extract_plan(__pyx_v_eng, __pyx_v_d); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 437, __pyx_L1_error)
-
-      /* "wspkit/_kernel/_speed.pyx":438
- *             eng.patterns += 1
- *             eng._extract_plan(d)
- *             status = 1             # <<<<<<<<<<<<<<
- *             break
- * 
-*/
-      __pyx_v_status = 1;
-
-      /* "wspkit/_kernel/_speed.pyx":439
- *             eng._extract_plan(d)
- *             status = 1
- *             break             # <<<<<<<<<<<<<<
- * 
- *     if status < 0:
-*/
-      goto __pyx_L7_break;
-
-      /* "wspkit/_kernel/_speed.pyx":435
- *         d += 1
- *         nb = nb2
- *         if d == k:             # <<<<<<<<<<<<<<
- *             eng.patterns += 1
- *             eng._extract_plan(d)
-*/
-    }
-
-    /* "wspkit/_kernel/_speed.pyx":422
- *     cdef int nb2
- *     cdef int status = -1
- *     for b in prefix:             # <<<<<<<<<<<<<<
- *         if b > nb:
- *             status = 0
-*/
-  }
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  goto __pyx_L12_for_end;
-  __pyx_L7_break:;
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  goto __pyx_L12_for_end;
-  __pyx_L12_for_end:;
-
-  /* "wspkit/_kernel/_speed.pyx":441
- *             break
- * 
- *     if status < 0:             # <<<<<<<<<<<<<<
- *         status = eng._search(d, nb)
- * 
-*/
-  __pyx_t_4 = (__pyx_v_status < 0);
-  if (__pyx_t_4) {
-
-    /* "wspkit/_kernel/_speed.pyx":442
- * 
- *     if status < 0:
- *         status = eng._search(d, nb)             # <<<<<<<<<<<<<<
- * 
- *     plan = None
-*/
-    __pyx_t_14 = ((struct __pyx_vtabstruct_6wspkit_7_kernel_6_speed__Engine *)__pyx_v_eng->__pyx_vtab)->_search(__pyx_v_eng, __pyx_v_d, __pyx_v_nb); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 442, __pyx_L1_error)
-    __pyx_v_status = __pyx_t_14;
-
-    /* "wspkit/_kernel/_speed.pyx":441
- *             break
- * 
- *     if status < 0:             # <<<<<<<<<<<<<<
- *         status = eng._search(d, nb)
- * 
-*/
-  }
-
-  /* "wspkit/_kernel/_speed.pyx":444
- *         status = eng._search(d, nb)
- * 
- *     plan = None             # <<<<<<<<<<<<<<
- *     if status == 1:
- *         plan = [eng.plan_out[i] for i in range(k)]
-*/
-  __Pyx_INCREF(Py_None);
-  __pyx_v_plan = ((PyObject*)Py_None);
-
-  /* "wspkit/_kernel/_speed.pyx":445
- * 
- *     plan = None
- *     if status == 1:             # <<<<<<<<<<<<<<
- *         plan = [eng.plan_out[i] for i in range(k)]
- *     return (status, plan, eng.patterns, eng.nodes, eng.matchings)
-*/
-  __pyx_t_4 = (__pyx_v_status == 1);
-  if (__pyx_t_4) {
-
-    /* "wspkit/_kernel/_speed.pyx":446
- *     plan = None
- *     if status == 1:
- *         plan = [eng.plan_out[i] for i in range(k)]             # <<<<<<<<<<<<<<
- *     return (status, plan, eng.patterns, eng.nodes, eng.matchings)
-*/
-    { /* enter inner scope */
-      __pyx_t_1 = PyList_New(0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 446, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_1);
-      __pyx_t_14 = __pyx_v_k;
-      __pyx_t_2 = __pyx_t_14;
-      for (__pyx_t_15 = 0; __pyx_t_15 < __pyx_t_2; __pyx_t_15+=1) {
-        __pyx_8genexpr4__pyx_v_i = __pyx_t_15;
-        __pyx_t_13 = __Pyx_PyLong_From_int((__pyx_v_eng->plan_out[__pyx_8genexpr4__pyx_v_i])); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 446, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_13);
-        if (unlikely(__Pyx_ListComp_Append(__pyx_t_1, (PyObject*)__pyx_t_13))) __PYX_ERR(0, 446, __pyx_L1_error)
-        __Pyx_DECREF(__pyx_t_13); __pyx_t_13 = 0;
-      }
-    } /* exit inner scope */
-    __Pyx_DECREF_SET(__pyx_v_plan, ((PyObject*)__pyx_t_1));
-    __pyx_t_1 = 0;
-
-    /* "wspkit/_kernel/_speed.pyx":445
- * 
- *     plan = None
- *     if status == 1:             # <<<<<<<<<<<<<<
- *         plan = [eng.plan_out[i] for i in range(k)]
- *     return (status, plan, eng.patterns, eng.nodes, eng.matchings)
-*/
-  }
-
-  /* "wspkit/_kernel/_speed.pyx":447
- *     if status == 1:
- *         plan = [eng.plan_out[i] for i in range(k)]
- *     return (status, plan, eng.patterns, eng.nodes, eng.matchings)             # <<<<<<<<<<<<<<
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_1 = __Pyx_PyLong_From_int(__pyx_v_status); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 447, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_13 = __Pyx_PyLong_From_int64_t(__pyx_v_eng->patterns); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 447, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_13);
-  __pyx_t_6 = __Pyx_PyLong_From_int64_t(__pyx_v_eng->nodes); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 447, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_6);
-  __pyx_t_16 = __Pyx_PyLong_From_int64_t(__pyx_v_eng->matchings); if (unlikely(!__pyx_t_16)) __PYX_ERR(0, 447, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_16);
-  __pyx_t_17 = PyTuple_New(5); if (unlikely(!__pyx_t_17)) __PYX_ERR(0, 447, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_17);
-  __Pyx_GIVEREF(__pyx_t_1);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_17, 0, __pyx_t_1) != (0)) __PYX_ERR(0, 447, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_v_plan);
-  __Pyx_GIVEREF(__pyx_v_plan);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_17, 1, __pyx_v_plan) != (0)) __PYX_ERR(0, 447, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_13);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_17, 2, __pyx_t_13) != (0)) __PYX_ERR(0, 447, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_6);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_17, 3, __pyx_t_6) != (0)) __PYX_ERR(0, 447, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_16);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_17, 4, __pyx_t_16) != (0)) __PYX_ERR(0, 447, __pyx_L1_error);
-  __pyx_t_1 = 0;
-  __pyx_t_13 = 0;
-  __pyx_t_6 = 0;
-  __pyx_t_16 = 0;
-  __pyx_r = __pyx_t_17;
-  __pyx_t_17 = 0;
-  goto __pyx_L0;
-
-  /* "wspkit/_kernel/_speed.pyx":401
- * 
- * 
- * def run_search(prob, max_nodes=None, max_patterns=None, deadline=None, prefix=()):             # <<<<<<<<<<<<<<
- *     """Compiled twin of the pure backend's run_search; same contract."""
- *     cdef int k = prob.k
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_XDECREF(__pyx_t_13);
-  __Pyx_XDECREF(__pyx_t_16);
-  __Pyx_XDECREF(__pyx_t_17);
-  __Pyx_AddTraceback("wspkit._kernel._speed.run_search", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF((PyObject *)__pyx_v_eng);
-  __Pyx_XDECREF(__pyx_v_b);
-  __Pyx_XDECREF(__pyx_v_plan);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-/* #### Code section: module_exttypes ### */
-static struct __pyx_vtabstruct_6wspkit_7_kernel_6_speed__Engine __pyx_vtable_6wspkit_7_kernel_6_speed__Engine;
-
-static PyObject *__pyx_tp_new_6wspkit_7_kernel_6_speed__Engine(PyTypeObject *t, CYTHON_UNUSED PyObject *a, CYTHON_UNUSED PyObject *k) {
-  struct __pyx_obj_6wspkit_7_kernel_6_speed__Engine *p;
-  PyObject *o;
-  o = __Pyx_AllocateExtensionType(t, 0);
-  if (unlikely(!o)) return 0;
-  p = ((struct __pyx_obj_6wspkit_7_kernel_6_speed__Engine *)o);
-  p->__pyx_vtab = __pyx_vtabptr_6wspkit_7_kernel_6_speed__Engine;
-  if (unlikely(__pyx_pw_6wspkit_7_kernel_6_speed_7_Engine_1__cinit__(o, __pyx_mstate_global->__pyx_empty_tuple, NULL) < 0)) goto bad;
-  return o;
-  bad:
-  Py_DECREF(o); o = 0;
-  return NULL;
-}
-
-static void __pyx_tp_dealloc_6wspkit_7_kernel_6_speed__Engine(PyObject *o) {
-  #if CYTHON_USE_TP_FINALIZE
-  if (unlikely(__Pyx_PyObject_GetSlot(o, tp_finalize, destructor)) && (!PyType_IS_GC(Py_TYPE(o)) || !__Pyx_PyObject_GC_IsFinalized(o))) {
-    if (__Pyx_PyObject_GetSlot(o, tp_dealloc, destructor) == __pyx_tp_dealloc_6wspkit_7_kernel_6_speed__Engine) {
-      if (PyObject_CallFinalizerFromDealloc(o)) return;
-    }
-  }
-  #endif
-  {
-    PyObject *etype, *eval, *etb;
-    PyErr_Fetch(&etype, &eval, &etb);
-    __Pyx_DeallocKeepAliveBegin(o);
-    __pyx_pw_6wspkit_7_kernel_6_speed_7_Engine_3__dealloc__(o);
-    __Pyx_DeallocKeepAliveEnd(o);
-    PyErr_Restore(etype, eval, etb);
-  }
-  PyTypeObject *tp = Py_TYPE(o);
-  #if CYTHON_USE_TYPE_SLOTS
-  (*tp->tp_free)(o);
-  #else
-  {
-    freefunc tp_free = (freefunc)PyType_GetSlot(tp, Py_tp_free);
-    if (tp_free) tp_free(o);
-  }
-  #endif
-  #if CYTHON_USE_TYPE_SPECS
-  Py_DECREF(tp);
-  #endif
-}
-
-static PyMethodDef __pyx_methods_6wspkit_7_kernel_6_speed__Engine[] = {
-  {"__reduce_cython__", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_6wspkit_7_kernel_6_speed_7_Engine_5__reduce_cython__, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0},
-  {"__setstate_cython__", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_6wspkit_7_kernel_6_speed_7_Engine_7__setstate_cython__, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0},
-  {0, 0, 0, 0}
-};
-#if CYTHON_USE_TYPE_SPECS
-static PyType_Slot __pyx_type_6wspkit_7_kernel_6_speed__Engine_slots[] = {
-  {Py_tp_dealloc, (void *)__pyx_tp_dealloc_6wspkit_7_kernel_6_speed__Engine},
-  {Py_tp_methods, (void *)__pyx_methods_6wspkit_7_kernel_6_speed__Engine},
-  {Py_tp_new, (void *)__pyx_tp_new_6wspkit_7_kernel_6_speed__Engine},
-  {0, 0},
-};
-static PyType_Spec __pyx_type_6wspkit_7_kernel_6_speed__Engine_spec = {
-  "wspkit._kernel._speed._Engine",
-  sizeof(struct __pyx_obj_6wspkit_7_kernel_6_speed__Engine),
-  0,
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER|Py_TPFLAGS_BASETYPE,
-  __pyx_type_6wspkit_7_kernel_6_speed__Engine_slots,
-};
-#else
-
-static PyTypeObject __pyx_type_6wspkit_7_kernel_6_speed__Engine = {
-  PyVarObject_HEAD_INIT(0, 0)
-  "wspkit._kernel._speed.""_Engine", /*tp_name*/
-  sizeof(struct __pyx_obj_6wspkit_7_kernel_6_speed__Engine), /*tp_basicsize*/
-  0, /*tp_itemsize*/
-  __pyx_tp_dealloc_6wspkit_7_kernel_6_speed__Engine, /*tp_dealloc*/
-  0, /*tp_vectorcall_offset*/
-  0, /*tp_getattr*/
-  0, /*tp_setattr*/
-  0, /*tp_as_async*/
-  0, /*tp_repr*/
-  0, /*tp_as_number*/
-  0, /*tp_as_sequence*/
-  0, /*tp_as_mapping*/
-  0, /*tp_hash*/
-  0, /*tp_call*/
-  0, /*tp_str*/
-  0, /*tp_getattro*/
-  0, /*tp_setattro*/
-  0, /*tp_as_buffer*/
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER|Py_TPFLAGS_BASETYPE, /*tp_flags*/
-  0, /*tp_doc*/
-  0, /*tp_traverse*/
-  0, /*tp_clear*/
-  0, /*tp_richcompare*/
-  0, /*tp_weaklistoffset*/
-  0, /*tp_iter*/
-  0, /*tp_iternext*/
-  __pyx_methods_6wspkit_7_kernel_6_speed__Engine, /*tp_methods*/
-  0, /*tp_members*/
-  0, /*tp_getset*/
-  0, /*tp_base*/
-  0, /*tp_dict*/
-  0, /*tp_descr_get*/
-  0, /*tp_descr_set*/
-  #if !CYTHON_USE_TYPE_SPECS
-  0, /*tp_dictoffset*/
-  #endif
-  0, /*tp_init*/
-  0, /*tp_alloc*/
-  __pyx_tp_new_6wspkit_7_kernel_6_speed__Engine, /*tp_new*/
-  0, /*tp_free*/
-  0, /*tp_is_gc*/
-  0, /*tp_bases*/
-  0, /*tp_mro*/
-  0, /*tp_cache*/
-  0, /*tp_subclasses*/
-  0, /*tp_weaklist*/
-  0, /*tp_del*/
-  0, /*tp_version_tag*/
-  #if CYTHON_USE_TP_FINALIZE
-  0, /*tp_finalize*/
-  #else
-  NULL, /*tp_finalize*/
-  #endif
-  #if !CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM >= 0x07030800
-  0, /*tp_vectorcall*/
-  #endif
-  #if __PYX_NEED_TP_PRINT_SLOT == 1
-  0, /*tp_print*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030C0000
-  0, /*tp_watched*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030d00A4
-  0, /*tp_versions_used*/
-  #endif
-  #if CYTHON_COMPILING_IN_PYPY && PY_VERSION_HEX >= 0x03090000 && PY_VERSION_HEX < 0x030a0000
-  0, /*tp_pypy_flags*/
-  #endif
-};
-#endif
-
-static PyObject *__pyx_tp_new_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr(PyTypeObject *t, CYTHON_UNUSED PyObject *a, CYTHON_UNUSED PyObject *k) {
-  PyObject *o;
-  #if CYTHON_USE_FREELISTS
-  if (likely((int)(__pyx_mstate_global->__pyx_freecount_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr > 0) & __PYX_CHECK_FINAL_TYPE_FOR_FREELISTS(t, __pyx_mstate_global->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr, sizeof(struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr))))
-  {
-    o = (PyObject*)__pyx_mstate_global->__pyx_freelist_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr[--__pyx_mstate_global->__pyx_freecount_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr];
-    #if CYTHON_USE_TYPE_SPECS
-    Py_DECREF(Py_TYPE(o));
-    #endif
-    memset(o, 0, sizeof(struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr));
-    #if CYTHON_COMPILING_IN_LIMITED_API
-    (void) PyObject_Init(o, t);
-    #else
-    (void) PyObject_INIT(o, t);
-    #endif
-    PyObject_GC_Track(o);
-  } else
-  #endif
-  {
-    o = __Pyx_AllocateExtensionType(t, 1);
-    if (unlikely(!o)) return 0;
-  }
-  return o;
-}
-
-static void __pyx_tp_dealloc_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr(PyObject *o) {
-  struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr *p = (struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr *)o;
-  #if CYTHON_USE_TP_FINALIZE
-  if (unlikely(__Pyx_PyObject_GetSlot(o, tp_finalize, destructor)) && !__Pyx_PyObject_GC_IsFinalized(o)) {
-    if (__Pyx_PyObject_GetSlot(o, tp_dealloc, destructor) == __pyx_tp_dealloc_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr) {
-      if (PyObject_CallFinalizerFromDealloc(o)) return;
-    }
-  }
-  #endif
-  PyObject_GC_UnTrack(o);
-  Py_CLEAR(p->__pyx_genexpr_arg_0);
-  Py_CLEAR(p->__pyx_v_x);
-  Py_CLEAR(p->__pyx_t_0);
-  #if CYTHON_USE_FREELISTS
-  if (likely((int)(__pyx_mstate_global->__pyx_freecount_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr < 8) & __PYX_CHECK_FINAL_TYPE_FOR_FREELISTS(Py_TYPE(o), __pyx_mstate_global->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr, sizeof(struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr))))
-  {
-    __pyx_mstate_global->__pyx_freelist_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr[__pyx_mstate_global->__pyx_freecount_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr++] = ((struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr *)o);
-  } else
-  #endif
-  {
-    PyTypeObject *tp = Py_TYPE(o);
-    #if CYTHON_USE_TYPE_SLOTS
-    (*tp->tp_free)(o);
-    #else
-    {
-      freefunc tp_free = (freefunc)PyType_GetSlot(tp, Py_tp_free);
-      if (tp_free) tp_free(o);
-    }
-    #endif
-    #if CYTHON_USE_TYPE_SPECS
-    Py_DECREF(tp);
-    #endif
-  }
-}
-
-static int __pyx_tp_traverse_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr(PyObject *o, visitproc v, void *a) {
-  int e;
-  struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr *p = (struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr *)o;
-  {
-    e = __Pyx_call_type_traverse(o, 1, v, a);
-    if (e) return e;
-  }
-  if (p->__pyx_genexpr_arg_0) {
-    e = (*v)(p->__pyx_genexpr_arg_0, a); if (e) return e;
-  }
-  if (p->__pyx_v_x) {
-    e = (*v)(p->__pyx_v_x, a); if (e) return e;
-  }
-  if (p->__pyx_t_0) {
-    e = (*v)(p->__pyx_t_0, a); if (e) return e;
-  }
-  return 0;
-}
-#if CYTHON_USE_TYPE_SPECS
-static PyType_Slot __pyx_type_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr_slots[] = {
-  {Py_tp_dealloc, (void *)__pyx_tp_dealloc_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr},
-  {Py_tp_traverse, (void *)__pyx_tp_traverse_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr},
-  {Py_tp_new, (void *)__pyx_tp_new_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr},
-  {0, 0},
-};
-static PyType_Spec __pyx_type_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr_spec = {
-  "wspkit._kernel._speed.__pyx_scope_struct__genexpr",
-  sizeof(struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr),
-  0,
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER|Py_TPFLAGS_HAVE_GC,
-  __pyx_type_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr_slots,
-};
-#else
-
-static PyTypeObject __pyx_type_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr = {
-  PyVarObject_HEAD_INIT(0, 0)
-  "wspkit._kernel._speed.""__pyx_scope_struct__genexpr", /*tp_name*/
-  sizeof(struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr), /*tp_basicsize*/
-  0, /*tp_itemsize*/
-  __pyx_tp_dealloc_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr, /*tp_dealloc*/
-  0, /*tp_vectorcall_offset*/
-  0, /*tp_getattr*/
-  0, /*tp_setattr*/
-  0, /*tp_as_async*/
-  0, /*tp_repr*/
-  0, /*tp_as_number*/
-  0, /*tp_as_sequence*/
-  0, /*tp_as_mapping*/
-  0, /*tp_hash*/
-  0, /*tp_call*/
-  0, /*tp_str*/
-  0, /*tp_getattro*/
-  0, /*tp_setattro*/
-  0, /*tp_as_buffer*/
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER|Py_TPFLAGS_HAVE_GC, /*tp_flags*/
-  0, /*tp_doc*/
-  __pyx_tp_traverse_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr, /*tp_traverse*/
-  0, /*tp_clear*/
-  0, /*tp_richcompare*/
-  0, /*tp_weaklistoffset*/
-  0, /*tp_iter*/
-  0, /*tp_iternext*/
-  0, /*tp_methods*/
-  0, /*tp_members*/
-  0, /*tp_getset*/
-  0, /*tp_base*/
-  0, /*tp_dict*/
-  0, /*tp_descr_get*/
-  0, /*tp_descr_set*/
-  #if !CYTHON_USE_TYPE_SPECS
-  0, /*tp_dictoffset*/
-  #endif
-  0, /*tp_init*/
-  0, /*tp_alloc*/
-  __pyx_tp_new_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr, /*tp_new*/
-  0, /*tp_free*/
-  0, /*tp_is_gc*/
-  0, /*tp_bases*/
-  0, /*tp_mro*/
-  0, /*tp_cache*/
-  0, /*tp_subclasses*/
-  0, /*tp_weaklist*/
-  0, /*tp_del*/
-  0, /*tp_version_tag*/
-  #if CYTHON_USE_TP_FINALIZE
-  0, /*tp_finalize*/
-  #else
-  NULL, /*tp_finalize*/
-  #endif
-  #if !CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM >= 0x07030800
-  0, /*tp_vectorcall*/
-  #endif
-  #if __PYX_NEED_TP_PRINT_SLOT == 1
-  0, /*tp_print*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030C0000
-  0, /*tp_watched*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030d00A4
-  0, /*tp_versions_used*/
-  #endif
-  #if CYTHON_COMPILING_IN_PYPY && PY_VERSION_HEX >= 0x03090000 && PY_VERSION_HEX < 0x030a0000
-  0, /*tp_pypy_flags*/
-  #endif
-};
-#endif
-
-static PyObject *__pyx_tp_new_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr(PyTypeObject *t, CYTHON_UNUSED PyObject *a, CYTHON_UNUSED PyObject *k) {
-  PyObject *o;
-  #if CYTHON_USE_FREELISTS
-  if (likely((int)(__pyx_mstate_global->__pyx_freecount_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr > 0) & __PYX_CHECK_FINAL_TYPE_FOR_FREELISTS(t, __pyx_mstate_global->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr, sizeof(struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr))))
-  {
-    o = (PyObject*)__pyx_mstate_global->__pyx_freelist_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr[--__pyx_mstate_global->__pyx_freecount_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr];
-    #if CYTHON_USE_TYPE_SPECS
-    Py_DECREF(Py_TYPE(o));
-    #endif
-    memset(o, 0, sizeof(struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr));
-    #if CYTHON_COMPILING_IN_LIMITED_API
-    (void) PyObject_Init(o, t);
-    #else
-    (void) PyObject_INIT(o, t);
-    #endif
-    PyObject_GC_Track(o);
-  } else
-  #endif
-  {
-    o = __Pyx_AllocateExtensionType(t, 1);
-    if (unlikely(!o)) return 0;
-  }
-  return o;
-}
-
-static void __pyx_tp_dealloc_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr(PyObject *o) {
-  struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr *p = (struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr *)o;
-  #if CYTHON_USE_TP_FINALIZE
-  if (unlikely(__Pyx_PyObject_GetSlot(o, tp_finalize, destructor)) && !__Pyx_PyObject_GC_IsFinalized(o)) {
-    if (__Pyx_PyObject_GetSlot(o, tp_dealloc, destructor) == __pyx_tp_dealloc_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr) {
-      if (PyObject_CallFinalizerFromDealloc(o)) return;
-    }
-  }
-  #endif
-  PyObject_GC_UnTrack(o);
-  Py_CLEAR(p->__pyx_genexpr_arg_0);
-  Py_CLEAR(p->__pyx_v_x);
-  Py_CLEAR(p->__pyx_t_0);
-  #if CYTHON_USE_FREELISTS
-  if (likely((int)(__pyx_mstate_global->__pyx_freecount_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr < 8) & __PYX_CHECK_FINAL_TYPE_FOR_FREELISTS(Py_TYPE(o), __pyx_mstate_global->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr, sizeof(struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr))))
-  {
-    __pyx_mstate_global->__pyx_freelist_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr[__pyx_mstate_global->__pyx_freecount_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr++] = ((struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr *)o);
-  } else
-  #endif
-  {
-    PyTypeObject *tp = Py_TYPE(o);
-    #if CYTHON_USE_TYPE_SLOTS
-    (*tp->tp_free)(o);
-    #else
-    {
-      freefunc tp_free = (freefunc)PyType_GetSlot(tp, Py_tp_free);
-      if (tp_free) tp_free(o);
-    }
-    #endif
-    #if CYTHON_USE_TYPE_SPECS
-    Py_DECREF(tp);
-    #endif
-  }
-}
-
-static int __pyx_tp_traverse_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr(PyObject *o, visitproc v, void *a) {
-  int e;
-  struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr *p = (struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr *)o;
-  {
-    e = __Pyx_call_type_traverse(o, 1, v, a);
-    if (e) return e;
-  }
-  if (p->__pyx_genexpr_arg_0) {
-    e = (*v)(p->__pyx_genexpr_arg_0, a); if (e) return e;
-  }
-  if (p->__pyx_v_x) {
-    e = (*v)(p->__pyx_v_x, a); if (e) return e;
-  }
-  if (p->__pyx_t_0) {
-    e = (*v)(p->__pyx_t_0, a); if (e) return e;
-  }
-  return 0;
-}
-#if CYTHON_USE_TYPE_SPECS
-static PyType_Slot __pyx_type_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr_slots[] = {
-  {Py_tp_dealloc, (void *)__pyx_tp_dealloc_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr},
-  {Py_tp_traverse, (void *)__pyx_tp_traverse_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr},
-  {Py_tp_new, (void *)__pyx_tp_new_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr},
-  {0, 0},
-};
-static PyType_Spec __pyx_type_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr_spec = {
-  "wspkit._kernel._speed.__pyx_scope_struct_1_genexpr",
-  sizeof(struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr),
-  0,
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER|Py_TPFLAGS_HAVE_GC,
-  __pyx_type_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr_slots,
-};
-#else
-
-static PyTypeObject __pyx_type_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr = {
-  PyVarObject_HEAD_INIT(0, 0)
-  "wspkit._kernel._speed.""__pyx_scope_struct_1_genexpr", /*tp_name*/
-  sizeof(struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr), /*tp_basicsize*/
-  0, /*tp_itemsize*/
-  __pyx_tp_dealloc_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr, /*tp_dealloc*/
-  0, /*tp_vectorcall_offset*/
-  0, /*tp_getattr*/
-  0, /*tp_setattr*/
-  0, /*tp_as_async*/
-  0, /*tp_repr*/
-  0, /*tp_as_number*/
-  0, /*tp_as_sequence*/
-  0, /*tp_as_mapping*/
-  0, /*tp_hash*/
-  0, /*tp_call*/
-  0, /*tp_str*/
-  0, /*tp_getattro*/
-  0, /*tp_setattro*/
-  0, /*tp_as_buffer*/
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER|Py_TPFLAGS_HAVE_GC, /*tp_flags*/
-  0, /*tp_doc*/
-  __pyx_tp_traverse_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr, /*tp_traverse*/
-  0, /*tp_clear*/
-  0, /*tp_richcompare*/
-  0, /*tp_weaklistoffset*/
-  0, /*tp_iter*/
-  0, /*tp_iternext*/
-  0, /*tp_methods*/
-  0, /*tp_members*/
-  0, /*tp_getset*/
-  0, /*tp_base*/
-  0, /*tp_dict*/
-  0, /*tp_descr_get*/
-  0, /*tp_descr_set*/
-  #if !CYTHON_USE_TYPE_SPECS
-  0, /*tp_dictoffset*/
-  #endif
-  0, /*tp_init*/
-  0, /*tp_alloc*/
-  __pyx_tp_new_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr, /*tp_new*/
-  0, /*tp_free*/
-  0, /*tp_is_gc*/
-  0, /*tp_bases*/
-  0, /*tp_mro*/
-  0, /*tp_cache*/
-  0, /*tp_subclasses*/
-  0, /*tp_weaklist*/
-  0, /*tp_del*/
-  0, /*tp_version_tag*/
-  #if CYTHON_USE_TP_FINALIZE
-  0, /*tp_finalize*/
-  #else
-  NULL, /*tp_finalize*/
-  #endif
-  #if !CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM >= 0x07030800
-  0, /*tp_vectorcall*/
-  #endif
-  #if __PYX_NEED_TP_PRINT_SLOT == 1
-  0, /*tp_print*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030C0000
-  0, /*tp_watched*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030d00A4
-  0, /*tp_versions_used*/
-  #endif
-  #if CYTHON_COMPILING_IN_PYPY && PY_VERSION_HEX >= 0x03090000 && PY_VERSION_HEX < 0x030a0000
-  0, /*tp_pypy_flags*/
-  #endif
-};
-#endif
-
-static PyObject *__pyx_tp_new_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr(PyTypeObject *t, CYTHON_UNUSED PyObject *a, CYTHON_UNUSED PyObject *k) {
-  PyObject *o;
-  #if CYTHON_USE_FREELISTS
-  if (likely((int)(__pyx_mstate_global->__pyx_freecount_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr > 0) & __PYX_CHECK_FINAL_TYPE_FOR_FREELISTS(t, __pyx_mstate_global->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr, sizeof(struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr))))
-  {
-    o = (PyObject*)__pyx_mstate_global->__pyx_freelist_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr[--__pyx_mstate_global->__pyx_freecount_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr];
-    #if CYTHON_USE_TYPE_SPECS
-    Py_DECREF(Py_TYPE(o));
-    #endif
-    memset(o, 0, sizeof(struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr));
-    #if CYTHON_COMPILING_IN_LIMITED_API
-    (void) PyObject_Init(o, t);
-    #else
-    (void) PyObject_INIT(o, t);
-    #endif
-    PyObject_GC_Track(o);
-  } else
-  #endif
-  {
-    o = __Pyx_AllocateExtensionType(t, 1);
-    if (unlikely(!o)) return 0;
-  }
-  return o;
-}
-
-static void __pyx_tp_dealloc_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr(PyObject *o) {
-  struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr *p = (struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr *)o;
-  #if CYTHON_USE_TP_FINALIZE
-  if (unlikely(__Pyx_PyObject_GetSlot(o, tp_finalize, destructor)) && !__Pyx_PyObject_GC_IsFinalized(o)) {
-    if (__Pyx_PyObject_GetSlot(o, tp_dealloc, destructor) == __pyx_tp_dealloc_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr) {
-      if (PyObject_CallFinalizerFromDealloc(o)) return;
-    }
-  }
-  #endif
-  PyObject_GC_UnTrack(o);
-  Py_CLEAR(p->__pyx_genexpr_arg_0);
-  Py_CLEAR(p->__pyx_v_x);
-  Py_CLEAR(p->__pyx_t_0);
-  #if CYTHON_USE_FREELISTS
-  if (likely((int)(__pyx_mstate_global->__pyx_freecount_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr < 8) & __PYX_CHECK_FINAL_TYPE_FOR_FREELISTS(Py_TYPE(o), __pyx_mstate_global->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr, sizeof(struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr))))
-  {
-    __pyx_mstate_global->__pyx_freelist_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr[__pyx_mstate_global->__pyx_freecount_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr++] = ((struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr *)o);
-  } else
-  #endif
-  {
-    PyTypeObject *tp = Py_TYPE(o);
-    #if CYTHON_USE_TYPE_SLOTS
-    (*tp->tp_free)(o);
-    #else
-    {
-      freefunc tp_free = (freefunc)PyType_GetSlot(tp, Py_tp_free);
-      if (tp_free) tp_free(o);
-    }
-    #endif
-    #if CYTHON_USE_TYPE_SPECS
-    Py_DECREF(tp);
-    #endif
-  }
-}
-
-static int __pyx_tp_traverse_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr(PyObject *o, visitproc v, void *a) {
-  int e;
-  struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr *p = (struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr *)o;
-  {
-    e = __Pyx_call_type_traverse(o, 1, v, a);
-    if (e) return e;
-  }
-  if (p->__pyx_genexpr_arg_0) {
-    e = (*v)(p->__pyx_genexpr_arg_0, a); if (e) return e;
-  }
-  if (p->__pyx_v_x) {
-    e = (*v)(p->__pyx_v_x, a); if (e) return e;
-  }
-  if (p->__pyx_t_0) {
-    e = (*v)(p->__pyx_t_0, a); if (e) return e;
-  }
-  return 0;
-}
-#if CYTHON_USE_TYPE_SPECS
-static PyType_Slot __pyx_type_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr_slots[] = {
-  {Py_tp_dealloc, (void *)__pyx_tp_dealloc_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr},
-  {Py_tp_traverse, (void *)__pyx_tp_traverse_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr},
-  {Py_tp_new, (void *)__pyx_tp_new_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr},
-  {0, 0},
-};
-static PyType_Spec __pyx_type_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr_spec = {
-  "wspkit._kernel._speed.__pyx_scope_struct_2_genexpr",
-  sizeof(struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr),
-  0,
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER|Py_TPFLAGS_HAVE_GC,
-  __pyx_type_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr_slots,
-};
-#else
-
-static PyTypeObject __pyx_type_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr = {
-  PyVarObject_HEAD_INIT(0, 0)
-  "wspkit._kernel._speed.""__pyx_scope_struct_2_genexpr", /*tp_name*/
-  sizeof(struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr), /*tp_basicsize*/
-  0, /*tp_itemsize*/
-  __pyx_tp_dealloc_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr, /*tp_dealloc*/
-  0, /*tp_vectorcall_offset*/
-  0, /*tp_getattr*/
-  0, /*tp_setattr*/
-  0, /*tp_as_async*/
-  0, /*tp_repr*/
-  0, /*tp_as_number*/
-  0, /*tp_as_sequence*/
-  0, /*tp_as_mapping*/
-  0, /*tp_hash*/
-  0, /*tp_call*/
-  0, /*tp_str*/
-  0, /*tp_getattro*/
-  0, /*tp_setattro*/
-  0, /*tp_as_buffer*/
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER|Py_TPFLAGS_HAVE_GC, /*tp_flags*/
-  0, /*tp_doc*/
-  __pyx_tp_traverse_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr, /*tp_traverse*/
-  0, /*tp_clear*/
-  0, /*tp_richcompare*/
-  0, /*tp_weaklistoffset*/
-  0, /*tp_iter*/
-  0, /*tp_iternext*/
-  0, /*tp_methods*/
-  0, /*tp_members*/
-  0, /*tp_getset*/
-  0, /*tp_base*/
-  0, /*tp_dict*/
-  0, /*tp_descr_get*/
-  0, /*tp_descr_set*/
-  #if !CYTHON_USE_TYPE_SPECS
-  0, /*tp_dictoffset*/
-  #endif
-  0, /*tp_init*/
-  0, /*tp_alloc*/
-  __pyx_tp_new_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr, /*tp_new*/
-  0, /*tp_free*/
-  0, /*tp_is_gc*/
-  0, /*tp_bases*/
-  0, /*tp_mro*/
-  0, /*tp_cache*/
-  0, /*tp_subclasses*/
-  0, /*tp_weaklist*/
-  0, /*tp_del*/
-  0, /*tp_version_tag*/
-  #if CYTHON_USE_TP_FINALIZE
-  0, /*tp_finalize*/
-  #else
-  NULL, /*tp_finalize*/
-  #endif
-  #if !CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM >= 0x07030800
-  0, /*tp_vectorcall*/
-  #endif
-  #if __PYX_NEED_TP_PRINT_SLOT == 1
-  0, /*tp_print*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030C0000
-  0, /*tp_watched*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030d00A4
-  0, /*tp_versions_used*/
-  #endif
-  #if CYTHON_COMPILING_IN_PYPY && PY_VERSION_HEX >= 0x03090000 && PY_VERSION_HEX < 0x030a0000
-  0, /*tp_pypy_flags*/
-  #endif
-};
-#endif
-
-static PyObject *__pyx_tp_new_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr(PyTypeObject *t, CYTHON_UNUSED PyObject *a, CYTHON_UNUSED PyObject *k) {
-  PyObject *o;
-  #if CYTHON_USE_FREELISTS
-  if (likely((int)(__pyx_mstate_global->__pyx_freecount_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr > 0) & __PYX_CHECK_FINAL_TYPE_FOR_FREELISTS(t, __pyx_mstate_global->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr, sizeof(struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr))))
-  {
-    o = (PyObject*)__pyx_mstate_global->__pyx_freelist_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr[--__pyx_mstate_global->__pyx_freecount_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr];
-    #if CYTHON_USE_TYPE_SPECS
-    Py_DECREF(Py_TYPE(o));
-    #endif
-    memset(o, 0, sizeof(struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr));
-    #if CYTHON_COMPILING_IN_LIMITED_API
-    (void) PyObject_Init(o, t);
-    #else
-    (void) PyObject_INIT(o, t);
-    #endif
-    PyObject_GC_Track(o);
-  } else
-  #endif
-  {
-    o = __Pyx_AllocateExtensionType(t, 1);
-    if (unlikely(!o)) return 0;
-  }
-  return o;
-}
-
-static void __pyx_tp_dealloc_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr(PyObject *o) {
-  struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr *p = (struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr *)o;
-  #if CYTHON_USE_TP_FINALIZE
-  if (unlikely(__Pyx_PyObject_GetSlot(o, tp_finalize, destructor)) && !__Pyx_PyObject_GC_IsFinalized(o)) {
-    if (__Pyx_PyObject_GetSlot(o, tp_dealloc, destructor) == __pyx_tp_dealloc_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr) {
-      if (PyObject_CallFinalizerFromDealloc(o)) return;
-    }
-  }
-  #endif
-  PyObject_GC_UnTrack(o);
-  Py_CLEAR(p->__pyx_genexpr_arg_0);
-  Py_CLEAR(p->__pyx_v_x);
-  Py_CLEAR(p->__pyx_t_0);
-  #if CYTHON_USE_FREELISTS
-  if (likely((int)(__pyx_mstate_global->__pyx_freecount_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr < 8) & __PYX_CHECK_FINAL_TYPE_FOR_FREELISTS(Py_TYPE(o), __pyx_mstate_global->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr, sizeof(struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr))))
-  {
-    __pyx_mstate_global->__pyx_freelist_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr[__pyx_mstate_global->__pyx_freecount_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr++] = ((struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr *)o);
-  } else
-  #endif
-  {
-    PyTypeObject *tp = Py_TYPE(o);
-    #if CYTHON_USE_TYPE_SLOTS
-    (*tp->tp_free)(o);
-    #else
-    {
-      freefunc tp_free = (freefunc)PyType_GetSlot(tp, Py_tp_free);
-      if (tp_free) tp_free(o);
-    }
-    #endif
-    #if CYTHON_USE_TYPE_SPECS
-    Py_DECREF(tp);
-    #endif
-  }
-}
-
-static int __pyx_tp_traverse_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr(PyObject *o, visitproc v, void *a) {
-  int e;
-  struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr *p = (struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr *)o;
-  {
-    e = __Pyx_call_type_traverse(o, 1, v, a);
-    if (e) return e;
-  }
-  if (p->__pyx_genexpr_arg_0) {
-    e = (*v)(p->__pyx_genexpr_arg_0, a); if (e) return e;
-  }
-  if (p->__pyx_v_x) {
-    e = (*v)(p->__pyx_v_x, a); if (e) return e;
-  }
-  if (p->__pyx_t_0) {
-    e = (*v)(p->__pyx_t_0, a); if (e) return e;
-  }
-  return 0;
-}
-#if CYTHON_USE_TYPE_SPECS
-static PyType_Slot __pyx_type_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr_slots[] = {
-  {Py_tp_dealloc, (void *)__pyx_tp_dealloc_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr},
-  {Py_tp_traverse, (void *)__pyx_tp_traverse_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr},
-  {Py_tp_new, (void *)__pyx_tp_new_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr},
-  {0, 0},
-};
-static PyType_Spec __pyx_type_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr_spec = {
-  "wspkit._kernel._speed.__pyx_scope_struct_3_genexpr",
-  sizeof(struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr),
-  0,
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER|Py_TPFLAGS_HAVE_GC,
-  __pyx_type_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr_slots,
-};
-#else
-
-static PyTypeObject __pyx_type_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr = {
-  PyVarObject_HEAD_INIT(0, 0)
-  "wspkit._kernel._speed.""__pyx_scope_struct_3_genexpr", /*tp_name*/
-  sizeof(struct __pyx_obj_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr), /*tp_basicsize*/
-  0, /*tp_itemsize*/
-  __pyx_tp_dealloc_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr, /*tp_dealloc*/
-  0, /*tp_vectorcall_offset*/
-  0, /*tp_getattr*/
-  0, /*tp_setattr*/
-  0, /*tp_as_async*/
-  0, /*tp_repr*/
-  0, /*tp_as_number*/
-  0, /*tp_as_sequence*/
-  0, /*tp_as_mapping*/
-  0, /*tp_hash*/
-  0, /*tp_call*/
-  0, /*tp_str*/
-  0, /*tp_getattro*/
-  0, /*tp_setattro*/
-  0, /*tp_as_buffer*/
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER|Py_TPFLAGS_HAVE_GC, /*tp_flags*/
-  0, /*tp_doc*/
-  __pyx_tp_traverse_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr, /*tp_traverse*/
-  0, /*tp_clear*/
-  0, /*tp_richcompare*/
-  0, /*tp_weaklistoffset*/
-  0, /*tp_iter*/
-  0, /*tp_iternext*/
-  0, /*tp_methods*/
-  0, /*tp_members*/
-  0, /*tp_getset*/
-  0, /*tp_base*/
-  0, /*tp_dict*/
-  0, /*tp_descr_get*/
-  0, /*tp_descr_set*/
-  #if !CYTHON_USE_TYPE_SPECS
-  0, /*tp_dictoffset*/
-  #endif
-  0, /*tp_init*/
-  0, /*tp_alloc*/
-  __pyx_tp_new_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr, /*tp_new*/
-  0, /*tp_free*/
-  0, /*tp_is_gc*/
-  0, /*tp_bases*/
-  0, /*tp_mro*/
-  0, /*tp_cache*/
-  0, /*tp_subclasses*/
-  0, /*tp_weaklist*/
-  0, /*tp_del*/
-  0, /*tp_version_tag*/
-  #if CYTHON_USE_TP_FINALIZE
-  0, /*tp_finalize*/
-  #else
-  NULL, /*tp_finalize*/
-  #endif
-  #if !CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM >= 0x07030800
-  0, /*tp_vectorcall*/
-  #endif
-  #if __PYX_NEED_TP_PRINT_SLOT == 1
-  0, /*tp_print*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030C0000
-  0, /*tp_watched*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030d00A4
-  0, /*tp_versions_used*/
-  #endif
-  #if CYTHON_COMPILING_IN_PYPY && PY_VERSION_HEX >= 0x03090000 && PY_VERSION_HEX < 0x030a0000
-  0, /*tp_pypy_flags*/
-  #endif
-};
-#endif
-
-static PyMethodDef __pyx_methods[] = {
-  {0, 0, 0, 0}
-};
-/* #### Code section: initfunc_declarations ### */
-static CYTHON_SMALL_CODE int __Pyx_InitCachedBuiltins(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitCachedConstants(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitGlobals(void); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitConstants(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_global_init_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_variable_export_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_function_export_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_type_init_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_type_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_variable_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_function_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_CreateCodeObjects(__pyx_mstatetype *__pyx_mstate); /*proto*/
-/* #### Code section: init_module ### */
-
-static int __Pyx_modinit_global_init_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_global_init_code", 0);
-  /*--- Global init code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_variable_export_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_variable_export_code", 0);
-  /*--- Variable export code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_function_export_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_function_export_code", 0);
-  /*--- Function export code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_type_init_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__Pyx_modinit_type_init_code", 0);
-  /*--- Type init code ---*/
-  __pyx_vtabptr_6wspkit_7_kernel_6_speed__Engine = &__pyx_vtable_6wspkit_7_kernel_6_speed__Engine;
-  __pyx_vtable_6wspkit_7_kernel_6_speed__Engine._load = (void (*)(struct __pyx_obj_6wspkit_7_kernel_6_speed__Engine *, PyObject *))__pyx_f_6wspkit_7_kernel_6_speed_7_Engine__load;
-  __pyx_vtable_6wspkit_7_kernel_6_speed__Engine._augment = (int (*)(struct __pyx_obj_6wspkit_7_kernel_6_speed__Engine *, uint64_t *, int *, int, int))__pyx_f_6wspkit_7_kernel_6_speed_7_Engine__augment;
-  __pyx_vtable_6wspkit_7_kernel_6_speed__Engine._apply_choice = (int (*)(struct __pyx_obj_6wspkit_7_kernel_6_speed__Engine *, int, int, int))__pyx_f_6wspkit_7_kernel_6_speed_7_Engine__apply_choice;
-  __pyx_vtable_6wspkit_7_kernel_6_speed__Engine._extract_plan = (void (*)(struct __pyx_obj_6wspkit_7_kernel_6_speed__Engine *, int))__pyx_f_6wspkit_7_kernel_6_speed_7_Engine__extract_plan;
-  __pyx_vtable_6wspkit_7_kernel_6_speed__Engine._search = (int (*)(struct __pyx_obj_6wspkit_7_kernel_6_speed__Engine *, int, int))__pyx_f_6wspkit_7_kernel_6_speed_7_Engine__search;
-  #if CYTHON_USE_TYPE_SPECS
-  __pyx_mstate->__pyx_ptype_6wspkit_7_kernel_6_speed__Engine = (PyTypeObject *) __Pyx_PyType_FromModuleAndSpec(__pyx_m, &__pyx_type_6wspkit_7_kernel_6_speed__Engine_spec, NULL); if (unlikely(!__pyx_mstate->__pyx_ptype_6wspkit_7_kernel_6_speed__Engine)) __PYX_ERR(0, 48, __pyx_L1_error)
-  if (__Pyx_fix_up_extension_type_from_spec(&__pyx_type_6wspkit_7_kernel_6_speed__Engine_spec, __pyx_mstate->__pyx_ptype_6wspkit_7_kernel_6_speed__Engine) < (0)) __PYX_ERR(0, 48, __pyx_L1_error)
-  #else
-  __pyx_mstate->__pyx_ptype_6wspkit_7_kernel_6_speed__Engine = &__pyx_type_6wspkit_7_kernel_6_speed__Engine;
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  #endif
-  #if !CYTHON_USE_TYPE_SPECS
-  if (__Pyx_PyType_Ready(__pyx_mstate->__pyx_ptype_6wspkit_7_kernel_6_speed__Engine) < (0)) __PYX_ERR(0, 48, __pyx_L1_error)
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount((PyObject*)__pyx_mstate->__pyx_ptype_6wspkit_7_kernel_6_speed__Engine);
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  if ((CYTHON_USE_TYPE_SLOTS && CYTHON_USE_PYTYPE_LOOKUP) && likely(!__pyx_mstate->__pyx_ptype_6wspkit_7_kernel_6_speed__Engine->tp_dictoffset && __pyx_mstate->__pyx_ptype_6wspkit_7_kernel_6_speed__Engine->tp_getattro == PyObject_GenericGetAttr)) {
-    __pyx_mstate->__pyx_ptype_6wspkit_7_kernel_6_speed__Engine->tp_getattro = PyObject_GenericGetAttr;
-  }
-  #endif
-  if (__Pyx_SetVtable(__pyx_mstate->__pyx_ptype_6wspkit_7_kernel_6_speed__Engine, __pyx_vtabptr_6wspkit_7_kernel_6_speed__Engine) < (0)) __PYX_ERR(0, 48, __pyx_L1_error)
-  if (__Pyx_MergeVtables(__pyx_mstate->__pyx_ptype_6wspkit_7_kernel_6_speed__Engine) < (0)) __PYX_ERR(0, 48, __pyx_L1_error)
-  if (PyObject_SetAttr(__pyx_m, __pyx_mstate_global->__pyx_n_u_Engine, (PyObject *) __pyx_mstate->__pyx_ptype_6wspkit_7_kernel_6_speed__Engine) < (0)) __PYX_ERR(0, 48, __pyx_L1_error)
-  if (__Pyx_setup_reduce((PyObject *) __pyx_mstate->__pyx_ptype_6wspkit_7_kernel_6_speed__Engine) < (0)) __PYX_ERR(0, 48, __pyx_L1_error)
-  #if CYTHON_USE_TYPE_SPECS
-  __pyx_mstate->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr = (PyTypeObject *) __Pyx_PyType_FromModuleAndSpec(__pyx_m, &__pyx_type_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr_spec, NULL); if (unlikely(!__pyx_mstate->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr)) __PYX_ERR(0, 133, __pyx_L1_error)
-  if (__Pyx_fix_up_extension_type_from_spec(&__pyx_type_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr_spec, __pyx_mstate->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr) < (0)) __PYX_ERR(0, 133, __pyx_L1_error)
-  #else
-  __pyx_mstate->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr = &__pyx_type_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr;
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  #endif
-  #if !CYTHON_USE_TYPE_SPECS
-  if (__Pyx_PyType_Ready(__pyx_mstate->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr) < (0)) __PYX_ERR(0, 133, __pyx_L1_error)
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount((PyObject*)__pyx_mstate->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr);
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  if ((CYTHON_USE_TYPE_SLOTS && CYTHON_USE_PYTYPE_LOOKUP) && likely(!__pyx_mstate->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr->tp_dictoffset && __pyx_mstate->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr->tp_getattro == PyObject_GenericGetAttr)) {
-    __pyx_mstate->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct__genexpr->tp_getattro = PyObject_GenericGetAttr;
-  }
-  #endif
-  #if CYTHON_USE_TYPE_SPECS
-  __pyx_mstate->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr = (PyTypeObject *) __Pyx_PyType_FromModuleAndSpec(__pyx_m, &__pyx_type_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr_spec, NULL); if (unlikely(!__pyx_mstate->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr)) __PYX_ERR(0, 141, __pyx_L1_error)
-  if (__Pyx_fix_up_extension_type_from_spec(&__pyx_type_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr_spec, __pyx_mstate->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr) < (0)) __PYX_ERR(0, 141, __pyx_L1_error)
-  #else
-  __pyx_mstate->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr = &__pyx_type_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr;
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  #endif
-  #if !CYTHON_USE_TYPE_SPECS
-  if (__Pyx_PyType_Ready(__pyx_mstate->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr) < (0)) __PYX_ERR(0, 141, __pyx_L1_error)
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount((PyObject*)__pyx_mstate->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr);
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  if ((CYTHON_USE_TYPE_SLOTS && CYTHON_USE_PYTYPE_LOOKUP) && likely(!__pyx_mstate->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr->tp_dictoffset && __pyx_mstate->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr->tp_getattro == PyObject_GenericGetAttr)) {
-    __pyx_mstate->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct_1_genexpr->tp_getattro = PyObject_GenericGetAttr;
-  }
-  #endif
-  #if CYTHON_USE_TYPE_SPECS
-  __pyx_mstate->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr = (PyTypeObject *) __Pyx_PyType_FromModuleAndSpec(__pyx_m, &__pyx_type_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr_spec, NULL); if (unlikely(!__pyx_mstate->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr)) __PYX_ERR(0, 165, __pyx_L1_error)
-  if (__Pyx_fix_up_extension_type_from_spec(&__pyx_type_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr_spec, __pyx_mstate->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr) < (0)) __PYX_ERR(0, 165, __pyx_L1_error)
-  #else
-  __pyx_mstate->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr = &__pyx_type_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr;
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  #endif
-  #if !CYTHON_USE_TYPE_SPECS
-  if (__Pyx_PyType_Ready(__pyx_mstate->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr) < (0)) __PYX_ERR(0, 165, __pyx_L1_error)
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount((PyObject*)__pyx_mstate->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr);
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  if ((CYTHON_USE_TYPE_SLOTS && CYTHON_USE_PYTYPE_LOOKUP) && likely(!__pyx_mstate->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr->tp_dictoffset && __pyx_mstate->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr->tp_getattro == PyObject_GenericGetAttr)) {
-    __pyx_mstate->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct_2_genexpr->tp_getattro = PyObject_GenericGetAttr;
-  }
-  #endif
-  #if CYTHON_USE_TYPE_SPECS
-  __pyx_mstate->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr = (PyTypeObject *) __Pyx_PyType_FromModuleAndSpec(__pyx_m, &__pyx_type_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr_spec, NULL); if (unlikely(!__pyx_mstate->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr)) __PYX_ERR(0, 183, __pyx_L1_error)
-  if (__Pyx_fix_up_extension_type_from_spec(&__pyx_type_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr_spec, __pyx_mstate->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr) < (0)) __PYX_ERR(0, 183, __pyx_L1_error)
-  #else
-  __pyx_mstate->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr = &__pyx_type_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr;
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  #endif
-  #if !CYTHON_USE_TYPE_SPECS
-  if (__Pyx_PyType_Ready(__pyx_mstate->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr) < (0)) __PYX_ERR(0, 183, __pyx_L1_error)
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount((PyObject*)__pyx_mstate->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr);
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  if ((CYTHON_USE_TYPE_SLOTS && CYTHON_USE_PYTYPE_LOOKUP) && likely(!__pyx_mstate->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr->tp_dictoffset && __pyx_mstate->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr->tp_getattro == PyObject_GenericGetAttr)) {
-    __pyx_mstate->__pyx_ptype_6wspkit_7_kernel_6_speed___pyx_scope_struct_3_genexpr->tp_getattro = PyObject_GenericGetAttr;
-  }
-  #endif
-  __Pyx_RefNannyFinishContext();
-  return 0;
-  __pyx_L1_error:;
-  __Pyx_RefNannyFinishContext();
-  return -1;
-}
-
-static int __Pyx_modinit_type_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_type_import_code", 0);
-  /*--- Type import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_variable_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_variable_import_code", 0);
-  /*--- Variable import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_function_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_function_import_code", 0);
-  /*--- Function import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-#if CYTHON_PEP489_MULTI_PHASE_INIT
-static PyObject* __pyx_pymod_create(PyObject *spec, PyModuleDef *def); /*proto*/
-static int __pyx_pymod_exec__speed(PyObject* module); /*proto*/
-static PyModuleDef_Slot __pyx_moduledef_slots[] = {
-  {Py_mod_create, (void*)__pyx_pymod_create},
-  {Py_mod_exec, (void*)__pyx_pymod_exec__speed},
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  {Py_mod_gil, __Pyx_FREETHREADING_COMPATIBLE},
-  #endif
-  #if PY_VERSION_HEX >= 0x030C0000 && CYTHON_USE_MODULE_STATE
-  {Py_mod_multiple_interpreters, Py_MOD_MULTIPLE_INTERPRETERS_NOT_SUPPORTED},
-  #endif
-  {0, NULL}
-};
-#endif
-
-#ifdef __cplusplus
-namespace {
-  struct PyModuleDef __pyx_moduledef =
-  #else
-  static struct PyModuleDef __pyx_moduledef =
-  #endif
-  {
-      PyModuleDef_HEAD_INIT,
-      "_speed",
-      __pyx_k_Compiled_search_backend_Same_alg, /* m_doc */
-    #if CYTHON_USE_MODULE_STATE
-      sizeof(__pyx_mstatetype), /* m_size */
-    #else
-      (CYTHON_PEP489_MULTI_PHASE_INIT) ? 0 : -1, /* m_size */
-    #endif
-      __pyx_methods /* m_methods */,
-    #if CYTHON_PEP489_MULTI_PHASE_INIT
-      __pyx_moduledef_slots, /* m_slots */
-    #else
-      NULL, /* m_reload */
-    #endif
-    #if CYTHON_USE_MODULE_STATE
-      __pyx_m_traverse, /* m_traverse */
-      __pyx_m_clear, /* m_clear */
-      NULL /* m_free */
-    #else
-      NULL, /* m_traverse */
-      NULL, /* m_clear */
-      NULL /* m_free */
-    #endif
-  };
-  #ifdef __cplusplus
-} /* anonymous namespace */
-#endif
-
-/* PyModInitFuncType */
-#ifndef CYTHON_NO_PYINIT_EXPORT
-  #define __Pyx_PyMODINIT_FUNC PyMODINIT_FUNC
-#else
-  #ifdef __cplusplus
-  #define __Pyx_PyMODINIT_FUNC extern "C" PyObject *
-  #else
-  #define __Pyx_PyMODINIT_FUNC PyObject *
-  #endif
-#endif
-
-__Pyx_PyMODINIT_FUNC PyInit__speed(void) CYTHON_SMALL_CODE; /*proto*/
-__Pyx_PyMODINIT_FUNC PyInit__speed(void)
-#if CYTHON_PEP489_MULTI_PHASE_INIT
-{
-  return PyModuleDef_Init(&__pyx_moduledef);
-}
-/* ModuleCreationPEP489 */
-#if CYTHON_COMPILING_IN_LIMITED_API && (__PYX_LIMITED_VERSION_HEX < 0x03090000\
-      || ((defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)) && __PYX_LIMITED_VERSION_HEX < 0x030A0000))
-static PY_INT64_T __Pyx_GetCurrentInterpreterId(void) {
-    {
-        PyObject *module = PyImport_ImportModule("_interpreters"); // 3.13+ I think
-        if (!module) {
-            PyErr_Clear(); // just try the 3.8-3.12 version
-            module = PyImport_ImportModule("_xxsubinterpreters");
-            if (!module) goto bad;
-        }
-        PyObject *current = PyObject_CallMethod(module, "get_current", NULL);
-        Py_DECREF(module);
-        if (!current) goto bad;
-        if (PyTuple_Check(current)) {
-            PyObject *new_current = PySequence_GetItem(current, 0);
-            Py_DECREF(current);
-            current = new_current;
-            if (!new_current) goto bad;
-        }
-        long long as_c_int = PyLong_AsLongLong(current);
-        Py_DECREF(current);
-        return as_c_int;
-    }
-  bad:
-    PySys_WriteStderr("__Pyx_GetCurrentInterpreterId failed. Try setting the C define CYTHON_PEP489_MULTI_PHASE_INIT=0\n");
-    return -1;
-}
-#endif
-#if !CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __Pyx_check_single_interpreter(void) {
-    static PY_INT64_T main_interpreter_id = -1;
-#if CYTHON_COMPILING_IN_GRAAL && defined(GRAALPY_VERSION_NUM) && GRAALPY_VERSION_NUM > 0x19000000
-    PY_INT64_T current_id = GraalPyInterpreterState_GetIDFromThreadState(PyThreadState_Get());
-#elif CYTHON_COMPILING_IN_GRAAL
-    PY_INT64_T current_id = PyInterpreterState_GetIDFromThreadState(PyThreadState_Get());
-#elif CYTHON_COMPILING_IN_LIMITED_API && (__PYX_LIMITED_VERSION_HEX < 0x03090000\
-      || ((defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)) && __PYX_LIMITED_VERSION_HEX < 0x030A0000))
-    PY_INT64_T current_id = __Pyx_GetCurrentInterpreterId();
-#elif CYTHON_COMPILING_IN_LIMITED_API
-    PY_INT64_T current_id = PyInterpreterState_GetID(PyInterpreterState_Get());
-#else
-    PY_INT64_T current_id = PyInterpreterState_GetID(PyThreadState_Get()->interp);
-#endif
-    if (unlikely(current_id == -1)) {
-        return -1;
-    }
-    if (main_interpreter_id == -1) {
-        main_interpreter_id = current_id;
-        return 0;
-    } else if (unlikely(main_interpreter_id != current_id)) {
-        PyErr_SetString(
-            PyExc_ImportError,
-            "Interpreter change detected - this module can only be loaded into one interpreter per process.");
-        return -1;
-    }
-    return 0;
-}
-#endif
-static CYTHON_SMALL_CODE int __Pyx_copy_spec_to_module(PyObject *spec, PyObject *moddict, const char* from_name, const char* to_name, int allow_none)
-{
-    PyObject *value = PyObject_GetAttrString(spec, from_name);
-    int result = 0;
-    if (likely(value)) {
-        if (allow_none || value != Py_None) {
-            result = PyDict_SetItemString(moddict, to_name, value);
-        }
-        Py_DECREF(value);
-    } else if (PyErr_ExceptionMatches(PyExc_AttributeError)) {
-        PyErr_Clear();
-    } else {
-        result = -1;
-    }
-    return result;
-}
-static CYTHON_SMALL_CODE PyObject* __pyx_pymod_create(PyObject *spec, PyModuleDef *def) {
-    PyObject *module = NULL, *moddict, *modname;
-    CYTHON_UNUSED_VAR(def);
-    #if !CYTHON_USE_MODULE_STATE
-    if (__Pyx_check_single_interpreter())
-        return NULL;
-    #endif
-    if (__pyx_m)
-        return __Pyx_NewRef(__pyx_m);
-    modname = PyObject_GetAttrString(spec, "name");
-    if (unlikely(!modname)) goto bad;
-    module = PyModule_NewObject(modname);
-    Py_DECREF(modname);
-    if (unlikely(!module)) goto bad;
-    moddict = PyModule_GetDict(module);
-    if (unlikely(!moddict)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "loader", "__loader__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "origin", "__file__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "parent", "__package__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "submodule_search_locations", "__path__", 0) < 0)) goto bad;
-    return module;
-bad:
-    Py_XDECREF(module);
-    return NULL;
-}
-
-
-static CYTHON_SMALL_CODE int __pyx_pymod_exec__speed(PyObject *__pyx_pyinit_module)
-#endif
-{
-  int stringtab_initialized = 0;
-  #if CYTHON_USE_MODULE_STATE
-  int pystate_addmodule_run = 0;
-  #endif
-  __pyx_mstatetype *__pyx_mstate = NULL;
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannyDeclarations
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  if (__pyx_m) {
-    if (__pyx_m == __pyx_pyinit_module) return 0;
-    PyErr_SetString(PyExc_RuntimeError, "Module '_speed' has already been imported. Re-initialisation is not supported.");
-    return -1;
-  }
-  #else
-  if (__pyx_m) return __Pyx_NewRef(__pyx_m);
-  #endif
-  /*--- Module creation code ---*/
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  __pyx_t_1 = __pyx_pyinit_module;
-  Py_INCREF(__pyx_t_1);
-  #else
-  __pyx_t_1 = PyModule_Create(&__pyx_moduledef); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 1, __pyx_L1_error)
-  #endif
-  #if CYTHON_USE_MODULE_STATE
-  {
-    int add_module_result = __Pyx_State_AddModule(__pyx_t_1, &__pyx_moduledef);
-    __pyx_t_1 = 0; /* transfer ownership from __pyx_t_1 to "_speed" pseudovariable */
-    if (unlikely((add_module_result < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-    pystate_addmodule_run = 1;
-  }
-  #else
-  __pyx_m = __pyx_t_1;
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  PyUnstable_Module_SetGIL(__pyx_m, Py_MOD_GIL_USED);
-  #endif
-  __pyx_mstate = __pyx_mstate_global;
-  CYTHON_UNUSED_VAR(__pyx_t_1);
-  __pyx_mstate->__pyx_d = PyModule_GetDict(__pyx_m); if (unlikely(!__pyx_mstate->__pyx_d)) __PYX_ERR(0, 1, __pyx_L1_error)
-  Py_INCREF(__pyx_mstate->__pyx_d);
-  __pyx_mstate->__pyx_b = __Pyx_PyImport_AddModuleRef(__Pyx_BUILTIN_MODULE_NAME); if (unlikely(!__pyx_mstate->__pyx_b)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_cython_runtime = __Pyx_PyImport_AddModuleRef("cython_runtime"); if (unlikely(!__pyx_mstate->__pyx_cython_runtime)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (PyObject_SetAttrString(__pyx_m, "__builtins__", __pyx_mstate->__pyx_b) < 0) __PYX_ERR(0, 1, __pyx_L1_error)
-  /* ImportRefnannyAPI */
-  #if CYTHON_REFNANNY
-  __Pyx_RefNanny = __Pyx_RefNannyImportAPI("refnanny");
-  if (!__Pyx_RefNanny) {
-    PyErr_Clear();
-    __Pyx_RefNanny = __Pyx_RefNannyImportAPI("Cython.Runtime.refnanny");
-    if (!__Pyx_RefNanny)
-        Py_FatalError("failed to import 'refnanny' module");
-  }
-  #endif
-  
-__Pyx_RefNannySetupContext("PyInit__speed", 0);
-  __Pyx_init_runtime_version();
-  if (__Pyx_check_binary_version(__PYX_LIMITED_VERSION_HEX, __Pyx_get_runtime_version(), CYTHON_COMPILING_IN_LIMITED_API) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_tuple = PyTuple_New(0); if (unlikely(!__pyx_mstate->__pyx_empty_tuple)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_bytes = PyBytes_FromStringAndSize("", 0); if (unlikely(!__pyx_mstate->__pyx_empty_bytes)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_unicode = PyUnicode_FromStringAndSize("", 0); if (unlikely(!__pyx_mstate->__pyx_empty_unicode)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Library function declarations ---*/
-  /*--- Initialize various global constants etc. ---*/
-  if (__Pyx_InitConstants(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  stringtab_initialized = 1;
-  if (__Pyx_InitGlobals() < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (__pyx_module_is_main_wspkit___kernel___speed) {
-    if (PyObject_SetAttr(__pyx_m, __pyx_mstate_global->__pyx_n_u_name, __pyx_mstate_global->__pyx_n_u_main) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  }
-  {
-    PyObject *modules = PyImport_GetModuleDict(); if (unlikely(!modules)) __PYX_ERR(0, 1, __pyx_L1_error)
-    if (!PyDict_GetItemString(modules, "wspkit._kernel._speed")) {
-      if (unlikely((PyDict_SetItemString(modules, "wspkit._kernel._speed", __pyx_m) < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-    }
-  }
-  /*--- Builtin init code ---*/
-  if (__Pyx_InitCachedBuiltins(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Constants init code ---*/
-  if (__Pyx_InitCachedConstants(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (__Pyx_CreateCodeObjects(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Global type/function init code ---*/
-  (void)__Pyx_modinit_global_init_code(__pyx_mstate);
-  (void)__Pyx_modinit_variable_export_code(__pyx_mstate);
-  (void)__Pyx_modinit_function_export_code(__pyx_mstate);
-  if (unlikely((__Pyx_modinit_type_init_code(__pyx_mstate) < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-  (void)__Pyx_modinit_type_import_code(__pyx_mstate);
-  (void)__Pyx_modinit_variable_import_code(__pyx_mstate);
-  (void)__Pyx_modinit_function_import_code(__pyx_mstate);
-  /*--- Execution code ---*/
-
-  /* "wspkit/_kernel/_speed.pyx":11
- * """
- * 
- * import time             # <<<<<<<<<<<<<<
- * 
- * from cpython.mem cimport PyMem_Malloc, PyMem_Free
-*/
-  __pyx_t_1 = __Pyx_Import(__pyx_mstate_global->__pyx_n_u_time, 0, 0, NULL, 0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 11, __pyx_L1_error)
-  __pyx_t_2 = __pyx_t_1;
-  __Pyx_GOTREF(__pyx_t_2);
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_time, __pyx_t_2) < (0)) __PYX_ERR(0, 11, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "wspkit/_kernel/_speed.pyx":22
- *     int __builtin_popcountll(unsigned long long) nogil
- * 
- * UNSAT, SAT, BUDGET = 0, 1, 2             # <<<<<<<<<<<<<<
- * 
- * cdef int TIME_CHECK_EVERY = 2048
-*/
-  __pyx_t_2 = __pyx_mstate_global->__pyx_int_0;
-  __Pyx_INCREF(__pyx_t_2);
-  __pyx_t_3 = __pyx_mstate_global->__pyx_int_1;
-  __Pyx_INCREF(__pyx_t_3);
-  __pyx_t_4 = __pyx_mstate_global->__pyx_int_2;
-  __Pyx_INCREF(__pyx_t_4);
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_UNSAT, __pyx_t_2) < (0)) __PYX_ERR(0, 22, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_SAT, __pyx_t_3) < (0)) __PYX_ERR(0, 22, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_BUDGET, __pyx_t_4) < (0)) __PYX_ERR(0, 22, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-
-  /* "wspkit/_kernel/_speed.pyx":24
- * UNSAT, SAT, BUDGET = 0, 1, 2
- * 
- * cdef int TIME_CHECK_EVERY = 2048             # <<<<<<<<<<<<<<
- * 
- * cdef uint64_t* _alloc_u64(size_t count) except NULL:
-*/
-  __pyx_v_6wspkit_7_kernel_6_speed_TIME_CHECK_EVERY = 0x800;
-
-  /* "(tree fragment)":1
- * def __reduce_cython__(self):             # <<<<<<<<<<<<<<
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
- * def __setstate_cython__(self, __pyx_state):
-*/
-  __pyx_t_4 = __Pyx_CyFunction_New(&__pyx_mdef_6wspkit_7_kernel_6_speed_7_Engine_5__reduce_cython__, __Pyx_CYFUNCTION_CCLASS, __pyx_mstate_global->__pyx_n_u_Engine___reduce_cython, NULL, __pyx_mstate_global->__pyx_n_u_wspkit__kernel__speed, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[4])); if (unlikely(!__pyx_t_4)) __PYX_ERR(1, 1, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_4);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_reduce_cython, __pyx_t_4) < (0)) __PYX_ERR(1, 1, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-
-  /* "(tree fragment)":3
- * def __reduce_cython__(self):
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
- * def __setstate_cython__(self, __pyx_state):             # <<<<<<<<<<<<<<
- *     raise TypeError, "no default __reduce__ due to non-trivial __cinit__"
-*/
-  __pyx_t_4 = __Pyx_CyFunction_New(&__pyx_mdef_6wspkit_7_kernel_6_speed_7_Engine_7__setstate_cython__, __Pyx_CYFUNCTION_CCLASS, __pyx_mstate_global->__pyx_n_u_Engine___setstate_cython, NULL, __pyx_mstate_global->__pyx_n_u_wspkit__kernel__speed, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[5])); if (unlikely(!__pyx_t_4)) __PYX_ERR(1, 3, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_4);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_setstate_cython, __pyx_t_4) < (0)) __PYX_ERR(1, 3, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-
-  /* "wspkit/_kernel/_speed.pyx":401
- * 
- * 
- * def run_search(prob, max_nodes=None, max_patterns=None, deadline=None, prefix=()):             # <<<<<<<<<<<<<<
- *     """Compiled twin of the pure backend's run_search; same contract."""
- *     cdef int k = prob.k
-*/
-  __pyx_t_4 = __Pyx_CyFunction_New(&__pyx_mdef_6wspkit_7_kernel_6_speed_1run_search, 0, __pyx_mstate_global->__pyx_n_u_run_search, NULL, __pyx_mstate_global->__pyx_n_u_wspkit__kernel__speed, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[6])); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 401, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_4);
-  #endif
-  __Pyx_CyFunction_SetDefaultsTuple(__pyx_t_4, __pyx_mstate_global->__pyx_tuple[1]);
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_run_search, __pyx_t_4) < (0)) __PYX_ERR(0, 401, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-
-  /* "wspkit/_kernel/_speed.pyx":1
- * # cython: language_level=3, boundscheck=False, wraparound=False, cdivision=True             # <<<<<<<<<<<<<<
- * """Compiled search backend.
- * 
-*/
-  __pyx_t_4 = __Pyx_PyDict_NewPresized(0); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_test, __pyx_t_4) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-
-  /*--- Wrapped vars code ---*/
-
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  if (__pyx_m) {
-    if (__pyx_mstate->__pyx_d && stringtab_initialized) {
-      __Pyx_AddTraceback("init wspkit._kernel._speed", __pyx_clineno, __pyx_lineno, __pyx_filename);
-    }
-    #if !CYTHON_USE_MODULE_STATE
-    Py_CLEAR(__pyx_m);
-    #else
-    Py_DECREF(__pyx_m);
-    if (pystate_addmodule_run) {
-      PyObject *tp, *value, *tb;
-      PyErr_Fetch(&tp, &value, &tb);
-      PyState_RemoveModule(&__pyx_moduledef);
-      PyErr_Restore(tp, value, tb);
-    }
-    #endif
-  } else if (!PyErr_Occurred()) {
-    PyErr_SetString(PyExc_ImportError, "init wspkit._kernel._speed");
-  }
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  return (__pyx_m != NULL) ? 0 : -1;
-  #else
-  return __pyx_m;
-  #endif
-}
-/* #### Code section: pystring_table ### */
-/* #### Code section: cached_builtins ### */
-
-static int __Pyx_InitCachedBuiltins(__pyx_mstatetype *__pyx_mstate) {
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __pyx_builtin_sum = __Pyx_GetBuiltinName(__pyx_mstate->__pyx_n_u_sum); if (!__pyx_builtin_sum) __PYX_ERR(0, 133, __pyx_L1_error)
-
-  /* Cached unbound methods */
-  __pyx_mstate->__pyx_umethod_PyDict_Type_items.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_items.method_name = &__pyx_mstate->__pyx_n_u_items;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_pop.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_pop.method_name = &__pyx_mstate->__pyx_n_u_pop;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_values.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_values.method_name = &__pyx_mstate->__pyx_n_u_values;
-  return 0;
-  __pyx_L1_error:;
-  return -1;
-}
-/* #### Code section: cached_constants ### */
-
-static int __Pyx_InitCachedConstants(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_InitCachedConstants", 0);
-
-  /* "wspkit/_kernel/_speed.pyx":406
- *     cdef int m = len(prob.combo_masks)
- *     if k == 0 or m == 0:
- *         return (0, None, 0, 0, 0)             # <<<<<<<<<<<<<<
- * 
- *     cdef _Engine eng = _Engine()
-*/
-  __pyx_mstate_global->__pyx_tuple[0] = PyTuple_Pack(5, __pyx_mstate_global->__pyx_int_0, Py_None, __pyx_mstate_global->__pyx_int_0, __pyx_mstate_global->__pyx_int_0, __pyx_mstate_global->__pyx_int_0); if (unlikely(!__pyx_mstate_global->__pyx_tuple[0])) __PYX_ERR(0, 406, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_mstate_global->__pyx_tuple[0]);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_tuple[0]);
-
-  /* "wspkit/_kernel/_speed.pyx":401
- * 
- * 
- * def run_search(prob, max_nodes=None, max_patterns=None, deadline=None, prefix=()):             # <<<<<<<<<<<<<<
- *     """Compiled twin of the pure backend's run_search; same contract."""
- *     cdef int k = prob.k
-*/
-  __pyx_mstate_global->__pyx_tuple[1] = PyTuple_Pack(4, Py_None, Py_None, Py_None, ((PyObject*)__pyx_mstate_global->__pyx_empty_tuple)); if (unlikely(!__pyx_mstate_global->__pyx_tuple[1])) __PYX_ERR(0, 401, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_mstate_global->__pyx_tuple[1]);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_tuple[1]);
-  #if CYTHON_IMMORTAL_CONSTANTS
-  {
-    PyObject **table = __pyx_mstate->__pyx_tuple;
-    for (Py_ssize_t i=0; i<2; ++i) {
-      #if PY_VERSION_HEX >= 0x030F0000
-      PyUnstable_SetImmortal(table[i]);
-      #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-      if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-      #if PY_VERSION_HEX < 0x030E0000
-      if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-      #else
-      if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-      #endif
-      {
-        Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-      }
-      #else
-      if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-      Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-      #endif
-    }
-  }
-  #endif
-  __Pyx_RefNannyFinishContext();
-  return 0;
-  __pyx_L1_error:;
-  __Pyx_RefNannyFinishContext();
-  return -1;
-}
-/* #### Code section: init_constants ### */
-
-static int __Pyx_InitConstants(__pyx_mstatetype *__pyx_mstate) {
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  {
-    const struct { const unsigned int length: 9; } index[] = {{1},{7},{6},{2},{9},{50},{29},{14},{6},{7},{25},{27},{30},{20},{3},{5},{12},{18},{7},{1},{8},{18},{5},{11},{8},{6},{1},{8},{6},{3},{8},{7},{12},{1},{1},{13},{5},{1},{1},{8},{9},{12},{10},{1},{8},{2},{3},{4},{5},{12},{4},{3},{6},{4},{11},{14},{12},{1},{10},{17},{13},{10},{4},{4},{12},{10},{12},{19},{8},{6},{7},{5},{3},{8},{5},{4},{5},{6},{21},{1},{5},{364},{9},{2}};
-    #if (CYTHON_COMPRESS_STRINGS) == 2 /* compression: bz2 (787 bytes) */
-const char* const cstring = "BZh91AY&SY\361\261\264y\000\000R\377\377n\337\376\201j\033\275e\277\301~\032\277\357\377\367\300@@@@@@@@\000@@@\000@\002\234\321 \243\"(\324\r\001\246\200\320\000\000\000\r\000\001\240\000\001\204i\352\rF\246\232i\243@\231G\224\375P\000\000\000\000\000\001\352\000\007\250\000\340i\246\232\r\r\r\014\215\000\310\003C@i\243 \000\006\023\020\032\tM\020D\302\236\243\nzOS\324\323eO\324\200\000\003\324\001\246\232\003!\241\352zF\207\244\377\272\003\311\324\217\355\013\313\326y\220\302I$\210\377?\333pf(0\233 q\207s8!\035o\002T\353/hV\242J\333\002\376,\366\024\361t\370\363\257\306w\346\277tc\341Z\204\007\206\rW]Ej`\254\201NB\227\004\231E\036u\236\262\372t\007\203\300\347\232\022\204u|x;!+;\366=f\321\026'd\032\237\365\373\336g\177\355U\360x_]\013\230\320\211\337\252\030\222:\220w\010\022\242\350\375\271\253/\346\275\250u\334E\224\355\337\272x\312\307\314\261\026\347\277]\214@.\233{\312\\\021j\022\300\300vl\023\025\253\315\022z=\313\034\263_\305\207\220\344=\201\3632e(9\t\330\014{\n\320tb\325U\333H\354\231\213\366\001\013\235\372\020\242\264`\361H\353Q=\214MT\024t\220\021\031\367\240\210)\267+Li\356}\000\311AJ\2634\347i\326b\241\321\016\222\225\370B\262U\301\210\330GM\204\342\215[U\213P\253n\222\220\252\357\205\032\250|.3\330oW\3116\023\224j\202\030W1\222\376\265\367cU2\013\211\027\332O\215\371\013\361\2474\352h46\025\024l\322\232U\276\226x\345\005D`\3639\325\334\264m\262.\220D=bD\271\026\n~\224\350\315\306'<+\320\010.\343\267\267\246V\334\321\252\3141\242|\251\267C\354\016\306i\026R\220\325\265\261q\320\245\243I\232\203\347\355A\317\356n}\374\037\207\247?\344\302\037\236Zj\225\323D\0364\212\0071:-\334\t\330e4\\\004\336\300\245\2557\344\200\030\330\306ioG\224\\\234S\300\222;\270\360\323%K\254\310\333\315\021M\024\255\322\271\r)!\251\232\267\360\005\257,\215\331N\377\025\270\006\r\313?mp\0338\246G\235\263@gFf\320\261\333g\251H7\366\n\3369\236\014\310\307\252\356\310r\302.\336 \322+\376\021\216\215?O\324\307\335\362\363\367\276\260\250\010H\003\217\322w`\020A\263\213\\\315\220]""\022\"\t\333\366h\267*$\325\001!w\345\260\000\360\3627\335Hm\257\332{\221-#\014\031`\214\251\rP\371\r\261/\031\247\352J\340S\247\342\213\201``l!\212\177#\212Fs\001\256\275{e2$\266B=\350w\"\263\220*\326u\245h\361\346_\370\273\222)\302\204\207\215\215\243\310";
-    PyObject *data = __Pyx_DecompressString(cstring, 787, 2);
-    if (unlikely(!data)) __PYX_ERR(0, 1, __pyx_L1_error)
-    const char* const bytes = __Pyx_PyBytes_AsString(data);
-    #if !CYTHON_ASSUME_SAFE_MACROS
-    if (likely(bytes)); else { Py_DECREF(data); __PYX_ERR(0, 1, __pyx_L1_error) }
-    #endif
-    #elif (CYTHON_COMPRESS_STRINGS) != 0 /* compression: zlib (711 bytes) */
-const char* const cstring = "x\332mRMO\0331\020-\"\210\250\204R\240\021\267*\025\342\322\252A\005T\201\204\250\302G\313\t5|\\ZU#\257\327IV\331\330\273\2667\331T\245\345\350\243\217{\3141\307\034{\354O\340\230#?\245\343$\204J\345`\317\323\314\370\315\233\031\177\360\003E\274\2201\356\356:\r\324\030\371\\\224|V#I\250K\000\222\371\te\000%?a%-J\\\360\267Z\006\355\200\204\030\245\001\0174\200\222t\263\243\242f\2407\241\311$g\341&\250\2101\277\034u\323}\205\371\274\256D\");8\274:\376tr\t'\274\036p61\345i\031\332\325\r\301\001\036\002\212i\245\211~$\024\n\342\227\367CAI\250\016\312u\306Y\032I\200\317\335\024\317q@5\234\261T\237\263\332E\345\362\352\014/\000\302\271\030\221\001Q]N\003Q\246B\212D#\237\"\032ZBi\317\023>D\222\265i\350\004\006\034\264$\224y\2046i(\024\243\242\345\th\021\325TT$\\\003\321#\253|\237\021\337\275\361Y\244\0338\313:@-\341\024`*\255~\337\0134\002\010\024L\213\007\232\265T\263\005\310\213\005\361N\201\013\237)\007\"\2425\216T\241[\370I\210\2171\203\223\226\003\036\367\266\220[\013\3513\0311Y\203\221\026\304!\341\221\210\260\217Z\200\245\205\007\200\233\200Iu\007\333\332\355\032\307\tqB\3021\237|X\367\377\033\271w\260\024a\302q1DR\3543\254a\257\376hQ\023Y\210&\377\347\237\365\301#\253T\223Q;o\242\024\352\300i:\203\030\207\241\231B\006\335\220\242\243\203\026k\2230\031_j\374\327\312\223\277V\036\377\2654u[\271}R\274-n\334n\354\376^\372\023\337\345\226\355\013[\035\242Y\265\025{\231-\017s\3637\322\254\232CC\355\212\335\266d\230\177ng\355\373l5;\3120\177\315v2\342\222\332\246jF\240kg\234\371a\3379sm+\023c\257\262\327\275\243\336\367\201\343\274\235_\263q6\227}\353\257\367\277\014\342\361\203\335lo\232p\363\313\022\247\006\361\212}\345\352`R\336\314\231\3520\277`\266\314\271\211\207\205\"J-,\016\363\317P\334\313,\356\315\366vz\261\213\357\030\215\345\247q\347\220H5u,:\232\305{\256\013T\\X2\327Y\305\231\237Y\025;\232\244\336\241\222\216\3610!\357Fr\232U\262\213\336\314]n\301\214\272\353`\341\345a~\311\3048\223\275Q0\327;\351\027\373\244\217r\013\346\324~\314\326\263\257\375\331\376\356`""{@np2O\315\033[\265\361_\334z\262\357";
-    PyObject *data = __Pyx_DecompressString(cstring, 711, 1);
-    if (unlikely(!data)) __PYX_ERR(0, 1, __pyx_L1_error)
-    const char* const bytes = __Pyx_PyBytes_AsString(data);
-    #if !CYTHON_ASSUME_SAFE_MACROS
-    if (likely(bytes)); else { Py_DECREF(data); __PYX_ERR(0, 1, __pyx_L1_error) }
-    #endif
-    #else /* compression: none (1101 bytes) */
-const char* const bytes = "?disableenablegcisenabledno default __reduce__ due to non-trivial __cinit__src/wspkit/_kernel/_speed.pyx<stringsource>BUDGET_Engine_Engine.__reduce_cython___Engine.__setstate_cython___Engine._load.<locals>.genexpr__Pyx_PyDict_NextRefSATUNSAT__annotate__asyncio.coroutinesat_mostbbod_prevcline_in_tracebackclosecombo_maskscount_atcountsddeadlinedepthseng__func__genexpr__getstate__hi_is_coroutineitemskm__main__max_nodesmax_patterns__module__n__name__nbnb2nextorderperf_counterplanpopprefixprob__pyx_state__pyx_vtable____qualname__r__reduce____reduce_cython____reduce_ex__run_searchselfsend__set_name__setdefault__setstate____setstate_cython__sod_prevstatussual_atsualssum__test__throwtimevaluevalueswspkit._kernel._speedxxmask\320\000\025\320\025%\320%8\270\017\300q\340\004\021\220\024\220Q\330\004\021\220\023\220A\220T\230\021\330\004\007\200r\210\023\210B\210c\220\022\2203\220a\330\010\020\220\003\2206\230\023\230C\230q\340\004\027\220w\230a\330\004\007\200v\210Q\210a\330\004\007\200y\220\001\330\004\007\200|\2201\330\004\007\200}\220A\330\004\007\200}\220A\220U\230*\240C\240z\260\021\330\004\007\320\007\027\220q\230\005\230]\250#\250Z\260q\330\004\007\200|\2208\2309\240C\240z\260\021\330\004\007\200\177\220a\340\004\021\220\021\330\004\022\220!\340\004\027\220q\330\004\010\210\005\210Q\330\010\013\2102\210R\210q\330\014\025\220Q\330\014\r\330\010\016\210c\220\036\230q\240\003\2404\240q\330\010\013\2104\210t\2201\330\014\025\220Q\330\014\r\330\010\013\2104\210r\220\021\330\014\025\220Q\330\014\r\330\010\r\210Q\330\010\r\210Q\330\010\013\2102\210S\220\001\330\014\017\210}\230A\330\014\017\210~\230Q\230a\330\014\025\220Q\330\014\r\340\004\007\200w\210b\220\001\330\010\021\220\023\220H\230A\230S\240\001\340\004\013\2101\330\004\007\200w\210c\220\021\330\010\017\210q\220\003\2209\230A\230S\240\004\240E\250\025\250a\250q\330\004\014\210H\220F\230#\230[\250\003\2508\2603\260a\200\001\330\004\n\210+\220Q\220q";
-    PyObject *data = NULL;
-    CYTHON_UNUSED_VAR(__Pyx_DecompressString);
-    #endif
-    PyObject **stringtab = __pyx_mstate->__pyx_string_tab;
-    Py_ssize_t pos = 0;
-    for (int i = 0; i < 81; i++) {
-      Py_ssize_t bytes_length = index[i].length;
-      PyObject *string = PyUnicode_DecodeUTF8(bytes + pos, bytes_length, NULL);
-      if (likely(string) && i >= 8) PyUnicode_InternInPlace(&string);
-      if (unlikely(!string)) {
-        Py_XDECREF(data);
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-      stringtab[i] = string;
-      pos += bytes_length;
-    }
-    for (int i = 81; i < 84; i++) {
-      Py_ssize_t bytes_length = index[i].length;
-      PyObject *string = PyBytes_FromStringAndSize(bytes + pos, bytes_length);
-      stringtab[i] = string;
-      pos += bytes_length;
-      if (unlikely(!string)) {
-        Py_XDECREF(data);
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-    }
-    Py_XDECREF(data);
-    for (Py_ssize_t i = 0; i < 84; i++) {
-      if (unlikely(PyObject_Hash(stringtab[i]) == -1)) {
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-    }
-    #if CYTHON_IMMORTAL_CONSTANTS
-    {
-      PyObject **table = stringtab + 81;
-      for (Py_ssize_t i=0; i<3; ++i) {
-        #if PY_VERSION_HEX >= 0x030F0000
-        PyUnstable_SetImmortal(table[i]);
-        #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-        if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-        #if PY_VERSION_HEX < 0x030E0000
-        if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-        #else
-        if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-        #endif
-        {
-          Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-        }
-        #else
-        if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-        Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-        #endif
-      }
-    }
-    #endif
-  }
-  {
-    PyObject **numbertab = __pyx_mstate->__pyx_number_tab + 0;
-    int8_t const cint_constants_1[] = {0,1,2,64};
-    for (int i = 0; i < 4; i++) {
-      numbertab[i] = PyLong_FromLong(cint_constants_1[i - 0]);
-      if (unlikely(!numbertab[i])) __PYX_ERR(0, 1, __pyx_L1_error)
-    }
-  }
-  {
-    PyObject **numbertab = __pyx_mstate->__pyx_number_tab + 4;
-    const char* c_constant = "fvvvvvvvvvvvv";
-    for (int i = 0; i < 1; i++) {
-      char *end_pos;
-      numbertab[i] = PyLong_FromString(c_constant, &end_pos, 32);
-      if (unlikely(!numbertab[i])) __PYX_ERR(0, 1, __pyx_L1_error)
-      c_constant = end_pos + 1;
-    }
-  }
-  #if CYTHON_IMMORTAL_CONSTANTS
-  {
-    PyObject **table = __pyx_mstate->__pyx_number_tab;
-    for (Py_ssize_t i=0; i<5; ++i) {
-      #if PY_VERSION_HEX >= 0x030F0000
-      PyUnstable_SetImmortal(table[i]);
-      #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-      if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-      #if PY_VERSION_HEX < 0x030E0000
-      if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-      #else
-      if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-      #endif
-      {
-        Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-      }
-      #else
-      if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-      Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-      #endif
-    }
-  }
-  #endif
-  return 0;
-  __pyx_L1_error:;
-  return -1;
-}
-/* #### Code section: init_codeobjects ### */
-typedef struct {
-    unsigned int argcount : 3;
-    unsigned int num_posonly_args : 1;
-    unsigned int num_kwonly_args : 1;
-    unsigned int nlocals : 4;
-    unsigned int flags : 10;
-    unsigned int first_line : 9;
-} __Pyx_PyCode_New_function_description;
-/* NewCodeObj.proto */
-static PyObject* __Pyx_PyCode_New(
-        const __Pyx_PyCode_New_function_description descr,
-        PyObject * const *varnames,
-        PyObject *filename,
-        PyObject *funcname,
-        PyObject *line_table,
-        PyObject *tuple_dedup_map
-);
-
-
-static int __Pyx_CreateCodeObjects(__pyx_mstatetype *__pyx_mstate) {
-  PyObject* tuple_dedup_map = PyDict_New();
-  if (unlikely(!tuple_dedup_map)) return -1;
-  {
-    const __Pyx_PyCode_New_function_description descr = {0, 0, 0, 1, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS|CO_GENERATOR), 133};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_x};
-    __pyx_mstate_global->__pyx_codeobj_tab[0] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_wspkit__kernel__speed_pyx, __pyx_mstate->__pyx_n_u_genexpr, __pyx_mstate->__pyx_kp_b_iso88591_q, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[0])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {0, 0, 0, 1, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS|CO_GENERATOR), 141};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_x};
-    __pyx_mstate_global->__pyx_codeobj_tab[1] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_wspkit__kernel__speed_pyx, __pyx_mstate->__pyx_n_u_genexpr, __pyx_mstate->__pyx_kp_b_iso88591_q, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[1])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {0, 0, 0, 1, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS|CO_GENERATOR), 165};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_x};
-    __pyx_mstate_global->__pyx_codeobj_tab[2] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_wspkit__kernel__speed_pyx, __pyx_mstate->__pyx_n_u_genexpr, __pyx_mstate->__pyx_kp_b_iso88591_q, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[2])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {0, 0, 0, 1, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS|CO_GENERATOR), 183};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_x};
-    __pyx_mstate_global->__pyx_codeobj_tab[3] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_wspkit__kernel__speed_pyx, __pyx_mstate->__pyx_n_u_genexpr, __pyx_mstate->__pyx_kp_b_iso88591_q, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[3])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {1, 0, 0, 1, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 1};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_self};
-    __pyx_mstate_global->__pyx_codeobj_tab[4] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_stringsource, __pyx_mstate->__pyx_n_u_reduce_cython, __pyx_mstate->__pyx_kp_b_iso88591_Q, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[4])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {2, 0, 0, 2, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 3};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_self, __pyx_mstate->__pyx_n_u_pyx_state};
-    __pyx_mstate_global->__pyx_codeobj_tab[5] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_stringsource, __pyx_mstate->__pyx_n_u_setstate_cython, __pyx_mstate->__pyx_kp_b_iso88591_Q, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[5])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {5, 0, 0, 15, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 401};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_prob, __pyx_mstate->__pyx_n_u_max_nodes, __pyx_mstate->__pyx_n_u_max_patterns, __pyx_mstate->__pyx_n_u_deadline, __pyx_mstate->__pyx_n_u_prefix, __pyx_mstate->__pyx_n_u_k, __pyx_mstate->__pyx_n_u_m, __pyx_mstate->__pyx_n_u_eng, __pyx_mstate->__pyx_n_u_d, __pyx_mstate->__pyx_n_u_nb, __pyx_mstate->__pyx_n_u_nb2, __pyx_mstate->__pyx_n_u_status, __pyx_mstate->__pyx_n_u_b, __pyx_mstate->__pyx_n_u_plan, __pyx_mstate->__pyx_n_u_i};
-    __pyx_mstate_global->__pyx_codeobj_tab[6] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_wspkit__kernel__speed_pyx, __pyx_mstate->__pyx_n_u_run_search, __pyx_mstate->__pyx_kp_b_iso88591_8_q_Q_AT_r_Bc_3a_6_Cq_wa_vQa_y, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[6])) goto bad;
-  }
-  Py_DECREF(tuple_dedup_map);
-  return 0;
-  bad:
-  Py_DECREF(tuple_dedup_map);
-  return -1;
-}
-/* #### Code section: init_globals ### */
-
-static int __Pyx_InitGlobals(void) {
-  /* PythonCompatibility.init */
-  if (likely(__Pyx_init_co_variables() == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CommonTypesMetaclass.init */
-  if (likely(__pyx_CommonTypesMetaclass_init(__pyx_m) == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CachedMethodType.init */
-  #if CYTHON_COMPILING_IN_LIMITED_API
-  {
-      PyObject *typesModule=NULL;
-      typesModule = PyImport_ImportModule("types");
-      if (typesModule) {
-          __pyx_mstate_global->__Pyx_CachedMethodType = PyObject_GetAttrString(typesModule, "MethodType");
-          Py_DECREF(typesModule);
-      }
-  } // error handling follows
-  #endif
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CythonFunctionShared.init */
-  if (likely(__pyx_CyFunction_init(__pyx_m) == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* Generator.init */
-  if (likely(__pyx_Generator_init(__pyx_m) == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  return 0;
-  __pyx_L1_error:;
-  return -1;
-}
-/* #### Code section: cleanup_globals ### */
-/* #### Code section: cleanup_module ### */
-/* #### Code section: main_method ### */
-/* #### Code section: utility_code_pragmas ### */
-#ifdef _MSC_VER
-#pragma warning( push )
-/* Warning 4127: conditional expression is constant
- * Cython uses constant conditional expressions to allow in inline functions to be optimized at
- * compile-time, so this warning is not useful
- */
-#pragma warning( disable : 4127 )
-#endif
-
-
-
-/* #### Code section: utility_code_def ### */
-
-/* --- Runtime support code --- */
-/* Refnanny */
-#if CYTHON_REFNANNY
-static __Pyx_RefNannyAPIStruct *__Pyx_RefNannyImportAPI(const char *modname) {
-    PyObject *m = NULL, *p = NULL;
-    void *r = NULL;
-    m = PyImport_ImportModule(modname);
-    if (!m) goto end;
-    p = PyObject_GetAttrString(m, "RefNannyAPI");
-    if (!p) goto end;
-    r = PyLong_AsVoidPtr(p);
-end:
-    Py_XDECREF(p);
-    Py_XDECREF(m);
-    return (__Pyx_RefNannyAPIStruct *)r;
-}
-#endif
-
-/* PyErrExceptionMatches (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-static int __Pyx_PyErr_ExceptionMatchesTuple(PyObject *exc_type, PyObject *tuple) {
-    Py_ssize_t i, n;
-    n = PyTuple_GET_SIZE(tuple);
-    for (i=0; i<n; i++) {
-        if (exc_type == PyTuple_GET_ITEM(tuple, i)) return 1;
-    }
-    for (i=0; i<n; i++) {
-        if (__Pyx_PyErr_GivenExceptionMatches(exc_type, PyTuple_GET_ITEM(tuple, i))) return 1;
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx_PyErr_ExceptionMatchesInState(PyThreadState* tstate, PyObject* err) {
-    int result;
-    PyObject *exc_type;
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject *current_exception = tstate->current_exception;
-    if (unlikely(!current_exception)) return 0;
-    exc_type = (PyObject*) Py_TYPE(current_exception);
-    if (exc_type == err) return 1;
-#else
-    exc_type = tstate->curexc_type;
-    if (exc_type == err) return 1;
-    if (unlikely(!exc_type)) return 0;
-#endif
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_INCREF(exc_type);
-    #endif
-    if (unlikely(PyTuple_Check(err))) {
-        result = __Pyx_PyErr_ExceptionMatchesTuple(exc_type, err);
-    } else {
-        result = __Pyx_PyErr_GivenExceptionMatches(exc_type, err);
-    }
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_DECREF(exc_type);
-    #endif
-    return result;
-}
-#endif
-
-/* PyErrFetchRestore (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-static CYTHON_INLINE void __Pyx_ErrRestoreInState(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject *tmp_value;
-    assert(type == NULL || (value != NULL && type == (PyObject*) Py_TYPE(value)));
-    if (value) {
-        #if CYTHON_COMPILING_IN_CPYTHON
-        if (unlikely(((PyBaseExceptionObject*) value)->traceback != tb))
-        #endif
-            PyException_SetTraceback(value, tb);
-    }
-    tmp_value = tstate->current_exception;
-    tstate->current_exception = value;
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(type);
-    Py_XDECREF(tb);
-#else
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-    tmp_type = tstate->curexc_type;
-    tmp_value = tstate->curexc_value;
-    tmp_tb = tstate->curexc_traceback;
-    tstate->curexc_type = type;
-    tstate->curexc_value = value;
-    tstate->curexc_traceback = tb;
-    Py_XDECREF(tmp_type);
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(tmp_tb);
-#endif
-}
-static CYTHON_INLINE void __Pyx_ErrFetchInState(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject* exc_value;
-    exc_value = tstate->current_exception;
-    tstate->current_exception = 0;
-    *value = exc_value;
-    *type = NULL;
-    *tb = NULL;
-    if (exc_value) {
-        *type = (PyObject*) Py_TYPE(exc_value);
-        Py_INCREF(*type);
-        #if CYTHON_COMPILING_IN_CPYTHON
-        *tb = ((PyBaseExceptionObject*) exc_value)->traceback;
-        Py_XINCREF(*tb);
-        #else
-        *tb = PyException_GetTraceback(exc_value);
-        #endif
-    }
-#else
-    *type = tstate->curexc_type;
-    *value = tstate->curexc_value;
-    *tb = tstate->curexc_traceback;
-    tstate->curexc_type = 0;
-    tstate->curexc_value = 0;
-    tstate->curexc_traceback = 0;
-#endif
-}
-#endif
-
-/* PyObjectGetAttrStr (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStr(PyObject* obj, PyObject* attr_name) {
-    PyTypeObject* tp = Py_TYPE(obj);
-    if (likely(tp->tp_getattro))
-        return tp->tp_getattro(obj, attr_name);
-    return PyObject_GetAttr(obj, attr_name);
-}
-#endif
-
-/* PyObjectGetAttrStrNoError (used by GetBuiltinName) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static void __Pyx_PyObject_GetAttrStr_ClearAttributeError(void) {
-    __Pyx_PyThreadState_declare
-    __Pyx_PyThreadState_assign
-    if (likely(__Pyx_PyErr_ExceptionMatches(PyExc_AttributeError)))
-        __Pyx_PyErr_Clear();
-}
-#endif
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStrNoError(PyObject* obj, PyObject* attr_name) {
-    PyObject *result;
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    (void) PyObject_GetOptionalAttr(obj, attr_name, &result);
-    return result;
-#else
-#if CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_TYPE_SLOTS
-    PyTypeObject* tp = Py_TYPE(obj);
-    if (likely(tp->tp_getattro == PyObject_GenericGetAttr)) {
-        return _PyObject_GenericGetAttrWithDict(obj, attr_name, NULL, 1);
-    }
-#endif
-    result = __Pyx_PyObject_GetAttrStr(obj, attr_name);
-    if (unlikely(!result)) {
-        __Pyx_PyObject_GetAttrStr_ClearAttributeError();
-    }
-    return result;
-#endif
-}
-
-/* GetBuiltinName */
-static PyObject *__Pyx_GetBuiltinName(PyObject *name) {
-    PyObject* result = __Pyx_PyObject_GetAttrStrNoError(__pyx_mstate_global->__pyx_b, name);
-    if (unlikely(!result) && !PyErr_Occurred()) {
-        PyErr_Format(PyExc_NameError,
-            "name '%U' is not defined", name);
-    }
-    return result;
-}
-
-/* TupleAndListFromArray (used by fastcall) */
-#if !CYTHON_COMPILING_IN_CPYTHON && CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject *
-__Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n)
-{
-    PyObject *res;
-    Py_ssize_t i;
-    if (n <= 0) {
-        return __Pyx_NewRef(__pyx_mstate_global->__pyx_empty_tuple);
-    }
-    res = PyTuple_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    for (i = 0; i < n; i++) {
-        Py_INCREF(src[i]);
-        if (unlikely(__Pyx_PyTuple_SET_ITEM(res, i, src[i]) < (0))) {
-            Py_DECREF(res);
-            return NULL;
-        }
-    }
-    return res;
-}
-#elif CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE void __Pyx_copy_object_array(PyObject *const *CYTHON_RESTRICT src, PyObject** CYTHON_RESTRICT dest, Py_ssize_t length) {
-    PyObject *v;
-    Py_ssize_t i;
-    for (i = 0; i < length; i++) {
-        v = dest[i] = src[i];
-        Py_INCREF(v);
-    }
-}
-static CYTHON_INLINE PyObject *
-__Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n)
-{
-    PyObject *res;
-    if (n <= 0) {
-        return __Pyx_NewRef(__pyx_mstate_global->__pyx_empty_tuple);
-    }
-    res = PyTuple_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    __Pyx_copy_object_array(src, ((PyTupleObject*)res)->ob_item, n);
-    return res;
-}
-static CYTHON_INLINE PyObject *
-__Pyx_PyList_FromArray(PyObject *const *src, Py_ssize_t n)
-{
-    PyObject *res;
-    if (n <= 0) {
-        return PyList_New(0);
-    }
-    res = PyList_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    __Pyx_copy_object_array(src, ((PyListObject*)res)->ob_item, n);
-    return res;
-}
-#endif
-
-/* BytesEquals (used by UnicodeEquals) */
-static CYTHON_INLINE int __Pyx_PyBytes_Equals(PyObject* s1, PyObject* s2, int equals) {
-#if CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL ||\
-        !(CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS)
-    return PyObject_RichCompareBool(s1, s2, equals);
-#else
-    if (s1 == s2) {
-        return (equals == Py_EQ);
-    } else if (PyBytes_CheckExact(s1) & PyBytes_CheckExact(s2)) {
-        const char *ps1, *ps2;
-        Py_ssize_t length = PyBytes_GET_SIZE(s1);
-        if (length != PyBytes_GET_SIZE(s2))
-            return (equals == Py_NE);
-        ps1 = PyBytes_AS_STRING(s1);
-        ps2 = PyBytes_AS_STRING(s2);
-        if (ps1[0] != ps2[0]) {
-            return (equals == Py_NE);
-        } else if (length == 1) {
-            return (equals == Py_EQ);
-        } else {
-            int result;
-#if CYTHON_USE_UNICODE_INTERNALS && (PY_VERSION_HEX < 0x030B0000)
-            Py_hash_t hash1, hash2;
-            hash1 = ((PyBytesObject*)s1)->ob_shash;
-            hash2 = ((PyBytesObject*)s2)->ob_shash;
-            if (hash1 != hash2 && hash1 != -1 && hash2 != -1) {
-                return (equals == Py_NE);
-            }
-#endif
-            result = memcmp(ps1, ps2, (size_t)length);
-            return (equals == Py_EQ) ? (result == 0) : (result != 0);
-        }
-    } else if ((s1 == Py_None) & PyBytes_CheckExact(s2)) {
-        return (equals == Py_NE);
-    } else if ((s2 == Py_None) & PyBytes_CheckExact(s1)) {
-        return (equals == Py_NE);
-    } else {
-        int result;
-        PyObject* py_result = PyObject_RichCompare(s1, s2, equals);
-        if (!py_result)
-            return -1;
-        result = __Pyx_PyObject_IsTrue(py_result);
-        Py_DECREF(py_result);
-        return result;
-    }
-#endif
-}
-
-/* UnicodeEquals (used by fastcall) */
-static CYTHON_INLINE int __Pyx_PyUnicode_Equals(PyObject* s1, PyObject* s2, int equals) {
-#if CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL
-    return PyObject_RichCompareBool(s1, s2, equals);
-#else
-    int s1_is_unicode, s2_is_unicode;
-    if (s1 == s2) {
-        goto return_eq;
-    }
-    s1_is_unicode = PyUnicode_CheckExact(s1);
-    s2_is_unicode = PyUnicode_CheckExact(s2);
-    if (s1_is_unicode & s2_is_unicode) {
-        Py_ssize_t length, length2;
-        int kind;
-        void *data1, *data2;
-        #if !CYTHON_COMPILING_IN_LIMITED_API
-        if (unlikely(__Pyx_PyUnicode_READY(s1) < 0) || unlikely(__Pyx_PyUnicode_READY(s2) < 0))
-            return -1;
-        #endif
-        length = __Pyx_PyUnicode_GET_LENGTH(s1);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(length < 0)) return -1;
-        #endif
-        length2 = __Pyx_PyUnicode_GET_LENGTH(s2);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(length2 < 0)) return -1;
-        #endif
-        if (length != length2) {
-            goto return_ne;
-        }
-#if CYTHON_USE_UNICODE_INTERNALS
-        {
-            Py_hash_t hash1, hash2;
-            hash1 = ((PyASCIIObject*)s1)->hash;
-            hash2 = ((PyASCIIObject*)s2)->hash;
-            if (hash1 != hash2 && hash1 != -1 && hash2 != -1) {
-                goto return_ne;
-            }
-        }
-#endif
-        kind = __Pyx_PyUnicode_KIND(s1);
-        if (kind != __Pyx_PyUnicode_KIND(s2)) {
-            goto return_ne;
-        }
-        data1 = __Pyx_PyUnicode_DATA(s1);
-        data2 = __Pyx_PyUnicode_DATA(s2);
-        if (__Pyx_PyUnicode_READ(kind, data1, 0) != __Pyx_PyUnicode_READ(kind, data2, 0)) {
-            goto return_ne;
-        } else if (length == 1) {
-            goto return_eq;
-        } else {
-            int result = memcmp(data1, data2, (size_t)(length * kind));
-            return (equals == Py_EQ) ? (result == 0) : (result != 0);
-        }
-    } else if ((s1 == Py_None) & s2_is_unicode) {
-        goto return_ne;
-    } else if ((s2 == Py_None) & s1_is_unicode) {
-        goto return_ne;
-    } else {
-        int result;
-        PyObject* py_result = PyObject_RichCompare(s1, s2, equals);
-        if (!py_result)
-            return -1;
-        result = __Pyx_PyObject_IsTrue(py_result);
-        Py_DECREF(py_result);
-        return result;
-    }
-return_eq:
-    return (equals == Py_EQ);
-return_ne:
-    return (equals == Py_NE);
-#endif
-}
-
-/* fastcall */
-#if CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject * __Pyx_GetKwValue_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues, PyObject *s)
-{
-    Py_ssize_t i, n = __Pyx_PyTuple_GET_SIZE(kwnames);
-    #if !CYTHON_ASSUME_SAFE_SIZE
-    if (unlikely(n == -1)) return NULL;
-    #endif
-    for (i = 0; i < n; i++)
-    {
-        PyObject *namei = __Pyx_PyTuple_GET_ITEM(kwnames, i);
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!namei)) return NULL;
-        #endif
-        if (s == namei) return kwvalues[i];
-    }
-    for (i = 0; i < n; i++)
-    {
-        PyObject *namei = __Pyx_PyTuple_GET_ITEM(kwnames, i);
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!namei)) return NULL;
-        #endif
-        int eq = __Pyx_PyUnicode_Equals(s, namei, Py_EQ);
-        if (unlikely(eq != 0)) {
-            if (unlikely(eq < 0)) return NULL;
-            return kwvalues[i];
-        }
-    }
-    return NULL;
-}
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-CYTHON_UNUSED static PyObject *__Pyx_KwargsAsDict_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues) {
-    Py_ssize_t i, nkwargs;
-    PyObject *dict;
-#if !CYTHON_ASSUME_SAFE_SIZE
-    nkwargs = PyTuple_Size(kwnames);
-    if (unlikely(nkwargs < 0)) return NULL;
-#else
-    nkwargs = PyTuple_GET_SIZE(kwnames);
-#endif
-    dict = PyDict_New();
-    if (unlikely(!dict))
-        return NULL;
-    for (i=0; i<nkwargs; i++) {
-#if !CYTHON_ASSUME_SAFE_MACROS
-        PyObject *key = PyTuple_GetItem(kwnames, i);
-        if (!key) goto bad;
-#else
-        PyObject *key = PyTuple_GET_ITEM(kwnames, i);
-#endif
-        if (unlikely(PyDict_SetItem(dict, key, kwvalues[i]) < 0))
-            goto bad;
-    }
-    return dict;
-bad:
-    Py_DECREF(dict);
-    return NULL;
-}
-#endif
-#endif
-
-/* RaiseArgTupleInvalid */
-static void __Pyx_RaiseArgtupleInvalid(
-    const char* func_name,
-    int exact,
-    Py_ssize_t num_min,
-    Py_ssize_t num_max,
-    Py_ssize_t num_found)
-{
-    Py_ssize_t num_expected;
-    const char *more_or_less;
-    if (num_found < num_min) {
-        num_expected = num_min;
-        more_or_less = "at least";
-    } else {
-        num_expected = num_max;
-        more_or_less = "at most";
-    }
-    if (exact) {
-        more_or_less = "exactly";
-    }
-    PyErr_Format(PyExc_TypeError,
-                 "%.200s() takes %.8s %" CYTHON_FORMAT_SSIZE_T "d positional argument%.1s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-                 func_name, more_or_less, num_expected,
-                 (num_expected == 1) ? "" : "s", num_found);
-}
-
-/* PyObjectCall (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call(PyObject *func, PyObject *arg, PyObject *kw) {
-    PyObject *result;
-    ternaryfunc call = Py_TYPE(func)->tp_call;
-    if (unlikely(!call))
-        return PyObject_Call(func, arg, kw);
-    if (unlikely(Py_EnterRecursiveCall(" while calling a Python object")))
-        return NULL;
-    result = (*call)(func, arg, kw);
-    Py_LeaveRecursiveCall();
-    if (unlikely(!result) && unlikely(!PyErr_Occurred())) {
-        PyErr_SetString(
-            PyExc_SystemError,
-            "NULL result without error in PyObject_Call");
-    }
-    return result;
-}
-#endif
-
-/* PyObjectCallMethO (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallMethO(PyObject *func, PyObject *arg) {
-    PyObject *self, *result;
-    PyCFunction cfunc;
-    cfunc = __Pyx_CyOrPyCFunction_GET_FUNCTION(func);
-    self = __Pyx_CyOrPyCFunction_GET_SELF(func);
-    if (unlikely(Py_EnterRecursiveCall(" while calling a Python object")))
-        return NULL;
-    result = cfunc(self, arg);
-    Py_LeaveRecursiveCall();
-    if (unlikely(!result) && unlikely(!PyErr_Occurred())) {
-        PyErr_SetString(
-            PyExc_SystemError,
-            "NULL result without error in PyObject_Call");
-    }
-    return result;
-}
-#endif
-
-/* PyObjectFastCall (used by PyObjectCallOneArg) */
-#if PY_VERSION_HEX < 0x03090000 || CYTHON_COMPILING_IN_LIMITED_API
-static PyObject* __Pyx_PyObject_FastCall_fallback(PyObject *func, PyObject * const*args, size_t nargs, PyObject *kwargs) {
-    PyObject *argstuple;
-    PyObject *result = 0;
-    size_t i;
-    argstuple = PyTuple_New((Py_ssize_t)nargs);
-    if (unlikely(!argstuple)) return NULL;
-    for (i = 0; i < nargs; i++) {
-        Py_INCREF(args[i]);
-        if (__Pyx_PyTuple_SET_ITEM(argstuple, (Py_ssize_t)i, args[i]) != (0)) goto bad;
-    }
-    result = __Pyx_PyObject_Call(func, argstuple, kwargs);
-  bad:
-    Py_DECREF(argstuple);
-    return result;
-}
-#endif
-#if CYTHON_VECTORCALL && !CYTHON_COMPILING_IN_LIMITED_API
-  #if PY_VERSION_HEX < 0x03090000
-    #define __Pyx_PyVectorcall_Function(callable) _PyVectorcall_Function(callable)
-  #elif CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE vectorcallfunc __Pyx_PyVectorcall_Function(PyObject *callable) {
-    PyTypeObject *tp = Py_TYPE(callable);
-    #if defined(__Pyx_CyFunction_USED)
-    if (__Pyx_CyFunction_CheckExact(callable)) {
-        return __Pyx_CyFunction_func_vectorcall(callable);
-    }
-    #endif
-    if (!PyType_HasFeature(tp, Py_TPFLAGS_HAVE_VECTORCALL)) {
-        return NULL;
-    }
-    assert(PyCallable_Check(callable));
-    Py_ssize_t offset = tp->tp_vectorcall_offset;
-    assert(offset > 0);
-    vectorcallfunc ptr;
-    memcpy(&ptr, (char *) callable + offset, sizeof(ptr));
-    return ptr;
-}
-  #else
-    #define __Pyx_PyVectorcall_Function(callable) PyVectorcall_Function(callable)
-  #endif
-#endif
-static CYTHON_INLINE PyObject* __Pyx_PyObject_FastCallDict(PyObject *func, PyObject *const *args, size_t _nargs, PyObject *kwargs) {
-    Py_ssize_t nargs = __Pyx_PyVectorcall_NARGS(_nargs);
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (nargs == 0 && kwargs == NULL) {
-        if (__Pyx_CyOrPyCFunction_Check(func) && likely( __Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_NOARGS))
-            return __Pyx_PyObject_CallMethO(func, NULL);
-    }
-    else if (nargs == 1 && kwargs == NULL) {
-        if (__Pyx_CyOrPyCFunction_Check(func) && likely( __Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_O))
-            return __Pyx_PyObject_CallMethO(func, args[0]);
-    }
-#endif
-    if (kwargs == NULL) {
-        #if CYTHON_VECTORCALL
-          #if CYTHON_COMPILING_IN_LIMITED_API
-            return PyObject_Vectorcall(func, args, _nargs, NULL);
-          #else
-            vectorcallfunc f = __Pyx_PyVectorcall_Function(func);
-            if (f) {
-                return f(func, args, _nargs, NULL);
-            }
-          #endif
-        #endif
-    }
-    if (nargs == 0) {
-        return __Pyx_PyObject_Call(func, __pyx_mstate_global->__pyx_empty_tuple, kwargs);
-    }
-    #if PY_VERSION_HEX >= 0x03090000 && !CYTHON_COMPILING_IN_LIMITED_API
-    return PyObject_VectorcallDict(func, args, (size_t)nargs, kwargs);
-    #else
-    return __Pyx_PyObject_FastCall_fallback(func, args, (size_t)nargs, kwargs);
-    #endif
-}
-
-/* PyObjectCallOneArg (used by CallUnboundCMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallOneArg(PyObject *func, PyObject *arg) {
-    PyObject *args[2] = {NULL, arg};
-    return __Pyx_PyObject_FastCall(func, args+1, 1 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-}
-
-/* UnpackUnboundCMethod (used by CallUnboundCMethod0) */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030C0000
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject *args, PyObject *kwargs) {
-    PyObject *result;
-    PyObject *selfless_args = PyTuple_GetSlice(args, 1, PyTuple_Size(args));
-    if (unlikely(!selfless_args)) return NULL;
-    result = PyObject_Call(method, selfless_args, kwargs);
-    Py_DECREF(selfless_args);
-    return result;
-}
-#elif CYTHON_COMPILING_IN_PYPY && PY_VERSION_HEX < 0x03090000
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject **args, Py_ssize_t nargs, PyObject *kwnames) {
-        return _PyObject_Vectorcall
-            (method, args ? args+1 : NULL, nargs ? nargs-1 : 0, kwnames);
-}
-#else
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames) {
-    return
-#if PY_VERSION_HEX < 0x03090000
-    _PyObject_Vectorcall
-#else
-    PyObject_Vectorcall
-#endif
-        (method, args ? args+1 : NULL, nargs ? (size_t) nargs-1 : 0, kwnames);
-}
-#endif
-static PyMethodDef __Pyx_UnboundCMethod_Def = {
-     "CythonUnboundCMethod",
-     __PYX_REINTERPRET_FUNCION(PyCFunction, __Pyx_SelflessCall),
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030C0000
-     METH_VARARGS | METH_KEYWORDS,
-#else
-     METH_FASTCALL | METH_KEYWORDS,
-#endif
-     NULL
-};
-static int __Pyx_TryUnpackUnboundCMethod(__Pyx_CachedCFunction* target) {
-    PyObject *method, *result=NULL;
-    method = __Pyx_PyObject_GetAttrStr(target->type, *target->method_name);
-    if (unlikely(!method))
-        return -1;
-    result = method;
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (likely(__Pyx_TypeCheck(method, &PyMethodDescr_Type)))
-    {
-        PyMethodDescrObject *descr = (PyMethodDescrObject*) method;
-        target->func = descr->d_method->ml_meth;
-        target->flag = descr->d_method->ml_flags & ~(METH_CLASS | METH_STATIC | METH_COEXIST | METH_STACKLESS);
-    } else
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-#else
-    if (PyCFunction_Check(method))
-#endif
-    {
-        PyObject *self;
-        int self_found;
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_PYPY
-        self = PyObject_GetAttrString(method, "__self__");
-        if (!self) {
-            PyErr_Clear();
-        }
-#else
-        self = PyCFunction_GET_SELF(method);
-#endif
-        self_found = (self && self != Py_None);
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_PYPY
-        Py_XDECREF(self);
-#endif
-        if (self_found) {
-            PyObject *unbound_method = PyCFunction_New(&__Pyx_UnboundCMethod_Def, method);
-            if (unlikely(!unbound_method)) return -1;
-            Py_DECREF(method);
-            result = unbound_method;
-        }
-    }
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    if (unlikely(target->method)) {
-        Py_DECREF(result);
-    } else
-#endif
-    target->method = result;
-    return 0;
-}
-
-/* CallUnboundCMethod0 */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self) {
-    int was_initialized = __Pyx_CachedCFunction_GetAndSetInitializing(cfunc);
-    if (likely(was_initialized == 2 && cfunc->func)) {
-        if (likely(cfunc->flag == METH_NOARGS))
-            return __Pyx_CallCFunction(cfunc, self, NULL);
-        if (likely(cfunc->flag == METH_FASTCALL))
-            return __Pyx_CallCFunctionFast(cfunc, self, NULL, 0);
-        if (cfunc->flag == (METH_FASTCALL | METH_KEYWORDS))
-            return __Pyx_CallCFunctionFastWithKeywords(cfunc, self, NULL, 0, NULL);
-        if (likely(cfunc->flag == (METH_VARARGS | METH_KEYWORDS)))
-            return __Pyx_CallCFunctionWithKeywords(cfunc, self, __pyx_mstate_global->__pyx_empty_tuple, NULL);
-        if (cfunc->flag == METH_VARARGS)
-            return __Pyx_CallCFunction(cfunc, self, __pyx_mstate_global->__pyx_empty_tuple);
-        return __Pyx__CallUnboundCMethod0(cfunc, self);
-    }
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    else if (unlikely(was_initialized == 1)) {
-        __Pyx_CachedCFunction tmp_cfunc = {
-#ifndef __cplusplus
-            0
-#endif
-        };
-        tmp_cfunc.type = cfunc->type;
-        tmp_cfunc.method_name = cfunc->method_name;
-        return __Pyx__CallUnboundCMethod0(&tmp_cfunc, self);
-    }
-#endif
-    PyObject *result = __Pyx__CallUnboundCMethod0(cfunc, self);
-    __Pyx_CachedCFunction_SetFinishedInitializing(cfunc);
-    return result;
-}
-#endif
-static PyObject* __Pyx__CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self) {
-    PyObject *result;
-    if (unlikely(!cfunc->method) && unlikely(__Pyx_TryUnpackUnboundCMethod(cfunc) < 0)) return NULL;
-    result = __Pyx_PyObject_CallOneArg(cfunc->method, self);
-    return result;
-}
-
-/* py_dict_items (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Items(PyObject* d) {
-    return __Pyx_CallUnboundCMethod0(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_items, d);
-}
-
-/* py_dict_values (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Values(PyObject* d) {
-    return __Pyx_CallUnboundCMethod0(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_values, d);
-}
-
-/* OwnedDictNext (used by RejectKeywords) */
-#if CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, PyObject **ppos, PyObject **pkey, PyObject **pvalue) {
-    PyObject *next = NULL;
-    if (!*ppos) {
-        if (pvalue) {
-            PyObject *dictview = pkey ? __Pyx_PyDict_Items(p) : __Pyx_PyDict_Values(p);
-            if (unlikely(!dictview)) goto bad;
-            *ppos = PyObject_GetIter(dictview);
-            Py_DECREF(dictview);
-        } else {
-            *ppos = PyObject_GetIter(p);
-        }
-        if (unlikely(!*ppos)) goto bad;
-    }
-    next = PyIter_Next(*ppos);
-    if (!next) {
-        if (PyErr_Occurred()) goto bad;
-        return 0;
-    }
-    if (pkey && pvalue) {
-        *pkey = __Pyx_PySequence_ITEM(next, 0);
-        if (unlikely(*pkey)) goto bad;
-        *pvalue = __Pyx_PySequence_ITEM(next, 1);
-        if (unlikely(*pvalue)) goto bad;
-        Py_DECREF(next);
-    } else if (pkey) {
-        *pkey = next;
-    } else {
-        assert(pvalue);
-        *pvalue = next;
-    }
-    return 1;
-  bad:
-    Py_XDECREF(next);
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d0000
-    PyErr_FormatUnraisable("Exception ignored in __Pyx_PyDict_NextRef");
-#else
-    PyErr_WriteUnraisable(__pyx_mstate_global->__pyx_n_u_Pyx_PyDict_NextRef);
-#endif
-    if (pkey) *pkey = NULL;
-    if (pvalue) *pvalue = NULL;
-    return 0;
-}
-#else // !CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, Py_ssize_t *ppos, PyObject **pkey, PyObject **pvalue) {
-    int result = PyDict_Next(p, ppos, pkey, pvalue);
-    if (likely(result == 1)) {
-        if (pkey) Py_INCREF(*pkey);
-        if (pvalue) Py_INCREF(*pvalue);
-    }
-    return result;
-}
-#endif
-
-/* RejectKeywords */
-static void __Pyx_RejectKeywords(const char* function_name, PyObject *kwds) {
-    PyObject *key = NULL;
-    if (CYTHON_METH_FASTCALL && likely(PyTuple_Check(kwds))) {
-        key = __Pyx_PySequence_ITEM(kwds, 0);
-    } else {
-#if CYTHON_AVOID_BORROWED_REFS
-        PyObject *pos = NULL;
-#else
-        Py_ssize_t pos = 0;
-#endif
-#if !CYTHON_COMPILING_IN_PYPY || defined(PyArg_ValidateKeywordArguments)
-        if (unlikely(!PyArg_ValidateKeywordArguments(kwds))) return;
-#endif
-        __Pyx_PyDict_NextRef(kwds, &pos, &key, NULL);
-#if CYTHON_AVOID_BORROWED_REFS
-        Py_XDECREF(pos);
-#endif
-    }
-    if (likely(key)) {
-        PyErr_Format(PyExc_TypeError,
-            "%s() got an unexpected keyword argument '%U'",
-            function_name, key);
-        Py_DECREF(key);
-    }
-}
-
-/* RaiseUnboundLocalError */
-static void __Pyx_RaiseUnboundLocalError(const char *varname) {
-    PyErr_Format(PyExc_UnboundLocalError, "local variable '%s' referenced before assignment", varname);
-}
-
-/* GetException (used by pep479) */
-#if CYTHON_FAST_THREAD_STATE
-static int __Pyx__GetException(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb)
-#else
-static int __Pyx_GetException(PyObject **type, PyObject **value, PyObject **tb)
-#endif
-{
-    PyObject *local_type = NULL, *local_value, *local_tb = NULL;
-#if CYTHON_FAST_THREAD_STATE
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-  #if PY_VERSION_HEX >= 0x030C0000
-    local_value = tstate->current_exception;
-    tstate->current_exception = 0;
-  #else
-    local_type = tstate->curexc_type;
-    local_value = tstate->curexc_value;
-    local_tb = tstate->curexc_traceback;
-    tstate->curexc_type = 0;
-    tstate->curexc_value = 0;
-    tstate->curexc_traceback = 0;
-  #endif
-#elif __PYX_LIMITED_VERSION_HEX > 0x030C0000
-    local_value = PyErr_GetRaisedException();
-#else
-    PyErr_Fetch(&local_type, &local_value, &local_tb);
-#endif
-#if __PYX_LIMITED_VERSION_HEX > 0x030C0000
-    if (likely(local_value)) {
-        local_type = (PyObject*) Py_TYPE(local_value);
-        Py_INCREF(local_type);
-        local_tb = PyException_GetTraceback(local_value);
-    }
-#else
-    PyErr_NormalizeException(&local_type, &local_value, &local_tb);
-#if CYTHON_FAST_THREAD_STATE
-    if (unlikely(tstate->curexc_type))
-#else
-    if (unlikely(PyErr_Occurred()))
-#endif
-        goto bad;
-    if (local_tb) {
-        if (unlikely(PyException_SetTraceback(local_value, local_tb) < 0))
-            goto bad;
-    }
-#endif // __PYX_LIMITED_VERSION_HEX > 0x030C0000
-    Py_XINCREF(local_tb);
-    Py_XINCREF(local_type);
-    Py_XINCREF(local_value);
-    *type = local_type;
-    *value = local_value;
-    *tb = local_tb;
-#if CYTHON_FAST_THREAD_STATE
-    #if CYTHON_USE_EXC_INFO_STACK
-    {
-        _PyErr_StackItem *exc_info = tstate->exc_info;
-      #if PY_VERSION_HEX >= 0x030B00a4
-        tmp_value = exc_info->exc_value;
-        exc_info->exc_value = local_value;
-        tmp_type = NULL;
-        tmp_tb = NULL;
-        Py_XDECREF(local_type);
-        Py_XDECREF(local_tb);
-      #else
-        tmp_type = exc_info->exc_type;
-        tmp_value = exc_info->exc_value;
-        tmp_tb = exc_info->exc_traceback;
-        exc_info->exc_type = local_type;
-        exc_info->exc_value = local_value;
-        exc_info->exc_traceback = local_tb;
-      #endif
-    }
-    #else
-    tmp_type = tstate->exc_type;
-    tmp_value = tstate->exc_value;
-    tmp_tb = tstate->exc_traceback;
-    tstate->exc_type = local_type;
-    tstate->exc_value = local_value;
-    tstate->exc_traceback = local_tb;
-    #endif
-    Py_XDECREF(tmp_type);
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(tmp_tb);
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-    PyErr_SetHandledException(local_value);
-    Py_XDECREF(local_value);
-    Py_XDECREF(local_type);
-    Py_XDECREF(local_tb);
-#else
-    PyErr_SetExcInfo(local_type, local_value, local_tb);
-#endif
-    return 0;
-#if __PYX_LIMITED_VERSION_HEX <= 0x030C0000
-bad:
-    *type = 0;
-    *value = 0;
-    *tb = 0;
-    Py_XDECREF(local_type);
-    Py_XDECREF(local_value);
-    Py_XDECREF(local_tb);
-    return -1;
-#endif
-}
-
-/* pep479 */
-static void __Pyx_Generator_Replace_StopIteration(int in_async_gen) {
-    PyObject *exc, *val, *tb, *cur_exc, *new_exc;
-    __Pyx_PyThreadState_declare
-    int is_async_stopiteration = 0;
-    CYTHON_MAYBE_UNUSED_VAR(in_async_gen);
-    __Pyx_PyThreadState_assign
-    cur_exc = __Pyx_PyErr_CurrentExceptionType();
-    if (likely(!__Pyx_PyErr_GivenExceptionMatches(cur_exc, PyExc_StopIteration))) {
-        if (in_async_gen && unlikely(__Pyx_PyErr_GivenExceptionMatches(cur_exc, PyExc_StopAsyncIteration))) {
-            is_async_stopiteration = 1;
-        } else {
-            return;
-        }
-    }
-    __Pyx_GetException(&exc, &val, &tb);
-    Py_XDECREF(exc);
-    Py_XDECREF(tb);
-    new_exc = PyObject_CallFunction(PyExc_RuntimeError, "s",
-        is_async_stopiteration ? "async generator raised StopAsyncIteration" :
-        in_async_gen ? "async generator raised StopIteration" :
-        "generator raised StopIteration");
-    if (!new_exc) {
-        Py_XDECREF(val);
-        return;
-    }
-    PyException_SetCause(new_exc, val); // steals ref to val
-    PyErr_SetObject(PyExc_RuntimeError, new_exc);
-    Py_DECREF(new_exc);
-}
-
-/* GetItemInt */
-static PyObject *__Pyx_GetItemInt_Generic(PyObject *o, PyObject* j) {
-    PyObject *r;
-    if (unlikely(!j)) return NULL;
-    r = PyObject_GetItem(o, j);
-    Py_DECREF(j);
-    return r;
-}
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_List_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_SIZE
-    Py_ssize_t wrapped_i = i;
-    if (wraparound & unlikely(i < 0)) {
-        wrapped_i += PyList_GET_SIZE(o);
-    }
-    if ((CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS || !CYTHON_ASSUME_SAFE_MACROS)) {
-        return __Pyx_PyList_GetItemRefFast(o, wrapped_i, unsafe_shared);
-    } else
-    if ((!boundscheck) || likely(__Pyx_is_valid_index(wrapped_i, PyList_GET_SIZE(o)))) {
-        return __Pyx_NewRef(PyList_GET_ITEM(o, wrapped_i));
-    }
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-#else
-    (void)wraparound;
-    (void)boundscheck;
-    return PySequence_GetItem(o, i);
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Tuple_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-    Py_ssize_t wrapped_i = i;
-    if (wraparound & unlikely(i < 0)) {
-        wrapped_i += PyTuple_GET_SIZE(o);
-    }
-    if ((!boundscheck) || likely(__Pyx_is_valid_index(wrapped_i, PyTuple_GET_SIZE(o)))) {
-        return __Pyx_NewRef(PyTuple_GET_ITEM(o, wrapped_i));
-    }
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-#else
-    (void)wraparound;
-    (void)boundscheck;
-    return PySequence_GetItem(o, i);
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Fast(PyObject *o, Py_ssize_t i, int is_list,
-                                                     int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE
-    if (is_list || PyList_CheckExact(o)) {
-        Py_ssize_t n = ((!wraparound) | likely(i >= 0)) ? i : i + PyList_GET_SIZE(o);
-        if ((CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS)) {
-            return __Pyx_PyList_GetItemRefFast(o, n, unsafe_shared);
-        } else if ((!boundscheck) || (likely(__Pyx_is_valid_index(n, PyList_GET_SIZE(o))))) {
-            return __Pyx_NewRef(PyList_GET_ITEM(o, n));
-        }
-    } else
-    #if !CYTHON_AVOID_BORROWED_REFS
-    if (PyTuple_CheckExact(o)) {
-        Py_ssize_t n = ((!wraparound) | likely(i >= 0)) ? i : i + PyTuple_GET_SIZE(o);
-        if ((!boundscheck) || likely(__Pyx_is_valid_index(n, PyTuple_GET_SIZE(o)))) {
-            return __Pyx_NewRef(PyTuple_GET_ITEM(o, n));
-        }
-    } else
-    #endif
-#endif
-#if CYTHON_USE_TYPE_SLOTS && !CYTHON_COMPILING_IN_PYPY
-    {
-        PyMappingMethods *mm = Py_TYPE(o)->tp_as_mapping;
-        PySequenceMethods *sm = Py_TYPE(o)->tp_as_sequence;
-        if (!is_list && mm && mm->mp_subscript) {
-            PyObject *r, *key = PyLong_FromSsize_t(i);
-            if (unlikely(!key)) return NULL;
-            r = mm->mp_subscript(o, key);
-            Py_DECREF(key);
-            return r;
-        }
-        if (is_list || likely(sm && sm->sq_item)) {
-            if (wraparound && unlikely(i < 0) && likely(sm->sq_length)) {
-                Py_ssize_t l = sm->sq_length(o);
-                if (likely(l >= 0)) {
-                    i += l;
-                } else {
-                    if (!PyErr_ExceptionMatches(PyExc_OverflowError))
-                        return NULL;
-                    PyErr_Clear();
-                }
-            }
-            return sm->sq_item(o, i);
-        }
-    }
-#else
-    if (is_list || !PyMapping_Check(o)) {
-        return PySequence_GetItem(o, i);
-    }
-#endif
-    (void)wraparound;
-    (void)boundscheck;
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-}
-
-/* PyDictVersioning (used by GetModuleGlobalName) */
-#if CYTHON_USE_DICT_VERSIONS && CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_tp_dict_version(PyObject *obj) {
-    PyObject *dict = Py_TYPE(obj)->tp_dict;
-    return likely(dict) ? __PYX_GET_DICT_VERSION(dict) : 0;
-}
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_object_dict_version(PyObject *obj) {
-    PyObject **dictptr = NULL;
-    Py_ssize_t offset = Py_TYPE(obj)->tp_dictoffset;
-    if (offset) {
-#if CYTHON_COMPILING_IN_CPYTHON
-        dictptr = (likely(offset > 0)) ? (PyObject **) ((char *)obj + offset) : _PyObject_GetDictPtr(obj);
-#else
-        dictptr = _PyObject_GetDictPtr(obj);
-#endif
-    }
-    return (dictptr && *dictptr) ? __PYX_GET_DICT_VERSION(*dictptr) : 0;
-}
-static CYTHON_INLINE int __Pyx_object_dict_version_matches(PyObject* obj, PY_UINT64_T tp_dict_version, PY_UINT64_T obj_dict_version) {
-    PyObject *dict = Py_TYPE(obj)->tp_dict;
-    if (unlikely(!dict) || unlikely(tp_dict_version != __PYX_GET_DICT_VERSION(dict)))
-        return 0;
-    return obj_dict_version == __Pyx_get_object_dict_version(obj);
-}
-#endif
-
-/* GetModuleGlobalName */
-#if CYTHON_USE_DICT_VERSIONS
-static PyObject *__Pyx__GetModuleGlobalName(PyObject *name, PY_UINT64_T *dict_version, PyObject **dict_cached_value)
-#else
-static CYTHON_INLINE PyObject *__Pyx__GetModuleGlobalName(PyObject *name)
-#endif
-{
-    PyObject *result;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    if (unlikely(!__pyx_m)) {
-        if (!PyErr_Occurred())
-            PyErr_SetNone(PyExc_NameError);
-        return NULL;
-    }
-    result = PyObject_GetAttr(__pyx_m, name);
-    if (likely(result)) {
-        return result;
-    }
-    PyErr_Clear();
-#elif CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    if (unlikely(__Pyx_PyDict_GetItemRef(__pyx_mstate_global->__pyx_d, name, &result) == -1)) PyErr_Clear();
-    __PYX_UPDATE_DICT_CACHE(__pyx_mstate_global->__pyx_d, result, *dict_cached_value, *dict_version)
-    if (likely(result)) {
-        return result;
-    }
-#else
-    result = _PyDict_GetItem_KnownHash(__pyx_mstate_global->__pyx_d, name, ((PyASCIIObject *) name)->hash);
-    __PYX_UPDATE_DICT_CACHE(__pyx_mstate_global->__pyx_d, result, *dict_cached_value, *dict_version)
-    if (likely(result)) {
-        return __Pyx_NewRef(result);
-    }
-    PyErr_Clear();
-#endif
-    return __Pyx_GetBuiltinName(name);
-}
-
-/* RaiseException */
-static void __Pyx_Raise(PyObject *type, PyObject *value, PyObject *tb, PyObject *cause) {
-    PyObject* owned_instance = NULL;
-    if (tb == Py_None) {
-        tb = 0;
-    } else if (tb && !PyTraceBack_Check(tb)) {
-        PyErr_SetString(PyExc_TypeError,
-            "raise: arg 3 must be a traceback or None");
-        goto bad;
-    }
-    if (value == Py_None)
-        value = 0;
-    if (PyExceptionInstance_Check(type)) {
-        if (value) {
-            PyErr_SetString(PyExc_TypeError,
-                "instance exception may not have a separate value");
-            goto bad;
-        }
-        value = type;
-        type = (PyObject*) Py_TYPE(value);
-    } else if (PyExceptionClass_Check(type)) {
-        PyObject *instance_class = NULL;
-        if (value && PyExceptionInstance_Check(value)) {
-            instance_class = (PyObject*) Py_TYPE(value);
-            if (instance_class != type) {
-                int is_subclass = PyObject_IsSubclass(instance_class, type);
-                if (!is_subclass) {
-                    instance_class = NULL;
-                } else if (unlikely(is_subclass == -1)) {
-                    goto bad;
-                } else {
-                    type = instance_class;
-                }
-            }
-        }
-        if (!instance_class) {
-            PyObject *args;
-            if (!value)
-                args = PyTuple_New(0);
-            else if (PyTuple_Check(value)) {
-                Py_INCREF(value);
-                args = value;
-            } else
-                args = PyTuple_Pack(1, value);
-            if (!args)
-                goto bad;
-            owned_instance = PyObject_Call(type, args, NULL);
-            Py_DECREF(args);
-            if (!owned_instance)
-                goto bad;
-            value = owned_instance;
-            if (!PyExceptionInstance_Check(value)) {
-                PyErr_Format(PyExc_TypeError,
-                             "calling %R should have returned an instance of "
-                             "BaseException, not %R",
-                             type, Py_TYPE(value));
-                goto bad;
-            }
-        }
-    } else {
-        PyErr_SetString(PyExc_TypeError,
-            "raise: exception class must be a subclass of BaseException");
-        goto bad;
-    }
-    if (cause) {
-        PyObject *fixed_cause;
-        if (cause == Py_None) {
-            fixed_cause = NULL;
-        } else if (PyExceptionClass_Check(cause)) {
-            fixed_cause = PyObject_CallObject(cause, NULL);
-            if (fixed_cause == NULL)
-                goto bad;
-        } else if (PyExceptionInstance_Check(cause)) {
-            fixed_cause = cause;
-            Py_INCREF(fixed_cause);
-        } else {
-            PyErr_SetString(PyExc_TypeError,
-                            "exception causes must derive from "
-                            "BaseException");
-            goto bad;
-        }
-        PyException_SetCause(value, fixed_cause);
-    }
-    PyErr_SetObject(type, value);
-    if (tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-        PyException_SetTraceback(value, tb);
-#elif CYTHON_FAST_THREAD_STATE
-        PyThreadState *tstate = __Pyx_PyThreadState_Current;
-        PyObject* tmp_tb = tstate->curexc_traceback;
-        if (tb != tmp_tb) {
-            Py_INCREF(tb);
-            tstate->curexc_traceback = tb;
-            Py_XDECREF(tmp_tb);
-        }
-#else
-        PyObject *tmp_type, *tmp_value, *tmp_tb;
-        PyErr_Fetch(&tmp_type, &tmp_value, &tmp_tb);
-        Py_INCREF(tb);
-        PyErr_Restore(tmp_type, tmp_value, tb);
-        Py_XDECREF(tmp_tb);
-#endif
-    }
-bad:
-    Py_XDECREF(owned_instance);
-    return;
-}
-
-/* RaiseDoubleKeywords (used by ParseKeywordsImpl) */
-static void __Pyx_RaiseDoubleKeywordsError(
-    const char* func_name,
-    PyObject* kw_name)
-{
-    PyErr_Format(PyExc_TypeError,
-        "%s() got multiple values for keyword argument '%U'", func_name, kw_name);
-}
-
-/* CallUnboundCMethod2 */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject *__Pyx_CallUnboundCMethod2(__Pyx_CachedCFunction *cfunc, PyObject *self, PyObject *arg1, PyObject *arg2) {
-    int was_initialized = __Pyx_CachedCFunction_GetAndSetInitializing(cfunc);
-    if (likely(was_initialized == 2 && cfunc->func)) {
-        PyObject *args[2] = {arg1, arg2};
-        if (cfunc->flag == METH_FASTCALL) {
-            return __Pyx_CallCFunctionFast(cfunc, self, args, 2);
-        }
-        if (cfunc->flag == (METH_FASTCALL | METH_KEYWORDS))
-            return __Pyx_CallCFunctionFastWithKeywords(cfunc, self, args, 2, NULL);
-    }
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    else if (unlikely(was_initialized == 1)) {
-        __Pyx_CachedCFunction tmp_cfunc = {
-#ifndef __cplusplus
-            0
-#endif
-        };
-        tmp_cfunc.type = cfunc->type;
-        tmp_cfunc.method_name = cfunc->method_name;
-        return __Pyx__CallUnboundCMethod2(&tmp_cfunc, self, arg1, arg2);
-    }
-#endif
-    PyObject *result = __Pyx__CallUnboundCMethod2(cfunc, self, arg1, arg2);
-    __Pyx_CachedCFunction_SetFinishedInitializing(cfunc);
-    return result;
-}
-#endif
-static PyObject* __Pyx__CallUnboundCMethod2(__Pyx_CachedCFunction* cfunc, PyObject* self, PyObject* arg1, PyObject* arg2){
-    if (unlikely(!cfunc->func && !cfunc->method) && unlikely(__Pyx_TryUnpackUnboundCMethod(cfunc) < 0)) return NULL;
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (cfunc->func && (cfunc->flag & METH_VARARGS)) {
-        PyObject *result = NULL;
-        PyObject *args = PyTuple_New(2);
-        if (unlikely(!args)) return NULL;
-        Py_INCREF(arg1);
-        PyTuple_SET_ITEM(args, 0, arg1);
-        Py_INCREF(arg2);
-        PyTuple_SET_ITEM(args, 1, arg2);
-        if (cfunc->flag & METH_KEYWORDS)
-            result = __Pyx_CallCFunctionWithKeywords(cfunc, self, args, NULL);
-        else
-            result = __Pyx_CallCFunction(cfunc, self, args);
-        Py_DECREF(args);
-        return result;
-    }
-#endif
-    {
-        PyObject *args[4] = {NULL, self, arg1, arg2};
-        return __Pyx_PyObject_FastCall(cfunc->method, args+1, 3 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-    }
-}
-
-/* ParseKeywordsImpl (used by ParseKeywords) */
-static int __Pyx_ValidateDuplicatePosArgs(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    const char* function_name)
-{
-    PyObject ** const *name = argnames;
-    while (name != first_kw_arg) {
-        PyObject *key = **name;
-        int found = PyDict_Contains(kwds, key);
-        if (unlikely(found)) {
-            if (found == 1) __Pyx_RaiseDoubleKeywordsError(function_name, key);
-            goto bad;
-        }
-        name++;
-    }
-    return 0;
-bad:
-    return -1;
-}
-#if CYTHON_USE_UNICODE_INTERNALS
-static CYTHON_INLINE int __Pyx_UnicodeKeywordsEqual(PyObject *s1, PyObject *s2) {
-    int kind;
-    Py_ssize_t len = PyUnicode_GET_LENGTH(s1);
-    if (len != PyUnicode_GET_LENGTH(s2)) return 0;
-    kind = PyUnicode_KIND(s1);
-    if (kind != PyUnicode_KIND(s2)) return 0;
-    const void *data1 = PyUnicode_DATA(s1);
-    const void *data2 = PyUnicode_DATA(s2);
-    return (memcmp(data1, data2, (size_t) len * (size_t) kind) == 0);
-}
-#endif
-static int __Pyx_MatchKeywordArg_str(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    PyObject ** const *name;
-    #if CYTHON_USE_UNICODE_INTERNALS
-    Py_hash_t key_hash = ((PyASCIIObject*)key)->hash;
-    if (unlikely(key_hash == -1)) {
-        key_hash = PyObject_Hash(key);
-        if (unlikely(key_hash == -1))
-            goto bad;
-    }
-    #endif
-    name = first_kw_arg;
-    while (*name) {
-        PyObject *name_str = **name;
-        #if CYTHON_USE_UNICODE_INTERNALS
-        if (key_hash == ((PyASCIIObject*)name_str)->hash && __Pyx_UnicodeKeywordsEqual(name_str, key)) {
-            *index_found = (size_t) (name - argnames);
-            return 1;
-        }
-        #else
-        #if CYTHON_ASSUME_SAFE_SIZE
-        if (PyUnicode_GET_LENGTH(name_str) == PyUnicode_GET_LENGTH(key))
-        #endif
-        {
-            int cmp = PyUnicode_Compare(name_str, key);
-            if (cmp < 0 && unlikely(PyErr_Occurred())) goto bad;
-            if (cmp == 0) {
-                *index_found = (size_t) (name - argnames);
-                return 1;
-            }
-        }
-        #endif
-        name++;
-    }
-    name = argnames;
-    while (name != first_kw_arg) {
-        PyObject *name_str = **name;
-        #if CYTHON_USE_UNICODE_INTERNALS
-        if (unlikely(key_hash == ((PyASCIIObject*)name_str)->hash)) {
-            if (__Pyx_UnicodeKeywordsEqual(name_str, key))
-                goto arg_passed_twice;
-        }
-        #else
-        #if CYTHON_ASSUME_SAFE_SIZE
-        if (PyUnicode_GET_LENGTH(name_str) == PyUnicode_GET_LENGTH(key))
-        #endif
-        {
-            if (unlikely(name_str == key)) goto arg_passed_twice;
-            int cmp = PyUnicode_Compare(name_str, key);
-            if (cmp < 0 && unlikely(PyErr_Occurred())) goto bad;
-            if (cmp == 0) goto arg_passed_twice;
-        }
-        #endif
-        name++;
-    }
-    return 0;
-arg_passed_twice:
-    __Pyx_RaiseDoubleKeywordsError(function_name, key);
-    goto bad;
-bad:
-    return -1;
-}
-static int __Pyx_MatchKeywordArg_nostr(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    PyObject ** const *name;
-    if (unlikely(!PyUnicode_Check(key))) goto invalid_keyword_type;
-    name = first_kw_arg;
-    while (*name) {
-        int cmp = PyObject_RichCompareBool(**name, key, Py_EQ);
-        if (cmp == 1) {
-            *index_found = (size_t) (name - argnames);
-            return 1;
-        }
-        if (unlikely(cmp == -1)) goto bad;
-        name++;
-    }
-    name = argnames;
-    while (name != first_kw_arg) {
-        int cmp = PyObject_RichCompareBool(**name, key, Py_EQ);
-        if (unlikely(cmp != 0)) {
-            if (cmp == 1) goto arg_passed_twice;
-            else goto bad;
-        }
-        name++;
-    }
-    return 0;
-arg_passed_twice:
-    __Pyx_RaiseDoubleKeywordsError(function_name, key);
-    goto bad;
-invalid_keyword_type:
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() keywords must be strings", function_name);
-    goto bad;
-bad:
-    return -1;
-}
-static CYTHON_INLINE int __Pyx_MatchKeywordArg(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    return likely(PyUnicode_CheckExact(key)) ?
-        __Pyx_MatchKeywordArg_str(key, argnames, first_kw_arg, index_found, function_name) :
-        __Pyx_MatchKeywordArg_nostr(key, argnames, first_kw_arg, index_found, function_name);
-}
-static void __Pyx_RejectUnknownKeyword(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    const char *function_name)
-{
-    #if CYTHON_AVOID_BORROWED_REFS
-    PyObject *pos = NULL;
-    #else
-    Py_ssize_t pos = 0;
-    #endif
-    PyObject *key = NULL;
-    __Pyx_BEGIN_CRITICAL_SECTION(kwds);
-    while (
-        #if CYTHON_AVOID_BORROWED_REFS
-        __Pyx_PyDict_NextRef(kwds, &pos, &key, NULL)
-        #else
-        PyDict_Next(kwds, &pos, &key, NULL)
-        #endif
-    ) {
-        PyObject** const *name = first_kw_arg;
-        while (*name && (**name != key)) name++;
-        if (!*name) {
-            size_t index_found = 0;
-            int cmp = __Pyx_MatchKeywordArg(key, argnames, first_kw_arg, &index_found, function_name);
-            if (cmp != 1) {
-                if (cmp == 0) {
-                    PyErr_Format(PyExc_TypeError,
-                        "%s() got an unexpected keyword argument '%U'",
-                        function_name, key);
-                }
-                #if CYTHON_AVOID_BORROWED_REFS
-                Py_DECREF(key);
-                #endif
-                break;
-            }
-        }
-        #if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(key);
-        #endif
-    }
-    __Pyx_END_CRITICAL_SECTION();
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(pos);
-    #endif
-    assert(PyErr_Occurred());
-}
-static int __Pyx_ParseKeywordDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    PyObject** const *name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    Py_ssize_t extracted = 0;
-#if !CYTHON_COMPILING_IN_PYPY || defined(PyArg_ValidateKeywordArguments)
-    if (unlikely(!PyArg_ValidateKeywordArguments(kwds))) return -1;
-#endif
-    name = first_kw_arg;
-    while (*name && num_kwargs > extracted) {
-        PyObject * key = **name;
-        PyObject *value;
-        int found = 0;
-        #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-        found = PyDict_GetItemRef(kwds, key, &value);
-        #else
-        value = PyDict_GetItemWithError(kwds, key);
-        if (value) {
-            Py_INCREF(value);
-            found = 1;
-        } else {
-            if (unlikely(PyErr_Occurred())) goto bad;
-        }
-        #endif
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-            extracted++;
-        }
-        name++;
-    }
-    if (num_kwargs > extracted) {
-        if (ignore_unknown_kwargs) {
-            if (unlikely(__Pyx_ValidateDuplicatePosArgs(kwds, argnames, first_kw_arg, function_name) == -1))
-                goto bad;
-        } else {
-            __Pyx_RejectUnknownKeyword(kwds, argnames, first_kw_arg, function_name);
-            goto bad;
-        }
-    }
-    return 0;
-bad:
-    return -1;
-}
-static int __Pyx_ParseKeywordDictToDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    const char* function_name)
-{
-    PyObject** const *name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    Py_ssize_t len;
-#if !CYTHON_COMPILING_IN_PYPY || defined(PyArg_ValidateKeywordArguments)
-    if (unlikely(!PyArg_ValidateKeywordArguments(kwds))) return -1;
-#endif
-    if (PyDict_Update(kwds2, kwds) < 0) goto bad;
-    name = first_kw_arg;
-    while (*name) {
-        PyObject *key = **name;
-        PyObject *value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && (PY_VERSION_HEX >= 0x030d00A2 || defined(PyDict_Pop))
-        int found = PyDict_Pop(kwds2, key, &value);
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-        }
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-        int found = PyDict_GetItemRef(kwds2, key, &value);
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-            if (unlikely(PyDict_DelItem(kwds2, key) < 0)) goto bad;
-        }
-#else
-    #if CYTHON_COMPILING_IN_CPYTHON
-        value = _PyDict_Pop(kwds2, key, kwds2);
-    #else
-        value = __Pyx_CallUnboundCMethod2(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_pop, kwds2, key, kwds2);
-    #endif
-        if (value == kwds2) {
-            Py_DECREF(value);
-        } else {
-            if (unlikely(!value)) goto bad;
-            values[name-argnames] = value;
-        }
-#endif
-        name++;
-    }
-    len = PyDict_Size(kwds2);
-    if (len > 0) {
-        return __Pyx_ValidateDuplicatePosArgs(kwds, argnames, first_kw_arg, function_name);
-    } else if (unlikely(len == -1)) {
-        goto bad;
-    }
-    return 0;
-bad:
-    return -1;
-}
-static int __Pyx_ParseKeywordsTuple(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    PyObject *key = NULL;
-    PyObject** const * name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    for (Py_ssize_t pos = 0; pos < num_kwargs; pos++) {
-#if CYTHON_AVOID_BORROWED_REFS
-        key = __Pyx_PySequence_ITEM(kwds, pos);
-#else
-        key = __Pyx_PyTuple_GET_ITEM(kwds, pos);
-#endif
-#if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!key)) goto bad;
-#endif
-        name = first_kw_arg;
-        while (*name && (**name != key)) name++;
-        if (*name) {
-            PyObject *value = kwvalues[pos];
-            values[name-argnames] = __Pyx_NewRef(value);
-        } else {
-            size_t index_found = 0;
-            int cmp = __Pyx_MatchKeywordArg(key, argnames, first_kw_arg, &index_found, function_name);
-            if (cmp == 1) {
-                PyObject *value = kwvalues[pos];
-                values[index_found] = __Pyx_NewRef(value);
-            } else {
-                if (unlikely(cmp == -1)) goto bad;
-                if (kwds2) {
-                    PyObject *value = kwvalues[pos];
-                    if (unlikely(PyDict_SetItem(kwds2, key, value))) goto bad;
-                } else if (!ignore_unknown_kwargs) {
-                    goto invalid_keyword;
-                }
-            }
-        }
-        #if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(key);
-        key = NULL;
-        #endif
-    }
-    return 0;
-invalid_keyword:
-    PyErr_Format(PyExc_TypeError,
-        "%s() got an unexpected keyword argument '%U'",
-        function_name, key);
-    goto bad;
-bad:
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(key);
-    #endif
-    return -1;
-}
-
-/* ParseKeywords */
-static int __Pyx_ParseKeywords(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    if (CYTHON_METH_FASTCALL && likely(PyTuple_Check(kwds)))
-        return __Pyx_ParseKeywordsTuple(kwds, kwvalues, argnames, kwds2, values, num_pos_args, num_kwargs, function_name, ignore_unknown_kwargs);
-    else if (kwds2)
-        return __Pyx_ParseKeywordDictToDict(kwds, argnames, kwds2, values, num_pos_args, function_name);
-    else
-        return __Pyx_ParseKeywordDict(kwds, argnames, values, num_pos_args, num_kwargs, function_name, ignore_unknown_kwargs);
-}
-
-/* AllocateExtensionType */
-static PyObject *__Pyx_AllocateExtensionType(PyTypeObject *t, int is_final) {
-    if (is_final || likely(!__Pyx_PyType_HasFeature(t, Py_TPFLAGS_IS_ABSTRACT))) {
-        allocfunc alloc_func = __Pyx_PyType_GetSlot(t, tp_alloc, allocfunc);
-        return alloc_func(t, 0);
-    } else {
-        newfunc tp_new = __Pyx_PyType_TryGetSlot(&PyBaseObject_Type, tp_new, newfunc);
-    #if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-        if (!tp_new) {
-            PyObject *new_str = PyUnicode_FromString("__new__");
-            if (likely(new_str)) {
-                PyObject *o = PyObject_CallMethodObjArgs((PyObject *)&PyBaseObject_Type, new_str, t, NULL);
-                Py_DECREF(new_str);
-                return o;
-            } else
-                return NULL;
-        } else
-    #endif
-        return tp_new(t, __pyx_mstate_global->__pyx_empty_tuple, 0);
-    }
-}
-
-/* CallTypeTraverse */
-#if !CYTHON_USE_TYPE_SPECS || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x03090000)
-#else
-static int __Pyx_call_type_traverse(PyObject *o, int always_call, visitproc visit, void *arg) {
-    #if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x03090000
-    if (__Pyx_get_runtime_version() < 0x03090000) return 0;
-    #endif
-    if (!always_call) {
-        PyTypeObject *base = __Pyx_PyObject_GetSlot(o, tp_base, PyTypeObject*);
-        unsigned long flags = PyType_GetFlags(base);
-        if (flags & Py_TPFLAGS_HEAPTYPE) {
-            return 0;
-        }
-    }
-    Py_VISIT((PyObject*)Py_TYPE(o));
-    return 0;
-}
-#endif
-
-/* LimitedApiGetTypeDict (used by SetItemOnTypeDict) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static Py_ssize_t __Pyx_GetTypeDictOffset(void) {
-    PyObject *tp_dictoffset_o;
-    Py_ssize_t tp_dictoffset;
-    tp_dictoffset_o = PyObject_GetAttrString((PyObject*)(&PyType_Type), "__dictoffset__");
-    if (unlikely(!tp_dictoffset_o)) return -1;
-    tp_dictoffset = PyLong_AsSsize_t(tp_dictoffset_o);
-    Py_DECREF(tp_dictoffset_o);
-    if (unlikely(tp_dictoffset == 0)) {
-        PyErr_SetString(
-            PyExc_TypeError,
-            "'type' doesn't have a dictoffset");
-        return -1;
-    } else if (unlikely(tp_dictoffset < 0)) {
-        PyErr_SetString(
-            PyExc_TypeError,
-            "'type' has an unexpected negative dictoffset. "
-            "Please report this as Cython bug");
-        return -1;
-    }
-    return tp_dictoffset;
-}
-static PyObject *__Pyx_GetTypeDict(PyTypeObject *tp) {
-    static Py_ssize_t tp_dictoffset = 0;
-    if (unlikely(tp_dictoffset == 0)) {
-        tp_dictoffset = __Pyx_GetTypeDictOffset();
-        if (unlikely(tp_dictoffset == -1 && PyErr_Occurred())) {
-            tp_dictoffset = 0; // try again next time?
-            return NULL;
-        }
-    }
-    return *(PyObject**)((char*)tp + tp_dictoffset);
-}
-#endif
-
-/* SetItemOnTypeDict (used by FixUpExtensionType) */
-static int __Pyx__SetItemOnTypeDict(PyTypeObject *tp, PyObject *k, PyObject *v) {
-    int result;
-    PyObject *tp_dict;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    tp_dict = __Pyx_GetTypeDict(tp);
-    if (unlikely(!tp_dict)) return -1;
-#else
-    tp_dict = tp->tp_dict;
-#endif
-    result = PyDict_SetItem(tp_dict, k, v);
-    if (likely(!result)) {
-        PyType_Modified(tp);
-        if (unlikely(PyObject_HasAttr(v, __pyx_mstate_global->__pyx_n_u_set_name))) {
-            PyObject *setNameResult = PyObject_CallMethodObjArgs(v, __pyx_mstate_global->__pyx_n_u_set_name,  (PyObject *) tp, k, NULL);
-            if (!setNameResult) return -1;
-            Py_DECREF(setNameResult);
-        }
-    }
-    return result;
-}
-
-/* FixUpExtensionType */
-static int __Pyx_fix_up_extension_type_from_spec(PyType_Spec *spec, PyTypeObject *type) {
-#if __PYX_LIMITED_VERSION_HEX > 0x030900B1
-    CYTHON_UNUSED_VAR(spec);
-    CYTHON_UNUSED_VAR(type);
-    CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-#else
-    const PyType_Slot *slot = spec->slots;
-    int changed = 0;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    while (slot && slot->slot && slot->slot != Py_tp_members)
-        slot++;
-    if (slot && slot->slot == Py_tp_members) {
-#if !CYTHON_COMPILING_IN_CPYTHON
-        const
-#endif  // !CYTHON_COMPILING_IN_CPYTHON)
-            PyMemberDef *memb = (PyMemberDef*) slot->pfunc;
-        while (memb && memb->name) {
-            if (memb->name[0] == '_' && memb->name[1] == '_') {
-                if (strcmp(memb->name, "__weaklistoffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_weaklistoffset = memb->offset;
-                    changed = 1;
-                }
-                else if (strcmp(memb->name, "__dictoffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_dictoffset = memb->offset;
-                    changed = 1;
-                }
-#if CYTHON_METH_FASTCALL
-                else if (strcmp(memb->name, "__vectorcalloffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_vectorcall_offset = memb->offset;
-                    changed = 1;
-                }
-#endif  // CYTHON_METH_FASTCALL
-#if !CYTHON_COMPILING_IN_PYPY
-                else if (strcmp(memb->name, "__module__") == 0) {
-                    PyObject *descr;
-                    assert(memb->type == T_OBJECT);
-                    assert(memb->flags == 0 || memb->flags == READONLY);
-                    descr = PyDescr_NewMember(type, memb);
-                    if (unlikely(!descr))
-                        return -1;
-                    int set_item_result = PyDict_SetItem(type->tp_dict, PyDescr_NAME(descr), descr);
-                    Py_DECREF(descr);
-                    if (unlikely(set_item_result < 0)) {
-                        return -1;
-                    }
-                    changed = 1;
-                }
-#endif  // !CYTHON_COMPILING_IN_PYPY
-            }
-            memb++;
-        }
-    }
-#endif  // !CYTHON_COMPILING_IN_LIMITED_API
-#if !CYTHON_COMPILING_IN_PYPY
-    slot = spec->slots;
-    while (slot && slot->slot && slot->slot != Py_tp_getset)
-        slot++;
-    if (slot && slot->slot == Py_tp_getset) {
-        PyGetSetDef *getset = (PyGetSetDef*) slot->pfunc;
-        while (getset && getset->name) {
-            if (getset->name[0] == '_' && getset->name[1] == '_' && strcmp(getset->name, "__module__") == 0) {
-                PyObject *descr = PyDescr_NewGetSet(type, getset);
-                if (unlikely(!descr))
-                    return -1;
-                #if CYTHON_COMPILING_IN_LIMITED_API
-                PyObject *pyname = PyUnicode_FromString(getset->name);
-                if (unlikely(!pyname)) {
-                    Py_DECREF(descr);
-                    return -1;
-                }
-                int set_item_result = __Pyx_SetItemOnTypeDict(type, pyname, descr);
-                Py_DECREF(pyname);
-                #else
-                CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-                int set_item_result = PyDict_SetItem(type->tp_dict, PyDescr_NAME(descr), descr);
-                #endif
-                Py_DECREF(descr);
-                if (unlikely(set_item_result < 0)) {
-                    return -1;
-                }
-                changed = 1;
-            }
-            ++getset;
-        }
-    }
-#else
-    CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-#endif  // !CYTHON_COMPILING_IN_PYPY
-    if (changed)
-        PyType_Modified(type);
-#endif  // PY_VERSION_HEX > 0x030900B1
-    return 0;
-}
-
-/* PyObjectCallNoArg (used by PyObjectCallMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallNoArg(PyObject *func) {
-    PyObject *arg[2] = {NULL, NULL};
-    return __Pyx_PyObject_FastCall(func, arg + 1, 0 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-}
-
-/* PyObjectGetMethod (used by PyObjectCallMethod0) */
-#if !(CYTHON_VECTORCALL && (__PYX_LIMITED_VERSION_HEX >= 0x030C0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x03090000)))
-static int __Pyx_PyObject_GetMethod(PyObject *obj, PyObject *name, PyObject **method) {
-    PyObject *attr;
-#if CYTHON_UNPACK_METHODS && CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_PYTYPE_LOOKUP
-    __Pyx_TypeName type_name;
-    PyTypeObject *tp = Py_TYPE(obj);
-    PyObject *descr;
-    descrgetfunc f = NULL;
-    PyObject **dictptr, *dict;
-    int meth_found = 0;
-    assert (*method == NULL);
-    if (unlikely(tp->tp_getattro != PyObject_GenericGetAttr)) {
-        attr = __Pyx_PyObject_GetAttrStr(obj, name);
-        goto try_unpack;
-    }
-    if (unlikely(tp->tp_dict == NULL) && unlikely(PyType_Ready(tp) < 0)) {
-        return 0;
-    }
-    descr = _PyType_Lookup(tp, name);
-    if (likely(descr != NULL)) {
-        Py_INCREF(descr);
-#if defined(Py_TPFLAGS_METHOD_DESCRIPTOR) && Py_TPFLAGS_METHOD_DESCRIPTOR
-        if (__Pyx_PyType_HasFeature(Py_TYPE(descr), Py_TPFLAGS_METHOD_DESCRIPTOR))
-#else
-        #ifdef __Pyx_CyFunction_USED
-        if (likely(PyFunction_Check(descr) || __Pyx_IS_TYPE(descr, &PyMethodDescr_Type) || __Pyx_CyFunction_Check(descr)))
-        #else
-        if (likely(PyFunction_Check(descr) || __Pyx_IS_TYPE(descr, &PyMethodDescr_Type)))
-        #endif
-#endif
-        {
-            meth_found = 1;
-        } else {
-            f = Py_TYPE(descr)->tp_descr_get;
-            if (f != NULL && PyDescr_IsData(descr)) {
-                attr = f(descr, obj, (PyObject *)Py_TYPE(obj));
-                Py_DECREF(descr);
-                goto try_unpack;
-            }
-        }
-    }
-    dictptr = _PyObject_GetDictPtr(obj);
-    if (dictptr != NULL && (dict = *dictptr) != NULL) {
-        Py_INCREF(dict);
-        attr = __Pyx_PyDict_GetItemStr(dict, name);
-        if (attr != NULL) {
-            Py_INCREF(attr);
-            Py_DECREF(dict);
-            Py_XDECREF(descr);
-            goto try_unpack;
-        }
-        Py_DECREF(dict);
-    }
-    if (meth_found) {
-        *method = descr;
-        return 1;
-    }
-    if (f != NULL) {
-        attr = f(descr, obj, (PyObject *)Py_TYPE(obj));
-        Py_DECREF(descr);
-        goto try_unpack;
-    }
-    if (likely(descr != NULL)) {
-        *method = descr;
-        return 0;
-    }
-    type_name = __Pyx_PyType_GetFullyQualifiedName(tp);
-    PyErr_Format(PyExc_AttributeError,
-                 "'" __Pyx_FMT_TYPENAME "' object has no attribute '%U'",
-                 type_name, name);
-    __Pyx_DECREF_TypeName(type_name);
-    return 0;
-#else
-    attr = __Pyx_PyObject_GetAttrStr(obj, name);
-    goto try_unpack;
-#endif
-try_unpack:
-#if CYTHON_UNPACK_METHODS
-    if (likely(attr) && PyMethod_Check(attr) && likely(PyMethod_GET_SELF(attr) == obj)) {
-        PyObject *function = PyMethod_GET_FUNCTION(attr);
-        Py_INCREF(function);
-        Py_DECREF(attr);
-        *method = function;
-        return 1;
-    }
-#endif
-    *method = attr;
-    return 0;
-}
-#endif
-
-/* PyObjectCallMethod0 (used by PyType_Ready) */
-static PyObject* __Pyx_PyObject_CallMethod0(PyObject* obj, PyObject* method_name) {
-#if CYTHON_VECTORCALL && (__PYX_LIMITED_VERSION_HEX >= 0x030C0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x03090000))
-    PyObject *args[1] = {obj};
-    (void) __Pyx_PyObject_CallOneArg;
-    (void) __Pyx_PyObject_CallNoArg;
-    return PyObject_VectorcallMethod(method_name, args, 1 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-#else
-    PyObject *method = NULL, *result = NULL;
-    int is_method = __Pyx_PyObject_GetMethod(obj, method_name, &method);
-    if (likely(is_method)) {
-        result = __Pyx_PyObject_CallOneArg(method, obj);
-        Py_DECREF(method);
-        return result;
-    }
-    if (unlikely(!method)) goto bad;
-    result = __Pyx_PyObject_CallNoArg(method);
-    Py_DECREF(method);
-bad:
-    return result;
-#endif
-}
-
-/* ValidateBasesTuple (used by PyType_Ready) */
-#if CYTHON_COMPILING_IN_CPYTHON || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_USE_TYPE_SPECS
-static int __Pyx_validate_bases_tuple(const char *type_name, Py_ssize_t dictoffset, PyObject *bases) {
-    Py_ssize_t i, n;
-#if CYTHON_ASSUME_SAFE_SIZE
-    n = PyTuple_GET_SIZE(bases);
-#else
-    n = PyTuple_Size(bases);
-    if (unlikely(n < 0)) return -1;
-#endif
-    for (i = 1; i < n; i++)
-    {
-        PyTypeObject *b;
-#if CYTHON_AVOID_BORROWED_REFS
-        PyObject *b0 = PySequence_GetItem(bases, i);
-        if (!b0) return -1;
-#elif CYTHON_ASSUME_SAFE_MACROS
-        PyObject *b0 = PyTuple_GET_ITEM(bases, i);
-#else
-        PyObject *b0 = PyTuple_GetItem(bases, i);
-        if (!b0) return -1;
-#endif
-        b = (PyTypeObject*) b0;
-        if (!__Pyx_PyType_HasFeature(b, Py_TPFLAGS_HEAPTYPE))
-        {
-            __Pyx_TypeName b_name = __Pyx_PyType_GetFullyQualifiedName(b);
-            PyErr_Format(PyExc_TypeError,
-                "base class '" __Pyx_FMT_TYPENAME "' is not a heap type", b_name);
-            __Pyx_DECREF_TypeName(b_name);
-#if CYTHON_AVOID_BORROWED_REFS
-            Py_DECREF(b0);
-#endif
-            return -1;
-        }
-        if (dictoffset == 0)
-        {
-            Py_ssize_t b_dictoffset = 0;
-#if CYTHON_USE_TYPE_SLOTS
-            b_dictoffset = b->tp_dictoffset;
-#else
-            PyObject *py_b_dictoffset = PyObject_GetAttrString((PyObject*)b, "__dictoffset__");
-            if (!py_b_dictoffset) goto dictoffset_return;
-            b_dictoffset = PyLong_AsSsize_t(py_b_dictoffset);
-            Py_DECREF(py_b_dictoffset);
-            if (b_dictoffset == -1 && PyErr_Occurred()) goto dictoffset_return;
-#endif
-            if (b_dictoffset) {
-                {
-                    __Pyx_TypeName b_name = __Pyx_PyType_GetFullyQualifiedName(b);
-                    PyErr_Format(PyExc_TypeError,
-                        "extension type '%.200s' has no __dict__ slot, "
-                        "but base type '" __Pyx_FMT_TYPENAME "' has: "
-                        "either add 'cdef dict __dict__' to the extension type "
-                        "or add '__slots__ = [...]' to the base type",
-                        type_name, b_name);
-                    __Pyx_DECREF_TypeName(b_name);
-                }
-#if !CYTHON_USE_TYPE_SLOTS
-              dictoffset_return:
-#endif
-#if CYTHON_AVOID_BORROWED_REFS
-                Py_DECREF(b0);
-#endif
-                return -1;
-            }
-        }
-#if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(b0);
-#endif
-    }
-    return 0;
-}
-#endif
-
-/* PyType_Ready */
-CYTHON_UNUSED static int __Pyx_PyType_HasMultipleInheritance(PyTypeObject *t) {
-    while (t) {
-        PyObject *bases = __Pyx_PyType_GetSlot(t, tp_bases, PyObject*);
-        if (bases) {
-            return 1;
-        }
-        t = __Pyx_PyType_GetSlot(t, tp_base, PyTypeObject*);
-    }
-    return 0;
-}
-static int __Pyx_PyType_Ready(PyTypeObject *t) {
-#if CYTHON_USE_TYPE_SPECS || !CYTHON_COMPILING_IN_CPYTHON || defined(PYSTON_MAJOR_VERSION)
-    (void)__Pyx_PyObject_CallMethod0;
-#if CYTHON_USE_TYPE_SPECS
-    (void)__Pyx_validate_bases_tuple;
-#endif
-    return PyType_Ready(t);
-#else
-    int r;
-    if (!__Pyx_PyType_HasMultipleInheritance(t)) {
-        return PyType_Ready(t);
-    }
-    PyObject *bases = __Pyx_PyType_GetSlot(t, tp_bases, PyObject*);
-    if (bases && unlikely(__Pyx_validate_bases_tuple(t->tp_name, t->tp_dictoffset, bases) == -1))
-        return -1;
-#if !defined(PYSTON_MAJOR_VERSION)
-    {
-        int gc_was_enabled;
-    #if PY_VERSION_HEX >= 0x030A00b1
-        gc_was_enabled = PyGC_Disable();
-        (void)__Pyx_PyObject_CallMethod0;
-    #else
-        PyObject *ret, *py_status;
-        PyObject *gc = NULL;
-        #if (!CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM+0 >= 0x07030400) &&\
-                !CYTHON_COMPILING_IN_GRAAL
-        gc = PyImport_GetModule(__pyx_mstate_global->__pyx_kp_u_gc);
-        #endif
-        if (unlikely(!gc)) gc = PyImport_Import(__pyx_mstate_global->__pyx_kp_u_gc);
-        if (unlikely(!gc)) return -1;
-        py_status = __Pyx_PyObject_CallMethod0(gc, __pyx_mstate_global->__pyx_kp_u_isenabled);
-        if (unlikely(!py_status)) {
-            Py_DECREF(gc);
-            return -1;
-        }
-        gc_was_enabled = __Pyx_PyObject_IsTrue(py_status);
-        Py_DECREF(py_status);
-        if (gc_was_enabled > 0) {
-            ret = __Pyx_PyObject_CallMethod0(gc, __pyx_mstate_global->__pyx_kp_u_disable);
-            if (unlikely(!ret)) {
-                Py_DECREF(gc);
-                return -1;
-            }
-            Py_DECREF(ret);
-        } else if (unlikely(gc_was_enabled == -1)) {
-            Py_DECREF(gc);
-            return -1;
-        }
-    #endif
-        t->tp_flags |= Py_TPFLAGS_HEAPTYPE;
-#if PY_VERSION_HEX >= 0x030A0000
-        t->tp_flags |= Py_TPFLAGS_IMMUTABLETYPE;
-#endif
-#else
-        (void)__Pyx_PyObject_CallMethod0;
-#endif
-    r = PyType_Ready(t);
-#if !defined(PYSTON_MAJOR_VERSION)
-        t->tp_flags &= ~Py_TPFLAGS_HEAPTYPE;
-    #if PY_VERSION_HEX >= 0x030A00b1
-        if (gc_was_enabled)
-            PyGC_Enable();
-    #else
-        if (gc_was_enabled) {
-            PyObject *tp, *v, *tb;
-            PyErr_Fetch(&tp, &v, &tb);
-            ret = __Pyx_PyObject_CallMethod0(gc, __pyx_mstate_global->__pyx_kp_u_enable);
-            if (likely(ret || r == -1)) {
-                Py_XDECREF(ret);
-                PyErr_Restore(tp, v, tb);
-            } else {
-                Py_XDECREF(tp);
-                Py_XDECREF(v);
-                Py_XDECREF(tb);
-                r = -1;
-            }
-        }
-        Py_DECREF(gc);
-    #endif
-    }
-#endif
-    return r;
-#endif
-}
-
-/* SetVTable */
-static int __Pyx_SetVtable(PyTypeObject *type, void *vtable) {
-    PyObject *ob = PyCapsule_New(vtable, 0, 0);
-    if (unlikely(!ob))
-        goto bad;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    if (unlikely(PyObject_SetAttr((PyObject *) type, __pyx_mstate_global->__pyx_n_u_pyx_vtable, ob) < 0))
-#else
-    if (unlikely(PyDict_SetItem(type->tp_dict, __pyx_mstate_global->__pyx_n_u_pyx_vtable, ob) < 0))
-#endif
-        goto bad;
-    Py_DECREF(ob);
-    return 0;
-bad:
-    Py_XDECREF(ob);
-    return -1;
-}
-
-/* GetVTable (used by MergeVTables) */
-static void* __Pyx_GetVtable(PyTypeObject *type) {
-    void* ptr;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *ob = PyObject_GetAttr((PyObject *)type, __pyx_mstate_global->__pyx_n_u_pyx_vtable);
-#else
-    PyObject *ob = PyObject_GetItem(type->tp_dict, __pyx_mstate_global->__pyx_n_u_pyx_vtable);
-#endif
-    if (!ob)
-        goto bad;
-    ptr = PyCapsule_GetPointer(ob, 0);
-    if (!ptr && !PyErr_Occurred())
-        PyErr_SetString(PyExc_RuntimeError, "invalid vtable found for imported type");
-    Py_DECREF(ob);
-    return ptr;
-bad:
-    Py_XDECREF(ob);
-    return NULL;
-}
-
-/* MergeVTables */
-static int __Pyx_MergeVtables(PyTypeObject *type) {
-    int i=0;
-    Py_ssize_t size;
-    void** base_vtables;
-    __Pyx_TypeName tp_base_name = NULL;
-    __Pyx_TypeName base_name = NULL;
-    void* unknown = (void*)-1;
-    PyObject* bases = __Pyx_PyType_GetSlot(type, tp_bases, PyObject*);
-    int base_depth = 0;
-    {
-        PyTypeObject* base = __Pyx_PyType_GetSlot(type, tp_base, PyTypeObject*);
-        while (base) {
-            base_depth += 1;
-            base = __Pyx_PyType_GetSlot(base, tp_base, PyTypeObject*);
-        }
-    }
-    base_vtables = (void**) PyMem_Malloc(sizeof(void*) * (size_t)(base_depth + 1));
-    base_vtables[0] = unknown;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    size = PyTuple_Size(bases);
-    if (size < 0) goto other_failure;
-#else
-    size = PyTuple_GET_SIZE(bases);
-#endif
-    for (i = 1; i < size; i++) {
-        PyObject *basei;
-        void* base_vtable;
-#if CYTHON_AVOID_BORROWED_REFS
-        basei = PySequence_GetItem(bases, i);
-        if (unlikely(!basei)) goto other_failure;
-#elif !CYTHON_ASSUME_SAFE_MACROS
-        basei = PyTuple_GetItem(bases, i);
-        if (unlikely(!basei)) goto other_failure;
-#else
-        basei = PyTuple_GET_ITEM(bases, i);
-#endif
-        base_vtable = __Pyx_GetVtable((PyTypeObject*)basei);
-#if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(basei);
-#endif
-        if (base_vtable != NULL) {
-            int j;
-            PyTypeObject* base = __Pyx_PyType_GetSlot(type, tp_base, PyTypeObject*);
-            for (j = 0; j < base_depth; j++) {
-                if (base_vtables[j] == unknown) {
-                    base_vtables[j] = __Pyx_GetVtable(base);
-                    base_vtables[j + 1] = unknown;
-                }
-                if (base_vtables[j] == base_vtable) {
-                    break;
-                } else if (base_vtables[j] == NULL) {
-                    goto bad;
-                }
-                base = __Pyx_PyType_GetSlot(base, tp_base, PyTypeObject*);
-            }
-        }
-    }
-    PyErr_Clear();
-    PyMem_Free(base_vtables);
-    return 0;
-bad:
-    {
-        PyTypeObject* basei = NULL;
-        PyTypeObject* tp_base = __Pyx_PyType_GetSlot(type, tp_base, PyTypeObject*);
-        tp_base_name = __Pyx_PyType_GetFullyQualifiedName(tp_base);
-#if CYTHON_AVOID_BORROWED_REFS
-        basei = (PyTypeObject*)PySequence_GetItem(bases, i);
-        if (unlikely(!basei)) goto really_bad;
-#elif !CYTHON_ASSUME_SAFE_MACROS
-        basei = (PyTypeObject*)PyTuple_GetItem(bases, i);
-        if (unlikely(!basei)) goto really_bad;
-#else
-        basei = (PyTypeObject*)PyTuple_GET_ITEM(bases, i);
-#endif
-        base_name = __Pyx_PyType_GetFullyQualifiedName(basei);
-#if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(basei);
-#endif
-    }
-    PyErr_Format(PyExc_TypeError,
-        "multiple bases have vtable conflict: '" __Pyx_FMT_TYPENAME "' and '" __Pyx_FMT_TYPENAME "'", tp_base_name, base_name);
-#if CYTHON_AVOID_BORROWED_REFS || !CYTHON_ASSUME_SAFE_MACROS
-really_bad: // bad has failed!
-#endif
-    __Pyx_DECREF_TypeName(tp_base_name);
-    __Pyx_DECREF_TypeName(base_name);
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_AVOID_BORROWED_REFS || !CYTHON_ASSUME_SAFE_MACROS
-other_failure:
-#endif
-    PyMem_Free(base_vtables);
-    return -1;
-}
-
-/* DelItemOnTypeDict (used by SetupReduce) */
-static int __Pyx__DelItemOnTypeDict(PyTypeObject *tp, PyObject *k) {
-    int result;
-    PyObject *tp_dict;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    tp_dict = __Pyx_GetTypeDict(tp);
-    if (unlikely(!tp_dict)) return -1;
-#else
-    tp_dict = tp->tp_dict;
-#endif
-    result = PyDict_DelItem(tp_dict, k);
-    if (likely(!result)) PyType_Modified(tp);
-    return result;
-}
-
-/* SetupReduce */
-static int __Pyx_setup_reduce_is_named(PyObject* meth, PyObject* name) {
-  int ret;
-  PyObject *name_attr;
-  name_attr = __Pyx_PyObject_GetAttrStrNoError(meth, __pyx_mstate_global->__pyx_n_u_name);
-  if (likely(name_attr)) {
-      ret = PyObject_RichCompareBool(name_attr, name, Py_EQ);
-  } else {
-      ret = -1;
-  }
-  if (unlikely(ret < 0)) {
-      PyErr_Clear();
-      ret = 0;
-  }
-  Py_XDECREF(name_attr);
-  return ret;
-}
-static int __Pyx_setup_reduce(PyObject* type_obj) {
-    int ret = 0;
-    PyObject *object_reduce = NULL;
-    PyObject *object_getstate = NULL;
-    PyObject *object_reduce_ex = NULL;
-    PyObject *reduce = NULL;
-    PyObject *reduce_ex = NULL;
-    PyObject *reduce_cython = NULL;
-    PyObject *setstate = NULL;
-    PyObject *setstate_cython = NULL;
-    PyObject *getstate = NULL;
-#if CYTHON_USE_PYTYPE_LOOKUP
-    getstate = _PyType_Lookup((PyTypeObject*)type_obj, __pyx_mstate_global->__pyx_n_u_getstate);
-#else
-    getstate = __Pyx_PyObject_GetAttrStrNoError(type_obj, __pyx_mstate_global->__pyx_n_u_getstate);
-    if (!getstate && PyErr_Occurred()) {
-        goto __PYX_BAD;
-    }
-#endif
-    if (getstate) {
-#if CYTHON_USE_PYTYPE_LOOKUP
-        object_getstate = _PyType_Lookup(&PyBaseObject_Type, __pyx_mstate_global->__pyx_n_u_getstate);
-#else
-        object_getstate = __Pyx_PyObject_GetAttrStrNoError((PyObject*)&PyBaseObject_Type, __pyx_mstate_global->__pyx_n_u_getstate);
-        if (!object_getstate && PyErr_Occurred()) {
-            goto __PYX_BAD;
-        }
-#endif
-        if (object_getstate != getstate) {
-            goto __PYX_GOOD;
-        }
-    }
-#if CYTHON_USE_PYTYPE_LOOKUP
-    object_reduce_ex = _PyType_Lookup(&PyBaseObject_Type, __pyx_mstate_global->__pyx_n_u_reduce_ex); if (!object_reduce_ex) goto __PYX_BAD;
-#else
-    object_reduce_ex = __Pyx_PyObject_GetAttrStr((PyObject*)&PyBaseObject_Type, __pyx_mstate_global->__pyx_n_u_reduce_ex); if (!object_reduce_ex) goto __PYX_BAD;
-#endif
-    reduce_ex = __Pyx_PyObject_GetAttrStr(type_obj, __pyx_mstate_global->__pyx_n_u_reduce_ex); if (unlikely(!reduce_ex)) goto __PYX_BAD;
-    if (reduce_ex == object_reduce_ex) {
-#if CYTHON_USE_PYTYPE_LOOKUP
-        object_reduce = _PyType_Lookup(&PyBaseObject_Type, __pyx_mstate_global->__pyx_n_u_reduce); if (!object_reduce) goto __PYX_BAD;
-#else
-        object_reduce = __Pyx_PyObject_GetAttrStr((PyObject*)&PyBaseObject_Type, __pyx_mstate_global->__pyx_n_u_reduce); if (!object_reduce) goto __PYX_BAD;
-#endif
-        reduce = __Pyx_PyObject_GetAttrStr(type_obj, __pyx_mstate_global->__pyx_n_u_reduce); if (unlikely(!reduce)) goto __PYX_BAD;
-        if (reduce == object_reduce || __Pyx_setup_reduce_is_named(reduce, __pyx_mstate_global->__pyx_n_u_reduce_cython)) {
-            reduce_cython = __Pyx_PyObject_GetAttrStrNoError(type_obj, __pyx_mstate_global->__pyx_n_u_reduce_cython);
-            if (likely(reduce_cython)) {
-                ret = __Pyx_SetItemOnTypeDict((PyTypeObject*)type_obj, __pyx_mstate_global->__pyx_n_u_reduce, reduce_cython); if (unlikely(ret < 0)) goto __PYX_BAD;
-                ret = __Pyx_DelItemOnTypeDict((PyTypeObject*)type_obj, __pyx_mstate_global->__pyx_n_u_reduce_cython); if (unlikely(ret < 0)) goto __PYX_BAD;
-            } else if (reduce == object_reduce || PyErr_Occurred()) {
-                goto __PYX_BAD;
-            }
-            setstate = __Pyx_PyObject_GetAttrStrNoError(type_obj, __pyx_mstate_global->__pyx_n_u_setstate);
-            if (!setstate) PyErr_Clear();
-            if (!setstate || __Pyx_setup_reduce_is_named(setstate, __pyx_mstate_global->__pyx_n_u_setstate_cython)) {
-                setstate_cython = __Pyx_PyObject_GetAttrStrNoError(type_obj, __pyx_mstate_global->__pyx_n_u_setstate_cython);
-                if (likely(setstate_cython)) {
-                    ret = __Pyx_SetItemOnTypeDict((PyTypeObject*)type_obj, __pyx_mstate_global->__pyx_n_u_setstate, setstate_cython); if (unlikely(ret < 0)) goto __PYX_BAD;
-                    ret = __Pyx_DelItemOnTypeDict((PyTypeObject*)type_obj, __pyx_mstate_global->__pyx_n_u_setstate_cython); if (unlikely(ret < 0)) goto __PYX_BAD;
-                } else if (!setstate || PyErr_Occurred()) {
-                    goto __PYX_BAD;
-                }
-            }
-            PyType_Modified((PyTypeObject*)type_obj);
-        }
-    }
-    goto __PYX_GOOD;
-__PYX_BAD:
-    if (!PyErr_Occurred()) {
-        __Pyx_TypeName type_obj_name =
-            __Pyx_PyType_GetFullyQualifiedName((PyTypeObject*)type_obj);
-        PyErr_Format(PyExc_RuntimeError,
-            "Unable to initialize pickling for " __Pyx_FMT_TYPENAME, type_obj_name);
-        __Pyx_DECREF_TypeName(type_obj_name);
-    }
-    ret = -1;
-__PYX_GOOD:
-#if !CYTHON_USE_PYTYPE_LOOKUP
-    Py_XDECREF(object_reduce);
-    Py_XDECREF(object_reduce_ex);
-    Py_XDECREF(object_getstate);
-    Py_XDECREF(getstate);
-#endif
-    Py_XDECREF(reduce);
-    Py_XDECREF(reduce_ex);
-    Py_XDECREF(reduce_cython);
-    Py_XDECREF(setstate);
-    Py_XDECREF(setstate_cython);
-    return ret;
-}
-
-/* HasAttr (used by ImportImpl) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static CYTHON_INLINE int __Pyx_HasAttr(PyObject *o, PyObject *n) {
-    PyObject *r;
-    if (unlikely(!PyUnicode_Check(n))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "hasattr(): attribute name must be string");
-        return -1;
-    }
-    r = __Pyx_PyObject_GetAttrStrNoError(o, n);
-    if (!r) {
-        return (unlikely(PyErr_Occurred())) ? -1 : 0;
-    } else {
-        Py_DECREF(r);
-        return 1;
-    }
-}
-#endif
-
-/* ImportImpl (used by Import) */
-static int __Pyx__Import_GetModule(PyObject *qualname, PyObject **module) {
-    PyObject *imported_module = PyImport_GetModule(qualname);
-    if (unlikely(!imported_module)) {
-        *module = NULL;
-        if (PyErr_Occurred()) {
-            return -1;
-        }
-        return 0;
-    }
-    *module = imported_module;
-    return 1;
-}
-static int __Pyx__Import_Lookup(PyObject *qualname, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject **module) {
-    PyObject *imported_module;
-    PyObject *top_level_package_name;
-    Py_ssize_t i;
-    int status, module_found;
-    Py_ssize_t dot_index;
-    module_found = __Pyx__Import_GetModule(qualname, &imported_module);
-    if (unlikely(!module_found || module_found == -1)) {
-        *module = NULL;
-        return module_found;
-    }
-    if (imported_names) {
-        for (i = 0; i < len_imported_names; i++) {
-            PyObject *imported_name = imported_names[i];
-#if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-            int has_imported_attribute = PyObject_HasAttr(imported_module, imported_name);
-#else
-            int has_imported_attribute = PyObject_HasAttrWithError(imported_module, imported_name);
-            if (unlikely(has_imported_attribute == -1)) goto error;
-#endif
-            if (!has_imported_attribute) {
-                goto not_found;
-            }
-        }
-        *module = imported_module;
-        return 1;
-    }
-    dot_index = PyUnicode_FindChar(qualname, '.', 0, PY_SSIZE_T_MAX, 1);
-    if (dot_index == -1) {
-        *module = imported_module;
-        return 1;
-    }
-    if (unlikely(dot_index == -2)) goto error;
-    top_level_package_name = PyUnicode_Substring(qualname, 0, dot_index);
-    if (unlikely(!top_level_package_name)) goto error;
-    Py_DECREF(imported_module);
-    status = __Pyx__Import_GetModule(top_level_package_name, module);
-    Py_DECREF(top_level_package_name);
-    return status;
-error:
-    Py_DECREF(imported_module);
-    *module = NULL;
-    return -1;
-not_found:
-    Py_DECREF(imported_module);
-    *module = NULL;
-    return 0;
-}
-static PyObject *__Pyx__Import(PyObject *name, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject *qualname, PyObject *moddict, int level) {
-    PyObject *module = 0;
-    PyObject *empty_dict = 0;
-    PyObject *from_list = 0;
-    int module_found;
-    if (!qualname) {
-        qualname = name;
-    }
-    module_found = __Pyx__Import_Lookup(qualname, imported_names, len_imported_names, &module);
-    if (likely(module_found == 1)) {
-        return module;
-    } else if (unlikely(module_found == -1)) {
-        return NULL;
-    }
-    empty_dict = PyDict_New();
-    if (unlikely(!empty_dict))
-        goto bad;
-    if (imported_names) {
-#if CYTHON_COMPILING_IN_CPYTHON
-        from_list = __Pyx_PyList_FromArray(imported_names, len_imported_names);
-        if (unlikely(!from_list))
-            goto bad;
-#else
-        from_list = PyList_New(len_imported_names);
-        if (unlikely(!from_list)) goto bad;
-        for (Py_ssize_t i=0; i<len_imported_names; ++i) {
-            if (PyList_SetItem(from_list, i, __Pyx_NewRef(imported_names[i])) < 0) goto bad;
-        }
-#endif
-    }
-    if (level == -1) {
-        const char* package_sep = strchr(__Pyx_MODULE_NAME, '.');
-        if (package_sep != (0)) {
-            module = PyImport_ImportModuleLevelObject(
-                name, moddict, empty_dict, from_list, 1);
-            if (unlikely(!module)) {
-                if (unlikely(!PyErr_ExceptionMatches(PyExc_ImportError)))
-                    goto bad;
-                PyErr_Clear();
-            }
-        }
-        level = 0;
-    }
-    if (!module) {
-        module = PyImport_ImportModuleLevelObject(
-            name, moddict, empty_dict, from_list, level);
-    }
-bad:
-    Py_XDECREF(from_list);
-    Py_XDECREF(empty_dict);
-    return module;
-}
-
-/* Import */
-static PyObject *__Pyx_Import(PyObject *name, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject *qualname, int level) {
-    return __Pyx__Import(name, imported_names, len_imported_names, qualname, __pyx_mstate_global->__pyx_d, level);
-}
-
-/* dict_setdefault (used by FetchCommonType) */
-static CYTHON_INLINE PyObject *__Pyx_PyDict_SetDefault(PyObject *d, PyObject *key, PyObject *default_value) {
-    PyObject* value;
-#if __PYX_LIMITED_VERSION_HEX >= 0x030F0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4)
-    PyDict_SetDefaultRef(d, key, default_value, &value);
-#elif CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX >= 0x030C0000
-    PyObject *args[] = {d, key, default_value};
-    value = PyObject_VectorcallMethod(__pyx_mstate_global->__pyx_n_u_setdefault, args, 3 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-#elif CYTHON_COMPILING_IN_LIMITED_API
-    value = PyObject_CallMethodObjArgs(d, __pyx_mstate_global->__pyx_n_u_setdefault, key, default_value, NULL);
-#else
-    value = PyDict_SetDefault(d, key, default_value);
-    if (unlikely(!value)) return NULL;
-    Py_INCREF(value);
-#endif
-    return value;
-}
-
-/* AddModuleRef (used by FetchSharedCythonModule) */
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  static PyObject *__Pyx_PyImport_AddModuleObjectRef(PyObject *name) {
-      PyObject *module_dict = PyImport_GetModuleDict();
-      PyObject *m;
-      if (PyMapping_GetOptionalItem(module_dict, name, &m) < 0) {
-          return NULL;
-      }
-      if (m != NULL && PyModule_Check(m)) {
-          return m;
-      }
-      Py_XDECREF(m);
-      m = PyModule_NewObject(name);
-      if (m == NULL)
-          return NULL;
-      if (PyDict_CheckExact(module_dict)) {
-          PyObject *new_m;
-          (void)PyDict_SetDefaultRef(module_dict, name, m, &new_m);
-          Py_DECREF(m);
-          return new_m;
-      } else {
-           if (PyObject_SetItem(module_dict, name, m) != 0) {
-                Py_DECREF(m);
-                return NULL;
-            }
-            return m;
-      }
-  }
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name) {
-      PyObject *py_name = PyUnicode_FromString(name);
-      if (!py_name) return NULL;
-      PyObject *module = __Pyx_PyImport_AddModuleObjectRef(py_name);
-      Py_DECREF(py_name);
-      return module;
-  }
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-  #define __Pyx_PyImport_AddModuleRef(name) PyImport_AddModuleRef(name)
-#else
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name) {
-      PyObject *module = PyImport_AddModule(name);
-      Py_XINCREF(module);
-      return module;
-  }
-#endif
-
-/* FetchSharedCythonModule (used by FetchCommonType) */
-static PyObject *__Pyx_FetchSharedCythonABIModule(void) {
-    return __Pyx_PyImport_AddModuleRef(__PYX_ABI_MODULE_NAME);
-}
-
-/* FetchCommonType (used by CommonTypesMetaclass) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030C0000
-static PyObject* __Pyx_PyType_FromMetaclass(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases) {
-    PyObject *result = __Pyx_PyType_FromModuleAndSpec(module, spec, bases);
-    if (result && metaclass) {
-        PyObject *old_tp = (PyObject*)Py_TYPE(result);
-    Py_INCREF((PyObject*)metaclass);
-#if __PYX_LIMITED_VERSION_HEX >= 0x03090000
-        Py_SET_TYPE(result, metaclass);
-#else
-        result->ob_type = metaclass;
-#endif
-        Py_DECREF(old_tp);
-    }
-    return result;
-}
-#else
-#define __Pyx_PyType_FromMetaclass(me, mo, s, b) PyType_FromMetaclass(me, mo, s, b)
-#endif
-static int __Pyx_VerifyCachedType(PyObject *cached_type,
-                               const char *name,
-                               Py_ssize_t expected_basicsize) {
-    Py_ssize_t basicsize;
-    if (!PyType_Check(cached_type)) {
-        PyErr_Format(PyExc_TypeError,
-            "Shared Cython type %.200s is not a type object", name);
-        return -1;
-    }
-    if (expected_basicsize == 0) {
-        return 0; // size is inherited, nothing useful to check
-    }
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_basicsize;
-    py_basicsize = PyObject_GetAttrString(cached_type, "__basicsize__");
-    if (unlikely(!py_basicsize)) return -1;
-    basicsize = PyLong_AsSsize_t(py_basicsize);
-    Py_DECREF(py_basicsize);
-    py_basicsize = NULL;
-    if (unlikely(basicsize == (Py_ssize_t)-1) && PyErr_Occurred()) return -1;
-#else
-    basicsize = ((PyTypeObject*) cached_type)->tp_basicsize;
-#endif
-    if (basicsize != expected_basicsize) {
-        PyErr_Format(PyExc_TypeError,
-            "Shared Cython type %.200s has the wrong size, try recompiling",
-            name);
-        return -1;
-    }
-    return 0;
-}
-static PyTypeObject *__Pyx_FetchCommonTypeFromSpec(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases) {
-    PyObject *abi_module = NULL, *cached_type = NULL, *abi_module_dict, *new_cached_type, *py_object_name;
-    int get_item_ref_result;
-    const char* object_name = strrchr(spec->name, '.');
-    object_name = object_name ? object_name+1 : spec->name;
-    py_object_name = PyUnicode_FromString(object_name);
-    if (!py_object_name) return NULL;
-    abi_module = __Pyx_FetchSharedCythonABIModule();
-    if (!abi_module) goto done;
-    abi_module_dict = PyModule_GetDict(abi_module);
-    if (!abi_module_dict) goto done;
-    get_item_ref_result = __Pyx_PyDict_GetItemRef(abi_module_dict, py_object_name, &cached_type);
-    if (get_item_ref_result == 1) {
-        if (__Pyx_VerifyCachedType(
-              cached_type,
-              object_name,
-              spec->basicsize) < 0) {
-            goto bad;
-        }
-        goto done;
-    } else if (unlikely(get_item_ref_result == -1)) {
-        goto bad;
-    }
-    cached_type = __Pyx_PyType_FromMetaclass(
-        metaclass,
-        CYTHON_USE_MODULE_STATE ? module : abi_module,
-        spec, bases);
-    if (unlikely(!cached_type)) goto bad;
-    if (unlikely(__Pyx_fix_up_extension_type_from_spec(spec, (PyTypeObject *) cached_type) < 0)) goto bad;
-    new_cached_type = __Pyx_PyDict_SetDefault(abi_module_dict, py_object_name, cached_type);
-    if (unlikely(new_cached_type != cached_type)) {
-        if (unlikely(!new_cached_type)) goto bad;
-        Py_DECREF(cached_type);
-        cached_type = new_cached_type;
-        if (__Pyx_VerifyCachedType(
-                cached_type,
-                object_name,
-                spec->basicsize) < 0) {
-            goto bad;
-        }
-        goto done;
-    } else {
-        Py_DECREF(new_cached_type);
-    }
-done:
-    Py_XDECREF(abi_module);
-    Py_DECREF(py_object_name);
-    assert(cached_type == NULL || PyType_Check(cached_type));
-    return (PyTypeObject *) cached_type;
-bad:
-    Py_XDECREF(cached_type);
-    cached_type = NULL;
-    goto done;
-}
-
-/* CommonTypesMetaclass (used by CythonFunctionShared) */
-static PyObject* __pyx_CommonTypesMetaclass_get_module(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED void* context) {
-    return PyUnicode_FromString(__PYX_ABI_MODULE_NAME);
-}
-#if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject* __pyx_CommonTypesMetaclass_call(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED PyObject *args, CYTHON_UNUSED PyObject *kwds) {
-    PyErr_SetString(PyExc_TypeError, "Cannot instantiate Cython internal types");
-    return NULL;
-}
-static int __pyx_CommonTypesMetaclass_setattr(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED PyObject *attr, CYTHON_UNUSED PyObject *value) {
-    PyErr_SetString(PyExc_TypeError, "Cython internal types are immutable");
-    return -1;
-}
-#endif
-static PyGetSetDef __pyx_CommonTypesMetaclass_getset[] = {
-    {"__module__", __pyx_CommonTypesMetaclass_get_module, NULL, NULL, NULL},
-    {0, 0, 0, 0, 0}
-};
-static PyType_Slot __pyx_CommonTypesMetaclass_slots[] = {
-    {Py_tp_getset, (void *)__pyx_CommonTypesMetaclass_getset},
-    #if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    {Py_tp_call, (void*)__pyx_CommonTypesMetaclass_call},
-    {Py_tp_new, (void*)__pyx_CommonTypesMetaclass_call},
-    {Py_tp_setattro, (void*)__pyx_CommonTypesMetaclass_setattr},
-    #endif
-    {0, 0}
-};
-static PyType_Spec __pyx_CommonTypesMetaclass_spec = {
-    __PYX_TYPE_MODULE_PREFIX "_common_types_metatype",
-    0,
-    0,
-    Py_TPFLAGS_IMMUTABLETYPE |
-    Py_TPFLAGS_DISALLOW_INSTANTIATION |
-    Py_TPFLAGS_DEFAULT,
-    __pyx_CommonTypesMetaclass_slots
-};
-static int __pyx_CommonTypesMetaclass_init(PyObject *module) {
-    __pyx_mstatetype *mstate = __Pyx_PyModule_GetState(module);
-    PyObject *bases = PyTuple_Pack(1, &PyType_Type);
-    if (unlikely(!bases)) {
-        return -1;
-    }
-    mstate->__pyx_CommonTypesMetaclassType = __Pyx_FetchCommonTypeFromSpec(NULL, module, &__pyx_CommonTypesMetaclass_spec, bases);
-    Py_DECREF(bases);
-    if (unlikely(mstate->__pyx_CommonTypesMetaclassType == NULL)) {
-        return -1;
-    }
-    return 0;
-}
-
-/* PyMethodNew (used by CythonFunctionShared) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(typ);
-    if (!self)
-        return __Pyx_NewRef(func);
-    #if __PYX_LIMITED_VERSION_HEX >= 0x030C0000
-    {
-        PyObject *args[] = {func, self};
-        result = PyObject_Vectorcall(__pyx_mstate_global->__Pyx_CachedMethodType, args, 2, NULL);
-    }
-    #else
-    result = PyObject_CallFunctionObjArgs(__pyx_mstate_global->__Pyx_CachedMethodType, func, self, NULL);
-    #endif
-    return result;
-}
-#else
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ) {
-    CYTHON_UNUSED_VAR(typ);
-    if (!self)
-        return __Pyx_NewRef(func);
-    return PyMethod_New(func, self);
-}
-#endif
-
-/* PyVectorcallFastCallDict (used by CythonFunctionShared) */
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static PyObject *__Pyx_PyVectorcall_FastCallDict_kw(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw)
-{
-    PyObject *res = NULL;
-    PyObject *kwnames;
-    PyObject **newargs;
-    PyObject **kwvalues;
-    Py_ssize_t i;
-    #if CYTHON_AVOID_BORROWED_REFS
-    PyObject *pos;
-    #else
-    Py_ssize_t pos;
-    #endif
-    size_t j;
-    PyObject *key, *value;
-    unsigned long keys_are_strings;
-    #if !CYTHON_ASSUME_SAFE_SIZE
-    Py_ssize_t nkw = PyDict_Size(kw);
-    if (unlikely(nkw == -1)) return NULL;
-    #else
-    Py_ssize_t nkw = PyDict_GET_SIZE(kw);
-    #endif
-    newargs = (PyObject **)PyMem_Malloc((nargs + (size_t)nkw) * sizeof(args[0]));
-    if (unlikely(newargs == NULL)) {
+    void *p = PyMem_Calloc(count ? count : 1, size);
+    if (p == NULL)
         PyErr_NoMemory();
-        return NULL;
-    }
-    for (j = 0; j < nargs; j++) newargs[j] = args[j];
-    kwnames = PyTuple_New(nkw);
-    if (unlikely(kwnames == NULL)) {
-        PyMem_Free(newargs);
-        return NULL;
-    }
-    kwvalues = newargs + nargs;
-    pos = 0;
-    i = 0;
-    keys_are_strings = Py_TPFLAGS_UNICODE_SUBCLASS;
-    while (__Pyx_PyDict_NextRef(kw, &pos, &key, &value)) {
-        keys_are_strings &=
-        #if CYTHON_COMPILING_IN_LIMITED_API
-            PyType_GetFlags(Py_TYPE(key));
-        #else
-            Py_TYPE(key)->tp_flags;
-        #endif
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(PyTuple_SetItem(kwnames, i, key) < 0)) goto cleanup;
-        #else
-        PyTuple_SET_ITEM(kwnames, i, key);
-        #endif
-        kwvalues[i] = value;
-        i++;
-    }
-    if (unlikely(!keys_are_strings)) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        goto cleanup;
-    }
-    res = vc(func, newargs, nargs, kwnames);
-cleanup:
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_DECREF(pos);
-    #endif
-    Py_DECREF(kwnames);
-    for (i = 0; i < nkw; i++)
-        Py_DECREF(kwvalues[i]);
-    PyMem_Free(newargs);
-    return res;
+    return p;
 }
-static CYTHON_INLINE PyObject *__Pyx_PyVectorcall_FastCallDict(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw)
-{
-    Py_ssize_t kw_size =
-        likely(kw == NULL) ?
-        0 :
-#if !CYTHON_ASSUME_SAFE_SIZE
-        PyDict_Size(kw);
-#else
-        PyDict_GET_SIZE(kw);
-#endif
-    if (kw_size == 0) {
-        return vc(func, args, nargs, NULL);
-    }
-#if !CYTHON_ASSUME_SAFE_SIZE
-    else if (unlikely(kw_size == -1)) {
-        return NULL;
-    }
-#endif
-    return __Pyx_PyVectorcall_FastCallDict_kw(func, vc, args, nargs, kw);
-}
-#endif
 
-/* CythonFunctionShared (used by CythonFunction) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunctionNoMethod(PyObject *func, void (*cfunc)(void)) {
-    if (__Pyx_CyFunction_Check(func)) {
-        return PyCFunction_GetFunction(((__pyx_CyFunctionObject*)func)->func) == (PyCFunction) cfunc;
-    } else if (PyCFunction_Check(func)) {
-        return PyCFunction_GetFunction(func) == (PyCFunction) cfunc;
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void)) {
-    if ((PyObject*)Py_TYPE(func) == __pyx_mstate_global->__Pyx_CachedMethodType) {
-        int result;
-        PyObject *newFunc = PyObject_GetAttr(func, __pyx_mstate_global->__pyx_n_u_func);
-        if (unlikely(!newFunc)) {
-            PyErr_Clear(); // It's only an optimization, so don't throw an error
-            return 0;
-        }
-        result = __Pyx__IsSameCyOrCFunctionNoMethod(newFunc, cfunc);
-        Py_DECREF(newFunc);
-        return result;
-    }
-    return __Pyx__IsSameCyOrCFunctionNoMethod(func, cfunc);
-}
-#else
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void)) {
-    if (PyMethod_Check(func)) {
-        func = PyMethod_GET_FUNCTION(func);
-    }
-    return __Pyx_CyOrPyCFunction_Check(func) && __Pyx_CyOrPyCFunction_GET_FUNCTION(func) == (PyCFunction) cfunc;
-}
-#endif
-static CYTHON_INLINE void __Pyx__CyFunction_SetClassObj(__pyx_CyFunctionObject* f, PyObject* classobj) {
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    __Pyx_Py_XDECREF_SET(
-        __Pyx_CyFunction_GetClassObj(f),
-            ((classobj) ? __Pyx_NewRef(classobj) : NULL));
-#else
-    __Pyx_Py_XDECREF_SET(
-        ((PyCMethodObject *) (f))->mm_class,
-        (PyTypeObject*)((classobj) ? __Pyx_NewRef(classobj) : NULL));
-#endif
-}
-static PyObject *
-__Pyx_CyFunction_get_doc_locked(__pyx_CyFunctionObject *op)
+static void
+free_search(Search *s)
 {
-    if (unlikely(op->func_doc == NULL)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-        op->func_doc = PyObject_GetAttrString(op->func, "__doc__");
-        if (unlikely(!op->func_doc)) return NULL;
-#else
-        if (((PyCFunctionObject*)op)->m_ml->ml_doc) {
-            op->func_doc = PyUnicode_FromString(((PyCFunctionObject*)op)->m_ml->ml_doc);
-            if (unlikely(op->func_doc == NULL))
-                return NULL;
-        } else {
-            Py_INCREF(Py_None);
-            return Py_None;
-        }
-#endif
+    PyMem_Free(s->spread);
+    PyMem_Free(s->spread_n);
+    PyMem_Free(s->checks);
+    PyMem_Free(s->check_n);
+    PyMem_Free(s->sual_end);
+    PyMem_Free(s->sual_end_n);
+    PyMem_Free(s->run_end);
+    PyMem_Free(s->fwd);
+    PyMem_Free(s->cover);
+    PyMem_Free(s->seen);
+    PyMem_Free(s->restricted);
+    PyMem_Free(s->restricted_cov);
+    for (int d = 0; d <= MAX_STEPS; d++) {
+        Level *lv = &s->levels[d];
+        PyMem_Free(lv->lo);
+        PyMem_Free(lv->hi);
+        PyMem_Free(lv->rows);
+        PyMem_Free(lv->mrow);
     }
-    Py_INCREF(op->func_doc);
-    return op->func_doc;
 }
-static PyObject *
-__Pyx_CyFunction_get_doc(__pyx_CyFunctionObject *op, void *closure) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(closure);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_doc_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
+
+/* --- reading the packed problem ------------------------------------------ */
+
+typedef struct {
+    const int *at, *end;
+} Cursor;
+
+/* The next int, which must lie in [lo, hi]; -1 with ValueError if not. */
 static int
-__Pyx_CyFunction_set_doc(__pyx_CyFunctionObject *op, PyObject *value, void *context)
+take(Cursor *c, int lo, int hi, int *out)
 {
-    CYTHON_UNUSED_VAR(context);
-    if (value == NULL) {
-        value = Py_None;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_doc, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_name_locked(__pyx_CyFunctionObject *op)
-{
-    if (unlikely(op->func_name == NULL)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-        op->func_name = PyObject_GetAttrString(op->func, "__name__");
-#else
-        op->func_name = PyUnicode_InternFromString(((PyCFunctionObject*)op)->m_ml->ml_name);
-#endif
-        if (unlikely(op->func_name == NULL))
-            return NULL;
-    }
-    Py_INCREF(op->func_name);
-    return op->func_name;
-}
-static PyObject *
-__Pyx_CyFunction_get_name(__pyx_CyFunctionObject *op, void *context)
-{
-    PyObject *result = NULL;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_name_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_name(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__name__ must be set to a string object");
+    if (c->at == c->end || *c->at < lo || *c->at > hi) {
+        PyErr_SetString(PyExc_ValueError, "malformed packed search problem");
         return -1;
     }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_name, value);
-    __Pyx_END_CRITICAL_SECTION();
+    *out = *c->at++;
     return 0;
 }
-static PyObject *
-__Pyx_CyFunction_get_qualname(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    PyObject *result;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    Py_INCREF(op->func_qualname);
-    result = op->func_qualname;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
+
+/* A scope's depths, ascending, into `depths`; its size into *size. */
 static int
-__Pyx_CyFunction_set_qualname(__pyx_CyFunctionObject *op, PyObject *value, void *context)
+take_scope(Cursor *c, int k, int *depths, int *size)
 {
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__qualname__ must be set to a string object");
+    if (take(c, 0, k, size) < 0)
         return -1;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_qualname, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject *
-__Pyx_CyFunction_get_dict(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(op->func_dict == NULL)) {
-        op->func_dict = PyDict_New();
-        if (unlikely(op->func_dict == NULL))
-            return NULL;
-    }
-    Py_INCREF(op->func_dict);
-    return op->func_dict;
-}
-#endif
-static PyObject *
-__Pyx_CyFunction_get_globals(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(op->func_globals);
-    return op->func_globals;
-}
-static PyObject *
-__Pyx_CyFunction_get_closure(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(op);
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(Py_None);
-    return Py_None;
-}
-static PyObject *
-__Pyx_CyFunction_get_code(__pyx_CyFunctionObject *op, void *context)
-{
-    PyObject* result = (op->func_code) ? op->func_code : Py_None;
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(result);
-    return result;
-}
-static int
-__Pyx_CyFunction_init_defaults(__pyx_CyFunctionObject *op) {
-    int result = 0;
-    PyObject *res = op->defaults_getter((PyObject *) op);
-    if (unlikely(!res))
-        return -1;
-    #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-    op->defaults_tuple = PyTuple_GET_ITEM(res, 0);
-    Py_INCREF(op->defaults_tuple);
-    op->defaults_kwdict = PyTuple_GET_ITEM(res, 1);
-    Py_INCREF(op->defaults_kwdict);
-    #else
-    op->defaults_tuple = __Pyx_PySequence_ITEM(res, 0);
-    if (unlikely(!op->defaults_tuple)) result = -1;
-    else {
-        op->defaults_kwdict = __Pyx_PySequence_ITEM(res, 1);
-        if (unlikely(!op->defaults_kwdict)) result = -1;
-    }
-    #endif
-    Py_DECREF(res);
-    return result;
-}
-static int
-__Pyx_CyFunction_set_defaults(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value) {
-        value = Py_None;
-    } else if (unlikely(value != Py_None && !PyTuple_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__defaults__ must be set to a tuple object");
-        return -1;
-    }
-    PyErr_WarnEx(PyExc_RuntimeWarning, "changes to cyfunction.__defaults__ will not "
-                 "currently affect the values used in function calls", 1);
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->defaults_tuple, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_defaults_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->defaults_tuple;
-    if (unlikely(!result)) {
-        if (op->defaults_getter) {
-            if (unlikely(__Pyx_CyFunction_init_defaults(op) < 0)) return NULL;
-            result = op->defaults_tuple;
-        } else {
-            result = Py_None;
-        }
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_defaults(__pyx_CyFunctionObject *op, void *context) {
-    PyObject* result = NULL;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_defaults_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_kwdefaults(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value) {
-        value = Py_None;
-    } else if (unlikely(value != Py_None && !PyDict_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__kwdefaults__ must be set to a dict object");
-        return -1;
-    }
-    PyErr_WarnEx(PyExc_RuntimeWarning, "changes to cyfunction.__kwdefaults__ will not "
-                 "currently affect the values used in function calls", 1);
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->defaults_kwdict, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_kwdefaults_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->defaults_kwdict;
-    if (unlikely(!result)) {
-        if (op->defaults_getter) {
-            if (unlikely(__Pyx_CyFunction_init_defaults(op) < 0)) return NULL;
-            result = op->defaults_kwdict;
-        } else {
-            result = Py_None;
-        }
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_kwdefaults(__pyx_CyFunctionObject *op, void *context) {
-    PyObject* result;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_kwdefaults_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int __Pyx_CyFunction_set_annotate_in_dict_if_exists(PyObject *op_in, PyObject *value);
-static int
-__Pyx_CyFunction_set_annotations(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value || value == Py_None) {
-        value = NULL;
-    } else if (unlikely(!PyDict_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__annotations__ must be set to a dict object");
-        return -1;
-    }
-    Py_XINCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_annotations, value);
-    __Pyx_END_CRITICAL_SECTION();
-    if (unlikely(__Pyx_CyFunction_set_annotate_in_dict_if_exists((PyObject*) op, Py_None) < 0)) return -1;
-    return 0;
-}
-static int
-__Pyx_CyFunction_get_dict_if_exists(PyObject *op_in, PyObject **dict) {
-    /* Return 1 if the function dict exists, 0 otherwise.  This cannot fail:
-     * _PyObject_GetDictPtr() may clear errors internally, but never reports them. */
-#if CYTHON_COMPILING_IN_PYPY
-    *dict = PyObject_GenericGetDict(op_in, NULL);
-#elif CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX < 0x030C0000
-    *dict = ((__pyx_CyFunctionObject*) op_in)->func_dict;
-#else
-    PyObject **dictptr = _PyObject_GetDictPtr(op_in);
-    *dict = likely(dictptr) ? *dictptr : NULL;
-#endif
-    return *dict ? 1 : 0;
-}
-static int
-__Pyx_CyFunction_get_annotate_from_dict_if_exists(PyObject *op_in, PyObject **annotate) {
-    PyObject *dict;
-    int dict_found;
-    *annotate = NULL;
-    dict_found = __Pyx_CyFunction_get_dict_if_exists(op_in, &dict);
-    if (!dict_found) return 0;
-    return __Pyx_PyDict_GetItemRef(dict, __pyx_mstate_global->__pyx_n_u_annotate, annotate);
-}
-static int
-__Pyx_CyFunction_set_annotate_in_dict_if_exists(PyObject *op_in, PyObject *value) {
-    PyObject *dict;
-    int dict_found;
-    dict_found = __Pyx_CyFunction_get_dict_if_exists(op_in, &dict);
-    if (!dict_found) return 0;
-    return PyDict_SetItem(dict, __pyx_mstate_global->__pyx_n_u_annotate, value);
-}
-static int
-__Pyx_CyFunction_set_annotate_in_dict(PyObject *op_in, PyObject *value) {
-    PyObject *dict;
-    int result;
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    dict = __Pyx_CyFunction_get_dict((__pyx_CyFunctionObject*) op_in, NULL);
-#else
-    dict = PyObject_GenericGetDict(op_in, NULL);
-#endif
-    if (unlikely(!dict)) return -1;
-    result = PyDict_SetItem(dict, __pyx_mstate_global->__pyx_n_u_annotate, value);
-    Py_DECREF(dict);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_annotations_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->func_annotations;
-    if (unlikely(!result)) {
-        result = PyDict_New();
-        if (unlikely(!result)) return NULL;
-        op->func_annotations = result;
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_annotations(PyObject *op_in, void *context) {
-    PyObject *annotate = NULL;
-    PyObject *result = NULL;
-    __pyx_CyFunctionObject *op = (__pyx_CyFunctionObject*) op_in;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-    result = __Pyx_XNewRef(op->func_annotations);
-    __Pyx_END_CRITICAL_SECTION();
-    if (result) return result;
-    if (unlikely(__Pyx_CyFunction_get_annotate_from_dict_if_exists(op_in, &annotate) < 0)) return NULL;
-    if (!annotate || annotate == Py_None) {
-        Py_XDECREF(annotate);
-        __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-        result = __Pyx_CyFunction_get_annotations_locked(op);
-        __Pyx_END_CRITICAL_SECTION();
-        return result;
-    }
-    PyObject *format = PyLong_FromLong(1L);  // annotationlib.Format.VALUE
-    if (likely(format)) {
-        result = __Pyx_PyObject_CallOneArg(annotate, format);
-        Py_DECREF(format);
-    }
-    Py_DECREF(annotate);
-    if (unlikely(!result)) return NULL;
-    if (unlikely(!PyDict_Check(result))) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ must return a dict");
-        Py_DECREF(result);
-        return NULL;
-    }
-    __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-    __Pyx_Py_XDECREF_SET(op->func_annotations, __Pyx_NewRef(result));
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static PyObject *__Pyx_CyFunction_annotate_impl(PyObject *self, PyObject *args) {
-    CYTHON_UNUSED_VAR(args);
-    if (unlikely(!self)) {
-        PyErr_SetString(PyExc_SystemError, "cython __annotate__ called without 'self' argument");
-    }
-    Py_XINCREF(self);
-    return self;
-}
-static PyMethodDef __Pyx_CyFunction_annotate_method = {
-    "__annotate__",
-    (PyCFunction)(void (*)(void))__Pyx_CyFunction_annotate_impl,
-    METH_VARARGS,
-    "Placeholder __annotate__ function to allow 'functools.wraps' to work "
-    "on Cython functions."
-};
-static PyObject *
-__Pyx_CyFunction_get_annotate(PyObject *op_in, void *context) {
-    PyObject *annotate = NULL;
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(__Pyx_CyFunction_get_annotate_from_dict_if_exists(op_in, &annotate) < 0)) return NULL;
-    if (annotate) return annotate;
-    PyObject *annotations = __Pyx_CyFunction_get_annotations(op_in, NULL);
-    if (unlikely(!annotations)) return NULL;
-    PyObject *method = PyCFunction_New(
-        &__Pyx_CyFunction_annotate_method,
-        annotations);
-    Py_DECREF(annotations);
-    return method;
-}
-static int
-__Pyx_CyFunction_set_annotate(PyObject *op_in, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (value == NULL) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ cannot be deleted");
-        return -1;
-    }
-    if (unlikely(value != Py_None && !PyCallable_Check(value))) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ must be callable or None");
-        return -1;
-    }
-    if (value != Py_None) {
-        __pyx_CyFunctionObject *op = (__pyx_CyFunctionObject*) op_in;
-        __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-        Py_CLEAR(op->func_annotations);
-        __Pyx_END_CRITICAL_SECTION();
-    }
-    return __Pyx_CyFunction_set_annotate_in_dict(op_in, value);
-}
-static PyObject *
-__Pyx_CyFunction_get_is_coroutine_value(__pyx_CyFunctionObject *op) {
-    int is_coroutine = op->flags & __Pyx_CYFUNCTION_COROUTINE;
-    if (is_coroutine) {
-        PyObject *is_coroutine_value, *module, *fromlist, *marker = __pyx_mstate_global->__pyx_n_u_is_coroutine;
-        fromlist = PyList_New(1);
-        if (unlikely(!fromlist)) return NULL;
-        Py_INCREF(marker);
-#if CYTHON_ASSUME_SAFE_MACROS
-        PyList_SET_ITEM(fromlist, 0, marker);
-#else
-        if (unlikely(PyList_SetItem(fromlist, 0, marker) < 0)) {
-            Py_DECREF(fromlist);
-            return NULL;
-        }
-#endif
-        module = PyImport_ImportModuleLevelObject(__pyx_mstate_global->__pyx_n_u_asyncio_coroutines, NULL, NULL, fromlist, 0);
-        Py_DECREF(fromlist);
-        if (unlikely(!module)) goto ignore;
-        is_coroutine_value = __Pyx_PyObject_GetAttrStr(module, marker);
-        Py_DECREF(module);
-        if (likely(is_coroutine_value)) {
-            return is_coroutine_value;
-        }
-ignore:
-        PyErr_Clear();
-    }
-    return __Pyx_PyBool_FromLong(is_coroutine);
-}
-static PyObject *
-__Pyx_CyFunction_get_is_coroutine(__pyx_CyFunctionObject *op, void *context) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(context);
-    if (op->func_is_coroutine) {
-        return __Pyx_NewRef(op->func_is_coroutine);
-    }
-    result = __Pyx_CyFunction_get_is_coroutine_value(op);
-    if (unlikely(!result))
-        return NULL;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    if (op->func_is_coroutine) {
-        Py_DECREF(result);
-        result = __Pyx_NewRef(op->func_is_coroutine);
-    } else {
-        op->func_is_coroutine = __Pyx_NewRef(result);
-    }
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static void __Pyx_CyFunction_raise_argument_count_error(__pyx_CyFunctionObject *func, const char* message, Py_ssize_t size) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_name = __Pyx_CyFunction_get_name(func, NULL);
-    if (!py_name) return;
-    PyErr_Format(PyExc_TypeError,
-        "%.200S() %s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-        py_name, message, size);
-    Py_DECREF(py_name);
-#else
-    const char* name = ((PyCFunctionObject*)func)->m_ml->ml_name;
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() %s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-        name, message, size);
-#endif
-}
-static void __Pyx_CyFunction_raise_type_error(__pyx_CyFunctionObject *func, const char* message) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_name = __Pyx_CyFunction_get_name(func, NULL);
-    if (!py_name) return;
-    PyErr_Format(PyExc_TypeError,
-        "%.200S() %s",
-        py_name, message);
-    Py_DECREF(py_name);
-#else
-    const char* name = ((PyCFunctionObject*)func)->m_ml->ml_name;
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() %s",
-        name, message);
-#endif
-}
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *
-__Pyx_CyFunction_get_module(__pyx_CyFunctionObject *op, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    return PyObject_GetAttrString(op->func, "__module__");
-}
-static int
-__Pyx_CyFunction_set_module(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    return PyObject_SetAttrString(op->func, "__module__", value);
-}
-#endif
-static PyGetSetDef __pyx_CyFunction_getsets[] = {
-    {"func_doc", (getter)__Pyx_CyFunction_get_doc, (setter)__Pyx_CyFunction_set_doc, 0, 0},
-    {"__doc__",  (getter)__Pyx_CyFunction_get_doc, (setter)__Pyx_CyFunction_set_doc, 0, 0},
-    {"func_name", (getter)__Pyx_CyFunction_get_name, (setter)__Pyx_CyFunction_set_name, 0, 0},
-    {"__name__", (getter)__Pyx_CyFunction_get_name, (setter)__Pyx_CyFunction_set_name, 0, 0},
-    {"__qualname__", (getter)__Pyx_CyFunction_get_qualname, (setter)__Pyx_CyFunction_set_qualname, 0, 0},
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    {"func_dict", (getter)__Pyx_CyFunction_get_dict, (setter)PyObject_GenericSetDict, 0, 0},
-    {"__dict__", (getter)__Pyx_CyFunction_get_dict, (setter)PyObject_GenericSetDict, 0, 0},
-#else
-    {"func_dict", (getter)PyObject_GenericGetDict, (setter)PyObject_GenericSetDict, 0, 0},
-    {"__dict__", (getter)PyObject_GenericGetDict, (setter)PyObject_GenericSetDict, 0, 0},
-#endif
-    {"func_globals", (getter)__Pyx_CyFunction_get_globals, 0, 0, 0},
-    {"__globals__", (getter)__Pyx_CyFunction_get_globals, 0, 0, 0},
-    {"func_closure", (getter)__Pyx_CyFunction_get_closure, 0, 0, 0},
-    {"__closure__", (getter)__Pyx_CyFunction_get_closure, 0, 0, 0},
-    {"func_code", (getter)__Pyx_CyFunction_get_code, 0, 0, 0},
-    {"__code__", (getter)__Pyx_CyFunction_get_code, 0, 0, 0},
-    {"func_defaults", (getter)__Pyx_CyFunction_get_defaults, (setter)__Pyx_CyFunction_set_defaults, 0, 0},
-    {"__defaults__", (getter)__Pyx_CyFunction_get_defaults, (setter)__Pyx_CyFunction_set_defaults, 0, 0},
-    {"__kwdefaults__", (getter)__Pyx_CyFunction_get_kwdefaults, (setter)__Pyx_CyFunction_set_kwdefaults, 0, 0},
-    {"__annotations__", (getter)__Pyx_CyFunction_get_annotations, (setter)__Pyx_CyFunction_set_annotations, 0, 0},
-    {"__annotate__", (getter)__Pyx_CyFunction_get_annotate, (setter)__Pyx_CyFunction_set_annotate, 0, 0},
-    {"_is_coroutine", (getter)__Pyx_CyFunction_get_is_coroutine, 0, 0, 0},
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__module__", (getter)__Pyx_CyFunction_get_module, (setter)__Pyx_CyFunction_set_module, 0, 0},
-#endif
-    {0, 0, 0, 0, 0}
-};
-static PyMemberDef __pyx_CyFunction_members[] = {
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    {"__module__", T_OBJECT, offsetof(PyCFunctionObject, m_module), 0, 0},
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    {"__dictoffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_dict), READONLY, 0},
-#endif
-#if CYTHON_METH_FASTCALL
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__vectorcalloffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_vectorcall), READONLY, 0},
-#else
-    {"__vectorcalloffset__", T_PYSSIZET, offsetof(PyCFunctionObject, vectorcall), READONLY, 0},
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__weaklistoffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_weakreflist), READONLY, 0},
-#else
-    {"__weaklistoffset__", T_PYSSIZET, offsetof(PyCFunctionObject, m_weakreflist), READONLY, 0},
-#endif
-#endif
-    {0, 0, 0,  0, 0}
-};
-static PyObject *
-__Pyx_CyFunction_reduce(__pyx_CyFunctionObject *m, PyObject *args)
-{
-    PyObject *result = NULL;
-    CYTHON_UNUSED_VAR(args);
-    __Pyx_BEGIN_CRITICAL_SECTION(m);
-    Py_INCREF(m->func_qualname);
-    result = m->func_qualname;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static PyMethodDef __pyx_CyFunction_methods[] = {
-    {"__reduce__", (PyCFunction)__Pyx_CyFunction_reduce, METH_VARARGS, 0},
-    {0, 0, 0, 0}
-};
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyFunction_weakreflist(cyfunc) ((cyfunc)->func_weakreflist)
-#else
-#define __Pyx_CyFunction_weakreflist(cyfunc) (((PyCFunctionObject*)cyfunc)->m_weakreflist)
-#endif
-static PyObject *__Pyx_CyFunction_Init(__pyx_CyFunctionObject *op, PyMethodDef *ml, int flags, PyObject* qualname,
-                                       PyObject *closure, PyObject *module, PyObject* globals, PyObject* code) {
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunctionObject *cf = (PyCFunctionObject*) op;
-#endif
-    if (unlikely(op == NULL))
-        return NULL;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    op->func = PyCFunction_NewEx(ml, (PyObject*)op, module);
-    if (unlikely(!op->func)) return NULL;
-#endif
-    op->flags = flags;
-    __Pyx_CyFunction_weakreflist(op) = NULL;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    cf->m_ml = ml;
-    cf->m_self = (PyObject *) op;
-#endif
-    Py_XINCREF(closure);
-    op->func_closure = closure;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    Py_XINCREF(module);
-    cf->m_module = module;
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    op->func_dict = NULL;
-#endif
-    op->func_name = NULL;
-    Py_INCREF(qualname);
-    op->func_qualname = qualname;
-    op->func_doc = NULL;
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    op->func_classobj = NULL;
-#else
-    ((PyCMethodObject*)op)->mm_class = NULL;
-#endif
-    op->func_globals = globals;
-    Py_INCREF(op->func_globals);
-    Py_XINCREF(code);
-    op->func_code = code;
-    op->defaults = NULL;
-    op->defaults_tuple = NULL;
-    op->defaults_kwdict = NULL;
-    op->defaults_getter = NULL;
-    op->func_annotations = NULL;
-    op->func_is_coroutine = NULL;
-#if CYTHON_METH_FASTCALL
-    switch (ml->ml_flags & (METH_VARARGS | METH_FASTCALL | METH_NOARGS | METH_O | METH_KEYWORDS | METH_METHOD)) {
-    case METH_NOARGS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_NOARGS;
-        break;
-    case METH_O:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_O;
-        break;
-    case METH_METHOD | METH_FASTCALL | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD;
-        break;
-    case METH_FASTCALL | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS;
-        break;
-    case METH_VARARGS | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = NULL;
-        break;
-    default:
-        PyErr_SetString(PyExc_SystemError, "Bad call flags for CyFunction");
-        Py_DECREF(op);
-        return NULL;
-    }
-#endif
-    return (PyObject *) op;
-}
-static int
-__Pyx_CyFunction_clear(__pyx_CyFunctionObject *m)
-{
-    Py_CLEAR(m->func_closure);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(m->func);
-#else
-    Py_CLEAR(((PyCFunctionObject*)m)->m_module);
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(m->func_dict);
-#elif PY_VERSION_HEX < 0x030d0000
-    _PyObject_ClearManagedDict((PyObject*)m);
-#else
-    PyObject_ClearManagedDict((PyObject*)m);
-#endif
-    Py_CLEAR(m->func_name);
-    Py_CLEAR(m->func_qualname);
-    Py_CLEAR(m->func_doc);
-    Py_CLEAR(m->func_globals);
-    Py_CLEAR(m->func_code);
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(__Pyx_CyFunction_GetClassObj(m));
-#else
-    {
-        PyObject *cls = (PyObject*) ((PyCMethodObject *) (m))->mm_class;
-        ((PyCMethodObject *) (m))->mm_class = NULL;
-        Py_XDECREF(cls);
-    }
-#endif
-    Py_CLEAR(m->defaults_tuple);
-    Py_CLEAR(m->defaults_kwdict);
-    Py_CLEAR(m->func_annotations);
-    Py_CLEAR(m->func_is_coroutine);
-    Py_CLEAR(m->defaults);
-    return 0;
-}
-static void __Pyx__CyFunction_dealloc(__pyx_CyFunctionObject *m)
-{
-    if (__Pyx_CyFunction_weakreflist(m) != NULL)
-        PyObject_ClearWeakRefs((PyObject *) m);
-    __Pyx_CyFunction_clear(m);
-    __Pyx_PyHeapTypeObject_GC_Del(m);
-}
-static void __Pyx_CyFunction_dealloc(__pyx_CyFunctionObject *m)
-{
-    PyObject_GC_UnTrack(m);
-    __Pyx__CyFunction_dealloc(m);
-}
-static int __Pyx_CyFunction_traverse(__pyx_CyFunctionObject *m, visitproc visit, void *arg)
-{
-    {
-        int e = __Pyx_call_type_traverse((PyObject*)m, 1, visit, arg);
-        if (e) return e;
-    }
-    Py_VISIT(m->func_closure);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    Py_VISIT(m->func);
-#else
-    Py_VISIT(((PyCFunctionObject*)m)->m_module);
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_VISIT(m->func_dict);
-#else
-    {
-        int e =
-#if PY_VERSION_HEX < 0x030d0000
-            _PyObject_VisitManagedDict
-#else
-            PyObject_VisitManagedDict
-#endif
-                ((PyObject*)m, visit, arg);
-        if (e != 0) return e;
-    }
-#endif
-    __Pyx_VISIT_CONST(m->func_name);
-    __Pyx_VISIT_CONST(m->func_qualname);
-    Py_VISIT(m->func_doc);
-    Py_VISIT(m->func_globals);
-    __Pyx_VISIT_CONST(m->func_code);
-    Py_VISIT(__Pyx_CyFunction_GetClassObj(m));
-    Py_VISIT(m->defaults_tuple);
-    Py_VISIT(m->defaults_kwdict);
-    Py_VISIT(m->func_annotations);
-    Py_VISIT(m->func_is_coroutine);
-    Py_VISIT(m->defaults);
-    return 0;
-}
-static PyObject*
-__Pyx_CyFunction_repr(__pyx_CyFunctionObject *op)
-{
-    PyObject *repr;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    repr = PyUnicode_FromFormat("<cyfunction %U at %p>",
-                                op->func_qualname, (void *)op);
-    __Pyx_END_CRITICAL_SECTION();
-    return repr;
-}
-static PyObject * __Pyx_CyFunction_CallMethod(PyObject *func, PyObject *self, PyObject *arg, PyObject *kw) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *f = ((__pyx_CyFunctionObject*)func)->func;
-    PyCFunction meth;
-    int flags;
-    meth = PyCFunction_GetFunction(f);
-    if (unlikely(!meth)) return NULL;
-    flags = PyCFunction_GetFlags(f);
-    if (unlikely(flags < 0)) return NULL;
-#else
-    PyCFunctionObject* f = (PyCFunctionObject*)func;
-    PyCFunction meth = f->m_ml->ml_meth;
-    int flags = f->m_ml->ml_flags;
-#endif
-    Py_ssize_t size;
-    switch (flags & (METH_VARARGS | METH_KEYWORDS | METH_NOARGS | METH_O)) {
-    case METH_VARARGS:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0))
-            return (*meth)(self, arg);
-        break;
-    case METH_VARARGS | METH_KEYWORDS:
-        return (*(PyCFunctionWithKeywords)(void(*)(void))meth)(self, arg, kw);
-    case METH_NOARGS:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0)) {
-#if CYTHON_ASSUME_SAFE_SIZE
-            size = PyTuple_GET_SIZE(arg);
-#else
-            size = PyTuple_Size(arg);
-            if (unlikely(size < 0)) return NULL;
-#endif
-            if (likely(size == 0))
-                return (*meth)(self, NULL);
-            __Pyx_CyFunction_raise_argument_count_error(
-                (__pyx_CyFunctionObject*)func,
-                "takes no arguments", size);
-            return NULL;
-        }
-        break;
-    case METH_O:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0)) {
-#if CYTHON_ASSUME_SAFE_SIZE
-            size = PyTuple_GET_SIZE(arg);
-#else
-            size = PyTuple_Size(arg);
-            if (unlikely(size < 0)) return NULL;
-#endif
-            if (likely(size == 1)) {
-                PyObject *result, *arg0;
-                #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-                arg0 = PyTuple_GET_ITEM(arg, 0);
-                #else
-                arg0 = __Pyx_PySequence_ITEM(arg, 0); if (unlikely(!arg0)) return NULL;
-                #endif
-                result = (*meth)(self, arg0);
-                #if !(CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS)
-                Py_DECREF(arg0);
-                #endif
-                return result;
-            }
-            __Pyx_CyFunction_raise_argument_count_error(
-                (__pyx_CyFunctionObject*)func,
-                "takes exactly one argument", size);
-            return NULL;
-        }
-        break;
-    default:
-        PyErr_SetString(PyExc_SystemError, "Bad call flags for CyFunction");
-        return NULL;
-    }
-    __Pyx_CyFunction_raise_type_error(
-        (__pyx_CyFunctionObject*)func, "takes no keyword arguments");
-    return NULL;
-}
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_Call(PyObject *func, PyObject *arg, PyObject *kw) {
-    PyObject *self, *result;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)func)->func);
-    if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-    self = ((PyCFunctionObject*)func)->m_self;
-#endif
-    result = __Pyx_CyFunction_CallMethod(func, self, arg, kw);
-    return result;
-}
-static PyObject *__Pyx_CyFunction_CallAsMethod(PyObject *func, PyObject *args, PyObject *kw) {
-    PyObject *result;
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *) func;
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-     __pyx_vectorcallfunc vc = __Pyx_CyFunction_func_vectorcall(cyfunc);
-    if (vc) {
-#if CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE
-        return __Pyx_PyVectorcall_FastCallDict(func, vc, &PyTuple_GET_ITEM(args, 0), (size_t)PyTuple_GET_SIZE(args), kw);
-#else
-        (void) &__Pyx_PyVectorcall_FastCallDict;
-        return PyVectorcall_Call(func, args, kw);
-#endif
-    }
-#endif
-    if ((cyfunc->flags & __Pyx_CYFUNCTION_CCLASS) && !(cyfunc->flags & __Pyx_CYFUNCTION_STATICMETHOD)) {
-        Py_ssize_t argc;
-        PyObject *new_args;
-        PyObject *self;
-#if CYTHON_ASSUME_SAFE_SIZE
-        argc = PyTuple_GET_SIZE(args);
-#else
-        argc = PyTuple_Size(args);
-        if (unlikely(argc < 0)) return NULL;
-#endif
-        new_args = PyTuple_GetSlice(args, 1, argc);
-        if (unlikely(!new_args))
-            return NULL;
-        self = PyTuple_GetItem(args, 0);
-        if (unlikely(!self)) {
-            Py_DECREF(new_args);
-            PyErr_Format(PyExc_TypeError,
-                         "unbound method %.200S() needs an argument",
-                         cyfunc->func_qualname);
-            return NULL;
-        }
-        result = __Pyx_CyFunction_CallMethod(func, self, new_args, kw);
-        Py_DECREF(new_args);
-    } else {
-        result = __Pyx_CyFunction_Call(func, args, kw);
-    }
-    return result;
-}
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static CYTHON_INLINE int __Pyx_CyFunction_Vectorcall_CheckArgs(__pyx_CyFunctionObject *cyfunc, Py_ssize_t nargs, PyObject *kwnames)
-{
-    int ret = 0;
-    if ((cyfunc->flags & __Pyx_CYFUNCTION_CCLASS) && !(cyfunc->flags & __Pyx_CYFUNCTION_STATICMETHOD)) {
-        if (unlikely(nargs < 1)) {
-            __Pyx_CyFunction_raise_type_error(
-                cyfunc, "needs an argument");
+    for (int i = 0; i < *size; i++) {
+        int lo = i ? depths[i - 1] + 1 : 0;
+        if (take(c, lo, k - 1, &depths[i]) < 0)
             return -1;
-        }
-        ret = 1;
-    }
-    if (unlikely(kwnames) && unlikely(__Pyx_PyTuple_GET_SIZE(kwnames))) {
-        __Pyx_CyFunction_raise_type_error(
-            cyfunc, "takes no keyword arguments");
-        return -1;
-    }
-    return ret;
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_NOARGS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, kwnames)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    if (unlikely(nargs != 0)) {
-        __Pyx_CyFunction_raise_argument_count_error(
-            cyfunc, "takes no arguments", nargs);
-        return NULL;
-    }
-    return meth(self, NULL);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_O(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, kwnames)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    if (unlikely(nargs != 1)) {
-        __Pyx_CyFunction_raise_argument_count_error(
-            cyfunc, "takes exactly one argument", nargs);
-        return NULL;
-    }
-    return meth(self, args[0]);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, NULL)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    return ((__Pyx_PyCFunctionFastWithKeywords)(void(*)(void))meth)(self, args, nargs, kwnames);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    PyTypeObject *cls = (PyTypeObject *) __Pyx_CyFunction_GetClassObj(cyfunc);
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, NULL)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    #if PY_VERSION_HEX < 0x030e00A6
-    size_t nargs_value = (size_t) nargs;
-    #else
-    Py_ssize_t nargs_value = nargs;
-    #endif
-    return ((__Pyx_PyCMethod)(void(*)(void))meth)(self, cls, args, nargs_value, kwnames);
-}
-#endif
-static PyType_Slot __pyx_CyFunctionType_slots[] = {
-    {Py_tp_dealloc, (void *)__Pyx_CyFunction_dealloc},
-    {Py_tp_repr, (void *)__Pyx_CyFunction_repr},
-    {Py_tp_call, (void *)__Pyx_CyFunction_CallAsMethod},
-    {Py_tp_traverse, (void *)__Pyx_CyFunction_traverse},
-    {Py_tp_clear, (void *)__Pyx_CyFunction_clear},
-    {Py_tp_methods, (void *)__pyx_CyFunction_methods},
-    {Py_tp_members, (void *)__pyx_CyFunction_members},
-    {Py_tp_getset, (void *)__pyx_CyFunction_getsets},
-    {Py_tp_descr_get, (void *)__Pyx_PyMethod_New},
-    {0, 0},
-};
-static PyType_Spec __pyx_CyFunctionType_spec = {
-    __PYX_TYPE_MODULE_PREFIX "cython_function_or_method",
-    sizeof(__pyx_CyFunctionObject),
-    0,
-#ifdef Py_TPFLAGS_METHOD_DESCRIPTOR
-    Py_TPFLAGS_METHOD_DESCRIPTOR |
-#endif
-#if CYTHON_METH_FASTCALL
-#if defined(Py_TPFLAGS_HAVE_VECTORCALL)
-    Py_TPFLAGS_HAVE_VECTORCALL |
-#elif defined(_Py_TPFLAGS_HAVE_VECTORCALL)
-    _Py_TPFLAGS_HAVE_VECTORCALL |
-#endif
-#endif // CYTHON_METH_FASTCALL
-#if PY_VERSION_HEX >= 0x030C0000 && !CYTHON_COMPILING_IN_LIMITED_API
-    Py_TPFLAGS_MANAGED_DICT |
-#endif
-    Py_TPFLAGS_IMMUTABLETYPE | Py_TPFLAGS_DISALLOW_INSTANTIATION |
-    Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_BASETYPE,
-    __pyx_CyFunctionType_slots
-};
-static int __pyx_CyFunction_init(PyObject *module) {
-    __pyx_mstatetype *mstate = __Pyx_PyModule_GetState(module);
-    mstate->__pyx_CyFunctionType = __Pyx_FetchCommonTypeFromSpec(
-        mstate->__pyx_CommonTypesMetaclassType, module, &__pyx_CyFunctionType_spec, NULL);
-    if (unlikely(mstate->__pyx_CyFunctionType == NULL)) {
-        return -1;
     }
     return 0;
 }
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_InitDefaults(PyObject *func, PyTypeObject *defaults_type) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults = PyObject_CallObject((PyObject*)defaults_type, NULL); // _PyObject_New(defaults_type);
-    if (unlikely(!m->defaults))
-        return NULL;
-    return m->defaults;
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsTuple(PyObject *func, PyObject *tuple) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults_tuple = tuple;
-    Py_INCREF(tuple);
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsKwDict(PyObject *func, PyObject *dict) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults_kwdict = dict;
-    Py_INCREF(dict);
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetAnnotationsDict(PyObject *func, PyObject *dict) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->func_annotations = dict;
-    Py_INCREF(dict);
-}
 
-/* CythonFunction */
-static PyObject *__Pyx_CyFunction_New(PyMethodDef *ml, int flags, PyObject* qualname,
-                                      PyObject *closure, PyObject *module, PyObject* globals, PyObject* code) {
-    PyObject *op = __Pyx_CyFunction_Init(
-        PyObject_GC_New(__pyx_CyFunctionObject, __pyx_mstate_global->__pyx_CyFunctionType),
-        ml, flags, qualname, closure, module, globals, code
-    );
-    if (likely(op)) {
-        PyObject_GC_Track(op);
-    }
-    return op;
-}
-
-/* CLineInTraceback (used by AddTraceback) */
-#if CYTHON_CLINE_IN_TRACEBACK && CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-#define __Pyx_PyProbablyModule_GetDict(o) __Pyx_XNewRef(PyModule_GetDict(o))
-#elif !CYTHON_COMPILING_IN_CPYTHON || CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyProbablyModule_GetDict(o) PyObject_GenericGetDict(o, NULL);
-#else
-PyObject* __Pyx_PyProbablyModule_GetDict(PyObject *o) {
-    PyObject **dict_ptr = _PyObject_GetDictPtr(o);
-    return dict_ptr ? __Pyx_XNewRef(*dict_ptr) : NULL;
-}
-#endif
-static int __Pyx_CLineForTraceback(PyThreadState *tstate, int c_line) {
-    PyObject *use_cline = NULL;
-    PyObject *ptype, *pvalue, *ptraceback;
-    PyObject *cython_runtime_dict;
-    CYTHON_MAYBE_UNUSED_VAR(tstate);
-    if (unlikely(!__pyx_mstate_global->__pyx_cython_runtime)) {
-        return c_line;
-    }
-    __Pyx_ErrFetchInState(tstate, &ptype, &pvalue, &ptraceback);
-    cython_runtime_dict = __Pyx_PyProbablyModule_GetDict(__pyx_mstate_global->__pyx_cython_runtime);
-    if (likely(cython_runtime_dict)) {
-        __PYX_PY_DICT_LOOKUP_IF_MODIFIED(
-            use_cline, cython_runtime_dict,
-            __Pyx_PyDict_SetDefault(cython_runtime_dict, __pyx_mstate_global->__pyx_n_u_cline_in_traceback, Py_False))
-    }
-    if (use_cline == NULL || use_cline == Py_False || (use_cline != Py_True && PyObject_Not(use_cline) != 0)) {
-        c_line = 0;
-    }
-    Py_XDECREF(use_cline);
-    Py_XDECREF(cython_runtime_dict);
-    __Pyx_ErrRestoreInState(tstate, ptype, pvalue, ptraceback);
-    return c_line;
-}
-#endif
-
-/* CodeObjectCache (used by AddTraceback) */
-static int __pyx_bisect_code_objects(__Pyx_CodeObjectCacheEntry* entries, int count, int code_line) {
-    int start = 0, mid = 0, end = count - 1;
-    if (end >= 0 && code_line > entries[end].code_line) {
-        return count;
-    }
-    while (start < end) {
-        mid = start + (end - start) / 2;
-        if (code_line < entries[mid].code_line) {
-            end = mid;
-        } else if (code_line > entries[mid].code_line) {
-             start = mid + 1;
-        } else {
-            return mid;
-        }
-    }
-    if (code_line <= entries[mid].code_line) {
-        return mid;
-    } else {
-        return mid + 1;
-    }
-}
-static __Pyx_CachedCodeObjectType *__pyx__find_code_object(struct __Pyx_CodeObjectCache *code_cache, int code_line) {
-    __Pyx_CachedCodeObjectType* code_object;
-    int pos;
-    if (unlikely(!code_line) || unlikely(!code_cache->entries)) {
-        return NULL;
-    }
-    pos = __pyx_bisect_code_objects(code_cache->entries, code_cache->count, code_line);
-    if (unlikely(pos >= code_cache->count) || unlikely(code_cache->entries[pos].code_line != code_line)) {
-        return NULL;
-    }
-    code_object = code_cache->entries[pos].code_object;
-    Py_INCREF(code_object);
-    return code_object;
-}
-static __Pyx_CachedCodeObjectType *__pyx_find_code_object(int code_line) {
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && !CYTHON_ATOMICS
-    (void)__pyx__find_code_object;
-    return NULL; // Most implementation should have atomics. But otherwise, don't make it thread-safe, just miss.
-#else
-    struct __Pyx_CodeObjectCache *code_cache = &__pyx_mstate_global->__pyx_code_cache;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_nonatomic_int_type old_count = __pyx_atomic_incr_acq_rel(&code_cache->accessor_count);
-    if (old_count < 0) {
-        __pyx_atomic_decr_acq_rel(&code_cache->accessor_count);
-        return NULL;
-    }
-#endif
-    __Pyx_CachedCodeObjectType *result = __pyx__find_code_object(code_cache, code_line);
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_decr_acq_rel(&code_cache->accessor_count);
-#endif
-    return result;
-#endif
-}
-static void __pyx__insert_code_object(struct __Pyx_CodeObjectCache *code_cache, int code_line, __Pyx_CachedCodeObjectType* code_object)
+/* Fill `s` from the packed buffers: the part of `_pure.run_search` before
+   its loop.  -1 with an exception set on failure. */
+static int
+load(Search *s, const int *ints, Py_ssize_t nints, const u64 *words,
+     Py_ssize_t nwords)
 {
-    int pos, i;
-    __Pyx_CodeObjectCacheEntry* entries = code_cache->entries;
-    if (unlikely(!code_line)) {
-        return;
-    }
-    if (unlikely(!entries)) {
-        entries = (__Pyx_CodeObjectCacheEntry*)PyMem_Malloc(64*sizeof(__Pyx_CodeObjectCacheEntry));
-        if (likely(entries)) {
-            code_cache->entries = entries;
-            code_cache->max_count = 64;
-            code_cache->count = 1;
-            entries[0].code_line = code_line;
-            entries[0].code_object = code_object;
-            Py_INCREF(code_object);
-        }
-        return;
-    }
-    pos = __pyx_bisect_code_objects(code_cache->entries, code_cache->count, code_line);
-    if ((pos < code_cache->count) && unlikely(code_cache->entries[pos].code_line == code_line)) {
-        __Pyx_CachedCodeObjectType* tmp = entries[pos].code_object;
-        entries[pos].code_object = code_object;
-        Py_INCREF(code_object);
-        Py_DECREF(tmp);
-        return;
-    }
-    if (code_cache->count == code_cache->max_count) {
-        int new_max = code_cache->max_count + 64;
-        entries = (__Pyx_CodeObjectCacheEntry*)PyMem_Realloc(
-            code_cache->entries, ((size_t)new_max) * sizeof(__Pyx_CodeObjectCacheEntry));
-        if (unlikely(!entries)) {
-            return;
-        }
-        code_cache->entries = entries;
-        code_cache->max_count = new_max;
-    }
-    for (i=code_cache->count; i>pos; i--) {
-        entries[i] = entries[i-1];
-    }
-    entries[pos].code_line = code_line;
-    entries[pos].code_object = code_object;
-    code_cache->count++;
-    Py_INCREF(code_object);
-}
-static void __pyx_insert_code_object(int code_line, __Pyx_CachedCodeObjectType* code_object) {
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && !CYTHON_ATOMICS
-    (void)__pyx__insert_code_object;
-    return; // Most implementation should have atomics. But otherwise, don't make it thread-safe, just fail.
-#else
-    struct __Pyx_CodeObjectCache *code_cache = &__pyx_mstate_global->__pyx_code_cache;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_nonatomic_int_type expected = 0;
-    if (!__pyx_atomic_int_cmp_exchange(&code_cache->accessor_count, &expected, INT_MIN)) {
-        return;
-    }
-#endif
-    __pyx__insert_code_object(code_cache, code_line, code_object);
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_sub(&code_cache->accessor_count, INT_MIN);
-#endif
-#endif
-}
-
-/* AddTraceback */
-#include "compile.h"
-#include "frameobject.h"
-#include "traceback.h"
-#if PY_VERSION_HEX >= 0x030b00a6 && !CYTHON_COMPILING_IN_LIMITED_API && !defined(PYPY_VERSION)
-  #ifndef Py_BUILD_CORE
-    #define Py_BUILD_CORE 1
-  #endif
-  #include "internal/pycore_frame.h"
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_PyCode_Replace_For_AddTraceback(PyObject *code, PyObject *scratch_dict,
-                                                       PyObject *firstlineno, PyObject *name) {
-    PyObject *replace = NULL;
-    if (unlikely(PyDict_SetItemString(scratch_dict, "co_firstlineno", firstlineno))) return NULL;
-    if (unlikely(PyDict_SetItemString(scratch_dict, "co_name", name))) return NULL;
-    replace = PyObject_GetAttrString(code, "replace");
-    if (likely(replace)) {
-        PyObject *result = PyObject_Call(replace, __pyx_mstate_global->__pyx_empty_tuple, scratch_dict);
-        Py_DECREF(replace);
-        return result;
-    }
-    PyErr_Clear();
-    return NULL;
-}
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename) {
-    PyObject *code_object = NULL, *py_py_line = NULL, *py_funcname = NULL, *dict = NULL;
-    PyObject *replace = NULL, *getframe = NULL, *frame = NULL;
-    PyObject *exc_type, *exc_value, *exc_traceback;
-    int success = 0;
-    if (c_line) {
-        c_line = __Pyx_CLineForTraceback(__Pyx_PyThreadState_Current, c_line);
-    }
-    PyErr_Fetch(&exc_type, &exc_value, &exc_traceback);
-    code_object = __pyx_find_code_object(c_line ? -c_line : py_line);
-    if (!code_object) {
-        code_object = Py_CompileString("_getframe()", filename, Py_eval_input);
-        if (unlikely(!code_object)) goto bad;
-        py_py_line = PyLong_FromLong(py_line);
-        if (unlikely(!py_py_line)) goto bad;
-        if (c_line) {
-            py_funcname = PyUnicode_FromFormat( "%s (%s:%d)", funcname, __pyx_cfilenm, c_line);
-        } else {
-            py_funcname = PyUnicode_FromString(funcname);
-        }
-        if (unlikely(!py_funcname)) goto bad;
-        dict = PyDict_New();
-        if (unlikely(!dict)) goto bad;
-        {
-            PyObject *old_code_object = code_object;
-            code_object = __Pyx_PyCode_Replace_For_AddTraceback(code_object, dict, py_py_line, py_funcname);
-            Py_DECREF(old_code_object);
-        }
-        if (unlikely(!code_object)) goto bad;
-        __pyx_insert_code_object(c_line ? -c_line : py_line, code_object);
-    } else {
-        dict = PyDict_New();
-    }
-    getframe = PySys_GetObject("_getframe");
-    if (unlikely(!getframe)) goto bad;
-    if (unlikely(PyDict_SetItemString(dict, "_getframe", getframe))) goto bad;
-    frame = PyEval_EvalCode(code_object, dict, dict);
-    if (unlikely(!frame) || frame == Py_None) goto bad;
-    success = 1;
-  bad:
-    PyErr_Restore(exc_type, exc_value, exc_traceback);
-    Py_XDECREF(code_object);
-    Py_XDECREF(py_py_line);
-    Py_XDECREF(py_funcname);
-    Py_XDECREF(dict);
-    Py_XDECREF(replace);
-    if (success) {
-        PyTraceBack_Here(
-            (struct _frame*)frame);
-    }
-    Py_XDECREF(frame);
-}
-#else
-static PyCodeObject* __Pyx_CreateCodeObjectForTraceback(
-            const char *funcname, int c_line,
-            int py_line, const char *filename) {
-    PyCodeObject *py_code = NULL;
-    PyObject *py_funcname = NULL;
-    if (c_line) {
-        py_funcname = PyUnicode_FromFormat( "%s (%s:%d)", funcname, __pyx_cfilenm, c_line);
-        if (!py_funcname) goto bad;
-        funcname = PyUnicode_AsUTF8(py_funcname);
-        if (!funcname) goto bad;
-    }
-    py_code = PyCode_NewEmpty(filename, funcname, py_line);
-    Py_XDECREF(py_funcname);
-    return py_code;
-bad:
-    Py_XDECREF(py_funcname);
-    return NULL;
-}
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename) {
-    PyCodeObject *py_code = 0;
-    PyFrameObject *py_frame = 0;
-    PyThreadState *tstate = __Pyx_PyThreadState_Current;
-    PyObject *ptype, *pvalue, *ptraceback;
-    if (c_line) {
-        c_line = __Pyx_CLineForTraceback(tstate, c_line);
-    }
-    py_code = __pyx_find_code_object(c_line ? -c_line : py_line);
-    if (!py_code) {
-        __Pyx_ErrFetchInState(tstate, &ptype, &pvalue, &ptraceback);
-        py_code = __Pyx_CreateCodeObjectForTraceback(
-            funcname, c_line, py_line, filename);
-        if (!py_code) {
-            /* If the code object creation fails, then we should clear the
-               fetched exception references and propagate the new exception */
-            Py_XDECREF(ptype);
-            Py_XDECREF(pvalue);
-            Py_XDECREF(ptraceback);
-            goto bad;
-        }
-        __Pyx_ErrRestoreInState(tstate, ptype, pvalue, ptraceback);
-        __pyx_insert_code_object(c_line ? -c_line : py_line, py_code);
-    }
-    py_frame = PyFrame_New(
-        tstate,            /*PyThreadState *tstate,*/
-        py_code,           /*PyCodeObject *code,*/
-        __pyx_mstate_global->__pyx_d,    /*PyObject *globals,*/
-        0                  /*PyObject *locals*/
-    );
-    if (!py_frame) goto bad;
-    __Pyx_PyFrame_SetLineNumber(py_frame, py_line);
-    PyTraceBack_Here(py_frame);
-bad:
-    Py_XDECREF(py_code);
-    Py_XDECREF(py_frame);
-}
-#endif
-
-/* CIntFromPyVerify */
-#define __PYX_VERIFY_RETURN_INT(target_type, func_type, func_value)\
-    __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, 0)
-#define __PYX_VERIFY_RETURN_INT_EXC(target_type, func_type, func_value)\
-    __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, 1)
-#define __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, exc)\
-    {\
-        func_type value = func_value;\
-        if (sizeof(target_type) < sizeof(func_type)) {\
-            if (unlikely(value != (func_type) (target_type) value)) {\
-                func_type zero = 0;\
-                if (exc && unlikely(value == (func_type)-1 && PyErr_Occurred()))\
-                    return (target_type) -1;\
-                if (is_unsigned && unlikely(value < zero))\
-                    goto raise_neg_overflow;\
-                else\
-                    goto raise_overflow;\
-            }\
-        }\
-        return (target_type) value;\
-    }
-
-/* PyObjectVectorCallKwBuilder (used by CIntToPy) */
-#if CYTHON_VECTORCALL
-static int __Pyx_VectorcallBuilder_AddArg(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    (void)__Pyx_PyObject_FastCallDict;
-    Py_INCREF(key);
-    if (__Pyx_PyTuple_SET_ITEM(builder, n, key) != (0)) return -1;
-    args[n] = value;
-    return 0;
-}
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    (void)__Pyx_VectorcallBuilder_AddArgStr;
-    if (unlikely(!PyUnicode_Check(key))) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
+    Cursor c = {ints, ints + nints};
+    int k, W, m, nC, nS, x, size, depths[MAX_STEPS];
+    if (take(&c, 0, MAX_STEPS, &k) < 0 || take(&c, 1, INT_MAX, &W) < 0
+        || take(&c, 0, INT_MAX, &m) < 0 || take(&c, 0, INT_MAX, &nC) < 0
+        || take(&c, 0, INT_MAX, &nS) < 0)
+        return -1;
+    s->k = k, s->W = W, s->m = m, s->ncounts = nC, s->nsuals = nS;
+    s->nscopes = nC + nS;
+    s->field = k == 64 ? ~(u64)0 : ((u64)1 << k) - 1;
+    if (nwords % W || nwords / W != (Py_ssize_t)m * k + nS) {
+        PyErr_SetString(PyExc_ValueError, "malformed packed search problem");
         return -1;
     }
-    return __Pyx_VectorcallBuilder_AddArg(key, value, builder, args, n);
-}
-static int __Pyx_VectorcallBuilder_AddArgStr(const char *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    PyObject *pyKey = PyUnicode_FromString(key);
-    if (!pyKey) return -1;
-    return __Pyx_VectorcallBuilder_AddArg(pyKey, value, builder, args, n);
-}
-#else // CYTHON_VECTORCALL
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, CYTHON_UNUSED PyObject **args, CYTHON_UNUSED int n) {
-    if (unlikely(!PyUnicode_Check(key))) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        return -1;
-    }
-    return PyDict_SetItem(builder, key, value);
-}
-#endif
+    s->order = c.at;
+    s->perm = c.at + k;
+    for (int i = 0; i < k + m; i++)
+        if (take(&c, 0, (i < k ? k : m) - 1, &x) < 0)
+            return -1;
+    s->masks = words;
+    s->xmasks = words + (size_t)m * k * W;
 
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_int(int value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(int) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(int) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(int) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(int) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(int) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(int),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(int));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* CIntFromPy */
-static CYTHON_INLINE int __Pyx_PyLong_As_int(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        int val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (int) -1;
-        val = __Pyx_PyLong_As_int(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(int, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(int) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 2 * PyLong_SHIFT)) {
-                            return (int) (((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(int) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 3 * PyLong_SHIFT)) {
-                            return (int) (((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(int) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 4 * PyLong_SHIFT)) {
-                            return (int) (((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (int) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(int) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(int) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(int, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(int) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(int) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                            return (int) ((((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(int) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                            return (int) ((((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 4 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(int) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 4 * PyLong_SHIFT)) {
-                            return (int) ((((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(int) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, long, PyLong_AsLong(x))
-        } else if ((sizeof(int) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        int val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (int) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (int) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (int) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (int) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(int) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((int) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(int) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((int) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((int) 1) << (sizeof(int) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (int) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to int");
-    return (int) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to int");
-    return (int) -1;
-}
-
-/* CIntFromPy */
-static CYTHON_INLINE uint64_t __Pyx_PyLong_As_uint64_t(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const uint64_t neg_one = (uint64_t) -1, const_zero = (uint64_t) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        uint64_t val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (uint64_t) -1;
-        val = __Pyx_PyLong_As_uint64_t(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(uint64_t, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(uint64_t) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(uint64_t, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(uint64_t) >= 2 * PyLong_SHIFT)) {
-                            return (uint64_t) (((((uint64_t)digits[1]) << PyLong_SHIFT) | (uint64_t)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(uint64_t) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(uint64_t, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(uint64_t) >= 3 * PyLong_SHIFT)) {
-                            return (uint64_t) (((((((uint64_t)digits[2]) << PyLong_SHIFT) | (uint64_t)digits[1]) << PyLong_SHIFT) | (uint64_t)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(uint64_t) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(uint64_t, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(uint64_t) >= 4 * PyLong_SHIFT)) {
-                            return (uint64_t) (((((((((uint64_t)digits[3]) << PyLong_SHIFT) | (uint64_t)digits[2]) << PyLong_SHIFT) | (uint64_t)digits[1]) << PyLong_SHIFT) | (uint64_t)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (uint64_t) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(uint64_t) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(uint64_t, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(uint64_t) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(uint64_t, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(uint64_t, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(uint64_t) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(uint64_t, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(uint64_t) - 1 > 2 * PyLong_SHIFT)) {
-                            return (uint64_t) (((uint64_t)-1)*(((((uint64_t)digits[1]) << PyLong_SHIFT) | (uint64_t)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(uint64_t) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(uint64_t, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(uint64_t) - 1 > 2 * PyLong_SHIFT)) {
-                            return (uint64_t) ((((((uint64_t)digits[1]) << PyLong_SHIFT) | (uint64_t)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(uint64_t) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(uint64_t, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(uint64_t) - 1 > 3 * PyLong_SHIFT)) {
-                            return (uint64_t) (((uint64_t)-1)*(((((((uint64_t)digits[2]) << PyLong_SHIFT) | (uint64_t)digits[1]) << PyLong_SHIFT) | (uint64_t)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(uint64_t) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(uint64_t, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(uint64_t) - 1 > 3 * PyLong_SHIFT)) {
-                            return (uint64_t) ((((((((uint64_t)digits[2]) << PyLong_SHIFT) | (uint64_t)digits[1]) << PyLong_SHIFT) | (uint64_t)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(uint64_t) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(uint64_t, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(uint64_t) - 1 > 4 * PyLong_SHIFT)) {
-                            return (uint64_t) (((uint64_t)-1)*(((((((((uint64_t)digits[3]) << PyLong_SHIFT) | (uint64_t)digits[2]) << PyLong_SHIFT) | (uint64_t)digits[1]) << PyLong_SHIFT) | (uint64_t)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(uint64_t) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(uint64_t, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(uint64_t) - 1 > 4 * PyLong_SHIFT)) {
-                            return (uint64_t) ((((((((((uint64_t)digits[3]) << PyLong_SHIFT) | (uint64_t)digits[2]) << PyLong_SHIFT) | (uint64_t)digits[1]) << PyLong_SHIFT) | (uint64_t)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(uint64_t) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(uint64_t, long, PyLong_AsLong(x))
-        } else if ((sizeof(uint64_t) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(uint64_t, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        uint64_t val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (uint64_t) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (uint64_t) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (uint64_t) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (uint64_t) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(uint64_t) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((uint64_t) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(uint64_t) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((uint64_t) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((uint64_t) 1) << (sizeof(uint64_t) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (uint64_t) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to uint64_t");
-    return (uint64_t) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to uint64_t");
-    return (uint64_t) -1;
-}
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_long(long value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const long neg_one = (long) -1, const_zero = (long) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(long) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(long) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(long) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(long) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(long) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(long),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(long));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* CIntFromPy */
-static CYTHON_INLINE size_t __Pyx_PyLong_As_size_t(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const size_t neg_one = (size_t) -1, const_zero = (size_t) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        size_t val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (size_t) -1;
-        val = __Pyx_PyLong_As_size_t(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(size_t, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(size_t) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(size_t, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(size_t) >= 2 * PyLong_SHIFT)) {
-                            return (size_t) (((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(size_t) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(size_t, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(size_t) >= 3 * PyLong_SHIFT)) {
-                            return (size_t) (((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(size_t) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(size_t, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(size_t) >= 4 * PyLong_SHIFT)) {
-                            return (size_t) (((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (size_t) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(size_t) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(size_t, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(size_t) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(size_t, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(size_t, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(size_t) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(size_t, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(size_t) - 1 > 2 * PyLong_SHIFT)) {
-                            return (size_t) (((size_t)-1)*(((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(size_t) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(size_t, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(size_t) - 1 > 2 * PyLong_SHIFT)) {
-                            return (size_t) ((((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(size_t) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(size_t, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(size_t) - 1 > 3 * PyLong_SHIFT)) {
-                            return (size_t) (((size_t)-1)*(((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(size_t) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(size_t, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(size_t) - 1 > 3 * PyLong_SHIFT)) {
-                            return (size_t) ((((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(size_t) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(size_t, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(size_t) - 1 > 4 * PyLong_SHIFT)) {
-                            return (size_t) (((size_t)-1)*(((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(size_t) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(size_t, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(size_t) - 1 > 4 * PyLong_SHIFT)) {
-                            return (size_t) ((((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(size_t) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(size_t, long, PyLong_AsLong(x))
-        } else if ((sizeof(size_t) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(size_t, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        size_t val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (size_t) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (size_t) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (size_t) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (size_t) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(size_t) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((size_t) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(size_t) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((size_t) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((size_t) 1) << (sizeof(size_t) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (size_t) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to size_t");
-    return (size_t) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to size_t");
-    return (size_t) -1;
-}
-
-/* CIntFromPy */
-static CYTHON_INLINE int64_t __Pyx_PyLong_As_int64_t(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int64_t neg_one = (int64_t) -1, const_zero = (int64_t) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        int64_t val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (int64_t) -1;
-        val = __Pyx_PyLong_As_int64_t(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(int64_t, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(int64_t) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int64_t, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int64_t) >= 2 * PyLong_SHIFT)) {
-                            return (int64_t) (((((int64_t)digits[1]) << PyLong_SHIFT) | (int64_t)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(int64_t) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int64_t, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int64_t) >= 3 * PyLong_SHIFT)) {
-                            return (int64_t) (((((((int64_t)digits[2]) << PyLong_SHIFT) | (int64_t)digits[1]) << PyLong_SHIFT) | (int64_t)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(int64_t) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int64_t, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int64_t) >= 4 * PyLong_SHIFT)) {
-                            return (int64_t) (((((((((int64_t)digits[3]) << PyLong_SHIFT) | (int64_t)digits[2]) << PyLong_SHIFT) | (int64_t)digits[1]) << PyLong_SHIFT) | (int64_t)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (int64_t) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(int64_t) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int64_t, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(int64_t) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int64_t, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(int64_t, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(int64_t) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int64_t, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int64_t) - 1 > 2 * PyLong_SHIFT)) {
-                            return (int64_t) (((int64_t)-1)*(((((int64_t)digits[1]) << PyLong_SHIFT) | (int64_t)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(int64_t) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int64_t, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int64_t) - 1 > 2 * PyLong_SHIFT)) {
-                            return (int64_t) ((((((int64_t)digits[1]) << PyLong_SHIFT) | (int64_t)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(int64_t) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int64_t, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int64_t) - 1 > 3 * PyLong_SHIFT)) {
-                            return (int64_t) (((int64_t)-1)*(((((((int64_t)digits[2]) << PyLong_SHIFT) | (int64_t)digits[1]) << PyLong_SHIFT) | (int64_t)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(int64_t) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int64_t, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int64_t) - 1 > 3 * PyLong_SHIFT)) {
-                            return (int64_t) ((((((((int64_t)digits[2]) << PyLong_SHIFT) | (int64_t)digits[1]) << PyLong_SHIFT) | (int64_t)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(int64_t) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int64_t, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int64_t) - 1 > 4 * PyLong_SHIFT)) {
-                            return (int64_t) (((int64_t)-1)*(((((((((int64_t)digits[3]) << PyLong_SHIFT) | (int64_t)digits[2]) << PyLong_SHIFT) | (int64_t)digits[1]) << PyLong_SHIFT) | (int64_t)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(int64_t) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int64_t, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int64_t) - 1 > 4 * PyLong_SHIFT)) {
-                            return (int64_t) ((((((((((int64_t)digits[3]) << PyLong_SHIFT) | (int64_t)digits[2]) << PyLong_SHIFT) | (int64_t)digits[1]) << PyLong_SHIFT) | (int64_t)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(int64_t) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int64_t, long, PyLong_AsLong(x))
-        } else if ((sizeof(int64_t) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int64_t, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        int64_t val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (int64_t) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (int64_t) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (int64_t) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (int64_t) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(int64_t) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((int64_t) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(int64_t) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((int64_t) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((int64_t) 1) << (sizeof(int64_t) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (int64_t) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to int64_t");
-    return (int64_t) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to int64_t");
-    return (int64_t) -1;
-}
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_int64_t(int64_t value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int64_t neg_one = (int64_t) -1, const_zero = (int64_t) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(int64_t) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(int64_t) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(int64_t) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(int64_t) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(int64_t) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(int64_t),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(int64_t));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* FormatTypeName */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static __Pyx_TypeName
-__Pyx_PyType_GetFullyQualifiedName(PyTypeObject* tp)
-{
-    PyObject *module = NULL, *name = NULL, *result = NULL;
-    #if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-    name = __Pyx_PyObject_GetAttrStr((PyObject *)tp,
-                                               __pyx_mstate_global->__pyx_n_u_qualname);
-    #else
-    name = PyType_GetQualName(tp);
-    #endif
-    if (unlikely(name == NULL) || unlikely(!PyUnicode_Check(name))) goto bad;
-    module = __Pyx_PyObject_GetAttrStr((PyObject *)tp,
-                                               __pyx_mstate_global->__pyx_n_u_module);
-    if (unlikely(module == NULL) || unlikely(!PyUnicode_Check(module))) goto bad;
-    if (PyUnicode_CompareWithASCIIString(module, "builtins") == 0) {
-        result = name;
-        name = NULL;
-        goto done;
-    }
-    result = PyUnicode_FromFormat("%U.%U", module, name);
-    if (unlikely(result == NULL)) goto bad;
-  done:
-    Py_XDECREF(name);
-    Py_XDECREF(module);
-    return result;
-  bad:
-    PyErr_Clear();
-    if (name) {
-        result = name;
-        name = NULL;
-    } else {
-        result = __Pyx_NewRef(__pyx_mstate_global->__pyx_kp_u_);
-    }
-    goto done;
-}
-#endif
-
-/* CIntFromPy */
-static CYTHON_INLINE long __Pyx_PyLong_As_long(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const long neg_one = (long) -1, const_zero = (long) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        long val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (long) -1;
-        val = __Pyx_PyLong_As_long(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(long, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(long) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 2 * PyLong_SHIFT)) {
-                            return (long) (((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(long) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 3 * PyLong_SHIFT)) {
-                            return (long) (((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(long) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 4 * PyLong_SHIFT)) {
-                            return (long) (((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (long) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(long) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(long) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(long, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(long) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(long) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                            return (long) ((((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(long) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                            return (long) ((((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 4 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(long) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 4 * PyLong_SHIFT)) {
-                            return (long) ((((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(long) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, long, PyLong_AsLong(x))
-        } else if ((sizeof(long) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        long val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (long) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (long) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (long) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (long) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(long) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((long) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(long) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((long) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((long) 1) << (sizeof(long) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (long) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to long");
-    return (long) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to long");
-    return (long) -1;
-}
-
-/* FastTypeChecks */
-#if CYTHON_COMPILING_IN_CPYTHON
-static int __Pyx_InBases(PyTypeObject *a, PyTypeObject *b) {
-    while (a) {
-        a = __Pyx_PyType_GetSlot(a, tp_base, PyTypeObject*);
-        if (a == b)
-            return 1;
-    }
-    return b == &PyBaseObject_Type;
-}
-static CYTHON_INLINE int __Pyx_IsSubtype(PyTypeObject *a, PyTypeObject *b) {
-    PyObject *mro;
-    if (a == b) return 1;
-    mro = a->tp_mro;
-    if (likely(mro)) {
-        Py_ssize_t i, n;
-        n = PyTuple_GET_SIZE(mro);
-        for (i = 0; i < n; i++) {
-            if (PyTuple_GET_ITEM(mro, i) == (PyObject *)b)
-                return 1;
-        }
-        return 0;
-    }
-    return __Pyx_InBases(a, b);
-}
-static CYTHON_INLINE int __Pyx_IsAnySubtype2(PyTypeObject *cls, PyTypeObject *a, PyTypeObject *b) {
-    PyObject *mro;
-    if (cls == a || cls == b) return 1;
-    mro = cls->tp_mro;
-    if (likely(mro)) {
-        Py_ssize_t i, n;
-        n = PyTuple_GET_SIZE(mro);
-        for (i = 0; i < n; i++) {
-            PyObject *base = PyTuple_GET_ITEM(mro, i);
-            if (base == (PyObject *)a || base == (PyObject *)b)
-                return 1;
-        }
-        return 0;
-    }
-    return __Pyx_InBases(cls, a) || __Pyx_InBases(cls, b);
-}
-static CYTHON_INLINE int __Pyx_inner_PyErr_GivenExceptionMatches2(PyObject *err, PyObject* exc_type1, PyObject *exc_type2) {
-    if (exc_type1) {
-        return __Pyx_IsAnySubtype2((PyTypeObject*)err, (PyTypeObject*)exc_type1, (PyTypeObject*)exc_type2);
-    } else {
-        return __Pyx_IsSubtype((PyTypeObject*)err, (PyTypeObject*)exc_type2);
-    }
-}
-static int __Pyx_PyErr_GivenExceptionMatchesTuple(PyObject *exc_type, PyObject *tuple) {
-    Py_ssize_t i, n;
-    assert(PyExceptionClass_Check(exc_type));
-    n = PyTuple_GET_SIZE(tuple);
-    for (i=0; i<n; i++) {
-        if (exc_type == PyTuple_GET_ITEM(tuple, i)) return 1;
-    }
-    for (i=0; i<n; i++) {
-        PyObject *t = PyTuple_GET_ITEM(tuple, i);
-        if (likely(PyExceptionClass_Check(t))) {
-            if (__Pyx_inner_PyErr_GivenExceptionMatches2(exc_type, NULL, t)) return 1;
-        } else {
-        }
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches(PyObject *err, PyObject* exc_type) {
-    if (likely(err == exc_type)) return 1;
-    if (likely(PyExceptionClass_Check(err))) {
-        if (likely(PyExceptionClass_Check(exc_type))) {
-            return __Pyx_inner_PyErr_GivenExceptionMatches2(err, NULL, exc_type);
-        } else if (likely(PyTuple_Check(exc_type))) {
-            return __Pyx_PyErr_GivenExceptionMatchesTuple(err, exc_type);
-        } else {
-        }
-    }
-    return PyErr_GivenExceptionMatches(err, exc_type);
-}
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *exc_type1, PyObject *exc_type2) {
-    assert(PyExceptionClass_Check(exc_type1));
-    assert(PyExceptionClass_Check(exc_type2));
-    if (likely(err == exc_type1 || err == exc_type2)) return 1;
-    if (likely(PyExceptionClass_Check(err))) {
-        return __Pyx_inner_PyErr_GivenExceptionMatches2(err, exc_type1, exc_type2);
-    }
-    return (PyErr_GivenExceptionMatches(err, exc_type1) || PyErr_GivenExceptionMatches(err, exc_type2));
-}
-#endif
-
-/* GetRuntimeVersion */
-#if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-void __Pyx_init_runtime_version(void) {
-    if (__Pyx_cached_runtime_version == 0) {
-        const char* rt_version = Py_GetVersion();
-        unsigned long version = 0;
-        unsigned long factor = 0x01000000UL;
-        unsigned int digit = 0;
-        int i = 0;
-        while (factor) {
-            while ('0' <= rt_version[i] && rt_version[i] <= '9') {
-                digit = digit * 10 + (unsigned int) (rt_version[i] - '0');
-                ++i;
-            }
-            version += factor * digit;
-            if (rt_version[i] != '.')
-                break;
-            digit = 0;
-            factor >>= 8;
-            ++i;
-        }
-        __Pyx_cached_runtime_version = version;
-    }
-}
-#endif
-static unsigned long __Pyx_get_runtime_version(void) {
-#if __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-    return Py_Version & ~0xFFUL;
-#else
-    return __Pyx_cached_runtime_version;
-#endif
-}
-
-/* GetTopmostException (used by SaveResetException) */
-#if CYTHON_USE_EXC_INFO_STACK && CYTHON_FAST_THREAD_STATE
-static _PyErr_StackItem *
-__Pyx_PyErr_GetTopmostException(PyThreadState *tstate)
-{
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    while ((exc_info->exc_value == NULL || exc_info->exc_value == Py_None) &&
-           exc_info->previous_item != NULL)
-    {
-        exc_info = exc_info->previous_item;
-    }
-    return exc_info;
-}
-#endif
-
-/* SaveResetException (used by CoroutineBase) */
-#if CYTHON_FAST_THREAD_STATE
-static CYTHON_INLINE void __Pyx__ExceptionSave(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb) {
-  #if CYTHON_USE_EXC_INFO_STACK && PY_VERSION_HEX >= 0x030B00a4
-    _PyErr_StackItem *exc_info = __Pyx_PyErr_GetTopmostException(tstate);
-    PyObject *exc_value = exc_info->exc_value;
-    if (exc_value == NULL || exc_value == Py_None) {
-        *value = NULL;
-        *type = NULL;
-        *tb = NULL;
-    } else {
-        *value = exc_value;
-        Py_INCREF(*value);
-        *type = (PyObject*) Py_TYPE(exc_value);
-        Py_INCREF(*type);
-        *tb = PyException_GetTraceback(exc_value);
-    }
-  #elif CYTHON_USE_EXC_INFO_STACK
-    _PyErr_StackItem *exc_info = __Pyx_PyErr_GetTopmostException(tstate);
-    *type = exc_info->exc_type;
-    *value = exc_info->exc_value;
-    *tb = exc_info->exc_traceback;
-    Py_XINCREF(*type);
-    Py_XINCREF(*value);
-    Py_XINCREF(*tb);
-  #else
-    *type = tstate->exc_type;
-    *value = tstate->exc_value;
-    *tb = tstate->exc_traceback;
-    Py_XINCREF(*type);
-    Py_XINCREF(*value);
-    Py_XINCREF(*tb);
-  #endif
-}
-static CYTHON_INLINE void __Pyx__ExceptionReset(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb) {
-  #if CYTHON_USE_EXC_INFO_STACK && PY_VERSION_HEX >= 0x030B00a4
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    PyObject *tmp_value = exc_info->exc_value;
-    exc_info->exc_value = value;
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(type);
-    Py_XDECREF(tb);
-  #else
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-    #if CYTHON_USE_EXC_INFO_STACK
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    tmp_type = exc_info->exc_type;
-    tmp_value = exc_info->exc_value;
-    tmp_tb = exc_info->exc_traceback;
-    exc_info->exc_type = type;
-    exc_info->exc_value = value;
-    exc_info->exc_traceback = tb;
-    #else
-    tmp_type = tstate->exc_type;
-    tmp_value = tstate->exc_value;
-    tmp_tb = tstate->exc_traceback;
-    tstate->exc_type = type;
-    tstate->exc_value = value;
-    tstate->exc_traceback = tb;
-    #endif
-    Py_XDECREF(tmp_type);
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(tmp_tb);
-  #endif
-}
-#endif
-
-/* SwapException (used by CoroutineBase) */
-#if CYTHON_FAST_THREAD_STATE
-static CYTHON_INLINE void __Pyx__ExceptionSwap(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb) {
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-  #if CYTHON_USE_EXC_INFO_STACK && PY_VERSION_HEX >= 0x030B00a4
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    tmp_value = exc_info->exc_value;
-    exc_info->exc_value = *value;
-    if (tmp_value == NULL || tmp_value == Py_None) {
-        Py_XDECREF(tmp_value);
-        tmp_value = NULL;
-        tmp_type = NULL;
-        tmp_tb = NULL;
-    } else {
-        tmp_type = (PyObject*) Py_TYPE(tmp_value);
-        Py_INCREF(tmp_type);
-        #if CYTHON_COMPILING_IN_CPYTHON
-        tmp_tb = ((PyBaseExceptionObject*) tmp_value)->traceback;
-        Py_XINCREF(tmp_tb);
-        #else
-        tmp_tb = PyException_GetTraceback(tmp_value);
-        #endif
-    }
-  #elif CYTHON_USE_EXC_INFO_STACK
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    tmp_type = exc_info->exc_type;
-    tmp_value = exc_info->exc_value;
-    tmp_tb = exc_info->exc_traceback;
-    exc_info->exc_type = *type;
-    exc_info->exc_value = *value;
-    exc_info->exc_traceback = *tb;
-  #else
-    tmp_type = tstate->exc_type;
-    tmp_value = tstate->exc_value;
-    tmp_tb = tstate->exc_traceback;
-    tstate->exc_type = *type;
-    tstate->exc_value = *value;
-    tstate->exc_traceback = *tb;
-  #endif
-    *type = tmp_type;
-    *value = tmp_value;
-    *tb = tmp_tb;
-}
-#else
-static CYTHON_INLINE void __Pyx_ExceptionSwap(PyObject **type, PyObject **value, PyObject **tb) {
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-    PyErr_GetExcInfo(&tmp_type, &tmp_value, &tmp_tb);
-    PyErr_SetExcInfo(*type, *value, *tb);
-    *type = tmp_type;
-    *value = tmp_value;
-    *tb = tmp_tb;
-}
-#endif
-
-/* IterNextPlain (used by CoroutineBase) */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject *__Pyx_GetBuiltinNext_LimitedAPI(void) {
-    if (unlikely(!__pyx_mstate_global->__Pyx_GetBuiltinNext_LimitedAPI_cache))
-        __pyx_mstate_global->__Pyx_GetBuiltinNext_LimitedAPI_cache = __Pyx_GetBuiltinName(__pyx_mstate_global->__pyx_n_u_next);
-    return __pyx_mstate_global->__Pyx_GetBuiltinNext_LimitedAPI_cache;
-}
-#endif
-static CYTHON_INLINE PyObject *__Pyx_PyIter_Next_Plain(PyObject *iterator) {
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    PyObject *result;
-    PyObject *next = __Pyx_GetBuiltinNext_LimitedAPI();
-    if (unlikely(!next)) return NULL;
-    result = PyObject_CallFunctionObjArgs(next, iterator, NULL);
-    return result;
-#else
-    (void)__Pyx_GetBuiltinName; // only for early limited API
-    iternextfunc iternext = __Pyx_PyObject_GetIterNextFunc(iterator);
-    assert(iternext);
-    return iternext(iterator);
-#endif
-}
-
-/* PyObjectCall2Args (used by PyObjectCallMethod1) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call2Args(PyObject* function, PyObject* arg1, PyObject* arg2) {
-    PyObject *args[3] = {NULL, arg1, arg2};
-    return __Pyx_PyObject_FastCall(function, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-}
-
-/* PyObjectCallMethod1 (used by CoroutineBase) */
-#if !(CYTHON_VECTORCALL && (__PYX_LIMITED_VERSION_HEX >= 0x030C0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x03090000)))
-static PyObject* __Pyx__PyObject_CallMethod1(PyObject* method, PyObject* arg) {
-    PyObject *result = __Pyx_PyObject_CallOneArg(method, arg);
-    Py_DECREF(method);
-    return result;
-}
-#endif
-static PyObject* __Pyx_PyObject_CallMethod1(PyObject* obj, PyObject* method_name, PyObject* arg) {
-#if CYTHON_VECTORCALL && (__PYX_LIMITED_VERSION_HEX >= 0x030C0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x03090000))
-    PyObject *args[2] = {obj, arg};
-    (void) __Pyx_PyObject_CallOneArg;
-    (void) __Pyx_PyObject_Call2Args;
-    return PyObject_VectorcallMethod(method_name, args, 2 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-#else
-    PyObject *method = NULL, *result;
-    int is_method = __Pyx_PyObject_GetMethod(obj, method_name, &method);
-    if (likely(is_method)) {
-        result = __Pyx_PyObject_Call2Args(method, obj, arg);
-        Py_DECREF(method);
-        return result;
-    }
-    if (unlikely(!method)) return NULL;
-    return __Pyx__PyObject_CallMethod1(method, arg);
-#endif
-}
-
-/* ReturnWithStopIteration (used by CoroutineBase) */
-static void __Pyx__ReturnWithStopIteration(PyObject* value, int async);
-static CYTHON_INLINE void __Pyx_ReturnWithStopIteration(PyObject* value, int async, int iternext) {
-    if (value == Py_None) {
-        if (async || !iternext)
-            PyErr_SetNone(async ? PyExc_StopAsyncIteration : PyExc_StopIteration);
-        return;
-    }
-    __Pyx__ReturnWithStopIteration(value, async);
-}
-static void __Pyx__ReturnWithStopIteration(PyObject* value, int async) {
-#if CYTHON_COMPILING_IN_CPYTHON
-    __Pyx_PyThreadState_declare
-#endif
-    PyObject *exc;
-    PyObject *exc_type = async ? PyExc_StopAsyncIteration : PyExc_StopIteration;
-#if CYTHON_COMPILING_IN_CPYTHON
-    if ((PY_VERSION_HEX >= (0x030C00A6)) || unlikely(PyTuple_Check(value) || PyExceptionInstance_Check(value))) {
-        if (PY_VERSION_HEX >= (0x030e00A1)) {
-            exc = __Pyx_PyObject_CallOneArg(exc_type, value);
-        } else {
-            PyObject *args_tuple = PyTuple_New(1);
-            if (unlikely(!args_tuple)) return;
-            Py_INCREF(value);
-            PyTuple_SET_ITEM(args_tuple, 0, value);
-            exc = PyObject_Call(exc_type, args_tuple, NULL);
-            Py_DECREF(args_tuple);
-        }
-        if (unlikely(!exc)) return;
-    } else {
-        Py_INCREF(value);
-        exc = value;
-    }
-    #if CYTHON_FAST_THREAD_STATE
-    __Pyx_PyThreadState_assign
-    #if CYTHON_USE_EXC_INFO_STACK
-    if (!__pyx_tstate->exc_info->exc_value)
-    #else
-    if (!__pyx_tstate->exc_type)
-    #endif
-    {
-        Py_INCREF(exc_type);
-        __Pyx_ErrRestore(exc_type, exc, NULL);
-        return;
-    }
-    #endif
-#else
-    exc = __Pyx_PyObject_CallOneArg(exc_type, value);
-    if (unlikely(!exc)) return;
-#endif
-    PyErr_SetObject(exc_type, exc);
-    Py_DECREF(exc);
-}
-
-/* CoroutineBase (used by Generator) */
-#if !CYTHON_COMPILING_IN_LIMITED_API
-#include <frameobject.h>
-#if PY_VERSION_HEX >= 0x030b00a6 && !defined(PYPY_VERSION)
-  #ifndef Py_BUILD_CORE
-    #define Py_BUILD_CORE 1
-  #endif
-  #include "internal/pycore_frame.h"
-#endif
-#endif // CYTHON_COMPILING_IN_LIMITED_API
-static CYTHON_INLINE void
-__Pyx_Coroutine_Undelegate(__pyx_CoroutineObject *gen) {
-#if CYTHON_USE_AM_SEND
-    gen->yieldfrom_am_send = NULL;
-#endif
-    Py_CLEAR(gen->yieldfrom);
-}
-static int __Pyx_PyGen__FetchStopIterationValue(PyThreadState *__pyx_tstate, PyObject **pvalue) {
-    PyObject *et, *ev, *tb;
-    PyObject *value = NULL;
-    CYTHON_UNUSED_VAR(__pyx_tstate);
-    __Pyx_ErrFetch(&et, &ev, &tb);
-    if (!et) {
-        Py_XDECREF(tb);
-        Py_XDECREF(ev);
-        Py_INCREF(Py_None);
-        *pvalue = Py_None;
-        return 0;
-    }
-    if (likely(et == PyExc_StopIteration)) {
-        if (!ev) {
-            Py_INCREF(Py_None);
-            value = Py_None;
-        }
-        else if (likely(__Pyx_IS_TYPE(ev, (PyTypeObject*)PyExc_StopIteration))) {
-            #if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL
-            value = PyObject_GetAttr(ev, __pyx_mstate_global->__pyx_n_u_value);
-            if (unlikely(!value)) goto limited_api_failure;
-            #else
-            value = ((PyStopIterationObject *)ev)->value;
-            Py_INCREF(value);
-            #endif
-            Py_DECREF(ev);
-        }
-        else if (unlikely(PyTuple_Check(ev))) {
-            Py_ssize_t tuple_size = __Pyx_PyTuple_GET_SIZE(ev);
-            #if !CYTHON_ASSUME_SAFE_SIZE
-            if (unlikely(tuple_size < 0)) {
-                Py_XDECREF(tb);
-                Py_DECREF(ev);
-                Py_DECREF(et);
+    /* sod[e], bod[e]: a bit for each later neighbour f */
+    for (int pass = 0; pass < 2; pass++) {
+        u64 *later = pass ? s->bod : s->sod;
+        for (int f = 0; f < k; f++) {
+            if (take(&c, 0, INT_MAX, &size) < 0)
                 return -1;
+            for (int i = 0; i < size; i++) {
+                if (take(&c, 0, f - 1, &x) < 0)
+                    return -1;
+                later[x] |= (u64)1 << f;
             }
-            #endif
-            if (tuple_size >= 1) {
-#if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-                value = PyTuple_GET_ITEM(ev, 0);
-                Py_INCREF(value);
-#elif CYTHON_ASSUME_SAFE_MACROS
-                value = PySequence_ITEM(ev, 0);
-#else
-                value = PySequence_GetItem(ev, 0);
-                if (!value) goto limited_api_failure;
-#endif
-            } else {
-                Py_INCREF(Py_None);
-                value = Py_None;
-            }
-            Py_DECREF(ev);
         }
-        else if (!__Pyx_TypeCheck(ev, (PyTypeObject*)PyExc_StopIteration)) {
-            value = ev;
-        }
-        if (likely(value)) {
-            Py_XDECREF(tb);
-            Py_DECREF(et);
-            *pvalue = value;
-            return 0;
-        }
-    } else if (!__Pyx_PyErr_GivenExceptionMatches(et, PyExc_StopIteration)) {
-        __Pyx_ErrRestore(et, ev, tb);
+    }
+    size_t ns = (size_t)s->nscopes;
+    if (!(s->spread = alloc((size_t)k * ns, sizeof(int)))
+        || !(s->spread_n = alloc(k, sizeof(int)))
+        || !(s->checks = alloc((size_t)k * nC * 3, sizeof(int)))
+        || !(s->check_n = alloc(k, sizeof(int)))
+        || !(s->sual_end = alloc((size_t)k * nS * 2, sizeof(int)))
+        || !(s->sual_end_n = alloc(k, sizeof(int))))
         return -1;
-    }
-    PyErr_NormalizeException(&et, &ev, &tb);
-    if (unlikely(!PyObject_TypeCheck(ev, (PyTypeObject*)PyExc_StopIteration))) {
-        __Pyx_ErrRestore(et, ev, tb);
-        return -1;
-    }
-    Py_XDECREF(tb);
-    Py_DECREF(et);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    value = PyObject_GetAttr(ev, __pyx_mstate_global->__pyx_n_u_value);
-#else
-    value = ((PyStopIterationObject *)ev)->value;
-    Py_INCREF(value);
-#endif
-    Py_DECREF(ev);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    if (unlikely(!value)) return -1;
-#endif
-    *pvalue = value;
-    return 0;
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL || !CYTHON_ASSUME_SAFE_MACROS
-  limited_api_failure:
-    Py_XDECREF(et);
-    Py_XDECREF(tb);
-    Py_XDECREF(ev);
-    return -1;
-#endif
-}
-static CYTHON_INLINE
-__Pyx_PySendResult __Pyx_Coroutine_status_from_result(PyObject **retval) {
-    if (*retval) {
-        return PYGEN_NEXT;
-    } else if (likely(__Pyx_PyGen__FetchStopIterationValue(__Pyx_PyThreadState_Current, retval) == 0)) {
-        return PYGEN_RETURN;
-    } else {
-        return PYGEN_ERROR;
-    }
-}
-static CYTHON_INLINE
-void __Pyx_Coroutine_ExceptionClear(__Pyx_ExcInfoStruct *exc_state) {
-#if PY_VERSION_HEX >= 0x030B00a4
-    Py_CLEAR(exc_state->exc_value);
-#else
-    PyObject *t, *v, *tb;
-    t = exc_state->exc_type;
-    v = exc_state->exc_value;
-    tb = exc_state->exc_traceback;
-    exc_state->exc_type = NULL;
-    exc_state->exc_value = NULL;
-    exc_state->exc_traceback = NULL;
-    Py_XDECREF(t);
-    Py_XDECREF(v);
-    Py_XDECREF(tb);
-#endif
-}
-#define __Pyx_Coroutine_AlreadyRunningError(gen)  (__Pyx__Coroutine_AlreadyRunningError(gen), (PyObject*)NULL)
-static void __Pyx__Coroutine_AlreadyRunningError(__pyx_CoroutineObject *gen) {
-    const char *msg;
-    CYTHON_MAYBE_UNUSED_VAR(gen);
-    if ((0)) {
-    #ifdef __Pyx_Coroutine_USED
-    } else if (__Pyx_Coroutine_Check((PyObject*)gen)) {
-        msg = "coroutine already executing";
-    #endif
-    #ifdef __Pyx_AsyncGen_USED
-    } else if (__Pyx_AsyncGen_CheckExact((PyObject*)gen)) {
-        msg = "async generator already executing";
-    #endif
-    } else {
-        msg = "generator already executing";
-    }
-    PyErr_SetString(PyExc_ValueError, msg);
-}
-static void __Pyx_Coroutine_AlreadyTerminatedError(PyObject *gen, PyObject *value, int closing) {
-    CYTHON_MAYBE_UNUSED_VAR(gen);
-    CYTHON_MAYBE_UNUSED_VAR(closing);
-    #ifdef __Pyx_Coroutine_USED
-    if (!closing && __Pyx_Coroutine_Check(gen)) {
-        PyErr_SetString(PyExc_RuntimeError, "cannot reuse already awaited coroutine");
-    } else
-    #endif
-    if (value) {
-        #ifdef __Pyx_AsyncGen_USED
-        if (__Pyx_AsyncGen_CheckExact(gen))
-            PyErr_SetNone(PyExc_StopAsyncIteration);
-        else
-        #endif
-        PyErr_SetNone(PyExc_StopIteration);
-    }
-}
-static
-__Pyx_PySendResult __Pyx_Coroutine_SendEx(__pyx_CoroutineObject *self, PyObject *value, PyObject **result, int closing) {
-    __Pyx_PyThreadState_declare
-    PyThreadState *tstate;
-    __Pyx_ExcInfoStruct *exc_state;
-    PyObject *retval;
-    assert(__Pyx_Coroutine_get_is_running(self));  // Callers should ensure is_running
-    if (unlikely(self->resume_label == -1)) {
-        __Pyx_Coroutine_AlreadyTerminatedError((PyObject*)self, value, closing);
-        return PYGEN_ERROR;
-    }
-#if CYTHON_FAST_THREAD_STATE
-    __Pyx_PyThreadState_assign
-    tstate = __pyx_tstate;
-#else
-    tstate = __Pyx_PyThreadState_Current;
-#endif
-    exc_state = &self->gi_exc_state;
-    if (exc_state->exc_value) {
-        #if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_PYPY
-        #else
-        PyObject *exc_tb;
-        #if PY_VERSION_HEX >= 0x030B00a4 && !CYTHON_COMPILING_IN_CPYTHON
-        exc_tb = PyException_GetTraceback(exc_state->exc_value);
-        #elif PY_VERSION_HEX >= 0x030B00a4
-        exc_tb = ((PyBaseExceptionObject*) exc_state->exc_value)->traceback;
-        #else
-        exc_tb = exc_state->exc_traceback;
-        #endif
-        if (exc_tb) {
-            PyTracebackObject *tb = (PyTracebackObject *) exc_tb;
-            PyFrameObject *f = tb->tb_frame;
-            assert(f->f_back == NULL);
-            #if PY_VERSION_HEX >= 0x030B00A1
-            f->f_back = PyThreadState_GetFrame(tstate);
-            #else
-            Py_XINCREF(tstate->frame);
-            f->f_back = tstate->frame;
-            #endif
-            #if PY_VERSION_HEX >= 0x030B00a4 && !CYTHON_COMPILING_IN_CPYTHON
-            Py_DECREF(exc_tb);
-            #endif
-        }
-        #endif
-    }
-#if CYTHON_USE_EXC_INFO_STACK
-    exc_state->previous_item = tstate->exc_info;
-    tstate->exc_info = exc_state;
-#else
-    if (exc_state->exc_type) {
-        __Pyx_ExceptionSwap(&exc_state->exc_type, &exc_state->exc_value, &exc_state->exc_traceback);
-    } else {
-        __Pyx_Coroutine_ExceptionClear(exc_state);
-        __Pyx_ExceptionSave(&exc_state->exc_type, &exc_state->exc_value, &exc_state->exc_traceback);
-    }
-#endif
-    retval = self->body(self, tstate, value);
-#if CYTHON_USE_EXC_INFO_STACK
-    exc_state = &self->gi_exc_state;
-    tstate->exc_info = exc_state->previous_item;
-    exc_state->previous_item = NULL;
-    __Pyx_Coroutine_ResetFrameBackpointer(exc_state);
-#endif
-    *result = retval;
-    if (self->resume_label == -1) {
-        return likely(retval) ? PYGEN_RETURN : PYGEN_ERROR;
-    }
-    return PYGEN_NEXT;
-}
-static CYTHON_INLINE void __Pyx_Coroutine_ResetFrameBackpointer(__Pyx_ExcInfoStruct *exc_state) {
-#if CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API
-    CYTHON_UNUSED_VAR(exc_state);
-#else
-    PyObject *exc_tb;
-    #if PY_VERSION_HEX >= 0x030B00a4
-    if (!exc_state->exc_value) return;
-    exc_tb = PyException_GetTraceback(exc_state->exc_value);
-    #else
-    exc_tb = exc_state->exc_traceback;
-    #endif
-    if (likely(exc_tb)) {
-        PyTracebackObject *tb = (PyTracebackObject *) exc_tb;
-        PyFrameObject *f = tb->tb_frame;
-        Py_CLEAR(f->f_back);
-        #if PY_VERSION_HEX >= 0x030B00a4
-        Py_DECREF(exc_tb);
-        #endif
-    }
-#endif
-}
-#define __Pyx_Coroutine_MethodReturnFromResult(gen, result, retval, iternext)\
-    ((result) == PYGEN_NEXT ? (retval) : __Pyx__Coroutine_MethodReturnFromResult(gen, result, retval, iternext))
-static PyObject *
-__Pyx__Coroutine_MethodReturnFromResult(PyObject* gen, __Pyx_PySendResult result, PyObject *retval, int iternext) {
-    CYTHON_MAYBE_UNUSED_VAR(gen);
-    if (likely(result == PYGEN_RETURN)) {
-        int is_async = 0;
-        #ifdef __Pyx_AsyncGen_USED
-        is_async = __Pyx_AsyncGen_CheckExact(gen);
-        #endif
-        __Pyx_ReturnWithStopIteration(retval, is_async, iternext);
-        Py_XDECREF(retval);
-    }
-    return NULL;
-}
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE
-PyObject *__Pyx_PyGen_Send(PyGenObject *gen, PyObject *arg) {
-#if PY_VERSION_HEX <= 0x030A00A1
-    return _PyGen_Send(gen, arg);
-#else
-    PyObject *result;
-    if (PyIter_Send((PyObject*)gen, arg ? arg : Py_None, &result) == PYGEN_RETURN) {
-        if (PyAsyncGen_CheckExact(gen)) {
-            assert(result == Py_None);
-            PyErr_SetNone(PyExc_StopAsyncIteration);
-        }
-        else if (result == Py_None) {
-            PyErr_SetNone(PyExc_StopIteration);
-        }
-        else {
-#if PY_VERSION_HEX < 0x030d00A1
-            _PyGen_SetStopIterationValue(result);
-#else
-            if (!PyTuple_Check(result) && !PyExceptionInstance_Check(result)) {
-                PyErr_SetObject(PyExc_StopIteration, result);
-            } else {
-                PyObject *exc = __Pyx_PyObject_CallOneArg(PyExc_StopIteration, result);
-                if (likely(exc != NULL)) {
-                    PyErr_SetObject(PyExc_StopIteration, exc);
-                    Py_DECREF(exc);
-                }
-            }
-#endif
-        }
-        Py_DECREF(result);
-        result = NULL;
-    }
-    return result;
-#endif
-}
-#endif
-static CYTHON_INLINE __Pyx_PySendResult
-__Pyx_Coroutine_FinishDelegation(__pyx_CoroutineObject *gen, PyObject** retval) {
-    __Pyx_PySendResult result;
-    PyObject *val = NULL;
-    assert(__Pyx_Coroutine_get_is_running(gen));
-    __Pyx_Coroutine_Undelegate(gen);
-    __Pyx_PyGen__FetchStopIterationValue(__Pyx_PyThreadState_Current, &val);
-    result = __Pyx_Coroutine_SendEx(gen, val, retval, 0);
-    Py_XDECREF(val);
-    return result;
-}
-#if CYTHON_USE_AM_SEND
-static __Pyx_PySendResult
-__Pyx_Coroutine_SendToDelegate(__pyx_CoroutineObject *gen, __Pyx_pyiter_sendfunc gen_am_send, PyObject *value, PyObject **retval) {
-    PyObject *ret = NULL;
-    __Pyx_PySendResult delegate_result, result;
-    assert(__Pyx_Coroutine_get_is_running(gen));
-    delegate_result = gen_am_send(gen->yieldfrom, value, &ret);
-    if (delegate_result == PYGEN_NEXT) {
-        assert (ret != NULL);
-        *retval = ret;
-        return PYGEN_NEXT;
-    }
-    assert (delegate_result != PYGEN_ERROR || ret == NULL);
-    __Pyx_Coroutine_Undelegate(gen);
-    result = __Pyx_Coroutine_SendEx(gen, ret, retval, 0);
-    Py_XDECREF(ret);
-    return result;
-}
-#endif
-static PyObject *__Pyx_Coroutine_Send(PyObject *self, PyObject *value) {
-    PyObject *retval = NULL;
-    __Pyx_PySendResult result = __Pyx_Coroutine_AmSend(self, value, &retval);
-    return __Pyx_Coroutine_MethodReturnFromResult(self, result, retval, 0);
-}
-static __Pyx_PySendResult
-__Pyx_Coroutine_AmSend(PyObject *self, PyObject *value, PyObject **retval) {
-    __Pyx_PySendResult result;
-    __pyx_CoroutineObject *gen = (__pyx_CoroutineObject*) self;
-    if (unlikely(__Pyx_Coroutine_test_and_set_is_running(gen))) {
-        *retval = __Pyx_Coroutine_AlreadyRunningError(gen);
-        return PYGEN_ERROR;
-    }
-    #if CYTHON_USE_AM_SEND
-    if (gen->yieldfrom_am_send) {
-        result = __Pyx_Coroutine_SendToDelegate(gen, gen->yieldfrom_am_send, value, retval);
-    } else
-    #endif
-    if (gen->yieldfrom) {
-        PyObject *yf = gen->yieldfrom;
-        PyObject *ret;
-      #if !CYTHON_USE_AM_SEND
-        #ifdef __Pyx_Generator_USED
-        if (__Pyx_Generator_CheckExact(yf)) {
-            ret = __Pyx_Coroutine_Send(yf, value);
-        } else
-        #endif
-        #ifdef __Pyx_Coroutine_USED
-        if (__Pyx_Coroutine_Check(yf)) {
-            ret = __Pyx_Coroutine_Send(yf, value);
-        } else
-        #endif
-        #ifdef __Pyx_AsyncGen_USED
-        if (__pyx_PyAsyncGenASend_CheckExact(yf)) {
-            ret = __Pyx_async_gen_asend_send(yf, value);
-        } else
-        #endif
-        #if CYTHON_COMPILING_IN_CPYTHON
-        if (PyGen_CheckExact(yf)) {
-            ret = __Pyx_PyGen_Send((PyGenObject*)yf, value == Py_None ? NULL : value);
-        } else
-        if (PyCoro_CheckExact(yf)) {
-            ret = __Pyx_PyGen_Send((PyGenObject*)yf, value == Py_None ? NULL : value);
-        } else
-        #endif
-      #endif
-        {
-            #if !CYTHON_COMPILING_IN_LIMITED_API || __PYX_LIMITED_VERSION_HEX >= 0x03080000
-            if (value == Py_None && PyIter_Check(yf))
-                ret = __Pyx_PyIter_Next_Plain(yf);
-            else
-            #endif
-                ret = __Pyx_PyObject_CallMethod1(yf, __pyx_mstate_global->__pyx_n_u_send, value);
-        }
-        if (likely(ret)) {
-            __Pyx_Coroutine_unset_is_running(gen);
-            *retval = ret;
-            return PYGEN_NEXT;
-        }
-        result = __Pyx_Coroutine_FinishDelegation(gen, retval);
-    } else {
-        result = __Pyx_Coroutine_SendEx(gen, value, retval, 0);
-    }
-    __Pyx_Coroutine_unset_is_running(gen);
-    return result;
-}
-static int __Pyx_Coroutine_CloseIter(__pyx_CoroutineObject *gen, PyObject *yf) {
-    __Pyx_PySendResult result;
-    PyObject *retval = NULL;
-    CYTHON_UNUSED_VAR(gen);
-    assert(__Pyx_Coroutine_get_is_running(gen));
-    #ifdef __Pyx_Generator_USED
-    if (__Pyx_Generator_CheckExact(yf)) {
-        result = __Pyx_Coroutine_Close(yf, &retval);
-    } else
-    #endif
-    #ifdef __Pyx_Coroutine_USED
-    if (__Pyx_Coroutine_Check(yf)) {
-        result = __Pyx_Coroutine_Close(yf, &retval);
-    } else
-    if (__Pyx_CoroutineAwait_CheckExact(yf)) {
-        result = __Pyx_CoroutineAwait_Close((__pyx_CoroutineAwaitObject*)yf);
-    } else
-    #endif
-    #ifdef __Pyx_AsyncGen_USED
-    if (__pyx_PyAsyncGenASend_CheckExact(yf)) {
-        retval = __Pyx_async_gen_asend_close(yf, NULL);
-        result = PYGEN_RETURN;
-    } else
-    if (__pyx_PyAsyncGenAThrow_CheckExact(yf)) {
-        retval = __Pyx_async_gen_athrow_close(yf, NULL);
-        result = PYGEN_RETURN;
-    } else
-    #endif
-    {
-        PyObject *meth;
-        result = PYGEN_RETURN;
-        meth = __Pyx_PyObject_GetAttrStrNoError(yf, __pyx_mstate_global->__pyx_n_u_close);
-        if (unlikely(!meth)) {
-            if (unlikely(PyErr_Occurred())) {
-                PyErr_WriteUnraisable(yf);
-            }
-        } else {
-            retval = __Pyx_PyObject_CallNoArg(meth);
-            Py_DECREF(meth);
-            if (unlikely(!retval)) {
-                result = PYGEN_ERROR;
-            }
-        }
-    }
-    Py_XDECREF(retval);
-    return result == PYGEN_ERROR ? -1 : 0;
-}
-static PyObject *__Pyx_Generator_Next(PyObject *self) {
-    __Pyx_PySendResult result;
-    PyObject *retval = NULL;
-    __pyx_CoroutineObject *gen = (__pyx_CoroutineObject*) self;
-    if (unlikely(__Pyx_Coroutine_test_and_set_is_running(gen))) {
-        return __Pyx_Coroutine_AlreadyRunningError(gen);
-    }
-    #if CYTHON_USE_AM_SEND
-    if (gen->yieldfrom_am_send) {
-        result = __Pyx_Coroutine_SendToDelegate(gen, gen->yieldfrom_am_send, Py_None, &retval);
-    } else
-    #endif
-    if (gen->yieldfrom) {
-        PyObject *yf = gen->yieldfrom;
-        PyObject *ret;
-        #ifdef __Pyx_Generator_USED
-        if (__Pyx_Generator_CheckExact(yf)) {
-            ret = __Pyx_Generator_Next(yf);
-        } else
-        #endif
-        #ifdef __Pyx_Coroutine_USED
-        if (__Pyx_Coroutine_CheckExact(yf)) {
-            ret = __Pyx_Coroutine_Send(yf, Py_None);
-        } else
-        #endif
-        #if CYTHON_COMPILING_IN_CPYTHON && (PY_VERSION_HEX < 0x030A00A3 || !CYTHON_USE_AM_SEND)
-        if (PyGen_CheckExact(yf)) {
-            ret = __Pyx_PyGen_Send((PyGenObject*)yf, NULL);
-        } else
-        #endif
-            ret = __Pyx_PyIter_Next_Plain(yf);
-        if (likely(ret)) {
-            __Pyx_Coroutine_unset_is_running(gen);
-            return ret;
-        }
-        result = __Pyx_Coroutine_FinishDelegation(gen, &retval);
-    } else {
-        result = __Pyx_Coroutine_SendEx(gen, Py_None, &retval, 0);
-    }
-    __Pyx_Coroutine_unset_is_running(gen);
-    return __Pyx_Coroutine_MethodReturnFromResult(self, result, retval, 1);
-}
-static PyObject *__Pyx_Coroutine_Close_Method(PyObject *self, PyObject *arg) {
-    PyObject *retval = NULL;
-    __Pyx_PySendResult result;
-    CYTHON_UNUSED_VAR(arg);
-    result = __Pyx_Coroutine_Close(self, &retval);
-    if (unlikely(result == PYGEN_ERROR))
-        return NULL;
-    Py_XDECREF(retval);
-    Py_RETURN_NONE;
-}
-static __Pyx_PySendResult
-__Pyx_Coroutine_Close(PyObject *self, PyObject **retval) {
-    __pyx_CoroutineObject *gen = (__pyx_CoroutineObject *) self;
-    __Pyx_PySendResult result;
-    PyObject *yf;
-    int err = 0;
-    if (unlikely(__Pyx_Coroutine_test_and_set_is_running(gen))) {
-        *retval = __Pyx_Coroutine_AlreadyRunningError(gen);
-        return PYGEN_ERROR;
-    }
-    yf = gen->yieldfrom;
-    if (yf) {
-        Py_INCREF(yf);
-        err = __Pyx_Coroutine_CloseIter(gen, yf);
-        __Pyx_Coroutine_Undelegate(gen);
-        Py_DECREF(yf);
-    }
-    if (err == 0)
-        PyErr_SetNone(PyExc_GeneratorExit);
-    result = __Pyx_Coroutine_SendEx(gen, NULL, retval, 1);
-    if (result == PYGEN_ERROR) {
-        __Pyx_PyThreadState_declare
-        __Pyx_PyThreadState_assign
-        __Pyx_Coroutine_unset_is_running(gen);
-        if (!__Pyx_PyErr_Occurred()) {
-            return PYGEN_RETURN;
-        } else if (likely(__Pyx_PyErr_ExceptionMatches2(PyExc_GeneratorExit, PyExc_StopIteration))) {
-            __Pyx_PyErr_Clear();
-            return PYGEN_RETURN;
-        }
-        return PYGEN_ERROR;
-    } else if (likely(result == PYGEN_RETURN && *retval == Py_None)) {
-        __Pyx_Coroutine_unset_is_running(gen);
-        return PYGEN_RETURN;
-    } else {
-        const char *msg;
-        Py_DECREF(*retval);
-        *retval = NULL;
-        if ((0)) {
-        #ifdef __Pyx_Coroutine_USED
-        } else if (__Pyx_Coroutine_Check(self)) {
-            msg = "coroutine ignored GeneratorExit";
-        #endif
-        #ifdef __Pyx_AsyncGen_USED
-        } else if (__Pyx_AsyncGen_CheckExact(self)) {
-            msg = "async generator ignored GeneratorExit";
-        #endif
-        } else {
-            msg = "generator ignored GeneratorExit";
-        }
-        PyErr_SetString(PyExc_RuntimeError, msg);
-        __Pyx_Coroutine_unset_is_running(gen);
-        return PYGEN_ERROR;
-    }
-}
-static PyObject *__Pyx__Coroutine_Throw(PyObject *self, PyObject *typ, PyObject *val, PyObject *tb,
-                                        PyObject *args, int close_on_genexit) {
-    __pyx_CoroutineObject *gen = (__pyx_CoroutineObject *) self;
-    PyObject *yf;
-    if (unlikely(__Pyx_Coroutine_test_and_set_is_running(gen)))
-        return __Pyx_Coroutine_AlreadyRunningError(gen);
-    yf = gen->yieldfrom;
-    if (yf) {
-        __Pyx_PySendResult result;
-        PyObject *ret;
-        Py_INCREF(yf);
-        if (__Pyx_PyErr_GivenExceptionMatches(typ, PyExc_GeneratorExit) && close_on_genexit) {
-            int err = __Pyx_Coroutine_CloseIter(gen, yf);
-            Py_DECREF(yf);
-            __Pyx_Coroutine_Undelegate(gen);
-            if (err < 0)
-                goto propagate_exception;
-            goto throw_here;
-        }
-        if (0
-        #ifdef __Pyx_Generator_USED
-            || __Pyx_Generator_CheckExact(yf)
-        #endif
-        #ifdef __Pyx_Coroutine_USED
-            || __Pyx_Coroutine_Check(yf)
-        #endif
-            ) {
-            ret = __Pyx__Coroutine_Throw(yf, typ, val, tb, args, close_on_genexit);
-        #ifdef __Pyx_Coroutine_USED
-        } else if (__Pyx_CoroutineAwait_CheckExact(yf)) {
-            ret = __Pyx__Coroutine_Throw(((__pyx_CoroutineAwaitObject*)yf)->coroutine, typ, val, tb, args, close_on_genexit);
-        #endif
-        } else {
-            PyObject *meth = __Pyx_PyObject_GetAttrStrNoError(yf, __pyx_mstate_global->__pyx_n_u_throw);
-            if (unlikely(!meth)) {
-                Py_DECREF(yf);
-                if (unlikely(PyErr_Occurred())) {
-                    __Pyx_Coroutine_unset_is_running(gen);
-                    return NULL;
-                }
-                __Pyx_Coroutine_Undelegate(gen);
-                goto throw_here;
-            }
-            if (likely(args)) {
-                ret = __Pyx_PyObject_Call(meth, args, NULL);
-            } else {
-                PyObject *cargs[4] = {NULL, typ, val, tb};
-                size_t nargs = 1U + (val != NULL) + (tb != NULL);
-                ret = __Pyx_PyObject_FastCall(meth, cargs+1, nargs | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-            }
-            Py_DECREF(meth);
-        }
-        Py_DECREF(yf);
-        if (ret) {
-            __Pyx_Coroutine_unset_is_running(gen);
-            return ret;
-        }
-        result = __Pyx_Coroutine_FinishDelegation(gen, &ret);
-        __Pyx_Coroutine_unset_is_running(gen);
-        return __Pyx_Coroutine_MethodReturnFromResult(self, result, ret, 0);
-    }
-throw_here:
-    __Pyx_Raise(typ, val, tb, NULL);
-propagate_exception:
-    {
-        PyObject *retval = NULL;
-        __Pyx_PySendResult result = __Pyx_Coroutine_SendEx(gen, NULL, &retval, 0);
-        __Pyx_Coroutine_unset_is_running(gen);
-        return __Pyx_Coroutine_MethodReturnFromResult(self, result, retval, 0);
-    }
-}
-static PyObject *__Pyx_Coroutine_Throw(PyObject *self, PyObject *args) {
-    PyObject *typ;
-    PyObject *val = NULL;
-    PyObject *tb = NULL;
-    if (unlikely(!PyArg_UnpackTuple(args, "throw", 1, 3, &typ, &val, &tb)))
-        return NULL;
-    return __Pyx__Coroutine_Throw(self, typ, val, tb, args, 1);
-}
-static CYTHON_INLINE int __Pyx_Coroutine_traverse_excstate(__Pyx_ExcInfoStruct *exc_state, visitproc visit, void *arg) {
-#if PY_VERSION_HEX >= 0x030B00a4
-    Py_VISIT(exc_state->exc_value);
-#else
-    Py_VISIT(exc_state->exc_type);
-    Py_VISIT(exc_state->exc_value);
-    Py_VISIT(exc_state->exc_traceback);
-#endif
-    return 0;
-}
-static int __Pyx_Coroutine_traverse(__pyx_CoroutineObject *gen, visitproc visit, void *arg) {
-    {
-        int e = __Pyx_call_type_traverse((PyObject*)gen, 1, visit, arg);
-        if (e) return e;
-    }
-    Py_VISIT(gen->closure);
-    Py_VISIT(gen->classobj);
-    Py_VISIT(gen->yieldfrom);
-    return __Pyx_Coroutine_traverse_excstate(&gen->gi_exc_state, visit, arg);
-}
-static int __Pyx_Coroutine_clear(PyObject *self) {
-    __pyx_CoroutineObject *gen = (__pyx_CoroutineObject *) self;
-    Py_CLEAR(gen->closure);
-    Py_CLEAR(gen->classobj);
-    __Pyx_Coroutine_Undelegate(gen);
-    __Pyx_Coroutine_ExceptionClear(&gen->gi_exc_state);
-#ifdef __Pyx_AsyncGen_USED
-    if (__Pyx_AsyncGen_CheckExact(self)) {
-        Py_CLEAR(((__pyx_PyAsyncGenObject*)gen)->ag_finalizer);
-    }
-#endif
-    Py_CLEAR(gen->gi_code);
-    Py_CLEAR(gen->gi_frame);
-    Py_CLEAR(gen->gi_name);
-    Py_CLEAR(gen->gi_qualname);
-    Py_CLEAR(gen->gi_modulename);
-    return 0;
-}
-static void __Pyx_Coroutine_dealloc(PyObject *self) {
-    __pyx_CoroutineObject *gen = (__pyx_CoroutineObject *) self;
-    PyObject_GC_UnTrack(gen);
-    #if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    if (gen->gi_weakreflist != NULL)
-    #endif
-        PyObject_ClearWeakRefs(self);
-    if (gen->resume_label >= 0) {
-        PyObject_GC_Track(self);
-#if CYTHON_USE_TP_FINALIZE
-        if (unlikely(PyObject_CallFinalizerFromDealloc(self)))
-#else
-        {
-            destructor del = __Pyx_PyObject_GetSlot(gen, tp_del, destructor);
-            if (del) del(self);
-        }
-        if (unlikely(Py_REFCNT(self) > 0))
-#endif
-        {
-            return;
-        }
-        PyObject_GC_UnTrack(self);
-    }
-#ifdef __Pyx_AsyncGen_USED
-    if (__Pyx_AsyncGen_CheckExact(self)) {
-        /* We have to handle this case for asynchronous generators
-           right here, because this code has to be between UNTRACK
-           and GC_Del. */
-        Py_CLEAR(((__pyx_PyAsyncGenObject*)self)->ag_finalizer);
-    }
-#endif
-    __Pyx_Coroutine_clear(self);
-    __Pyx_PyHeapTypeObject_GC_Del(gen);
-}
-#if CYTHON_USE_TP_FINALIZE
-static void __Pyx_Coroutine_del(PyObject *self) {
-    PyObject *error_type, *error_value, *error_traceback;
-    __pyx_CoroutineObject *gen = (__pyx_CoroutineObject *) self;
-    __Pyx_PyThreadState_declare
-    if (gen->resume_label < 0) {
-        return;
-    }
-    __Pyx_PyThreadState_assign
-    __Pyx_ErrFetch(&error_type, &error_value, &error_traceback);
-#ifdef __Pyx_AsyncGen_USED
-    if (__Pyx_AsyncGen_CheckExact(self)) {
-        __pyx_PyAsyncGenObject *agen = (__pyx_PyAsyncGenObject*)self;
-        PyObject *finalizer = agen->ag_finalizer;
-        if (finalizer && !agen->ag_closed) {
-            PyObject *res = __Pyx_PyObject_CallOneArg(finalizer, self);
-            if (unlikely(!res)) {
-                PyErr_WriteUnraisable(self);
-            } else {
-                Py_DECREF(res);
-            }
-            __Pyx_ErrRestore(error_type, error_value, error_traceback);
-            return;
-        }
-    }
-#endif
-    if (unlikely(gen->resume_label == 0 && !error_value)) {
-#ifdef __Pyx_Coroutine_USED
-#ifdef __Pyx_Generator_USED
-    if (!__Pyx_Generator_CheckExact(self))
-#endif
-        {
-        PyObject_GC_UnTrack(self);
-        if (unlikely(PyErr_WarnFormat(PyExc_RuntimeWarning, 1, "coroutine '%.50S' was never awaited", gen->gi_qualname) < 0))
-            PyErr_WriteUnraisable(self);
-        PyObject_GC_Track(self);
-        }
-#endif
-    } else {
-        PyObject *retval = NULL;
-        __Pyx_PySendResult result = __Pyx_Coroutine_Close(self, &retval);
-        if (result == PYGEN_ERROR) {
-            PyErr_WriteUnraisable(self);
-        } else {
-            Py_XDECREF(retval);
-        }
-    }
-    __Pyx_ErrRestore(error_type, error_value, error_traceback);
-}
-#endif
-static PyObject *
-__Pyx_Coroutine_get_name(__pyx_CoroutineObject *self, void *context)
-{
-    PyObject *name = self->gi_name;
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(!name)) name = Py_None;
-    Py_INCREF(name);
-    return name;
-}
-static int
-__Pyx_Coroutine_set_name(__pyx_CoroutineObject *self, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__name__ must be set to a string object");
-        return -1;
-    }
-    Py_INCREF(value);
-    __Pyx_Py_XDECREF_SET(self->gi_name, value);
-    return 0;
-}
-static PyObject *
-__Pyx_Coroutine_get_qualname(__pyx_CoroutineObject *self, void *context)
-{
-    PyObject *name = self->gi_qualname;
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(!name)) name = Py_None;
-    Py_INCREF(name);
-    return name;
-}
-static int
-__Pyx_Coroutine_set_qualname(__pyx_CoroutineObject *self, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__qualname__ must be set to a string object");
-        return -1;
-    }
-    Py_INCREF(value);
-    __Pyx_Py_XDECREF_SET(self->gi_qualname, value);
-    return 0;
-}
-#if !CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *
-__Pyx__Coroutine_get_frame_locked(__pyx_CoroutineObject *self) {
-    PyObject *frame;
-    frame = self->gi_frame;
-    if (!frame) {
-        if (unlikely(!self->gi_code)) {
-            Py_RETURN_NONE;
-        }
-        PyObject *globals = PyDict_New();
-        if (unlikely(!globals)) return NULL;
-        frame = (PyObject *) PyFrame_New(
-            PyThreadState_Get(),            /*PyThreadState *tstate,*/
-            (PyCodeObject*) self->gi_code,  /*PyCodeObject *code,*/
-            globals,                        /*PyObject *globals,*/
-            0                               /*PyObject *locals*/
-        );
-        Py_DECREF(globals);
-        if (unlikely(!frame))
-            return NULL;
-        if (unlikely(self->gi_frame)) {
-            Py_DECREF(frame);
-            frame = self->gi_frame;
-        } else {
-            self->gi_frame = frame;
-        }
-    }
-    Py_INCREF(frame);
-    return frame;
-}
-#endif
-static PyObject *
-__Pyx__Coroutine_get_frame(__pyx_CoroutineObject *self)
-{
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *frame;
-    __Pyx_BEGIN_CRITICAL_SECTION((PyObject*)self);
-    frame = __Pyx__Coroutine_get_frame_locked(self);
-    __Pyx_END_CRITICAL_SECTION();
-    return frame;
-#else
-    CYTHON_UNUSED_VAR(self);
-    Py_RETURN_NONE;
-#endif
-}
-static PyObject *
-__Pyx_Coroutine_get_frame(__pyx_CoroutineObject *self, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    PyObject *frame = self->gi_frame;
-    if (frame)
-        return __Pyx_NewRef(frame);
-    return __Pyx__Coroutine_get_frame(self);
-}
-static __pyx_CoroutineObject *__Pyx__Coroutine_New(
-            PyTypeObject* type, __pyx_coroutine_body_t body, PyObject *code, PyObject *closure,
-            PyObject *name, PyObject *qualname, PyObject *module_name) {
-    __pyx_CoroutineObject *gen = PyObject_GC_New(__pyx_CoroutineObject, type);
-    if (unlikely(!gen))
-        return NULL;
-    return __Pyx__Coroutine_NewInit(gen, body, code, closure, name, qualname, module_name);
-}
-static __pyx_CoroutineObject *__Pyx__Coroutine_NewInit(
-            __pyx_CoroutineObject *gen, __pyx_coroutine_body_t body, PyObject *code, PyObject *closure,
-            PyObject *name, PyObject *qualname, PyObject *module_name) {
-    gen->body = body;
-    gen->closure = closure;
-    Py_XINCREF(closure);
-    gen->is_running = 0;
-    gen->resume_label = 0;
-    gen->classobj = NULL;
-    gen->yieldfrom = NULL;
-    gen->yieldfrom_am_send = NULL;
-    #if PY_VERSION_HEX >= 0x030B00a4 && !CYTHON_COMPILING_IN_LIMITED_API
-    gen->gi_exc_state.exc_value = NULL;
-    #else
-    gen->gi_exc_state.exc_type = NULL;
-    gen->gi_exc_state.exc_value = NULL;
-    gen->gi_exc_state.exc_traceback = NULL;
-    #endif
-#if CYTHON_USE_EXC_INFO_STACK
-    gen->gi_exc_state.previous_item = NULL;
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    gen->gi_weakreflist = NULL;
-#endif
-    Py_XINCREF(qualname);
-    gen->gi_qualname = qualname;
-    Py_XINCREF(name);
-    gen->gi_name = name;
-    Py_XINCREF(module_name);
-    gen->gi_modulename = module_name;
-    Py_XINCREF(code);
-    gen->gi_code = code;
-    gen->gi_frame = NULL;
-#if CYTHON_USE_SYS_MONITORING && (CYTHON_PROFILE || CYTHON_TRACE)
-    memset(gen->__pyx_pymonitoring_state, 0, sizeof(gen->__pyx_pymonitoring_state));
-    gen->__pyx_pymonitoring_version = 0;
-#endif
-    PyObject_GC_Track(gen);
-    return gen;
-}
-static char __Pyx_Coroutine_test_and_set_is_running(__pyx_CoroutineObject *gen) {
-    char result;
-    __Pyx_BEGIN_CRITICAL_SECTION((PyObject*)gen);
-    result = gen->is_running;
-    gen->is_running = 1;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static void __Pyx_Coroutine_unset_is_running(__pyx_CoroutineObject *gen) {
-    __Pyx_BEGIN_CRITICAL_SECTION((PyObject*)gen);
-    assert(gen->is_running);
-    gen->is_running = 0;
-    __Pyx_END_CRITICAL_SECTION();
-}
-static char __Pyx_Coroutine_get_is_running(__pyx_CoroutineObject *gen) {
-    char result;
-    __Pyx_BEGIN_CRITICAL_SECTION((PyObject*)gen);
-    result = gen->is_running;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static PyObject *__Pyx_Coroutine_get_is_running_getter(PyObject *gen, void *closure) {
-    CYTHON_UNUSED_VAR(closure);
-    char result = __Pyx_Coroutine_get_is_running((__pyx_CoroutineObject*)gen);
-    if (result) Py_RETURN_TRUE;
-    else Py_RETURN_FALSE;
-}
-#if __PYX_HAS_PY_AM_SEND == 2
-static void __Pyx_SetBackportTypeAmSend(PyTypeObject *type, __Pyx_PyAsyncMethodsStruct *static_amsend_methods, __Pyx_pyiter_sendfunc am_send) {
-    Py_ssize_t ptr_offset = (char*)(type->tp_as_async) - (char*)type;
-    if (ptr_offset < 0 || ptr_offset > type->tp_basicsize) {
-        return;
-    }
-    memcpy((void*)static_amsend_methods, (void*)(type->tp_as_async), sizeof(*type->tp_as_async));
-    static_amsend_methods->am_send = am_send;
-    type->tp_as_async = __Pyx_SlotTpAsAsync(static_amsend_methods);
-}
-#endif
-static PyObject *__Pyx_Coroutine_fail_reduce_ex(PyObject *self, PyObject *arg) {
-    CYTHON_UNUSED_VAR(arg);
-    __Pyx_TypeName self_type_name = __Pyx_PyType_GetFullyQualifiedName(Py_TYPE((PyObject*)self));
-    PyErr_Format(PyExc_TypeError, "cannot pickle '" __Pyx_FMT_TYPENAME "' object",
-                         self_type_name);
-    __Pyx_DECREF_TypeName(self_type_name);
-    return NULL;
-}
-
-/* Generator */
-static PyMethodDef __pyx_Generator_methods[] = {
-    {"send", (PyCFunction) __Pyx_Coroutine_Send, METH_O,
-     PyDoc_STR("send(arg) -> send 'arg' into generator,\nreturn next yielded value or raise StopIteration.")},
-    {"throw", (PyCFunction) __Pyx_Coroutine_Throw, METH_VARARGS,
-     PyDoc_STR("throw(typ[,val[,tb]]) -> raise exception in generator,\nreturn next yielded value or raise StopIteration.")},
-    {"close", (PyCFunction) __Pyx_Coroutine_Close_Method, METH_NOARGS,
-     PyDoc_STR("close() -> raise GeneratorExit inside generator.")},
-    {"__reduce_ex__", (PyCFunction) __Pyx_Coroutine_fail_reduce_ex, METH_O, 0},
-    {"__reduce__", (PyCFunction) __Pyx_Coroutine_fail_reduce_ex, METH_NOARGS, 0},
-    {0, 0, 0, 0}
-};
-static PyMemberDef __pyx_Generator_memberlist[] = {
-    {"gi_yieldfrom", T_OBJECT, offsetof(__pyx_CoroutineObject, yieldfrom), READONLY,
-     PyDoc_STR("object being iterated by 'yield from', or None")},
-    {"gi_code", T_OBJECT, offsetof(__pyx_CoroutineObject, gi_code), READONLY, NULL},
-    {"__module__", T_OBJECT, offsetof(__pyx_CoroutineObject, gi_modulename), 0, 0},
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    {"__weaklistoffset__", T_PYSSIZET, offsetof(__pyx_CoroutineObject, gi_weakreflist), READONLY, 0},
-#endif
-    {0, 0, 0, 0, 0}
-};
-static PyGetSetDef __pyx_Generator_getsets[] = {
-    {"__name__", (getter)__Pyx_Coroutine_get_name, (setter)__Pyx_Coroutine_set_name,
-     PyDoc_STR("name of the generator"), 0},
-    {"__qualname__", (getter)__Pyx_Coroutine_get_qualname, (setter)__Pyx_Coroutine_set_qualname,
-     PyDoc_STR("qualified name of the generator"), 0},
-    {"gi_frame", (getter)__Pyx_Coroutine_get_frame, NULL,
-     PyDoc_STR("Frame of the generator"), 0},
-    {"gi_running", __Pyx_Coroutine_get_is_running_getter, NULL, NULL, NULL},
-    {0, 0, 0, 0, 0}
-};
-static PyType_Slot __pyx_GeneratorType_slots[] = {
-    {Py_tp_dealloc, (void *)__Pyx_Coroutine_dealloc},
-    {Py_tp_traverse, (void *)__Pyx_Coroutine_traverse},
-    {Py_tp_iter, (void *)PyObject_SelfIter},
-    {Py_tp_iternext, (void *)__Pyx_Generator_Next},
-    {Py_tp_methods, (void *)__pyx_Generator_methods},
-    {Py_tp_members, (void *)__pyx_Generator_memberlist},
-    {Py_tp_getset, (void *)__pyx_Generator_getsets},
-    {Py_tp_getattro, (void *) PyObject_GenericGetAttr},
-#if CYTHON_USE_TP_FINALIZE
-    {Py_tp_finalize, (void *)__Pyx_Coroutine_del},
-#endif
-#if __PYX_HAS_PY_AM_SEND == 1
-    {Py_am_send, (void *)__Pyx_Coroutine_AmSend},
-#endif
-    {0, 0},
-};
-static PyType_Spec __pyx_GeneratorType_spec = {
-    __PYX_TYPE_MODULE_PREFIX "generator",
-    sizeof(__pyx_CoroutineObject),
-    0,
-#if PY_VERSION_HEX >= 0x030C0000 && !CYTHON_COMPILING_IN_LIMITED_API
-    Py_TPFLAGS_MANAGED_WEAKREF |
-#endif
-    Py_TPFLAGS_IMMUTABLETYPE | Py_TPFLAGS_DISALLOW_INSTANTIATION |
-    Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | __Pyx_TPFLAGS_HAVE_AM_SEND,
-    __pyx_GeneratorType_slots
-};
-#if __PYX_HAS_PY_AM_SEND == 2
-static __Pyx_PyAsyncMethodsStruct __pyx_Generator_as_async;
-#endif
-static int __pyx_Generator_init(PyObject *module) {
-    __pyx_mstatetype *mstate = __Pyx_PyModule_GetState(module);
-    mstate->__pyx_GeneratorType = __Pyx_FetchCommonTypeFromSpec(
-        mstate->__pyx_CommonTypesMetaclassType, module, &__pyx_GeneratorType_spec, NULL);
-    if (unlikely(!mstate->__pyx_GeneratorType)) {
-        return -1;
-    }
-#if __PYX_HAS_PY_AM_SEND == 2
-    __Pyx_SetBackportTypeAmSend(mstate->__pyx_GeneratorType, &__pyx_Generator_as_async, &__Pyx_Coroutine_AmSend);
-#endif
-    return 0;
-}
-static PyObject *__Pyx_Generator_GetInlinedResult(PyObject *self) {
-    __pyx_CoroutineObject *gen = (__pyx_CoroutineObject*) self;
-    PyObject *retval = NULL;
-    if (unlikely(__Pyx_Coroutine_test_and_set_is_running(gen))) {
-        return __Pyx_Coroutine_AlreadyRunningError(gen);
-    }
-    __Pyx_PySendResult result = __Pyx_Coroutine_SendEx(gen, Py_None, &retval, 0);
-    __Pyx_Coroutine_unset_is_running(gen);
-    (void) result;
-    assert (result == PYGEN_RETURN || result == PYGEN_ERROR);
-    assert ((result == PYGEN_RETURN && retval != NULL) || (result == PYGEN_ERROR && retval == NULL));
-    return retval;
-}
-
-/* CheckBinaryVersion */
-static int __Pyx_check_binary_version(unsigned long ct_version, unsigned long rt_version, int allow_newer) {
-    const unsigned long MAJOR_MINOR = 0xFFFF0000UL;
-    if ((rt_version & MAJOR_MINOR) == (ct_version & MAJOR_MINOR))
-        return 0;
-    if (likely(allow_newer && (rt_version & MAJOR_MINOR) > (ct_version & MAJOR_MINOR)))
-        return 1;
-    {
-        char message[200];
-        PyOS_snprintf(message, sizeof(message),
-                      "compile time Python version %d.%d "
-                      "of module '%.100s' "
-                      "%s "
-                      "runtime version %d.%d",
-                       (int) (ct_version >> 24), (int) ((ct_version >> 16) & 0xFF),
-                       __Pyx_MODULE_NAME,
-                       (allow_newer) ? "was newer than" : "does not match",
-                       (int) (rt_version >> 24), (int) ((rt_version >> 16) & 0xFF)
-       );
-        return PyErr_WarnEx(NULL, message, 1);
-    }
-}
-
-/* NewCodeObj */
-#if CYTHON_COMPILING_IN_LIMITED_API
-    static PyObject* __Pyx__PyCode_New(int a, int p, int k, int l, int s, int f,
-                                       PyObject *code, PyObject *c, PyObject* n, PyObject *v,
-                                       PyObject *fv, PyObject *cell, PyObject* fn,
-                                       PyObject *name, int fline, PyObject *lnos) {
-        PyObject *exception_table = NULL;
-        PyObject *types_module=NULL, *code_type=NULL, *result=NULL;
-        #if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-        PyObject *version_info;
-        PyObject *py_minor_version = NULL;
-        #endif
-        long minor_version = 0;
-        PyObject *type, *value, *traceback;
-        PyErr_Fetch(&type, &value, &traceback);
-        #if __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-        minor_version = 11;
-        #else
-        if (!(version_info = PySys_GetObject("version_info"))) goto end;
-        if (!(py_minor_version = PySequence_GetItem(version_info, 1))) goto end;
-        minor_version = PyLong_AsLong(py_minor_version);
-        Py_DECREF(py_minor_version);
-        if (minor_version == -1 && PyErr_Occurred()) goto end;
-        #endif
-        if (!(types_module = PyImport_ImportModule("types"))) goto end;
-        if (!(code_type = PyObject_GetAttrString(types_module, "CodeType"))) goto end;
-        if (minor_version <= 7) {
-            (void)p;
-            result = PyObject_CallFunction(code_type, "iiiiiOOOOOOiOOO", a, k, l, s, f, code,
-                          c, n, v, fn, name, fline, lnos, fv, cell);
-        } else if (minor_version <= 10) {
-            result = PyObject_CallFunction(code_type, "iiiiiiOOOOOOiOOO", a,p, k, l, s, f, code,
-                          c, n, v, fn, name, fline, lnos, fv, cell);
-        } else {
-            if (!(exception_table = PyBytes_FromStringAndSize(NULL, 0))) goto end;
-            result = PyObject_CallFunction(code_type, "iiiiiiOOOOOOOiOOOO", a,p, k, l, s, f, code,
-                          c, n, v, fn, name, name, fline, lnos, exception_table, fv, cell);
-        }
-    end:
-        Py_XDECREF(code_type);
-        Py_XDECREF(exception_table);
-        Py_XDECREF(types_module);
-        if (type) {
-            PyErr_Restore(type, value, traceback);
-        }
-        return result;
-    }
-#elif PY_VERSION_HEX >= 0x030B0000
-  static PyCodeObject* __Pyx__PyCode_New(int a, int p, int k, int l, int s, int f,
-                                         PyObject *code, PyObject *c, PyObject* n, PyObject *v,
-                                         PyObject *fv, PyObject *cell, PyObject* fn,
-                                         PyObject *name, int fline, PyObject *lnos) {
-    PyCodeObject *result;
-    result =
-      #if PY_VERSION_HEX >= 0x030C0000
-        PyUnstable_Code_NewWithPosOnlyArgs
-      #else
-        PyCode_NewWithPosOnlyArgs
-      #endif
-        (a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, name, fline, lnos, __pyx_mstate_global->__pyx_empty_bytes);
-    #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030c00A1
-    if (likely(result))
-        result->_co_firsttraceable = 0;
-    #endif
-    return result;
-  }
-#elif !CYTHON_COMPILING_IN_PYPY
-  #define __Pyx__PyCode_New(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)\
-          PyCode_NewWithPosOnlyArgs(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)
-#else
-  #define __Pyx__PyCode_New(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)\
-          PyCode_New(a, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)
-#endif
-static PyObject* __Pyx_PyCode_New(
-        const __Pyx_PyCode_New_function_description descr,
-        PyObject * const *varnames,
-        PyObject *filename,
-        PyObject *funcname,
-        PyObject *line_table,
-        PyObject *tuple_dedup_map
-) {
-    PyObject *code_obj = NULL, *varnames_tuple_dedup = NULL, *code_bytes = NULL;
-    Py_ssize_t var_count = (Py_ssize_t) descr.nlocals;
-    PyObject *varnames_tuple = PyTuple_New(var_count);
-    if (unlikely(!varnames_tuple)) return NULL;
-    for (Py_ssize_t i=0; i < var_count; i++) {
-        Py_INCREF(varnames[i]);
-        if (__Pyx_PyTuple_SET_ITEM(varnames_tuple, i, varnames[i]) != (0)) goto done;
-    }
-    #if CYTHON_COMPILING_IN_LIMITED_API
-    varnames_tuple_dedup = PyDict_GetItem(tuple_dedup_map, varnames_tuple);
-    if (!varnames_tuple_dedup) {
-        if (unlikely(PyDict_SetItem(tuple_dedup_map, varnames_tuple, varnames_tuple) < 0)) goto done;
-        varnames_tuple_dedup = varnames_tuple;
-    }
-    #else
-    varnames_tuple_dedup = PyDict_SetDefault(tuple_dedup_map, varnames_tuple, varnames_tuple);
-    if (unlikely(!varnames_tuple_dedup)) goto done;
-    #endif
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_INCREF(varnames_tuple_dedup);
-    #endif
-    if (__PYX_LIMITED_VERSION_HEX >= (0x030b0000) && line_table != NULL && !CYTHON_COMPILING_IN_GRAAL) {
-        Py_ssize_t line_table_length = __Pyx_PyBytes_GET_SIZE(line_table);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(line_table_length == -1)) goto done;
-        #endif
-        Py_ssize_t code_len = (line_table_length * 2 + 4) & ~3LL;
-        code_bytes = PyBytes_FromStringAndSize(NULL, code_len);
-        if (unlikely(!code_bytes)) goto done;
-        char* c_code_bytes = PyBytes_AsString(code_bytes);
-        if (unlikely(!c_code_bytes)) goto done;
-        memset(c_code_bytes, 0, (size_t) code_len);
-    }
-    code_obj = (PyObject*) __Pyx__PyCode_New(
-        (int) descr.argcount,
-        (int) descr.num_posonly_args,
-        (int) descr.num_kwonly_args,
-        (int) descr.nlocals,
-        0,
-        (int) descr.flags,
-        code_bytes ? code_bytes : __pyx_mstate_global->__pyx_empty_bytes,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        varnames_tuple_dedup,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        filename,
-        funcname,
-        (int) descr.first_line,
-        (__PYX_LIMITED_VERSION_HEX >= (0x030b0000) && line_table) ? line_table : __pyx_mstate_global->__pyx_empty_bytes
-    );
-done:
-    Py_XDECREF(code_bytes);
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(varnames_tuple_dedup);
-    #endif
-    Py_DECREF(varnames_tuple);
-    return code_obj;
-}
-
-/* DecompressString */
-static PyObject *__Pyx_DecompressString(const char *s, Py_ssize_t length, int algo) {
-    PyObject *module = NULL, *decompress, *compressed_bytes, *decompressed;
-    const char* module_name = algo == 3 ? "compression.zstd" : algo == 2 ? "bz2" : "zlib";
-    PyObject *methodname = PyUnicode_FromString("decompress");
-    if (unlikely(!methodname)) return NULL;
-    #if __PYX_LIMITED_VERSION_HEX >= 0x030e0000
-    if (algo == 3) {
-        PyObject *fromlist = Py_BuildValue("[O]", methodname);
-        if (unlikely(!fromlist)) goto bad;
-        module = PyImport_ImportModuleLevel("compression.zstd", NULL, NULL, fromlist, 0);
-        Py_DECREF(fromlist);
-    } else
-    #endif
-        module = PyImport_ImportModule(module_name);
-    if (unlikely(!module)) goto import_failed;
-    decompress = PyObject_GetAttr(module, methodname);
-    if (unlikely(!decompress)) goto import_failed;
-    {
-        #ifdef __cplusplus
-            char *memview_bytes = const_cast<char*>(s);
-        #else
-            #if defined(__clang__)
-              #pragma clang diagnostic push
-              #pragma clang diagnostic ignored "-Wcast-qual"
-            #elif !defined(__INTEL_COMPILER) && defined(__GNUC__)
-              #pragma GCC diagnostic push
-              #pragma GCC diagnostic ignored "-Wcast-qual"
-            #endif
-            char *memview_bytes = (char*) s;
-            #if defined(__clang__)
-              #pragma clang diagnostic pop
-            #elif !defined(__INTEL_COMPILER) && defined(__GNUC__)
-              #pragma GCC diagnostic pop
-            #endif
-        #endif
-        #if CYTHON_COMPILING_IN_LIMITED_API && !defined(PyBUF_READ)
-        int memview_flags = 0x100;
-        #else
-        int memview_flags = PyBUF_READ;
-        #endif
-        compressed_bytes = PyMemoryView_FromMemory(memview_bytes, length, memview_flags);
-    }
-    if (unlikely(!compressed_bytes)) {
-        Py_DECREF(decompress);
-        goto bad;
-    }
-    decompressed = PyObject_CallFunctionObjArgs(decompress, compressed_bytes, NULL);
-    Py_DECREF(compressed_bytes);
-    Py_DECREF(decompress);
-    Py_DECREF(module);
-    Py_DECREF(methodname);
-    return decompressed;
-import_failed:
-    PyErr_Format(PyExc_ImportError,
-        "Failed to import '%.20s.decompress' - cannot initialise module strings. "
-        "String compression was configured with the C macro 'CYTHON_COMPRESS_STRINGS=%d'.",
-        module_name, algo);
-bad:
-    Py_XDECREF(module);
-    Py_DECREF(methodname);
-    return NULL;
-}
-
-#include <string.h>
-static CYTHON_INLINE Py_ssize_t __Pyx_ssize_strlen(const char *s) {
-    size_t len = strlen(s);
-    if (unlikely(len > (size_t) PY_SSIZE_T_MAX)) {
-        PyErr_SetString(PyExc_OverflowError, "byte string is too long");
-        return -1;
-    }
-    return (Py_ssize_t) len;
-}
-static CYTHON_INLINE PyObject* __Pyx_PyUnicode_FromString(const char* c_str) {
-    Py_ssize_t len = __Pyx_ssize_strlen(c_str);
-    if (unlikely(len < 0)) return NULL;
-    return __Pyx_PyUnicode_FromStringAndSize(c_str, len);
-}
-static CYTHON_INLINE PyObject* __Pyx_PyByteArray_FromString(const char* c_str) {
-    Py_ssize_t len = __Pyx_ssize_strlen(c_str);
-    if (unlikely(len < 0)) return NULL;
-    return PyByteArray_FromStringAndSize(c_str, len);
-}
-static CYTHON_INLINE const char* __Pyx_PyObject_AsString(PyObject* o) {
-    Py_ssize_t ignore;
-    return __Pyx_PyObject_AsStringAndSize(o, &ignore);
-}
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII || __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-static CYTHON_INLINE const char* __Pyx_PyUnicode_AsStringAndSize(PyObject* o, Py_ssize_t *length) {
-    if (unlikely(__Pyx_PyUnicode_READY(o) == -1)) return NULL;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {
-        const char* result;
-        Py_ssize_t unicode_length;
-        CYTHON_MAYBE_UNUSED_VAR(unicode_length); // only for __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-        #if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-        if (unlikely(PyArg_Parse(o, "s#", &result, length) < 0)) return NULL;
-        #else
-        result = PyUnicode_AsUTF8AndSize(o, length);
-        #endif
-        #if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-        unicode_length = PyUnicode_GetLength(o);
-        if (unlikely(unicode_length < 0)) return NULL;
-        if (unlikely(unicode_length != *length)) {
-            PyUnicode_AsASCIIString(o);
-            return NULL;
-        }
-        #endif
-        return result;
-    }
-#else
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-    if (likely(PyUnicode_IS_ASCII(o))) {
-        *length = PyUnicode_GET_LENGTH(o);
-        return PyUnicode_AsUTF8(o);
-    } else {
-        PyUnicode_AsASCIIString(o);
-        return NULL;
-    }
-#else
-    return PyUnicode_AsUTF8AndSize(o, length);
-#endif
-#endif
-}
-#endif
-static CYTHON_INLINE const char* __Pyx_PyObject_AsStringAndSize(PyObject* o, Py_ssize_t *length) {
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII || __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-    if (PyUnicode_Check(o)) {
-        return __Pyx_PyUnicode_AsStringAndSize(o, length);
-    } else
-#endif
-    if (PyByteArray_Check(o)) {
-#if (CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS) || (CYTHON_COMPILING_IN_PYPY && (defined(PyByteArray_AS_STRING) && defined(PyByteArray_GET_SIZE)))
-        *length = PyByteArray_GET_SIZE(o);
-        return PyByteArray_AS_STRING(o);
-#else
-        *length = PyByteArray_Size(o);
-        if (*length == -1) return NULL;
-        return PyByteArray_AsString(o);
-#endif
-    } else
-    {
-        char* result;
-        int r = PyBytes_AsStringAndSize(o, &result, length);
-        if (unlikely(r < 0)) {
-            return NULL;
-        } else {
-            return result;
-        }
-    }
-}
-static CYTHON_INLINE int __Pyx_PyObject_IsTrue(PyObject* x) {
-   int is_true = x == Py_True;
-   if (is_true | (x == Py_False) | (x == Py_None)) return is_true;
-   else return PyObject_IsTrue(x);
-}
-static CYTHON_INLINE int __Pyx_PyObject_IsTrueAndDecref(PyObject* x) {
-    int retval;
-    if (unlikely(!x)) return -1;
-    retval = __Pyx_PyObject_IsTrue(x);
-    Py_DECREF(x);
-    return retval;
-}
-static PyObject* __Pyx_PyNumber_LongWrongResultType(PyObject* result) {
-    __Pyx_TypeName result_type_name = __Pyx_PyType_GetFullyQualifiedName(Py_TYPE(result));
-    if (PyLong_Check(result)) {
-        if (PyErr_WarnFormat(PyExc_DeprecationWarning, 1,
-                "__int__ returned non-int (type " __Pyx_FMT_TYPENAME ").  "
-                "The ability to return an instance of a strict subclass of int is deprecated, "
-                "and may be removed in a future version of Python.",
-                result_type_name)) {
-            __Pyx_DECREF_TypeName(result_type_name);
-            Py_DECREF(result);
-            return NULL;
-        }
-        __Pyx_DECREF_TypeName(result_type_name);
-        return result;
-    }
-    PyErr_Format(PyExc_TypeError,
-                 "__int__ returned non-int (type " __Pyx_FMT_TYPENAME ")",
-                 result_type_name);
-    __Pyx_DECREF_TypeName(result_type_name);
-    Py_DECREF(result);
-    return NULL;
-}
-static CYTHON_INLINE PyObject* __Pyx_PyNumber_Long(PyObject* x) {
-#if CYTHON_USE_TYPE_SLOTS
-  PyNumberMethods *m;
-#endif
-  PyObject *res = NULL;
-  if (likely(PyLong_Check(x)))
-      return __Pyx_NewRef(x);
-#if CYTHON_USE_TYPE_SLOTS
-  m = Py_TYPE(x)->tp_as_number;
-  if (likely(m && m->nb_int)) {
-      res = m->nb_int(x);
-  }
-#else
-  if (!PyBytes_CheckExact(x) && !PyUnicode_CheckExact(x)) {
-      res = PyNumber_Long(x);
-  }
-#endif
-  if (likely(res)) {
-      if (unlikely(!PyLong_CheckExact(res))) {
-          return __Pyx_PyNumber_LongWrongResultType(res);
-      }
-  }
-  else if (!PyErr_Occurred()) {
-      PyErr_SetString(PyExc_TypeError,
-                      "an integer is required");
-  }
-  return res;
-}
-static CYTHON_INLINE Py_ssize_t __Pyx_PyIndex_AsSsize_t(PyObject* b) {
-  Py_ssize_t ival;
-  PyObject *x;
-  if (likely(PyLong_CheckExact(b))) {
-    #if CYTHON_USE_PYLONG_INTERNALS
-    if (likely(__Pyx_PyLong_IsCompact(b))) {
-        return __Pyx_PyLong_CompactValue(b);
-    } else {
-      const digit* digits = __Pyx_PyLong_Digits(b);
-      const Py_ssize_t size = __Pyx_PyLong_SignedDigitCount(b);
-      switch (size) {
-         case 2:
-           if (8 * sizeof(Py_ssize_t) > 2 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -2:
-           if (8 * sizeof(Py_ssize_t) > 2 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case 3:
-           if (8 * sizeof(Py_ssize_t) > 3 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -3:
-           if (8 * sizeof(Py_ssize_t) > 3 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case 4:
-           if (8 * sizeof(Py_ssize_t) > 4 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -4:
-           if (8 * sizeof(Py_ssize_t) > 4 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-      }
-    }
-    #endif
-    return PyLong_AsSsize_t(b);
-  }
-  x = PyNumber_Index(b);
-  if (!x) return -1;
-  ival = PyLong_AsSsize_t(x);
-  Py_DECREF(x);
-  return ival;
-}
-static CYTHON_INLINE Py_hash_t __Pyx_PyIndex_AsHash_t(PyObject* o) {
-  if (sizeof(Py_hash_t) == sizeof(Py_ssize_t)) {
-    return (Py_hash_t) __Pyx_PyIndex_AsSsize_t(o);
-  } else {
-    Py_ssize_t ival;
-    PyObject *x;
-    x = PyNumber_Index(o);
-    if (!x) return -1;
-    ival = PyLong_AsLong(x);
-    Py_DECREF(x);
-    return ival;
-  }
-}
-static CYTHON_INLINE PyObject *__Pyx_Owned_Py_None(int b) {
-    CYTHON_UNUSED_VAR(b);
-    return __Pyx_NewRef(Py_None);
-}
-static CYTHON_INLINE PyObject * __Pyx_PyBool_FromLong(long b) {
-  return __Pyx_NewRef(b ? Py_True: Py_False);
-}
-static CYTHON_INLINE PyObject * __Pyx_PyLong_FromSize_t(size_t ival) {
-    return PyLong_FromSize_t(ival);
-}
-
-
-/* MultiPhaseInitModuleState */
-#if CYTHON_PEP489_MULTI_PHASE_INIT && CYTHON_USE_MODULE_STATE
-#ifndef CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-#if (CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX >= 0x030C0000)
-  #define CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE 1
-#else
-  #define CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE 0
-#endif
-#endif
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE && !CYTHON_ATOMICS
-#error "Module state with PEP489 requires atomics. Currently that's one of\
- C11, C++11, gcc atomic intrinsics or MSVC atomic intrinsics"
-#endif
-#if !CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-#define __Pyx_ModuleStateLookup_Lock()
-#define __Pyx_ModuleStateLookup_Unlock()
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d0000
-static PyMutex __Pyx_ModuleStateLookup_mutex = {0};
-#define __Pyx_ModuleStateLookup_Lock() PyMutex_Lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() PyMutex_Unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(__cplusplus) && __cplusplus >= 201103L
-#include <mutex>
-static std::mutex __Pyx_ModuleStateLookup_mutex;
-#define __Pyx_ModuleStateLookup_Lock() __Pyx_ModuleStateLookup_mutex.lock()
-#define __Pyx_ModuleStateLookup_Unlock() __Pyx_ModuleStateLookup_mutex.unlock()
-#elif defined(__STDC_VERSION__) && (__STDC_VERSION__ > 201112L) && !defined(__STDC_NO_THREADS__)
-#include <threads.h>
-static mtx_t __Pyx_ModuleStateLookup_mutex;
-static once_flag __Pyx_ModuleStateLookup_mutex_once_flag = ONCE_FLAG_INIT;
-static void __Pyx_ModuleStateLookup_initialize_mutex(void) {
-    mtx_init(&__Pyx_ModuleStateLookup_mutex, mtx_plain);
-}
-#define __Pyx_ModuleStateLookup_Lock()\
-  call_once(&__Pyx_ModuleStateLookup_mutex_once_flag, __Pyx_ModuleStateLookup_initialize_mutex);\
-  mtx_lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() mtx_unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(HAVE_PTHREAD_H)
-#include <pthread.h>
-static pthread_mutex_t __Pyx_ModuleStateLookup_mutex = PTHREAD_MUTEX_INITIALIZER;
-#define __Pyx_ModuleStateLookup_Lock() pthread_mutex_lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() pthread_mutex_unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(_WIN32)
-#include <Windows.h>  // synchapi.h on its own doesn't work
-static SRWLOCK __Pyx_ModuleStateLookup_mutex = SRWLOCK_INIT;
-#define __Pyx_ModuleStateLookup_Lock() AcquireSRWLockExclusive(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() ReleaseSRWLockExclusive(&__Pyx_ModuleStateLookup_mutex)
-#else
-#error "No suitable lock available for CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE.\
- Requires C standard >= C11, or C++ standard >= C++11,\
- or pthreads, or the Windows 32 API, or Python >= 3.13."
-#endif
-typedef struct {
-    int64_t id;
-    PyObject *module;
-} __Pyx_InterpreterIdAndModule;
-typedef struct {
-    char interpreter_id_as_index;
-    Py_ssize_t count;
-    Py_ssize_t allocated;
-    __Pyx_InterpreterIdAndModule table[1];
-} __Pyx_ModuleStateLookupData;
-#define __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE 32
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static __pyx_atomic_int_type __Pyx_ModuleStateLookup_read_counter = 0;
-#endif
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static __pyx_atomic_ptr_type __Pyx_ModuleStateLookup_data = 0;
-#else
-static __Pyx_ModuleStateLookupData* __Pyx_ModuleStateLookup_data = NULL;
-#endif
-static __Pyx_InterpreterIdAndModule* __Pyx_State_FindModuleStateLookupTableLowerBound(
-        __Pyx_InterpreterIdAndModule* table,
-        Py_ssize_t count,
-        int64_t interpreterId) {
-    __Pyx_InterpreterIdAndModule* begin = table;
-    __Pyx_InterpreterIdAndModule* end = begin + count;
-    if (begin->id == interpreterId) {
-        return begin;
-    }
-    while ((end - begin) > __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE) {
-        __Pyx_InterpreterIdAndModule* halfway = begin + (end - begin)/2;
-        if (halfway->id == interpreterId) {
-            return halfway;
-        }
-        if (halfway->id < interpreterId) {
-            begin = halfway;
-        } else {
-            end = halfway;
-        }
-    }
-    for (; begin < end; ++begin) {
-        if (begin->id >= interpreterId) return begin;
-    }
-    return begin;
-}
-static PyObject *__Pyx_State_FindModule(CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return NULL;
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData* data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_relaxed(&__Pyx_ModuleStateLookup_data);
-    {
-        __pyx_atomic_incr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-        if (likely(data)) {
-            __Pyx_ModuleStateLookupData* new_data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_acquire(&__Pyx_ModuleStateLookup_data);
-            if (likely(data == new_data)) {
-                goto read_finished;
-            }
-        }
-        __pyx_atomic_decr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-        __Pyx_ModuleStateLookup_Lock();
-        __pyx_atomic_incr_relaxed(&__Pyx_ModuleStateLookup_read_counter);
-        data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_relaxed(&__Pyx_ModuleStateLookup_data);
-        __Pyx_ModuleStateLookup_Unlock();
-    }
-  read_finished:;
-#else
-    __Pyx_ModuleStateLookupData* data = __Pyx_ModuleStateLookup_data;
-#endif
-    __Pyx_InterpreterIdAndModule* found = NULL;
-    if (unlikely(!data)) goto end;
-    if (data->interpreter_id_as_index) {
-        if (interpreter_id < data->count) {
-            found = data->table+interpreter_id;
-        }
-    } else {
-        found = __Pyx_State_FindModuleStateLookupTableLowerBound(
-            data->table, data->count, interpreter_id);
-    }
-  end:
-    {
-        PyObject *result=NULL;
-        if (found && found->id == interpreter_id) {
-            result = found->module;
-        }
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-        __pyx_atomic_decr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-#endif
-        return result;
-    }
-}
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static void __Pyx_ModuleStateLookup_wait_until_no_readers(void) {
-    while (__pyx_atomic_load(&__Pyx_ModuleStateLookup_read_counter) != 0);
-}
-#else
-#define __Pyx_ModuleStateLookup_wait_until_no_readers()
-#endif
-static int __Pyx_State_AddModuleInterpIdAsIndex(__Pyx_ModuleStateLookupData **old_data, PyObject* module, int64_t interpreter_id) {
-    Py_ssize_t to_allocate = (*old_data)->allocated;
-    while (to_allocate <= interpreter_id) {
-        if (to_allocate == 0) to_allocate = 1;
-        else to_allocate *= 2;
-    }
-    __Pyx_ModuleStateLookupData *new_data = *old_data;
-    if (to_allocate != (*old_data)->allocated) {
-         new_data = (__Pyx_ModuleStateLookupData *)realloc(
-            *old_data,
-            sizeof(__Pyx_ModuleStateLookupData)+(to_allocate-1)*sizeof(__Pyx_InterpreterIdAndModule));
-        if (!new_data) {
-            PyErr_NoMemory();
+    /* The cover fields: count ci at scope ci, SUAL si after the counts.
+       A count's checks: scope position i sees the blocks of the i scope
+       depths before it, so an at-most bound r bites only from position r
+       on, and an at-least bound is met whatever came before while r - 1 or
+       more scope depths remain; its r is reduced by the depths after d. */
+    for (int ci = 0; ci < nC; ci++) {
+        int at_most, r;
+        if (take(&c, 0, 1, &at_most) < 0 || take(&c, INT_MIN, INT_MAX, &r) < 0
+            || take_scope(&c, k, depths, &size) < 0)
             return -1;
+        for (int i = 0; i < size; i++) {
+            int d = depths[i], remaining = size - i - 1;
+            s->spread[d * ns + s->spread_n[d]++] = ci;
+            if (at_most ? i >= r : remaining + 1 < r) {
+                int *check = &s->checks[(d * nC + s->check_n[d]++) * 3];
+                check[0] = ci;
+                check[1] = at_most ? r : r - remaining;
+                check[2] = at_most;
+            }
         }
-        for (Py_ssize_t i = new_data->allocated; i < to_allocate; ++i) {
-            new_data->table[i].id = i;
-            new_data->table[i].module = NULL;
+    }
+    for (int si = 0; si < nS; si++) {
+        int h;
+        if (take(&c, INT_MIN, INT_MAX, &h) < 0
+            || take_scope(&c, k, depths, &size) < 0)
+            return -1;
+        for (int i = 0; i < size; i++)
+            s->spread[depths[i] * ns + s->spread_n[depths[i]]++] = nC + si;
+        if (size) {
+            int d = depths[size - 1];
+            int *end = &s->sual_end[(d * nS + s->sual_end_n[d]++) * 2];
+            end[0] = si;
+            end[1] = h;
         }
-        new_data->allocated = to_allocate;
     }
-    new_data->table[interpreter_id].module = module;
-    if (new_data->count < interpreter_id+1) {
-        new_data->count = interpreter_id+1;
+    if (c.at != c.end) {
+        PyErr_SetString(PyExc_ValueError, "malformed packed search problem");
+        return -1;
     }
-    *old_data = new_data;
+    if (!(s->run_end = alloc((size_t)k * m, sizeof(int)))
+        || !(s->fwd = alloc((size_t)k * k, sizeof(u64)))
+        || !(s->cover = alloc((size_t)(k + 1) * ns, sizeof(u64)))
+        || !(s->seen = alloc(W, sizeof(u64)))
+        || !(s->restricted = alloc(nS, sizeof(int)))
+        || !(s->restricted_cov = alloc(nS, sizeof(u64))))
+        return -1;
     return 0;
 }
-static void __Pyx_State_ConvertFromInterpIdAsIndex(__Pyx_ModuleStateLookupData *data) {
-    __Pyx_InterpreterIdAndModule *read = data->table;
-    __Pyx_InterpreterIdAndModule *write = data->table;
-    __Pyx_InterpreterIdAndModule *end = read + data->count;
-    for (; read<end; ++read) {
-        if (read->module) {
-            write->id = read->id;
-            write->module = read->module;
-            ++write;
-        }
-    }
-    data->count = write - data->table;
-    for (; write<end; ++write) {
-        write->id = 0;
-        write->module = NULL;
-    }
-    data->interpreter_id_as_index = 0;
+
+/* --- the search -------------------------------------------------------------- */
+
+static inline const u64 *
+column(const Search *s, int i, int d)
+{
+    return s->masks + ((size_t)i * s->k + d) * s->W;
 }
-static int __Pyx_State_AddModule(PyObject* module, CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return -1;
-    int result = 0;
-    __Pyx_ModuleStateLookup_Lock();
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData *old_data = (__Pyx_ModuleStateLookupData *)
-            __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, 0);
-#else
-    __Pyx_ModuleStateLookupData *old_data = __Pyx_ModuleStateLookup_data;
-#endif
-    __Pyx_ModuleStateLookupData *new_data = old_data;
-    if (!new_data) {
-        new_data = (__Pyx_ModuleStateLookupData *)calloc(1, sizeof(__Pyx_ModuleStateLookupData));
-        if (!new_data) {
-            result = -1;
-            PyErr_NoMemory();
-            goto end;
+
+static inline int
+same_mask(const u64 *a, const u64 *b, int W)
+{
+    return memcmp(a, b, (size_t)W * sizeof(u64)) == 0;
+}
+
+/* Split the class [lo, hi) at depth d into the runs of equal masks in
+   column d, which is sorted there because the members agree on depths
+   0..d-1. */
+static void
+split(Search *s, int d, int lo, int hi)
+{
+    int *run_end = s->run_end + (size_t)d * s->m;
+    int start = lo;
+    while (start < hi) {
+        const u64 *mask = column(s, start, d);
+        int end = hi; /* when the rest of the range is one run */
+        if (!same_mask(column(s, hi - 1, d), mask, s->W)) {
+            /* the first member past start whose mask differs */
+            int a = start + 1, b = hi - 1;
+            while (a < b) {
+                int mid = a + (b - a) / 2;
+                if (same_mask(column(s, mid, d), mask, s->W))
+                    a = mid + 1;
+                else
+                    b = mid;
+            }
+            end = a;
         }
-        new_data->allocated = 1;
-        new_data->interpreter_id_as_index = 1;
+        run_end[start] = end;
+        start = end;
     }
-    __Pyx_ModuleStateLookup_wait_until_no_readers();
-    if (new_data->interpreter_id_as_index) {
-        if (interpreter_id < __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE) {
-            result = __Pyx_State_AddModuleInterpIdAsIndex(&new_data, module, interpreter_id);
-            goto end;
-        }
-        __Pyx_State_ConvertFromInterpIdAsIndex(new_data);
-    }
-    {
-        Py_ssize_t insert_at = 0;
-        {
-            __Pyx_InterpreterIdAndModule* lower_bound = __Pyx_State_FindModuleStateLookupTableLowerBound(
-                new_data->table, new_data->count, interpreter_id);
-            assert(lower_bound);
-            insert_at = lower_bound - new_data->table;
-            if (unlikely(insert_at < new_data->count && lower_bound->id == interpreter_id)) {
-                lower_bound->module = module;
-                goto end;  // already in table, nothing more to do
+}
+
+/* Kuhn's augmenting path from block b over nb blocks; 1 when it matched b.
+   Users are tried in ascending order, as `matching.augment` tries them. */
+static int
+augment(Search *s, u64 *rows, int *mrow, int nb, int b)
+{
+    int W = s->W;
+    for (int w = 0; w < W; w++) {
+        u64 avail = rows[(size_t)b * W + w] & ~s->seen[w];
+        while (avail) {
+            u64 lsb = avail & -avail;
+            int u = w * 64 + __builtin_ctzll(avail);
+            avail ^= lsb;
+            s->seen[w] |= lsb;
+            int owner = -1;
+            for (int bb = 0; bb < nb; bb++)
+                if (mrow[bb] == u) {
+                    owner = bb;
+                    break;
+                }
+            if (owner < 0 || augment(s, rows, mrow, nb, owner)) {
+                mrow[b] = u;
+                return 1;
             }
         }
-        if (new_data->count+1 >= new_data->allocated) {
-            Py_ssize_t to_allocate = (new_data->count+1)*2;
-            new_data =
-                (__Pyx_ModuleStateLookupData*)realloc(
-                    new_data,
-                    sizeof(__Pyx_ModuleStateLookupData) +
-                    (to_allocate-1)*sizeof(__Pyx_InterpreterIdAndModule));
-            if (!new_data) {
-                result = -1;
-                new_data = old_data;
-                PyErr_NoMemory();
-                goto end;
+    }
+    return 0;
+}
+
+/* Clear `seen` and augment from block b. */
+static int
+rematch(Search *s, u64 *rows, int *mrow, int nb, int b)
+{
+    memset(s->seen, 0, (size_t)s->W * sizeof(u64));
+    mrow[b] = -1;
+    return augment(s, rows, mrow, nb, b);
+}
+
+/* Narrow the blocks covering each restricted SUAL scope to its
+   super-users, repairing the matching; 0 when it cannot saturate. */
+static int
+restrict_suals(Search *s, u64 *rows, int *mrow, int nb, int nrestricted)
+{
+    int W = s->W;
+    for (int i = 0; i < nrestricted; i++) {
+        const u64 *xmask = s->xmasks + (size_t)s->restricted[i] * W;
+        u64 cov = s->restricted_cov[i];
+        while (cov) {
+            int bb = __builtin_ctzll(cov);
+            cov &= cov - 1;
+            u64 *row = rows + (size_t)bb * W, changed = 0, any = 0;
+            for (int w = 0; w < W; w++) {
+                u64 newm = row[w] & xmask[w];
+                changed |= newm ^ row[w];
+                any |= newm;
+                row[w] = newm;
             }
-            new_data->allocated = to_allocate;
-        }
-        ++new_data->count;
-        int64_t last_id = interpreter_id;
-        PyObject *last_module = module;
-        for (Py_ssize_t i=insert_at; i<new_data->count; ++i) {
-            int64_t current_id = new_data->table[i].id;
-            new_data->table[i].id = last_id;
-            last_id = current_id;
-            PyObject *current_module = new_data->table[i].module;
-            new_data->table[i].module = last_module;
-            last_module = current_module;
+            if (!changed)
+                continue;
+            if (!any)
+                return 0;
+            int u = mrow[bb];
+            if (!(row[u >> 6] >> (u & 63) & 1) && !rematch(s, rows, mrow, nb, bb))
+                return 0;
         }
     }
-  end:
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, new_data);
-#else
-    __Pyx_ModuleStateLookup_data = new_data;
-#endif
-    __Pyx_ModuleStateLookup_Unlock();
+    return 1;
+}
+
+/* Room for one more class of `blocks` blocks in `lv`; -1 on no memory. */
+static int
+reserve(Level *lv, int blocks, int W)
+{
+    if (lv->count < lv->cap)
+        return 0;
+    Py_ssize_t cap = lv->cap ? 2 * lv->cap : 4;
+    size_t width = (size_t)blocks ? (size_t)blocks : 1;
+    int *lo = PyMem_Realloc(lv->lo, cap * sizeof(int));
+    if (lo)
+        lv->lo = lo;
+    int *hi = PyMem_Realloc(lv->hi, cap * sizeof(int));
+    if (hi)
+        lv->hi = hi;
+    u64 *rows = PyMem_Realloc(lv->rows, cap * width * W * sizeof(u64));
+    if (rows)
+        lv->rows = rows;
+    int *mrow = PyMem_Realloc(lv->mrow, cap * width * sizeof(int));
+    if (mrow)
+        lv->mrow = mrow;
+    if (!lo || !hi || !rows || !mrow) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    lv->cap = cap;
+    return 0;
+}
+
+/* 1 when time.perf_counter() is past the deadline, -1 on an error. */
+static int
+past(double deadline)
+{
+    PyObject *now = PyObject_CallMethod(time_module, "perf_counter", NULL);
+    if (now == NULL)
+        return -1;
+    double t = PyFloat_AsDouble(now);
+    Py_DECREF(now);
+    if (t == -1.0 && PyErr_Occurred())
+        return -1;
+    return t > deadline;
+}
+
+/* The depth-first walk over an explicit stack: `_pure.run_search`'s loop.
+   Returns the status, or -1 with an exception set. */
+static int
+search(Search *s, int64_t cap, int64_t max_patterns, int has_deadline,
+       double deadline, int64_t *nodes_out, int64_t *patterns_out,
+       int *plan)
+{
+    int k = s->k, W = s->W, nC = s->ncounts, nS = s->nsuals;
+    size_t ns = (size_t)s->nscopes;
+    int64_t nodes = 0, patterns = 0;
+    int status = UNSAT;
+
+    Level *root = &s->levels[0];
+    if (reserve(root, 0, W) < 0)
+        return -1;
+    root->lo[0] = 0;
+    root->hi[0] = s->m;
+    root->count = 1;
+    /* At depth 0 every cover is empty, and a count check there rules out
+       block 0. */
+    s->left[0] = s->check_n[0] ? 0 : 1;
+    s->nbs[0] = 0;
+    /* the node count at which a budget is next due */
+    int64_t stop = has_deadline && cap > TIME_CHECK_EVERY ? TIME_CHECK_EVERY : cap;
+    int d = 0;
+    while (d >= 0) {
+        u64 blocks = s->left[d];
+        if (!blocks) {
+            d--;
+            continue;
+        }
+        u64 lsb = blocks & -blocks;
+        s->left[d] = blocks ^ lsb;
+        nodes++;
+        if (nodes >= stop) {
+            /* below the cap, only the deadline's tick is due */
+            int late = nodes >= cap ? 1 : past(deadline);
+            if (late < 0)
+                return -1;
+            if (late) {
+                status = BUDGET;
+                break;
+            }
+            stop = nodes + TIME_CHECK_EVERY < cap ? nodes + TIME_CHECK_EVERY : cap;
+        }
+
+        /* place depth d's step in block b: depth d+1's UI state */
+        int b = __builtin_ctzll(lsb), nb = s->nbs[d];
+        int nb2 = b == nb ? nb + 1 : nb, d1 = d + 1;
+        u64 *cov = s->cover + d1 * ns;
+        memcpy(cov, s->cover + d * ns, ns * sizeof(u64));
+        for (int j = 0; j < s->spread_n[d]; j++)
+            cov[s->spread[d * ns + j]] |= lsb;
+        if (d1 < k) {
+            u64 *fw = s->fwd + (size_t)d1 * k;
+            memcpy(fw + d1, s->fwd + (size_t)d * k + d1, (k - d1) * sizeof(u64));
+            for (u64 f = s->sod[d]; f; f &= f - 1)
+                fw[__builtin_ctzll(f)] |= lsb;
+            for (u64 f = s->bod[d]; f; f &= f - 1)
+                fw[__builtin_ctzll(f)] |= s->field ^ lsb;
+            u64 full = ((u64)2 << nb2) - 1; /* nb2 < 64 here */
+            blocks = (fw[d1] & full) ^ full;
+            const int *check = &s->checks[d1 * nC * 3];
+            for (int j = 0; j < s->check_n[d1]; j++, check += 3) {
+                u64 c = cov[check[0]];
+                int r = check[1], distinct = __builtin_popcountll(c);
+                if (check[2]) {
+                    /* never more than r: the first r scope depths cover at
+                       most r blocks, and from position r on this check
+                       keeps them at r */
+                    if (distinct == r)
+                        blocks &= c;
+                }
+                else if (distinct < r) {
+                    if (distinct + 1 < r) {
+                        blocks = 0;
+                        break;
+                    }
+                    blocks &= ~c;
+                }
+            }
+            if (!blocks)
+                continue;
+            s->left[d1] = blocks;
+        }
+
+        int nrestricted = 0;
+        const int *end = &s->sual_end[d * nS * 2];
+        for (int j = 0; j < s->sual_end_n[d]; j++, end += 2) {
+            u64 c = cov[nC + end[0]];
+            if (__builtin_popcountll(c) <= end[1]) {
+                s->restricted[nrestricted] = end[0];
+                s->restricted_cov[nrestricted++] = c;
+            }
+        }
+
+        /* the matching repair of each alive class */
+        const Level *up = &s->levels[d];
+        Level *kids = &s->levels[d1];
+        int *run_end = s->run_end + (size_t)d * s->m;
+        kids->count = 0;
+        for (Py_ssize_t i = 0; i < up->count; i++) {
+            int lo = up->lo[i], hi = up->hi[i];
+            const u64 *rows_p = up->rows + (size_t)i * d * W;
+            const int *mrow_p = up->mrow + (size_t)i * d;
+            if (!run_end[lo])
+                split(s, d, lo, hi);
+            for (int clo = lo, chi; clo < hi; clo = chi) {
+                chi = run_end[clo];
+                const u64 *step_mask = column(s, clo, d);
+                int w = 0;
+                if (b == nb) {
+                    while (w < W && !step_mask[w])
+                        w++;
+                    if (w == W)
+                        continue;
+                }
+                if (reserve(kids, d1, W) < 0)
+                    return -1;
+                u64 *rows = kids->rows + (size_t)kids->count * d1 * W;
+                int *mrow = kids->mrow + (size_t)kids->count * d1;
+                memcpy(rows, rows_p, (size_t)nb * W * sizeof(u64));
+                memcpy(mrow, mrow_p, (size_t)nb * sizeof(int));
+                if (b == nb) {
+                    memcpy(rows + (size_t)nb * W, step_mask, W * sizeof(u64));
+                    /* augment's first step: the lowest user, when free */
+                    int u = w * 64 + __builtin_ctzll(step_mask[w]), owned = 0;
+                    for (int bb = 0; bb < nb; bb++)
+                        owned |= mrow[bb] == u;
+                    mrow[nb] = u;
+                    if (owned && !rematch(s, rows, mrow, nb2, nb))
+                        continue;
+                }
+                else {
+                    u64 *row = rows + (size_t)b * W, changed = 0, any = 0;
+                    for (w = 0; w < W; w++) {
+                        u64 newm = row[w] & step_mask[w];
+                        changed |= newm ^ row[w];
+                        any |= newm;
+                        row[w] = newm;
+                    }
+                    if (!any)
+                        continue;
+                    int u = mrow[b];
+                    if (changed && !(row[u >> 6] >> (u & 63) & 1)
+                        && !rematch(s, rows, mrow, nb, b))
+                        continue;
+                }
+                if (nrestricted && !restrict_suals(s, rows, mrow, nb2, nrestricted))
+                    continue;
+                kids->lo[kids->count] = clo;
+                kids->hi[kids->count++] = chi;
+            }
+        }
+        if (!kids->count)
+            continue;
+        s->assign[d] = b;
+        d = d1;
+        if (d == k) {
+            patterns++;
+            if (patterns > max_patterns) {
+                status = BUDGET;
+            }
+            else {
+                /* a full-depth class's first entry is its least combo */
+                Py_ssize_t best = 0;
+                for (Py_ssize_t i = 1; i < kids->count; i++)
+                    if (s->perm[kids->lo[i]] < s->perm[kids->lo[best]])
+                        best = i;
+                const int *mrow = kids->mrow + (size_t)best * k;
+                for (int e = 0; e < k; e++)
+                    plan[s->order[e]] = mrow[s->assign[e]];
+                status = SAT;
+            }
+            break;
+        }
+        s->nbs[d] = nb2;
+    }
+    *nodes_out = nodes;
+    *patterns_out = patterns;
+    return status;
+}
+
+/* --- the module -------------------------------------------------------------- */
+
+/* An optional int argument as an int64: `none` for None, and the nearest
+   of +-NEVER past that range. */
+static int
+optional_count(PyObject *arg, int64_t none, int64_t *out)
+{
+    if (arg == Py_None) {
+        *out = none;
+        return 0;
+    }
+    int overflow;
+    long long v = PyLong_AsLongLongAndOverflow(arg, &overflow);
+    if (v == -1 && PyErr_Occurred())
+        return -1;
+    if (overflow || v > NEVER || v < -NEVER)
+        v = overflow < 0 || v < 0 ? -NEVER : NEVER;
+    *out = v;
+    return 0;
+}
+
+static int
+get_buffer(PyObject *obj, Py_buffer *view, Py_ssize_t itemsize)
+{
+    if (PyObject_GetBuffer(obj, view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
+        return -1;
+    if (view->itemsize != itemsize) {
+        PyBuffer_Release(view);
+        PyErr_SetString(PyExc_ValueError, "malformed packed search problem");
+        return -1;
+    }
+    return 0;
+}
+
+PyDoc_STRVAR(run_search_doc,
+"run_search(prob, max_nodes=None, max_patterns=None, deadline=None)\n"
+"--\n\n"
+"Run the depth-first pattern search; the same contract as the pure\n"
+"backend's run_search.  Returns (status, plan | None, patterns, nodes,\n"
+"matchings).");
+
+static PyObject *
+run_search(PyObject *Py_UNUSED(module), PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"prob", "max_nodes", "max_patterns", "deadline",
+                             NULL};
+    PyObject *prob, *max_nodes = Py_None, *max_patterns = Py_None;
+    PyObject *deadline = Py_None;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O|OOO:run_search", kwlist,
+                                     &prob, &max_nodes, &max_patterns,
+                                     &deadline))
+        return NULL;
+    int64_t cap, patterns_cap;
+    double when = 0.0;
+    if (optional_count(max_nodes, NEVER, &cap) < 0
+        || optional_count(max_patterns, NEVER, &patterns_cap) < 0)
+        return NULL;
+    cap = cap < NEVER ? cap + 1 : NEVER; /* the node count that breaks it */
+    if (deadline != Py_None) {
+        when = PyFloat_AsDouble(deadline);
+        if (when == -1.0 && PyErr_Occurred())
+            return NULL;
+    }
+
+    if (pack_fn == NULL) {
+        PyObject *kernel = PyImport_ImportModule("wspkit._kernel");
+        if (kernel == NULL)
+            return NULL;
+        pack_fn = PyObject_GetAttrString(kernel, "pack");
+        Py_DECREF(kernel);
+        if (pack_fn == NULL)
+            return NULL;
+    }
+    PyObject *packed = PyObject_CallOneArg(pack_fn, prob);
+    if (packed == NULL)
+        return NULL;
+    if (!PyTuple_Check(packed) || PyTuple_GET_SIZE(packed) != 2) {
+        Py_DECREF(packed);
+        PyErr_SetString(PyExc_TypeError, "pack must return (ints, words)");
+        return NULL;
+    }
+    Py_buffer ints, words;
+    if (get_buffer(PyTuple_GET_ITEM(packed, 0), &ints, sizeof(int)) < 0) {
+        Py_DECREF(packed);
+        return NULL;
+    }
+    if (get_buffer(PyTuple_GET_ITEM(packed, 1), &words, sizeof(u64)) < 0) {
+        PyBuffer_Release(&ints);
+        Py_DECREF(packed);
+        return NULL;
+    }
+
+    PyObject *result = NULL;
+    Search *s = alloc(1, sizeof(Search));
+    int plan[MAX_STEPS];
+    int64_t nodes = 0, patterns = 0;
+    int status = -1;
+    if (s != NULL
+        && load(s, ints.buf, ints.len / (Py_ssize_t)sizeof(int), words.buf,
+                words.len / (Py_ssize_t)sizeof(u64)) == 0) {
+        if (s->k == 0 || s->m == 0)
+            status = UNSAT;
+        else
+            status = search(s, cap, patterns_cap, deadline != Py_None, when,
+                            &nodes, &patterns, plan);
+    }
+    if (status >= 0) {
+        PyObject *plan_list = Py_None;
+        Py_INCREF(plan_list);
+        if (status == SAT) {
+            Py_DECREF(plan_list);
+            plan_list = PyList_New(s->k);
+            for (int e = 0; plan_list && e < s->k; e++) {
+                PyObject *user = PyLong_FromLong(plan[e]);
+                if (user == NULL)
+                    Py_CLEAR(plan_list);
+                else
+                    PyList_SET_ITEM(plan_list, e, user);
+            }
+        }
+        if (plan_list != NULL)
+            result = Py_BuildValue("(iNLLi)", status, plan_list,
+                                   (long long)patterns, (long long)nodes,
+                                   status == SAT);
+    }
+    if (s != NULL) {
+        free_search(s);
+        PyMem_Free(s);
+    }
+    PyBuffer_Release(&words);
+    PyBuffer_Release(&ints);
+    Py_DECREF(packed);
     return result;
 }
-static int __Pyx_State_RemoveModule(CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return -1;
-    __Pyx_ModuleStateLookup_Lock();
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData *data = (__Pyx_ModuleStateLookupData *)
-            __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, 0);
-#else
-    __Pyx_ModuleStateLookupData *data = __Pyx_ModuleStateLookup_data;
-#endif
-    if (data->interpreter_id_as_index) {
-        if (interpreter_id < data->count) {
-            data->table[interpreter_id].module = NULL;
-        }
-        goto done;
-    }
-    {
-        __Pyx_ModuleStateLookup_wait_until_no_readers();
-        __Pyx_InterpreterIdAndModule* lower_bound = __Pyx_State_FindModuleStateLookupTableLowerBound(
-            data->table, data->count, interpreter_id);
-        if (!lower_bound) goto done;
-        if (lower_bound->id != interpreter_id) goto done;
-        __Pyx_InterpreterIdAndModule *end = data->table+data->count;
-        for (;lower_bound<end-1; ++lower_bound) {
-            lower_bound->id = (lower_bound+1)->id;
-            lower_bound->module = (lower_bound+1)->module;
-        }
-    }
-    --data->count;
-    if (data->count == 0) {
-        free(data);
-        data = NULL;
-    }
-  done:
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, data);
-#else
-    __Pyx_ModuleStateLookup_data = data;
-#endif
-    __Pyx_ModuleStateLookup_Unlock();
-    return 0;
+
+static PyMethodDef methods[] = {
+    {"run_search", (PyCFunction)(void (*)(void))run_search,
+     METH_VARARGS | METH_KEYWORDS, run_search_doc},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module = {
+    PyModuleDef_HEAD_INIT,
+    .m_name = "_speed",
+    .m_doc = "Compiled search backend: _pure.run_search in C.",
+    .m_size = -1,
+    .m_methods = methods,
+};
+
+PyMODINIT_FUNC
+PyInit__speed(void)
+{
+    if (time_module == NULL && !(time_module = PyImport_ImportModule("time")))
+        return NULL;
+    return PyModule_Create(&module);
 }
-#endif
-
-/* #### Code section: utility_code_pragmas_end ### */
-#ifdef _MSC_VER
-#pragma warning( pop )
-#endif
-
-
-
-/* #### Code section: end ### */
-#endif /* Py_PYTHON_H */

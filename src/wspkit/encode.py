@@ -784,19 +784,45 @@ def emit_varmap(model, sink: IO[str]) -> None:
     sink.write("".join(f"{name} {i}\n" for i, name in enumerate(names, start=1)))
 
 
-def _sequential_counter(lits: Sequence[int], bound: int, fresh, extra: tuple[int, ...]):
-    """Clauses forcing sum(lits) <= bound, via a sequential counter with
-    fresh register variables; `extra` literals are appended to every clause
-    (the guard escape)."""
+def _sequential_counter(lits: Sequence[int], bound: int, fresh,
+                        extra: tuple[int, ...], at_least: bool = False):
+    """Clauses forcing sum(lits) <= bound, or >= bound when `at_least`, via
+    a sequential counter (Sinz, CP 2005) with fresh registers: reg[i][j]
+    stands for "at least j + 1 of lits[:i + 1]", for j < bound.  The at-most
+    counter forces each register up from its sources and forbids a literal
+    that would count past `bound`; the at-least counter forces each register
+    down to its sources and asserts the count of all L literals, in about
+    2·L·bound clauses either way.  `extra` literals are appended to every
+    clause (the guard escape)."""
     L = len(lits)
-    if bound < 0:
-        return [extra]  # unsatisfiable unless the guard is off
-    if bound >= L:
-        return []
-    if bound == 0:
-        return [(-lit, *extra) for lit in lits]
+    if at_least:
+        if bound <= 0:
+            return []
+        if bound > L:
+            return [extra]  # unsatisfiable unless the guard is off
+        if bound == 1:
+            return [(*lits, *extra)]
+    else:
+        if bound < 0:
+            return [extra]  # unsatisfiable unless the guard is off
+        if bound >= L:
+            return []
+        if bound == 0:
+            return [(-lit, *extra) for lit in lits]
     out = []
     reg = [[fresh() for _ in range(bound)] for _ in range(L - 1)]
+    if at_least:
+        out.append((-reg[0][0], lits[0]) + extra)
+        for j in range(1, bound):
+            out.append((-reg[0][j],) + extra)
+        for i in range(1, L - 1):
+            out.append((-reg[i][0], reg[i - 1][0], lits[i]) + extra)
+            for j in range(1, bound):
+                out.append((-reg[i][j], reg[i - 1][j], lits[i]) + extra)
+                out.append((-reg[i][j], reg[i - 1][j], reg[i - 1][j - 1]) + extra)
+        out.append((reg[L - 2][bound - 1], lits[L - 1]) + extra)
+        out.append((reg[L - 2][bound - 1], reg[L - 2][bound - 2]) + extra)
+        return out
     out.append((-lits[0], reg[0][0]) + extra)
     for j in range(1, bound):
         out.append((-reg[0][j],) + extra)
@@ -839,9 +865,16 @@ def _lower(model: BooleanModel) -> tuple[int, list[int], list[int]]:
             continue
         extra = (-guard,) if guard is not None else ()
         clauses = []
-        if op != "<=":  # at least b of L literals: at most L-b of their negations
-            clauses = [(*row, *extra)] if bound == 1 else _sequential_counter(
-                [-lit for lit in row], len(row) - bound, fresh, extra)
+        if op != "<=":
+            # at least b of L literals: one clause when b is 1, a counter
+            # over the literals when b is the smaller side, else at most
+            # L-b of their negations
+            if bound == 1 or bound < len(row) - bound:
+                clauses = _sequential_counter(row, bound, fresh, extra,
+                                              at_least=True)
+            else:
+                clauses = _sequential_counter(
+                    [-lit for lit in row], len(row) - bound, fresh, extra)
         if op != ">=":
             clauses += _sequential_counter(row, bound, fresh, extra)
         for cl in clauses:

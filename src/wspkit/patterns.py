@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .core import Constraint, InvariantError, _require, is_eligible, is_ui
+from .core import InvariantError, _require
 
 
 @dataclass(frozen=True)
@@ -97,16 +97,3 @@ def enumerate_patterns(k: int) -> Iterator[Pattern]:
             rgs[j] = 0
             top[j] = top[i]
 
-
-def pattern_satisfies(p: Pattern, c: Constraint) -> bool:
-    """Pattern-level satisfaction for user-independent constraints.
-
-    Every plan with pattern p satisfies c iff p does; that is what makes
-    these constraints checkable before any users are chosen.  Raises for
-    constraint kinds whose satisfaction depends on user identities.  The
-    RGS is itself a plan with pattern p, so the check is the plan-level one.
-    """
-    if not is_ui(c):
-        raise InvariantError(
-            f"{type(c).__name__} is not user-independent; it has no pattern-level check")
-    return is_eligible(p.rgs, c)

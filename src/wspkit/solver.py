@@ -248,9 +248,8 @@ def solve_backtracking(
     max_family_size: int = 4096,
 ) -> SolveResult:
     """Depth-first search over pattern prefixes with structural pruning and
-    incrementally-maintained block/user matchings: the compiled kernel keeps
-    one per authorisation alternative, the pure one one per class of
-    alternatives that agree on the masks visited so far.
+    incrementally-maintained block/user matchings, one per class of
+    authorisation alternatives that agree on the masks visited so far.
 
     The search is serial and deterministic: the same instance and node
     budget give the same verdict, plan and counters on every run.  It stops

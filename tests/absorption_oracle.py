@@ -1,5 +1,6 @@
 """The absorption oracle: each constraint's own authorisation family at a
-pattern, and the pairwise intersection that folds families together.
+pattern, the pairwise intersection that folds families together, and the
+pattern-level check of a user-independent constraint that both use.
 
 The library builds a family as rows of step masks in one pass (`absorb`,
 `AbsorbedInstance.family_for`).  The tests check those rows against the
@@ -19,9 +20,24 @@ from wspkit.core import (
     InvariantError,
     SUAL,
     WL,
+    is_eligible,
     is_ui,
 )
-from wspkit.patterns import Pattern, pattern_satisfies
+from wspkit.patterns import Pattern
+
+
+def pattern_satisfies(p: Pattern, c: Constraint) -> bool:
+    """Pattern-level satisfaction for user-independent constraints.
+
+    Every plan with pattern p satisfies c iff p does; that is what makes
+    these constraints checkable before any users are chosen.  Raises for
+    constraint kinds whose satisfaction depends on user identities.  The
+    RGS is itself a plan with pattern p, so the check is the plan-level one.
+    """
+    if not is_ui(c):
+        raise InvariantError(
+            f"{type(c).__name__} is not user-independent; it has no pattern-level check")
+    return is_eligible(p.rgs, c)
 
 
 def functions(rows, n: int) -> tuple[AuthorisationFunction, ...]:

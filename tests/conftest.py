@@ -9,12 +9,13 @@ linear scans, and the SplitMix64 stream one output at a time instead of in
 lane batches.
 
 When the package under test has no compiled kernel, this module builds the
-committed, Cython-generated `_speed.c` once per session into a temporary
-copy of the package (no Cython required, only a C compiler and the Python
-headers) and registers it as `wspkit._kernel._speed`.  The default backend
-stays the one selected at import, so the rest of the suite still runs on it,
-while the parity tests can compare it with the compiled one.  Nothing is
-built inside the repository.
+hand-written `_speed.c` once per session into a temporary copy of the
+package (only a C compiler and the Python headers are needed) and
+registers it as `wspkit._kernel._speed`.  It builds with `-Wall -Wextra
+-Werror`, so a compiler warning in the kernel fails the session's tests.
+The default backend stays the one selected at import, so the rest of the
+suite still runs on it, while the parity tests can compare it with the
+compiled one.  Nothing is built inside the repository.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Callable, Optional
 import pytest
 
 import wspkit._kernel
-from absorption_oracle import functions
+from absorption_oracle import functions, pattern_satisfies
 from wspkit.absorption import AbsorbedInstance
 from wspkit.core import (
     ADA,
@@ -52,18 +53,18 @@ from wspkit.core import (
     is_authorised,
     is_eligible,
 )
-from wspkit.patterns import Pattern, pattern_of, pattern_satisfies
+from wspkit.patterns import Pattern, pattern_of
 from wspkit.solver import _check_cap
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "wspkit"
 
 # The tests check results and counters, not speed, so the kernel is compiled
-# without optimisation to keep the build short.
+# without optimisation to keep the build short; any warning is an error.
 BUILD_SCRIPT = """
 from setuptools import Extension, setup
 setup(name="wspkit-kernel", ext_modules=[Extension(
     "wspkit._kernel._speed", ["wspkit/_kernel/_speed.c"],
-    extra_compile_args=["-O0"])])
+    extra_compile_args=["-O0", "-Wall", "-Wextra", "-Werror"])])
 """
 
 

@@ -621,34 +621,63 @@ def test_opb_separation_clause_shape():
 
 def cnf_satisfiable(nvars, clauses, fixed):
     """Is there an extension of `fixed` over the remaining variables that
-    satisfies every clause?  `fixed` maps variable -> bool."""
-    free = [v for v in range(1, nvars + 1) if v not in fixed]
-    for bits in itertools.product([False, True], repeat=len(free)):
-        values = dict(fixed)
-        values.update(zip(free, bits))
-        if all(any(values[l] if l > 0 else not values[-l] for l in cl)
-               if cl else False
-               for cl in clauses):
-            return True
-    return False
+    satisfies every clause?  `fixed` maps variable -> bool.  A plain DPLL:
+    set the literal of each clause left with one open literal until none is
+    left, fail on a clause left with none, and then try both values of the
+    first open variable."""
+    values = dict(fixed)
+    changed = True
+    while changed:
+        changed = False
+        for cl in clauses:
+            open_lits = []
+            for lit in cl:
+                value = values.get(abs(lit))
+                if value is None:
+                    open_lits.append(lit)
+                elif value == (lit > 0):
+                    break
+            else:
+                if not open_lits:
+                    return False
+                if len(open_lits) == 1:
+                    values[abs(open_lits[0])] = open_lits[0] > 0
+                    changed = True
+    for v in range(1, nvars + 1):
+        if v not in values:
+            return any(cnf_satisfiable(nvars, clauses, {**values, v: value})
+                       for value in (True, False))
+    return True
 
 
-@pytest.mark.parametrize("length", [1, 2, 3, 4])
-@pytest.mark.parametrize("bound", [0, 1, 2, 3, 4])
-def test_sequential_counter_exact(length, bound):
+def assert_counter_exact(length, bound, at_least):
     counter = [length]
 
     def fresh():
         counter[0] += 1
         return counter[0]
 
-    clauses = _sequential_counter(list(range(1, length + 1)), bound, fresh, ())
-    if bound >= length:
+    clauses = _sequential_counter(list(range(1, length + 1)), bound, fresh, (),
+                                  at_least)
+    if (bound <= 0) if at_least else (bound >= length):
         assert clauses == []
     for bits in itertools.product([False, True], repeat=length):
         fixed = {v: bits[v - 1] for v in range(1, length + 1)}
         reachable = cnf_satisfiable(counter[0], clauses, fixed)
-        assert reachable == (sum(bits) <= bound), (length, bound, bits)
+        want = sum(bits) >= bound if at_least else sum(bits) <= bound
+        assert reachable == want, (length, bound, at_least, bits)
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4])
+@pytest.mark.parametrize("bound", [0, 1, 2, 3, 4])
+def test_sequential_counter_exact(length, bound):
+    assert_counter_exact(length, bound, at_least=False)
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("bound", [0, 1, 2, 3, 4, 5, 6])
+def test_sequential_counter_exact_at_least(length, bound):
+    assert_counter_exact(length, bound, at_least=True)
 
 
 def test_lowering_counts_register_variables():
@@ -719,13 +748,14 @@ def test_cnf_guarded_rows_respect_the_guard():
 
 @pytest.mark.parametrize("op", [">=", "<=", "="])
 def test_cnf_lowering_of_one_row_matches_its_semantics(op):
-    # every bound from below 0 to above the row's length, unguarded and
-    # under either guard sign: the CNF, projected onto the model's own
-    # variables, accepts exactly the assignments the row accepts
+    # every bound from below 0 to above the row's length, so at-least rows
+    # with b on both sides of L/2, unguarded and under either guard sign:
+    # the CNF, projected onto the model's own variables, accepts exactly
+    # the assignments the row accepts
     checked = 0
-    for length in (1, 2, 3):
-        for signs in ((1,) * length, (1, -1, 1)[:length]):
-            lits = tuple(sign * (i + 1) for i, sign in enumerate(signs))
+    for length in range(1, 7):
+        for signs in ((1,) * length, (1, -1) * 3):
+            lits = tuple(sign * (i + 1) for i, sign in enumerate(signs[:length]))
             for bound, guard in itertools.product(
                     range(-2, length + 2), (None, length + 1, -length - 1)):
                 model = model_with(Row(op, bound, lits, guard), nvars=length + 1)
@@ -736,7 +766,7 @@ def test_cnf_lowering_of_one_row_matches_its_semantics(op):
                     assert cnf_satisfiable(nvars, clauses, fixed) == want, (
                         op, bound, lits, guard, bits)
                 checked += 1
-    assert checked == 2 * 3 * (5 + 6 + 7)
+    assert checked == 2 * 3 * sum(length + 4 for length in range(1, 7))
 
 
 # --- sidecars and determinism ----------------------------------------------------
@@ -895,7 +925,7 @@ PINNED_DIGESTS = {
         "pbpb.dimacs": "6e17c30a86fd6b11",
         "pbpb.opb": "e4199de97105ab33",
         "pbpb.varmap": "158ea71d2a086510",
-        "udpb.dimacs": "7c2849cf0c815d08",
+        "udpb.dimacs": "6338ea6878698117",
         "udpb.opb": "9d11dad37a439b9e",
         "udpb.varmap": "51bf33f0f64a775f",
     },
@@ -905,7 +935,7 @@ PINNED_DIGESTS = {
         "pbpb.dimacs": "5e9bc340d8ead938",
         "pbpb.opb": "d2b2f054bc174075",
         "pbpb.varmap": "b2114cd2d3a63cf1",
-        "udpb.dimacs": "73c4c643d6246ebd",
+        "udpb.dimacs": "5dce67528f504085",
         "udpb.opb": "46e921b64ab34a75",
         "udpb.varmap": "d59eccd49d8e513e",
     },
@@ -1028,9 +1058,7 @@ def test_models_hold_few_gc_tracked_objects(encoder):
         assert gc_tracked_objects(model) < len(model.rows) / 10
 
 
-@pytest.mark.parametrize("encoder", [
-    # UDPB's SUAL row over 826 usage variables lowers to 1.36M clauses: 8 s
-    pytest.param(encode_udpb, marks=pytest.mark.sweep), encode_pbpb])
+@pytest.mark.parametrize("encoder", BOOLEAN_ENCODERS)
 def test_emitters_match_the_row_by_row_lowering_at_n_1000(encoder):
     # an `export`-shaped draw at n=1000: thousands of selector exclusions
     # (`<= 0` under a guard), which the CNF lowering writes without the
@@ -1042,6 +1070,17 @@ def test_emitters_match_the_row_by_row_lowering_at_n_1000(encoder):
                      if head and head[:2] == ("<=", 0) and head[2] is not None)
     assert exclusions > 1000
     assert_emitters_match_row_by_row_lowering(model)
+
+
+def test_small_at_least_bounds_lower_to_a_counter_over_their_literals():
+    # UDPB's SUAL row in this draw asks for at least 4 of 826 usage
+    # variables: written as at most 822 of their negations it took 1.36M
+    # of the 1,459,091 clauses, and a counter over the literals needs
+    # about 2·L·b; PBPB's at-least rows keep the negated form
+    inst = generate(GenSpec(seed=derive_seed(81, 4, 0),
+                            **dict(EXPORT_SHAPE, n=1000)))
+    assert len(lower_to_clauses(encode_udpb(inst))[1]) < 150_000
+    assert len(lower_to_clauses(encode_pbpb(inst))[1]) == 45_455
 
 
 @pytest.mark.parametrize("encoder", BOOLEAN_ENCODERS)

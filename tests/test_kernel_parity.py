@@ -1,10 +1,8 @@
 """The compiled and pure kernels must agree call for call.
 
-The two backends return the same status, plan and counters on every call,
-although the pure one shares state between the authorisation alternatives
-of a prefix class and skips blocks the user-independent constraints rule
-out, while the compiled one repairs every alternative and checks every
-block.  Parity is asserted on the full result tuple: status, plan, and all
+The two backends run one algorithm, the compiled one a C transliteration
+of the pure one, and return the same status, plan and counters on every
+call.  Parity is asserted on the full result tuple: status, plan, and all
 three counters.  Any divergence, even in node counts, means the two stopped
 searching the same tree.
 
@@ -13,8 +11,10 @@ has none, so these tests are skipped only when no C compiler or Python
 headers are available.
 """
 
+import dataclasses
 import hashlib
 import random
+import time
 from functools import lru_cache
 
 import pytest
@@ -97,6 +97,21 @@ def test_node_budget_parity(kind, seed, cap):
         return
     pure, comp = run_both(prob, max_nodes=cap)
     assert pure == comp, (kind, seed, cap)
+
+
+@needs_compiled
+def test_expired_deadline_parity():
+    # The kernels read the clock every 2048 nodes, so a deadline already
+    # past stops a search of more nodes at node 2048 on both backends, and
+    # one far ahead changes nothing.
+    prob = compile_problem(generate(GenSpec(k=12, n=120, seed=8, am3=12,
+                                            sod=26)))
+    pure, comp = run_both(prob)
+    assert pure == comp
+    assert (pure[0], pure[3]) == (_kernel.UNSAT, 2237)
+    assert run_both(prob, deadline=time.perf_counter() - 1) == \
+        ((_kernel.BUDGET, None, 0, 2048, 0),) * 2
+    assert run_both(prob, deadline=time.perf_counter() + 3600) == (pure, comp)
 
 
 @needs_compiled
@@ -593,6 +608,24 @@ def test_step_limit_draw_parity(name):
     assert pure[0] == status
     if status == _kernel.SAT:
         assert is_valid(pure[1], inst)
+
+
+@needs_compiled
+def test_compiled_kernel_refuses_problems_it_would_read_out_of_bounds():
+    # it reads every index from the packed buffers, so each is range-checked
+    ok = hand_problem([(0b11, 0b11)], 2)
+    bad = [
+        dataclasses.replace(ok, order=(0, 2)),
+        dataclasses.replace(ok, sod_prev=((), (1,))),
+        dataclasses.replace(ok, counts=(CountSpec(True, 1, (0, 2)),)),
+        dataclasses.replace(ok, suals=(SualSpec((1, 0), 1, 0b01),)),
+        hand_problem([((1 << 65) - 1,) * (KERNEL_MAX_STEPS + 1)], 65),
+    ]
+    run = backend_run_search("compiled")
+    assert run(ok)[0] == _kernel.SAT
+    for prob in bad:
+        with pytest.raises(ValueError, match="malformed packed search problem"):
+            run(prob)
 
 
 def test_one_step_past_the_limit_names_it():

@@ -6,15 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from absorption_oracle import pattern_satisfies
 from conftest import PO_PATTERN_RGS, PO_PLAN, bell_oracle, pattern_eligible
 from wspkit.core import AtLeast, AtMost, BoD, InvariantError, SUAL, SoD, is_eligible
-from wspkit.patterns import (
-    Pattern,
-    bell,
-    enumerate_patterns,
-    pattern_of,
-    pattern_satisfies,
-)
+from wspkit.patterns import Pattern, bell, enumerate_patterns, pattern_of
 
 
 def test_purchase_order_pattern():

@@ -16,11 +16,13 @@ pair per call would cost more than the calls themselves.
 
 import gc
 import io
+import tracemalloc
 from functools import partial
 
 import pytest
 
 from conftest import COMPILED_MISSING, purchase_order_instance, random_instance
+from wspkit._kernel import BUDGET, SAT, UNSAT, backend_run_search
 from wspkit.absorption import absorb
 from wspkit.cli import dump_json, instance_to_doc
 from wspkit.encode import (
@@ -89,6 +91,35 @@ def test_backtracking_leaves_no_garbage(backend, max_nodes):
         for inst in DRAWS + SMALL) == 0
 
 
+@pytest.mark.skipif(COMPILED_MISSING is not None,
+                    reason="compiled kernel not built")
+def test_compiled_solves_leave_traced_memory_flat():
+    # The compiled kernel allocates through PyMem, which tracemalloc
+    # traces, so memory it failed to free would grow with the solves: 300
+    # of them over WL/ADA draws past two machine words of users, SAT, UNSAT
+    # and budgeted.  The budget is passed by position: keyword arguments
+    # would refill CPython's free list of dict keys, which tracemalloc
+    # counts as held.
+    run = backend_run_search("compiled")
+    calls = [partial(run, compile_search_problem(absorb(generate(GenSpec(
+        seed=derive_seed(7, 5, i), k=8, n=130, am3=8, sod=14, ada=4, wl=2)))),
+        cap) for i in range(10) for cap in (None, 5)]
+    assert {call()[0] for call in calls} == {UNSAT, SAT, BUDGET}
+    tracemalloc.start()
+    try:
+        for call in calls:
+            call()
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(15):
+            for call in calls:
+                call()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # a block leaked per solve would be 300 blocks of 16 bytes or more
+    assert after - before < 1024
+
+
 def test_pattern_enum_and_bruteforce_leave_no_garbage():
     assert garbage_left_by(
         partial(solve, inst)
@@ -111,10 +142,7 @@ def test_pattern_enumeration_leaves_no_garbage(consume):
 
 def test_absorb_and_compile_leave_no_garbage():
     def absorb_and_compile(inst):
-        prob = compile_search_problem(absorb(inst))
-        if prob is not None:  # the memberships are built on first read
-            prob.count_at, prob.sual_at
-        return prob
+        return compile_search_problem(absorb(inst))
 
     assert garbage_left_by(partial(absorb_and_compile, inst)
                            for inst in DRAWS + SMALL) == 0
