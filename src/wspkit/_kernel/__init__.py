@@ -8,11 +8,11 @@ call walks the whole tree from the root.  Two backends run one algorithm
 and return the same status, plan and counters on every call, which the
 parity tests check: the pure-Python one (_pure), whose docstring describes
 the algorithm, and the compiled extension (_speed), a hand-written C
-transliteration of it that reads the problem from the flat buffers `pack`
-makes.  setup.py does not build the extension; the tests build it for the
-parity suite.  Selection happens at import: the compiled backend when it
-is importable, the pure one otherwise.  `backend_run_search` fetches
-either by name.
+transliteration of it whose `search` reads the problem from the flat
+buffers `pack` makes; this module packs and calls it.  setup.py does not
+build the extension; the tests build it for the parity suite.  Selection
+happens at import: the compiled backend when it is importable, the pure
+one otherwise.  `backend_run_search` fetches either by name.
 """
 
 from __future__ import annotations
@@ -96,14 +96,23 @@ def pack(prob: SearchProblem) -> tuple[array, array]:
     return ints, words
 
 
+def _compiled(search):
+    """The compiled backend's run_search: `prob` packed for its `search`."""
+
+    def run_search(prob: SearchProblem, max_nodes=None, max_patterns=None,
+                   deadline=None):
+        return search(*pack(prob), max_nodes, max_patterns, deadline)
+
+    return run_search
+
+
 try:
-    from . import _speed as _impl  # type: ignore[attr-defined]
+    from ._speed import search as _speed_search  # type: ignore[import]
+    run_search = _compiled(_speed_search)
     BACKEND = "compiled"
 except ImportError:
-    from . import _pure as _impl
+    from ._pure import run_search
     BACKEND = "pure"
-
-run_search = _impl.run_search
 
 
 def available_backends() -> tuple[str, ...]:
@@ -125,5 +134,5 @@ def backend_run_search(name: str):
         return _pure.run_search
     if name == "compiled":
         from . import _speed  # raises ImportError when not built
-        return _speed.run_search
+        return _compiled(_speed.search)
     raise ValueError(f"unknown kernel backend {name!r}")

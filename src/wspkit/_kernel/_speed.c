@@ -20,9 +20,11 @@ containers differ:
   the run of equal depth-d masks that starts at sorted combo lo, or 0
   while its class has not been split at depth d.
 
-`wspkit._kernel.pack` lays the SearchProblem out in two flat buffers,
-sorted combos included, and this file reads them through the buffer
-protocol.  Every allocation goes through PyMem, so tracemalloc sees it.
+The module's one function, `search(ints, words, ...)`, takes the two flat
+buffers that `wspkit._kernel.pack` lays a SearchProblem out in, sorted
+combos included, and reads them through the buffer protocol;
+`wspkit._kernel` packs the problem and calls it.  Every allocation goes
+through PyMem, so tracemalloc sees it.
 */
 
 #define PY_SSIZE_T_CLEAN
@@ -74,7 +76,6 @@ typedef struct {
     u64 *restricted_cov; /* and the blocks that cover their scopes */
 } Search;
 
-static PyObject *pack_fn;     /* wspkit._kernel.pack */
 static PyObject *time_module; /* for time.perf_counter */
 
 static void *
@@ -608,23 +609,24 @@ get_buffer(PyObject *obj, Py_buffer *view, Py_ssize_t itemsize)
     return 0;
 }
 
-PyDoc_STRVAR(run_search_doc,
-"run_search(prob, max_nodes=None, max_patterns=None, deadline=None)\n"
+PyDoc_STRVAR(py_search_doc,
+"search(ints, words, max_nodes=None, max_patterns=None, deadline=None)\n"
 "--\n\n"
-"Run the depth-first pattern search; the same contract as the pure\n"
-"backend's run_search.  Returns (status, plan | None, patterns, nodes,\n"
-"matchings).");
+"Run the depth-first pattern search on a problem that wspkit._kernel.pack\n"
+"laid out in `ints` and `words`; the budgets mean what they mean to the\n"
+"pure backend's run_search.  Returns (status, plan | None, patterns,\n"
+"nodes, matchings).");
 
 static PyObject *
-run_search(PyObject *Py_UNUSED(module), PyObject *args, PyObject *kwargs)
+py_search(PyObject *Py_UNUSED(module), PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"prob", "max_nodes", "max_patterns", "deadline",
-                             NULL};
-    PyObject *prob, *max_nodes = Py_None, *max_patterns = Py_None;
-    PyObject *deadline = Py_None;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O|OOO:run_search", kwlist,
-                                     &prob, &max_nodes, &max_patterns,
-                                     &deadline))
+    static char *kwlist[] = {"ints", "words", "max_nodes", "max_patterns",
+                             "deadline", NULL};
+    PyObject *ints_obj, *words_obj, *max_nodes = Py_None;
+    PyObject *max_patterns = Py_None, *deadline = Py_None;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OO|OOO:search", kwlist,
+                                     &ints_obj, &words_obj, &max_nodes,
+                                     &max_patterns, &deadline))
         return NULL;
     int64_t cap, patterns_cap;
     double when = 0.0;
@@ -638,31 +640,11 @@ run_search(PyObject *Py_UNUSED(module), PyObject *args, PyObject *kwargs)
             return NULL;
     }
 
-    if (pack_fn == NULL) {
-        PyObject *kernel = PyImport_ImportModule("wspkit._kernel");
-        if (kernel == NULL)
-            return NULL;
-        pack_fn = PyObject_GetAttrString(kernel, "pack");
-        Py_DECREF(kernel);
-        if (pack_fn == NULL)
-            return NULL;
-    }
-    PyObject *packed = PyObject_CallOneArg(pack_fn, prob);
-    if (packed == NULL)
-        return NULL;
-    if (!PyTuple_Check(packed) || PyTuple_GET_SIZE(packed) != 2) {
-        Py_DECREF(packed);
-        PyErr_SetString(PyExc_TypeError, "pack must return (ints, words)");
-        return NULL;
-    }
     Py_buffer ints, words;
-    if (get_buffer(PyTuple_GET_ITEM(packed, 0), &ints, sizeof(int)) < 0) {
-        Py_DECREF(packed);
+    if (get_buffer(ints_obj, &ints, sizeof(int)) < 0)
         return NULL;
-    }
-    if (get_buffer(PyTuple_GET_ITEM(packed, 1), &words, sizeof(u64)) < 0) {
+    if (get_buffer(words_obj, &words, sizeof(u64)) < 0) {
         PyBuffer_Release(&ints);
-        Py_DECREF(packed);
         return NULL;
     }
 
@@ -705,13 +687,12 @@ run_search(PyObject *Py_UNUSED(module), PyObject *args, PyObject *kwargs)
     }
     PyBuffer_Release(&words);
     PyBuffer_Release(&ints);
-    Py_DECREF(packed);
     return result;
 }
 
 static PyMethodDef methods[] = {
-    {"run_search", (PyCFunction)(void (*)(void))run_search,
-     METH_VARARGS | METH_KEYWORDS, run_search_doc},
+    {"search", (PyCFunction)(void (*)(void))py_search,
+     METH_VARARGS | METH_KEYWORDS, py_search_doc},
     {NULL, NULL, 0, NULL},
 };
 

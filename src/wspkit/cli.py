@@ -2,11 +2,12 @@
 
 Subcommands: generate, solve, verify, encode, inspect, calibrate, bench.
 
-File formats are JSON (instances, plans; schema-validated), OPB/DIMACS with a
-variable-map sidecar (encoded models), and RFC-4180 CSV (bench results).  All
-output is byte-stable across runs (fixed field order, LF line endings,
-ASCII) except the wall-clock `millis` column of the bench CSV; solve keeps
-its timing on stderr so its stdout stays deterministic too.
+File formats are JSON (instances, whose constraints take the catalogue's
+form, and plans), OPB/DIMACS with a variable-map sidecar (encoded models),
+and RFC-4180 CSV (bench results).  All output is byte-stable across runs
+(fixed field order, LF line endings, ASCII) except the wall-clock `millis`
+column of the bench CSV; solve keeps its timing on stderr so its stdout
+stays deterministic too.
 
 Exit codes: solve uses the SAT-competition convention of 10 (satisfiable),
 20 (unsatisfiable) and 30 (budget exhausted); verify exits 0 for a valid
@@ -20,13 +21,9 @@ import csv
 import json
 import sys
 from dataclasses import fields
-from functools import lru_cache
-from importlib import resources
 from pathlib import Path
 from statistics import median_low
 from typing import Optional, Sequence
-
-import jsonschema
 
 from . import _kernel
 from .absorption import branching_bound
@@ -37,7 +34,7 @@ from .core import (
     Instance,
     InvariantError,
     WspError,
-    bits_of,
+    bits_list,
     json_text,
     violated_constraints,
 )
@@ -88,39 +85,31 @@ class CliError(WspError):
 
 
 # The file form of every constraint in the catalogue: its kind is the
-# lower-cased class name, and its keys are the class's fields in
-# declaration order.
+# lower-cased class name, and its keys are the kind and the class's fields
+# in declaration order.
 _KINDS = {cls.__name__.lower(): cls for cls in CATALOGUE}
 
-# The fields that hold user sets: a mask in a constraint, a list of user ids
-# in its document.  WL's `teams` holds one such set per team.
-_USER_FIELDS = ("supers", "trigger", "required", "teams")
-
-
-def _users_doc(value):
-    """A user mask as its list of ids; a tuple of masks as a list of them."""
-    if isinstance(value, int):
-        return list(bits_of(value))
-    return [list(bits_of(mask)) for mask in value]
+# The JSON form of each constraint field: an int, a list of step ids, a
+# user set as a list of user ids (a mask in the constraint), or a list of
+# user sets (WL's teams, one per team).
+_FORMS = {"s1": "int", "s2": "int", "r": "int", "h": "int",
+          "scope": "steps", "supers": "users", "trigger": "users",
+          "required": "users", "teams": "user sets"}
 
 
 def constraint_to_doc(c: Constraint) -> dict:
     doc = {"kind": type(c).__name__.lower()}
     for f in fields(c):
         value = getattr(c, f.name)
-        if f.name in _USER_FIELDS:
-            value = _users_doc(value)
-        elif isinstance(value, tuple):  # a scope
+        form = _FORMS[f.name]
+        if form == "users":
+            value = bits_list(value)
+        elif form == "user sets":
+            value = [bits_list(mask) for mask in value]
+        elif form == "steps":
             value = list(value)
         doc[f.name] = value
     return doc
-
-
-def constraint_from_doc(doc: dict) -> Constraint:
-    cls = _KINDS.get(doc["kind"])
-    if cls is None:
-        raise CliError(f"unknown constraint kind {doc['kind']!r}")
-    return cls(*(doc[f.name] for f in fields(cls)))
 
 
 def instance_to_doc(inst: Instance, meta: Optional[dict] = None) -> dict:
@@ -135,113 +124,98 @@ def instance_to_doc(inst: Instance, meta: Optional[dict] = None) -> dict:
     return doc
 
 
-def _user_lists(c: dict) -> list:
-    """The user-id lists of a constraint document."""
-    lists = []
-    for key in _USER_FIELDS:
-        if key in c:
-            lists += c[key] if key == "teams" else [c[key]]
-    return lists
+class _Mismatch(CliError):
+    """A document's keys or JSON types differ from its file format."""
 
 
-_MISMATCH = "does not match the {} schema"
+_JSON_TYPES = {int: "an integer", str: "a string", list: "an array",
+               dict: "an object"}
 
 
-def _top_user(users: list) -> int:
-    """The largest id in a list of user ids, or -1 for an empty list, after
-    checking every id as the schema would: an int, not a bool or 1.0, and
-    not negative.  The schema itself sees only the first id of each list."""
-    if not users:
-        return -1
-    if set(map(type, users)) != {int}:
-        bad = next(u for u in users if type(u) is not int)
-        raise CliError(f"{_MISMATCH.format('instance')}: "
-                       f"{bad!r} is not of type 'integer'")
-    low = min(users)
-    if low < 0:
-        raise CliError(f"{_MISMATCH.format('instance')}: "
-                       f"{low} is less than the minimum of 0")
-    return max(users)
+def _typed(value, kind: type, where: str):
+    """`value`, once its JSON type is `kind`; a bool is no int, as in JSON."""
+    if type(value) is not kind:
+        raise _Mismatch(f"{where} is not {_JSON_TYPES[kind]}")
+    return value
 
 
-def _check_user_ids(doc: dict) -> None:
-    """Check every user id in one pass before any list is packed or
-    compared.  An id of n or more gets the message the built instance would
-    give: a mask takes memory in proportion to its largest id, which the
-    schema does not bound."""
-    n = doc["n"]
-    for s, users in enumerate(doc["auth"]):
-        if _top_user(users) >= n:
-            raise InvariantError(
-                f"authorisation: step {s} names a user outside [0, {n})")
-    for c in doc["constraints"]:
-        top = max(map(_top_user, _user_lists(c)), default=-1)
-        if top >= n:
-            raise InvariantError(
-                f"{c['kind'].upper()}: user {top} outside [0, {n})")
-
-
-def instance_from_doc(doc: dict) -> Instance:
-    """The instance a document describes, once its shape has passed the
-    instance schema (`load_instance` checks it)."""
-    _check_user_ids(doc)
-    auth = AuthorisationFunction.from_lists(doc["auth"], doc["n"])
-    constraints = tuple(constraint_from_doc(c) for c in doc["constraints"])
-    return Instance(doc["k"], doc["n"], auth, constraints)
-
-
-def _is_int(checker, value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-# JSON integers only: draft 2020-12's `integer` also admits 1.0, which no
-# list index, user mask or comparison with a user accepts.
-_Validator = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", _is_int))
-
-
-@lru_cache(maxsize=None)
-def _validator(name: str):
-    text = resources.files("wspkit.schemas").joinpath(name).read_text("ascii")
-    return _Validator(json.loads(text))
-
-
-def _validated(doc, schema_name: str, path) -> dict:
-    try:
-        _validator(schema_name).validate(doc)
-    except jsonschema.exceptions.ValidationError as exc:
-        raise CliError(f"{path}: {_MISMATCH.format(schema_name.split('.')[0])}"
-                       f": {exc.message}") from exc
+def _keys(doc, keys: Sequence[str], where: str, optional=()) -> dict:
+    """`doc`, once it is an object with every key of `keys` and no key
+    outside `keys` and `optional`."""
+    for key in keys:
+        if key not in _typed(doc, dict, where):
+            raise _Mismatch(f"{where} lacks the key {key!r}")
+    for key in doc:
+        if key not in keys and key not in optional:
+            raise _Mismatch(f"{where} has the unexpected key {key!r}")
     return doc
 
 
-def _head(value):
-    return value[:1] if isinstance(value, list) else value
+def _top_id(ids, where: str) -> int:
+    """The largest id in a list of ids, or -1 for an empty list, once every
+    id is an int and not negative."""
+    if not _typed(ids, list, where):
+        return -1
+    if set(map(type, ids)) != {int}:
+        i = next(i for i, u in enumerate(ids) if type(u) is not int)
+        _typed(ids[i], int, f"{where}[{i}]")
+    if min(ids) < 0:
+        raise _Mismatch(f"{where}[{ids.index(min(ids))}] is negative")
+    return max(ids)
 
 
-def _shape(doc):
-    """A copy of an instance document in which every user-id list keeps
-    only its first id, so that the schema checks the document's shape in
-    time independent of n; `_check_user_ids` checks the other ids."""
-    if not isinstance(doc, dict):
-        return doc
-    shape = dict(doc)
-    if isinstance(doc.get("auth"), list):
-        shape["auth"] = [_head(users) for users in doc["auth"]]
-    if isinstance(doc.get("constraints"), list):
-        shape["constraints"] = cons = []
-        for c in doc["constraints"]:
-            if isinstance(c, dict):
-                c = dict(c)
-                for key in _USER_FIELDS:
-                    if key == "teams" and isinstance(c.get(key), list):
-                        c[key] = [_head(team) for team in c[key]]
-                    elif key in c:
-                        c[key] = _head(c[key])
-            cons.append(c)
-    return shape
+def constraint_from_doc(doc, n: int, where: str) -> Constraint:
+    """The constraint a document describes, once its keys and their JSON
+    forms are its kind's and no user id is n or more; the class checks
+    every other value."""
+    kind = _typed(_keys(doc, ("kind",), where, optional=doc)["kind"], str,
+                  f"{where}.kind")
+    if kind not in _KINDS:
+        raise _Mismatch(f"{where}.kind {kind!r} is not one of "
+                        f"{', '.join(_KINDS)}")
+    names = [f.name for f in fields(_KINDS[kind])]
+    _keys(doc, ("kind", *names), where)
+    top = -1  # the largest user id
+    for name in names:
+        value, at = doc[name], f"{where}.{name}"
+        form = _FORMS[name]
+        if form == "int":
+            _typed(value, int, at)
+        elif form == "user sets":
+            for j, users in enumerate(_typed(value, list, at)):
+                top = max(top, _top_id(users, f"{at}[{j}]"))
+        elif form == "users":
+            top = max(top, _top_id(value, at))
+        else:
+            _top_id(value, at)
+    if top >= n:
+        raise InvariantError(f"{kind.upper()}: user {top} outside [0, {n})")
+    return _KINDS[kind](*(doc[name] for name in names))
+
+
+def instance_from_doc(doc) -> Instance:
+    """The instance a document describes.  One pass checks its keys and
+    JSON types, and every user id (an int, not negative, below n) before
+    its list is packed; the constraint classes and `Instance` check every
+    other value."""
+    _keys(doc, ("k", "n", "auth", "constraints"), "the document", ("meta",))
+    k, n = _typed(doc["k"], int, "k"), _typed(doc["n"], int, "n")
+    _typed(doc.get("meta", {}), dict, "meta")
+    for s, users in enumerate(_typed(doc["auth"], list, "auth")):
+        if _top_id(users, f"auth[{s}]") >= n:
+            raise InvariantError(
+                f"authorisation: step {s} names a user outside [0, {n})")
+    constraints = tuple(
+        constraint_from_doc(c, n, f"constraints[{i}]")
+        for i, c in enumerate(_typed(doc["constraints"], list, "constraints")))
+    return Instance(k, n, AuthorisationFunction.from_lists(doc["auth"], n),
+                    constraints)
+
+
+def plan_from_doc(doc) -> tuple[int, ...]:
+    users = _keys(doc, ("assignment",), "the document")["assignment"]
+    _top_id(users, "assignment")
+    return tuple(users)
 
 
 def _read_json(path) -> dict:
@@ -255,18 +229,23 @@ def _read_json(path) -> dict:
         raise CliError(f"{path}: not valid JSON: {exc}") from exc
 
 
-def load_instance(path) -> Instance:
+def _load(path, schema: str, from_doc):
     doc = _read_json(path)
-    _validated(_shape(doc), "instance.schema.json", path)
     try:
-        return instance_from_doc(doc)
+        return from_doc(doc)
+    except _Mismatch as exc:
+        raise CliError(
+            f"{path}: does not match the {schema} schema: {exc}") from exc
     except WspError as exc:
         raise CliError(f"{path}: {exc}") from exc
 
 
+def load_instance(path) -> Instance:
+    return _load(path, "instance", instance_from_doc)
+
+
 def load_plan(path) -> tuple[int, ...]:
-    doc = _validated(_read_json(path), "plan.schema.json", path)
-    return tuple(doc["assignment"])
+    return _load(path, "plan", plan_from_doc)
 
 
 def dump_json(doc: dict) -> str:

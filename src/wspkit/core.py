@@ -136,9 +136,8 @@ class AuthorisationFunction:
     def __post_init__(self) -> None:
         _require(self.n >= 1, "authorisation: n must be >= 1")
         _require(len(self.step_masks) >= 1, "authorisation: needs at least one step")
-        full = (1 << self.n) - 1
         for s, m in enumerate(self.step_masks):
-            if not 0 <= m <= full:
+            if m < 0 or m >> self.n:
                 raise InvariantError(
                     f"authorisation: step {s} names a user outside [0, {self.n})")
 

@@ -247,6 +247,18 @@ def test_authorisation_mask_range_errors_name_the_step():
     assert AuthorisationFunction(3, (0, 0b111)).step_masks == (0, 0b111)
 
 
+def test_authorisation_range_check_does_not_build_an_n_bit_mask():
+    # an n-bit mask takes memory in proportion to n, and 1 << 10**100
+    # overflows at once; the check shifts each step's mask instead
+    n = 10**100
+    auth = AuthorisationFunction(n, (0b11, 0))
+    assert auth.to_lists() == [[0, 1], []]
+    assert Instance(2, n, auth, (SoD(0, 1),)).n == n
+    with pytest.raises(InvariantError,
+                       match=r"^authorisation: step 1 names a user outside"):
+        AuthorisationFunction(n, (0b1, -1))
+
+
 def test_authorisation_function_helpers():
     a = AuthorisationFunction.from_lists([[2, 0], [1]], 3)
     assert a.users(0) == (0, 2)
