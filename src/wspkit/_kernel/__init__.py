@@ -51,11 +51,11 @@ class SearchProblem:
     """A compiled instance, fully reindexed into visit-depth space.
 
     combo_masks[c][d] is the user bitmask that authorisation alternative c
-    allows for the step visited at depth d.
+    allows for the step visited at depth d.  No field holds the user count:
+    the masks' own widths size everything the kernels build.
     """
 
     k: int
-    n: int
     order: tuple[int, ...]
     combo_masks: tuple[tuple[int, ...], ...]
     sod_prev: tuple[tuple[int, ...], ...]
@@ -73,10 +73,12 @@ def pack(prob: SearchProblem) -> tuple[array, array]:
     and each depth's `bod_prev` as a length and its entries, then each count
     as (at most?, r, scope size, depths...) and each SUAL as (h, scope size,
     depths...).  `words` is the sorted combos' masks, depth by depth, then
-    the SUALs' super-users, W words each, lowest users first.
+    the SUALs' super-users, W words each, lowest users first.  W is the
+    fewest words that hold every one of those masks, at least one.
     """
     k, combo_masks = prob.k, prob.combo_masks
-    width = max(1, -(-prob.n // 64))
+    top = max([*map(max, combo_masks), *(s.xmask for s in prob.suals)], default=0)
+    width = max(1, -(-top.bit_length() // 64))
     perm = sorted(range(len(combo_masks)), key=combo_masks.__getitem__)
     ints = array("i", (k, width, len(combo_masks), len(prob.counts),
                        len(prob.suals), *prob.order, *perm))

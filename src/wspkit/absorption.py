@@ -29,13 +29,12 @@ from .core import (
     InvariantError,
     SUAL,
     WL,
-    _users_named,
     is_ui,
 )
 from .patterns import Pattern
 
 
-def alternatives(c: WL | ADA, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+def alternatives(c: WL | ADA) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The one description of a WL or ADA constraint's authorisation
     alternatives: absorption builds its families from it, the encoders their
     selectors, and `branching_bound` counts it.  Each alternative is the
@@ -44,15 +43,17 @@ def alternatives(c: WL | ADA, n: int) -> tuple[tuple[tuple[int, int], ...], ...]
 
     WL: one alternative per team, in declaration order, pinning the scope to
     that team.  ADA: the trigger case (s1 to a trigger user, s2 to a required
-    one) first, then the non-trigger case (s1 to a non-trigger user).
+    one) first, then the non-trigger case (s1 to a non-trigger user), whose
+    mask is the complement `~c.trigger`, a negative int: a reader
+    intersects a mask with a step's authorised users before it unpacks it,
+    since `bits_list` of a negative int never ends.
     """
     if isinstance(c, WL):
         # from lists: a tuple grown from an iterator and resized never came
         # off a free list, yet joins one when freed, until a full collection
         return tuple([tuple([(s, team) for s in c.scope]) for team in c.teams])
-    full = (1 << n) - 1
     return (((c.s1, c.trigger), (c.s2, c.required)),
-            ((c.s1, full & ~c.trigger),))
+            ((c.s1, ~c.trigger),))
 
 
 def sual_restricts(c: SUAL, p: Pattern) -> bool:
@@ -125,7 +126,6 @@ def absorb(inst: Instance, max_family_size: int = 4096) -> AbsorbedInstance:
     by its alternatives, row by row, with WL teams in declaration order and
     ADA's trigger case first, so the order is fixed.
     """
-    n = inst.n
     residual: list[Constraint] = []
     suals: list[SUAL] = []
     rows: list[tuple[int, ...]] = []
@@ -138,7 +138,7 @@ def absorb(inst: Instance, max_family_size: int = 4096) -> AbsorbedInstance:
         if isinstance(c, SUAL):
             suals.append(c)
             continue
-        alts = alternatives(c, n)
+        alts = alternatives(c)
         if len(rows) * len(alts) > max_family_size:
             raise CapacityError(
                 f"authorisation family would exceed max_family_size={max_family_size}; "
@@ -157,36 +157,11 @@ def absorb(inst: Instance, max_family_size: int = 4096) -> AbsorbedInstance:
     return AbsorbedInstance(inst, tuple(residual), tuple(rows), tuple(suals))
 
 
-@dataclass(frozen=True)
-class BranchingReport:
-    """Per-constraint absorption cost summary.
-
-    `bound` is the family-size bound the dedicated construction achieves.
-    The two generic bounds come from scope enumeration (n^t over t scope
-    steps) and from user-set enumeration ((k+1)^t over t named users); the
-    dedicated bound is never worse.
-    """
-
-    kind: str
-    bound: int
-    scope_bound: int
-    user_bound: int
-
-
-def branching_bound(c: Constraint, k: int, n: int) -> BranchingReport:
-    kind = type(c).__name__.lower()
+def branching_bound(c: Constraint) -> int:
+    """The constraint's family-size bound: 1 for a user-independent
+    constraint or SUAL, its count of alternatives for WL and ADA."""
     if is_ui(c) or isinstance(c, SUAL):
-        bound = 1
-    elif isinstance(c, (WL, ADA)):
-        bound = len(alternatives(c, n))
-    else:
-        raise InvariantError(f"unknown constraint type: {type(c).__name__}")
-    scope_t = len(set(c.steps))
-    users_t = _users_named(c).bit_count()
-    return BranchingReport(
-        kind=kind,
-        bound=bound,
-        scope_bound=n ** scope_t,
-        user_bound=(k + 1) ** users_t,
-    )
-
+        return 1
+    if isinstance(c, (WL, ADA)):
+        return len(alternatives(c))
+    raise InvariantError(f"unknown constraint type: {type(c).__name__}")

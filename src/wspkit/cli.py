@@ -21,6 +21,7 @@ import csv
 import json
 import sys
 from dataclasses import fields
+from math import prod
 from pathlib import Path
 from statistics import median_low
 from typing import Optional, Sequence
@@ -419,10 +420,8 @@ def cmd_encode(args) -> int:
 def cmd_inspect(args) -> int:
     inst = load_instance(args.instance)
     non_ui = inst.nonui_constraints()
-    reports = [branching_bound(c, inst.k, inst.n) for c in non_ui]
-    product = 1
-    for report in reports:
-        product *= report.bound
+    reports = [(type(c).__name__.lower(), branching_bound(c)) for c in non_ui]
+    product = prod(bound for _, bound in reports)
     bell_k = bell(inst.k)
     work = bell_k * product
     if args.json:
@@ -433,8 +432,8 @@ def cmd_inspect(args) -> int:
             "ui": len(inst.ui_constraints()),
             "non_ui": len(non_ui),
             "bell_k": bell_k,
-            "branching": [{"kind": r.kind, "bound": r.bound}
-                          for r in reports],
+            "branching": [{"kind": kind, "bound": bound}
+                          for kind, bound in reports],
             "branching_product": product,
             "work_bound": work,
         }
@@ -445,8 +444,8 @@ def cmd_inspect(args) -> int:
     print(f"constraints {len(inst.constraints)}")
     print(f"ui {len(inst.ui_constraints())}")
     print(f"non_ui {len(non_ui)}")
-    for report in reports:
-        print(f"branching {report.kind} {report.bound}")
+    for kind, bound in reports:
+        print(f"branching {kind} {bound}")
     print(f"bell_k {bell_k}")
     print(f"branching_product {product}")
     print(f"work_bound {work}")

@@ -165,7 +165,7 @@ class AuthorisationFunction:
         return (self.step_masks[s] >> u) & 1 == 1
 
     def to_lists(self) -> list[list[int]]:
-        return [list(bits_of(m)) for m in self.step_masks]
+        return [bits_list(m) for m in self.step_masks]
 
 
 # --- constraint catalogue -------------------------------------------------

@@ -251,11 +251,14 @@ class _Builder:
 def _add_base(b: _Builder) -> None:
     """x-variables for authorised pairs, exactly-one per step; a step with no
     authorised user gets an unsatisfiable falsum pair instead of an empty
-    row."""
-    inst = b.inst
-    steps = list(map(bits_list, inst.auth.step_masks))
+    row.  Each step's table of x-variables by user runs to the highest
+    authorised user, so that any step's table answers for any user some
+    step authorises."""
+    masks = b.inst.auth.step_masks
+    width = max(m.bit_length() for m in masks)
+    steps = list(map(bits_list, masks))
     for s, users in enumerate(steps):
-        xs = [0] * inst.n
+        xs = [0] * width
         for u, i in zip(users, b.new_vars([f"x{s}_{u}" for u in users])):
             xs[u] = i
         b.x.append(xs)
@@ -335,17 +338,17 @@ def _sual_groups(b: _Builder, ci: int, c: SUAL, count_lits: Sequence[int]) -> No
         _exclusions(b, g1, s, c.supers)
 
 
-def _named_alternatives(ci: int, c: WL | ADA, n: int) -> list[tuple[str, tuple]]:
+def _named_alternatives(ci: int, c: WL | ADA) -> list[tuple[str, tuple]]:
     """The constraint's alternatives, each with its selector name c{ci}_a{j}:
     WL numbers its teams from 0, ADA its two cases from 1."""
     first = 0 if isinstance(c, WL) else 1
-    return [(f"c{ci}_a{first + j}", alt) for j, alt in enumerate(alternatives(c, n))]
+    return [(f"c{ci}_a{first + j}", alt) for j, alt in enumerate(alternatives(c))]
 
 
 def _selectors(b: _Builder, ci: int, c: WL | ADA) -> None:
     """One selector per alternative, at least one of them true, each forcing
     its steps into the masks of its alternative."""
-    named = _named_alternatives(ci, c, b.inst.n)
+    named = _named_alternatives(ci, c)
     sels = b.new_vars([name for name, _ in named])
     b.selector_groups.append(tuple(sels))
     b.row(sels)
@@ -655,7 +658,7 @@ def encode_cs(inst: Instance) -> CSModel:
             for s in c.scope:
                 exclude(g1, s, c.supers)
         else:  # WL or ADA
-            named = _named_alternatives(ci, c, inst.n)
+            named = _named_alternatives(ci, c)
             sels = tuple(selector(name) for name, _ in named)
             rows.append(_cs_row("select_at_least_one", selectors=sels))
             for sel, (_, alt) in zip(sels, named):

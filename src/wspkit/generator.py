@@ -253,8 +253,8 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # the CLI schema's integer rule: 2.0 would fail deep in a draw, and
-        # True would silently stand for 1
+        # a JSON integer, as the instance file's ints are: 2.0 would fail
+        # deep in a draw, and True would silently stand for 1
         for field in fields(self):
             value = getattr(self, field.name)
             if not isinstance(value, int) or isinstance(value, bool):

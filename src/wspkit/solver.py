@@ -186,7 +186,7 @@ def compile_search_problem(absorbed: AbsorbedInstance) -> Optional[SearchProblem
     Step visit order is static: ascending constraint degree, ties by index.
     """
     inst = absorbed.instance
-    k, n = inst.k, inst.n
+    k = inst.k
     if k > _kernel.KERNEL_MAX_STEPS:
         raise CapacityError(
             f"search kernel handles at most {_kernel.KERNEL_MAX_STEPS} steps, got {k}")
@@ -226,7 +226,6 @@ def compile_search_problem(absorbed: AbsorbedInstance) -> Optional[SearchProblem
 
     return SearchProblem(
         k=k,
-        n=n,
         order=order,
         combo_masks=combo_masks,
         sod_prev=tuple(tuple(sorted(x)) for x in sod_prev),
@@ -288,7 +287,7 @@ def _check_cap(inst: Instance, cap: int) -> list[tuple[int, ...]]:
     if work > cap:
         raise CapacityError(
             f"brute force would enumerate {work} authorised plans, above cap={cap}; "
-            f"the full plan space is n^k = {inst.n ** inst.k}")
+            f"the full plan space is n^k = {inst.n}^{inst.k}")
     return lists
 
 def solve_bruteforce(inst: Instance, cap: int = 10_000_000) -> SolveResult:

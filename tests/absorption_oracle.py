@@ -62,14 +62,14 @@ def family_for_constraint(
     if isinstance(c, SUAL):
         alts = (tuple((s, c.supers) for s in c.scope) if sual_restricts(c, p) else (),)
     elif isinstance(c, (WL, ADA)):
-        alts = alternatives(c, n)
+        alts = alternatives(c)
     else:
         raise InvariantError(f"unknown constraint type: {type(c).__name__}")
     members = []
     for alt in alts:
         masks = [full] * k
         for s, mask in alt:
-            masks[s] = mask
+            masks[s] = full & mask
         members.append(AuthorisationFunction(n, tuple(masks)))
     return tuple(members)
 

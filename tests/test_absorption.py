@@ -292,13 +292,8 @@ def test_plan_authorised_cda_wrapper():
 
 
 def test_branching_bounds_per_kind():
-    k, n = 5, 6
-    assert branching_bound(SoD(0, 1), k, n).bound == 1
-    assert branching_bound(SUAL((0, 1), 1, frozenset({0})), k, n).bound == 1
-    assert branching_bound(ADA(0, 1, frozenset({0}), frozenset({1})), k, n).bound == 2
+    assert branching_bound(SoD(0, 1)) == 1
+    assert branching_bound(SUAL((0, 1), 1, frozenset({0}))) == 1
+    assert branching_bound(ADA(0, 1, frozenset({0}), frozenset({1}))) == 2
     wl = WL((0, 1), (frozenset({0}), frozenset({1}), frozenset({2})))
-    rep = branching_bound(wl, k, n)
-    assert rep.bound == 3
-    assert rep.scope_bound == n ** 2
-    assert rep.user_bound == (k + 1) ** 3
-    assert rep.bound <= min(rep.scope_bound, rep.user_bound)
+    assert branching_bound(wl) == 3

@@ -88,7 +88,7 @@ def search_work_bound(inst: Instance) -> int:
     """bell(k) times the product of the constraint branching bounds."""
     product = 1
     for c in inst.nonui_constraints():
-        product *= branching_bound(c, inst.k, inst.n).bound
+        product *= branching_bound(c)
     return bell(inst.k) * product
 
 

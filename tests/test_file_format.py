@@ -4,13 +4,16 @@ A constraint's keys are its kind and its class's fields, and each field is
 an int, a list of ids or a list of id lists.  A key or JSON type that
 differs from this format is an error in the format's wording, and a value
 that breaks a rule of the catalogue is an error in the constraint class's
-wording; both exit 1 without a traceback.
+wording; both exit 1 without a traceback.  n bounds the user ids and sizes
+nothing, so a tiny file with a huge n loads, solves and encodes.
 """
 
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -24,7 +27,19 @@ from wspkit.cli import (
     load_instance,
     main,
 )
+from wspkit._kernel import available_backends, pack
+from wspkit.absorption import absorb
 from wspkit.core import CATALOGUE
+from wspkit.encode import (
+    emit_cs_json,
+    emit_dimacs,
+    emit_opb,
+    emit_varmap,
+    encode_cs,
+    encode_pbpb,
+    encode_udpb,
+)
+from wspkit.solver import compile_search_problem
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -212,17 +227,55 @@ def test_a_value_error_names_the_broken_rule(kind, name, value, message,
     assert_rejected(["solve", str(path)], message, capsys)
 
 
+def every_kind_doc(n: int) -> dict:
+    """One constraint of every kind over three steps, whose only plan is
+    0 1 0.  ADA's trigger is user 1, so that plan takes ADA's non-trigger
+    case, the complement of a user set."""
+    return {"k": 3, "n": n, "auth": [[0, 1], [1, 2], [0, 2]],
+            "constraints": [*VALID.values()][:-1]
+            + [dict(VALID["ada"], trigger=[1])]}
+
+
 def test_a_tiny_file_with_a_huge_n_solves(tmp_path, capsys):
-    # n is only an int in the file: no step of loading or solving builds
-    # anything in proportion to it
-    doc = {"k": 3, "n": 10**100, "auth": [[0, 1], [1, 2], [0, 2]],
-           "constraints": [VALID["sod"], VALID["atmost"]]}
-    path = write(tmp_path, doc)
-    for algorithm in ("backtrack", "pattern-enum", "bruteforce"):
-        assert main(["solve", str(path), "--algorithm", algorithm]) == EXIT_SAT
-        assert "plan 0 1 0" in capsys.readouterr().out
+    # n is only an int in the file: no step of loading, solving, encoding or
+    # checking builds anything in proportion to it
+    path = write(tmp_path, every_kind_doc(10**100))
+    runs = [["--algorithm", algorithm]
+            for algorithm in ("backtrack", "pattern-enum", "bruteforce")]
+    if "compiled" in available_backends():
+        runs.append(["--kernel", "compiled"])
+    for run in runs:
+        assert main(["solve", str(path), *run]) == EXIT_SAT, run
+        assert "plan 0 1 0" in capsys.readouterr().out, run
+    for repr_, format_ in (("udpb", "opb"), ("pbpb", "dimacs"), ("cs", "json")):
+        out = tmp_path / f"model.{format_}"
+        assert main(["encode", str(path), "--repr", repr_, "--format", format_,
+                     "--out", str(out)]) == EXIT_OK
+        assert out.stat().st_size > 0
     assert main(["inspect", str(path)]) == EXIT_OK
     assert f"n {10**100}" in capsys.readouterr().out
+    plan = tmp_path / "plan.json"
+    assert main(["solve", str(path), "--plan-out", str(plan)]) == EXIT_SAT
+    assert main(["verify", str(path), str(plan)]) == EXIT_OK
+    assert capsys.readouterr().out.endswith("valid\n")
+
+
+def test_a_huge_n_sizes_no_table(tmp_path):
+    # a table of one entry per user would take 32 MB per step at n = 2**22,
+    # and a mask packed to n bits 512 KB
+    inst = load_instance(write(tmp_path, every_kind_doc(2**22)))
+    tracemalloc.start()
+    try:
+        pack(compile_search_problem(absorb(inst)))
+        for model, emitters in ((encode_udpb(inst), (emit_opb, emit_dimacs)),
+                                (encode_pbpb(inst), (emit_opb, emit_dimacs)),
+                                (encode_cs(inst), (emit_cs_json,))):
+            for emit in (*emitters, emit_varmap):
+                emit(model, io.StringIO())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 # --- the command needs no third-party package ------------------------------------------

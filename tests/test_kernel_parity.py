@@ -129,7 +129,7 @@ def test_pattern_budget_parity(seed):
 @needs_compiled
 def test_degenerate_problem_parity():
     dead = SearchProblem(
-        k=2, n=2, order=(0, 1), combo_masks=(),
+        k=2, order=(0, 1), combo_masks=(),
         sod_prev=((), ()), bod_prev=((), ()))
     pure, comp = run_both(dead)
     assert pure == comp == (_kernel.UNSAT, None, 0, 0, 0)
@@ -183,7 +183,7 @@ def test_benchmark_shaped_draw_parity(shape, seed):
 # --- hand-built problems: shapes of prefix classes that absorb rarely yields --
 
 
-def hand_problem(combos, n, sod=(), bod=(), counts=(), suals=()):
+def hand_problem(combos, sod=(), bod=(), counts=(), suals=()):
     """A SearchProblem in visit order; `sod`/`bod` are (earlier depth, later
     depth) pairs."""
     k = len(combos[0])
@@ -193,7 +193,7 @@ def hand_problem(combos, n, sod=(), bod=(), counts=(), suals=()):
         for d1, d2 in pairs:
             prev[d2].append(d1)
     return SearchProblem(
-        k=k, n=n, order=tuple(range(k)), combo_masks=tuple(combos),
+        k=k, order=tuple(range(k)), combo_masks=tuple(combos),
         sod_prev=tuple(map(tuple, sod_prev)),
         bod_prev=tuple(map(tuple, bod_prev)),
         counts=tuple(counts), suals=tuple(suals))
@@ -213,7 +213,7 @@ def assert_parity_under_every_budget(prob):
 @needs_compiled
 def test_identical_combos_parity():
     combo = (0b0011, 0b0110, 0b1100, 0b0011)
-    prob = hand_problem([combo, combo, combo], 4, sod=[(0, 1), (1, 2), (0, 3)])
+    prob = hand_problem([combo, combo, combo], sod=[(0, 1), (1, 2), (0, 3)])
     status, plan, *_ = assert_parity_under_every_budget(prob)
     assert status == _kernel.SAT
 
@@ -222,14 +222,14 @@ def test_identical_combos_parity():
 def test_combos_split_at_the_last_depth_parity():
     # SoD(0, 2) forces a new block at depth 2; combo 0 can only give it user
     # 0, which block 0 holds, so it dies and combo 1's matching is the plan
-    prob = hand_problem([(0b001, 0b010, 0b001), (0b001, 0b010, 0b100)], 3,
+    prob = hand_problem([(0b001, 0b010, 0b001), (0b001, 0b010, 0b100)],
                         sod=[(0, 2), (1, 2)])
     status, plan, *_ = assert_parity_under_every_budget(prob)
     assert (status, plan) == (_kernel.SAT, [0, 1, 2])
     # combos 0 and 2 share a class until depth 1, where combo 0 dies; the
     # plan is the least alive combo's (1), not that of the class met first
     prob = hand_problem([(0b0001, 0b0001), (0b0010, 0b1000), (0b0001, 0b0100)],
-                        4, sod=[(0, 1)])
+                        sod=[(0, 1)])
     status, plan, *_ = assert_parity_under_every_budget(prob)
     assert (status, plan) == (_kernel.SAT, [1, 3])
 
@@ -238,13 +238,13 @@ def test_combos_split_at_the_last_depth_parity():
 def test_plan_is_the_least_alive_combo_not_the_least_masks_parity():
     # combo 1 has the smaller masks, so it sorts first; the plan is still
     # combo 0's
-    prob = hand_problem([(0b10,), (0b01,)], 2)
+    prob = hand_problem([(0b10,), (0b01,)])
     status, plan, *_ = assert_parity_under_every_budget(prob)
     assert (status, plan) == (_kernel.SAT, [1])
     # sorted order 1, 2, 0: combos 2 and 0 share a class until depth 1,
     # where combo 2 sorts first, yet all three survive and combo 0 names
     # the plan
-    prob = hand_problem([(0b100, 0b011), (0b001, 0b110), (0b100, 0b010)], 3,
+    prob = hand_problem([(0b100, 0b011), (0b001, 0b110), (0b100, 0b010)],
                         sod=[(0, 1)])
     status, plan, *_ = assert_parity_under_every_budget(prob)
     assert (status, plan) == (_kernel.SAT, [2, 0])
@@ -256,7 +256,7 @@ def test_class_split_reused_at_a_second_node_parity():
     # when step 1 joins step 0's block: only combo 1 survives, and SoD(0, 2)
     # then kills it.  The same split serves the next node, where step 1
     # opens a block and both survive; the plan is combo 0's, the least.
-    prob = hand_problem([(0b011, 0b100, 0b110), (0b011, 0b001, 0b001)], 3,
+    prob = hand_problem([(0b011, 0b100, 0b110), (0b011, 0b001, 0b001)],
                         sod=[(0, 2)])
     status, plan, _, nodes, _ = assert_parity_under_every_budget(prob)
     assert (status, plan, nodes) == (_kernel.SAT, [0, 2, 2], 5)
@@ -267,10 +267,10 @@ def test_empty_step_mask_parity():
     # a zero mask where a block opens: at depth 0, and at depth 1 where
     # SoD(0, 1) forces a new block
     combos = [(0, 0b11, 0b11), (0b11, 0, 0b11), (0b11, 0b10, 0b01)]
-    prob = hand_problem(combos, 2, sod=[(0, 1)])
+    prob = hand_problem(combos, sod=[(0, 1)])
     status, plan, *_ = assert_parity_under_every_budget(prob)
     assert (status, plan) == (_kernel.SAT, [0, 1, 0])
-    assert run_both(hand_problem(combos[:2], 2, sod=[(0, 1)])) == \
+    assert run_both(hand_problem(combos[:2], sod=[(0, 1)])) == \
         ((_kernel.UNSAT, None, 0, 2, 0),) * 2
 
 
@@ -281,7 +281,7 @@ def test_sual_restriction_in_a_shared_class_parity():
     # to the unrestricted block of depth 0 that the class shares.
     combos = [(0b1111, 0b1111, 0b0001), (0b1111, 0b1111, 0b0010)]
     sual = SualSpec(depths=(0, 1), h=1, xmask=0b1100)
-    prob = hand_problem(combos, 4, bod=[(0, 2)], suals=[sual])
+    prob = hand_problem(combos, bod=[(0, 2)], suals=[sual])
     status, plan, *_ = assert_parity_under_every_budget(prob)
     assert (status, plan) == (_kernel.SAT, [0, 1, 0])
 
@@ -311,7 +311,7 @@ SUAL_GAP_CASES = {
 @pytest.mark.parametrize("name", sorted(SUAL_GAP_CASES))
 def test_sual_ending_at_a_middle_depth(name):
     pairs, expected = SUAL_GAP_CASES[name]
-    prob = hand_problem([(0b1111,) * 5], 4, suals=[SUAL_GAP], **pairs)
+    prob = hand_problem([(0b1111,) * 5], suals=[SUAL_GAP], **pairs)
     assert pure_result_with_parity(prob) == expected
 
 
@@ -320,7 +320,7 @@ def test_prefix_rejected_by_user_independent_constraints_parity():
     combos = [(0b111, 0b111, 0b111, 0b111), (0b011, 0b110, 0b111, 0b101)]
     atleast = CountSpec(at_most=False, r=3, depths=(0, 1, 2))
     atmost = CountSpec(at_most=True, r=2, depths=(1, 2, 3))
-    prob = hand_problem(combos, 3, sod=[(0, 1)], bod=[(0, 3)],
+    prob = hand_problem(combos, sod=[(0, 1)], bod=[(0, 3)],
                         counts=[atleast, atmost])
     assert_parity_under_every_budget(prob)
 
@@ -329,14 +329,14 @@ def as_instance(prob):
     """The one-combo, identity-order hand problem `prob` as an Instance,
     for `solve_bruteforce` to give the ground truth."""
     (combo,) = prob.combo_masks
-    auth = AuthorisationFunction.from_lists([bits_of(mask) for mask in combo],
-                                            prob.n)
+    n = max(1, max(combo).bit_length())
+    auth = AuthorisationFunction.from_lists([bits_of(mask) for mask in combo], n)
     constraints = []
     for kind, prev in ((SoD, prob.sod_prev), (BoD, prob.bod_prev)):
         constraints += [kind(e, d) for d in range(prob.k) for e in prev[d]]
     constraints += [(AtMost if c.at_most else AtLeast)(c.r, c.depths)
                     for c in prob.counts]
-    return Instance(prob.k, prob.n, auth, tuple(constraints))
+    return Instance(prob.k, n, auth, tuple(constraints))
 
 
 def assert_matches_ground_truth(prob):
@@ -373,7 +373,7 @@ def count_bound_problem(at_most, position):
     else:
         bod = [(0, d) for d in range(1, position + 1)]
     count = CountSpec(at_most=at_most, r=r, depths=tuple(range(k)))
-    return hand_problem([(0b1111,) * k], 4, sod=sod, bod=bod, counts=[count])
+    return hand_problem([(0b1111,) * k], sod=sod, bod=bod, counts=[count])
 
 
 # position -> verdict.  At-most r=3 can bite from scope position r on, so
@@ -415,7 +415,7 @@ NO_NEXT_BLOCK = dict(sod=[(0, 2)],
 def test_no_admissible_next_block_with_a_live_matching_parity():
     # both users may take every step, so block 0 keeps its matching; in
     # the plan, block 1 takes user 0 and moves block 0 to user 1
-    prob = hand_problem([(0b11, 0b11, 0b11)], 2, **NO_NEXT_BLOCK)
+    prob = hand_problem([(0b11, 0b11, 0b11)], **NO_NEXT_BLOCK)
     assert assert_matches_ground_truth(prob) == \
         (_kernel.SAT, [1, 0, 0], 1, 4, 1)
 
@@ -424,21 +424,21 @@ def test_no_admissible_next_block_with_a_live_matching_parity():
 def test_no_admissible_next_block_with_a_dead_matching_parity():
     # steps 0 and 1 share no user, so block 0's matching dies at the same
     # node; the counters do not change
-    prob = hand_problem([(0b01, 0b10, 0b11)], 2, **NO_NEXT_BLOCK)
+    prob = hand_problem([(0b01, 0b10, 0b11)], **NO_NEXT_BLOCK)
     assert assert_matches_ground_truth(prob) == \
         (_kernel.SAT, [0, 1, 1], 1, 4, 1)
 
 
 @needs_compiled
 def test_node_budget_ending_on_a_node_without_admissible_next_block_parity():
-    prob = hand_problem([(0b11, 0b11, 0b11)], 2, **NO_NEXT_BLOCK)
+    prob = hand_problem([(0b11, 0b11, 0b11)], **NO_NEXT_BLOCK)
     # the second node is the one without children; the node that breaks
     # the budget is counted
     assert run_both(prob, max_nodes=1) == \
         ((_kernel.BUDGET, None, 0, 2, 0),) * 2
     # SoD to both open blocks as well: the search ends on that node, so a
     # budget that stops there is BUDGET and one more node gives UNSAT
-    prob = hand_problem([(0b11, 0b11, 0b11)], 2, sod=[(0, 1), (0, 2), (1, 2)],
+    prob = hand_problem([(0b11, 0b11, 0b11)], sod=[(0, 1), (0, 2), (1, 2)],
                         counts=[CountSpec(at_most=True, r=2, depths=(0, 1, 2))])
     assert assert_matches_ground_truth(prob) == (_kernel.UNSAT, None, 0, 2, 0)
     assert run_both(prob, max_nodes=1) == \
@@ -464,7 +464,7 @@ def random_hand_problem(seed):
     suals = [SualSpec(tuple(sorted(rng.sample(range(k), rng.randint(2, k)))),
                       rng.randint(1, k - 1), rng.randint(1, full))
              for _ in range(rng.randint(0, 2))]
-    return hand_problem(combos, n, sod=pairs[:cut], bod=pairs[cut:],
+    return hand_problem(combos, sod=pairs[:cut], bod=pairs[cut:],
                         counts=counts, suals=suals)
 
 
@@ -581,7 +581,7 @@ TOP_FIELD_CASES = {
 def test_every_depth_apart_at_the_step_limit(name):
     n, counts, expected = TOP_FIELD_CASES[name]
     pairs = [(e, f) for f in EVERY_DEPTH for e in range(f)]
-    prob = hand_problem([((1 << n) - 1,) * KERNEL_MAX_STEPS], n, sod=pairs,
+    prob = hand_problem([((1 << n) - 1,) * KERNEL_MAX_STEPS], sod=pairs,
                         counts=counts)
     assert pure_result_with_parity(prob) == expected
 
@@ -613,13 +613,13 @@ def test_step_limit_draw_parity(name):
 @needs_compiled
 def test_compiled_kernel_refuses_problems_it_would_read_out_of_bounds():
     # it reads every index from the packed buffers, so each is range-checked
-    ok = hand_problem([(0b11, 0b11)], 2)
+    ok = hand_problem([(0b11, 0b11)])
     bad = [
         dataclasses.replace(ok, order=(0, 2)),
         dataclasses.replace(ok, sod_prev=((), (1,))),
         dataclasses.replace(ok, counts=(CountSpec(True, 1, (0, 2)),)),
         dataclasses.replace(ok, suals=(SualSpec((1, 0), 1, 0b01),)),
-        hand_problem([((1 << 65) - 1,) * (KERNEL_MAX_STEPS + 1)], 65),
+        hand_problem([((1 << 65) - 1,) * (KERNEL_MAX_STEPS + 1)]),
     ]
     run = backend_run_search("compiled")
     assert run(ok)[0] == _kernel.SAT

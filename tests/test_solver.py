@@ -300,6 +300,15 @@ def test_bruteforce_capacity_cap():
         count_valid_plans(inst, cap=1000)
 
 
+def test_bruteforce_cap_names_the_plan_space_at_any_n():
+    # n**k at n = 10**100, k = 50 has 5001 digits, past the length that
+    # Python will turn into a decimal string
+    n, k = 10**100, 50
+    inst = Instance(k, n, AuthorisationFunction.from_lists([[0, 1]] * k, n), ())
+    with pytest.raises(CapacityError, match=rf"n\^k = {n}\^{k}$"):
+        solve_bruteforce(inst)
+
+
 def test_kernel_step_limit():
     k = 65
     inst = Instance(k, 2, AuthorisationFunction.total(k, 2), ())
