@@ -65,6 +65,7 @@ from .solver import (
     solve_backtracking,
     solve_bruteforce,
     solve_pattern_enum,
+    visit_order,
 )
 
 EXIT_OK = 0
@@ -424,6 +425,7 @@ def cmd_inspect(args) -> int:
     product = prod(bound for _, bound in reports)
     bell_k = bell(inst.k)
     work = bell_k * product
+    order = visit_order(inst)
     if args.json:
         doc = {
             "k": inst.k,
@@ -436,6 +438,7 @@ def cmd_inspect(args) -> int:
                           for kind, bound in reports],
             "branching_product": product,
             "work_bound": work,
+            "visit_order": list(order),
         }
         sys.stdout.write(dump_json(doc))
         return EXIT_OK
@@ -449,6 +452,7 @@ def cmd_inspect(args) -> int:
     print(f"bell_k {bell_k}")
     print(f"branching_product {product}")
     print(f"work_bound {work}")
+    print("visit_order", *order)
     return EXIT_OK
 
 
@@ -622,7 +626,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "rows (pbpb only)")
     p.set_defaults(func=cmd_encode)
 
-    p = sub.add_parser("inspect", help="report search-effort bounds")
+    p = sub.add_parser("inspect",
+                       help="report search-effort bounds and the visit order")
     p.add_argument("instance")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_inspect)

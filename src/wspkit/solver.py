@@ -27,6 +27,7 @@ from .core import (
     SoD,
     WspError,
     is_eligible,
+    is_ui,
     is_valid,
 )
 from .matching import authorised_plan_for
@@ -179,11 +180,36 @@ def solve_pattern_enum(inst: Instance, budget: Optional[Budget] = None) -> Solve
 # --- backtracking over pattern prefixes -------------------------------------
 
 
+def visit_order(inst: Instance) -> tuple[int, ...]:
+    """The kernels' static step order, fail-first on the non-UI constraints.
+
+    Steps held by more WL, ADA and SUAL constraints come first, since those
+    are the steps where prefix classes of alternatives split and a dead
+    alternative is dropped.  Ties go to ascending constraint degree, then to
+    the step index.  When every constraint is UI the first key is 0 for
+    every step, so the order is ascending degree, ties by index.
+    """
+    k = inst.k
+    # every kind's steps are distinct, so each counts once
+    degree = [0] * k
+    non_ui = [0] * k
+    for c in inst.constraints:
+        ui = is_ui(c)
+        for s in c.steps:
+            degree[s] += 1
+            if not ui:
+                non_ui[s] += 1
+    # stable: ties by index
+    return tuple(sorted(range(k), key=lambda s: (-non_ui[s], degree[s])))
+
+
 def compile_search_problem(absorbed: AbsorbedInstance) -> Optional[SearchProblem]:
     """Reindex an absorbed instance into visit-depth space for the kernel.
 
     Returns None when the static family is already empty (trivially UNSAT).
-    Step visit order is static: ascending constraint degree, ties by index.
+    Step visit order is static, `visit_order(inst)`: steps under the most
+    WL, ADA and SUAL constraints first, then ascending constraint degree,
+    ties by index.  Both kernels read it through `SearchProblem.order`.
     """
     inst = absorbed.instance
     k = inst.k
@@ -193,12 +219,7 @@ def compile_search_problem(absorbed: AbsorbedInstance) -> Optional[SearchProblem
     if not absorbed.static_rows:
         return None
 
-    # every kind's steps are distinct, so each counts once
-    degree = [0] * k
-    for c in inst.constraints:
-        for s in c.steps:
-            degree[s] += 1
-    order = tuple(sorted(range(k), key=degree.__getitem__))  # stable: ties by index
+    order = visit_order(inst)
     pos = [0] * k
     for d, s in enumerate(order):
         pos[s] = d

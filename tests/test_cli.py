@@ -671,6 +671,9 @@ def test_inspect_reports_bell_bound_for_ui_only_instance(po_file, capsys):
     assert "bell_k 203" in lines
     assert "branching_product 1" in lines
     assert "work_bound 203" in lines
+    # every constraint is UI: ascending degree (3, 1, 2, 2, 1, 1), ties by
+    # index
+    assert lines[-1] == "visit_order 1 4 5 2 3 0"
 
 
 def mixed_nonui_instance() -> Instance:
@@ -705,6 +708,20 @@ def test_inspect_json_matches_the_text_numbers(tmp_path, capsys):
     assert doc["branching_product"] == 8
     assert doc["work_bound"] == 8 * bell(4)
     assert doc["bell_k"] == bell(4)
+
+
+def test_inspect_reports_the_visit_order(tmp_path, capsys):
+    # steps 2 and 3 are under the ADA, so they come first, 3 of the lower
+    # degree; then steps 1 and 0 by ascending degree
+    auth = AuthorisationFunction.from_lists([list(range(4))] * 4, 4)
+    inst = Instance(4, 4, auth, (SoD(0, 1), SoD(0, 2),
+                                 ADA(3, 2, frozenset({0}), frozenset({1}))))
+    path = tmp_path / "ordered.json"
+    save_instance(path, inst)
+    assert main(["inspect", str(path)]) == EXIT_OK
+    assert "visit_order 3 2 1 0" in capsys.readouterr().out.splitlines()
+    assert main(["inspect", str(path), "--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["visit_order"] == [3, 2, 1, 0]
 
 
 def test_inspect_does_not_solve(tmp_path, capsys):

@@ -498,6 +498,17 @@ def test_alternatives_workload_sweep():
                                    **BENCH_SHAPES["alternatives"]))
 
 
+@pytest.mark.sweep
+@needs_compiled
+def test_export_workload_sweep():
+    # the 900 draws of perfbench's `export` workload at --seed 81; their
+    # SUAL scopes come first in the visit order, so SUAL narrowing fires at
+    # shallow depths
+    for i in range(900):
+        assert_draw_parity(GenSpec(seed=derive_seed(81, 4, i),
+                                   **BENCH_SHAPES["export"]))
+
+
 # --- node totals, pinned for the pure backend ----------------------------------
 
 # name -> (salt, draws, GenSpec shape, total nodes, SAT draws).  Draw i is
@@ -510,8 +521,8 @@ def test_alternatives_workload_sweep():
 # to the visit order or to pruning changes them on purpose.
 NODE_TOTALS = {
     "search": (1, 300, dict(k=12, n=120, am3=12, sod=26), 236_275, 201),
-    "alternatives": (2, 300, BENCH_SHAPES["alternatives"], 19_887, 140),
-    "export": (4, 300, BENCH_SHAPES["export"], 165_189, 165),
+    "alternatives": (2, 300, BENCH_SHAPES["alternatives"], 10_729, 140),
+    "export": (4, 300, BENCH_SHAPES["export"], 58_485, 165),
     "k16": (7, 20, dict(k=16, n=160, am3=16, sod=35), 455_985, 13),
 }
 
@@ -541,8 +552,8 @@ def test_pure_kernel_node_totals(name):
 # name -> SHA-256 of "i plan" lines over the SAT draws of NODE_TOTALS[name],
 # so a changed plan shows without a compiled kernel to compare against.
 PLAN_DIGESTS = {
-    "alternatives": "a251fa7dd1ace0c1d9ea5b543b02453d5d1253ab13d0bc1c48e0accb1e0cef2e",
-    "export": "b9e57663af21dc75cf094df39c0bf6dfdbc06174b795d399d0e59662ee8eb2e6",
+    "alternatives": "6776eec264ce142e257212eebd7465b4148376ff15e9b3bb388a4ff43c5e15d9",
+    "export": "eb9c543559e40c8192e6ac848fe82bbc37babd5858fc47764ba8a52af3ce3739",
     "k16": "7ecf49f9663fdd11c5513083afce2bf678a0b9395e6264d2b3d98e951dffd159",
     "search": "a0b99ab56f6ff4ad7124436d1e34335bd79bbaca39c3734a1172edfd6627d2c2",
 }
@@ -587,11 +598,12 @@ def test_every_depth_apart_at_the_step_limit(name):
 
 
 # k = KERNEL_MAX_STEPS draws with WL/ADA alternatives and a SUAL restriction:
-# the first finds a plan after 928 nodes, so its plan comes off a stack
-# KERNEL_MAX_STEPS deep; the second is still searching at the budget.
+# the first finds a plan after 140 nodes, so its plan comes off a stack
+# KERNEL_MAX_STEPS deep; the second is still searching at the budget (and
+# at 100,000 nodes).
 STEP_LIMIT_DRAWS = {
     "sat": (_kernel.SAT, dict(n=640, sod=100, sual=1, wl=1, ada=4)),
-    "budget": (_kernel.BUDGET, dict(n=640, am3=8, sod=60, sual=1, wl=1,
+    "budget": (_kernel.BUDGET, dict(n=640, am3=8, sod=70, sual=1, wl=1,
                                     ada=4)),
 }
 

@@ -18,7 +18,9 @@ from conftest import (
     valid_plans_longhand,
 )
 from wspkit.core import (
+    ADA,
     AtLeast,
+    AtMost,
     AuthorisationFunction,
     BoD,
     CapacityError,
@@ -42,6 +44,7 @@ from wspkit.solver import (
     solve_bruteforce,
     solve_pattern_enum,
     verify,
+    visit_order,
 )
 from wspkit.absorption import absorb
 from wspkit._kernel import available_backends
@@ -322,10 +325,58 @@ def test_compile_returns_none_for_dead_family():
     assert solve_backtracking(inst).verdict is Verdict.UNSAT
 
 
+# --- the static visit order ---------------------------------------------------
+
+
+def order_instance(k, *constraints):
+    return Instance(k, 4, AuthorisationFunction.total(k, 4), constraints)
+
+
+def test_ui_only_instance_visits_steps_by_ascending_degree():
+    # degrees 3, 1, 2, 1, 2, 2: ties go to the lower index
+    inst = order_instance(6, SoD(0, 1), BoD(0, 2), AtMost(2, (0, 2, 3)),
+                          AtLeast(2, (4, 5)), SoD(4, 5))
+    assert visit_order(inst) == (1, 3, 2, 4, 5, 0)
+    assert visit_order(order_instance(3)) == (0, 1, 2)
+
+
+def test_steps_under_more_non_ui_constraints_come_first():
+    # step 3 is under two non-UI constraints, steps 1 and 2 under one, and
+    # step 0, of the highest degree, under none
+    inst = order_instance(4, SoD(0, 1), SoD(0, 2), SoD(0, 3),
+                          ADA(3, 1, 0b01, 0b10), WL((2, 3), (0b01, 0b10)))
+    assert visit_order(inst) == (3, 1, 2, 0)
+
+
+def test_sual_counts_as_non_ui():
+    # the same scope as an at-most keeps ascending degree; as a SUAL it
+    # moves to the front
+    pairs = (SoD(0, 1), SoD(0, 2), SoD(1, 2))
+    assert visit_order(order_instance(4, *pairs, AtMost(1, (1, 2)))) == \
+        (3, 0, 1, 2)
+    assert visit_order(order_instance(4, *pairs, SUAL((1, 2), 1, 0b1))) == \
+        (1, 2, 3, 0)
+
+
+def test_visit_order_ties_fall_to_degree_then_index():
+    # steps 0 to 3 are each under one ADA; step 2 has degree 1 and steps
+    # 0, 1 and 3 degree 2, so 2 leads and the other three go by index
+    inst = order_instance(5, ADA(0, 1, 0b1, 0b1), ADA(2, 3, 0b1, 0b1),
+                          SoD(0, 4), SoD(1, 4), SoD(3, 4))
+    assert visit_order(inst) == (2, 0, 1, 3, 4)
+
+
+def test_compile_visits_steps_in_visit_order():
+    for i in range(5):
+        inst = generate(GenSpec(seed=derive_seed(81, 4, i), k=10, n=80,
+                                am3=10, sod=7, sual=1, wl=2, ada=2))
+        assert compile_search_problem(absorb(inst)).order == visit_order(inst)
+
+
 # sha256 prefix of every field compile_search_problem returns, over 20
 # export-shaped draws (SoD, at-most, SUAL, WL, ADA) and 40 small draws each
 # of BoD, at-least and a mix of every kind.
-COMPILE_DIGEST = "5fcda1034e7481fd"
+COMPILE_DIGEST = "78899fe1a15dd940"
 
 
 def test_compiled_problems_are_pinned():
