@@ -31,6 +31,7 @@ from .absorption import branching_bound
 from .core import (
     CATALOGUE,
     AuthorisationFunction,
+    CapacityError,
     Constraint,
     Instance,
     InvariantError,
@@ -166,10 +167,25 @@ def _top_id(ids, where: str) -> int:
     return max(ids)
 
 
+# The widest user mask a file may need.  Bit u of a mask stands for user u,
+# so a file that names user 10**12 would need a 125 GB int, whatever n it
+# declares; 2**24 bits is 2 MB per mask.
+LOADER_MAX_MASK_BITS = 1 << 24
+
+
+def _check_width(top: int, where: str) -> None:
+    """Refuse a largest user id `top` whose mask would be wider than
+    `LOADER_MAX_MASK_BITS`, before any mask is packed."""
+    if top >= LOADER_MAX_MASK_BITS:
+        raise CapacityError(
+            f"{where}: user {top} needs a {top + 1}-bit mask, past the "
+            f"loader's limit LOADER_MAX_MASK_BITS = {LOADER_MAX_MASK_BITS}")
+
+
 def constraint_from_doc(doc, n: int, where: str) -> Constraint:
     """The constraint a document describes, once its keys and their JSON
-    forms are its kind's and no user id is n or more; the class checks
-    every other value."""
+    forms are its kind's and no user id is n or more or past
+    `LOADER_MAX_MASK_BITS`; the class checks every other value."""
     kind = _typed(_keys(doc, ("kind",), where, optional=doc)["kind"], str,
                   f"{where}.kind")
     if kind not in _KINDS:
@@ -192,21 +208,24 @@ def constraint_from_doc(doc, n: int, where: str) -> Constraint:
             _top_id(value, at)
     if top >= n:
         raise InvariantError(f"{kind.upper()}: user {top} outside [0, {n})")
+    _check_width(top, kind.upper())
     return _KINDS[kind](*(doc[name] for name in names))
 
 
 def instance_from_doc(doc) -> Instance:
     """The instance a document describes.  One pass checks its keys and
-    JSON types, and every user id (an int, not negative, below n) before
-    its list is packed; the constraint classes and `Instance` check every
-    other value."""
+    JSON types, and every user id (an int, not negative, below n and
+    inside `LOADER_MAX_MASK_BITS`) before its list is packed; the
+    constraint classes and `Instance` check every other value."""
     _keys(doc, ("k", "n", "auth", "constraints"), "the document", ("meta",))
     k, n = _typed(doc["k"], int, "k"), _typed(doc["n"], int, "n")
     _typed(doc.get("meta", {}), dict, "meta")
     for s, users in enumerate(_typed(doc["auth"], list, "auth")):
-        if _top_id(users, f"auth[{s}]") >= n:
+        top = _top_id(users, f"auth[{s}]")
+        if top >= n:
             raise InvariantError(
                 f"authorisation: step {s} names a user outside [0, {n})")
+        _check_width(top, f"authorisation: step {s}")
     constraints = tuple(
         constraint_from_doc(c, n, f"constraints[{i}]")
         for i, c in enumerate(_typed(doc["constraints"], list, "constraints")))

@@ -183,33 +183,53 @@ def solve_pattern_enum(inst: Instance, budget: Optional[Budget] = None) -> Solve
 def visit_order(inst: Instance) -> tuple[int, ...]:
     """The kernels' static step order, fail-first on the non-UI constraints.
 
-    Steps held by more WL, ADA and SUAL constraints come first, since those
-    are the steps where prefix classes of alternatives split and a dead
-    alternative is dropped.  Ties go to ascending constraint degree, then to
-    the step index.  When every constraint is UI the first key is 0 for
-    every step, so the order is ascending degree, ties by index.
+    The steps of WL, ADA and SUAL constraints come first, in maximum
+    cardinality order over those constraints (Tarjan & Yannakakis, SIAM J.
+    Comput. 13(3), 1984): each next step is the one that shares the most of
+    them with the steps already taken, counting a constraint once per taken
+    member, ties by higher constraint degree, then by lower index.  So the
+    first is the one of highest degree, and once a step of an ADA pair or
+    a SUAL scope is taken the rest of that scope is preferred: the kernel
+    drops a dead alternative, or narrows a SUAL at its scope's last depth,
+    soon after the scope opens.  Every other step follows in ascending degree, ties by
+    index, so an instance whose constraints are all UI keeps that order.
     """
     k = inst.k
     # every kind's steps are distinct, so each counts once
     degree = [0] * k
-    non_ui = [0] * k
+    held: list[list[tuple[int, ...]]] = [[] for _ in range(k)]
     for c in inst.constraints:
-        ui = is_ui(c)
-        for s in c.steps:
+        steps = c.steps
+        for s in steps:
             degree[s] += 1
-            if not ui:
-                non_ui[s] += 1
+        if not is_ui(c):
+            for s in steps:
+                held[s].append(steps)
+    # by descending degree, ties by index, so that max, which returns the
+    # first of equal items, breaks ties on `shared` by degree, then index
+    left = sorted((s for s in range(k) if held[s]), key=lambda s: -degree[s])
+    shared = [0] * k
+    order = []
+    while left:
+        s = max(left, key=shared.__getitem__)
+        left.remove(s)
+        order.append(s)
+        for steps in held[s]:
+            for t in steps:
+                shared[t] += 1
     # stable: ties by index
-    return tuple(sorted(range(k), key=lambda s: (-non_ui[s], degree[s])))
+    order += sorted((s for s in range(k) if not held[s]), key=degree.__getitem__)
+    return tuple(order)
 
 
 def compile_search_problem(absorbed: AbsorbedInstance) -> Optional[SearchProblem]:
     """Reindex an absorbed instance into visit-depth space for the kernel.
 
     Returns None when the static family is already empty (trivially UNSAT).
-    Step visit order is static, `visit_order(inst)`: steps under the most
-    WL, ADA and SUAL constraints first, then ascending constraint degree,
-    ties by index.  Both kernels read it through `SearchProblem.order`.
+    Step visit order is static, `visit_order(inst)`: the steps of WL, ADA
+    and SUAL constraints first, in maximum cardinality order over those
+    constraints, then the rest in ascending constraint degree, ties by
+    index.  Both kernels read it through `SearchProblem.order`.
     """
     inst = absorbed.instance
     k = inst.k

@@ -15,7 +15,8 @@ registers it as `wspkit._kernel._speed`.  It builds with `-Wall -Wextra
 -Werror`, so a compiler warning in the kernel fails the session's tests.
 The default backend stays the one selected at import, so the rest of the
 suite still runs on it, while the parity tests can compare it with the
-compiled one.  Nothing is built inside the repository.
+compiled one.  The sanitizer sweep builds its own copies with
+`build_kernel_copy`.  Nothing is built inside the repository.
 """
 
 from __future__ import annotations
@@ -60,11 +61,13 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "wspkit"
 
 # The tests check results and counters, not speed, so the kernel is compiled
 # without optimisation to keep the build short; any warning is an error.
+KERNEL_FLAGS = ("-O0", "-Wall", "-Wextra", "-Werror")
+
 BUILD_SCRIPT = """
 from setuptools import Extension, setup
 setup(name="wspkit-kernel", ext_modules=[Extension(
     "wspkit._kernel._speed", ["wspkit/_kernel/_speed.c"],
-    extra_compile_args=["-O0", "-Wall", "-Wextra", "-Werror"])])
+    extra_compile_args={compile_args!r}, extra_link_args={link_args!r})])
 """
 
 
@@ -82,22 +85,31 @@ def missing_build_tool() -> Optional[str]:
     return None
 
 
-def _register_compiled_copy() -> None:
-    """Copy the package to a temporary directory, compile `_speed.c` in place
-    there and register it as `wspkit._kernel._speed` without changing the
-    selected backend.  Raises RuntimeError with the compiler's output when
-    the build fails."""
+def build_kernel_copy(compile_args, link_args=()) -> Path:
+    """Copy the package to a new temporary directory, removed at exit, and
+    compile `_speed.c` in place there with `compile_args` and `link_args`.
+    Returns the copy's `src` directory, which holds `wspkit`.  Raises
+    RuntimeError with the compiler's output when the build fails."""
     dest = Path(tempfile.mkdtemp(prefix="wspkit-kernel-"))
     atexit.register(shutil.rmtree, dest, True)
     src = dest / "src"
     shutil.copytree(PACKAGE, src / "wspkit",
                     ignore=shutil.ignore_patterns("__pycache__", "*.so"))
+    script = BUILD_SCRIPT.format(compile_args=list(compile_args),
+                                 link_args=list(link_args))
     res = subprocess.run(
-        [sys.executable, "-c", BUILD_SCRIPT, "build_ext", "--inplace",
+        [sys.executable, "-c", script, "build_ext", "--inplace",
          "--build-temp", str(dest / "build")],
         cwd=src, capture_output=True, text=True, timeout=300)
     if res.returncode != 0:
         raise RuntimeError(f"building _speed.c failed:\n{res.stderr}")
+    return src
+
+
+def _register_compiled_copy() -> None:
+    """Build `_speed.c` into a temporary copy of the package and register
+    it as `wspkit._kernel._speed` without changing the selected backend."""
+    src = build_kernel_copy(KERNEL_FLAGS)
     name = "wspkit._kernel._speed"
     (path,) = (src / "wspkit" / "_kernel").glob("_speed*.so")
     spec = importlib.util.spec_from_file_location(name, path)

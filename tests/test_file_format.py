@@ -5,7 +5,9 @@ an int, a list of ids or a list of id lists.  A key or JSON type that
 differs from this format is an error in the format's wording, and a value
 that breaks a rule of the catalogue is an error in the constraint class's
 wording; both exit 1 without a traceback.  n bounds the user ids and sizes
-nothing, so a tiny file with a huge n loads, solves and encodes.
+nothing, so a tiny file with a huge n loads, solves and encodes; a user id
+whose mask would be wider than the loader's limit is refused before any
+mask is packed.
 """
 
 import io
@@ -23,6 +25,7 @@ from wspkit.cli import (
     EXIT_ERROR,
     EXIT_OK,
     EXIT_SAT,
+    LOADER_MAX_MASK_BITS,
     instance_to_doc,
     load_instance,
     main,
@@ -276,6 +279,36 @@ def test_a_huge_n_sizes_no_table(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("where", ["auth", "sual"])
+def test_a_huge_user_id_is_refused_at_the_mask_width_limit(where, tmp_path,
+                                                           capsys):
+    # n = 10**30 admits user 10**12, whose mask would take 125 GB: the
+    # loader names its limit and the id before it packs anything
+    far = 10**12
+    doc = {"k": 1, "n": 10**30, "auth": [[far]], "constraints": []}
+    if where == "sual":
+        doc = {"k": 2, "n": 10**30, "auth": [[0], [1]], "constraints": [
+            {"kind": "sual", "scope": [0, 1], "h": 1, "supers": [0, far]}]}
+    path = write(tmp_path, doc)
+    tracemalloc.start()
+    try:
+        assert_rejected(
+            ["solve", str(path)],
+            f"user {far} needs a {far + 1}-bit mask, past the loader's limit "
+            f"LOADER_MAX_MASK_BITS = {LOADER_MAX_MASK_BITS}", capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_a_user_id_at_the_mask_width_limit_loads(tmp_path):
+    top = LOADER_MAX_MASK_BITS - 1
+    inst = load_instance(write(tmp_path, {"k": 1, "n": 10**30,
+                                          "auth": [[top]], "constraints": []}))
+    assert inst.auth.users(0) == (top,)
 
 
 # --- the command needs no third-party package ------------------------------------------

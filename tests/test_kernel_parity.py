@@ -492,7 +492,8 @@ def test_random_hand_built_problem_sweep():
 @pytest.mark.sweep
 @needs_compiled
 def test_alternatives_workload_sweep():
-    # the 600 draws of perfbench's `alternatives` workload at --seed 81
+    # the 600 draws of perfbench's `alternatives` workload at --seed 81,
+    # each unlimited and at a mid-tree budget
     for i in range(600):
         assert_draw_parity(GenSpec(seed=derive_seed(81, 2, i),
                                    **BENCH_SHAPES["alternatives"]))
@@ -521,8 +522,8 @@ def test_export_workload_sweep():
 # to the visit order or to pruning changes them on purpose.
 NODE_TOTALS = {
     "search": (1, 300, dict(k=12, n=120, am3=12, sod=26), 236_275, 201),
-    "alternatives": (2, 300, BENCH_SHAPES["alternatives"], 10_729, 140),
-    "export": (4, 300, BENCH_SHAPES["export"], 58_485, 165),
+    "alternatives": (2, 300, BENCH_SHAPES["alternatives"], 8_242, 140),
+    "export": (4, 300, BENCH_SHAPES["export"], 24_063, 165),
     "k16": (7, 20, dict(k=16, n=160, am3=16, sod=35), 455_985, 13),
 }
 
@@ -552,8 +553,8 @@ def test_pure_kernel_node_totals(name):
 # name -> SHA-256 of "i plan" lines over the SAT draws of NODE_TOTALS[name],
 # so a changed plan shows without a compiled kernel to compare against.
 PLAN_DIGESTS = {
-    "alternatives": "6776eec264ce142e257212eebd7465b4148376ff15e9b3bb388a4ff43c5e15d9",
-    "export": "eb9c543559e40c8192e6ac848fe82bbc37babd5858fc47764ba8a52af3ce3739",
+    "alternatives": "78dcffe17f6fbf76dd46b66259ba768e2f055f0c33ca5d37f6b4160e8788c3b2",
+    "export": "3f157885a5a4ea3ad0e7139f77befa19d25b0e664fc27d5471063eb7c87b4f79",
     "k16": "7ecf49f9663fdd11c5513083afce2bf678a0b9395e6264d2b3d98e951dffd159",
     "search": "a0b99ab56f6ff4ad7124436d1e34335bd79bbaca39c3734a1172edfd6627d2c2",
 }

@@ -32,7 +32,7 @@ from wspkit.core import (
     WspError,
     is_valid,
 )
-from wspkit.generator import GenSpec, derive_seed, generate
+from wspkit.generator import FAMILY_KINDS, GenSpec, derive_seed, generate
 from wspkit.patterns import bell
 from wspkit.solver import (
     Budget,
@@ -360,10 +360,49 @@ def test_sual_counts_as_non_ui():
 
 def test_visit_order_ties_fall_to_degree_then_index():
     # steps 0 to 3 are each under one ADA; step 2 has degree 1 and steps
-    # 0, 1 and 3 degree 2, so 2 leads and the other three go by index
+    # 0, 1 and 3 degree 2.  Step 0 leads (the highest degree, lower index
+    # than 1 and 3), its ADA partner 1 shares a constraint with it, then
+    # 3 of degree 2 goes before its partner 2 of degree 1, and UI step 4
+    # comes last
     inst = order_instance(5, ADA(0, 1, 0b1, 0b1), ADA(2, 3, 0b1, 0b1),
                           SoD(0, 4), SoD(1, 4), SoD(3, 4))
-    assert visit_order(inst) == (2, 0, 1, 3, 4)
+    assert visit_order(inst) == (0, 1, 3, 2, 4)
+
+
+def test_an_ada_pair_and_a_sual_scope_are_each_taken_consecutively():
+    # step 5 has the highest degree and opens the SUAL scope 5, 1, 3; the
+    # ADA pair 4, 0 follows as one, the higher degree 4 first.  Ascending
+    # degree alone would visit 1, 3, 0, 4, 5 and split both
+    inst = order_instance(7, SUAL((1, 3, 5), 1, 0b1), ADA(4, 0, 0b1, 0b1),
+                          SoD(5, 6), SoD(5, 2), SoD(5, 0), SoD(4, 6),
+                          SoD(4, 2))
+    assert visit_order(inst) == (5, 1, 3, 4, 0, 2, 6)
+
+
+def test_ui_only_draws_keep_ascending_degree():
+    for i in range(50):
+        inst = generate(GenSpec(seed=derive_seed(81, 1, i), k=12, n=120,
+                                am3=12, sod=26))
+        degree = [sum(s in c.steps for c in inst.constraints)
+                  for s in range(inst.k)]
+        assert visit_order(inst) == tuple(sorted(range(inst.k),
+                                                 key=degree.__getitem__))
+
+
+# generator counts per draw: each kind alone, and every kind together
+ORDER_DRAWS = {**{kind: {kind: 3} for kind in FAMILY_KINDS},
+               "every": dict(sod=4, am3=2, sual=1, wl=2, ada=2)}
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_DRAWS))
+def test_visit_order_is_a_permutation_with_non_ui_steps_first(name):
+    for i in range(20):
+        inst = generate(GenSpec(seed=derive_seed(81, 8, i), k=9, n=30,
+                                **ORDER_DRAWS[name]))
+        order = visit_order(inst)
+        assert sorted(order) == list(range(inst.k))
+        non_ui = {s for c in inst.nonui_constraints() for s in c.steps}
+        assert set(order[:len(non_ui)]) == non_ui
 
 
 def test_compile_visits_steps_in_visit_order():
@@ -376,7 +415,7 @@ def test_compile_visits_steps_in_visit_order():
 # sha256 prefix of every field compile_search_problem returns, over 20
 # export-shaped draws (SoD, at-most, SUAL, WL, ADA) and 40 small draws each
 # of BoD, at-least and a mix of every kind.
-COMPILE_DIGEST = "78899fe1a15dd940"
+COMPILE_DIGEST = "9665d272eb19460b"
 
 
 def test_compiled_problems_are_pinned():
