@@ -183,43 +183,70 @@ def solve_pattern_enum(inst: Instance, budget: Optional[Budget] = None) -> Solve
 def visit_order(inst: Instance) -> tuple[int, ...]:
     """The kernels' static step order, fail-first on the non-UI constraints.
 
-    The steps of WL, ADA and SUAL constraints come first, in maximum
-    cardinality order over those constraints (Tarjan & Yannakakis, SIAM J.
-    Comput. 13(3), 1984): each next step is the one that shares the most of
-    them with the steps already taken, counting a constraint once per taken
-    member, ties by higher constraint degree, then by lower index.  So the
-    first is the one of highest degree, and once a step of an ADA pair or
-    a SUAL scope is taken the rest of that scope is preferred: the kernel
-    drops a dead alternative, or narrows a SUAL at its scope's last depth,
-    soon after the scope opens.  Every other step follows in ascending degree, ties by
-    index, so an instance whose constraints are all UI keeps that order.
+    Maximum cardinality order (Tarjan & Yannakakis, SIAM J. Comput. 13(3),
+    1984): each next step is the one that shares the most constraints with
+    the steps already taken, counting a constraint once per taken member,
+    ties by higher constraint degree, then by lower index.  The steps of
+    WL, ADA and SUAL constraints come first, ordered by that rule over
+    those constraints alone.  So the first is the one of highest degree,
+    and once a step of an ADA pair or a SUAL scope is taken the rest of
+    that scope is preferred: the kernel drops a dead alternative, or
+    narrows a SUAL at its scope's last depth, soon after the scope opens.
+    The walk then goes on through the other steps by the same rule, now
+    counting every constraint, so each next step is one the SoD, BoD and
+    count constraints tie most closely to the steps already placed.  An
+    instance whose constraints are all UI keeps ascending degree, ties by
+    index.
     """
     k = inst.k
+    # step -> the scopes of the UI and of the non-UI constraints on it;
     # every kind's steps are distinct, so each counts once
-    degree = [0] * k
+    ui: list[list[tuple[int, ...]]] = [[] for _ in range(k)]
     held: list[list[tuple[int, ...]]] = [[] for _ in range(k)]
     for c in inst.constraints:
         steps = c.steps
+        into = ui if is_ui(c) else held
         for s in steps:
-            degree[s] += 1
-        if not is_ui(c):
-            for s in steps:
-                held[s].append(steps)
-    # by descending degree, ties by index, so that max, which returns the
-    # first of equal items, breaks ties on `shared` by degree, then index
-    left = sorted((s for s in range(k) if held[s]), key=lambda s: -degree[s])
+            into[s].append(steps)
+    degree = list(map(operator.add, map(len, ui), map(len, held)))
+    block = [s for s in range(k) if held[s]]
+    if not block:
+        # stable: ties by index
+        return tuple(sorted(range(k), key=degree.__getitem__))
     shared = [0] * k
-    order = []
-    while left:
+    order: list[int] = []
+    _take_by_shared(block, held, shared, degree, order)
+    rest = [s for s in range(k) if not held[s]]
+    if rest:
+        # a step outside the block is under no non-UI constraint, so it
+        # starts from the block's members in its UI scopes
+        placed = list(map(bool, held))
+        for t in rest:
+            shared[t] = sum(map(placed.__getitem__,
+                                itertools.chain.from_iterable(ui[t])))
+        _take_by_shared(rest, ui, shared, degree, order)
+    return tuple(order)
+
+
+def _take_by_shared(left: list[int], scopes: list[list[tuple[int, ...]]],
+                    shared: list[int], degree: list[int],
+                    order: list[int]) -> None:
+    """Append `left` to `order` in maximum cardinality order: each time the
+    step of highest `shared` count, ties by higher degree, then lower index,
+    after which each of its `scopes` counts once more for every member."""
+    # by descending degree, ties by index (the sort is stable), so that max,
+    # which returns the first of equal items, breaks ties on `shared` by
+    # degree, then index
+    left.sort(key=degree.__getitem__, reverse=True)
+    while True:
         s = max(left, key=shared.__getitem__)
-        left.remove(s)
         order.append(s)
-        for steps in held[s]:
+        left.remove(s)
+        if not left:
+            return
+        for steps in scopes[s]:
             for t in steps:
                 shared[t] += 1
-    # stable: ties by index
-    order += sorted((s for s in range(k) if not held[s]), key=degree.__getitem__)
-    return tuple(order)
 
 
 def compile_search_problem(absorbed: AbsorbedInstance) -> Optional[SearchProblem]:
@@ -228,8 +255,10 @@ def compile_search_problem(absorbed: AbsorbedInstance) -> Optional[SearchProblem
     Returns None when the static family is already empty (trivially UNSAT).
     Step visit order is static, `visit_order(inst)`: the steps of WL, ADA
     and SUAL constraints first, in maximum cardinality order over those
-    constraints, then the rest in ascending constraint degree, ties by
-    index.  Both kernels read it through `SearchProblem.order`.
+    constraints, then the rest by the same order over every constraint;
+    an instance whose constraints are all UI keeps ascending constraint
+    degree, ties by index.  Both kernels read it through
+    `SearchProblem.order`.
     """
     inst = absorbed.instance
     k = inst.k

@@ -712,16 +712,17 @@ def test_inspect_json_matches_the_text_numbers(tmp_path, capsys):
 
 def test_inspect_reports_the_visit_order(tmp_path, capsys):
     # steps 2 and 3 are under the ADA, so they come first, 2 of the higher
-    # degree; then steps 1 and 0 by ascending degree
+    # degree; then step 0, which shares an SoD with step 2, before step 1,
+    # which ascending degree would have taken first
     auth = AuthorisationFunction.from_lists([list(range(4))] * 4, 4)
     inst = Instance(4, 4, auth, (SoD(0, 1), SoD(0, 2),
                                  ADA(3, 2, frozenset({0}), frozenset({1}))))
     path = tmp_path / "ordered.json"
     save_instance(path, inst)
     assert main(["inspect", str(path)]) == EXIT_OK
-    assert "visit_order 2 3 1 0" in capsys.readouterr().out.splitlines()
+    assert "visit_order 2 3 0 1" in capsys.readouterr().out.splitlines()
     assert main(["inspect", str(path), "--json"]) == EXIT_OK
-    assert json.loads(capsys.readouterr().out)["visit_order"] == [2, 3, 1, 0]
+    assert json.loads(capsys.readouterr().out)["visit_order"] == [2, 3, 0, 1]
 
 
 def test_inspect_does_not_solve(tmp_path, capsys):

@@ -515,16 +515,19 @@ def test_export_workload_sweep():
 # name -> (salt, draws, GenSpec shape, total nodes, SAT draws).  Draw i is
 # GenSpec(seed=derive_seed(81, salt, i), **shape): the first draws of the
 # benchmark's `search`, `alternatives` and `export` workloads at --seed 81,
-# and 20 draws at k=16 whose counts sit at the phase transition.  No draw
+# 20 draws at k=16 whose counts sit at the phase transition, and 100 draws
+# of the shape of `calibrate`'s `wl` family near its transition, where the
+# visit order walks on from two WL scopes through the UI steps.  No draw
 # is budgeted.
 # The totals hold only while the tree the kernel searches stays the same, so
 # they catch drift without a compiled kernel to compare against; a change
 # to the visit order or to pruning changes them on purpose.
 NODE_TOTALS = {
     "search": (1, 300, dict(k=12, n=120, am3=12, sod=26), 236_275, 201),
-    "alternatives": (2, 300, BENCH_SHAPES["alternatives"], 8_242, 140),
-    "export": (4, 300, BENCH_SHAPES["export"], 24_063, 165),
+    "alternatives": (2, 300, BENCH_SHAPES["alternatives"], 8_202, 140),
+    "export": (4, 300, BENCH_SHAPES["export"], 22_731, 165),
     "k16": (7, 20, dict(k=16, n=160, am3=16, sod=35), 455_985, 13),
+    "mixed": (9, 100, dict(k=12, n=120, am3=12, sod=19, wl=2), 11_692, 58),
 }
 
 
@@ -554,8 +557,9 @@ def test_pure_kernel_node_totals(name):
 # so a changed plan shows without a compiled kernel to compare against.
 PLAN_DIGESTS = {
     "alternatives": "78dcffe17f6fbf76dd46b66259ba768e2f055f0c33ca5d37f6b4160e8788c3b2",
-    "export": "3f157885a5a4ea3ad0e7139f77befa19d25b0e664fc27d5471063eb7c87b4f79",
+    "export": "de92c9463bdd36f54022d7a0991e902153501bd39940075d7c5b9d302cf6dae8",
     "k16": "7ecf49f9663fdd11c5513083afce2bf678a0b9395e6264d2b3d98e951dffd159",
+    "mixed": "058165cb16bad18ba09aa005dff64828ebadec7983a474532450678e6efee81d",
     "search": "a0b99ab56f6ff4ad7124436d1e34335bd79bbaca39c3734a1172edfd6627d2c2",
 }
 
@@ -599,12 +603,12 @@ def test_every_depth_apart_at_the_step_limit(name):
 
 
 # k = KERNEL_MAX_STEPS draws with WL/ADA alternatives and a SUAL restriction:
-# the first finds a plan after 140 nodes, so its plan comes off a stack
+# the first finds a plan after 131 nodes, so its plan comes off a stack
 # KERNEL_MAX_STEPS deep; the second is still searching at the budget (and
 # at 100,000 nodes).
 STEP_LIMIT_DRAWS = {
     "sat": (_kernel.SAT, dict(n=640, sod=100, sual=1, wl=1, ada=4)),
-    "budget": (_kernel.BUDGET, dict(n=640, am3=8, sod=70, sual=1, wl=1,
+    "budget": (_kernel.BUDGET, dict(n=640, am3=16, sod=100, sual=1, wl=1,
                                     ada=4)),
 }
 

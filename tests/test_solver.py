@@ -1,5 +1,6 @@
 """Solver verdicts, counters, budgets, and cross-solver agreement."""
 
+import dataclasses
 import hashlib
 import random
 import tracemalloc
@@ -350,12 +351,13 @@ def test_steps_under_more_non_ui_constraints_come_first():
 
 def test_sual_counts_as_non_ui():
     # the same scope as an at-most keeps ascending degree; as a SUAL it
-    # moves to the front
+    # moves to the front, and step 0, under an SoD with each of its
+    # steps, follows before step 3, under nothing
     pairs = (SoD(0, 1), SoD(0, 2), SoD(1, 2))
     assert visit_order(order_instance(4, *pairs, AtMost(1, (1, 2)))) == \
         (3, 0, 1, 2)
     assert visit_order(order_instance(4, *pairs, SUAL((1, 2), 1, 0b1))) == \
-        (1, 2, 3, 0)
+        (1, 2, 0, 3)
 
 
 def test_visit_order_ties_fall_to_degree_then_index():
@@ -389,6 +391,95 @@ def test_ui_only_draws_keep_ascending_degree():
                                                  key=degree.__getitem__))
 
 
+def test_the_walk_goes_on_from_the_non_ui_block_through_the_ui_steps():
+    # the WL scope 5, 4 comes first, 5 of the higher degree.  Step 0, under
+    # an SoD with 5, follows, then 1 and 2, each tied to 0, and 2 (tied to 0
+    # and 1) before 3, under no constraint.  Ascending degree would visit
+    # 3, 1, 2, 0 after the block and leave 0, the block's SoD neighbour, last
+    inst = order_instance(6, WL((4, 5), (0b01, 0b10)), SoD(5, 0), SoD(0, 1),
+                          SoD(0, 2), SoD(1, 2))
+    assert visit_order(inst) == (5, 4, 0, 1, 2, 3)
+
+
+# generator counts per draw: each non-UI kind among SoD and at-most constraints
+MIXED_ORDER_DRAWS = {"wl": dict(sod=14, am3=6, wl=2),
+                     "ada": dict(sod=14, am3=6, ada=2),
+                     "sual": dict(sod=14, am3=6, sual=1)}
+
+
+@pytest.mark.parametrize("name", sorted(MIXED_ORDER_DRAWS))
+def test_each_step_after_the_non_ui_block_shares_the_most_constraints(name):
+    moved = False
+    for i in range(20):
+        inst = generate(GenSpec(seed=derive_seed(81, 10, i), k=12, n=60,
+                                **MIXED_ORDER_DRAWS[name]))
+        order = visit_order(inst)
+        block = len({s for c in inst.nonui_constraints() for s in c.steps})
+        degree = [sum(s in c.steps for c in inst.constraints)
+                  for s in range(inst.k)]
+        for d in range(block, inst.k):
+            placed = set(order[:d])
+
+            def shared(t):
+                return sum(len(placed.intersection(c.steps))
+                           for c in inst.constraints if t in c.steps)
+
+            assert order[d] == min(order[d:], key=lambda t: (
+                -shared(t), -degree[t], t)), (i, d)
+        moved |= order[block:] != tuple(sorted(order[block:],
+                                               key=degree.__getitem__))
+    # the walk is not ascending degree in disguise
+    assert moved
+
+
+def relabel(inst, perm):
+    """`inst` with step s renamed perm[s]."""
+    masks = [0] * inst.k
+    for s, m in enumerate(inst.auth.step_masks):
+        masks[perm[s]] = m
+
+    def move(c):
+        if hasattr(c, "scope"):
+            return dataclasses.replace(
+                c, scope=tuple(sorted(perm[s] for s in c.scope)))
+        return dataclasses.replace(c, s1=perm[c.s1], s2=perm[c.s2])
+
+    return Instance(inst.k, inst.n, AuthorisationFunction(inst.n, tuple(masks)),
+                    tuple(map(move, inst.constraints)))
+
+
+# generator counts per draw: each non-UI kind, and every kind together
+RELABEL_DRAWS = {"wl": dict(sod=6, am3=2, wl=1), "ada": dict(sod=8, am3=2, ada=3),
+                 "sual": dict(sod=8, am3=2, sual=1),
+                 "every": dict(sod=6, am3=1, sual=1, wl=1, ada=1)}
+
+
+@pytest.mark.parametrize("name", sorted(RELABEL_DRAWS))
+def test_relabelling_steps_keeps_the_verdict_of_mixed_draws(name):
+    # the visit order breaks ties by step index, so a relabelled draw is
+    # searched in another tree; its verdict may not move
+    rng = random.Random(name)
+    trees_differ = False
+    for i in range(10):
+        inst = generate(GenSpec(seed=derive_seed(81, 11, i), k=8, n=16,
+                                **RELABEL_DRAWS[name]))
+        expected = solve_pattern_enum(inst).verdict
+        nodes = set()
+        for _ in range(3):
+            perm = list(range(inst.k))
+            rng.shuffle(perm)
+            moved = relabel(inst, perm)
+            res = solve_backtracking(moved, backend="pure")
+            assert res.verdict is expected, (i, perm)
+            if res.plan is not None:
+                assert is_valid(res.plan, moved)
+                assert is_valid(tuple(res.plan[perm[s]] for s in range(inst.k)),
+                                inst)
+            nodes.add(res.stats.nodes_expanded)
+        trees_differ |= len(nodes) > 1
+    assert trees_differ
+
+
 # generator counts per draw: each kind alone, and every kind together
 ORDER_DRAWS = {**{kind: {kind: 3} for kind in FAMILY_KINDS},
                "every": dict(sod=4, am3=2, sual=1, wl=2, ada=2)}
@@ -415,7 +506,7 @@ def test_compile_visits_steps_in_visit_order():
 # sha256 prefix of every field compile_search_problem returns, over 20
 # export-shaped draws (SoD, at-most, SUAL, WL, ADA) and 40 small draws each
 # of BoD, at-least and a mix of every kind.
-COMPILE_DIGEST = "9665d272eb19460b"
+COMPILE_DIGEST = "df000dd0b9558f6b"
 
 
 def test_compiled_problems_are_pinned():
