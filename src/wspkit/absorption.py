@@ -6,13 +6,15 @@ family member authorises it.  Families of different constraints combine by
 pairwise step-wise intersection, so an instance reduces to (a)
 user-independent constraints, checked against the pattern alone, and (b)
 one authorisation family per pattern.  The family size per constraint is
-its branching bound: 1 for user-independent constraints and SUAL, 2 for
-ADA, d (team count) for WL; the solvers' work scales with the product of
-these bounds.  A family member is a row: a tuple of k step masks, the form
+at most its branching bound: 1 for user-independent constraints and SUAL,
+2 for ADA, d (team count) for WL; the solvers' work scales with the
+product of these bounds.  An ADA splits a row only where it can bite: a
+row whose s2 users are all required satisfies it on every plan, so the
+row is kept whole, and the realised family can be smaller than the
+product.  A family member is a row: a tuple of k step masks, the form
 that pattern enumeration, the matching and both search kernels read.
 `alternatives` describes what a WL or ADA constraint contributes; the
-encoders read it too, so they encode exactly the alternatives the solvers
-branch on.
+encoders read it too and keep one selector per alternative.
 """
 
 from __future__ import annotations
@@ -36,10 +38,11 @@ from .patterns import Pattern
 
 def alternatives(c: WL | ADA) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The one description of a WL or ADA constraint's authorisation
-    alternatives: absorption builds its families from it, the encoders their
-    selectors, and `branching_bound` counts it.  Each alternative is the
-    (step, mask) pairs of the steps it restricts; every other step is left
-    unrestricted.
+    alternatives: absorption builds its families from it (splitting a row
+    by an ADA's two cases only where the ADA can bite), the encoders keep
+    one selector per alternative, and `branching_bound` counts it.  Each
+    alternative is the (step, mask) pairs of the steps it restricts; every
+    other step is left unrestricted.
 
     WL: one alternative per team, in declaration order, pinning the scope to
     that team.  ADA: the trigger case (s1 to a trigger user, s2 to a required
@@ -124,7 +127,13 @@ def absorb(inst: Instance, max_family_size: int = 4096) -> AbsorbedInstance:
     and prune a row, so a row is dropped at the first of them that meets
     the alternative in no user.  Each constraint multiplies the rows so far
     by its alternatives, row by row, with WL teams in declaration order and
-    ADA's trigger case first, so the order is fixed.
+    ADA's trigger case first, so the order is fixed.  An ADA keeps a row
+    whole where every user the row authorises at s2 is required: the ADA
+    holds on every plan of that row, and its two cases would differ from
+    the row only at s1, where they split its users, so they union back to
+    it.  The family authorises the same plans with fewer rows; the
+    `max_family_size` check before each constraint still counts all of its
+    alternatives for every row so far.
     """
     residual: list[Constraint] = []
     suals: list[SUAL] = []
@@ -144,22 +153,47 @@ def absorb(inst: Instance, max_family_size: int = 4096) -> AbsorbedInstance:
                 f"authorisation family would exceed max_family_size={max_family_size}; "
                 f"raise the limit to absorb this many WL/ADA alternatives")
         product = []
-        for row in rows:
-            for alt in alts:
-                narrowed = list(row)
-                for s, mask in alt:
-                    narrowed[s] = kept = narrowed[s] & mask
-                    if not kept:
-                        break
-                else:
+        if isinstance(c, ADA):
+            ((s1, trigger), (s2, required)), ((_, other),) = alts
+            for row in rows:
+                at_s2 = row[s2]
+                if not at_s2 & ~required:
+                    # every s2 user is required, so the ADA holds on every
+                    # plan of the row: keep it whole
+                    product.append(row)
+                    continue
+                at_s1 = row[s1]
+                hit, kept = at_s1 & trigger, at_s2 & required
+                if hit and kept:
+                    narrowed = list(row)
+                    narrowed[s1] = hit
+                    narrowed[s2] = kept
                     product.append(tuple(narrowed))
+                miss = at_s1 & other
+                if miss:
+                    narrowed = list(row)
+                    narrowed[s1] = miss
+                    product.append(tuple(narrowed))
+        else:
+            for row in rows:
+                for alt in alts:
+                    narrowed = list(row)
+                    for s, mask in alt:
+                        narrowed[s] = kept = narrowed[s] & mask
+                        if not kept:
+                            break
+                    else:
+                        product.append(tuple(narrowed))
         rows = product
     return AbsorbedInstance(inst, tuple(residual), tuple(rows), tuple(suals))
 
 
 def branching_bound(c: Constraint) -> int:
     """The constraint's family-size bound: 1 for a user-independent
-    constraint or SUAL, its count of alternatives for WL and ADA."""
+    constraint or SUAL, its count of alternatives for WL and ADA.  The
+    family `absorb` realises can be smaller than the product of these
+    bounds: rows die when an alternative meets them in no user, and an
+    ADA keeps whole the rows it cannot restrict."""
     if is_ui(c) or isinstance(c, SUAL):
         return 1
     if isinstance(c, (WL, ADA)):

@@ -217,7 +217,10 @@ def visit_order(inst: Instance) -> tuple[int, ...]:
     order: list[int] = []
     _take_by_shared(block, held, shared, degree, order)
     rest = [s for s in range(k) if not held[s]]
-    if rest:
+    if len(rest) == 1:
+        # a lone step goes last whatever it shares
+        order.append(rest[0])
+    elif rest:
         # a step outside the block is under no non-UI constraint, so it
         # starts from the block's members in its UI scopes
         placed = list(map(bool, held))
@@ -242,7 +245,9 @@ def _take_by_shared(left: list[int], scopes: list[list[tuple[int, ...]]],
         s = max(left, key=shared.__getitem__)
         order.append(s)
         left.remove(s)
-        if not left:
+        if len(left) <= 1:
+            # the last step needs no count
+            order.extend(left)
             return
         for steps in scopes[s]:
             for t in steps:

@@ -556,7 +556,7 @@ def test_pure_kernel_node_totals(name):
 # name -> SHA-256 of "i plan" lines over the SAT draws of NODE_TOTALS[name],
 # so a changed plan shows without a compiled kernel to compare against.
 PLAN_DIGESTS = {
-    "alternatives": "78dcffe17f6fbf76dd46b66259ba768e2f055f0c33ca5d37f6b4160e8788c3b2",
+    "alternatives": "82e785f6bbaefd418b0cb4036aae6aec733463d362e75bfe60dbf2f49e0a5c33",
     "export": "de92c9463bdd36f54022d7a0991e902153501bd39940075d7c5b9d302cf6dae8",
     "k16": "7ecf49f9663fdd11c5513083afce2bf678a0b9395e6264d2b3d98e951dffd159",
     "mixed": "058165cb16bad18ba09aa005dff64828ebadec7983a474532450678e6efee81d",

@@ -124,7 +124,7 @@ def test_pattern_enum_holds_no_state_per_pattern():
 # computed on each draw of a fixed corpus, hashed in draw order: 480 small
 # draws of every constraint kind and mixed, then 40 generator draws at k=8
 # with every constraint kind.
-PATTERN_ENUM_DIGEST = "3ffa7eb62291c8f7"
+PATTERN_ENUM_DIGEST = "3f77ba45d323a9bf"
 
 
 def test_pattern_enum_records_are_pinned():
@@ -506,7 +506,7 @@ def test_compile_visits_steps_in_visit_order():
 # sha256 prefix of every field compile_search_problem returns, over 20
 # export-shaped draws (SoD, at-most, SUAL, WL, ADA) and 40 small draws each
 # of BoD, at-least and a mix of every kind.
-COMPILE_DIGEST = "df000dd0b9558f6b"
+COMPILE_DIGEST = "8193c0f7b9b37845"
 
 
 def test_compiled_problems_are_pinned():
