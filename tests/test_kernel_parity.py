@@ -517,8 +517,9 @@ def test_export_workload_sweep():
 # benchmark's `search`, `alternatives` and `export` workloads at --seed 81,
 # 20 draws at k=16 whose counts sit at the phase transition, and 100 draws
 # of the shape of `calibrate`'s `wl` family near its transition, where the
-# visit order walks on from two WL scopes through the UI steps.  No draw
-# is budgeted.
+# visit order walks on from two WL scopes through the UI steps.  The `bod`
+# row is the `mixed` row's draws with 1-3 BoD constraints appended by
+# `with_bods`, since the generator draws no BoD.  No draw is budgeted.
 # The totals hold only while the tree the kernel searches stays the same, so
 # they catch drift without a compiled kernel to compare against; a change
 # to the visit order or to pruning changes them on purpose.
@@ -528,19 +529,32 @@ NODE_TOTALS = {
     "export": (4, 300, BENCH_SHAPES["export"], 22_731, 165),
     "k16": (7, 20, dict(k=16, n=160, am3=16, sod=35), 455_985, 13),
     "mixed": (9, 100, dict(k=12, n=120, am3=12, sod=19, wl=2), 11_692, 58),
+    "bod": (9, 100, dict(k=12, n=120, am3=12, sod=19, wl=2), 9_223, 8),
 }
+
+
+def with_bods(inst, i):
+    """`inst` with 1-3 BoD constraints appended, drawn from `bod-{i}`."""
+    rng = random.Random(f"bod-{i}")
+    bods = [BoD(*rng.sample(range(inst.k), 2)) for _ in range(rng.randint(1, 3))]
+    return dataclasses.replace(inst, constraints=(*inst.constraints, *bods))
+
+
+def node_totals_draw(name, i):
+    """Draw i of NODE_TOTALS[name]."""
+    salt, _, shape, _, _ = NODE_TOTALS[name]
+    inst = generate(GenSpec(seed=derive_seed(81, salt, i), **shape))
+    return with_bods(inst, i) if name == "bod" else inst
 
 
 @lru_cache(maxsize=None)
 def pure_results(name):
     """(status, plan, nodes) of the pure kernel on each NODE_TOTALS[name]
     draw, solved once for both tests below."""
-    salt, draws, shape, _, _ = NODE_TOTALS[name]
     run = backend_run_search("pure")
     results = []
-    for i in range(draws):
-        status, plan, _, nodes, _ = run(compile_problem(generate(
-            GenSpec(seed=derive_seed(81, salt, i), **shape))))
+    for i in range(NODE_TOTALS[name][1]):
+        status, plan, _, nodes, _ = run(compile_problem(node_totals_draw(name, i)))
         results.append((status, plan, nodes))
     return results
 
@@ -557,6 +571,7 @@ def test_pure_kernel_node_totals(name):
 # so a changed plan shows without a compiled kernel to compare against.
 PLAN_DIGESTS = {
     "alternatives": "82e785f6bbaefd418b0cb4036aae6aec733463d362e75bfe60dbf2f49e0a5c33",
+    "bod": "459b3f416415022289ce3f105bbc31984aaaa1345ed9c98dff334210690d5384",
     "export": "de92c9463bdd36f54022d7a0991e902153501bd39940075d7c5b9d302cf6dae8",
     "k16": "7ecf49f9663fdd11c5513083afce2bf678a0b9395e6264d2b3d98e951dffd159",
     "mixed": "058165cb16bad18ba09aa005dff64828ebadec7983a474532450678e6efee81d",
