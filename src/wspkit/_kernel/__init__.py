@@ -50,16 +50,19 @@ class SualSpec:
 class SearchProblem:
     """A compiled instance, fully reindexed into visit-depth space.
 
-    combo_masks[c][d] is the user bitmask that authorisation alternative c
-    allows for the step visited at depth d.  No field holds the user count:
-    the masks' own widths size everything the kernels build.
+    k is the step count, order[d] the step visited at depth d,
+    combo_masks[c][d] the user bitmask that authorisation alternative c
+    allows for it, and sod_prev[d] the earlier depths it has an SoD with.
+    counts are the at-most and at-least bounds, a binding-of-duty pair
+    among them as at most one user (r=1) over its two depths, and suals the
+    super-user restrictions.  No field holds the user count: the masks' own
+    widths size everything the kernels build.
     """
 
     k: int
     order: tuple[int, ...]
     combo_masks: tuple[tuple[int, ...], ...]
     sod_prev: tuple[tuple[int, ...], ...]
-    bod_prev: tuple[tuple[int, ...], ...]
     counts: tuple[CountSpec, ...] = ()
     suals: tuple[SualSpec, ...] = ()
 
@@ -70,11 +73,12 @@ def pack(prob: SearchProblem) -> tuple[array, array]:
     `ints` is k, W (64-bit words per user mask), m, the count of counts and
     of SUALs, then `order`, then the combos' indices stably sorted by mask
     tuple, as `_pure.run_search` sorts them, then each depth's `sod_prev`
-    and each depth's `bod_prev` as a length and its entries, then each count
-    as (at most?, r, scope size, depths...) and each SUAL as (h, scope size,
-    depths...).  `words` is the sorted combos' masks, depth by depth, then
-    the SUALs' super-users, W words each, lowest users first.  W is the
-    fewest words that hold every one of those masks, at least one.
+    as a length and its entries, then each count as (at most?, r, scope
+    size, depths...), a binding-of-duty pair as (1, 1, 2, d1, d2), and
+    each SUAL as (h, scope size, depths...).  `words` is the sorted combos'
+    masks, depth by depth, then the SUALs' super-users, W words each,
+    lowest users first.  W is the fewest words that hold every one of
+    those masks, at least one.
     """
     k, combo_masks = prob.k, prob.combo_masks
     top = max([*map(max, combo_masks), *(s.xmask for s in prob.suals)], default=0)
@@ -82,7 +86,7 @@ def pack(prob: SearchProblem) -> tuple[array, array]:
     perm = sorted(range(len(combo_masks)), key=combo_masks.__getitem__)
     ints = array("i", (k, width, len(combo_masks), len(prob.counts),
                        len(prob.suals), *prob.order, *perm))
-    for prev in (*prob.sod_prev, *prob.bod_prev):
+    for prev in prob.sod_prev:
         ints.append(len(prev))
         ints.extend(prev)
     for c in prob.counts:

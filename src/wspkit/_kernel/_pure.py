@@ -19,20 +19,20 @@ alternatives ("combos"):
 - The sort is stable, so a full-depth class lists its identical combos in
   index order, and the least alive combo, whose matching gives the plan, is
   the first entry of one of them.
-- SoD, BoD, at-most and at-least constraints rule blocks out whatever the
+- SoD, at-most and at-least constraints rule blocks out whatever the
   users, so a node computes its admissible blocks once, as a bitmask, and
-  tries only those.
+  tries only those.  Compile hands a binding-of-duty pair over as an
+  at-most count with r = 1, which this rule prunes as any other count.
 
 A depth's user-independent (UI) state is two packed ints of k-bit block-set
 fields, which a node updates with a few int operations and no loop over the
 step's neighbours:
 
-- `fwd[d]` has a field per depth f >= d: the blocks that SoD and BoD with
+- `fwd[d]` has a field per depth f >= d: the blocks that the SoDs with
   the depths before d forbid f.  Placing depth d in block b shifts field 0
   out and ORs in `sod[d] << b`, a bit in the field of each later SoD
-  neighbour, and `bod_all[d] ^ (bod[d] << b)`, every block but b in the
-  field of each later BoD neighbour.  Field 0 then rules blocks out of the
-  next depth's open blocks and new one.
+  neighbour.  Field 0 then rules blocks out of the next depth's open
+  blocks and new one.
 - `cover[d]` has a field per count and per SUAL scope: the blocks that its
   depths before d cover.  Placing depth d in block b ORs in
   `spread[d] << b`, a bit in the field of each scope that holds d.  A count
@@ -94,15 +94,11 @@ def run_search(
         return (UNSAT, None, 0, 0, 0)
 
     field = (1 << k) - 1  # one block set; blocks are labelled 0..k-1
-    # sod[d], bod[d]: a bit at field f - d - 1 for each later neighbour f;
-    # bod_all[d]: that whole field
-    sod, bod, bod_all = [0] * k, [0] * k, [0] * k
+    # sod[d]: a bit at field f - d - 1 for each later neighbour f
+    sod = [0] * k
     for f in range(k):
         for e in prob.sod_prev[f]:
             sod[e] |= 1 << (f - e - 1) * k
-        for e in prob.bod_prev[f]:
-            bod[e] |= 1 << (f - e - 1) * k
-            bod_all[e] |= field << (f - e - 1) * k
     # The cover fields: count ci at field ci, SUAL si after the counts.
     # spread[d]: a bit at the field of each scope holding depth d.
     counts, suals = prob.counts, prob.suals
@@ -227,8 +223,6 @@ def run_search(
         nb2 = nb + 1 if b == nb else nb
         d1 = d + 1
         fw = (fwd[d] >> k) | (sod[d] << b)
-        if bod_all[d]:
-            fw |= bod_all[d] ^ (bod[d] << b)
         cov = cover[d] | (spread[d] << b)
         if d1 < k:
             full = (2 << nb2) - 1

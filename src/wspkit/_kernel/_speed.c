@@ -10,7 +10,7 @@ containers differ:
 - A user mask is W 64-bit words, lowest users first, and the matching
   search is the same Kuhn step as `matching.augment`.
 - `fwd[d]` is a row of k words indexed by depth: fwd[d][f], for f >= d, is
-  the block set that SoD and BoD with the depths before d forbid depth f.
+  the block set that the SoDs with the depths before d forbid depth f.
   `cover[d]` is a row of one word per count and SUAL scope.  A depth's
   rows are built from its parent's and never written while a deeper depth
   can read them, as the pure backend's ints are.
@@ -51,13 +51,11 @@ typedef struct {
 
 typedef struct {
     int k, W, m, ncounts, nsuals, nscopes;
-    u64 field;           /* one block set: blocks 0..k-1 */
     const int *order;    /* visit depth -> step */
     const int *perm;     /* sorted position -> combo index */
     const u64 *masks;    /* masks[(i * k + d) * W]: sorted combo i, depth d */
     const u64 *xmasks;   /* xmasks[si * W]: SUAL si's super-users */
     u64 sod[MAX_STEPS];  /* the later SoD neighbours of each depth */
-    u64 bod[MAX_STEPS];  /* the later BoD neighbours of each depth */
     /* spread[d * nscopes + j], j < spread_n[d]: the scopes holding depth d */
     int *spread, *spread_n;
     /* checks[(d * ncounts + j) * 3], j < check_n[d]: (count, r, at most?)
@@ -157,7 +155,6 @@ load(Search *s, const int *ints, Py_ssize_t nints, const u64 *words,
         return -1;
     s->k = k, s->W = W, s->m = m, s->ncounts = nC, s->nsuals = nS;
     s->nscopes = nC + nS;
-    s->field = k == 64 ? ~(u64)0 : ((u64)1 << k) - 1;
     if (nwords % W || nwords / W != (Py_ssize_t)m * k + nS) {
         PyErr_SetString(PyExc_ValueError, "malformed packed search problem");
         return -1;
@@ -170,17 +167,14 @@ load(Search *s, const int *ints, Py_ssize_t nints, const u64 *words,
     s->masks = words;
     s->xmasks = words + (size_t)m * k * W;
 
-    /* sod[e], bod[e]: a bit for each later neighbour f */
-    for (int pass = 0; pass < 2; pass++) {
-        u64 *later = pass ? s->bod : s->sod;
-        for (int f = 0; f < k; f++) {
-            if (take(&c, 0, INT_MAX, &size) < 0)
+    /* sod[e]: a bit for each later neighbour f */
+    for (int f = 0; f < k; f++) {
+        if (take(&c, 0, INT_MAX, &size) < 0)
+            return -1;
+        for (int i = 0; i < size; i++) {
+            if (take(&c, 0, f - 1, &x) < 0)
                 return -1;
-            for (int i = 0; i < size; i++) {
-                if (take(&c, 0, f - 1, &x) < 0)
-                    return -1;
-                later[x] |= (u64)1 << f;
-            }
+            s->sod[x] |= (u64)1 << f;
         }
     }
     size_t ns = (size_t)s->nscopes;
@@ -450,8 +444,6 @@ search(Search *s, int64_t cap, int64_t max_patterns, int has_deadline,
             memcpy(fw + d1, s->fwd + (size_t)d * k + d1, (k - d1) * sizeof(u64));
             for (u64 f = s->sod[d]; f; f &= f - 1)
                 fw[__builtin_ctzll(f)] |= lsb;
-            for (u64 f = s->bod[d]; f; f &= f - 1)
-                fw[__builtin_ctzll(f)] |= s->field ^ lsb;
             u64 full = ((u64)2 << nb2) - 1; /* nb2 < 64 here */
             blocks = (fw[d1] & full) ^ full;
             const int *check = &s->checks[d1 * nC * 3];

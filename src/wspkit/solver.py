@@ -263,7 +263,8 @@ def compile_search_problem(absorbed: AbsorbedInstance) -> Optional[SearchProblem
     constraints, then the rest by the same order over every constraint;
     an instance whose constraints are all UI keeps ascending constraint
     degree, ties by index.  Both kernels read it through
-    `SearchProblem.order`.
+    `SearchProblem.order`.  Each residual BoD becomes the count it is, at
+    most one user over its two depths, so the kernels have no BoD path.
     """
     inst = absorbed.instance
     k = inst.k
@@ -284,14 +285,16 @@ def compile_search_problem(absorbed: AbsorbedInstance) -> Optional[SearchProblem
         combo_masks = tuple(map(operator.itemgetter(*order), absorbed.static_rows))
 
     sod_prev: list[list[int]] = [[] for _ in range(k)]
-    bod_prev: list[list[int]] = [[] for _ in range(k)]
     counts: list[CountSpec] = []
     for c in absorbed.residual:
         if isinstance(c, (SoD, BoD)):
             d1, d2 = pos[c.s1], pos[c.s2]
             if d1 > d2:
                 d1, d2 = d2, d1
-            (sod_prev if isinstance(c, SoD) else bod_prev)[d2].append(d1)
+            if isinstance(c, SoD):
+                sod_prev[d2].append(d1)
+            else:  # one user over both steps: at most one block
+                counts.append(CountSpec(True, 1, (d1, d2)))
         else:  # AtMost or AtLeast
             counts.append(CountSpec(c.at_most, c.r,
                                     tuple(sorted(map(pos.__getitem__, c.scope)))))
@@ -304,7 +307,6 @@ def compile_search_problem(absorbed: AbsorbedInstance) -> Optional[SearchProblem
         order=order,
         combo_masks=combo_masks,
         sod_prev=tuple(tuple(sorted(x)) for x in sod_prev),
-        bod_prev=tuple(tuple(sorted(x)) for x in bod_prev),
         counts=tuple(counts),
         suals=suals,
     )

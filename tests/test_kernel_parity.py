@@ -128,9 +128,7 @@ def test_pattern_budget_parity(seed):
 
 @needs_compiled
 def test_degenerate_problem_parity():
-    dead = SearchProblem(
-        k=2, order=(0, 1), combo_masks=(),
-        sod_prev=((), ()), bod_prev=((), ()))
+    dead = SearchProblem(k=2, order=(0, 1), combo_masks=(), sod_prev=((), ()))
     pure, comp = run_both(dead)
     assert pure == comp == (_kernel.UNSAT, None, 0, 0, 0)
 
@@ -185,18 +183,17 @@ def test_benchmark_shaped_draw_parity(shape, seed):
 
 def hand_problem(combos, sod=(), bod=(), counts=(), suals=()):
     """A SearchProblem in visit order; `sod`/`bod` are (earlier depth, later
-    depth) pairs."""
+    depth) pairs.  Each BoD pair is appended to the counts as at most one
+    user over its two depths, as `compile_search_problem` lowers it."""
     k = len(combos[0])
     sod_prev = [[] for _ in range(k)]
-    bod_prev = [[] for _ in range(k)]
-    for prev, pairs in ((sod_prev, sod), (bod_prev, bod)):
-        for d1, d2 in pairs:
-            prev[d2].append(d1)
+    for d1, d2 in sod:
+        sod_prev[d2].append(d1)
     return SearchProblem(
         k=k, order=tuple(range(k)), combo_masks=tuple(combos),
         sod_prev=tuple(map(tuple, sod_prev)),
-        bod_prev=tuple(map(tuple, bod_prev)),
-        counts=tuple(counts), suals=tuple(suals))
+        counts=(*counts, *(CountSpec(True, 1, pair) for pair in bod)),
+        suals=tuple(suals))
 
 
 def assert_parity_under_every_budget(prob):
@@ -331,9 +328,7 @@ def as_instance(prob):
     (combo,) = prob.combo_masks
     n = max(1, max(combo).bit_length())
     auth = AuthorisationFunction.from_lists([bits_of(mask) for mask in combo], n)
-    constraints = []
-    for kind, prev in ((SoD, prob.sod_prev), (BoD, prob.bod_prev)):
-        constraints += [kind(e, d) for d in range(prob.k) for e in prev[d]]
+    constraints = [SoD(e, d) for d in range(prob.k) for e in prob.sod_prev[d]]
     constraints += [(AtMost if c.at_most else AtLeast)(c.r, c.depths)
                     for c in prob.counts]
     return Instance(prob.k, n, auth, tuple(constraints))

@@ -31,7 +31,9 @@ from wspkit.core import (
     SoD,
     WL,
     WspError,
+    bits_of,
     is_valid,
+    mask_of,
 )
 from wspkit.generator import FAMILY_KINDS, GenSpec, derive_seed, generate
 from wspkit.patterns import bell
@@ -480,6 +482,53 @@ def test_relabelling_steps_keeps_the_verdict_of_mixed_draws(name):
     assert trees_differ
 
 
+def relabel_users(inst, perm):
+    """`inst` with user u renamed perm[u], in its authorisations, SUAL
+    super-users, WL teams and ADA user sets."""
+
+    def move(mask):
+        return mask_of(perm[u] for u in bits_of(mask))
+
+    def move_users(c):
+        if isinstance(c, SUAL):
+            return dataclasses.replace(c, supers=move(c.supers))
+        if isinstance(c, WL):
+            return dataclasses.replace(c, teams=tuple(map(move, c.teams)))
+        if isinstance(c, ADA):
+            return dataclasses.replace(c, trigger=move(c.trigger),
+                                       required=move(c.required))
+        return c
+
+    return Instance(inst.k, inst.n, AuthorisationFunction(
+        inst.n, tuple(map(move, inst.auth.step_masks))),
+        tuple(map(move_users, inst.constraints)))
+
+
+@pytest.mark.parametrize("name", sorted(RELABEL_DRAWS))
+def test_relabelling_users_keeps_the_verdict_and_tree_of_mixed_draws(name):
+    # a block's users never decide which blocks are admissible, and whether
+    # a class can saturate its blocks does not depend on the users' names,
+    # so the tree is the same; only the matching, and so the plan, may move
+    rng = random.Random(f"users-{name}")
+    plans_differ = False
+    for i in range(10):
+        inst = generate(GenSpec(seed=derive_seed(81, 11, i), k=8, n=16,
+                                **RELABEL_DRAWS[name]))
+        base = solve_backtracking(inst, backend="pure")
+        for _ in range(3):
+            perm = list(range(inst.n))
+            rng.shuffle(perm)
+            moved = relabel_users(inst, perm)
+            res = solve_backtracking(moved, backend="pure")
+            assert (res.verdict, res.stats.nodes_expanded) == \
+                (base.verdict, base.stats.nodes_expanded), (i, perm)
+            if res.plan is not None:
+                back = tuple(map(perm.index, res.plan))
+                assert is_valid(back, inst)
+                plans_differ |= back != base.plan
+    assert plans_differ
+
+
 # generator counts per draw: each kind alone, and every kind together
 ORDER_DRAWS = {**{kind: {kind: 3} for kind in FAMILY_KINDS},
                "every": dict(sod=4, am3=2, sual=1, wl=2, ada=2)}
@@ -503,15 +552,44 @@ def test_compile_visits_steps_in_visit_order():
         assert compile_search_problem(absorb(inst)).order == visit_order(inst)
 
 
+def bod_as_at_most(inst):
+    """`inst` with each BoD(s, t) replaced by AtMost(1, (s, t))."""
+    return dataclasses.replace(inst, constraints=tuple(
+        AtMost(1, c.steps) if isinstance(c, BoD) else c
+        for c in inst.constraints))
+
+
+@pytest.mark.parametrize("kind", ["bod", "mixed"])
+def test_bod_compiles_as_an_at_most_one_count(kind):
+    # BoD(s, t) is at most one user over {s, t}, and compile hands it to the
+    # kernels as that count, so the two instances are one search problem
+    lowered = 0
+    for seed in range(80):
+        inst = random_instance(kind, seed, k_max=7)
+        counted = bod_as_at_most(inst)
+        if counted == inst:
+            continue
+        lowered += 1
+        assert compile_search_problem(absorb(inst)) == \
+            compile_search_problem(absorb(counted)), seed
+        for backend in available_backends():
+            a, b = (solve_backtracking(x, backend=backend)
+                    for x in (inst, counted))
+            assert (a.verdict, a.plan) == (b.verdict, b.plan), (seed, backend)
+            assert dataclasses.replace(a.stats, wall_time=0) == \
+                dataclasses.replace(b.stats, wall_time=0), (seed, backend)
+    assert lowered >= 20
+
+
 # sha256 prefix of every field compile_search_problem returns, over 20
 # export-shaped draws (SoD, at-most, SUAL, WL, ADA) and 40 small draws each
 # of BoD, at-least and a mix of every kind.
-COMPILE_DIGEST = "8193c0f7b9b37845"
+COMPILE_DIGEST = "2c770c68d2d1a667"
 
 
 def test_compiled_problems_are_pinned():
-    """Compile's order, product, pair lists, and count and SUAL specs are
-    pinned."""
+    """Compile's order, product, SoD pair lists, and count and SUAL specs,
+    the BoD among the counts, are pinned."""
     corpus = [generate(GenSpec(seed=derive_seed(81, 4, i), k=10, n=80, am3=10,
                                sod=7, sual=1, wl=2, ada=2)) for i in range(20)]
     corpus += [random_instance(kind, seed) for kind in ("bod", "atleast", "mixed")
@@ -524,8 +602,7 @@ def test_compiled_problems_are_pinned():
         if prob is None:
             h.update(b"None\n")
             continue
-        for name in ("order", "combo_masks", "sod_prev", "bod_prev", "counts",
-                     "suals"):
+        for name in ("order", "combo_masks", "sod_prev", "counts", "suals"):
             h.update(f"{name}={getattr(prob, name)!r}\n".encode())
     assert h.hexdigest()[:16] == COMPILE_DIGEST
 
