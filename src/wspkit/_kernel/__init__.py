@@ -57,6 +57,11 @@ class SearchProblem:
     among them as at most one user (r=1) over its two depths, and suals the
     super-user restrictions.  No field holds the user count: the masks' own
     widths size everything the kernels build.
+
+    The combos are kept sorted by mask tuple, however they are given, so
+    every problem is in the one canonical order both kernels search: the
+    combos that agree on depths 0..d-1 are consecutive, and the plan is the
+    matching of the first class alive at full depth.
     """
 
     k: int
@@ -66,26 +71,27 @@ class SearchProblem:
     counts: tuple[CountSpec, ...] = ()
     suals: tuple[SualSpec, ...] = ()
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "combo_masks", tuple(sorted(self.combo_masks)))
+
 
 def pack(prob: SearchProblem) -> tuple[array, array]:
     """`prob` as the two flat buffers the compiled kernel reads.
 
     `ints` is k, W (64-bit words per user mask), m, the count of counts and
-    of SUALs, then `order`, then the combos' indices stably sorted by mask
-    tuple, as `_pure.run_search` sorts them, then each depth's `sod_prev`
-    as a length and its entries, then each count as (at most?, r, scope
-    size, depths...), a binding-of-duty pair as (1, 1, 2, d1, d2), and
-    each SUAL as (h, scope size, depths...).  `words` is the sorted combos'
-    masks, depth by depth, then the SUALs' super-users, W words each,
+    of SUALs, then `order`, then each depth's `sod_prev` as a length and its
+    entries, then each count as (at most?, r, scope size, depths...), a
+    binding-of-duty pair as (1, 1, 2, d1, d2), and each SUAL as (h, scope
+    size, depths...).  `words` is the combos' masks in their canonical
+    order, depth by depth, then the SUALs' super-users, W words each,
     lowest users first.  W is the fewest words that hold every one of
     those masks, at least one.
     """
     k, combo_masks = prob.k, prob.combo_masks
     top = max([*map(max, combo_masks), *(s.xmask for s in prob.suals)], default=0)
     width = max(1, -(-top.bit_length() // 64))
-    perm = sorted(range(len(combo_masks)), key=combo_masks.__getitem__)
     ints = array("i", (k, width, len(combo_masks), len(prob.counts),
-                       len(prob.suals), *prob.order, *perm))
+                       len(prob.suals), *prob.order))
     for prev in prob.sod_prev:
         ints.append(len(prev))
         ints.extend(prev)
@@ -95,7 +101,7 @@ def pack(prob: SearchProblem) -> tuple[array, array]:
         ints.extend((s.h, len(s.depths), *s.depths))
     size = 8 * width
     words = array("Q", b"".join(
-        [mask.to_bytes(size, "little") for c in perm for mask in combo_masks[c]]
+        [mask.to_bytes(size, "little") for combo in combo_masks for mask in combo]
         + [s.xmask.to_bytes(size, "little") for s in prob.suals]))
     if sys.byteorder == "big":
         words.byteswap()

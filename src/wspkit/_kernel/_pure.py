@@ -8,17 +8,16 @@ made there too.  The search shares work between the authorisation
 alternatives ("combos"):
 
 - Combos with equal masks at depths 0..d-1 carry identical search state at
-  depth d, because that state is built from those masks alone.  The combos
-  are sorted once by their mask tuples, which makes each such prefix class a
-  contiguous range [lo, hi) of the sorted order.  A class is split into its
-  children at depth d, the runs of equal masks in column d, only when the
-  search first expands it there, and the split is kept for later visits.  A
-  node repairs one matching per alive class rather than one per combo.  A
-  class whose matching can no longer saturate the blocks is dead for its
-  whole subtree, because masks only shrink along a branch.
-- The sort is stable, so a full-depth class lists its identical combos in
-  index order, and the least alive combo, whose matching gives the plan, is
-  the first entry of one of them.
+  depth d, because that state is built from those masks alone.
+  `SearchProblem` keeps its combos sorted by mask tuple, which makes each
+  such prefix class a contiguous range [lo, hi) of combos.  A class is
+  split into its children at depth d, the runs of equal masks in column d,
+  only when the search first expands it there, and the split is kept for
+  later visits.  A node repairs one matching per alive class rather than
+  one per combo.  A class whose matching can no longer saturate the blocks
+  is dead for its whole subtree, because masks only shrink along a branch.
+- A depth lists its alive classes in combo order, so the plan is the
+  matching of the first class alive at full depth.
 - SoD, at-most and at-least constraints rule blocks out whatever the
   users, so a node computes its admissible blocks once, as a bitmask, and
   tries only those.  Compile hands a binding-of-duty pair over as an
@@ -130,10 +129,8 @@ def run_search(
             sual_end[max(spec.depths)].append(
                 ((len(counts) + si) * k, spec.h, spec.xmask))
 
+    # sorted by mask tuple, so a class is a range [lo, hi) of combos
     combo_masks = prob.combo_masks
-    # the combos stably sorted by mask tuple; a class is a range [lo, hi)
-    perm = sorted(range(m), key=combo_masks.__getitem__)
-    sorted_masks = [combo_masks[c] for c in perm]
     # splits[d][lo]: the children of the depth-d class starting at lo, as
     # (lo, hi, mask at depth d), split when the class is first expanded
     splits: list[list[Optional[list[tuple[int, int, int]]]]] = \
@@ -159,11 +156,11 @@ def run_search(
         kids = []
         start = lo
         while start < hi:
-            mask = sorted_masks[start][d]
-            if sorted_masks[hi - 1][d] == mask:
+            mask = combo_masks[start][d]
+            if combo_masks[hi - 1][d] == mask:
                 end = hi  # the rest of the range is one run
             else:
-                end = bisect_right(sorted_masks, mask, start, hi,
+                end = bisect_right(combo_masks, mask, start, hi,
                                    key=itemgetter(d))
             kids.append((start, end, mask))
             start = end
@@ -309,8 +306,8 @@ def run_search(
             if max_patterns is not None and patterns > max_patterns:
                 status = BUDGET
             else:
-                # a full-depth class's first entry is its least combo
-                mrow = min(kids, key=lambda entry: perm[entry[0]])[3]
+                # the first class alive at full depth gives the plan
+                mrow = kids[0][3]
                 plan = [0] * k
                 for e in range(k):
                     plan[prob.order[e]] = mrow[assign[e]]

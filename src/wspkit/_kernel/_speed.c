@@ -17,14 +17,16 @@ containers differ:
 - Depth d's alive classes live in one growable array per depth, each
   class with d block masks and a matching of d users.
 - The classes' splits are kept as run ends: run_end[d][lo] is the end of
-  the run of equal depth-d masks that starts at sorted combo lo, or 0
-  while its class has not been split at depth d.
+  the run of equal depth-d masks that starts at combo lo, or 0 while its
+  class has not been split at depth d.
 
 The module's one function, `search(ints, words, ...)`, takes the two flat
-buffers that `wspkit._kernel.pack` lays a SearchProblem out in, sorted
-combos included, and reads them through the buffer protocol;
-`wspkit._kernel` packs the problem and calls it.  Every allocation goes
-through PyMem, so tracemalloc sees it.
+buffers that `wspkit._kernel.pack` lays a SearchProblem out in and reads
+them through the buffer protocol; `wspkit._kernel` packs the problem and
+calls it.  The combos come in SearchProblem's canonical order, sorted by
+mask tuple, so a prefix class is a run of consecutive combos, and the plan
+is the matching of the first class alive at full depth.  Every allocation
+goes through PyMem, so tracemalloc sees it.
 */
 
 #define PY_SSIZE_T_CLEAN
@@ -44,7 +46,7 @@ enum { UNSAT = 0, SAT = 1, BUDGET = 2 };
 /* The alive classes of one depth, and their matchings. */
 typedef struct {
     Py_ssize_t count, cap;
-    int *lo, *hi;  /* the class: sorted combos [lo, hi) */
+    int *lo, *hi;  /* the class: combos [lo, hi) */
     u64 *rows;     /* per class: the user mask of each block, W words each */
     int *mrow;     /* per class: the user matched to each block */
 } Level;
@@ -52,8 +54,7 @@ typedef struct {
 typedef struct {
     int k, W, m, ncounts, nsuals, nscopes;
     const int *order;    /* visit depth -> step */
-    const int *perm;     /* sorted position -> combo index */
-    const u64 *masks;    /* masks[(i * k + d) * W]: sorted combo i, depth d */
+    const u64 *masks;    /* masks[(i * k + d) * W]: combo i, depth d */
     const u64 *xmasks;   /* xmasks[si * W]: SUAL si's super-users */
     u64 sod[MAX_STEPS];  /* the later SoD neighbours of each depth */
     /* spread[d * nscopes + j], j < spread_n[d]: the scopes holding depth d */
@@ -160,9 +161,8 @@ load(Search *s, const int *ints, Py_ssize_t nints, const u64 *words,
         return -1;
     }
     s->order = c.at;
-    s->perm = c.at + k;
-    for (int i = 0; i < k + m; i++)
-        if (take(&c, 0, (i < k ? k : m) - 1, &x) < 0)
+    for (int i = 0; i < k; i++)
+        if (take(&c, 0, k - 1, &x) < 0)
             return -1;
     s->masks = words;
     s->xmasks = words + (size_t)m * k * W;
@@ -548,12 +548,8 @@ search(Search *s, int64_t cap, int64_t max_patterns, int has_deadline,
                 status = BUDGET;
             }
             else {
-                /* a full-depth class's first entry is its least combo */
-                Py_ssize_t best = 0;
-                for (Py_ssize_t i = 1; i < kids->count; i++)
-                    if (s->perm[kids->lo[i]] < s->perm[kids->lo[best]])
-                        best = i;
-                const int *mrow = kids->mrow + (size_t)best * k;
+                /* the first class alive at full depth gives the plan */
+                const int *mrow = kids->mrow;
                 for (int e = 0; e < k; e++)
                     plan[s->order[e]] = mrow[s->assign[e]];
                 status = SAT;

@@ -216,13 +216,10 @@ def visit_order(inst: Instance) -> tuple[int, ...]:
     shared = [0] * k
     order: list[int] = []
     _take_by_shared(block, held, shared, degree, order)
+    # a step outside the block is under no non-UI constraint, so it starts
+    # from the block's members in its UI scopes
     rest = [s for s in range(k) if not held[s]]
-    if len(rest) == 1:
-        # a lone step goes last whatever it shares
-        order.append(rest[0])
-    elif rest:
-        # a step outside the block is under no non-UI constraint, so it
-        # starts from the block's members in its UI scopes
+    if rest:
         placed = list(map(bool, held))
         for t in rest:
             shared[t] = sum(map(placed.__getitem__,
@@ -254,10 +251,12 @@ def _take_by_shared(left: list[int], scopes: list[list[tuple[int, ...]]],
                 shared[t] += 1
 
 
-def compile_search_problem(absorbed: AbsorbedInstance) -> Optional[SearchProblem]:
+def compile_search_problem(absorbed: AbsorbedInstance) -> SearchProblem:
     """Reindex an absorbed instance into visit-depth space for the kernel.
 
-    Returns None when the static family is already empty (trivially UNSAT).
+    An empty static family compiles to a problem with no combos
+    (`combo_masks=()`) in step order and with no constraints, which both
+    kernels answer UNSAT at once.
     Step visit order is static, `visit_order(inst)`: the steps of WL, ADA
     and SUAL constraints first, in maximum cardinality order over those
     constraints, then the rest by the same order over every constraint;
@@ -272,7 +271,8 @@ def compile_search_problem(absorbed: AbsorbedInstance) -> Optional[SearchProblem
         raise CapacityError(
             f"search kernel handles at most {_kernel.KERNEL_MAX_STEPS} steps, got {k}")
     if not absorbed.static_rows:
-        return None
+        # no alternative is left to search, so no order is worth working out
+        return SearchProblem(k, tuple(range(k)), (), ((),) * k)
 
     order = visit_order(inst)
     pos = [0] * k
@@ -287,17 +287,15 @@ def compile_search_problem(absorbed: AbsorbedInstance) -> Optional[SearchProblem
     sod_prev: list[list[int]] = [[] for _ in range(k)]
     counts: list[CountSpec] = []
     for c in absorbed.residual:
-        if isinstance(c, (SoD, BoD)):
+        if isinstance(c, SoD):
             d1, d2 = pos[c.s1], pos[c.s2]
             if d1 > d2:
                 d1, d2 = d2, d1
-            if isinstance(c, SoD):
-                sod_prev[d2].append(d1)
-            else:  # one user over both steps: at most one block
-                counts.append(CountSpec(True, 1, (d1, d2)))
-        else:  # AtMost or AtLeast
-            counts.append(CountSpec(c.at_most, c.r,
-                                    tuple(sorted(map(pos.__getitem__, c.scope)))))
+            sod_prev[d2].append(d1)
+        else:  # AtMost, AtLeast, or BoD, at most one user over its steps
+            at_most, r = (True, 1) if isinstance(c, BoD) else (c.at_most, c.r)
+            counts.append(CountSpec(at_most, r,
+                                    tuple(sorted(map(pos.__getitem__, c.steps)))))
     suals = tuple(
         SualSpec(tuple(sorted(map(pos.__getitem__, c.scope))), c.h, c.supers)
         for c in absorbed.suals)
@@ -338,13 +336,9 @@ def solve_backtracking(
     budget = budget or Budget()
     stats = SolveStats()
     absorbed = absorb(inst, max_family_size=max_family_size)
-    prob = compile_search_problem(absorbed)
-    if prob is None:
-        return _finish(inst, t0, stats, Verdict.UNSAT)
-
     run = _kernel.backend_run_search(backend)
     status, plan, patterns, nodes, matchings = run(
-        prob,
+        compile_search_problem(absorbed),
         max_nodes=budget.max_nodes,
         deadline=budget.deadline(t0),
     )

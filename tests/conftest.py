@@ -307,6 +307,12 @@ def next64(rng) -> int:
 
 CONSTRAINT_KINDS = ("sod", "bod", "atmost", "atleast", "sual", "wl", "ada")
 
+# generator counts of small mixed draws (k=8, n=16, draw i at
+# derive_seed(81, 11, i)): each non-UI kind, and every kind together
+RELABEL_DRAWS = {"wl": dict(sod=6, am3=2, wl=1), "ada": dict(sod=8, am3=2, ada=3),
+                 "sual": dict(sod=8, am3=2, sual=1),
+                 "every": dict(sod=6, am3=1, sual=1, wl=1, ada=1)}
+
 
 def _random_constraint(rng: random.Random, kind: str, k: int, n: int):
     if kind == "sod":

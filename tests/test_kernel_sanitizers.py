@@ -1,13 +1,14 @@
-"""The compiled kernel under the compiler's sanitizers.
+"""The compiled kernel optimised, and under the compiler's sanitizers.
 
 `_speed.c` allocates by hand and indexes flat buffers, and the parity suite
-checks it at `-O0` on valid input only.  Here it is built twice more, each
-time into its own temporary copy of the package: once with UndefinedBehavior
-Sanitizer, every report fatal, and once with AddressSanitizer.  Each build
-runs the parity tests in a fresh interpreter that imports it.  The ASan
-build also checks parity from buffers of exactly the packed size, then
-runs seeded corruptions of `pack` buffers, each of which the kernel must
-run or refuse with ValueError or MemoryError.
+checks it at `-O0` on valid input only.  Here it is built three more times,
+each time into its own temporary copy of the package: once at `-O3`, as an
+installed build would optimise it, with every warning an error; once with
+UndefinedBehavior Sanitizer, every report fatal; and once with
+AddressSanitizer.  Each build runs the parity tests in a fresh interpreter
+that imports it.  The ASan build also checks parity from buffers of exactly
+the packed size, then runs seeded corruptions of `pack` buffers, each of
+which the kernel must run or refuse with ValueError or MemoryError.
 
 ASan's runtime must be the first library in the process, so its interpreter
 preloads the compiler's libasan.  PYTHONMALLOC=malloc sends the
@@ -17,7 +18,7 @@ can ask for terabytes: `allocator_may_return_null` turns that into
 MemoryError, and `max_allocation_size_mb` keeps any one allocation small.
 
 The tests are marked `sweep`, so the default run deselects them; they skip,
-naming what is missing, when the compiler or its sanitizer runtime is not
+naming what is missing, when the compiler or a sanitizer runtime is not
 there.
 """
 
@@ -87,17 +88,30 @@ def run_python(env: dict, *argv: str, timeout: int) -> subprocess.CompletedProce
     return res
 
 
-@pytest.mark.parametrize("name", sorted(SANITIZERS))
-def test_parity_cases_under_sanitizer(name):
-    env = sanitized_build(name)
+def assert_parity_cases_pass(env: dict) -> None:
+    """The parity tests pass in an interpreter that imports the build that
+    `env` puts on its path."""
     where = run_python(env, "-c", "from wspkit._kernel import _speed; "
                        "print(_speed.__file__)", timeout=60).stdout
     assert where.startswith(env["PYTHONPATH"])
-    # the session's conftest finds the sanitized build importable, so it
-    # builds nothing and every parity test runs against it
+    # that interpreter's conftest finds the build importable, so it builds
+    # nothing and every parity test runs against it
     out = run_python(env, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                      "tests/test_kernel_parity.py", timeout=1800).stdout
     assert " passed" in out and " skipped" not in out, out[-2000:]
+
+
+@pytest.mark.parametrize("name", sorted(SANITIZERS))
+def test_parity_cases_under_sanitizer(name):
+    assert_parity_cases_pass(sanitized_build(name))
+
+
+def test_parity_cases_at_o3():
+    missing = missing_build_tool()
+    if missing is not None:
+        pytest.skip(f"cannot build the kernel: {missing}")
+    src = build_kernel_copy(("-O3", "-Wall", "-Wextra", "-Werror"))
+    assert_parity_cases_pass(dict(os.environ, PYTHONPATH=str(src)))
 
 
 BUFFER_SCRIPT = r"""
@@ -112,12 +126,9 @@ from wspkit.solver import compile_search_problem
 SHAPES = (dict(k=6, n=70, sod=3, am3=1, sual=1, wl=1, ada=1),
           dict(k=8, n=80, am3=8, sod=10, ada=3, wl=1),
           dict(k=10, n=80, am3=10, sod=7, sual=1, wl=2, ada=2))
-problems = []
-for i, shape in enumerate(SHAPES * 10):
-    prob = compile_search_problem(absorb(generate(
-        GenSpec(seed=derive_seed(20, i), **shape))))
-    if prob is not None:
-        problems.append(prob)
+problems = [compile_search_problem(absorb(generate(GenSpec(
+                seed=derive_seed(20, i), **shape))))
+            for i, shape in enumerate(SHAPES * 10)]
 # `pack`'s arrays keep spare room past their end, so each problem also
 # runs from copies of exactly its size, which a read past either buffer
 # leaves

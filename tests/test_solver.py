@@ -11,6 +11,7 @@ from conftest import (
     COMPILED_MISSING,
     CONSTRAINT_KINDS,
     PO_VALID_COUNT,
+    RELABEL_DRAWS,
     _random_constraint,
     count_valid_plans,
     disjoint_wl_instance,
@@ -50,7 +51,7 @@ from wspkit.solver import (
     visit_order,
 )
 from wspkit.absorption import absorb
-from wspkit._kernel import available_backends
+from wspkit._kernel import UNSAT, available_backends, backend_run_search
 
 SOLVERS = (solve_bruteforce, solve_pattern_enum, solve_backtracking)
 
@@ -322,10 +323,17 @@ def test_kernel_step_limit():
         compile_search_problem(absorb(inst))
 
 
-def test_compile_returns_none_for_dead_family():
+def test_compile_gives_a_dead_family_no_combos():
+    # step 1 has no user, so the static family is empty: the problem has no
+    # combos, and every kernel answers UNSAT without a node
     inst = Instance(2, 2, AuthorisationFunction.from_lists([[0], []], 2), ())
-    assert compile_search_problem(absorb(inst)) is None
-    assert solve_backtracking(inst).verdict is Verdict.UNSAT
+    prob = compile_search_problem(absorb(inst))
+    assert (prob.k, prob.combo_masks) == (2, ())
+    for backend in available_backends():
+        assert backend_run_search(backend)(prob) == (UNSAT, None, 0, 0, 0)
+        res = solve_backtracking(inst, backend=backend)
+        assert res.verdict is Verdict.UNSAT
+        assert dataclasses.replace(res.stats, wall_time=0) == SolveStats()
 
 
 # --- the static visit order ---------------------------------------------------
@@ -448,12 +456,6 @@ def relabel(inst, perm):
 
     return Instance(inst.k, inst.n, AuthorisationFunction(inst.n, tuple(masks)),
                     tuple(map(move, inst.constraints)))
-
-
-# generator counts per draw: each non-UI kind, and every kind together
-RELABEL_DRAWS = {"wl": dict(sod=6, am3=2, wl=1), "ada": dict(sod=8, am3=2, ada=3),
-                 "sual": dict(sod=8, am3=2, sual=1),
-                 "every": dict(sod=6, am3=1, sual=1, wl=1, ada=1)}
 
 
 @pytest.mark.parametrize("name", sorted(RELABEL_DRAWS))
@@ -584,7 +586,7 @@ def test_bod_compiles_as_an_at_most_one_count(kind):
 # sha256 prefix of every field compile_search_problem returns, over 20
 # export-shaped draws (SoD, at-most, SUAL, WL, ADA) and 40 small draws each
 # of BoD, at-least and a mix of every kind.
-COMPILE_DIGEST = "2c770c68d2d1a667"
+COMPILE_DIGEST = "c7b59045304eba65"
 
 
 def test_compiled_problems_are_pinned():
@@ -599,9 +601,6 @@ def test_compiled_problems_are_pinned():
     h = hashlib.sha256()
     for inst in corpus:
         prob = compile_search_problem(absorb(inst))
-        if prob is None:
-            h.update(b"None\n")
-            continue
         for name in ("order", "combo_masks", "sod_prev", "counts", "suals"):
             h.update(f"{name}={getattr(prob, name)!r}\n".encode())
     assert h.hexdigest()[:16] == COMPILE_DIGEST
