@@ -52,7 +52,8 @@ class SearchProblem:
 
     k is the step count, order[d] the step visited at depth d,
     combo_masks[c][d] the user bitmask that authorisation alternative c
-    allows for it, and sod_prev[d] the earlier depths it has an SoD with.
+    allows for it, and sod_prev[d] the earlier depths it has an SoD with,
+    its SoD scope.
     counts are the at-most and at-least bounds, a binding-of-duty pair
     among them as at most one user (r=1) over its two depths, and suals the
     super-user restrictions.  No field holds the user count: the masks' own
@@ -61,7 +62,9 @@ class SearchProblem:
     The combos are kept sorted by mask tuple, however they are given, so
     every problem is in the one canonical order both kernels search: the
     combos that agree on depths 0..d-1 are consecutive, and the plan is the
-    matching of the first class alive at full depth.
+    matching of the first class alive at full depth.  Each SoD scope is
+    kept ascending with each depth once, as every count and SUAL scope
+    lists its depths, so the kernels read all three kinds alike.
     """
 
     k: int
@@ -73,19 +76,21 @@ class SearchProblem:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "combo_masks", tuple(sorted(self.combo_masks)))
+        object.__setattr__(self, "sod_prev",
+                           tuple(tuple(sorted(set(p))) for p in self.sod_prev))
 
 
 def pack(prob: SearchProblem) -> tuple[array, array]:
     """`prob` as the two flat buffers the compiled kernel reads.
 
     `ints` is k, W (64-bit words per user mask), m, the count of counts and
-    of SUALs, then `order`, then each depth's `sod_prev` as a length and its
-    entries, then each count as (at most?, r, scope size, depths...), a
+    of SUALs, then `order`, then each depth's `sod_prev` as (scope size,
+    depths...), then each count as (at most?, r, scope size, depths...), a
     binding-of-duty pair as (1, 1, 2, d1, d2), and each SUAL as (h, scope
-    size, depths...).  `words` is the combos' masks in their canonical
-    order, depth by depth, then the SUALs' super-users, W words each,
-    lowest users first.  W is the fewest words that hold every one of
-    those masks, at least one.
+    size, depths...).  Every scope lists its depths ascending, each once.
+    `words` is the combos' masks in their canonical order, depth by depth,
+    then the SUALs' super-users, W words each, lowest users first.  W is
+    the fewest words that hold every one of those masks, at least one.
     """
     k, combo_masks = prob.k, prob.combo_masks
     top = max([*map(max, combo_masks), *(s.xmask for s in prob.suals)], default=0)

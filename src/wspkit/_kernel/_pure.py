@@ -23,21 +23,24 @@ alternatives ("combos"):
   tries only those.  Compile hands a binding-of-duty pair over as an
   at-most count with r = 1, which this rule prunes as any other count.
 
-A depth's user-independent (UI) state is two packed ints of k-bit block-set
-fields, which a node updates with a few int operations and no loop over the
-step's neighbours:
+A depth's user-independent (UI) state is one packed int of k-bit
+block-set fields, one per scope: the blocks that the scope's depths before
+it cover.  A node updates it with a few int operations and no loop over
+the step's scopes:
 
-- `fwd[d]` has a field per depth f >= d: the blocks that the SoDs with
-  the depths before d forbid f.  Placing depth d in block b shifts field 0
-  out and ORs in `sod[d] << b`, a bit in the field of each later SoD
-  neighbour.  Field 0 then rules blocks out of the next depth's open
-  blocks and new one.
-- `cover[d]` has a field per count and per SUAL scope: the blocks that its
-  depths before d cover.  Placing depth d in block b ORs in
-  `spread[d] << b`, a bit in the field of each scope that holds d.  A count
-  bound is read only at the scope positions where it can rule a block out.
-  Depths are visited in ascending order, so a SUAL scope can restrict only
-  at its last depth, and is read only there.
+- The scopes are, in order, SoD scope f for each depth f (the earlier
+  depths f has an SoD with), each count, and each SUAL.  Depth d's int
+  holds scope i at field i - d, so the fields of passed depths shift out.
+- Placing depth d in block b ORs `spread[d] << b`, a bit in the field of
+  each scope that holds d, into depth d's int shifted down one field:
+  that is depth d+1's int.  Its field 0 is depth d+1's SoD scope, the
+  blocks that depth may not join, which rule blocks out of its open blocks
+  and new one.  A count bound is read only at the scope positions where it
+  can rule a block out.  Depths are visited in ascending order, so a SUAL
+  scope can restrict only at its last depth, and is read only there.
+- A node that leaves depth d+1 admissible blocks keeps depth d+1's int
+  already shifted, as `cover[d+1]`, so the nodes at depth d+1 share one
+  shift, and a node that the UI constraints end pays none.
 
 A node places depth d's step in an admissible block b and does its work
 cheapest first.  It builds depth d+1's UI state and, when d+1 < k, its
@@ -93,18 +96,15 @@ def run_search(
         return (UNSAT, None, 0, 0, 0)
 
     field = (1 << k) - 1  # one block set; blocks are labelled 0..k-1
-    # sod[d]: a bit at field f - d - 1 for each later neighbour f
-    sod = [0] * k
-    for f in range(k):
-        for e in prob.sod_prev[f]:
-            sod[e] |= 1 << (f - e - 1) * k
-    # The cover fields: count ci at field ci, SUAL si after the counts.
-    # spread[d]: a bit at the field of each scope holding depth d.
+    # The cover scopes: SoD scope f at index f, count ci at k + ci, SUAL si
+    # after the counts; depth d's int holds scope i at field i - d.
+    # spread[d]: a bit at field i - d - 1 for each scope i holding depth d.
     counts, suals = prob.counts, prob.suals
     spread = [0] * k
-    for i, spec in enumerate((*counts, *suals)):
-        for d in spec.depths:
-            spread[d] |= 1 << i * k
+    for i, depths in enumerate(
+            (*prob.sod_prev, *(spec.depths for spec in (*counts, *suals)))):
+        for d in depths:
+            spread[d] |= 1 << (i - d - 1) * k
     # checks[d]: (field shift, r, at most?) of each count bound that can
     # rule a block out at depth d.  Scope position i sees the blocks of
     # the i scope depths before it, so an at-most bound r bites only from
@@ -118,16 +118,17 @@ def run_search(
             remaining = size - i - 1
             if spec.at_most:
                 if i >= r:
-                    checks[d].append((ci * k, r, True))
+                    checks[d].append(((k + ci - d) * k, r, True))
             elif remaining + 1 < r:
-                checks[d].append((ci * k, r - remaining, False))
-    # sual_end[d]: (field shift, h, super-users) of each SUAL whose scope
-    # ends at depth d
+                checks[d].append(((k + ci - d) * k, r - remaining, False))
+    # sual_end[d]: (field shift after depth d, h, super-users) of each SUAL
+    # whose scope ends at depth d
     sual_end: list[list[tuple[int, int, int]]] = [[] for _ in range(k)]
     for si, spec in enumerate(suals):
         if spec.depths:
-            sual_end[max(spec.depths)].append(
-                ((len(counts) + si) * k, spec.h, spec.xmask))
+            d = max(spec.depths)
+            sual_end[d].append(
+                ((k + len(counts) + si - d - 1) * k, spec.h, spec.xmask))
 
     # sorted by mask tuple, so a class is a range [lo, hi) of combos
     combo_masks = prob.combo_masks
@@ -141,11 +142,11 @@ def run_search(
     # never mutated.
     alive: list[list[tuple[int, int, list[int], list[int]]]] = \
         [[(0, m, [], [])]] + [[] for _ in range(k)]
-    # The explicit stack: depth d's frame is its UI state fwd[d] and
-    # cover[d], its block count nbs[d] and the admissible blocks left[d] it
-    # has still to try, lowest first.  A recursive nested function would
-    # hold this frame's state in a cycle.
-    fwd, cover, nbs, left = [0] * k, [0] * k, [0] * k, [0] * k
+    # The explicit stack: depth d's frame is its UI state shifted down one
+    # field, cover[d], its block count nbs[d] and the admissible blocks
+    # left[d] it has still to try, lowest first.  A recursive nested
+    # function would hold this frame's state in a cycle.
+    cover, nbs, left = [0] * k, [0] * k, [0] * k
     assign = [0] * k
     seen = [0]  # the users an augmenting-path search has visited
 
@@ -219,11 +220,10 @@ def run_search(
         nb = nbs[d]
         nb2 = nb + 1 if b == nb else nb
         d1 = d + 1
-        fw = (fwd[d] >> k) | (sod[d] << b)
         cov = cover[d] | (spread[d] << b)
         if d1 < k:
             full = (2 << nb2) - 1
-            blocks = (fw & full) ^ full
+            blocks = (cov & full) ^ full
             for shift, r, at_most in checks[d1]:
                 c = cov >> shift & field
                 distinct = c.bit_count()
@@ -240,7 +240,7 @@ def run_search(
                     blocks &= ~c
             if not blocks:
                 continue
-            left[d1], fwd[d1], cover[d1] = blocks, fw, cov
+            left[d1], cover[d1] = blocks, cov >> k
 
         restricted = None
         if sual_end[d]:

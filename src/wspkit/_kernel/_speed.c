@@ -9,11 +9,11 @@ containers differ:
 
 - A user mask is W 64-bit words, lowest users first, and the matching
   search is the same Kuhn step as `matching.augment`.
-- `fwd[d]` is a row of k words indexed by depth: fwd[d][f], for f >= d, is
-  the block set that the SoDs with the depths before d forbid depth f.
-  `cover[d]` is a row of one word per count and SUAL scope.  A depth's
-  rows are built from its parent's and never written while a deeper depth
-  can read them, as the pure backend's ints are.
+- `cover[d]` is a row of one word per scope: SoD scope f at index f, then
+  the counts, then the SUALs.  A node copies its parent's row from index
+  d+1 on, as the pure backend's shift drops the passed depths' fields.  A
+  depth's row is built from its parent's and never written while a deeper
+  depth can read it, as the pure backend's ints are.
 - Depth d's alive classes live in one growable array per depth, each
   class with d block masks and a matching of d users.
 - The classes' splits are kept as run ends: run_end[d][lo] is the end of
@@ -52,21 +52,21 @@ typedef struct {
 } Level;
 
 typedef struct {
-    int k, W, m, ncounts, nsuals, nscopes;
+    int k, W, m, ncounts, nsuals;
+    size_t nscopes;      /* k SoD scopes, then the counts, then the SUALs */
     const int *order;    /* visit depth -> step */
     const u64 *masks;    /* masks[(i * k + d) * W]: combo i, depth d */
     const u64 *xmasks;   /* xmasks[si * W]: SUAL si's super-users */
-    u64 sod[MAX_STEPS];  /* the later SoD neighbours of each depth */
     /* spread[d * nscopes + j], j < spread_n[d]: the scopes holding depth d */
     int *spread, *spread_n;
-    /* checks[(d * ncounts + j) * 3], j < check_n[d]: (count, r, at most?)
+    /* checks[(d * ncounts + j) * 3], j < check_n[d]: (scope, r, at most?)
        of each count bound that can rule a block out at depth d */
     int *checks, *check_n;
     /* sual_end[(d * nsuals + j) * 2], j < sual_end_n[d]: (SUAL, h) of
        each SUAL whose scope ends at depth d */
     int *sual_end, *sual_end_n;
     int *run_end;        /* run_end[d * m + lo], see the file comment */
-    u64 *fwd, *cover;    /* fwd[d * k + f], cover[d * nscopes + j] */
+    u64 *cover;          /* cover[d * nscopes + j] */
     int nbs[MAX_STEPS + 1], assign[MAX_STEPS];
     u64 left[MAX_STEPS + 1];
     Level levels[MAX_STEPS + 1];
@@ -96,7 +96,6 @@ free_search(Search *s)
     PyMem_Free(s->sual_end);
     PyMem_Free(s->sual_end_n);
     PyMem_Free(s->run_end);
-    PyMem_Free(s->fwd);
     PyMem_Free(s->cover);
     PyMem_Free(s->seen);
     PyMem_Free(s->restricted);
@@ -128,15 +127,16 @@ take(Cursor *c, int lo, int hi, int *out)
     return 0;
 }
 
-/* A scope's depths, ascending, into `depths`; its size into *size. */
+/* A scope's depths, ascending and below n, into `depths`; its size into
+   *size. */
 static int
-take_scope(Cursor *c, int k, int *depths, int *size)
+take_scope(Cursor *c, int n, int *depths, int *size)
 {
-    if (take(c, 0, k, size) < 0)
+    if (take(c, 0, n, size) < 0)
         return -1;
     for (int i = 0; i < *size; i++) {
         int lo = i ? depths[i - 1] + 1 : 0;
-        if (take(c, lo, k - 1, &depths[i]) < 0)
+        if (take(c, lo, n - 1, &depths[i]) < 0)
             return -1;
     }
     return 0;
@@ -155,7 +155,7 @@ load(Search *s, const int *ints, Py_ssize_t nints, const u64 *words,
         || take(&c, 0, INT_MAX, &nS) < 0)
         return -1;
     s->k = k, s->W = W, s->m = m, s->ncounts = nC, s->nsuals = nS;
-    s->nscopes = nC + nS;
+    s->nscopes = (size_t)k + nC + nS;
     if (nwords % W || nwords / W != (Py_ssize_t)m * k + nS) {
         PyErr_SetString(PyExc_ValueError, "malformed packed search problem");
         return -1;
@@ -167,17 +167,7 @@ load(Search *s, const int *ints, Py_ssize_t nints, const u64 *words,
     s->masks = words;
     s->xmasks = words + (size_t)m * k * W;
 
-    /* sod[e]: a bit for each later neighbour f */
-    for (int f = 0; f < k; f++) {
-        if (take(&c, 0, INT_MAX, &size) < 0)
-            return -1;
-        for (int i = 0; i < size; i++) {
-            if (take(&c, 0, f - 1, &x) < 0)
-                return -1;
-            s->sod[x] |= (u64)1 << f;
-        }
-    }
-    size_t ns = (size_t)s->nscopes;
+    size_t ns = s->nscopes;
     if (!(s->spread = alloc((size_t)k * ns, sizeof(int)))
         || !(s->spread_n = alloc(k, sizeof(int)))
         || !(s->checks = alloc((size_t)k * nC * 3, sizeof(int)))
@@ -185,8 +175,15 @@ load(Search *s, const int *ints, Py_ssize_t nints, const u64 *words,
         || !(s->sual_end = alloc((size_t)k * nS * 2, sizeof(int)))
         || !(s->sual_end_n = alloc(k, sizeof(int))))
         return -1;
-    /* The cover fields: count ci at scope ci, SUAL si after the counts.
-       A count's checks: scope position i sees the blocks of the i scope
+    /* The cover scopes: SoD scope f, the earlier depths f has an SoD with,
+       at index f; count ci at k + ci; SUAL si after the counts. */
+    for (int f = 0; f < k; f++) {
+        if (take_scope(&c, f, depths, &size) < 0)
+            return -1;
+        for (int i = 0; i < size; i++)
+            s->spread[depths[i] * ns + s->spread_n[depths[i]]++] = f;
+    }
+    /* A count's checks: scope position i sees the blocks of the i scope
        depths before it, so an at-most bound r bites only from position r
        on, and an at-least bound is met whatever came before while r - 1 or
        more scope depths remain; its r is reduced by the depths after d. */
@@ -197,10 +194,10 @@ load(Search *s, const int *ints, Py_ssize_t nints, const u64 *words,
             return -1;
         for (int i = 0; i < size; i++) {
             int d = depths[i], remaining = size - i - 1;
-            s->spread[d * ns + s->spread_n[d]++] = ci;
+            s->spread[d * ns + s->spread_n[d]++] = k + ci;
             if (at_most ? i >= r : remaining + 1 < r) {
                 int *check = &s->checks[(d * nC + s->check_n[d]++) * 3];
-                check[0] = ci;
+                check[0] = k + ci;
                 check[1] = at_most ? r : r - remaining;
                 check[2] = at_most;
             }
@@ -212,7 +209,7 @@ load(Search *s, const int *ints, Py_ssize_t nints, const u64 *words,
             || take_scope(&c, k, depths, &size) < 0)
             return -1;
         for (int i = 0; i < size; i++)
-            s->spread[depths[i] * ns + s->spread_n[depths[i]]++] = nC + si;
+            s->spread[depths[i] * ns + s->spread_n[depths[i]]++] = k + nC + si;
         if (size) {
             int d = depths[size - 1];
             int *end = &s->sual_end[(d * nS + s->sual_end_n[d]++) * 2];
@@ -225,7 +222,6 @@ load(Search *s, const int *ints, Py_ssize_t nints, const u64 *words,
         return -1;
     }
     if (!(s->run_end = alloc((size_t)k * m, sizeof(int)))
-        || !(s->fwd = alloc((size_t)k * k, sizeof(u64)))
         || !(s->cover = alloc((size_t)(k + 1) * ns, sizeof(u64)))
         || !(s->seen = alloc(W, sizeof(u64)))
         || !(s->restricted = alloc(nS, sizeof(int)))
@@ -394,7 +390,7 @@ search(Search *s, int64_t cap, int64_t max_patterns, int has_deadline,
        int *plan)
 {
     int k = s->k, W = s->W, nC = s->ncounts, nS = s->nsuals;
-    size_t ns = (size_t)s->nscopes;
+    size_t ns = s->nscopes;
     int64_t nodes = 0, patterns = 0;
     int status = UNSAT;
 
@@ -436,16 +432,12 @@ search(Search *s, int64_t cap, int64_t max_patterns, int has_deadline,
         int b = __builtin_ctzll(lsb), nb = s->nbs[d];
         int nb2 = b == nb ? nb + 1 : nb, d1 = d + 1;
         u64 *cov = s->cover + d1 * ns;
-        memcpy(cov, s->cover + d * ns, ns * sizeof(u64));
+        memcpy(cov + d1, s->cover + d * ns + d1, (ns - d1) * sizeof(u64));
         for (int j = 0; j < s->spread_n[d]; j++)
             cov[s->spread[d * ns + j]] |= lsb;
         if (d1 < k) {
-            u64 *fw = s->fwd + (size_t)d1 * k;
-            memcpy(fw + d1, s->fwd + (size_t)d * k + d1, (k - d1) * sizeof(u64));
-            for (u64 f = s->sod[d]; f; f &= f - 1)
-                fw[__builtin_ctzll(f)] |= lsb;
             u64 full = ((u64)2 << nb2) - 1; /* nb2 < 64 here */
-            blocks = (fw[d1] & full) ^ full;
+            blocks = (cov[d1] & full) ^ full;
             const int *check = &s->checks[d1 * nC * 3];
             for (int j = 0; j < s->check_n[d1]; j++, check += 3) {
                 u64 c = cov[check[0]];
@@ -473,7 +465,7 @@ search(Search *s, int64_t cap, int64_t max_patterns, int has_deadline,
         int nrestricted = 0;
         const int *end = &s->sual_end[d * nS * 2];
         for (int j = 0; j < s->sual_end_n[d]; j++, end += 2) {
-            u64 c = cov[nC + end[0]];
+            u64 c = cov[k + nC + end[0]];
             if (__builtin_popcountll(c) <= end[1]) {
                 s->restricted[nrestricted] = end[0];
                 s->restricted_cov[nrestricted++] = c;

@@ -241,12 +241,14 @@ def plan_from_doc(doc) -> tuple[int, ...]:
 
 def _read_json(path) -> dict:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise CliError(f"{path}: {exc.strerror or exc}") from exc
     try:
-        return json.loads(text)
-    except ValueError as exc:
+        # JSON text is UTF-8: a decoding error is a ValueError as a syntax
+        # error is, and nesting past the parser's depth a RecursionError
+        return json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
         raise CliError(f"{path}: not valid JSON: {exc}") from exc
 
 

@@ -682,7 +682,7 @@ def load_calibration(k: int, n: int, family: str, samples: int,
         return None
     try:
         doc = json.loads(path.read_text(encoding="ascii"))
-    except (OSError, ValueError):
+    except (OSError, ValueError, RecursionError):
         return None
     if not isinstance(doc, dict):
         return None

@@ -304,7 +304,7 @@ def compile_search_problem(absorbed: AbsorbedInstance) -> SearchProblem:
         k=k,
         order=order,
         combo_masks=combo_masks,
-        sod_prev=tuple(tuple(sorted(x)) for x in sod_prev),
+        sod_prev=sod_prev,
         counts=tuple(counts),
         suals=suals,
     )

@@ -265,11 +265,24 @@ def test_missing_instance_file_exits_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_unparseable_json_exits_one(tmp_path, capsys):
+@pytest.mark.parametrize("data", [
+    b"{not json",
+    b'{"k": 1, "n": 1, "auth": [[0]], "constraints": [], "note": "\xff"}',
+    b"[" * 100_000 + b"]" * 100_000,
+], ids=["syntax", "not_utf8", "nested"])
+@pytest.mark.parametrize("command", ["solve", "verify", "encode", "inspect"])
+def test_unparseable_json_exits_one(tmp_path, capsys, data, command):
     path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    assert main(["solve", str(path)]) == EXIT_ERROR
-    assert "not valid JSON" in capsys.readouterr().err
+    path.write_bytes(data)
+    plan = tmp_path / "plan.json"
+    save_plan(plan, (0,))
+    args = {"verify": [str(plan)],
+            "encode": ["--repr", "udpb", "--format", "opb",
+                       "--out", str(tmp_path / "out.opb")]}
+    assert main([command, str(path), *args.get(command, [])]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not valid JSON: ")
+    assert err.count("\n") == 1
 
 
 def test_schema_violation_exits_one(tmp_path, capsys):

@@ -702,6 +702,15 @@ def test_malformed_cache_is_a_miss(cache_env):
         assert load_calibration(8, 80, "sod", 40, BAND, 1) is None, doc
 
 
+@pytest.mark.parametrize("data", [b"[" * 100_000 + b"]" * 100_000,
+                                  b'{"e_value": "\xff"}'],
+                         ids=["nested", "not_ascii"])
+def test_unparseable_cache_file_is_a_miss(cache_env, data):
+    path = save_calibration(8, 80, "sod", PTCalibration(4, 0.5, 40), BAND, 1)
+    path.write_bytes(data)
+    assert load_calibration(8, 80, "sod", 40, BAND, 1) is None
+
+
 def test_malformed_cache_triggers_a_fresh_calibration(cache_env):
     calibration_path(5, 8, "sod").write_text("[1, 2]")
     band = (0.01, 0.99)

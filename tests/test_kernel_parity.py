@@ -15,6 +15,7 @@ import dataclasses
 import hashlib
 import random
 import time
+from array import array
 from functools import lru_cache
 
 import pytest
@@ -613,6 +614,14 @@ def test_combo_order_given_never_changes_a_hand_built_result():
     assert assert_combo_order_is_moot(probs, "hand") >= 100
 
 
+def test_sod_scopes_are_stored_ascending_with_each_depth_once():
+    prob = SearchProblem(k=4, order=(0, 1, 2, 3), combo_masks=((1, 1, 1, 1),),
+                         sod_prev=((), (0, 0), (1, 0, 1), [2, 0, 2, 1, 0]))
+    assert prob.sod_prev == ((), (0,), (0, 1), (0, 1, 2))
+    assert prob == hand_problem(
+        [(1, 1, 1, 1)], sod=[(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)])
+
+
 # --- at the kernel's step limit ---------------------------------------------
 
 # k = KERNEL_MAX_STEPS, every user authorised everywhere and an SoD between
@@ -683,6 +692,22 @@ def test_compiled_kernel_refuses_problems_it_would_read_out_of_bounds():
     for prob in bad:
         with pytest.raises(ValueError, match="malformed packed search problem"):
             run(prob)
+
+
+@needs_compiled
+@pytest.mark.parametrize("scope", [(1, 1), (1, 0)])
+def test_compiled_kernel_refuses_a_repeated_or_descending_sod_depth(scope):
+    # SearchProblem never packs such a scope, and the loader reads SoD
+    # scopes as it reads count and SUAL scopes, so a buffer with one fails
+    prob = hand_problem([(0b111,) * 3], sod=[(0, 2), (1, 2)])
+    ints, words = _kernel.pack(prob)
+    # the SoD section ends the ints here: (0), (0), (2, 0, 1)
+    assert list(ints[-5:]) == [0, 0, 2, 0, 1]
+    _speed = pytest.importorskip("wspkit._kernel._speed")
+    assert _speed.search(ints, words)[0] == _kernel.SAT
+    ints[-2:] = array("i", scope)
+    with pytest.raises(ValueError, match="malformed packed search problem"):
+        _speed.search(ints, words)
 
 
 def test_one_step_past_the_limit_names_it():

@@ -7,7 +7,8 @@ installed build would optimise it, with every warning an error; once with
 UndefinedBehavior Sanitizer, every report fatal; and once with
 AddressSanitizer.  Each build runs the parity tests in a fresh interpreter
 that imports it.  The ASan build also checks parity from buffers of exactly
-the packed size, then runs seeded corruptions of `pack` buffers, each of
+the packed size, then runs seeded corruptions of `pack` buffers (edge
+values, small nudges, cuts, extensions and swaps of adjacent ints), each of
 which the kernel must run or refuse with ValueError or MemoryError.
 
 ASan's runtime must be the first library in the process, so its interpreter
@@ -145,7 +146,7 @@ tally = {"ran": 0, "ValueError": 0, "MemoryError": 0}
 for _ in range(int(sys.argv[2])):
     ints, words = (buf[:] for buf in rng.choice(buffers))
     for _ in range(rng.randint(1, 3)):
-        op = rng.randrange(5)
+        op = rng.randrange(6)
         if op < 2 and ints:
             i = rng.randrange(len(ints))
             shifted = max(-2**31, min(2**31 - 1, ints[i] + rng.randint(-3, 3)))
@@ -154,6 +155,10 @@ for _ in range(int(sys.argv[2])):
             del ints[rng.randint(0, len(ints)):]
         elif op == 3:
             ints.extend(rng.randint(-2, 70) for _ in range(rng.randint(1, 4)))
+        elif op == 4 and len(ints) > 1:
+            # two adjacent ints swapped: within a scope, its depths descend
+            i = rng.randrange(len(ints) - 1)
+            ints[i], ints[i + 1] = ints[i + 1], ints[i]
         elif rng.random() < 0.5:
             del words[rng.randint(0, len(words)):]
         else:

@@ -11,9 +11,13 @@ without an oracle, and checks the solver's answers against each other:
   never stands in for UNSAT.
 
 The draws are the small mixed draws of `RELABEL_DRAWS` (k=8, n=16), whose
-relabelling relations `test_solver.py` checks.  Each relation also asserts
-that it is not vacuous: some draw flips under the first two, and some draw
-is BUDGET at the smallest budget.
+relabelling relations `test_solver.py` checks, solved unbudgeted, and a k16
+row of draws of the hard regime's shape (k=16, n=160, am3=16, sod=35),
+every solve under a node budget.  A BUDGET result there is no verdict, so
+the relations assert nothing of it.  Each relation also asserts that it is
+not vacuous: some draw flips under the first two, and under the third some
+draw is BUDGET at the smallest budget and a draw of each row is decided
+below its largest.
 """
 
 import dataclasses
@@ -30,33 +34,46 @@ from wspkit.solver import Budget, Verdict, solve_backtracking
 
 BACKENDS = available_backends()
 
-# node budgets, ascending; the draws' trees have at most 59 nodes
-BUDGETS = tuple(2 ** e for e in range(7))
+# node budgets, ascending, each draw's last its solves' budget (None for
+# none): the k=8 draws' trees have at most 59 nodes, and four of the five
+# k16 draws are SAT within 3,400 nodes
+BUDGETS = tuple(2 ** e for e in range(7)) + (None,)
+K16_BUDGETS = tuple(2 ** e for e in range(13))
 
 
 @lru_cache(maxsize=None)
 def draws() -> tuple:
-    """20 draws of each RELABEL_DRAWS shape."""
-    return tuple(generate(GenSpec(seed=derive_seed(81, 11, i), k=8, n=16,
-                                  **RELABEL_DRAWS[name]))
-                 for name in sorted(RELABEL_DRAWS) for i in range(20))
+    """(draw, node budgets): 20 draws of each RELABEL_DRAWS shape, then
+    the five draws of the k16 row."""
+    return tuple((generate(GenSpec(seed=derive_seed(81, 11, i), k=8, n=16,
+                                   **RELABEL_DRAWS[name])), BUDGETS)
+                 for name in sorted(RELABEL_DRAWS) for i in range(20)) + \
+        tuple((generate(GenSpec(seed=derive_seed(81, 12, i), k=16, n=160,
+                                am3=16, sod=35)), K16_BUDGETS)
+              for i in range(5))
+
+
+def budget(cap):
+    return None if cap is None else Budget(max_nodes=cap)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_appending_a_constraint_never_turns_unsat_into_sat(backend):
     rng = random.Random("append")
     flips = 0
-    for i, inst in enumerate(draws()):
-        base = solve_backtracking(inst, backend=backend)
+    for i, (inst, caps) in enumerate(draws()):
+        base = solve_backtracking(inst, budget(caps[-1]), backend=backend)
         for _ in range(3):
             c = _random_constraint(rng, rng.choice(CONSTRAINT_KINDS), inst.k,
                                    inst.n)
             more = dataclasses.replace(inst, constraints=(*inst.constraints, c))
-            res = solve_backtracking(more, backend=backend)
-            if res.sat:
-                assert base.sat and is_valid(res.plan, inst), (i, c)
+            res = solve_backtracking(more, budget(caps[-1]), backend=backend)
+            if res.verdict is Verdict.BUDGET:
+                assert caps[-1] is not None, (i, c)
+            elif res.sat:
+                assert base.verdict is not Verdict.UNSAT, (i, c)
+                assert is_valid(res.plan, inst), (i, c)
             else:
-                assert res.verdict is Verdict.UNSAT, (i, c)
                 flips += base.sat
     assert flips
 
@@ -65,8 +82,8 @@ def test_appending_a_constraint_never_turns_unsat_into_sat(backend):
 def test_authorising_one_more_user_never_turns_sat_into_unsat(backend):
     rng = random.Random("authorise")
     flips = 0
-    for i, inst in enumerate(draws()):
-        base = solve_backtracking(inst, backend=backend)
+    for i, (inst, caps) in enumerate(draws()):
+        base = solve_backtracking(inst, budget(caps[-1]), backend=backend)
         masks = inst.auth.step_masks
         for _ in range(8):
             s = rng.randrange(inst.k)
@@ -77,11 +94,13 @@ def test_authorising_one_more_user_never_turns_sat_into_unsat(backend):
             wider[s] |= 1 << rng.choice(free)
             res = solve_backtracking(dataclasses.replace(
                 inst, auth=AuthorisationFunction(inst.n, tuple(wider))),
-                backend=backend)
-            if res.sat:
-                flips += not base.sat
+                budget(caps[-1]), backend=backend)
+            if res.verdict is Verdict.BUDGET:
+                assert caps[-1] is not None, (i, s)
+            elif res.sat:
+                flips += base.verdict is Verdict.UNSAT
             else:
-                assert res.verdict is base.verdict is Verdict.UNSAT, (i, s)
+                assert base.verdict is not Verdict.SAT, (i, s)
     assert flips
 
 
@@ -91,17 +110,20 @@ def test_a_verdict_decided_under_a_node_budget_holds_under_every_larger_one(
     def outcome(res):
         return res.verdict, res.plan, res.stats.nodes_expanded
 
-    stopped = 0
-    for i, inst in enumerate(draws()):
-        full = solve_backtracking(inst, backend=backend)
-        assert full.verdict is not Verdict.BUDGET, i
+    stopped, decided_at = 0, set()
+    for i, (inst, caps) in enumerate(draws()):
+        *smaller, largest = caps
+        full = solve_backtracking(inst, budget(largest), backend=backend)
+        assert full.verdict is not Verdict.BUDGET or largest is not None, i
         decided = False
-        for cap in BUDGETS:
+        for cap in smaller:
             res = solve_backtracking(inst, Budget(max_nodes=cap), backend=backend)
             if res.verdict is Verdict.BUDGET:
                 assert not decided, (i, cap)
-                stopped += cap == BUDGETS[0]
+                stopped += cap == smaller[0]
             else:
                 decided = True
                 assert outcome(res) == outcome(full), (i, cap)
-    assert stopped
+        if decided:
+            decided_at.add(inst.k)
+    assert stopped and decided_at == {8, 16}

@@ -458,8 +458,16 @@ def relabel(inst, perm):
                     tuple(map(move, inst.constraints)))
 
 
-@pytest.mark.parametrize("name", sorted(RELABEL_DRAWS))
-def test_relabelling_steps_keeps_the_verdict_of_mixed_draws(name):
+# each RELABEL_DRAWS shape on every backend; a pure case is named by its
+# shape alone
+RELABEL_CASES = [
+    pytest.param(name, backend,
+                 id=name if backend == "pure" else f"{name}-{backend}")
+    for name in sorted(RELABEL_DRAWS) for backend in available_backends()]
+
+
+@pytest.mark.parametrize("name, backend", RELABEL_CASES)
+def test_relabelling_steps_keeps_the_verdict_of_mixed_draws(name, backend):
     # the visit order breaks ties by step index, so a relabelled draw is
     # searched in another tree; its verdict may not move
     rng = random.Random(name)
@@ -473,7 +481,7 @@ def test_relabelling_steps_keeps_the_verdict_of_mixed_draws(name):
             perm = list(range(inst.k))
             rng.shuffle(perm)
             moved = relabel(inst, perm)
-            res = solve_backtracking(moved, backend="pure")
+            res = solve_backtracking(moved, backend=backend)
             assert res.verdict is expected, (i, perm)
             if res.plan is not None:
                 assert is_valid(res.plan, moved)
@@ -506,8 +514,9 @@ def relabel_users(inst, perm):
         tuple(map(move_users, inst.constraints)))
 
 
-@pytest.mark.parametrize("name", sorted(RELABEL_DRAWS))
-def test_relabelling_users_keeps_the_verdict_and_tree_of_mixed_draws(name):
+@pytest.mark.parametrize("name, backend", RELABEL_CASES)
+def test_relabelling_users_keeps_the_verdict_and_tree_of_mixed_draws(name,
+                                                                     backend):
     # a block's users never decide which blocks are admissible, and whether
     # a class can saturate its blocks does not depend on the users' names,
     # so the tree is the same; only the matching, and so the plan, may move
@@ -516,12 +525,12 @@ def test_relabelling_users_keeps_the_verdict_and_tree_of_mixed_draws(name):
     for i in range(10):
         inst = generate(GenSpec(seed=derive_seed(81, 11, i), k=8, n=16,
                                 **RELABEL_DRAWS[name]))
-        base = solve_backtracking(inst, backend="pure")
+        base = solve_backtracking(inst, backend=backend)
         for _ in range(3):
             perm = list(range(inst.n))
             rng.shuffle(perm)
             moved = relabel_users(inst, perm)
-            res = solve_backtracking(moved, backend="pure")
+            res = solve_backtracking(moved, backend=backend)
             assert (res.verdict, res.stats.nodes_expanded) == \
                 (base.verdict, base.stats.nodes_expanded), (i, perm)
             if res.plan is not None:
@@ -586,7 +595,7 @@ def test_bod_compiles_as_an_at_most_one_count(kind):
 # sha256 prefix of every field compile_search_problem returns, over 20
 # export-shaped draws (SoD, at-most, SUAL, WL, ADA) and 40 small draws each
 # of BoD, at-least and a mix of every kind.
-COMPILE_DIGEST = "c7b59045304eba65"
+COMPILE_DIGEST = "9d776c246e0ce4d0"
 
 
 def test_compiled_problems_are_pinned():
