@@ -9,10 +9,12 @@ and return the same status, plan and counters on every call, which the
 parity tests check: the pure-Python one (_pure), whose docstring describes
 the algorithm, and the compiled extension (_speed), a hand-written C
 transliteration of it whose `search` reads the problem from the flat
-buffers `pack` makes; this module packs and calls it.  setup.py does not
-build the extension; the tests build it for the parity suite.  Selection
-happens at import: the compiled backend when it is importable, the pure
-one otherwise.  `backend_run_search` fetches either by name.
+buffers `pack` makes; this module packs and calls it.  Both read each
+depth's tables of the UI constraints from `depth_tables`, the one place
+they are derived.  setup.py does not build the extension; the tests build
+it for the parity suite.  Selection happens at import: the compiled
+backend when it is importable, the pure one otherwise.
+`backend_run_search` fetches either by name.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 
 # every backend's status codes: _pure imports them, and _speed.c repeats them
 UNSAT, SAT, BUDGET = 0, 1, 2
@@ -64,7 +67,7 @@ class SearchProblem:
     combos that agree on depths 0..d-1 are consecutive, and the plan is the
     matching of the first class alive at full depth.  Each SoD scope is
     kept ascending with each depth once, as every count and SUAL scope
-    lists its depths, so the kernels read all three kinds alike.
+    lists its depths, so `depth_tables` reads all three kinds alike.
     """
 
     k: int
@@ -80,14 +83,60 @@ class SearchProblem:
                            tuple(tuple(sorted(set(p))) for p in self.sod_prev))
 
 
+def depth_tables(prob: SearchProblem) -> tuple[list, list, list]:
+    """Each depth's tables of the UI constraints, which both kernels read.
+
+    The cover scopes are SoD scope f, the earlier depths f has an SoD
+    with, at index f, then count ci at k + ci, then SUAL si after the
+    counts.  Returns (holders, checks, ends), each a list of one table
+    per depth d:
+
+    - holders[d]: the scopes that hold depth d, ascending.
+    - checks[d]: (scope, r, at most?) of each count bound that can rule a
+      block out at d.  Scope position p sees the blocks of the p scope
+      depths before it, so an at-most bound r over s scope depths bites
+      only at positions r..s-1, and an at-least bound is met whatever
+      came before while r - 1 or more scope depths remain, so it bites
+      only at positions s-r+1..s-1, its r reduced by the depths after d.
+    - ends[d]: (SUAL, h) of each SUAL whose scope ends at d.  Depths are
+      visited in ascending order, so a SUAL scope can restrict only at its
+      last depth.
+    """
+    k, counts = prob.k, prob.counts
+    holders = [[] for _ in range(k)]
+    checks = [[] for _ in range(k)]
+    ends = [[] for _ in range(k)]
+    for f, depths in enumerate(prob.sod_prev):
+        for d in depths:
+            holders[d].append(f)
+    for i, spec in enumerate(counts, k):
+        r, depths = spec.r, spec.depths
+        for d in depths:
+            holders[d].append(i)
+        if spec.at_most:
+            check = (i, r, True)
+            for d in depths[max(r, 0):]:
+                checks[d].append(check)
+        else:
+            size = len(depths)
+            for p in range(max(size - r + 1, 0), size):
+                checks[depths[p]].append((i, r - size + p + 1, False))
+    base = k + len(counts)
+    for si, spec in enumerate(prob.suals):
+        for d in spec.depths:
+            holders[d].append(base + si)
+        if spec.depths:
+            ends[max(spec.depths)].append((si, spec.h))
+    return holders, checks, ends
+
+
 def pack(prob: SearchProblem) -> tuple[array, array]:
     """`prob` as the two flat buffers the compiled kernel reads.
 
     `ints` is k, W (64-bit words per user mask), m, the count of counts and
-    of SUALs, then `order`, then each depth's `sod_prev` as (scope size,
-    depths...), then each count as (at most?, r, scope size, depths...), a
-    binding-of-duty pair as (1, 1, 2, d1, d2), and each SUAL as (h, scope
-    size, depths...).  Every scope lists its depths ascending, each once.
+    of SUALs, then `order`, then each depth's `depth_tables` as (holder
+    count, scopes...), (check count, (scope, r, at most?)...) and (end
+    count, (SUAL, h)...).
     `words` is the combos' masks in their canonical order, depth by depth,
     then the SUALs' super-users, W words each, lowest users first.  W is
     the fewest words that hold every one of those masks, at least one.
@@ -97,13 +146,9 @@ def pack(prob: SearchProblem) -> tuple[array, array]:
     width = max(1, -(-top.bit_length() // 64))
     ints = array("i", (k, width, len(combo_masks), len(prob.counts),
                        len(prob.suals), *prob.order))
-    for prev in prob.sod_prev:
-        ints.append(len(prev))
-        ints.extend(prev)
-    for c in prob.counts:
-        ints.extend((c.at_most, c.r, len(c.depths), *c.depths))
-    for s in prob.suals:
-        ints.extend((s.h, len(s.depths), *s.depths))
+    for holders, checks, ends in zip(*depth_tables(prob)):
+        ints.extend([len(holders), *holders, len(checks), *chain(*checks),
+                     len(ends), *chain(*ends)])
     size = 8 * width
     words = array("Q", b"".join(
         [mask.to_bytes(size, "little") for combo in combo_masks for mask in combo]

@@ -31,13 +31,15 @@ the step's scopes:
 - The scopes are, in order, SoD scope f for each depth f (the earlier
   depths f has an SoD with), each count, and each SUAL.  Depth d's int
   holds scope i at field i - d, so the fields of passed depths shift out.
+  Which scopes hold a depth, which count checks run there and which SUAL
+  scopes end there are `depth_tables`' rows, which both backends read;
+  this module only puts them in shift form.
 - Placing depth d in block b ORs `spread[d] << b`, a bit in the field of
   each scope that holds d, into depth d's int shifted down one field:
   that is depth d+1's int.  Its field 0 is depth d+1's SoD scope, the
   blocks that depth may not join, which rule blocks out of its open blocks
   and new one.  A count bound is read only at the scope positions where it
-  can rule a block out.  Depths are visited in ascending order, so a SUAL
-  scope can restrict only at its last depth, and is read only there.
+  can rule a block out, and a SUAL scope only at its last depth.
 - A node that leaves depth d+1 admissible blocks keeps depth d+1's int
   already shifted, as `cover[d+1]`, so the nodes at depth d+1 share one
   shift, and a node that the UI constraints end pays none.
@@ -72,10 +74,35 @@ from operator import itemgetter
 from typing import Optional
 
 from ..matching import augment
-from . import BUDGET, SAT, UNSAT
+from . import BUDGET, SAT, UNSAT, depth_tables
 
 _TIME_CHECK_EVERY = 2048
 _NEVER = 1 << 62  # a node count no search reaches
+
+
+def _shift_form(prob):
+    """`depth_tables` in shift form, where depth d's int holds scope i at
+    field i - d: spread[d], a bit at field i - d - 1 for each scope i
+    holding depth d; checks[d], (field shift, r, at most?) of each count
+    check at depth d; and sual_end[d], (field shift after depth d, h,
+    super-users) of each SUAL whose scope ends at depth d.  Kept out of
+    `run_search`, whose loop reads k: a comprehension there naming k would
+    make it a cell variable, slower to read at every node."""
+    k = prob.k
+    holders, checks, sual_end = depth_tables(prob)
+    spread = []
+    for d, row in enumerate(holders):
+        bits = 0
+        for i in row:
+            bits |= 1 << (i - d - 1) * k
+        spread.append(bits)
+    checks = [[((i - d) * k, r, at_most) for i, r, at_most in row] if row
+              else row for d, row in enumerate(checks)]
+    suals, base = prob.suals, k + len(prob.counts)  # SUAL si: scope base + si
+    sual_end = [[((base + si - d - 1) * k, h, suals[si].xmask)
+                 for si, h in row] if row else row
+                for d, row in enumerate(sual_end)]
+    return spread, checks, sual_end
 
 
 def run_search(
@@ -96,39 +123,7 @@ def run_search(
         return (UNSAT, None, 0, 0, 0)
 
     field = (1 << k) - 1  # one block set; blocks are labelled 0..k-1
-    # The cover scopes: SoD scope f at index f, count ci at k + ci, SUAL si
-    # after the counts; depth d's int holds scope i at field i - d.
-    # spread[d]: a bit at field i - d - 1 for each scope i holding depth d.
-    counts, suals = prob.counts, prob.suals
-    spread = [0] * k
-    for i, depths in enumerate(
-            (*prob.sod_prev, *(spec.depths for spec in (*counts, *suals)))):
-        for d in depths:
-            spread[d] |= 1 << (i - d - 1) * k
-    # checks[d]: (field shift, r, at most?) of each count bound that can
-    # rule a block out at depth d.  Scope position i sees the blocks of
-    # the i scope depths before it, so an at-most bound r bites only from
-    # position r on, and an at-least bound is met whatever came before
-    # while r - 1 or more scope depths remain; its r is reduced by the
-    # scope depths after d.
-    checks: list[list[tuple[int, int, bool]]] = [[] for _ in range(k)]
-    for ci, spec in enumerate(counts):
-        r, size = spec.r, len(spec.depths)
-        for i, d in enumerate(spec.depths):
-            remaining = size - i - 1
-            if spec.at_most:
-                if i >= r:
-                    checks[d].append(((k + ci - d) * k, r, True))
-            elif remaining + 1 < r:
-                checks[d].append(((k + ci - d) * k, r - remaining, False))
-    # sual_end[d]: (field shift after depth d, h, super-users) of each SUAL
-    # whose scope ends at depth d
-    sual_end: list[list[tuple[int, int, int]]] = [[] for _ in range(k)]
-    for si, spec in enumerate(suals):
-        if spec.depths:
-            d = max(spec.depths)
-            sual_end[d].append(
-                ((k + len(counts) + si - d - 1) * k, spec.h, spec.xmask))
+    spread, checks, sual_end = _shift_form(prob)
 
     # sorted by mask tuple, so a class is a range [lo, hi) of combos
     combo_masks = prob.combo_masks
@@ -269,10 +264,8 @@ def run_search(
                         seen[0] = 0
                         if not augment(rows, mrow, nb, seen):
                             continue
-                    if restricted:
-                        rows, mrow = rows.copy(), mrow.copy()
-                        if not restrict(rows, mrow, restricted):
-                            continue
+                    if restricted and not restrict(rows, mrow, restricted):
+                        continue
                     kids.append((clo, chi, rows, mrow))
         else:
             for lo, hi, rows_p, mrow_p in alive[d]:

@@ -1,11 +1,14 @@
 /* Compiled search backend.
 
-A transliteration of `_pure.run_search`, statement for statement: the same
-prefix classes, admissible-block masks, matching repairs, node counts and
-budget checks, so both backends search the same tree and return the same
-5-tuple on every call, which the parity tests check.  `_pure.py`'s
-docstring describes the algorithm, and the names here follow it.  Only the
-containers differ:
+A transliteration of `_pure.run_search`'s loop, statement for statement:
+the same prefix classes, admissible-block masks, matching repairs, node
+counts and budget checks, so both backends search the same tree and return
+the same 5-tuple on every call, which the parity tests check.  Which
+scopes hold a depth, where a count bound can bite and where a SUAL scope
+ends are not derived here: both backends read `depth_tables`, which `pack`
+writes depth by depth, and the loader only range-checks its rows.
+`_pure.py`'s docstring describes the algorithm, and the names here follow
+it.  Only the containers differ:
 
 - A user mask is W 64-bit words, lowest users first, and the matching
   search is the same Kuhn step as `matching.augment`.
@@ -52,19 +55,15 @@ typedef struct {
 } Level;
 
 typedef struct {
-    int k, W, m, ncounts, nsuals;
+    int k, W, m, ncounts;
     size_t nscopes;      /* k SoD scopes, then the counts, then the SUALs */
     const int *order;    /* visit depth -> step */
     const u64 *masks;    /* masks[(i * k + d) * W]: combo i, depth d */
     const u64 *xmasks;   /* xmasks[si * W]: SUAL si's super-users */
-    /* spread[d * nscopes + j], j < spread_n[d]: the scopes holding depth d */
-    int *spread, *spread_n;
-    /* checks[(d * ncounts + j) * 3], j < check_n[d]: (scope, r, at most?)
-       of each count bound that can rule a block out at depth d */
-    int *checks, *check_n;
-    /* sual_end[(d * nsuals + j) * 2], j < sual_end_n[d]: (SUAL, h) of
-       each SUAL whose scope ends at depth d */
-    int *sual_end, *sual_end_n;
+    /* depth d's `depth_tables` row in the ints buffer, each table its
+       length then its entries: the scopes holding d, the count checks at
+       d as (scope, r, at most?), and the SUALs ending at d as (SUAL, h) */
+    const int *holders[MAX_STEPS], *checks[MAX_STEPS], *ends[MAX_STEPS];
     int *run_end;        /* run_end[d * m + lo], see the file comment */
     u64 *cover;          /* cover[d * nscopes + j] */
     int nbs[MAX_STEPS + 1], assign[MAX_STEPS];
@@ -89,12 +88,6 @@ alloc(size_t count, size_t size)
 static void
 free_search(Search *s)
 {
-    PyMem_Free(s->spread);
-    PyMem_Free(s->spread_n);
-    PyMem_Free(s->checks);
-    PyMem_Free(s->check_n);
-    PyMem_Free(s->sual_end);
-    PyMem_Free(s->sual_end_n);
     PyMem_Free(s->run_end);
     PyMem_Free(s->cover);
     PyMem_Free(s->seen);
@@ -117,7 +110,7 @@ typedef struct {
 
 /* The next int, which must lie in [lo, hi]; -1 with ValueError if not. */
 static int
-take(Cursor *c, int lo, int hi, int *out)
+take(Cursor *c, long long lo, long long hi, int *out)
 {
     if (c->at == c->end || *c->at < lo || *c->at > hi) {
         PyErr_SetString(PyExc_ValueError, "malformed packed search problem");
@@ -127,19 +120,21 @@ take(Cursor *c, int lo, int hi, int *out)
     return 0;
 }
 
-/* A scope's depths, ascending and below n, into `depths`; its size into
-   *size. */
-static int
-take_scope(Cursor *c, int n, int *depths, int *size)
+/* A table: its length, at most `most`, then that many entries of `width`
+   ints, int i of each in [bounds[i][0], bounds[i][1]].  The table, or NULL
+   with ValueError. */
+static const int *
+take_table(Cursor *c, long long most, int width, const long long bounds[][2])
 {
-    if (take(c, 0, n, size) < 0)
-        return -1;
-    for (int i = 0; i < *size; i++) {
-        int lo = i ? depths[i - 1] + 1 : 0;
-        if (take(c, lo, n - 1, &depths[i]) < 0)
-            return -1;
-    }
-    return 0;
+    const int *table = c->at;
+    int n, x;
+    if (take(c, 0, most, &n) < 0)
+        return NULL;
+    for (int j = 0; j < n; j++)
+        for (int i = 0; i < width; i++)
+            if (take(c, bounds[i][0], bounds[i][1], &x) < 0)
+                return NULL;
+    return table;
 }
 
 /* Fill `s` from the packed buffers: the part of `_pure.run_search` before
@@ -149,13 +144,14 @@ load(Search *s, const int *ints, Py_ssize_t nints, const u64 *words,
      Py_ssize_t nwords)
 {
     Cursor c = {ints, ints + nints};
-    int k, W, m, nC, nS, x, size, depths[MAX_STEPS];
+    int k, W, m, nC, nS, x;
     if (take(&c, 0, MAX_STEPS, &k) < 0 || take(&c, 1, INT_MAX, &W) < 0
         || take(&c, 0, INT_MAX, &m) < 0 || take(&c, 0, INT_MAX, &nC) < 0
         || take(&c, 0, INT_MAX, &nS) < 0)
         return -1;
-    s->k = k, s->W = W, s->m = m, s->ncounts = nC, s->nsuals = nS;
-    s->nscopes = (size_t)k + nC + nS;
+    s->k = k, s->W = W, s->m = m, s->ncounts = nC;
+    long long ns = (long long)k + nC + nS;
+    s->nscopes = ns;
     if (nwords % W || nwords / W != (Py_ssize_t)m * k + nS) {
         PyErr_SetString(PyExc_ValueError, "malformed packed search problem");
         return -1;
@@ -166,56 +162,17 @@ load(Search *s, const int *ints, Py_ssize_t nints, const u64 *words,
             return -1;
     s->masks = words;
     s->xmasks = words + (size_t)m * k * W;
-
-    size_t ns = s->nscopes;
-    if (!(s->spread = alloc((size_t)k * ns, sizeof(int)))
-        || !(s->spread_n = alloc(k, sizeof(int)))
-        || !(s->checks = alloc((size_t)k * nC * 3, sizeof(int)))
-        || !(s->check_n = alloc(k, sizeof(int)))
-        || !(s->sual_end = alloc((size_t)k * nS * 2, sizeof(int)))
-        || !(s->sual_end_n = alloc(k, sizeof(int))))
-        return -1;
-    /* The cover scopes: SoD scope f, the earlier depths f has an SoD with,
-       at index f; count ci at k + ci; SUAL si after the counts. */
-    for (int f = 0; f < k; f++) {
-        if (take_scope(&c, f, depths, &size) < 0)
+    /* Each depth's tables, every index in its range: a holder of depth d
+       is a scope past d, a check's scope a count's, and an end a SUAL. */
+    for (int d = 0; d < k; d++) {
+        const long long holder[][2] = {{d + 1, ns - 1}};
+        const long long check[][2] = {
+            {k, (long long)k + nC - 1}, {INT_MIN, INT_MAX}, {0, 1}};
+        const long long end[][2] = {{0, nS - 1}, {INT_MIN, INT_MAX}};
+        if (!(s->holders[d] = take_table(&c, ns, 1, holder))
+            || !(s->checks[d] = take_table(&c, nC, 3, check))
+            || !(s->ends[d] = take_table(&c, nS, 2, end)))
             return -1;
-        for (int i = 0; i < size; i++)
-            s->spread[depths[i] * ns + s->spread_n[depths[i]]++] = f;
-    }
-    /* A count's checks: scope position i sees the blocks of the i scope
-       depths before it, so an at-most bound r bites only from position r
-       on, and an at-least bound is met whatever came before while r - 1 or
-       more scope depths remain; its r is reduced by the depths after d. */
-    for (int ci = 0; ci < nC; ci++) {
-        int at_most, r;
-        if (take(&c, 0, 1, &at_most) < 0 || take(&c, INT_MIN, INT_MAX, &r) < 0
-            || take_scope(&c, k, depths, &size) < 0)
-            return -1;
-        for (int i = 0; i < size; i++) {
-            int d = depths[i], remaining = size - i - 1;
-            s->spread[d * ns + s->spread_n[d]++] = k + ci;
-            if (at_most ? i >= r : remaining + 1 < r) {
-                int *check = &s->checks[(d * nC + s->check_n[d]++) * 3];
-                check[0] = k + ci;
-                check[1] = at_most ? r : r - remaining;
-                check[2] = at_most;
-            }
-        }
-    }
-    for (int si = 0; si < nS; si++) {
-        int h;
-        if (take(&c, INT_MIN, INT_MAX, &h) < 0
-            || take_scope(&c, k, depths, &size) < 0)
-            return -1;
-        for (int i = 0; i < size; i++)
-            s->spread[depths[i] * ns + s->spread_n[depths[i]]++] = k + nC + si;
-        if (size) {
-            int d = depths[size - 1];
-            int *end = &s->sual_end[(d * nS + s->sual_end_n[d]++) * 2];
-            end[0] = si;
-            end[1] = h;
-        }
     }
     if (c.at != c.end) {
         PyErr_SetString(PyExc_ValueError, "malformed packed search problem");
@@ -309,33 +266,35 @@ rematch(Search *s, u64 *rows, int *mrow, int nb, int b)
     return augment(s, rows, mrow, nb, b);
 }
 
+/* Narrow block b's users to `mask`, rematching it over nb blocks when it
+   loses its user; 0 when the block is left empty or unmatched. */
+static int
+narrow(Search *s, u64 *rows, int *mrow, int nb, int b, const u64 *mask)
+{
+    u64 *row = rows + (size_t)b * s->W, changed = 0, any = 0;
+    for (int w = 0; w < s->W; w++) {
+        u64 newm = row[w] & mask[w];
+        changed |= newm ^ row[w];
+        any |= newm;
+        row[w] = newm;
+    }
+    if (!any)
+        return 0;
+    int u = mrow[b];
+    return !changed || row[u >> 6] >> (u & 63) & 1
+           || rematch(s, rows, mrow, nb, b);
+}
+
 /* Narrow the blocks covering each restricted SUAL scope to its
    super-users, repairing the matching; 0 when it cannot saturate. */
 static int
 restrict_suals(Search *s, u64 *rows, int *mrow, int nb, int nrestricted)
 {
-    int W = s->W;
     for (int i = 0; i < nrestricted; i++) {
-        const u64 *xmask = s->xmasks + (size_t)s->restricted[i] * W;
-        u64 cov = s->restricted_cov[i];
-        while (cov) {
-            int bb = __builtin_ctzll(cov);
-            cov &= cov - 1;
-            u64 *row = rows + (size_t)bb * W, changed = 0, any = 0;
-            for (int w = 0; w < W; w++) {
-                u64 newm = row[w] & xmask[w];
-                changed |= newm ^ row[w];
-                any |= newm;
-                row[w] = newm;
-            }
-            if (!changed)
-                continue;
-            if (!any)
+        const u64 *xmask = s->xmasks + (size_t)s->restricted[i] * s->W;
+        for (u64 cov = s->restricted_cov[i]; cov; cov &= cov - 1)
+            if (!narrow(s, rows, mrow, nb, __builtin_ctzll(cov), xmask))
                 return 0;
-            int u = mrow[bb];
-            if (!(row[u >> 6] >> (u & 63) & 1) && !rematch(s, rows, mrow, nb, bb))
-                return 0;
-        }
     }
     return 1;
 }
@@ -389,7 +348,7 @@ search(Search *s, int64_t cap, int64_t max_patterns, int has_deadline,
        double deadline, int64_t *nodes_out, int64_t *patterns_out,
        int *plan)
 {
-    int k = s->k, W = s->W, nC = s->ncounts, nS = s->nsuals;
+    int k = s->k, W = s->W, nC = s->ncounts;
     size_t ns = s->nscopes;
     int64_t nodes = 0, patterns = 0;
     int status = UNSAT;
@@ -402,7 +361,7 @@ search(Search *s, int64_t cap, int64_t max_patterns, int has_deadline,
     root->count = 1;
     /* At depth 0 every cover is empty, and a count check there rules out
        block 0. */
-    s->left[0] = s->check_n[0] ? 0 : 1;
+    s->left[0] = s->checks[0][0] ? 0 : 1;
     s->nbs[0] = 0;
     /* the node count at which a budget is next due */
     int64_t stop = has_deadline && cap > TIME_CHECK_EVERY ? TIME_CHECK_EVERY : cap;
@@ -433,13 +392,14 @@ search(Search *s, int64_t cap, int64_t max_patterns, int has_deadline,
         int nb2 = b == nb ? nb + 1 : nb, d1 = d + 1;
         u64 *cov = s->cover + d1 * ns;
         memcpy(cov + d1, s->cover + d * ns + d1, (ns - d1) * sizeof(u64));
-        for (int j = 0; j < s->spread_n[d]; j++)
-            cov[s->spread[d * ns + j]] |= lsb;
+        const int *holders = s->holders[d];
+        for (int j = 1; j <= holders[0]; j++)
+            cov[holders[j]] |= lsb;
         if (d1 < k) {
             u64 full = ((u64)2 << nb2) - 1; /* nb2 < 64 here */
             blocks = (cov[d1] & full) ^ full;
-            const int *check = &s->checks[d1 * nC * 3];
-            for (int j = 0; j < s->check_n[d1]; j++, check += 3) {
+            const int *check = s->checks[d1] + 1;
+            for (int j = 0; j < s->checks[d1][0]; j++, check += 3) {
                 u64 c = cov[check[0]];
                 int r = check[1], distinct = __builtin_popcountll(c);
                 if (check[2]) {
@@ -463,8 +423,8 @@ search(Search *s, int64_t cap, int64_t max_patterns, int has_deadline,
         }
 
         int nrestricted = 0;
-        const int *end = &s->sual_end[d * nS * 2];
-        for (int j = 0; j < s->sual_end_n[d]; j++, end += 2) {
+        const int *end = s->ends[d] + 1;
+        for (int j = 0; j < s->ends[d][0]; j++, end += 2) {
             u64 c = cov[k + nC + end[0]];
             if (__builtin_popcountll(c) <= end[1]) {
                 s->restricted[nrestricted] = end[0];
@@ -509,21 +469,8 @@ search(Search *s, int64_t cap, int64_t max_patterns, int has_deadline,
                     if (owned && !rematch(s, rows, mrow, nb2, nb))
                         continue;
                 }
-                else {
-                    u64 *row = rows + (size_t)b * W, changed = 0, any = 0;
-                    for (w = 0; w < W; w++) {
-                        u64 newm = row[w] & step_mask[w];
-                        changed |= newm ^ row[w];
-                        any |= newm;
-                        row[w] = newm;
-                    }
-                    if (!any)
-                        continue;
-                    int u = mrow[b];
-                    if (changed && !(row[u >> 6] >> (u & 63) & 1)
-                        && !rematch(s, rows, mrow, nb, b))
-                        continue;
-                }
+                else if (!narrow(s, rows, mrow, nb, b, step_mask))
+                    continue;
                 if (nrestricted && !restrict_suals(s, rows, mrow, nb2, nrestricted))
                     continue;
                 kids->lo[kids->count] = clo;

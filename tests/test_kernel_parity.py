@@ -17,6 +17,7 @@ import random
 import time
 from array import array
 from functools import lru_cache
+from itertools import chain
 
 import pytest
 
@@ -676,15 +677,76 @@ def test_step_limit_draw_parity(name):
         assert is_valid(pure[1], inst)
 
 
+# --- the per-depth tables both kernels read --------------------------------
+
+# k=6 with scopes 0..5 the SoD scopes, 6 and 7 the counts and 8 the SUAL.
+# SoD scope 3 holds depths 0 and 2.  At most 2 users over depths 0, 2, 3, 5
+# is checked at positions 2 and 3 only (depths 3 and 5), with r = 2.  At
+# least 3 users over depths 1, 2, 4, 5 is checked where fewer than r - 1
+# scope depths remain after a position: positions 2 and 3 (depths 4 and 5),
+# with r reduced by the depths left to 2 and 3.  The SUAL over depths 1 and
+# 4 ends at depth 4.
+TABLES_PROBLEM = hand_problem(
+    [(0b11,) * 6], sod=[(0, 3), (2, 3)],
+    counts=[CountSpec(True, 2, (0, 2, 3, 5)), CountSpec(False, 3, (1, 2, 4, 5))],
+    suals=[SualSpec((1, 4), 1, 0b01)])
+TABLES = (
+    [[3, 6], [7, 8], [3, 6, 7], [6], [7, 8], [6, 7]],
+    [[], [], [], [(6, 2, True)], [(7, 2, False)], [(6, 2, True), (7, 3, False)]],
+    [[], [], [], [], [(0, 1)], []],
+)
+
+
+def table_ints(tables):
+    """TABLES_PROBLEM's packed ints with `tables` as its depth tables."""
+    ints = [6, 1, 1, 2, 1, *range(6)]
+    for holders, checks, ends in zip(*tables):
+        ints += [len(holders), *holders, len(checks), *chain(*checks),
+                 len(ends), *chain(*ends)]
+    return array("i", ints)
+
+
+def test_depth_tables_of_a_hand_problem():
+    assert _kernel.depth_tables(TABLES_PROBLEM) == TABLES
+    ints, _ = _kernel.pack(TABLES_PROBLEM)
+    assert ints == table_ints(TABLES)
+
+
+# name -> (table, depth, that depth's table with one field or its length
+# out of range).  TABLES_PROBLEM has 9 scopes, 2 counts and 1 SUAL.
+BAD_TABLES = {
+    "holder_at_its_depth": (0, 3, [3]),
+    "holder_past_the_scopes": (0, 3, [9]),
+    "check_scope_below_the_counts": (1, 3, [(5, 2, True)]),
+    "check_scope_past_the_counts": (1, 3, [(8, 2, True)]),
+    "check_flag": (1, 3, [(6, 2, 2)]),
+    "end_past_the_suals": (2, 4, [(1, 1)]),
+    "holder_count": (0, 3, [4] * 10),
+    "check_count": (1, 3, [(6, 2, True)] * 3),
+    "end_count": (2, 4, [(0, 1)] * 2),
+}
+
+
+@needs_compiled
+@pytest.mark.parametrize("name", sorted(BAD_TABLES))
+def test_compiled_kernel_refuses_a_table_field_out_of_range(name):
+    _speed = pytest.importorskip("wspkit._kernel._speed")
+    _, words = _kernel.pack(TABLES_PROBLEM)
+    expected = backend_run_search("pure")(TABLES_PROBLEM)
+    assert _speed.search(table_ints(TABLES), words) == expected
+    which, d, table = BAD_TABLES[name]
+    tables = [list(per_depth) for per_depth in TABLES]
+    tables[which][d] = table
+    with pytest.raises(ValueError, match="malformed packed search problem"):
+        _speed.search(table_ints(tables), words)
+
+
 @needs_compiled
 def test_compiled_kernel_refuses_problems_it_would_read_out_of_bounds():
-    # it reads every index from the packed buffers, so each is range-checked
+    # a step past k in `order`, and one step past the kernel's limit
     ok = hand_problem([(0b11, 0b11)])
     bad = [
         dataclasses.replace(ok, order=(0, 2)),
-        dataclasses.replace(ok, sod_prev=((), (1,))),
-        dataclasses.replace(ok, counts=(CountSpec(True, 1, (0, 2)),)),
-        dataclasses.replace(ok, suals=(SualSpec((1, 0), 1, 0b01),)),
         hand_problem([((1 << 65) - 1,) * (KERNEL_MAX_STEPS + 1)]),
     ]
     run = backend_run_search("compiled")
@@ -694,20 +756,34 @@ def test_compiled_kernel_refuses_problems_it_would_read_out_of_bounds():
             run(prob)
 
 
+# name -> (a scope with a depth outside the problem, what deriving the
+# tables raises): an SoD scope holding its own depth has no field to hold
+# it, and a depth at k has no row
+OUTSIDE_DEPTHS = {
+    "sod_at_its_depth": (dict(sod_prev=((), (1,))), ValueError),
+    "sod_at_k": (dict(sod_prev=((), (2,))), IndexError),
+    "count_at_k": (dict(counts=(CountSpec(True, 1, (0, 2)),)), IndexError),
+    "sual_at_k": (dict(suals=(SualSpec((0, 2), 1, 0b01),)), IndexError),
+}
+
+
+@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("name", sorted(OUTSIDE_DEPTHS))
+def test_a_scope_depth_outside_the_problem_raises_before_any_node(
+        name, backend):
+    fields, error = OUTSIDE_DEPTHS[name]
+    prob = dataclasses.replace(hand_problem([(0b11, 0b11)]), **fields)
+    with pytest.raises(error):
+        backend_run_search(backend)(prob)
+
+
 @needs_compiled
-@pytest.mark.parametrize("scope", [(1, 1), (1, 0)])
-def test_compiled_kernel_refuses_a_repeated_or_descending_sod_depth(scope):
-    # SearchProblem never packs such a scope, and the loader reads SoD
-    # scopes as it reads count and SUAL scopes, so a buffer with one fails
-    prob = hand_problem([(0b111,) * 3], sod=[(0, 2), (1, 2)])
-    ints, words = _kernel.pack(prob)
-    # the SoD section ends the ints here: (0), (0), (2, 0, 1)
-    assert list(ints[-5:]) == [0, 0, 2, 0, 1]
-    _speed = pytest.importorskip("wspkit._kernel._speed")
-    assert _speed.search(ints, words)[0] == _kernel.SAT
-    ints[-2:] = array("i", scope)
-    with pytest.raises(ValueError, match="malformed packed search problem"):
-        _speed.search(ints, words)
+def test_a_descending_sual_scope_runs_alike_on_both_kernels():
+    # the tables hold where a scope ends, not its depths in order
+    prob = hand_problem([(0b11, 0b11)], suals=[SualSpec((1, 0), 1, 0b01)])
+    assert assert_parity_under_every_budget(prob) == \
+        backend_run_search("pure")(dataclasses.replace(
+            prob, suals=(SualSpec((0, 1), 1, 0b01),)))
 
 
 def test_one_step_past_the_limit_names_it():

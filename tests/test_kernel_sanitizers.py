@@ -156,7 +156,8 @@ for _ in range(int(sys.argv[2])):
         elif op == 3:
             ints.extend(rng.randint(-2, 70) for _ in range(rng.randint(1, 4)))
         elif op == 4 and len(ints) > 1:
-            # two adjacent ints swapped: within a scope, its depths descend
+            # two adjacent ints swapped: a table's length trades places
+            # with an entry, or one field of a row with the next
             i = rng.randrange(len(ints) - 1)
             ints[i], ints[i + 1] = ints[i + 1], ints[i]
         elif rng.random() < 0.5:
