@@ -5,16 +5,18 @@ joins an existing block or opens a new one), prunes user-independent
 constraints structurally, and keeps incrementally-repaired block/user
 matchings for the authorisation alternatives.  The search is serial: one
 call walks the whole tree from the root.  Two backends run one algorithm
-and return the same status, plan and counters on every call, which the
-parity tests check: the pure-Python one (_pure), whose docstring describes
-the algorithm, and the compiled extension (_speed), a hand-written C
-transliteration of it whose `search` reads the problem from the flat
-buffers `pack` makes; this module packs and calls it.  Both read each
-depth's tables of the UI constraints from `depth_tables`, the one place
-they are derived.  setup.py does not build the extension; the tests build
-it for the parity suite.  Selection happens at import: the compiled
-backend when it is importable, the pure one otherwise.
-`backend_run_search` fetches either by name.
+and return the same status, depth-order plan and node count on every
+call, which the parity tests check: the pure-Python one (_pure), whose
+docstring describes the algorithm, and the compiled extension (_speed), a
+hand-written C transliteration of it whose `search` reads the problem from
+the flat buffers `pack` makes.  One adapter here wraps either kernel as
+`run_search`: it packs, maps None budgets and the plan's depths to steps,
+and returns the five values the solver and the benchmark read.  Both
+kernels read each depth's tables of the UI constraints from
+`depth_tables`, the one place they are derived.  setup.py does not build
+the extension; the tests build it for the parity suite.  Selection happens
+at import: the compiled backend when it is importable, the pure one
+otherwise.  `backend_run_search` fetches either by name.
 """
 
 from __future__ import annotations
@@ -23,11 +25,13 @@ import sys
 from array import array
 from dataclasses import dataclass
 from itertools import chain
+from math import inf
 
 # every backend's status codes: _pure imports them, and _speed.c repeats them
 UNSAT, SAT, BUDGET = 0, 1, 2
 
 KERNEL_MAX_STEPS = 64  # block labels and cover sets live in single machine words
+_NEVER = 1 << 62  # a node count no search reaches
 
 
 @dataclass(frozen=True)
@@ -134,9 +138,9 @@ def pack(prob: SearchProblem) -> tuple[array, array]:
     """`prob` as the two flat buffers the compiled kernel reads.
 
     `ints` is k, W (64-bit words per user mask), m, the count of counts and
-    of SUALs, then `order`, then each depth's `depth_tables` as (holder
-    count, scopes...), (check count, (scope, r, at most?)...) and (end
-    count, (SUAL, h)...).
+    of SUALs, then each depth's `depth_tables` as (holder count,
+    scopes...), (check count, (scope, r, at most?)...) and (end count,
+    (SUAL, h)...); the kernel works in depth space and reads no `order`.
     `words` is the combos' masks in their canonical order, depth by depth,
     then the SUALs' super-users, W words each, lowest users first.  W is
     the fewest words that hold every one of those masks, at least one.
@@ -145,7 +149,7 @@ def pack(prob: SearchProblem) -> tuple[array, array]:
     top = max([*map(max, combo_masks), *(s.xmask for s in prob.suals)], default=0)
     width = max(1, -(-top.bit_length() // 64))
     ints = array("i", (k, width, len(combo_masks), len(prob.counts),
-                       len(prob.suals), *prob.order))
+                       len(prob.suals)))
     for holders, checks, ends in zip(*depth_tables(prob)):
         ints.extend([len(holders), *holders, len(checks), *chain(*checks),
                      len(ends), *chain(*ends)])
@@ -158,23 +162,41 @@ def pack(prob: SearchProblem) -> tuple[array, array]:
     return ints, words
 
 
-def _compiled(search):
-    """The compiled backend's run_search: `prob` packed for its `search`."""
+def _adapter(search, packed: bool):
+    """The five-value `run_search` over a kernel's `search(prob, or its
+    packed buffers, max_nodes, deadline)` -> (status, plan | None, nodes)."""
 
     def run_search(prob: SearchProblem, max_nodes=None, max_patterns=None,
                    deadline=None):
-        return search(*pack(prob), max_nodes, max_patterns, deadline)
+        """(status, plan | None, patterns, nodes, matchings) of `prob`, with
+        `plan[s]` the user of step s, `deadline` a time.perf_counter()
+        value and None no budget.  The search stops at its first full
+        pattern, so both counters are 1 on SAT and 0 otherwise, and
+        `max_patterns`, kept until the benchmark stops passing it (ROADMAP
+        item 1a), must be None."""
+        if max_patterns is not None:
+            raise ValueError("the backtracker stops at its first full "
+                             "pattern, so max_patterns cannot bound it")
+        max_nodes = _NEVER if max_nodes is None else max(-1, min(max_nodes, _NEVER))
+        args = pack(prob) if packed else (prob,)
+        status, plan, nodes = search(
+            *args, max_nodes, inf if deadline is None else deadline)
+        if plan is not None:
+            users, plan = plan, [0] * prob.k
+            for step, user in zip(prob.order, users):
+                plan[step] = user
+        found = int(status == SAT)
+        return status, plan, found, nodes, found
 
     return run_search
 
 
 try:
     from ._speed import search as _speed_search  # type: ignore[import]
-    run_search = _compiled(_speed_search)
-    BACKEND = "compiled"
+    run_search, BACKEND = _adapter(_speed_search, True), "compiled"
 except ImportError:
-    from ._pure import run_search
-    BACKEND = "pure"
+    from ._pure import run_search as _pure_search
+    run_search, BACKEND = _adapter(_pure_search, False), "pure"
 
 
 def available_backends() -> tuple[str, ...]:
@@ -192,9 +214,9 @@ def backend_run_search(name: str):
     if name in ("auto", BACKEND):
         return run_search
     if name == "pure":
-        from . import _pure
-        return _pure.run_search
+        from ._pure import run_search as search
+        return _adapter(search, False)
     if name == "compiled":
-        from . import _speed  # raises ImportError when not built
-        return _compiled(_speed.search)
+        from ._speed import search  # raises ImportError when not built
+        return _adapter(search, True)
     raise ValueError(f"unknown kernel backend {name!r}")

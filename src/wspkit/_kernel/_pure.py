@@ -2,9 +2,10 @@
 
 Implements the kernel contract with Python integers as user bitmasks.  The
 compiled backend, `_speed.c`, transliterates this module's `run_search`
-step for step, so the two return the same status, plan and counters on
-every call, which the parity tests check; a change to the search here is
-made there too.  The search shares work between the authorisation
+step for step, so the two return the same status, depth-order plan and
+node count on every call, which the parity tests check; a change to the
+search here is made there too.  `wspkit._kernel` wraps both in the
+five-value contract.  The search shares work between the authorisation
 alternatives ("combos"):
 
 - Combos with equal masks at depths 0..d-1 carry identical search state at
@@ -77,7 +78,6 @@ from ..matching import augment
 from . import BUDGET, SAT, UNSAT, depth_tables
 
 _TIME_CHECK_EVERY = 2048
-_NEVER = 1 << 62  # a node count no search reaches
 
 
 def _shift_form(prob):
@@ -105,22 +105,18 @@ def _shift_form(prob):
     return spread, checks, sual_end
 
 
-def run_search(
-    prob,
-    max_nodes: Optional[int] = None,
-    max_patterns: Optional[int] = None,
-    deadline: Optional[float] = None,
-):
+def run_search(prob, max_nodes: int, deadline: float):
     """Run the depth-first pattern search.
 
-    Returns (status, plan | None, patterns, nodes, matchings) where `plan`
-    maps original step ids to users.  `deadline` is an absolute
-    time.perf_counter() value.
+    Returns (status, plan | None, nodes) where `plan[e]` is the user of
+    depth e.  The search stops with BUDGET at node `max_nodes` + 1, or at
+    the first clock check past `deadline`, an absolute
+    time.perf_counter() value (`inf` for none).
     """
     k = prob.k
     m = len(prob.combo_masks)
     if k == 0 or m == 0:
-        return (UNSAT, None, 0, 0, 0)
+        return (UNSAT, None, 0)
 
     field = (1 << k) - 1  # one block set; blocks are labelled 0..k-1
     spread, checks, sual_end = _shift_form(prob)
@@ -184,7 +180,7 @@ def run_search(
                             return False
         return True
 
-    nodes = patterns = matchings = 0
+    nodes = 0
     status, plan = UNSAT, None
     # At depth 0 every cover is empty, and a count check there rules out
     # block 0: an at-most one has r = 0, and an at-least one needs two or
@@ -192,8 +188,8 @@ def run_search(
     left[0] = 0 if checks[0] else 1
     # the node count that breaks the node budget, and the next one at
     # which a budget is due
-    cap = _NEVER if max_nodes is None else max_nodes + 1
-    stop = cap if deadline is None else min(cap, _TIME_CHECK_EVERY)
+    cap = max_nodes + 1
+    stop = min(cap, _TIME_CHECK_EVERY)
     d = 0
     while d >= 0:
         blocks = left[d]
@@ -295,16 +291,8 @@ def run_search(
         assign[d] = b
         d = d1
         if d == k:
-            patterns += 1
-            if max_patterns is not None and patterns > max_patterns:
-                status = BUDGET
-            else:
-                # the first class alive at full depth gives the plan
-                mrow = kids[0][3]
-                plan = [0] * k
-                for e in range(k):
-                    plan[prob.order[e]] = mrow[assign[e]]
-                status, matchings = SAT, 1
+            # the first class alive at full depth gives the plan
+            status, plan = SAT, [*map(kids[0][3].__getitem__, assign)]
             break
         nbs[d] = nb2
-    return (status, plan, patterns, nodes, matchings)
+    return (status, plan, nodes)

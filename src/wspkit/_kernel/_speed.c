@@ -3,10 +3,11 @@
 A transliteration of `_pure.run_search`'s loop, statement for statement:
 the same prefix classes, admissible-block masks, matching repairs, node
 counts and budget checks, so both backends search the same tree and return
-the same 5-tuple on every call, which the parity tests check.  Which
-scopes hold a depth, where a count bound can bite and where a SUAL scope
-ends are not derived here: both backends read `depth_tables`, which `pack`
-writes depth by depth, and the loader only range-checks its rows.
+the same (status, plan, nodes) on every call, which the parity tests
+check.  Which scopes hold a depth, where a count bound can bite and where
+a SUAL scope ends are not derived here: both backends read `depth_tables`,
+which `pack` writes depth by depth, and the loader only range-checks its
+rows.
 `_pure.py`'s docstring describes the algorithm, and the names here follow
 it.  Only the containers differ:
 
@@ -23,13 +24,14 @@ it.  Only the containers differ:
   the run of equal depth-d masks that starts at combo lo, or 0 while its
   class has not been split at depth d.
 
-The module's one function, `search(ints, words, ...)`, takes the two flat
-buffers that `wspkit._kernel.pack` lays a SearchProblem out in and reads
-them through the buffer protocol; `wspkit._kernel` packs the problem and
-calls it.  The combos come in SearchProblem's canonical order, sorted by
-mask tuple, so a prefix class is a run of consecutive combos, and the plan
-is the matching of the first class alive at full depth.  Every allocation
-goes through PyMem, so tracemalloc sees it.
+The module's one function, `search(ints, words, max_nodes, deadline)`,
+takes the two flat buffers that `wspkit._kernel.pack` lays a SearchProblem
+out in and reads them through the buffer protocol; `wspkit._kernel` packs
+the problem, calls it, and maps its depth-order plan to steps.  The combos
+come in SearchProblem's canonical order, sorted by mask tuple, so a prefix
+class is a run of consecutive combos, and the plan is the matching of the
+first class alive at full depth.  Every allocation goes through PyMem, so
+tracemalloc sees it.
 */
 
 #define PY_SSIZE_T_CLEAN
@@ -57,7 +59,6 @@ typedef struct {
 typedef struct {
     int k, W, m, ncounts;
     size_t nscopes;      /* k SoD scopes, then the counts, then the SUALs */
-    const int *order;    /* visit depth -> step */
     const u64 *masks;    /* masks[(i * k + d) * W]: combo i, depth d */
     const u64 *xmasks;   /* xmasks[si * W]: SUAL si's super-users */
     /* depth d's `depth_tables` row in the ints buffer, each table its
@@ -144,7 +145,7 @@ load(Search *s, const int *ints, Py_ssize_t nints, const u64 *words,
      Py_ssize_t nwords)
 {
     Cursor c = {ints, ints + nints};
-    int k, W, m, nC, nS, x;
+    int k, W, m, nC, nS;
     if (take(&c, 0, MAX_STEPS, &k) < 0 || take(&c, 1, INT_MAX, &W) < 0
         || take(&c, 0, INT_MAX, &m) < 0 || take(&c, 0, INT_MAX, &nC) < 0
         || take(&c, 0, INT_MAX, &nS) < 0)
@@ -156,10 +157,6 @@ load(Search *s, const int *ints, Py_ssize_t nints, const u64 *words,
         PyErr_SetString(PyExc_ValueError, "malformed packed search problem");
         return -1;
     }
-    s->order = c.at;
-    for (int i = 0; i < k; i++)
-        if (take(&c, 0, k - 1, &x) < 0)
-            return -1;
     s->masks = words;
     s->xmasks = words + (size_t)m * k * W;
     /* Each depth's tables, every index in its range: a holder of depth d
@@ -344,13 +341,11 @@ past(double deadline)
 /* The depth-first walk over an explicit stack: `_pure.run_search`'s loop.
    Returns the status, or -1 with an exception set. */
 static int
-search(Search *s, int64_t cap, int64_t max_patterns, int has_deadline,
-       double deadline, int64_t *nodes_out, int64_t *patterns_out,
-       int *plan)
+search(Search *s, int64_t cap, double deadline, int64_t *nodes_out, int *plan)
 {
     int k = s->k, W = s->W, nC = s->ncounts;
     size_t ns = s->nscopes;
-    int64_t nodes = 0, patterns = 0;
+    int64_t nodes = 0;
     int status = UNSAT;
 
     Level *root = &s->levels[0];
@@ -364,7 +359,7 @@ search(Search *s, int64_t cap, int64_t max_patterns, int has_deadline,
     s->left[0] = s->checks[0][0] ? 0 : 1;
     s->nbs[0] = 0;
     /* the node count at which a budget is next due */
-    int64_t stop = has_deadline && cap > TIME_CHECK_EVERY ? TIME_CHECK_EVERY : cap;
+    int64_t stop = cap > TIME_CHECK_EVERY ? TIME_CHECK_EVERY : cap;
     int d = 0;
     while (d >= 0) {
         u64 blocks = s->left[d];
@@ -482,46 +477,19 @@ search(Search *s, int64_t cap, int64_t max_patterns, int has_deadline,
         s->assign[d] = b;
         d = d1;
         if (d == k) {
-            patterns++;
-            if (patterns > max_patterns) {
-                status = BUDGET;
-            }
-            else {
-                /* the first class alive at full depth gives the plan */
-                const int *mrow = kids->mrow;
-                for (int e = 0; e < k; e++)
-                    plan[s->order[e]] = mrow[s->assign[e]];
-                status = SAT;
-            }
+            /* the first class alive at full depth gives the plan */
+            for (int e = 0; e < k; e++)
+                plan[e] = kids->mrow[s->assign[e]];
+            status = SAT;
             break;
         }
         s->nbs[d] = nb2;
     }
     *nodes_out = nodes;
-    *patterns_out = patterns;
     return status;
 }
 
 /* --- the module -------------------------------------------------------------- */
-
-/* An optional int argument as an int64: `none` for None, and the nearest
-   of +-NEVER past that range. */
-static int
-optional_count(PyObject *arg, int64_t none, int64_t *out)
-{
-    if (arg == Py_None) {
-        *out = none;
-        return 0;
-    }
-    int overflow;
-    long long v = PyLong_AsLongLongAndOverflow(arg, &overflow);
-    if (v == -1 && PyErr_Occurred())
-        return -1;
-    if (overflow || v > NEVER || v < -NEVER)
-        v = overflow < 0 || v < 0 ? -NEVER : NEVER;
-    *out = v;
-    return 0;
-}
 
 static int
 get_buffer(PyObject *obj, Py_buffer *view, Py_ssize_t itemsize)
@@ -537,35 +505,25 @@ get_buffer(PyObject *obj, Py_buffer *view, Py_ssize_t itemsize)
 }
 
 PyDoc_STRVAR(py_search_doc,
-"search(ints, words, max_nodes=None, max_patterns=None, deadline=None)\n"
+"search(ints, words, max_nodes, deadline)\n"
 "--\n\n"
 "Run the depth-first pattern search on a problem that wspkit._kernel.pack\n"
-"laid out in `ints` and `words`; the budgets mean what they mean to the\n"
-"pure backend's run_search.  Returns (status, plan | None, patterns,\n"
-"nodes, matchings).");
+"laid out in `ints` and `words`; the int node budget and the float\n"
+"deadline mean what they mean to the pure backend's run_search.  Returns\n"
+"(status, plan | None, nodes), the plan in depth order.");
 
 static PyObject *
-py_search(PyObject *Py_UNUSED(module), PyObject *args, PyObject *kwargs)
+py_search(PyObject *Py_UNUSED(module), PyObject *args)
 {
-    static char *kwlist[] = {"ints", "words", "max_nodes", "max_patterns",
-                             "deadline", NULL};
-    PyObject *ints_obj, *words_obj, *max_nodes = Py_None;
-    PyObject *max_patterns = Py_None, *deadline = Py_None;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OO|OOO:search", kwlist,
-                                     &ints_obj, &words_obj, &max_nodes,
-                                     &max_patterns, &deadline))
+    PyObject *ints_obj, *words_obj;
+    long long max_nodes;
+    double deadline;
+    if (!PyArg_ParseTuple(args, "OOLd:search", &ints_obj, &words_obj,
+                          &max_nodes, &deadline))
         return NULL;
-    int64_t cap, patterns_cap;
-    double when = 0.0;
-    if (optional_count(max_nodes, NEVER, &cap) < 0
-        || optional_count(max_patterns, NEVER, &patterns_cap) < 0)
-        return NULL;
-    cap = cap < NEVER ? cap + 1 : NEVER; /* the node count that breaks it */
-    if (deadline != Py_None) {
-        when = PyFloat_AsDouble(deadline);
-        if (when == -1.0 && PyErr_Occurred())
-            return NULL;
-    }
+    /* the node count that breaks the budget; past NEVER no search reaches
+       it, and + 1 cannot overflow */
+    int64_t cap = max_nodes < NEVER ? max_nodes + 1 : NEVER;
 
     Py_buffer ints, words;
     if (get_buffer(ints_obj, &ints, sizeof(int)) < 0)
@@ -578,7 +536,7 @@ py_search(PyObject *Py_UNUSED(module), PyObject *args, PyObject *kwargs)
     PyObject *result = NULL;
     Search *s = alloc(1, sizeof(Search));
     int plan[MAX_STEPS];
-    int64_t nodes = 0, patterns = 0;
+    int64_t nodes = 0;
     int status = -1;
     if (s != NULL
         && load(s, ints.buf, ints.len / (Py_ssize_t)sizeof(int), words.buf,
@@ -586,8 +544,7 @@ py_search(PyObject *Py_UNUSED(module), PyObject *args, PyObject *kwargs)
         if (s->k == 0 || s->m == 0)
             status = UNSAT;
         else
-            status = search(s, cap, patterns_cap, deadline != Py_None, when,
-                            &nodes, &patterns, plan);
+            status = search(s, cap, deadline, &nodes, plan);
     }
     if (status >= 0) {
         PyObject *plan_list = Py_None;
@@ -604,9 +561,8 @@ py_search(PyObject *Py_UNUSED(module), PyObject *args, PyObject *kwargs)
             }
         }
         if (plan_list != NULL)
-            result = Py_BuildValue("(iNLLi)", status, plan_list,
-                                   (long long)patterns, (long long)nodes,
-                                   status == SAT);
+            result = Py_BuildValue("(iNL)", status, plan_list,
+                                   (long long)nodes);
     }
     if (s != NULL) {
         free_search(s);
@@ -618,8 +574,7 @@ py_search(PyObject *Py_UNUSED(module), PyObject *args, PyObject *kwargs)
 }
 
 static PyMethodDef methods[] = {
-    {"search", (PyCFunction)(void (*)(void))py_search,
-     METH_VARARGS | METH_KEYWORDS, py_search_doc},
+    {"search", py_search, METH_VARARGS, py_search_doc},
     {NULL, NULL, 0, NULL},
 };
 

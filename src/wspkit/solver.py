@@ -48,8 +48,9 @@ class SolveStats:
     complete block-saturation checks.  Pattern enumeration counts every
     pattern it iterates and one check per family member it tries.  The
     backtracker stops at the first full pattern that survives pruning, so
-    both counters are 1 on SAT and 0 otherwise; its incremental matching
-    repairs are accounted under nodes_expanded.
+    `_kernel.run_search` derives both counters from the status, 1 on SAT
+    and 0 otherwise; its incremental matching repairs are accounted under
+    nodes_expanded.
     """
 
     patterns_visited: int = 0

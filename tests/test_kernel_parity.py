@@ -1,10 +1,11 @@
 """The compiled and pure kernels must agree call for call.
 
 The two backends run one algorithm, the compiled one a C transliteration
-of the pure one, and return the same status, plan and counters on every
-call.  Parity is asserted on the full result tuple: status, plan, and all
-three counters.  Any divergence, even in node counts, means the two stopped
-searching the same tree.
+of the pure one, and return the same status, plan and node count on every
+call.  Parity is asserted on the full result tuple of `backend_run_search`,
+and on the raw kernels' (status, plan, nodes) where a test reads the C
+kernel directly.  Any divergence, even in node counts, means the two
+stopped searching the same tree.
 
 `conftest.py` builds the compiled kernel for the session when the package
 has none, so these tests are skipped only when no C compiler or Python
@@ -13,6 +14,7 @@ headers are available.
 
 import dataclasses
 import hashlib
+import math
 import random
 import time
 from array import array
@@ -28,6 +30,7 @@ from conftest import (
     valid_plans_longhand,
 )
 from wspkit import _kernel
+from wspkit._kernel import _pure
 from wspkit._kernel import (
     KERNEL_MAX_STEPS,
     CountSpec,
@@ -55,6 +58,9 @@ needs_compiled = pytest.mark.skipif(COMPILED_MISSING is not None,
                                     reason="compiled kernel not built")
 
 ALL_MIXES = CONSTRAINT_KINDS + ("mixed",)
+
+# the raw kernels' budget arguments for an unlimited search
+UNLIMITED = (1 << 62, math.inf)
 
 # The generator shapes of the benchmark's `alternatives` and `export`
 # workloads: up to hundreds of WL/ADA alternatives per draw, and n > 64, so
@@ -110,16 +116,6 @@ def test_expired_deadline_parity():
     assert run_both(prob, deadline=time.perf_counter() - 1) == \
         ((_kernel.BUDGET, None, 0, 2048, 0),) * 2
     assert run_both(prob, deadline=time.perf_counter() + 3600) == (pure, comp)
-
-
-@needs_compiled
-@pytest.mark.parametrize("seed", range(4))
-def test_pattern_budget_parity(seed):
-    inst = random_instance("mixed", seed, k_max=5, n_max=7)
-    prob = compile_problem(inst)
-    for cap in (0, 1, 2):
-        pure, comp = run_both(prob, max_patterns=cap)
-        assert pure == comp, (seed, cap)
 
 
 @needs_compiled
@@ -322,14 +318,19 @@ def test_prefix_rejected_by_user_independent_constraints_parity():
 
 
 def as_instance(prob):
-    """The one-combo, identity-order hand problem `prob` as an Instance,
-    for `solve_bruteforce` to give the ground truth."""
+    """The one-combo hand problem `prob` as an Instance, depth d its step
+    `prob.order[d]`, for `solve_bruteforce` to give the ground truth."""
     (combo,) = prob.combo_masks
+    order = prob.order
     n = max(1, max(combo).bit_length())
-    auth = AuthorisationFunction.from_lists([bits_of(mask) for mask in combo], n)
-    constraints = [SoD(e, d) for d in range(prob.k) for e in prob.sod_prev[d]]
-    constraints += [(AtMost if c.at_most else AtLeast)(c.r, c.depths)
-                    for c in prob.counts]
+    masks = [0] * prob.k
+    for d, mask in enumerate(combo):
+        masks[order[d]] = mask
+    auth = AuthorisationFunction.from_lists([bits_of(mask) for mask in masks], n)
+    constraints = [SoD(order[e], order[d])
+                   for d in range(prob.k) for e in prob.sod_prev[d]]
+    constraints += [(AtMost if c.at_most else AtLeast)(
+        c.r, tuple(order[d] for d in c.depths)) for c in prob.counts]
     return Instance(prob.k, n, auth, tuple(constraints))
 
 
@@ -462,25 +463,17 @@ def random_hand_problem(seed):
                         counts=counts, suals=suals)
 
 
-def assert_random_hand_problem_parity(seed):
-    prob = random_hand_problem(seed)
-    assert_parity_under_every_budget(prob)
-    for cap in (0, 1, 2):
-        pure, comp = run_both(prob, max_patterns=cap)
-        assert pure == comp, (seed, cap)
-
-
 @needs_compiled
 @pytest.mark.parametrize("seed", range(40))
 def test_random_hand_built_problem_parity(seed):
-    assert_random_hand_problem_parity(seed)
+    assert_parity_under_every_budget(random_hand_problem(seed))
 
 
 @pytest.mark.sweep
 @needs_compiled
 def test_random_hand_built_problem_sweep():
     for seed in range(10_000):
-        assert_random_hand_problem_parity(seed)
+        assert_parity_under_every_budget(random_hand_problem(seed))
 
 
 @pytest.mark.sweep
@@ -699,7 +692,7 @@ TABLES = (
 
 def table_ints(tables):
     """TABLES_PROBLEM's packed ints with `tables` as its depth tables."""
-    ints = [6, 1, 1, 2, 1, *range(6)]
+    ints = [6, 1, 1, 2, 1]
     for holders, checks, ends in zip(*tables):
         ints += [len(holders), *holders, len(checks), *chain(*checks),
                  len(ends), *chain(*ends)]
@@ -732,28 +725,22 @@ BAD_TABLES = {
 def test_compiled_kernel_refuses_a_table_field_out_of_range(name):
     _speed = pytest.importorskip("wspkit._kernel._speed")
     _, words = _kernel.pack(TABLES_PROBLEM)
-    expected = backend_run_search("pure")(TABLES_PROBLEM)
-    assert _speed.search(table_ints(TABLES), words) == expected
+    expected = _pure.run_search(TABLES_PROBLEM, *UNLIMITED)
+    assert _speed.search(table_ints(TABLES), words, *UNLIMITED) == expected
     which, d, table = BAD_TABLES[name]
     tables = [list(per_depth) for per_depth in TABLES]
     tables[which][d] = table
     with pytest.raises(ValueError, match="malformed packed search problem"):
-        _speed.search(table_ints(tables), words)
+        _speed.search(table_ints(tables), words, *UNLIMITED)
 
 
 @needs_compiled
 def test_compiled_kernel_refuses_problems_it_would_read_out_of_bounds():
-    # a step past k in `order`, and one step past the kernel's limit
-    ok = hand_problem([(0b11, 0b11)])
-    bad = [
-        dataclasses.replace(ok, order=(0, 2)),
-        hand_problem([((1 << 65) - 1,) * (KERNEL_MAX_STEPS + 1)]),
-    ]
+    # one step past the kernel's limit
     run = backend_run_search("compiled")
-    assert run(ok)[0] == _kernel.SAT
-    for prob in bad:
-        with pytest.raises(ValueError, match="malformed packed search problem"):
-            run(prob)
+    assert run(hand_problem([(0b11, 0b11)]))[0] == _kernel.SAT
+    with pytest.raises(ValueError, match="malformed packed search problem"):
+        run(hand_problem([((1 << 65) - 1,) * (KERNEL_MAX_STEPS + 1)]))
 
 
 # name -> (a scope with a depth outside the problem, what deriving the
@@ -784,6 +771,62 @@ def test_a_descending_sual_scope_runs_alike_on_both_kernels():
     assert assert_parity_under_every_budget(prob) == \
         backend_run_search("pure")(dataclasses.replace(
             prob, suals=(SualSpec((0, 1), 1, 0b01),)))
+
+
+# --- the five-value contract around both kernels ------------------------------
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_a_visit_order_that_is_not_the_identity_gives_a_step_order_plan(
+        backend):
+    # NO_NEXT_BLOCK's depth-order plan is [1, 0, 0]; with depth d visiting
+    # step order[d] = (2, 0, 1)[d], steps 0 and 1 hold the bound and step 2
+    # the SoD, and the plan comes back in step order
+    prob = dataclasses.replace(
+        hand_problem([(0b11, 0b11, 0b11)], **NO_NEXT_BLOCK), order=(2, 0, 1))
+    run = backend_run_search(backend)
+    status, plan, *_ = run(prob)
+    assert (status, plan) == (_kernel.SAT, [0, 0, 1])
+    assert is_valid(plan, as_instance(prob))
+    # the same relabelling on random hand-built problems
+    rng = random.Random("order")
+    for seed in range(40):
+        prob = random_hand_problem(seed)
+        order = rng.sample(range(prob.k), prob.k)
+        status, plan, *counters = run(prob)
+        if plan is not None:
+            plan = [plan[order.index(step)] for step in range(prob.k)]
+        assert run(dataclasses.replace(prob, order=tuple(order))) == \
+            (status, plan, *counters), seed
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_a_pattern_budget_is_refused_and_the_counters_follow_the_status(
+        backend):
+    run = backend_run_search(backend)
+    sat = hand_problem([(0b11, 0b11, 0b11)], **NO_NEXT_BLOCK)
+    with pytest.raises(ValueError, match="first full pattern"):
+        run(sat, max_patterns=0)
+    unsat = hand_problem([(0b01, 0b01)], sod=[(0, 1)])
+    budget = dict(max_nodes=1)
+    for prob, kw, status in ((sat, {}, _kernel.SAT), (unsat, {}, _kernel.UNSAT),
+                             (sat, budget, _kernel.BUDGET)):
+        result = run(prob, max_patterns=None, **kw)
+        assert len(result) == 5
+        assert result[0] == status
+        assert result[2] == result[4] == int(status == _kernel.SAT)
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_node_budgets_past_an_int64_are_clamped(backend):
+    # a budget no search reaches, and one below any: the adapter clamps both
+    # before the compiled kernel reads them as an int64
+    run = backend_run_search(backend)
+    prob = hand_problem([(0b11, 0b11, 0b11)], **NO_NEXT_BLOCK)
+    assert run(prob, max_nodes=10**30) == run(prob) == \
+        (_kernel.SAT, [1, 0, 0], 1, 4, 1)
+    assert run(prob, max_nodes=-10**30) == run(prob, max_nodes=0) == \
+        (_kernel.BUDGET, None, 0, 1, 0)
 
 
 def test_one_step_past_the_limit_names_it():

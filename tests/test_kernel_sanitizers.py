@@ -116,7 +116,7 @@ def test_parity_cases_at_o3():
 
 
 BUFFER_SCRIPT = r"""
-import json, random, sys
+import json, math, random, sys
 from wspkit._kernel import _pure, _speed, pack
 from wspkit.absorption import absorb
 from wspkit.generator import GenSpec, derive_seed, generate
@@ -133,12 +133,14 @@ problems = [compile_search_problem(absorb(generate(GenSpec(
 # `pack`'s arrays keep spare room past their end, so each problem also
 # runs from copies of exactly its size, which a read past either buffer
 # leaves
+never = 1 << 62
 for prob in problems:
     ints, words = (buf[:] for buf in pack(prob))
-    expected = _pure.run_search(prob)
-    assert _speed.search(ints, words) == expected, prob
-    cap = expected[3] // 2
-    assert _speed.search(ints, words, cap) == _pure.run_search(prob, cap), prob
+    expected = _pure.run_search(prob, never, math.inf)
+    assert _speed.search(ints, words, never, math.inf) == expected, prob
+    cap = expected[2] // 2
+    assert _speed.search(ints, words, cap, math.inf) == \
+        _pure.run_search(prob, cap, math.inf), prob
 buffers = [pack(prob) for prob in problems]
 EDGES = (-1, 0, 1, 2, 63, 64, 65, 2**31 - 1, -2**31)
 rng = random.Random(int(sys.argv[1]))
@@ -165,7 +167,7 @@ for _ in range(int(sys.argv[2])):
         else:
             words.extend(rng.getrandbits(64) for _ in range(rng.randint(1, 4)))
     try:
-        _speed.search(ints, words, 200)
+        _speed.search(ints, words, 200, math.inf)
         tally["ran"] += 1
     except (ValueError, MemoryError) as exc:
         tally[type(exc).__name__] += 1

@@ -16,13 +16,14 @@ pair per call would cost more than the calls themselves.
 
 import gc
 import io
+import math
 import tracemalloc
 from functools import partial
 
 import pytest
 
 from conftest import COMPILED_MISSING, purchase_order_instance, random_instance
-from wspkit._kernel import BUDGET, SAT, UNSAT, backend_run_search
+from wspkit._kernel import BUDGET, SAT, UNSAT, pack
 from wspkit.absorption import absorb
 from wspkit.cli import dump_json, instance_to_doc
 from wspkit.encode import (
@@ -97,13 +98,15 @@ def test_compiled_solves_leave_traced_memory_flat():
     # The compiled kernel allocates through PyMem, which tracemalloc
     # traces, so memory it failed to free would grow with the solves: 300
     # of them over WL/ADA draws past two machine words of users, SAT, UNSAT
-    # and budgeted.  The budget is passed by position: keyword arguments
-    # would refill CPython's free list of dict keys, which tracemalloc
-    # counts as held.
-    run = backend_run_search("compiled")
-    calls = [partial(run, compile_search_problem(absorb(generate(GenSpec(
-        seed=derive_seed(7, 5, i), k=8, n=130, am3=8, sod=14, ada=4, wl=2)))),
-        cap) for i in range(10) for cap in (None, 5)]
+    # and budgeted.  The problems are packed before tracing starts and the
+    # raw kernel is called, so what grows can only be the kernel's.  The
+    # arguments are passed by position: keyword arguments would refill
+    # CPython's free list of dict keys, which tracemalloc counts as held.
+    from wspkit._kernel import _speed
+    calls = [partial(_speed.search, *pack(compile_search_problem(absorb(
+        generate(GenSpec(seed=derive_seed(7, 5, i), k=8, n=130, am3=8,
+                         sod=14, ada=4, wl=2))))), cap, math.inf)
+        for i in range(10) for cap in (1 << 62, 5)]
     assert {call()[0] for call in calls} == {UNSAT, SAT, BUDGET}
     tracemalloc.start()
     try:
