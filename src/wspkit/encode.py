@@ -11,8 +11,8 @@ Three representations are produced:
   then written over M alone, which exposes the step-partition structure to
   the solver.
 * CS: integer variables y_s whose domains are the authorised user sets, with
-  relational rows (equality, disequality, pair/partition scenarios,
-  conditional domain exclusions).
+  relational rows (equality, disequality, bounds on the number of distinct
+  values over a scope, conditional domain exclusions).
 
 Constraints that restrict user identities (SUAL, WL, ADA) enter all three
 through selectors.  SUAL gets two group selectors: g1 picks the partitions
@@ -51,7 +51,6 @@ from .core import (
     AtLeast,
     AtMost,
     BoD,
-    CapacityError,
     Instance,
     InvariantError,
     SUAL,
@@ -62,14 +61,10 @@ from .core import (
     json_text,
 )
 from .absorption import alternatives
-from .patterns import bell, enumerate_patterns, pattern_of
 
 # when an at-most constraint would need more forbidden subsets than this,
 # switch to representative counting instead of subset enumeration
 SUBSET_ENUM_LIMIT = 64
-# `encode_cs` writes the (r+1)-subsets of an at-most scope and the
-# partitions of an at-least or SUAL scope; above this many it refuses
-CS_ENUM_LIMIT = 10**6
 
 
 # --- pseudo-Boolean models ---------------------------------------------------
@@ -516,7 +511,15 @@ def decode(assignment, model) -> tuple[int, ...]:
     """Read the plan off a satisfying assignment (Boolean models) or a
     solution (CS models)."""
     if isinstance(model, CSModel):
-        return tuple(int(assignment[f"y{s}"]) for s in range(model.instance.k))
+        plan = []
+        for s, var in enumerate(model.variables[:model.instance.k]):
+            u = assignment.get(var.name)
+            if u not in var.domain:
+                raise InvariantError(
+                    f"step {s} has no authorised user: {var.name} is "
+                    f"{'missing' if u is None else repr(u)}")
+            plan.append(int(u))
+        return tuple(plan)
     inst = model.instance
     plan = []
     for s in range(inst.k):
@@ -554,20 +557,6 @@ def _cs_row(kind: str, **kwargs) -> CsRow:
     return CsRow(kind, tuple(kwargs.items()))
 
 
-def _scope_rgs(values: Sequence[int]) -> tuple[int, ...]:
-    return pattern_of(tuple(values)).rgs
-
-
-def _partitions_split(scope_len: int, h: int):
-    """The restricted-growth strings of a scope's partitions in one walk,
-    split into those with at most h blocks and those with more."""
-    low: list[tuple[int, ...]] = []
-    high: list[tuple[int, ...]] = []
-    for p in enumerate_patterns(scope_len):
-        (low if p.block_count <= h else high).append(p.rgs)
-    return tuple(low), tuple(high)
-
-
 @dataclass
 class CSModel:
     """Finite-domain formulation: y_s ranges over the step's authorised
@@ -578,39 +567,47 @@ class CSModel:
     rows: tuple[CsRow, ...]
 
     def row_holds(self, row: CsRow, a: Mapping[str, int]) -> bool:
+        """Whether one row holds under `a`; a `cond_` row holds outright
+        while its selector is 0, and otherwise as its unconditional kind."""
         kind = row.kind
+        if kind.startswith("cond_"):
+            if not a[row.arg("selector")]:
+                return True
+            kind = kind[5:]
+        if kind == "nvalue":
+            distinct = len({a[f"y{s}"] for s in row.arg("scope")})
+            bound = row.arg("bound")
+            return distinct <= bound if row.arg("op") == "<=" else distinct >= bound
+        if kind == "exclude":
+            return a[f"y{row.arg('step')}"] not in row.arg("users")
         if kind == "eq":
             s1, s2 = row.arg("steps")
             return a[f"y{s1}"] == a[f"y{s2}"]
         if kind == "ne":
             s1, s2 = row.arg("steps")
             return a[f"y{s1}"] != a[f"y{s2}"]
-        if kind == "some_pair_equal":
-            vals = [a[f"y{s}"] for s in row.arg("scope")]
-            return len(set(vals)) < len(vals)
-        if kind == "scope_pattern_in":
-            vals = [a[f"y{s}"] for s in row.arg("scope")]
-            return _scope_rgs(vals) in row.arg("allowed")
         if kind == "select_at_least_one":
             return any(a[name] for name in row.arg("selectors"))
-        if kind == "cond_exclude":
-            if not a[row.arg("selector")]:
-                return True
-            return a[f"y{row.arg('step')}"] not in row.arg("users")
-        if kind == "cond_scope_pattern_in":
-            if not a[row.arg("selector")]:
-                return True
-            vals = [a[f"y{s}"] for s in row.arg("scope")]
-            return _scope_rgs(vals) in row.arg("allowed")
-        raise InvariantError(f"unknown CS row kind {kind!r}")
+        raise InvariantError(f"unknown CS row kind {row.kind!r}")
 
     def satisfied_by(self, assignment: Mapping[str, int]) -> bool:
-        return all(self.row_holds(row, assignment) for row in self.rows)
+        """Whether every variable holds a value of its domain and every row
+        holds; an assignment that names a variable the model lacks is
+        refused."""
+        domains = {v.name: v.domain for v in self.variables}
+        for name in assignment:
+            if name not in domains:
+                raise InvariantError(f"assignment names unknown variable {name!r}")
+        return (all(name in assignment and assignment[name] in domain
+                    for name, domain in domains.items())
+                and all(self.row_holds(row, assignment) for row in self.rows))
 
 
 def encode_cs(inst: Instance) -> CSModel:
     """Finite-domain formulation.  A step with no authorised users yields an
-    empty domain, making the model trivially unsatisfiable."""
+    empty domain, making the model trivially unsatisfiable.  Every count and
+    SUAL bound is one `nvalue` row, so the model grows linearly in scope
+    size."""
     variables = [CsVar(f"y{s}", inst.auth.users(s)) for s in range(inst.k)]
     rows: list[CsRow] = []
 
@@ -625,36 +622,21 @@ def encode_cs(inst: Instance) -> CSModel:
                                 users=banned))
 
     for ci, c in enumerate(inst.constraints):
-        if isinstance(c, (AtMost, AtLeast, SUAL)):
-            size = len(c.scope)
-            count, what = ((comb(size, c.r + 1), f"{c.r + 1}-step subsets")
-                           if isinstance(c, AtMost) else (bell(size), "partitions"))
-            if count > CS_ENUM_LIMIT:
-                raise CapacityError(
-                    f"CS encoding of constraint {ci} ({type(c).__name__}) would enumerate "
-                    f"{count} {what} of its {size}-step scope, above "
-                    f"CS_ENUM_LIMIT={CS_ENUM_LIMIT}")
         if isinstance(c, SoD):
             rows.append(_cs_row("ne", steps=(c.s1, c.s2)))
         elif isinstance(c, BoD):
             rows.append(_cs_row("eq", steps=(c.s1, c.s2)))
-        elif isinstance(c, AtMost):
-            for sub in itertools.combinations(c.scope, c.r + 1):
-                rows.append(_cs_row("some_pair_equal", scope=sub))
-        elif isinstance(c, AtLeast):
-            rows.append(_cs_row(
-                "scope_pattern_in",
-                scope=c.scope,
-                allowed=_partitions_split(len(c.scope), c.r - 1)[1]))
+        elif isinstance(c, (AtMost, AtLeast)):
+            rows.append(_cs_row("nvalue", scope=c.scope,
+                                op="<=" if c.at_most else ">=", bound=c.r))
         elif isinstance(c, SUAL):
             g1 = selector(f"c{ci}_g1")
             g2 = selector(f"c{ci}_g2")
             rows.append(_cs_row("select_at_least_one", selectors=(g1, g2)))
-            within, beyond = _partitions_split(len(c.scope), c.h)
-            rows.append(_cs_row("cond_scope_pattern_in", selector=g1,
-                                scope=c.scope, allowed=within))
-            rows.append(_cs_row("cond_scope_pattern_in", selector=g2,
-                                scope=c.scope, allowed=beyond))
+            rows.append(_cs_row("cond_nvalue", selector=g1, scope=c.scope,
+                                op="<=", bound=c.h))
+            rows.append(_cs_row("cond_nvalue", selector=g2, scope=c.scope,
+                                op=">=", bound=c.h + 1))
             for s in c.scope:
                 exclude(g1, s, c.supers)
         else:  # WL or ADA
@@ -904,7 +886,19 @@ def emit_dimacs(model: BooleanModel, sink: IO[str]) -> None:
 
 def emit_cs_json(model: CSModel, sink: IO[str]) -> None:
     """CS model as JSON: {"vars": [{"name", "domain"}...],
-    "constraints": [{"kind", ...args}...]}."""
+    "constraints": [{"kind", ...args}...]}.  A y variable's domain is its
+    step's authorised users, a selector's is [0, 1].  The six row kinds and
+    their keys:
+
+    * `eq` and `ne`, "steps": [s1, s2]: y_s1 equals, or differs from, y_s2.
+    * `nvalue`, "scope", "op" ("<=" or ">="), "bound": the number of
+      distinct values among the scope's y variables, against the bound.
+    * `select_at_least_one`, "selectors": at least one of them is 1.
+    * `cond_nvalue`, "selector", "scope", "op", "bound": `nvalue` when the
+      selector is 1.
+    * `cond_exclude`, "selector", "step", "users": when the selector is 1,
+      y_step takes none of the users.
+    """
     doc = {
         "vars": [{"name": v.name, "domain": list(v.domain)}
                  for v in model.variables],

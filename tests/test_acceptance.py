@@ -7,7 +7,6 @@ offending cases.
 """
 
 import itertools
-import sys
 import time
 from contextlib import contextmanager
 from dataclasses import replace

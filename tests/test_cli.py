@@ -7,7 +7,6 @@ the text written to stdout/stderr, and byte-stability of the files produced.
 
 import csv
 import json
-from pathlib import Path
 
 import pytest
 
@@ -29,13 +28,15 @@ from wspkit.cli import (
 from wspkit.core import (
     ADA,
     AtLeast,
+    AtMost,
     AuthorisationFunction,
     Instance,
+    SUAL,
     SoD,
     WL,
     is_valid,
 )
-from wspkit.encode import encode_pbpb, encode_udpb
+from wspkit.encode import encode_udpb
 from wspkit.generator import (
     GenSpec,
     PTCalibration,
@@ -604,17 +605,28 @@ def test_encode_dimacs_writes_cnf_and_sidecar(po_file, tmp_path, capsys):
     assert sidecar.splitlines()[0] == "x0_0 1"
 
 
-def test_encode_cs_json_parses_with_known_row_kinds(po_file, tmp_path,
-                                                    capsys):
+def test_encode_cs_json_parses_with_known_row_kinds(tmp_path, capsys):
+    # 12-step count and SUAL scopes: Bell(12) = 4,213,597 partitions, each
+    # bound one row
+    path = tmp_path / "wide.json"
+    steps = tuple(range(12))
+    save_instance(path, Instance(12, 12, AuthorisationFunction.from_lists(
+        [list(range(12))] * 12, 12), (AtMost(9, steps), AtLeast(3, steps),
+                                       SUAL(steps, 2, frozenset({0, 1})))))
     out = tmp_path / "m.json"
-    main(["encode", str(po_file), "--repr", "cs", "--format", "json",
-          "--out", str(out)])
+    code = main(["encode", str(path), "--repr", "cs", "--format", "json",
+                 "--out", str(out)])
     capsys.readouterr()
+    assert code == EXIT_OK
     doc = json.loads(out.read_text())
-    assert [v["name"] for v in doc["vars"]] == [f"y{s}" for s in range(6)]
-    known = {"eq", "ne", "some_pair_equal", "scope_pattern_in",
-             "select_at_least_one", "cond_exclude", "cond_scope_pattern_in"}
-    assert {c["kind"] for c in doc["constraints"]} <= known
+    assert [v["name"] for v in doc["vars"]] == [
+        f"y{s}" for s in steps] + ["c2_g1", "c2_g2"]
+    rows = doc["constraints"]
+    assert [(c["kind"], c.get("op"), c.get("bound")) for c in rows[:5]] == [
+        ("nvalue", "<=", 9), ("nvalue", ">=", 3),
+        ("select_at_least_one", None, None),
+        ("cond_nvalue", "<=", 2), ("cond_nvalue", ">=", 3)]
+    assert {c["kind"] for c in rows[5:]} == {"cond_exclude"}
 
 
 @pytest.mark.parametrize("repr_name,format_name", [
@@ -627,21 +639,6 @@ def test_encode_rejects_incompatible_repr_format(po_file, tmp_path,
                  format_name, "--out", str(tmp_path / "m")])
     assert code == EXIT_ERROR
     assert "cs" in capsys.readouterr().err
-
-
-def test_encode_cs_names_its_enumeration_limit(tmp_path, capsys):
-    # an at-least scope of 12 steps has Bell(12) = 4,213,597 partitions
-    path = tmp_path / "wide.json"
-    save_instance(path, Instance(12, 12, AuthorisationFunction.from_lists(
-        [list(range(12))] * 12, 12), (AtLeast(3, tuple(range(12))),)))
-    out = tmp_path / "m.json"
-    code = main(["encode", str(path), "--repr", "cs", "--format", "json",
-                 "--out", str(out)])
-    assert code == EXIT_ERROR
-    assert capsys.readouterr().err == (
-        "error: CS encoding of constraint 0 (AtLeast) would enumerate 4213597 "
-        "partitions of its 12-step scope, above CS_ENUM_LIMIT=1000000\n")
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("repr_name,format_name", [

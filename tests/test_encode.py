@@ -31,7 +31,6 @@ from wspkit.core import (
     AtMost,
     AuthorisationFunction,
     BoD,
-    CapacityError,
     Instance,
     InvariantError,
     SoD,
@@ -40,12 +39,9 @@ from wspkit.core import (
     is_valid,
 )
 from wspkit.generator import GenSpec, derive_seed, generate
-from wspkit.patterns import bell
 from wspkit.encode import (
-    CS_ENUM_LIMIT,
     SUBSET_ENUM_LIMIT,
     BooleanModel,
-    CSModel,
     Row,
     _Builder,
     _sequential_counter,
@@ -261,8 +257,8 @@ def test_cs_variables_and_domains():
 
 
 def test_cs_row_vocabulary_is_closed():
-    known = {"eq", "ne", "some_pair_equal", "scope_pattern_in",
-             "select_at_least_one", "cond_exclude", "cond_scope_pattern_in"}
+    known = {"eq", "ne", "nvalue", "select_at_least_one", "cond_exclude",
+             "cond_nvalue"}
     for kind in CONSTRAINT_KINDS:
         for seed in range(4):
             model = encode_cs(random_instance(kind, seed, k_max=4, n_max=5))
@@ -444,36 +440,41 @@ def test_cs_unknown_row_kind_rejected():
         model.row_holds(CsRow("xor", ()), {"y0": 0})
 
 
-@pytest.mark.parametrize("constraint, count, what", [
-    (AtLeast(2, tuple(range(12))), bell(12), "partitions"),
-    (SUAL(tuple(range(12)), 2, frozenset({0})), bell(12), "partitions"),
-    (AtMost(9, tuple(range(30))), comb(30, 10), "10-step subsets"),
-])
-def test_cs_encoding_refuses_scopes_past_its_enumeration_limit(constraint, count,
-                                                              what):
-    # refused before any pattern or subset is walked: Bell(12) = 4,213,597
-    # partitions would take minutes, and the cost grows ~5x per step
+@pytest.mark.parametrize("kind", ("atmost", "atleast", "sual", "mixed"))
+def test_cs_model_solves_to_exactly_the_valid_plans_on_wider_scopes(kind):
+    # up to 5 steps, so count and SUAL scopes of 4 and 5 steps occur
+    for seed in range(10):
+        inst = random_instance(kind, seed, k_max=5, n_max=3)
+        assert set(plan_solutions(encode_cs(inst))) == valid_plans_longhand(inst), (
+            kind, seed)
+
+
+def test_cs_assignment_outside_the_domains_is_refused():
+    model = encode_cs(make(2, 3, [[0, 1], [2]], SoD(0, 1)))
+    assert model.satisfied_by({"y0": 1, "y1": 2})
+    assert not model.satisfied_by({"y0": 5, "y1": 2})
+    assert not model.satisfied_by({"y0": 1})
+    with pytest.raises(InvariantError, match="unknown variable 'z'"):
+        model.satisfied_by({"y0": 1, "y1": 2, "z": 0})
+    assert decode({"y0": 1, "y1": 2}, model) == (1, 2)
+    with pytest.raises(InvariantError, match="^step 0 has no authorised user: y0 is 5$"):
+        decode({"y0": 5, "y1": 2}, model)
+    with pytest.raises(InvariantError, match="^step 1 has no authorised user: y1 is missing$"):
+        decode({"y0": 1}, model)
+
+
+@pytest.mark.parametrize("constraint, kinds", [
+    (AtLeast(2, tuple(range(12))), ["nvalue"]),
+    (SUAL(tuple(range(12)), 2, frozenset({0})),
+     ["select_at_least_one", "cond_nvalue", "cond_nvalue"] + ["cond_exclude"] * 12),
+    (AtMost(9, tuple(range(30))), ["nvalue"]),
+], ids=["atleast12", "sual12", "atmost30"])
+def test_cs_encoding_of_a_wide_scope_is_a_fixed_number_of_rows(constraint, kinds):
+    # one count row per bound, however many partitions or subsets the
+    # scope has: Bell(12) = 4,213,597 and comb(30, 10) = 30,045,015
     k = len(constraint.scope)
-    inst = Instance(k, 12, full_auth(k, 12), (SoD(0, 1), constraint))
-    name = type(constraint).__name__
-    with pytest.raises(CapacityError, match=(
-            rf"^CS encoding of constraint 1 \({name}\) would enumerate {count} "
-            rf"{what} of its {k}-step scope, above CS_ENUM_LIMIT=1000000$")):
-        encode_cs(inst)
-
-
-def test_cs_enumeration_limit_is_inclusive(monkeypatch):
-    import wspkit.encode as enc
-    assert bell(11) <= CS_ENUM_LIMIT < bell(12)
-    monkeypatch.setattr(enc, "CS_ENUM_LIMIT", bell(4))
-    scope = AtLeast(2, (0, 1, 2, 3))
-    assert encode_cs(Instance(5, 3, full_auth(5, 3), (scope,))).rows
-    with pytest.raises(CapacityError, match="would enumerate 52 partitions"):
-        encode_cs(Instance(5, 3, full_auth(5, 3), (AtLeast(2, (0, 1, 2, 3, 4)),)))
-    monkeypatch.setattr(enc, "CS_ENUM_LIMIT", comb(5, 3))
-    assert encode_cs(Instance(5, 3, full_auth(5, 3), (AtMost(2, tuple(range(5))),))).rows
-    with pytest.raises(CapacityError, match="would enumerate 20 3-step subsets"):
-        encode_cs(Instance(6, 3, full_auth(6, 3), (AtMost(2, tuple(range(6))),)))
+    model = encode_cs(Instance(k, 12, full_auth(k, 12), (SoD(0, 1), constraint)))
+    assert [row.kind for row in model.rows] == ["ne"] + kinds
 
 
 # --- optional transitivity rows ------------------------------------------------
@@ -920,7 +921,7 @@ EXPORT_SHAPE = dict(k=10, n=80, am3=10, sod=7, sual=1, wl=2, ada=2)
 
 PINNED_DIGESTS = {
     "export_draws": {
-        "cs.json": "318d7a845b1af33c",
+        "cs.json": "82001354ca086a87",
         "cs.varmap": "f8d797e27334a15e",
         "pbpb.dimacs": "6e17c30a86fd6b11",
         "pbpb.opb": "e4199de97105ab33",
@@ -930,7 +931,7 @@ PINNED_DIGESTS = {
         "udpb.varmap": "51bf33f0f64a775f",
     },
     "bod_atleast": {
-        "cs.json": "ad95ce6c49bb0c0a",
+        "cs.json": "faf8a93ef3c923cf",
         "cs.varmap": "a6616519112a0824",
         "pbpb.dimacs": "5e9bc340d8ead938",
         "pbpb.opb": "d2b2f054bc174075",
@@ -940,7 +941,7 @@ PINNED_DIGESTS = {
         "udpb.varmap": "d59eccd49d8e513e",
     },
     "falsum": {
-        "cs.json": "e509fc3994322955",
+        "cs.json": "744407bc35f0d363",
         "cs.varmap": "22b951c35405eb15",
         "pbpb.dimacs": "2f3ea12f425840de",
         "pbpb.opb": "871697b52722657e",
@@ -950,7 +951,7 @@ PINNED_DIGESTS = {
         "udpb.varmap": "0dad522e1c7d220f",
     },
     "atmost_reps": {
-        "cs.json": "cd77d01b08392206",
+        "cs.json": "9bfa52e6880a713c",
         "cs.varmap": "34b2aa9603b5ce38",
         "pbpb.dimacs": "c7afea8b8c457ef4",
         "pbpb.opb": "ee202fcfb25f6b2d",
