@@ -629,6 +629,22 @@ def test_encode_cs_json_parses_with_known_row_kinds(tmp_path, capsys):
     assert {c["kind"] for c in rows[5:]} == {"cond_exclude"}
 
 
+def test_encode_cs_names_its_enumeration_limit(tmp_path, capsys):
+    # an at-least scope of 12 steps has Bell(12) = 4,213,597 partitions; the
+    # CS model enumerates none of them, so no limit is named and it encodes
+    path = tmp_path / "wide.json"
+    save_instance(path, Instance(12, 12, AuthorisationFunction.from_lists(
+        [list(range(12))] * 12, 12), (AtLeast(3, tuple(range(12))),)))
+    out = tmp_path / "m.json"
+    code = main(["encode", str(path), "--repr", "cs", "--format", "json",
+                 "--out", str(out)])
+    assert code == EXIT_OK
+    assert capsys.readouterr().err == ""
+    rows = json.loads(out.read_text())["constraints"]
+    assert [(c["kind"], c["op"], c["bound"]) for c in rows] == [
+        ("nvalue", ">=", 3)]
+
+
 @pytest.mark.parametrize("repr_name,format_name", [
     ("cs", "opb"), ("cs", "dimacs"), ("udpb", "json"), ("pbpb", "json"),
 ])
